@@ -2,15 +2,26 @@
 
 The pairwise detectors (:mod:`repro.core.intra`, :mod:`repro.core.inter`)
 enumerate access pairs and then test each for byte overlap.  This module
-inverts that: per bucket (epoch or ``(window, target)`` vector entry) the
-access intervals go into :class:`~repro.util.intervals.IntervalTable`
-columns and one sort+``searchsorted`` sweep
-(:func:`~repro.util.intervals.overlap_join`) yields *only the candidate
-pairs that actually share bytes*; Table-I compatibility, happens-before
-pruning, and diagnostic payloads then run on that (usually tiny) survivor
-set — by delegating to the very same per-pair check functions the
-pairwise engine uses, so the two engines emit the same findings by
-construction.
+inverts that, for a whole *list* of work units (epochs, or concurrent
+regions) at once: the units' access intervals go into one
+:class:`~repro.util.intervals.IntervalTable` whose ``group`` column
+keeps apart what the pairwise loops keep apart, and one
+sort+``searchsorted`` sweep (:func:`~repro.util.intervals.overlap_join`)
+per stage yields *only the candidate pairs that actually share bytes* —
+a constant number of numpy joins per batch, not one per epoch or vector
+entry.  Table-I compatibility, happens-before pruning, and diagnostic
+payloads then run on that (usually tiny) survivor set — by delegating to
+the very same per-pair check functions the pairwise engine uses, so the
+two engines emit the same findings by construction.
+
+The kernels, :func:`check_epochs_sweep` and :func:`detect_regions_sweep`,
+return findings *per unit*, in the order the per-unit nested loops emit
+them, so any contiguous chunking of a unit list concatenates to the same
+sequence.  Every executor is a policy over them: the serial checker
+passes all units, a pool worker its chunk, the incremental checker its
+dirty shards, the streaming checker the unit that just closed.  Inside,
+unit lists are cut into sub-batches of at most :data:`BATCH_ROWS`
+flattened rows, which bounds the joins' working set at any trace size.
 
 Completeness of the join: among the RMA kinds (put/get/acc) Table I has
 no ``ERROR`` cells, and its ``NONOV`` cells fire only on overlap, so
@@ -21,15 +32,16 @@ memory model only): those pairs are enumerated explicitly as the
 stores-inside-the-exposed-window × put/acc-ops product, which is
 output-bounded by the same quantity the pairwise scan walks.
 
-Candidate-pair counts per phase land in the obs metric
-``engine_candidate_pairs_total{phase,stage}`` so pruning effectiveness is
-observable (they are deliberately *not* part of ``CheckStats`` — the
+Candidate-pair counts land in the obs metric
+``engine_candidate_pairs_total{phase,stage}`` and join invocations in
+``engine_join_calls_total{phase}``, so pruning effectiveness and the
+batching are observable (deliberately *not* in ``CheckStats`` — the
 canonical report must stay engine-invariant byte for byte).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,19 +55,33 @@ from repro.core.inter import (
     _check_concurrent_ops, bucket_by_region, check_local_against_entries,
 )
 from repro.core.intra import (
-    _check_attached_pair, _check_attached_vs_plain, _check_target_pair,
-    bucket_by_epoch,
+    EpochUnit, _check_attached_pair, _check_attached_vs_plain,
+    _check_target_pair, bucket_by_epoch,
 )
-from repro.core.model import AccessModel, LocalAccess, MemRows, RMAOpView
+from repro.core.model import (
+    AccessModel, LocalAccess, MemRows, RMAOpView, RowBounds, gather_rows,
+)
 from repro.core.preprocess import PreprocessedTrace
 from repro.core.regions import RegionIndex
-from repro.profiler.events import ACCESS_CODES
-from repro.util.intervals import IntervalTable, overlap_join
+from repro.util.intervals import (
+    IntervalTable, expand_ranges, overlap_join, unique_pairs,
+)
 
 #: recognized values of the ``engine=`` / ``--engine`` switch
 ENGINES = ("sweep", "pairwise")
 
-_STORE_CODE = ACCESS_CODES["store"]
+#: sub-batch budget: at most this many flattened rows (op intervals plus
+#: an upper bound on the memory rows in range) enter one kernel pass —
+#: it bounds the joins' transient arrays (docs/performance.md has the sizing)
+BATCH_ROWS = 1 << 15
+
+#: per-unit findings, aligned with the unit list a kernel was handed
+UnitFindings = List[List[ConsistencyError]]
+
+#: one region's work unit: ``(region_ops, region_locals, {rank: (lo_seq,
+#: hi_seq)})`` — the region's seq bounds select each rank's memory rows
+RegionUnit = Tuple[List[RMAOpView], List[LocalAccess],
+                   Dict[int, Tuple[int, int]]]
 
 
 def resolve_engine(engine: str) -> str:
@@ -75,182 +101,199 @@ def _record_candidates(phase: str, stage: str, n: int) -> None:
                            "interval join, per phase and stage")
 
 
+def _join(phase: str, a: IntervalTable,
+          b: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
+    """The engine's only route into :func:`overlap_join`, counted."""
+    rec = obs.get_recorder()
+    if rec.enabled:
+        rec.count("engine_join_calls_total", 1, phase=phase,
+                  help="overlap_join invocations of the sweep engine, "
+                       "per phase")
+    return overlap_join(a, b)
+
+
+def _self_join(phase: str,
+               table: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Overlapping owner pairs within one table, each once (``a < b``)."""
+    pair_a, pair_b = _join(phase, table, table)
+    keep = pair_a < pair_b
+    return pair_a[keep], pair_b[keep]
+
+
+def _rows_bound(mems: Dict[int, MemRows], bounds: RowBounds) -> int:
+    """Upper bound on the rows inside ``bounds`` (seqs are distinct
+    trace record indices), without touching them."""
+    rank, lo_seq, hi_seq = bounds
+    rows = mems.get(rank)
+    return min(len(rows), max(hi_seq - lo_seq - 1, 0)) if rows else 0
+
+
+def _batched(kernel: Callable[[Sequence], UnitFindings], units: Sequence,
+             weight: Callable[[tuple], int]) -> UnitFindings:
+    """Run ``kernel`` over contiguous sub-batches of ``units`` holding at
+    most :data:`BATCH_ROWS` weight each (always at least one unit)."""
+    found: UnitFindings = []
+    lo = load = 0
+    for i, unit in enumerate(units):
+        w = weight(unit)
+        if i > lo and load + w > BATCH_ROWS:
+            found.extend(kernel(units[lo:i]))
+            lo, load = i, 0
+        load += w
+    if lo < len(units):
+        found.extend(kernel(units[lo:]))
+    return found
+
+
+def _flatten(found: UnitFindings) -> List[ConsistencyError]:
+    return [error for unit_found in found for error in unit_found]
+
+
 # ----------------------------------------------------------------------
 # intra-epoch detection
 # ----------------------------------------------------------------------
-
-#: one epoch's sweep work unit: the object populations of
-#: :data:`repro.core.intra.EpochUnit` plus the (lo, hi) row range of the
-#: epoch's rank inside that rank's MemRows columns
-SweepEpochUnit = Tuple[Epoch, List[RMAOpView], List[LocalAccess],
-                       List[LocalAccess], int, int, int]
-
-
-def bucket_by_epoch_sweep(model: AccessModel,
-                          epoch_index: EpochIndex) -> List[SweepEpochUnit]:
-    """Per-epoch sweep units, in ``epoch_index`` order.
-
-    Object populations (ops, attached origins, call-derived plain locals)
-    come from the shared :func:`bucket_by_epoch`; the packed memory rows
-    are addressed as a ``searchsorted`` range instead of a filter scan.
-    """
-    units: List[SweepEpochUnit] = []
-    for epoch, ops, attached, obj_mems in bucket_by_epoch(model,
-                                                          epoch_index):
-        rows = model.mems.get(epoch.rank)
-        if rows is not None and len(rows):
-            lo, hi = rows.row_range(epoch.open_seq, epoch.close_seq)
-        else:
-            lo = hi = 0
-        units.append((epoch, ops, attached, obj_mems, epoch.rank, lo, hi))
-    return units
 
 
 def detect_intra_epoch_sweep(model: AccessModel, epoch_index: EpochIndex,
                              memory_model: str = MODEL_SEPARATE
                              ) -> List[ConsistencyError]:
     """Sweep counterpart of :func:`repro.core.intra.detect_intra_epoch`."""
-    errors: List[ConsistencyError] = []
-    for epoch, ops, attached, obj_mems, rank, lo, hi in \
-            bucket_by_epoch_sweep(model, epoch_index):
-        rows = model.mems.get(rank)
-        rows = rows.slice(lo, hi) if rows is not None else None
-        errors.extend(check_epoch_sweep(epoch, ops, attached, obj_mems,
-                                        rows, memory_model))
-    return errors
+    return _flatten(check_epochs_sweep(
+        bucket_by_epoch(model, epoch_index), model.mems, memory_model))
 
 
-def check_epoch_sweep(epoch: Epoch, ops: List[RMAOpView],
-                      attached: List[LocalAccess],
-                      obj_mems: List[LocalAccess],
-                      rows: Optional[MemRows],
-                      memory_model: str = MODEL_SEPARATE
-                      ) -> List[ConsistencyError]:
-    """Within-epoch ruleset over one epoch, joins first.
+def _epoch_rows(epoch: Epoch) -> RowBounds:
+    return epoch.rank, epoch.open_seq, epoch.close_seq
 
-    Same verdicts as :func:`repro.core.intra.check_epoch` with ``mems =
-    obj_mems + rows-as-objects``: every candidate pair the joins produce
-    is handed to the pairwise per-pair checker, and no intra finding can
-    exist without byte overlap (op-op NONOV cells and both ORIGIN rules
-    all require it), so nothing outside the joins can fire.
+
+def check_epochs_sweep(units: Sequence[EpochUnit],
+                       mems: Dict[int, MemRows],
+                       memory_model: str = MODEL_SEPARATE) -> UnitFindings:
+    """Within-epoch ruleset over a list of epoch units, joins first.
+
+    ``units`` are :func:`~repro.core.intra.bucket_by_epoch` tuples whose
+    last field holds the call-derived plain locals; the instrumented
+    loads/stores are ``mems[epoch.rank]`` inside the epoch's seq bounds.
+    Same verdicts, per unit, as :func:`repro.core.intra.check_epoch` over
+    both: every candidate pair goes to the pairwise per-pair checker, and
+    no intra finding exists without byte overlap (op-op NONOV cells and
+    both ORIGIN rules require it), so nothing outside the joins can fire.
     """
-    errors: List[ConsistencyError] = []
+    def weight(unit: EpochUnit) -> int:
+        epoch, ops, attached, _obj_mems = unit
+        return len(ops) + len(attached) + (
+            _rows_bound(mems, _epoch_rows(epoch)) if attached else 0)
 
-    # (a) RMA op pairs on the same target: self-join of target intervals
-    if len(ops) > 1:
-        by_target: Dict[int, List[int]] = {}
-        for i, op in enumerate(ops):
-            by_target.setdefault(op.target, []).append(i)
-        for idxs in by_target.values():
-            if len(idxs) < 2:
-                continue
-            table = IntervalTable.from_sets(
-                [ops[i].target_intervals for i in idxs], owners=idxs)
-            pair_a, pair_b = overlap_join(table, table)
-            keep = pair_a < pair_b
-            pair_a, pair_b = pair_a[keep], pair_b[keep]
-            _record_candidates("intra", "op_pair", len(pair_a))
-            for i, j in zip(pair_a.tolist(), pair_b.tolist()):
-                error = _check_target_pair(ops[i], ops[j], memory_model)
-                if error is not None:
-                    errors.append(error)
+    return _batched(lambda batch: _epochs_pass(batch, mems, memory_model),
+                    units, weight)
 
-    if not attached:
-        return errors
+
+def _epochs_pass(units: Sequence[EpochUnit], mems: Dict[int, MemRows],
+                 memory_model: str) -> UnitFindings:
+    found: UnitFindings = [[] for _ in units]
+
+    # (a) RMA op pairs on the same target: one self-join of target
+    # intervals, group = (epoch, target)
+    ops: List[RMAOpView] = []
+    op_group: List[int] = []
+    op_unit: List[int] = []
+    n_groups = 0
+    for u, (_epoch, unit_ops, _attached, _obj_mems) in enumerate(units):
+        if len(unit_ops) < 2:
+            continue
+        by_target: Dict[int, List[RMAOpView]] = {}
+        for op in unit_ops:
+            by_target.setdefault(op.target, []).append(op)
+        for same in by_target.values():
+            if len(same) > 1:
+                ops.extend(same)
+                op_group.extend([n_groups] * len(same))
+                op_unit.extend([u] * len(same))
+                n_groups += 1
+    if ops:
+        pair_a, pair_b = _self_join("intra", IntervalTable.from_sets(
+            [op.target_intervals for op in ops], groups=op_group))
+        _record_candidates("intra", "op_pair", len(pair_a))
+        for i, j in zip(pair_a.tolist(), pair_b.tolist()):
+            error = _check_target_pair(ops[i], ops[j], memory_model)
+            if error is not None:
+                found[op_unit[i]].append(error)
 
     # (b) attached origin buffers vs plain locals (columnar rows first,
-    # then the call-derived objects) and vs each other
-    att_table = IntervalTable.from_sets([a.intervals for a in attached])
-    n_rows = len(rows) if rows is not None else 0
-    plain_parts = []
+    # then the call-derived objects) and vs each other, group = epoch
+    with_attached = [u for u, unit in enumerate(units) if unit[2]]
+    if not with_attached:
+        return found
+    attached = [acc for u in with_attached for acc in units[u][2]]
+    att_unit = [u for u in with_attached for _acc in units[u][2]]
+    objs = [la for u in with_attached for la in units[u][3]]
+    obj_unit = [u for u in with_attached for _la in units[u][3]]
+    att_table = IntervalTable.from_sets([acc.intervals for acc in attached],
+                                        groups=att_unit)
+    rows = gather_rows(mems, [_epoch_rows(units[u][0])
+                               for u in with_attached])
+    n_rows = len(rows.idx) if rows is not None else 0
+    plain_parts = [IntervalTable.from_sets(
+        [la.intervals for la in objs],
+        owners=range(n_rows, n_rows + len(objs)), groups=obj_unit)]
+    plain_seq = np.array([la.seq for la in objs], dtype=np.int64)
+    plain_store = np.array([la.access == "store" for la in objs],
+                           dtype=bool)
     if n_rows:
-        plain_parts.append(IntervalTable.from_columns(rows.addr, rows.size))
-    if obj_mems:
-        plain_parts.append(IntervalTable.from_sets(
-            [la.intervals for la in obj_mems],
-            owners=[n_rows + i for i in range(len(obj_mems))]))
-    if plain_parts:
-        plain_table = IntervalTable.concat(plain_parts)
-        pair_a, pair_p = overlap_join(att_table, plain_table)
-        if len(pair_a):
-            # vectorized prefilter mirroring _check_attached_vs_plain's
-            # seq-window and store conditions; survivors re-run the full
-            # scalar check for the identical payload
-            att_seq = np.array([a.origin_of.seq for a in attached],
-                               dtype=np.int64)
-            att_complete = np.array(
-                [a.origin_of.complete_seq for a in attached],
-                dtype=np.int64)
-            att_store = np.array([a.access == "store" for a in attached])
-            if n_rows:
-                plain_seq = np.concatenate(
-                    [rows.seq, np.array([la.seq for la in obj_mems],
-                                        dtype=np.int64)]) \
-                    if obj_mems else rows.seq
-                plain_store = np.concatenate(
-                    [rows.access == _STORE_CODE,
-                     np.array([la.access == "store" for la in obj_mems],
-                              dtype=bool)]) \
-                    if obj_mems else rows.access == _STORE_CODE
-            else:
-                plain_seq = np.array([la.seq for la in obj_mems],
-                                     dtype=np.int64)
-                plain_store = np.array(
-                    [la.access == "store" for la in obj_mems], dtype=bool)
-            keep = ((plain_seq[pair_p] >= att_seq[pair_a])
-                    & (plain_seq[pair_p] <= att_complete[pair_a])
-                    & (att_store[pair_a] | plain_store[pair_p]))
-            pair_a, pair_p = pair_a[keep], pair_p[keep]
-            _record_candidates("intra", "origin_vs_plain", len(pair_a))
-            for k, m in zip(pair_a.tolist(), pair_p.tolist()):
-                la = (rows.local_access(m) if m < n_rows
-                      else obj_mems[m - n_rows])
-                errors.extend(_check_attached_vs_plain(attached[k], la))
+        plain_parts.insert(0, IntervalTable.from_columns(
+            rows.addr, rows.size,
+            group=np.array(with_attached, dtype=np.int64)[rows.group]))
+        plain_seq = np.concatenate([rows.seq, plain_seq])
+        plain_store = np.concatenate([rows.store, plain_store])
+    pair_a, pair_p = (_join("intra", att_table,
+                            IntervalTable.concat(plain_parts))
+                      if n_rows or objs else ((), ()))
+    if len(pair_a):
+        # vectorized prefilter mirroring _check_attached_vs_plain's
+        # seq-window and store conditions; survivors re-run the full
+        # scalar check for the identical payload
+        att_seq = np.array([acc.origin_of.seq for acc in attached],
+                           dtype=np.int64)
+        att_complete = np.array(
+            [acc.origin_of.complete_seq for acc in attached],
+            dtype=np.int64)
+        att_store = np.array([acc.access == "store" for acc in attached])
+        keep = ((plain_seq[pair_p] >= att_seq[pair_a])
+                & (plain_seq[pair_p] <= att_complete[pair_a])
+                & (att_store[pair_a] | plain_store[pair_p]))
+        pair_a, pair_p = pair_a[keep], pair_p[keep]
+        _record_candidates("intra", "origin_vs_plain", len(pair_a))
+        for k, m in zip(pair_a.tolist(), pair_p.tolist()):
+            acc = attached[k]
+            la = (mems[acc.rank].local_access(int(rows.idx[m]))
+                  if m < n_rows else objs[m - n_rows])
+            found[att_unit[k]].extend(_check_attached_vs_plain(acc, la))
 
-    if len(attached) > 1:
-        pair_a, pair_b = overlap_join(att_table, att_table)
-        keep = pair_a < pair_b
-        pair_a, pair_b = pair_a[keep], pair_b[keep]
-        _record_candidates("intra", "origin_pair", len(pair_a))
-        for k, m in zip(pair_a.tolist(), pair_b.tolist()):
-            acc_a, acc_b = attached[k], attached[m]
-            if acc_a.origin_of is acc_b.origin_of:
-                continue  # one call's own buffers don't self-conflict
-            errors.extend(_check_attached_pair(acc_a, acc_b))
-    return errors
+    if len(attached) == len(with_attached):  # one buffer per epoch
+        return found
+    pair_a, pair_b = _self_join("intra", att_table)
+    _record_candidates("intra", "origin_pair", len(pair_a))
+    for k, m in zip(pair_a.tolist(), pair_b.tolist()):
+        acc_a, acc_b = attached[k], attached[m]
+        if acc_a.origin_of is acc_b.origin_of:
+            continue  # one call's own buffers don't self-conflict
+        found[att_unit[k]].extend(_check_attached_pair(acc_a, acc_b))
+    return found
 
 
 # ----------------------------------------------------------------------
 # cross-process detection
 # ----------------------------------------------------------------------
 
-#: one region's sweep work unit: ``(region_ops, region_locals,
-#: {rank: (lo, hi) row range})``
-SweepRegionUnit = Tuple[List[RMAOpView], List[LocalAccess],
-                        Dict[int, Tuple[int, int]]]
 
-
-def bucket_by_region_sweep(model: AccessModel,
-                           regions: RegionIndex) -> List[SweepRegionUnit]:
-    """Per-region sweep units for regions that contain at least one op
+def region_units(model: AccessModel,
+                 regions: RegionIndex) -> List[RegionUnit]:
+    """Per-region work units for regions that contain at least one op
     (others cannot produce cross-process findings), in region order."""
     ops_by_region, locals_by_region = bucket_by_region(model, regions)
-    units: List[SweepRegionUnit] = []
-    for region in regions:
-        region_ops = ops_by_region.get(region.index, [])
-        if not region_ops:
-            continue
-        bounds: Dict[int, Tuple[int, int]] = {}
-        for rank, rows in model.mems.items():
-            if not len(rows):
-                continue
-            lo_seq, hi_seq = region.bounds[rank]
-            lo, hi = rows.row_range(lo_seq, hi_seq)
-            if hi > lo:
-                bounds[rank] = (lo, hi)
-        units.append((region_ops,
-                      locals_by_region.get(region.index, []), bounds))
-    return units
+    return [(ops_by_region[region.index],
+             locals_by_region.get(region.index, []), region.bounds)
+            for region in regions if ops_by_region.get(region.index)]
 
 
 def detect_cross_process_sweep(pre: PreprocessedTrace, model: AccessModel,
@@ -260,169 +303,194 @@ def detect_cross_process_sweep(pre: PreprocessedTrace, model: AccessModel,
                                memory_model: str = MODEL_SEPARATE
                                ) -> List[ConsistencyError]:
     """Sweep counterpart of :func:`repro.core.inter.detect_cross_process`."""
-    errors: List[ConsistencyError] = []
-    lock_index = _LocalLockIndex(epoch_index, pre.nranks)
-    for region_ops, region_locals, bounds in \
-            bucket_by_region_sweep(model, regions):
-        region_mems = {rank: model.mems[rank].slice(lo, hi)
-                       for rank, (lo, hi) in bounds.items()}
-        errors.extend(detect_region_sweep(
-            pre, region_ops, region_locals, region_mems, oracle,
-            lock_index, memory_model))
-    return errors
+    return _flatten(detect_regions_sweep(
+        pre, region_units(model, regions), model.mems, oracle,
+        _LocalLockIndex(epoch_index, pre.nranks), memory_model))
 
 
-def detect_region_sweep(pre: PreprocessedTrace,
-                        region_ops: List[RMAOpView],
-                        region_locals: List[LocalAccess],
-                        region_mems: Dict[int, MemRows],
-                        oracle: ConcurrencyOracle,
-                        lock_index: _LocalLockIndex,
-                        memory_model: str = MODEL_SEPARATE
-                        ) -> List[ConsistencyError]:
-    """One concurrent region, joins first.
+def detect_regions_sweep(pre: PreprocessedTrace,
+                         units: Sequence[RegionUnit],
+                         mems: Dict[int, MemRows],
+                         oracle: ConcurrencyOracle,
+                         lock_index: _LocalLockIndex,
+                         memory_model: str = MODEL_SEPARATE
+                         ) -> UnitFindings:
+    """A list of concurrent regions, joins first.
 
-    Mirrors :func:`repro.core.inter.detect_region` with ``region_locals +
-    region_mems-as-objects`` as the local population: object locals reuse
-    the pairwise step-2 loop verbatim, op-op pairs and the packed memory
-    rows go through interval joins with a batched happens-before filter,
-    and the no-overlap store-vs-put/acc ``ERROR`` rule (separate model)
-    is enumerated as an explicit product over the stores that touch the
-    exposed window.
+    Mirrors, per unit, :func:`repro.core.inter.detect_region` with
+    ``region_locals + rows-as-objects`` as the local population (the
+    rows being ``mems[rank]`` inside the region's seq bounds): object
+    locals reuse the pairwise step-2 loop verbatim, op-op pairs and the
+    packed memory rows go through grouped interval joins with one
+    batched happens-before query each, and the no-overlap
+    store-vs-put/acc ``ERROR`` rule (separate model) is enumerated as an
+    explicit product over the stores that touch the exposed window.
     """
-    errors: List[ConsistencyError] = []
+    def weight(unit: RegionUnit) -> int:
+        region_ops, _locals, bounds = unit
+        return len(region_ops) + sum(
+            _rows_bound(mems, (target, *bounds[target]))
+            for target in {op.target for op in region_ops})
 
-    # step 1: bucket ops into (window, target) vector entries, then
-    # self-join each entry's target intervals
-    vector: Dict[Tuple[int, int], _OpVector] = {}
-    entries_by_rank: Dict[int, List[_OpVector]] = {}
-    for op in region_ops:
-        key = (op.win_id, op.target)
-        entry = vector.get(key)
-        if entry is None:
-            entry = vector[key] = _OpVector(op.win_id, op.target)
-            entries_by_rank.setdefault(op.target, []).append(entry)
-        entry.append(op)
+    return _batched(
+        lambda batch: _regions_pass(pre, batch, mems, oracle, lock_index,
+                                    memory_model), units, weight)
 
-    for entry in vector.values():
-        entry_ops = entry.ops
-        if len(entry_ops) < 2:
-            continue
-        table = IntervalTable.from_sets(
-            [op.target_intervals for op in entry_ops])
-        pair_a, pair_b = overlap_join(table, table)
-        keep = pair_a < pair_b
-        pair_a, pair_b = pair_a[keep], pair_b[keep]
-        if not len(pair_a):
-            continue
-        ranks, starts, ends = entry.arrays()
-        keep = ranks[pair_a] != ranks[pair_b]  # same-rank: intra's job
-        pair_a, pair_b = pair_a[keep], pair_b[keep]
-        _record_candidates("inter", "op_pair", len(pair_a))
-        concurrent = ~oracle.ordered_pairs(
-            ranks[pair_a], starts[pair_a], ends[pair_a],
-            ranks[pair_b], starts[pair_b], ends[pair_b])
-        for k in np.nonzero(concurrent)[0].tolist():
-            error = _check_concurrent_ops(entry_ops[pair_a[k]],
-                                          entry_ops[pair_b[k]],
-                                          memory_model)
-            if error is not None:
-                errors.append(error)
+
+def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
+                  mems: Dict[int, MemRows], oracle: ConcurrencyOracle,
+                  lock_index: _LocalLockIndex,
+                  memory_model: str) -> UnitFindings:
+    found: UnitFindings = [[] for _ in units]
+
+    # bucket each region's ops into (window, target) vector entries, in
+    # first-recorded order (step 1's walk); each (region, target) is one
+    # memory-row group, numbered in first-recorded order too, so step
+    # 2b's walk — by region, target, entry — is by (group, entry)
+    entries: List[_OpVector] = []
+    entry_unit: List[int] = []
+    entry_group: List[int] = []
+    entries_by_rank: List[Dict[int, List[_OpVector]]] = []
+    row_bounds: List[RowBounds] = []
+    for u, (region_ops, _locals, bounds) in enumerate(units):
+        vector: Dict[Tuple[int, int], _OpVector] = {}
+        by_rank: Dict[int, List[_OpVector]] = {}
+        group_of: Dict[int, int] = {}
+        for op in region_ops:
+            key = (op.win_id, op.target)
+            entry = vector.get(key)
+            if entry is None:
+                entry = vector[key] = _OpVector(op.win_id, op.target)
+                if op.target not in group_of:
+                    group_of[op.target] = len(row_bounds)
+                    row_bounds.append((op.target, *bounds[op.target]))
+                by_rank.setdefault(op.target, []).append(entry)
+                entries.append(entry)
+                entry_unit.append(u)
+                entry_group.append(group_of[op.target])
+            entry.append(op)
+        entries_by_rank.append(by_rank)
+    n_entries = len(entries)
+    if not n_entries:
+        return found
+    ops = [op for entry in entries for op in entry.ops]
+    op_entry = np.repeat(np.arange(n_entries, dtype=np.int64),
+                         [len(entry.ops) for entry in entries])
+    op_rank = np.array([op.rank for op in ops], dtype=np.int64)
+    op_start = np.array([op.seq for op in ops], dtype=np.int64)
+    op_end = np.array([op.complete_seq for op in ops], dtype=np.int64)
+
+    def op_spans(idx: np.ndarray):
+        return op_rank[idx], op_start[idx], op_end[idx]
+
+    # step 1: one self-join of every entry's target intervals
+    tgt_table = IntervalTable.from_sets(
+        [op.target_intervals for op in ops], groups=op_entry)
+    pair_a, pair_b = _self_join("inter", tgt_table)
+    keep = op_rank[pair_a] != op_rank[pair_b]  # same-rank: intra's job
+    pair_a, pair_b = pair_a[keep], pair_b[keep]
+    _record_candidates("inter", "op_pair", len(pair_a))
+    keep = ~oracle.ordered_pairs(*op_spans(pair_a), *op_spans(pair_b))
+    for i, j in zip(pair_a[keep].tolist(), pair_b[keep].tolist()):
+        error = _check_concurrent_ops(ops[i], ops[j], memory_model)
+        if error is not None:
+            found[entry_unit[op_entry[i]]].append(error)
 
     # step 2a: call-derived local objects — the pairwise inner loop
-    for la in region_locals:
-        check_local_against_entries(
-            pre, la, entries_by_rank.get(la.rank, ()), oracle, lock_index,
-            memory_model, errors)
+    for u, (_ops, region_locals, _bounds) in enumerate(units):
+        by_rank = entries_by_rank[u]
+        for la in region_locals:
+            check_local_against_entries(
+                pre, la, by_rank.get(la.rank, ()), oracle, lock_index,
+                memory_model, found[u])
 
-    # step 2b: packed memory rows, columnar per entry
-    for target, entries in entries_by_rank.items():
-        rows = region_mems.get(target)
-        if rows is None or not len(rows):
-            continue
-        for entry in entries:
-            _check_rows_against_entry(pre, rows, entry, oracle, lock_index,
-                                      memory_model, errors)
-    return errors
-
-
-def _check_rows_against_entry(pre: PreprocessedTrace, rows: MemRows,
-                              entry: _OpVector, oracle: ConcurrencyOracle,
-                              lock_index: _LocalLockIndex,
-                              memory_model: str,
-                              errors: List[ConsistencyError]) -> None:
-    """One rank's memory rows vs one ``(window, target)`` vector entry."""
-    target = entry.target
-    exposure = pre.window(entry.win_id).exposure(target)
-    if not exposure:
-        return
-    # clip rows to the exposed window: a row matters only through its
-    # bytes inside the exposure (the pairwise `la_in_window` clip)
-    expo_lo = np.array([iv.start for iv in exposure], dtype=np.int64)
-    expo_hi = np.array([iv.stop for iv in exposure], dtype=np.int64)
-    row_table = IntervalTable.from_columns(rows.addr, rows.size)
-    row_idx, expo_idx = overlap_join(row_table,
-                                     IntervalTable(expo_lo, expo_hi))
+    # step 2b: packed memory rows, columnar over every entry at once
+    rows = gather_rows(mems, row_bounds)
+    if rows is None:
+        return found
+    entry_group = np.array(entry_group, dtype=np.int64)
+    # clip rows to each entry's exposed window: a row matters only
+    # through its bytes inside the exposure (the pairwise `la_in_window`
+    # clip); rows meet the exposures of their own (region, target) group
+    exposures = {key: pre.window(key[0]).exposure(key[1])
+                 for key in {(entry.win_id, entry.target)
+                             for entry in entries}}
+    expo = [(iv.start, iv.stop, e) for e, entry in enumerate(entries)
+            for iv in exposures[entry.win_id, entry.target]]
+    if not expo:
+        return found
+    expo_lo, expo_hi, expo_entry = (np.array(col, dtype=np.int64)
+                                    for col in zip(*expo))
+    row_idx, expo_idx = _join(
+        "inter",
+        IntervalTable.from_columns(rows.addr, rows.size, group=rows.group),
+        IntervalTable(expo_lo, expo_hi, group=entry_group[expo_entry]))
     if not len(row_idx):
-        return
+        return found
+    hit_entry = expo_entry[expo_idx]
     clipped = IntervalTable(
         np.maximum(rows.addr[row_idx], expo_lo[expo_idx]),
         np.minimum(rows.addr[row_idx] + rows.size[row_idx],
                    expo_hi[expo_idx]),
-        owner=row_idx)
-
-    entry_ops = entry.ops
-    op_is_update = np.array([op.kind != GET for op in entry_ops])
+        owner=row_idx, group=hit_entry)
 
     # overlap-born candidates (Table-I NONOV cells)
-    tgt_table = IntervalTable.from_sets(
-        [op.target_intervals for op in entry_ops])
-    pair_r, pair_o = overlap_join(clipped, tgt_table)
-    if len(pair_r):
-        row_is_store = rows.access[pair_r] == _STORE_CODE
-        update = op_is_update[pair_o]
-        if memory_model == MODEL_SEPARATE:
-            # store vs put/acc is the ERROR rule, enumerated below
-            # without the overlap requirement; load-load and load-get
-            # cells are BOTH — never errors
-            keep = (~row_is_store & update) | (row_is_store & ~update)
-        else:
-            keep = update | row_is_store  # only load-vs-get drops
-        pair_r, pair_o = pair_r[keep], pair_o[keep]
+    op_is_update = np.array([op.kind != GET for op in ops])
+    pair_r, pair_o = _join("inter", clipped, tgt_table)
+    row_is_store = rows.store[pair_r]
+    update = op_is_update[pair_o]
+    if memory_model == MODEL_SEPARATE:
+        # store vs put/acc is the ERROR rule, enumerated below without
+        # the overlap requirement; load-load and load-get cells are
+        # BOTH — never errors
+        keep = row_is_store != update
+    else:
+        keep = update | row_is_store  # only load-vs-get drops
+    pair_r, pair_o = pair_r[keep], pair_o[keep]
+    by_op = np.zeros(len(pair_r), dtype=bool)
 
     # the MPI-2.2 special rule: a store inside the exposed window vs any
-    # concurrent put/acc on it, byte overlap not required
+    # concurrent put/acc on it, byte overlap not required — per entry,
+    # its stores × its update ops, walked op-major
     if memory_model == MODEL_SEPARATE and op_is_update.any():
-        window_rows = np.unique(row_idx)
-        store_rows = window_rows[
-            rows.access[window_rows] == _STORE_CODE]
-        if len(store_rows):
-            update_ops = np.nonzero(op_is_update)[0]
-            pair_r = np.concatenate(
-                [pair_r, np.tile(store_rows, len(update_ops))])
-            pair_o = np.concatenate(
-                [pair_o, np.repeat(update_ops, len(store_rows))])
-
+        store_row, store_entry = unique_pairs(row_idx, hit_entry)
+        keep = rows.store[store_row]
+        store_row, store_entry = store_row[keep], store_entry[keep]
+        update_ops = np.nonzero(op_is_update)[0]
+        n_updates = np.bincount(op_entry[update_ops], minlength=n_entries)
+        rep, k = expand_ranges((np.cumsum(n_updates) - n_updates)[store_entry],
+                               n_updates[store_entry])
+        pair_r = np.concatenate([pair_r, store_row[rep]])
+        pair_o = np.concatenate([pair_o, update_ops[k]])
+        by_op = np.concatenate([by_op, np.ones(len(rep), dtype=bool)])
     if not len(pair_r):
-        return
+        return found
+    # emission order: step 2b's walk over entries; per entry the
+    # overlap-born pairs row-major, then the special-rule product
+    # op-major
+    pair_entry = op_entry[pair_o]
+    order = np.lexsort((np.where(by_op, pair_r, pair_o),
+                        np.where(by_op, pair_o, pair_r), by_op,
+                        pair_entry, entry_group[pair_entry]))
+    pair_r, pair_o = pair_r[order], pair_o[order]
     _record_candidates("inter", "local_vs_op", len(pair_r))
 
     # happens-before filter, one batched query for every candidate pair;
     # survivors materialize a LocalAccess and take the pairwise per-pair
     # verdict path
-    op_ranks, op_starts, op_ends = entry.arrays()
     seqs = rows.seq[pair_r]
-    concurrent = ~oracle.ordered_pairs(
-        np.full(seqs.shape, target, dtype=np.int64), seqs, seqs,
-        op_ranks[pair_o], op_starts[pair_o], op_ends[pair_o])
-    for k in np.nonzero(concurrent)[0].tolist():
-        op = entry_ops[pair_o[k]]
-        la = rows.local_access(int(pair_r[k]))
+    keep = ~oracle.ordered_pairs(
+        np.array([op.target for op in ops], dtype=np.int64)[pair_o],
+        seqs, seqs, *op_spans(pair_o))
+    for r, o in zip(pair_r[keep].tolist(), pair_o[keep].tolist()):
+        op = ops[o]
+        la = mems[op.target].local_access(int(rows.idx[r]))
         error = _check_concurrent_local_vs_op(
-            la, la.intervals.intersection(exposure), op, lock_index,
-            memory_model)
+            la, la.intervals.intersection(exposures[op.win_id, op.target]),
+            op, lock_index, memory_model)
         if error is not None:
-            errors.append(error)
+            found[entry_unit[op_entry[o]]].append(error)
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -430,30 +498,18 @@ def _check_rows_against_entry(pre: PreprocessedTrace, rows: MemRows,
 # ----------------------------------------------------------------------
 
 
-def build_detect_units(engine: str, model: AccessModel,
-                       epoch_index: EpochIndex, regions: RegionIndex):
+def build_detect_units(model: AccessModel, epoch_index: EpochIndex,
+                       regions: RegionIndex
+                       ) -> Tuple[List[EpochUnit], List[RegionUnit]]:
     """The ``(intra_units, inter_units)`` lists both detector phases
-    iterate, in deterministic order.
+    iterate, for either engine (the pairwise one ignores the bounds).
 
-    This is the single constructor the parallel pipeline relies on for
-    its zero-copy contract: the parent builds the lists once to size the
-    chunk bounds, every worker rebuilds the *identical* lists from its
-    installed ops/regions, and only ``(lo, hi)`` indices into them cross
-    the pipe.  Determinism holds because both bucketing passes iterate
-    ``model`` and ``regions`` in their stored order and the sweep units
-    carry plain ``(rank, lo, hi)`` row ranges rather than object slices.
+    The parallel pipeline's zero-copy contract rests on this being
+    deterministic: the parent builds the lists to size the chunks, every
+    worker rebuilds the *identical* lists from its installed
+    ops/regions, and only ``(lo, hi)`` indices into them cross the pipe
+    — both bucketing passes iterate ``model`` and ``regions`` in stored
+    order, and units carry seq bounds rather than row slices.
     """
-    if engine == "sweep":
-        intra_units = bucket_by_epoch_sweep(model, epoch_index)
-        inter_units = bucket_by_region_sweep(model, regions)
-    else:
-        intra_units = bucket_by_epoch(model, epoch_index)
-        ops_by_region, locals_by_region = bucket_by_region(model, regions)
-        inter_units = []
-        for region in regions:
-            region_ops = ops_by_region.get(region.index, [])
-            if not region_ops:
-                continue
-            inter_units.append(
-                (region_ops, locals_by_region.get(region.index, [])))
-    return intra_units, inter_units
+    return (bucket_by_epoch(model, epoch_index),
+            region_units(model, regions))

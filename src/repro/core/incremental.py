@@ -24,8 +24,11 @@ Two cache levels stack:
 How the cache key covers every detector input
 ---------------------------------------------
 
-A shard's findings are produced by :func:`check_epoch_sweep` (per access
-epoch) and :func:`detect_region_sweep` (per region).  Their inputs are:
+A shard's findings are produced by the sweep kernels
+:func:`check_epochs_sweep` (its access epochs) and
+:func:`detect_regions_sweep` (its regions), which return findings *per
+unit* — so all dirty shards of a run (or of a pool chunk) go through one
+kernel call and are split back into per-shard payloads.  The inputs are:
 
 * **the shard's calls** — ops, attached/plain call-derived locals, and
   epoch structure all lift from call events.  Covered by a per-rank
@@ -108,12 +111,11 @@ from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, annotate_context,
     dedupe, sort_findings,
 )
-from repro.core.engine import check_epoch_sweep, detect_region_sweep
-from repro.core.model import MemRows
-from repro.core.model import share_rows
+from repro.core.engine import check_epochs_sweep, detect_regions_sweep
+from repro.core.model import MemRows, share_rows
 from repro.core.parallel import (
-    _WORKER, _export, _pool_task, _task_recorder, absorb_export,
-    acquire_pool, resolve_jobs, worker_rows,
+    _WORKER, _chunk_bounds, _export, _pool_task, _task_recorder,
+    absorb_export, acquire_pool, resolve_jobs, worker_rows,
 )
 from repro.core.streaming import ControlState, build_control_state
 from repro.profiler.tracer import TraceSet
@@ -637,47 +639,28 @@ class IncrementalChecker:
     # ----------------------------------------------------------- detect
 
     def _shard_unit(self, control: ControlState, plan: CachePlan,
-                    shard: ShardPlan, loader: _RowLoader,
+                    shard: ShardPlan,
                     plain_by_rank: Dict[int, List]) -> Dict[str, list]:
-        """Describe one dirty shard's detector inputs, mirroring
-        :func:`bucket_by_epoch_sweep` / :func:`bucket_by_region_sweep`
-        over the full-rank rows.
+        """Describe one dirty shard's detector inputs: the kernels'
+        epoch and region units, tagged with the epoch position / region
+        index the merge orders by.
 
-        Memory rows enter the unit as ``(rank, lo, hi)`` range tuples,
-        never as materialized slices — the serial path resolves them
-        through the loader, the parallel path through the shared
-        segments, so a unit pickles without dragging row data along."""
-        regions = control.regions
-        epoch_units = []
-        for pos, epoch in plan.shard_epochs[shard.index]:
-            ops = control.ops_by_epoch[id(epoch)]
-            attached = control.attached_by_epoch.get(id(epoch), [])
-            obj_mems = [la for la in plain_by_rank.get(epoch.rank, ())
-                        if epoch.contains_seq(la.seq)]
-            rows = loader.rows(epoch.rank)
-            lo, hi = rows.row_range(epoch.open_seq, epoch.close_seq)
-            epoch_units.append((pos, epoch, ops, attached, obj_mems,
-                                epoch.rank, lo, hi))
-        region_units = []
-        for r in range(shard.first, shard.last + 1):
-            region_ops = control.ops_by_region.get(r, [])
-            if not region_ops:
-                continue
-            region = regions.regions[r]
-            bounds: Dict[int, Tuple[int, int]] = {}
-            for rank in range(control.pre.nranks):
-                rows = loader.rows(rank)
-                if not len(rows):
-                    continue
-                lo_seq, hi_seq = region.bounds[rank]
-                lo, hi = rows.row_range(lo_seq, hi_seq)
-                if hi > lo:
-                    bounds[rank] = (lo, hi)
-            region_units.append(
-                (r, region_ops,
-                 control.call_locals_by_region.get(r, []), bounds))
-        return {"shard": shard.index, "epochs": epoch_units,
-                "regions": region_units}
+        Memory rows are named by seq bounds only — the serial path
+        resolves them through the loader, the parallel path through the
+        shared segments — so a unit pickles without row data."""
+        epochs = [
+            (pos, (epoch, control.ops_by_epoch[id(epoch)],
+                   control.attached_by_epoch.get(id(epoch), []),
+                   [la for la in plain_by_rank.get(epoch.rank, ())
+                    if epoch.contains_seq(la.seq)]))
+            for pos, epoch in plan.shard_epochs[shard.index]]
+        regions = [
+            (r, (control.ops_by_region[r],
+                 control.call_locals_by_region.get(r, []),
+                 control.regions.regions[r].bounds))
+            for r in range(shard.first, shard.last + 1)
+            if control.ops_by_region.get(r)]
+        return {"epochs": epochs, "regions": regions}
 
     def _detect(self, control: ControlState, plan: CachePlan,
                 dirty: List[ShardPlan], loader: _RowLoader
@@ -688,22 +671,21 @@ class IncrementalChecker:
         for la in control.call_model.local:
             if la.origin_of is None:
                 plain_by_rank.setdefault(la.rank, []).append(la)
-        units = [self._shard_unit(control, plan, shard, loader,
-                                  plain_by_rank)
+        units = [self._shard_unit(control, plan, shard, plain_by_rank)
                  for shard in dirty]
-        memory_model = self.config.memory_model
+        # the only rows the kernels read: epoch ranks and op targets
+        needed = sorted(
+            {unit[0].rank for shard in units for _pos, unit in shard["epochs"]}
+            | {op.target for shard in units
+               for _r, unit in shard["regions"] for op in unit[0]})
+        context = (control.oracle, control.lock_index,
+                   self.config.memory_model)
         if self.jobs > 1 and len(units) > 1:
             # publish the needed ranks' rows as shared segments (reusing
             # the run's pool — the same workers that ran the control
-            # scan) and ship each unit once, to one worker, as a task
-            # argument; the rows themselves never cross the pipe
+            # scan) and ship each chunk of shards once, to one worker,
+            # as a task argument; the rows themselves never cross the pipe
             pool = self._get_pool()
-            needed = sorted(
-                {unit_rank for unit in units
-                 for *_fields, unit_rank, _lo, _hi in unit["epochs"]}
-                | {rank for unit in units
-                   for _r, _ops, _locals, bounds in unit["regions"]
-                   for rank in bounds})
             descs = {}
             for rank in needed:
                 name = pool.new_segment_name(rank)
@@ -719,22 +701,19 @@ class IncrementalChecker:
             # shard compute only resolves windows through ``pre``; the
             # registries-only view keeps the install pickle small
             pool.install("incremental", {
-                "pre": control.pre.registry_view(),
-                "oracle": control.oracle,
-                "lock_index": control.lock_index,
-                "memory_model": memory_model, "mems_shm": descs,
-                "obs": obs.is_enabled()})
-            results = pool.run("incremental", "incremental_shard", units)
+                "pre": control.pre.registry_view(), "context": context,
+                "mems_shm": descs, "obs": obs.is_enabled()})
             payloads = []
-            for intra, inter, export in results:
+            for chunk_payloads, export in pool.run(
+                    "incremental", "incremental_shards",
+                    [units[lo:hi] for lo, hi in
+                     _chunk_bounds(len(units), self.jobs)]):
                 absorb_export(export)
-                payloads.append((intra, inter))
+                payloads.extend(chunk_payloads)
         else:
-            payloads = [
-                _compute_shard(unit, control.pre, control.oracle,
-                               control.lock_index, memory_model,
-                               loader.rows)
-                for unit in units]
+            payloads = _compute_shards(
+                units, control.pre, context,
+                {rank: loader.rows(rank) for rank in needed})
 
         computed: Dict[int, Tuple[list, list]] = {}
         for shard, (intra, inter) in zip(dirty, payloads):
@@ -803,47 +782,44 @@ class IncrementalChecker:
 # ------------------------------------------------------- shard compute
 
 
-def _compute_shard(unit: Dict[str, list], pre, oracle, lock_index,
-                   memory_model: str, rows_of) -> Tuple[list, list]:
-    """Run the sweep detectors over one shard; findings are serialized
-    immediately (raw detector output always has ``occurrences == 1``).
+def _compute_shards(shards: List[Dict[str, list]], pre, context: tuple,
+                    mems: Dict[int, MemRows]) -> List[Tuple[list, list]]:
+    """Run each sweep kernel once over every unit of ``shards`` and
+    split the per-unit findings back into one ``(intra, inter)`` payload
+    per shard; findings are serialized immediately (raw detector output
+    always has ``occurrences == 1``).
 
-    ``rows_of(rank)`` resolves a rank's full :class:`MemRows` — the
+    ``context`` is ``(oracle, lock_index, memory_model)``; ``mems`` maps
+    the ranks the units read to their full :class:`MemRows` — from the
     row-loader in the serial path, the attached shared segments in a
-    pool worker — and the unit's ``(lo, hi)`` ranges slice into it."""
-    intra = []
-    for pos, epoch, ops, attached, obj_mems, rank, lo, hi \
-            in unit["epochs"]:
-        found = check_epoch_sweep(epoch, ops, attached, obj_mems,
-                                  rows_of(rank).slice(lo, hi),
-                                  memory_model)
-        intra.append([pos, [f.to_payload() for f in found]])
-    inter = []
-    for r, region_ops, region_locals, bounds in unit["regions"]:
-        region_mems: Dict[int, MemRows] = {
-            rank: rows_of(rank).slice(lo, hi)
-            for rank, (lo, hi) in bounds.items()}
-        found = detect_region_sweep(pre, region_ops, region_locals,
-                                    region_mems, oracle, lock_index,
-                                    memory_model)
-        inter.append([r, [f.to_payload() for f in found]])
-    return intra, inter
+    pool worker."""
+    intra = iter(check_epochs_sweep(
+        [unit for shard in shards for _pos, unit in shard["epochs"]],
+        mems, context[2]))
+    inter = iter(detect_regions_sweep(
+        pre, [unit for shard in shards for _r, unit in shard["regions"]],
+        mems, *context))
+    return [([[pos, [f.to_payload() for f in next(intra)]]
+              for pos, _unit in shard["epochs"]],
+             [[r, [f.to_payload() for f in next(inter)]]
+              for r, _unit in shard["regions"]])
+            for shard in shards]
 
 
-@_pool_task("incremental_shard")
-def _shard_task(unit: Dict[str, list]):
-    """Worker-pool task: compute one dirty shard (shipped as the task
-    argument) against installed control state and shared row segments."""
+@_pool_task("incremental_shards")
+def _shards_task(shards: List[Dict[str, list]]):
+    """Worker-pool task: compute one chunk of dirty shards (shipped as
+    the task argument) against installed control state and shared row
+    segments."""
     rec = _task_recorder()
-    descs = _WORKER["mems_shm"]
-    with rec.span("analyzer.incremental.shard", shard=unit["shard"],
+    with rec.span("analyzer.incremental.shard", shards=len(shards),
                   pid=os.getpid()):
-        intra, inter = _compute_shard(
-            unit, _WORKER["pre"], _WORKER["oracle"],
-            _WORKER["lock_index"], _WORKER["memory_model"],
-            lambda rank: worker_rows(descs[rank]))
+        payloads = _compute_shards(
+            shards, _WORKER["pre"], _WORKER["context"],
+            {rank: worker_rows(desc)
+             for rank, desc in _WORKER["mems_shm"].items()})
     rec.count("parallel_tasks_total", phase="incremental")
-    return intra, inter, _export(rec)
+    return payloads, _export(rec)
 
 
 def _annotate_decoded(decoded: Tuple[list, list], shard_index: int,

@@ -16,6 +16,7 @@ Detection reasons about two access populations:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -26,10 +27,11 @@ from repro.core.compat import ACC, GET, LOAD, PUT, STORE
 from repro.core.epochs import (Epoch, EpochIndex, KIND_LOCK,
                                KIND_PSCW_ACCESS, OPEN_ENDED)
 from repro.core.preprocess import PreprocessedTrace
+from repro.profiler.events import ACCESS_CODES
 from repro.profiler.events import ACCESS_NAMES as _ACCESS_NAMES
 from repro.profiler.events import CallEvent, MemEvent
 from repro.util.errors import AnalysisError
-from repro.util.intervals import Interval, IntervalSet
+from repro.util.intervals import Interval, IntervalSet, expand_ranges
 from repro.util.location import SourceLocation
 
 _RMA_KIND = {"Put": PUT, "Get": GET, "Accumulate": ACC,
@@ -42,6 +44,40 @@ _RMA_KIND = {"Put": PUT, "Get": GET, "Accumulate": ACC,
 #: MPI calls whose logged buffer is read (load-like) / written (store-like).
 _CALL_LOADS = frozenset({"Send", "Isend", "Reduce", "Allreduce", "Scan"})
 _CALL_STORES = frozenset({"Recv"})
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_STORE_CODE = ACCESS_CODES["store"]
+
+
+def check_address_columns(rank: int, seq, addr, size) -> None:
+    """Reject memory rows outside the non-negative int64 address space.
+
+    The sweep engine computes ``addr + size`` in int64 and drops empty
+    intervals, so a row with a negative size, a negative address, or an
+    end that wraps would silently conflict with nothing — a clean
+    verdict from a corrupt trace.  Raise a typed error instead."""
+    addr, size = np.asarray(addr), np.asarray(size)
+    bad = (addr < 0) | (size < 0) | (addr > _INT64_MAX - np.maximum(size, 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AnalysisError(
+            f"rank {rank} seq {int(seq[i])}: memory access addr="
+            f"{int(addr[i])} size={int(size[i])} lies outside the "
+            f"non-negative int64 address space")
+
+
+def _check_address_space(rank: int, seq: int, what: str,
+                         intervals: IntervalSet) -> IntervalSet:
+    """The interval-set counterpart, for buffers lifted from call
+    arguments (RMA target/origin/result)."""
+    ivs = intervals._ivs
+    if ivs and (ivs[0].start < 0 or ivs[-1].stop > _INT64_MAX):
+        raise AnalysisError(
+            f"rank {rank} seq {seq}: {what} [{ivs[0].start}, "
+            f"{ivs[-1].stop}) lies outside the non-negative int64 "
+            f"address space")
+    return intervals
 
 
 @dataclass
@@ -141,6 +177,7 @@ class MemRows:
 
     @classmethod
     def from_struct(cls, rank: int, table, arr: np.ndarray) -> "MemRows":
+        check_address_columns(rank, arr["seq"], arr["addr"], arr["size"])
         # contiguous copies detach the columns from any mmap backing
         return cls(rank, table,
                    np.ascontiguousarray(arr["seq"]),
@@ -200,6 +237,41 @@ class MemRows:
                                          int(self.size[i])),
             var=self.table.string(int(self.var[i])),
             loc=self.table.loc(int(self.loc[i])), fn="mem")
+
+
+#: ``(rank, lo_seq, hi_seq)``: the rows of ``mems[rank]`` with ``lo_seq <
+#: seq < hi_seq`` (the bound convention of :meth:`MemRows.row_range`)
+RowBounds = Tuple[int, int, int]
+
+#: flat rows gathered from several ranks/ranges: the index of the bounds
+#: each row was selected by (its *group*), its index in its rank's
+#: :class:`MemRows`, and the columns the sweep joins use
+RowBatch = namedtuple("RowBatch", "group idx seq addr size store")
+
+
+def gather_rows(mems: Dict[int, "MemRows"],
+                bounds: List[RowBounds]) -> Optional[RowBatch]:
+    """:meth:`MemRows.row_range` for many ranges at once: the rows inside
+    every ``bounds[g]``, flattened and tagged with ``g`` — one
+    ``searchsorted`` pair per rank over all of that rank's bounds.  A
+    group's rows stay contiguous and in row order; ``None`` when no
+    range holds a row."""
+    ranks, lo_seq, hi_seq = np.array(bounds, dtype=np.int64).T
+    parts = []
+    for rank in np.unique(ranks).tolist():
+        rows = mems.get(rank)
+        if rows is None or not len(rows):
+            continue
+        groups = np.nonzero(ranks == rank)[0]
+        lo = np.searchsorted(rows.seq, lo_seq[groups], side="right")
+        hi = np.searchsorted(rows.seq, hi_seq[groups], side="left")
+        rep, idx = expand_ranges(lo, np.maximum(hi - lo, 0))
+        if len(idx):
+            parts.append((groups[rep], idx, rows.seq[idx], rows.addr[idx],
+                          rows.size[idx], rows.access[idx] == _STORE_CODE))
+    if not parts:
+        return None
+    return RowBatch(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +417,8 @@ def _lift_mem_block(rank: int, block, local: List[LocalAccess]) -> None:
     lists, one tight loop — the per-event dataclass+decode round trip of
     the typed path is skipped entirely)."""
     table = block.table
+    arr = block.array
+    check_address_columns(rank, arr["seq"], arr["addr"], arr["size"])
     seqs, addrs, sizes, var_ids, loc_ids, accs = block.columns()
     append = local.append
     names = _ACCESS_NAMES
@@ -597,6 +671,9 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
                     origin_base, int(args["origin_count"]))
             epoch = epoch_index.enclosing(rank, win.win_id, event.seq,
                                           target)
+        _check_address_space(rank, event.seq, "RMA target", target_ivs)
+        _check_address_space(rank, event.seq, "RMA origin buffer",
+                             origin_ivs)
         acc_op = str(args["op"]) if "op" in args else None
         if fn == "Compare_and_swap":
             acc_op = "CAS"
@@ -640,7 +717,8 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
                                                int(args["target_count"]))
             local.append(LocalAccess(
                 rank=rank, seq=event.seq, access=STORE,
-                intervals=result_ivs,
+                intervals=_check_address_space(
+                    rank, event.seq, "RMA result buffer", result_ivs),
                 var=str(args.get("result_var", "?")),
                 loc=event.loc, fn=fn, origin_of=op))
     elif fn in _CALL_LOADS or fn in _CALL_STORES or fn == "Bcast" \

@@ -27,7 +27,8 @@ messages carry only small descriptors:
   ``multiprocessing.shared_memory`` segment and returns ops/locals
   plus the segment *descriptor* — the columns themselves never cross
   the pipe;
-* detection tasks take ``(lo, hi)`` chunk bounds only.  The single
+* detection tasks take ``(phase, lo, hi)`` chunk bounds only and hand
+  the whole chunk to the phase's batch kernel.  The single
   detect install carries ops/locals together with the parent's
   epoch/region indexes (identity survives within one pickle payload,
   so no re-interning is needed worker-side).  Each worker rebuilds
@@ -83,7 +84,7 @@ from repro.core.calltable import (
 )
 from repro.core.diagnostics import ConsistencyError
 from repro.core.engine import (
-    build_detect_units, check_epoch_sweep, detect_region_sweep,
+    build_detect_units, check_epochs_sweep, detect_regions_sweep,
 )
 from repro.core.epochs import EpochIndex
 from repro.core.inter import _LocalLockIndex, detect_region
@@ -94,7 +95,7 @@ from repro.core.model import (
 )
 from repro.core.preprocess import PreprocessedTrace, scan_rank
 from repro.core.regions import RegionIndex
-from repro.obs.recorder import NullRecorder, Recorder
+from repro.obs.recorder import NullRecorder
 from repro.profiler.events import CallEvent
 from repro.profiler.tracer import TraceSet
 
@@ -163,8 +164,10 @@ def _pool_task(name: str):
 
 
 def _task_recorder() -> NullRecorder:
-    """Task-local recorder: storing when the parent wants worker obs."""
-    return Recorder() if _WORKER.get("obs") else NullRecorder()
+    """Task-local recorder (storing when the parent wants worker obs),
+    installed as this worker process's recorder so what library code
+    records below the task — the engine's funnel — is exported with it."""
+    return obs.configure(enabled=bool(_WORKER.get("obs")))
 
 
 def _export(rec: NullRecorder) -> Optional[dict]:
@@ -430,6 +433,7 @@ class WorkerPool:
                          sent)
             results: List[Any] = [None] * len(args)
             received = 0
+            failure: Optional[RuntimeError] = None
             for w in active:
                 try:
                     raw = self._conns[w].recv_bytes()
@@ -441,14 +445,19 @@ class WorkerPool:
                 received += len(raw)
                 status, payload = pickle.loads(raw)
                 if status != "ok":
+                    # keep draining, so every segment the other workers
+                    # were expected to create exists when end_run unlinks
                     self.broken = True
-                    raise RuntimeError(
+                    failure = failure or RuntimeError(
                         f"worker {w} failed in phase {phase!r} "
                         f"(task {task!r}):\n{payload}")
+                    continue
                 for idx, value in payload:
                     results[idx] = value
             _count_bytes("parallel_pickled_bytes_total", phase, "result",
                          received)
+            if failure is not None:
+                raise failure
             return results
 
     def _check_alive(self, phase: str) -> None:
@@ -675,7 +684,6 @@ def _detect_state(rec) -> Dict[str, Any]:
         return cached
     with rec.span("analyzer.worker.prepare", pid=os.getpid()):
         pre: PreprocessedTrace = _WORKER["pre"]
-        engine = _WORKER.get("engine", "sweep")
         epoch_index: EpochIndex = _WORKER["epoch_index"]
         regions: RegionIndex = _WORKER["regions"]
         mems = {int(rank): worker_rows(desc)
@@ -684,7 +692,7 @@ def _detect_state(rec) -> Dict[str, Any]:
                             mems=mems)
         lock_index = _LocalLockIndex(epoch_index, pre.nranks)
         intra_units, inter_units = build_detect_units(
-            engine, model, epoch_index, regions)
+            model, epoch_index, regions)
     cached = _DERIVED["detect"] = {
         "gen": gen, "model": model, "pre": pre,
         "intra_units": intra_units, "inter_units": inter_units,
@@ -693,68 +701,35 @@ def _detect_state(rec) -> Dict[str, Any]:
     return cached
 
 
-@_pool_task("intra")
-def _intra_task(bounds: Tuple[int, int]):
-    """Intra-epoch shard: run :func:`check_epoch` (or its sweep
-    counterpart) over a contiguous chunk of locally rebuilt epoch
-    units."""
+@_pool_task("detect")
+def _detect_task(arg: Tuple[str, int, int]):
+    """One detection shard: ``(phase, lo, hi)`` names a contiguous chunk
+    of the locally rebuilt ``intra``/``inter`` units, handed whole to
+    the sweep kernel (or walked unit by unit by the pairwise
+    reference)."""
+    phase, lo, hi = arg
     rec = _task_recorder()
     state = _detect_state(rec)
-    units = state["intra_units"]
+    units = state[f"{phase}_units"][lo:hi]
     mems: Dict[int, MemRows] = state["model"].mems
     memory_model = _WORKER["memory_model"]
     sweep = _WORKER.get("engine") == "sweep"
-    lo, hi = bounds
-    findings: List[ConsistencyError] = []
-    with rec.span("analyzer.worker.intra", units=hi - lo, pid=os.getpid()):
-        if sweep:
-            for epoch, ops, attached, obj_mems, rank, rlo, rhi \
-                    in units[lo:hi]:
-                rows = mems.get(rank)
-                rows = rows.slice(rlo, rhi) if rows is not None else None
-                findings.extend(check_epoch_sweep(
-                    epoch, ops, attached, obj_mems, rows, memory_model))
-        else:
-            for epoch, ops, attached, epoch_mems in units[lo:hi]:
-                findings.extend(check_epoch(
-                    epoch, ops, attached, epoch_mems, memory_model))
-    rec.count("parallel_tasks_total", phase="intra")
-    return findings, _export(rec)
-
-
-@_pool_task("inter")
-def _inter_task(bounds: Tuple[int, int]):
-    """Cross-process shard: run :func:`detect_region` (or its sweep
-    counterpart) over a contiguous chunk of locally rebuilt region
-    units."""
-    rec = _task_recorder()
-    state = _detect_state(rec)
-    units = state["inter_units"]
-    pre = state["pre"]
-    lock_index = state["lock_index"]
-    mems: Dict[int, MemRows] = state["model"].mems
-    oracle = _WORKER["oracle"]
-    memory_model = _WORKER["memory_model"]
-    sweep = _WORKER.get("engine") == "sweep"
-    lo, hi = bounds
-    findings: List[ConsistencyError] = []
-    with rec.span("analyzer.worker.inter", regions=hi - lo,
+    with rec.span(f"analyzer.worker.{phase}", units=hi - lo,
                   pid=os.getpid()):
-        if sweep:
-            for region_ops, region_locals, bounds_by_rank in units[lo:hi]:
-                region_mems = {
-                    rank: mems[rank].slice(rlo, rhi)
-                    for rank, (rlo, rhi) in bounds_by_rank.items()}
-                findings.extend(detect_region_sweep(
-                    pre, region_ops, region_locals, region_mems, oracle,
-                    lock_index, memory_model))
+        if phase == "intra":
+            per_unit = (check_epochs_sweep(units, mems, memory_model)
+                        if sweep else
+                        [check_epoch(*unit, memory_model) for unit in units])
         else:
-            for region_ops, region_locals in units[lo:hi]:
-                findings.extend(detect_region(
-                    pre, region_ops, region_locals, oracle, lock_index,
-                    memory_model))
-    rec.count("parallel_tasks_total", phase="inter")
-    return findings, _export(rec)
+            context = (_WORKER["oracle"], state["lock_index"], memory_model)
+            per_unit = (
+                detect_regions_sweep(state["pre"], units, mems, *context)
+                if sweep else
+                [detect_region(state["pre"], region_ops, region_locals,
+                               *context)
+                 for region_ops, region_locals, _bounds in units])
+    rec.count("parallel_tasks_total", phase=phase)
+    return [f for found in per_unit for f in found], _export(rec)
 
 
 # --------------------------------------------------------------- engine
@@ -903,8 +878,7 @@ class ParallelEngine:
         the same deterministic :func:`build_detect_units`."""
         if self._units is not None:
             return
-        self._units = build_detect_units(self.engine, model, epoch_index,
-                                         regions)
+        self._units = build_detect_units(model, epoch_index, regions)
         self.pool.install("detect", {
             "ops": model.ops, "local": model.local,
             "epoch_index": epoch_index, "regions": regions,
@@ -912,34 +886,29 @@ class ParallelEngine:
             "engine": self.engine, "mems_shm": self._mem_descs,
         })
 
+    def _fan_out(self, phase: str, units: list) -> List[ConsistencyError]:
+        """Run the detect task over contiguous chunks of ``units`` and
+        merge the chunks' findings in order."""
+        findings: List[ConsistencyError] = []
+        if units:
+            for chunk_findings, export in self.pool.run(
+                    phase, "detect",
+                    [(phase, lo, hi) for lo, hi in
+                     _chunk_bounds(len(units), self.jobs)]):
+                findings.extend(chunk_findings)
+                absorb_export(export)
+        return findings
+
     def detect_intra(self, model: AccessModel, epoch_index: EpochIndex,
                      regions: RegionIndex,
                      oracle) -> List[ConsistencyError]:
-        """Fan :func:`check_epoch` out over chunks of epoch units."""
+        """Fan the within-epoch check out over chunks of epoch units."""
         self._ensure_detect(model, epoch_index, regions, oracle)
-        intra_units, _inter_units = self._units
-        if not intra_units:
-            return []
-        results = self.pool.run(
-            "intra", "intra", _chunk_bounds(len(intra_units), self.jobs))
-        findings: List[ConsistencyError] = []
-        for chunk_findings, export in results:
-            findings.extend(chunk_findings)
-            absorb_export(export)
-        return findings
+        return self._fan_out("intra", self._units[0])
 
     def detect_inter(self) -> List[ConsistencyError]:
-        """Fan :func:`detect_region` out over chunks of region units
+        """Fan cross-process detection out over chunks of region units
         (state was installed by :meth:`detect_intra`)."""
         if self._units is None:
             raise RuntimeError("detect_intra must run before detect_inter")
-        _intra_units, inter_units = self._units
-        if not inter_units:
-            return []
-        results = self.pool.run(
-            "inter", "inter", _chunk_bounds(len(inter_units), self.jobs))
-        findings: List[ConsistencyError] = []
-        for chunk_findings, export in results:
-            findings.extend(chunk_findings)
-            absorb_export(export)
-        return findings
+        return self._fan_out("inter", self._units[1])

@@ -40,7 +40,7 @@ from repro.core.diagnostics import (
     SEVERITY_ERROR, ConsistencyError, dedupe, sort_findings,
 )
 from repro.core.engine import (
-    check_epoch_sweep, detect_region_sweep, resolve_engine,
+    check_epochs_sweep, detect_regions_sweep, resolve_engine,
 )
 from repro.core.epochs import Epoch, EpochIndex
 from repro.core.inter import LocalLockIndex, bucket_by_region, detect_region
@@ -367,11 +367,11 @@ class StreamingChecker:
                         pieces[0] if len(pieces) == 1
                         else np.concatenate(pieces))
                     for rank, pieces in region_pieces.items()}
-                findings.extend(detect_region_sweep(
-                    self.pre, region_ops,
-                    self._call_locals_by_region.get(region.index, []),
-                    region_mems, self.oracle, self.lock_index,
-                    self.memory_model))
+                unit = (region_ops, self._call_locals_by_region.get(
+                    region.index, []), region.bounds)
+                findings.extend(detect_regions_sweep(
+                    self.pre, [unit], region_mems, self.oracle,
+                    self.lock_index, self.memory_model)[0])
 
             # close every epoch whose closing sync has been passed
             still_open: List[Epoch] = []
@@ -402,15 +402,14 @@ class StreamingChecker:
         Like the pairwise data pass, only *instrumented* rows are
         buffered per epoch, so ``obj_mems`` stays empty."""
         pieces = epoch_pieces.pop(id(epoch), [])
-        rows = None
+        mems = {}
         if pieces:
-            rows = MemRows.from_struct(
+            mems[epoch.rank] = MemRows.from_struct(
                 epoch.rank, tables[epoch.rank],
                 pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
-        return check_epoch_sweep(
-            epoch, self._ops_by_epoch.get(id(epoch), []),
-            self._attached_by_epoch.get(id(epoch), []), [], rows,
-            self.memory_model)
+        unit = (epoch, self._ops_by_epoch.get(id(epoch), []),
+                self._attached_by_epoch.get(id(epoch), []), [])
+        return check_epochs_sweep([unit], mems, self.memory_model)[0]
 
 
 def check_streaming(traces: TraceSet,

@@ -59,6 +59,10 @@ def render_run_text(entry: RunReport) -> str:
         lines.append("  candidate-pair funnel:")
         for stage, count in sorted(entry.funnel.items()):
             lines.append(f"    {stage:<22} {int(count):>10}")
+    if entry.join_calls:
+        lines.append("  interval joins: " + ", ".join(
+            f"{phase}={int(n)}"
+            for phase, n in sorted(entry.join_calls.items())))
     if entry.cache:
         shards = entry.cache.get("shards", {})
         total = sum(shards.values())
@@ -231,8 +235,14 @@ def _phase_timeline(entry: RunReport) -> str:
 
 
 def _funnel_panel(entry: RunReport) -> str:
+    joins = ""
+    if entry.join_calls:
+        joins = ("<p class=meta>interval joins: " + ", ".join(
+            f"<code>{html.escape(phase)}</code> {int(n)}"
+            for phase, n in sorted(entry.join_calls.items())) + "</p>")
     if not entry.funnel:
-        return "<p class=meta>no candidate-pair counters recorded</p>"
+        return joins + \
+            "<p class=meta>no candidate-pair counters recorded</p>"
     top = max(entry.funnel.values()) or 1.0
     rows = []
     for stage, count in sorted(entry.funnel.items()):
@@ -240,8 +250,8 @@ def _funnel_panel(entry: RunReport) -> str:
             f"<tr><td><code>{html.escape(stage)}</code></td>"
             f"<td class=num>{int(count)}</td>"
             f"<td>{_svg_bar(count / top)}</td></tr>")
-    return ("<table><tr><th>stage</th><th class=num>pairs</th><th></th>"
-            "</tr>" + "".join(rows) + "</table>")
+    return (joins + "<table><tr><th>stage</th><th class=num>pairs</th>"
+            "<th></th></tr>" + "".join(rows) + "</table>")
 
 
 def _cache_panel(entry: RunReport) -> str:

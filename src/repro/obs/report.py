@@ -45,6 +45,8 @@ class RunReport:
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: candidate-pair funnel: ``{"intra/op_pair": n, ...}``
     funnel: Dict[str, float] = field(default_factory=dict)
+    #: interval joins the sweep engine ran, per phase: ``{"inter": n}``
+    join_calls: Dict[str, float] = field(default_factory=dict)
     #: incremental-cache attribution (empty for non-incremental runs)
     cache: Dict[str, Any] = field(default_factory=dict)
     #: worker-pool utilization (empty for serial runs)
@@ -106,6 +108,14 @@ def _funnel(recorder) -> Dict[str, float]:
     if metric is None:
         return {}
     return {f"{labels.get('phase', '?')}/{labels.get('stage', '?')}": value
+            for labels, value in metric.samples()}
+
+
+def _join_calls(recorder) -> Dict[str, float]:
+    metric = recorder.registry.get("engine_join_calls_total")
+    if metric is None:
+        return {}
+    return {labels.get("phase", "?"): value
             for labels, value in metric.samples()}
 
 
@@ -302,7 +312,7 @@ def build_run_report(report, config, *, traces=None, recorder=None,
         config=config_dict, config_digest=config_digest,
         trace_dir=trace_dir, trace_digests=trace_digests,
         elapsed_seconds=(elapsed or stats.total_seconds),
-        phases=phases, funnel=_funnel(rec),
+        phases=phases, funnel=_funnel(rec), join_calls=_join_calls(rec),
         cache=_cache_attribution(rec),
         workers=_worker_utilization(rec),
         ingest=ingest, emission=_emission(rec),

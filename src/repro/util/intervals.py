@@ -219,50 +219,81 @@ class IntervalTable:
     an access touches a multi-segment :class:`IntervalSet`).  Empty rows
     (``lo >= hi``) are dropped at construction, matching
     :class:`IntervalSet` normalization, so a join can never pair them.
+
+    The optional non-negative integer ``group`` column partitions the
+    rows: :func:`overlap_join` pairs rows only within equal groups, so
+    many small independent joins (one per epoch, per ``(window,
+    target)`` entry, ...) run as *one* join.  A table without the column
+    is all group 0.
     """
 
-    __slots__ = ("lo", "hi", "owner")
+    __slots__ = ("lo", "hi", "owner", "group")
 
-    def __init__(self, lo, hi, owner: Optional[Sequence[int]] = None):
+    def __init__(self, lo, hi, owner: Optional[Sequence[int]] = None,
+                 group: Optional[Sequence[int]] = None):
         lo = np.asarray(lo, dtype=np.int64).ravel()
         hi = np.asarray(hi, dtype=np.int64).ravel()
         if len(lo) != len(hi):
             raise ValueError(f"lo/hi length mismatch: {len(lo)} vs {len(hi)}")
+        owner = self._column(owner, len(lo), "owner")
         if owner is None:
             owner = np.arange(len(lo), dtype=np.int64)
-        else:
-            owner = np.asarray(owner, dtype=np.int64).ravel()
-            if len(owner) != len(lo):
-                raise ValueError(
-                    f"owner length mismatch: {len(owner)} vs {len(lo)}")
+        group = self._column(group, len(lo), "group")
+        if group is not None and len(group) and group.min() < 0:
+            raise ValueError("negative group id")
         keep = lo < hi
         if not keep.all():
             lo, hi, owner = lo[keep], hi[keep], owner[keep]
-        self.lo, self.hi, self.owner = lo, hi, owner
+            if group is not None:
+                group = group[keep]
+        self.lo, self.hi, self.owner, self.group = lo, hi, owner, group
+
+    @staticmethod
+    def _column(values, n: int, name: str) -> Optional[np.ndarray]:
+        if values is None:
+            return None
+        values = np.asarray(values, dtype=np.int64).ravel()
+        if len(values) != n:
+            raise ValueError(f"{name} length mismatch: {len(values)} vs {n}")
+        return values
 
     @classmethod
-    def from_columns(cls, addr, size,
-                     owner: Optional[Sequence[int]] = None) -> "IntervalTable":
-        """Build from parallel ``(addr, size)`` columns (one row each)."""
+    def from_columns(cls, addr, size, owner: Optional[Sequence[int]] = None,
+                     group: Optional[Sequence[int]] = None
+                     ) -> "IntervalTable":
+        """Build from parallel ``(addr, size)`` columns (one row each).
+
+        ``addr + size`` must not wrap: callers validate their columns
+        (``addr >= 0``, ``size >= 0``, ``addr <= INT64_MAX - size``)
+        where they are read, because a wrapped row would be dropped
+        here as empty and silently conflict with nothing."""
         addr = np.asarray(addr, dtype=np.int64).ravel()
         size = np.asarray(size, dtype=np.int64).ravel()
-        return cls(addr, addr + size, owner)
+        return cls(addr, addr + size, owner, group)
 
     @classmethod
     def from_sets(cls, sets: Sequence[IntervalSet],
-                  owners: Optional[Sequence[int]] = None) -> "IntervalTable":
+                  owners: Optional[Sequence[int]] = None,
+                  groups: Optional[Sequence[int]] = None) -> "IntervalTable":
         """Flatten interval sets into rows; set ``i`` owns its rows (or
-        ``owners[i]`` when given)."""
+        ``owners[i]`` when given) and puts them in ``groups[i]``."""
         lo: List[int] = []
         hi: List[int] = []
-        own: List[int] = []
+        index: List[int] = []
         for i, ivset in enumerate(sets):
-            owner = i if owners is None else owners[i]
             for iv in ivset:
                 lo.append(iv.start)
                 hi.append(iv.stop)
-                own.append(owner)
-        return cls(lo, hi, own)
+                index.append(i)
+        index = np.asarray(index, dtype=np.int64)
+
+        def per_row(per_set):
+            if per_set is None:
+                return None
+            return np.asarray(per_set, dtype=np.int64)[index]
+
+        return cls(lo, hi, index if owners is None else per_row(owners),
+                   per_row(groups))
 
     @classmethod
     def concat(cls, tables: Sequence["IntervalTable"]) -> "IntervalTable":
@@ -271,9 +302,18 @@ class IntervalTable:
             return cls((), ())
         if len(tables) == 1:
             return tables[0]
+        group = None
+        if any(t.group is not None for t in tables):
+            group = np.concatenate([t.groups() for t in tables])
         return cls(np.concatenate([t.lo for t in tables]),
                    np.concatenate([t.hi for t in tables]),
-                   np.concatenate([t.owner for t in tables]))
+                   np.concatenate([t.owner for t in tables]), group)
+
+    def groups(self) -> np.ndarray:
+        """The group column, materialized (all zeros when absent)."""
+        if self.group is None:
+            return np.zeros(len(self.lo), dtype=np.int64)
+        return self.group
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -282,8 +322,8 @@ class IntervalTable:
         return f"IntervalTable({len(self)} rows)"
 
 
-def _expand_ranges(starts: np.ndarray,
-                   counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def expand_ranges(starts: np.ndarray,
+                  counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Enumerate ``(i, starts[i] + k)`` for ``k in range(counts[i])``."""
     total = int(counts.sum())
     if total == 0:
@@ -296,15 +336,62 @@ def _expand_ranges(starts: np.ndarray,
     return reps, np.repeat(starts, counts) + offsets
 
 
-def _unique_pairs(oa: np.ndarray,
-                  ob: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+_INT63 = 1 << 63
+
+
+def unique_pairs(oa: np.ndarray,
+                 ob: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(oa[k], ob[k])`` pairs, lexicographically sorted.
+
+    One ``np.unique`` over the composite key ``oa * width + ob`` (4-6x
+    cheaper than a row-wise unique of the stacked pairs at every size);
+    falls back to the row-wise form only when the key would not fit."""
+    if not len(oa):
+        return oa, ob
+    a0, b0 = int(oa.min()), int(ob.min())
+    width = int(ob.max()) - b0 + 1
+    if (int(oa.max()) - a0 + 1) * width < _INT63:
+        keys = np.unique((oa - a0) * width + (ob - b0))
+        return keys // width + a0, keys % width + b0
     pairs = np.unique(np.stack([oa, ob], axis=1), axis=0)
     return pairs[:, 0], pairs[:, 1]
 
 
+def _group_keys(a: IntervalTable, b: IntervalTable):
+    """Sort keys ``(a_lo, a_hi, b_lo, b_hi)`` under which only rows of
+    equal group can overlap.
+
+    Each group is shifted into its own disjoint key range, ``group *
+    stride + (addr - addr_min)`` with ``stride`` the joint address span:
+    within a group every comparison is unchanged (one constant added to
+    both sides), and across groups a smaller group's largest ``hi`` is
+    at most the next group's smallest ``lo`` — half-open, so no overlap.
+    When ``n_groups * stride`` would leave int63, addresses and groups
+    are first remapped to dense ranks (order- and equality-preserving,
+    so again every comparison is unchanged), which bounds the product
+    by ``2 * (len(a) + len(b)) ** 2``.
+    """
+    a_lo, a_hi, b_lo, b_hi = a.lo, a.hi, b.lo, b.hi
+    if a.group is None and b.group is None:
+        return a_lo, a_hi, b_lo, b_hi
+    ga, gb = a.groups(), b.groups()
+    base = min(int(a_lo.min()), int(b_lo.min()))
+    stride = max(int(a_hi.max()), int(b_hi.max())) - base
+    if (max(int(ga.max()), int(gb.max())) + 1) * stride >= _INT63:
+        coords = np.unique(np.concatenate([a_lo, a_hi, b_lo, b_hi]))
+        a_lo, a_hi, b_lo, b_hi = (np.searchsorted(coords, col)
+                                  for col in (a_lo, a_hi, b_lo, b_hi))
+        ids = np.unique(np.concatenate([ga, gb]))
+        ga, gb = np.searchsorted(ids, ga), np.searchsorted(ids, gb)
+        base, stride = 0, len(coords)
+    shift_a, shift_b = ga * stride - base, gb * stride - base
+    return a_lo + shift_a, a_hi + shift_a, b_lo + shift_b, b_hi + shift_b
+
+
 def overlap_join(a: IntervalTable,
                  b: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
-    """All distinct owner pairs ``(a.owner, b.owner)`` with byte overlap.
+    """All distinct owner pairs ``(a.owner, b.owner)`` whose rows share a
+    group and overlap in bytes.
 
     The sweep: sort each side by ``lo`` once, then split every
     overlapping row pair into two disjoint cases —
@@ -316,45 +403,47 @@ def overlap_join(a: IntervalTable,
 
     — each enumerated with two ``searchsorted`` calls per row, so the
     cost is ``O((n + m) log(n + m) + output)`` and *only candidate pairs*
-    are ever materialized.  Returned pairs are deduplicated across
+    are ever materialized.  Groups ride the same sweep through the key
+    shift of :func:`_group_keys`.  Returned pairs are deduplicated across
     multi-segment owners and lexicographically sorted, which makes every
     downstream consumer order-deterministic.
     """
     if len(a) == 0 or len(b) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    a_order = np.argsort(a.lo, kind="stable")
-    b_order = np.argsort(b.lo, kind="stable")
-    a_lo_sorted = a.lo[a_order]
-    b_lo_sorted = b.lo[b_order]
+    a_lo, a_hi, b_lo, b_hi = _group_keys(a, b)
+    a_order = np.argsort(a_lo, kind="stable")
+    b_order = np.argsort(b_lo, kind="stable")
+    a_lo_sorted = a_lo[a_order]
+    b_lo_sorted = b_lo[b_order]
 
     # case 1: a.lo <= b.lo < a.hi
-    first = np.searchsorted(b_lo_sorted, a.lo, side="left")
-    last = np.searchsorted(b_lo_sorted, a.hi, side="left")
-    rows_a, sorted_b = _expand_ranges(first, last - first)
+    first = np.searchsorted(b_lo_sorted, a_lo, side="left")
+    last = np.searchsorted(b_lo_sorted, a_hi, side="left")
+    rows_a, sorted_b = expand_ranges(first, last - first)
     oa1 = a.owner[rows_a]
     ob1 = b.owner[b_order[sorted_b]]
 
     # case 2: b.lo < a.lo < b.hi
-    first = np.searchsorted(a_lo_sorted, b.lo, side="right")
-    last = np.searchsorted(a_lo_sorted, b.hi, side="left")
-    rows_b, sorted_a = _expand_ranges(first, np.maximum(last - first, 0))
+    first = np.searchsorted(a_lo_sorted, b_lo, side="right")
+    last = np.searchsorted(a_lo_sorted, b_hi, side="left")
+    rows_b, sorted_a = expand_ranges(first, np.maximum(last - first, 0))
     oa2 = a.owner[a_order[sorted_a]]
     ob2 = b.owner[rows_b]
 
-    return _unique_pairs(np.concatenate([oa1, oa2]),
-                         np.concatenate([ob1, ob2]))
+    return unique_pairs(np.concatenate([oa1, oa2]),
+                        np.concatenate([ob1, ob2]))
 
 
 def naive_overlap_join(a: IntervalTable,
                        b: IntervalTable) -> Tuple[np.ndarray, np.ndarray]:
     """The O(n*m) reference join (differential tests, tiny inputs)."""
+    empty = np.empty(0, dtype=np.int64)
     if len(a) == 0 or len(b) == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    hit = (a.lo[:, None] < b.hi[None, :]) & (b.lo[None, :] < a.hi[:, None])
+    hit = (a.lo[:, None] < b.hi[None, :]) & (b.lo[None, :] < a.hi[:, None]) \
+        & (a.groups()[:, None] == b.groups()[None, :])
     ai, bi = np.nonzero(hit)
     if not len(ai):
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()
-    return _unique_pairs(a.owner[ai], b.owner[bi])
+    return unique_pairs(a.owner[ai], b.owner[bi])

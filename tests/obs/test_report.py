@@ -91,6 +91,93 @@ class TestRunReport:
         assert rr.funnel == {} and rr.cache == {}
 
 
+#: ``engine_candidate_pairs_total`` per Table II program (buggy variant,
+#: binary traces, separate model), as measured on the commit *before*
+#: the grouped whole-plan joins replaced the per-epoch / per-region
+#: kernels; every fixed variant records an empty funnel
+CORPUS_FUNNEL = {
+    "BT-broadcast": {"intra/origin_vs_plain": 1},
+    "emulate": {"intra/origin_vs_plain": 16},
+    "jacobi": {"inter/local_vs_op": 48},
+    "lockopts": {"inter/local_vs_op": 126},
+    "ping-pong": {"intra/origin_vs_plain": 4},
+}
+#: the same for the 64-rank generated program of the ``gen64`` workload
+GEN64_SEED1_FUNNEL = {"inter/local_vs_op": 3, "inter/op_pair": 1,
+                      "intra/op_pair": 2, "intra/origin_vs_plain": 3}
+
+
+def funnel_arms(run, tmp_path):
+    """(funnel, join_calls) under serial, jobs=2 and incremental-cold."""
+    arms = {"serial": {}, "jobs2": {"jobs": 2},
+            "incremental-cold": {"incremental": True,
+                                 "cache_dir": str(tmp_path / "cache")}}
+    out = {}
+    for arm, overrides in arms.items():
+        rr = checked_report(run, **overrides)
+        out[arm] = ({k: int(v) for k, v in rr.funnel.items()},
+                    {k: int(v) for k, v in rr.join_calls.items()})
+    return out
+
+
+class TestFunnelPinned:
+    """The funnel is a count that repeats exactly: batching the joins
+    must not move it, in any executor."""
+
+    @pytest.mark.parametrize("buggy", (True, False),
+                             ids=("buggy", "fixed"))
+    def test_bug_corpus(self, tmp_path, buggy):
+        from repro.apps.registry import BUG_CASES
+        assert {c.name for c in BUG_CASES} == set(CORPUS_FUNNEL)
+        for case in BUG_CASES:
+            run = api.run(case.app, case.nranks,
+                          params=case.params(buggy), trace_format="binary")
+            want = CORPUS_FUNNEL[case.name] if buggy else {}
+            for arm, (funnel, _joins) in funnel_arms(
+                    run, tmp_path / case.name).items():
+                assert funnel == want, f"{case.name}/{arm}"
+
+    def test_gen64_seed1(self, tmp_path, monkeypatch):
+        from repro.gen import GenConfig, generate_program
+        from repro.gen.fuzz import profile_program
+        generated = generate_program(GenConfig(
+            seed=1, nranks=64, rounds=16, ops_per_round=8, reps=16,
+            bugs=("any",) * 8, trace_format="binary"))
+        run = profile_program(generated,
+                              trace_dir=str(tmp_path / "traces"))
+        arms = funnel_arms(run, tmp_path)
+        for arm, (funnel, _joins) in arms.items():
+            assert funnel == GEN64_SEED1_FUNNEL, arm
+        # a handful of joins per phase (three per sub-batch), where the
+        # per-unit kernels made some for each of ~1000 epochs and regions
+        joins = arms["serial"][1]
+        assert joins["intra"] % 3 == 0 and 3 <= joins["intra"] <= 12
+        assert joins["inter"] % 3 == 0 and 3 <= joins["inter"] <= 12
+        # ... and exactly three when the whole plan is one batch
+        from repro.core import engine
+        monkeypatch.setattr(engine, "BATCH_ROWS", 1 << 30)
+        assert funnel_arms(run, tmp_path / "one-batch")["serial"] == (
+            GEN64_SEED1_FUNNEL, {"intra": 3, "inter": 3})
+
+    def test_join_calls_independent_of_step_count(self):
+        from repro.apps.heat2d import heat2d
+        joins = []
+        for steps in (4, 12):
+            run = api.run(heat2d, 8, params=dict(rows=64, cols=16,
+                                                 steps=steps),
+                          trace_format="binary")
+            rr = checked_report(run)
+            assert rr.ingest["regions"] > steps
+            joins.append(rr.join_calls)
+        assert joins[0] == joins[1] and joins[0]["inter"] <= 3
+
+    def test_join_calls_rendered(self, profiled):
+        rr = checked_report(profiled)
+        assert rr.join_calls
+        assert "interval joins:" in render_run_text(rr)
+        assert "interval joins:" in render_run_html(rr)
+
+
 class TestRunLedger:
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MCCHECKER_LEDGER_DIR", str(tmp_path))

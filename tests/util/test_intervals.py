@@ -1,11 +1,13 @@
 """Unit + property tests for the byte-interval algebra."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.intervals import (Interval, IntervalSet, IntervalTable,
-                                  datamap_intervals, naive_overlap_join,
-                                  overlap_join)
+                                  _group_keys, datamap_intervals,
+                                  naive_overlap_join, overlap_join,
+                                  unique_pairs)
 
 
 # ----------------------------------------------------------------------
@@ -273,13 +275,105 @@ class TestIntervalTable:
         assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+    def test_group_length_mismatch_and_negative_rejected(self):
+        with pytest.raises(ValueError):
+            IntervalTable([0, 1], [2, 3], group=[0])
+        with pytest.raises(ValueError):
+            IntervalTable([0, 1], [2, 3], group=[0, -1])
+
+    def test_group_follows_dropped_rows_and_concat(self):
+        t = IntervalTable([0, 5, 9], [4, 5, 12], group=[1, 2, 3])
+        assert list(t.group) == [1, 3]
+        c = IntervalTable.concat([t, IntervalTable([0], [1])])
+        assert list(c.group) == [1, 3, 0]  # ungrouped tables are group 0
+        sets = [IntervalSet([Interval(0, 4), Interval(8, 12)]),
+                IntervalSet([Interval(20, 24)])]
+        assert list(IntervalTable.from_sets(sets, groups=[4, 6]).group) \
+            == [4, 4, 6]
+
+
+def _join_per_group(a, b):
+    """Reference for the grouped join: the naive ungrouped join, run
+    once per group id over that group's rows only."""
+    pairs = set()
+    for g in set(a.groups().tolist()) | set(b.groups().tolist()):
+        in_a, in_b = a.groups() == g, b.groups() == g
+        pairs |= _pair_set(*naive_overlap_join(
+            IntervalTable(a.lo[in_a], a.hi[in_a], a.owner[in_a]),
+            IntervalTable(b.lo[in_b], b.hi[in_b], b.owner[in_b])))
+    return pairs
+
+
+class TestGroupedJoin:
+    def test_equal_bytes_in_different_groups_do_not_pair(self):
+        a = IntervalTable([0, 0], [8, 8], owner=[0, 1], group=[0, 1])
+        b = IntervalTable([4, 4], [12, 12], owner=[7, 8], group=[1, 2])
+        assert _pair_set(*overlap_join(a, b)) == {(1, 7)}
+
+    def test_adjacent_groups_touching_at_the_stride_boundary(self):
+        # group 0's largest hi maps onto group 1's smallest key: the
+        # half-open test must still keep them apart
+        a = IntervalTable([0, 90], [100, 100], owner=[0, 1], group=[0, 0])
+        b = IntervalTable([0], [100], owner=[5], group=[1])
+        assert _pair_set(*overlap_join(a, b)) == set()
+        assert _pair_set(*overlap_join(b, a)) == set()
+
+    def test_empty_groups_and_one_sided_groups(self):
+        # ids 1, 2, 4 are unused; group 3 exists only in a, 5 only in b
+        a = IntervalTable([0, 0, 10], [8, 8, 20], owner=[0, 1, 2],
+                          group=[0, 3, 6])
+        b = IntervalTable([4, 4, 15], [6, 6, 16], owner=[0, 1, 2],
+                          group=[0, 5, 6])
+        assert _pair_set(*overlap_join(a, b)) == {(0, 0), (2, 2)}
+        assert _pair_set(*overlap_join(a, b)) == _join_per_group(a, b)
+
+    def test_multi_segment_owner_spanning_the_sort_boundary(self):
+        # owner 0's segments sort to both ends of group 1's key range,
+        # with owner 1 (group 0) and owner 2 (group 2) on either side
+        a = IntervalTable([0, 1000, 500, 500], [10, 1010, 510, 510],
+                          owner=[0, 0, 1, 2], group=[1, 1, 0, 2])
+        b = IntervalTable([5, 1005, 505], [6, 1006, 506],
+                          owner=[9, 9, 9], group=[1, 1, 1])
+        ai, bi = overlap_join(a, b)
+        assert (ai.tolist(), bi.tolist()) == ([0], [9])  # deduplicated
+        assert _pair_set(*overlap_join(b, a)) == {(9, 0)}
+
+    def test_dense_remap_when_group_keys_would_overflow(self):
+        # span >= 2**40 and group ids >= 2**23: group * stride leaves
+        # int63, so addresses and groups are remapped to dense ranks
+        big = 1 << 40
+        groups = [0, (1 << 23) + 5, (1 << 23) + 5, 1 << 30, 1 << 30]
+        a = IntervalTable([0, 7, big, 3, big - 1],
+                          [big + 8, 9, big + 4, 5, big + 1],
+                          owner=[0, 1, 2, 3, 4], group=groups)
+        b = IntervalTable([big, 8, big + 3, 4, big],
+                          [big + 1, 10, big + 9, 6, big + 2],
+                          owner=[0, 1, 2, 3, 4], group=groups)
+        stride = int(max(a.hi.max(), b.hi.max())
+                     - min(a.lo.min(), b.lo.min()))
+        assert (max(groups) + 1) * stride >= 1 << 63
+        keys = _group_keys(a, b)
+        assert max(int(k.max()) for k in keys) < 2 * (len(a) + len(b)) ** 2
+        assert _pair_set(*overlap_join(a, b)) == _join_per_group(a, b) \
+            == {(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)}
+
+    def test_unique_pairs_wide_owner_range_falls_back(self):
+        oa = np.array([1 << 40, 0, 1 << 40, 0], dtype=np.int64)
+        ob = np.array([5, 1 << 41, 5, 0], dtype=np.int64)
+        ua, ub = unique_pairs(oa, ob)
+        assert list(zip(ua.tolist(), ub.tolist())) == \
+            [(0, 0), (0, 1 << 41), (1 << 40, 5)]
+
+
 table_strategy = st.lists(
     st.tuples(st.integers(0, 300), st.integers(0, 40),
-              st.integers(0, 6)),
-    max_size=16).map(
-        lambda rows: IntervalTable([r[0] for r in rows],
-                                   [r[0] + r[1] for r in rows],
-                                   owner=[r[2] for r in rows]))
+              st.integers(0, 6), st.integers(0, 3)),
+    max_size=16).flatmap(
+        lambda rows: st.booleans().map(
+            lambda grouped: IntervalTable(
+                [r[0] for r in rows], [r[0] + r[1] for r in rows],
+                owner=[r[2] for r in rows],
+                group=[r[3] for r in rows] if grouped else None)))
 
 
 def _pair_set(ai, bi):
@@ -288,8 +382,25 @@ def _pair_set(ai, bi):
 
 @given(table_strategy, table_strategy)
 def test_prop_overlap_join_matches_naive(a, b):
-    assert _pair_set(*overlap_join(a, b)) == \
-        _pair_set(*naive_overlap_join(a, b))
+    ai, bi = overlap_join(a, b)
+    pairs = list(zip(ai.tolist(), bi.tolist()))
+    assert pairs == sorted(set(pairs))  # unique, lexicographic
+    assert set(pairs) == _pair_set(*naive_overlap_join(a, b)) \
+        == _join_per_group(a, b)
+
+
+@given(table_strategy, table_strategy, st.integers(1, 1 << 24),
+       st.integers(1, 1 << 38), st.integers(0, 1 << 41))
+def test_prop_grouped_join_invariant_under_key_scaling(a, b, gscale,
+                                                       ascale, shift):
+    """Spreading the group ids and stretching/shifting the addresses
+    (which pushes the larger draws onto the dense-remap path) never
+    changes the pairs."""
+    def scaled(t):
+        return IntervalTable(t.lo * ascale + shift, t.hi * ascale + shift,
+                             t.owner, t.groups() * gscale)
+    assert _pair_set(*overlap_join(scaled(a), scaled(b))) == \
+        _pair_set(*overlap_join(a, b))
 
 
 @given(table_strategy, table_strategy)
