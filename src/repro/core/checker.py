@@ -327,15 +327,7 @@ def _check_streaming(traces: TraceSet, config: CheckConfig) -> CheckReport:
         annotate_context(findings, engine=config.engine, jobs=1,
                          mode="streaming", cache="none")
         control = checker.control
-        stats = CheckStats(
-            nranks=control.pre.nranks,
-            events=control.pre.total_events,
-            rma_ops=len(control.call_model.ops),
-            local_accesses=(len(control.call_model.local)
-                            + control.total_mem_events),
-            sync_matches=len(control.matches),
-            regions=len(control.regions),
-            epochs=len(control.epochs.epochs))
+        stats = CheckStats(**control.sizes())
         publish_control_plane_obs(control.pre, stats.phase_seconds)
         report = CheckReport(
             errors=[f for f in findings

@@ -19,6 +19,7 @@ closing call (its *span*).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,15 @@ KIND_FENCE = "fence"
 KIND_LOCK = "lock"
 KIND_PSCW_ACCESS = "pscw_access"
 KIND_PSCW_EXPOSURE = "pscw_exposure"
+_KINDS = (KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS, KIND_PSCW_EXPOSURE)
+
+#: :meth:`EpochIndex.columns`: ``kind`` indexes :data:`_KINDS`, ``target``
+#: is :data:`NO_TARGET` for ``None``, ``lock`` indexes ``lock_types``, and
+#: ``group_val`` holds the groups back to back (``group_len`` each)
+EpochColumns = namedtuple(
+    "EpochColumns", "rank win kind open_seq close_seq target lock "
+                    "group_len group_val lock_types")
+NO_TARGET = -(1 << 63)
 
 
 @dataclass
@@ -359,6 +369,29 @@ class EpochIndex:
 
     def access_epochs(self) -> List[Epoch]:
         return [e for e in self.epochs if e.is_access]
+
+    def columns(self) -> "EpochColumns":
+        """Every epoch, in index order, as parallel int64 arrays plus the
+        list of lock-type strings the ``lock`` codes index (``None``
+        first) — the shape the incremental shard plan groups and hashes
+        epochs in."""
+        epochs = self.epochs
+        lock_types: Dict[Optional[str], int] = {None: 0}
+        group_len = np.fromiter((len(e.group) for e in epochs), np.int64,
+                                len(epochs))
+        return EpochColumns(
+            *(np.fromiter(values, np.int64, len(epochs)) for values in (
+                (e.rank for e in epochs), (e.win_id for e in epochs),
+                (_KINDS.index(e.kind) for e in epochs),
+                (e.open_seq for e in epochs), (e.close_seq for e in epochs),
+                (NO_TARGET if e.target is None else e.target
+                 for e in epochs),
+                (lock_types.setdefault(e.lock_type, len(lock_types))
+                 for e in epochs))),
+            group_len,
+            np.fromiter((r for e in epochs for r in e.group), np.int64,
+                        int(group_len.sum())),
+            list(lock_types))
 
     def completion_seq(self, rank: int, win_id: int, issue_seq: int,
                        target: int, epoch: Optional[Epoch],

@@ -22,9 +22,10 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.calltable import ensure_call_tables, fn_code
 from repro.core.clocks import Span
 from repro.core.compat import ACC, GET, LOAD, PUT, STORE
-from repro.core.epochs import (Epoch, EpochIndex, KIND_LOCK,
+from repro.core.epochs import (Epoch, EpochIndex, KIND_FENCE, KIND_LOCK,
                                KIND_PSCW_ACCESS, OPEN_ENDED)
 from repro.core.preprocess import PreprocessedTrace
 from repro.profiler.events import ACCESS_CODES
@@ -44,6 +45,9 @@ _RMA_KIND = {"Put": PUT, "Get": GET, "Accumulate": ACC,
 #: MPI calls whose logged buffer is read (load-like) / written (store-like).
 _CALL_LOADS = frozenset({"Send", "Isend", "Reduce", "Allreduce", "Scan"})
 _CALL_STORES = frozenset({"Recv"})
+#: calls that may lift to a plain local access (see :func:`_lifts_buffer`)
+_BUFFER_CALLS = _CALL_LOADS | _CALL_STORES | {"Bcast", "Wait"}
+_REQUEST_RMA = frozenset({"Rput", "Rget", "Raccumulate"})
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -370,12 +374,18 @@ class AccessModel:
         return out
 
 
+def _lifts_buffer(event: CallEvent) -> bool:
+    """Whether a :data:`_BUFFER_CALLS` call lifts to a local access: it
+    reads or writes a buffer, and logged where the buffer is."""
+    args = event.args
+    return ((event.fn != "Wait" or args.get("req_kind") == "irecv")
+            and "base" in args and "count" in args and "dtype" in args)
+
+
 def _call_buffer_intervals(pre: PreprocessedTrace, rank: int,
-                           event: CallEvent) -> Optional[IntervalSet]:
+                           event: CallEvent) -> IntervalSet:
     """Intervals of the local buffer named in a two-sided/collective call."""
     args = event.args
-    if "base" not in args or "count" not in args or "dtype" not in args:
-        return None
     dtype = pre.datatype(rank, int(args["dtype"]))
     base = int(args["base"]) + int(args.get("offset", 0))
     return dtype.intervals(base, int(args["count"]))
@@ -533,16 +543,19 @@ class LiftCache:
       :meth:`~repro.core.epochs.EpochIndex.enclosing`.  Lock/PSCW
       epochs keep their precedence over fences by living in a separate,
       first-consulted list; within a list the scan walks back from the
-      bisect point, so nested open-ended epochs still resolve.
+      bisect point, so nested open-ended epochs still resolve.  Fence
+      epochs cover every target, so their list is built once per window
+      and shared by all of its targets.
     """
 
-    __slots__ = ("_epochs", "_rank", "_placed", "_enclosing")
+    __slots__ = ("_epochs", "_rank", "_placed", "_enclosing", "_by_win")
 
     def __init__(self, epoch_index: EpochIndex, rank: int):
         self._epochs = epoch_index
         self._rank = rank
         self._placed: Dict[Tuple[int, int, int], IntervalSet] = {}
         self._enclosing: Dict[Tuple[int, int], tuple] = {}
+        self._by_win: Dict[int, tuple] = {}
 
     def intervals(self, dtype, base: int, count: int) -> IntervalSet:
         key = (dtype.type_id, base, count)
@@ -600,20 +613,18 @@ class LiftCache:
         key = (win_id, target)
         index = self._enclosing.get(key)
         if index is None:
-            priority: List[Epoch] = []
-            fences: List[Epoch] = []
-            for epoch in self._epochs.of_rank_win(self._rank, win_id):
-                if not (epoch.is_access and epoch.covers_target(target)):
-                    continue
-                if epoch.kind in (KIND_LOCK, KIND_PSCW_ACCESS):
-                    priority.append(epoch)
-                else:
-                    fences.append(epoch)
-            priority.sort(key=lambda e: e.open_seq)
-            fences.sort(key=lambda e: e.open_seq)
+            of_win = self._by_win.get(win_id)
+            if of_win is None:
+                epochs = sorted(self._epochs.of_rank_win(self._rank, win_id),
+                                key=lambda e: e.open_seq)
+                fences = [e for e in epochs if e.kind == KIND_FENCE]
+                of_win = self._by_win[win_id] = (
+                    [e for e in epochs
+                     if e.kind in (KIND_LOCK, KIND_PSCW_ACCESS)],
+                    [e.open_seq for e in fences], fences)
+            priority = [e for e in of_win[0] if e.covers_target(target)]
             index = self._enclosing[key] = (
-                [e.open_seq for e in priority], priority,
-                [e.open_seq for e in fences], fences)
+                [e.open_seq for e in priority], priority, *of_win[1:])
         for opens, epochs in ((index[0], index[1]), (index[2], index[3])):
             # epochs with open_seq >= seq cannot contain seq; the usual
             # hit is immediately at the bisect point, walking further
@@ -689,9 +700,7 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
                       if _RMA_KIND[fn] == ACC else None),
             complete_seq=epoch_index.completion_seq(
                 rank, win.win_id, event.seq, target, epoch,
-                req=(int(args["req"])
-                     if fn in ("Rput", "Rget", "Raccumulate")
-                     else None)),
+                req=int(args["req"]) if fn in _REQUEST_RMA else None),
         )
         ops.append(op)
         # the local (origin-buffer) side of the call
@@ -721,11 +730,8 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
                     rank, event.seq, "RMA result buffer", result_ivs),
                 var=str(args.get("result_var", "?")),
                 loc=event.loc, fn=fn, origin_of=op))
-    elif fn in _CALL_LOADS or fn in _CALL_STORES or fn == "Bcast" \
-            or (fn == "Wait" and args.get("req_kind") == "irecv"):
+    elif fn in _BUFFER_CALLS and _lifts_buffer(event):
         intervals = _call_buffer_intervals(pre, rank, event)
-        if intervals is None:
-            return
         if fn == "Bcast":
             comm = int(args["comm"])
             root_world = pre.world_of_comm_rank(comm,
@@ -739,3 +745,84 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
             rank=rank, seq=event.seq, access=access,
             intervals=intervals, var=str(args.get("var", "?")),
             loc=event.loc, fn=fn))
+
+
+class CallLift:
+    """The control state's call lift: columns for every call, views only
+    on demand.
+
+    A region-at-a-time or shard-at-a-time executor needs, from *every*
+    call that lifts, no more than where it sits and how far its influence
+    reaches: one pass per rank over the :class:`CallTable` rows that can
+    lift (RMA calls, calls with a logged buffer) records each such call's
+    index in ``pre.events[rank]``, its seq and the seq its span ends at —
+    an op's completion (:class:`LiftCache` epoch lookup), the call itself
+    otherwise — and resolves no window, datatype or data-map.
+    :meth:`views` then builds the :class:`RMAOpView` /
+    :class:`LocalAccess` objects, through :func:`_lift_call`, for the seq
+    ranges asked for — the identical views, in the identical order, the
+    serial sweep checker lifts for those calls.  ``pre`` must be
+    call-only (table rows index its event lists).
+    """
+
+    def __init__(self, pre: PreprocessedTrace, epoch_index: EpochIndex):
+        self._pre = pre
+        self._epochs = epoch_index
+        self._caches = [LiftCache(epoch_index, rank)
+                        for rank in range(pre.nranks)]
+        #: per rank: event index, seq and span end of the calls that lift
+        self.call: List[np.ndarray] = []
+        self.seq: List[np.ndarray] = []
+        self.end: List[np.ndarray] = []
+        #: what ``len(model.ops)`` / ``len(model.local)`` of a full lift
+        #: would be, and how many calls :meth:`views` has lifted so far
+        self.n_ops = self.n_local = self.lifted = 0
+        rma = {fn_code(fn) for fn in _RMA_KIND}
+        codes = np.array(sorted(rma | {fn_code(fn) for fn in _BUFFER_CALLS}))
+        tables = ensure_call_tables(pre)
+        for rank, cache in enumerate(self._caches):
+            table, events = tables[rank], pre.events[rank]
+            rows = np.nonzero(np.isin(table.fn, codes))[0]
+            calls, ends = [], []
+            for k, code in zip(rows.tolist(), table.fn[rows].tolist()):
+                event = events[k]
+                args = event.args
+                if code in rma:
+                    win, target = int(args["win"]), int(args["target"])
+                    ends.append(epoch_index.completion_seq(
+                        rank, win, event.seq, target,
+                        cache.enclosing(win, event.seq, target),
+                        req=(int(args["req"]) if event.fn in _REQUEST_RMA
+                             else None)))
+                    self.n_ops += 1
+                    self.n_local += 1 + ("result_base" in args)
+                elif _lifts_buffer(event):
+                    ends.append(event.seq)
+                    self.n_local += 1
+                else:
+                    continue
+                calls.append(k)
+            self.call.append(np.array(calls, dtype=np.int64))
+            self.seq.append(table.seq[self.call[-1]])
+            self.end.append(np.array(ends, dtype=np.int64))
+
+    def views(self, bounds: Optional[List[Tuple[np.ndarray, np.ndarray]]]
+              = None) -> AccessModel:
+        """Lift to views: every call, or per rank those with ``lo < seq
+        <= hi`` for one of ``bounds[rank]``'s ascending, disjoint
+        ``(lo, hi)`` pairs."""
+        ops: List[RMAOpView] = []
+        local: List[LocalAccess] = []
+        for rank, cache in enumerate(self._caches):
+            calls = self.call[rank]
+            if bounds is not None:
+                first, stop = (np.searchsorted(self.seq[rank], seqs,
+                                               side="right")
+                               for seqs in bounds[rank])
+                calls = calls[expand_ranges(first, stop - first)[1]]
+            events = self._pre.events[rank]
+            for k in calls.tolist():
+                _lift_call(self._pre, self._epochs, rank, events[k], ops,
+                           local, cache)
+            self.lifted += len(calls)
+        return AccessModel(ops=ops, local=local)

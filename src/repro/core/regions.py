@@ -86,6 +86,9 @@ class RegionIndex:
         n_regions = len(cuts) + 1
         #: per-rank sorted cut seqs, for bisect lookup
         self._cut_seqs: List[List[int]] = cut_seqs
+        #: the same as one ``(nranks, n_cuts)`` array, for bulk lookup
+        self.cuts = np.array(cut_seqs, dtype=np.int64).reshape(
+            pre.nranks, len(cuts))
         for i in range(n_regions):
             bounds = {}
             for rank in range(pre.nranks):
@@ -110,3 +113,14 @@ class RegionIndex:
         first = bisect_right(self._cut_seqs[span.rank], span.start_seq - 1)
         last = bisect_left(self._cut_seqs[span.rank], span.end_seq)
         return range(first, min(last, len(self.regions) - 1) + 1)
+
+    def regions_of_spans(self, rank: int, start_seq: np.ndarray,
+                         end_seq: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`regions_of_span` for many spans of one rank: the first
+        and the last region index each intersects (``last < first`` for
+        a span that ends before it starts)."""
+        cuts = self.cuts[rank]
+        return (np.searchsorted(cuts, start_seq - 1, side="right"),
+                np.minimum(np.searchsorted(cuts, end_seq, side="left"),
+                           len(self.regions) - 1))

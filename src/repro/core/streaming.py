@@ -9,19 +9,23 @@ than the full trace.
 
 Two passes over the per-rank trace files:
 
-1. **Control pass** — retain only MPI *call* events (synchronization,
-   RMA, datatype, support).  These suffice to rebuild the registries,
-   match synchronization, build the happens-before oracle, identify
-   epochs, and lift the RMA operation views.  Call events are typically a
-   small fraction of a trace; the load/store events the Profiler emits
-   for compute-heavy applications dominate (Figure 10).
+1. **Control pass** (:func:`build_control_state`, shared with the
+   incremental checker) — retain only MPI *call* events
+   (synchronization, RMA, datatype, support).  These suffice to rebuild
+   the registries, match synchronization, build the happens-before
+   oracle, identify epochs, and lift the calls: as columns first
+   (:class:`~repro.core.model.CallLift`), as RMA operation views on
+   demand.  Call events are typically a small fraction of a trace; the
+   load/store events the Profiler emits for compute-heavy applications
+   dominate (Figure 10).
 2. **Data pass** — stream the load/store events region by region (the
    global synchronization cuts are known after pass 1).  Each region is
    analyzed with the same :func:`~repro.core.inter.detect_region` pass the
    batch checker uses and then discarded; epoch-local accesses are held
    only until their epoch's closing synchronization has been passed, at
    which point :func:`~repro.core.intra.check_epoch` runs and the buffer
-   is freed.
+   is freed.  A per-rank cursor (:class:`_EpochCursor`) visits an epoch
+   from the region its opening call lies in to the one passing its close.
 
 Findings are identical to the batch pipeline (differential-tested), and
 :class:`StreamingChecker.peak_buffered_mems` records the bound actually
@@ -30,7 +34,8 @@ achieved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -46,9 +51,7 @@ from repro.core.epochs import Epoch, EpochIndex
 from repro.core.inter import LocalLockIndex, bucket_by_region, detect_region
 from repro.core.intra import check_epoch
 from repro.core.matching import match_synchronization
-from repro.core.model import (
-    AccessModel, LocalAccess, MemRows, build_access_model,
-)
+from repro.core.model import CallLift, LocalAccess, MemRows
 from repro.core.preprocess import (
     PreprocessedTrace, preprocess_calls_with_counts,
 )
@@ -56,6 +59,10 @@ from repro.core.regions import RegionIndex
 from repro.profiler.events import ACCESS_NAMES
 from repro.profiler.tracer import TraceSet
 from repro.util.intervals import IntervalSet
+
+
+#: what an epoch no op was issued in has to check
+_NO_OPS: Tuple[list, list] = ([], [])
 
 
 @dataclass
@@ -74,27 +81,31 @@ class ControlState:
     Shared by the streaming checker (pass 1) and the incremental checker
     (whose cache planning is exactly a control pass): registries,
     synchronization matches, the happens-before oracle, epochs, the
-    call-derived access model, concurrent regions, and the call-derived
-    accesses pre-bucketed by region and epoch."""
+    columnar call lift and concurrent regions."""
 
     pre: PreprocessedTrace
     matches: list
     oracle: ConcurrencyOracle
     epochs: EpochIndex
-    call_model: AccessModel
+    lift: CallLift
     regions: RegionIndex
-    lock_index: LocalLockIndex
     #: per-rank per-class event counts from the trace readers
     counts: Dict[int, Dict[str, int]]
-    ops_by_region: Dict[int, list]
-    call_locals_by_region: Dict[int, List[LocalAccess]]
-    #: keyed by ``id(epoch)`` (epochs are interned in ``epochs``)
-    ops_by_epoch: Dict[int, list]
-    attached_by_epoch: Dict[int, List[LocalAccess]]
 
-    @property
-    def total_mem_events(self) -> int:
-        return sum(c["mem"] for c in self.counts.values())
+    @cached_property
+    def lock_index(self) -> LocalLockIndex:
+        return LocalLockIndex(self.epochs, self.pre.nranks)
+
+    def sizes(self) -> Dict[str, int]:
+        """The size fields of ``CheckStats``, counted as the batch model
+        does: call-derived locals plus a row per instrumented access."""
+        return dict(
+            nranks=self.pre.nranks, events=self.pre.total_events,
+            rma_ops=self.lift.n_ops,
+            local_accesses=self.lift.n_local + sum(
+                c["mem"] for c in self.counts.values()),
+            sync_matches=len(self.matches), regions=len(self.regions),
+            epochs=len(self.epochs.epochs))
 
 
 def build_control_state(traces: TraceSet, timed=None,
@@ -121,28 +132,45 @@ def build_control_state(traces: TraceSet, timed=None,
                     nranks=pre.nranks, events=pre.total_events)
     oracle = timed("clocks", lambda: ConcurrencyOracle(pre, matches))
     epochs = timed("epochs", lambda: EpochIndex(pre))
-    call_model = timed("model", lambda: build_access_model(pre, epochs))
+    lift = timed("model", lambda: CallLift(pre, epochs))
     regions = timed("regions", lambda: RegionIndex(pre, matches))
-    lock_index = LocalLockIndex(epochs, pre.nranks)
+    return ControlState(pre, matches, oracle, epochs, lift, regions,
+                        counts)
 
-    # pre-bucket the call-derived accesses by region / epoch
-    ops_by_region, call_locals_by_region = \
-        bucket_by_region(call_model, regions)
-    ops_by_epoch: Dict[int, list] = {}
-    attached_by_epoch: Dict[int, List[LocalAccess]] = {}
-    for op in call_model.ops:
-        if op.epoch is not None:
-            ops_by_epoch.setdefault(id(op.epoch), []).append(op)
-    for la in call_model.local:
-        if la.origin_of is not None and la.origin_of.epoch is not None:
-            attached_by_epoch.setdefault(
-                id(la.origin_of.epoch), []).append(la)
-    return ControlState(
-        pre=pre, matches=matches, oracle=oracle, epochs=epochs,
-        call_model=call_model, regions=regions, lock_index=lock_index,
-        counts=counts, ops_by_region=ops_by_region,
-        call_locals_by_region=call_locals_by_region,
-        ops_by_epoch=ops_by_epoch, attached_by_epoch=attached_by_epoch)
+
+class _EpochCursor:
+    """The access epochs of a data pass, queued per rank by ``open_seq``:
+    :meth:`opened` moves those the pass has reached to the rank's live
+    list, :meth:`close` drops the ones it has passed — both in ``(rank,
+    open_seq)`` order, the order a scan over every epoch finds them in."""
+
+    def __init__(self, epochs: List[Epoch], nranks: int):
+        self._queued: List[List[Epoch]] = [[] for _ in range(nranks)]
+        for epoch in reversed(sorted(epochs, key=lambda e: e.open_seq)):
+            self._queued[epoch.rank].append(epoch)
+        self._live: List[List[Epoch]] = [[] for _ in range(nranks)]
+
+    def opened(self, rank: int, upto: int) -> List[Epoch]:
+        """The rank's epochs that can hold an event with ``seq < upto``
+        and have not been closed."""
+        queued, live = self._queued[rank], self._live[rank]
+        while queued and queued[-1].open_seq < upto:
+            live.append(queued.pop())
+        return live
+
+    def close(self, consumed_upto: List[int]) -> Iterator[Epoch]:
+        """Drop and yield every epoch whose closing sync lies before its
+        rank's ``consumed_upto``."""
+        for rank, upto in enumerate(consumed_upto):
+            live = self.opened(rank, upto)
+            self._live[rank] = [e for e in live if e.close_seq >= upto]
+            yield from (e for e in live if e.close_seq < upto)
+
+    def unclosed(self) -> Iterator[Epoch]:
+        """Epochs never closed in the trace (truncated programs)."""
+        for live, queued in zip(self._live, self._queued):
+            yield from live
+            yield from reversed(queued)
 
 
 class StreamingChecker:
@@ -156,27 +184,30 @@ class StreamingChecker:
         self.peak_buffered_mems = 0
         self._control_pass()
 
-    # ------------------------------------------------------------------
-
     def _control_pass(self) -> None:
-        """Pass 1: everything derivable from call events alone.  Memory
-        events are skipped without decoding (binary traces step over
-        whole packed blocks via their frame length)."""
-        state = build_control_state(self.traces)
-        self.control = state
+        """Pass 1: everything derivable from call events alone (memory
+        events are stepped over undecoded, whole packed blocks at a time
+        in binary traces).  Every region is analyzed, so every call is
+        lifted to views, once, up front."""
+        state = self.control = build_control_state(self.traces)
         self.pre = state.pre
-        self.matches = state.matches
         self.oracle = state.oracle
         self.epochs = state.epochs
-        self.call_model = state.call_model
         self.regions = state.regions
         self.lock_index = state.lock_index
-        self._ops_by_region = state.ops_by_region
-        self._call_locals_by_region = state.call_locals_by_region
-        self._ops_by_epoch = state.ops_by_epoch
-        self._attached_by_epoch = state.attached_by_epoch
-
-    # ------------------------------------------------------------------
+        model = state.lift.views()
+        self._ops_by_region, self._call_locals_by_region = \
+            bucket_by_region(model, state.regions)
+        #: ``id(epoch)`` (epochs are interned in ``epochs``) -> its ops
+        #: and their attached origin/result buffers
+        self._by_epoch: Dict[int, Tuple[list, List[LocalAccess]]] = {}
+        for op in model.ops:
+            if op.epoch is not None:
+                self._by_epoch.setdefault(id(op.epoch), ([], []))[0] \
+                    .append(op)
+        for la in model.local:
+            if la.origin_of is not None and la.origin_of.epoch is not None:
+                self._by_epoch[id(la.origin_of.epoch)][1].append(la)
 
     def _rank_accesses(self, rank: int) -> Iterator[LocalAccess]:
         """One rank's instrumented loads/stores as LocalAccess views, in
@@ -216,9 +247,7 @@ class StreamingChecker:
         lookahead: List[Optional[LocalAccess]] = [None] * self.pre.nranks
         # per-epoch buffered plain memory accesses, freed at epoch close
         epoch_mems: Dict[int, List[LocalAccess]] = {}
-        open_epochs: List[Epoch] = sorted(
-            self.epochs.access_epochs(),
-            key=lambda e: (e.rank, e.open_seq))
+        cursor = _EpochCursor(self.epochs.access_epochs(), self.pre.nranks)
 
         def next_mem(rank: int, upto: int) -> Iterator[LocalAccess]:
             """Drain rank's mem accesses with seq < upto."""
@@ -237,16 +266,14 @@ class StreamingChecker:
         for region in self.regions:
             findings: List[ConsistencyError] = []
             region_mems: List[LocalAccess] = []
-            consumed_upto = {}
-            for rank in range(self.pre.nranks):
-                _lo, hi = region.bounds[rank]
-                upto = min(hi + 1, 1 << 62)
-                consumed_upto[rank] = upto
+            consumed_upto = [min(region.bounds[rank][1] + 1, 1 << 62)
+                             for rank in range(self.pre.nranks)]
+            for rank, upto in enumerate(consumed_upto):
+                opened = cursor.opened(rank, upto)
                 for la in next_mem(rank, upto):
                     region_mems.append(la)
-                    for epoch in open_epochs:
-                        if epoch.rank == rank and \
-                                epoch.contains_seq(la.seq):
+                    for epoch in opened:
+                        if epoch.contains_seq(la.seq):
                             epoch_mems.setdefault(id(epoch), []).append(la)
 
             buffered = len(region_mems) + sum(
@@ -262,28 +289,17 @@ class StreamingChecker:
                     self.pre, region_ops, locals_here, self.oracle,
                     self.lock_index, self.memory_model))
 
-            # close every epoch whose closing sync has been passed
-            still_open: List[Epoch] = []
-            for epoch in open_epochs:
-                if epoch.close_seq < consumed_upto.get(epoch.rank, 0):
-                    findings.extend(check_epoch(
-                        epoch,
-                        self._ops_by_epoch.get(id(epoch), []),
-                        self._attached_by_epoch.get(id(epoch), []),
-                        epoch_mems.pop(id(epoch), []),
-                        self.memory_model))
-                else:
-                    still_open.append(epoch)
-            open_epochs = still_open
+            for epoch in cursor.close(consumed_upto):
+                findings.extend(check_epoch(
+                    epoch, *self._by_epoch.get(id(epoch), _NO_OPS),
+                    epoch_mems.pop(id(epoch), []), self.memory_model))
 
             yield RegionReport(index=region.index, findings=findings,
                                mem_events=len(region_mems))
 
-        # epochs never closed in the trace (truncated programs)
-        for epoch in open_epochs:
+        for epoch in cursor.unclosed():
             findings = check_epoch(
-                epoch, self._ops_by_epoch.get(id(epoch), []),
-                self._attached_by_epoch.get(id(epoch), []),
+                epoch, *self._by_epoch.get(id(epoch), _NO_OPS),
                 epoch_mems.pop(id(epoch), []), self.memory_model)
             if findings:
                 yield RegionReport(index=len(self.regions), mem_events=0,
@@ -301,16 +317,14 @@ class StreamingChecker:
         pending: List[Optional[np.ndarray]] = [None] * nranks
         # per-epoch buffered row pieces, freed at epoch close
         epoch_pieces: Dict[int, List[np.ndarray]] = {}
-        open_epochs: List[Epoch] = sorted(
-            self.epochs.access_epochs(),
-            key=lambda e: (e.rank, e.open_seq))
+        cursor = _EpochCursor(self.epochs.access_epochs(), nranks)
 
         def take(rank: int, upto: int) -> List[np.ndarray]:
             """Drain rank's packed rows with seq < upto."""
             pieces: List[np.ndarray] = []
             arr = pending[rank]
             if arr is not None:
-                cut = int(np.searchsorted(arr["seq"], upto, side="left"))
+                cut = int(np.searchsorted(arr["seq"], upto))
                 pieces.append(arr[:cut])
                 if cut < len(arr):
                     pending[rank] = arr[cut:]
@@ -319,8 +333,7 @@ class StreamingChecker:
             for table, block_arr in streams[rank]:
                 tables[rank] = table
                 block_arr = np.array(block_arr)  # detach from the mmap
-                cut = int(np.searchsorted(block_arr["seq"], upto,
-                                          side="left"))
+                cut = int(np.searchsorted(block_arr["seq"], upto))
                 pieces.append(block_arr[:cut])
                 if cut < len(block_arr):
                     pending[rank] = block_arr[cut:]
@@ -330,24 +343,19 @@ class StreamingChecker:
         for region in self.regions:
             findings: List[ConsistencyError] = []
             region_pieces: Dict[int, List[np.ndarray]] = {}
-            consumed_upto = {}
-            for rank in range(nranks):
-                _lo, hi = region.bounds[rank]
-                upto = min(hi + 1, 1 << 62)
-                consumed_upto[rank] = upto
+            consumed_upto = [min(region.bounds[rank][1] + 1, 1 << 62)
+                             for rank in range(nranks)]
+            for rank, upto in enumerate(consumed_upto):
                 pieces = take(rank, upto)
                 if not pieces:
                     continue
                 region_pieces[rank] = pieces
-                for epoch in open_epochs:
-                    if epoch.rank != rank:
-                        continue
+                for epoch in cursor.opened(rank, upto):
                     for piece in pieces:
                         seqs = piece["seq"]
                         lo = int(np.searchsorted(seqs, epoch.open_seq,
                                                  side="right"))
-                        hi_row = int(np.searchsorted(seqs, epoch.close_seq,
-                                                     side="left"))
+                        hi_row = int(np.searchsorted(seqs, epoch.close_seq))
                         if hi_row > lo:
                             epoch_pieces.setdefault(id(epoch), []).append(
                                 piece[lo:hi_row])
@@ -373,22 +381,14 @@ class StreamingChecker:
                     self.pre, [unit], region_mems, self.oracle,
                     self.lock_index, self.memory_model)[0])
 
-            # close every epoch whose closing sync has been passed
-            still_open: List[Epoch] = []
-            for epoch in open_epochs:
-                if epoch.close_seq < consumed_upto.get(epoch.rank, 0):
-                    findings.extend(self._close_epoch_sweep(epoch,
-                                                            epoch_pieces,
-                                                            tables))
-                else:
-                    still_open.append(epoch)
-            open_epochs = still_open
+            for epoch in cursor.close(consumed_upto):
+                findings.extend(self._close_epoch_sweep(epoch, epoch_pieces,
+                                                        tables))
 
             yield RegionReport(index=region.index, findings=findings,
                                mem_events=mem_events)
 
-        # epochs never closed in the trace (truncated programs)
-        for epoch in open_epochs:
+        for epoch in cursor.unclosed():
             findings = self._close_epoch_sweep(epoch, epoch_pieces, tables)
             if findings:
                 yield RegionReport(index=len(self.regions), mem_events=0,
@@ -397,23 +397,23 @@ class StreamingChecker:
     def _close_epoch_sweep(self, epoch: Epoch,
                            epoch_pieces: Dict[int, List[np.ndarray]],
                            tables: List) -> List[ConsistencyError]:
-        """Run the sweep within-epoch check and free the epoch's rows.
-
-        Like the pairwise data pass, only *instrumented* rows are
-        buffered per epoch, so ``obj_mems`` stays empty."""
+        """Run the sweep within-epoch check and free the epoch's rows
+        (like the pairwise data pass, only *instrumented* rows are
+        buffered per epoch, so ``obj_mems`` stays empty)."""
         pieces = epoch_pieces.pop(id(epoch), [])
+        unit = self._by_epoch.get(id(epoch))
+        if unit is None:  # no op was issued in it: nothing can conflict
+            return []
         mems = {}
         if pieces:
             mems[epoch.rank] = MemRows.from_struct(
                 epoch.rank, tables[epoch.rank],
                 pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
-        unit = (epoch, self._ops_by_epoch.get(id(epoch), []),
-                self._attached_by_epoch.get(id(epoch), []), [])
-        return check_epochs_sweep([unit], mems, self.memory_model)[0]
+        return check_epochs_sweep([(epoch, *unit, [])], mems,
+                                  self.memory_model)[0]
 
 
-def check_streaming(traces: TraceSet,
-                    memory_model: str = "separate",
+def check_streaming(traces: TraceSet, memory_model: str = "separate",
                     engine: str = "sweep"
                     ) -> Tuple[List[ConsistencyError], StreamingChecker]:
     """Run the streaming pipeline to completion; returns deduplicated

@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 from typing import Any, Dict, List
 
-from repro.obs.report import RunReport
+from repro.obs.report import CACHE_WORK, RunReport
 
 # ----------------------------------------------------------------------
 # text rendering
@@ -72,6 +72,10 @@ def render_run_text(entry: RunReport) -> str:
                      f"({rate:.0f}%)  outcomes: "
                      + ", ".join(f"{k}={int(v)}"
                                  for k, v in sorted(shards.items())))
+        if "calls_lifted" in entry.cache:
+            lines.append("    work: " + ", ".join(
+                f"{name.replace('_', ' ')}={int(entry.cache.get(name, 0))}"
+                for name in CACHE_WORK))
     if entry.workers:
         tasks = entry.workers.get("tasks", {})
         pids = entry.workers.get("pids", {})
@@ -272,6 +276,10 @@ def _cache_panel(entry: RunReport) -> str:
                      f"<td class=num>{int(count)}</td>"
                      f"<td>{_svg_bar(count / (total or 1), cls)}</td></tr>")
     parts.append("</table>")
+    if "calls_lifted" in cache:
+        parts.append("<p>work beyond the control pass: " + ", ".join(
+            f"{name.replace('_', ' ')} <strong>{int(cache.get(name, 0))}"
+            "</strong>" for name in CACHE_WORK) + "</p>")
     per_shard = cache.get("per_shard") or []
     if per_shard:
         # heat strip: one cell per shard, colored by cache outcome

@@ -24,6 +24,11 @@ from repro.util.hashing import stable_hash
 #: RunReport schema version (bump on breaking layout changes)
 SCHEMA_VERSION = 1
 
+#: ``RunReport.cache`` keys counting what an incremental run did beyond
+#: its control pass (``IncrementalChecker.work``; the metrics are
+#: ``incremental_<key>_total``), shown next to the shard funnel
+CACHE_WORK = ("calls_lifted", "shard_files_read", "rows_loaded")
+
 #: span names whose pids identify parallel workers
 _WORKER_SPAN_PREFIX = "analyzer.worker."
 
@@ -136,6 +141,10 @@ def _cache_attribution(recorder) -> Dict[str, Any]:
         value = loaded.value()
         if value is not None:
             out["ranks_loaded"] = value
+    for name in CACHE_WORK:
+        work = recorder.registry.get(f"incremental_{name}_total")
+        if work is not None:
+            out[name] = work.total
     per_shard = recorder.registry.get("incremental_shard_regions")
     if per_shard is not None:
         out["per_shard"] = [

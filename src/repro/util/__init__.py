@@ -16,9 +16,8 @@ from repro.util.errors import (
 )
 from repro.util.cachestore import CacheStore
 from repro.util.hashing import (
-    chain_hash,
     hash_file,
-    hash_lines,
+    hash_ranges,
     hash_strings,
     sha256_hex,
     stable_hash,
@@ -29,9 +28,8 @@ from repro.util.records import Record, encode_record, decode_record
 
 __all__ = [
     "CacheStore",
-    "chain_hash",
     "hash_file",
-    "hash_lines",
+    "hash_ranges",
     "hash_strings",
     "sha256_hex",
     "stable_hash",

@@ -1,21 +1,23 @@
 """Content hashing for the incremental-checking cache.
 
 Every cache decision reduces to "are these bytes the same bytes we saw
-last time": per-rank trace digests, per-region call/memory slice digests,
-and the rolled-up shard keys are all SHA-256 over a *canonical* byte
-serialization.  Canonical means collision-resistant by construction —
-variable-length parts are length-prefixed, structured values go through
-sorted-key JSON — so two different inputs can never serialize to the
-same byte stream.
+last time": per-rank trace digests, per-(shard, rank) call/memory slice
+digests, and the rolled-up shard keys are all SHA-256 over a *canonical*
+byte serialization.  Canonical means collision-resistant by construction
+— variable-length parts are length-prefixed, structured values go
+through sorted-key JSON — so two different inputs can never serialize to
+the same byte stream.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Sequence
+import struct
+from typing import List, Sequence, Tuple
 
 _LEN_SEP = b"\x00"
+_U64 = struct.Struct("<Q")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -49,15 +51,28 @@ def hash_strings(strings: Sequence[str]) -> str:
     return digest.hexdigest()
 
 
-def hash_lines(lines: Iterable[str]) -> str:
-    """Digest of an ordered line sequence (per-region call slices)."""
-    digest = hashlib.sha256()
-    for line in lines:
-        raw = line.encode("utf-8")
-        digest.update(str(len(raw)).encode("ascii"))
-        digest.update(_LEN_SEP)
-        digest.update(raw)
-    return digest.hexdigest()
+def hash_ranges(prefix: bytes, parts: Sequence[Tuple]) -> List[bytes]:
+    """One raw SHA-256 digest per range ``k``, over ``prefix`` and every
+    part's bytes ``buffer[starts[k]:ends[k]]`` — the bulk form behind the
+    slice digests and the shard keys: thousands of small digests over a
+    few large buffers, without a per-range copy.
+
+    ``parts`` are ``(buffer, starts, ends)`` with the byte offsets as
+    integer arrays.  Every piece is length-prefixed, so moving a byte
+    from one part to its neighbour changes the digest."""
+    base = hashlib.sha256(prefix)
+    columns = [(memoryview(buffer).cast("B"), starts.tolist(), ends.tolist())
+               for buffer, starts, ends in parts]
+    pack = _U64.pack
+    digests = []
+    for k in range(len(columns[0][1])):
+        digest = base.copy()
+        for view, starts, ends in columns:
+            lo, hi = starts[k], ends[k]
+            digest.update(pack(hi - lo))
+            digest.update(view[lo:hi])
+        digests.append(digest.digest())
+    return digests
 
 
 def stable_hash(obj) -> str:
@@ -69,8 +84,3 @@ def stable_hash(obj) -> str:
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"),
                          ensure_ascii=False)
     return sha256_hex(payload.encode("utf-8"))
-
-
-def chain_hash(previous: str, update: str) -> str:
-    """One link of a rolling (prefix) hash chain."""
-    return sha256_hex(f"{previous}:{update}".encode("ascii"))

@@ -8,7 +8,10 @@ from repro.apps.lockopts import lockopts
 from repro.apps.lu import lu
 from repro.apps.pingpong import pingpong
 from repro.core.checker import check_traces
-from repro.core.streaming import StreamingChecker, check_streaming
+from repro.core.epochs import Epoch
+from repro.core.streaming import (
+    StreamingChecker, _EpochCursor, check_streaming,
+)
 from repro.profiler.session import profile_run
 
 CASES = [
@@ -19,6 +22,7 @@ CASES = [
     ("lockopts-buggy", lockopts, 4, dict(buggy=True)),
     ("pingpong-buggy", pingpong, 2, dict(buggy=True)),
     ("lu-clean", lu, 4, dict(n=16)),
+    ("lu16-clean", lu, 16, dict(n=48)),
 ]
 
 
@@ -65,6 +69,53 @@ class TestBoundedMemory:
         checker = StreamingChecker(traces_for("jacobi-buggy"))
         flagged = [r for r in checker.run() if r.findings]
         assert flagged  # the races surface in their own regions
+
+
+class TestEpochCursor:
+    """The data pass visits an epoch from the region its opening call
+    lies in until the region passing its close — never all unclosed
+    epochs for every region (16-rank LU: 6.58 M probes before)."""
+
+    def test_visits_track_open_epochs_not_all_epochs(self, traces_for,
+                                                     monkeypatch):
+        visits = []
+        opened = _EpochCursor.opened
+
+        def counting(self, rank, upto):
+            live = opened(self, rank, upto)
+            visits.append(len(live))
+            return live
+        monkeypatch.setattr(_EpochCursor, "opened", counting)
+        traces = traces_for("lu16-clean")
+        findings, checker = check_streaming(traces)
+        assert not findings
+        n_epochs = len(checker.epochs.access_epochs())
+        n_regions = len(checker.regions)
+        assert n_epochs > 1000 and n_regions > 100
+        # one window, fence epochs only: at most the epoch being closed
+        # and the one just opened are live at any rank in any region
+        assert max(visits) <= 2
+        assert sum(visits) <= 2 * (n_epochs + n_regions * 16)
+
+    def test_same_peak_buffer_as_the_pairwise_pass(self, traces_for):
+        traces = traces_for("lu16-clean")
+        _f, sweep = check_streaming(traces, engine="sweep")
+        _f, pairwise = check_streaming(traces, engine="pairwise")
+        assert sweep.peak_buffered_mems == pairwise.peak_buffered_mems > 0
+
+    def test_order_and_lifetime(self):
+        def epoch(rank, open_seq, close_seq):
+            return Epoch(rank, 0, "fence", open_seq, close_seq)
+        nested, outer, late, other = (epoch(0, 5, 7), epoch(0, 1, 20),
+                                      epoch(0, 30, 40), epoch(1, 2, 9))
+        never = Epoch(1, 0, "lock", 50)
+        cursor = _EpochCursor([late, nested, other, outer, never], 2)
+        assert cursor.opened(0, 4) == [outer]
+        assert cursor.opened(0, 10) == [outer, nested]
+        assert list(cursor.close([10, 10])) == [nested, other]
+        assert cursor.opened(0, 10) == [outer]
+        assert list(cursor.close([41, 41])) == [outer, late]
+        assert list(cursor.unclosed()) == [never]
 
 
 class TestTruncatedTraces:

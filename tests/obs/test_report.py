@@ -73,6 +73,29 @@ class TestRunReport:
                               cache_dir=cache_dir)
         assert warm.cache["shards"].get("hit", 0) > 0
 
+    def test_incremental_work_counters(self, profiled, tmp_path):
+        """The work counters sit next to the shard funnel in the report
+        and in both dashboards: a cold run lifts calls and reads rows, a
+        fully warm one does neither and opens no shard file."""
+        from repro.obs.dashboard import (
+            render_run_html, render_run_text,
+        )
+        cache_dir = str(tmp_path / "cache")
+        cold = checked_report(profiled, incremental=True,
+                              cache_dir=cache_dir)
+        shards = sum(cold.cache["shards"].values())
+        assert cold.cache["calls_lifted"] > 0
+        assert cold.cache["rows_loaded"] > 0
+        assert cold.cache["shard_files_read"] == shards
+        warm = checked_report(profiled, incremental=True,
+                              cache_dir=cache_dir)
+        assert (warm.cache["calls_lifted"], warm.cache["rows_loaded"],
+                warm.cache["shard_files_read"]) == (0, 0, 0)
+        for entry in (cold, warm):
+            assert f"calls lifted={int(entry.cache['calls_lifted'])}" \
+                in render_run_text(entry)
+            assert "work beyond the control pass" in render_run_html(entry)
+
     def test_roundtrip(self, profiled):
         rr = checked_report(profiled)
         clone = RunReport.from_dict(json.loads(json.dumps(rr.to_dict())))
