@@ -55,12 +55,6 @@ _METRICS: Dict[str, List[Tuple[str, Tuple[object, ...], str,
         ("jobs4_speedup", ("speedup_gate", "measured_speedup"),
          "higher", None),
     ],
-    "trace_format": [
-        ("read_speedup_binary_vs_text",
-         ("read_speedup_binary_vs_text",), "higher", 1.2),
-        ("binary_read_seconds",
-         ("formats", "binary", "read_preprocess_seconds"), "lower", None),
-    ],
     "flight_recorder": [
         ("overhead_pct", ("overhead_pct",), "lower", 10.0),
     ],

@@ -27,6 +27,7 @@ byte-identical across planes — the differential suite pins that.
 from __future__ import annotations
 
 import os
+import struct
 from sys import intern as _intern
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -41,9 +42,9 @@ from repro.profiler.events import (
     COLLECTIVE_CALLS, DATATYPE_CALLS, NB_COLLECTIVE_CALLS, ONE_SIDED_CALLS,
     SUPPORT_CALLS, SYNC_CALLS, CallEvent,
 )
-from repro.util.errors import AnalysisError
+from repro.util.errors import AnalysisError, TraceFormatError
 from repro.util.location import SourceLocation
-from repro.util.records import decode_value
+from repro.util.records import INT64_MAX, INT64_MIN, decode_value
 
 CONTROL_PLANE_ENV = "MCCHECKER_CONTROL_PLANE"
 PLANE_COLUMNAR = "columnar"
@@ -668,6 +669,23 @@ _MEMO_CAP = 1 << 16
 _NEW_EVENT = object.__new__
 
 
+_PACK_INT64 = struct.Struct("<11q").pack
+
+
+def _fits_int64(row: Tuple, seq: int = 0) -> bool:
+    """Whether a :func:`classify_call` row (and the call's seq) can
+    enter the int64 :class:`CallTable` columns — asked by packing them
+    as int64, the one range check that runs at C speed (this sits on
+    the per-distinct-call-shape path of :class:`CallIngest`)."""
+    try:
+        _PACK_INT64(seq, *row[:10])
+        if row[10]:
+            struct.pack(f"<{len(row[10])}q", *row[10])
+    except struct.error:
+        return False
+    return True
+
+
 class CallIngest:
     """Single-pass call-line decoder building CallEvents *and* the rank's
     :class:`CallTable` together.
@@ -706,6 +724,8 @@ class CallIngest:
                     seq = int(parts[1][4:])
                 except ValueError:
                     return self._add_slow(line)
+                if not INT64_MIN <= seq <= INT64_MAX:
+                    return self._add_slow(line)
                 tpl, row, lock_str = entry
                 if lock_str is not None:
                     self._lock_types[len(self._seqs)] = lock_str
@@ -733,6 +753,8 @@ class CallIngest:
                 loc = SourceLocation.decode(loc_text)
                 _LOC_CACHE[loc_text] = loc
             row, lock_str = classify_call(fn, fields)
+            if not _fits_int64(row):
+                return None
         except Exception:
             return None
         tpl = {"rank": self.rank, "seq": -1, "fn": fn, "args": fields,
@@ -749,6 +771,10 @@ class CallIngest:
         event = decode_event(self.rank, line)
         if isinstance(event, CallEvent):
             row, lock_str = classify_call(event.fn, event.args)
+            if not _fits_int64(row, event.seq):
+                raise TraceFormatError(
+                    f"call record {event.fn!r} at seq {event.seq} has a "
+                    "field outside int64")
             if lock_str is not None and row[9] == LOCK_OTHER:
                 self._lock_types[len(self._seqs)] = lock_str
             self._seqs.append(event.seq)

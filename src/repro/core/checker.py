@@ -34,7 +34,9 @@ from repro.core.intra import detect_intra_epoch
 from repro.core.matching import match_synchronization
 from repro.core.model import build_access_model_stream, build_access_model_sweep
 from repro.core.parallel import ParallelEngine, resolve_jobs
-from repro.core.preprocess import PreprocessedTrace, preprocess_calls
+from repro.core.preprocess import (
+    PreprocessedTrace, preprocess_calls, preprocess_calls_with_counts,
+)
 from repro.core.regions import RegionIndex
 from repro.profiler.tracer import TraceSet
 
@@ -177,9 +179,13 @@ class MCChecker:
         if engine is not None:
             self.pre = timed("preprocess", engine.preprocess,
                              jobs=self.jobs)
-        else:
+        elif self.engine == "sweep":
             self.pre = timed("preprocess",
                              lambda: preprocess_calls(self.traces))
+        else:   # the pairwise model re-reads each rank's whole stream
+            self.pre = timed(
+                "preprocess",
+                lambda: preprocess_calls_with_counts(self.traces)[0])
         pre = self.pre
         stats.nranks = pre.nranks
         # both paths keep only call events in the parent; the per-rank

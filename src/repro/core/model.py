@@ -32,7 +32,7 @@ from repro.profiler.events import ACCESS_CODES
 from repro.profiler.events import ACCESS_NAMES as _ACCESS_NAMES
 from repro.profiler.events import CallEvent, MemEvent
 from repro.util.errors import AnalysisError
-from repro.util.intervals import Interval, IntervalSet, expand_ranges
+from repro.util.intervals import IntervalSet, datamap_intervals, expand_ranges
 from repro.util.location import SourceLocation
 
 _RMA_KIND = {"Put": PUT, "Get": GET, "Accumulate": ACC,
@@ -468,13 +468,17 @@ def build_access_model_sweep(pre: PreprocessedTrace,
 
     The call events were already decoded by the preprocess pass
     (``pre.events``), so only the packed memory columns are read back
-    from the trace — no second call-decode pass."""
+    from the trace — no second call-decode pass — and not even those
+    where the preprocess pass decoded them on the way
+    (``pre.mem_blocks``: text traces)."""
     ops: List[RMAOpView] = []
     local: List[LocalAccess] = []
     mems: Dict[int, MemRows] = {}
     for rank in range(pre.nranks):
-        with traces.reader(rank) as reader:
-            blocks = list(reader.mem_blocks())
+        blocks = pre.mem_blocks.pop(rank, None)
+        if blocks is None:
+            with traces.reader(rank) as reader:
+                blocks = list(reader.mem_blocks())
         rank_ops, rank_local, rows = lift_rank_sweep(
             pre, epoch_index, rank, pre.events[rank], blocks)
         ops.extend(rank_ops)
@@ -527,16 +531,12 @@ class LiftCache:
     Two shortcuts the plain dict cache of the pairwise reference path
     does not attempt:
 
-    * **pre-sorted data-map application**: nearly every datatype's
-      data-map is already sorted and gap-separated, and consecutive
-      repetitions don't overlap when the extent covers the map — so the
-      intervals come out of the loop already in
-      :class:`~repro.util.intervals.IntervalSet` normal form and the
-      ``sorted``-based ``_normalize`` pass is skipped (it dominates the
-      model phase: loop nests register a fresh derived datatype per
-      iteration, so *no* memo key repeats there).  Resolved sets are
-      still memoized by ``(type_id, base, count)`` for the buffers that
-      do repeat verbatim (origin/result buffers).
+    * **placement memo**: data-maps are placed by
+      :func:`~repro.util.intervals.datamap_intervals` (the simulator's
+      own placement function), memoized by ``(type_id, base, count)``
+      for the buffers that repeat verbatim (origin/result buffers; loop
+      nests register a fresh derived datatype per iteration, so target
+      placements rarely repeat).
     * **epoch lookup**: per ``(win_id, target)``, the rank's access
       epochs that cover the target, pre-filtered once and bisected by
       ``open_seq`` — replacing the per-op linear scan of
@@ -561,45 +561,8 @@ class LiftCache:
         key = (dtype.type_id, base, count)
         placed = self._placed.get(key)
         if placed is None:
-            placed = self._placed[key] = self._apply_datamap(
-                dtype, base, count)
-        return placed
-
-    @staticmethod
-    def _apply_datamap(dtype, base: int, count: int) -> IntervalSet:
-        """Sorted-input :func:`~repro.util.intervals.datamap_intervals`:
-        coalesces adjacent/overlapping segments on the fly, so the
-        result is already in normal form and the ``sorted``-based
-        ``_normalize`` pass (plus one :class:`Interval` per raw segment)
-        is skipped.  Unsorted data-maps fall back to the general path.
-        """
-        ivs: List[Interval] = []
-        append = ivs.append
-        extent = dtype.extent
-        datamap = dtype.datamap
-        cur_start = None
-        cur_stop = 0
-        for rep in range(count):
-            origin = base + rep * extent
-            for disp, length in datamap:
-                if length <= 0:
-                    continue
-                start = origin + disp
-                if cur_start is None:
-                    cur_start, cur_stop = start, start + length
-                elif start > cur_stop:
-                    append(Interval(cur_start, cur_stop))
-                    cur_start, cur_stop = start, start + length
-                elif start >= cur_start:
-                    stop = start + length
-                    if stop > cur_stop:
-                        cur_stop = stop
-                else:
-                    return dtype.intervals(base, count)
-        if cur_start is not None:
-            append(Interval(cur_start, cur_stop))
-        placed = IntervalSet.__new__(IntervalSet)
-        placed._ivs = ivs
+            placed = self._placed[key] = datamap_intervals(
+                base, dtype.datamap, count, dtype.extent)
         return placed
 
     def target_intervals(self, win, target: int, target_disp: int,

@@ -166,6 +166,10 @@ class PreprocessedTrace:
         #: by ingest when the columnar control plane is active; ``None``
         #: until built (ensure_call_tables derives them from events)
         self.call_tables = None
+        #: per-rank packed memory blocks the call pass decoded on the way
+        #: (:func:`preprocess_calls` over text traces), taken — popped —
+        #: by ``build_access_model_sweep`` in place of a second read
+        self.mem_blocks: Dict[int, list] = {}
         if scans is None:
             scans = [scan_rank(rank, events[rank])
                      for rank in range(self.nranks)]
@@ -190,6 +194,7 @@ class PreprocessedTrace:
         view = copy.copy(self)
         view.events = {rank: [] for rank in self.events}
         view.call_tables = None
+        view.mem_blocks = {}
         return view
 
     def comm_members(self, comm_id: int) -> Tuple[int, ...]:
@@ -280,25 +285,37 @@ def preprocess_calls(traces: TraceSet) -> PreprocessedTrace:
     checker exploits), so the memory events — which dominate trace volume
     — are never turned into Python objects here.  Exact event totals
     still land in ``total_events`` via the readers' per-class counts
-    (free for v2 traces, one cheap scan for text)."""
-    pre, _counts = preprocess_calls_with_counts(traces)
+    (free for v2 traces, counted by the text decoder).
+
+    This is the batch checker's preprocess: it holds every rank's memory
+    columns through detection anyway, so where reading the calls also
+    decodes them (text traces: one bulk pass yields both) they ride
+    along in ``mem_blocks`` and the model phase does not read the file
+    a second time."""
+    pre, _counts = preprocess_calls_with_counts(traces, mems=True)
     return pre
 
 
 def preprocess_calls_with_counts(
-        traces: TraceSet
+        traces: TraceSet, mems: bool = False
 ) -> Tuple[PreprocessedTrace, Dict[int, Dict[str, int]]]:
     """:func:`preprocess_calls` plus the per-rank per-class event counts
     the readers produced along the way — the incremental checker needs
-    them to derive report statistics without touching memory events."""
+    them to derive report statistics without touching memory events.
+    Memory columns are kept only with ``mems``: the streaming and
+    incremental control passes load rows later, a region or a dirty
+    shard at a time."""
     call_events: Dict[int, List[Event]] = {}
     scans: List[RankScan] = []
     counts_by_rank: Dict[int, Dict[str, int]] = {}
     tables: Dict[int, object] = {}
+    mem_blocks: Dict[int, list] = {}
     for rank in range(traces.nranks):
         with traces.reader(rank) as reader:
-            calls, counts = reader.read_calls()
+            calls, counts = reader.read_calls(mems=mems)
             table = getattr(reader, "call_table", None)
+            if reader.call_mems is not None:
+                mem_blocks[rank] = reader.call_mems
         call_events[rank] = calls
         counts_by_rank[rank] = counts
         if table is not None:
@@ -308,4 +325,5 @@ def preprocess_calls_with_counts(
     pre = PreprocessedTrace(call_events, scans=scans)
     if len(tables) == pre.nranks:
         pre.call_tables = tables
+    pre.mem_blocks = mem_blocks
     return pre, counts_by_rank

@@ -28,6 +28,14 @@ def _fmt_bytes(n: int) -> str:
     return f"{value:.1f} GiB"
 
 
+def _text_lines(ingest: dict) -> str:
+    """``mem/bulk=32,895, call/bulk=14,208``: text trace lines by
+    ``kind/route``; a non-zero ``codec`` count means some of the trace
+    fell off the block decoder onto the per-line record codec."""
+    return ", ".join(f"{key}={int(n):,}" for key, n in
+                     sorted(ingest.get("text_lines", {}).items()))
+
+
 def _bar(fraction: float, width: int = 30) -> str:
     filled = int(round(max(0.0, min(1.0, fraction)) * width))
     return "#" * filled + "." * (width - filled)
@@ -102,6 +110,8 @@ def render_run_text(entry: RunReport) -> str:
                      f"{ingest.get('rma_ops', 0)} RMA ops, "
                      f"{ingest.get('local_accesses', 0)} local accesses, "
                      f"{ingest.get('regions', 0)} regions")
+        if ingest.get("text_lines"):
+            lines.append(f"    text lines: {_text_lines(ingest)}")
     control = getattr(entry, "control_plane", None) or {}
     for plane, row in sorted(control.items()):
         rate = row.get("calls_per_second")
@@ -452,6 +462,7 @@ def render_run_html(entry: RunReport) -> str:
             ("events / RMA ops",
              f"{entry.ingest.get('events', 0)} / "
              f"{entry.ingest.get('rma_ops', 0)}"),
+            ("text lines (kind/route)", _text_lines(entry.ingest) or "-"),
         ))
     return f"""<!doctype html>
 <html lang="en"><head><meta charset="utf-8">

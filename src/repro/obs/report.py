@@ -56,8 +56,10 @@ class RunReport:
     cache: Dict[str, Any] = field(default_factory=dict)
     #: worker-pool utilization (empty for serial runs)
     workers: Dict[str, Any] = field(default_factory=dict)
-    #: trace-ingest sizes (events, ops, locals, matches, ...)
-    ingest: Dict[str, int] = field(default_factory=dict)
+    #: trace-ingest sizes (events, ops, locals, matches, ...) plus, for
+    #: text traces, ``text_lines``: lines decoded per ``kind/route``
+    #: (``mem/bulk``, ``call/codec``, ...)
+    ingest: Dict[str, Any] = field(default_factory=dict)
     #: trace-generation stats (wall seconds, events/s, per-lane counts) —
     #: present when the run shared an obs session with ``profile_run``
     emission: Dict[str, Any] = field(default_factory=dict)
@@ -230,6 +232,18 @@ def _emission(recorder) -> Dict[str, Any]:
     return out
 
 
+def _text_lines(recorder) -> Dict[str, int]:
+    """Text trace lines decoded, keyed ``kind/route``: ``bulk`` is the
+    block decoder, ``codec`` the per-line record codec a section falls
+    back to when a line is not in the writer's canonical layout."""
+    lines = recorder.registry.get("trace_text_lines_total")
+    if lines is None:
+        return {}
+    return dict(sorted(
+        (f"{labels.get('kind', '?')}/{labels.get('path', '?')}", int(value))
+        for labels, value in lines.samples()))
+
+
 def _control_plane(recorder) -> Dict[str, Any]:
     """Control-plane ingest stats, keyed by plane.
 
@@ -315,6 +329,9 @@ def build_run_report(report, config, *, traces=None, recorder=None,
         "sync_matches": stats.sync_matches,
         "regions": stats.regions, "epochs": stats.epochs,
     }
+    text_lines = _text_lines(rec)
+    if text_lines:
+        ingest["text_lines"] = text_lines
 
     return RunReport(
         run_id=run_id, created=created, command=command, app=app,

@@ -28,21 +28,29 @@ import hashlib
 import json
 import mmap
 import os
+import re
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from functools import partial
+from itertools import chain, compress, count
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro import obs
 from repro.profiler.events import (
-    ACCESS_CODES, ACCESS_NAMES, CallEvent, Event, MemEvent, decode_event,
+    ACCESS_CODES, ACCESS_NAMES, ACCESS_STORE, CallEvent, Event, MemEvent, decode_event,
 )
 from repro.util.errors import TraceFormatError
 from repro.util.hashing import hash_file, hash_strings, stable_hash
 from repro.util.location import SourceLocation, UNKNOWN_LOCATION
-from repro.util.records import decode_record, encode_record, encode_value
+from repro.util.records import (
+    INT64_MAX, INT64_MIN, decode_record, encode_record, encode_value,
+    unescape,
+)
 
 TRACE_VERSION = 1        # text (v1) format version
 BINARY_VERSION = 2       # binary (v2) format version
@@ -114,45 +122,29 @@ class _StringTable:
 class MemBlock:
     """A packed run of consecutive memory events of one rank.
 
-    The vectorized unit of trace ingest: columns are numpy arrays
-    (:data:`MEM_DTYPE`), string-valued fields are ids into ``table``.
-    Binary readers hand out zero-copy views of the memory-mapped file;
-    text readers batch decoded lines into the same shape, so consumers
-    never branch on the on-disk format.
+    The vectorized unit of trace ingest: ``array`` is one structured
+    numpy array (:data:`MEM_DTYPE`), string-valued fields are ids into
+    ``table``.  Binary readers hand out zero-copy views of the
+    memory-mapped file; text readers decode lines in bulk into the same
+    shape, so consumers never branch on the on-disk format.
     """
 
-    __slots__ = ("rank", "table", "_array", "_cols")
+    __slots__ = ("rank", "table", "array", "_cols")
 
-    def __init__(self, rank: int, table: _StringTable,
-                 array: Optional[np.ndarray] = None,
-                 cols: Optional[Tuple[list, ...]] = None):
+    def __init__(self, rank: int, table: _StringTable, array: np.ndarray):
         self.rank = rank
         self.table = table
-        self._array = array
-        self._cols = cols
+        self.array = array
+        self._cols: Optional[Tuple[list, ...]] = None
 
     def __len__(self) -> int:
-        if self._cols is not None:
-            return len(self._cols[0])
-        return len(self._array)
-
-    @property
-    def array(self) -> np.ndarray:
-        """The events as one structured numpy array (materialized lazily
-        for text-backed blocks)."""
-        if self._array is None:
-            arr = np.empty(len(self._cols[0]), dtype=MEM_DTYPE)
-            for name, col in zip(("seq", "addr", "size", "var", "loc",
-                                  "access"), self._cols):
-                arr[name] = col
-            self._array = arr
-        return self._array
+        return len(self.array)
 
     def columns(self) -> Tuple[list, list, list, list, list, list]:
         """``(seq, addr, size, var_id, loc_id, access_code)`` as plain
         Python lists — the fastest shape for building detector objects."""
         if self._cols is None:
-            a = self._array
+            a = self.array
             self._cols = (a["seq"].tolist(), a["addr"].tolist(),
                           a["size"].tolist(), a["var"].tolist(),
                           a["loc"].tolist(), a["access"].tolist())
@@ -453,6 +445,189 @@ class TraceWriter:
         self._out = bytearray()
 
 
+def _section_pattern(value: str) -> "re.Pattern[str]":
+    """The data-section line grammar the bulk text decoder recognises:
+    a memory line in the writer's canonical layout (what
+    :meth:`MemEvent.encode` and :meth:`TraceWriter.append_mem_columns`
+    emit) or a call line, whole.  ``value`` wraps the value of each
+    memory field — ``"({})"`` captures it.  At most 19 digits, so an
+    integer the pattern admits parses, and overflows int64 or not."""
+    integer = value.format("-?[0-9]{1,19}")
+    token = value.format(r"[^ \n]*")
+    return re.compile(
+        rf"^(?:M seq={integer} a=\$(load|store) addr={integer}"
+        rf" size={integer} var=\${token} loc=\${token}|(C [^\n]*))$",
+        re.MULTILINE)
+
+
+#: groups: seq, access, addr, size, var, loc | call line
+_SECTION_ROWS = _section_pattern("({})")
+#: groups: access | call line — for the call pass, which only counts
+#: memory lines
+_SECTION_KINDS = _section_pattern("(?:{})")
+
+_CHUNK_CHARS = 1 << 20   # text decoded per bulk step (plus the line it cuts)
+
+
+class _TextSection:
+    """One pass over the data section of a text trace — the single text
+    decoder behind every :class:`TraceReader` iteration method.
+
+    Iterating yields ``(mems, calls, cuts)`` per chunk of whole lines:
+    the chunk's memory events as one :data:`MEM_DTYPE` array (``None``
+    with ``columns`` off, when memory lines are only counted), its call
+    lines as decoded by ``decode_call`` (none when that is ``None``: call
+    lines are stepped over), and per call the number of the chunk's
+    memory rows that precede it.  ``counts`` holds the per-class event
+    totals of the chunks consumed so far.
+
+    A chunk decodes in bulk when :func:`_section_pattern` accounts for
+    every one of its lines and every column value fits int64.  Any other
+    chunk (permuted or extra fields, unknown kind, blank or truncated
+    line, ...) goes through the record codec line by line, so results
+    and errors are those of :func:`decode_event`; every error names the
+    file and the 1-based line.
+    """
+
+    def __init__(self, reader: "TraceReader",
+                 decode_call: Optional[Callable[[str], Event]] = None,
+                 columns: bool = True):
+        self._reader = reader
+        self._decode_call = decode_call
+        self._columns = columns
+        self.counts = {"call": 0, "mem": 0, "load": 0, "store": 0}
+        #: lines decoded into a product (mem row / call event) by route
+        self._routes: Dict[Tuple[str, str], int] = Counter()
+
+    def __iter__(self) -> Iterator[Tuple[Optional[np.ndarray], list, list]]:
+        fh = self._reader._fh
+        fh.seek(self._reader._data_pos)
+        pattern = _SECTION_ROWS if self._columns else _SECTION_KINDS
+        lineno = 2   # the header is line 1
+        try:
+            while True:
+                chunk = fh.read(_CHUNK_CHARS)
+                if not chunk:
+                    break
+                chunk += fh.readline()
+                if not chunk.endswith("\n"):
+                    chunk += "\n"
+                n_lines = chunk.count("\n")
+                rows = pattern.findall(chunk)
+                decoded = (self._bulk(rows, lineno)
+                           if len(rows) == n_lines else None)
+                yield decoded or self._codec(chunk, lineno)
+                lineno += n_lines
+        finally:
+            for (kind, path), n in self._routes.items():
+                obs.count("trace_text_lines_total", n,
+                          help="Text trace lines decoded, by route",
+                          kind=kind, path=path)
+
+    def _located(self, lineno: int, exc: TraceFormatError
+                 ) -> TraceFormatError:
+        return TraceFormatError(f"{self._reader.path}:{lineno}: {exc}")
+
+    def _tally(self, path: str, mems: int, stores: int, calls: int) -> None:
+        counts, routes = self.counts, self._routes
+        counts["mem"] += mems
+        counts["store"] += stores
+        counts["load"] += mems - stores
+        counts["call"] += calls
+        if self._columns:
+            routes["mem", path] += mems
+        if self._decode_call is not None:
+            routes["call", path] += calls
+
+    def _bulk(self, rows: List[tuple], lineno: int):
+        """Decode a chunk whose every line matched the pattern; ``None``
+        when an integer does not fit int64 (the codec path then names
+        the line)."""
+        *fields, call_lines = zip(*rows)
+        call_at = list(compress(count(), call_lines))
+        n = len(rows) - len(call_at)
+        access = fields[1 if self._columns else 0]   # "" on call rows
+        stores = access.count("store")
+        mems = np.empty(n, dtype=MEM_DTYPE) if self._columns else None
+        if n and self._columns:
+            seq, _, addr, size, var, loc = (
+                tuple(compress(col, access)) if call_at else col
+                for col in fields)
+            try:
+                for name, col in (("seq", seq), ("addr", addr),
+                                  ("size", size)):
+                    mems[name] = np.fromiter(map(int, col), np.int64, n)
+            except OverflowError:
+                return None
+            # unescape + intern once per distinct token, in the
+            # first-appearance order a line-by-line decode interns in
+            ids = dict.fromkeys(chain.from_iterable(zip(var, loc)))
+            intern = self._reader._table.intern
+            for token in ids:
+                ids[token] = intern(unescape(token))
+            mems["var"] = np.fromiter(map(ids.__getitem__, var), np.int32, n)
+            mems["loc"] = np.fromiter(map(ids.__getitem__, loc), np.int32, n)
+            mems["access"] = np.fromiter(
+                map(ACCESS_CODES.__getitem__, compress(access, access)),
+                np.uint8, n)
+        calls: list = []
+        decode = self._decode_call
+        if decode is not None:
+            try:
+                for line in compress(call_lines, call_lines):
+                    calls.append(decode(line))
+            except TraceFormatError as exc:   # at the first call not decoded
+                raise self._located(lineno + call_at[len(calls)],
+                                    exc) from exc
+        self._tally("bulk", n, stores, len(call_at))
+        return mems, calls, [i - k for k, i in enumerate(call_at)]
+
+    def _codec(self, chunk: str, lineno: int):
+        """Decode a chunk line by line through the record codec."""
+        intern = self._reader._table.intern
+        decode = self._decode_call
+        rows: List[tuple] = []
+        calls: list = []
+        cuts: List[int] = []
+        n_mems = n_stores = n_calls = 0
+        for lineno, line in enumerate(chunk.split("\n"), lineno):
+            if not line:
+                continue
+            try:
+                if line.startswith("M "):
+                    rec = decode_record(line)
+                    # field order of MemEvent.from_record
+                    seq, access = rec.get_int("seq"), rec.get_str("a")
+                    ints = (seq, rec.get_int("addr"), rec.get_int("size"))
+                    var, loc = rec.get_str("var"), rec.get_str("loc")
+                    if access not in ACCESS_CODES:
+                        raise TraceFormatError(
+                            f"unknown access kind {access!r}")
+                    n_mems += 1
+                    n_stores += access == ACCESS_STORE
+                    if self._columns:
+                        for name, value in zip(MEM_DTYPE.names, ints):
+                            if not INT64_MIN <= value <= INT64_MAX:
+                                raise TraceFormatError(
+                                    f"field {name}={value} outside int64")
+                        rows.append((*ints, intern(var), intern(loc),
+                                     ACCESS_CODES[access]))
+                    continue
+                n_calls += 1
+                if decode is not None:
+                    cuts.append(n_mems)
+                    calls.append(decode(line))
+                elif not line.startswith("C "):
+                    raise TraceFormatError(
+                        "unknown record kind in data section: "
+                        f"{line.split(' ', 1)[0]!r}")
+            except TraceFormatError as exc:
+                raise self._located(lineno, exc) from exc
+        self._tally("codec", n_mems, n_stores, n_calls)
+        mems = np.array(rows, dtype=MEM_DTYPE) if self._columns else None
+        return mems, calls, cuts
+
+
 @dataclass
 class TraceHeader:
     version: int
@@ -476,6 +651,9 @@ class TraceReader:
         #: the rank's columnar CallTable, populated as a side product of
         #: :meth:`read_calls` when the columnar control plane is active
         self.call_table = None
+        #: the rank's memory blocks, where ``read_calls(mems=True)``
+        #: decoded them in the same pass as the calls (text traces)
+        self.call_mems: Optional[List[MemBlock]] = None
         fh = open(path, "rb")
         magic = fh.read(len(_MAGIC))
         if magic == _MAGIC:
@@ -593,20 +771,11 @@ class TraceReader:
 
     def __iter__(self) -> Iterator[Event]:
         """Typed events, in trace order (both formats)."""
-        if self.format == FORMAT_BINARY:
-            for item in self._stream_binary():
-                if isinstance(item, MemBlock):
-                    yield from item.iter_events()
-                else:
-                    yield item
-            return
-        fh = self._fh
-        fh.seek(self._data_pos)
-        rank = self.header.rank
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                yield decode_event(rank, line)
+        for item in self.stream():
+            if isinstance(item, MemBlock):
+                yield from item.iter_events()
+            else:
+                yield item
 
     def events(self) -> List[Event]:
         return list(self)
@@ -618,8 +787,18 @@ class TraceReader:
         populations."""
         if self.format == FORMAT_BINARY:
             yield from self._stream_binary()
-        else:
-            yield from self._stream_text()
+            return
+        rank, table = self.header.rank, self._table
+        section = _TextSection(self, partial(decode_event, rank))
+        for mems, calls, cuts in section:
+            pos = 0
+            for cut, event in zip(cuts, calls):
+                if cut > pos:
+                    yield MemBlock(rank, table, mems[pos:cut])
+                    pos = cut
+                yield event
+            if pos < len(mems):
+                yield MemBlock(rank, table, mems[pos:])
 
     def iter_calls(self) -> Iterator[CallEvent]:
         """Call events only; memory events are skipped without decoding
@@ -631,12 +810,18 @@ class TraceReader:
             if not isinstance(item, MemBlock):
                 yield item
 
-    def read_calls(self) -> Tuple[List[CallEvent], Dict[str, int]]:
+    def read_calls(self, mems: bool = False
+                   ) -> Tuple[List[CallEvent], Dict[str, int]]:
         """One pass returning every call event plus exact per-class
         event counts — the analyzer control-pass primitive.  Binary
         traces take the counts from the footer and never touch memory
-        frames' payloads; text traces count memory lines without fully
-        decoding them.
+        frames' payloads; text traces count memory lines by access kind
+        without building their columns — unless ``mems`` asks for them:
+        the one bulk pass then decodes both populations and leaves the
+        packed memory blocks in ``self.call_mems``, for a caller that
+        would otherwise read the file again with :meth:`mem_blocks`
+        (binary blocks are mapped, not decoded, so there ``call_mems``
+        stays ``None``).
 
         Under the columnar control plane, decoding runs through
         :class:`repro.core.calltable.CallIngest` — a memoizing line
@@ -645,7 +830,8 @@ class TraceReader:
         from repro.core.calltable import (
             PLANE_COLUMNAR, CallIngest, control_plane,
         )
-        ingest = (CallIngest(self.header.rank)
+        rank = self.header.rank
+        ingest = (CallIngest(rank)
                   if control_plane() == PLANE_COLUMNAR else None)
         if self.format == FORMAT_BINARY:
             if ingest is None:
@@ -654,32 +840,21 @@ class TraceReader:
                 calls = self._read_calls_binary(ingest)
                 self.call_table = ingest.finish()
             return calls, dict(self._counts)
+        decode = (ingest.add if ingest is not None
+                  else partial(decode_event, rank))
+        section = _TextSection(self, decode, columns=mems)
         calls: List[CallEvent] = []
-        counts = {"call": 0, "mem": 0, "load": 0, "store": 0}
-        fh = self._fh
-        fh.seek(self._data_pos)
-        rank = self.header.rank
-        add = ingest.add if ingest is not None else None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("M "):
-                counts["mem"] += 1
-                counts[self._text_mem_access(line)] += 1
-            else:
-                event = (add(line) if add is not None
-                         else decode_event(rank, line))
-                if not isinstance(event, CallEvent):
-                    raise TraceFormatError(
-                        f"{self.path}: unexpected {type(event).__name__} "
-                        "record outside the M kind")
-                calls.append(event)
-                counts["call"] += 1
+        blocks: List[MemBlock] = []
+        for rows, events, _cuts in section:
+            calls.extend(events)
+            if mems and len(rows):
+                blocks.append(MemBlock(rank, self._table, rows))
         if ingest is not None:
             self.call_table = ingest.finish()
-        self._counts = dict(counts)
-        return calls, counts
+        if mems:
+            self.call_mems = blocks
+        self._counts = section.counts
+        return calls, dict(section.counts)
 
     def _read_calls_binary(self, ingest) -> List[CallEvent]:
         """Binary call pass through an ingest object: C frames decode
@@ -782,14 +957,17 @@ class TraceReader:
         """Memory events only, packed (the vectorized data pass).
 
         Unlike :meth:`stream`, call records are stepped over without
-        decoding, and consecutive on-disk blocks coalesce up to
-        ``_FLUSH_EVERY`` rows: synchronization-heavy traces flush a
-        small block before every call frame, and re-packing here keeps
-        the per-block Python overhead out of the data pass."""
+        decoding, and blocks span them: text traces yield one block per
+        decoded chunk, binary traces coalesce consecutive on-disk blocks
+        up to ``_FLUSH_EVERY`` rows (synchronization-heavy traces flush
+        a small block before every call frame, and re-packing here keeps
+        the per-block Python overhead out of the data pass)."""
         if self.format == FORMAT_BINARY:
             yield from self._mem_blocks_binary()
-        else:
-            yield from self._mem_blocks_text()
+            return
+        for mems, _calls, _cuts in _TextSection(self):
+            if len(mems):
+                yield MemBlock(self.header.rank, self._table, mems)
 
     # -- binary internals ----------------------------------------------
 
@@ -814,7 +992,7 @@ class TraceReader:
                 if decode_mems:
                     arr = np.frombuffer(mm, dtype=MEM_DTYPE, count=count,
                                         offset=start)
-                    yield MemBlock(rank, table, array=arr)
+                    yield MemBlock(rank, table, arr)
             elif tag == b"C":
                 length = _U32.unpack_from(mm, pos + 1)[0]
                 start = pos + 5
@@ -848,7 +1026,7 @@ class TraceReader:
             arr = pending[0] if len(pending) == 1 else np.concatenate(pending)
             pending.clear()
             pending_rows = 0
-            return MemBlock(rank, table, array=arr)
+            return MemBlock(rank, table, arr)
 
         while pos < end:
             tag = mm[pos:pos + 1]
@@ -876,110 +1054,6 @@ class TraceReader:
         if pending:
             yield flush()
 
-    # -- text internals -------------------------------------------------
-
-    @staticmethod
-    def _text_mem_access(line: str) -> str:
-        for part in line.split(" "):
-            if part.startswith("a="):
-                value = part[2:]
-                access = value[1:] if value.startswith("$") else value
-                if access in ACCESS_CODES:
-                    return access
-                break
-        raise TraceFormatError(f"memory record without a valid access "
-                               f"kind: {line!r}")
-
-    def _stream_text(self) -> Iterator[StreamItem]:
-        fh = self._fh
-        fh.seek(self._data_pos)
-        rank = self.header.rank
-        table = self._table
-        cols: Tuple[list, ...] = tuple([] for _ in range(6))
-        seqs, addrs, sizes, var_ids, loc_ids, accs = cols
-
-        def flush() -> MemBlock:
-            block = MemBlock(rank, table,
-                             cols=tuple(list(c) for c in cols))
-            for col in cols:
-                col.clear()
-            return block
-
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("M "):
-                rec = decode_record(line)
-                seqs.append(rec.get_int("seq"))
-                addrs.append(rec.get_int("addr"))
-                sizes.append(rec.get_int("size"))
-                var_ids.append(table.intern(rec.get_str("var")))
-                loc_ids.append(table.intern(rec.get_str("loc")))
-                access = rec.get_str("a")
-                try:
-                    accs.append(ACCESS_CODES[access])
-                except KeyError:
-                    raise TraceFormatError(
-                        f"unknown access kind {access!r}") from None
-                if len(seqs) >= _FLUSH_EVERY:
-                    yield flush()
-            else:
-                if seqs:
-                    yield flush()
-                event = decode_event(rank, line)
-                if not isinstance(event, CallEvent):
-                    raise TraceFormatError(
-                        f"{self.path}: unexpected {type(event).__name__} "
-                        "record outside the M kind")
-                yield event
-        if seqs:
-            yield flush()
-
-    def _mem_blocks_text(self) -> Iterator[MemBlock]:
-        """Mem-only text pass: call lines are skipped after a prefix
-        check instead of being decoded, and blocks coalesce across
-        them."""
-        fh = self._fh
-        fh.seek(self._data_pos)
-        rank = self.header.rank
-        table = self._table
-        cols: Tuple[list, ...] = tuple([] for _ in range(6))
-        seqs, addrs, sizes, var_ids, loc_ids, accs = cols
-
-        def flush() -> MemBlock:
-            block = MemBlock(rank, table,
-                             cols=tuple(list(c) for c in cols))
-            for col in cols:
-                col.clear()
-            return block
-
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("M "):
-                rec = decode_record(line)
-                seqs.append(rec.get_int("seq"))
-                addrs.append(rec.get_int("addr"))
-                sizes.append(rec.get_int("size"))
-                var_ids.append(table.intern(rec.get_str("var")))
-                loc_ids.append(table.intern(rec.get_str("loc")))
-                access = rec.get_str("a")
-                try:
-                    accs.append(ACCESS_CODES[access])
-                except KeyError:
-                    raise TraceFormatError(
-                        f"unknown access kind {access!r}") from None
-                if len(seqs) >= _FLUSH_EVERY:
-                    yield flush()
-            elif not line.startswith("C "):
-                raise TraceFormatError(
-                    f"{self.path}: unknown record kind in data section: "
-                    f"{line.split(' ', 1)[0]!r}")
-        if seqs:
-            yield flush()
-
 
 class TraceSet:
     """All per-rank traces of one profiled run (formats may mix)."""
@@ -995,7 +1069,12 @@ class TraceSet:
             suffix = name[name.rfind("."):]
             if suffix not in self._SUFFIXES:
                 continue
-            rank = int(name.split(".")[1])
+            try:
+                rank = int(name.split(".")[1])
+            except ValueError:
+                raise TraceFormatError(
+                    f"{directory}: trace file {name!r} is not named "
+                    "trace.<rank>" + suffix) from None
             if rank in self._paths:
                 raise TraceFormatError(
                     f"{directory}: rank {rank} has both a text and a "

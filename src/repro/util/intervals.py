@@ -178,6 +178,11 @@ def datamap_intervals(
     consecutive instances), exactly the representation of section IV-C-1c:
     ``MPI_INT`` is ``[(0, 4)]`` with extent 4; two ints separated by an
     8-byte gap are ``[(0, 4), (12, 4)]`` with extent 16.
+
+    The one placement function of the simulator and the analyzer, by
+    shape: a contiguous type is one interval in O(1), a single-block
+    vector needs no sort, a sorted map coalesces as it goes, and only an
+    unsorted one is normalised by sorting.
     """
     if count < 0:
         raise ValueError(f"negative count {count}")
@@ -188,21 +193,47 @@ def datamap_intervals(
         disp, length = datamap[0]
         if length > 0:
             start = base + disp
+            result = IntervalSet.__new__(IntervalSet)
             if length == extent:
-                return IntervalSet.single(start, count * length)
+                result._ivs = [Interval(start, start + count * length)]
+                return result
             if length < extent:
-                result = IntervalSet.__new__(IntervalSet)
                 result._ivs = [
                     Interval(start + rep * extent, start + rep * extent + length)
                     for rep in range(count)]
                 return result
-    ivs = []
+    # general path: nearly every data-map is sorted and its repetitions
+    # don't run backwards, so segments arrive in address order and
+    # coalesce on the fly straight into normal form; the first segment
+    # that starts before the run being built sends the whole placement
+    # through the sorting constructor instead
+    ivs: List[Interval] = []
+    cur_start = cur_stop = None
     for rep in range(count):
         origin = base + rep * extent
         for disp, length in datamap:
-            if length > 0:
-                ivs.append(Interval(origin + disp, origin + disp + length))
-    return IntervalSet(ivs)
+            if length <= 0:
+                continue
+            start = origin + disp
+            if cur_start is None:
+                cur_start, cur_stop = start, start + length
+            elif start > cur_stop:
+                ivs.append(Interval(cur_start, cur_stop))
+                cur_start, cur_stop = start, start + length
+            elif start >= cur_start:
+                if start + length > cur_stop:
+                    cur_stop = start + length
+            else:
+                return IntervalSet(
+                    Interval(base + rep * extent + disp,
+                             base + rep * extent + disp + length)
+                    for rep in range(count) for disp, length in datamap
+                    if length > 0)
+    if cur_start is not None:
+        ivs.append(Interval(cur_start, cur_stop))
+    result = IntervalSet.__new__(IntervalSet)
+    result._ivs = ivs
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,11 @@ from repro.util.errors import TraceFormatError
 Scalar = Union[int, str]
 Value = Union[int, str, Tuple[int, ...], List[int]]
 
+#: the range of the int64 columns decoded integers end up in (packed
+#: memory rows, call tables); readers reject values outside it
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def escape(text: str) -> str:
     """Percent-escape the characters that would break the line format."""
     if not any(c in text for c in " =%\n|"):
@@ -52,7 +57,11 @@ class Record:
         value = self.fields.get(key, default)
         if value is None:
             raise TraceFormatError(f"record {self.kind!r} missing int field {key!r}")
-        return int(value)  # type: ignore[arg-type]
+        try:
+            return int(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise TraceFormatError(
+                f"field {key!r} is not an int: {value!r}") from None
 
     def get_str(self, key: str, default: str = None) -> str:  # type: ignore[assignment]
         value = self.fields.get(key, default)

@@ -7,8 +7,8 @@ streaming).  The joins may only prune pairs the per-pair checkers would
 reject anyway, so any divergence is a completeness bug in the sweep.
 
 Alongside the corpus differential, the sweep-only fast paths are pinned
-to their reference implementations directly: ``LiftCache``'s inline
-data-map application vs :meth:`Datatype.intervals`, its bisect-backed
+to their reference implementations directly: ``LiftCache``'s memoized
+placement vs the normalised raw segments, its bisect-backed
 epoch lookup vs :meth:`EpochIndex.enclosing`, and the pair-batched
 ``ConcurrencyOracle.ordered_pairs`` vs the scalar :meth:`ordered`.
 """
@@ -31,7 +31,7 @@ from repro.core.streaming import check_streaming
 from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
 from repro.simmpi.datatypes import Datatype
-from repro.util.intervals import datamap_intervals
+from repro.util.intervals import Interval, IntervalSet
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
 RANKS_CAP = 8
@@ -119,8 +119,12 @@ def test_prop_liftcache_datamap_matches_reference(base, datamap, count,
                                                  extent):
     dt = Datatype(name="t", datamap=tuple(datamap), extent=extent,
                   base=None, type_id=1)
-    fast = LiftCache._apply_datamap(dt, base, count)
-    assert fast == datamap_intervals(base, tuple(datamap), count, extent)
+    cache = LiftCache(None, 0)
+    naive = IntervalSet(
+        Interval(base + rep * extent + disp, base + rep * extent + disp + n)
+        for rep in range(count) for disp, n in datamap)
+    assert cache.intervals(dt, base, count) == naive
+    assert cache.intervals(dt, base, count) is cache.intervals(dt, base, count)
 
 
 def _pre_and_calls(case):

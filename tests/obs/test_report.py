@@ -96,6 +96,38 @@ class TestRunReport:
                 in render_run_text(entry)
             assert "work beyond the control pass" in render_run_html(entry)
 
+    def test_text_lines_by_route(self, profiled, tmp_path):
+        """A profiler-written text set decodes every line in bulk — 0
+        ``M`` lines through the record codec — and the counts reconcile
+        with the event totals; one reordered line sends its file to the
+        codec, and the flight record shows it.  Binary sets report no
+        text lines at all."""
+        from repro.apps.lu import lu
+        assert "text_lines" not in checked_report(profiled).ingest
+        run = api.run(lu, 4, params=dict(n=24), trace_format="text",
+                      trace_dir=str(tmp_path / "lu"))
+        counts = run.traces.event_counts()
+        rr = checked_report(run)
+        assert rr.ingest["text_lines"] == {
+            "call/bulk": counts["call"], "mem/bulk": counts["mem"]}
+        assert f"mem/bulk={counts['mem']:,}" in render_run_text(rr)
+        assert "text lines (kind/route)" in render_run_html(rr)
+
+        path = run.traces.path(0)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        k = next(i for i, line in enumerate(lines) if line.startswith("M "))
+        fields = lines[k].split(" ")
+        lines[k] = " ".join([fields[0], fields[2], fields[1]] + fields[3:])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        moved = checked_report(run).ingest["text_lines"]
+        with run.traces.reader(0) as reader:
+            rank0 = reader.counts()
+        assert moved["mem/codec"] == rank0["mem"]
+        assert moved["call/codec"] == rank0["call"]
+        assert moved["mem/bulk"] == counts["mem"] - rank0["mem"]
+
     def test_roundtrip(self, profiled):
         rr = checked_report(profiled)
         clone = RunReport.from_dict(json.loads(json.dumps(rr.to_dict())))
