@@ -6,20 +6,23 @@ recorded operations by (window, target) makes the scan effectively linear.
 The sweep grows the number of ranks in an all-to-all Put pattern (every
 rank Puts into every other rank's private slot), where the naive detector
 enumerates all O((P^2)^2) op pairs while the window-vector detector only
-compares within per-target cells.
+compares within per-target cells.  Both are the paper's literal
+algorithms, kept in ``tests/reference/pairwise.py`` (production runs
+neither: it joins intervals, ``repro.core.engine``).
 """
 
 import pytest
 
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.epochs import EpochIndex
-from repro.core.inter import detect_cross_process, detect_cross_process_naive
 from repro.core.matching import match_synchronization
-from repro.core.model import build_access_model
 from repro.core.preprocess import preprocess
 from repro.core.regions import RegionIndex
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE
+from tests.reference.pairwise import (
+    build_access_model, detect_cross_process, detect_cross_process_naive,
+)
 
 
 def all_to_all_puts(mpi, ops_per_pair):

@@ -3,19 +3,20 @@
 Section IV-C-2a rejects the straightforward matcher ("scans through all
 the traces ... time-consuming") in favour of the progress-counter design
 with per-stream cursors.  This benchmark sweeps the trace length and times
-both on identical traces; the outputs are asserted identical, and the
-cursor-based matcher's advantage grows with trace size (linear vs
-quadratic scans).
+production's matcher (Algorithm 1 as per-channel zips over call-table
+columns) and the strawman (``tests/reference/matching.py``) on identical
+traces; the outputs are asserted identical, and the advantage grows with
+trace size (linear vs quadratic scans).
 """
 
 import pytest
 
 from repro.core.matching import (
     KIND_COLLECTIVE, KIND_P2P, match_synchronization,
-    match_synchronization_naive,
 )
 from repro.core.preprocess import preprocess
 from repro.profiler.session import profile_run
+from tests.reference.matching import match_synchronization_naive
 
 NRANKS = 4
 

@@ -2,18 +2,13 @@
 analyzer ran on a workstation; this records where its time goes on a
 representative trace and benchmarks the full pipeline).
 
-Phases are reported in two groups mirroring the engine's two lanes:
+Phases are reported in two groups:
 
-* **control plane** — preprocess + matching + clocks + epochs (+ the
-  noise-level regions pass): the call-stream side the columnar
-  :class:`~repro.core.calltable.CallTable` pipeline accelerates;
-* **data plane** — model + intra + inter: the load/store side the sweep
-  engine accelerates.
-
-``bench_control_plane.py`` compares the two control-plane
-implementations against each other; this file records where one
-end-to-end run spends its time, split the same way, so the two payloads
-read side by side."""
+* **control phases** — preprocess + matching + clocks + epochs (+ the
+  noise-level regions pass): the call-stream side, run off the columnar
+  :class:`~repro.core.calltable.CallTable`;
+* **data phases** — model + intra + inter: the load/store side, run by
+  the sweep engine."""
 
 import pytest
 

@@ -7,12 +7,13 @@ Two measurements:
   injected conflicts runs through the whole harness
   (:func:`repro.gen.fuzz.run_case`): recall against the ground-truth
   manifest must be 1.0, precision is reported, and every differential
-  arm (sweep/pairwise engines × columnar/object control planes ×
-  cold/warm incremental cache × text/binary trace formats) must produce
-  a byte-identical report — 0 mismatches gate in both modes;
+  arm (batch, streaming, cold/warm incremental cache, the other trace
+  format) must produce a byte-identical report — 0 mismatches gate in
+  both modes (``tests/gen/test_reference_corpus.py`` runs the same
+  corpus against the paper's per-pair algorithms);
 * **scale** — one generated workload at the paper's cluster scale
-  (64 ranks, ≥1M memory events via the bulk producer lane's ``reps``
-  multiplier, binary traces) profiled and analyzed end to end, with
+  (64 ranks, ≥1M memory events via the ``reps`` multiplier of block
+  accesses, binary traces) profiled and analyzed end to end, with
   recall still 1.0 on its injected bugs.
 
 Two entry points:

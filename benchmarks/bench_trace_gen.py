@@ -4,11 +4,10 @@ Measures end-to-end generation throughput (simulate + profile + write,
 in events per second) of the 16-rank LU workload through two in-tree
 arms:
 
-* **scalar** — ``lu(vectorized=False)`` profiled with ``bulk=False``:
-  every access is a Python-level statement that becomes one ``MemEvent``
-  object (the reference lane);
-* **bulk** — the default zero-object lane: vectorized app accesses
-  coalesce into columnar ``append_mem_columns`` records.
+* **scalar** — ``lu(vectorized=False)``: every access is a Python-level
+  statement that becomes one ``MemEvent`` object;
+* **bulk** — ``lu(vectorized=True)``: block accesses coalesce into
+  columnar ``append_mem_columns`` records.
 
 The headline gate compares the bulk lane against the **pre-PR
 pipeline** (the tree before the bulk-lane/vectorization work), which
@@ -106,26 +105,24 @@ def canonical(report):
     return json.dumps(payload, sort_keys=True)
 
 
-def generate(nranks, n, *, vectorized, bulk, trace_dir,
-             trace_format="text"):
+def generate(nranks, n, *, vectorized, trace_dir, trace_format="text"):
     """One end-to-end generation run; returns (ProfiledRun, seconds)."""
     start = time.perf_counter()
     run = profile_run(lu, nranks,
                       params=dict(n=n, vectorized=vectorized),
                       scope="report", delivery="eager",
-                      trace_dir=trace_dir, trace_format=trace_format,
-                      bulk=bulk)
+                      trace_dir=trace_dir, trace_format=trace_format)
     return run, time.perf_counter() - start
 
 
-def measure_arm(cfg, workdir, label, *, vectorized, bulk):
+def measure_arm(cfg, workdir, label, *, vectorized):
     """Median end-to-end generation seconds over ``reps`` fresh runs."""
     times = []
     events = 0
     for rep in range(cfg["reps"]):
         trace_dir = os.path.join(workdir, f"{label}-{rep}")
         run, seconds = generate(cfg["nranks"], cfg["n"],
-                                vectorized=vectorized, bulk=bulk,
+                                vectorized=vectorized,
                                 trace_dir=trace_dir)
         events = run.events_written
         times.append(seconds)
@@ -199,17 +196,16 @@ def million_pipeline(cfg, workdir):
     bulk_dir = os.path.join(workdir, "large-bulk")
     scalar_dir = os.path.join(workdir, "large-scalar")
     cache_dir = os.path.join(workdir, "large-cache")
-    config = CheckConfig(engine="sweep", incremental=True,
-                         cache_dir=cache_dir)
+    config = CheckConfig(incremental=True, cache_dir=cache_dir)
 
     scalar_run, scalar_seconds = generate(
-        nranks, n, vectorized=False, bulk=False, trace_dir=scalar_dir,
+        nranks, n, vectorized=False, trace_dir=scalar_dir,
         trace_format=FORMAT_BINARY)
 
     rec = obs.configure(enabled=True)
     try:
         bulk_run, bulk_seconds = generate(
-            nranks, n, vectorized=True, bulk=True, trace_dir=bulk_dir,
+            nranks, n, vectorized=True, trace_dir=bulk_dir,
             trace_format=FORMAT_BINARY)
 
         start = time.perf_counter()
@@ -268,9 +264,9 @@ def run_bench(mode, out_path):
     workdir = tempfile.mkdtemp(prefix="bench-trace-gen-")
     try:
         scalar, scalar_seconds = measure_arm(
-            cfg, workdir, "scalar", vectorized=False, bulk=False)
+            cfg, workdir, "scalar", vectorized=False)
         bulk, bulk_seconds = measure_arm(
-            cfg, workdir, "bulk", vectorized=True, bulk=True)
+            cfg, workdir, "bulk", vectorized=True)
         assert scalar["events"] == bulk["events"], (
             "lanes emitted different event counts")
         lane_ratio = scalar_seconds / bulk_seconds

@@ -41,12 +41,6 @@ _METRICS: Dict[str, List[Tuple[str, Tuple[object, ...], str,
         ("cold_seconds", ("cold_seconds",), "lower", None),
         ("warm_seconds", ("warm_seconds",), "lower", None),
     ],
-    "conflict_engine": [
-        ("sweep_seconds", ("engines", "sweep", "combined_seconds"),
-         "lower", None),
-        ("pairwise_seconds", ("engines", "pairwise", "combined_seconds"),
-         "lower", None),
-    ],
     "parallel_analyzer": [
         ("serial_seconds", ("runs", 0, "seconds"), "lower", None),
         # measured_speedup is null when the runner had too few cores to
@@ -57,17 +51,6 @@ _METRICS: Dict[str, List[Tuple[str, Tuple[object, ...], str,
     ],
     "flight_recorder": [
         ("overhead_pct", ("overhead_pct",), "lower", 10.0),
-    ],
-    "control_plane": [
-        # cross-mode invariant: the columnar control plane may never
-        # lose to the object walk, even on the tiny smoke workload (the
-        # full-mode 3x group gate lives in the payload's own gate field)
-        ("control_group_speedup", ("speedup", "control_group"),
-         "higher", 1.0),
-        ("end_to_end_speedup", ("speedup", "end_to_end"),
-         "higher", None),
-        ("columnar_control_seconds",
-         ("planes", "columnar", "control_seconds"), "lower", None),
     ],
     "fuzz": [
         # cross-mode invariants: every injected conflict must be found

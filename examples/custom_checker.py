@@ -12,14 +12,15 @@ Run:  python examples/custom_checker.py
 """
 
 from repro import api
-from repro.core.clocks import ConcurrencyOracle, Span
+from repro.core.clocks import ConcurrencyOracle
 from repro.core.dag import build_dag
+from repro.core.engine import (
+    detect_cross_process_sweep, detect_intra_epoch_sweep,
+)
 from repro.core.epochs import EpochIndex
-from repro.core.inter import detect_cross_process
-from repro.core.intra import detect_intra_epoch
 from repro.core.matching import match_synchronization
-from repro.core.model import build_access_model
-from repro.core.preprocess import preprocess
+from repro.core.model import build_access_model_sweep
+from repro.core.preprocess import preprocess, preprocess_calls
 from repro.core.regions import RegionIndex
 from repro.simmpi import DOUBLE, INT
 
@@ -50,7 +51,7 @@ def figure3(mpi):
 def main():
     run = api.run(figure3, nranks=3, delivery="random")
 
-    pre = preprocess(run.traces)
+    pre = preprocess_calls(run.traces)   # call events only
     print("communicators:", pre.comms)
     print("windows:", {w.win_id: dict(w.bases) for w in pre.windows.values()})
 
@@ -69,10 +70,13 @@ def main():
     regions = RegionIndex(pre, matches)
     print(f"\n{len(regions)} concurrent regions")
 
-    model = build_access_model(pre, epochs)
-    print(f"{len(model.ops)} RMA ops, {len(model.local)} local accesses")
+    # RMA ops and call-derived accesses as objects, loads/stores columnar
+    model = build_access_model_sweep(pre, epochs, run.traces)
+    print(f"{len(model.ops)} RMA ops, {model.total_local_accesses} local "
+          "accesses")
 
-    dag = build_dag(pre, matches, epochs)
+    # Figure 4 wants every event as a vertex, loads/stores included
+    dag = build_dag(preprocess(run.traces), matches, epochs)
     print(f"Figure-4 DAG: {dag.number_of_nodes()} vertices, "
           f"{dag.number_of_edges()} edges")
 
@@ -82,8 +86,8 @@ def main():
     print(f"\nPut(P0) concurrent with Put(P2)? "
           f"{oracle.concurrent(put0.span, put2.span)}")
 
-    findings = detect_intra_epoch(model, epochs) + detect_cross_process(
-        pre, model, regions, oracle, epochs)
+    findings = detect_intra_epoch_sweep(model, epochs) + \
+        detect_cross_process_sweep(pre, model, regions, oracle, epochs)
     print(f"\n{len(findings)} raw findings; first:")
     print(findings[0].format())
 

@@ -19,7 +19,9 @@ but permitted under MPI-3's unified model.
 Run:  python examples/mpi3_atomics.py
 """
 
-from repro.core import MODEL_SEPARATE, MODEL_UNIFIED, check_app
+from repro.core import (
+    MODEL_SEPARATE, MODEL_UNIFIED, CheckConfig, check_app,
+)
 from repro.simmpi import INT, LOCK_SHARED, run_app
 
 TASKS_PER_RANK = 3
@@ -123,10 +125,10 @@ def main():
         mpi.barrier()
         win.free()
 
-    separate = check_app(store_beside_put, nranks=2,
-                         memory_model=MODEL_SEPARATE)
-    unified = check_app(store_beside_put, nranks=2,
-                        memory_model=MODEL_UNIFIED)
+    separate = check_app(store_beside_put, nranks=2, config=CheckConfig(
+        memory_model=MODEL_SEPARATE))
+    unified = check_app(store_beside_put, nranks=2, config=CheckConfig(
+        memory_model=MODEL_UNIFIED))
     print(f"\ndisjoint store beside a remote Put: separate model -> "
           f"{len(separate.errors)} error(s); unified model -> "
           f"{len(unified.findings)} finding(s)")

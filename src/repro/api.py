@@ -17,7 +17,8 @@ instead of the per-function kwarg lists the internals grew over time:
 trace-directory path, and field overrides as keyword arguments
 (``api.check(traces, jobs=4)`` is ``CheckConfig(jobs=4)``); overrides on
 top of an explicit config derive a new one with
-:meth:`CheckConfig.replace`.
+:meth:`CheckConfig.replace`.  A keyword that is not a config field is a
+``TypeError``.
 
 Each verb also takes observability parameters — an explicit
 ``obs_config=`` (:class:`repro.obs.ObsConfig`), or the ``metrics_out=``
@@ -57,7 +58,7 @@ from repro import obs
 from repro.core.checker import CheckReport, check_traces
 from repro.core.config import CheckConfig
 from repro.core.parallel import shutdown_pools
-from repro.gen.config import _UNSET, GenConfig, coerce_gen_config
+from repro.gen.config import GenConfig
 from repro.gen.fuzz import FuzzReport, fuzz_corpus, run_case
 from repro.gen.generator import GeneratedProgram, generate_program
 from repro.gen.manifest import Manifest, Score, score_report
@@ -143,22 +144,25 @@ def run_check(app: Callable, nranks: int, *,
         return check(profiled.traces, config, **overrides)
 
 
+def _gen_config(config: Optional[GenConfig], overrides: dict) -> GenConfig:
+    cfg = config if config is not None else GenConfig()
+    if not isinstance(cfg, GenConfig):
+        raise TypeError(
+            f"config must be a GenConfig, got {type(cfg).__name__}")
+    return cfg.replace(**overrides) if overrides else cfg
+
+
 def generate(config: Optional[GenConfig] = None, *,
              out: Optional[str] = None,
-             nbugs=_UNSET,
              **overrides) -> GeneratedProgram:
     """Generate one synthetic RMA program + ground-truth manifest.
 
     Field overrides are accepted as keyword arguments
     (``api.generate(seed=7, nranks=16)`` is
     ``GenConfig(seed=7, nranks=16)``).  ``out=`` saves ``program.json``
-    and ``manifest.json`` into that directory.  The prototype spelling
-    ``nbugs=<n>`` still works through a warn-once deprecation shim.
+    and ``manifest.json`` into that directory.
     """
-    cfg = coerce_gen_config(config, "api.generate", nbugs=nbugs)
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    generated = generate_program(cfg)
+    generated = generate_program(_gen_config(config, overrides))
     if out is not None:
         generated.save(out)
     return generated
@@ -168,7 +172,6 @@ def fuzz(config: Optional[GenConfig] = None,
          seeds: Optional[Iterable[int]] = None, *,
          check_config: Optional[CheckConfig] = None,
          differential: bool = True,
-         nbugs=_UNSET,
          obs_config: Optional[obs.ObsConfig] = None,
          metrics_out: Optional[str] = None,
          chrome_trace: Optional[str] = None,
@@ -177,15 +180,12 @@ def fuzz(config: Optional[GenConfig] = None,
 
     Each seed derives ``config.replace(seed=...)``, generates a program,
     profiles it, scores the findings against the manifest, and (unless
-    ``differential=False``) cross-checks the full execution matrix —
-    sweep/pairwise engines × columnar/object control planes ×
-    cold/warm incremental cache × text/binary trace formats — for
-    byte-identical reports.  ``seeds=None`` runs the single seed already
-    in the config.
+    ``differential=False``) cross-checks every executor — batch,
+    streaming, incremental cold and warm — and the other trace format
+    for byte-identical reports.  ``seeds=None`` runs the single seed
+    already in the config.
     """
-    cfg = coerce_gen_config(config, "api.fuzz", nbugs=nbugs)
-    if overrides:
-        cfg = cfg.replace(**overrides)
+    cfg = _gen_config(config, overrides)
     with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
         if seeds is None:
             case = run_case(cfg, check_config,

@@ -12,8 +12,8 @@ Subcommands mirror the paper's workflow (Figure 5):
 * ``mc-checker generate --seed S --bug any`` — emit a constrained-random
   RMA program + ground-truth conflict manifest;
 * ``mc-checker fuzz --seeds N`` — run the differential fuzzing harness
-  over a seed corpus, scoring recall/precision and cross-checking every
-  engine × control-plane × cache × trace-format arm;
+  over a seed corpus, scoring recall/precision and cross-checking the
+  batch, streaming, incremental cold/warm and other-trace-format arms;
 * ``mc-checker table1`` — print the compatibility matrix;
 * ``mc-checker apps`` — list the bundled applications.
 
@@ -78,15 +78,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
                              "identical at any job count")
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", default="sweep",
-                        choices=("sweep", "pairwise"),
-                        help="conflict-detection engine: vectorized "
-                             "sweep-line interval joins (default) or the "
-                             "pairwise reference; reports are byte-"
-                             "identical either way")
-
-
 def _analysis_parent() -> argparse.ArgumentParser:
     """Shared parent parser: the analysis flags every checking-capable
     subcommand (``run``, ``check``, ``run-check``) accepts with identical
@@ -96,12 +87,6 @@ def _analysis_parent() -> argparse.ArgumentParser:
     group.add_argument("--memory-model", default="separate",
                        choices=("separate", "unified"),
                        help="MPI RMA memory model for Table-I verdicts")
-    group.add_argument("--engine", default="sweep",
-                       choices=("sweep", "pairwise"),
-                       help="conflict-detection engine: vectorized "
-                            "sweep-line interval joins (default) or the "
-                            "pairwise reference; reports are byte-"
-                            "identical either way")
     group.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for the sharded analyzer "
                             "(1 = serial, -1 = one per CPU); one "
@@ -126,10 +111,8 @@ def _config_from_args(args) -> CheckConfig:
     try:
         return CheckConfig(
             memory_model=getattr(args, "memory_model", "separate"),
-            engine=getattr(args, "engine", "sweep"),
             jobs=getattr(args, "jobs", 1),
             streaming=getattr(args, "streaming", False),
-            naive_inter=getattr(args, "naive_inter", False),
             cache_dir=getattr(args, "cache_dir", None),
             incremental=getattr(args, "incremental", False))
     except ValueError as exc:
@@ -211,8 +194,7 @@ def _add_gen_args(parser: argparse.ArgumentParser) -> None:
                        help="window/origin elements per action slot")
     group.add_argument("--reps", type=int, default=1,
                        help="semantic repetitions of each local access "
-                            "(scales event counts via the bulk producer "
-                            "lane)")
+                            "(scales event counts via block accesses)")
     group.add_argument("--flush-prob", type=float, default=0.25,
                        help="probability of a mid-epoch flush_all in "
                             "lock_all rounds")
@@ -361,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="analyze an existing trace set",
                              parents=[analysis])
     p_check.add_argument("trace_dir")
-    p_check.add_argument("--naive-inter", action="store_true",
-                         help="use the combinatorial cross-process detector")
     p_check.add_argument("--streaming", action="store_true",
                          help="region-at-a-time analysis with bounded "
                               "data-event memory")
@@ -420,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz", help="differential fuzzing over generated programs: "
                      "recall/precision vs the injected-bug manifest plus "
-                     "cross-checked engine/plane/cache/format arms",
+                     "cross-checked batch/streaming/cache/format arms",
         parents=[analysis])
     _add_gen_args(p_fuzz)
     p_fuzz.add_argument("--seeds", type=int, default=5, metavar="N",
@@ -456,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the statistics (incl. per-rank binary "
                               "footer counts) as JSON")
     _add_jobs_arg(p_stats)
-    _add_engine_arg(p_stats)
     _add_obs_args(p_stats, exports=True)
 
     p_diff = sub.add_parser(
@@ -524,20 +503,6 @@ def _dispatch(args) -> int:
                      else args.trace_dir)
         config = _config_from_args(args)
         traces = TraceSet(trace_dir)
-        if config.streaming:
-            from repro.core.streaming import check_streaming
-            findings, checker = check_streaming(
-                traces, memory_model=config.memory_model,
-                engine=config.engine)
-            errors = [f for f in findings if f.severity == "error"]
-            log.info(f"MC-Checker (streaming): {len(errors)} error(s), "
-                     f"{len(findings) - len(errors)} warning(s); peak "
-                     f"buffered load/store events: "
-                     f"{checker.peak_buffered_mems}")
-            for finding in findings:
-                log.info("")
-                log.info(finding.format())
-            return 1 if errors else 0
         report = check_traces(traces, config)
         _record_run(args, report, config, traces)
         if getattr(args, "json", False):
@@ -545,6 +510,12 @@ def _dispatch(args) -> int:
             print(json.dumps(report.to_dict(), indent=2))
         else:
             log.info(report.format())
+            if config.streaming:
+                peak = obs.get_recorder().registry.get(
+                    "analyzer_peak_buffered_mems")
+                if peak is not None:
+                    log.info("streaming: peak buffered load/store "
+                             f"events: {int(peak.value())}")
         return 1 if report.has_errors else 0
 
     if args.command == "generate":
@@ -619,8 +590,7 @@ def _dispatch(args) -> int:
         log.info(_per_rank_table(stats))
         if not args.no_phases:
             try:
-                report = check_traces(traces, CheckConfig(
-                    jobs=args.jobs, engine=args.engine))
+                report = check_traces(traces, CheckConfig(jobs=args.jobs))
             except Exception as exc:  # noqa: BLE001 - stats must not die
                 log.warning(f"analyzer phases unavailable: {exc}")
             else:

@@ -5,7 +5,7 @@ This package is the paper's primary contribution (sections III and IV-C):
 1. :mod:`~repro.core.preprocess` rebuilds communicators, windows, and
    datatype data-maps from the per-rank traces;
 2. :mod:`~repro.core.matching` matches synchronization calls across ranks
-   (Algorithm 1, progress-counter driven);
+   (Algorithm 1, over the :mod:`~repro.core.calltable` columns);
 3. :mod:`~repro.core.clocks` derives a happens-before oracle (vector
    clocks over the synchronization graph);
 4. :mod:`~repro.core.dag` materializes the data-access DAG (Figure 4);
@@ -13,10 +13,15 @@ This package is the paper's primary contribution (sections III and IV-C):
    synchronization cuts;
 6. :mod:`~repro.core.epochs` / :mod:`~repro.core.model` identify epochs
    and lift trace events into analyzable access views;
-7. :mod:`~repro.core.intra` and :mod:`~repro.core.inter` detect
-   conflicting operations within an epoch and across processes, using the
-   compatibility rules of :mod:`~repro.core.compat` (Table I);
+7. :mod:`~repro.core.engine` finds the candidate pairs within an epoch
+   and across processes with grouped interval joins; :mod:`~repro.core.intra`
+   and :mod:`~repro.core.inter` judge each by the compatibility rules of
+   :mod:`~repro.core.compat` (Table I);
 8. :mod:`~repro.core.checker` wires it all together as :class:`MCChecker`.
+
+One implementation per phase; the paper's literal algorithms (the
+progress-counter walk, the per-region linear scan, the naive strawmen)
+are test oracles in ``tests/reference/``.
 """
 
 from repro.core.checker import CheckReport, MCChecker, check_app, check_traces

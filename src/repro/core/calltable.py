@@ -1,64 +1,43 @@
-"""Columnar control plane: struct-of-arrays call tables.
+"""Struct-of-arrays call tables — the control phases' input.
 
-The data plane went columnar in PRs 3-8 (packed MemBlock columns flow from
-the tracer through the sweep engine without ever becoming Python objects);
-this module does the same for the *control* plane.  A :class:`CallTable` is
-a per-rank struct-of-arrays view over the call stream — seq numbers, fn
-codes, a sync-class code, and the handful of argument columns the matching
-/ epoch / clock passes actually read (communicator, window, peer, tag,
-request, lock target, PSCW group) — built once per rank during ingest and
-shared by every control-plane consumer:
+The memory events are columnar from the tracer through the sweep engine
+(packed MemBlock columns never become Python objects); a
+:class:`CallTable` is the same for the call stream: a per-rank
+struct-of-arrays view — seq numbers, fn codes, a sync-class code, and
+the handful of argument columns the matching / epoch / clock passes
+actually read (communicator, window, peer, tag, request, lock target,
+PSCW group) — built once per rank during ingest (:class:`CallIngest`,
+driven by ``TraceReader.read_calls``) and shared by every control phase:
 
-* :func:`match_synchronization_columnar` re-implements Algorithm 1 as
-  per-channel occurrence-index zips over the class-filtered columns (the
-  k-th collective on a communicator at each member is one match; the k-th
-  send on a (src, dst, comm, tag) channel pairs with the k-th receive),
-  replacing the per-event progress-counter walk;
+* :func:`repro.core.matching.match_synchronization` runs Algorithm 1 as
+  per-channel occurrence-index zips over the class-filtered columns;
 * ``EpochIndex`` walks only the epoch-relevant rows (mask + take instead
   of a full event scan);
-* ``ConcurrencyOracle`` builds its clock matrix from numpy sync arrays
-  derived from the same matches.
+* ``CallLift`` and the incremental digests index calls by table row.
 
-The plane is selected by ``MCCHECKER_CONTROL_PLANE`` (``columnar`` by
-default; ``object`` keeps the per-event reference pipeline).  Reports are
-byte-identical across planes — the differential suite pins that.
+Pool workers publish their rank's table over a shared-memory segment
+(:func:`share_table` / :func:`attach_table`), so a parallel run never
+pickles the call stream.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from sys import intern as _intern
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.matching import (
-    KIND_COLLECTIVE, KIND_COMPLETE_WAIT, KIND_P2P, KIND_POST_START,
-    SEND_CALLS, SyncMatch,
-)
 from repro.core.preprocess import PreprocessedTrace
 from repro.profiler.events import (
     COLLECTIVE_CALLS, DATATYPE_CALLS, NB_COLLECTIVE_CALLS, ONE_SIDED_CALLS,
     SUPPORT_CALLS, SYNC_CALLS, CallEvent,
 )
-from repro.util.errors import AnalysisError, TraceFormatError
+from repro.util.errors import TraceFormatError
 from repro.util.location import SourceLocation
 from repro.util.records import INT64_MAX, INT64_MIN, decode_value
 
-CONTROL_PLANE_ENV = "MCCHECKER_CONTROL_PLANE"
-PLANE_COLUMNAR = "columnar"
-PLANE_OBJECT = "object"
-
-
-def control_plane() -> str:
-    """The active control-plane implementation (env-selected)."""
-    plane = os.environ.get(CONTROL_PLANE_ENV, PLANE_COLUMNAR)
-    if plane not in (PLANE_COLUMNAR, PLANE_OBJECT):
-        raise AnalysisError(
-            f"{CONTROL_PLANE_ENV} must be {PLANE_COLUMNAR!r} or "
-            f"{PLANE_OBJECT!r}, not {plane!r}")
-    return plane
+SEND_CALLS = frozenset({"Send", "Isend"})
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +269,7 @@ class CallTable:
     @classmethod
     def from_events(cls, rank: int, events: Sequence[Any]) -> "CallTable":
         """Build from already-materialized events (non-call events are
-        skipped, exactly like the object control-plane scans)."""
+        skipped)."""
         seqs: List[int] = []
         rows: List[Tuple[int, ...]] = []
         lock_types: Dict[int, str] = {}
@@ -345,13 +324,8 @@ def ensure_call_tables(pre: PreprocessedTrace) -> Dict[int, CallTable]:
 
 
 def total_calls(pre: PreprocessedTrace) -> int:
-    """Number of call events in the trace (table-backed when available)."""
-    tables = getattr(pre, "call_tables", None)
-    if tables is not None:
-        return sum(t.n for t in tables.values())
-    return sum(
-        1 for events in pre.events.values()
-        for e in events if isinstance(e, CallEvent))
+    """Number of call events in the trace."""
+    return sum(t.n for t in ensure_call_tables(pre).values())
 
 
 # ----------------------------------------------------------------------
@@ -417,243 +391,6 @@ def attach_table(desc: dict) -> CallTable:
                      cols["req_kind"], cols["target"], cols["lock"],
                      cols["group_off"], cols["group_val"],
                      {int(k): v for k, v in desc["lock_types"].items()})
-
-
-# ----------------------------------------------------------------------
-# vectorized synchronization matching (Algorithm 1 on columns)
-# ----------------------------------------------------------------------
-
-_FENCE_FREE_CODES = None
-
-
-def _fence_free_codes() -> np.ndarray:
-    global _FENCE_FREE_CODES
-    if _FENCE_FREE_CODES is None:
-        _FENCE_FREE_CODES = np.asarray(
-            [fn_code("Win_fence"), fn_code("Win_free")], dtype=np.int64)
-    return _FENCE_FREE_CODES
-
-
-def _resolve_world(pre: PreprocessedTrace, comms: np.ndarray,
-                   peers: np.ndarray) -> np.ndarray:
-    """Vectorized ``world_of_comm_rank`` over parallel arrays."""
-    out = np.empty_like(peers)
-    for c in np.unique(comms).tolist():
-        m = comms == c
-        members = np.asarray(pre.comm_members(int(c)), dtype=np.int64)
-        p = peers[m]
-        bad = (p < 0) | (p >= members.size)
-        if bad.any():
-            raise AnalysisError(
-                f"comm {int(c)} has no rank {int(p[bad][0])} "
-                f"(size {members.size})")
-        out[m] = members[p]
-    return out
-
-
-def match_synchronization_columnar(
-        pre: PreprocessedTrace,
-        tables: Dict[int, CallTable]) -> List[SyncMatch]:
-    """Algorithm 1 over :class:`CallTable` columns.
-
-    Produces the same match *set* as the object walk (differentially
-    tested): collectives by per-communicator slot index, point-to-point
-    as per-(src, dst, comm, tag)-channel FIFO zips, PSCW by per-(rank,
-    window, peer)-channel occurrence index.  Match-list order differs
-    from the walk (grouped by kind instead of progress-interleaved);
-    no consumer is order-sensitive — regions sort their cuts, the clock
-    fixpoint is order-independent, and the incremental fingerprints sort
-    their buckets.
-    """
-    nranks = pre.nranks
-    matches: List[SyncMatch] = []
-    # comm -> rank -> (seqs, fn codes, wins, reqs) in trace order
-    coll: Dict[int, Dict[int, Tuple[List[int], ...]]] = {}
-    sends: Dict[Tuple[int, int, int, int],
-                Tuple[List[int], List[int]]] = {}
-    recvs: Dict[Tuple[int, int, int, int], List[int]] = {}
-    starts: Dict[Tuple[int, int, int], List[int]] = {}
-    waits: Dict[Tuple[int, int, int], List[int]] = {}
-    icoll_waits: Dict[Tuple[int, int], int] = {}
-    # (rank, seq, win, group) in trace order, per initiating side
-    post_events: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-    complete_events: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-
-    for rank in range(nranks):
-        t = tables.get(rank)
-        if t is None or not t.n:
-            continue
-        cls = t.cls
-
-        idx = np.nonzero(cls == CLS_COLL)[0]
-        if idx.size:
-            seqs = t.seq[idx]
-            comms = t.comm[idx].copy()
-            wins = t.win[idx]
-            fns = t.fn[idx]
-            reqs = t.req[idx]
-            missing = comms < 0
-            if missing.any():
-                mf = fns[missing]
-                not_win = ~np.isin(mf, _fence_free_codes())
-                if not_win.any():
-                    k = int(np.nonzero(missing)[0][np.nonzero(not_win)[0][0]])
-                    raise AnalysisError(
-                        f"collective event {FN_NAMES[int(fns[k])]} "
-                        f"(rank {rank}, seq {int(seqs[k])}) "
-                        "carries no communicator")
-                mw = wins[missing]
-                sub = comms[missing]
-                for w in np.unique(mw).tolist():
-                    sub[mw == w] = pre.window(int(w)).comm_id
-                comms[missing] = sub
-            for c in np.unique(comms).tolist():
-                m = comms == c
-                coll.setdefault(int(c), {})[rank] = (
-                    seqs[m].tolist(), fns[m].tolist(), wins[m].tolist(),
-                    reqs[m].tolist())
-
-        idx = np.nonzero(cls == CLS_ICOLL_WAIT)[0]
-        if idx.size:
-            for i in idx.tolist():
-                icoll_waits[(rank, int(t.req[i]))] = int(t.seq[i])
-
-        idx = np.nonzero(cls == CLS_SEND)[0]
-        if idx.size:
-            dsts = _resolve_world(pre, t.comm[idx], t.peer[idx]).tolist()
-            comms = t.comm[idx].tolist()
-            tags = t.tag[idx].tolist()
-            seqs = t.seq[idx].tolist()
-            fns = t.fn[idx].tolist()
-            for i, dst in enumerate(dsts):
-                chan = sends.setdefault((rank, dst, comms[i], tags[i]),
-                                        ([], []))
-                chan[0].append(seqs[i])
-                chan[1].append(fns[i])
-
-        idx = np.nonzero(cls == CLS_RECV)[0]
-        if idx.size:
-            srcs = _resolve_world(pre, t.comm[idx], t.peer[idx]).tolist()
-            comms = t.comm[idx].tolist()
-            tags = t.tag[idx].tolist()
-            seqs = t.seq[idx].tolist()
-            for i, src in enumerate(srcs):
-                recvs.setdefault((rank, src, comms[i], tags[i]),
-                                 []).append(seqs[i])
-
-        idx = np.nonzero((cls >= CLS_POST) & (cls <= CLS_WAIT))[0]
-        if idx.size:
-            # per-rank sequential mini-walk mirroring _Streams._scan's
-            # access/exposure group state (one variable per rank, not
-            # per window — faithfully so)
-            access_group: Optional[Tuple[int, ...]] = None
-            exposure_group: Optional[Tuple[int, ...]] = None
-            for i in idx.tolist():
-                c = int(cls[i])
-                win = int(t.win[i])
-                seq = int(t.seq[i])
-                if c == CLS_POST:
-                    exposure_group = t.group(i)
-                    post_events.append((rank, seq, win, exposure_group))
-                elif c == CLS_START:
-                    access_group = t.group(i)
-                    for target in access_group:
-                        starts.setdefault((rank, win, target),
-                                          []).append(seq)
-                elif c == CLS_COMPLETE:
-                    complete_events.append(
-                        (rank, seq, win, access_group or ()))
-                    access_group = None
-                else:  # CLS_WAIT
-                    for origin in (exposure_group or ()):
-                        waits.setdefault((rank, win, origin),
-                                         []).append(seq)
-                    exposure_group = None
-
-    # collectives: one match per (comm, slot)
-    for comm in sorted(coll):
-        members = pre.comm_members(comm)
-        per = coll[comm]
-        streams = [per.get(m) for m in members]
-        nslots = max((len(s[0]) for s in streams if s is not None),
-                     default=0)
-        for k in range(nslots):
-            fnc = -1
-            win_val = -1
-            init_rank = -1
-            mdict: Dict[int, int] = {}
-            for mi, member in enumerate(members):
-                s = streams[mi]
-                if s is None or k >= len(s[0]):
-                    continue  # ragged trace: partial match
-                if fnc < 0:
-                    fnc, win_val, init_rank = s[1][k], s[2][k], member
-                elif s[1][k] != fnc:
-                    raise AnalysisError(
-                        f"collective mismatch on comm {comm}: rank "
-                        f"{init_rank} calls {FN_NAMES[fnc]} but rank "
-                        f"{member} calls {FN_NAMES[s[1][k]]} "
-                        f"(seq {s[0][k]})")
-                mdict[member] = s[0][k]
-            if fnc < 0:
-                continue
-            fn = FN_NAMES[fnc]
-            match = SyncMatch(
-                kind=KIND_COLLECTIVE, fn=fn, comm_id=comm,
-                win_id=(int(win_val) if win_val >= 0 else None),
-                members=mdict, index=k)
-            if fn in NB_COLLECTIVE_CALLS:
-                for mi, member in enumerate(members):
-                    s = streams[mi]
-                    if s is None or k >= len(s[0]):
-                        continue
-                    wait_seq = icoll_waits.get((member, s[3][k]))
-                    if wait_seq is not None:
-                        match.exits[member] = wait_seq
-            matches.append(match)
-
-    # point-to-point: FIFO zip per (src, dst, comm, tag) channel
-    channels = set(sends)
-    channels.update((src, dst, comm, tag)
-                    for (dst, src, comm, tag) in recvs)
-    for key in sorted(channels):
-        src, dst, comm, tag = key
-        send_seqs, send_fns = sends.get(key, ((), ()))
-        recv_seqs = recvs.get((dst, src, comm, tag), ())
-        for k in range(max(len(send_seqs), len(recv_seqs))):
-            has_send = k < len(send_seqs)
-            matches.append(SyncMatch(
-                kind=KIND_P2P,
-                fn=(FN_NAMES[send_fns[k]] if has_send else "Send"),
-                comm_id=comm,
-                src=((src, send_seqs[k]) if has_send else None),
-                dst=((dst, recv_seqs[k]) if k < len(recv_seqs) else None)))
-
-    # PSCW: k-th post at (rank, win, origin) <-> k-th start at
-    # (origin, win, rank); symmetrically complete <-> wait
-    cursors: Dict[Tuple[int, int, int], int] = {}
-    for rank, seq, win, group in post_events:
-        for origin in group:
-            k = cursors.get((rank, win, origin), 0)
-            cursors[(rank, win, origin)] = k + 1
-            start_seqs = starts.get((origin, win, rank), ())
-            matches.append(SyncMatch(
-                kind=KIND_POST_START, fn="Win_post", win_id=win,
-                src=(rank, seq),
-                dst=((origin, start_seqs[k])
-                     if k < len(start_seqs) else None)))
-    cursors = {}
-    for rank, seq, win, group in complete_events:
-        for target in group:
-            k = cursors.get((rank, win, target), 0)
-            cursors[(rank, win, target)] = k + 1
-            wait_seqs = waits.get((target, win, rank), ())
-            matches.append(SyncMatch(
-                kind=KIND_COMPLETE_WAIT, fn="Win_complete", win_id=win,
-                src=(rank, seq),
-                dst=((target, wait_seqs[k])
-                     if k < len(wait_seqs) else None)))
-    return matches
 
 
 # ----------------------------------------------------------------------

@@ -19,24 +19,21 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
+from repro.core.calltable import total_calls
 from repro.core.clocks import ConcurrencyOracle
-from repro.core.config import CheckConfig, _UNSET, coerce_config
+from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, annotate_context,
     dedupe, sort_findings,
 )
 from repro.core.engine import (
-    detect_cross_process_sweep, detect_intra_epoch_sweep, resolve_engine,
+    detect_cross_process_sweep, detect_intra_epoch_sweep,
 )
 from repro.core.epochs import EpochIndex
-from repro.core.inter import detect_cross_process, detect_cross_process_naive
-from repro.core.intra import detect_intra_epoch
 from repro.core.matching import match_synchronization
-from repro.core.model import build_access_model_stream, build_access_model_sweep
-from repro.core.parallel import ParallelEngine, resolve_jobs
-from repro.core.preprocess import (
-    PreprocessedTrace, preprocess_calls, preprocess_calls_with_counts,
-)
+from repro.core.model import build_access_model_sweep
+from repro.core.parallel import ParallelEngine
+from repro.core.preprocess import PreprocessedTrace, preprocess_calls
 from repro.core.regions import RegionIndex
 from repro.profiler.tracer import TraceSet
 
@@ -111,21 +108,11 @@ class MCChecker:
     """Configurable DN-Analyzer pipeline over one trace set."""
 
     def __init__(self, traces: TraceSet,
-                 config: Optional[CheckConfig] = None, *,
-                 naive_inter=_UNSET, memory_model=_UNSET, jobs=_UNSET,
-                 engine=_UNSET):
-        self.config = coerce_config(config, "MCChecker",
-                                    naive_inter=naive_inter,
-                                    memory_model=memory_model,
-                                    jobs=jobs, engine=engine)
+                 config: Optional[CheckConfig] = None):
+        self.config = _config(config)
         self.traces = traces
-        self.naive_inter = self.config.naive_inter
         self.memory_model = self.config.memory_model
         self.jobs = resolve_jobs(self.config.jobs)
-        # the naive strawman iterates the access model's objects directly,
-        # so it implies the object-building pairwise pipeline
-        self.engine = ("pairwise" if self.naive_inter
-                       else resolve_engine(self.config.engine))
         # populated by run(); kept public for tests and the CLI
         self.pre: Optional[PreprocessedTrace] = None
         self.matches = None
@@ -166,8 +153,7 @@ class MCChecker:
             # run's shared segments, while the pool itself survives for
             # the next run to reuse
             engine = ParallelEngine(self.traces, jobs=self.jobs,
-                                    memory_model=self.memory_model,
-                                    engine=self.engine)
+                                    memory_model=self.memory_model)
         try:
             return self._run_detect(stats, timed, engine)
         finally:
@@ -179,13 +165,9 @@ class MCChecker:
         if engine is not None:
             self.pre = timed("preprocess", engine.preprocess,
                              jobs=self.jobs)
-        elif self.engine == "sweep":
+        else:
             self.pre = timed("preprocess",
                              lambda: preprocess_calls(self.traces))
-        else:   # the pairwise model re-reads each rank's whole stream
-            self.pre = timed(
-                "preprocess",
-                lambda: preprocess_calls_with_counts(self.traces)[0])
         pre = self.pre
         stats.nranks = pre.nranks
         # both paths keep only call events in the parent; the per-rank
@@ -208,16 +190,11 @@ class MCChecker:
                 "model",
                 lambda: engine.build_model(pre, self.epoch_index),
                 jobs=self.jobs)
-        elif self.engine == "sweep":
+        else:
             self.model = timed(
                 "model",
                 lambda: build_access_model_sweep(pre, self.epoch_index,
                                                  self.traces))
-        else:
-            self.model = timed(
-                "model",
-                lambda: build_access_model_stream(pre, self.epoch_index,
-                                                  self.traces))
         stats.rma_ops = len(self.model.ops)
         stats.local_accesses = self.model.total_local_accesses
 
@@ -229,63 +206,45 @@ class MCChecker:
             findings = timed("intra", lambda: engine.detect_intra(
                 self.model, self.epoch_index, self.regions,
                 self.oracle), jobs=self.jobs)
-        elif self.engine == "sweep":
+            findings += timed("inter", engine.detect_inter,
+                              jobs=self.jobs)
+        else:
             findings = timed("intra", lambda: detect_intra_epoch_sweep(
                 self.model, self.epoch_index,
                 memory_model=self.memory_model))
-        else:
-            findings = timed("intra", lambda: detect_intra_epoch(
-                self.model, self.epoch_index,
-                memory_model=self.memory_model))
-        if engine is not None and not self.naive_inter:
-            findings += timed("inter", engine.detect_inter,
-                              jobs=self.jobs)
-        elif self.engine == "sweep":
             findings += timed("inter", lambda: detect_cross_process_sweep(
                 pre, self.model, self.regions, self.oracle,
                 self.epoch_index, memory_model=self.memory_model))
-        else:
-            # the combinatorial strawman stays serial: it exists for the
-            # ablation benchmark, not for throughput
-            inter_fn = (detect_cross_process_naive if self.naive_inter
-                        else detect_cross_process)
-            findings += timed("inter", lambda: inter_fn(
-                pre, self.model, self.regions, self.oracle,
-                self.epoch_index, memory_model=self.memory_model),
-                naive=self.naive_inter)
 
         findings = dedupe(sort_findings(findings))
         annotate_context(
-            findings, engine=self.engine, jobs=self.jobs,
+            findings, jobs=self.jobs,
             mode="parallel" if engine is not None else "batch",
             cache="none")
         errors = [f for f in findings if f.severity == SEVERITY_ERROR]
         warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
         return CheckReport(errors=errors, warnings=warnings, stats=stats)
 
-#: the phase group the columnar control plane accelerates (the data
-#: plane is model + intra + inter; regions is noise-level either way)
+#: the control phases: everything derived from call events alone (the
+#: data phases are model + intra + inter; regions is noise-level)
 CONTROL_PHASES = ("preprocess", "matching", "clocks", "epochs")
 
 
 def publish_control_plane_obs(pre: PreprocessedTrace,
                               phase_seconds: Dict[str, float]) -> None:
-    """Publish control-plane ingest metrics: how many call events the
-    active plane consumed and the rate over the control phase group.
-    Shared by the batch, streaming, and incremental routes."""
+    """Publish control-phase ingest metrics: how many call events were
+    consumed and the rate over the control phase group.  Shared by the
+    batch, streaming, and incremental routes."""
     rec = obs.get_recorder()
     if not rec.enabled:
         return
-    from repro.core.calltable import control_plane, total_calls
-    plane = control_plane()
     calls = total_calls(pre)
-    rec.count("control_calls_ingested_total", calls, plane=plane,
-              help="Call events ingested by the control plane")
+    rec.count("control_calls_ingested_total", calls,
+              help="Call events ingested by the control phases")
     seconds = sum(phase_seconds.get(p, 0.0) for p in CONTROL_PHASES)
     if seconds > 0:
         rec.gauge("control_calls_per_second", calls / seconds,
-                  plane=plane,
-                  help="Control-plane ingest rate over the "
+                  help="Call ingest rate over the "
                        "preprocess+matching+clocks+epochs group")
 
 
@@ -328,13 +287,14 @@ def _check_streaming(traces: TraceSet, config: CheckConfig) -> CheckReport:
     with obs.span("analyzer.run", memory_model=config.memory_model,
                   streaming=True) as run_span:
         findings, checker = check_streaming(
-            traces, memory_model=config.memory_model,
-            engine=config.engine)
-        annotate_context(findings, engine=config.engine, jobs=1,
-                         mode="streaming", cache="none")
+            traces, memory_model=config.memory_model)
+        annotate_context(findings, jobs=1, mode="streaming", cache="none")
         control = checker.control
         stats = CheckStats(**control.sizes())
         publish_control_plane_obs(control.pre, stats.phase_seconds)
+        obs.gauge("analyzer_peak_buffered_mems", checker.peak_buffered_mems,
+                  help="Most load/store events the streaming data pass "
+                       "held at once")
         report = CheckReport(
             errors=[f for f in findings
                     if f.severity == SEVERITY_ERROR],
@@ -345,18 +305,23 @@ def _check_streaming(traces: TraceSet, config: CheckConfig) -> CheckReport:
     return report
 
 
+def _config(config: Optional[CheckConfig]) -> CheckConfig:
+    if config is None:
+        return CheckConfig()
+    if not isinstance(config, CheckConfig):
+        raise TypeError(
+            f"config must be a CheckConfig, got {type(config).__name__}")
+    return config
+
+
 def check_traces(traces: TraceSet,
-                 config: Optional[CheckConfig] = None, *,
-                 naive_inter=_UNSET, memory_model=_UNSET, jobs=_UNSET,
-                 engine=_UNSET) -> CheckReport:
+                 config: Optional[CheckConfig] = None) -> CheckReport:
     """Analyze an existing trace set.
 
     Routes on the config: ``incremental`` → the cached checker,
     ``streaming`` → the bounded-memory pipeline, else the batch
     :class:`MCChecker` (serial or sharded per ``jobs``)."""
-    cfg = coerce_config(config, "check_traces", naive_inter=naive_inter,
-                        memory_model=memory_model, jobs=jobs,
-                        engine=engine)
+    cfg = _config(config)
     if cfg.incremental:
         # imported lazily: incremental imports this module for
         # CheckReport/CheckStats
@@ -375,15 +340,12 @@ def check_app(app: Callable, nranks: int,
               sched_policy: str = "round_robin",
               seed: int = 0,
               config: Optional[CheckConfig] = None,
-              trace_format: str = "text", *,
-              memory_model=_UNSET, engine=_UNSET) -> CheckReport:
+              trace_format: str = "text") -> CheckReport:
     """Profile ``app`` on the simulated runtime, then analyze the traces."""
     from repro.profiler.session import profile_run
 
-    cfg = coerce_config(config, "check_app", memory_model=memory_model,
-                        engine=engine)
     run = profile_run(app, nranks, trace_dir=trace_dir, params=params,
                       scope=scope, delivery=delivery,
                       sched_policy=sched_policy, seed=seed,
                       trace_format=trace_format)
-    return check_traces(run.traces, cfg)
+    return check_traces(run.traces, config)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -60,35 +60,27 @@ class ConcurrencyOracle:
 
     def __init__(self, pre: PreprocessedTrace, matches: Sequence[SyncMatch]):
         self.nranks = pre.nranks
-        self._build(pre, matches)
+        self._build(matches)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _build(self, pre: PreprocessedTrace,
-               matches: Sequence[SyncMatch]) -> None:
-        from repro.core.calltable import PLANE_COLUMNAR, control_plane
-        if control_plane() == PLANE_COLUMNAR:
-            self._build_arrays(matches)
-        else:
-            self._build_reference(pre, matches)
-
-    def _build_arrays(self, matches: Sequence[SyncMatch]) -> None:
-        """Vectorized construction (the columnar control plane).
+    def _build(self, matches: Sequence[SyncMatch]) -> None:
+        """Assign the unit clocks.
 
         Sync points, unit ids, and graph edges are assembled as numpy
-        arrays (``np.unique`` replaces the participant dedup set and the
-        per-point ``sync_index``/``unit_of`` dicts; ``searchsorted``
-        replaces the point lookups), and the clock fixpoint batches work
-        along *chains*: maximal paths of units with in/out degree one —
-        the overwhelming shape of sync graphs, e.g. a fence loop is one
+        arrays (``np.unique`` dedups participants, ``searchsorted``
+        looks points up), and the clock fixpoint batches work along
+        *chains*: maximal paths of units with in/out degree one — the
+        overwhelming shape of sync graphs, e.g. a fence loop is one
         chain of collective units — are condensed so one
         ``np.maximum.accumulate`` sweep propagates clocks down an entire
         chain, with the scalar Kahn loop left only for the condensed DAG
         of forks/joins.  Clock *values* are the unique fixpoint of the
-        same constraints the reference build solves, so queries agree
-        exactly (unit numbering may differ; it is internal).
+        constraints in the module docstring (unit numbering is
+        internal); ``tests/core/test_clocks.py`` checks the answers
+        against Figure-4 DAG reachability (:mod:`repro.core.dag`).
         """
         n = self.nranks
         coll_s: List[List[int]] = [[] for _ in range(n)]
@@ -290,157 +282,13 @@ class ConcurrencyOracle:
         self._nb_skip = nb_skip
         self._clocks = clocks
 
-    def _build_reference(self, pre: PreprocessedTrace,
-                         matches: Sequence[SyncMatch]) -> None:
-        """The object control plane's dict-based construction (kept as
-        the differential reference for :meth:`_build_arrays`)."""
-        participants: List[Tuple[int, int]] = []
-        seen = set()
-        for match in matches:
-            for rank, seq in match.participants():
-                if (rank, seq) not in seen:
-                    seen.add((rank, seq))
-                    participants.append((rank, seq))
-
-        # per-rank ordered sync positions
-        self.sync_seqs: List[List[int]] = [[] for _ in range(self.nranks)]
-        for rank, seq in participants:
-            self.sync_seqs[rank].append(seq)
-        for seqs in self.sync_seqs:
-            seqs.sort()
-        sync_index = {
-            (rank, seq): i
-            for rank in range(self.nranks)
-            for i, seq in enumerate(self.sync_seqs[rank])
-        }
-
-        # units: collective matches fuse members; everything else singleton
-        unit_of: Dict[Tuple[int, int], int] = {}
-        unit_events: List[List[Tuple[int, int]]] = []
-
-        def unit_for(point: Tuple[int, int]) -> int:
-            uid = unit_of.get(point)
-            if uid is None:
-                uid = len(unit_events)
-                unit_of[point] = uid
-                unit_events.append([point])
-            return uid
-
-        collective_units = set()
-        #: initiation points of nonblocking collectives: their unit's join
-        #: is never readable through the init itself, only via the Wait
-        nb_inits = set()
-        #: (collective unit id, exit point) pairs for nonblocking
-        #: collectives: the join becomes visible at each rank's Wait
-        exit_edges: List[Tuple[int, Tuple[int, int]]] = []
-        for match in matches:
-            if match.kind == KIND_COLLECTIVE and match.members:
-                uid = len(unit_events)
-                members = sorted(match.members.items())
-                unit_events.append([(r, s) for r, s in members])
-                collective_units.add(uid)
-                for r, s in members:
-                    unit_of[(r, s)] = uid
-                if match.exits:
-                    nb_inits.update((r, s) for r, s in members)
-                for r, s in match.exits.items():
-                    exit_edges.append((uid, (r, s)))
-
-        edges: List[Tuple[int, int]] = []
-        for rank in range(self.nranks):
-            seqs = self.sync_seqs[rank]
-            for prev_seq, next_seq in zip(seqs, seqs[1:]):
-                u, v = unit_for((rank, prev_seq)), unit_for((rank, next_seq))
-                if u != v:
-                    edges.append((u, v))
-        for match in matches:
-            if match.kind != KIND_COLLECTIVE and match.src and match.dst:
-                u, v = unit_for(match.src), unit_for(match.dst)
-                if u != v:
-                    edges.append((u, v))
-        for uid, exit_point in exit_edges:
-            v = unit_for(exit_point)
-            if uid != v:
-                edges.append((uid, v))
-
-        n_units = len(unit_events)
-        preds: List[List[int]] = [[] for _ in range(n_units)]
-        out: List[List[int]] = [[] for _ in range(n_units)]
-        indegree = [0] * n_units
-        for u, v in set(edges):
-            preds[v].append(u)
-            out[u].append(v)
-            indegree[v] += 1
-
-        # Kahn topological pass computing clocks
-        clocks = np.zeros((n_units, self.nranks), dtype=np.int64)
-        ready = [u for u in range(n_units) if indegree[u] == 0]
-        done = 0
-        while ready:
-            u = ready.pop()
-            done += 1
-            clock = clocks[u]
-            for p in preds[u]:
-                np.maximum(clock, clocks[p], out=clock)
-            for rank, seq in unit_events[u]:
-                idx = sync_index[(rank, seq)] + 1
-                if clock[rank] < idx:
-                    clock[rank] = idx
-            for v in out[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        if done != n_units:
-            raise AnalysisError(
-                "synchronization graph contains a cycle — inconsistent trace")
-
-        self._unit_of = unit_of
-        self._collective_units = collective_units
-        self._nb_inits = nb_inits
-        self._clocks = clocks
-        self._finalize()
-
-    def _finalize(self) -> None:
-        """Derive the per-rank numpy lookup tables the batched queries use.
-
-        For each rank's sorted sync positions: the owning unit id, whether
-        that unit is a collective (its join is invisible at the member call
-        itself), and the nearest at-or-before position that is *not* a
-        nonblocking-collective initiation (whose join only lands at the
-        Wait).  These tables make one ``ordered_batch`` call a handful of
-        ``searchsorted``/fancy-index passes instead of a Python loop.
-        """
-        self._sync_np: List[np.ndarray] = []
-        self._unit_at: List[np.ndarray] = []
-        self._coll_at: List[np.ndarray] = []
-        self._nb_skip: List[np.ndarray] = []
-        for rank, seqs in enumerate(self.sync_seqs):
-            n = len(seqs)
-            self._sync_np.append(np.asarray(seqs, dtype=np.int64)
-                                 if n else _EMPTY_I64)
-            units = np.fromiter((self._unit_of[(rank, s)] for s in seqs),
-                                dtype=np.int64, count=n)
-            self._unit_at.append(units)
-            coll = np.fromiter(
-                (self._unit_of[(rank, s)] in self._collective_units
-                 for s in seqs), dtype=bool, count=n)
-            self._coll_at.append(coll)
-            skip = np.empty(n, dtype=np.int64)
-            last = -1
-            for j, s in enumerate(seqs):
-                if (rank, s) not in self._nb_inits:
-                    last = j
-                skip[j] = last
-            self._nb_skip.append(skip)
-
     # ------------------------------------------------------------------
     # serialization (the compact worker-shippable form)
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
         """Compact picklable state: the per-rank lookup arrays and the
-        unit-clock matrix — every query reads only these, so both control
-        planes ship the same (cheap, dict-free) form."""
+        unit-clock matrix — every query reads only these."""
         return {
             "nranks": self.nranks,
             "sync": self._sync_np,

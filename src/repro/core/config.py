@@ -1,25 +1,27 @@
 """CheckConfig — one immutable value describing how to run an analysis.
 
-Historically :class:`~repro.core.checker.MCChecker`, ``check_traces`` and
-``check_app`` each grew their own copy of the tuning kwargs
-(``memory_model``, ``jobs``, ``engine``, ...).  ``CheckConfig``
-consolidates them: every entry point accepts ``config=CheckConfig(...)``,
-and the old kwargs keep working through a deprecation shim that warns
-once per process and forwards into a config.
+Every entry point (:class:`~repro.core.checker.MCChecker`,
+``check_traces``, ``check_app``, the :mod:`repro.api` verbs and the CLI)
+takes ``config=CheckConfig(...)``; there is no other way to tune a run.
 """
 
 from __future__ import annotations
 
-import warnings
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 MEMORY_MODELS = ("separate", "unified")
 
-#: sentinel distinguishing "kwarg not passed" from any real value
-_UNSET = object()
 
-_legacy_warning_emitted = False
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalize a ``--jobs`` value: ``None``/``0``/``1`` mean serial,
+    negative means one worker per CPU."""
+    if not jobs or jobs == 1:
+        return 1
+    if jobs < 0:
+        return max(1, os.cpu_count() or 1)
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -32,15 +34,10 @@ class CheckConfig:
 
     #: MPI-3 RMA memory model assumed for Table-I verdicts
     memory_model: str = "separate"
-    #: conflict engine: ``"sweep"`` (default) or ``"pairwise"``
-    engine: str = "sweep"
-    #: analysis worker processes (0 = all cores)
+    #: analysis worker processes (0 or 1 = serial, -1 = one per CPU)
     jobs: int = 1
     #: bounded-memory streaming pipeline instead of the batch pipeline
     streaming: bool = False
-    #: combinatorial cross-process strawman (ablation baseline;
-    #: implies the pairwise engine)
-    naive_inter: bool = False
     #: on-disk result cache directory (required for ``incremental``)
     cache_dir: Optional[str] = None
     #: reuse cached per-region findings; only re-analyze regions whose
@@ -52,8 +49,6 @@ class CheckConfig:
             raise ValueError(
                 f"unknown memory model {self.memory_model!r} "
                 f"(expected one of {MEMORY_MODELS})")
-        from repro.core.engine import resolve_engine
-        resolve_engine(self.engine)
         if self.incremental:
             if not self.cache_dir:
                 raise ValueError(
@@ -61,49 +56,10 @@ class CheckConfig:
             if self.streaming:
                 raise ValueError(
                     "incremental checking is incompatible with streaming")
-            if self.naive_inter:
-                raise ValueError(
-                    "incremental checking is incompatible with naive_inter")
-            if self.engine != "sweep":
-                raise ValueError(
-                    "incremental checking requires engine='sweep'")
+        if self.streaming and resolve_jobs(self.jobs) > 1:
+            raise ValueError(
+                "streaming analysis is serial; it is incompatible with "
+                "jobs > 1")
 
     def replace(self, **changes) -> "CheckConfig":
         return replace(self, **changes)
-
-
-def coerce_config(config: Optional[CheckConfig], caller: str,
-                  **legacy) -> CheckConfig:
-    """Merge legacy kwargs into ``config`` (or a default one).
-
-    ``legacy`` maps field names to either :data:`_UNSET` or an
-    explicitly passed value; any explicit value triggers a one-time
-    :class:`DeprecationWarning` and overrides the config field.
-    """
-    passed = {name: value for name, value in legacy.items()
-              if value is not _UNSET}
-    if passed:
-        _warn_legacy(caller, sorted(passed))
-    base = config if config is not None else CheckConfig()
-    if not isinstance(base, CheckConfig):
-        raise TypeError(
-            f"{caller}: config must be a CheckConfig, "
-            f"got {type(base).__name__}")
-    return base.replace(**passed) if passed else base
-
-
-def _warn_legacy(caller: str, names) -> None:
-    global _legacy_warning_emitted
-    if _legacy_warning_emitted:
-        return
-    _legacy_warning_emitted = True
-    warnings.warn(
-        f"{caller}: passing {', '.join(names)} as keyword arguments is "
-        "deprecated; pass config=CheckConfig(...) instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def _reset_legacy_warning() -> None:
-    """Test hook: allow the one-time deprecation warning to fire again."""
-    global _legacy_warning_emitted
-    _legacy_warning_emitted = False

@@ -70,9 +70,9 @@ class ConsistencyError:
     #: the enclosing epoch (intra) and the happens-before edge that
     #: failed.  Set by the five shared pair checkers from pair-derived
     #: facts only, so structurally identical findings carry identical
-    #: provenance on every engine / job count / cache path.
+    #: provenance on every executor / job count / cache path.
     provenance: dict = field(default_factory=dict)
-    #: run-context annotation (engine, jobs, cache status, shard) — set
+    #: run-context annotation (mode, jobs, cache status, shard) — set
     #: after detection by the run that produced the report.  Never
     #: serialized and excluded from comparison: it describes *how this
     #: run found the error*, not the error itself, and varies across
@@ -255,7 +255,7 @@ class ConsistencyError:
 
 def annotate_context(findings: List[ConsistencyError],
                      **context) -> List[ConsistencyError]:
-    """Overlay run-context keys (engine, jobs, cache status, ...) onto
+    """Overlay run-context keys (mode, jobs, cache status, ...) onto
     each finding's non-serialized ``context`` annotation."""
     for finding in findings:
         merged = dict(finding.context or {})
@@ -273,13 +273,13 @@ def sort_findings(errors: List[ConsistencyError]) -> List[ConsistencyError]:
     """Deterministic report order: by (rank, seq, location) of the two
     sides, then the structural fields.
 
-    Detection engines may discover the same multiset of findings in
-    different orders (pairwise enumeration vs sweep-line joins, serial vs
-    sharded merges).  Sorting *before* :func:`dedupe` makes both the
-    surviving representative of each duplicate group and the final report
-    order functions of the findings themselves, never of discovery order
-    — which is what lets ``--engine sweep`` and ``--engine pairwise``
-    produce byte-identical reports.
+    Executors discover the same multiset of findings in different
+    orders (serial vs sharded merges, region-at-a-time streaming, cached
+    shards, and the per-pair reference walks of ``tests/reference``).
+    Sorting *before* :func:`dedupe` makes both the surviving
+    representative of each duplicate group and the final report order
+    functions of the findings themselves, never of discovery order —
+    which is what lets every executor produce byte-identical reports.
     """
     def key(error: ConsistencyError) -> Tuple:
         return (error.kind, error.severity, error.rule,

@@ -1,18 +1,20 @@
 """repro.core.engine — the sweep-line columnar conflict engine.
 
-The pairwise detectors (:mod:`repro.core.intra`, :mod:`repro.core.inter`)
-enumerate access pairs and then test each for byte overlap.  This module
-inverts that, for a whole *list* of work units (epochs, or concurrent
-regions) at once: the units' access intervals go into one
+The paper's detectors enumerate access pairs — every pair of an epoch,
+every access against a ``(window, target)`` vector entry — and then test
+each for byte overlap (kept as test oracles in
+``tests/reference/pairwise.py``).  This module inverts that, for a whole
+*list* of work units (epochs, or concurrent regions) at once: the units'
+access intervals go into one
 :class:`~repro.util.intervals.IntervalTable` whose ``group`` column
-keeps apart what the pairwise loops keep apart, and one
+keeps apart what those loops keep apart, and one
 sort+``searchsorted`` sweep (:func:`~repro.util.intervals.overlap_join`)
 per stage yields *only the candidate pairs that actually share bytes* —
 a constant number of numpy joins per batch, not one per epoch or vector
 entry.  Table-I compatibility, happens-before pruning, and diagnostic
-payloads then run on that (usually tiny) survivor set — by delegating to
-the very same per-pair check functions the pairwise engine uses, so the
-two engines emit the same findings by construction.
+payloads then run on that (usually tiny) survivor set, through the
+per-pair check functions of :mod:`repro.core.intra` and
+:mod:`repro.core.inter`.
 
 The kernels, :func:`check_epochs_sweep` and :func:`detect_regions_sweep`,
 return findings *per unit*, in the order the per-unit nested loops emit
@@ -30,13 +32,13 @@ the join loses nothing.  The one Table-I rule that fires *without*
 overlap is the MPI-2.2 store-vs-Put/Accumulate ``ERROR`` cell (separate
 memory model only): those pairs are enumerated explicitly as the
 stores-inside-the-exposed-window × put/acc-ops product, which is
-output-bounded by the same quantity the pairwise scan walks.
+output-bounded by the same quantity the paper's linear scan walks.
 
 Candidate-pair counts land in the obs metric
 ``engine_candidate_pairs_total{phase,stage}`` and join invocations in
 ``engine_join_calls_total{phase}``, so pruning effectiveness and the
 batching are observable (deliberately *not* in ``CheckStats`` — the
-canonical report must stay engine-invariant byte for byte).
+canonical report must not depend on how the pairs were found).
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ from repro.util.intervals import (
     IntervalTable, expand_ranges, overlap_join, unique_pairs,
 )
 
-#: recognized values of the ``engine=`` / ``--engine`` switch
-ENGINES = ("sweep", "pairwise")
-
 #: sub-batch budget: at most this many flattened rows (op intervals plus
 #: an upper bound on the memory rows in range) enter one kernel pass —
 #: it bounds the joins' transient arrays (docs/performance.md has the sizing)
@@ -82,13 +81,6 @@ UnitFindings = List[List[ConsistencyError]]
 #: hi_seq)})`` — the region's seq bounds select each rank's memory rows
 RegionUnit = Tuple[List[RMAOpView], List[LocalAccess],
                    Dict[int, Tuple[int, int]]]
-
-
-def resolve_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected one of {ENGINES})")
-    return engine
 
 
 def _record_candidates(phase: str, stage: str, n: int) -> None:
@@ -157,7 +149,7 @@ def _flatten(found: UnitFindings) -> List[ConsistencyError]:
 def detect_intra_epoch_sweep(model: AccessModel, epoch_index: EpochIndex,
                              memory_model: str = MODEL_SEPARATE
                              ) -> List[ConsistencyError]:
-    """Sweep counterpart of :func:`repro.core.intra.detect_intra_epoch`."""
+    """Find conflicting operation pairs inside each access epoch."""
     return _flatten(check_epochs_sweep(
         bucket_by_epoch(model, epoch_index), model.mems, memory_model))
 
@@ -174,10 +166,10 @@ def check_epochs_sweep(units: Sequence[EpochUnit],
     ``units`` are :func:`~repro.core.intra.bucket_by_epoch` tuples whose
     last field holds the call-derived plain locals; the instrumented
     loads/stores are ``mems[epoch.rank]`` inside the epoch's seq bounds.
-    Same verdicts, per unit, as :func:`repro.core.intra.check_epoch` over
-    both: every candidate pair goes to the pairwise per-pair checker, and
-    no intra finding exists without byte overlap (op-op NONOV cells and
-    both ORIGIN rules require it), so nothing outside the joins can fire.
+    Every candidate pair goes to the per-pair checkers of
+    :mod:`repro.core.intra`, and no intra finding exists without byte
+    overlap (op-op NONOV cells and both ORIGIN rules require it), so
+    nothing outside the joins can fire.
     """
     def weight(unit: EpochUnit) -> int:
         epoch, ops, attached, _obj_mems = unit
@@ -302,7 +294,8 @@ def detect_cross_process_sweep(pre: PreprocessedTrace, model: AccessModel,
                                epoch_index: EpochIndex,
                                memory_model: str = MODEL_SEPARATE
                                ) -> List[ConsistencyError]:
-    """Sweep counterpart of :func:`repro.core.inter.detect_cross_process`."""
+    """Cross-process detection over every concurrent region — the
+    paper's two-step scan of section IV-C-4, joins first."""
     return _flatten(detect_regions_sweep(
         pre, region_units(model, regions), model.mems, oracle,
         _LocalLockIndex(epoch_index, pre.nranks), memory_model))
@@ -317,12 +310,12 @@ def detect_regions_sweep(pre: PreprocessedTrace,
                          ) -> UnitFindings:
     """A list of concurrent regions, joins first.
 
-    Mirrors, per unit, :func:`repro.core.inter.detect_region` with
-    ``region_locals + rows-as-objects`` as the local population (the
-    rows being ``mems[rank]`` inside the region's seq bounds): object
-    locals reuse the pairwise step-2 loop verbatim, op-op pairs and the
-    packed memory rows go through grouped interval joins with one
-    batched happens-before query each, and the no-overlap
+    Per unit, the paper's two linear passes with ``region_locals`` plus
+    ``mems[rank]`` inside the region's seq bounds as the local
+    population: object locals take the step-2 loop
+    (:func:`~repro.core.inter.check_local_against_entries`), op-op
+    pairs and the packed memory rows go through grouped interval joins
+    with one batched happens-before query each, and the no-overlap
     store-vs-put/acc ``ERROR`` rule (separate model) is enumerated as an
     explicit product over the stores that touch the exposed window.
     """
@@ -396,7 +389,7 @@ def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
         if error is not None:
             found[entry_unit[op_entry[i]]].append(error)
 
-    # step 2a: call-derived local objects — the pairwise inner loop
+    # step 2a: call-derived local objects — the per-access inner loop
     for u, (_ops, region_locals, _bounds) in enumerate(units):
         by_rank = entries_by_rank[u]
         for la in region_locals:
@@ -410,8 +403,8 @@ def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
         return found
     entry_group = np.array(entry_group, dtype=np.int64)
     # clip rows to each entry's exposed window: a row matters only
-    # through its bytes inside the exposure (the pairwise `la_in_window`
-    # clip); rows meet the exposures of their own (region, target) group
+    # through its bytes inside the exposure (the `la_in_window` clip
+    # of check_local_against_entries); rows meet the exposures of their own (region, target) group
     exposures = {key: pre.window(key[0]).exposure(key[1])
                  for key in {(entry.win_id, entry.target)
                              for entry in entries}}
@@ -476,7 +469,7 @@ def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
     _record_candidates("inter", "local_vs_op", len(pair_r))
 
     # happens-before filter, one batched query for every candidate pair;
-    # survivors materialize a LocalAccess and take the pairwise per-pair
+    # survivors materialize a LocalAccess and take the per-pair
     # verdict path
     seqs = rows.seq[pair_r]
     keep = ~oracle.ordered_pairs(
@@ -501,8 +494,8 @@ def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
 def build_detect_units(model: AccessModel, epoch_index: EpochIndex,
                        regions: RegionIndex
                        ) -> Tuple[List[EpochUnit], List[RegionUnit]]:
-    """The ``(intra_units, inter_units)`` lists both detector phases
-    iterate, for either engine (the pairwise one ignores the bounds).
+    """The ``(intra_units, inter_units)`` lists the two detector phases
+    iterate.
 
     The parallel pipeline's zero-copy contract rests on this being
     deterministic: the parent builds the lists to size the chunks, every

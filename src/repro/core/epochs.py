@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.calltable import ensure_call_tables, fn_code
 from repro.core.preprocess import PreprocessedTrace
-from repro.profiler.events import CallEvent
 from repro.util.errors import AnalysisError
 
 #: the calls the epoch state machine reads — everything else is skipped
@@ -99,7 +99,7 @@ class EpochIndex:
     """All epochs of a preprocessed trace, with lookup by op issue point.
 
     Epoch recognition is a per-rank scan, so a worker holding only one
-    rank's events can build the index for just that rank by passing
+    rank's call table can build the index for just that rank by passing
     ``ranks`` — the result matches the corresponding slice of a full
     build exactly.
     """
@@ -122,24 +122,14 @@ class EpochIndex:
 
     def _build(self, pre: PreprocessedTrace,
                ranks: Optional[Sequence[int]] = None) -> None:
-        tables = getattr(pre, "call_tables", None)
-        if tables is not None:
-            from repro.core.calltable import PLANE_COLUMNAR, control_plane
-            if control_plane() == PLANE_COLUMNAR:
-                self._build_from_tables(tables, pre.nranks, ranks)
-                return
-        self._build_from_events(pre, ranks)
-
-    def _build_from_tables(self, tables, nranks: int,
-                           ranks: Optional[Sequence[int]] = None) -> None:
-        """Columnar build: a mask selects the epoch-relevant rows, then
-        the same sequential state machine as :meth:`_build_from_events`
-        runs over just those — identical epochs in identical order."""
-        from repro.core import calltable as ct
-        names = {ct.fn_code(fn): fn for fn in _EPOCH_FNS}
+        """A mask selects each rank's epoch-relevant call-table rows;
+        the sequential per-window state machine runs over just those."""
+        tables = ensure_call_tables(pre)
+        names = {fn_code(fn): fn for fn in _EPOCH_FNS}
         codes = np.asarray(sorted(names), dtype=np.int64)
-        for rank in (range(nranks) if ranks is None else ranks):
+        for rank in (range(pre.nranks) if ranks is None else ranks):
             t = tables.get(rank)
+            # per-window running state
             fence_open: Dict[int, int] = {}
             lock_open: Dict[Tuple[int, Optional[int]], Epoch] = {}
             pscw_access: Dict[int, Epoch] = {}
@@ -168,6 +158,7 @@ class EpochIndex:
                     fence_open[win] = seq
                 elif fn == "Win_free":
                     if win in fence_open:
+                        # final fence epoch closes at Win_free
                         self._add(Epoch(rank, win, KIND_FENCE,
                                         open_seq=fence_open.pop(win),
                                         close_seq=seq))
@@ -228,112 +219,6 @@ class EpochIndex:
                             f"rank {rank} seq {seq}: Win_wait without "
                             "matching Win_post")
                     epoch.close_seq = seq
-                    self._add(epoch)
-            for win, open_seq in fence_open.items():
-                self._add(Epoch(rank, win, KIND_FENCE, open_seq=open_seq))
-            for epoch in lock_open.values():
-                self._add(epoch)
-            for epoch in pscw_access.values():
-                self._add(epoch)
-            for epoch in pscw_exposure.values():
-                self._add(epoch)
-
-    def _build_from_events(self, pre: PreprocessedTrace,
-                           ranks: Optional[Sequence[int]] = None) -> None:
-        for rank in (range(pre.nranks) if ranks is None else ranks):
-            # per-window running state
-            fence_open: Dict[int, int] = {}
-            lock_open: Dict[Tuple[int, int], Epoch] = {}
-            pscw_access: Dict[int, Epoch] = {}
-            pscw_exposure: Dict[int, Epoch] = {}
-            for event in pre.events[rank]:
-                if not isinstance(event, CallEvent):
-                    continue
-                fn, args = event.fn, event.args
-                if fn == "Win_fence":
-                    win = int(args["win"])
-                    if win in fence_open:
-                        self._add(Epoch(rank, win, KIND_FENCE,
-                                        open_seq=fence_open[win],
-                                        close_seq=event.seq))
-                    fence_open[win] = event.seq
-                elif fn == "Win_free":
-                    win = int(args["win"])
-                    if win in fence_open:
-                        # final fence epoch closes at Win_free
-                        self._add(Epoch(rank, win, KIND_FENCE,
-                                        open_seq=fence_open.pop(win),
-                                        close_seq=event.seq))
-                elif fn == "Win_lock":
-                    win = int(args["win"])
-                    target = int(args["target"])
-                    epoch = Epoch(rank, win, KIND_LOCK, open_seq=event.seq,
-                                  target=target,
-                                  lock_type=str(args["lock_type"]))
-                    lock_open[(win, target)] = epoch
-                elif fn == "Win_lock_all":
-                    win = int(args["win"])
-                    epoch = Epoch(rank, win, KIND_LOCK, open_seq=event.seq,
-                                  target=None, lock_type="shared")
-                    lock_open[(win, None)] = epoch
-                elif fn == "Win_unlock_all":
-                    win = int(args["win"])
-                    epoch = lock_open.pop((win, None), None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {event.seq}: Win_unlock_all "
-                            "without matching Win_lock_all")
-                    epoch.close_seq = event.seq
-                    self._add(epoch)
-                elif fn == "Win_flush":
-                    win = int(args["win"])
-                    self._flushes.setdefault((rank, win), []).append(
-                        (event.seq, int(args["target"])))
-                elif fn == "Win_flush_all":
-                    win = int(args["win"])
-                    self._flushes.setdefault((rank, win), []).append(
-                        (event.seq, None))
-                elif fn == "Rma_wait":
-                    win = int(args["win"])
-                    self._req_waits[(rank, win, int(args["req"]))] = \
-                        event.seq
-                elif fn == "Win_unlock":
-                    win = int(args["win"])
-                    target = int(args["target"])
-                    epoch = lock_open.pop((win, target), None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {event.seq}: Win_unlock of "
-                            f"target {target} without matching Win_lock")
-                    epoch.close_seq = event.seq
-                    self._add(epoch)
-                elif fn == "Win_start":
-                    win = int(args["win"])
-                    pscw_access[win] = Epoch(
-                        rank, win, KIND_PSCW_ACCESS, open_seq=event.seq,
-                        group=tuple(int(r) for r in args["group"]))
-                elif fn == "Win_complete":
-                    win = int(args["win"])
-                    epoch = pscw_access.pop(win, None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {event.seq}: Win_complete "
-                            "without matching Win_start")
-                    epoch.close_seq = event.seq
-                    self._add(epoch)
-                elif fn == "Win_post":
-                    win = int(args["win"])
-                    pscw_exposure[win] = Epoch(
-                        rank, win, KIND_PSCW_EXPOSURE, open_seq=event.seq,
-                        group=tuple(int(r) for r in args["group"]))
-                elif fn == "Win_wait":
-                    win = int(args["win"])
-                    epoch = pscw_exposure.pop(win, None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {event.seq}: Win_wait without "
-                            "matching Win_post")
-                    epoch.close_seq = event.seq
                     self._add(epoch)
             # unterminated epochs (crashed/truncated programs) stay open
             for win, open_seq in fence_open.items():

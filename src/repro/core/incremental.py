@@ -152,7 +152,7 @@ from repro.util.intervals import expand_ranges
 #: bump whenever detector semantics or the key layout change — it is part
 #: of every shard key, so stale findings can never be served across
 #: engine revisions ("2": finding payloads gained the provenance record;
-#: "3": the columnar control plane; "4": array-built keys, findings keyed
+#: "3": call-table control phases; "4": array-built keys, findings keyed
 #: by shard-local position, checksummed store entries)
 ENGINE_VERSION = "4"
 MANIFEST_VERSION = 2
@@ -433,8 +433,7 @@ class IncrementalChecker:
                                "control pass (IncrementalChecker.work)")
             rec.gauge("incremental_ranks_loaded", len(self.loader.ranks),
                       help="Ranks whose memory rows were read this run")
-        annotate_context(findings, engine=self.config.engine,
-                         jobs=self.jobs, mode="incremental")
+        annotate_context(findings, jobs=self.jobs, mode="incremental")
         errors = [f for f in findings if f.severity == SEVERITY_ERROR]
         warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
         return CheckReport(errors=errors, warnings=warnings, stats=stats)
@@ -459,9 +458,10 @@ class IncrementalChecker:
         return timed("merge", lambda: self._merge(plan, resolved, stats))
 
     def _cfg_key(self) -> str:
+        # "engine" is part of the key format (manifest file names)
         return stable_hash({"kind": "incremental-manifest",
                             "memory_model": self.config.memory_model,
-                            "engine": self.config.engine,
+                            "engine": "sweep",
                             "nranks": self.traces.nranks})
 
     def _rank_digests(self) -> Dict[int, str]:
@@ -543,10 +543,12 @@ class IncrementalChecker:
                 and manifest.ranks.get(rank) == whole[rank] else None)
             for rank in range(nranks)])
 
+        # "engine" is part of the key format: dropping it would rename
+        # every shard file and send existing caches cold
         prefix = json.dumps({
             "kind": "incremental-shard", "engine_version": ENGINE_VERSION,
             "memory_model": self.config.memory_model,
-            "engine": self.config.engine, "nranks": nranks,
+            "engine": "sweep", "nranks": nranks,
             "registry": _registry_digest(pre),
             "lock_types": epochs.lock_types}, sort_keys=True)
         head = np.concatenate([
@@ -758,7 +760,6 @@ class IncrementalChecker:
             "version": MANIFEST_VERSION,
             "engine_version": ENGINE_VERSION,
             "memory_model": self.config.memory_model,
-            "engine": self.config.engine,
             "nranks": self.traces.nranks,
             "ranks": {str(r): d for r, d in plan.ranks.items()},
             "slices": {str(rank): base64.b64encode(

@@ -1,4 +1,4 @@
-"""Cross-process conflict detection (section IV-C-4).
+"""Cross-process conflict rules (section IV-C-4).
 
 The key observation the paper exploits: memory consistency errors across
 processes can only occur *in the window buffers at target processes*.  So
@@ -23,8 +23,12 @@ locks on the same window is reported as a **warning** — the accesses
 cannot overlap in time, but their order is nondeterministic, which is how
 the paper handles the original (exclusive-lock) lockopts bug.
 
-:func:`detect_cross_process_naive` is the combinatorial strawman kept for
-the E7 ablation benchmark and differential testing.
+This module holds what every survivor of the engine's joins goes
+through: the per-pair Table-I checks, the ``(window, target)`` vector
+entry, the step-2 loop for call-derived local accesses, and the
+per-region bucketing.  :func:`repro.core.engine.detect_regions_sweep`
+drives them; the literal per-region scan and the combinatorial strawman
+it improves on are test oracles in ``tests/reference/pairwise.py``.
 """
 
 from __future__ import annotations
@@ -113,16 +117,6 @@ def _pair_severity(a_exclusive: bool, b_exclusive: bool) -> str:
     if a_exclusive and b_exclusive:
         return SEVERITY_WARNING
     return SEVERITY_ERROR
-
-
-def _check_ops(op_a: RMAOpView, op_b: RMAOpView,
-               oracle: ConcurrencyOracle,
-               model: str = "separate") -> Optional[ConsistencyError]:
-    if op_a.rank == op_b.rank:
-        return None  # same-rank pairs are program/epoch ordered or intra
-    if oracle.ordered(op_a.span, op_b.span):
-        return None
-    return _check_concurrent_ops(op_a, op_b, model)
 
 
 def _check_concurrent_ops(op_a: RMAOpView, op_b: RMAOpView,
@@ -225,26 +219,6 @@ def bucket_by_region(model: AccessModel, regions: RegionIndex
     return ops_by_region, locals_by_region
 
 
-def detect_cross_process(pre: PreprocessedTrace, model: AccessModel,
-                         regions: RegionIndex, oracle: ConcurrencyOracle,
-                         epoch_index: EpochIndex,
-                         memory_model: str = "separate"
-                         ) -> List[ConsistencyError]:
-    """The paper's linear two-step detector, one pass per concurrent region."""
-    errors: List[ConsistencyError] = []
-    lock_index = _LocalLockIndex(epoch_index, pre.nranks)
-    ops_by_region, locals_by_region = bucket_by_region(model, regions)
-
-    for region in regions:
-        region_ops = ops_by_region.get(region.index, [])
-        if not region_ops:
-            continue
-        errors.extend(detect_region(
-            pre, region_ops, locals_by_region.get(region.index, []),
-            oracle, lock_index, memory_model))
-    return errors
-
-
 #: below this many recorded ops in a vector entry, scalar oracle queries
 #: beat the numpy batch setup cost
 _BATCH_MIN = 4
@@ -282,52 +256,6 @@ class _OpVector:
         return self._arrays
 
 
-def detect_region(pre: PreprocessedTrace, region_ops: List[RMAOpView],
-                  region_locals: List[LocalAccess],
-                  oracle: ConcurrencyOracle, lock_index: "_LocalLockIndex",
-                  memory_model: str = "separate") -> List[ConsistencyError]:
-    """The two linear passes over one concurrent region's accesses.
-
-    Exposed separately so the streaming checker can analyze each region as
-    it closes and then discard its accesses.  Once a vector entry holds
-    enough ops, each incoming access resolves its happens-before relation
-    to the whole entry in one vectorized :meth:`ordered_batch` call.
-    """
-    errors: List[ConsistencyError] = []
-    # step 1: record remote ops per (window, target), checking as we go
-    vector: Dict[Tuple[int, int], _OpVector] = {}
-    # entries grouped by target rank, in first-recorded order, so step 2
-    # touches only the entries that can involve a given local access
-    entries_by_rank: Dict[int, List[_OpVector]] = {}
-    for op in region_ops:
-        key = (op.win_id, op.target)
-        entry = vector.get(key)
-        if entry is None:
-            entry = vector[key] = _OpVector(op.win_id, op.target)
-            entries_by_rank.setdefault(op.target, []).append(entry)
-        if len(entry.ops) >= _BATCH_MIN:
-            ranks, starts, ends = entry.arrays()
-            concurrent = ~oracle.ordered_batch(ranks, starts, ends, op.span)
-            concurrent &= ranks != op.rank  # same-rank pairs: intra's job
-            for i in np.nonzero(concurrent)[0]:
-                error = _check_concurrent_ops(entry.ops[i], op, memory_model)
-                if error is not None:
-                    errors.append(error)
-        else:
-            for prev in entry.ops:
-                error = _check_ops(prev, op, oracle, memory_model)
-                if error is not None:
-                    errors.append(error)
-        entry.append(op)
-
-    # step 2: local operations at each target vs recorded remote ops
-    for la in region_locals:
-        check_local_against_entries(
-            pre, la, entries_by_rank.get(la.rank, ()), oracle, lock_index,
-            memory_model, errors)
-    return errors
-
-
 def check_local_against_entries(pre: PreprocessedTrace, la: LocalAccess,
                                 entries: Iterable[_OpVector],
                                 oracle: ConcurrencyOracle,
@@ -335,9 +263,8 @@ def check_local_against_entries(pre: PreprocessedTrace, la: LocalAccess,
                                 memory_model: str,
                                 errors: List[ConsistencyError]) -> None:
     """One local access vs every ``(window, target)`` entry at its rank —
-    the pairwise step-2 inner loop, shared with the sweep engine (which
-    routes the *object* locals through it and handles the packed memory
-    rows columnar)."""
+    the step-2 inner loop (the sweep engine routes the *object* locals
+    through it and handles the packed memory rows columnar)."""
     for entry in entries:
         window = pre.window(entry.win_id)
         la_in_window = la.intervals.intersection(
@@ -360,45 +287,6 @@ def check_local_against_entries(pre: PreprocessedTrace, la: LocalAccess,
                                            lock_index, memory_model)
                 if error is not None:
                     errors.append(error)
-
-
-def detect_cross_process_naive(pre: PreprocessedTrace, model: AccessModel,
-                               regions: RegionIndex,
-                               oracle: ConcurrencyOracle,
-                               epoch_index: EpochIndex,
-                               memory_model: str = "separate"
-                               ) -> List[ConsistencyError]:
-    """Combinatorial strawman: compare *every* pair of accesses in each
-    region, with no window-vector keying.  Same findings, quadratic time —
-    the baseline the paper's section IV-C-4 improves upon."""
-    errors: List[ConsistencyError] = []
-    lock_index = _LocalLockIndex(epoch_index, pre.nranks)
-    ops_by_region, locals_by_region = bucket_by_region(model, regions)
-
-    for region in regions:
-        region_ops = ops_by_region.get(region.index, [])
-        region_locals = locals_by_region.get(region.index, [])
-        for i, op_a in enumerate(region_ops):
-            for op_b in region_ops[i + 1:]:
-                if op_a.win_id != op_b.win_id or op_a.target != op_b.target:
-                    continue  # still must touch the same target window
-                error = _check_ops(op_a, op_b, oracle, memory_model)
-                if error is not None:
-                    errors.append(error)
-        for la in region_locals:
-            for op in region_ops:
-                if op.target != la.rank:
-                    continue
-                window = pre.window(op.win_id)
-                la_in_window = la.intervals.intersection(
-                    window.exposure(la.rank))
-                if not la_in_window:
-                    continue
-                error = _check_local_vs_op(la, la_in_window, op, oracle,
-                                           lock_index, memory_model)
-                if error is not None:
-                    errors.append(error)
-    return errors
 
 
 #: public alias for the streaming checker

@@ -1,9 +1,13 @@
-"""Within-epoch conflict detection (section IV-C-3, Figure 2a).
+"""Within-epoch conflict rules (section IV-C-3, Figure 2a).
 
 Operations inside one epoch at one rank are mutually unordered (they are
 nonblocking and complete only at the epoch-closing synchronization — or at
 an MPI-3 flush), so the paper checks all of them pairwise against the
-memory model ruleset.  Two access populations matter here:
+memory model ruleset.  This module holds the per-pair checks and the
+per-epoch bucketing; :func:`repro.core.engine.check_epochs_sweep` finds
+the candidate pairs and calls the checks on them (the paper's all-pairs
+walk over one epoch is ``tests/reference/pairwise.py::check_epoch``).
+Two access populations matter here:
 
 * the *local buffers attached to the epoch's RMA calls* — a Put or
   Accumulate reads its origin at an undefined instant before completion, a
@@ -69,8 +73,8 @@ def bucket_by_epoch(model: AccessModel,
                     epoch_index: EpochIndex) -> List[EpochUnit]:
     """Per-epoch work units ``(epoch, ops, attached, mems)``.
 
-    Units come out in ``epoch_index`` order and carry everything
-    :func:`check_epoch` needs, so each is an independent shard for the
+    Units come out in ``epoch_index`` order and carry everything the
+    within-epoch check needs, so each is an independent shard for the
     parallel engine — and the serial detector just walks the same list.
     """
     ops_by_epoch: Dict[int, List[RMAOpView]] = {}
@@ -100,45 +104,6 @@ def bucket_by_epoch(model: AccessModel,
         ]
         units.append((epoch, ops, attached, mems))
     return units
-
-
-def detect_intra_epoch(model: AccessModel, epoch_index: EpochIndex,
-                       memory_model: str = "separate"
-                       ) -> List[ConsistencyError]:
-    """Find conflicting operation pairs inside each access epoch."""
-    errors: List[ConsistencyError] = []
-    for epoch, ops, attached, mems in bucket_by_epoch(model, epoch_index):
-        errors.extend(check_epoch(epoch, ops, attached, mems, memory_model))
-    return errors
-
-
-def check_epoch(epoch: Epoch, ops: List[RMAOpView],
-                attached: List[LocalAccess], mems: List[LocalAccess],
-                memory_model: str = "separate") -> List[ConsistencyError]:
-    """Run the within-epoch ruleset over one epoch's accesses.
-
-    Exposed separately so the streaming checker can invoke it as soon as
-    an epoch closes, with only that epoch's accesses retained.
-    """
-    errors: List[ConsistencyError] = []
-
-    # (a) RMA op pairs: target-side conflicts under Table I
-    for i, op_a in enumerate(ops):
-        for op_b in ops[i + 1:]:
-            error = _check_target_pair(op_a, op_b, memory_model)
-            if error is not None:
-                errors.append(error)
-
-    # (b) local buffers attached to RMA ops vs plain loads/stores and
-    # vs each other: unordered while the owning op is incomplete
-    for i, acc_a in enumerate(attached):
-        for la in mems:
-            errors.extend(_check_attached_vs_plain(acc_a, la))
-        for acc_b in attached[i + 1:]:
-            if acc_a.origin_of is acc_b.origin_of:
-                continue  # one call's own buffers don't self-conflict
-            errors.extend(_check_attached_pair(acc_a, acc_b))
-    return errors
 
 
 def _check_target_pair(op_a: RMAOpView, op_b: RMAOpView,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.core.epochs import (Epoch, EpochIndex, KIND_FENCE, KIND_LOCK,
 from repro.core.preprocess import PreprocessedTrace
 from repro.profiler.events import ACCESS_CODES
 from repro.profiler.events import ACCESS_NAMES as _ACCESS_NAMES
-from repro.profiler.events import CallEvent, MemEvent
+from repro.profiler.events import CallEvent
 from repro.util.errors import AnalysisError
 from repro.util.intervals import IntervalSet, datamap_intervals, expand_ranges
 from repro.util.location import SourceLocation
@@ -232,8 +232,7 @@ class MemRows:
         return lo, hi
 
     def local_access(self, i: int) -> LocalAccess:
-        """Materialize row ``i`` as the identical LocalAccess object the
-        pairwise lift would have built."""
+        """Materialize row ``i`` as a LocalAccess object."""
         return LocalAccess(
             rank=self.rank, seq=int(self.seq[i]),
             access=_ACCESS_NAMES[int(self.access[i])],
@@ -350,12 +349,11 @@ def attach_rows(desc: dict):
 class AccessModel:
     """All lifted accesses of a trace set.
 
-    ``mems`` is the sweep engine's columnar population: instrumented
-    loads/stores kept as per-rank :class:`MemRows` instead of
-    one :class:`LocalAccess` object per event.  The pairwise build
-    leaves it empty and puts every access in ``local``; either way the
-    two populations partition the same accesses, so
-    :attr:`total_local_accesses` is engine-invariant.
+    ``mems`` is the columnar population: instrumented loads/stores kept
+    as per-rank :class:`MemRows` instead of one :class:`LocalAccess`
+    object per event.  ``local`` holds the call-derived accesses; the
+    two populations partition the accesses, so
+    :attr:`total_local_accesses` counts each once.
     """
 
     ops: List[RMAOpView]
@@ -391,73 +389,6 @@ def _call_buffer_intervals(pre: PreprocessedTrace, rank: int,
     return dtype.intervals(base, int(args["count"]))
 
 
-def build_access_model(pre: PreprocessedTrace,
-                       epoch_index: EpochIndex) -> AccessModel:
-    """Lift every relevant trace event into analysis views."""
-    ops: List[RMAOpView] = []
-    local: List[LocalAccess] = []
-    for rank in range(pre.nranks):
-        rank_ops, rank_local = lift_rank(pre, epoch_index, rank)
-        ops.extend(rank_ops)
-        local.extend(rank_local)
-    return AccessModel(ops=ops, local=local)
-
-
-def build_access_model_stream(pre: PreprocessedTrace,
-                              epoch_index: EpochIndex,
-                              traces: "TraceSet") -> AccessModel:
-    """Like :func:`build_access_model`, but re-reading each rank's trace
-    through the vectorized ingest path: instrumented loads/stores arrive
-    as packed :class:`~repro.profiler.tracer.MemBlock` columns and become
-    :class:`LocalAccess` objects directly, without an intermediate
-    :class:`MemEvent` per row.  Produces the identical model in the
-    identical order (streams preserve on-disk event order)."""
-    ops: List[RMAOpView] = []
-    local: List[LocalAccess] = []
-    for rank in range(pre.nranks):
-        rank_ops, rank_local = lift_rank_stream(pre, epoch_index, rank,
-                                                traces.stream(rank))
-        ops.extend(rank_ops)
-        local.extend(rank_local)
-    return AccessModel(ops=ops, local=local)
-
-
-def _lift_mem_block(rank: int, block, local: List[LocalAccess]) -> None:
-    """Turn one packed memory block into LocalAccess objects (column
-    lists, one tight loop — the per-event dataclass+decode round trip of
-    the typed path is skipped entirely)."""
-    table = block.table
-    arr = block.array
-    check_address_columns(rank, arr["seq"], arr["addr"], arr["size"])
-    seqs, addrs, sizes, var_ids, loc_ids, accs = block.columns()
-    append = local.append
-    names = _ACCESS_NAMES
-    single = IntervalSet.single
-    for i in range(len(seqs)):
-        append(LocalAccess(
-            rank=rank, seq=seqs[i], access=names[accs[i]],
-            intervals=single(addrs[i], sizes[i]),
-            var=table.string(var_ids[i]), loc=table.loc(loc_ids[i]),
-            fn="mem"))
-
-
-def lift_rank_stream(pre: PreprocessedTrace, epoch_index: EpochIndex,
-                     rank: int, stream) -> Tuple[List[RMAOpView],
-                                                 List[LocalAccess]]:
-    """Lift one rank from its ingest stream (typed calls + packed memory
-    blocks, in trace order) — same output as :func:`lift_rank` over the
-    equivalent typed event list."""
-    ops: List[RMAOpView] = []
-    local: List[LocalAccess] = []
-    cache: Dict = {}
-    for item in stream:
-        if isinstance(item, CallEvent):
-            _lift_call(pre, epoch_index, rank, item, ops, local, cache)
-        else:
-            _lift_mem_block(rank, item, local)
-    return ops, local
-
-
 def build_access_model_sweep(pre: PreprocessedTrace,
                              epoch_index: EpochIndex,
                              traces: "TraceSet") -> AccessModel:
@@ -491,7 +422,7 @@ def lift_rank_sweep(pre: PreprocessedTrace, epoch_index: EpochIndex,
                     rank: int, events, blocks) -> Tuple[
                         List[RMAOpView], List[LocalAccess], MemRows]:
     """Columnar lift of one rank: call events become views (through the
-    sweep-only :class:`LiftCache`), packed memory blocks become
+    rank's :class:`LiftCache`), packed memory blocks become
     :class:`MemRows` columns.  Non-call items in ``events`` are ignored,
     so a mixed typed event list works too."""
     ops: List[RMAOpView] = []
@@ -503,33 +434,9 @@ def lift_rank_sweep(pre: PreprocessedTrace, epoch_index: EpochIndex,
     return ops, local, MemRows.from_blocks(rank, blocks)
 
 
-def lift_rank(pre: PreprocessedTrace, epoch_index: EpochIndex,
-              rank: int) -> Tuple[List[RMAOpView], List[LocalAccess]]:
-    """Lift one rank's events — the unit of work of a model-phase shard.
-
-    Needs only that rank's events plus the merged registries, so the
-    parallel engine can run it in a worker against a single-rank view.
-    """
-    ops: List[RMAOpView] = []
-    local: List[LocalAccess] = []
-    cache: Dict = {}
-    for event in pre.events[rank]:
-        if isinstance(event, MemEvent):
-            local.append(LocalAccess(
-                rank=rank, seq=event.seq, access=event.access,
-                intervals=IntervalSet.single(event.addr, event.size),
-                var=event.var, loc=event.loc, fn="mem"))
-            continue
-        assert isinstance(event, CallEvent)
-        _lift_call(pre, epoch_index, rank, event, ops, local, cache)
-    return ops, local
-
-
 class LiftCache:
-    """Sweep-only per-rank lift accelerator.
-
-    Two shortcuts the plain dict cache of the pairwise reference path
-    does not attempt:
+    """Per-rank lift accelerator: the two lookups every lifted call
+    makes, memoized.
 
     * **placement memo**: data-maps are placed by
       :func:`~repro.util.intervals.datamap_intervals` (the simulator's
@@ -600,19 +507,14 @@ class LiftCache:
 
 def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
                event: CallEvent, ops: List[RMAOpView],
-               local: List[LocalAccess],
-               cache: Optional[Union[Dict, LiftCache]] = None) -> None:
-    """Lift one MPI call into RMA op / local-access views (shared by the
-    typed and streaming paths).
+               local: List[LocalAccess], cache: LiftCache) -> None:
+    """Lift one MPI call into RMA op / local-access views.
 
-    ``cache`` memoizes window/datatype address resolution per rank:
-    loops re-issue the same RMA call shape every iteration, and
+    ``cache`` is the rank's :class:`LiftCache`: loops re-issue the same
+    RMA call shape every iteration, and
     :class:`~repro.util.intervals.IntervalSet` is immutable, so repeat
-    resolutions of ``(window, target, disp, count, dtype)`` — the model
-    phase's hottest allocation — are shared instead of rebuilt."""
-    if cache is None:
-        cache = {}
-    fast = isinstance(cache, LiftCache)
+    placements — the model phase's hottest allocation — are shared
+    instead of rebuilt."""
     fn, args = event.fn, event.args
     if fn in _RMA_KIND:
         win = pre.window(int(args["win"]))
@@ -621,30 +523,12 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
         target_dtype = pre.datatype(rank, int(args["target_dtype"]))
         origin_base = int(args["origin_base"]) + \
             int(args["origin_offset"])
-        if fast:
-            target_ivs = cache.target_intervals(
-                win, target, int(args["target_disp"]),
-                int(args["target_count"]), target_dtype)
-            origin_ivs = cache.intervals(origin_dtype, origin_base,
-                                         int(args["origin_count"]))
-            epoch = cache.enclosing(win.win_id, event.seq, target)
-        else:
-            target_key = ("t", win.win_id, target,
-                          int(args["target_disp"]),
-                          int(args["target_count"]), target_dtype.type_id)
-            target_ivs = cache.get(target_key)
-            if target_ivs is None:
-                target_ivs = cache[target_key] = win.target_intervals(
-                    target, int(args["target_disp"]),
-                    int(args["target_count"]), target_dtype)
-            origin_key = ("o", origin_dtype.type_id, origin_base,
-                          int(args["origin_count"]))
-            origin_ivs = cache.get(origin_key)
-            if origin_ivs is None:
-                origin_ivs = cache[origin_key] = origin_dtype.intervals(
-                    origin_base, int(args["origin_count"]))
-            epoch = epoch_index.enclosing(rank, win.win_id, event.seq,
-                                          target)
+        target_ivs = cache.target_intervals(
+            win, target, int(args["target_disp"]),
+            int(args["target_count"]), target_dtype)
+        origin_ivs = cache.intervals(origin_dtype, origin_base,
+                                     int(args["origin_count"]))
+        epoch = cache.enclosing(win.win_id, event.seq, target)
         _check_address_space(rank, event.seq, "RMA target", target_ivs)
         _check_address_space(rank, event.seq, "RMA origin buffer",
                              origin_ivs)
@@ -676,17 +560,8 @@ def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
         if "result_base" in args:
             result_base = int(args["result_base"]) + \
                 int(args.get("result_offset", 0))
-            if fast:
-                result_ivs = cache.intervals(target_dtype, result_base,
-                                             int(args["target_count"]))
-            else:
-                result_key = ("r", target_dtype.type_id, result_base,
-                              int(args["target_count"]))
-                result_ivs = cache.get(result_key)
-                if result_ivs is None:
-                    result_ivs = cache[result_key] = \
-                        target_dtype.intervals(result_base,
-                                               int(args["target_count"]))
+            result_ivs = cache.intervals(target_dtype, result_base,
+                                         int(args["target_count"]))
             local.append(LocalAccess(
                 rank=rank, seq=event.seq, access=STORE,
                 intervals=_check_address_space(

@@ -78,40 +78,25 @@ from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.calltable import (
-    CONTROL_PLANE_ENV, PLANE_COLUMNAR, attach_table, control_plane,
-    share_table,
-)
+from repro.core.calltable import attach_table, share_table
+from repro.core.config import resolve_jobs
 from repro.core.diagnostics import ConsistencyError
 from repro.core.engine import (
     build_detect_units, check_epochs_sweep, detect_regions_sweep,
 )
 from repro.core.epochs import EpochIndex
-from repro.core.inter import _LocalLockIndex, detect_region
-from repro.core.intra import check_epoch
+from repro.core.inter import _LocalLockIndex
 from repro.core.model import (
-    AccessModel, MemRows, attach_rows, lift_rank_stream, lift_rank_sweep,
-    share_rows,
+    AccessModel, MemRows, attach_rows, lift_rank_sweep, share_rows,
 )
 from repro.core.preprocess import PreprocessedTrace, scan_rank
 from repro.core.regions import RegionIndex
 from repro.obs.recorder import NullRecorder
-from repro.profiler.events import CallEvent
 from repro.profiler.tracer import TraceSet
 
 #: env var forcing the multiprocessing start method ("fork"/"spawn") —
 #: the spawn-parity tests and CI set it; unset picks fork when available
 START_METHOD_ENV = "MCCHECKER_START_METHOD"
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0``/``1`` mean serial,
-    negative means one worker per CPU."""
-    if not jobs or jobs == 1:
-        return 1
-    if jobs < 0:
-        return max(1, os.cpu_count() or 1)
-    return jobs
 
 
 def start_method() -> str:
@@ -578,27 +563,22 @@ def _scan_task(arg):
     here).
 
     ``arg`` is ``(rank, segment_name)``.  When ``segment_name`` is set
-    (batch parallel run, columnar control plane) the rank's
+    (batch parallel run) the rank's
     :class:`~repro.core.calltable.CallTable` is published to the named
     shared segment and *no call events cross the pipe* — the parent
     rebuilds the table from the segment and the object stream stays
     worker-side.  When it is ``None`` the call events return pickled,
-    as the streaming/incremental pool paths require."""
-    rank, segment_name = arg if isinstance(arg, tuple) else (arg, None)
+    as the incremental pool path requires."""
+    rank, segment_name = arg
     rec = _task_recorder()
     traces: TraceSet = _WORKER["traces"]
-    plane = _WORKER.get("plane")
-    if plane is not None:
-        # pin this worker to the parent's control plane: the persistent
-        # process may have been forked under a different env setting
-        os.environ[CONTROL_PLANE_ENV] = plane
     desc = None
     with rec.span("analyzer.worker.scan", rank=rank, pid=os.getpid()):
         with traces.reader(rank) as reader:
             calls, counts = reader.read_calls()
         scan = scan_rank(rank, calls,
                          n_events=counts["call"] + counts["mem"])
-        if segment_name is not None and reader.call_table is not None:
+        if segment_name is not None:
             desc, handle = share_table(reader.call_table, segment_name)
             rec.count("parallel_shm_bytes_total", handle.size,
                       phase="preprocess",
@@ -611,13 +591,14 @@ def _scan_task(arg):
 
 
 class _RankView:
-    """Single-rank ``PreprocessedTrace`` facade: the full event list for
-    one rank, registries delegated to the merged (call-only) trace."""
+    """Single-rank ``PreprocessedTrace`` facade: the call events and call
+    table of one rank, registries delegated to the merged trace."""
 
-    def __init__(self, pre: PreprocessedTrace, rank: int, events):
+    def __init__(self, pre: PreprocessedTrace, rank: int, events, table):
         self._pre = pre
         self.nranks = pre.nranks
         self.events = {rank: events}
+        self.call_tables = {rank: table}
 
     def window(self, win_id: int):
         return self._pre.window(win_id)
@@ -631,40 +612,35 @@ class _RankView:
 
 @_pool_task("lift")
 def _lift_task(arg):
-    """Model shard: re-read one rank's trace through the vectorized
-    ingest path and lift its accesses against the merged registries and
-    a per-rank epoch index.  Under the sweep engine the packed memory
-    columns are copied into the named shared segment and only the
-    descriptor returns — the rows never cross the pipe."""
+    """Model shard: re-read one rank's trace (calls and call table in
+    one pass, packed memory columns beside them) and lift its accesses
+    against the merged registries and a per-rank epoch index.  The
+    packed memory columns are copied into the named shared segment and
+    only the descriptor returns — the rows never cross the pipe."""
     rank, segment_name = arg
     rec = _task_recorder()
     traces: TraceSet = _WORKER["traces"]
     pre: PreprocessedTrace = _WORKER["pre"]
-    sweep = _WORKER.get("engine") == "sweep"
-    desc = None
     with rec.span("analyzer.worker.lift", rank=rank, pid=os.getpid()):
         with traces.reader(rank) as reader:
-            items = list(reader.stream())
-        calls = [item for item in items if isinstance(item, CallEvent)]
-        view = _RankView(pre, rank, calls)
+            calls, _counts = reader.read_calls(mems=True)
+            blocks = reader.call_mems
+            if blocks is None:
+                blocks = list(reader.mem_blocks())
+        view = _RankView(pre, rank, calls, reader.call_table)
         epochs = EpochIndex(view, ranks=[rank])
-        if sweep:
-            blocks = [item for item in items
-                      if not isinstance(item, CallEvent)]
-            ops, local, rows = lift_rank_sweep(view, epochs, rank, calls,
-                                               blocks)
-            desc, handle = share_rows(rows, segment_name)
-            if handle is not None:
-                rec.count("parallel_shm_bytes_total", handle.size,
-                          phase="model",
-                          help="Bytes published to shared MemRows "
-                               "segments, by phase")
-                # the copy is complete; the segment stays linked under
-                # its name, and this worker re-attaches like any other
-                # if a detect task needs the rows later
-                handle.close()
-        else:
-            ops, local = lift_rank_stream(view, epochs, rank, items)
+        ops, local, rows = lift_rank_sweep(view, epochs, rank, calls,
+                                           blocks)
+        desc, handle = share_rows(rows, segment_name)
+        if handle is not None:
+            rec.count("parallel_shm_bytes_total", handle.size,
+                      phase="model",
+                      help="Bytes published to shared MemRows "
+                           "segments, by phase")
+            # the copy is complete; the segment stays linked under
+            # its name, and this worker re-attaches like any other
+            # if a detect task needs the rows later
+            handle.close()
     rec.count("parallel_tasks_total", phase="lift")
     return rank, ops, local, desc, _export(rec)
 
@@ -705,29 +681,21 @@ def _detect_state(rec) -> Dict[str, Any]:
 def _detect_task(arg: Tuple[str, int, int]):
     """One detection shard: ``(phase, lo, hi)`` names a contiguous chunk
     of the locally rebuilt ``intra``/``inter`` units, handed whole to
-    the sweep kernel (or walked unit by unit by the pairwise
-    reference)."""
+    the phase's sweep kernel."""
     phase, lo, hi = arg
     rec = _task_recorder()
     state = _detect_state(rec)
     units = state[f"{phase}_units"][lo:hi]
     mems: Dict[int, MemRows] = state["model"].mems
     memory_model = _WORKER["memory_model"]
-    sweep = _WORKER.get("engine") == "sweep"
     with rec.span(f"analyzer.worker.{phase}", units=hi - lo,
                   pid=os.getpid()):
         if phase == "intra":
-            per_unit = (check_epochs_sweep(units, mems, memory_model)
-                        if sweep else
-                        [check_epoch(*unit, memory_model) for unit in units])
+            per_unit = check_epochs_sweep(units, mems, memory_model)
         else:
-            context = (_WORKER["oracle"], state["lock_index"], memory_model)
-            per_unit = (
-                detect_regions_sweep(state["pre"], units, mems, *context)
-                if sweep else
-                [detect_region(state["pre"], region_ops, region_locals,
-                               *context)
-                 for region_ops, region_locals, _bounds in units])
+            per_unit = detect_regions_sweep(
+                state["pre"], units, mems, _WORKER["oracle"],
+                state["lock_index"], memory_model)
     rec.count("parallel_tasks_total", phase=phase)
     return [f for found in per_unit for f in found], _export(rec)
 
@@ -742,24 +710,22 @@ def scan_traceset(pool: WorkerPool, traces: TraceSet,
     :func:`~repro.core.preprocess.preprocess_calls_with_counts`
     (identical ``(pre, counts_by_rank)`` result).
 
-    With ``need_calls=False`` under the columnar control plane, call
-    events never cross the pipe: each worker publishes its rank's
-    :class:`~repro.core.calltable.CallTable` to a shared segment, the
-    parent copies the columns out (and unlinks the segment eagerly) and
-    attaches them as ``pre.call_tables`` — the parent's event lists stay
-    empty and every control-plane consumer runs off the tables.  The
-    streaming/incremental pool paths pass ``need_calls=True`` (they lift
-    the access model and hash event lines from the parent's events)."""
-    plane = control_plane()
-    ship = not need_calls and plane == PLANE_COLUMNAR
+    With ``need_calls=False``, call events never cross the pipe: each
+    worker publishes its rank's :class:`~repro.core.calltable.CallTable`
+    to a shared segment, the parent copies the columns out (and unlinks
+    the segment eagerly) and attaches them as ``pre.call_tables`` — the
+    parent's event lists stay empty and every control phase runs off
+    the tables.  The incremental pool path passes ``need_calls=True``
+    (it lifts the access model and hashes event lines from the parent's
+    events)."""
     args = []
     for rank in range(traces.nranks):
         name = None
-        if ship:
+        if not need_calls:
             name = pool.new_segment_name(rank)
             pool.expect_segment(name)
         args.append((rank, name))
-    pool.install("preprocess", {"traces": traces, "plane": plane})
+    pool.install("preprocess", {"traces": traces})
     results = pool.run("preprocess", "scan", args)
     scans, call_events, counts, tables = [], {}, {}, {}
     for rank, scan, calls, rank_counts, desc, export in results:
@@ -773,7 +739,7 @@ def scan_traceset(pool: WorkerPool, traces: TraceSet,
             pool.release_segment(desc["name"])
         absorb_export(export)
     pre = PreprocessedTrace(call_events, scans=scans)
-    if ship and len(tables) == pre.nranks:
+    if not need_calls:
         pre.call_tables = tables
     return pre, counts
 
@@ -785,12 +751,11 @@ class ParallelEngine:
     reuses the same worker processes."""
 
     def __init__(self, traces: TraceSet, jobs: int,
-                 memory_model: str = "separate", engine: str = "sweep",
+                 memory_model: str = "separate",
                  pool: Optional[WorkerPool] = None):
         self.traces = traces
         self.jobs = resolve_jobs(jobs)
         self.memory_model = memory_model
-        self.engine = engine
         #: total trace events (calls + loads/stores) seen by the scan
         #: phase; the parent's event dict holds call events only
         self.total_events = 0
@@ -811,11 +776,11 @@ class ParallelEngine:
     def preprocess(self) -> PreprocessedTrace:
         """Scan every rank in parallel; merge scans deterministically.
 
-        Under the columnar control plane the batch pipeline never needs
-        the parent-side event objects — matching, clocks, epochs and
-        regions run off ``pre.call_tables`` and the lift workers re-read
-        their events from disk — so the scan ships tables over shared
-        segments instead of pickling call streams."""
+        The batch pipeline never needs the parent-side event objects —
+        matching, clocks, epochs and regions run off ``pre.call_tables``
+        and the lift workers re-read their events from disk — so the
+        scan ships tables over shared segments instead of pickling call
+        streams."""
         pre, _counts = scan_traceset(self.pool, self.traces,
                                      need_calls=False)
         self.total_events = pre.total_events
@@ -825,23 +790,20 @@ class ParallelEngine:
                     epoch_index: EpochIndex) -> AccessModel:
         """Lift every rank in parallel; concatenate in rank order.
 
-        Sweep lifts publish each rank's memory columns to a shared
+        The lifts publish each rank's memory columns to a shared
         segment; the parent attaches them zero-copy, so the model's
         ``mems`` are views into the same physical pages the detect
         workers will read."""
         pool = self.pool
         args = []
         for rank in range(pre.nranks):
-            name = None
-            if self.engine == "sweep":
-                name = pool.new_segment_name(rank)
-                pool.expect_segment(name)
+            name = pool.new_segment_name(rank)
+            pool.expect_segment(name)
             args.append((rank, name))
         # lift workers read their events from disk and only resolve
         # registries through ``pre`` — ship the registries-only view so
         # the install pickle stays small at any trace size
-        pool.install("model", {"pre": pre.registry_view(),
-                               "engine": self.engine})
+        pool.install("model", {"pre": pre.registry_view()})
         results = pool.run("model", "lift", args)
         # worker ops carry pickled *copies* of their per-rank epochs;
         # re-intern them onto the parent's canonical index so the
@@ -857,12 +819,11 @@ class ParallelEngine:
                     op.epoch = canonical[key]
             ops.extend(rank_ops)
             local.extend(rank_local)
-            if desc is not None:
-                rows, handle = attach_rows(desc)
-                if handle is not None:
-                    pool.adopt_segment(desc["name"], handle)
-                mems[rank] = rows
-                self._mem_descs[rank] = desc
+            rows, handle = attach_rows(desc)
+            if handle is not None:
+                pool.adopt_segment(desc["name"], handle)
+            mems[rank] = rows
+            self._mem_descs[rank] = desc
             absorb_export(export)
         return AccessModel(ops=ops, local=local, mems=mems)
 
@@ -883,7 +844,7 @@ class ParallelEngine:
             "ops": model.ops, "local": model.local,
             "epoch_index": epoch_index, "regions": regions,
             "oracle": oracle, "memory_model": self.memory_model,
-            "engine": self.engine, "mems_shm": self._mem_descs,
+            "mems_shm": self._mem_descs,
         })
 
     def _fan_out(self, phase: str, units: list) -> List[ConsistencyError]:

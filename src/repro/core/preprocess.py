@@ -51,12 +51,6 @@ class WindowInfo:
             self._exposure_cache[rank] = cached
         return cached
 
-    def target_intervals(self, target: int, target_disp: int, count: int,
-                         dtype: Datatype) -> IntervalSet:
-        """Absolute byte intervals a remote op touches at ``target``."""
-        base = self.bases[target] + target_disp * self.disp_units[target]
-        return dtype.intervals(base, count)
-
 
 @dataclass
 class RankScan:
@@ -163,8 +157,8 @@ class PreprocessedTrace:
             rank: dict(PRIMITIVES_BY_ID) for rank in range(self.nranks)
         }
         #: per-rank columnar CallTables (repro.core.calltable), attached
-        #: by ingest when the columnar control plane is active; ``None``
-        #: until built (ensure_call_tables derives them from events)
+        #: by the call-only ingest; ``None`` until built
+        #: (ensure_call_tables derives them from events)
         self.call_tables = None
         #: per-rank packed memory blocks the call pass decoded on the way
         #: (:func:`preprocess_calls` over text traces), taken — popped —
@@ -313,17 +307,14 @@ def preprocess_calls_with_counts(
     for rank in range(traces.nranks):
         with traces.reader(rank) as reader:
             calls, counts = reader.read_calls(mems=mems)
-            table = getattr(reader, "call_table", None)
+            tables[rank] = reader.call_table
             if reader.call_mems is not None:
                 mem_blocks[rank] = reader.call_mems
         call_events[rank] = calls
         counts_by_rank[rank] = counts
-        if table is not None:
-            tables[rank] = table
         scans.append(scan_rank(rank, calls,
                                n_events=counts["call"] + counts["mem"]))
     pre = PreprocessedTrace(call_events, scans=scans)
-    if len(tables) == pre.nranks:
-        pre.call_tables = tables
+    pre.call_tables = tables
     pre.mem_blocks = mem_blocks
     return pre, counts_by_rank

@@ -49,38 +49,24 @@ class RegionIndex:
     def __init__(self, pre: PreprocessedTrace,
                  matches: Sequence[SyncMatch]):
         self.nranks = pre.nranks
-        from repro.core.calltable import PLANE_COLUMNAR, control_plane
         glob = [match.members for match in matches
                 if match.is_global(pre.nranks)]
-        if glob and control_plane() == PLANE_COLUMNAR:
-            # columnar: one (cuts x ranks) seq matrix; sorting by rank 0
-            # orders every column at once and one diff pass checks that
-            # the cuts are monotone at every rank simultaneously
-            mat = np.empty((len(glob), pre.nranks), dtype=np.int64)
-            for i, members in enumerate(glob):
-                for r, s in members.items():
-                    mat[i, r] = s
+        # one (cuts x ranks) seq matrix: global collectives are totally
+        # ordered, so sorting by rank 0 orders every column at once and
+        # one diff pass checks that the cuts are monotone at every rank
+        mat = np.empty((len(glob), pre.nranks), dtype=np.int64)
+        for i, members in enumerate(glob):
+            for r, s in members.items():
+                mat[i, r] = s
+        if len(glob) > 1:
             mat = mat[np.argsort(mat[:, 0], kind="stable")]
-            if mat.shape[0] > 1 and (np.diff(mat, axis=0) <= 0).any():
+            if (np.diff(mat, axis=0) <= 0).any():
                 raise AnalysisError(
                     "global synchronization cuts are not consistently "
                     "ordered across ranks — inconsistent trace")
-            cuts: List[Dict[int, int]] = [
-                dict(enumerate(row)) for row in mat.tolist()]
-            cut_seqs = [mat[:, r].tolist() for r in range(pre.nranks)]
-        else:
-            cuts = [dict(members) for members in glob]
-            # order cuts by (any) rank's seq — global collectives are
-            # totally ordered, so every rank induces the same order
-            cuts.sort(key=lambda members: members.get(0, -1))
-            for earlier, later in zip(cuts, cuts[1:]):
-                if any(earlier[r] >= later[r]
-                       for r in earlier if r in later):
-                    raise AnalysisError(
-                        "global synchronization cuts are not consistently "
-                        "ordered across ranks — inconsistent trace")
-            cut_seqs = [[cut[r] for cut in cuts]
-                        for r in range(pre.nranks)]
+        cuts: List[Dict[int, int]] = [
+            dict(enumerate(row)) for row in mat.tolist()]
+        cut_seqs = [mat[:, r].tolist() for r in range(pre.nranks)]
 
         self.regions: List[Region] = []
         n_regions = len(cuts) + 1

@@ -20,11 +20,12 @@ Two passes over the per-rank trace files:
    dominate (Figure 10).
 2. **Data pass** — stream the load/store events region by region (the
    global synchronization cuts are known after pass 1).  Each region is
-   analyzed with the same :func:`~repro.core.inter.detect_region` pass the
-   batch checker uses and then discarded; epoch-local accesses are held
-   only until their epoch's closing synchronization has been passed, at
-   which point :func:`~repro.core.intra.check_epoch` runs and the buffer
-   is freed.  A per-rank cursor (:class:`_EpochCursor`) visits an epoch
+   analyzed with the same kernel the batch checker uses
+   (:func:`~repro.core.engine.detect_regions_sweep`, handed the one
+   region) and then discarded; epoch-local accesses are held only until
+   their epoch's closing synchronization has been passed, at which point
+   :func:`~repro.core.engine.check_epochs_sweep` runs and the buffer is
+   freed.  A per-rank cursor (:class:`_EpochCursor`) visits an epoch
    from the region its opening call lies in to the one passing its close.
 
 Findings are identical to the batch pipeline (differential-tested), and
@@ -44,25 +45,16 @@ from repro.core.clocks import ConcurrencyOracle
 from repro.core.diagnostics import (
     SEVERITY_ERROR, ConsistencyError, dedupe, sort_findings,
 )
-from repro.core.engine import (
-    check_epochs_sweep, detect_regions_sweep, resolve_engine,
-)
+from repro.core.engine import check_epochs_sweep, detect_regions_sweep
 from repro.core.epochs import Epoch, EpochIndex
-from repro.core.inter import LocalLockIndex, bucket_by_region, detect_region
-from repro.core.intra import check_epoch
+from repro.core.inter import LocalLockIndex, bucket_by_region
 from repro.core.matching import match_synchronization
 from repro.core.model import CallLift, LocalAccess, MemRows
 from repro.core.preprocess import (
     PreprocessedTrace, preprocess_calls_with_counts,
 )
 from repro.core.regions import RegionIndex
-from repro.profiler.events import ACCESS_NAMES
 from repro.profiler.tracer import TraceSet
-from repro.util.intervals import IntervalSet
-
-
-#: what an epoch no op was issued in has to check
-_NO_OPS: Tuple[list, list] = ([], [])
 
 
 @dataclass
@@ -176,11 +168,9 @@ class _EpochCursor:
 class StreamingChecker:
     """Region-at-a-time DN-Analyzer with bounded data-event memory."""
 
-    def __init__(self, traces: TraceSet, memory_model: str = "separate",
-                 engine: str = "sweep"):
+    def __init__(self, traces: TraceSet, memory_model: str = "separate"):
         self.traces = traces
         self.memory_model = memory_model
-        self.engine = resolve_engine(engine)
         self.peak_buffered_mems = 0
         self._control_pass()
 
@@ -209,108 +199,19 @@ class StreamingChecker:
             if la.origin_of is not None and la.origin_of.epoch is not None:
                 self._by_epoch[id(la.origin_of.epoch)][1].append(la)
 
-    def _rank_accesses(self, rank: int) -> Iterator[LocalAccess]:
-        """One rank's instrumented loads/stores as LocalAccess views, in
-        seq order, built straight from packed memory blocks (call events
-        never materialize in the data pass)."""
-        names = ACCESS_NAMES
-        single = IntervalSet.single
-        with self.traces.reader(rank) as reader:
-            for block in reader.mem_blocks():
-                table = block.table
-                seqs, addrs, sizes, var_ids, loc_ids, accs = \
-                    block.columns()
-                for i in range(len(seqs)):
-                    yield LocalAccess(
-                        rank=rank, seq=seqs[i], access=names[accs[i]],
-                        intervals=single(addrs[i], sizes[i]),
-                        var=table.string(var_ids[i]),
-                        loc=table.loc(loc_ids[i]), fn="mem")
-
     def _rank_blocks(self, rank: int):
         """One rank's packed memory blocks ``(table, struct array)``, in
-        seq order, never decoded to objects (sweep data pass)."""
+        seq order, never decoded to objects."""
         with self.traces.reader(rank) as reader:
             for block in reader.mem_blocks():
                 yield block.table, block.array
 
     def run(self) -> Iterator[RegionReport]:
-        """Pass 2: stream memory events, yielding per-region findings."""
-        if self.engine == "sweep":
-            yield from self._run_sweep()
-        else:
-            yield from self._run_pairwise()
+        """Pass 2: stream memory events, yielding per-region findings.
 
-    def _run_pairwise(self) -> Iterator[RegionReport]:
-        readers = [self._rank_accesses(rank)
-                   for rank in range(self.pre.nranks)]
-        lookahead: List[Optional[LocalAccess]] = [None] * self.pre.nranks
-        # per-epoch buffered plain memory accesses, freed at epoch close
-        epoch_mems: Dict[int, List[LocalAccess]] = {}
-        cursor = _EpochCursor(self.epochs.access_epochs(), self.pre.nranks)
-
-        def next_mem(rank: int, upto: int) -> Iterator[LocalAccess]:
-            """Drain rank's mem accesses with seq < upto."""
-            pending = lookahead[rank]
-            if pending is not None:
-                if pending.seq >= upto:
-                    return
-                lookahead[rank] = None
-                yield pending
-            for access in readers[rank]:
-                if access.seq >= upto:
-                    lookahead[rank] = access
-                    return
-                yield access
-
-        for region in self.regions:
-            findings: List[ConsistencyError] = []
-            region_mems: List[LocalAccess] = []
-            consumed_upto = [min(region.bounds[rank][1] + 1, 1 << 62)
-                             for rank in range(self.pre.nranks)]
-            for rank, upto in enumerate(consumed_upto):
-                opened = cursor.opened(rank, upto)
-                for la in next_mem(rank, upto):
-                    region_mems.append(la)
-                    for epoch in opened:
-                        if epoch.contains_seq(la.seq):
-                            epoch_mems.setdefault(id(epoch), []).append(la)
-
-            buffered = len(region_mems) + sum(
-                len(v) for v in epoch_mems.values())
-            self.peak_buffered_mems = max(self.peak_buffered_mems, buffered)
-
-            # cross-process pass over this region
-            region_ops = self._ops_by_region.get(region.index, [])
-            if region_ops:
-                locals_here = (self._call_locals_by_region.get(
-                    region.index, []) + region_mems)
-                findings.extend(detect_region(
-                    self.pre, region_ops, locals_here, self.oracle,
-                    self.lock_index, self.memory_model))
-
-            for epoch in cursor.close(consumed_upto):
-                findings.extend(check_epoch(
-                    epoch, *self._by_epoch.get(id(epoch), _NO_OPS),
-                    epoch_mems.pop(id(epoch), []), self.memory_model))
-
-            yield RegionReport(index=region.index, findings=findings,
-                               mem_events=len(region_mems))
-
-        for epoch in cursor.unclosed():
-            findings = check_epoch(
-                epoch, *self._by_epoch.get(id(epoch), _NO_OPS),
-                epoch_mems.pop(id(epoch), []), self.memory_model)
-            if findings:
-                yield RegionReport(index=len(self.regions), mem_events=0,
-                                   findings=findings)
-
-    def _run_sweep(self) -> Iterator[RegionReport]:
-        """Sweep data pass: memory events stay packed as struct-array
-        pieces — sliced per region (and per open epoch) with
-        ``searchsorted``, handed to the sweep detectors, then discarded.
-        The region walk, buffering bound, and epoch-close points mirror
-        :meth:`_run_pairwise` exactly."""
+        Memory events stay packed as struct-array pieces — sliced per
+        region (and per open epoch) with ``searchsorted``, handed to the
+        sweep kernels, then discarded."""
         nranks = self.pre.nranks
         streams = [self._rank_blocks(rank) for rank in range(nranks)]
         tables: List = [None] * nranks
@@ -382,24 +283,24 @@ class StreamingChecker:
                     self.lock_index, self.memory_model)[0])
 
             for epoch in cursor.close(consumed_upto):
-                findings.extend(self._close_epoch_sweep(epoch, epoch_pieces,
-                                                        tables))
+                findings.extend(self._close_epoch(epoch, epoch_pieces,
+                                                  tables))
 
             yield RegionReport(index=region.index, findings=findings,
                                mem_events=mem_events)
 
         for epoch in cursor.unclosed():
-            findings = self._close_epoch_sweep(epoch, epoch_pieces, tables)
+            findings = self._close_epoch(epoch, epoch_pieces, tables)
             if findings:
                 yield RegionReport(index=len(self.regions), mem_events=0,
                                    findings=findings)
 
-    def _close_epoch_sweep(self, epoch: Epoch,
-                           epoch_pieces: Dict[int, List[np.ndarray]],
-                           tables: List) -> List[ConsistencyError]:
-        """Run the sweep within-epoch check and free the epoch's rows
-        (like the pairwise data pass, only *instrumented* rows are
-        buffered per epoch, so ``obj_mems`` stays empty)."""
+    def _close_epoch(self, epoch: Epoch,
+                     epoch_pieces: Dict[int, List[np.ndarray]],
+                     tables: List) -> List[ConsistencyError]:
+        """Run the within-epoch check and free the epoch's rows (only
+        *instrumented* rows are buffered per epoch, so the unit's
+        call-derived plain locals stay empty)."""
         pieces = epoch_pieces.pop(id(epoch), [])
         unit = self._by_epoch.get(id(epoch))
         if unit is None:  # no op was issued in it: nothing can conflict
@@ -413,13 +314,11 @@ class StreamingChecker:
                                   self.memory_model)[0]
 
 
-def check_streaming(traces: TraceSet, memory_model: str = "separate",
-                    engine: str = "sweep"
+def check_streaming(traces: TraceSet, memory_model: str = "separate"
                     ) -> Tuple[List[ConsistencyError], StreamingChecker]:
     """Run the streaming pipeline to completion; returns deduplicated
     findings plus the checker (for its memory statistics)."""
-    checker = StreamingChecker(traces, memory_model=memory_model,
-                               engine=engine)
+    checker = StreamingChecker(traces, memory_model=memory_model)
     findings: List[ConsistencyError] = []
     for report in checker.run():
         findings.extend(report.findings)

@@ -16,7 +16,6 @@ The stable entry points are re-exported through :mod:`repro.api`
 
 from repro.gen.config import (
     BUG_ANY, BUG_PATTERNS, EPOCH_KINDS, OP_KINDS, GenConfig,
-    coerce_gen_config,
 )
 from repro.gen.generator import (
     GeneratedProgram, GenerationError, generate_program,
@@ -26,7 +25,7 @@ from repro.gen.program import Action, Program, Round, replay
 
 __all__ = [
     "BUG_ANY", "BUG_PATTERNS", "EPOCH_KINDS", "OP_KINDS",
-    "GenConfig", "coerce_gen_config",
+    "GenConfig",
     "GeneratedProgram", "GenerationError", "generate_program",
     "InjectedBug", "Manifest", "Score", "score_report",
     "Action", "Program", "Round", "replay",

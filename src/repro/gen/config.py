@@ -3,14 +3,12 @@
 The constrained-random generator mirrors the analysis side's
 :class:`~repro.core.config.CheckConfig` contract: every entry point
 (``api.generate``, ``api.fuzz``, the CLI verbs) accepts a single frozen
-``GenConfig`` value, overrides derive new configs with
-:meth:`GenConfig.replace`, and legacy keyword spellings keep working
-through a warn-once deprecation shim (:func:`coerce_gen_config`).
+``GenConfig`` value, and overrides derive new configs with
+:meth:`GenConfig.replace`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -29,11 +27,6 @@ BUG_PATTERNS = ("get_local", "put_origin", "op_pair",
 BUG_ANY = "any"
 
 _WEIGHT_KEYS = {"epoch_weights": EPOCH_KINDS, "op_weights": OP_KINDS}
-
-#: sentinel distinguishing "kwarg not passed" from any real value
-_UNSET = object()
-
-_legacy_warning_emitted = False
 
 
 def _default_epoch_weights() -> Tuple[Tuple[str, float], ...]:
@@ -165,43 +158,3 @@ class GenConfig:
             trace_format=str(data["trace_format"]),
             delivery=str(data["delivery"]),
             sched_policy=str(data["sched_policy"]))
-
-
-def coerce_gen_config(config, caller: str, **legacy) -> GenConfig:
-    """Merge legacy kwargs into ``config`` (or a default one).
-
-    Mirrors :func:`repro.core.config.coerce_config`: ``legacy`` maps
-    field names to either :data:`_UNSET` or an explicitly passed value;
-    any explicit value triggers a one-time :class:`DeprecationWarning`
-    and overrides the config field.  The prototype spelling
-    ``nbugs=<int>`` is translated to ``bugs=("any",) * n``.
-    """
-    passed = {name: value for name, value in legacy.items()
-              if value is not _UNSET}
-    if passed:
-        _warn_legacy(caller, sorted(passed))
-    if "nbugs" in passed:
-        passed["bugs"] = (BUG_ANY,) * int(passed.pop("nbugs"))
-    base = config if config is not None else GenConfig()
-    if not isinstance(base, GenConfig):
-        raise TypeError(
-            f"{caller}: config must be a GenConfig, "
-            f"got {type(base).__name__}")
-    return base.replace(**passed) if passed else base
-
-
-def _warn_legacy(caller: str, names) -> None:
-    global _legacy_warning_emitted
-    if _legacy_warning_emitted:
-        return
-    _legacy_warning_emitted = True
-    warnings.warn(
-        f"{caller}: passing {', '.join(names)} as keyword arguments is "
-        "deprecated; pass config=GenConfig(...) instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def _reset_legacy_warning() -> None:
-    """Test hook: allow the one-time deprecation warning to fire again."""
-    global _legacy_warning_emitted
-    _legacy_warning_emitted = False

@@ -7,11 +7,12 @@ simulated runtime, analyze the traces, then use the result two ways:
   manifest (:func:`repro.gen.manifest.score_report`); every injected
   bug must be found (recall), every finding should trace back to an
   injected bug (precision);
-* **differential** — the same traces are re-analyzed across the full
-  execution matrix (sweep/pairwise engines × columnar/object control
-  planes × cold/warm incremental cache), and the program is re-profiled
-  in the other trace format; every arm must produce a byte-identical
-  canonical report.
+* **differential** — the same traces are re-analyzed by every executor
+  (batch, streaming, incremental cold and warm), and the program is
+  re-profiled in the other trace format; every arm must produce a
+  byte-identical canonical report.  (The comparison against the paper's
+  literal per-pair algorithms lives with the tests: ``tests/gen/`` runs
+  the same corpus through ``tests.reference``.)
 
 :func:`fuzz_corpus` runs a whole seed corpus and aggregates.
 """
@@ -19,12 +20,10 @@ simulated runtime, analyze the traces, then use the result two ways:
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.calltable import CONTROL_PLANE_ENV
 from repro.core.checker import CheckReport, check_traces
 from repro.core.config import CheckConfig
 from repro.gen.config import GenConfig
@@ -32,24 +31,6 @@ from repro.gen.generator import GeneratedProgram, generate_program
 from repro.gen.manifest import Score, score_report
 from repro.gen.program import replay
 from repro.profiler.session import ProfiledRun, profile_run
-
-
-class _plane:
-    """Pin the control plane for a block, restoring the prior value."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        self.prior = os.environ.get(CONTROL_PLANE_ENV)
-        os.environ[CONTROL_PLANE_ENV] = self.name
-        return self
-
-    def __exit__(self, *exc):
-        if self.prior is None:
-            os.environ.pop(CONTROL_PLANE_ENV, None)
-        else:
-            os.environ[CONTROL_PLANE_ENV] = self.prior
 
 
 def canonical_report(report: CheckReport) -> str:
@@ -166,36 +147,31 @@ class FuzzReport:
 
 
 def _base_config(check_config: Optional[CheckConfig]) -> CheckConfig:
-    """The baseline analysis arm: batch sweep, carrying over only the
-    fields that must hold across every arm (memory model, job count)."""
+    """The baseline analysis arm: the batch executor, carrying over only
+    the fields that must hold across every arm (memory model, job
+    count)."""
     cc = check_config if check_config is not None else CheckConfig()
-    return CheckConfig(memory_model=cc.memory_model, engine="sweep",
-                       jobs=cc.jobs)
+    return CheckConfig(memory_model=cc.memory_model, jobs=cc.jobs)
 
 
 def differential_reports(traces, check_config: Optional[CheckConfig]
                          = None) -> Dict[str, str]:
-    """Analyze one trace set across the full execution matrix.
+    """Analyze one trace set with every executor.
 
-    Returns ``arm name -> canonical report``; arms are the
-    engine × control-plane cross product plus cold/warm incremental
-    runs on each plane.
+    Returns ``arm name -> canonical report``; the arms are ``batch``
+    (at the config's job count), ``streaming`` (always serial) and
+    ``incremental-cold`` / ``incremental-warm`` over one fresh cache.
     """
     base = _base_config(check_config)
-    out: Dict[str, str] = {}
-    for plane_name in ("columnar", "object"):
-        with _plane(plane_name):
-            for engine in ("sweep", "pairwise"):
-                report = check_traces(traces,
-                                      base.replace(engine=engine))
-                out[f"{engine}/{plane_name}"] = canonical_report(report)
-            with tempfile.TemporaryDirectory(
-                    prefix="mcgen-cache-") as cache:
-                inc = base.replace(cache_dir=cache, incremental=True)
-                out[f"incremental-cold/{plane_name}"] = \
-                    canonical_report(check_traces(traces, inc))
-                out[f"incremental-warm/{plane_name}"] = \
-                    canonical_report(check_traces(traces, inc))
+    out = {
+        "batch": canonical_report(check_traces(traces, base)),
+        "streaming": canonical_report(check_traces(
+            traces, base.replace(jobs=1, streaming=True))),
+    }
+    with tempfile.TemporaryDirectory(prefix="mcgen-cache-") as cache:
+        inc = base.replace(cache_dir=cache, incremental=True)
+        for arm in ("incremental-cold", "incremental-warm"):
+            out[arm] = canonical_report(check_traces(traces, inc))
     return out
 
 
@@ -208,14 +184,13 @@ def run_case(gen_config: GenConfig,
     base = _base_config(check_config)
     with tempfile.TemporaryDirectory(prefix="mcgen-trace-") as trace_dir:
         profiled = profile_program(generated, trace_dir=trace_dir)
-        with _plane("columnar"):
-            baseline = check_traces(profiled.traces, base)
+        baseline = check_traces(profiled.traces, base)
         score = score_report(baseline, generated.manifest)
         mismatched: List[str] = []
         arms: List[str] = []
         if differential:
             reports = differential_reports(profiled.traces, base)
-            want = reports["sweep/columnar"]
+            want = reports["batch"]
             other = ("binary" if gen_config.trace_format == "text"
                      else "text")
             with tempfile.TemporaryDirectory(
@@ -223,10 +198,8 @@ def run_case(gen_config: GenConfig,
                 reprofiled = profile_program(generated,
                                              trace_dir=fmt_dir,
                                              trace_format=other)
-                with _plane("columnar"):
-                    reports[f"format-{other}/columnar"] = \
-                        canonical_report(
-                            check_traces(reprofiled.traces, base))
+                reports[f"format-{other}"] = canonical_report(
+                    check_traces(reprofiled.traces, base))
             arms = sorted(reports)
             mismatched = [arm for arm in arms if reports[arm] != want]
         return FuzzCase(

@@ -5,7 +5,7 @@ every synchronization round, the epoch structure and each rank's action
 sequence.  :func:`replay` is the single app that executes any spec on
 the simulated runtime; because the spec (not code) carries all the
 randomness, the same ``Program`` replays identically under the profiler
-regardless of trace format or control plane, and serializes to a
+regardless of trace format, and serializes to a
 canonical JSON form that is byte-stable for a given generator seed.
 
 Buffer layout per rank (allocation order is part of the contract — the

@@ -47,8 +47,8 @@ def render_run_text(entry: RunReport) -> str:
         f"  app:     {entry.app or '-'}",
         f"  command: {entry.command or '-'}",
         f"  config:  {entry.config_digest[:12]}  "
-        f"engine={entry.config.get('engine')} "
         f"jobs={entry.config.get('jobs')} "
+        f"streaming={entry.config.get('streaming')} "
         f"incremental={entry.config.get('incremental')}",
         f"  traces:  {len(entry.trace_digests)} rank(s) in "
         f"{entry.trace_dir or '-'}",
@@ -112,12 +112,14 @@ def render_run_text(entry: RunReport) -> str:
                      f"{ingest.get('regions', 0)} regions")
         if ingest.get("text_lines"):
             lines.append(f"    text lines: {_text_lines(ingest)}")
-    control = getattr(entry, "control_plane", None) or {}
-    for plane, row in sorted(control.items()):
+        if "peak_buffered_mems" in ingest:
+            lines.append("    peak buffered load/store events: "
+                         f"{ingest['peak_buffered_mems']:,}")
+    for row in _control_rows(entry):
         rate = row.get("calls_per_second")
         rate_s = (f", {rate:,.0f} calls/s over the control group"
                   if rate is not None else "")
-        lines.append(f"  control plane [{plane}]: "
+        lines.append(f"  control phases: "
                      f"{row.get('calls_ingested', 0):,} call(s) "
                      f"ingested{rate_s}")
     emission = getattr(entry, "emission", None) or {}
@@ -380,28 +382,33 @@ def _emission_panel(entry: RunReport) -> str:
     return "".join(parts)
 
 
-def _control_plane_panel(entry: RunReport) -> str:
+def _control_rows(entry: RunReport) -> List[dict]:
+    """The control-phase ingest stats as rows: one, except for ledger
+    entries written while two control planes existed — those key a row
+    per plane."""
     control = getattr(entry, "control_plane", None) or {}
-    if not control:
-        return ("<p class=meta>no control-plane counters — the run "
+    if "calls_ingested" in control:
+        return [control]
+    return [row for _plane, row in sorted(control.items())]
+
+
+def _control_plane_panel(entry: RunReport) -> str:
+    rows = _control_rows(entry)
+    if not rows:
+        return ("<p class=meta>no control-phase counters — the run "
                 "predates them or obs was disabled</p>")
-    top = max((row.get("calls_per_second") or 0.0)
-              for row in control.values()) or 1.0
-    rows = []
-    for plane, row in sorted(control.items()):
+    cells = []
+    for row in rows:
         rate = row.get("calls_per_second")
-        cls = "bar hit" if plane == "columnar" else "bar"
-        rows.append(
-            f"<tr><td><code>{html.escape(plane)}</code></td>"
-            f"<td class=num>{int(row.get('calls_ingested', 0)):,}</td>"
+        cells.append(
+            f"<tr><td class=num>{int(row.get('calls_ingested', 0)):,}</td>"
             f"<td class=num>"
-            f"{f'{rate:,.0f}' if rate is not None else '-'}</td>"
-            f"<td>{_svg_bar((rate or 0.0) / top, cls)}</td></tr>")
+            f"{f'{rate:,.0f}' if rate is not None else '-'}</td></tr>")
     return ("<p>call-stream ingest over the preprocess + matching + "
-            "clocks + epochs group, per control plane:</p>"
-            "<table><tr><th>plane</th><th class=num>calls</th>"
-            "<th class=num>calls/s</th><th></th></tr>"
-            + "".join(rows) + "</table>")
+            "clocks + epochs group:</p>"
+            "<table><tr><th class=num>calls</th>"
+            "<th class=num>calls/s</th></tr>"
+            + "".join(cells) + "</table>")
 
 
 def _findings_panel(entry: RunReport) -> str:
@@ -452,8 +459,8 @@ def render_run_html(entry: RunReport) -> str:
             ("app", entry.app or "-"),
             ("command", entry.command or "-"),
             ("config digest", entry.config_digest),
-            ("engine / jobs", f"{entry.config.get('engine')} / "
-                              f"{entry.config.get('jobs')}"),
+            ("jobs", entry.config.get("jobs")),
+            ("streaming", entry.config.get("streaming")),
             ("incremental", entry.config.get("incremental")),
             ("trace dir", entry.trace_dir or "-"),
             ("ranks", len(entry.trace_digests)),
@@ -474,7 +481,7 @@ def render_run_html(entry: RunReport) -> str:
 <h2>Candidate-pair funnel</h2>{_funnel_panel(entry)}
 <h2>Incremental cache</h2>{_cache_panel(entry)}
 <h2>Worker pool</h2>{_workers_panel(entry)}
-<h2>Control plane</h2>{_control_plane_panel(entry)}
+<h2>Control phases</h2>{_control_plane_panel(entry)}
 <h2>Trace generation</h2>{_emission_panel(entry)}
 <h2>Findings</h2>{_findings_panel(entry)}
 </body></html>

@@ -58,13 +58,14 @@ class RunReport:
     workers: Dict[str, Any] = field(default_factory=dict)
     #: trace-ingest sizes (events, ops, locals, matches, ...) plus, for
     #: text traces, ``text_lines``: lines decoded per ``kind/route``
-    #: (``mem/bulk``, ``call/codec``, ...)
+    #: (``mem/bulk``, ``call/codec``, ...) and, for streaming runs,
+    #: ``peak_buffered_mems``: most load/store events held at once
     ingest: Dict[str, Any] = field(default_factory=dict)
     #: trace-generation stats (wall seconds, events/s, per-lane counts) —
     #: present when the run shared an obs session with ``profile_run``
     emission: Dict[str, Any] = field(default_factory=dict)
-    #: control-plane ingest: calls ingested and calls/s, keyed by the
-    #: plane that handled them (``columnar``/``object``)
+    #: control-phase ingest: ``calls_ingested`` and ``calls_per_second``
+    #: over the preprocess+matching+clocks+epochs group
     control_plane: Dict[str, Any] = field(default_factory=dict)
     peak_rss_bytes: int = 0
     #: findings summary: counts plus per-finding detail w/ provenance
@@ -245,24 +246,17 @@ def _text_lines(recorder) -> Dict[str, int]:
 
 
 def _control_plane(recorder) -> Dict[str, Any]:
-    """Control-plane ingest stats, keyed by plane.
-
-    ``{"columnar": {"calls_ingested": n, "calls_per_second": r}}`` from
-    the counters the checker publishes after the
-    preprocess+matching+clocks+epochs group.  Both planes can appear in
-    one session (differential runs); a single check publishes one.
-    """
+    """Control-phase ingest stats, ``{"calls_ingested": n,
+    "calls_per_second": r}``, from the counters the checker publishes
+    after the preprocess+matching+clocks+epochs group."""
     ingested = recorder.registry.get("control_calls_ingested_total")
     if ingested is None:
         return {}
-    out: Dict[str, Any] = {}
-    for labels, value in ingested.samples():
-        out[labels.get("plane", "?")] = {"calls_ingested": int(value)}
+    out: Dict[str, Any] = {
+        "calls_ingested": int(sum(v for _l, v in ingested.samples()))}
     rate = recorder.registry.get("control_calls_per_second")
-    if rate is not None:
-        for labels, value in rate.samples():
-            out.setdefault(labels.get("plane", "?"), {})[
-                "calls_per_second"] = value
+    if rate is not None and rate.value() is not None:
+        out["calls_per_second"] = rate.value()
     return out
 
 
@@ -294,9 +288,8 @@ def build_run_report(report, config, *, traces=None, recorder=None,
     stats = report.stats
 
     config_dict = {
-        "memory_model": config.memory_model, "engine": config.engine,
+        "memory_model": config.memory_model,
         "jobs": config.jobs, "streaming": config.streaming,
-        "naive_inter": config.naive_inter,
         "cache_dir": config.cache_dir, "incremental": config.incremental,
     }
     config_digest = stable_hash(config_dict)
@@ -332,6 +325,9 @@ def build_run_report(report, config, *, traces=None, recorder=None,
     text_lines = _text_lines(rec)
     if text_lines:
         ingest["text_lines"] = text_lines
+    peak = rec.registry.get("analyzer_peak_buffered_mems")
+    if peak is not None:
+        ingest["peak_buffered_mems"] = int(peak.value())
 
     return RunReport(
         run_id=run_id, created=created, command=command, app=app,

@@ -36,8 +36,7 @@ class ProfilerHook(EventHook):
                  scope: str = SCOPE_REPORT,
                  relevant_vars: Optional[Set[str]] = None,
                  capture_locations: bool = True,
-                 trace_format: str = FORMAT_TEXT,
-                 bulk: bool = True):
+                 trace_format: str = FORMAT_TEXT):
         if scope not in SCOPES:
             raise ValueError(f"unknown instrumentation scope {scope!r}")
         if trace_format not in FORMATS:
@@ -45,11 +44,6 @@ class ProfilerHook(EventHook):
         self.scope = scope
         self.relevant_vars = set(relevant_vars or ())
         self.capture_locations = capture_locations
-        #: When True, block accesses take the zero-object columnar lane
-        #: (``TraceWriter.append_mem_columns``); when False they decompose
-        #: into per-event ``on_mem`` calls — the scalar reference lane the
-        #: differential suite compares against.
-        self.bulk = bulk
         self._writers: List[TraceWriter] = [
             TraceWriter(TraceSet.rank_path(directory, rank, trace_format),
                         rank, nranks, app, format=trace_format)
@@ -85,12 +79,6 @@ class ProfilerHook(EventHook):
     def on_mem_block(self, rank: int, kind: str, buf: TrackedBuffer,
                      addr: int, size: int, count: int, stride: int) -> None:
         if count <= 0:
-            return
-        if not self.bulk:
-            # scalar lane: the EventHook default turns the block back
-            # into count on_mem calls (one MemEvent each)
-            EventHook.on_mem_block(self, rank, kind, buf, addr, size,
-                                   count, stride)
             return
         loc = capture_location() if self.capture_locations else None
         seq = self._seq[rank]

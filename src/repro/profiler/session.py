@@ -77,15 +77,11 @@ def profile_run(app: Callable, nranks: int,
                 delivery: str = "random",
                 capture_locations: bool = True,
                 app_name: Optional[str] = None,
-                trace_format: str = "text",
-                bulk: bool = True) -> ProfiledRun:
+                trace_format: str = "text") -> ProfiledRun:
     """Run ``app`` on ``nranks`` simulated ranks with the Profiler attached.
 
     With ``scope="report"`` (the paper's configuration) and no explicit
     ``report``, ST-Analyzer runs automatically on the app's defining module.
-    ``bulk=False`` forces the scalar emission lane (every access becomes
-    one ``MemEvent``), the reference arm for producer differentials and
-    the generation benchmark baseline.
     """
     if trace_dir is None:
         trace_dir = tempfile.mkdtemp(prefix="mcchecker-trace-")
@@ -98,7 +94,7 @@ def profile_run(app: Callable, nranks: int,
     hook = ProfilerHook(trace_dir, nranks, app=app_name, scope=scope,
                         relevant_vars=relevant,
                         capture_locations=capture_locations,
-                        trace_format=trace_format, bulk=bulk)
+                        trace_format=trace_format)
     world = World(nranks, sched_policy=sched_policy, seed=seed,
                   delivery=delivery)
     world.hooks.append(hook)

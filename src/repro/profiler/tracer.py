@@ -649,7 +649,7 @@ class TraceReader:
     def __init__(self, path: str):
         self.path = path
         #: the rank's columnar CallTable, populated as a side product of
-        #: :meth:`read_calls` when the columnar control plane is active
+        #: :meth:`read_calls`
         self.call_table = None
         #: the rank's memory blocks, where ``read_calls(mems=True)``
         #: decoded them in the same pass as the calls (text traces)
@@ -800,16 +800,6 @@ class TraceReader:
             if pos < len(mems):
                 yield MemBlock(rank, table, mems[pos:])
 
-    def iter_calls(self) -> Iterator[CallEvent]:
-        """Call events only; memory events are skipped without decoding
-        (binary: whole blocks are stepped over via the frame length)."""
-        if self.format == FORMAT_BINARY:
-            yield from self._stream_binary(decode_mems=False)
-            return
-        for item in self.stream():
-            if not isinstance(item, MemBlock):
-                yield item
-
     def read_calls(self, mems: bool = False
                    ) -> Tuple[List[CallEvent], Dict[str, int]]:
         """One pass returning every call event plus exact per-class
@@ -823,34 +813,25 @@ class TraceReader:
         (binary blocks are mapped, not decoded, so there ``call_mems``
         stays ``None``).
 
-        Under the columnar control plane, decoding runs through
-        :class:`repro.core.calltable.CallIngest` — a memoizing line
-        parser that also leaves the rank's :class:`CallTable` in
-        ``self.call_table`` as a free side product."""
-        from repro.core.calltable import (
-            PLANE_COLUMNAR, CallIngest, control_plane,
-        )
+        Decoding runs through :class:`repro.core.calltable.CallIngest`
+        — a memoizing line parser that also leaves the rank's
+        :class:`CallTable` in ``self.call_table`` as a free side
+        product."""
+        from repro.core.calltable import CallIngest
         rank = self.header.rank
-        ingest = (CallIngest(rank)
-                  if control_plane() == PLANE_COLUMNAR else None)
+        ingest = CallIngest(rank)
         if self.format == FORMAT_BINARY:
-            if ingest is None:
-                calls = list(self.iter_calls())
-            else:
-                calls = self._read_calls_binary(ingest)
-                self.call_table = ingest.finish()
+            calls = self._read_calls_binary(ingest)
+            self.call_table = ingest.finish()
             return calls, dict(self._counts)
-        decode = (ingest.add if ingest is not None
-                  else partial(decode_event, rank))
-        section = _TextSection(self, decode, columns=mems)
+        section = _TextSection(self, ingest.add, columns=mems)
         calls: List[CallEvent] = []
         blocks: List[MemBlock] = []
         for rows, events, _cuts in section:
             calls.extend(events)
             if mems and len(rows):
                 blocks.append(MemBlock(rank, self._table, rows))
-        if ingest is not None:
-            self.call_table = ingest.finish()
+        self.call_table = ingest.finish()
         if mems:
             self.call_mems = blocks
         self._counts = section.counts
@@ -971,7 +952,7 @@ class TraceReader:
 
     # -- binary internals ----------------------------------------------
 
-    def _stream_binary(self, decode_mems: bool = True) -> Iterator[StreamItem]:
+    def _stream_binary(self) -> Iterator[StreamItem]:
         mm = self._mm
         if mm is None:
             raise TraceFormatError(f"{self.path}: reader is closed")
@@ -989,10 +970,9 @@ class TraceReader:
                 if pos > end:
                     raise TraceFormatError(
                         f"{self.path}: memory block overruns the footer")
-                if decode_mems:
-                    arr = np.frombuffer(mm, dtype=MEM_DTYPE, count=count,
-                                        offset=start)
-                    yield MemBlock(rank, table, arr)
+                arr = np.frombuffer(mm, dtype=MEM_DTYPE, count=count,
+                                    offset=start)
+                yield MemBlock(rank, table, arr)
             elif tag == b"C":
                 length = _U32.unpack_from(mm, pos + 1)[0]
                 start = pos + 5

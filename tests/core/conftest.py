@@ -5,10 +5,10 @@ import pytest
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import build_access_model
 from repro.core.preprocess import preprocess
 from repro.core.regions import RegionIndex
 from repro.profiler.session import profile_run
+from tests.reference.pairwise import build_access_model
 
 
 class Pipeline:

@@ -16,9 +16,11 @@ import pytest
 
 from repro import api
 from repro.apps.registry import BUG_CASES
+from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.tracer import TraceSet, TraceWriter
 from repro.util.errors import AnalysisError
+from tests.reference.pairwise import check_pairwise
 
 INT64_MAX = (1 << 63) - 1
 
@@ -72,8 +74,7 @@ def test_bad_memory_row_is_a_typed_error(jacobi_events, tmp_path, fmt,
         return event
 
     traces = rewrite(str(tmp_path / "t"), events, fmt, mutate)
-    arms = [dict(), dict(engine="pairwise"), dict(streaming=True),
-            dict(jobs=2),
+    arms = [dict(), dict(streaming=True), dict(jobs=2),
             dict(incremental=True, cache_dir=str(tmp_path / "cache"))]
     for arm in arms:
         with pytest.raises((AnalysisError, RuntimeError),
@@ -93,7 +94,10 @@ def test_unmutated_rewrite_still_finds_the_bug(jacobi_events, tmp_path,
                                                fmt):
     events, _ = jacobi_events
     traces = rewrite(str(tmp_path / "t"), events, fmt, lambda e: e)
-    assert api.check(traces).findings
+    report = api.check(traces)
+    assert report.findings
+    assert canonical_report(report) == \
+        canonical_report(check_pairwise(traces))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -109,9 +113,10 @@ def test_rma_target_outside_address_space(jacobi_events, tmp_path, fmt):
         return event
 
     traces = rewrite(str(tmp_path / "t"), events, fmt, mutate)
-    for arm in (dict(), dict(engine="pairwise"), dict(streaming=True)):
+    for check in (api.check, lambda t: api.check(t, streaming=True),
+                  check_pairwise):
         with pytest.raises(
                 AnalysisError,
                 match=rf"rank {first_put.rank} seq {first_put.seq}: "
                       "RMA target"):
-            api.check(traces, **arm)
+            check(traces)

@@ -6,6 +6,9 @@ from repro.core import check_app, check_traces
 from repro.core.checker import MCChecker
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, INT
+from tests.reference.pairwise import (
+    check_pairwise, detect_cross_process_naive,
+)
 
 
 def _buggy_app(mpi):
@@ -71,7 +74,8 @@ class TestCheckTraces:
     def test_naive_inter_agrees(self, tmp_path):
         run = profile_run(_buggy_app, nranks=2, trace_dir=str(tmp_path))
         fast = check_traces(run.traces)
-        naive = check_traces(run.traces, naive_inter=True)
+        naive = check_pairwise(run.traces,
+                               inter=detect_cross_process_naive)
         assert sorted(f.dedup_key for f in fast.findings) == \
             sorted(f.dedup_key for f in naive.findings)
 

@@ -1,9 +1,11 @@
 """Happens-before oracle tests, incl. differential testing against the DAG."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core.clocks import ConcurrencyOracle, Span
 from repro.core.dag import build_dag, event_node, happens_before
 from repro.core.epochs import EpochIndex
@@ -12,6 +14,9 @@ from repro.core.preprocess import preprocess
 from repro.profiler.events import CallEvent, RMA_COMM_CALLS, MemEvent
 from repro.profiler.session import profile_run
 from repro.simmpi import INT
+from tests.core.test_control_plane_differential import (
+    STEP_KINDS, sync_program,
+)
 
 
 def build(app, nranks, **kw):
@@ -244,24 +249,51 @@ class TestDifferentialAgainstDAG:
                 else:
                     mpi.comm_rank()
 
-        pre, matches, oracle = build(app, 3, seed=seed)
-        epochs = EpochIndex(pre)
-        dag = build_dag(pre, matches, epochs)
+        _assert_agrees_with_dag(*build(app, 3, seed=seed), seed)
 
-        nodes = [
-            (rank, e.seq) for rank in range(pre.nranks)
-            for e in pre.events[rank]
-            if not (isinstance(e, CallEvent) and e.fn in RMA_COMM_CALLS)
-        ]
-        rng = random.Random(seed)
-        samples = rng.sample(nodes, min(len(nodes), 25))
-        for a_rank, a_seq in samples:
-            for b_rank, b_seq in samples:
-                if (a_rank, a_seq) == (b_rank, b_seq):
-                    continue
-                expected = happens_before(dag, event_node(a_rank, a_seq),
-                                          event_node(b_rank, b_seq))
-                actual = oracle.happens_before(a_rank, a_seq, b_rank, b_seq)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agreement_pscw_lock_programs(self, seed):
+        """Fence / lock / lock_all / PSCW / nonblocking-barrier / p2p
+        mixes: every directed-match kind and the collective exits."""
+        rng = random.Random(900 + seed)
+        steps = [rng.choice(STEP_KINDS) for _ in range(6)] + ["pscw", "lock"]
+        rng.shuffle(steps)
+        _assert_agrees_with_dag(
+            *build(sync_program, 3, params=dict(steps=steps, seed=seed),
+                   seed=seed), seed)
+
+    @pytest.mark.parametrize("case", BUG_CASES + EXTRA_CASES,
+                             ids=lambda c: c.name)
+    def test_agreement_table2_corpus(self, case):
+        _assert_agrees_with_dag(
+            *build(case.app, min(case.nranks, 8),
+                   params=case.params(True)), seed=0)
+
+
+def _assert_agrees_with_dag(pre, matches, oracle, seed):
+    """``happens_before`` of the oracle — and of a pickled copy, the form
+    pool workers receive — equals DAG reachability on sampled pairs."""
+    dag = build_dag(pre, matches, EpochIndex(pre))
+    shipped = pickle.loads(pickle.dumps(oracle))
+    nodes = [
+        (rank, e.seq) for rank in range(pre.nranks)
+        for e in pre.events[rank]
+        if not (isinstance(e, CallEvent) and e.fn in RMA_COMM_CALLS)
+    ]
+    # sync calls and their neighbours are where an oracle goes wrong
+    syncs = [(rank, seq) for rank in range(pre.nranks)
+             for seq in oracle.sync_seqs[rank]]
+    rng = random.Random(seed)
+    samples = rng.sample(nodes, min(len(nodes), 15)) + \
+        rng.sample(syncs, min(len(syncs), 10))
+    for a_rank, a_seq in samples:
+        for b_rank, b_seq in samples:
+            if (a_rank, a_seq) == (b_rank, b_seq):
+                continue
+            expected = happens_before(dag, event_node(a_rank, a_seq),
+                                      event_node(b_rank, b_seq))
+            for name, o in (("oracle", oracle), ("pickled", shipped)):
+                actual = o.happens_before(a_rank, a_seq, b_rank, b_seq)
                 assert actual == expected, (
-                    f"oracle={actual} dag={expected} for "
+                    f"{name}={actual} dag={expected} for "
                     f"({a_rank},{a_seq}) -> ({b_rank},{b_seq})")

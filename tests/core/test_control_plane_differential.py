@@ -1,22 +1,23 @@
-"""Control-plane differential properties (hypothesis).
+"""Control-phase differential properties (hypothesis).
 
 Randomized synchronization programs — fence / PSCW / lock / lock_all /
-barrier / p2p mixes over random rank counts — pin the columnar control
-plane to its reference implementations:
+barrier / nonblocking-barrier / p2p mixes over random rank counts — pin
+the call-table control phases to the references in ``tests/reference``:
 
-* the vectorized matcher against the per-event object walk (all match
-  kinds, PSCW included) and against ``match_synchronization_naive``
-  (the quadratic strawman; collective + p2p, the kinds it produces);
+* the one matcher against the paper's Algorithm-1 progress-counter walk
+  (all match kinds: PSCW and a nonblocking collective completed by
+  ``Wait`` included — only the walk referees those) and against
+  ``match_synchronization_naive`` (the quadratic strawman; collective +
+  p2p, the kinds it produces);
 * :class:`~repro.core.calltable.CallTable` ingest against
   ``from_events`` over the decoded object stream — for binary (v2)
   traces this crosses frame boundaries, for text traces it pins the
   memoized fast parser to ``decode_event``;
 * the shared-memory ship (``share_table``/``attach_table``) and pickle
-  round-trips of a table;
-* the vectorized :class:`~repro.core.clocks.ConcurrencyOracle` against
-  the dict-based reference, compared on ``happens_before`` queries (the
-  unit *numbering* may legitimately differ between builds; the query
-  answers may not).
+  round-trips of a table.
+
+(The oracle's ``happens_before`` answers are checked against Figure-4
+DAG reachability in ``test_clocks.py::TestDifferentialAgainstDAG``.)
 """
 
 import json
@@ -26,19 +27,22 @@ import pickle
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.calltable import (
-    CONTROL_PLANE_ENV, CallTable, attach_table, share_table,
-)
-from repro.core.clocks import ConcurrencyOracle
+from repro.core.calltable import CallTable, attach_table, share_table
+from repro.core.config import CheckConfig
 from repro.core.matching import (
     KIND_COLLECTIVE, KIND_P2P, match_synchronization,
-    match_synchronization_naive, match_synchronization_object,
 )
-from repro.core.preprocess import preprocess
+from repro.core.preprocess import preprocess, preprocess_calls
+from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, LOCK_EXCLUSIVE, LOCK_SHARED
+from tests.reference.matching import (
+    match_synchronization_naive, match_synchronization_object,
+)
+from tests.reference.pairwise import check_pairwise
 
-STEP_KINDS = ("fence", "lock", "lockall", "pscw", "barrier", "p2p")
+STEP_KINDS = ("fence", "lock", "lockall", "pscw", "barrier", "ibarrier",
+              "p2p")
 #: the subset whose matches the naive strawman also produces
 NAIVE_KINDS = ("fence", "lock", "barrier", "p2p")
 
@@ -79,6 +83,10 @@ def sync_program(mpi, steps=(), seed=0):
             win.put(src, target=right, origin_count=1)
             win.complete()
             win.wait()
+        elif kind == "ibarrier":
+            req = mpi.ibarrier()
+            buf[0] = 1.0  # between initiation and completion
+            mpi.wait(req)
         elif kind == "p2p":
             s = rng.randrange(mpi.size)
             d = (s + 1) % mpi.size
@@ -90,23 +98,6 @@ def sync_program(mpi, steps=(), seed=0):
             mpi.barrier()
     mpi.barrier()
     win.free()
-
-
-class plane:
-    """Pin the control plane for a block, restoring the prior value."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __enter__(self):
-        self.prior = os.environ.get(CONTROL_PLANE_ENV)
-        os.environ[CONTROL_PLANE_ENV] = self.name
-
-    def __exit__(self, *exc):
-        if self.prior is None:
-            os.environ.pop(CONTROL_PLANE_ENV, None)
-        else:
-            os.environ[CONTROL_PLANE_ENV] = self.prior
 
 
 def canonical_matches(matches):
@@ -146,27 +137,17 @@ seed_st = st.integers(0, 10 ** 6)
 @given(steps_st, nranks_st, seed_st)
 @settings(max_examples=25, deadline=None)
 def test_prop_vectorized_matcher_equals_object_walk(steps, nranks, seed):
-    traces = trace_for(steps, seed, nranks)
-    with plane("columnar"):
-        pre = preprocess(traces)
-        fast = match_synchronization(pre)
-    with plane("object"):
-        pre_obj = preprocess(traces)
-        walk = match_synchronization_object(pre_obj)
-    assert canonical_matches(fast) == canonical_matches(walk)
+    pre = preprocess(trace_for(steps, seed, nranks))
+    assert canonical_matches(match_synchronization(pre)) == \
+        canonical_matches(match_synchronization_object(pre))
 
 
 @given(naive_steps_st, nranks_st, seed_st)
 @settings(max_examples=20, deadline=None)
 def test_prop_vectorized_matcher_equals_naive(steps, nranks, seed):
-    traces = trace_for(steps, seed, nranks)
-    with plane("columnar"):
-        pre = preprocess(traces)
-        fast = match_synchronization(pre)
-    with plane("object"):
-        pre_obj = preprocess(traces)
-        naive = match_synchronization_naive(pre_obj)
-    assert coll_p2p_canonical(fast) == coll_p2p_canonical(naive)
+    pre = preprocess(trace_for(steps, seed, nranks))
+    assert coll_p2p_canonical(match_synchronization(pre)) == \
+        coll_p2p_canonical(match_synchronization_naive(pre))
 
 
 def assert_tables_equal(a: CallTable, b: CallTable):
@@ -189,7 +170,7 @@ def test_prop_calltable_roundtrip(steps, nranks, seed, trace_format):
     boundaries for binary traces — and survive shm + pickle trips."""
     traces = trace_for(steps, seed, nranks, trace_format=trace_format)
     for rank in range(nranks):
-        with plane("columnar"), traces.reader(rank) as reader:
+        with traces.reader(rank) as reader:
             calls, _counts = reader.read_calls()
             table = reader.call_table
         assert table is not None
@@ -212,13 +193,13 @@ def test_prop_calltable_roundtrip(steps, nranks, seed, trace_format):
 @settings(max_examples=15, deadline=None)
 def test_prop_fast_parse_equals_decode_event(steps, nranks, seed):
     """The memoized text-line fast parser yields CallEvents identical to
-    the canonical ``decode_event`` (the object plane's reader)."""
+    the canonical ``decode_event`` (the typed-event iterator's codec)."""
     traces = trace_for(steps, seed, nranks)
     for rank in range(nranks):
-        with plane("columnar"), traces.reader(rank) as reader:
+        with traces.reader(rank) as reader:
             fast, _counts = reader.read_calls()
-        with plane("object"), traces.reader(rank) as reader:
-            ref, _counts = reader.read_calls()
+        with traces.reader(rank) as reader:
+            ref = [e for e in reader if isinstance(e, CallEvent)]
         assert len(fast) == len(ref)
         for f, r in zip(fast, ref):
             assert (f.rank, f.seq, f.fn) == (r.rank, r.seq, r.fn)
@@ -226,53 +207,9 @@ def test_prop_fast_parse_equals_decode_event(steps, nranks, seed):
             assert f.loc == r.loc
 
 
-@given(steps_st, nranks_st, seed_st)
-@settings(max_examples=10, deadline=None)
-def test_prop_oracle_queries_agree_across_planes(steps, nranks, seed):
-    """Vectorized and reference oracle builds answer every
-    ``happens_before`` query identically (same matches in, so any
-    divergence is the clock construction's fault) — and the vectorized
-    build's answers survive pickling."""
-    traces = trace_for(steps, seed, nranks)
-    with plane("columnar"):
-        pre = preprocess(traces)
-        matches = match_synchronization(pre)
-        fast = ConcurrencyOracle(pre, matches)
-    with plane("object"):
-        ref = ConcurrencyOracle(pre, matches)
-    shipped = pickle.loads(pickle.dumps(fast))
-
-    seqs = {rank: sorted(fast.sync_seqs[rank]) for rank in range(nranks)}
-    probes = []
-    for rank in range(nranks):
-        pts = seqs[rank]
-        # sync points themselves, their neighbours, and the extremes
-        sample = set()
-        for s in pts[:8]:
-            sample.update((s - 1, s, s + 1))
-        sample.update((0, (pts[-1] + 2) if pts else 2))
-        probes.append(sorted(sample))
-    checked = 0
-    for a_rank in range(nranks):
-        for b_rank in range(nranks):
-            if a_rank == b_rank:
-                continue
-            for a_seq in probes[a_rank]:
-                for b_seq in probes[b_rank]:
-                    want = ref.happens_before(a_rank, a_seq,
-                                              b_rank, b_seq)
-                    assert fast.happens_before(
-                        a_rank, a_seq, b_rank, b_seq) == want
-                    assert shipped.happens_before(
-                        a_rank, a_seq, b_rank, b_seq) == want
-                    checked += 1
-                    if checked >= 600:
-                        return
-
-
 # ----------------------------------------------------------------------
-# corpus differential: object vs columnar over every registered bug case
-# x both memory models x both trace formats (the CI step)
+# corpus differential: production vs the references over every
+# registered bug case x both memory models x both trace formats
 # ----------------------------------------------------------------------
 
 import pytest
@@ -310,10 +247,12 @@ class TestControlPlaneCorpus:
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
     def test_planes_byte_identical(self, case, memory_model,
                                    trace_format):
+        """The call-table control phases against the object walk, and
+        the report they lead to against the per-pair reference's."""
         traces = case_traces(case, trace_format)
-        reports = {}
-        for name in ("object", "columnar"):
-            with plane(name):
-                reports[name] = canonical_report(
-                    check_traces(traces, memory_model=memory_model))
-        assert reports["object"] == reports["columnar"]
+        pre = preprocess_calls(traces)
+        assert canonical_matches(match_synchronization(pre)) == \
+            canonical_matches(match_synchronization_object(pre))
+        assert canonical_report(check_traces(
+            traces, CheckConfig(memory_model=memory_model))) == \
+            canonical_report(check_pairwise(traces, memory_model))

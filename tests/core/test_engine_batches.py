@@ -15,8 +15,9 @@ bug corpus and ten generated programs, under both memory models:
 
 compared as ``to_payload()`` lists *before* sort/dedupe — which pins the
 emission order cache identity and the deterministic merge rest on — and
-each unit's findings equal the pairwise engine's for that unit (as a
-multiset: the pairwise loops nest differently inside a unit).
+each unit's findings equal those of the paper's per-pair walk over that
+unit (``tests.reference.pairwise``; as a multiset: its loops nest
+differently inside a unit).
 """
 
 import json
@@ -31,17 +32,17 @@ from repro.core.engine import (
     build_detect_units, check_epochs_sweep, detect_regions_sweep,
 )
 from repro.core.epochs import EpochIndex
-from repro.core.inter import LocalLockIndex, detect_region
-from repro.core.intra import check_epoch
+from repro.core.inter import LocalLockIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import (
-    build_access_model_stream, build_access_model_sweep,
-)
-from repro.core.preprocess import preprocess_calls
+from repro.core.model import build_access_model_sweep
+from repro.core.preprocess import preprocess, preprocess_calls
 from repro.core.regions import RegionIndex
 from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import profile_program
 from repro.profiler.session import profile_run
+from tests.reference.pairwise import (
+    build_access_model, check_epoch, detect_region,
+)
 
 MEMORY_MODELS = ("separate", "unified")
 GEN_SEEDS = range(10)
@@ -67,7 +68,7 @@ class Plan:
         self.mems = model.mems
         self.intra_units, self.inter_units = build_detect_units(
             model, epoch_index, regions)
-        reference = build_access_model_stream(self.pre, epoch_index, traces)
+        reference = build_access_model(preprocess(traces), epoch_index)
         self.ref_intra, self.ref_inter = build_detect_units(
             reference, epoch_index, regions)
 

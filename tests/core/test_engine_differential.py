@@ -1,12 +1,13 @@
-"""Sweep-engine differential tests.
+"""Production vs ``tests/reference``: the sweep engine's contract.
 
-The contract of ``MCChecker(engine="sweep")`` is *byte-identical reports
-to the pairwise reference engine* over the whole bundled bug corpus,
-under both memory models, in every execution mode (serial, parallel,
-streaming).  The joins may only prune pairs the per-pair checkers would
-reject anyway, so any divergence is a completeness bug in the sweep.
+The contract of the sweep engine is *byte-identical reports to the
+paper's per-pair algorithms* (``tests.reference.pairwise``) over the
+whole bundled bug corpus, under both memory models, in every execution
+mode (serial, parallel, streaming).  The joins may only prune pairs the
+per-pair checkers would reject anyway, so any divergence is a
+completeness bug in the sweep.
 
-Alongside the corpus differential, the sweep-only fast paths are pinned
+Alongside the corpus differential, the engine's fast paths are pinned
 to their reference implementations directly: ``LiftCache``'s memoized
 placement vs the normalised raw segments, its bisect-backed
 epoch lookup vs :meth:`EpochIndex.enclosing`, and the pair-batched
@@ -19,19 +20,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import api
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core.checker import check_traces
-from repro.core.clocks import ConcurrencyOracle, Span
-from repro.core.engine import resolve_engine
+from repro.core.clocks import ConcurrencyOracle
+from repro.core.config import CheckConfig
 from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import LiftCache, build_access_model
+from repro.core.model import LiftCache
 from repro.core.preprocess import preprocess_calls
 from repro.core.streaming import check_streaming
 from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
 from repro.simmpi.datatypes import Datatype
 from repro.util.intervals import Interval, IntervalSet
+from tests.reference.pairwise import build_access_model, check_pairwise
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
 RANKS_CAP = 8
@@ -40,13 +43,15 @@ MEMORY_MODELS = ("separate", "unified")
 _TRACES = {}
 
 
-def traces_for(case):
+def traces_for(case, trace_format="text"):
     """Profile each buggy case once and reuse the traces across tests."""
-    if case.name not in _TRACES:
+    key = (case.name, trace_format)
+    if key not in _TRACES:
         nranks = min(case.nranks, RANKS_CAP)
-        _TRACES[case.name] = profile_run(
-            case.app, nranks, params=case.params(True)).traces
-    return _TRACES[case.name]
+        _TRACES[key] = profile_run(
+            case.app, nranks, params=case.params(True),
+            trace_format=trace_format).traces
+    return _TRACES[key]
 
 
 def canonical(report) -> str:
@@ -56,57 +61,68 @@ def canonical(report) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+#: peak buffered load/store events of the streaming data pass, as the
+#: per-event streaming walk this repo once shipped measured them
+STREAMING_PEAKS = {"emulate": 8, "BT-broadcast": 8, "lockopts": 9,
+                   "ping-pong": 4}
+
+
 class TestEngineDifferential:
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
-    def test_sweep_matches_pairwise(self, case):
-        traces = traces_for(case)
-        for memory_model in MEMORY_MODELS:
-            reports = {
-                engine: check_traces(traces, memory_model=memory_model,
-                                     engine=engine)
-                for engine in ("sweep", "pairwise")
-            }
-            assert canonical(reports["sweep"]) == \
-                canonical(reports["pairwise"]), (
-                    f"{case.name}/{memory_model}: sweep report diverged")
+    def test_sweep_matches_pairwise(self, case, tmp_path):
+        """Every executor, both models, both trace formats."""
+        for trace_format in ("text", "binary"):
+            traces = traces_for(case, trace_format)
+            for memory_model in MEMORY_MODELS:
+                want = canonical(check_pairwise(traces, memory_model))
+                base = CheckConfig(memory_model=memory_model)
+                cached = base.replace(
+                    incremental=True,
+                    cache_dir=str(tmp_path / trace_format / memory_model))
+                for arm, config in (
+                        ("batch", base), ("jobs=2", base.replace(jobs=2)),
+                        ("streaming", base.replace(streaming=True)),
+                        ("incremental-cold", cached),
+                        ("incremental-warm", cached)):
+                    assert canonical(check_traces(traces, config)) == \
+                        want, (f"{case.name}/{trace_format}/"
+                               f"{memory_model}/{arm}: report diverged")
 
     @pytest.mark.parametrize("case", ALL_CASES[:4], ids=lambda c: c.name)
     def test_parallel_sweep_matches_serial_pairwise(self, case):
         traces = traces_for(case)
-        ref = canonical(check_traces(traces, engine="pairwise"))
-        assert canonical(check_traces(traces, engine="sweep",
-                                      jobs=2)) == ref, (
-            f"{case.name}: jobs=2 sweep report diverged")
+        assert canonical(check_traces(traces, CheckConfig(jobs=2))) == \
+            canonical(check_pairwise(traces)), (
+                f"{case.name}: jobs=2 sweep report diverged")
 
     @pytest.mark.parametrize("case", list(BUG_CASES)[:4],
                              ids=lambda c: c.name)
     def test_streaming_sweep_matches_streaming_pairwise(self, case):
         traces = traces_for(case)
-        outs = {}
-        for engine in ("sweep", "pairwise"):
-            findings, checker = check_streaming(traces, engine=engine)
-            outs[engine] = (
-                json.dumps([f.to_dict() for f in findings],
-                           sort_keys=True),
-                checker.peak_buffered_mems)
-        assert outs["sweep"][0] == outs["pairwise"][0], (
-            f"{case.name}: streaming sweep findings diverged")
-        assert outs["sweep"][1] == outs["pairwise"][1], (
-            f"{case.name}: streaming sweep peak accounting diverged")
+        findings, checker = check_streaming(traces)
+        assert json.dumps([f.to_dict() for f in findings],
+                          sort_keys=True) == \
+            json.dumps([f.to_dict()
+                        for f in check_pairwise(traces).findings],
+                       sort_keys=True), (
+                f"{case.name}: streaming findings diverged")
+        assert checker.peak_buffered_mems == STREAMING_PEAKS[case.name], (
+            f"{case.name}: streaming peak accounting diverged")
 
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_engine("quadratic")
-
-    def test_known_engines_resolve(self):
-        assert resolve_engine("sweep") == "sweep"
-        assert resolve_engine("pairwise") == "pairwise"
+        """There is one engine and no switch: a stale ``engine=``
+        override fails loudly instead of being ignored."""
+        traces = traces_for(ALL_CASES[0])
+        with pytest.raises(TypeError):
+            api.check(traces, engine="pairwise")
+        with pytest.raises(TypeError):
+            CheckConfig(engine="sweep")
 
 
 # ----------------------------------------------------------------------
-# the sweep-only fast paths vs their reference implementations
+# the engine's fast paths vs their reference implementations
 # ----------------------------------------------------------------------
 
 datamap_strategy = st.lists(

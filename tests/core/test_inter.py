@@ -8,24 +8,36 @@ from repro.core.clocks import ConcurrencyOracle
 from repro.core.diagnostics import (
     CROSS_PROCESS, SEVERITY_ERROR, SEVERITY_WARNING,
 )
+from repro.core.engine import detect_cross_process_sweep
 from repro.core.epochs import EpochIndex
-from repro.core.inter import detect_cross_process, detect_cross_process_naive
 from repro.core.matching import match_synchronization
-from repro.core.model import build_access_model
+from repro.core.model import build_access_model_sweep
 from repro.core.preprocess import preprocess
 from repro.core.regions import RegionIndex
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, INT, LOCK_EXCLUSIVE, LOCK_SHARED, SUM
+from tests.reference.pairwise import (
+    build_access_model, detect_cross_process, detect_cross_process_naive,
+)
 
 
 def stages_for(app, nranks, **kw):
     kw.setdefault("delivery", "random")
-    pre = preprocess(profile_run(app, nranks, **kw).traces)
+    traces = profile_run(app, nranks, **kw).traces
+    pre = preprocess(traces)
     matches = match_synchronization(pre)
     oracle = ConcurrencyOracle(pre, matches)
     epochs = EpochIndex(pre)
     model = build_access_model(pre, epochs)
     regions = RegionIndex(pre, matches)
+    # the production sweep over the same stages must agree with the
+    # paper's linear scan on every program this module writes
+    sweep = detect_cross_process_sweep(
+        pre, build_access_model_sweep(pre, epochs, traces), regions,
+        oracle, epochs)
+    scan = detect_cross_process(pre, model, regions, oracle, epochs)
+    assert sorted(map(repr, (f.to_payload() for f in sweep))) == \
+        sorted(map(repr, (f.to_payload() for f in scan)))
     return pre, model, regions, oracle, epochs
 
 

@@ -1,22 +1,33 @@
-"""Within-epoch conflict detection tests (Figure 2a class)."""
+"""Within-epoch conflict detection tests (Figure 2a class).
+
+Each program goes through the paper's all-pairs walk
+(``tests.reference.pairwise``) and through the production sweep kernel;
+the assertions read the walk's findings after the two were found equal.
+"""
 
 import pytest
 
 from repro.core.diagnostics import INTRA_EPOCH
+from repro.core.engine import detect_intra_epoch_sweep
 from repro.core.epochs import EpochIndex
-from repro.core.intra import detect_intra_epoch
-from repro.core.model import build_access_model
+from repro.core.model import build_access_model_sweep
 from repro.core.preprocess import preprocess
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, INT, LOCK_SHARED, SUM
+from tests.reference.pairwise import build_access_model, detect_intra_epoch
 
 
 def findings_for(app, nranks, **kw):
     kw.setdefault("delivery", "random")
-    pre = preprocess(profile_run(app, nranks, **kw).traces)
+    traces = profile_run(app, nranks, **kw).traces
+    pre = preprocess(traces)
     epochs = EpochIndex(pre)
-    model = build_access_model(pre, epochs)
-    return detect_intra_epoch(model, epochs)
+    found = detect_intra_epoch(build_access_model(pre, epochs), epochs)
+    sweep = detect_intra_epoch_sweep(
+        build_access_model_sweep(pre, epochs, traces), epochs)
+    assert sorted(map(repr, (f.to_payload() for f in sweep))) == \
+        sorted(map(repr, (f.to_payload() for f in found)))
+    return found
 
 
 def _win_app(body):

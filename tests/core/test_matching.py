@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.matching import (
     KIND_COLLECTIVE, KIND_COMPLETE_WAIT, KIND_P2P, KIND_POST_START,
-    match_synchronization, match_synchronization_naive,
+    match_synchronization,
 )
 from repro.core.preprocess import preprocess
 from repro.profiler.session import profile_run
 from repro.simmpi import ANY_SOURCE, ANY_TAG, INT
+from tests.reference.matching import match_synchronization_naive
 
 
 def matches_for(app, nranks, **kw):

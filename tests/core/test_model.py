@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.compat import ACC, GET, LOAD, PUT, STORE
 from repro.core.epochs import EpochIndex
-from repro.core.model import build_access_model
 from repro.core.preprocess import preprocess
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, INT, SUM
+from tests.reference.pairwise import build_access_model
 
 
 def model_for(app, nranks, **kw):

@@ -3,7 +3,7 @@ epochs, atomics compatibility, and the unified memory model."""
 
 import pytest
 
-from repro.core import check_app
+from repro.core import CheckConfig, check_app
 from repro.core.compat import (
     MODEL_SEPARATE, MODEL_UNIFIED, compat_verdict, table_entry,
 )
@@ -49,13 +49,13 @@ def _store_vs_put_app(mpi):
 
 class TestMemoryModelSwitch:
     def test_separate_model_flags_disjoint_store(self):
-        report = check_app(_store_vs_put_app, nranks=2,
-                           memory_model=MODEL_SEPARATE)
+        report = check_app(_store_vs_put_app, nranks=2, config=CheckConfig(
+            memory_model=MODEL_SEPARATE))
         assert report.has_errors
 
     def test_unified_model_permits_disjoint_store(self):
-        report = check_app(_store_vs_put_app, nranks=2,
-                           memory_model=MODEL_UNIFIED)
+        report = check_app(_store_vs_put_app, nranks=2, config=CheckConfig(
+            memory_model=MODEL_UNIFIED))
         assert not report.findings
 
     def test_unified_model_still_flags_overlap(self):
@@ -73,7 +73,8 @@ class TestMemoryModelSwitch:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2, memory_model=MODEL_UNIFIED)
+        report = check_app(app, nranks=2, config=CheckConfig(
+            memory_model=MODEL_UNIFIED))
         assert report.has_errors
 
 

@@ -20,6 +20,9 @@ from repro.core.parallel import (
     _chunk_bounds, acquire_pool, resolve_jobs, shutdown_pools,
 )
 from repro.profiler.session import profile_run
+from tests.reference.pairwise import (
+    check_pairwise, detect_cross_process_naive,
+)
 
 
 def _leaked_segments():
@@ -55,8 +58,8 @@ class TestDifferential:
         traces = traces_for(case)
         for memory_model in MEMORY_MODELS:
             reports = {
-                jobs: check_traces(traces, memory_model=memory_model,
-                                   jobs=jobs)
+                jobs: check_traces(traces, CheckConfig(
+                    memory_model=memory_model, jobs=jobs))
                 for jobs in JOB_COUNTS
             }
             serial = reports[1]
@@ -71,12 +74,13 @@ class TestDifferential:
                     "diverged from serial")
 
     def test_naive_inter_unaffected_by_jobs(self):
-        # the combinatorial strawman stays serial under jobs>1, but the
-        # report must still match the fully serial naive run
+        # the combinatorial strawman (tests.reference) referees the
+        # pooled run as well as the serial one
         traces = traces_for(ALL_CASES[0])
-        serial = check_traces(traces, naive_inter=True)
-        parallel = check_traces(traces, naive_inter=True, jobs=2)
-        assert canonical(parallel) == canonical(serial)
+        naive = canonical(check_pairwise(
+            traces, inter=detect_cross_process_naive))
+        assert canonical(check_traces(traces)) == naive
+        assert canonical(check_traces(traces, CheckConfig(jobs=2))) == naive
 
 
 class TestHelpers:
@@ -104,7 +108,7 @@ class TestWorkerObs:
         traces = traces_for(ALL_CASES[0])
         rec = obs.configure(enabled=True)
         try:
-            check_traces(traces, jobs=2)
+            check_traces(traces, CheckConfig(jobs=2))
             span_names = {r.name for r in rec.spans.records()}
             assert "analyzer.worker.scan" in span_names
             assert "analyzer.worker.lift" in span_names
@@ -119,7 +123,7 @@ class TestWorkerObs:
         traces = traces_for(ALL_CASES[0])
         obs.reset()
         rec = obs.get_recorder()
-        check_traces(traces, jobs=2)
+        check_traces(traces, CheckConfig(jobs=2))
         assert len(rec.spans) == 0
         assert len(rec.registry) == 0
 

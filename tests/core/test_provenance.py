@@ -3,10 +3,11 @@
 Every finding must carry a non-empty provenance record — the detection
 phase/pattern, the two influence spans as trace references, the
 enclosing epoch (intra-epoch findings) and the failed happens-before
-edge — and that record must be *path-invariant*: byte-identical across
-engines, job counts, and incremental warm/cold runs, because it is
+edge — and that record must be *path-invariant*: byte-identical between
+production and the per-pair reference (``tests.reference.pairwise``),
+across job counts, and across incremental warm/cold runs, because it is
 derived purely from the conflicting pair.  The run-dependent facts
-(which engine/cache found it) live in the non-serialized ``context``
+(which executor/cache found it) live in the non-serialized ``context``
 annotation instead, which this suite checks separately per path.
 """
 
@@ -18,6 +19,7 @@ from repro.apps.registry import BUG_CASES
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
 from repro.profiler.session import profile_run
+from tests.reference.pairwise import check_pairwise
 
 RANKS_CAP = 8
 
@@ -99,10 +101,9 @@ class TestProvenanceInvariance:
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
     def test_identical_across_engines_and_jobs(self, case):
         traces = traces_for(case)
-        ref = canonical(check_traces(traces, engine="pairwise"))
-        assert canonical(check_traces(traces, engine="sweep")) == ref
-        assert canonical(check_traces(traces, engine="sweep",
-                                      jobs=2)) == ref
+        ref = canonical(check_pairwise(traces))
+        assert canonical(check_traces(traces)) == ref
+        assert canonical(check_traces(traces, CheckConfig(jobs=2))) == ref
 
     @pytest.mark.parametrize("case", CASES[:3], ids=lambda c: c.name)
     def test_identical_across_incremental_warm_cold(self, case, tmp_path):
@@ -122,10 +123,10 @@ class TestRunContext:
 
     @pytest.mark.parametrize("case", CASES[:3], ids=lambda c: c.name)
     def test_batch_context(self, case):
-        report = check_traces(traces_for(case), engine="sweep")
+        report = check_traces(traces_for(case))
         for finding in report.findings:
             ctx = finding.context
-            assert ctx["engine"] == "sweep"
+            assert ctx["jobs"] == 1
             assert ctx["mode"] == "batch"
             assert ctx["cache"] == "none"
 

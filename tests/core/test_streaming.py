@@ -98,10 +98,12 @@ class TestEpochCursor:
         assert sum(visits) <= 2 * (n_epochs + n_regions * 16)
 
     def test_same_peak_buffer_as_the_pairwise_pass(self, traces_for):
-        traces = traces_for("lu16-clean")
-        _f, sweep = check_streaming(traces, engine="sweep")
-        _f, pairwise = check_streaming(traces, engine="pairwise")
-        assert sweep.peak_buffered_mems == pairwise.peak_buffered_mems > 0
+        """The packed data pass buffers no more than a per-event walk
+        that holds one object per load/store did: 94 events at the
+        peak, as that walk (deleted with the pairwise executor)
+        measured on this program."""
+        _f, checker = check_streaming(traces_for("lu16-clean"))
+        assert checker.peak_buffered_mems == 94
 
     def test_order_and_lifetime(self):
         def epoch(rank, open_seq, close_seq):

@@ -1,11 +1,12 @@
 """Randomized torture workloads: every analysis path must agree.
 
 For each generated workload (random mix of fence/lock epochs, RMA op
-kinds, local accesses, p2p and collectives over random byte ranges), four
+kinds, local accesses, p2p and collectives over random byte ranges), five
 independent implementations of "what conflicts?" are compared:
 
-* the production batch pipeline (window-vector detector + VC oracle);
-* the combinatorial strawman detector;
+* the production batch pipeline (grouped-join sweep + VC oracle);
+* the paper's linear ``(window, target)`` scan and the combinatorial
+  strawman it improves on (``tests.reference.pairwise``);
 * the streaming region-at-a-time checker;
 * the batch pipeline on a re-serialized copy of the traces (write/read
   round-trip stability).
@@ -22,6 +23,9 @@ from repro.core.checker import check_traces
 from repro.core.streaming import check_streaming
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, LOCK_EXCLUSIVE, LOCK_SHARED
+from tests.reference.pairwise import (
+    check_pairwise, detect_cross_process_naive,
+)
 
 WINDOW_WORDS = 12
 
@@ -128,10 +132,12 @@ def test_all_paths_agree(seed, tmp_path):
                       delivery="random", seed=seed)
 
     batch = check_traces(run.traces)
-    naive = check_traces(run.traces, naive_inter=True)
+    linear = check_pairwise(run.traces)
+    naive = check_pairwise(run.traces, inter=detect_cross_process_naive)
     streamed, _checker = check_streaming(run.traces)
     reread = check_traces(run.traces)  # second read of the same files
 
+    assert canonical(batch.findings) == canonical(linear.findings)
     assert canonical(batch.findings) == canonical(naive.findings)
     assert canonical(batch.findings) == canonical(streamed)
     assert canonical(batch.findings) == canonical(reread.findings)

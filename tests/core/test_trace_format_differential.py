@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core.checker import check_traces
+from repro.core.config import CheckConfig
 from repro.core.streaming import check_streaming
 from repro.profiler.session import profile_run
 from repro.profiler.tracer import FORMAT_BINARY, FORMAT_TEXT
@@ -48,10 +49,10 @@ class TestFormatDifferential:
     def test_reports_identical_across_formats_and_jobs(self, case):
         text_traces = traces_for(case, FORMAT_TEXT)
         binary_traces = traces_for(case, FORMAT_BINARY)
-        baseline = canonical(check_traces(text_traces, jobs=1))
+        baseline = canonical(check_traces(text_traces))
         for traces in (text_traces, binary_traces):
             for jobs in JOB_COUNTS:
-                report = check_traces(traces, jobs=jobs)
+                report = check_traces(traces, CheckConfig(jobs=jobs))
                 assert canonical(report) == baseline, (
                     f"{case.name}: report diverged for "
                     f"format={traces.rank_path('', 0)} jobs={jobs}")
@@ -60,8 +61,9 @@ class TestFormatDifferential:
     def test_unified_model_identical_across_formats(self, case):
         text_traces = traces_for(case, FORMAT_TEXT)
         binary_traces = traces_for(case, FORMAT_BINARY)
-        left = check_traces(text_traces, memory_model="unified")
-        right = check_traces(binary_traces, memory_model="unified")
+        unified = CheckConfig(memory_model="unified")
+        left = check_traces(text_traces, unified)
+        right = check_traces(binary_traces, unified)
         assert canonical(left) == canonical(right)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)

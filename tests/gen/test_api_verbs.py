@@ -1,13 +1,10 @@
 """The redesigned ``repro.api`` facade: generate / fuzz / score."""
 
-import warnings
-
 import pytest
 
 import repro
 from repro import api
 from repro.gen import GenConfig, Manifest, replay
-from repro.gen.config import _reset_legacy_warning
 from repro.gen.fuzz import FuzzReport
 
 
@@ -32,18 +29,6 @@ def test_generate_saves(tmp_path):
     api.generate(GenConfig(seed=4, bugs=("any",)), out=str(out))
     assert (out / "program.json").exists()
     assert (out / "manifest.json").exists()
-
-
-def test_generate_legacy_nbugs_warns_once():
-    _reset_legacy_warning()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        generated = api.generate(seed=4, nbugs=2)
-        api.generate(seed=4, nbugs=1)
-    assert len(generated.manifest.bugs) == 2
-    deps = [w for w in caught
-            if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
 
 
 def test_generate_composes_with_run_check():

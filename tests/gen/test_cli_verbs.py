@@ -65,4 +65,4 @@ class TestFuzz:
         (case,) = payload["cases"]
         assert case["seed"] == 3
         assert case["mismatched_arms"] == []
-        assert len(case["arms"]) == 9
+        assert len(case["arms"]) == 5

@@ -48,13 +48,10 @@ def test_run_case_full_matrix_no_mismatches():
                               bugs=("any",) * 2))
     assert case.ok, case.to_dict()
     assert case.recall == 1.0 and case.precision == 1.0
-    # every arm of the execution matrix was actually compared
+    # every executor was actually compared
     assert set(case.arms) == {
-        "sweep/columnar", "sweep/object",
-        "pairwise/columnar", "pairwise/object",
-        "incremental-cold/columnar", "incremental-cold/object",
-        "incremental-warm/columnar", "incremental-warm/object",
-        "format-binary/columnar",
+        "batch", "streaming", "incremental-cold", "incremental-warm",
+        "format-binary",
     }
     assert case.mismatched_arms == ()
 

@@ -1,11 +1,9 @@
-"""GenConfig validation, derivation, and the legacy-kwarg shim."""
-
-import warnings
+"""GenConfig validation and derivation."""
 
 import pytest
 
-from repro.gen import BUG_PATTERNS, GenConfig, coerce_gen_config
-from repro.gen.config import _UNSET, _reset_legacy_warning
+from repro import api
+from repro.gen import BUG_PATTERNS, GenConfig
 
 
 def test_defaults_are_valid():
@@ -57,35 +55,21 @@ def test_config_is_hashable_corpus_key():
 
 
 def test_coerce_passthrough():
+    """A GenConfig handed to the api is used as is; none means the
+    defaults."""
     cfg = GenConfig(seed=9)
-    assert coerce_gen_config(cfg, "t") is cfg
-    assert coerce_gen_config(None, "t") == GenConfig()
+    assert api.generate(cfg).config is cfg
+    assert api.generate().config == GenConfig()
 
 
 def test_coerce_rejects_wrong_type():
     with pytest.raises(TypeError):
-        coerce_gen_config({"seed": 1}, "t")
-
-
-def test_legacy_nbugs_translates_and_warns_once():
-    _reset_legacy_warning()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = coerce_gen_config(None, "t", nbugs=3)
-        coerce_gen_config(None, "t", nbugs=2)  # second call: no warning
-    assert cfg.bugs == ("any", "any", "any")
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1
-    assert "deprecated" in str(deps[0].message)
-
-
-def test_unset_sentinel_does_not_warn():
-    _reset_legacy_warning()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = coerce_gen_config(None, "t", nbugs=_UNSET)
-    assert cfg == GenConfig()
-    assert not caught
+        api.generate({"seed": 1})
+    with pytest.raises(TypeError):
+        api.fuzz({"seed": 1})
+    # the prototype's nbugs= shim is gone: not a field, so not accepted
+    with pytest.raises(TypeError):
+        api.generate(nbugs=2)
 
 
 def test_bug_patterns_frozen_contract():

@@ -7,7 +7,8 @@ Three invariants the whole harness rests on:
 * generation is a pure function of the config — the same seed yields a
   byte-identical program and manifest;
 * the clean-traffic rules are sound — a configuration with no injected
-  bugs produces zero findings, on both detection engines.
+  bugs produces zero findings, from production and from the per-pair
+  reference (``tests.reference.pairwise``).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from repro.core.config import CheckConfig
 from repro.gen import GenConfig, generate_program, replay
 from repro.gen.fuzz import profile_program
 from repro.simmpi import run_app
+from tests.reference.pairwise import check_pairwise
 
 EPOCH_SUBSETS = st.lists(
     st.sampled_from(("fence", "lock", "lockall", "pscw")),
@@ -64,8 +66,9 @@ def test_bug_free_programs_are_silent(tmp_path_factory, seed, nranks,
     generated = generate_program(_config(seed, nranks, 3, 3, kinds, 0))
     trace_dir = tmp_path_factory.mktemp("clean-traces")
     profiled = profile_program(generated, trace_dir=str(trace_dir))
-    for engine in ("sweep", "pairwise"):
-        report = check_traces(profiled.traces, CheckConfig(engine=engine))
+    for engine, report in (
+            ("production", check_traces(profiled.traces, CheckConfig())),
+            ("reference", check_pairwise(profiled.traces))):
         assert report.findings == [], (
             f"clean program (seed={seed}) produced findings on {engine}: "
             f"{[e.to_dict() for e in report.findings]}")

@@ -44,7 +44,8 @@ class TestRunReport:
         assert len(rr.run_id) == 12
         assert rr.app == "racy"
         assert rr.command == "test-cmd"
-        assert rr.config["engine"] == "sweep"
+        assert set(rr.config) == {"memory_model", "jobs", "streaming",
+                                  "cache_dir", "incremental"}
         assert rr.config_digest
         assert len(rr.trace_digests) == rr.ingest["nranks"]
         assert rr.phases and "preprocess" in rr.phases
@@ -56,7 +57,7 @@ class TestRunReport:
         assert rr.findings["errors"] + rr.findings["warnings"] >= 1
         detail = rr.findings["details"][0]
         assert detail["provenance"]
-        assert detail["context"]["engine"] == "sweep"
+        assert detail["context"]["mode"] == "batch"
 
     def test_funnel_counters_surface(self, profiled):
         rr = checked_report(profiled)
@@ -305,6 +306,25 @@ class TestDashboard:
         assert rr.run_id in text
         assert "phases:" in text and "findings:" in text
         assert "provenance:" in text
+
+    def test_entries_written_with_two_planes_still_render(self, profiled):
+        """A ledger entry from before the control planes collapsed keys
+        its ingest row by plane and carries engine/naive_inter in its
+        config: it must load and render beside today's flat shape."""
+        rr = checked_report(profiled)
+        assert set(rr.control_plane) <= {"calls_ingested",
+                                         "calls_per_second"}
+        assert "control phases: " in render_run_text(rr)
+        payload = rr.to_dict()
+        payload["config"].update(engine="sweep", naive_inter=False)
+        payload["control_plane"] = {"columnar": dict(rr.control_plane)}
+        old = RunReport.from_dict(json.loads(json.dumps(payload)))
+        calls = f"{rr.control_plane['calls_ingested']:,} call(s) ingested"
+        assert calls in render_run_text(old)
+        assert calls in render_run_text(rr)
+        for entry in (old, rr):
+            assert f"{rr.control_plane['calls_ingested']:,}</td>" in \
+                render_run_html(entry)
 
     def test_history_rendering(self, profiled):
         rr = checked_report(profiled)

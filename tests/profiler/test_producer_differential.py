@@ -1,12 +1,13 @@
 """Producer differential: the bulk columnar lane must be invisible.
 
-The zero-object emission lane (``ProfilerHook(bulk=True)``, the default)
-coalesces block accesses into ``TraceWriter.append_mem_columns`` /
-``append_call`` fast paths.  Its contract is byte-identity with the
-scalar reference lane: every bundled bug case, profiled through both
-lanes in both trace formats, must produce identical trace files —
-hence identical content digests — and byte-identical checker reports
-under both memory models.
+``ProfilerHook`` coalesces block accesses into
+``TraceWriter.append_mem_columns`` / ``append_call`` fast paths.  Its
+contract is byte-identity with the scalar reference lane — a test-local
+hook that hands each block back to ``EventHook.on_mem_block``, which
+decomposes it into one ``on_mem`` (one ``MemEvent``) per access: every
+bundled bug case, profiled through both lanes in both trace formats,
+must produce identical trace files — hence identical content digests —
+and byte-identical checker reports under both memory models.
 
 A hypothesis property test additionally drives ``append_mem_columns``
 across mem-block flush boundaries, interleaved with scalar writes and
@@ -17,6 +18,7 @@ import hashlib
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,11 +26,14 @@ from hypothesis import example, given, settings, strategies as st
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
+from repro.profiler import session
 from repro.profiler.events import CallEvent, MemEvent
+from repro.profiler.interpose import ProfilerHook
 from repro.profiler.session import profile_run
 from repro.profiler.tracer import (
     FORMAT_BINARY, FORMAT_TEXT, TraceReader, TraceWriter,
 )
+from repro.simmpi.runtime import EventHook
 from repro.util.location import SourceLocation
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
@@ -39,14 +44,26 @@ FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 _TRACES = {}
 
 
+class ScalarHook(ProfilerHook):
+    """The scalar reference lane: every block access becomes ``count``
+    ``on_mem`` calls, one ``MemEvent`` object each.  (Bound directly, not
+    through a wrapper defined here: ``capture_location`` attributes an
+    event to the innermost frame outside the runtime, and a frame of this
+    file would become every access's source location.)"""
+
+    on_mem_block = EventHook.on_mem_block
+
+
 def traces_for(case, fmt, bulk):
     """Profile each (case, format, lane) once; reuse across tests."""
     key = (case.name, fmt, bulk)
     if key not in _TRACES:
         nranks = min(case.nranks, RANKS_CAP)
-        _TRACES[key] = profile_run(
-            case.app, nranks, params=case.params(True),
-            trace_format=fmt, bulk=bulk).traces
+        hook = ProfilerHook if bulk else ScalarHook
+        with mock.patch.object(session, "ProfilerHook", hook):
+            run = profile_run(case.app, nranks, params=case.params(True),
+                              trace_format=fmt)
+        _TRACES[key] = run.traces
     return _TRACES[key]
 
 

@@ -1,0 +1,8 @@
+"""The paper's literal algorithms, kept as test oracles.
+
+``matching`` holds the Algorithm-1 progress-counter walk and the naive
+rescanning matcher; ``pairwise`` the object access model, the per-epoch
+and per-region pair enumerations, the naive cross-process strawman and
+:func:`~tests.reference.pairwise.check_pairwise`.  Production
+(``src/repro``) imports none of it.
+"""

@@ -1,15 +1,14 @@
-"""CheckConfig consolidation, deprecation shims, CLI round-trip, and the
-``repro.api`` facade."""
+"""CheckConfig consolidation, CLI round-trip, and the ``repro.api``
+facade."""
 
+import dataclasses
 import json
-import warnings
 
 import pytest
 
 from repro import CheckConfig, api
 from repro.cli import _config_from_args, build_parser
 from repro.core.checker import MCChecker, check_app, check_traces
-from repro.core.config import _reset_legacy_warning
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, LOCK_SHARED
 
@@ -38,11 +37,14 @@ class TestCheckConfig:
     def test_defaults(self):
         config = CheckConfig()
         assert config.memory_model == "separate"
-        assert config.engine == "sweep"
         assert config.jobs == 1
         assert not config.streaming
         assert not config.incremental
         assert config.cache_dir is None
+        # one engine, one control plane: nothing else is tunable
+        assert [f.name for f in dataclasses.fields(CheckConfig)] == [
+            "memory_model", "jobs", "streaming", "cache_dir",
+            "incremental"]
 
     def test_replace_derives_new_value(self):
         config = CheckConfig()
@@ -55,11 +57,11 @@ class TestCheckConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(memory_model="relaxed"),
-        dict(engine="quantum"),
+        dict(memory_model="Separate"),  # names are exact
         dict(incremental=True),  # no cache_dir
         dict(incremental=True, cache_dir="c", streaming=True),
-        dict(incremental=True, cache_dir="c", naive_inter=True),
-        dict(incremental=True, cache_dir="c", engine="pairwise"),
+        dict(incremental=True, cache_dir=""),
+        dict(streaming=True, jobs=2),  # the streaming pass is serial
     ])
     def test_invalid_combinations_raise(self, kwargs):
         with pytest.raises(ValueError):
@@ -67,36 +69,24 @@ class TestCheckConfig:
 
 
 class TestLegacyShims:
-    def test_legacy_kwargs_warn_once_and_apply(self, traces):
-        _reset_legacy_warning()
-        with pytest.warns(DeprecationWarning):
-            checker = MCChecker(traces, memory_model="unified", jobs=2)
-        assert checker.memory_model == "unified"
-        assert checker.jobs == 2
-        assert checker.config.memory_model == "unified"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            MCChecker(traces, engine="pairwise")  # second time: silent
+    """The keyword shims are gone: a config is the only way in, and a
+    stale keyword is a loud ``TypeError``, never silently ignored."""
 
-    def test_legacy_kwargs_override_config(self, traces):
-        _reset_legacy_warning()
-        with pytest.warns(DeprecationWarning):
-            checker = MCChecker(traces, CheckConfig(jobs=4),
-                                memory_model="unified")
-        assert checker.jobs == 4
-        assert checker.memory_model == "unified"
+    def test_legacy_kwargs_rejected(self, traces):
+        for kwargs in (dict(memory_model="unified"), dict(jobs=2),
+                       dict(engine="pairwise"), dict(naive_inter=True)):
+            with pytest.raises(TypeError):
+                MCChecker(traces, **kwargs)
+            with pytest.raises(TypeError):
+                check_traces(traces, **kwargs)
+            with pytest.raises(TypeError):
+                check_app(_figure1, 2, **kwargs)
 
     def test_config_must_be_checkconfig(self, traces):
         with pytest.raises(TypeError):
             MCChecker(traces, {"jobs": 2})
-
-    def test_check_traces_legacy_matches_config(self, traces):
-        _reset_legacy_warning()
-        with pytest.warns(DeprecationWarning):
-            legacy = check_traces(traces, memory_model="unified")
-        config = check_traces(traces, CheckConfig(memory_model="unified"))
-        assert json.dumps([f.to_dict() for f in legacy.findings]) == \
-            json.dumps([f.to_dict() for f in config.findings])
+        with pytest.raises(TypeError):
+            check_traces(traces, "unified")
 
     def test_check_app_accepts_config(self):
         report = check_app(_figure1, 2,
@@ -105,9 +95,9 @@ class TestLegacyShims:
 
 
 class TestCliRoundTrip:
-    FLAGS = ["--memory-model", "unified", "--engine", "sweep",
+    FLAGS = ["--memory-model", "unified",
              "--jobs", "3", "--cache-dir", "/tmp/c", "--incremental"]
-    EXPECTED = CheckConfig(memory_model="unified", engine="sweep", jobs=3,
+    EXPECTED = CheckConfig(memory_model="unified", jobs=3,
                            cache_dir="/tmp/c", incremental=True)
 
     def test_check_flags_round_trip(self):

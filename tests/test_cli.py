@@ -72,10 +72,17 @@ class TestRunCheck:
             main(["run", "no-such-app"])
 
     def test_naive_inter_flag(self, tmp_path, capsys):
-        main(["run", "emulate", "--ranks", "2",
-              "--trace-dir", str(tmp_path)])
-        capsys.readouterr()
-        assert main(["check", str(tmp_path), "--naive-inter"]) == 1
+        """The implementation switches are gone from every sub-command:
+        argparse rejects them instead of ignoring them."""
+        for argv in (["check", str(tmp_path), "--naive-inter"],
+                     ["check", str(tmp_path), "--engine", "pairwise"],
+                     ["run-check", "emulate", "--engine", "sweep"],
+                     ["stats", str(tmp_path), "--engine", "sweep"],
+                     ["fuzz", "--engine", "sweep"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_streaming_flag(self, tmp_path, capsys):
         main(["run", "emulate", "--ranks", "2",
@@ -84,7 +91,40 @@ class TestRunCheck:
         rc = main(["check", str(tmp_path), "--streaming"])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "streaming" in out and "peak buffered" in out
+        assert "4 error(s)" in out
+        assert "streaming: peak buffered load/store events: 8" in out
+
+    def test_streaming_json_and_ledger(self, tmp_path, capsys,
+                                       _hermetic_ledger):
+        """--streaming goes through the same route as every other mode:
+        --json prints the report as JSON, the exit code carries the
+        verdict, and the run lands in the ledger."""
+        import json as json_mod
+        main(["run", "emulate", "--ranks", "2",
+              "--trace-dir", str(tmp_path)])
+        main(["check", str(tmp_path), "--json"])
+        capsys.readouterr()
+        rc = main(["check", str(tmp_path), "--streaming", "--json"])
+        streamed = json_mod.loads(capsys.readouterr().out)
+        assert rc == 1
+        main(["check", str(tmp_path), "--json", "--no-ledger"])
+        batch = json_mod.loads(capsys.readouterr().out)
+        for payload in (streamed, batch):
+            payload["stats"].pop("phase_seconds")
+        assert streamed == batch
+        from repro.obs.dashboard import render_run_text
+        from repro.obs.ledger import RunLedger
+        entry = RunLedger().entries()[-1]
+        assert entry.config["streaming"] is True
+        assert entry.ingest["peak_buffered_mems"] == 8
+        assert "peak buffered load/store events: 8" in \
+            render_run_text(entry)
+
+    def test_streaming_rejects_jobs(self, tmp_path):
+        """The streaming pass is serial; asking for workers is an error,
+        not a silently serial run."""
+        with pytest.raises(SystemExit, match="streaming.*jobs"):
+            main(["check", str(tmp_path), "--streaming", "--jobs", "2"])
 
     def test_stats_command(self, tmp_path, capsys):
         main(["run", "LU", "--ranks", "2", "--param", "n=10",
