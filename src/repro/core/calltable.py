@@ -6,14 +6,29 @@ The memory events are columnar from the tracer through the sweep engine
 struct-of-arrays view — seq numbers, fn codes, a sync-class code, and
 the handful of argument columns the matching / epoch / clock passes
 actually read (communicator, window, peer, tag, request, lock target,
-PSCW group) — built once per rank during ingest (:class:`CallIngest`,
-driven by ``TraceReader.read_calls``) and shared by every control phase:
+PSCW group) — built once per rank by ``TraceReader.read_calls`` and
+shared by every control phase:
 
 * :func:`repro.core.matching.match_synchronization` runs Algorithm 1 as
   per-channel occurrence-index zips over the class-filtered columns;
 * ``EpochIndex`` walks only the epoch-relevant rows (mask + take instead
   of a full event scan);
 * ``CallLift`` and the incremental digests index calls by table row.
+
+Two builders, one result.  A binary (v3) trace stores its calls as
+columns already, so :meth:`CallTable.from_columns` classifies each
+*shape* once and gathers each table column once — no call becomes an
+object on the way.  Text lines, and the calls a binary trace framed as
+text records, go through :class:`CallIngest`, a memoizing line decoder
+that builds the events and the table rows together.
+
+Who turns calls into :class:`CallEvent` objects, then?  Only the phases
+that read a call's *arguments*: the registry scan (window, communicator
+and datatype constructors), the call lift (RMA calls, calls with a
+logged buffer), and whatever walks a whole stream (tools, incremental
+slice digests).  They select their rows by fn code with
+:func:`calls_to`; over the lazy :class:`~repro.profiler.callcols.
+CallColumns` of a binary trace nothing else is ever built.
 
 Pool workers publish their rank's table over a shared-memory segment
 (:func:`share_table` / :func:`attach_table`), so a parallel run never
@@ -23,19 +38,27 @@ pickles the call stream.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from sys import intern as _intern
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from repro.core.preprocess import PreprocessedTrace
+from repro.profiler.callcols import (
+    KIND_INT, KIND_LIST, KIND_STR, CallColumns, Shape,
+)
 from repro.profiler.events import (
     COLLECTIVE_CALLS, DATATYPE_CALLS, NB_COLLECTIVE_CALLS, ONE_SIDED_CALLS,
     SUPPORT_CALLS, SYNC_CALLS, CallEvent,
 )
 from repro.util.errors import TraceFormatError
+from repro.util.intervals import expand_ranges
 from repro.util.location import SourceLocation
 from repro.util.records import INT64_MAX, INT64_MIN, decode_value
+
+if TYPE_CHECKING:
+    from repro.core.preprocess import PreprocessedTrace
 
 SEND_CALLS = frozenset({"Send", "Isend"})
 
@@ -103,8 +126,22 @@ def classify_call(fn: str, args: Dict[str, Any]
 
     ``peer`` is the *raw* (communicator-relative) dest/source — world
     resolution needs the merged registries and happens vectorized in the
-    matcher.  Missing columns are -1.
+    matcher.  Missing columns are -1.  A call that lacks an argument its
+    row needs, or logs a non-integer there, is a
+    :class:`TraceFormatError`.
     """
+    try:
+        return _classify_call(fn, args)
+    except KeyError as exc:
+        raise TraceFormatError(
+            f"call record {fn!r} lacks argument {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            f"call record {fn!r} has a malformed argument: {exc}") from None
+
+
+def _classify_call(fn: str, args: Dict[str, Any]
+                   ) -> Tuple[Tuple[int, ...], Optional[str]]:
     cls = CLS_OTHER
     comm = win = peer = tag = req = target = -1
     req_kind = _REQ_KIND_NONE
@@ -177,6 +214,56 @@ def classify_call(fn: str, args: Dict[str, Any]
         return (fn_code(fn),) + _PLAIN_ROW, None
     return ((fn_code(fn), cls, comm, win, peer, tag, req, req_kind, target,
              lock, group), lock_str)
+
+
+#: calls whose table row depends on the *value* of a string argument
+_TEXT_ARGUMENT = {"Wait": "req_kind", "Win_lock": "lock_type"}
+
+_NOT_AN_INT = "\0"
+#: the plan row of calls classified one by one
+_NO_PLAN = (0, 0, 0, 0) + (-1,) * 7
+
+
+def _text_argument(fn: str, keys: Tuple[str, ...],
+                   kinds: Tuple[int, ...]) -> Optional[int]:
+    """Position of the string argument :func:`classify_call` reads the
+    text of, in a shape that logs it as a string."""
+    key = _TEXT_ARGUMENT.get(fn)
+    if key in keys and kinds[keys.index(key)] == KIND_STR:
+        return keys.index(key)
+    return None
+
+
+@lru_cache(maxsize=4096)
+def _shape_plan(shape: Shape, text: Optional[str]) -> Optional[tuple]:
+    """:func:`classify_call` for every call of one shape at once:
+    ``((fn code, cls, req_kind, lock, *sources), lock_str)``, where the
+    seven ``sources`` name the argument position that feeds each of
+    ``comm, win, peer, tag, req, target, group`` (-1: none).  ``text`` is
+    the value of the shape's :data:`_TEXT_ARGUMENT`.
+
+    Found by classifying a probe call whose every int argument holds its
+    own position.  ``None`` when that does not work — a control argument
+    missing, or logged as a string or a list — and the rows must be
+    classified one by one, which is also where a malformed call gets its
+    error."""
+    fn, keys, kinds = shape
+    probe: Dict[str, Any] = {
+        key: pos if kind == KIND_INT else (pos,) if kind == KIND_LIST
+        else _NOT_AN_INT
+        for pos, (key, kind) in enumerate(zip(keys, kinds))}
+    if _TEXT_ARGUMENT.get(fn) in probe:
+        if text is None:
+            return None
+        probe[_TEXT_ARGUMENT[fn]] = text
+    try:
+        row, lock_str = _classify_call(fn, probe)
+    except (KeyError, TypeError, ValueError):
+        return None
+    code, cls, comm, win, peer, tag, req, req_kind, target, lock, group = row
+    return ((code, cls, req_kind, lock, comm, win, peer, tag, req, target,
+             group[0] if group else -1),
+            lock_str if lock == LOCK_OTHER else None)
 
 
 class CallTable:
@@ -269,7 +356,9 @@ class CallTable:
     @classmethod
     def from_events(cls, rank: int, events: Sequence[Any]) -> "CallTable":
         """Build from already-materialized events (non-call events are
-        skipped)."""
+        skipped); call columns go through :meth:`from_columns`."""
+        if isinstance(events, CallColumns):
+            return cls.from_columns(events)
         seqs: List[int] = []
         rows: List[Tuple[int, ...]] = []
         lock_types: Dict[int, str] = {}
@@ -282,6 +371,96 @@ class CallTable:
             seqs.append(event.seq)
             rows.append(row)
         return cls.from_rows(rank, seqs, rows, lock_types)
+
+    @classmethod
+    def from_columns(cls, cols: CallColumns) -> "CallTable":
+        """Build from the call columns of a binary trace without
+        building an event: one :func:`classify_call` per shape says which
+        argument position feeds which table column, one gather per
+        column moves the values.  Rows the columns do not describe —
+        calls that took the codec route, shapes that log a control
+        argument as a string — are classified one by one and scattered
+        into place; the result equals ``from_events(list(cols))``."""
+        n, vals = cols.n, cols.vals
+        starts = cols.val_off[:-1]
+        nshapes = len(cols.shapes)
+        # one plan per shape id; ``None`` marks rows classified one by
+        # one (the codec rows' id ``nshapes`` among them).  A shape whose
+        # class depends on a string argument's value splits into one
+        # virtual shape, with its own plan, per distinct value.
+        shape_of = cols.shape.astype(np.int64)
+        plans = [_shape_plan(shape, None) for shape in cols.shapes] + [None]
+        split = [(index, at) for index, shape in enumerate(cols.shapes)
+                 for at in [_text_argument(*shape)] if at is not None]
+        for index, at in split:
+            rows = np.nonzero(cols.shape == index)[0]
+            ids = vals[starts[rows] + at]
+            plan_of = np.zeros(len(cols.table.strings), dtype=np.int64)
+            for sid in set(ids.tolist()):
+                plan_of[sid] = len(plans)
+                plans.append(_shape_plan(cols.shapes[index],
+                                         cols.table.strings[sid]))
+            shape_of[rows] = plan_of[ids]
+        rowwise = [k for k, plan in enumerate(plans[:nshapes])
+                   if plan is None and all(k != index for index, _ in split)]
+        # per row: its plan's constants and, for the seven argument
+        # columns, the pool entry that holds the value (or -1)
+        picked = np.array([plan[0] if plan else _NO_PLAN for plan in plans],
+                          dtype=np.int64)[shape_of]
+        source = picked[:, 4:]
+        if len(vals):
+            taken = np.where(source >= 0, vals[starts[:, None] + source], -1)
+        else:
+            taken = np.full((n, 7), -1, dtype=np.int64)
+        comm, win, peer, tag, req, target, group_len = \
+            np.ascontiguousarray(taken.T)
+        fn, kind, req_kind, lock = np.ascontiguousarray(picked[:, :4].T)
+        np.maximum(group_len, 0, out=group_len)
+        lock_types: Dict[int, str] = {}
+        for k, plan in enumerate(plans):
+            if plan is not None and plan[1] is not None:
+                lock_types.update(dict.fromkeys(
+                    np.nonzero(shape_of == k)[0].tolist(), plan[1]))
+        # rows classified one by one: as the codec decoded them, or here
+        parts = []
+        if cols.codec:
+            parts.append((np.nonzero(cols.shape == nshapes)[0],
+                          cols.codec_table))
+        if rowwise:
+            odd_rows = np.nonzero(np.isin(cols.shape, rowwise))[0]
+            parts.append((odd_rows, cls.from_events(
+                cols.rank, cols.take(odd_rows))))
+        columns = {"fn": fn, "cls": kind, "comm": comm, "win": win,
+                   "peer": peer, "tag": tag, "req": req,
+                   "req_kind": req_kind, "target": target, "lock": lock}
+        for rows, part in parts:
+            for name, column in columns.items():
+                column[rows] = getattr(part, name)
+            group_len[rows] = np.diff(part.group_off)
+            lock_types.update((int(rows[i]), text)
+                              for i, text in part.lock_types.items())
+        # the ragged group column: offsets from the lengths, then the
+        # elements, from the list pool and from the row-wise parts
+        group_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(group_len, out=group_off[1:])
+        group_val = np.empty(int(group_off[-1]), dtype=np.int64)
+        if len(group_val):
+            grouped = np.nonzero(source[:, 6] >= 0)[0]
+            entry = starts[grouped] + source[grouped, 6]
+            _rep, dst = expand_ranges(group_off[:-1][grouped],
+                                      group_len[grouped])
+            _rep, src = expand_ranges(
+                cols.list_start[cols.list_before[entry]],
+                group_len[grouped])
+            group_val[dst] = cols.lists[src]
+            for rows, part in parts:
+                _rep, dst = expand_ranges(group_off[:-1][rows],
+                                          group_len[rows])
+                group_val[dst] = part.group_val
+        return cls(cols.rank, n, cols.seq, fn.astype(np.int32),
+                   kind.astype(np.uint8), comm, win, peer, tag, req,
+                   req_kind.astype(np.uint8), target,
+                   lock.astype(np.uint8), group_off, group_val, lock_types)
 
     # -- pickling (cross-process fn-code remapping) ---------------------
 
@@ -312,7 +491,36 @@ def _remap_fn_codes(codes: np.ndarray, names: List[str]) -> np.ndarray:
     return remap[codes].astype(np.int32)
 
 
-def ensure_call_tables(pre: PreprocessedTrace) -> Dict[int, CallTable]:
+@lru_cache(maxsize=None)
+def _fn_codes(fns: FrozenSet[str]) -> np.ndarray:
+    return np.array(sorted(fn_code(fn) for fn in fns), dtype=np.int32)
+
+
+def rows_calling(table: "CallTable", fns: FrozenSet[str]) -> np.ndarray:
+    """The rows of ``table`` whose call is one of ``fns``."""
+    wanted = np.zeros(len(FN_NAMES), dtype=bool)
+    wanted[_fn_codes(fns)] = True
+    return np.nonzero(wanted[table.fn])[0]
+
+
+def calls_to(events: Sequence[Any], table: CallTable,
+             fns: FrozenSet[str]) -> Tuple[np.ndarray, List[CallEvent]]:
+    """The rows of ``table`` that call one of ``fns``, and their events
+    — how every phase that reads call *arguments* picks its calls, so
+    that over lazy call columns only those become objects.
+
+    ``events`` is what the table was built from: call-only, so that rows
+    index it (what ``TraceReader.read_calls`` returns), or a typed event
+    list with memory events in between."""
+    rows = rows_calling(table, fns)
+    if isinstance(events, CallColumns):
+        return rows, events.take(rows)
+    if len(events) != table.n:
+        events = [e for e in events if isinstance(e, CallEvent)]
+    return rows, [events[k] for k in rows.tolist()]
+
+
+def ensure_call_tables(pre: "PreprocessedTrace") -> Dict[int, CallTable]:
     """The per-rank call tables of ``pre``, building and caching them from
     the materialized events if ingest did not already attach them."""
     tables = getattr(pre, "call_tables", None)
@@ -323,7 +531,7 @@ def ensure_call_tables(pre: PreprocessedTrace) -> Dict[int, CallTable]:
     return tables
 
 
-def total_calls(pre: PreprocessedTrace) -> int:
+def total_calls(pre: "PreprocessedTrace") -> int:
     """Number of call events in the trace."""
     return sum(t.n for t in ensure_call_tables(pre).values())
 

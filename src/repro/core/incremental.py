@@ -153,8 +153,9 @@ from repro.util.intervals import expand_ranges
 #: of every shard key, so stale findings can never be served across
 #: engine revisions ("2": finding payloads gained the provenance record;
 #: "3": call-table control phases; "4": array-built keys, findings keyed
-#: by shard-local position, checksummed store entries)
-ENGINE_VERSION = "4"
+#: by shard-local position, checksummed store entries; "5": binary
+#: traces v3 — the ``calls`` digest is per column)
+ENGINE_VERSION = "5"
 MANIFEST_VERSION = 2
 
 _SHARDS = "shards"

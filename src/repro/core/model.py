@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.calltable import ensure_call_tables, fn_code
+from repro.core.calltable import calls_to, ensure_call_tables
 from repro.core.clocks import Span
 from repro.core.compat import ACC, GET, LOAD, PUT, STORE
 from repro.core.epochs import (Epoch, EpochIndex, KIND_FENCE, KIND_LOCK,
@@ -48,6 +48,8 @@ _CALL_STORES = frozenset({"Recv"})
 #: calls that may lift to a plain local access (see :func:`_lifts_buffer`)
 _BUFFER_CALLS = _CALL_LOADS | _CALL_STORES | {"Bcast", "Wait"}
 _REQUEST_RMA = frozenset({"Rput", "Rget", "Raccumulate"})
+#: every call :func:`_lift_call` can lift — the rows the lifts select
+_LIFT_CALLS = frozenset(_RMA_KIND) | _BUFFER_CALLS
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -157,7 +159,7 @@ class MemRows:
     """One rank's instrumented loads/stores as parallel columns.
 
     The sweep engine's representation of plain memory events: numpy
-    arrays straight out of the packed v2 :class:`MemBlock`s (``seq`` is
+    arrays straight out of the packed :class:`MemBlock`s (``seq`` is
     strictly increasing, so epoch/region membership is a
     ``searchsorted`` range, not a scan), with string-valued fields kept
     as ids into the rank's shared string ``table``.  A
@@ -397,11 +399,10 @@ def build_access_model_sweep(pre: PreprocessedTrace,
     never become per-event objects — each rank's packed memory blocks
     concatenate into one columnar :class:`MemRows`.
 
-    The call events were already decoded by the preprocess pass
-    (``pre.events``), so only the packed memory columns are read back
-    from the trace — no second call-decode pass — and not even those
-    where the preprocess pass decoded them on the way
-    (``pre.mem_blocks``: text traces)."""
+    The calls were already read by the preprocess pass (``pre.events``),
+    so only the packed memory columns are read back from the trace — no
+    second call pass — and not even those where the preprocess pass
+    produced them on the way (``pre.mem_blocks``: the batch checker)."""
     ops: List[RMAOpView] = []
     local: List[LocalAccess] = []
     mems: Dict[int, MemRows] = {}
@@ -411,7 +412,7 @@ def build_access_model_sweep(pre: PreprocessedTrace,
             with traces.reader(rank) as reader:
                 blocks = list(reader.mem_blocks())
         rank_ops, rank_local, rows = lift_rank_sweep(
-            pre, epoch_index, rank, pre.events[rank], blocks)
+            pre, epoch_index, rank, blocks)
         ops.extend(rank_ops)
         local.extend(rank_local)
         mems[rank] = rows
@@ -419,18 +420,19 @@ def build_access_model_sweep(pre: PreprocessedTrace,
 
 
 def lift_rank_sweep(pre: PreprocessedTrace, epoch_index: EpochIndex,
-                    rank: int, events, blocks) -> Tuple[
+                    rank: int, blocks) -> Tuple[
                         List[RMAOpView], List[LocalAccess], MemRows]:
-    """Columnar lift of one rank: call events become views (through the
-    rank's :class:`LiftCache`), packed memory blocks become
-    :class:`MemRows` columns.  Non-call items in ``events`` are ignored,
-    so a mixed typed event list works too."""
+    """Columnar lift of one rank: the :data:`_LIFT_CALLS` among
+    ``pre.events[rank]`` become views (through the rank's
+    :class:`LiftCache`), packed memory blocks become :class:`MemRows`
+    columns."""
     ops: List[RMAOpView] = []
     local: List[LocalAccess] = []
     cache = LiftCache(epoch_index, rank)
-    for event in events:
-        if isinstance(event, CallEvent):
-            _lift_call(pre, epoch_index, rank, event, ops, local, cache)
+    _rows, calls = calls_to(pre.events[rank],
+                            ensure_call_tables(pre)[rank], _LIFT_CALLS)
+    for event in calls:
+        _lift_call(pre, epoch_index, rank, event, ops, local, cache)
     return ops, local, MemRows.from_blocks(rank, blocks)
 
 
@@ -615,17 +617,14 @@ class CallLift:
         #: what ``len(model.ops)`` / ``len(model.local)`` of a full lift
         #: would be, and how many calls :meth:`views` has lifted so far
         self.n_ops = self.n_local = self.lifted = 0
-        rma = {fn_code(fn) for fn in _RMA_KIND}
-        codes = np.array(sorted(rma | {fn_code(fn) for fn in _BUFFER_CALLS}))
         tables = ensure_call_tables(pre)
         for rank, cache in enumerate(self._caches):
-            table, events = tables[rank], pre.events[rank]
-            rows = np.nonzero(np.isin(table.fn, codes))[0]
+            table = tables[rank]
+            rows, events = calls_to(pre.events[rank], table, _LIFT_CALLS)
             calls, ends = [], []
-            for k, code in zip(rows.tolist(), table.fn[rows].tolist()):
-                event = events[k]
+            for k, event in zip(rows.tolist(), events):
                 args = event.args
-                if code in rma:
+                if event.fn in _RMA_KIND:
                     win, target = int(args["win"]), int(args["target"])
                     ends.append(epoch_index.completion_seq(
                         rank, win, event.seq, target,

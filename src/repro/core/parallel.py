@@ -559,7 +559,7 @@ def _crash_task(_arg):
 def _scan_task(arg):
     """Preprocess shard: parse one rank's call events, return its
     registry scan and per-class counts (memory events are only *counted*
-    — from the v2 footer when the trace is binary — and never decoded
+    — from the footer when the trace is binary — and never decoded
     here).
 
     ``arg`` is ``(rank, segment_name)``.  When ``segment_name`` is set
@@ -577,7 +577,8 @@ def _scan_task(arg):
         with traces.reader(rank) as reader:
             calls, counts = reader.read_calls()
         scan = scan_rank(rank, calls,
-                         n_events=counts["call"] + counts["mem"])
+                         n_events=counts["call"] + counts["mem"],
+                         table=reader.call_table)
         if segment_name is not None:
             desc, handle = share_table(reader.call_table, segment_name)
             rec.count("parallel_shm_bytes_total", handle.size,
@@ -624,13 +625,10 @@ def _lift_task(arg):
     with rec.span("analyzer.worker.lift", rank=rank, pid=os.getpid()):
         with traces.reader(rank) as reader:
             calls, _counts = reader.read_calls(mems=True)
-            blocks = reader.call_mems
-            if blocks is None:
-                blocks = list(reader.mem_blocks())
         view = _RankView(pre, rank, calls, reader.call_table)
         epochs = EpochIndex(view, ranks=[rank])
-        ops, local, rows = lift_rank_sweep(view, epochs, rank, calls,
-                                           blocks)
+        ops, local, rows = lift_rank_sweep(view, epochs, rank,
+                                           reader.call_mems)
         desc, handle = share_rows(rows, segment_name)
         if handle is not None:
             rec.count("parallel_shm_bytes_total", handle.size,

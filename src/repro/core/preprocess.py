@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.profiler.events import CallEvent, Event, MemEvent
+from repro.core.calltable import calls_to
+from repro.profiler.events import DATATYPE_CALLS, CallEvent, Event
 from repro.profiler.tracer import TraceSet
 from repro.simmpi.comm import WORLD_COMM_ID
 from repro.simmpi.datatypes import Datatype, DatatypeFactory, PRIMITIVES_BY_ID
@@ -76,15 +77,25 @@ class RankScan:
     n_events: int = 0
 
 
-def scan_rank(rank: int, events: List[Event],
-              n_events: Optional[int] = None) -> RankScan:
+#: the calls :func:`scan_rank` reads the arguments of
+REGISTRY_CALLS = DATATYPE_CALLS | {"Win_create", "Comm_split", "Comm_dup",
+                                   "Comm_create"}
+
+
+def scan_rank(rank: int, events: Sequence[Event],
+              n_events: Optional[int] = None, table=None) -> RankScan:
     """Single pass over one rank's events collecting registry records.
 
     ``n_events`` overrides the recorded trace-event total for call-only
-    event lists (the memory events were counted elsewhere, e.g. by a v2
-    trace footer, and never materialized)."""
+    event lists (the memory events were counted elsewhere, e.g. by a
+    binary trace footer, and never materialized).  With the rank's
+    :class:`~repro.core.calltable.CallTable` the pass visits only the
+    :data:`REGISTRY_CALLS` rows, so lazy call columns build no other
+    event."""
     scan = RankScan(rank=rank,
                     n_events=len(events) if n_events is None else n_events)
+    if table is not None:
+        events = calls_to(events, table, REGISTRY_CALLS)[1]
     factory = DatatypeFactory()
 
     def resolve(type_id: int) -> Datatype:
@@ -139,13 +150,20 @@ def scan_rank(rank: int, events: List[Event],
 class PreprocessedTrace:
     """All per-rank events plus the reconstructed registries.
 
+    ``events[rank]`` is a sequence of typed events: a list, or — from
+    the call-only preprocess of a binary trace — the rank's
+    :class:`~repro.profiler.callcols.CallColumns`, which builds an
+    event when a row is indexed.  Phases that read call arguments pick
+    their rows with :func:`~repro.core.calltable.calls_to`; everything
+    else runs off ``call_tables``.
+
     ``scans`` short-circuits the per-rank registry scan: the parallel
     engine computes :class:`RankScan` shards in worker processes and the
     merge here is deterministic in rank order, so a serial and a sharded
     build produce identical registries.
     """
 
-    def __init__(self, events: Dict[int, List[Event]],
+    def __init__(self, events: Dict[int, Sequence[Event]],
                  scans: Optional[List[RankScan]] = None):
         self.events = events
         self.nranks = len(events)
@@ -160,9 +178,9 @@ class PreprocessedTrace:
         #: by the call-only ingest; ``None`` until built
         #: (ensure_call_tables derives them from events)
         self.call_tables = None
-        #: per-rank packed memory blocks the call pass decoded on the way
-        #: (:func:`preprocess_calls` over text traces), taken — popped —
-        #: by ``build_access_model_sweep`` in place of a second read
+        #: per-rank packed memory blocks the call pass produced on the way
+        #: (:func:`preprocess_calls`), taken — popped — by
+        #: ``build_access_model_sweep`` in place of a second read
         self.mem_blocks: Dict[int, list] = {}
         if scans is None:
             scans = [scan_rank(rank, events[rank])
@@ -279,13 +297,13 @@ def preprocess_calls(traces: TraceSet) -> PreprocessedTrace:
     checker exploits), so the memory events — which dominate trace volume
     — are never turned into Python objects here.  Exact event totals
     still land in ``total_events`` via the readers' per-class counts
-    (free for v2 traces, counted by the text decoder).
+    (free for binary traces, counted by the text decoder).
 
     This is the batch checker's preprocess: it holds every rank's memory
-    columns through detection anyway, so where reading the calls also
-    decodes them (text traces: one bulk pass yields both) they ride
-    along in ``mem_blocks`` and the model phase does not read the file
-    a second time."""
+    columns through detection anyway, so they ride along in
+    ``mem_blocks`` — decoded by the same bulk pass (text) or mapped from
+    the frame index (binary) — and the model phase does not open the
+    file a second time."""
     pre, _counts = preprocess_calls_with_counts(traces, mems=True)
     return pre
 
@@ -299,7 +317,7 @@ def preprocess_calls_with_counts(
     Memory columns are kept only with ``mems``: the streaming and
     incremental control passes load rows later, a region or a dirty
     shard at a time."""
-    call_events: Dict[int, List[Event]] = {}
+    call_events: Dict[int, Sequence[Event]] = {}
     scans: List[RankScan] = []
     counts_by_rank: Dict[int, Dict[str, int]] = {}
     tables: Dict[int, object] = {}
@@ -313,7 +331,8 @@ def preprocess_calls_with_counts(
         call_events[rank] = calls
         counts_by_rank[rank] = counts
         scans.append(scan_rank(rank, calls,
-                               n_events=counts["call"] + counts["mem"]))
+                               n_events=counts["call"] + counts["mem"],
+                               table=tables[rank]))
     pre = PreprocessedTrace(call_events, scans=scans)
     pre.call_tables = tables
     pre.mem_blocks = mem_blocks

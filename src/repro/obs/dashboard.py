@@ -36,6 +36,14 @@ def _text_lines(ingest: dict) -> str:
                      sorted(ingest.get("text_lines", {}).items()))
 
 
+def _call_rows(ingest: dict) -> str:
+    """``codec=0, columnar=14,208``: binary trace call rows by route; a
+    non-zero ``codec`` count means calls that were framed as text
+    records (a v2 file, or values the call columns cannot hold)."""
+    return ", ".join(f"{key}={int(n):,}" for key, n in
+                     sorted(ingest.get("call_rows", {}).items()))
+
+
 def _bar(fraction: float, width: int = 30) -> str:
     filled = int(round(max(0.0, min(1.0, fraction)) * width))
     return "#" * filled + "." * (width - filled)
@@ -112,6 +120,8 @@ def render_run_text(entry: RunReport) -> str:
                      f"{ingest.get('regions', 0)} regions")
         if ingest.get("text_lines"):
             lines.append(f"    text lines: {_text_lines(ingest)}")
+        if ingest.get("call_rows"):
+            lines.append(f"    call rows: {_call_rows(ingest)}")
         if "peak_buffered_mems" in ingest:
             lines.append("    peak buffered load/store events: "
                          f"{ingest['peak_buffered_mems']:,}")
@@ -470,6 +480,7 @@ def render_run_html(entry: RunReport) -> str:
              f"{entry.ingest.get('events', 0)} / "
              f"{entry.ingest.get('rma_ops', 0)}"),
             ("text lines (kind/route)", _text_lines(entry.ingest) or "-"),
+            ("call rows (route)", _call_rows(entry.ingest) or "-"),
         ))
     return f"""<!doctype html>
 <html lang="en"><head><meta charset="utf-8">

@@ -58,8 +58,10 @@ class RunReport:
     workers: Dict[str, Any] = field(default_factory=dict)
     #: trace-ingest sizes (events, ops, locals, matches, ...) plus, for
     #: text traces, ``text_lines``: lines decoded per ``kind/route``
-    #: (``mem/bulk``, ``call/codec``, ...) and, for streaming runs,
-    #: ``peak_buffered_mems``: most load/store events held at once
+    #: (``mem/bulk``, ``call/codec``, ...); for binary traces,
+    #: ``call_rows``: call rows read per route (``columnar``, ``codec``);
+    #: for streaming runs, ``peak_buffered_mems``: most load/store events
+    #: held at once
     ingest: Dict[str, Any] = field(default_factory=dict)
     #: trace-generation stats (wall seconds, events/s, per-lane counts) —
     #: present when the run shared an obs session with ``profile_run``
@@ -245,6 +247,19 @@ def _text_lines(recorder) -> Dict[str, int]:
         for labels, value in lines.samples()))
 
 
+def _call_rows(recorder) -> Dict[str, int]:
+    """Binary trace call rows read, keyed by route: ``columnar`` rows
+    were mapped from ``K`` frames, ``codec`` rows decoded one by one
+    from ``C`` records (every call of a v2 file; in a v3 file, a call
+    that did not fit the columns)."""
+    rows = recorder.registry.get("trace_call_rows_total")
+    if rows is None:
+        return {}
+    return {labels.get("route", "?"): int(value)
+            for labels, value in sorted(
+                rows.samples(), key=lambda s: s[0].get("route", "?"))}
+
+
 def _control_plane(recorder) -> Dict[str, Any]:
     """Control-phase ingest stats, ``{"calls_ingested": n,
     "calls_per_second": r}``, from the counters the checker publishes
@@ -325,6 +340,9 @@ def build_run_report(report, config, *, traces=None, recorder=None,
     text_lines = _text_lines(rec)
     if text_lines:
         ingest["text_lines"] = text_lines
+    call_rows = _call_rows(rec)
+    if call_rows:
+        ingest["call_rows"] = call_rows
     peak = rec.registry.get("analyzer_peak_buffered_mems")
     if peak is not None:
         ingest["peak_buffered_mems"] = int(peak.value())

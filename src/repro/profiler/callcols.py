@@ -1,0 +1,384 @@
+"""Call events as columns — the ``K`` frame codec of the binary format.
+
+A call record is a ``seq``, a source location, a function name and an
+ordered mapping of argument names to ints, strings or int lists.  Loops
+re-issue the same call with the same argument names endlessly, so the
+binary format (v3, ``docs/trace-format.md``) stores one *shape* — the
+function name plus the ordered ``(key, kind)`` pairs — per distinct call
+form in the footer and, per call, five columns:
+
+========  ======  ====================================================
+``seq``   int64   the call's per-rank event index
+``loc``   int32   string-table id of the encoded source location
+``shape`` int32   index into the shape table
+``vals``  int64   flat value pool, one entry per argument in shape
+                  order: the int itself, the string's table id, or the
+                  int list's length
+``lists`` int64   flat pool of the int lists' elements, in value order
+========  ======  ====================================================
+
+:class:`CallBuffer` is the writer's side (pending columns and their
+running digests); :class:`CallColumns` is the reader's — the validated
+columns of one rank as a lazy ``Sequence[CallEvent]``: an event object
+exists only for the rows something indexes, which for a batch check is
+the calls whose *arguments* a phase reads (registry, RMA and buffer
+calls); every other call stays five integers.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from array import array
+from functools import lru_cache
+from collections.abc import Sequence
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.profiler.events import CallEvent
+from repro.util.errors import TraceFormatError
+
+KIND_INT, KIND_STR, KIND_LIST = 0, 1, 2
+
+#: the columns of a ``K`` frame, in payload order, with their array
+#: typecodes (all little-endian on disk)
+CALL_COLUMNS = (("seq", "q"), ("vals", "q"), ("lists", "q"),
+                ("loc", "i"), ("shape", "i"))
+
+_VALUE_KINDS = {int: KIND_INT, bool: KIND_INT, str: KIND_STR,
+                tuple: KIND_LIST, list: KIND_LIST}
+_NONE = type(None)
+
+#: (fn, keys, kinds): a shape with its string ids resolved
+Shape = Tuple[str, Tuple[str, ...], Tuple[int, ...]]
+
+
+def _le_bytes(column: array) -> bytes:
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+@lru_cache(maxsize=4096)
+def _form_layout(form: tuple) -> Optional[tuple]:
+    """What a call form ``(fn, *keys, *value types)`` looks like as a
+    shape, whichever writer meets it: ``(logged keys, their kinds, kept
+    positions or None, string positions, list positions)`` — ``None``
+    arguments are not logged — or ``None`` when a type has no kind."""
+    n = len(form) // 2
+    kept = [(i, key, _VALUE_KINDS.get(kind)) for i, (key, kind)
+            in enumerate(zip(form[1:1 + n], form[1 + n:]))
+            if kind is not _NONE]
+    kinds = tuple(kind for _i, _key, kind in kept)
+    if None in kinds:
+        return None
+    return (tuple(key for _i, key, _kind in kept), kinds,
+            [i for i, _key, _kind in kept] if len(kept) < n else None,
+            tuple(i for i, kind in enumerate(kinds) if kind == KIND_STR),
+            tuple(i for i, kind in enumerate(kinds) if kind == KIND_LIST))
+
+
+class CallBuffer:
+    """The pending call columns of one :class:`TraceWriter`.
+
+    :meth:`append` is the per-call hot path: one dict hit on the call's
+    form ``(fn, keys, value types)`` finds the shape id and the
+    positions holding strings and lists; the values then enter the
+    ``array('q')`` pools at C speed — which is also the range and type
+    check, an int outside int64 or a non-int list element raising there.
+    A call that does not fit is rolled back and refused (``False``), and
+    the writer frames it as a self-describing ``C`` record instead.
+    """
+
+    def __init__(self, intern: Callable[[str], int]):
+        self._intern = intern
+        #: footer form of the shape table: ``[fn_id, [key_id, kind, ...]]``
+        self.shapes: List[list] = []
+        self._shape_ids: Dict[tuple, int] = {}
+        self._plans: Dict[tuple, tuple] = {}
+        self.columns: Dict[str, array] = {
+            name: array(code) for name, code in CALL_COLUMNS}
+        #: one running hash per column: the calls digest is a function
+        #: of the columns' content, not of where segments were cut
+        self.hashes = [hashlib.sha256() for _ in CALL_COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self.columns["seq"])
+
+    def append(self, fn: str, args: Dict[str, Any], loc_id: int,
+               seq: int) -> bool:
+        values = list(args.values())
+        form = (fn, *args, *map(type, values))
+        plan = self._plans.get(form)
+        if plan is None:
+            plan = self._plans[form] = self._plan(form)
+        shape, keep, str_pos, list_pos = plan
+        if shape < 0:
+            return False
+        if keep is not None:
+            values = [values[i] for i in keep]
+        cols = self.columns
+        seqs, vals, lists = cols["seq"], cols["vals"], cols["lists"]
+        marks = len(seqs), len(vals), len(lists)
+        try:
+            for i in list_pos:
+                items = values[i]
+                lists.extend(items)
+                values[i] = len(items)
+            for i in str_pos:
+                values[i] = self._intern(values[i])
+            vals.extend(values)
+            seqs.append(seq)
+        except (OverflowError, TypeError):
+            del seqs[marks[0]:], vals[marks[1]:], lists[marks[2]:]
+            return False
+        cols["loc"].append(loc_id)
+        cols["shape"].append(shape)
+        return True
+
+    def _plan(self, form: tuple) -> tuple:
+        """``(shape id, kept positions or None, string positions, list
+        positions)`` for one call form; shape id -1 when a value's type
+        has no column kind (the codec then writes ``str(value)``)."""
+        layout = _form_layout(form)
+        if layout is None:
+            return -1, None, (), ()
+        keys, kinds, *positions = layout
+        intern = self._intern
+        footer = (intern(form[0]), *(x for key, kind in zip(keys, kinds)
+                                     for x in (intern(key), kind)))
+        shape = self._shape_ids.get(footer)
+        if shape is None:
+            shape = self._shape_ids[footer] = len(self.shapes)
+            self.shapes.append([footer[0], list(footer[1:])])
+        return (shape, *positions)
+
+    def take_frame(self) -> Tuple[int, int, int, bytes]:
+        """Drain the pending rows: ``(rows, nvals, nlists, payload)``,
+        the payload being the columns back to back in
+        :data:`CALL_COLUMNS` order."""
+        cols = self.columns
+        sizes = len(cols["seq"]), len(cols["vals"]), len(cols["lists"])
+        parts = []
+        for (name, _code), digest in zip(CALL_COLUMNS, self.hashes):
+            data = _le_bytes(cols[name])
+            digest.update(data)
+            parts.append(data)
+            del cols[name][:]
+        return (*sizes, b"".join(parts))
+
+
+def calls_digest(column_digests: List[bytes], shapes: List[list],
+                 codec_digest: bytes) -> str:
+    """The ``calls`` content digest: the per-column running hashes, the
+    shape table they index, and the running hash of the calls that took
+    the ``C`` route."""
+    digest = hashlib.sha256()
+    for part in column_digests:
+        digest.update(part)
+    digest.update(repr(shapes).encode("utf-8"))
+    digest.update(codec_digest)
+    return digest.hexdigest()
+
+
+def resolve_shapes(raw: Any, table) -> List[Shape]:
+    """The footer's shape table with its string ids resolved; any id
+    outside the string table or malformed entry is a
+    :class:`TraceFormatError`."""
+    strings = table.strings
+    try:
+        shapes = [(strings[fn_id], tuple([strings[k] for k in fields[0::2]]),
+                   tuple(fields[1::2])) for fn_id, fields in raw]
+        ids = [k for fn_id, fields in raw for k in (fn_id, *fields[0::2])]
+        if ids and min(ids) < 0:     # would have indexed from the end
+            raise IndexError(f"string id {min(ids)}")
+        if any(len(keys) != len(kinds) or
+               not set(kinds) <= {KIND_INT, KIND_STR, KIND_LIST}
+               for _fn, keys, kinds in shapes):
+            raise ValueError("an argument without a kind, or a kind "
+                             "that is not 0, 1 or 2")
+    except (TypeError, ValueError, IndexError) as exc:
+        raise TraceFormatError(
+            f"malformed shape table ({len(strings)} strings): {exc}"
+        ) from exc
+    return shapes
+
+
+_NEW_EVENT = object.__new__
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, counts[0], counts[0] + counts[1], ...]``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+class CallColumns(Sequence):
+    """One rank's call stream as validated columns and, on demand, as
+    :class:`CallEvent` objects (``cols[k]``, iteration, slices).
+
+    Rows are in trace order.  ``codec`` lists the calls that were
+    written as ``C`` records — ``(columnar rows before it, decoded
+    event)`` — and each takes its place among the rows with shape id
+    ``len(shapes)``; ``codec_table`` is the :class:`CallTable` of those
+    rows alone (the codec classifies as it decodes).
+
+    Every id and offset is checked here, once, with array operations, so
+    a gather over these columns cannot index out of bounds: shape, string
+    and location ids inside their tables, a value pool exactly as long
+    as the shapes imply, list lengths non-negative and summing to the
+    list pool.  A violation raises :class:`TraceFormatError`;
+    ``locate(row)`` words where the offending row is.
+    """
+
+    def __init__(self, rank: int, table, shapes: List[Shape],
+                 seq: np.ndarray, loc: np.ndarray, shape: np.ndarray,
+                 vals: np.ndarray, lists: np.ndarray,
+                 codec: Sequence = (), codec_table=None,
+                 locate: Callable[[int], str] = "call row {}".format):
+        self.rank = rank
+        self.table = table
+        self.shapes = shapes
+        self.vals, self.lists = vals, lists
+        self.codec_table = codec_table
+        nshapes, nstrings = len(shapes), len(table.strings)
+
+        def check_ids(ids: np.ndarray, size: int, what: str,
+                      rows=None) -> None:
+            # min/max first: the masks are built on the error path only
+            if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
+                at = int(np.argmax((ids < 0) | (ids >= size)))
+                raise TraceFormatError(
+                    f"{locate(at if rows is None else int(rows()[at]))}: "
+                    f"{what} {int(ids[at])} outside table of {size}")
+
+        check_ids(shape, nshapes, "shape id")
+        check_ids(loc, nstrings, "location id")
+        width = np.array([len(keys) for _fn, keys, _kinds in shapes] + [0],
+                         dtype=np.int64)
+        widths = width[shape]
+        val_off = _offsets(widths)
+        if int(val_off[-1]) != len(vals):
+            raise TraceFormatError(
+                f"{locate(0)}: value pool holds {len(vals)} entries, the "
+                f"shapes imply {int(val_off[-1])}")
+        # the kind of every pool entry: its row's shape, its position
+        kind_flat = np.array([k for _fn, _keys, kinds in shapes
+                              for k in kinds], dtype=np.int8)
+        kinds = kind_flat[
+            np.repeat(_offsets(width)[shape] - val_off[:-1], widths)
+            + np.arange(len(vals), dtype=np.int64)]
+        is_str, is_list = kinds == KIND_STR, kinds == KIND_LIST
+
+        def entry_rows(mask: np.ndarray):
+            return lambda: np.repeat(np.arange(len(seq)), widths)[mask]
+
+        check_ids(vals[is_str], nstrings, "string id", entry_rows(is_str))
+        lengths = vals[is_list]
+        if len(lengths) and int(lengths.min()) < 0:
+            at = int(entry_rows(is_list)()[np.argmax(lengths < 0)])
+            raise TraceFormatError(f"{locate(at)}: negative list length")
+        #: start of every list argument in ``lists``, in value order, and
+        #: per pool entry the number of list arguments before it
+        self.list_start = _offsets(lengths)
+        if int(self.list_start[-1]) != len(lists):
+            raise TraceFormatError(
+                f"{locate(0)}: list pool holds {len(lists)} entries, the "
+                f"list lengths sum to {int(self.list_start[-1])}")
+        self.list_before = _offsets(is_list)
+        self.codec: Dict[int, CallEvent] = {}
+        if codec:
+            at = [before for before, _event in codec]
+            seq = np.insert(seq, at, [event.seq for _b, event in codec])
+            loc = np.insert(loc, at, -1)
+            shape = np.insert(shape, at, nshapes)
+            val_off = _offsets(width[shape])
+            self.codec = dict(zip(np.nonzero(shape == nshapes)[0].tolist(),
+                                  (event for _b, event in codec)))
+        self.n = len(seq)
+        self.seq, self.loc, self.shape = seq, loc, shape
+        #: ``vals[val_off[k]:val_off[k + 1]]`` are row ``k``'s values
+        self.val_off = val_off
+        self._events: Dict[int, CallEvent] = {}
+        #: per shape: fn, keys, string positions, list positions
+        self._decoders: Optional[list] = None
+
+    # -- the lazy event sequence ---------------------------------------
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self.take(np.arange(*k.indices(self.n)))
+        if k < 0:
+            k += self.n
+        event = self._events.get(k)
+        if event is None:
+            if not 0 <= k < self.n:
+                raise IndexError("call row out of range")
+            event = self.take(np.array([k]))[0]
+        return event
+
+    def __iter__(self):
+        return iter(self.take(np.arange(self.n)))
+
+    def __getstate__(self) -> dict:
+        return dict(self.__dict__, _events={}, _decoders=None)
+
+    def take(self, rows: np.ndarray) -> List[CallEvent]:
+        """The events of ``rows`` (ascending), built together and
+        remembered, so a row is one object however often it is asked
+        for."""
+        events = self._events
+        wanted = rows.tolist()
+        todo = [k for k in wanted if k not in events]
+        if todo:
+            self._build(rows if len(todo) == len(wanted)
+                        else np.array(todo, dtype=np.int64))
+        return [events[k] for k in wanted]
+
+    def _build(self, rows: np.ndarray) -> None:
+        # one plain-list copy of the pool span the rows lie in, then
+        # list slicing per row: a few array operations however many rows
+        lo = self.val_off[rows]
+        base, stop = int(lo[0]), int(self.val_off[rows[-1] + 1])
+        values = self.vals[base:stop].tolist()
+        if len(self.lists):
+            first = self.list_start[self.list_before[lo]]
+            list_base = int(first[0])
+            elements = self.lists[list_base:int(self.list_start[
+                self.list_before[stop]])].tolist()
+            firsts = (first - list_base).tolist()
+        else:
+            elements, firsts = [], [0] * len(rows)
+        if self._decoders is None:
+            self._decoders = [
+                (fn, keys,
+                 tuple(i for i, k in enumerate(kinds) if k == KIND_STR),
+                 tuple(i for i, k in enumerate(kinds) if k == KIND_LIST))
+                for fn, keys, kinds in self.shapes]
+        decoders, events = self._decoders, self._events
+        strings, loc_of = self.table.strings, self.table.loc
+        for k, seq, loc, shape, at, taken in zip(
+                rows.tolist(), self.seq[rows].tolist(),
+                self.loc[rows].tolist(), self.shape[rows].tolist(),
+                (lo - base).tolist(), firsts):
+            if shape == len(decoders):
+                events[k] = self.codec[k]
+                continue
+            fn, keys, str_pos, list_pos = decoders[shape]
+            args = values[at:at + len(keys)]
+            for i in str_pos:
+                args[i] = strings[args[i]]
+            for i in list_pos:
+                args[i] = tuple(elements[taken:taken + args[i]])
+                taken += len(args[i])
+            event = _NEW_EVENT(CallEvent)
+            event.__dict__ = {"rank": self.rank, "seq": seq, "fn": fn,
+                              "args": dict(zip(keys, args)),
+                              "loc": loc_of(loc)}
+            events[k] = event

@@ -8,14 +8,19 @@ Two on-disk formats (see ``docs/trace-format.md``):
 
 * **text (v1)** — ``trace.<rank>.log``, one self-describing record per
   line (the seed format, still the default);
-* **binary (v2)** — ``trace.<rank>.bin``, where call events remain
-  self-describing records but memory events — the bulk of a compute-heavy
-  trace (Figure 10) — are packed into columnar numpy blocks, with a
-  footer carrying exact per-class event counts and a string table for
-  buffer names / source locations.  The reader memory-maps the file and
-  exposes the blocks directly (:meth:`TraceReader.mem_blocks`), so the
-  analyzer ingests load/store events without constructing one Python
-  object per event.
+* **binary (v3)** — ``trace.<rank>.bin``, where both populations are
+  columns: memory events — the bulk of a compute-heavy trace
+  (Figure 10) — as packed numpy blocks (``M`` frames), call events as
+  int columns over a per-rank shape table (``K`` frames,
+  :mod:`repro.profiler.callcols`), with a footer carrying exact
+  per-class event counts, the string and shape tables and a frame
+  index.  The reader memory-maps the file and exposes the columns
+  directly (:meth:`TraceReader.mem_blocks`,
+  :meth:`TraceReader.read_calls`), so the analyzer ingests a trace
+  without constructing one Python object per event.  A call that does
+  not fit the columns is framed as a self-describing text record
+  (``C`` frame) — which is all a v2 file's calls are, so v2 files read
+  through the same loop.
 
 Readers sniff the format per file; every consumer-facing API
 (:meth:`TraceReader.__iter__`, :meth:`TraceReader.stream`, ...) behaves
@@ -31,16 +36,21 @@ import os
 import re
 import struct
 import time
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Tuple,
-                    Union)
+from itertools import chain, compress, count, takewhile
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro import obs
+from repro.profiler.callcols import (
+    CALL_COLUMNS, CallBuffer, CallColumns, calls_digest, resolve_shapes,
+)
 from repro.profiler.events import (
     ACCESS_CODES, ACCESS_NAMES, ACCESS_STORE, CallEvent, Event, MemEvent, decode_event,
 )
@@ -53,26 +63,49 @@ from repro.util.records import (
 )
 
 TRACE_VERSION = 1        # text (v1) format version
-BINARY_VERSION = 2       # binary (v2) format version
+BINARY_VERSION = 3       # binary format version written
+#: binary versions read: a v2 file is a v3 file whose every call took
+#: the ``C`` route and whose footer carries no frame index
+_BINARY_VERSIONS = (2, 3)
 
 FORMAT_TEXT = "text"
 FORMAT_BINARY = "binary"
 FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 
-_FLUSH_EVERY = 4096      # buffered events between writes / per mem block
+_FLUSH_EVERY = 4096      # buffered events between writes / per segment
 
-#: v2 framing constants
+#: binary framing constants
 _MAGIC = b"MCT2"         # file magic (doubles as the format sniff)
 _END_MAGIC = b"MCT2TRLR"  # trailer magic; absent => unclosed/truncated
 _TRAILER_LEN = 8 + len(_END_MAGIC)  # u64 footer offset + end magic
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+#: K frame header: call rows, value-pool and list-pool entries, and the
+#: rows of the M frame that completes the segment (0: none follows)
+_K_HEAD = struct.Struct("<IIII")
+_CALL_DTYPES = {"q": np.dtype("<i8"), "i": np.dtype("<i4")}
 
 #: columnar layout of one packed memory event (33 bytes, little-endian):
 #: ``var``/``loc`` index the footer string table, ``access`` is an
 #: :data:`~repro.profiler.events.ACCESS_CODES` code.
 MEM_DTYPE = np.dtype([("seq", "<i8"), ("addr", "<i8"), ("size", "<i8"),
                       ("var", "<i4"), ("loc", "<i4"), ("access", "u1")])
+
+
+def _call_frame(mm, offset: int
+                ) -> Tuple[int, List[Tuple[str, np.dtype, int, int]], int]:
+    """The layout of the ``K`` frame at ``offset``: the rows of the
+    ``M`` frame that completes its segment, its columns as ``(name,
+    dtype, entries, byte offset)``, and the byte the frame ends at."""
+    rows, nvals, nlists, owed = _K_HEAD.unpack_from(mm, offset + 1)
+    pos = offset + 1 + _K_HEAD.size
+    columns = []
+    for (name, code), count in zip(CALL_COLUMNS,
+                                   (rows, nvals, nlists, rows, rows)):
+        dtype = _CALL_DTYPES[code]
+        columns.append((name, dtype, count, pos))
+        pos += count * dtype.itemsize
+    return owed, columns, pos
 
 
 class _StringTable:
@@ -170,7 +203,16 @@ StreamItem = Union[CallEvent, MemBlock]
 
 
 class TraceWriter:
-    """Buffered writer for one rank's event stream (text or binary)."""
+    """Buffered writer for one rank's event stream (text or binary).
+
+    A binary writer holds the pending events as columns — calls in a
+    :class:`~repro.profiler.callcols.CallBuffer`, memory events in six
+    lists — and flushes both together as one *segment*, a ``K`` frame
+    then an ``M`` frame, every ``_FLUSH_EVERY`` events.  Within a
+    segment ``seq`` increases strictly across the two populations (an
+    event that does not continue the order starts a new segment), so
+    the reader restores their interleaving from ``seq`` alone.
+    """
 
     def __init__(self, path: str, rank: int, nranks: int, app: str = "",
                  format: str = FORMAT_TEXT):
@@ -186,62 +228,70 @@ class TraceWriter:
         # recorder captured once at construction: the per-event write path
         # never re-checks global state
         self._obs = obs.get_recorder() if obs.is_enabled() else None
+        self._fh = open(path, "wb")
         if format == FORMAT_BINARY:
-            self._fh = open(path, "wb")
             self._offset = 0  # bytes already drained to the file
             self._out = bytearray(_MAGIC)
             self._frame(b"H", encode_record("H", {
                 "v": BINARY_VERSION, "rank": rank, "nranks": nranks,
                 "app": app}).encode("utf-8"))
             self._table = _StringTable()
-            #: pending mem columns: seq, addr, size, var, loc, access
-            self._pending: Tuple[list, ...] = tuple([] for _ in range(6))
+            self._calls = CallBuffer(self._table.intern)
+            #: pending mem columns: seq, addr, size, var, loc, access —
+            #: packed, so a rank that never fills a segment holds 33
+            #: bytes an event, not six boxed ints
+            self._pending: Tuple[array, ...] = tuple(
+                array(code) for code in "qqqiiB")
+            self._last_seq = INT64_MIN - 1
+            #: the frame index: kind, byte offset and rows per frame
+            self._frames: Tuple[list, list, list] = ([], [], [])
             # content digests accumulated at write time and recorded in
             # the footer, so incremental checking can detect unchanged
             # ranks without re-reading event payloads
-            self._hash_calls = hashlib.sha256()
+            self._hash_codec = hashlib.sha256()
             self._hash_mems = hashlib.sha256()
         else:
             self._buffer: List[str] = [
                 encode_record("H", {"v": TRACE_VERSION, "rank": rank,
                                     "nranks": nranks, "app": app})
             ]
-            self._fh = open(path, "w", encoding="utf-8")
 
     # -- shared ---------------------------------------------------------
 
     def write(self, event: Event) -> None:
-        if self.format == FORMAT_BINARY:
-            self._write_binary(event)
-        else:
+        if self.format != FORMAT_BINARY:
             self._buffer.append(event.encode())
             if len(self._buffer) >= _FLUSH_EVERY:
                 self._drain()
+        elif isinstance(event, MemEvent):
+            self._write_mem(event)
+        else:
+            self.append_call(event.fn, event.args, event.loc, event.seq)
+            return
         self.events_written += 1
 
     def append_call(self, fn: str, args: Dict[str, Any],
                     loc: Optional[SourceLocation], seq: int) -> None:
-        """Call fast path: write one call record without building a
-        :class:`CallEvent` — the line is byte-identical to
-        ``CallEvent(seq=seq, fn=fn, args=args, loc=loc).encode()``."""
+        """Call fast path: record one call without building a
+        :class:`CallEvent` — what lands on disk (and in the content
+        digests) is what ``write(CallEvent(seq=seq, fn=fn, args=args,
+        loc=loc))`` produces, which for binary traces is this method."""
         loc_text = (loc if loc is not None else UNKNOWN_LOCATION).encode()
-        parts = [f"C seq={seq} fn={encode_value(fn)}"
-                 f" loc={encode_value(loc_text)}"]
-        for key, value in args.items():
-            if value is not None:
-                parts.append(f"{key}={encode_value(value)}")
-        line = " ".join(parts)
         if self.format == FORMAT_BINARY:
-            self._flush_mem_block()  # preserve on-disk event order
-            payload = line.encode("utf-8")
-            self._frame(b"C", payload)
-            self._hash_calls.update(_U32.pack(len(payload)))
-            self._hash_calls.update(payload)
+            if seq <= self._last_seq:
+                self._flush_segment()
+            if self._calls.append(fn, args, self._table.intern(loc_text),
+                                  seq):
+                self._last_seq = seq
+                if len(self._calls) + len(self._pending[0]) \
+                        >= _FLUSH_EVERY:
+                    self._flush_segment()
+            else:
+                self._write_call_record(
+                    _call_line(fn, args, loc_text, seq))
             self._counts["call"] += 1
-            if len(self._out) >= 1 << 20:
-                self._drain()
         else:
-            self._buffer.append(line)
+            self._buffer.append(_call_line(fn, args, loc_text, seq))
             if len(self._buffer) >= _FLUSH_EVERY:
                 self._drain()
         self.events_written += 1
@@ -274,21 +324,17 @@ class TraceWriter:
             except KeyError:
                 raise TraceFormatError(
                     f"unknown access kind {access!r}") from None
-            counts = self._counts
-            seqs, addrs, sizes, var_ids, loc_ids, accs = self._pending
-            seqs.extend(range(seq0, seq0 + count))
-            if stride:
-                addrs.extend(range(addr, addr + count * stride, stride))
-            else:
-                addrs.extend([addr] * count)
-            sizes.extend([size] * count)
-            var_ids.extend([self._table.intern(var)] * count)
-            loc_ids.extend([self._table.intern(loc_text)] * count)
-            accs.extend([code] * count)
-            counts["mem"] += count
-            counts[access] += count
-            if len(seqs) >= _FLUSH_EVERY:
-                self._flush_mem_block()
+            if seq0 <= self._last_seq:
+                self._flush_segment()
+            self._append_mems(
+                range(seq0, seq0 + count),
+                range(addr, addr + count * stride, stride) if stride
+                else [addr] * count,
+                [size] * count, [self._table.intern(var)] * count,
+                [self._table.intern(loc_text)] * count, [code] * count)
+            self._last_seq = seq0 + count - 1
+            self._counts["mem"] += count
+            self._counts[access] += count
         else:
             if access not in ACCESS_CODES:
                 raise TraceFormatError(
@@ -315,12 +361,18 @@ class TraceWriter:
         if self._closed:
             return
         if self.format == FORMAT_BINARY:
-            self._flush_mem_block()
+            self._flush_segment()
+            kinds, offsets, rows = self._frames
+            shapes = self._calls.shapes
             footer = json.dumps(
                 {"version": BINARY_VERSION, "counts": self._counts,
-                 "strings": self._table.strings,
+                 "strings": self._table.strings, "shapes": shapes,
+                 "frames": {"kinds": "".join(kinds), "offsets": offsets,
+                            "rows": rows},
                  "digests": {
-                     "calls": self._hash_calls.hexdigest(),
+                     "calls": calls_digest(
+                         [h.digest() for h in self._calls.hashes], shapes,
+                         self._hash_codec.digest()),
                      "mems": self._hash_mems.hexdigest(),
                      "strings": hash_strings(self._table.strings)}},
                 ensure_ascii=False, separators=(",", ":")).encode("utf-8")
@@ -338,7 +390,7 @@ class TraceWriter:
         reader)."""
         if not self._closed:
             if self.format == FORMAT_BINARY:
-                self._flush_mem_block()
+                self._flush_segment()
             self._drain()
             self._fh.close()
             self._closed = True
@@ -353,16 +405,6 @@ class TraceWriter:
             self.close()
         return False
 
-    # -- text -----------------------------------------------------------
-
-    def _drain_text(self) -> None:
-        if not self._buffer:
-            return
-        chunk = "\n".join(self._buffer) + "\n"
-        self._fh.write(chunk)
-        self.bytes_written += len(chunk)
-        self._buffer.clear()
-
     # -- binary ---------------------------------------------------------
 
     def _frame(self, tag: bytes, payload: bytes) -> None:
@@ -370,79 +412,111 @@ class TraceWriter:
         self._out += _U32.pack(len(payload))
         self._out += payload
 
-    def _write_binary(self, event: Event) -> None:
-        counts = self._counts
-        if type(event) is MemEvent or isinstance(event, MemEvent):
-            seqs, addrs, sizes, var_ids, loc_ids, accs = self._pending
-            seqs.append(event.seq)
-            addrs.append(event.addr)
-            sizes.append(event.size)
-            var_ids.append(self._table.intern(event.var))
-            loc_ids.append(self._table.intern(event.loc.encode()))
-            try:
-                accs.append(ACCESS_CODES[event.access])
-            except KeyError:
-                raise TraceFormatError(
-                    f"unknown access kind {event.access!r}") from None
-            counts["mem"] += 1
-            counts[event.access] += 1
-            if len(seqs) >= _FLUSH_EVERY:
-                self._flush_mem_block()
-        else:
-            self._flush_mem_block()  # preserve on-disk event order
-            payload = event.encode().encode("utf-8")
-            self._frame(b"C", payload)
-            self._hash_calls.update(_U32.pack(len(payload)))
-            self._hash_calls.update(payload)
-            counts["call"] += 1
-            if len(self._out) >= 1 << 20:
-                self._drain()
+    def _index_frame(self, kind: str, rows: int) -> None:
+        kinds, offsets, counts = self._frames
+        kinds.append(kind)
+        offsets.append(self._offset + len(self._out))
+        counts.append(rows)
 
-    def _flush_mem_block(self) -> None:
+    def _write_mem(self, event: MemEvent) -> None:
+        try:
+            code = ACCESS_CODES[event.access]
+        except KeyError:
+            raise TraceFormatError(
+                f"unknown access kind {event.access!r}") from None
+        if event.seq <= self._last_seq:
+            self._flush_segment()
+        self._append_mems(
+            (event.seq,), (event.addr,), (event.size,),
+            (self._table.intern(event.var),),
+            (self._table.intern(event.loc.encode()),), (code,))
+        self._last_seq = event.seq
+        self._counts["mem"] += 1
+        self._counts[event.access] += 1
+
+    def _append_mems(self, *columns) -> None:
+        """Extend the pending memory columns, all or none: a value
+        outside its column's range leaves them as they were."""
+        rows = len(self._pending[0])
+        try:
+            for pending, column in zip(self._pending, columns):
+                pending.extend(column)
+        except OverflowError as exc:
+            for pending in self._pending:
+                del pending[rows:]
+            raise TraceFormatError(
+                f"memory event outside the int64 columns: {exc}") from None
+        if len(self._pending[0]) + len(self._calls) >= _FLUSH_EVERY:
+            self._flush_segment()
+
+    def _write_call_record(self, line: str) -> None:
+        """The codec route: one call the columns cannot hold, framed as
+        its self-describing text record, in a segment of its own."""
+        self._flush_segment()
+        payload = line.encode("utf-8")
+        self._index_frame("C", 1)
+        self._frame(b"C", payload)
+        self._hash_codec.update(_U32.pack(len(payload)))
+        self._hash_codec.update(payload)
+
+    def _flush_segment(self) -> None:
         seqs = self._pending[0]
-        if not seqs:
-            return
-        arr = np.empty(len(seqs), dtype=MEM_DTYPE)
-        for name, col in zip(("seq", "addr", "size", "var", "loc",
-                              "access"), self._pending):
-            arr[name] = col
-        self._out += b"M"
-        self._out += _U32.pack(len(seqs))
-        payload = arr.tobytes()
-        self._out += payload
-        # no length prefix: rows are fixed-width, so the mems digest is a
-        # pure function of the packed content regardless of where the
-        # writer happened to cut its blocks
-        self._hash_mems.update(payload)
-        for col in self._pending:
-            col.clear()
+        if len(self._calls):
+            rows, nvals, nlists, payload = self._calls.take_frame()
+            self._index_frame("K", rows)
+            self._out += b"K"
+            self._out += _K_HEAD.pack(rows, nvals, nlists, len(seqs))
+            self._out += payload
+        if seqs:
+            arr = np.empty(len(seqs), dtype=MEM_DTYPE)
+            for name, col in zip(MEM_DTYPE.names, self._pending):
+                arr[name] = np.frombuffer(col, dtype=col.typecode)
+            self._index_frame("M", len(seqs))
+            self._out += b"M"
+            self._out += _U32.pack(len(seqs))
+            payload = arr.tobytes()
+            self._out += payload
+            # no length prefix: rows are fixed-width, so the mems digest
+            # is a pure function of the packed content regardless of
+            # where the writer happened to cut its blocks
+            self._hash_mems.update(payload)
+            for col in self._pending:
+                del col[:]
         if len(self._out) >= 1 << 20:
             self._drain()
 
     def _drain(self) -> None:
-        if self.format != FORMAT_BINARY:
-            if self._obs is not None:
-                start = time.perf_counter()
-                self._drain_text()
-                self._obs.observe(
-                    "profiler_flush_seconds", time.perf_counter() - start,
-                    help="Trace-buffer flush latency", rank=self.rank)
-            else:
-                self._drain_text()
-            return
-        if not self._out:
+        if self.format == FORMAT_BINARY:
+            data = self._out
+            self._offset += len(data)
+            self._out = bytearray()
+        else:
+            data = ("\n".join(self._buffer) + "\n").encode("utf-8") \
+                if self._buffer else b""
+            self._buffer.clear()
+        if not data:
             return
         if self._obs is not None:
             start = time.perf_counter()
-            self._fh.write(self._out)
+            self._fh.write(data)
             self._obs.observe(
                 "profiler_flush_seconds", time.perf_counter() - start,
                 help="Trace-buffer flush latency", rank=self.rank)
         else:
-            self._fh.write(self._out)
-        self._offset += len(self._out)
-        self.bytes_written += len(self._out)
-        self._out = bytearray()
+            self._fh.write(data)
+        self.bytes_written += len(data)
+
+
+def _call_line(fn: str, args: Dict[str, Any], loc_text: str,
+               seq: int) -> str:
+    """One call as its text record — byte-identical to
+    ``CallEvent(seq=seq, fn=fn, args=args, loc=loc).encode()``."""
+    parts = [f"C seq={seq} fn={encode_value(fn)}"
+             f" loc={encode_value(loc_text)}"]
+    for key, value in args.items():
+        if value is not None:
+            parts.append(f"{key}={encode_value(value)}")
+    return " ".join(parts)
 
 
 def _section_pattern(value: str) -> "re.Pattern[str]":
@@ -642,8 +716,8 @@ class TraceReader:
     The header is read once at construction and the open handle is
     reused by every iteration method (no double-open).  Iteration
     methods share the handle, so at most one text iterator should be
-    live at a time; binary iteration walks the memory map and is
-    reentrant.
+    live at a time; binary iteration follows the frame index over the
+    memory map and is reentrant.
     """
 
     def __init__(self, path: str):
@@ -651,14 +725,18 @@ class TraceReader:
         #: the rank's columnar CallTable, populated as a side product of
         #: :meth:`read_calls`
         self.call_table = None
-        #: the rank's memory blocks, where ``read_calls(mems=True)``
-        #: decoded them in the same pass as the calls (text traces)
+        #: the rank's memory blocks, after ``read_calls(mems=True)``
         self.call_mems: Optional[List[MemBlock]] = None
         fh = open(path, "rb")
         magic = fh.read(len(_MAGIC))
         if magic == _MAGIC:
             self.format = FORMAT_BINARY
-            self._init_binary(fh)
+            self._fh, self._mm = fh, None
+            try:
+                self._init_binary(fh)
+            except Exception:
+                self.close()
+                raise
         else:
             fh.close()
             if not magic:
@@ -689,10 +767,8 @@ class TraceReader:
         self._digests: Optional[Dict[str, str]] = None
 
     def _init_binary(self, fh) -> None:
-        self._fh = fh
         size = os.fstat(fh.fileno()).st_size
         if size < len(_MAGIC) + _TRAILER_LEN:
-            fh.close()
             raise TraceFormatError(
                 f"{self.path}: truncated binary trace (unclosed writer?)")
         self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -720,33 +796,110 @@ class TraceReader:
             self._digests = (
                 {k: str(digests[k]) for k in ("calls", "mems", "strings")}
                 if isinstance(digests, dict) else None)
+            self._shapes_raw = footer.get("shapes", [])
+            indexed = footer.get("frames")
         except (ValueError, KeyError, TypeError) as exc:
             raise TraceFormatError(
                 f"{self.path}: corrupt footer: {exc}") from exc
         tag, payload, data_start = self._read_frame(len(_MAGIC))
-        if tag != b"H":
+        if tag != b"H" or data_start > footer_off:
             raise TraceFormatError(f"{self.path}: missing trace header")
         rec = decode_record(payload.decode("utf-8"))
         self.header = TraceHeader(
             version=rec.get_int("v"), rank=rec.get_int("rank"),
             nranks=rec.get_int("nranks"), app=rec.get_str("app", ""))
-        if self.header.version != BINARY_VERSION:
+        if self.header.version not in _BINARY_VERSIONS:
             raise TraceFormatError(
                 f"{self.path}: unsupported binary trace version "
                 f"{self.header.version}")
         self._data_pos = data_start
         self._footer_off = footer_off
+        self._frames = self._index_frames(indexed)
+        self._call_cols: Optional[CallColumns] = None
 
     def _read_frame(self, pos: int) -> Tuple[bytes, bytes, int]:
         mm = self._mm
-        tag = mm[pos:pos + 1]
-        if tag == b"M":
-            count = _U32.unpack_from(mm, pos + 1)[0]
-            end = pos + 5 + count * MEM_DTYPE.itemsize
-            return tag, mm[pos + 5:end], end
         length = _U32.unpack_from(mm, pos + 1)[0]
         end = pos + 5 + length
-        return tag, mm[pos + 5:end], end
+        return mm[pos:pos + 1], mm[pos + 5:end], end
+
+    def _index_frames(self, indexed: Optional[dict]
+                      ) -> Tuple[List[str], List[int], List[int]]:
+        """The frame index ``(kinds, offsets, rows)`` of the data
+        section, from one walk over the frame headers — and the checks
+        that make every later pass a plain gather: frames tile the
+        section exactly, the footer's own index (v3) names the same
+        frames, and the rows per kind sum to the footer's counts."""
+        mm, end = self._mm, self._footer_off
+        kinds: List[str] = []
+        offsets: List[int] = []
+        rows: List[int] = []
+        pos = self._data_pos
+        owed = 0    # memory rows the last K frame said complete its segment
+        while pos < end:
+            tag = mm[pos:pos + 1]
+            if pos + 5 > end:
+                raise TraceFormatError(
+                    f"{self.path}: frame header at byte {pos} overruns "
+                    "the footer")
+            count = _U32.unpack_from(mm, pos + 1)[0]
+            if owed and (tag != b"M" or count != owed):
+                raise TraceFormatError(
+                    f"{self.path}: the K frame before byte {pos} is "
+                    f"completed by {owed} memory rows; found "
+                    f"{tag!r} with {count}")
+            owed = 0
+            if tag == b"M":
+                stop = pos + 5 + count * MEM_DTYPE.itemsize
+            elif tag == b"C":
+                stop, count = pos + 5 + count, 1
+            elif tag == b"K" and pos + 1 + _K_HEAD.size <= end:
+                owed, _columns, stop = _call_frame(mm, pos)
+            else:
+                raise TraceFormatError(
+                    f"{self.path}: unknown frame tag {tag!r} at byte "
+                    f"{pos}")
+            if stop > end:
+                raise TraceFormatError(
+                    f"{self.path}: {tag.decode()} frame at byte {pos} "
+                    "overruns the footer")
+            kinds.append(tag.decode())
+            offsets.append(pos)
+            rows.append(count)
+            pos = stop
+        if owed:
+            raise TraceFormatError(
+                f"{self.path}: the last K frame (byte {offsets[-1]}) is "
+                f"completed by {owed} memory rows; found the footer")
+        walked = {"kinds": "".join(kinds), "offsets": offsets, "rows": rows}
+        if indexed is not None and indexed != walked:
+            try:
+                listed = list(zip(*(indexed[key] for key in walked)))
+            except (KeyError, TypeError):
+                listed = []
+            same = sum(1 for _ in takewhile(
+                lambda pair: pair[0] == pair[1],
+                zip(listed, zip(*walked.values()))))
+            raise TraceFormatError(
+                f"{self.path}: frame index disagrees with the data "
+                f"section at frame {same} (byte "
+                f"{offsets[same] if same < len(offsets) else end})")
+        counts = self._counts
+        calls = sum(n for kind, n in zip(kinds, rows) if kind != "M")
+        mems = sum(n for kind, n in zip(kinds, rows) if kind == "M")
+        if (calls, mems) != (counts["call"], counts["mem"]) or \
+                counts["load"] + counts["store"] != counts["mem"]:
+            raise TraceFormatError(
+                f"{self.path}: footer at byte {end} counts "
+                f"{counts['call']} calls and {counts['mem']} memory events "
+                f"({counts['load']} loads + {counts['store']} stores), the "
+                f"frames hold {calls} and {mems}")
+        return kinds, offsets, rows
+
+    def _map(self):
+        if self._mm is None:
+            raise TraceFormatError(f"{self.path}: reader is closed")
+        return self._mm
 
     # -- lifecycle ------------------------------------------------------
 
@@ -783,47 +936,64 @@ class TraceReader:
     def stream(self) -> Iterator[StreamItem]:
         """Call events typed, memory events packed — the analyzer's
         ingest shape.  Consecutive memory events coalesce into one
-        :class:`MemBlock`; on-disk order is preserved across the two
-        populations."""
-        if self.format == FORMAT_BINARY:
-            yield from self._stream_binary()
-            return
+        :class:`MemBlock`; trace (``seq``) order is preserved across the
+        two populations."""
         rank, table = self.header.rank, self._table
-        section = _TextSection(self, partial(decode_event, rank))
-        for mems, calls, cuts in section:
-            pos = 0
-            for cut, event in zip(cuts, calls):
-                if cut > pos:
-                    yield MemBlock(rank, table, mems[pos:cut])
-                    pos = cut
-                yield event
-            if pos < len(mems):
-                yield MemBlock(rank, table, mems[pos:])
+        if self.format != FORMAT_BINARY:
+            section = _TextSection(self, partial(decode_event, rank))
+            for mems, calls, cuts in section:
+                yield from _interleave(rank, table, mems, calls, cuts)
+            return
+        cols, mm = self._call_columns(), self._map()
+        frames = iter(zip(*self._frames))
+        row = 0
+        for kind, offset, rows in frames:
+            calls: list = []
+            if kind != "M":
+                calls = cols[row:row + rows]
+                row += rows
+                if kind == "C" or not _call_frame(mm, offset)[0]:
+                    yield from calls
+                    continue
+                kind, offset, rows = next(frames)   # the segment's rows
+            mems = self._mem_rows(offset, rows)
+            cuts = np.searchsorted(
+                mems["seq"], [call.seq for call in calls]).tolist()
+            yield from _interleave(rank, table, mems, calls, cuts)
 
     def read_calls(self, mems: bool = False
-                   ) -> Tuple[List[CallEvent], Dict[str, int]]:
+                   ) -> Tuple[Sequence[CallEvent], Dict[str, int]]:
         """One pass returning every call event plus exact per-class
-        event counts — the analyzer control-pass primitive.  Binary
-        traces take the counts from the footer and never touch memory
-        frames' payloads; text traces count memory lines by access kind
-        without building their columns — unless ``mems`` asks for them:
-        the one bulk pass then decodes both populations and leaves the
-        packed memory blocks in ``self.call_mems``, for a caller that
-        would otherwise read the file again with :meth:`mem_blocks`
-        (binary blocks are mapped, not decoded, so there ``call_mems``
-        stays ``None``).
+        event counts — the analyzer control-pass primitive, which also
+        leaves the rank's :class:`~repro.core.calltable.CallTable` in
+        ``self.call_table``.
 
-        Decoding runs through :class:`repro.core.calltable.CallIngest`
-        — a memoizing line parser that also leaves the rank's
-        :class:`CallTable` in ``self.call_table`` as a free side
-        product."""
-        from repro.core.calltable import CallIngest
+        Binary traces map the call columns (``K`` frames) and return
+        them as a :class:`~repro.profiler.callcols.CallColumns` — a
+        sequence that builds a :class:`CallEvent` only for the rows a
+        caller indexes — with the table gathered from the same columns
+        and the counts taken from the footer; calls framed as text
+        records (``C`` frames: what did not fit the columns, and every
+        call of a v2 file) decode through
+        :class:`~repro.core.calltable.CallIngest`.  Text traces decode
+        every call line through ``CallIngest`` and count memory lines by
+        access kind without building their columns.
+
+        ``mems`` asks for the memory events too, for a caller that would
+        otherwise open the file again for :meth:`mem_blocks`: the packed
+        blocks are left in ``self.call_mems`` — decoded by the same bulk
+        pass (text) or mapped from the frame index (binary: views of the
+        file, which stays mapped while they live)."""
+        from repro.core.calltable import CallIngest, CallTable
         rank = self.header.rank
-        ingest = CallIngest(rank)
         if self.format == FORMAT_BINARY:
-            calls = self._read_calls_binary(ingest)
-            self.call_table = ingest.finish()
-            return calls, dict(self._counts)
+            cols = self._call_columns()
+            if self.call_table is None:
+                self.call_table = CallTable.from_columns(cols)
+            if mems:
+                self.call_mems = list(self.mem_blocks())
+            return cols, dict(self._counts)
+        ingest = CallIngest(rank)
         section = _TextSection(self, ingest.add, columns=mems)
         calls: List[CallEvent] = []
         blocks: List[MemBlock] = []
@@ -837,37 +1007,74 @@ class TraceReader:
         self._counts = section.counts
         return calls, dict(section.counts)
 
-    def _read_calls_binary(self, ingest) -> List[CallEvent]:
-        """Binary call pass through an ingest object: C frames decode
-        via the memoizing parser, M frames are stepped over untouched."""
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
-        calls: List[CallEvent] = []
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
-        add = ingest.add
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            length = _U32.unpack_from(mm, pos + 1)[0]
-            start = pos + 5
-            if tag == b"M":
-                pos = start + length * itemsize
-                if pos > end:
+    def _call_columns(self) -> CallColumns:
+        """The rank's call columns, mapped (and checked) once per
+        reader: ``K`` frames concatenate column by column, ``C`` frames
+        decode through the record codec and take their place by frame
+        order."""
+        if self._call_cols is not None:
+            return self._call_cols
+        from repro.core.calltable import CallIngest
+        mm = self._map()
+        try:
+            shapes = resolve_shapes(self._shapes_raw, self._table)
+        except TraceFormatError as exc:
+            raise TraceFormatError(
+                f"{self.path}: corrupt footer at byte {self._footer_off}: "
+                f"{exc}") from exc
+        ingest = CallIngest(self.header.rank)
+        parts: Dict[str, list] = {name: [] for name, _ in CALL_COLUMNS}
+        codec: List[Tuple[int, CallEvent]] = []
+        firsts: List[int] = []     # per K frame: its first columnar row
+        offsets: List[int] = []    # ... and its byte offset
+        columnar = 0
+        for kind, offset, rows in zip(*self._frames):
+            if kind == "K":
+                for name, dtype, count, at in _call_frame(mm, offset)[1]:
+                    parts[name].append(np.frombuffer(mm, dtype, count, at))
+                seq = parts["seq"][-1]
+                if not (seq[1:] > seq[:-1]).all():
                     raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-            elif tag == b"C":
-                pos = start + length
-                if pos > end:
+                        f"{self.path}: K frame at byte {offset}: seq is "
+                        "not strictly increasing")
+                firsts.append(columnar)
+                offsets.append(offset)
+                columnar += rows
+            elif kind == "C":
+                try:
+                    length = _U32.unpack_from(mm, offset + 1)[0]
+                    event = ingest.add(
+                        mm[offset + 5:offset + 5 + length].decode("utf-8"))
+                    if not isinstance(event, CallEvent):
+                        raise TraceFormatError("not a call record")
+                except (TraceFormatError, UnicodeDecodeError) as exc:
                     raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-                calls.append(add(mm[start:pos].decode("utf-8")))
-            else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
-        return calls
+                        f"{self.path}: C frame at byte {offset}: {exc}"
+                    ) from exc
+                codec.append((columnar, event))
+
+        def locate(row: int) -> str:
+            k = max(bisect_right(firsts, row) - 1, 0)
+            return (f"{self.path}: K frame at byte {offsets[k]}, row "
+                    f"{row - firsts[k]}")
+
+        self._call_cols = CallColumns(
+            self.header.rank, self._table, shapes,
+            codec=codec, codec_table=ingest.finish() if codec else None,
+            locate=locate if firsts else "call row {}".format,
+            # copies: the columns outlive the mapping
+            **{name: np.concatenate(parts[name] or
+                                    [np.empty(0, dtype=_CALL_DTYPES[code])])
+               for name, code in CALL_COLUMNS})
+        for route, n in (("columnar", columnar), ("codec", len(codec))):
+            obs.count("trace_call_rows_total", n,
+                      help="Binary trace call rows read, by route",
+                      route=route)
+        return self._call_cols
+
+    def _mem_rows(self, offset: int, rows: int) -> np.ndarray:
+        return np.frombuffer(self._map(), dtype=MEM_DTYPE, count=rows,
+                             offset=offset + 5)
 
     def counts(self) -> Dict[str, int]:
         """Per-class event counts: served from the footer for binary
@@ -882,7 +1089,7 @@ class TraceReader:
         """Content digests identifying this rank's trace.
 
         Binary traces report the ``calls``/``mems``/``strings`` digests
-        the writer recorded in the footer; v2 files predating digest
+        the writer recorded in the footer; files predating digest
         recording get the same values recomputed from the mapped frames
         (identical formulas, so old and new files with the same content
         agree).  Text traces hash the raw file bytes.  Digests of
@@ -901,138 +1108,72 @@ class TraceReader:
                             "digests": self.digests()})
 
     def _recompute_binary_digests(self) -> Dict[str, str]:
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
-        hash_calls = hashlib.sha256()
-        hash_mems = hashlib.sha256()
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            length = _U32.unpack_from(mm, pos + 1)[0]
-            start = pos + 5
-            if tag == b"M":
-                pos = start + length * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-                hash_mems.update(mm[start:pos])
-            elif tag == b"C":
-                pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-                hash_calls.update(_U32.pack(length))
-                hash_calls.update(mm[start:pos])
+        """The writer's digests for a footer that records none, from
+        the mapped frames (identical formulas)."""
+        mm = self._map()
+        columns = [hashlib.sha256() for _ in CALL_COLUMNS]
+        codec, mems = hashlib.sha256(), hashlib.sha256()
+        for kind, offset, rows in zip(*self._frames):
+            if kind == "M":
+                mems.update(mm[offset + 5:
+                               offset + 5 + rows * MEM_DTYPE.itemsize])
+            elif kind == "C":
+                length = _U32.unpack_from(mm, offset + 1)[0]
+                codec.update(mm[offset + 1:offset + 5 + length])
             else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
-        return {"calls": hash_calls.hexdigest(),
-                "mems": hash_mems.hexdigest(),
+                for digest, (_name, dtype, count, at) in zip(
+                        columns, _call_frame(mm, offset)[1]):
+                    digest.update(mm[at:at + count * dtype.itemsize])
+        return {"calls": calls_digest([h.digest() for h in columns],
+                                      self._shapes_raw, codec.digest()),
+                "mems": mems.hexdigest(),
                 "strings": hash_strings(self._table.strings)}
 
     def mem_blocks(self) -> Iterator[MemBlock]:
-        """Memory events only, packed (the vectorized data pass).
-
-        Unlike :meth:`stream`, call records are stepped over without
-        decoding, and blocks span them: text traces yield one block per
-        decoded chunk, binary traces coalesce consecutive on-disk blocks
-        up to ``_FLUSH_EVERY`` rows (synchronization-heavy traces flush
-        a small block before every call frame, and re-packing here keeps
-        the per-block Python overhead out of the data pass)."""
-        if self.format == FORMAT_BINARY:
-            yield from self._mem_blocks_binary()
+        """Memory events only, packed (the vectorized data pass): text
+        traces yield one block per decoded chunk of the data section,
+        binary traces one zero-copy view per ``M`` frame of the frame
+        index — no call is decoded or stepped over either way."""
+        rank, table = self.header.rank, self._table
+        if self.format != FORMAT_BINARY:
+            for mems, _calls, _cuts in _TextSection(self):
+                if len(mems):
+                    yield MemBlock(rank, table, mems)
             return
-        for mems, _calls, _cuts in _TextSection(self):
-            if len(mems):
-                yield MemBlock(self.header.rank, self._table, mems)
+        for kind, offset, rows in zip(*self._frames):
+            if kind == "M":
+                yield MemBlock(rank, table, self._mem_rows(offset, rows))
 
-    # -- binary internals ----------------------------------------------
+    def frame_bytes(self) -> Dict[str, int]:
+        """File bytes by what they hold — ``calls`` (``K`` and ``C``
+        frames), ``mems`` (``M`` frames) and ``footer`` (magic, header,
+        footer, trailer) — for a binary trace; text lines are not
+        framed, so a text trace reports only its ``file`` size."""
+        size = os.path.getsize(self.path)
+        if self.format != FORMAT_BINARY:
+            return {"file": size}
+        kinds, offsets, _rows = self._frames
+        sizes = Counter()
+        for kind, start, stop in zip(kinds, offsets,
+                                     offsets[1:] + [self._footer_off]):
+            sizes["mems" if kind == "M" else "calls"] += stop - start
+        return {"calls": sizes["calls"], "mems": sizes["mems"],
+                "footer": size - sizes["calls"] - sizes["mems"]}
 
-    def _stream_binary(self) -> Iterator[StreamItem]:
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
-        rank = self.header.rank
-        table = self._table
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            if tag == b"M":
-                count = _U32.unpack_from(mm, pos + 1)[0]
-                start = pos + 5
-                pos = start + count * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-                arr = np.frombuffer(mm, dtype=MEM_DTYPE, count=count,
-                                    offset=start)
-                yield MemBlock(rank, table, arr)
-            elif tag == b"C":
-                length = _U32.unpack_from(mm, pos + 1)[0]
-                start = pos + 5
-                pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-                yield decode_event(rank,
-                                   mm[start:pos].decode("utf-8"))
-            else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
 
-    def _mem_blocks_binary(self) -> Iterator[MemBlock]:
-        mm = self._mm
-        if mm is None:
-            raise TraceFormatError(f"{self.path}: reader is closed")
-        rank = self.header.rank
-        table = self._table
-        pos = self._data_pos
-        end = self._footer_off
-        itemsize = MEM_DTYPE.itemsize
-        pending: List[np.ndarray] = []
-        pending_rows = 0
-
-        def flush() -> MemBlock:
-            nonlocal pending_rows
-            # a lone large frame stays a zero-copy view; runs of small
-            # frames pay one vectorized concatenate
-            arr = pending[0] if len(pending) == 1 else np.concatenate(pending)
-            pending.clear()
-            pending_rows = 0
-            return MemBlock(rank, table, arr)
-
-        while pos < end:
-            tag = mm[pos:pos + 1]
-            length = _U32.unpack_from(mm, pos + 1)[0]
-            start = pos + 5
-            if tag == b"M":
-                pos = start + length * itemsize
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: memory block overruns the footer")
-                pending.append(np.frombuffer(mm, dtype=MEM_DTYPE,
-                                             count=length, offset=start))
-                pending_rows += length
-                if pending_rows >= _FLUSH_EVERY:
-                    yield flush()
-            elif tag == b"C":
-                pos = start + length
-                if pos > end:
-                    raise TraceFormatError(
-                        f"{self.path}: call record overruns the footer")
-            else:
-                raise TraceFormatError(
-                    f"{self.path}: unknown frame tag {tag!r} at byte "
-                    f"{pos}")
-        if pending:
-            yield flush()
+def _interleave(rank: int, table: _StringTable, mems: np.ndarray,
+                calls: Sequence[CallEvent], cuts: List[int]
+                ) -> Iterator[StreamItem]:
+    """One stretch of a trace in event order: ``cuts[i]`` of ``mems``'
+    rows precede ``calls[i]``."""
+    pos = 0
+    for cut, event in zip(cuts, calls):
+        if cut > pos:
+            yield MemBlock(rank, table, mems[pos:cut])
+            pos = cut
+        yield event
+    if pos < len(mems):
+        yield MemBlock(rank, table, mems[pos:])
 
 
 class TraceSet:
@@ -1080,7 +1221,7 @@ class TraceSet:
     def path(self, rank: int) -> str:
         """The on-disk trace file of one rank.  A ``TraceSet`` pickles
         as directory + paths only — pool workers (fork or spawn) reopen
-        the file by this path and mmap the v2 blocks themselves, so the
+        the file by this path and mmap the frames themselves, so the
         stable path, not an inherited file handle, is the cross-process
         contract."""
         return self._paths[rank]
@@ -1111,7 +1252,7 @@ class TraceSet:
 
     def event_counts(self) -> Dict[str, int]:
         """Aggregate event counts by class (for the Figure 10
-        experiment).  Served from the v2 footer where available — no
+        experiment).  Served from the binary footer where available — no
         event is decoded for a binary trace set."""
         counts = {"call": 0, "mem": 0, "load": 0, "store": 0}
         for rank in range(self.nranks):

@@ -37,8 +37,11 @@ class RankStats:
     rma_bytes: int = 0  # bytes named by Put/Get/Accumulate signatures
     trace_format: str = ""
     #: the reader's authoritative per-class counts — footer-served for
-    #: binary (v2) traces, so they cross-check the streamed totals
+    #: binary traces, so they cross-check the streamed totals
     footer_counts: Dict[str, int] = field(default_factory=dict)
+    #: file bytes by what they hold (``TraceReader.frame_bytes``):
+    #: ``calls``/``mems``/``footer`` for binary, ``file`` for text
+    frame_bytes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def mems(self) -> int:
@@ -59,6 +62,7 @@ class RankStats:
             "by_fn": dict(self.by_fn),
             "by_sync_class": dict(self.by_sync_class),
             "footer_counts": dict(self.footer_counts),
+            "frame_bytes": dict(self.frame_bytes),
         }
 
 
@@ -102,6 +106,14 @@ class TraceStats:
             mix.update(rank_stats.by_sync_class)
         return dict(mix)
 
+    def frame_bytes(self) -> Dict[str, int]:
+        """Trace bytes on disk by frame kind, over all ranks — what a
+        change in bytes per event is attributable to."""
+        total: Counter = Counter()
+        for rank_stats in self.per_rank:
+            total.update(rank_stats.frame_bytes)
+        return dict(total)
+
     @property
     def calls_to_mems_ratio(self) -> float:
         """Control-plane : data-plane event ratio (calls per load/store;
@@ -125,6 +137,7 @@ class TraceStats:
             },
             "category_mix": self.category_mix(),
             "sync_class_mix": self.sync_class_mix(),
+            "frame_bytes": self.frame_bytes(),
             "per_rank": [r.to_dict() for r in self.per_rank],
             "hot_statements": [
                 {"where": where, "events": count}
@@ -156,6 +169,13 @@ class TraceStats:
         moved = sum(r.load_bytes + r.store_bytes for r in self.per_rank)
         lines.append(f"bytes: {rma} via one-sided signatures, "
                      f"{moved} via instrumented load/store")
+        on_disk = self.frame_bytes()
+        if on_disk:
+            parts = ", ".join(f"{kind}={size}"
+                              for kind, size in sorted(on_disk.items()))
+            lines.append(f"trace bytes: {parts} "
+                         f"({sum(on_disk.values()) / max(self.total_events, 1):.1f}"
+                         " per event)")
         if self.hot_statements:
             lines.append("hottest statements:")
             for where, count in self.hot_statements[:hot_limit]:
@@ -217,6 +237,7 @@ def compute_stats(traces: TraceSet) -> TraceStats:
             # cheap after streaming: the footer for binary, the cached
             # scan for text — an independent check on the streamed totals
             stats.footer_counts = reader.counts()
+            stats.frame_bytes = reader.frame_bytes()
         per_rank.append(stats)
     return TraceStats(nranks=traces.nranks, per_rank=per_rank,
                       hot_statements=hot.most_common())

@@ -37,7 +37,7 @@ def hash_file(path: str, chunk_size: int = 1 << 20) -> str:
 
 
 def hash_strings(strings: Sequence[str]) -> str:
-    """Digest of an ordered string sequence (the v2 string table).
+    """Digest of an ordered string sequence (a binary trace's string table).
 
     Each string is length-prefixed, so ``["ab", "c"]`` and ``["a", "bc"]``
     digest differently.

@@ -266,6 +266,30 @@ class TestInvalidation:
         assert shards.value(outcome="invalidated") >= 1
         assert canonical(bumped) == cold
 
+    def test_v2_era_cache_demotes_and_self_heals(self, tmp_path,
+                                                 monkeypatch):
+        """A cache populated over v2 traces by the engine revision that
+        wrote them ("4", before calls became columns) is another
+        revision's: nothing is served from it, the verdict is the cold
+        one, and the run leaves a current cache behind."""
+        fixture = pathlib.Path(__file__).parent.parent / "profiler" / \
+            "fixtures" / "v2_pingpong"
+        traces = TraceSet(str(fixture))
+        config = CheckConfig(incremental=True,
+                             cache_dir=str(tmp_path / "cache"))
+        assert incremental.ENGINE_VERSION == "5"
+        monkeypatch.setattr(incremental, "ENGINE_VERSION", "4")
+        old = canonical(check_traces(traces, config))
+        monkeypatch.undo()
+
+        report, outcomes = _outcomes(lambda: check_traces(traces, config))
+        assert outcomes["hit"] == 0 and outcomes["invalidated"] >= 1
+        assert canonical(report) == old == canonical(check_traces(traces))
+        checker = IncrementalChecker(traces, config)
+        assert canonical(checker.run()) == old
+        assert checker.work() == {"calls_lifted": 0, "rows_loaded": 0,
+                                  "shard_files_read": 0}
+
     def test_corrupt_cache_entry_recomputes(self, tmp_path):
         traces = self._traces(tmp_path / "t", extra=False)
         config = CheckConfig(incremental=True,

@@ -129,6 +129,42 @@ class TestRunReport:
         assert moved["call/codec"] == rank0["call"]
         assert moved["mem/bulk"] == counts["mem"] - rank0["mem"]
 
+    def test_call_rows_by_route(self, tmp_path):
+        """A profiler-written binary set reads every call from the
+        columns; one argument past int64 moves exactly that call to the
+        record codec, and the flight record shows it.  Text sets report
+        no call rows."""
+        import dataclasses
+        from repro.apps.lu import lu
+        from repro.profiler.events import CallEvent
+        from repro.profiler.tracer import TraceReader, TraceWriter
+        run = api.run(lu, 4, params=dict(n=24), trace_format="binary",
+                      trace_dir=str(tmp_path / "lu"))
+        calls = run.traces.event_counts()["call"]
+        rr = checked_report(run)
+        assert rr.ingest["call_rows"] == {"codec": 0, "columnar": calls}
+        assert f"columnar={calls:,}" in render_run_text(rr)
+        assert "call rows (route)" in render_run_html(rr)
+
+        path = run.traces.path(2)
+        with TraceReader(path) as reader:
+            header, events = reader.header, reader.events()
+        k = next(i for i, e in enumerate(events) if isinstance(e, CallEvent))
+        events[k] = dataclasses.replace(
+            events[k], args=dict(events[k].args, pad=1 << 63))
+        with TraceWriter(path, 2, header.nranks, app=header.app,
+                         format="binary") as writer:
+            for event in events:
+                writer.write(event)
+        moved = checked_report(run)
+        assert moved.ingest["call_rows"] == {"codec": 1,
+                                             "columnar": calls - 1}
+        assert moved.findings == rr.findings
+
+        text = api.run(lu, 4, params=dict(n=24), trace_format="text",
+                       trace_dir=str(tmp_path / "text"))
+        assert "call_rows" not in checked_report(text).ingest
+
     def test_roundtrip(self, profiled):
         rr = checked_report(profiled)
         clone = RunReport.from_dict(json.loads(json.dumps(rr.to_dict())))

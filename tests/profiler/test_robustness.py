@@ -1,12 +1,21 @@
 """Trace-format robustness: malformed inputs must fail loudly, not crash
 or silently mis-analyze."""
 
+import json
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.profiler.events import decode_event
-from repro.profiler.tracer import TraceReader, TraceSet
+from repro import api
+from repro.apps.heat2d import heat2d
+from repro.profiler.events import CallEvent, MemEvent, decode_event
+from repro.profiler.tracer import (
+    _END_MAGIC, _K_HEAD, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
+)
 from repro.util.errors import TraceFormatError
+from repro.util.location import SourceLocation
 from repro.util.records import decode_record
 
 
@@ -63,3 +72,196 @@ class TestCorruptTraceFiles:
         (tmp_path / "trace.backup").write_text("irrelevant")
         ts = TraceSet(str(tmp_path))
         assert ts.nranks == 1
+
+
+# ----------------------------------------------------------------------
+# binary traces: a footer, an index or a K column that lies
+# ----------------------------------------------------------------------
+
+LOC = SourceLocation("app.py", 3, "main")
+
+
+def rewrite_footer(path, mutate):
+    """Re-frame the JSON footer after ``mutate(footer)``; nothing else
+    in the file changes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    footer_off = struct.unpack("<Q", data[-16:-8])[0]
+    length = struct.unpack_from("<I", data, footer_off + 1)[0]
+    footer = json.loads(data[footer_off + 5:footer_off + 5 + length])
+    mutate(footer)
+    payload = json.dumps(footer).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data[:footer_off] + b"F" + struct.pack("<I", len(payload))
+                 + payload + struct.pack("<Q", footer_off) + _END_MAGIC)
+    return footer_off
+
+
+@pytest.fixture
+def heat_traces(tmp_path):
+    return api.run(heat2d, 2, params=dict(rows=8, cols=4, steps=3),
+                   trace_format="binary", trace_dir=str(tmp_path)).traces
+
+
+class TestFooterIsCrossChecked:
+    """The footer's counts and frame index are claims about the data
+    section; a reader that trusted them served ``stats.events`` from a
+    rewritten footer and a clean report with it."""
+
+    @pytest.mark.parametrize("counts", [
+        {"call": 1, "mem": 7, "load": 3, "store": 4},   # the issue's case
+        {"call": None, "mem": None, "load": 0, "store": 0},
+    ])
+    def test_rewritten_counts_rejected(self, heat_traces, counts):
+        path = heat_traces.path(0)
+
+        def mutate(footer):
+            for key, value in counts.items():
+                if value is not None:
+                    footer["counts"][key] = value
+        footer_off = rewrite_footer(path, mutate)
+        with pytest.raises(TraceFormatError) as err:
+            api.check(heat_traces)
+        assert path in str(err.value)
+        assert f"byte {footer_off}" in str(err.value)
+
+    def test_index_must_match_the_frames(self, heat_traces):
+        path = heat_traces.path(1)
+
+        def mutate(footer):
+            footer["frames"]["offsets"][-1] += 1
+        rewrite_footer(path, mutate)
+        with pytest.raises(TraceFormatError,
+                           match=r"frame index disagrees.*byte \d+"):
+            TraceReader(path)
+
+    def test_index_pointing_outside_the_data_section(self, heat_traces):
+        path = heat_traces.path(1)
+
+        def mutate(footer):
+            footer["frames"]["offsets"][0] = 1 << 40
+        rewrite_footer(path, mutate)
+        with pytest.raises(TraceFormatError, match="frame index"):
+            TraceReader(path)
+
+    def test_missing_digests_are_recomputed_from_the_frames(self,
+                                                            heat_traces):
+        """The reader's formulas are the writer's: a footer that records
+        no digests gets the same ones back from the mapped columns."""
+        path = heat_traces.path(0)
+        with TraceReader(path) as reader:
+            recorded = reader.digests()
+        rewrite_footer(path, lambda footer: footer.pop("digests"))
+        with TraceReader(path) as reader:
+            assert reader.digests() == recorded
+
+    def test_shape_naming_a_string_outside_the_table(self, heat_traces):
+        path = heat_traces.path(0)
+
+        def mutate(footer):
+            footer["shapes"][0][0] = len(footer["strings"])
+        rewrite_footer(path, mutate)
+        with pytest.raises(TraceFormatError, match="corrupt footer.*shape"):
+            with TraceReader(path) as reader:
+                reader.read_calls()
+
+
+def k_frame(path):
+    """``(offset, rows, nvals, nlists)`` of the first K frame, and the
+    byte offsets of its five columns."""
+    with TraceReader(path) as reader:
+        kinds, offsets, _rows = reader._frames
+        offset = offsets[kinds.index("K")]
+        rows, nvals, nlists, _ = _K_HEAD.unpack_from(reader._mm, offset + 1)
+    # spelled out, not taken from the reader: the layout is the spec
+    seq = offset + 1 + _K_HEAD.size
+    vals = seq + 8 * rows
+    lists = vals + 8 * nvals
+    loc = lists + 8 * nlists
+    return offset, rows, dict(seq=seq, vals=vals, lists=lists, loc=loc,
+                              shape=loc + 4 * rows)
+
+
+def poke(path, at, fmt, value):
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        fh.write(struct.pack(fmt, value))
+
+
+class TestCorruptCallColumns:
+    """Every id and offset of a K frame is checked before any gather:
+    the error is typed and names the file and the frame's byte offset,
+    never a bare ``IndexError`` out of numpy."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = str(tmp_path / "trace.0.bin")
+        with TraceWriter(path, 0, 1, format=FORMAT_BINARY) as writer:
+            writer.write(CallEvent(0, 0, "Win_post",
+                                   {"win": 0, "group": [1, 2, 3]}, LOC))
+            writer.write(MemEvent(0, 1, "load", 64, 8, "x", LOC))
+            writer.write(CallEvent(0, 2, "Put", {"win": 0, "var": "x"},
+                                   LOC))
+            writer.write(CallEvent(0, 3, "Win_post",
+                                   {"win": 0, "group": [4]}, LOC))
+        with TraceReader(path) as reader:     # valid as written
+            assert len(reader.read_calls()[0]) == 3
+        return path
+
+    @pytest.mark.parametrize("column,row,fmt,value,message", [
+        ("shape", 1, "<i", 99, "row 1: shape id 99 outside table"),
+        ("shape", 0, "<i", -1, "row 0: shape id -1 outside table"),
+        ("loc", 2, "<i", 1 << 20, "row 2: location id 1048576 outside"),
+        ("seq", 1, "<q", 0, "seq is not strictly increasing"),
+        # Win_post values: win, len(group); Put values: win, var id
+        ("vals", 1, "<q", -2, "row 0: negative list length"),
+        ("vals", 1, "<q", 9, "list pool holds"),
+        ("vals", 3, "<q", 1 << 40, "row 1: string id 1099511627776 outside"),
+    ])
+    def test_typed_error_names_path_and_offset(self, path, column, row,
+                                               fmt, value, message):
+        offset, _rows, columns = k_frame(path)
+        poke(path, columns[column] + row * struct.calcsize(fmt), fmt, value)
+        with pytest.raises(TraceFormatError, match=message) as err:
+            with TraceReader(path) as reader:
+                reader.read_calls()
+        assert path in str(err.value)
+        assert f"byte {offset}" in str(err.value)
+
+    def test_value_pool_shorter_than_the_shapes_imply(self, path):
+        """A shape table that gives Put an argument the pool does not
+        hold."""
+        def mutate(footer):
+            put = next(s for s in footer["shapes"]
+                       if footer["strings"][s[0]] == "Put")
+            put[1] += put[1][:2]
+        rewrite_footer(path, mutate)
+        with pytest.raises(TraceFormatError, match="value pool holds"):
+            with TraceReader(path) as reader:
+                reader.read_calls()
+
+    def test_segment_must_be_completed_by_its_rows(self, path):
+        offset, _rows, _columns = k_frame(path)
+        poke(path, offset + 1 + 12, "<I", 5)      # the K header's nmem
+        with pytest.raises(TraceFormatError, match="completed by 5"):
+            TraceReader(path)
+
+    def test_every_byte_flip_in_the_k_frame_is_survivable(self, path):
+        """Flip each byte of the K frame in turn: the file either still
+        reads (the flip landed in a free integer) or fails typed."""
+        offset, rows, columns = k_frame(path)
+        with open(path, "rb") as fh:
+            original = fh.read()
+        end = columns["shape"] + 4 * rows
+        for at in range(offset, end):
+            flipped = bytearray(original)
+            flipped[at] ^= 0xFF
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            try:
+                with TraceReader(path) as reader:
+                    calls, _counts = reader.read_calls()
+                    list(calls)
+                    np.asarray(reader.call_table.seq)
+            except TraceFormatError:
+                pass

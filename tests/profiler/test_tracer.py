@@ -44,6 +44,20 @@ class TestWriterReader:
         with pytest.raises(TraceFormatError, match="header"):
             TraceReader(str(path))
 
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_bytes_written_is_the_file_size(self, tmp_path, fmt):
+        """Encoded bytes, not characters: a non-ASCII buffer name or
+        path must not make the profiler under-report what it wrote."""
+        from repro.util.location import SourceLocation
+        loc = SourceLocation("/tmp/прог.py", 3, "main")
+        path = TraceSet.rank_path(str(tmp_path), 0, fmt)
+        with TraceWriter(path, 0, 1, app="naïve", format=fmt) as writer:
+            for seq in range(0, 6000, 2):   # past one flush
+                writer.write(MemEvent(0, seq, "load", 64, 8, "ψ_буфер", loc))
+                writer.write(CallEvent(0, seq + 1, "Put", {"var": "ψ"}, loc))
+        assert writer.bytes_written == os.path.getsize(path)
+        assert len(TraceReader(path).events()) == 6000
+
     def test_events_written_counter(self, tmp_path):
         path = TraceSet.rank_path(str(tmp_path), 0)
         writer = TraceWriter(path, 0, 1)

@@ -54,6 +54,26 @@ class TestStats:
         text = compute_stats(lu_traces).format()
         assert "3 ranks" in text and "hottest statements" in text
 
+    def test_trace_bytes_by_frame_kind(self, lu_traces, tmp_path):
+        """Bytes on disk are attributed: calls / mems / footer for a
+        binary set (summing to the files' sizes), one total for text."""
+        import os
+        text = compute_stats(lu_traces)
+        size = sum(os.path.getsize(lu_traces.path(r)) for r in range(3))
+        assert text.frame_bytes() == {"file": size}
+        binary = filter_traces(lu_traces, str(tmp_path / "bin"),
+                               format="binary")
+        stats = compute_stats(binary)
+        sizes = stats.frame_bytes()
+        assert set(sizes) == {"calls", "mems", "footer"}
+        assert sum(sizes.values()) == sum(
+            os.path.getsize(binary.path(r)) for r in range(3))
+        # 33-byte rows, and one 5-byte frame header per rank: the rows
+        # of a rank share a segment however many calls lie between them
+        assert sizes["mems"] == 33 * stats.total_mems + 5 * 3
+        assert f"calls={sizes['calls']}" in stats.format()
+        assert stats.to_dict()["frame_bytes"] == sizes
+
 
 class TestFilter:
     def test_identity_filter_preserves_analysis(self, jacobi_traces,
