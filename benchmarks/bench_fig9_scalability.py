@@ -10,9 +10,10 @@ tax shrinks.  The reproduced artifact is that monotone-decreasing shape.
 
 import pytest
 
-from benchmarks.conftest import median_time
+from benchmarks.conftest import best_times
 from repro.apps.lu import lu
 from repro.profiler.session import baseline_run, profile_run
+from repro.stanalyzer import analyze_app
 
 _ROWS = []
 
@@ -21,18 +22,17 @@ def _sweep_points(scale):
     return list(scale["rank_sweep"])
 
 
-def test_fig9_rank_sweep(record, scale, benchmark):
+def test_fig9_rank_sweep(record, scale, benchmark, one_cpu):
     n = scale["lu_n"]
-    reps = scale["reps"]
     params = dict(n=n)
+    report = analyze_app(lu)    # compile-time in the paper: not timed
 
     for nranks in _sweep_points(scale):
-        native = median_time(
+        native, prof = best_times([
             lambda: baseline_run(lu, nranks, params=params,
-                                 delivery="eager"), reps)
-        prof = median_time(
+                                 delivery="eager"),
             lambda: profile_run(lu, nranks, params=params, scope="report",
-                                delivery="eager"), reps)
+                                report=report, delivery="eager")])
         overhead = 100.0 * (prof - native) / native
         _ROWS.append((nranks, overhead))
         record("fig9_scalability",

@@ -89,6 +89,48 @@ def scale():
     return bench_scale()
 
 
+#: rounds of :func:`best_times` in the overhead benchmarks (E3, E4, E6)
+OVERHEAD_ROUNDS = 9
+
+
+def best_times(fns, rounds=OVERHEAD_ROUNDS):
+    """Best wall-clock of each of ``fns`` over ``rounds`` rounds, after
+    one untimed pass, the functions taking turns within a round.
+
+    What the overhead figures compare are runs of 10-300 ms whose
+    difference is a few ms.  On a shared machine a median of three such
+    runs moves by more than that difference between invocations, and
+    measuring one arm after the other lets a slow minute of the host
+    land on one of them: taking turns exposes every arm to the same
+    minutes, and the minimum is the statistic that repeats."""
+    for fn in fns:
+        fn()
+    times = [[] for _ in fns]
+    for _ in range(rounds):
+        for fn, seen in zip(fns, times):
+            start = time.perf_counter()
+            fn()
+            seen.append(time.perf_counter() - start)
+    return [min(seen) for seen in times]
+
+
+@pytest.fixture
+def one_cpu():
+    """Pin the process to one CPU for the test.  Exactly one rank thread
+    runs at a time; letting the kernel spread the threads over CPUs adds
+    a migration to some token handoffs and not to others, which is the
+    largest source of variance in a simulated run."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
 def median_time(fn, reps):
     """Median wall-clock of ``reps`` invocations (fresh state per call)."""
     times = []

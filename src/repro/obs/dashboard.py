@@ -142,6 +142,8 @@ def render_run_text(entry: RunReport) -> str:
             lines.append("    lanes: " + ", ".join(
                 f"{kind}={int(count)}"
                 for kind, count in sorted(emitted.items())))
+        if emission.get("scheduler"):
+            lines.append(f"    scheduler: {_scheduler(emission)}")
     findings = entry.findings
     lines.append(f"  findings: {findings.get('errors', 0)} error(s), "
                  f"{findings.get('warnings', 0)} warning(s)")
@@ -368,6 +370,15 @@ def _workers_panel(entry: RunReport) -> str:
     return "".join(parts) or "<p class=meta>no worker spans recorded</p>"
 
 
+def _scheduler(emission: Dict[str, Any]) -> str:
+    """The simulator's token traffic: ``N handoffs, M wake-ups elided
+    (of G grants)``."""
+    sched = emission["scheduler"]
+    return (f"{sched.get('handoffs', 0):,} thread handoffs, "
+            f"{sched.get('wakeups_elided', 0):,} wake-ups elided "
+            f"(of {sched.get('token_grants', 0):,} token grants)")
+
+
 def _emission_panel(entry: RunReport) -> str:
     emission = getattr(entry, "emission", None) or {}
     if not emission:
@@ -378,6 +389,9 @@ def _emission_panel(entry: RunReport) -> str:
              f"throughput: <strong>"
              f"{emission.get('events_per_second', 0.0):,.0f}</strong> "
              f"events/s</p>"]
+    if emission.get("scheduler"):
+        parts.append(f"<p>scheduler: {html.escape(_scheduler(emission))}"
+                     "</p>")
     emitted = emission.get("emitted", {})
     if emitted:
         top = max(emitted.values()) or 1.0

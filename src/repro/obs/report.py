@@ -63,8 +63,10 @@ class RunReport:
     #: for streaming runs, ``peak_buffered_mems``: most load/store events
     #: held at once
     ingest: Dict[str, Any] = field(default_factory=dict)
-    #: trace-generation stats (wall seconds, events/s, per-lane counts) —
-    #: present when the run shared an obs session with ``profile_run``
+    #: trace-generation stats (wall seconds, events/s, per-lane counts,
+    #: the simulator's ``scheduler`` totals: thread handoffs, wake-ups
+    #: elided, token grants) — present when the run shared an obs
+    #: session with ``profile_run``
     emission: Dict[str, Any] = field(default_factory=dict)
     #: control-phase ingest: ``calls_ingested`` and ``calls_per_second``
     #: over the preprocess+matching+clocks+epochs group
@@ -232,6 +234,15 @@ def _emission(recorder) -> Dict[str, Any]:
             (f"{labels.get('kind', '?')}/{labels.get('lane', '?')}",
              int(value))
             for labels, value in emitted.samples()))
+    scheduler = {}
+    for key, metric in (("handoffs", "simmpi_context_switches"),
+                        ("wakeups_elided", "simmpi_wakeups_elided"),
+                        ("token_grants", "simmpi_token_grants")):
+        gauge = recorder.registry.get(metric)
+        if gauge is not None and gauge.value() is not None:
+            scheduler[key] = int(gauge.value())
+    if scheduler:
+        out["scheduler"] = scheduler
     return out
 
 

@@ -100,52 +100,68 @@ class CallBuffer:
         self._plans: Dict[tuple, tuple] = {}
         self.columns: Dict[str, array] = {
             name: array(code) for name, code in CALL_COLUMNS}
+        # drained in place (take_frame), so append can hold them by name
+        self._seqs, self._vals, self._lists, self._locs, self._shapes = (
+            self.columns[name] for name, _code in CALL_COLUMNS)
         #: one running hash per column: the calls digest is a function
         #: of the columns' content, not of where segments were cut
         self.hashes = [hashlib.sha256() for _ in CALL_COLUMNS]
 
     def __len__(self) -> int:
-        return len(self.columns["seq"])
+        return len(self._seqs)
 
     def append(self, fn: str, args: Dict[str, Any], loc_id: int,
                seq: int) -> bool:
-        values = list(args.values())
+        values = args.values()
         form = (fn, *args, *map(type, values))
         plan = self._plans.get(form)
         if plan is None:
             plan = self._plans[form] = self._plan(form)
-        shape, keep, str_pos, list_pos = plan
-        if shape < 0:
+        shape, plain, keep, str_pos, list_pos = plan
+        seqs, vals = self._seqs, self._vals
+        if plain:
+            # every argument an int and logged (Win_fence, Barrier,
+            # Win_unlock, ...): the values go to the pool as they are
+            mark = len(vals)
+            try:
+                vals.extend(values)
+                seqs.append(seq)
+            except (OverflowError, TypeError):
+                del vals[mark:]
+                return False
+        elif shape < 0:
             return False
-        if keep is not None:
-            values = [values[i] for i in keep]
-        cols = self.columns
-        seqs, vals, lists = cols["seq"], cols["vals"], cols["lists"]
-        marks = len(seqs), len(vals), len(lists)
-        try:
-            for i in list_pos:
-                items = values[i]
-                lists.extend(items)
-                values[i] = len(items)
-            for i in str_pos:
-                values[i] = self._intern(values[i])
-            vals.extend(values)
-            seqs.append(seq)
-        except (OverflowError, TypeError):
-            del seqs[marks[0]:], vals[marks[1]:], lists[marks[2]:]
-            return False
-        cols["loc"].append(loc_id)
-        cols["shape"].append(shape)
+        else:
+            values = [*values]
+            if keep is not None:
+                values = [values[i] for i in keep]
+            lists = self._lists
+            marks = len(seqs), len(vals), len(lists)
+            try:
+                for i in list_pos:
+                    items = values[i]
+                    lists.extend(items)
+                    values[i] = len(items)
+                for i in str_pos:
+                    values[i] = self._intern(values[i])
+                vals.extend(values)
+                seqs.append(seq)
+            except (OverflowError, TypeError):
+                del seqs[marks[0]:], vals[marks[1]:], lists[marks[2]:]
+                return False
+        self._locs.append(loc_id)
+        self._shapes.append(shape)
         return True
 
     def _plan(self, form: tuple) -> tuple:
-        """``(shape id, kept positions or None, string positions, list
-        positions)`` for one call form; shape id -1 when a value's type
-        has no column kind (the codec then writes ``str(value)``)."""
+        """``(shape id, plain, kept positions or None, string positions,
+        list positions)`` for one call form — ``plain``: nothing dropped,
+        no string, no list; shape id -1 when a value's type has no
+        column kind (the codec then writes ``str(value)``)."""
         layout = _form_layout(form)
         if layout is None:
-            return -1, None, (), ()
-        keys, kinds, *positions = layout
+            return -1, False, None, (), ()
+        keys, kinds, keep, str_pos, list_pos = layout
         intern = self._intern
         footer = (intern(form[0]), *(x for key, kind in zip(keys, kinds)
                                      for x in (intern(key), kind)))
@@ -153,7 +169,8 @@ class CallBuffer:
         if shape is None:
             shape = self._shape_ids[footer] = len(self.shapes)
             self.shapes.append([footer[0], list(footer[1:])])
-        return (shape, *positions)
+        return (shape, keep is None and not str_pos and not list_pos,
+                keep, str_pos, list_pos)
 
     def take_frame(self) -> Tuple[int, int, int, bytes]:
         """Drain the pending rows: ``(rows, nvals, nlists, payload)``,

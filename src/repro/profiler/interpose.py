@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
-from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.tracer import FORMAT_TEXT, FORMATS, TraceSet, TraceWriter
 from repro.simmpi.memory import TrackedBuffer
 from repro.simmpi.runtime import EventHook
@@ -70,11 +69,8 @@ class ProfilerHook(EventHook):
         seq = self._seq[rank]
         self._seq[rank] = seq + 1
         self._scalar_mems += 1
-        event = MemEvent(rank=rank, seq=seq, access=kind, addr=addr,
-                         size=size, var=buf.name)
-        if loc is not None:
-            event.loc = loc
-        self._writers[rank].write(event)
+        self._writers[rank].append_mem_columns(
+            kind, buf.name, loc, seq, addr, size, 1)
 
     def on_mem_block(self, rank: int, kind: str, buf: TrackedBuffer,
                      addr: int, size: int, count: int, stride: int) -> None:
@@ -107,6 +103,12 @@ class ProfilerHook(EventHook):
     def close(self) -> None:
         for writer in self._writers:
             writer.close()
+
+    def abort(self) -> None:
+        """The run did not complete: leave every rank's file marked as
+        partial (:meth:`TraceWriter.abort`) instead of finalizing it."""
+        for writer in self._writers:
+            writer.abort()
 
     @property
     def events_written(self) -> int:

@@ -26,7 +26,9 @@ from repro.profiler.interpose import (
 )
 from repro.profiler.tracer import TraceSet
 from repro.simmpi.runtime import World
-from repro.stanalyzer import InstrumentationReport, analyze_app
+from repro.stanalyzer import (
+    InstrumentationReport, analyze_app, unwrap_app,
+)
 
 
 @dataclass
@@ -89,7 +91,7 @@ def profile_run(app: Callable, nranks: int,
     if scope == SCOPE_REPORT and report is None:
         report = analyze_app(app)
     relevant = report.buffer_names if report is not None else set()
-    app_name = app_name or getattr(app, "__name__", "app")
+    app_name = app_name or getattr(unwrap_app(app), "__name__", "app")
 
     hook = ProfilerHook(trace_dir, nranks, app=app_name, scope=scope,
                         relevant_vars=relevant,
@@ -102,8 +104,12 @@ def profile_run(app: Callable, nranks: int,
     with span:
         try:
             results = world.run(app, params)
-        finally:
-            hook.close()
+        except BaseException:
+            # crashed, deadlocked or interrupted: what was written must
+            # not read back as the trace of a whole run
+            hook.abort()
+            raise
+        hook.close()
     world.publish_obs()
     _publish_profiler_metrics(hook, span.duration)
     return ProfiledRun(

@@ -73,6 +73,11 @@ FORMAT_BINARY = "binary"
 FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 
 _FLUSH_EVERY = 4096      # buffered events between writes / per segment
+_SITE_CACHE = 4096       # resolved sites a writer keeps (see _keep_site)
+
+#: kind of the record that ends the text trace of a run that did not
+#: complete (:meth:`TraceWriter.abort`)
+ABORT_KIND = "A"
 
 #: binary framing constants
 _MAGIC = b"MCT2"         # file magic (doubles as the format sniff)
@@ -90,6 +95,9 @@ _CALL_DTYPES = {"q": np.dtype("<i8"), "i": np.dtype("<i4")}
 #: :data:`~repro.profiler.events.ACCESS_CODES` code.
 MEM_DTYPE = np.dtype([("seq", "<i8"), ("addr", "<i8"), ("size", "<i8"),
                       ("var", "<i4"), ("loc", "<i4"), ("access", "u1")])
+
+#: per access code, a text memory line between its ``seq`` and ``addr``
+_MEM_HEADS = tuple(f" a={encode_value(name)} addr=" for name in ACCESS_NAMES)
 
 
 def _call_frame(mm, offset: int
@@ -207,11 +215,16 @@ class TraceWriter:
 
     A binary writer holds the pending events as columns — calls in a
     :class:`~repro.profiler.callcols.CallBuffer`, memory events in six
-    lists — and flushes both together as one *segment*, a ``K`` frame
-    then an ``M`` frame, every ``_FLUSH_EVERY`` events.  Within a
+    packed arrays — and flushes both together as one *segment*, a ``K``
+    frame then an ``M`` frame, every ``_FLUSH_EVERY`` events.  Within a
     segment ``seq`` increases strictly across the two populations (an
     event that does not continue the order starts a new segment), so
     the reader restores their interleaving from ``seq`` alone.
+
+    What is static about an event — its source location, and with it
+    the call's name or the buffer's — is resolved the first time its
+    *site* is seen and looked up afterwards: string-table ids for a
+    binary trace, the encoded ``key=value`` fields for a text trace.
     """
 
     def __init__(self, path: str, rank: int, nranks: int, app: str = "",
@@ -224,7 +237,15 @@ class TraceWriter:
         self.events_written = 0
         self.bytes_written = 0
         self._closed = False
+        #: per-class totals of the events flushed so far (the footer's
+        #: ``counts`` once the last segment is out)
         self._counts = {"call": 0, "mem": 0, "load": 0, "store": 0}
+        #: ``(fn, id(loc))`` / ``(var, id(loc))`` -> what this writer
+        #: logs for the site, ending with the location object itself:
+        #: the entry keeps it alive, so its ``id`` cannot be recycled
+        #: for another location while the entry is there
+        self._call_sites: Dict[Tuple[str, int], tuple] = {}
+        self._mem_sites: Dict[Tuple[str, int], tuple] = {}
         # recorder captured once at construction: the per-event write path
         # never re-checks global state
         self._obs = obs.get_recorder() if obs.is_enabled() else None
@@ -243,6 +264,8 @@ class TraceWriter:
             self._pending: Tuple[array, ...] = tuple(
                 array(code) for code in "qqqiiB")
             self._last_seq = INT64_MIN - 1
+            #: events the open segment takes before it is flushed
+            self._room = _FLUSH_EVERY
             #: the frame index: kind, byte offset and rows per frame
             self._frames: Tuple[list, list, list] = ([], [], [])
             # content digests accumulated at write time and recorded in
@@ -259,39 +282,36 @@ class TraceWriter:
     # -- shared ---------------------------------------------------------
 
     def write(self, event: Event) -> None:
-        if self.format != FORMAT_BINARY:
-            self._buffer.append(event.encode())
-            if len(self._buffer) >= _FLUSH_EVERY:
-                self._drain()
-        elif isinstance(event, MemEvent):
-            self._write_mem(event)
+        """One typed event, through the lane of its kind."""
+        if isinstance(event, MemEvent):
+            self.append_mem_columns(event.access, event.var, event.loc,
+                                    event.seq, event.addr, event.size, 1)
         else:
             self.append_call(event.fn, event.args, event.loc, event.seq)
-            return
-        self.events_written += 1
 
     def append_call(self, fn: str, args: Dict[str, Any],
                     loc: Optional[SourceLocation], seq: int) -> None:
-        """Call fast path: record one call without building a
-        :class:`CallEvent` — what lands on disk (and in the content
-        digests) is what ``write(CallEvent(seq=seq, fn=fn, args=args,
-        loc=loc))`` produces, which for binary traces is this method."""
-        loc_text = (loc if loc is not None else UNKNOWN_LOCATION).encode()
+        """Record one call without building a :class:`CallEvent` — what
+        lands on disk (and in the content digests) is what
+        ``write(CallEvent(seq=seq, fn=fn, args=args, loc=loc))``
+        produces, which is this method."""
+        site = self._call_sites.get((fn, id(loc)))
+        if site is None:
+            site = self._new_call_site(fn, loc)
         if self.format == FORMAT_BINARY:
             if seq <= self._last_seq:
                 self._flush_segment()
-            if self._calls.append(fn, args, self._table.intern(loc_text),
-                                  seq):
+            if self._calls.append(fn, args, site[0], seq):
                 self._last_seq = seq
-                if len(self._calls) + len(self._pending[0]) \
-                        >= _FLUSH_EVERY:
+                self._room -= 1
+                if self._room <= 0:
                     self._flush_segment()
             else:
-                self._write_call_record(
-                    _call_line(fn, args, loc_text, seq))
-            self._counts["call"] += 1
+                self._write_call_record(_call_line(
+                    _call_fields(fn, self._table.strings[site[0]]),
+                    args, seq))
         else:
-            self._buffer.append(_call_line(fn, args, loc_text, seq))
+            self._buffer.append(_call_line(site[0], args, seq))
             if len(self._buffer) >= _FLUSH_EVERY:
                 self._drain()
         self.events_written += 1
@@ -300,60 +320,108 @@ class TraceWriter:
                            loc: Optional[SourceLocation], seq0: int,
                            addr: int, size: int, count: int,
                            stride: int = 0) -> None:
-        """Bulk fast path: append ``count`` memory rows without building
-        per-event objects.  Row *i* is ``(seq0 + i, addr + i * stride,
-        size, var, loc, access)`` — byte-identical on disk (and in the
-        content digests) to ``count`` :meth:`write` calls with the
-        matching :class:`MemEvent`\\ s.
+        """Record ``count`` memory events without building per-event
+        objects.  Row *i* is ``(seq0 + i, addr + i * stride, size, var,
+        loc, access)`` — on disk (and in the content digests) what
+        ``count`` :meth:`write` calls with the matching
+        :class:`MemEvent`\\ s produce, which are this method with
+        ``count=1``.
 
-        Binary traces extend the pending packed-column lists directly;
-        the mems digest hashes packed content without block-length
-        prefixes, so block boundaries introduced by bulk appends cannot
-        perturb it.  Text traces replicate ``MemEvent.encode()`` output
-        from one pre-encoded template.
+        Binary traces extend the pending packed columns directly; the
+        mems digest hashes packed content without block-length
+        prefixes, so where a bulk append happens to cut its blocks
+        cannot perturb it.  Text traces format one line per row from
+        the site's pre-encoded fields.
         """
         if count <= 0:
             return
         if stride < 0:
             raise TraceFormatError(
                 f"append_mem_columns: negative stride {stride}")
-        loc_text = (loc if loc is not None else UNKNOWN_LOCATION).encode()
+        try:
+            code = ACCESS_CODES[access]
+        except KeyError:
+            raise TraceFormatError(
+                f"unknown access kind {access!r}") from None
+        if self.format == FORMAT_BINARY and seq0 <= self._last_seq:
+            self._flush_segment()
+        site = self._mem_sites.get((var, id(loc)))
+        if site is None:
+            site = self._new_mem_site(var, loc)
         if self.format == FORMAT_BINARY:
+            seqs, addrs, sizes, var_ids, loc_ids, codes = self._pending
+            rows = len(seqs)
             try:
-                code = ACCESS_CODES[access]
-            except KeyError:
+                if count == 1:
+                    seqs.append(seq0)
+                    addrs.append(addr)
+                    sizes.append(size)
+                    var_ids.append(site[0])
+                    loc_ids.append(site[1])
+                    codes.append(code)
+                else:
+                    seqs.extend(range(seq0, seq0 + count))
+                    addrs.extend(
+                        range(addr, addr + count * stride, stride)
+                        if stride else array("q", (addr,)) * count)
+                    sizes.extend(array("q", (size,)) * count)
+                    var_ids.extend(array("i", (site[0],)) * count)
+                    loc_ids.extend(array("i", (site[1],)) * count)
+                    codes.extend(array("B", (code,)) * count)
+            except OverflowError as exc:
+                # all or none: the columns stay as they were
+                for column in self._pending:
+                    del column[rows:]
                 raise TraceFormatError(
-                    f"unknown access kind {access!r}") from None
-            if seq0 <= self._last_seq:
-                self._flush_segment()
-            self._append_mems(
-                range(seq0, seq0 + count),
-                range(addr, addr + count * stride, stride) if stride
-                else [addr] * count,
-                [size] * count, [self._table.intern(var)] * count,
-                [self._table.intern(loc_text)] * count, [code] * count)
+                    f"memory event outside the int64 columns: {exc}"
+                ) from None
             self._last_seq = seq0 + count - 1
-            self._counts["mem"] += count
-            self._counts[access] += count
+            self._room -= count
+            if self._room <= 0:
+                self._flush_segment()
         else:
-            if access not in ACCESS_CODES:
-                raise TraceFormatError(
-                    f"unknown access kind {access!r}")
             buffer = self._buffer
-            mid = f" a={encode_value(access)} addr="
-            tail = (f" size={size} var={encode_value(var)}"
-                    f" loc={encode_value(loc_text)}")
-            if stride:
+            head = _MEM_HEADS[code]
+            tail = f" size={size}{site[0]}"
+            if count == 1:
+                buffer.append(f"M seq={seq0}{head}{addr}{tail}")
+            elif stride:
                 buffer.extend(
-                    f"M seq={seq0 + i}{mid}{addr + i * stride}{tail}"
+                    f"M seq={seq0 + i}{head}{addr + i * stride}{tail}"
                     for i in range(count))
             else:
-                line_tail = f"{mid}{addr}{tail}"
+                line_tail = f"{head}{addr}{tail}"
                 buffer.extend(f"M seq={seq0 + i}{line_tail}"
                               for i in range(count))
             if len(buffer) >= _FLUSH_EVERY:
                 self._drain()
         self.events_written += count
+
+    def _new_call_site(self, fn: str,
+                       loc: Optional[SourceLocation]) -> tuple:
+        """Resolve a call site on first sight: ``(location id, loc)``
+        for a binary trace, ``(" fn=... loc=..." fields, loc)`` for a
+        text trace."""
+        text = _location_text(loc)
+        if self.format == FORMAT_BINARY:
+            site = (self._table.intern(text), loc)
+        else:
+            site = (_call_fields(fn, text), loc)
+        return _keep_site(self._call_sites, (fn, id(loc)), site)
+
+    def _new_mem_site(self, var: str,
+                      loc: Optional[SourceLocation]) -> tuple:
+        """Resolve a memory site on first sight: ``(var id, location
+        id, loc)`` for a binary trace, ``(" var=... loc=..." fields,
+        loc)`` for a text trace."""
+        text = _location_text(loc)
+        if self.format == FORMAT_BINARY:
+            intern = self._table.intern
+            site = (intern(var), intern(text), loc)
+        else:
+            site = (f" var={encode_value(var)} loc={encode_value(text)}",
+                    loc)
+        return _keep_site(self._mem_sites, (var, id(loc)), site)
 
     def close(self) -> None:
         """Flush everything and finalize the file (footer + trailer for
@@ -385,12 +453,17 @@ class TraceWriter:
 
     def abort(self) -> None:
         """Drain buffered bytes and close the OS handle *without*
-        finalizing — used on error so a partially written file stays
-        detectable (a binary file without its trailer is rejected by the
-        reader)."""
+        finalizing — used on error, so that what was written of a run
+        that did not complete can never be read as a whole trace: a
+        binary file is left without its trailer, a text file ends in an
+        ``A`` record, and the reader rejects either."""
         if not self._closed:
             if self.format == FORMAT_BINARY:
                 self._flush_segment()
+            else:
+                self._buffer.append(
+                    encode_record(ABORT_KIND,
+                                  {"events": self.events_written}))
             self._drain()
             self._fh.close()
             self._closed = True
@@ -418,37 +491,6 @@ class TraceWriter:
         offsets.append(self._offset + len(self._out))
         counts.append(rows)
 
-    def _write_mem(self, event: MemEvent) -> None:
-        try:
-            code = ACCESS_CODES[event.access]
-        except KeyError:
-            raise TraceFormatError(
-                f"unknown access kind {event.access!r}") from None
-        if event.seq <= self._last_seq:
-            self._flush_segment()
-        self._append_mems(
-            (event.seq,), (event.addr,), (event.size,),
-            (self._table.intern(event.var),),
-            (self._table.intern(event.loc.encode()),), (code,))
-        self._last_seq = event.seq
-        self._counts["mem"] += 1
-        self._counts[event.access] += 1
-
-    def _append_mems(self, *columns) -> None:
-        """Extend the pending memory columns, all or none: a value
-        outside its column's range leaves them as they were."""
-        rows = len(self._pending[0])
-        try:
-            for pending, column in zip(self._pending, columns):
-                pending.extend(column)
-        except OverflowError as exc:
-            for pending in self._pending:
-                del pending[rows:]
-            raise TraceFormatError(
-                f"memory event outside the int64 columns: {exc}") from None
-        if len(self._pending[0]) + len(self._calls) >= _FLUSH_EVERY:
-            self._flush_segment()
-
     def _write_call_record(self, line: str) -> None:
         """The codec route: one call the columns cannot hold, framed as
         its self-describing text record, in a segment of its own."""
@@ -458,15 +500,18 @@ class TraceWriter:
         self._frame(b"C", payload)
         self._hash_codec.update(_U32.pack(len(payload)))
         self._hash_codec.update(payload)
+        self._counts["call"] += 1
 
     def _flush_segment(self) -> None:
         seqs = self._pending[0]
+        counts = self._counts
         if len(self._calls):
             rows, nvals, nlists, payload = self._calls.take_frame()
             self._index_frame("K", rows)
             self._out += b"K"
             self._out += _K_HEAD.pack(rows, nvals, nlists, len(seqs))
             self._out += payload
+            counts["call"] += rows
         if seqs:
             arr = np.empty(len(seqs), dtype=MEM_DTYPE)
             for name, col in zip(MEM_DTYPE.names, self._pending):
@@ -480,8 +525,13 @@ class TraceWriter:
             # is a pure function of the packed content regardless of
             # where the writer happened to cut its blocks
             self._hash_mems.update(payload)
+            stores = self._pending[5].count(ACCESS_CODES[ACCESS_STORE])
+            counts["mem"] += len(seqs)
+            counts["store"] += stores
+            counts["load"] += len(seqs) - stores
             for col in self._pending:
                 del col[:]
+        self._room = _FLUSH_EVERY
         if len(self._out) >= 1 << 20:
             self._drain()
 
@@ -507,12 +557,30 @@ class TraceWriter:
         self.bytes_written += len(data)
 
 
-def _call_line(fn: str, args: Dict[str, Any], loc_text: str,
-               seq: int) -> str:
-    """One call as its text record — byte-identical to
-    ``CallEvent(seq=seq, fn=fn, args=args, loc=loc).encode()``."""
-    parts = [f"C seq={seq} fn={encode_value(fn)}"
-             f" loc={encode_value(loc_text)}"]
+def _location_text(loc: Optional[SourceLocation]) -> str:
+    return (loc if loc is not None else UNKNOWN_LOCATION).encode()
+
+
+def _keep_site(sites: dict, key: tuple, site: tuple) -> tuple:
+    """Remember a resolved site.  A producer has a few hundred; a
+    rewriter that decodes a fresh location object per event would
+    otherwise pin one entry per event, so a full table starts over."""
+    if len(sites) >= _SITE_CACHE:
+        sites.clear()
+    sites[key] = site
+    return site
+
+
+def _call_fields(fn: str, loc_text: str) -> str:
+    """The static fields of a call's text record."""
+    return f" fn={encode_value(fn)} loc={encode_value(loc_text)}"
+
+
+def _call_line(fields: str, args: Dict[str, Any], seq: int) -> str:
+    """One call as its text record, from its :func:`_call_fields` —
+    byte-identical to ``CallEvent(seq=seq, fn=fn, args=args,
+    loc=loc).encode()``."""
+    parts = [f"C seq={seq}{fields}"]
     for key, value in args.items():
         if value is not None:
             parts.append(f"{key}={encode_value(value)}")
@@ -560,7 +628,9 @@ class _TextSection:
     chunk (permuted or extra fields, unknown kind, blank or truncated
     line, ...) goes through the record codec line by line, so results
     and errors are those of :func:`decode_event`; every error names the
-    file and the 1-based line.
+    file and the 1-based line.  The ``A`` record that ends the trace of
+    a run that did not complete (:meth:`TraceWriter.abort`) is such an
+    error, whichever consumer meets it.
     """
 
     def __init__(self, reader: "TraceReader",
@@ -687,6 +757,11 @@ class _TextSection:
                         rows.append((*ints, intern(var), intern(loc),
                                      ACCESS_CODES[access]))
                     continue
+                if line.split(" ", 1)[0] == ABORT_KIND:
+                    raise TraceFormatError(
+                        "abort record: the profiled run did not complete "
+                        "(it crashed, deadlocked or was interrupted), so "
+                        "this trace is partial")
                 n_calls += 1
                 if decode is not None:
                     cuts.append(n_mems)

@@ -109,13 +109,17 @@ PRIMITIVES: Dict[str, Datatype] = {
 PRIMITIVES_BY_ID: Dict[int, Datatype] = {t.type_id: t for t in PRIMITIVES.values()}
 
 
+_BY_NUMPY_DTYPE: Dict[np.dtype, Datatype] = {
+    t.numpy_dtype(): t for t in PRIMITIVES.values()}
+
+
 def primitive_for_numpy(np_dtype) -> Datatype:
     """Map a numpy element dtype to the matching MPI primitive."""
     dt = np.dtype(np_dtype)
-    for name, (size, npname, _tid) in _PRIMITIVES.items():
-        if np.dtype(npname) == dt:
-            return PRIMITIVES[name]
-    raise SimMPIError(f"no MPI primitive for numpy dtype {dt}")
+    try:
+        return _BY_NUMPY_DTYPE[dt]
+    except KeyError:
+        raise SimMPIError(f"no MPI primitive for numpy dtype {dt}") from None
 
 
 def _merge_segments(segments: Sequence[Tuple[int, int]]) -> DataMap:

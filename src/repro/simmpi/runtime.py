@@ -148,9 +148,14 @@ class World:
             return
         sched = self.scheduler
         rec.gauge("simmpi_context_switches", sched.switches,
-                  help="Scheduler yield points taken during the run")
+                  help="Thread handoffs performed")
+        rec.gauge("simmpi_wakeups_elided", sched.elided,
+                  help="Grants to a blocked rank whose predicate was still "
+                       "false, taken on the granting thread instead of "
+                       "waking the rank")
         rec.gauge("simmpi_token_grants", sched.token_grants,
-                  help="Token grants issued by the scheduler")
+                  help="Token grants issued by the scheduler, handoffs "
+                       "and elided wake-ups alike")
         token_times = sched.token_seconds()
         if token_times is not None:
             for rank, seconds in enumerate(token_times):

@@ -24,7 +24,7 @@ implementation or Marmot (section V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.simmpi.comm import Comm
 from repro.simmpi.datatypes import Datatype
@@ -189,28 +189,20 @@ class WinHandle:
             self.ctx.world.scheduler.register_progress()
 
     def _issue(self, kind: str, origin_buf: TrackedBuffer, origin_offset: int,
-               origin_count: int, origin_dtype: Optional[Datatype],
-               target: int, target_disp: int, target_count: Optional[int],
-               target_dtype: Optional[Datatype], op: Optional[str],
+               origin_count: int, origin_dtype: Datatype,
+               target: int, target_disp: int, target_count: int,
+               target_dtype: Datatype, op: Optional[str],
                result_buf: Optional[TrackedBuffer] = None,
                result_offset: int = 0,
                compare_value: Optional[bytes] = None) -> RMAOp:
+        """Issue one op whose origin buffer was checked and whose
+        datatype and count defaults were resolved by :meth:`_call_args`."""
         self._check_open()
-        if not isinstance(origin_buf, TrackedBuffer):
-            raise RMAUsageError(
-                f"{kind}: origin must be a TrackedBuffer, got "
-                f"{type(origin_buf).__name__}")
         target_world = self._target_world(target)
         if not self._epoch_covers(target_world):
             raise RMAUsageError(
                 f"rank {self.rank}: {kind} to target {target} on window "
                 f"{self.win_id} outside any access epoch")
-        if origin_dtype is None:
-            origin_dtype = self.ctx.primitive_of(origin_buf)
-        if target_dtype is None:
-            target_dtype = origin_dtype
-        if target_count is None:
-            target_count = origin_count
         rma_op = RMAOp(
             kind=kind, win_id=self.win_id,
             origin_world=self.rank, target_world=target_world,
@@ -249,10 +241,10 @@ class WinHandle:
         """MPI_Put: transfer origin elements into the target window."""
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
-        self.ctx._yield_and_emit(
-            "Put", self._call_args(origin_buf, origin_offset, origin_count,
-                                   origin_dtype, target, target_disp,
-                                   target_count, target_dtype))
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
+        self.ctx._yield_and_emit("Put", args)
         return self._issue(PUT, origin_buf, origin_offset, origin_count,
                            origin_dtype, target, target_disp, target_count,
                            target_dtype, None)
@@ -265,10 +257,10 @@ class WinHandle:
         """MPI_Get: transfer target window contents into the origin buffer."""
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
-        self.ctx._yield_and_emit(
-            "Get", self._call_args(origin_buf, origin_offset, origin_count,
-                                   origin_dtype, target, target_disp,
-                                   target_count, target_dtype))
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
+        self.ctx._yield_and_emit("Get", args)
         return self._issue(GET, origin_buf, origin_offset, origin_count,
                            origin_dtype, target, target_disp, target_count,
                            target_dtype, None)
@@ -282,9 +274,9 @@ class WinHandle:
         """MPI_Accumulate: combine origin elements into the target window."""
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
-        args = self._call_args(origin_buf, origin_offset, origin_count,
-                               origin_dtype, target, target_disp,
-                               target_count, target_dtype)
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
         args["op"] = op
         self.ctx._yield_and_emit("Accumulate", args)
         return self._issue(ACC, origin_buf, origin_offset, origin_count,
@@ -306,9 +298,9 @@ class WinHandle:
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
         req_id = self._fresh_req_id()
-        args = self._call_args(origin_buf, origin_offset, origin_count,
-                               origin_dtype, target, target_disp,
-                               target_count, target_dtype)
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
         args["req"] = req_id
         self.ctx._yield_and_emit("Rput", args)
         op = self._issue(PUT, origin_buf, origin_offset, origin_count,
@@ -326,9 +318,9 @@ class WinHandle:
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
         req_id = self._fresh_req_id()
-        args = self._call_args(origin_buf, origin_offset, origin_count,
-                               origin_dtype, target, target_disp,
-                               target_count, target_dtype)
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
         args["req"] = req_id
         self.ctx._yield_and_emit("Rget", args)
         op = self._issue(GET, origin_buf, origin_offset, origin_count,
@@ -347,9 +339,9 @@ class WinHandle:
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
         req_id = self._fresh_req_id()
-        args = self._call_args(origin_buf, origin_offset, origin_count,
-                               origin_dtype, target, target_disp,
-                               target_count, target_dtype)
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
         args.update({"op": op, "req": req_id})
         self.ctx._yield_and_emit("Raccumulate", args)
         rma_op = self._issue(ACC, origin_buf, origin_offset, origin_count,
@@ -388,9 +380,9 @@ class WinHandle:
         """MPI-3 MPI_Get_accumulate: atomic fetch-and-combine."""
         if origin_count is None:
             origin_count = origin_buf.count - origin_offset
-        args = self._call_args(origin_buf, origin_offset, origin_count,
-                               origin_dtype, target, target_disp,
-                               target_count, target_dtype)
+        args, origin_dtype, target_count, target_dtype = self._call_args(
+            origin_buf, origin_offset, origin_count, origin_dtype, target,
+            target_disp, target_count, target_dtype)
         args.update({"op": op, "result_base": result_buf.base,
                      "result_offset": result_offset * result_buf.itemsize,
                      "result_var": result_buf.name})
@@ -414,7 +406,7 @@ class WinHandle:
         """MPI-3 MPI_Compare_and_swap on one element."""
         dtype = self.ctx.primitive_of(origin_buf)
         args = self._call_args(origin_buf, 0, 1, dtype, target, target_disp,
-                               1, dtype)
+                               1, dtype)[0]
         args.update({"result_base": result_buf.base,
                      "result_offset": 0, "result_var": result_buf.name,
                      "compare_var": compare_buf.name})
@@ -481,7 +473,10 @@ class WinHandle:
 
     def _call_args(self, origin_buf, origin_offset, origin_count,
                    origin_dtype, target, target_disp, target_count,
-                   target_dtype) -> dict:
+                   target_dtype) -> Tuple[dict, Datatype, int, Datatype]:
+        """An op's trace arguments, and the defaults resolved on the way
+        — origin datatype, target count, target datatype — for
+        :meth:`_issue`."""
         if not isinstance(origin_buf, TrackedBuffer):
             raise RMAUsageError(
                 f"one-sided origin must be a TrackedBuffer, got "
@@ -503,7 +498,7 @@ class WinHandle:
             "target_count": target_count,
             "target_dtype": target_dtype.type_id,
             "var": origin_buf.name,
-        }
+        }, origin_dtype, target_count, target_dtype
 
     # ------------------------------------------------------------------
     # synchronization

@@ -17,6 +17,7 @@ from repro.stanalyzer.analyzer import (
     analyze_source,
     analyze_module,
     analyze_app,
+    unwrap_app,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "analyze_source",
     "analyze_module",
     "analyze_app",
+    "unwrap_app",
 ]

@@ -28,6 +28,7 @@ will not fail to mark those that need to be instrumented."
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import textwrap
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -247,6 +248,21 @@ def analyze_module(module) -> InstrumentationReport:
                           filename=getattr(module, "__file__", "<module>"))
 
 
+def unwrap_app(app: Callable) -> Callable:
+    """The callable whose source *is* the application: ``app`` with its
+    ``functools.partial`` / ``partialmethod`` layers and ``__wrapped__``
+    chains (``functools.wraps`` decorators) peeled off.  A ``partial``
+    is defined in :mod:`functools` as far as :mod:`inspect` can tell,
+    and analysing that module instruments nothing."""
+    while True:
+        inner = inspect.unwrap(app)
+        if isinstance(inner, (functools.partial, functools.partialmethod)):
+            inner = inner.func
+        if inner is app:
+            return app
+        app = inner
+
+
 def analyze_app(app: Callable) -> InstrumentationReport:
     """Run ST-Analyzer over the module defining an application callable.
 
@@ -254,6 +270,7 @@ def analyze_app(app: Callable) -> InstrumentationReport:
     helper functions the app calls, mirroring the paper's whole-program
     static analysis.
     """
+    app = unwrap_app(app)
     module = inspect.getmodule(app)
     if module is not None:
         try:

@@ -42,6 +42,9 @@ class RankStats:
     #: file bytes by what they hold (``TraceReader.frame_bytes``):
     #: ``calls``/``mems``/``footer`` for binary, ``file`` for text
     frame_bytes: Dict[str, int] = field(default_factory=dict)
+    #: ``TraceReader.content_digest()``: two profiles of one program
+    #: under one seed must agree on it (for text, on every file byte)
+    digest: str = ""
 
     @property
     def mems(self) -> int:
@@ -63,6 +66,7 @@ class RankStats:
             "by_sync_class": dict(self.by_sync_class),
             "footer_counts": dict(self.footer_counts),
             "frame_bytes": dict(self.frame_bytes),
+            "digest": self.digest,
         }
 
 
@@ -238,6 +242,7 @@ def compute_stats(traces: TraceSet) -> TraceStats:
             # scan for text — an independent check on the streamed totals
             stats.footer_counts = reader.counts()
             stats.frame_bytes = reader.frame_bytes()
+            stats.digest = reader.content_digest()
         per_rank.append(stats)
     return TraceStats(nranks=traces.nranks, per_rank=per_rank,
                       hot_statements=hot.most_common())

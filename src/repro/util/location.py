@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from types import CodeType
+from typing import Dict, Tuple
 
 #: Path fragments considered part of the runtime; frames in these modules are
 #: skipped when attributing an event to application code.
@@ -42,7 +44,14 @@ class SourceLocation:
         return f"{base}:{self.lineno}"
 
     def encode(self) -> str:
-        return f"{self.filename}:{self.lineno}:{self.function}"
+        """``file:line:function`` — the trace's form of a location,
+        formatted once per instance (which is frozen)."""
+        try:
+            return self.__dict__["_encoded"]
+        except KeyError:
+            text = f"{self.filename}:{self.lineno}:{self.function}"
+            self.__dict__["_encoded"] = text
+            return text
 
     @classmethod
     def decode(cls, text: str) -> "SourceLocation":
@@ -52,25 +61,23 @@ class SourceLocation:
 
 UNKNOWN_LOCATION = SourceLocation("<unknown>", 0, "<unknown>")
 
-# Per-code-object memo of the runtime-frame decision.  capture_location is
-# on the per-event hot path and the set of code objects it sees is tiny and
-# immortal (runtime + app functions), so one substring scan per code object
-# replaces one per frame per event.  Keyed by the code object itself: that
-# pins it alive, which is exactly what makes the verdict stable.
-_RUNTIME_CODE: dict = {}
+# capture_location runs once per profiled event, so everything static
+# about a call site is worked out the first time the site is seen — the
+# analogue of the paper's instrumentation pass, which knows file, line
+# and routine before the run and logs only dynamic values.
 
-#: (code object, lineno) -> SourceLocation instance memo (same lifetime
-#: argument as _RUNTIME_CODE: the key set is small and immortal).
-_LOCATION_CACHE: dict = {}
+#: filename -> is it the runtime's.  Keyed by the filename, not by the
+#: code object: a ``str`` caches its hash, a code object re-hashes its
+#: name, bytecode, constants and names on every probe.
+_RUNTIME_FILES: Dict[str, bool] = {}
 
-
-def _is_runtime_code(code) -> bool:
-    flag = _RUNTIME_CODE.get(code)
-    if flag is None:
-        filename = code.co_filename
-        flag = any(f in filename for f in _RUNTIME_FRAGMENTS)
-        _RUNTIME_CODE[code] = flag
-    return flag
+#: ``(id(code), f_lasti)`` -> ``(location, code)``, one entry per call
+#: site.  The entry holds the code object, so its ``id`` cannot be
+#: recycled while the entry lives; the line is decoded from the code's
+#: line table once per site (``f_lineno`` walks the table from the
+#: function's first line each time it is read).  The key set is small
+#: and immortal: runtime and application functions.
+_SITES: Dict[Tuple[int, int], Tuple[SourceLocation, CodeType]] = {}
 
 
 def capture_location(skip_runtime: bool = True) -> SourceLocation:
@@ -82,17 +89,23 @@ def capture_location(skip_runtime: bool = True) -> SourceLocation:
     instrumenting application IR rather than libmpi.
     """
     frame = sys._getframe(1)
+    runtime = _RUNTIME_FILES
     while frame is not None:
         code = frame.f_code
-        if not skip_runtime or not _is_runtime_code(code):
-            # frozen-dataclass construction costs more than the whole
-            # frame walk; app call sites repeat endlessly, so memoize
-            key = (code, frame.f_lineno)
-            loc = _LOCATION_CACHE.get(key)
-            if loc is None:
-                loc = SourceLocation(code.co_filename, frame.f_lineno,
-                                     code.co_name)
-                _LOCATION_CACHE[key] = loc
-            return loc
-        frame = frame.f_back
+        if skip_runtime:
+            filename = code.co_filename
+            flag = runtime.get(filename)
+            if flag is None:
+                flag = runtime[filename] = any(
+                    f in filename for f in _RUNTIME_FRAGMENTS)
+            if flag:
+                frame = frame.f_back
+                continue
+        key = (id(code), frame.f_lasti)
+        site = _SITES.get(key)
+        if site is None:
+            site = _SITES[key] = (
+                SourceLocation(code.co_filename, frame.f_lineno,
+                               code.co_name), code)
+        return site[0]
     return UNKNOWN_LOCATION

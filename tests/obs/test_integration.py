@@ -72,6 +72,30 @@ class TestPipelineMetrics:
         assert reg.get("profiler_flush_seconds").count() > 0
         assert reg.get("profiler_events_per_second").value() > 0
 
+    def test_elided_wakeups_published_beside_handoffs(self, enabled):
+        """A contended lock makes ranks wait while the policy keeps
+        picking them: grants = handoffs + wake-ups elided + the ranks'
+        first grants."""
+        from repro.simmpi import INT, LOCK_EXCLUSIVE
+        from repro.simmpi.runtime import World
+
+        def app(mpi):
+            win = mpi.win_create(mpi.alloc("buf", 1, datatype=INT))
+            win.lock(0, LOCK_EXCLUSIVE)
+            mpi.comm_rank()     # a yield point with the lock held
+            win.unlock(0)
+            win.free()
+
+        world = World(4)
+        world.run(app)
+        world.publish_obs()
+        sched, reg = world.scheduler, enabled.registry
+        assert sched.elided > 0
+        assert reg.get("simmpi_wakeups_elided").value() == sched.elided
+        assert reg.get("simmpi_context_switches").value() == sched.switches
+        assert reg.get("simmpi_token_grants").value() == \
+            sched.switches + sched.elided + world.nranks
+
     def test_per_rank_run_time_gauges(self, enabled, tmp_path):
         profile_run(lu, 3, params=dict(n=10), trace_dir=str(tmp_path))
         gauge = enabled.registry.get("simmpi_rank_run_seconds")

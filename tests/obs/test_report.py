@@ -27,6 +27,34 @@ def profiled():
     pytest.fail("no bundled bug case produced findings")
 
 
+def test_emission_carries_the_scheduler_totals(tmp_path):
+    """Profile and check in one session (the ``run-check`` path): the
+    run report says how many handoffs the producer made and how many
+    wake-ups it elided, in text and in the dashboard."""
+    from repro.apps.heat2d import heat2d
+    rec = obs.configure(enabled=True)
+    try:
+        run = api.run(heat2d, 4, params=dict(rows=16, cols=8, steps=4),
+                      trace_dir=str(tmp_path))
+        report = api.check(run.traces)
+        rr = build_run_report(report, CheckConfig(), traces=run.traces)
+        gauges = {key: int(rec.registry.get(name).value())
+                  for key, name in (
+                      ("handoffs", "simmpi_context_switches"),
+                      ("wakeups_elided", "simmpi_wakeups_elided"),
+                      ("token_grants", "simmpi_token_grants"))}
+    finally:
+        obs.reset()
+    assert rr.emission["scheduler"] == gauges
+    assert gauges["wakeups_elided"] > 0
+    line = (f"{gauges['handoffs']:,} thread handoffs, "
+            f"{gauges['wakeups_elided']:,} wake-ups elided")
+    assert line in render_run_text(rr)
+    assert line in render_run_html(rr)
+    clone = RunReport.from_dict(json.loads(json.dumps(rr.to_dict())))
+    assert clone.emission == rr.emission
+
+
 def checked_report(profiled, **overrides):
     obs.configure(enabled=True)
     try:

@@ -12,6 +12,16 @@ and byte-identical checker reports under both memory models.
 A hypothesis property test additionally drives ``append_mem_columns``
 across mem-block flush boundaries, interleaved with scalar writes and
 call records, and round-trips the result through ``TraceReader``.
+
+The hook resolves what is static about an event once per call site; a
+second property requires ``ProfilerHook.on_call`` / ``on_mem`` to leave
+the bytes and digests ``write(CallEvent)`` / ``write(MemEvent)`` leave —
+for every call form (all ints, strings, lists, dropped ``None``s, an int
+past int64 on the ``C`` route, a ``str`` where the form had an int),
+wherever the segments are cut, in both formats — and three pins cover the
+site tables themselves: equal locations share one string id whatever
+object carries them, and a call site decodes to its own statement from
+two lines of one function, a comprehension and ``exec``'d code.
 """
 
 import hashlib
@@ -223,3 +233,161 @@ def test_append_mem_columns_round_trip(fmt, ops):
                 assert (event.seq, event.fn) == (seq, op[1])
                 seq += 1
         assert next(it, None) is None
+
+
+# ----------------------------------------------------------------------
+# the hook's call and memory lanes against write(event)
+# ----------------------------------------------------------------------
+
+#: two location objects per value: the writer keys its site tables by
+#: object identity, the bytes must depend on the value alone
+_SITES = [SourceLocation("app.py", 10, "main"),
+          SourceLocation("dir with space/k=1|%.py", 42, "compute")]
+_TWINS = [SourceLocation(loc.filename, loc.lineno, loc.function)
+          for loc in _SITES]
+
+_INT = st.integers(-(1 << 63), (1 << 63) - 1)
+_HUGE = st.integers(1 << 63, 1 << 70)        # forces the C route
+_TEXT = st.text(max_size=8)
+_INTS = st.lists(st.integers(-(1 << 40), 1 << 40), max_size=5)
+
+#: call forms: string-free (the plain arm), with a string, with a list,
+#: with a dropped ``None``, past int64, and a form whose ``win`` is an
+#: int in one call and a string in the next
+_ARGS = st.one_of(
+    st.fixed_dictionaries({"win": _INT, "assert": st.booleans()}),
+    st.fixed_dictionaries({"win": _INT, "var": _TEXT}),
+    st.fixed_dictionaries({"win": _INT, "group": _INTS, "assert": _INT}),
+    st.fixed_dictionaries({"comm": _INT, "newcomm": st.none(),
+                           "key": _INT}),
+    st.fixed_dictionaries({"win": _HUGE, "assert": _INT}),
+    st.fixed_dictionaries({"win": st.one_of(_INT, _TEXT),
+                           "assert": _INT}),
+)
+#: names whose call-table row reads no argument (the table rejects a
+#: ``Win_fence`` whose ``win`` is a string or past int64)
+_HOOK_CALL = st.tuples(st.just("call"),
+                       st.sampled_from(["Put", "Comm_rank", "user call"]),
+                       _ARGS, st.integers(0, 1))
+_HOOK_MEM = st.tuples(st.just("mem"), st.sampled_from(["load", "store"]),
+                      st.integers(0, 1 << 40), st.integers(1, 64),
+                      st.integers(0, 1))
+HOOK_OPS = st.lists(st.one_of(_HOOK_CALL, _HOOK_CALL, _HOOK_MEM),
+                    min_size=1, max_size=24)
+
+
+class _Buffer:
+    name = "grid"
+
+
+def _through_hook(directory, fmt, ops):
+    """The producer's way: ``ProfilerHook.on_call`` / ``on_mem``, the
+    location captured per event (here: dealt from ``_SITES``)."""
+    from repro.profiler import interpose
+    sites = iter([_SITES[op[-1]] for op in ops])
+    with mock.patch.object(interpose, "capture_location",
+                           lambda: next(sites)):
+        hook = ProfilerHook(directory, 1, app="prop", scope="all",
+                            trace_format=fmt)
+        for op in ops:
+            if op[0] == "call":
+                hook.on_call(0, op[1], op[2])
+            else:
+                hook.on_mem(0, op[1], _Buffer, op[2], op[3])
+        hook.close()
+    return hook
+
+
+def _through_write(path, fmt, ops):
+    """The reference: one typed event per op through ``write``."""
+    with TraceWriter(path, 0, 1, app="prop", format=fmt) as writer:
+        for seq, op in enumerate(ops):
+            loc = _TWINS[op[-1]]
+            if op[0] == "call":
+                writer.write(CallEvent(rank=0, seq=seq, fn=op[1],
+                                       args=op[2], loc=loc))
+            else:
+                writer.write(MemEvent(rank=0, seq=seq, access=op[1],
+                                      addr=op[2], size=op[3], var="grid",
+                                      loc=loc))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=60, deadline=None)
+@given(ops=HOOK_OPS, cut=st.sampled_from((1, 2, 3, 7, 4096)))
+def test_hook_lanes_equal_write(fmt, ops, cut):
+    """Whatever a call looks like and wherever the segments are cut, the
+    hook's lanes leave the bytes ``write(event)`` leaves."""
+    from repro.profiler import tracer
+    with tempfile.TemporaryDirectory() as tmp:
+        hooked, written = os.path.join(tmp, "hook"), os.path.join(tmp, "ref")
+        os.mkdir(hooked)
+        with mock.patch.object(tracer, "_FLUSH_EVERY", cut):
+            hook = _through_hook(hooked, fmt, ops)
+            _through_write(written, fmt, ops)
+        hooked = os.path.join(hooked, os.listdir(hooked)[0])
+        with open(hooked, "rb") as a, open(written, "rb") as b:
+            assert a.read() == b.read()
+        assert hook.events_written == len(ops)
+        assert hook.bytes_written == os.path.getsize(hooked)
+        with TraceReader(hooked) as a, TraceReader(written) as b:
+            assert a.digests() == b.digests()
+            assert a.counts() == b.counts()
+            events = a.events()
+        assert [e.seq for e in events] == list(range(len(ops)))
+        assert [e.loc for e in events] == [_SITES[op[-1]] for op in ops]
+
+
+def test_equal_locations_share_one_string_id(tmp_path):
+    """Fresh location objects per event — what a rewriter decoding a text
+    trace passes — with few distinct values: one string each, however
+    often the table of resolved sites starts over and whichever ``id``
+    a collected object hands on."""
+    from repro.profiler import tracer
+    path = str(tmp_path / "trace.0.bin")
+    n = 600
+    with mock.patch.object(tracer, "_SITE_CACHE", 16):
+        with TraceWriter(path, 0, 1, format=FORMAT_BINARY) as writer:
+            for seq in range(n):
+                loc = SourceLocation("app.py", seq % 5, "main")
+                if seq % 2:
+                    writer.write(CallEvent(0, seq, "Barrier",
+                                           {"comm": 0}, loc))
+                else:
+                    writer.write(MemEvent(0, seq, "load", 64, 8, "x", loc))
+                assert len(writer._call_sites) <= 16
+                assert len(writer._mem_sites) <= 16
+    with TraceReader(path) as reader:
+        strings = reader._table.strings
+        events = reader.events()
+    assert sorted(s for s in strings if s.startswith("app.py")) == \
+        [f"app.py:{line}:main" for line in range(5)]
+    assert [e.loc.lineno for e in events] == [seq % 5 for seq in range(n)]
+
+
+def _located_app(mpi, lines):
+    """Calls from two lines of one function, from a comprehension and
+    from ``exec``'d code; ``lines`` learns where they were."""
+    import sys
+    mpi.barrier(); lines["first"] = sys._getframe().f_lineno  # noqa: E702
+    mpi.barrier(); lines["second"] = sys._getframe().f_lineno  # noqa: E702
+    lines["comp"] = sys._getframe().f_lineno + 1
+    [mpi.barrier() for _ in range(2)]
+    exec(compile("def step(mpi):\n    mpi.barrier()\nstep(mpi)\n",
+                 "<generated>", "exec"), {"mpi": mpi})
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_call_sites_decode_to_the_right_statement(tmp_path, fmt):
+    lines = {}
+    run = profile_run(_located_app, 2, params={"lines": lines},
+                      trace_dir=str(tmp_path), trace_format=fmt)
+    for rank in range(2):
+        locs = [e.loc for e in run.traces.events(rank)
+                if isinstance(e, CallEvent) and e.fn == "Barrier"]
+        assert [(loc.filename, loc.lineno, loc.function) for loc in locs] \
+            == [(__file__, lines["first"], "_located_app"),
+                (__file__, lines["second"], "_located_app"),
+                (__file__, lines["comp"], "<listcomp>"),
+                (__file__, lines["comp"], "<listcomp>"),
+                ("<generated>", 2, "step")]

@@ -1,8 +1,11 @@
 """Trace-format robustness: malformed inputs must fail loudly, not crash
 or silently mis-analyze."""
 
+import functools
 import json
+import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from repro.profiler.events import CallEvent, MemEvent, decode_event
 from repro.profiler.tracer import (
     _END_MAGIC, _K_HEAD, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
 )
-from repro.util.errors import TraceFormatError
+from repro.util.errors import DeadlockError, SimMPIError, TraceFormatError
 from repro.util.location import SourceLocation
 from repro.util.records import decode_record
 
@@ -265,3 +268,106 @@ class TestCorruptCallColumns:
                     np.asarray(reader.call_table.seq)
             except TraceFormatError:
                 pass
+
+
+# ----------------------------------------------------------------------
+# a run that did not complete must not leave a set that reads as whole
+# ----------------------------------------------------------------------
+
+
+def _crashes_after_a_fence(mpi):
+    buf = mpi.alloc("buf", 4)
+    win = mpi.win_create(buf)
+    win.fence()
+    if mpi.rank == 1:
+        raise RuntimeError("application bug")
+    win.fence()
+    win.free()
+
+
+def _deadlocks_after_a_fence(mpi):
+    buf = mpi.alloc("buf", 4)
+    win = mpi.win_create(buf)
+    win.fence()
+    mpi.recv(source=1 - mpi.rank, tag=7)
+
+
+def _spins_after_a_fence(mpi):
+    buf = mpi.alloc("buf", 4)
+    win = mpi.win_create(buf)
+    win.fence()
+    while True:
+        mpi.world.scheduler.yield_point(mpi.rank)
+
+
+class TestAbortedRuns:
+    """``profile_run`` used to finalize every rank file on its way out
+    of an exception, and ``api.check`` then reported the prefix of the
+    run as a clean program: 0 findings, no error."""
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("app,error,message", [
+        (_crashes_after_a_fence, RuntimeError, "application bug"),
+        (_deadlocks_after_a_fence, DeadlockError, "Recv"),
+        (_spins_after_a_fence, SimMPIError, "livelock"),
+    ], ids=["exception", "deadlock", "livelock"])
+    def test_partial_trace_set_is_rejected(self, tmp_path, fmt, app, error,
+                                           message):
+        from repro.profiler import session
+        from repro.simmpi.runtime import World
+        trace_dir = str(tmp_path)
+        with mock.patch.object(session, "World",
+                               functools.partial(World, max_steps=500)):
+            with pytest.raises(error, match=message):
+                api.run(app, 2, trace_dir=trace_dir, trace_format=fmt)
+        with pytest.raises(TraceFormatError) as err:
+            api.check(trace_dir)
+        if fmt == "text":
+            # path:line of the abort record, and what it means
+            assert re.search(r"trace\.0\.log:\d+: abort record", str(err.value))
+            assert "did not complete" in str(err.value)
+        else:
+            assert "trailer" in str(err.value)
+
+    def test_every_text_consumer_meets_the_abort_record(self, tmp_path):
+        path = str(tmp_path / "trace.0.log")
+        writer = TraceWriter(path, 0, 1, app="x")
+        writer.write(CallEvent(0, 0, "Barrier", {"comm": 0}, LOC))
+        writer.write(MemEvent(0, 1, "load", 64, 8, "x", LOC))
+        writer.abort()
+        writer.abort()          # idempotent, like close()
+        with open(path) as fh:
+            assert fh.read().splitlines()[-1] == "A events=2"
+        consumers = {
+            "events": lambda r: r.events(),
+            "stream": lambda r: list(r.stream()),
+            "read_calls": lambda r: r.read_calls(),
+            "read_calls+mems": lambda r: r.read_calls(mems=True),
+            "mem_blocks": lambda r: list(r.mem_blocks()),
+            "counts": lambda r: r.counts(),
+        }
+        for name, consume in consumers.items():
+            with TraceReader(path) as reader:
+                with pytest.raises(TraceFormatError,
+                                   match=r"trace\.0\.log:4: abort record"):
+                    consume(reader)
+        with pytest.raises(TraceFormatError, match="abort record"):
+            TraceSet(str(tmp_path)).event_counts()
+
+    def test_with_block_aborts_on_exception(self, tmp_path):
+        for fmt, name in (("text", "trace.0.log"), ("binary", "trace.0.bin")):
+            path = str(tmp_path / name)
+            with pytest.raises(KeyError):
+                with TraceWriter(path, 0, 1, format=fmt) as writer:
+                    writer.write(CallEvent(0, 0, "Barrier", {"comm": 0}, LOC))
+                    raise KeyError("mid-run")
+            with pytest.raises(TraceFormatError):
+                with TraceReader(path) as reader:
+                    reader.events()
+
+    def test_completed_run_carries_no_marker(self, tmp_path):
+        run = api.run(heat2d, 2, params=dict(rows=8, cols=4, steps=2),
+                      trace_dir=str(tmp_path))
+        for rank in range(2):
+            with open(run.traces.path(rank)) as fh:
+                assert not any(line.startswith("A") for line in fh)

@@ -3,6 +3,7 @@
 ``matching`` holds the Algorithm-1 progress-counter walk and the naive
 rescanning matcher; ``pairwise`` the object access model, the per-epoch
 and per-region pair enumerations, the naive cross-process strawman and
-:func:`~tests.reference.pairwise.check_pairwise`.  Production
-(``src/repro``) imports none of it.
+:func:`~tests.reference.pairwise.check_pairwise`; ``scheduler`` the
+wake-and-re-check token scheduler.  Production (``src/repro``) imports
+none of it.
 """

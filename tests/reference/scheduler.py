@@ -1,35 +1,20 @@
-"""Cooperative token-passing scheduler for simulated MPI ranks.
+"""Reference scheduler — a test oracle, not production.
 
-Every rank runs in its own OS thread, but exactly one thread holds the
-*token* at any instant, so execution is a deterministic interleaving of
-per-rank steps.  Ranks hand the token back at *yield points* (every MPI
-call, plus explicit yields inside blocking waits), and the scheduler picks
-the next rank according to its policy:
+The wake-and-re-check token scheduler: a rank blocked in
+:meth:`Scheduler.wait_until` is handed the token whenever the policy
+picks it, wakes, re-evaluates its predicate in its own thread and, while
+it is still false, yields again.  Production
+(:class:`repro.simmpi.scheduler.Scheduler`) evaluates the predicate on
+the granting thread instead and wakes the rank only once it holds; the
+differential tests (``tests/simmpi/test_scheduler_differential.py``)
+require both to produce the same schedule — the same rank at every real
+step, the same ``token_grants``, the same trace bytes, the same
+``DeadlockError`` text and livelock-guard trip — with this class's
+``switches`` equal to production's ``switches + elided``.
 
-* ``round_robin`` — cyclic order; fully deterministic.
-* ``random`` — seeded PRNG choice; deterministic for a given seed, but lets
-  tests explore many interleavings (the analogue of rerunning a real MPI
-  job and observing different timings).
-
-A handoff between two threads is the unit of cost here (two futex
-operations and a context switch), so the token only ever travels to a
-rank that can run.  A rank blocked in :meth:`Scheduler.wait_until`
-leaves its predicate with the scheduler; when the policy picks that rank,
-the thread that is giving the token away evaluates the predicate itself —
-predicates are pure reads of state that only the token holder mutates —
-and, while it is false, takes the blocked rank's step for it: the grant,
-the step count and the policy's next pick advance exactly as if the rank
-had woken, found its predicate false and yielded.  The schedule (which
-rank performs which real step, in which order) is therefore the one a
-wake-and-re-check loop produces; only the wake-ups that could not have
-done anything are gone (``Scheduler.elided`` counts them).
-
-Deadlock detection: the runtime bumps a *progress counter* on every state
-mutation (message deposit, lock grant, RMA delivery, collective arrival,
-rank completion).  If every live rank is blocked and a full rotation of
-token grants passes with no progress, the run is declared deadlocked and a
-:class:`~repro.util.errors.DeadlockError` lists what each rank was waiting
-for.
+The code is the former ``repro.simmpi.scheduler``, moved unchanged.
+Install it with ``mock.patch.object(repro.simmpi.runtime, "Scheduler",
+Scheduler)``.
 """
 
 from __future__ import annotations
@@ -45,16 +30,6 @@ from repro.util.errors import DeadlockError, SimMPIError
 
 class _Abort(BaseException):
     """Internal signal: unwind a rank thread after the run was aborted."""
-
-
-def _holds(pred: Callable[[], bool]) -> bool:
-    """A blocked rank's predicate, evaluated on another rank's thread.
-    One that raises there counts as holding: its rank is woken, evaluates
-    it again and the exception surfaces in the thread that owns it."""
-    try:
-        return pred()
-    except Exception:  # noqa: BLE001 - re-raised by the predicate's owner
-        return True
 
 
 class Scheduler:
@@ -85,8 +60,6 @@ class Scheduler:
         #: the grant path never sorts or allocates per switch
         self._order = tuple(range(nranks))
         self._blocked: Dict[int, str] = {}
-        #: beside each block reason, the predicate the rank waits on
-        self._preds: Dict[int, Callable[[], bool]] = {}
         self._progress = 0
         #: ranks granted the token since the all-blocked stall began; a
         #: deadlock is declared only once EVERY live rank re-evaluated its
@@ -98,13 +71,8 @@ class Scheduler:
         self._max_steps = max_steps
         self._abort_exc: Optional[BaseException] = None
         self._abort_rank: Optional[int] = None
-        #: thread handoffs performed (yield points taken by a rank)
         self.switches = 0
-        #: grants issued, real and virtual
         self.token_grants = 0
-        #: virtual steps: grants to a blocked rank whose predicate was
-        #: still false, taken for it on the granting thread
-        self.elided = 0
         # per-rank token-hold accounting exists only when observability is
         # on (decided once, here): the disabled hot path stays two integer
         # increments per switch
@@ -157,31 +125,7 @@ class Scheduler:
         return candidates[0]
 
     def _grant_locked(self) -> None:
-        """Hand the token to the next rank that can run.  Caller holds
-        ``_lock`` and, being the thread that gives the token away, is
-        the only one running: no state a predicate reads can change
-        while it is evaluated here."""
-        preds = self._preds
-        while True:
-            nxt = self._pick_locked()
-            if nxt is None:
-                return
-            pred = preds.get(nxt)
-            if pred is None or _holds(pred):
-                self._tokens[nxt].release()
-                return
-            # the rank would wake, find its predicate false and yield:
-            # that step is taken here, counted as it would have been
-            self._steps += 1
-            if self._steps > self._max_steps:
-                self._abort_livelock_locked(nxt)
-                return
-            self.elided += 1
-
-    def _pick_locked(self) -> Optional[int]:
-        """Advance the policy by one grant: the rank it names becomes
-        ``_current`` (``None``: nothing left to run, or a deadlock was
-        declared)."""
+        """Pick the next rank and hand it the token.  Caller holds _lock."""
         # _blocked only ever holds live ranks, so "every live rank is
         # blocked" reduces to a length comparison
         if self._live and len(self._blocked) >= len(self._live):
@@ -192,7 +136,7 @@ class Scheduler:
             if not unchecked:
                 self._current = None
                 self._abort_locked(DeadlockError(self._blocked), rank=None)
-                return None
+                return
             nxt = (self._rng.choice(unchecked) if self.policy == "random"
                    else unchecked[0])
             self._stall_granted.add(nxt)
@@ -203,12 +147,8 @@ class Scheduler:
             self._current = self._pick_next()
             if self._current is not None:
                 self.token_grants += 1
-        return self._current
-
-    def _abort_livelock_locked(self, rank: int) -> None:
-        self._abort_locked(
-            SimMPIError(f"scheduler exceeded {self._max_steps} steps; "
-                        "likely livelock"), rank)
+        if self._current is not None:
+            self._tokens[self._current].release()
 
     def _abort_locked(self, exc: BaseException, rank: Optional[int]) -> None:
         if self._abort_exc is None:
@@ -236,7 +176,9 @@ class Scheduler:
                 break
         self._steps += 1
         if self._steps > self._max_steps:
-            self._abort_livelock_locked(rank)
+            self._abort_locked(
+                SimMPIError(f"scheduler exceeded {self._max_steps} steps; "
+                            "likely livelock"), rank)
             raise _Abort()
         if self._token_times is not None:
             self._hold_start = time.perf_counter()
@@ -259,27 +201,20 @@ class Scheduler:
     def wait_until(self, rank: int, pred: Callable[[], bool], reason: str) -> None:
         """Block ``rank`` until ``pred()`` is true (a blocking MPI call).
 
-        While the predicate is false the rank is marked blocked with
-        ``reason``, so deadlock reports can explain the cycle, and the
-        predicate stays with the scheduler: whichever thread next picks
-        this rank evaluates it (:meth:`_grant_locked`) and wakes the
-        rank only once it holds.  ``pred`` must therefore be a pure read
-        of state mutated under the token.  It is evaluated again here
-        after every wake, so a predicate that raised on another thread
-        raises on its own.
+        The predicate is re-evaluated each time the rank regains the token;
+        while false the rank is marked blocked with ``reason`` so deadlock
+        reports can explain the cycle.
         """
         with self._lock:
             while not pred():
                 if self._abort_exc is not None:
                     raise _Abort()
                 self._blocked[rank] = reason
-                self._preds[rank] = pred
                 self.switches += 1
                 self._note_release_locked(rank)
                 self._grant_locked()
                 self._wait_for_token_locked(rank)
             self._blocked.pop(rank, None)
-            self._preds.pop(rank, None)
 
     # ------------------------------------------------------------------
     # lifecycle

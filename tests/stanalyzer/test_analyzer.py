@@ -1,8 +1,11 @@
 """ST-Analyzer taint-analysis tests (section IV-A)."""
 
+import functools
 import textwrap
 
-from repro.stanalyzer import analyze_source
+import pytest
+
+from repro.stanalyzer import analyze_app, analyze_source, unwrap_app
 
 
 def analyze(src):
@@ -228,3 +231,59 @@ class TestRealApps:
         rep = analyze_module(lu)
         assert {"pivot", "row_buf"} <= rep.buffer_names
         assert "a" not in rep.buffer_names  # never an RMA argument
+
+
+def _origin_store_app(mpi, n=4):
+    """The intra-epoch class of Fig. 2a: a store to a Put's origin
+    buffer inside the epoch."""
+    src = mpi.alloc("src", n)
+    win_buf = mpi.alloc("win_buf", n)
+    win = mpi.win_create(win_buf)
+    win.fence()
+    if mpi.rank == 0:
+        win.put(src, target=1)
+        src[0] = 1.0
+    win.fence()
+    win.free()
+
+
+def _logged(fn):
+    @functools.wraps(fn)
+    def wrapper(mpi, **params):
+        return fn(mpi, **params)
+    return wrapper
+
+
+class _CallableApp:
+    def __call__(self, mpi):
+        return _origin_store_app(mpi, n=8)
+
+
+#: every way of handing the same application to the analyzer
+WRAPPED_APPS = {
+    "plain": _origin_store_app,
+    "partial": functools.partial(_origin_store_app, n=8),
+    "partial-of-partial": functools.partial(
+        functools.partial(_origin_store_app, n=8), n=6),
+    "wraps": _logged(_origin_store_app),
+    "partial-of-wraps": functools.partial(_logged(_origin_store_app), n=8),
+    "instance": _CallableApp(),
+    "lambda": lambda mpi: _origin_store_app(mpi, n=8),
+}
+
+
+class TestWrappedApps:
+    """``inspect.getmodule(partial(app))`` is :mod:`functools`: analysing
+    that module instrumented nothing, and the findings went with it."""
+
+    @pytest.mark.parametrize("how", WRAPPED_APPS)
+    def test_analysed_as_the_module_that_defines_the_app(self, how):
+        rep = analyze_app(WRAPPED_APPS[how])
+        assert sorted(rep.buffer_names) == ["src", "win_buf"]
+
+    def test_unwrap_app_peels_every_layer(self):
+        for how in ("partial", "partial-of-partial", "wraps",
+                    "partial-of-wraps"):
+            assert unwrap_app(WRAPPED_APPS[how]) is _origin_store_app
+        instance = WRAPPED_APPS["instance"]
+        assert unwrap_app(instance) is instance

@@ -11,6 +11,7 @@ from repro.cli import _config_from_args, build_parser
 from repro.core.checker import MCChecker, check_app, check_traces
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, LOCK_SHARED
+from tests.stanalyzer.test_analyzer import WRAPPED_APPS
 
 
 def _figure1(mpi):
@@ -145,6 +146,31 @@ class TestApiFacade:
                       trace_format="binary")
         report = api.check(run.traces)
         assert report.stats.nranks == 2
+
+    @pytest.mark.parametrize("how", WRAPPED_APPS)
+    def test_wrapped_app_is_instrumented_like_the_plain_one(self, how):
+        """A ``partial`` used to be analysed as the module ``functools``:
+        no origin buffer instrumented, 0 findings where the plain app
+        gives 1."""
+        plain = api.run_check(WRAPPED_APPS["plain"], 2)
+        report = api.run_check(WRAPPED_APPS[how], 2)
+        assert len(plain.findings) == 1
+
+        def statements(rep):   # n differs, the two statements do not
+            return [(d["rule"], d["a"]["fn"], d["a"]["line"],
+                     d["b"]["fn"], d["b"]["line"])
+                    for d in (f.to_dict() for f in rep.findings)]
+        assert statements(report) == statements(plain)
+
+    @pytest.mark.parametrize("how,name", [
+        ("plain", "_origin_store_app"), ("partial", "_origin_store_app"),
+        ("partial-of-wraps", "_origin_store_app"),
+        ("lambda", "<lambda>"), ("instance", "app")])
+    def test_app_name_is_the_unwrapped_callable_s(self, how, name,
+                                                  tmp_path):
+        run = api.run(WRAPPED_APPS[how], 2, trace_dir=str(tmp_path))
+        with run.traces.reader(0) as reader:
+            assert reader.header.app == name
 
     def test_facade_exported_from_package_root(self):
         import repro

@@ -286,3 +286,24 @@ class TestFlightRecorder:
         for rank in payload["per_rank"]:
             assert rank["format"] == "binary"
             assert rank["footer_counts"]["call"] == rank["calls"]
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_stats_digest_pins_producer_determinism(self, tmp_path, capsys,
+                                                    fmt):
+        """The CI determinism line: two profiles of one program under
+        one seed give the same ``stats --json``, digests included."""
+        import json as json_mod
+        from repro.profiler.tracer import TraceSet
+        payloads = []
+        for name in ("a", "b"):
+            trace_dir = str(tmp_path / name)
+            main(["run", "ping-pong", "--sched", "random", "--seed", "7",
+                  "--trace-format", fmt, "--trace-dir", trace_dir])
+            capsys.readouterr()
+            main(["stats", trace_dir, "--json", "--no-phases"])
+            payloads.append(json_mod.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1]
+        traces = TraceSet(str(tmp_path / "a"))
+        for rank in payloads[0]["per_rank"]:
+            with traces.reader(rank["rank"]) as reader:
+                assert rank["digest"] == reader.content_digest()
