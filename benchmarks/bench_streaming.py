@@ -9,6 +9,7 @@ the trace total).
 import pytest
 
 from repro.apps.lu import lu
+from repro.core import engine
 from repro.core.checker import check_traces
 from repro.core.streaming import check_streaming
 from repro.profiler.session import profile_run
@@ -30,8 +31,14 @@ def test_streaming_analysis(lu_traces, record, benchmark):
     findings, checker = benchmark(lambda: check_streaming(lu_traces))
     assert not findings
     total = lu_traces.event_counts()["mem"]
+    largest = int(checker.plan.rows.max())
     record("streaming",
-           f"regions={len(checker.regions)} total-loadstore={total} "
+           f"regions={len(checker.regions)} shards={len(checker.plan)} "
+           f"releases={checker.releases} total-loadstore={total} "
+           f"largest-shard={largest} "
            f"peak-buffered={checker.peak_buffered_mems} "
            f"bound={100 * checker.peak_buffered_mems / total:.1f}% of trace")
-    assert checker.peak_buffered_mems < total
+    # a release holds at most max(BATCH_ROWS, largest shard) rows: a
+    # trace below the budget is one release, a longer one never is
+    assert checker.peak_buffered_mems <= max(engine.BATCH_ROWS, largest)
+    assert checker.releases > 1 or total <= engine.BATCH_ROWS

@@ -41,14 +41,6 @@ _METRICS: Dict[str, List[Tuple[str, Tuple[object, ...], str,
         ("cold_seconds", ("cold_seconds",), "lower", None),
         ("warm_seconds", ("warm_seconds",), "lower", None),
     ],
-    "parallel_analyzer": [
-        ("serial_seconds", ("runs", 0, "seconds"), "lower", None),
-        # measured_speedup is null when the runner had too few cores to
-        # apply the gate (payload records it skipped); _dig then skips
-        # the metric rather than comparing against nothing
-        ("jobs4_speedup", ("speedup_gate", "measured_speedup"),
-         "higher", None),
-    ],
     "flight_recorder": [
         ("overhead_pct", ("overhead_pct",), "lower", 10.0),
     ],

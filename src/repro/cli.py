@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[analysis])
     p_check.add_argument("trace_dir")
     p_check.add_argument("--streaming", action="store_true",
-                         help="region-at-a-time analysis with bounded "
+                         help="release-at-a-time analysis with bounded "
                               "data-event memory")
     p_check.add_argument("--json", action="store_true",
                          help="emit the report as JSON (for CI tooling)")

@@ -17,7 +17,11 @@ This package is the paper's primary contribution (sections III and IV-C):
    and across processes with grouped interval joins; :mod:`~repro.core.intra`
    and :mod:`~repro.core.inter` judge each by the compatibility rules of
    :mod:`~repro.core.compat` (Table I);
-8. :mod:`~repro.core.checker` wires it all together as :class:`MCChecker`.
+8. :mod:`~repro.core.checker` wires it all together as :class:`MCChecker`;
+9. :mod:`~repro.core.plan` cuts the analysis into shards — the one fact
+   the worker pool (:mod:`~repro.core.parallel`), the result cache
+   (:mod:`~repro.core.incremental`) and the streaming checker
+   (:mod:`~repro.core.streaming`) are policies over.
 
 One implementation per phase; the paper's literal algorithms (the
 progress-counter walk, the per-region linear scan, the naive strawmen)

@@ -29,10 +29,6 @@ logged buffer), and whatever walks a whole stream (tools, incremental
 slice digests).  They select their rows by fn code with
 :func:`calls_to`; over the lazy :class:`~repro.profiler.callcols.
 CallColumns` of a binary trace nothing else is ever built.
-
-Pool workers publish their rank's table over a shared-memory segment
-(:func:`share_table` / :func:`attach_table`), so a parallel run never
-pickles the call stream.
 """
 
 from __future__ import annotations
@@ -534,71 +530,6 @@ def ensure_call_tables(pre: "PreprocessedTrace") -> Dict[int, CallTable]:
 def total_calls(pre: "PreprocessedTrace") -> int:
     """Number of call events in the trace."""
     return sum(t.n for t in ensure_call_tables(pre).values())
-
-
-# ----------------------------------------------------------------------
-# shared-memory shipping (worker-side scan -> parent, no pickled calls)
-# ----------------------------------------------------------------------
-
-#: fixed column order for the packed shared-memory layout
-_SHIP_COLUMNS = ("seq", "fn", "cls", "comm", "win", "peer", "tag", "req",
-                 "req_kind", "target", "lock", "group_off", "group_val")
-
-
-def share_table(table: CallTable, name: str):
-    """Copy a table's columns into one named shared-memory segment.
-
-    Returns ``(desc, handle)``: a picklable descriptor for
-    :func:`attach_table` plus the open handle the creator must close.
-    """
-    from multiprocessing import shared_memory
-
-    blocks = [getattr(table, col) for col in _SHIP_COLUMNS]
-    total = sum(b.nbytes for b in blocks)
-    shm = shared_memory.SharedMemory(name=name, create=True,
-                                     size=max(total, 1))
-    offset = 0
-    meta = []
-    for col, block in zip(_SHIP_COLUMNS, blocks):
-        if block.nbytes:
-            dst = np.ndarray(block.shape, dtype=block.dtype,
-                             buffer=shm.buf, offset=offset)
-            dst[:] = block
-        meta.append((col, str(block.dtype), int(block.size)))
-        offset += block.nbytes
-    desc = {
-        "name": name, "rank": table.rank, "n": table.n, "columns": meta,
-        "lock_types": dict(table.lock_types),
-        "fn_names": list(FN_NAMES), "nbytes": total,
-    }
-    return desc, shm
-
-
-def attach_table(desc: dict) -> CallTable:
-    """Rebuild a :class:`CallTable` from a shared segment (copying out,
-    so the segment can be unlinked immediately afterwards)."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=desc["name"])
-    try:
-        offset = 0
-        cols = {}
-        for col, dtype, size in desc["columns"]:
-            dt = np.dtype(dtype)
-            view = np.ndarray((size,), dtype=dt, buffer=shm.buf,
-                              offset=offset)
-            cols[col] = view.copy()
-            offset += size * dt.itemsize
-    finally:
-        shm.close()
-    cols["fn"] = _remap_fn_codes(cols["fn"], desc["fn_names"]) \
-        .astype(np.int32)
-    return CallTable(desc["rank"], desc["n"],
-                     cols["seq"], cols["fn"], cols["cls"], cols["comm"],
-                     cols["win"], cols["peer"], cols["tag"], cols["req"],
-                     cols["req_kind"], cols["target"], cols["lock"],
-                     cols["group_off"], cols["group_val"],
-                     {int(k): v for k, v in desc["lock_types"].items()})
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,10 @@ from repro.core.engine import (
 from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
 from repro.core.model import build_access_model_sweep
-from repro.core.parallel import ParallelEngine
+from repro.core.parallel import detect_shards
+from repro.core.plan import (
+    ControlState, ShardPlan, _RowLoader, build_control_state, phase_timer,
+)
 from repro.core.preprocess import PreprocessedTrace, preprocess_calls
 from repro.core.regions import RegionIndex
 from repro.profiler.tracer import TraceSet
@@ -121,8 +124,10 @@ class MCChecker:
         self.model = None
         self.regions: Optional[RegionIndex] = None
 
-    #: pipeline phases in execution order (span names are
-    #: ``analyzer.<phase>``; keys of ``CheckStats.phase_seconds``)
+    #: the serial pipeline's phases in execution order (span names are
+    #: ``analyzer.<phase>``; keys of ``CheckStats.phase_seconds``); with
+    #: ``jobs > 1`` the control phases keep these names and ``plan`` /
+    #: ``detect`` / ``merge`` follow, as in the other plan executors
     PHASES = ("preprocess", "matching", "clocks", "epochs", "model",
               "regions", "intra", "inter")
 
@@ -135,43 +140,26 @@ class MCChecker:
 
     def _run_phases(self) -> CheckReport:
         stats = CheckStats()
-        timings = stats.phase_seconds
-        rec = obs.get_recorder()
+        timed = phase_timer(stats.phase_seconds)
+        findings = (self._run_pooled(stats, timed) if self.jobs > 1
+                    else self._run_detect(stats, timed))
+        findings = dedupe(sort_findings(findings))
+        annotate_context(
+            findings, jobs=self.jobs,
+            mode="parallel" if self.jobs > 1 else "batch", cache="none")
+        errors = [f for f in findings if f.severity == SEVERITY_ERROR]
+        warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
+        return CheckReport(errors=errors, warnings=warnings, stats=stats)
 
-        def timed(name: str, fn: Callable[[], Any], **attrs) -> Any:
-            # one obs span per phase; the duration folds back into
-            # CheckStats.phase_seconds whether or not it was recorded
-            with rec.span(f"analyzer.{name}", **attrs) as sp:
-                result = fn()
-            timings[name] = timings.get(name, 0.0) + sp.duration
-            return result
-
-        engine: Optional[ParallelEngine] = None
-        if self.jobs > 1:
-            # the engine acquires the process-global persistent pool;
-            # finish() (in the finally below) resets it and unlinks the
-            # run's shared segments, while the pool itself survives for
-            # the next run to reuse
-            engine = ParallelEngine(self.traces, jobs=self.jobs,
-                                    memory_model=self.memory_model)
-        try:
-            return self._run_detect(stats, timed, engine)
-        finally:
-            if engine is not None:
-                engine.finish()
-
-    def _run_detect(self, stats: CheckStats, timed,
-                    engine: Optional[ParallelEngine]) -> CheckReport:
-        if engine is not None:
-            self.pre = timed("preprocess", engine.preprocess,
-                             jobs=self.jobs)
-        else:
-            self.pre = timed("preprocess",
-                             lambda: preprocess_calls(self.traces))
-        pre = self.pre
+    def _run_detect(self, stats: CheckStats,
+                    timed) -> List[ConsistencyError]:
+        """The serial batch route — the degenerate plan: one shard,
+        every unit, one lift."""
+        pre = self.pre = timed("preprocess",
+                               lambda: preprocess_calls(self.traces))
         stats.nranks = pre.nranks
-        # both paths keep only call events in the parent; the per-rank
-        # scans carry the full trace-event totals (calls + loads/stores)
+        # only call events are kept as objects; the per-rank scans carry
+        # the full trace-event totals (calls + loads/stores)
         stats.events = pre.total_events
 
         self.matches = timed("matching",
@@ -185,16 +173,9 @@ class MCChecker:
         stats.epochs = len(self.epoch_index.epochs)
         publish_control_plane_obs(pre, stats.phase_seconds)
 
-        if engine is not None:
-            self.model = timed(
-                "model",
-                lambda: engine.build_model(pre, self.epoch_index),
-                jobs=self.jobs)
-        else:
-            self.model = timed(
-                "model",
-                lambda: build_access_model_sweep(pre, self.epoch_index,
-                                                 self.traces))
+        self.model = timed(
+            "model", lambda: build_access_model_sweep(pre, self.epoch_index,
+                                                      self.traces))
         stats.rma_ops = len(self.model.ops)
         stats.local_accesses = self.model.total_local_accesses
 
@@ -202,28 +183,37 @@ class MCChecker:
                              lambda: RegionIndex(pre, self.matches))
         stats.regions = len(self.regions)
 
-        if engine is not None:
-            findings = timed("intra", lambda: engine.detect_intra(
-                self.model, self.epoch_index, self.regions,
-                self.oracle), jobs=self.jobs)
-            findings += timed("inter", engine.detect_inter,
-                              jobs=self.jobs)
-        else:
-            findings = timed("intra", lambda: detect_intra_epoch_sweep(
-                self.model, self.epoch_index,
-                memory_model=self.memory_model))
-            findings += timed("inter", lambda: detect_cross_process_sweep(
-                pre, self.model, self.regions, self.oracle,
-                self.epoch_index, memory_model=self.memory_model))
+        findings = timed("intra", lambda: detect_intra_epoch_sweep(
+            self.model, self.epoch_index, memory_model=self.memory_model))
+        findings += timed("inter", lambda: detect_cross_process_sweep(
+            pre, self.model, self.regions, self.oracle,
+            self.epoch_index, memory_model=self.memory_model))
+        return findings
 
-        findings = dedupe(sort_findings(findings))
-        annotate_context(
-            findings, jobs=self.jobs,
-            mode="parallel" if engine is not None else "batch",
-            cache="none")
-        errors = [f for f in findings if f.severity == SEVERITY_ERROR]
-        warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
-        return CheckReport(errors=errors, warnings=warnings, stats=stats)
+    def _run_pooled(self, stats: CheckStats,
+                    timed) -> List[ConsistencyError]:
+        """``jobs > 1``: control pass and plan in this process, every
+        shard's units in chunks over the worker pool."""
+        control = run_control_pass(self.traces, stats, timed)
+        plan = timed("plan", lambda: ShardPlan.build(control))
+        found, chunks = timed("detect", lambda: detect_shards(
+            plan.units(control, range(len(plan))), control,
+            self.memory_model, _RowLoader(self.traces), self.jobs),
+            shards=len(plan), jobs=self.jobs)
+        plan.publish_obs(chunks)
+        return timed("merge", lambda: plan.merge(enumerate(found)))
+
+
+def run_control_pass(traces: TraceSet, stats: CheckStats,
+                     timed) -> ControlState:
+    """A plan executor's control pass: its state, the sizes it
+    establishes recorded in ``stats``, the ingest metrics published."""
+    control = build_control_state(traces, timed)
+    for name, value in control.sizes().items():
+        setattr(stats, name, value)
+    publish_control_plane_obs(control.pre, stats.phase_seconds)
+    return control
+
 
 #: the control phases: everything derived from call events alone (the
 #: data phases are model + intra + inter; regions is noise-level)
@@ -290,11 +280,13 @@ def _check_streaming(traces: TraceSet, config: CheckConfig) -> CheckReport:
             traces, memory_model=config.memory_model)
         annotate_context(findings, jobs=1, mode="streaming", cache="none")
         control = checker.control
-        stats = CheckStats(**control.sizes())
+        stats = CheckStats(**control.sizes(),
+                           phase_seconds=checker.phase_seconds)
         publish_control_plane_obs(control.pre, stats.phase_seconds)
+        checker.plan.publish_obs(checker.releases)
         obs.gauge("analyzer_peak_buffered_mems", checker.peak_buffered_mems,
-                  help="Most load/store events the streaming data pass "
-                       "held at once")
+                  help="Most load/store events a release of the "
+                       "streaming data pass held at once")
         report = CheckReport(
             errors=[f for f in findings
                     if f.severity == SEVERITY_ERROR],
@@ -319,14 +311,15 @@ def check_traces(traces: TraceSet,
     """Analyze an existing trace set.
 
     Routes on the config: ``incremental`` → the cached checker,
-    ``streaming`` → the bounded-memory pipeline, else the batch
-    :class:`MCChecker` (serial or sharded per ``jobs``)."""
+    ``streaming`` → the bounded-memory pipeline, else
+    :class:`MCChecker` (the serial batch route, or with ``jobs > 1``
+    chunks of the shard plan over the worker pool)."""
     cfg = _config(config)
     if cfg.incremental:
         # imported lazily: incremental imports this module for
         # CheckReport/CheckStats
-        from repro.core.incremental import check_incremental
-        return check_incremental(traces, cfg)
+        from repro.core.incremental import IncrementalChecker
+        return IncrementalChecker(traces, cfg).run()
     if cfg.streaming:
         return _check_streaming(traces, cfg)
     return MCChecker(traces, cfg).run()

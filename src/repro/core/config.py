@@ -34,13 +34,15 @@ class CheckConfig:
 
     #: MPI-3 RMA memory model assumed for Table-I verdicts
     memory_model: str = "separate"
-    #: analysis worker processes (0 or 1 = serial, -1 = one per CPU)
+    #: analysis worker processes (0 or 1 = serial, -1 = one per CPU);
+    #: above 1, chunks of the shard plan run over a persistent pool
     jobs: int = 1
-    #: bounded-memory streaming pipeline instead of the batch pipeline
+    #: bounded-memory streaming: the shard plan released a few shards at
+    #: a time, instead of the batch pipeline
     streaming: bool = False
     #: on-disk result cache directory (required for ``incremental``)
     cache_dir: Optional[str] = None
-    #: reuse cached per-region findings; only re-analyze regions whose
+    #: reuse cached per-shard findings; only re-analyze shards whose
     #: inputs changed
     incremental: bool = False
 

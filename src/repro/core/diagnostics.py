@@ -274,7 +274,7 @@ def sort_findings(errors: List[ConsistencyError]) -> List[ConsistencyError]:
     sides, then the structural fields.
 
     Executors discover the same multiset of findings in different
-    orders (serial vs sharded merges, region-at-a-time streaming, cached
+    orders (serial vs sharded merges, release-at-a-time streaming, cached
     shards, and the per-pair reference walks of ``tests/reference``).
     Sorting *before* :func:`dedupe` makes both the surviving
     representative of each duplicate group and the final report order

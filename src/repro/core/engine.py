@@ -43,7 +43,7 @@ canonical report must not depend on how the pairs were found).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -120,20 +120,30 @@ def _rows_bound(mems: Dict[int, MemRows], bounds: RowBounds) -> int:
     return min(len(rows), max(hi_seq - lo_seq - 1, 0)) if rows else 0
 
 
+def batch_bounds(weights: Iterable[int],
+                 budget: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` index ranges over ``weights`` of at most
+    ``budget`` total weight each — always at least one item, so the
+    bound on a range is ``max(budget, heaviest item)``."""
+    out: List[Tuple[int, int]] = []
+    lo = load = stop = 0
+    for stop, w in enumerate(weights, 1):
+        if stop - 1 > lo and load + w > budget:
+            out.append((lo, stop - 1))
+            lo, load = stop - 1, 0
+        load += w
+    if lo < stop:
+        out.append((lo, stop))
+    return out
+
+
 def _batched(kernel: Callable[[Sequence], UnitFindings], units: Sequence,
              weight: Callable[[tuple], int]) -> UnitFindings:
     """Run ``kernel`` over contiguous sub-batches of ``units`` holding at
     most :data:`BATCH_ROWS` weight each (always at least one unit)."""
     found: UnitFindings = []
-    lo = load = 0
-    for i, unit in enumerate(units):
-        w = weight(unit)
-        if i > lo and load + w > BATCH_ROWS:
-            found.extend(kernel(units[lo:i]))
-            lo, load = i, 0
-        load += w
-    if lo < len(units):
-        found.extend(kernel(units[lo:]))
+    for lo, hi in batch_bounds(map(weight, units), BATCH_ROWS):
+        found.extend(kernel(units[lo:hi]))
     return found
 
 
@@ -484,25 +494,3 @@ def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
         if error is not None:
             found[entry_unit[op_entry[o]]].append(error)
     return found
-
-
-# ----------------------------------------------------------------------
-# shared unit construction (parallel workers + parent)
-# ----------------------------------------------------------------------
-
-
-def build_detect_units(model: AccessModel, epoch_index: EpochIndex,
-                       regions: RegionIndex
-                       ) -> Tuple[List[EpochUnit], List[RegionUnit]]:
-    """The ``(intra_units, inter_units)`` lists the two detector phases
-    iterate.
-
-    The parallel pipeline's zero-copy contract rests on this being
-    deterministic: the parent builds the lists to size the chunks, every
-    worker rebuilds the *identical* lists from its installed
-    ops/regions, and only ``(lo, hi)`` indices into them cross the pipe
-    — both bucketing passes iterate ``model`` and ``regions`` in stored
-    order, and units carry seq bounds rather than row slices.
-    """
-    return (bucket_by_epoch(model, epoch_index),
-            region_units(model, regions))

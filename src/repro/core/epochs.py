@@ -20,8 +20,9 @@ closing call (its *span*).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,16 +97,9 @@ class Epoch:
 
 
 class EpochIndex:
-    """All epochs of a preprocessed trace, with lookup by op issue point.
+    """All epochs of a preprocessed trace, with lookup by op issue point."""
 
-    Epoch recognition is a per-rank scan, so a worker holding only one
-    rank's call table can build the index for just that rank by passing
-    ``ranks`` — the result matches the corresponding slice of a full
-    build exactly.
-    """
-
-    def __init__(self, pre: PreprocessedTrace,
-                 ranks: Optional[Sequence[int]] = None):
+    def __init__(self, pre: PreprocessedTrace):
         self.epochs: List[Epoch] = []
         # (rank, win) -> epochs at that rank/window, in open order
         self._by_rank_win: Dict[Tuple[int, int], List[Epoch]] = {}
@@ -113,21 +107,20 @@ class EpochIndex:
         self._flushes: Dict[Tuple[int, int], List[Tuple[int, Optional[int]]]] = {}
         # (rank, win, req) -> seq of the Rma_wait completing that request
         self._req_waits: Dict[Tuple[int, int, int], int] = {}
-        self._build(pre, ranks)
+        self._build(pre)
 
     def _add(self, epoch: Epoch) -> None:
         self.epochs.append(epoch)
         self._by_rank_win.setdefault((epoch.rank, epoch.win_id), []) \
             .append(epoch)
 
-    def _build(self, pre: PreprocessedTrace,
-               ranks: Optional[Sequence[int]] = None) -> None:
+    def _build(self, pre: PreprocessedTrace) -> None:
         """A mask selects each rank's epoch-relevant call-table rows;
         the sequential per-window state machine runs over just those."""
         tables = ensure_call_tables(pre)
         names = {fn_code(fn): fn for fn in _EPOCH_FNS}
         codes = np.asarray(sorted(names), dtype=np.int64)
-        for rank in (range(pre.nranks) if ranks is None else ranks):
+        for rank in range(pre.nranks):
             t = tables.get(rank)
             # per-window running state
             fence_open: Dict[int, int] = {}
@@ -255,11 +248,13 @@ class EpochIndex:
     def access_epochs(self) -> List[Epoch]:
         return [e for e in self.epochs if e.is_access]
 
+    @cached_property
     def columns(self) -> "EpochColumns":
         """Every epoch, in index order, as parallel int64 arrays plus the
         list of lock-type strings the ``lock`` codes index (``None``
-        first) — the shape the incremental shard plan groups and hashes
-        epochs in."""
+        first) — the shape the shard plan groups epochs in and the
+        incremental checker hashes them in (built once: 8 passes over
+        every epoch)."""
         epochs = self.epochs
         lock_types: Dict[Optional[str], int] = {None: 0}
         group_len = np.fromiter((len(e.group) for e in epochs), np.int64,

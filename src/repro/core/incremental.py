@@ -9,15 +9,14 @@ so a warm ``check`` re-runs the sweep detectors only for shards whose
 inputs changed and merges cached and fresh findings into a report that is
 byte-identical to a cold run.
 
-It is a memoising policy over the batch pipeline, not a second one: the
-control pass is :func:`~repro.core.streaming.build_control_state` (the
-batch phases over call events, the columnar
-:class:`~repro.core.model.CallLift` as its model), the detectors are the
-batch sweep kernels, and the shard plan is built from arrays
-(:class:`CallTable` seqs, ``RegionIndex.cuts``, ``EpochIndex.columns()``,
-the lift's spans) in one pass per rank.  Only *dirty* shards pay for a
+It is a memoising policy over the shard plan (:mod:`repro.core.plan`):
+control pass, cut, kernel units, kernels and cold-order merge are the
+plan's, shared with the pooled and the streaming executor; what lives
+here is digests, shard keys, the manifest, resolving keys against the
+store, and the whole-report fast path.  Only *dirty* shards pay for a
 re-analysis: their calls alone are lifted to views, and memory rows
-become kernel columns only for the ranks they read.
+become kernel columns only for the ranks they read (with ``jobs > 1``,
+as chunks over the worker pool).
 
 Two cache levels stack:
 
@@ -25,8 +24,8 @@ Two cache levels stack:
   rank's full-trace content digest alongside the finished (deduplicated)
   report.  When all digests and the engine version match, the stored
   report is served outright: identical inputs produce identical output,
-  so even the control pass is skipped and a fully warm run costs little
-  more than reading the trace trailers;
+  so even the control pass is skipped and a fully warm run costs one
+  hashing pass over the files (a digest is verified, never just read);
 * **the per-shard cache** — when any rank changed, the control pass
   re-runs (invalidation soundness is decided fresh, never cached) and
   only the shards whose content keys moved are re-analyzed.  The manifest
@@ -40,10 +39,10 @@ How the cache key covers every detector input
 ---------------------------------------------
 
 A shard's findings are produced by the sweep kernels
-:func:`check_epochs_sweep` (its access epochs) and
-:func:`detect_regions_sweep` (its regions), which return findings *per
-unit* — so all dirty shards of a run (or of a pool chunk) go through one
-kernel call and are split back into per-shard payloads.  A key is one
+``check_epochs_sweep`` (its access epochs) and ``detect_regions_sweep``
+(its regions), which return findings *per unit* — so all dirty shards of
+a run (or of a pool chunk) go through one kernel call and are split back
+per shard (:func:`~repro.core.plan.run_shards`).  A key is one
 SHA-256 (:func:`~repro.util.hashing.hash_ranges`, every piece
 length-prefixed) over a run-wide prefix and the shard's own bytes:
 
@@ -92,26 +91,10 @@ synchronization calls therefore dirties every shard whose fingerprint
 prefix can see it (its own region and everything downstream), not just
 the changed rank's shard.
 
-Shard grouping
---------------
-
-Regions are grouped into maximal contiguous shards such that no epoch
-*interior*, op span, or local-access span crosses a shard boundary.  The
-interior — ``contains_seq`` is exclusive on both ends — is what matters
-for epochs: every detector input of an epoch unit (its ops, attached and
-plain locals, and memory rows) lies strictly between the opening and
-closing synchronization, while the boundary seqs themselves enter the
-key through the epoch rows.  Grouping by the full span instead would
-chain-merge every fence-delimited region (consecutive fence epochs share
-their boundary cut) into one shard and destroy all reuse.  An epoch left
-open to the end of the trace merges everything from its opening region
-onward — coarse, but sound.  Within a shard, findings are stored keyed
-by the epoch's position among the shard's epochs / the region's offset
-in the shard — both fixed by the key, unlike a trace-wide position — so
-the global merge can reproduce the cold pipeline's concatenation order
-exactly; ``dedupe`` then runs once, in the parent, on the merged list —
-and because ``dedupe`` mutates its survivors' occurrence counters in
-place, shard payloads are always serialized *before* the merge.
+Shard grouping and merge order are the plan's
+(:class:`~repro.core.plan.ShardPlan`); because ``dedupe`` mutates its
+survivors' occurrence counters in place, shard payloads are always
+serialized *before* the merge.
 """
 
 from __future__ import annotations
@@ -119,7 +102,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -128,25 +110,18 @@ import numpy as np
 from repro import obs
 from repro.core.calltable import ensure_call_tables
 from repro.core.checker import (
-    CheckReport, CheckStats, publish_control_plane_obs, publish_report_obs,
+    CheckReport, CheckStats, publish_report_obs, run_control_pass,
 )
-from repro.core.config import CheckConfig
+from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, annotate_context,
     dedupe, sort_findings,
 )
-from repro.core.engine import check_epochs_sweep, detect_regions_sweep
-from repro.core.inter import bucket_by_region
-from repro.core.intra import bucket_by_epoch
-from repro.core.model import MemRows, check_address_columns, share_rows
-from repro.core.parallel import (
-    _WORKER, _chunk_bounds, _export, _pool_task, _task_recorder,
-    absorb_export, acquire_pool, resolve_jobs, worker_rows,
-)
-from repro.core.streaming import ControlState, build_control_state
+from repro.core.parallel import detect_shards
+from repro.core.plan import ControlState, ShardPlan, _RowLoader, phase_timer
 from repro.profiler.tracer import MEM_DTYPE, TraceSet
 from repro.util.cachestore import CORRUPT, HIT, CacheStore
-from repro.util.hashing import hash_ranges, hash_strings, stable_hash
+from repro.util.hashing import hash_ranges, stable_hash
 from repro.util.intervals import expand_ranges
 
 #: bump whenever detector semantics or the key layout change — it is part
@@ -175,26 +150,15 @@ _SLICE = np.dtype([("lo", "<i8"), ("hi", "<i8"), ("digest", "u1", (32,))])
 
 @dataclass
 class CachePlan:
-    """The shards of one run as parallel arrays (one entry per shard
-    unless noted), plus everything the next run's manifest records."""
+    """What the cache adds to the cut: a content key per shard, plus
+    everything the next run's manifest records."""
 
-    #: first / last region index (inclusive)
-    first: np.ndarray
-    last: np.ndarray
-    #: epoch indices grouped by shard, in index order within one, and the
-    #: ``n_shards + 1`` offsets of the groups
-    epoch_ids: np.ndarray
-    epoch_start: np.ndarray
+    shards: ShardPlan
     #: ``(nranks, n_shards)`` :data:`_SLICE` records
     slices: np.ndarray
     keys: List[str]
     #: per-rank whole-trace content digests
     ranks: Dict[int, str]
-
-    def sizes(self, shard: int) -> Tuple[int, int]:
-        """How many epochs and regions the shard holds."""
-        return (int(self.epoch_start[shard + 1] - self.epoch_start[shard]),
-                int(self.last[shard] - self.first[shard]) + 1)
 
 
 @dataclass
@@ -239,49 +203,6 @@ class _Manifest:
         except _DECODE_ERRORS:
             return None
         return manifest
-
-
-class _RowLoader:
-    """Reads each rank's packed memory rows at most once per run — as one
-    struct array for the slice digests, as :class:`MemRows` columns for
-    the kernels — and counts them; a fully warm run never calls it."""
-
-    def __init__(self, traces: TraceSet):
-        self._traces = traces
-        #: rank -> [struct array (until the columns replace it), string
-        #: table, string-table digest]
-        self._packed: Dict[int, list] = {}
-        self._rows: Dict[int, MemRows] = {}
-        self.rows_loaded = 0
-
-    def packed(self, rank: int) -> list:
-        entry = self._packed.get(rank)
-        if entry is None:
-            with self._traces.reader(rank) as reader:
-                blocks = list(reader.mem_blocks())
-                # concatenate copies, which detaches the rows from the map
-                rows = (np.concatenate([block.array for block in blocks])
-                        if blocks else np.empty(0, dtype=MEM_DTYPE))
-            check_address_columns(rank, rows["seq"], rows["addr"],
-                                  rows["size"])
-            table = blocks[0].table if blocks else None
-            entry = self._packed[rank] = [rows, table, hash_strings(
-                table.strings if table is not None else [])]
-            self.rows_loaded += len(rows)
-        return entry
-
-    def rows(self, rank: int) -> MemRows:
-        rows = self._rows.get(rank)
-        if rows is None:
-            entry = self.packed(rank)
-            rows = self._rows[rank] = MemRows.from_struct(rank, entry[1],
-                                                          entry[0])
-            entry[0] = None
-        return rows
-
-    @property
-    def ranks(self) -> List[int]:
-        return sorted(self._packed)
 
 
 # ----------------------------------------------------- canonical digests
@@ -357,12 +278,6 @@ class IncrementalChecker:
     """Cache-aware DN-Analyzer: control pass, plan, resolve, re-run only
     the dirty shards, merge byte-identically."""
 
-    #: keys of ``CheckStats.phase_seconds`` (control-pass phases reuse
-    #: the batch pipeline's names); a fast-path run records only
-    #: ``digests`` and ``resolve``
-    PHASES = ("digests", "resolve", "preprocess", "matching", "clocks",
-              "epochs", "model", "regions", "plan", "detect", "merge")
-
     def __init__(self, traces: TraceSet, config: CheckConfig):
         if not config.incremental or not config.cache_dir:
             raise ValueError(
@@ -379,9 +294,6 @@ class IncrementalChecker:
         #: indices (into the plan's arrays) of the shards re-analyzed
         self.dirty_shards: List[int] = []
         self._shard_files_read = 0
-        #: the run's persistent worker pool, acquired lazily and shared
-        #: by the control pass *and* the dirty-shard recompute
-        self._pool = None
 
     def work(self) -> Dict[str, int]:
         """What the run did beyond the control pass, in exact counts:
@@ -391,34 +303,17 @@ class IncrementalChecker:
                 else 0, "shard_files_read": self._shard_files_read,
                 "rows_loaded": self.loader.rows_loaded}
 
-    def _get_pool(self):
-        if self._pool is None:
-            self._pool = acquire_pool(self.jobs)
-            self._pool.begin_run()
-        return self._pool
-
     def run(self) -> CheckReport:
-        try:
-            with obs.span("analyzer.run",
-                          memory_model=self.config.memory_model,
-                          incremental=True) as run_span:
-                report = self._run_phases()
-        finally:
-            if self._pool is not None:
-                self._pool.end_run()
+        with obs.span("analyzer.run", memory_model=self.config.memory_model,
+                      incremental=True) as run_span:
+            report = self._run_phases()
         publish_report_obs(report, run_span.duration)
         return report
 
     def _run_phases(self) -> CheckReport:
         stats = CheckStats()
-        timings = stats.phase_seconds
+        timed = phase_timer(stats.phase_seconds)
         rec = obs.get_recorder()
-
-        def timed(name, fn, **attrs):
-            with rec.span(f"analyzer.{name}", **attrs) as sp:
-                result = fn()
-            timings[name] = timings.get(name, 0.0) + sp.duration
-            return result
 
         whole = timed("digests", self._rank_digests)
         manifest = timed("resolve", lambda: _Manifest.load(
@@ -441,13 +336,7 @@ class IncrementalChecker:
 
     def _shard_path(self, manifest, whole, timed, rec,
                     stats: CheckStats) -> List[ConsistencyError]:
-        pool = (self._get_pool()
-                if self.jobs > 1 and self.traces.nranks > 1 else None)
-        control = self.control = build_control_state(self.traces, timed,
-                                                     pool=pool)
-        for name, value in control.sizes().items():
-            setattr(stats, name, value)
-        publish_control_plane_obs(control.pre, stats.phase_seconds)
+        control = self.control = run_control_pass(self.traces, stats, timed)
         plan = self.plan = timed(
             "plan", lambda: self._build_plan(control, whole, manifest))
         resolved, dirty = timed(
@@ -456,6 +345,7 @@ class IncrementalChecker:
         resolved.update(timed(
             "detect", lambda: self._detect(control, plan, dirty),
             shards=len(dirty), jobs=self.jobs))
+        plan.shards.publish_obs(len(dirty))
         return timed("merge", lambda: self._merge(plan, resolved, stats))
 
     def _cfg_key(self) -> str:
@@ -466,10 +356,12 @@ class IncrementalChecker:
                             "nranks": self.traces.nranks})
 
     def _rank_digests(self) -> Dict[int, str]:
+        """Every rank's content digest, established from its bytes: the
+        cache may only answer for a file it has verified."""
         whole: Dict[int, str] = {}
         for rank in range(self.traces.nranks):
             with self.traces.reader(rank) as reader:
-                whole[rank] = reader.content_digest()
+                whole[rank] = reader.content_digest(verify=True)
         return whole
 
     def _whole_report(self, manifest: Optional[_Manifest],
@@ -504,42 +396,15 @@ class IncrementalChecker:
 
     def _build_plan(self, control: ControlState, whole: Dict[int, str],
                     manifest: Optional[_Manifest]) -> CachePlan:
-        pre, regions, lift = control.pre, control.regions, control.lift
-        nranks, n = pre.nranks, len(regions)
-        epochs = control.epochs.columns()
-
-        # group: regions i and i+1 share a shard when an epoch interior
-        # or a call span reaches over both; an epoch's home is the first
-        # region of its interior
-        home = np.empty(len(epochs.rank), dtype=np.int64)
-        cover = np.zeros(n + 1, dtype=np.int64)
-        for rank in range(nranks):
-            mine = np.nonzero(epochs.rank == rank)[0]
-            first, last = regions.regions_of_spans(
-                rank,
-                np.concatenate([epochs.open_seq[mine] + 1, lift.seq[rank]]),
-                np.concatenate([epochs.close_seq[mine] - 1, lift.end[rank]]))
-            home[mine] = first[:len(mine)]
-            over = first < last
-            cover += (np.bincount(first[over], minlength=n + 1)
-                      - np.bincount(last[over], minlength=n + 1))
-        breaks = np.nonzero(np.cumsum(cover)[:n - 1] <= 0)[0]
-        first = np.concatenate([[0], breaks + 1])
-        last = np.concatenate([breaks, [n - 1]])
-        n_shards = len(first)
-        shard_of_region = np.repeat(np.arange(n_shards), last - first + 1)
-        epoch_shard = shard_of_region[np.minimum(home, n - 1)]
-        epoch_ids = np.argsort(epoch_shard, kind="stable")
-        epoch_start = np.concatenate([[0], np.cumsum(
-            np.bincount(epoch_shard, minlength=n_shards))])
-
-        # row r of ``bounds`` is region r's lo at every rank, row r + 1
-        # its hi
-        bounds = np.vstack([np.full((1, nranks), -1), regions.cuts.T,
-                            np.full((1, nranks), 1 << 62)])
+        """Cut the shard plan and key every shard by its content."""
+        shards = ShardPlan.build(control)
+        first, last, bounds = shards.first, shards.last, shards.bounds
+        epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start
+        nranks, n_shards = control.pre.nranks, len(shards)
+        epochs = control.epochs.columns
         slices = np.stack([
             self._slice_digests(
-                control, rank, bounds[first, rank], bounds[last + 1, rank],
+                control, rank, shards.lo[rank], shards.hi[rank],
                 manifest.slices.get(rank) if manifest is not None
                 and manifest.ranks.get(rank) == whole[rank] else None)
             for rank in range(nranks)])
@@ -550,7 +415,7 @@ class IncrementalChecker:
             "kind": "incremental-shard", "engine_version": ENGINE_VERSION,
             "memory_model": self.config.memory_model,
             "engine": "sweep", "nranks": nranks,
-            "registry": _registry_digest(pre),
+            "registry": _registry_digest(control.pre),
             "lock_types": epochs.lock_types}, sort_keys=True)
         head = np.concatenate([
             np.stack([first, last], axis=1).view(np.uint8),
@@ -571,10 +436,8 @@ class IncrementalChecker:
              (last + 2) * nranks * 8),
             (canon.reshape(-1), epoch_start[:-1] * 64, epoch_start[1:] * 64),
             (groups, group_at[:-1] * 8, group_at[1:] * 8)])
-        return CachePlan(
-            first=first, last=last, epoch_ids=epoch_ids,
-            epoch_start=epoch_start, slices=slices,
-            keys=[key.hex() for key in keys], ranks=whole)
+        return CachePlan(shards=shards, slices=slices,
+                         keys=[key.hex() for key in keys], ranks=whole)
 
     def _slice_digests(self, control: ControlState, rank: int,
                        lo: np.ndarray, hi: np.ndarray,
@@ -629,18 +492,19 @@ class IncrementalChecker:
             if status == HIT:
                 try:
                     resolved[shard] = _decode_shard(
-                        payload, plan.sizes(shard), cache="hit", shard=shard)
+                        payload, plan.shards.sizes(shard), cache="hit",
+                        shard=shard)
                 except _DECODE_ERRORS:
                     status = CORRUPT
             if status != HIT:
                 dirty.append(shard)
                 if status != CORRUPT:
-                    prev = spans.get((int(plan.first[shard]),
-                                      int(plan.last[shard])))
+                    prev = spans.get((int(plan.shards.first[shard]),
+                                      int(plan.shards.last[shard])))
                     status = ("invalidated"
                               if prev is not None and prev != key else "miss")
             if rec.enabled:
-                n_regions = plan.sizes(shard)[1]
+                n_regions = plan.shards.sizes(shard)[1]
                 rec.count("incremental_cache_shards_total", 1,
                           outcome=status,
                           help="Shard cache lookups by outcome")
@@ -654,108 +518,30 @@ class IncrementalChecker:
 
     # ----------------------------------------------------------- detect
 
-    def _shard_units(self, control: ControlState, plan: CachePlan,
-                     dirty: List[int]) -> List[Dict[str, list]]:
-        """Lift the dirty shards' calls — and only those — to views and
-        describe each shard's detector inputs: the kernels' epoch and
-        region units, tagged with the epoch's position among the shard's
-        epochs / the region's offset in the shard (what the merge orders
-        by).  Memory rows are named by seq bounds only — the serial path
-        resolves them through the loader, the parallel path through the
-        shared segments — so a unit pickles without row data."""
-        model = control.lift.views([(table["lo"][dirty], table["hi"][dirty])
-                                    for table in plan.slices])
-        units = {shard: {"epochs": [], "regions": []} for shard in dirty}
-        all_epochs = control.epochs.epochs
-        where = {id(all_epochs[e]): (shard, k) for shard in dirty
-                 for k, e in enumerate(plan.epoch_ids[
-                     plan.epoch_start[shard]:plan.epoch_start[shard + 1]
-                 ].tolist())}
-        for unit in bucket_by_epoch(model, control.epochs):
-            shard, k = where[id(unit[0])]
-            units[shard]["epochs"].append((k, unit))
-        ops, call_locals = bucket_by_region(model, control.regions)
-        for r in sorted(ops):
-            shard = int(np.searchsorted(plan.last, r))
-            units[shard]["regions"].append((
-                r - int(plan.first[shard]),
-                (ops[r], call_locals.get(r, []),
-                 control.regions.regions[r].bounds)))
-        return [units[shard] for shard in dirty]
-
     def _detect(self, control: ControlState, plan: CachePlan,
                 dirty: List[int]) -> Dict[int, tuple]:
-        if not dirty:
-            return {}
-        units = self._shard_units(control, plan, dirty)
-        # the only rows the kernels read: epoch ranks and op targets
-        needed = sorted(
-            {unit[0].rank for shard in units for _k, unit in shard["epochs"]}
-            | {op.target for shard in units
-               for _r, unit in shard["regions"] for op in unit[0]})
-        context = (control.oracle, control.lock_index,
-                   self.config.memory_model)
-        if self.jobs > 1 and len(units) > 1:
-            # publish the needed ranks' rows as shared segments (reusing
-            # the run's pool — the same workers that ran the control
-            # scan) and ship each chunk of shards once, to one worker,
-            # as a task argument; the rows themselves never cross the pipe
-            pool = self._get_pool()
-            descs = {}
-            for rank in needed:
-                name = pool.new_segment_name(rank)
-                pool.expect_segment(name)
-                desc, handle = share_rows(self.loader.rows(rank), name)
-                if handle is not None:
-                    pool.adopt_segment(name, handle)
-                    obs.count("parallel_shm_bytes_total", handle.size,
-                              phase="incremental",
-                              help="Bytes published to shared MemRows "
-                                   "segments, by phase")
-                descs[rank] = desc
-            # shard compute only resolves windows through ``pre``; the
-            # registries-only view keeps the install pickle small
-            pool.install("incremental", {
-                "pre": control.pre.registry_view(), "context": context,
-                "mems_shm": descs, "obs": obs.is_enabled()})
-            payloads = []
-            for chunk_payloads, export in pool.run(
-                    "incremental", "incremental_shards",
-                    [units[lo:hi] for lo, hi in
-                     _chunk_bounds(len(units), self.jobs)]):
-                absorb_export(export)
-                payloads.extend(chunk_payloads)
-        else:
-            payloads = _compute_shards(
-                units, control.pre, context,
-                {rank: self.loader.rows(rank) for rank in needed})
-
+        found, _chunks = detect_shards(
+            plan.shards.units(control, dirty), control,
+            self.config.memory_model, self.loader, self.jobs)
         computed: Dict[int, tuple] = {}
-        for shard, payload in zip(dirty, payloads):
+        for shard, parts in zip(dirty, found):
             # persist *before* the merge: dedupe mutates occurrence
-            # counters on the very objects the payload describes
+            # counters on the very objects the payload describes (raw
+            # detector output always has ``occurrences == 1``)
+            payload = {name: [[at, [f.to_payload() for f in errors]]
+                              for at, errors in part]
+                       for name, part in zip(("intra", "inter"), parts)}
             self.store.store(_SHARDS, plan.keys[shard], payload)
             computed[shard] = _decode_shard(
-                payload, plan.sizes(shard), cache="computed", shard=shard)
+                payload, plan.shards.sizes(shard), cache="computed",
+                shard=shard)
         return computed
 
     # ------------------------------------------------------------ merge
 
     def _merge(self, plan: CachePlan, resolved: Dict[int, tuple],
                stats: CheckStats) -> List[ConsistencyError]:
-        intra, inter = [], []
-        for shard, (by_epoch, by_region) in resolved.items():
-            ids = plan.epoch_ids[plan.epoch_start[shard]:]
-            intra.extend((int(ids[k]), errors) for k, errors in by_epoch)
-            inter.extend((int(plan.first[shard]) + offset, errors)
-                         for offset, errors in by_region)
-        # cold concatenation order: intra findings in epoch-index order,
-        # then inter findings in region order — the pre-sort list order
-        # decides each duplicate group's surviving representative
-        findings = [error for part in (intra, inter)
-                    for _at, errors in sorted(part, key=lambda p: p[0])
-                    for error in errors]
-        findings = dedupe(sort_findings(findings))
+        findings = dedupe(sort_findings(plan.shards.merge(resolved.items())))
 
         self.store.store(_MANIFESTS, self._cfg_key(), {
             "version": MANIFEST_VERSION,
@@ -766,8 +552,8 @@ class IncrementalChecker:
             "slices": {str(rank): base64.b64encode(
                 table.tobytes()).decode("ascii")
                 for rank, table in enumerate(plan.slices)},
-            "shards": {"first": plan.first.tolist(),
-                       "last": plan.last.tolist(), "keys": plan.keys,
+            "shards": {"first": plan.shards.first.tolist(),
+                       "last": plan.shards.last.tolist(), "keys": plan.keys,
                        "found": sorted(
                            plan.keys[shard] for shard, parts
                            in resolved.items() if any(parts))},
@@ -779,50 +565,6 @@ class IncrementalChecker:
             },
         })
         return findings
-
-
-# ------------------------------------------------------- shard compute
-
-
-def _compute_shards(shards: List[Dict[str, list]], pre, context: tuple,
-                    mems: Dict[int, MemRows]) -> List[Dict[str, list]]:
-    """Run each sweep kernel once over every unit of ``shards`` and
-    split the per-unit findings back into one ``{"intra", "inter"}``
-    payload per shard, keeping the units that found something; findings
-    are serialized immediately (raw detector output always has
-    ``occurrences == 1``).  ``context`` is ``(oracle, lock_index,
-    memory_model)``; ``mems`` maps the ranks the units read to their full
-    :class:`MemRows` — from the row-loader in the serial path, the
-    attached shared segments in a pool worker."""
-    intra = iter(check_epochs_sweep(
-        [unit for shard in shards for _k, unit in shard["epochs"]],
-        mems, context[2]))
-    inter = iter(detect_regions_sweep(
-        pre, [unit for shard in shards for _r, unit in shard["regions"]],
-        mems, *context))
-
-    def part(units: list, found) -> list:
-        return [[at, [f.to_payload() for f in errors]]
-                for (at, _unit), errors in zip(units, found) if errors]
-
-    return [{"intra": part(shard["epochs"], intra),
-             "inter": part(shard["regions"], inter)} for shard in shards]
-
-
-@_pool_task("incremental_shards")
-def _shards_task(shards: List[Dict[str, list]]):
-    """Worker-pool task: compute one chunk of dirty shards (shipped as
-    the task argument) against installed control state and shared row
-    segments."""
-    rec = _task_recorder()
-    with rec.span("analyzer.incremental.shard", shards=len(shards),
-                  pid=os.getpid()):
-        payloads = _compute_shards(
-            shards, _WORKER["pre"], _WORKER["context"],
-            {rank: worker_rows(desc)
-             for rank, desc in _WORKER["mems_shm"].items()})
-    rec.count("parallel_tasks_total", phase="incremental")
-    return payloads, _export(rec)
 
 
 def _decode_shard(payload: dict, sizes: Tuple[int, int],
@@ -842,8 +584,3 @@ def _decode_shard(payload: dict, sizes: Tuple[int, int],
                 **context)))
         decoded.append(part)
     return decoded[0], decoded[1]
-
-
-def check_incremental(traces: TraceSet, config: CheckConfig) -> CheckReport:
-    """Entry point used by :func:`repro.core.checker.check_traces`."""
-    return IncrementalChecker(traces, config).run()

@@ -74,8 +74,8 @@ def bucket_by_epoch(model: AccessModel,
     """Per-epoch work units ``(epoch, ops, attached, mems)``.
 
     Units come out in ``epoch_index`` order and carry everything the
-    within-epoch check needs, so each is an independent shard for the
-    parallel engine — and the serial detector just walks the same list.
+    within-epoch check needs, so any contiguous chunk of the list is an
+    independent piece of work — and the serial detector just walks it.
     """
     ops_by_epoch: Dict[int, List[RMAOpView]] = {}
     for op in model.ops:

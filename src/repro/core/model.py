@@ -205,26 +205,8 @@ class MemRows:
         arr = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         return cls.from_struct(rank, blocks[0].table, arr)
 
-    @classmethod
-    def concat(cls, pieces: List["MemRows"]) -> "MemRows":
-        pieces = [p for p in pieces if len(p)]
-        if len(pieces) == 1:
-            return pieces[0]
-        if not pieces:
-            return cls.from_blocks(-1, [])
-        return cls(pieces[0].rank, pieces[0].table,
-                   *(np.concatenate([getattr(p, col) for p in pieces])
-                     for col in ("seq", "addr", "size", "var", "loc",
-                                 "access")))
-
     def __len__(self) -> int:
         return len(self.seq)
-
-    def slice(self, lo: int, hi: int) -> "MemRows":
-        """A zero-copy row-range view (columns are array slices)."""
-        return MemRows(self.rank, self.table, self.seq[lo:hi],
-                       self.addr[lo:hi], self.size[lo:hi], self.var[lo:hi],
-                       self.loc[lo:hi], self.access[lo:hi])
 
     def row_range(self, lo_seq: int, hi_seq: int) -> Tuple[int, int]:
         """Row indices with ``lo_seq < seq < hi_seq`` (both exclusive —
@@ -303,7 +285,8 @@ def share_rows(rows: "MemRows", name: str):
     :func:`attach_rows`; the handle is the creator's — closing it is
     safe once the copy is done (the segment stays linked under its
     name), and whoever owns the name calls ``unlink()`` exactly once at
-    end of run.  Empty rows get no segment (``name: None``)."""
+    end of run.  Empty rows get no segment (``(desc, None)``): a rank
+    without rows is simply absent from the kernels' ``mems``."""
     from multiprocessing.shared_memory import SharedMemory
 
     n = len(rows)
@@ -325,11 +308,8 @@ def share_rows(rows: "MemRows", name: str):
 
 def attach_rows(desc: dict):
     """Rebuild the :class:`MemRows` a share descriptor names as
-    zero-copy views into the shared segment; returns ``(rows, handle)``
-    (handle ``None`` for the empty-rows descriptor).  The caller keeps
-    the handle alive for as long as the rows are used."""
-    if not desc["n"]:
-        return MemRows.from_blocks(desc["rank"], []), None
+    zero-copy views into the shared segment; returns ``(rows, handle)``.
+    The caller keeps the handle alive for as long as the rows are used."""
     from multiprocessing.shared_memory import SharedMemory
 
     from repro.profiler.tracer import _StringTable
@@ -591,7 +571,7 @@ class CallLift:
     """The control state's call lift: columns for every call, views only
     on demand.
 
-    A region-at-a-time or shard-at-a-time executor needs, from *every*
+    A shard-at-a-time executor (:mod:`repro.core.plan`) needs, from *every*
     call that lifts, no more than where it sits and how far its influence
     reaches: one pass per rank over the :class:`CallTable` rows that can
     lift (RMA calls, calls with a logged buffer) records each such call's

@@ -1,0 +1,407 @@
+"""The shard plan: the one cut every non-batch executor runs over.
+
+DN-Analyzer decomposes in exactly one way.  Concurrent regions are
+separated by global synchronization, so no conflicting pair crosses a
+region boundary, and no within-epoch pair crosses an epoch (sections
+IV-C-3/4).  A *shard* is a maximal run of regions closed under both — no
+epoch interior, op span or local-access span reaches over its boundary —
+so shards are independent, and any way of running them (all at once, in
+chunks, only the changed ones, a few at a time) concatenates to the
+serial result.  This module states that once:
+
+* :func:`build_control_state` — everything derivable from call events
+  alone, the columnar :class:`~repro.core.model.CallLift` as its model;
+* :class:`ShardPlan` — regions grouped into shards, as arrays;
+  :meth:`~ShardPlan.units` lifts the calls of the shards asked for (and
+  only those) into the sweep kernels' work units, :meth:`~ShardPlan.merge`
+  restores the serial concatenation order over any subset of results;
+* :func:`run_shards` — the two sweep kernels, once each, over a list of
+  shard units, findings split back per shard;
+* :class:`_RowLoader` — how a plan executor gets memory rows: a rank at
+  a time, or as a forward cursor.
+
+The executors are policies over it: ``jobs > 1`` ships chunks of the
+plan to the worker pool (:mod:`~repro.core.parallel`), the incremental
+checker re-runs only the shards whose content keys moved
+(:mod:`~repro.core.incremental`), the streaming checker releases
+consecutive shards under a row budget (:mod:`~repro.core.streaming`).
+The serial batch route (:class:`~repro.core.checker.MCChecker`) is the
+degenerate plan: one shard, every unit, one lift.
+
+Shard grouping: regions ``i`` and ``i + 1`` share a shard when an epoch
+*interior* or a call span reaches over both.  The interior —
+``contains_seq`` is exclusive on both ends — is what matters: every
+input of an epoch unit (ops, attached and plain locals, memory rows)
+lies strictly between the opening and closing synchronization, and
+grouping by the full span would chain-merge every fence-delimited region
+(consecutive fence epochs share their boundary cut) into one shard.  An
+epoch left open to the end of the trace merges everything from its
+opening region onward — coarse, but sound.  Within a shard, findings are
+keyed by the epoch's position among the shard's epochs / the region's
+offset in the shard — fixed by the shard's content, unlike a trace-wide
+position — which lets :meth:`ShardPlan.merge` reproduce the cold order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro import obs
+from repro.core.calltable import ensure_call_tables
+from repro.core.clocks import ConcurrencyOracle
+from repro.core.diagnostics import ConsistencyError
+from repro.core.engine import check_epochs_sweep, detect_regions_sweep
+from repro.core.epochs import EpochIndex
+from repro.core.inter import LocalLockIndex, bucket_by_region
+from repro.core.intra import bucket_by_epoch
+from repro.core.matching import match_synchronization
+from repro.core.model import CallLift, MemRows, check_address_columns
+from repro.core.preprocess import (
+    PreprocessedTrace, preprocess_calls_with_counts,
+)
+from repro.core.regions import RegionIndex
+from repro.profiler.tracer import MEM_DTYPE, TraceSet
+from repro.util.hashing import hash_strings
+
+#: one shard's findings: ``(intra, inter)`` lists of ``(position,
+#: findings)`` — the epoch's position among the shard's epochs / the
+#: region's offset in the shard — holding only units that found something
+ShardFindings = Tuple[List[Tuple[int, List[ConsistencyError]]],
+                      List[Tuple[int, List[ConsistencyError]]]]
+
+
+def phase_timer(timings: Dict[str, float]) -> Callable:
+    """``timed(name, fn, **attrs)``: run ``fn`` under the obs span
+    ``analyzer.<name>`` and add its duration to ``timings[name]``
+    (``CheckStats.phase_seconds``), whether or not it was recorded."""
+    rec = obs.get_recorder()
+
+    def timed(name: str, fn: Callable, **attrs):
+        with rec.span(f"analyzer.{name}", **attrs) as sp:
+            result = fn()
+        timings[name] = timings.get(name, 0.0) + sp.duration
+        return result
+    return timed
+
+
+# -------------------------------------------------------- control state
+
+
+@dataclass
+class ControlState:
+    """Everything the control pass derives from call events alone:
+    registries, synchronization matches, the happens-before oracle,
+    epochs, the columnar call lift and concurrent regions."""
+
+    pre: PreprocessedTrace
+    matches: list
+    oracle: ConcurrencyOracle
+    epochs: EpochIndex
+    lift: CallLift
+    regions: RegionIndex
+    #: per-rank per-class event counts from the trace readers
+    counts: Dict[int, Dict[str, int]]
+
+    @cached_property
+    def lock_index(self) -> LocalLockIndex:
+        return LocalLockIndex(self.epochs, self.pre.nranks)
+
+    def sizes(self) -> Dict[str, int]:
+        """The size fields of ``CheckStats``, counted as the batch model
+        does: call-derived locals plus a row per instrumented access."""
+        return dict(
+            nranks=self.pre.nranks, events=self.pre.total_events,
+            rma_ops=self.lift.n_ops,
+            local_accesses=self.lift.n_local + sum(
+                c["mem"] for c in self.counts.values()),
+            sync_matches=len(self.matches), regions=len(self.regions),
+            epochs=len(self.epochs.epochs))
+
+
+def build_control_state(traces: TraceSet, timed=None) -> ControlState:
+    """Run the call-only control pass over a trace set (memory events
+    are stepped over undecoded, whole packed blocks at a time in binary
+    traces).  ``timed`` is a :func:`phase_timer`; the phases keep the
+    batch pipeline's names."""
+    timed = timed or phase_timer({})
+    pre, counts = timed("preprocess",
+                        lambda: preprocess_calls_with_counts(traces))
+    matches = timed("matching", lambda: match_synchronization(pre),
+                    nranks=pre.nranks, events=pre.total_events)
+    oracle = timed("clocks", lambda: ConcurrencyOracle(pre, matches))
+    epochs = timed("epochs", lambda: EpochIndex(pre))
+    lift = timed("model", lambda: CallLift(pre, epochs))
+    regions = timed("regions", lambda: RegionIndex(pre, matches))
+    return ControlState(pre, matches, oracle, epochs, lift, regions,
+                        counts)
+
+
+# ------------------------------------------------------------- the plan
+
+
+@dataclass
+class ShardPlan:
+    """The shards of one control state as parallel arrays (one entry per
+    shard unless noted)."""
+
+    #: first / last region index (inclusive)
+    first: np.ndarray
+    last: np.ndarray
+    #: epoch indices grouped by shard, in index order within one, and the
+    #: ``n_shards + 1`` offsets of the groups
+    epoch_ids: np.ndarray
+    epoch_start: np.ndarray
+    #: ``(n_regions + 1, nranks)``: row ``r`` is region ``r``'s lo seq at
+    #: every rank, row ``r + 1`` its hi
+    bounds: np.ndarray
+    #: memory rows inside each shard, summed over ranks — from the seq
+    #: bounds and the call tables alone (a trace record index is a call
+    #: or a row), so planning reads no row
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, control: ControlState) -> "ShardPlan":
+        pre, regions, lift = control.pre, control.regions, control.lift
+        nranks, n = pre.nranks, len(regions)
+        epochs = control.epochs.columns
+
+        # group: regions i and i+1 share a shard when an epoch interior
+        # or a call span reaches over both; an epoch's home is the first
+        # region of its interior
+        home = np.empty(len(epochs.rank), dtype=np.int64)
+        cover = np.zeros(n + 1, dtype=np.int64)
+        for rank in range(nranks):
+            mine = np.nonzero(epochs.rank == rank)[0]
+            first, last = regions.regions_of_spans(
+                rank,
+                np.concatenate([epochs.open_seq[mine] + 1, lift.seq[rank]]),
+                np.concatenate([epochs.close_seq[mine] - 1, lift.end[rank]]))
+            home[mine] = first[:len(mine)]
+            over = first < last
+            cover += (np.bincount(first[over], minlength=n + 1)
+                      - np.bincount(last[over], minlength=n + 1))
+        breaks = np.nonzero(np.cumsum(cover)[:n - 1] <= 0)[0]
+        first = np.concatenate([[0], breaks + 1])
+        last = np.concatenate([breaks, [n - 1]])
+        n_shards = len(first)
+        shard_of_region = np.repeat(np.arange(n_shards), last - first + 1)
+        epoch_shard = shard_of_region[np.minimum(home, n - 1)]
+        bounds = np.vstack([np.full((1, nranks), -1), regions.cuts.T,
+                            np.full((1, nranks), 1 << 62)])
+
+        # rows before each cut: the cut's seq less the calls before it;
+        # pinned to the reader's count at the end of the trace
+        before = np.zeros((n + 1, nranks), dtype=np.int64)
+        tables = ensure_call_tables(pre)
+        for rank in range(nranks):
+            cuts = regions.cuts[rank]
+            total = control.counts[rank]["mem"]
+            before[1:n, rank] = np.clip(
+                cuts - np.searchsorted(tables[rank].seq, cuts), 0, total)
+            before[n, rank] = total
+        return cls(
+            first=first, last=last,
+            epoch_ids=np.argsort(epoch_shard, kind="stable"),
+            epoch_start=np.concatenate([[0], np.cumsum(
+                np.bincount(epoch_shard, minlength=n_shards))]),
+            bounds=bounds,
+            rows=(before[last + 1] - before[first]).sum(axis=1))
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        """``(nranks, n_shards)``: a shard's calls have ``lo < seq <=
+        hi`` (the cut that closes a region feeds that region's locals),
+        its memory rows ``lo < seq < hi``."""
+        return self.bounds[self.first].T
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        return self.bounds[self.last + 1].T
+
+    def sizes(self, shard: int) -> Tuple[int, int]:
+        """How many epochs and regions the shard holds."""
+        return (int(self.epoch_start[shard + 1] - self.epoch_start[shard]),
+                int(self.last[shard] - self.first[shard]) + 1)
+
+    def publish_obs(self, releases: int) -> None:
+        """The plan as gauges; ``releases`` is how many pieces the
+        executor ran it in — stream: releases; pool: chunks; cache:
+        dirty shards."""
+        for key, value in (("shards", len(self)), ("releases", releases),
+                           ("largest_shard_rows", int(self.rows.max()))):
+            obs.gauge(f"analyzer_plan_{key}", value,
+                      help="The last analysis' shard plan: shards, memory "
+                           "rows of the largest, pieces it ran in")
+
+    def units(self, control: ControlState,
+              shards: Sequence[int]) -> List[Dict[str, list]]:
+        """Lift the calls of ``shards`` (ascending) — and only those —
+        to views and describe each shard's detector inputs: the kernels'
+        epoch and region units, tagged with the epoch's position among
+        the shard's epochs / the region's offset in the shard (what
+        :meth:`merge` orders by).  Memory rows are named by seq bounds
+        only, so a unit pickles without row data."""
+        shards = list(shards)
+        model = control.lift.views(list(zip(self.lo[:, shards],
+                                            self.hi[:, shards])))
+        units = {shard: {"epochs": [], "regions": []} for shard in shards}
+        all_epochs = control.epochs.epochs
+        where = {id(all_epochs[e]): (shard, k) for shard in shards
+                 for k, e in enumerate(self.epoch_ids[
+                     self.epoch_start[shard]:self.epoch_start[shard + 1]
+                 ].tolist())}
+        for unit in bucket_by_epoch(model, control.epochs):
+            shard, k = where[id(unit[0])]
+            units[shard]["epochs"].append((k, unit))
+        ops, call_locals = bucket_by_region(model, control.regions)
+        for r in sorted(ops):
+            shard = int(np.searchsorted(self.last, r))
+            units[shard]["regions"].append((
+                r - int(self.first[shard]),
+                (ops[r], call_locals.get(r, []),
+                 control.regions.regions[r].bounds)))
+        return [units[shard] for shard in shards]
+
+    def merge(self, per_shard: Iterable[Tuple[int, ShardFindings]]
+              ) -> List[ConsistencyError]:
+        """``(shard, findings)`` pairs, in any order, back in the cold
+        concatenation order: intra findings in epoch-index order, then
+        inter findings in region order — the pre-sort list order decides
+        each duplicate group's surviving representative, so callers
+        ``dedupe(sort_findings(...))`` the result."""
+        intra, inter = [], []
+        for shard, (by_epoch, by_region) in per_shard:
+            ids = self.epoch_ids[self.epoch_start[shard]:]
+            intra.extend((int(ids[k]), errors) for k, errors in by_epoch)
+            inter.extend((int(self.first[shard]) + offset, errors)
+                         for offset, errors in by_region)
+        return [error for part in (intra, inter)
+                for _at, errors in sorted(part, key=lambda p: p[0])
+                for error in errors]
+
+
+def ranks_read(units: List[Dict[str, list]]) -> List[int]:
+    """The only ranks whose memory rows the kernels read for ``units``:
+    epoch ranks and op targets."""
+    return sorted(
+        {unit[0].rank for shard in units for _k, unit in shard["epochs"]}
+        | {op.target for shard in units
+           for _r, unit in shard["regions"] for op in unit[0]})
+
+
+def run_shards(units: List[Dict[str, list]], pre: PreprocessedTrace,
+               context: tuple, mems: Dict[int, MemRows]
+               ) -> List[ShardFindings]:
+    """Run each sweep kernel once over every unit of ``units`` and split
+    the per-unit findings back per shard, keeping the units that found
+    something.  ``context`` is ``(oracle, lock_index, memory_model)``;
+    ``mems`` maps the ranks the units read to :class:`MemRows` holding at
+    least the rows inside the units' bounds — whole ranks from the
+    row-loader or the attached shared segments, a release's rows from
+    the forward cursor."""
+    intra = iter(check_epochs_sweep(
+        [unit for shard in units for _k, unit in shard["epochs"]],
+        mems, context[2]))
+    inter = iter(detect_regions_sweep(
+        pre, [unit for shard in units for _r, unit in shard["regions"]],
+        mems, *context))
+
+    def part(tagged: list, found) -> list:
+        return [(at, errors)
+                for (at, _unit), errors in zip(tagged, found) if errors]
+
+    return [(part(shard["epochs"], intra), part(shard["regions"], inter))
+            for shard in units]
+
+
+# ------------------------------------------------------------ row access
+
+
+class _RowLoader:
+    """How a plan executor gets memory rows, and the count of what it
+    read.  Whole-rank (:meth:`packed` / :meth:`rows`): each rank at most
+    once per run — as one struct array for the slice digests, as
+    :class:`MemRows` columns for the kernels.  Forward cursor
+    (:meth:`take`): the rows before a seq bound, then forgotten.  One
+    loader serves one of the two."""
+
+    def __init__(self, traces: TraceSet):
+        self._traces = traces
+        #: rank -> [struct array (until the columns replace it), string
+        #: table, string-table digest]
+        self._packed: Dict[int, list] = {}
+        self._rows: Dict[int, MemRows] = {}
+        #: cursor state: rank -> [block iterator, string table, rows read
+        #: past the last bound]
+        self._cursor: Dict[int, list] = {}
+        self.rows_loaded = 0
+
+    def packed(self, rank: int) -> list:
+        entry = self._packed.get(rank)
+        if entry is None:
+            with self._traces.reader(rank) as reader:
+                blocks = list(reader.mem_blocks())
+                # concatenate copies, which detaches the rows from the map
+                rows = (np.concatenate([block.array for block in blocks])
+                        if blocks else np.empty(0, dtype=MEM_DTYPE))
+            check_address_columns(rank, rows["seq"], rows["addr"],
+                                  rows["size"])
+            table = blocks[0].table if blocks else None
+            entry = self._packed[rank] = [rows, table, hash_strings(
+                table.strings if table is not None else [])]
+            self.rows_loaded += len(rows)
+        return entry
+
+    def rows(self, rank: int) -> MemRows:
+        rows = self._rows.get(rank)
+        if rows is None:
+            entry = self.packed(rank)
+            rows = self._rows[rank] = MemRows.from_struct(rank, entry[1],
+                                                          entry[0])
+            entry[0] = None
+        return rows
+
+    @property
+    def ranks(self) -> List[int]:
+        return sorted(self._packed)
+
+    def _blocks(self, rank: int):
+        for block in self._traces.mem_blocks(rank):
+            # the copy detaches the rows from the map
+            yield block.table, np.array(block.array)
+
+    def take(self, rank: int, upto: int) -> Optional[MemRows]:
+        """Drain the rank's rows with ``seq < upto`` — those not handed
+        out by an earlier call — or ``None`` when there are none.
+        ``upto`` must not decrease from call to call."""
+        state = self._cursor.get(rank)
+        if state is None:
+            state = self._cursor[rank] = [self._blocks(rank), None, None]
+        pieces: List[np.ndarray] = []
+        piece, state[2] = state[2], None
+        while True:
+            if piece is None:
+                block = next(state[0], None)
+                if block is None:
+                    break
+                state[1], piece = block
+            cut = int(np.searchsorted(piece["seq"], upto))
+            if cut:
+                pieces.append(piece[:cut])
+            if cut < len(piece):
+                state[2] = piece[cut:]
+                break
+            piece = None
+        if not pieces:
+            return None
+        self.rows_loaded += sum(len(piece) for piece in pieces)
+        return MemRows.from_struct(
+            rank, state[1],
+            pieces[0] if len(pieces) == 1 else np.concatenate(pieces))

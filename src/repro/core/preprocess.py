@@ -157,10 +157,9 @@ class PreprocessedTrace:
     their rows with :func:`~repro.core.calltable.calls_to`; everything
     else runs off ``call_tables``.
 
-    ``scans`` short-circuits the per-rank registry scan: the parallel
-    engine computes :class:`RankScan` shards in worker processes and the
-    merge here is deterministic in rank order, so a serial and a sharded
-    build produce identical registries.
+    ``scans`` short-circuits the per-rank registry scan (the call-only
+    preprocess scans each rank as it reads it); the merge here is
+    deterministic in rank order.
     """
 
     def __init__(self, events: Dict[int, Sequence[Event]],
@@ -199,9 +198,8 @@ class PreprocessedTrace:
         ``nranks``/``total_events``) with this trace but carries empty
         per-rank event lists, so pickling it costs kilobytes instead of
         the full call stream.  Safe wherever the consumer only resolves
-        registries — the parallel lift reads its events from disk and
-        the detectors only call :meth:`window` — and never for code
-        that walks ``events``.
+        registries — the detectors in a pool worker only call
+        :meth:`window` — and never for code that walks ``events``.
         """
         view = copy.copy(self)
         view.events = {rank: [] for rank in self.events}

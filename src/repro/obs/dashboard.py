@@ -49,6 +49,12 @@ def _bar(fraction: float, width: int = 30) -> str:
     return "#" * filled + "." * (width - filled)
 
 
+def _plan_line(plan: dict) -> str:
+    return (f"{plan.get('shards', 0):,} shard(s), largest "
+            f"{plan.get('largest_shard_rows', 0):,} row(s), run in "
+            f"{plan.get('releases', 0):,} piece(s)")
+
+
 def render_run_text(entry: RunReport) -> str:
     lines = [
         f"run {entry.run_id}  ({entry.created})",
@@ -125,6 +131,8 @@ def render_run_text(entry: RunReport) -> str:
         if "peak_buffered_mems" in ingest:
             lines.append("    peak buffered load/store events: "
                          f"{ingest['peak_buffered_mems']:,}")
+    if entry.plan:
+        lines.append(f"  shard plan: {_plan_line(entry.plan)}")
     for row in _control_rows(entry):
         rate = row.get("calls_per_second")
         rate_s = (f", {rate:,.0f} calls/s over the control group"
@@ -495,6 +503,10 @@ def render_run_html(entry: RunReport) -> str:
              f"{entry.ingest.get('rma_ops', 0)}"),
             ("text lines (kind/route)", _text_lines(entry.ingest) or "-"),
             ("call rows (route)", _call_rows(entry.ingest) or "-"),
+            ("peak buffered load/store events",
+             entry.ingest.get("peak_buffered_mems", "-")),
+            ("shard plan", _plan_line(entry.plan)
+             if entry.plan else "-"),
         ))
     return f"""<!doctype html>
 <html lang="en"><head><meta charset="utf-8">

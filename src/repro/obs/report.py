@@ -54,8 +54,14 @@ class RunReport:
     join_calls: Dict[str, float] = field(default_factory=dict)
     #: incremental-cache attribution (empty for non-incremental runs)
     cache: Dict[str, Any] = field(default_factory=dict)
-    #: worker-pool utilization (empty for serial runs)
+    #: worker-pool utilization (empty for serial runs); byte and task
+    #: counts are keyed by pool phase: ``run`` (the per-run install) and
+    #: ``shards`` (the one analysis task)
     workers: Dict[str, Any] = field(default_factory=dict)
+    #: the shard plan a non-batch executor ran over: ``shards``,
+    #: ``largest_shard_rows`` and ``releases`` (stream: releases; pool:
+    #: chunks; cache: dirty shards) — empty for the serial batch route
+    plan: Dict[str, int] = field(default_factory=dict)
     #: trace-ingest sizes (events, ops, locals, matches, ...) plus, for
     #: text traces, ``text_lines``: lines decoded per ``kind/route``
     #: (``mem/bulk``, ``call/codec``, ...); for binary traces,
@@ -205,6 +211,15 @@ def _worker_utilization(recorder) -> Dict[str, Any]:
     if shm is not None:
         out["shm_bytes"] = {labels.get("phase", "?"): value
                             for labels, value in shm.samples()}
+    return out
+
+
+def _plan(recorder) -> Dict[str, int]:
+    out = {}
+    for key in ("shards", "largest_shard_rows", "releases"):
+        gauge = recorder.registry.get(f"analyzer_plan_{key}")
+        if gauge is not None and gauge.value() is not None:
+            out[key] = int(gauge.value())
     return out
 
 
@@ -365,7 +380,7 @@ def build_run_report(report, config, *, traces=None, recorder=None,
         elapsed_seconds=(elapsed or stats.total_seconds),
         phases=phases, funnel=_funnel(rec), join_calls=_join_calls(rec),
         cache=_cache_attribution(rec),
-        workers=_worker_utilization(rec),
+        workers=_worker_utilization(rec), plan=_plan(rec),
         ingest=ingest, emission=_emission(rec),
         control_plane=_control_plane(rec),
         peak_rss_bytes=_peak_rss_bytes(),

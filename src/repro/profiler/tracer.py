@@ -1177,10 +1177,21 @@ class TraceReader:
                 self._digests = {"file": hash_file(self.path)}
         return dict(self._digests)
 
-    def content_digest(self) -> str:
-        """One digest summarizing format + content of this rank's file."""
-        return stable_hash({"format": self.format,
-                            "digests": self.digests()})
+    def content_digest(self, verify: bool = False) -> str:
+        """One digest summarizing format + content of this rank's file.
+
+        A text trace's digest is of its bytes; a binary trace's is what
+        its footer *records*.  ``verify`` first recomputes it from the
+        frames — what a cache does before it answers for the file, so a
+        data section altered under an intact footer is a typed error and
+        not a stale report."""
+        digests = self.digests()
+        if verify and self.format == FORMAT_BINARY \
+                and self._recompute_binary_digests() != digests:
+            raise TraceFormatError(
+                f"{self.path}: the content digests recorded in the "
+                "footer disagree with the data section")
+        return stable_hash({"format": self.format, "digests": digests})
 
     def _recompute_binary_digests(self) -> Dict[str, str]:
         """The writer's digests for a footer that records none, from
@@ -1199,9 +1210,11 @@ class TraceReader:
                 for digest, (_name, dtype, count, at) in zip(
                         columns, _call_frame(mm, offset)[1]):
                     digest.update(mm[at:at + count * dtype.itemsize])
-        return {"calls": calls_digest([h.digest() for h in columns],
-                                      self._shapes_raw, codec.digest()),
-                "mems": mems.hexdigest(),
+        # a v2 writer recorded the running hash of its ``C`` records
+        calls = (codec.hexdigest() if self.header.version == 2
+                 else calls_digest([h.digest() for h in columns],
+                                   self._shapes_raw, codec.digest()))
+        return {"calls": calls, "mems": mems.hexdigest(),
                 "strings": hash_strings(self._table.strings)}
 
     def mem_blocks(self) -> Iterator[MemBlock]:

@@ -42,13 +42,9 @@ def hash_strings(strings: Sequence[str]) -> str:
     Each string is length-prefixed, so ``["ab", "c"]`` and ``["a", "bc"]``
     digest differently.
     """
-    digest = hashlib.sha256()
-    for text in strings:
-        raw = text.encode("utf-8")
-        digest.update(str(len(raw)).encode("ascii"))
-        digest.update(_LEN_SEP)
-        digest.update(raw)
-    return digest.hexdigest()
+    return hashlib.sha256(b"".join(
+        b"%d%b%b" % (len(raw), _LEN_SEP, raw)
+        for raw in (text.encode("utf-8") for text in strings))).hexdigest()
 
 
 def hash_ranges(prefix: bytes, parts: Sequence[Tuple]) -> List[bytes]:

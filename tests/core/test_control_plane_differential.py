@@ -13,21 +13,19 @@ the call-table control phases to the references in ``tests/reference``:
   ``from_events`` over the decoded object stream — for binary (v2)
   traces this crosses frame boundaries, for text traces it pins the
   memoized fast parser to ``decode_event``;
-* the shared-memory ship (``share_table``/``attach_table``) and pickle
-  round-trips of a table.
+* the pickle round-trip of a table.
 
 (The oracle's ``happens_before`` answers are checked against Figure-4
 DAG reachability in ``test_clocks.py::TestDifferentialAgainstDAG``.)
 """
 
 import json
-import os
 import pickle
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.calltable import CallTable, attach_table, share_table
+from repro.core.calltable import CallTable
 from repro.core.config import CheckConfig
 from repro.core.matching import (
     KIND_COLLECTIVE, KIND_P2P, match_synchronization,
@@ -167,7 +165,7 @@ def assert_tables_equal(a: CallTable, b: CallTable):
 @settings(max_examples=15, deadline=None)
 def test_prop_calltable_roundtrip(steps, nranks, seed, trace_format):
     """Ingest-built tables equal event-built tables — across v2 frame
-    boundaries for binary traces — and survive shm + pickle trips."""
+    boundaries for binary traces — and survive a pickle trip."""
     traces = trace_for(steps, seed, nranks, trace_format=trace_format)
     for rank in range(nranks):
         with traces.reader(rank) as reader:
@@ -176,14 +174,6 @@ def test_prop_calltable_roundtrip(steps, nranks, seed, trace_format):
         assert table is not None
         rebuilt = CallTable.from_events(rank, calls)
         assert_tables_equal(table, rebuilt)
-
-        desc, shm = share_table(table, f"mcc-test-{os.getpid()}-{rank}")
-        try:
-            attached = attach_table(desc)
-        finally:
-            shm.close()
-            shm.unlink()
-        assert_tables_equal(table, attached)
 
         pickled = pickle.loads(pickle.dumps(table))
         assert_tables_equal(table, pickled)

@@ -4,8 +4,8 @@
 and return findings per unit.  Every executor relies on the answer not
 depending on how that list was cut: ``parallel`` hands workers
 contiguous chunks, ``incremental`` hands over the dirty shards and
-stores what comes back per shard, ``streaming`` passes singletons, and
-the kernels themselves cut sub-batches by ``BATCH_ROWS``.  So, over the
+stores what comes back per shard, ``streaming`` passes one release at a
+time, and the kernels themselves cut sub-batches by ``BATCH_ROWS``.  So, over the
 bug corpus and ten generated programs, under both memory models:
 
     kernel(all units)
@@ -29,10 +29,11 @@ from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core import engine
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.engine import (
-    build_detect_units, check_epochs_sweep, detect_regions_sweep,
+    check_epochs_sweep, detect_regions_sweep, region_units,
 )
 from repro.core.epochs import EpochIndex
 from repro.core.inter import LocalLockIndex
+from repro.core.intra import bucket_by_epoch
 from repro.core.matching import match_synchronization
 from repro.core.model import build_access_model_sweep
 from repro.core.preprocess import preprocess, preprocess_calls
@@ -66,11 +67,11 @@ class Plan:
         self.lock_index = LocalLockIndex(epoch_index, self.pre.nranks)
         model = build_access_model_sweep(self.pre, epoch_index, traces)
         self.mems = model.mems
-        self.intra_units, self.inter_units = build_detect_units(
-            model, epoch_index, regions)
+        self.intra_units = bucket_by_epoch(model, epoch_index)
+        self.inter_units = region_units(model, regions)
         reference = build_access_model(preprocess(traces), epoch_index)
-        self.ref_intra, self.ref_inter = build_detect_units(
-            reference, epoch_index, regions)
+        self.ref_intra = bucket_by_epoch(reference, epoch_index)
+        self.ref_inter = region_units(reference, regions)
 
     def intra(self, units, memory_model):
         return _payloads(check_epochs_sweep(units, self.mems, memory_model))

@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 
 from repro import api
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
+from repro.core import engine
 from repro.core.checker import check_traces
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.config import CheckConfig
@@ -61,10 +62,10 @@ def canonical(report) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-#: peak buffered load/store events of the streaming data pass, as the
-#: per-event streaming walk this repo once shipped measured them
-STREAMING_PEAKS = {"emulate": 8, "BT-broadcast": 8, "lockopts": 9,
-                   "ping-pong": 4}
+#: peak buffered load/store events of the streaming data pass released
+#: one shard at a time: the rows of each program's largest shard
+STREAMING_PEAKS = {"emulate": 4, "BT-broadcast": 5, "lockopts": 9,
+                   "ping-pong": 2}
 
 
 class TestEngineDifferential:
@@ -97,8 +98,10 @@ class TestEngineDifferential:
 
     @pytest.mark.parametrize("case", list(BUG_CASES)[:4],
                              ids=lambda c: c.name)
-    def test_streaming_sweep_matches_streaming_pairwise(self, case):
+    def test_streaming_sweep_matches_streaming_pairwise(self, case,
+                                                        monkeypatch):
         traces = traces_for(case)
+        monkeypatch.setattr(engine, "BATCH_ROWS", 1)
         findings, checker = check_streaming(traces)
         assert json.dumps([f.to_dict() for f in findings],
                           sort_keys=True) == \
@@ -106,8 +109,9 @@ class TestEngineDifferential:
                         for f in check_pairwise(traces).findings],
                        sort_keys=True), (
                 f"{case.name}: streaming findings diverged")
-        assert checker.peak_buffered_mems == STREAMING_PEAKS[case.name], (
-            f"{case.name}: streaming peak accounting diverged")
+        assert checker.peak_buffered_mems == STREAMING_PEAKS[case.name] \
+            == checker.plan.rows.max(), (
+                f"{case.name}: streaming peak accounting diverged")
 
 
 class TestEngineSelection:

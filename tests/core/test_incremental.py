@@ -23,6 +23,7 @@ from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
 from repro.core.incremental import IncrementalChecker
 from repro.core.inter import bucket_by_region
+from repro.core.plan import build_control_state
 from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import profile_program
 from repro.profiler.events import MemEvent
@@ -245,8 +246,8 @@ class TestInvalidation:
         recv = next(e.seq for e in checker.control.pre.events[1]
                     if e.fn == "Recv")
         region = checker.control.regions.region_of_seq(1, recv)
-        assert checker.plan.first[dirty[0]] <= region <= \
-            checker.plan.last[dirty[0]]
+        shards = checker.plan.shards
+        assert shards.first[dirty[0]] <= region <= shards.last[dirty[0]]
 
     def test_engine_version_bump_invalidates_everything(self, tmp_path,
                                                         monkeypatch):
@@ -397,8 +398,8 @@ class TestWorkProportionality:
         # memory rows: the changed rank's (to find what it dirtied) and
         # those of the ranks the dirty shard's kernels read
         ops, _locals = bucket_by_region(control.lift.views(), control.regions)
-        reads = {rank for r in range(int(plan.first[dirty]),
-                                     int(plan.last[dirty]) + 1)
+        reads = {rank for r in range(int(plan.shards.first[dirty]),
+                                     int(plan.shards.last[dirty]) + 1)
                  for op in ops.get(r, ()) for rank in (op.rank, op.target)}
         assert self.RANK in checker.loader.ranks
         assert set(checker.loader.ranks) <= {self.RANK} | reads
@@ -662,7 +663,7 @@ class TestCacheMutations:
         keys = IncrementalChecker(traces, config)
         keys.run()
         keys = keys._build_plan(
-            incremental.build_control_state(traces), keys._rank_digests(),
+            build_control_state(traces), keys._rank_digests(),
             None).keys
         old = config.replace(cache_dir=str(tmp_path / "old-cache"))
         cfg_key = IncrementalChecker(traces, old)._cfg_key()

@@ -1,10 +1,11 @@
-"""Parallel engine tests.
+"""Worker-pool tests.
 
 The contract of ``MCChecker(jobs=N)`` is *byte-identical reports at any
 job count*: same deduplicated findings in the same order, same error and
 warning counts, same pipeline statistics.  The differential below pins
 that over the whole bundled bug corpus under both memory models, plus
-unit tests for the shard helpers and the worker observability merge.
+unit tests for the chunk helper, the worker observability merge, the
+pool's lifecycle and what a failure inside a worker looks like.
 """
 
 import glob
@@ -15,11 +16,16 @@ import pytest
 from repro import obs
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core.checker import check_traces
-from repro.core.config import CheckConfig
+from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.parallel import (
-    _chunk_bounds, acquire_pool, resolve_jobs, shutdown_pools,
+    _chunk_bounds, acquire_pool, shutdown_pools,
+)
+from repro.core.model import share_rows
+from repro.core.plan import (
+    ShardPlan, _RowLoader, build_control_state, ranks_read,
 )
 from repro.profiler.session import profile_run
+from repro.util.errors import AnalysisError
 from tests.reference.pairwise import (
     check_pairwise, detect_cross_process_naive,
 )
@@ -109,13 +115,20 @@ class TestWorkerObs:
         rec = obs.configure(enabled=True)
         try:
             check_traces(traces, CheckConfig(jobs=2))
-            span_names = {r.name for r in rec.spans.records()}
-            assert "analyzer.worker.scan" in span_names
-            assert "analyzer.worker.lift" in span_names
+            # one task, named after what it runs: a chunk of shards
+            worker_spans = [r for r in rec.spans.records()
+                            if r.name.startswith("analyzer.worker.")]
+            assert {r.name for r in worker_spans} == \
+                {"analyzer.worker.shards"}
             counter = rec.registry.get("parallel_tasks_total")
             assert counter is not None
-            assert counter.value(phase="scan") == traces.nranks
-            assert counter.value(phase="lift") == traces.nranks
+            assert [labels for labels, _v in counter.samples()] == \
+                [{"phase": "shards"}]
+            chunks = rec.registry.get("analyzer_plan_releases").value()
+            assert counter.value(phase="shards") == len(worker_spans) \
+                == chunks > 1
+            # what the kernels record below the task comes home with it
+            assert rec.registry.get("engine_join_calls_total") is not None
         finally:
             obs.reset()
 
@@ -142,8 +155,7 @@ class TestPoolLifecycle:
     def test_pool_created_once_and_reused_across_runs(self):
         traces = traces_for(ALL_CASES[0])
         rec = obs.configure(enabled=True)
-        # first parallel run: exactly one pool creation, zero reuses,
-        # even though four phases (scan/lift/intra/inter) fan out
+        # first parallel run: exactly one pool creation, zero reuses
         check_traces(traces, config=CheckConfig(jobs=2))
         created = rec.registry.get("parallel_pool_created_total")
         assert created is not None and created.total == 1
@@ -178,7 +190,7 @@ class TestPoolLifecycle:
         pool.begin_run()
         # register an expected segment the "task" never creates plus one
         # that exists, then kill a worker mid-task
-        from repro.core.model import MemRows, share_rows
+        from repro.core.model import MemRows
         import numpy as np
         rows = MemRows(0, None, np.arange(4, dtype=np.int64),
                        np.arange(4, dtype=np.int64),
@@ -212,10 +224,75 @@ class TestPoolLifecycle:
                                  recorder=rec)
         workers = entry.workers
         assert workers["pool"] == {"created": 1, "reused": 0}
-        # the zero-copy claim: lift results carry descriptors only,
+        # keyed by the pool phases that exist: the per-run install and
+        # the one analysis task
+        assert set(workers["pickled_bytes"]) == {"run", "shards"}
+        assert set(workers["tasks"]) == {"shards"}
+        # the zero-copy claim: tasks carry units (views and seq bounds),
         # while the row columns land in the shm counter
-        assert workers["shm_bytes"].get("model", 0) > 0
-        assert "task" in workers["pickled_bytes"]["intra"]
+        assert workers["shm_bytes"]["shards"] > 0
+        assert set(workers["pickled_bytes"]["shards"]) == \
+            {"install", "task", "result"}
+        assert entry.plan["releases"] == \
+            workers["tasks"]["shards"] > 1
+        assert entry.plan["shards"] >= entry.plan["releases"]
+
+
+class TestWorkerFailure:
+    """A typed failure must not depend on the job count: what a kernel
+    raises in a worker arrives in the parent as itself."""
+
+    def teardown_method(self):
+        shutdown_pools()
+
+    def test_repro_error_crosses_the_pipe_as_itself(self):
+        traces = traces_for(ALL_CASES[4])  # jacobi: rows meet exposures
+        control = build_control_state(traces)
+        plan = ShardPlan.build(control)
+        units = plan.units(control, range(len(plan)))
+        pre = control.pre.registry_view()
+        pre.windows = {}  # every window lookup in a kernel now fails
+        loader = _RowLoader(traces)
+        pool = acquire_pool(2)
+        pool.begin_run()
+        try:
+            descs = {}
+            for rank in ranks_read(units):
+                name = pool.new_segment_name(rank)
+                pool.expect_segment(name)
+                descs[rank], handle = share_rows(loader.rows(rank), name)
+                pool.adopt_segment(name, handle)
+            pool.install("test", {
+                "pre": pre, "mems_shm": descs, "context": (
+                    control.oracle, control.lock_index, "separate")})
+            with pytest.raises(AnalysisError,
+                               match="unknown window id") as caught:
+                pool.run("test", "shards", [units[:2], units[2:]])
+            cause = caught.value.__cause__
+            assert isinstance(cause, RuntimeError)
+            assert "Traceback" in str(cause) and "worker" in str(cause)
+            # a typed failure is an answer, not a crash: same pool, next
+            # task
+            assert not pool.broken
+            assert pool.run("test", "echo", [1, 2, 3]) == [1, 2, 3]
+        finally:
+            pool.end_run()
+        assert acquire_pool(2) is pool
+        assert _leaked_segments() == []
+
+    def test_any_other_exception_is_wrapped_and_breaks_the_pool(self):
+        pool = acquire_pool(2)
+        pool.begin_run()
+        try:
+            # the task's state was never installed: a KeyError in the
+            # worker
+            with pytest.raises(RuntimeError, match="KeyError"):
+                pool.run("test", "shards", [[], []])
+            assert pool.broken
+        finally:
+            pool.end_run()
+        assert _leaked_segments() == []
+        assert acquire_pool(2) is not pool
 
 
 class TestSpawnParity:

@@ -120,7 +120,7 @@ class TestMembership:
 
 
 class TestSpanEdgeCases:
-    """Boundary behavior the parallel engine's region sharding relies on."""
+    """Boundary behavior the shard plan's region grouping relies on."""
 
     def _barrier_app(self):
         def app(mpi):

@@ -6,12 +6,12 @@ from repro.apps.emulate import emulate
 from repro.apps.jacobi import jacobi
 from repro.apps.lockopts import lockopts
 from repro.apps.lu import lu
+from repro import obs
 from repro.apps.pingpong import pingpong
+from repro.core import engine
 from repro.core.checker import check_traces
-from repro.core.epochs import Epoch
-from repro.core.streaming import (
-    StreamingChecker, _EpochCursor, check_streaming,
-)
+from repro.core.config import CheckConfig
+from repro.core.streaming import StreamingChecker, check_streaming
 from repro.profiler.session import profile_run
 
 CASES = [
@@ -51,73 +51,71 @@ class TestEquivalence:
 
 
 class TestBoundedMemory:
-    def test_peak_buffer_below_total_mems(self, traces_for):
-        """The streaming checker must never hold all load/store events at
-        once when the trace has several regions."""
+    def test_peak_buffer_below_total_mems(self, traces_for, monkeypatch):
+        """A release holds at most ``max(budget, largest shard)`` rows —
+        never all load/store events at once when the trace has several
+        shards."""
+        budget = 16
+        monkeypatch.setattr(engine, "BATCH_ROWS", budget)
         traces = traces_for("lu-clean")
         total_mems = traces.event_counts()["mem"]
         _findings, checker = check_streaming(traces)
-        assert len(checker.regions) > 4
-        assert 0 < checker.peak_buffered_mems < total_mems / 4
+        assert len(checker.regions) > 4 and checker.releases > 4
+        assert checker.plan.rows.sum() == total_mems
+        assert 0 < checker.peak_buffered_mems <= \
+            max(budget, checker.plan.rows.max()) < total_mems / 4
+
+    def test_peak_counts_each_held_row_once(self, traces_for, monkeypatch):
+        """Fence epochs only, so every row sits in a region *and* in an
+        epoch: one shard at a time, the peak is the largest shard's rows
+        (the region-at-a-time pass added the two and reported twice
+        that)."""
+        monkeypatch.setattr(engine, "BATCH_ROWS", 1)
+        _f, checker = check_streaming(traces_for("lu16-clean"))
+        assert checker.peak_buffered_mems == checker.plan.rows.max() == 47
+
+    def test_default_budget_takes_small_traces_in_one_release(
+            self, traces_for):
+        traces = traces_for("lu16-clean")
+        _f, checker = check_streaming(traces)
+        assert checker.releases == 1 and len(checker.plan) > 100
+        assert checker.peak_buffered_mems == \
+            traces.event_counts()["mem"] <= engine.BATCH_ROWS
 
     def test_region_reports_ordered(self, traces_for):
         checker = StreamingChecker(traces_for("jacobi-buggy"))
         indices = [report.index for report in checker.run()]
-        assert indices == sorted(indices)
+        assert indices == list(range(len(checker.plan)))
 
-    def test_findings_attributed_to_regions(self, traces_for):
-        checker = StreamingChecker(traces_for("jacobi-buggy"))
-        flagged = [r for r in checker.run() if r.findings]
-        assert flagged  # the races surface in their own regions
+    def test_findings_attributed_to_regions(self, traces_for, monkeypatch):
+        """The races surface in the shards that hold them, whatever the
+        release budget."""
+        def flagged():
+            checker = StreamingChecker(traces_for("jacobi-buggy"))
+            return {r.index: [f.to_payload() for f in r.findings]
+                    for r in checker.run() if r.findings}
+        whole = flagged()
+        assert len(whole) > 1
+        monkeypatch.setattr(engine, "BATCH_ROWS", 1)
+        assert flagged() == whole
 
 
-class TestEpochCursor:
-    """The data pass visits an epoch from the region its opening call
-    lies in until the region passing its close — never all unclosed
-    epochs for every region (16-rank LU: 6.58 M probes before)."""
-
-    def test_visits_track_open_epochs_not_all_epochs(self, traces_for,
-                                                     monkeypatch):
-        visits = []
-        opened = _EpochCursor.opened
-
-        def counting(self, rank, upto):
-            live = opened(self, rank, upto)
-            visits.append(len(live))
-            return live
-        monkeypatch.setattr(_EpochCursor, "opened", counting)
-        traces = traces_for("lu16-clean")
-        findings, checker = check_streaming(traces)
-        assert not findings
-        n_epochs = len(checker.epochs.access_epochs())
-        n_regions = len(checker.regions)
-        assert n_epochs > 1000 and n_regions > 100
-        # one window, fence epochs only: at most the epoch being closed
-        # and the one just opened are live at any rank in any region
-        assert max(visits) <= 2
-        assert sum(visits) <= 2 * (n_epochs + n_regions * 16)
-
-    def test_same_peak_buffer_as_the_pairwise_pass(self, traces_for):
-        """The packed data pass buffers no more than a per-event walk
-        that holds one object per load/store did: 94 events at the
-        peak, as that walk (deleted with the pairwise executor)
-        measured on this program."""
-        _f, checker = check_streaming(traces_for("lu16-clean"))
-        assert checker.peak_buffered_mems == 94
-
-    def test_order_and_lifetime(self):
-        def epoch(rank, open_seq, close_seq):
-            return Epoch(rank, 0, "fence", open_seq, close_seq)
-        nested, outer, late, other = (epoch(0, 5, 7), epoch(0, 1, 20),
-                                      epoch(0, 30, 40), epoch(1, 2, 9))
-        never = Epoch(1, 0, "lock", 50)
-        cursor = _EpochCursor([late, nested, other, outer, never], 2)
-        assert cursor.opened(0, 4) == [outer]
-        assert cursor.opened(0, 10) == [outer, nested]
-        assert list(cursor.close([10, 10])) == [nested, other]
-        assert cursor.opened(0, 10) == [outer]
-        assert list(cursor.close([41, 41])) == [outer, late]
-        assert list(cursor.unclosed()) == [never]
+class TestPhaseSeconds:
+    def test_streaming_report_times_every_phase(self, traces_for):
+        """Control phases by the batch names, then plan / detect /
+        merge — and with them the control-plane rate is published."""
+        rec = obs.configure(enabled=True)
+        try:
+            report = check_traces(traces_for("jacobi-buggy"),
+                                  CheckConfig(streaming=True))
+            assert list(report.stats.phase_seconds) == [
+                "preprocess", "matching", "clocks", "epochs", "model",
+                "regions", "plan", "detect", "merge"]
+            assert all(s >= 0 for s in report.stats.phase_seconds.values())
+            assert report.stats.total_seconds > 0
+            assert rec.registry.get("control_calls_per_second") is not None
+        finally:
+            obs.reset()
 
 
 class TestTruncatedTraces:
@@ -131,5 +129,7 @@ class TestTruncatedTraces:
                 buf[0] = 1.0  # race; epoch never closes
 
         traces = profile_run(app, 2, delivery="eager").traces
-        findings, _checker = check_streaming(traces)
+        findings, checker = check_streaming(traces)
         assert any(f.severity == "error" for f in findings)
+        # the open epoch merges its tail into the last shard
+        assert checker.plan.last[-1] == len(checker.regions) - 1

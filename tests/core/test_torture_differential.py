@@ -7,7 +7,7 @@ independent implementations of "what conflicts?" are compared:
 * the production batch pipeline (grouped-join sweep + VC oracle);
 * the paper's linear ``(window, target)`` scan and the combinatorial
   strawman it improves on (``tests.reference.pairwise``);
-* the streaming region-at-a-time checker;
+* the streaming release-at-a-time checker;
 * the batch pipeline on a re-serialized copy of the traces (write/read
   round-trip stability).
 

@@ -92,6 +92,50 @@ class TestRunReport:
         assert rr.funnel, "no candidate-pair funnel recorded"
         assert all("/" in stage for stage in rr.funnel)
 
+    def test_streaming_run_has_phases_control_rate_and_plan(self,
+                                                            profiled):
+        """A streaming report used to carry no phase seconds, so its
+        phase table was empty and no control-plane rate was published."""
+        rr = checked_report(profiled, streaming=True)
+        assert list(rr.phases) == [
+            "preprocess", "matching", "clocks", "epochs", "model",
+            "regions", "plan", "detect", "merge"]
+        assert rr.control_plane["calls_per_second"] > 0
+        assert rr.findings["details"][0]["context"]["mode"] == "streaming"
+        # each held row counted once: a release never holds more rows
+        # than the trace has
+        total = profiled.traces.event_counts()["mem"]
+        assert 0 < rr.ingest["peak_buffered_mems"] <= total
+        assert rr.plan["shards"] >= rr.plan["releases"] >= 1
+        assert 0 < rr.plan["largest_shard_rows"] <= total
+        for render in (render_run_text, render_run_html):
+            text = render(rr)
+            assert "peak buffered load/store events" in text
+            assert f"{rr.plan['shards']:,} shard(s), largest " \
+                f"{rr.plan['largest_shard_rows']:,} row(s)" in text
+            assert "detect" in text and "merge" in text
+
+    @pytest.mark.parametrize("overrides,pieces", [
+        ({}, None), ({"jobs": 2}, "chunks"),
+        ({"incremental": True}, "dirty shards")], ids=lambda v: str(v))
+    def test_plan_record_by_executor(self, profiled, tmp_path, overrides,
+                                     pieces):
+        """The serial batch route is the degenerate plan and records
+        none; the pool counts its chunks, the cache its dirty shards."""
+        if "incremental" in overrides:
+            overrides = dict(overrides, cache_dir=str(tmp_path / "cache"))
+        rr = checked_report(profiled, **overrides)
+        if pieces is None:
+            assert rr.plan == {} and "shard plan" not in render_run_text(rr)
+        elif pieces == "chunks":
+            assert rr.plan["releases"] == rr.workers["tasks"]["shards"]
+            assert set(rr.workers["pickled_bytes"]) == {"run", "shards"}
+        else:
+            assert rr.plan["releases"] == rr.plan["shards"] == \
+                rr.cache["shards"]["miss"]
+        clone = RunReport.from_dict(json.loads(json.dumps(rr.to_dict())))
+        assert clone.plan == rr.plan
+
     def test_incremental_cache_attribution(self, profiled, tmp_path):
         cache_dir = str(tmp_path / "cache")
         cold = checked_report(profiled, incremental=True,

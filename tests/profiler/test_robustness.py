@@ -2,6 +2,7 @@
 or silently mis-analyze."""
 
 import functools
+import glob
 import json
 import re
 import struct
@@ -285,6 +286,14 @@ def _crashes_after_a_fence(mpi):
     win.free()
 
 
+def _completes_after_a_fence(mpi):
+    buf = mpi.alloc("buf", 4)
+    win = mpi.win_create(buf)
+    win.fence()
+    win.fence()
+    win.free()
+
+
 def _deadlocks_after_a_fence(mpi):
     buf = mpi.alloc("buf", 4)
     win = mpi.win_create(buf)
@@ -371,3 +380,84 @@ class TestAbortedRuns:
         for rank in range(2):
             with open(run.traces.path(rank)) as fh:
                 assert not any(line.startswith("A") for line in fh)
+
+
+# ----------------------------------------------------------------------
+# hostile input under every executor
+# ----------------------------------------------------------------------
+
+#: how the check is run: plain, pooled, streamed, cached cold, and cached
+#: against a cache populated *before* the corruption
+ARMS = ["batch", "jobs2", "streaming", "incremental-cold",
+        "incremental-warm"]
+
+
+def _rewritten_counts(path):
+    def mutate(footer):
+        footer["counts"].update(call=1, mem=7, load=3, store=4)
+    rewrite_footer(path, mutate)
+
+
+def _corrupt_k_column(path):
+    _offset, _rows, columns = k_frame(path)
+    poke(path, columns["shape"] + 4, "<i", 99)      # row 1's shape id
+
+
+@pytest.mark.parametrize("arm", ARMS)
+class TestEveryExecutorRejects:
+    """The same typed error, naming the same file, whichever executor
+    meets the bytes: never a clean report (a warm cache must not answer
+    for files it has not seen), never a hang, no shared segment left."""
+
+    @staticmethod
+    def _check(arm, trace_dir, cache_dir):
+        kwargs = {"batch": {}, "jobs2": dict(jobs=2),
+                  "streaming": dict(streaming=True)}.get(
+                      arm, dict(incremental=True, cache_dir=cache_dir))
+        return api.check(trace_dir, **kwargs)
+
+    def _rejected(self, arm, trace_dir, cache_dir, path):
+        try:
+            with pytest.raises(TraceFormatError) as err:
+                self._check(arm, trace_dir, cache_dir)
+        finally:
+            api.shutdown_pools()
+        assert glob.glob("/dev/shm/mcc-*") == []
+        assert path in str(err.value)
+        return str(err.value)
+
+    @pytest.mark.parametrize("corrupt,message,cached", [
+        (_rewritten_counts, "footer", "footer"),
+        # the cache hashes a file before it answers for it, and so
+        # meets the altered column before the K-frame checks do
+        (_corrupt_k_column, "shape id 99", "content digests"),
+    ], ids=["rewritten-counts", "k-column"])
+    def test_corrupt_rank_file(self, tmp_path, arm, corrupt, message,
+                               cached):
+        trace_dir, cache_dir = str(tmp_path / "t"), str(tmp_path / "cache")
+        traces = api.run(heat2d, 2, params=dict(rows=8, cols=4, steps=3),
+                         trace_format="binary", trace_dir=trace_dir).traces
+        if arm == "incremental-warm":
+            assert not self._check(arm, trace_dir, cache_dir).findings
+        corrupt(traces.path(0))
+        said = self._rejected(arm, trace_dir, cache_dir, traces.path(0))
+        assert (cached if arm.startswith("incremental") else message) \
+            in said
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_partial_trace_set(self, tmp_path, arm, fmt):
+        from repro.profiler import session
+        from repro.simmpi.runtime import World
+        trace_dir, cache_dir = str(tmp_path / "t"), str(tmp_path / "cache")
+        if arm == "incremental-warm":
+            # the cache knows the program that ran to completion
+            api.run(_completes_after_a_fence, 2, trace_dir=trace_dir,
+                    trace_format=fmt)
+            assert not self._check(arm, trace_dir, cache_dir).findings
+        with mock.patch.object(session, "World",
+                               functools.partial(World, max_steps=500)):
+            with pytest.raises(DeadlockError):
+                api.run(_deadlocks_after_a_fence, 2, trace_dir=trace_dir,
+                        trace_format=fmt)
+        self._rejected(arm, trace_dir, cache_dir,
+                       TraceSet.rank_path(trace_dir, 0, fmt))

@@ -92,7 +92,8 @@ class TestRunCheck:
         out = capsys.readouterr().out
         assert rc == 1
         assert "4 error(s)" in out
-        assert "streaming: peak buffered load/store events: 8" in out
+        # all 24 rows of this trace fit one release
+        assert "streaming: peak buffered load/store events: 24" in out
 
     def test_streaming_json_and_ledger(self, tmp_path, capsys,
                                        _hermetic_ledger):
@@ -116,9 +117,13 @@ class TestRunCheck:
         from repro.obs.ledger import RunLedger
         entry = RunLedger().entries()[-1]
         assert entry.config["streaming"] is True
-        assert entry.ingest["peak_buffered_mems"] == 8
-        assert "peak buffered load/store events: 8" in \
-            render_run_text(entry)
+        assert entry.ingest["peak_buffered_mems"] == 24
+        assert entry.plan == {"shards": 12, "largest_shard_rows": 4,
+                              "releases": 1}
+        text = render_run_text(entry)
+        assert "peak buffered load/store events: 24" in text
+        assert "shard plan: 12 shard(s), largest 4 row(s), run in 1 " \
+            "piece(s)" in text
 
     def test_streaming_rejects_jobs(self, tmp_path):
         """The streaming pass is serial; asking for workers is an error,
