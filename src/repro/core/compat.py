@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 # access kinds
 LOAD = "load"
 STORE = "store"
@@ -113,3 +115,22 @@ def compat_verdict(a_kind: str, b_kind: str, overlapping: bool,
     if cell == NONOV and overlapping:
         return NONOV
     return None
+
+
+#: the memory models and the verdicts as codes (indices into these), for
+#: kernels that filter candidate pairs as arrays
+MODELS = (MODEL_SEPARATE, MODEL_UNIFIED)
+VERDICTS = (None, NONOV, ERROR)
+
+#: :func:`compat_verdict` tabulated: ``VERDICT_LOOKUP[model, a, b,
+#: overlapping, acc_same]`` is the code of its verdict for kind codes
+#: ``a`` / ``b`` (indices into :data:`KINDS`) — generated from the
+#: function at import, so there is no second statement of Table I to
+#: keep in step with the first
+VERDICT_LOOKUP = np.array(
+    [[[[[VERDICTS.index(compat_verdict(a, b, overlapping, acc_same, model))
+         for acc_same in (False, True)]
+        for overlapping in (False, True)]
+       for b in KINDS]
+      for a in KINDS]
+     for model in MODELS], dtype=np.int8)

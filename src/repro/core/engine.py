@@ -4,38 +4,51 @@ The paper's detectors enumerate access pairs — every pair of an epoch,
 every access against a ``(window, target)`` vector entry — and then test
 each for byte overlap (kept as test oracles in
 ``tests/reference/pairwise.py``).  This module inverts that, for a whole
-*list* of work units (epochs, or concurrent regions) at once: the units'
-access intervals go into one
-:class:`~repro.util.intervals.IntervalTable` whose ``group`` column
-keeps apart what those loops keep apart, and one
-sort+``searchsorted`` sweep (:func:`~repro.util.intervals.overlap_join`)
-per stage yields *only the candidate pairs that actually share bytes* —
-a constant number of numpy joins per batch, not one per epoch or vector
-entry.  Table-I compatibility, happens-before pruning, and diagnostic
-payloads then run on that (usually tiny) survivor set, through the
-per-pair check functions of :mod:`repro.core.intra` and
-:mod:`repro.core.inter`.
+*list* of work units (epochs, or concurrent regions) at once, and without
+an object per access: the units are index arrays into the
+:class:`~repro.core.model.OpTable`, their byte intervals go into
+:class:`~repro.util.intervals.IntervalTable`\\ s whose ``group`` column
+keeps apart what those loops keep apart, and one sort+``searchsorted``
+sweep (:func:`~repro.util.intervals.overlap_join`) per stage yields
+*only the candidate pairs that actually share bytes* — a constant number
+of numpy joins per batch, not one per epoch or vector entry.  The
+candidates are then cut as arrays: program order and completion points,
+Table I (:data:`~repro.core.compat.VERDICT_LOOKUP`, the table itself as
+an integer lookup), one batched happens-before query.
 
-The kernels, :func:`check_epochs_sweep` and :func:`detect_regions_sweep`,
-return findings *per unit*, in the order the per-unit nested loops emit
-them, so any contiguous chunking of a unit list concatenates to the same
-sequence.  Every executor is a policy over them: the serial checker
-passes all units, a pool worker its chunk, the incremental checker its
-dirty shards, the streaming checker the unit that just closed.  Inside,
-unit lists are cut into sub-batches of at most :data:`BATCH_ROWS`
-flattened rows, which bounds the joins' working set at any trace size.
+What is left — the *survivors*, pairs that can still yield a finding —
+is all that ever becomes an object: :func:`emit_epoch_findings` /
+:func:`emit_region_findings` build the two views of each
+(:meth:`OpTable.op_view`, :meth:`OpTable.local_view`,
+:meth:`MemRows.local_access`) and hand them to the per-pair functions of
+:mod:`repro.core.intra` and :mod:`repro.core.inter`, which write the
+finding.  A clean trace has no survivors and builds no view.
+
+The two halves are separate so that they can run in different
+processes: a pool worker *finds* (it holds the columns, no call event),
+the parent *emits*.  :func:`check_epochs_sweep` and
+:func:`detect_regions_sweep` do both, and return findings *per unit*, in
+the order the per-unit nested loops emit them, so any contiguous
+chunking of a unit list concatenates to the same sequence.  Every
+executor is a policy over them: the serial checker passes all units,
+the pool its chunks, the incremental checker its dirty shards, the
+streaming checker a release.  Inside, unit lists are cut into
+sub-batches of at most :data:`BATCH_ROWS` flattened rows, which bounds
+the joins' working set at any trace size.
 
 Completeness of the join: among the RMA kinds (put/get/acc) Table I has
 no ``ERROR`` cells, and its ``NONOV`` cells fire only on overlap, so
 every op-op (and every attached-origin) finding requires byte overlap —
-the join loses nothing.  The one Table-I rule that fires *without*
-overlap is the MPI-2.2 store-vs-Put/Accumulate ``ERROR`` cell (separate
-memory model only): those pairs are enumerated explicitly as the
-stores-inside-the-exposed-window × put/acc-ops product, which is
-output-bounded by the same quantity the paper's linear scan walks.
+the join loses nothing.  Cells that fire *without* overlap (the MPI-2.2
+store-vs-Put/Accumulate ``ERROR`` cell of the separate memory model) are
+read off the lookup and enumerated explicitly, as the product of the
+local accesses that touch an entry's exposed window with that entry's
+ops of a firing kind — output-bounded by the same quantity the paper's
+linear scan walks.
 
 Candidate-pair counts land in the obs metric
-``engine_candidate_pairs_total{phase,stage}`` and join invocations in
+``engine_candidate_pairs_total{phase,stage}`` (``stage="table_filter"``:
+what the Table-I lookup let through) and join invocations in
 ``engine_join_calls_total{phase}``, so pruning effectiveness and the
 batching are observable (deliberately *not* in ``CheckStats`` — the
 canonical report must not depend on how the pairs were found).
@@ -43,30 +56,28 @@ canonical report must not depend on how the pairs were found).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.clocks import ConcurrencyOracle
-from repro.core.compat import GET, MODEL_SEPARATE
+from repro.core.compat import MODELS, MODEL_SEPARATE, VERDICT_LOOKUP
 from repro.core.diagnostics import ConsistencyError
-from repro.core.epochs import Epoch, EpochIndex
+from repro.core.epochs import EpochIndex
 from repro.core.inter import (
-    _LocalLockIndex, _OpVector, _check_concurrent_local_vs_op,
-    _check_concurrent_ops, bucket_by_region, check_local_against_entries,
+    _LocalLockIndex, _check_concurrent_local_vs_op, _check_concurrent_ops,
 )
 from repro.core.intra import (
-    EpochUnit, _check_attached_pair, _check_attached_vs_plain,
-    _check_target_pair, bucket_by_epoch,
+    _check_attached_pair, _check_attached_vs_plain, _check_target_pair,
 )
-from repro.core.model import (
-    AccessModel, LocalAccess, MemRows, RMAOpView, RowBounds, gather_rows,
-)
+from repro.core.model import AccessModel, MemRows, OpTable, gather_rows
 from repro.core.preprocess import PreprocessedTrace
 from repro.core.regions import RegionIndex
 from repro.util.intervals import (
-    IntervalTable, expand_ranges, overlap_join, unique_pairs,
+    IntervalTable, expand_ranges, grouped_searchsorted, overlap_join,
+    unique_pairs,
 )
 
 #: sub-batch budget: at most this many flattened rows (op intervals plus
@@ -77,10 +88,19 @@ BATCH_ROWS = 1 << 15
 #: per-unit findings, aligned with the unit list a kernel was handed
 UnitFindings = List[List[ConsistencyError]]
 
-#: one region's work unit: ``(region_ops, region_locals, {rank: (lo_seq,
-#: hi_seq)})`` — the region's seq bounds select each rank's memory rows
-RegionUnit = Tuple[List[RMAOpView], List[LocalAccess],
-                   Dict[int, Tuple[int, int]]]
+#: the pairs of a unit list that can still yield a finding, in emission
+#: order: the unit's position in the list, the per-pair check the pair
+#: goes to (below), and what ``a`` / ``b`` index
+Survivors = namedtuple("Survivors", "unit pattern a b")
+
+OP_PAIR = 0          # a, b: op rows
+ORIGIN_VS_ROW = 1    # a: attached local row, b: memory row of its rank
+ORIGIN_VS_LOCAL = 2  # a: attached local row, b: plain local row
+ORIGIN_PAIR = 3      # a, b: attached local rows
+LOCAL_VS_OP = 4      # a: local row, b: op row
+ROW_VS_OP = 5        # a: memory row of the op's target rank, b: op row
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 def _record_candidates(phase: str, stage: str, n: int) -> None:
@@ -112,14 +132,6 @@ def _self_join(phase: str,
     return pair_a[keep], pair_b[keep]
 
 
-def _rows_bound(mems: Dict[int, MemRows], bounds: RowBounds) -> int:
-    """Upper bound on the rows inside ``bounds`` (seqs are distinct
-    trace record indices), without touching them."""
-    rank, lo_seq, hi_seq = bounds
-    rows = mems.get(rank)
-    return min(len(rows), max(hi_seq - lo_seq - 1, 0)) if rows else 0
-
-
 def batch_bounds(weights: Iterable[int],
                  budget: int) -> List[Tuple[int, int]]:
     """Contiguous ``(lo, hi)`` index ranges over ``weights`` of at most
@@ -137,18 +149,87 @@ def batch_bounds(weights: Iterable[int],
     return out
 
 
-def _batched(kernel: Callable[[Sequence], UnitFindings], units: Sequence,
-             weight: Callable[[tuple], int]) -> UnitFindings:
-    """Run ``kernel`` over contiguous sub-batches of ``units`` holding at
-    most :data:`BATCH_ROWS` weight each (always at least one unit)."""
-    found: UnitFindings = []
-    for lo, hi in batch_bounds(map(weight, units), BATCH_ROWS):
-        found.extend(kernel(units[lo:hi]))
-    return found
+def _batched(kernel: Callable[[int, int], List[tuple]],
+             weights: np.ndarray) -> Survivors:
+    """Run ``kernel(lo, hi)`` over contiguous sub-batches of a unit list
+    holding at most :data:`BATCH_ROWS` weight each (always at least one
+    unit) and string the stages' survivors together: per unit, stage
+    after stage."""
+    stages = [(unit + lo, pattern, a, b)
+              for lo, hi in batch_bounds(weights.tolist(), BATCH_ROWS)
+              for unit, pattern, a, b in kernel(lo, hi) if len(unit)]
+    if not stages:
+        return Survivors(_NONE, _NONE, _NONE, _NONE)
+    unit, pattern, a, b = (np.concatenate(
+        [np.broadcast_to(stage[k], stage[0].shape) for stage in stages])
+        for k in range(4))
+    order = np.argsort(unit, kind="stable")
+    return Survivors(unit[order], pattern[order], a[order], b[order])
 
 
-def _flatten(found: UnitFindings) -> List[ConsistencyError]:
-    return [error for unit_found in found for error in unit_found]
+def _mem_sizes(table: OpTable, mems: Dict[int, MemRows]) -> np.ndarray:
+    return np.array([len(mems[rank]) if rank in mems else 0
+                     for rank in range(table.nranks)], dtype=np.int64)
+
+
+def _rows_bound(sizes: np.ndarray, rank: np.ndarray, lo_seq: np.ndarray,
+                hi_seq: np.ndarray) -> np.ndarray:
+    """Upper bound on the memory rows inside each ``(rank, lo, hi)``
+    (seqs are distinct trace record indices), without touching them."""
+    return np.minimum(sizes[rank], np.maximum(hi_seq - lo_seq - 1, 0))
+
+
+def _csr_table(start: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               rows: np.ndarray, group: np.ndarray,
+               first_owner: int = 0) -> IntervalTable:
+    """The byte intervals of ``rows`` out of a CSR interval table;
+    position ``k`` in ``rows`` owns its intervals as ``first_owner + k``
+    and puts them in ``group[k]``."""
+    owner, at = expand_ranges(start[rows], start[rows + 1] - start[rows])
+    return IntervalTable(lo[at], hi[at], owner=owner + first_owner,
+                         group=group[owner])
+
+
+def _first_seen(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, ids)`` for a walk that opens a bucket per distinct key
+    as it meets it: ``ids`` numbers the keys in first-seen order and
+    ``order`` lists the positions bucket by bucket, each in walk
+    order."""
+    _keys, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+    number = np.empty(len(first), dtype=np.int64)
+    number[np.argsort(first)] = np.arange(len(first))
+    ids = number[inverse]
+    return np.argsort(ids, kind="stable"), ids
+
+
+def _views_built(table: OpTable, mems: Dict[int, MemRows]) -> Dict[str, int]:
+    built = dict(table.views_built)
+    built["local"] += sum(rows.views_built for rows in mems.values())
+    return built
+
+
+def _record_views(table: OpTable, mems: Dict[int, MemRows],
+                  before: Dict[str, int]) -> None:
+    """Count the views an emit built (``before``: :func:`_views_built`
+    when it started)."""
+    rec = obs.get_recorder()
+    if rec.enabled:
+        for kind, n in _views_built(table, mems).items():
+            if n > before[kind]:
+                rec.count("analyzer_views_built_total", n - before[kind],
+                          kind=kind,
+                          help="Analysis views built: RMA op and local "
+                               "access objects, and the call events the "
+                               "op plane decoded for them")
+
+
+def _passes(table: OpTable, model: int, a: np.ndarray,
+            b: np.ndarray) -> np.ndarray:
+    """Which overlapping op pairs Table I makes a finding of."""
+    same = (table.acc[a] >= 0) & (table.acc[a] == table.acc[b])
+    return VERDICT_LOOKUP[model, table.kind[a], table.kind[b], 1,
+                          same.astype(np.int64)] > 0
 
 
 # ----------------------------------------------------------------------
@@ -160,126 +241,177 @@ def detect_intra_epoch_sweep(model: AccessModel, epoch_index: EpochIndex,
                              memory_model: str = MODEL_SEPARATE
                              ) -> List[ConsistencyError]:
     """Find conflicting operation pairs inside each access epoch."""
-    return _flatten(check_epochs_sweep(
-        bucket_by_epoch(model, epoch_index), model.mems, memory_model))
+    table = model.table
+    return [error for found in check_epochs_sweep(
+        table, epoch_units(table), model.mems, memory_model)
+        for error in found]
 
 
-def _epoch_rows(epoch: Epoch) -> RowBounds:
-    return epoch.rank, epoch.open_seq, epoch.close_seq
+def epoch_units(table: OpTable) -> np.ndarray:
+    """The intra-epoch work units: the epochs (indices into
+    ``epoch_index.epochs``, ascending) that hold at least one op —
+    others cannot produce a finding."""
+    start, _rows = table.ops_by_epoch
+    return np.nonzero(np.diff(start))[0]
 
 
-def check_epochs_sweep(units: Sequence[EpochUnit],
+def check_epochs_sweep(table: OpTable, epochs: np.ndarray,
                        mems: Dict[int, MemRows],
                        memory_model: str = MODEL_SEPARATE) -> UnitFindings:
-    """Within-epoch ruleset over a list of epoch units, joins first.
-
-    ``units`` are :func:`~repro.core.intra.bucket_by_epoch` tuples whose
-    last field holds the call-derived plain locals; the instrumented
-    loads/stores are ``mems[epoch.rank]`` inside the epoch's seq bounds.
-    Every candidate pair goes to the per-pair checkers of
-    :mod:`repro.core.intra`, and no intra finding exists without byte
-    overlap (op-op NONOV cells and both ORIGIN rules require it), so
-    nothing outside the joins can fire.
-    """
-    def weight(unit: EpochUnit) -> int:
-        epoch, ops, attached, _obj_mems = unit
-        return len(ops) + len(attached) + (
-            _rows_bound(mems, _epoch_rows(epoch)) if attached else 0)
-
-    return _batched(lambda batch: _epochs_pass(batch, mems, memory_model),
-                    units, weight)
+    """Within-epoch ruleset over a list of epoch units, joins first:
+    findings per unit, aligned with ``epochs``."""
+    return emit_epoch_findings(
+        table, mems, memory_model,
+        find_epoch_pairs(table, epochs, mems, memory_model), len(epochs))
 
 
-def _epochs_pass(units: Sequence[EpochUnit], mems: Dict[int, MemRows],
-                 memory_model: str) -> UnitFindings:
-    found: UnitFindings = [[] for _ in units]
+def find_epoch_pairs(table: OpTable, epochs: np.ndarray,
+                     mems: Dict[int, MemRows],
+                     memory_model: str = MODEL_SEPARATE) -> Survivors:
+    """The pairs of the epoch units ``epochs`` that reach a per-pair
+    check.  An epoch's ops and attached origin/result buffers are table
+    rows, its call-derived plain locals the table's plain locals inside
+    its seq bounds, its instrumented loads/stores ``mems[epoch rank]``
+    inside them; no intra finding exists without byte overlap (op-op
+    NONOV cells and both ORIGIN rules require it), so nothing outside
+    the joins can fire."""
+    epochs = np.asarray(epochs, dtype=np.int64)
+    op_start, _rows = table.ops_by_epoch
+    att_start, _rows = table.attached_by_epoch
+    n_attached = att_start[epochs + 1] - att_start[epochs]
+    cols = table.epochs
+    weights = op_start[epochs + 1] - op_start[epochs] + n_attached + np.where(
+        n_attached > 0, _rows_bound(
+            _mem_sizes(table, mems), cols.rank[epochs],
+            cols.open_seq[epochs], cols.close_seq[epochs]), 0)
+    model = MODELS.index(memory_model)
+    return _batched(lambda lo, hi: _epochs_pass(table, epochs[lo:hi], mems,
+                                                model), weights)
+
+
+def _epochs_pass(table: OpTable, epochs: np.ndarray,
+                 mems: Dict[int, MemRows], model: int) -> List[tuple]:
+    stages: List[tuple] = []
 
     # (a) RMA op pairs on the same target: one self-join of target
-    # intervals, group = (epoch, target)
-    ops: List[RMAOpView] = []
-    op_group: List[int] = []
-    op_unit: List[int] = []
-    n_groups = 0
-    for u, (_epoch, unit_ops, _attached, _obj_mems) in enumerate(units):
-        if len(unit_ops) < 2:
-            continue
-        by_target: Dict[int, List[RMAOpView]] = {}
-        for op in unit_ops:
-            by_target.setdefault(op.target, []).append(op)
-        for same in by_target.values():
-            if len(same) > 1:
-                ops.extend(same)
-                op_group.extend([n_groups] * len(same))
-                op_unit.extend([u] * len(same))
-                n_groups += 1
-    if ops:
-        pair_a, pair_b = _self_join("intra", IntervalTable.from_sets(
-            [op.target_intervals for op in ops], groups=op_group))
+    # intervals, group = (epoch, target), buckets in first-seen order
+    start, rows = table.ops_by_epoch
+    unit, at = expand_ranges(start[epochs], start[epochs + 1] - start[epochs])
+    if len(at) > 1:
+        ops = rows[at]
+        order, group = _first_seen(unit * table.nranks + table.target[ops])
+        ops, unit, group = ops[order], unit[order], group[order]
+        # (a bucket of one has no pair: most epochs hold one op a target)
+        pair_a, pair_b = _self_join("intra", _csr_table(
+            table.target_start, table.target_lo, table.target_hi, ops,
+            group)) if len(ops) > group[-1] + 1 else (_NONE, _NONE)
         _record_candidates("intra", "op_pair", len(pair_a))
-        for i, j in zip(pair_a.tolist(), pair_b.tolist()):
-            error = _check_target_pair(ops[i], ops[j], memory_model)
-            if error is not None:
-                found[op_unit[i]].append(error)
+        a, b = ops[pair_a], ops[pair_b]
+        # ops completing at different points (MPI-3 flush between them)
+        # are consistency-ordered even within one epoch
+        keep = (table.complete[a] > table.seq[b]) \
+            & (table.complete[b] > table.seq[a]) & _passes(table, model, a, b)
+        _record_candidates("intra", "table_filter", int(keep.sum()))
+        stages.append((unit[pair_a][keep], OP_PAIR, a[keep], b[keep]))
 
     # (b) attached origin buffers vs plain locals (columnar rows first,
-    # then the call-derived objects) and vs each other, group = epoch
-    with_attached = [u for u, unit in enumerate(units) if unit[2]]
-    if not with_attached:
-        return found
-    attached = [acc for u in with_attached for acc in units[u][2]]
-    att_unit = [u for u in with_attached for _acc in units[u][2]]
-    objs = [la for u in with_attached for la in units[u][3]]
-    obj_unit = [u for u in with_attached for _la in units[u][3]]
-    att_table = IntervalTable.from_sets([acc.intervals for acc in attached],
-                                        groups=att_unit)
-    rows = gather_rows(mems, [_epoch_rows(units[u][0])
-                               for u in with_attached])
-    n_rows = len(rows.idx) if rows is not None else 0
-    plain_parts = [IntervalTable.from_sets(
-        [la.intervals for la in objs],
-        owners=range(n_rows, n_rows + len(objs)), groups=obj_unit)]
-    plain_seq = np.array([la.seq for la in objs], dtype=np.int64)
-    plain_store = np.array([la.access == "store" for la in objs],
-                           dtype=bool)
-    if n_rows:
-        plain_parts.insert(0, IntervalTable.from_columns(
-            rows.addr, rows.size,
-            group=np.array(with_attached, dtype=np.int64)[rows.group]))
-        plain_seq = np.concatenate([rows.seq, plain_seq])
-        plain_store = np.concatenate([rows.store, plain_store])
-    pair_a, pair_p = (_join("intra", att_table,
-                            IntervalTable.concat(plain_parts))
-                      if n_rows or objs else ((), ()))
+    # then the call-derived ones) and vs each other, group = epoch
+    start, rows = table.attached_by_epoch
+    unit, at = expand_ranges(start[epochs], start[epochs + 1] - start[epochs])
+    if not len(at):
+        return stages
+    attached = rows[at]
+    holders = np.unique(unit)          # the units with attached buffers
+    att_group = np.searchsorted(holders, unit)
+    owner_op = table.l_op[attached]
+    att_table = _csr_table(table.local_start, table.local_lo,
+                           table.local_hi, attached, att_group)
+    cols = table.epochs
+    bounds = (cols.rank[epochs[holders]], cols.open_seq[epochs[holders]],
+              cols.close_seq[epochs[holders]])
+    mem = gather_rows(mems, *bounds)
+    call_group, calls = plain_locals_inside(table, *bounds)
+    n_mem = len(mem.idx)
+    pair_a, pair_p = _join("intra", att_table, IntervalTable.concat([
+        IntervalTable.from_columns(mem.addr, mem.size, group=mem.group),
+        _csr_table(table.local_start, table.local_lo, table.local_hi,
+                   calls, call_group, first_owner=n_mem)]))
     if len(pair_a):
-        # vectorized prefilter mirroring _check_attached_vs_plain's
-        # seq-window and store conditions; survivors re-run the full
-        # scalar check for the identical payload
-        att_seq = np.array([acc.origin_of.seq for acc in attached],
-                           dtype=np.int64)
-        att_complete = np.array(
-            [acc.origin_of.complete_seq for acc in attached],
-            dtype=np.int64)
-        att_store = np.array([acc.access == "store" for acc in attached])
-        keep = ((plain_seq[pair_p] >= att_seq[pair_a])
-                & (plain_seq[pair_p] <= att_complete[pair_a])
-                & (att_store[pair_a] | plain_store[pair_p]))
+        # program order protects accesses before the issue, the
+        # flush/close completes the op before anything after it; two
+        # reads never conflict
+        seq = np.concatenate([mem.seq, table.l_seq[calls]])[pair_p]
+        store = np.concatenate([mem.store, table.l_store[calls]])[pair_p]
+        keep = (seq >= table.seq[owner_op[pair_a]]) \
+            & (seq <= table.complete[owner_op[pair_a]]) \
+            & (table.l_store[attached[pair_a]] | store)
         pair_a, pair_p = pair_a[keep], pair_p[keep]
         _record_candidates("intra", "origin_vs_plain", len(pair_a))
-        for k, m in zip(pair_a.tolist(), pair_p.tolist()):
-            acc = attached[k]
-            la = (mems[acc.rank].local_access(int(rows.idx[m]))
-                  if m < n_rows else objs[m - n_rows])
-            found[att_unit[k]].extend(_check_attached_vs_plain(acc, la))
+        is_mem = pair_p < n_mem
+        stages.append((
+            unit[pair_a], np.where(is_mem, ORIGIN_VS_ROW, ORIGIN_VS_LOCAL),
+            attached[pair_a],
+            np.concatenate([mem.idx, calls])[pair_p]))
 
-    if len(attached) == len(with_attached):  # one buffer per epoch
-        return found
+    if len(attached) == len(holders):  # one buffer per epoch
+        return stages
     pair_a, pair_b = _self_join("intra", att_table)
     _record_candidates("intra", "origin_pair", len(pair_a))
-    for k, m in zip(pair_a.tolist(), pair_b.tolist()):
-        acc_a, acc_b = attached[k], attached[m]
-        if acc_a.origin_of is acc_b.origin_of:
-            continue  # one call's own buffers don't self-conflict
-        found[att_unit[k]].extend(_check_attached_pair(acc_a, acc_b))
+    a, b = owner_op[pair_a], owner_op[pair_b]
+    # one call's own buffers don't self-conflict; spans must overlap and
+    # one side must write
+    keep = (a != b) & (table.complete[a] > table.seq[b]) \
+        & (table.complete[b] > table.seq[a]) \
+        & (table.l_store[attached[pair_a]] | table.l_store[attached[pair_b]])
+    stages.append((unit[pair_a][keep], ORIGIN_PAIR, attached[pair_a][keep],
+                   attached[pair_b][keep]))
+    return stages
+
+
+def plain_locals_inside(table: OpTable, rank: np.ndarray, lo_seq: np.ndarray,
+                        hi_seq: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """The call-derived plain locals (buffer calls) of ``rank[g]`` with
+    ``lo_seq[g] < seq < hi_seq[g]``: ``(g, local row)`` pairs, by ``g``
+    and in table order within one."""
+    plain, plain_rank, plain_seq = table.plain
+    first, stop = np.split(grouped_searchsorted(
+        plain_rank, plain_seq, np.concatenate([rank, rank]),
+        np.concatenate([lo_seq, hi_seq - 1]), side="right"), 2)
+    group, at = expand_ranges(first, np.maximum(stop - first, 0))
+    order = np.lexsort((plain[at], group))
+    return group[order], plain[at][order]
+
+
+def emit_epoch_findings(table: OpTable, mems: Dict[int, MemRows],
+                        memory_model: str, survivors: Survivors,
+                        n_units: int) -> UnitFindings:
+    """Build the views of the intra survivors and run each pair's check:
+    the findings, per unit."""
+    found: UnitFindings = [[] for _ in range(n_units)]
+    if not len(survivors.unit):
+        return found
+    before = _views_built(table, mems)
+    op, local = table.op_view, table.local_view
+    pairs = survivors.pattern == OP_PAIR
+    table.prefetch(
+        np.concatenate([survivors.a[pairs], survivors.b[pairs]]),
+        np.concatenate([survivors.a[~pairs], survivors.b[
+            (survivors.pattern == ORIGIN_PAIR)
+            | (survivors.pattern == ORIGIN_VS_LOCAL)]]))
+    for unit, pattern, a, b in zip(*(col.tolist() for col in survivors)):
+        if pattern == OP_PAIR:
+            error = _check_target_pair(op(a), op(b), memory_model)
+            if error is not None:
+                found[unit].append(error)
+        elif pattern == ORIGIN_PAIR:
+            found[unit].extend(_check_attached_pair(local(a), local(b)))
+        else:
+            attached = local(a)
+            found[unit].extend(_check_attached_vs_plain(
+                attached, mems[attached.rank].local_access(b)
+                if pattern == ORIGIN_VS_ROW else local(b)))
+    _record_views(table, mems, before)
     return found
 
 
@@ -288,14 +420,43 @@ def _epochs_pass(units: Sequence[EpochUnit], mems: Dict[int, MemRows],
 # ----------------------------------------------------------------------
 
 
-def region_units(model: AccessModel,
-                 regions: RegionIndex) -> List[RegionUnit]:
-    """Per-region work units for regions that contain at least one op
-    (others cannot produce cross-process findings), in region order."""
-    ops_by_region, locals_by_region = bucket_by_region(model, regions)
-    return [(ops_by_region[region.index],
-             locals_by_region.get(region.index, []), region.bounds)
-            for region in regions if ops_by_region.get(region.index)]
+class RegionMembers:
+    """Which ops and call-derived locals each concurrent region holds —
+    every region their span intersects — as CSR pairs ``(start, rows)``
+    over the :class:`OpTable`: ops in ``(rank, seq)`` order (the order
+    the paper's scan records them in, whatever way the table was
+    assembled), locals in table order."""
+
+    def __init__(self, table: OpTable, regions: RegionIndex):
+        #: ``(n_regions + 1, nranks)`` seq bounds (``RegionIndex.bounds``)
+        self.bounds = regions.bounds
+        first, last = regions.regions_of_spans(
+            np.concatenate([table.rank, table.l_rank]),
+            np.concatenate([table.seq, table.l_seq]),
+            np.concatenate([table.complete, table.l_end]))
+        #: per op / local row, the first and last region of its span
+        self.op_span = first[:table.n_ops], last[:table.n_ops]
+        self.local_span = first[table.n_ops:], last[table.n_ops:]
+        self.ops = _spread(len(regions), *self.op_span,
+                           np.lexsort((table.seq, table.rank)))
+        self.locals = _spread(len(regions), *self.local_span,
+                              np.arange(table.n_local))
+
+    def units(self) -> np.ndarray:
+        """The cross-process work units: the regions that contain at
+        least one op (others cannot produce cross-process findings)."""
+        return np.nonzero(np.diff(self.ops[0]))[0]
+
+
+def _spread(n_regions: int, first: np.ndarray, last: np.ndarray,
+            rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(start, rows)``: ``rows`` — each a member of regions
+    ``first..last`` — grouped by region, in the order given."""
+    member, region = expand_ranges(first[rows],
+                                   np.maximum(last - first + 1, 0)[rows])
+    order = np.argsort(region, kind="stable")
+    return (np.searchsorted(region[order], np.arange(n_regions + 1)),
+            rows[member[order]])
 
 
 def detect_cross_process_sweep(pre: PreprocessedTrace, model: AccessModel,
@@ -306,191 +467,245 @@ def detect_cross_process_sweep(pre: PreprocessedTrace, model: AccessModel,
                                ) -> List[ConsistencyError]:
     """Cross-process detection over every concurrent region — the
     paper's two-step scan of section IV-C-4, joins first."""
-    return _flatten(detect_regions_sweep(
-        pre, region_units(model, regions), model.mems, oracle,
-        _LocalLockIndex(epoch_index, pre.nranks), memory_model))
+    members = RegionMembers(model.table, regions)
+    return [error for found in detect_regions_sweep(
+        pre, model.table, members, members.units(), model.mems, oracle,
+        _LocalLockIndex(epoch_index, pre.nranks), memory_model)
+        for error in found]
 
 
-def detect_regions_sweep(pre: PreprocessedTrace,
-                         units: Sequence[RegionUnit],
+def detect_regions_sweep(pre: PreprocessedTrace, table: OpTable,
+                         members: RegionMembers, regions: np.ndarray,
                          mems: Dict[int, MemRows],
                          oracle: ConcurrencyOracle,
                          lock_index: _LocalLockIndex,
                          memory_model: str = MODEL_SEPARATE
                          ) -> UnitFindings:
-    """A list of concurrent regions, joins first.
+    """A list of concurrent regions, joins first: findings per unit,
+    aligned with ``regions``."""
+    return emit_region_findings(
+        table, mems, pre, lock_index, memory_model,
+        find_region_pairs(table, members, regions, mems, oracle,
+                          memory_model), len(regions))
 
-    Per unit, the paper's two linear passes with ``region_locals`` plus
-    ``mems[rank]`` inside the region's seq bounds as the local
-    population: object locals take the step-2 loop
-    (:func:`~repro.core.inter.check_local_against_entries`), op-op
-    pairs and the packed memory rows go through grouped interval joins
-    with one batched happens-before query each, and the no-overlap
-    store-vs-put/acc ``ERROR`` rule (separate model) is enumerated as an
-    explicit product over the stores that touch the exposed window.
-    """
-    def weight(unit: RegionUnit) -> int:
-        region_ops, _locals, bounds = unit
-        return len(region_ops) + sum(
-            _rows_bound(mems, (target, *bounds[target]))
-            for target in {op.target for op in region_ops})
 
+def find_region_pairs(table: OpTable, members: RegionMembers,
+                      regions: np.ndarray, mems: Dict[int, MemRows],
+                      oracle: ConcurrencyOracle,
+                      memory_model: str = MODEL_SEPARATE) -> Survivors:
+    """The pairs of the region units ``regions`` that reach a per-pair
+    check.  Per unit, the paper's two linear passes as joins: the
+    region's ops bucketed into ``(window, target)`` vector entries and
+    self-joined (step 1), then the local population at each target — the
+    region's call-derived locals with their spans, and ``mems[target]``
+    inside the region's seq bounds — clipped to the entries' exposed
+    windows and joined against the entries' ops (step 2); Table I and
+    one batched happens-before query cut each candidate set."""
+    regions = np.asarray(regions, dtype=np.int64)
+    start, rows = members.ops
+    n_ops = start[regions + 1] - start[regions]
+    # a unit's weight: its ops plus the memory rows in range at each of
+    # its targets
+    unit, at = expand_ranges(start[regions], n_ops)
+    key = np.unique(unit * table.nranks + table.target[rows[at]])
+    unit, target = key // table.nranks, key % table.nranks
+    weights = n_ops + np.bincount(unit, _rows_bound(
+        _mem_sizes(table, mems), target,
+        members.bounds[regions[unit], target],
+        members.bounds[regions[unit] + 1, target]),
+        minlength=len(regions)).astype(np.int64)
+    model = MODELS.index(memory_model)
     return _batched(
-        lambda batch: _regions_pass(pre, batch, mems, oracle, lock_index,
-                                    memory_model), units, weight)
+        lambda lo, hi: _regions_pass(table, members, regions[lo:hi], mems,
+                                     oracle, model), weights)
 
 
-def _regions_pass(pre: PreprocessedTrace, units: Sequence[RegionUnit],
-                  mems: Dict[int, MemRows], oracle: ConcurrencyOracle,
-                  lock_index: _LocalLockIndex,
-                  memory_model: str) -> UnitFindings:
-    found: UnitFindings = [[] for _ in units]
+def _regions_pass(table: OpTable, members: RegionMembers,
+                  regions: np.ndarray, mems: Dict[int, MemRows],
+                  oracle: ConcurrencyOracle, model: int) -> List[tuple]:
+    nranks = table.nranks
+    start, rows = members.ops
+    unit, at = expand_ranges(start[regions], start[regions + 1] - start[regions])
+    if not len(at):
+        return []
+    ops = rows[at]
 
     # bucket each region's ops into (window, target) vector entries, in
     # first-recorded order (step 1's walk); each (region, target) is one
     # memory-row group, numbered in first-recorded order too, so step
     # 2b's walk — by region, target, entry — is by (group, entry)
-    entries: List[_OpVector] = []
-    entry_unit: List[int] = []
-    entry_group: List[int] = []
-    entries_by_rank: List[Dict[int, List[_OpVector]]] = []
-    row_bounds: List[RowBounds] = []
-    for u, (region_ops, _locals, bounds) in enumerate(units):
-        vector: Dict[Tuple[int, int], _OpVector] = {}
-        by_rank: Dict[int, List[_OpVector]] = {}
-        group_of: Dict[int, int] = {}
-        for op in region_ops:
-            key = (op.win_id, op.target)
-            entry = vector.get(key)
-            if entry is None:
-                entry = vector[key] = _OpVector(op.win_id, op.target)
-                if op.target not in group_of:
-                    group_of[op.target] = len(row_bounds)
-                    row_bounds.append((op.target, *bounds[op.target]))
-                by_rank.setdefault(op.target, []).append(entry)
-                entries.append(entry)
-                entry_unit.append(u)
-                entry_group.append(group_of[op.target])
-            entry.append(op)
-        entries_by_rank.append(by_rank)
-    n_entries = len(entries)
-    if not n_entries:
-        return found
-    ops = [op for entry in entries for op in entry.ops]
-    op_entry = np.repeat(np.arange(n_entries, dtype=np.int64),
-                         [len(entry.ops) for entry in entries])
-    op_rank = np.array([op.rank for op in ops], dtype=np.int64)
-    op_start = np.array([op.seq for op in ops], dtype=np.int64)
-    op_end = np.array([op.complete_seq for op in ops], dtype=np.int64)
+    win = table.window_index(table.win[ops])
+    order, entry = _first_seen(
+        (unit * len(table.win_ids) + win) * nranks + table.target[ops])
+    ops, entry = ops[order], entry[order]
+    n_entries = int(entry[-1]) + 1
+    head = np.searchsorted(entry, np.arange(n_entries))
+    entry_unit, entry_win = unit[order][head], win[order][head]
+    entry_target = table.target[ops][head]
+    _order, entry_group = _first_seen(entry_unit * nranks + entry_target)
+    head = np.unique(entry_group, return_index=True)[1]
+    group_unit, group_target = entry_unit[head], entry_target[head]
+    group_region = regions[group_unit]
 
-    def op_spans(idx: np.ndarray):
-        return op_rank[idx], op_start[idx], op_end[idx]
+    op_rank, op_seq, op_end = table.rank[ops], table.seq[ops], \
+        table.complete[ops]
+    stages: List[tuple] = []
 
     # step 1: one self-join of every entry's target intervals
-    tgt_table = IntervalTable.from_sets(
-        [op.target_intervals for op in ops], groups=op_entry)
-    pair_a, pair_b = _self_join("inter", tgt_table)
+    tgt_table = _csr_table(table.target_start, table.target_lo,
+                           table.target_hi, ops, entry)
+    pair_a, pair_b = _self_join("inter", tgt_table) \
+        if len(ops) > n_entries else (_NONE, _NONE)
     keep = op_rank[pair_a] != op_rank[pair_b]  # same-rank: intra's job
     pair_a, pair_b = pair_a[keep], pair_b[keep]
     _record_candidates("inter", "op_pair", len(pair_a))
-    keep = ~oracle.ordered_pairs(*op_spans(pair_a), *op_spans(pair_b))
-    for i, j in zip(pair_a[keep].tolist(), pair_b[keep].tolist()):
-        error = _check_concurrent_ops(ops[i], ops[j], memory_model)
-        if error is not None:
-            found[entry_unit[op_entry[i]]].append(error)
-
-    # step 2a: call-derived local objects — the per-access inner loop
-    for u, (_ops, region_locals, _bounds) in enumerate(units):
-        by_rank = entries_by_rank[u]
-        for la in region_locals:
-            check_local_against_entries(
-                pre, la, by_rank.get(la.rank, ()), oracle, lock_index,
-                memory_model, found[u])
-
-    # step 2b: packed memory rows, columnar over every entry at once
-    rows = gather_rows(mems, row_bounds)
-    if rows is None:
-        return found
-    entry_group = np.array(entry_group, dtype=np.int64)
-    # clip rows to each entry's exposed window: a row matters only
-    # through its bytes inside the exposure (the `la_in_window` clip
-    # of check_local_against_entries); rows meet the exposures of their own (region, target) group
-    exposures = {key: pre.window(key[0]).exposure(key[1])
-                 for key in {(entry.win_id, entry.target)
-                             for entry in entries}}
-    expo = [(iv.start, iv.stop, e) for e, entry in enumerate(entries)
-            for iv in exposures[entry.win_id, entry.target]]
-    if not expo:
-        return found
-    expo_lo, expo_hi, expo_entry = (np.array(col, dtype=np.int64)
-                                    for col in zip(*expo))
-    row_idx, expo_idx = _join(
-        "inter",
-        IntervalTable.from_columns(rows.addr, rows.size, group=rows.group),
-        IntervalTable(expo_lo, expo_hi, group=entry_group[expo_entry]))
-    if not len(row_idx):
-        return found
-    hit_entry = expo_entry[expo_idx]
-    clipped = IntervalTable(
-        np.maximum(rows.addr[row_idx], expo_lo[expo_idx]),
-        np.minimum(rows.addr[row_idx] + rows.size[row_idx],
-                   expo_hi[expo_idx]),
-        owner=row_idx, group=hit_entry)
-
-    # overlap-born candidates (Table-I NONOV cells)
-    op_is_update = np.array([op.kind != GET for op in ops])
-    pair_r, pair_o = _join("inter", clipped, tgt_table)
-    row_is_store = rows.store[pair_r]
-    update = op_is_update[pair_o]
-    if memory_model == MODEL_SEPARATE:
-        # store vs put/acc is the ERROR rule, enumerated below without
-        # the overlap requirement; load-load and load-get cells are
-        # BOTH — never errors
-        keep = row_is_store != update
-    else:
-        keep = update | row_is_store  # only load-vs-get drops
-    pair_r, pair_o = pair_r[keep], pair_o[keep]
-    by_op = np.zeros(len(pair_r), dtype=bool)
-
-    # the MPI-2.2 special rule: a store inside the exposed window vs any
-    # concurrent put/acc on it, byte overlap not required — per entry,
-    # its stores × its update ops, walked op-major
-    if memory_model == MODEL_SEPARATE and op_is_update.any():
-        store_row, store_entry = unique_pairs(row_idx, hit_entry)
-        keep = rows.store[store_row]
-        store_row, store_entry = store_row[keep], store_entry[keep]
-        update_ops = np.nonzero(op_is_update)[0]
-        n_updates = np.bincount(op_entry[update_ops], minlength=n_entries)
-        rep, k = expand_ranges((np.cumsum(n_updates) - n_updates)[store_entry],
-                               n_updates[store_entry])
-        pair_r = np.concatenate([pair_r, store_row[rep]])
-        pair_o = np.concatenate([pair_o, update_ops[k]])
-        by_op = np.concatenate([by_op, np.ones(len(rep), dtype=bool)])
-    if not len(pair_r):
-        return found
-    # emission order: step 2b's walk over entries; per entry the
-    # overlap-born pairs row-major, then the special-rule product
-    # op-major
-    pair_entry = op_entry[pair_o]
-    order = np.lexsort((np.where(by_op, pair_r, pair_o),
-                        np.where(by_op, pair_o, pair_r), by_op,
-                        pair_entry, entry_group[pair_entry]))
-    pair_r, pair_o = pair_r[order], pair_o[order]
-    _record_candidates("inter", "local_vs_op", len(pair_r))
-
-    # happens-before filter, one batched query for every candidate pair;
-    # survivors materialize a LocalAccess and take the per-pair
-    # verdict path
-    seqs = rows.seq[pair_r]
+    keep = _passes(table, model, ops[pair_a], ops[pair_b])
+    pair_a, pair_b = pair_a[keep], pair_b[keep]
+    _record_candidates("inter", "table_filter", len(pair_a))
     keep = ~oracle.ordered_pairs(
-        np.array([op.target for op in ops], dtype=np.int64)[pair_o],
-        seqs, seqs, *op_spans(pair_o))
-    for r, o in zip(pair_r[keep].tolist(), pair_o[keep].tolist()):
-        op = ops[o]
-        la = mems[op.target].local_access(int(rows.idx[r]))
-        error = _check_concurrent_local_vs_op(
-            la, la.intervals.intersection(exposures[op.win_id, op.target]),
-            op, lock_index, memory_model)
+        op_rank[pair_a], op_seq[pair_a], op_end[pair_a],
+        op_rank[pair_b], op_seq[pair_b], op_end[pair_b])
+    stages.append((entry_unit[entry[pair_a[keep]]], OP_PAIR,
+                   ops[pair_a[keep]], ops[pair_b[keep]]))
+
+    # step 2: the local population at each target against the entries
+    # there.  An access matters only through its bytes inside an entry's
+    # exposed window, and meets the exposures of its own (region,
+    # target) group
+    expo_lo = table.win_base[entry_win, entry_target]
+    expo_hi = expo_lo + table.win_size[entry_win, entry_target]
+    exposures = IntervalTable(expo_lo, expo_hi, group=entry_group)
+    op_kind = table.kind[ops]
+
+    def against_entries(lo, hi, owner, group, store):
+        """Interval rows ``[lo, hi)`` of the accesses ``owner`` (group
+        and whether it writes are per access) against every entry:
+        ``(access, op position, by_op)`` candidate pairs — the
+        overlap-born ones (Table-I NONOV cells), then with ``by_op`` the
+        cells that fire without byte overlap, per entry its accesses of
+        the firing kind × its ops of the fired-at kinds."""
+        row, hit = _join("inter", IntervalTable(
+            lo, hi, owner=np.arange(len(lo)), group=group[owner]),
+            exposures)          # (interval row, entry)
+        pair_l, pair_o = _join("inter", IntervalTable(
+            np.maximum(lo[row], expo_lo[hit]),
+            np.minimum(hi[row], expo_hi[hit]),
+            owner=owner[row], group=hit), tgt_table)
+        access = store[pair_l].astype(np.int64)    # LOAD / STORE codes
+        verdict = VERDICT_LOOKUP[model, access, op_kind[pair_o], :, 0]
+        keep = (verdict[:, 1] > 0) & (verdict[:, 0] == 0)
+        pairs = [(pair_l[keep], pair_o[keep])]
+        touched = unique_pairs(owner[row], hit)
+        for access in (0, 1):
+            fired_at = np.nonzero(
+                VERDICT_LOOKUP[model, access, op_kind, 0, 0] > 0)[0]
+            mine = store[touched[0]] == bool(access)
+            if len(fired_at) and mine.any():
+                per_entry = np.bincount(entry[fired_at],
+                                        minlength=n_entries)
+                rep, k = expand_ranges(
+                    (np.cumsum(per_entry) - per_entry)[touched[1][mine]],
+                    per_entry[touched[1][mine]])
+                pairs.append((touched[0][mine][rep], fired_at[k]))
+        pair_l, pair_o = (np.concatenate(col) for col in zip(*pairs))
+        _record_candidates("inter", "table_filter", len(pair_l))
+        by_op = np.arange(len(pair_l)) >= len(pairs[0][0])
+        return pair_l, pair_o, by_op
+
+    # the population: the packed memory rows of every (region, target)
+    # group, as points, then the region's call-derived locals at a rank
+    # that has a group (most have none), with their spans
+    mem = gather_rows(mems, group_target,
+                      members.bounds[group_region, group_target],
+                      members.bounds[group_region + 1, group_target])
+    n_mem = len(mem.idx)
+    start, rows = members.locals
+    l_unit, at = expand_ranges(start[regions],
+                               start[regions + 1] - start[regions])
+    local = rows[at]
+    keys = group_unit * nranks + group_target
+    by_key = np.argsort(keys)
+    at = np.minimum(np.searchsorted(keys[by_key],
+                                    l_unit * nranks + table.l_rank[local]),
+                    len(keys) - 1)
+    known = keys[by_key][at] == l_unit * nranks + table.l_rank[local]
+    local, l_group = local[known], by_key[at[known]]
+    if not n_mem and not len(local):
+        return stages
+    owner, at = expand_ranges(
+        table.local_start[local],
+        table.local_start[local + 1] - table.local_start[local])
+    pair_l, pair_o, by_op = against_entries(
+        np.concatenate([mem.addr, table.local_lo[at]]),
+        np.concatenate([mem.addr + mem.size, table.local_hi[at]]),
+        np.concatenate([np.arange(n_mem), owner + n_mem]),
+        np.concatenate([mem.group, l_group]),
+        np.concatenate([mem.store, table.l_store[local]]))
+    is_mem = pair_l < n_mem
+    # emission order.  Call-derived locals (step 2a): by access, entry,
+    # op.  Memory rows (step 2b): the walk over entries; per entry the
+    # overlap-born pairs row-major, then the no-overlap product op-major
+    pair_entry = entry[pair_o]
+    swap = by_op & is_mem
+    order = np.lexsort((np.where(swap, pair_l, pair_o),
+                        np.where(swap, pair_o, pair_l), swap,
+                        np.where(is_mem, pair_entry, 0),
+                        np.where(is_mem, entry_group[pair_entry], 0),
+                        is_mem))
+    pair_l, pair_o, is_mem = pair_l[order], pair_o[order], is_mem[order]
+    # an op does not conflict with its own origin access, and a
+    # same-origin RMA pair is handled as op-op / intra
+    access = local[np.maximum(pair_l - n_mem, 0)] if len(local) \
+        else np.zeros(len(pair_l), dtype=np.int64)
+    keep = is_mem | ((table.l_op[access] != ops[pair_o]) & ~(
+        (table.l_op[access] >= 0)
+        & (table.l_rank[access] == op_rank[pair_o])))
+    pair_l, pair_o, is_mem, access = (pair_l[keep], pair_o[keep],
+                                      is_mem[keep], access[keep])
+    _record_candidates("inter", "local_vs_op", len(pair_l))
+    # happens-before filter, one batched query for every candidate pair
+    row = np.minimum(pair_l, max(n_mem - 1, 0))
+    seq = np.where(is_mem, mem.seq[row] if n_mem else 0,
+                   table.l_seq[access])
+    keep = ~oracle.ordered_pairs(
+        table.target[ops[pair_o]], seq,
+        np.where(is_mem, seq, table.l_end[access]),
+        op_rank[pair_o], op_seq[pair_o], op_end[pair_o])
+    pair_o, is_mem = pair_o[keep], is_mem[keep]
+    stages.append((
+        entry_unit[entry[pair_o]], np.where(is_mem, ROW_VS_OP, LOCAL_VS_OP),
+        np.where(is_mem, mem.idx[row[keep]] if n_mem else 0, access[keep]),
+        ops[pair_o]))
+    return stages
+
+
+def emit_region_findings(table: OpTable, mems: Dict[int, MemRows],
+                         pre: PreprocessedTrace,
+                         lock_index: _LocalLockIndex, memory_model: str,
+                         survivors: Survivors, n_units: int) -> UnitFindings:
+    """Build the views of the inter survivors and run each pair's check:
+    the findings, per unit."""
+    found: UnitFindings = [[] for _ in range(n_units)]
+    if not len(survivors.unit):
+        return found
+    before = _views_built(table, mems)
+    table.prefetch(
+        np.concatenate([survivors.b,
+                        survivors.a[survivors.pattern == OP_PAIR]]),
+        survivors.a[survivors.pattern == LOCAL_VS_OP])
+    for unit, pattern, a, b in zip(*(col.tolist() for col in survivors)):
+        op = table.op_view(b)
+        if pattern == OP_PAIR:
+            error = _check_concurrent_ops(table.op_view(a), op,
+                                          memory_model)
+        else:
+            access = (table.local_view(a) if pattern == LOCAL_VS_OP
+                      else mems[op.target].local_access(a))
+            error = _check_concurrent_local_vs_op(
+                access, access.intervals.intersection(
+                    pre.window(op.win_id).exposure(op.target)),
+                op, lock_index, memory_model)
         if error is not None:
-            found[entry_unit[op_entry[o]]].append(error)
+            found[unit].append(error)
+    _record_views(table, mems, before)
     return found

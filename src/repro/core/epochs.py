@@ -12,9 +12,17 @@ DN-Analyzer recognizes:
 * **PSCW access epochs** — ``Win_start(group)`` .. ``Win_complete``;
 * **PSCW exposure epochs** — ``Win_post(group)`` .. ``Win_wait``.
 
-An RMA operation belongs to the innermost epoch covering its issue point
-and its target; its memory effects may occur anywhere up to the epoch's
-closing call (its *span*).
+The epoch an RMA operation belongs to — one rule, stated here and
+implemented twice (:meth:`EpochIndex.enclosing` for one call,
+:meth:`EpochIndex.enclosing_rows` for columns of them): among the access
+epochs of its rank and window whose interior contains the issue point
+and that cover the target, lock and PSCW epochs come before fence epochs
+(they are more specific), and within a class the latest opened wins.  A
+correct execution has one candidate; overlapping lock and PSCW epochs to
+one target, or a truncated trace, have several.  The operation's memory
+effects may occur anywhere up to its completion (its *span*): the
+epoch's closing call, or earlier the first MPI-3 flush covering its
+target or the wait on its request (:meth:`EpochIndex.completion_rows`).
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ import numpy as np
 from repro.core.calltable import ensure_call_tables, fn_code
 from repro.core.preprocess import PreprocessedTrace
 from repro.util.errors import AnalysisError
+from repro.util.intervals import (
+    IntervalTable, group_ids, grouped_searchsorted, overlap_join,
+)
 
 #: the calls the epoch state machine reads — everything else is skipped
 _EPOCH_FNS = ("Win_fence", "Win_free", "Win_lock", "Win_lock_all",
@@ -53,6 +64,12 @@ EpochColumns = namedtuple(
     "EpochColumns", "rank win kind open_seq close_seq target lock "
                     "group_len group_val lock_types")
 NO_TARGET = -(1 << 63)
+
+#: MPI-3 completion points short of an epoch close, in (rank, trace)
+#: order: flushes (``target`` is :data:`NO_TARGET` for ``Win_flush_all``)
+#: and the waits on request-based operations
+FlushColumns = namedtuple("FlushColumns", "rank win seq target")
+WaitColumns = namedtuple("WaitColumns", "rank win req seq")
 
 
 @dataclass
@@ -100,21 +117,23 @@ class EpochIndex:
     """All epochs of a preprocessed trace, with lookup by op issue point."""
 
     def __init__(self, pre: PreprocessedTrace):
+        self.nranks = pre.nranks
         self.epochs: List[Epoch] = []
-        # (rank, win) -> epochs at that rank/window, in open order
+        # (rank, win) -> epochs at that rank/window, in close order
         self._by_rank_win: Dict[Tuple[int, int], List[Epoch]] = {}
-        # (rank, win) -> sorted [(seq, target-or-None)] of MPI-3 flushes
-        self._flushes: Dict[Tuple[int, int], List[Tuple[int, Optional[int]]]] = {}
-        # (rank, win, req) -> seq of the Rma_wait completing that request
-        self._req_waits: Dict[Tuple[int, int, int], int] = {}
-        self._build(pre)
+        flushes: List[Tuple[int, int, int, int]] = []
+        waits: List[Tuple[int, int, int, int]] = []
+        self._build(pre, flushes, waits)
+        self.flushes = FlushColumns(*_columns(flushes, 4))
+        self.req_waits = WaitColumns(*_columns(waits, 4))
 
     def _add(self, epoch: Epoch) -> None:
         self.epochs.append(epoch)
         self._by_rank_win.setdefault((epoch.rank, epoch.win_id), []) \
             .append(epoch)
 
-    def _build(self, pre: PreprocessedTrace) -> None:
+    def _build(self, pre: PreprocessedTrace, flushes: list,
+               waits: list) -> None:
         """A mask selects each rank's epoch-relevant call-table rows;
         the sequential per-window state machine runs over just those."""
         tables = ensure_call_tables(pre)
@@ -173,13 +192,11 @@ class EpochIndex:
                     epoch.close_seq = seq
                     self._add(epoch)
                 elif fn == "Win_flush":
-                    self._flushes.setdefault((rank, win), []).append(
-                        (seq, l_target[k]))
+                    flushes.append((rank, win, seq, l_target[k]))
                 elif fn == "Win_flush_all":
-                    self._flushes.setdefault((rank, win), []).append(
-                        (seq, None))
+                    flushes.append((rank, win, seq, NO_TARGET))
                 elif fn == "Rma_wait":
-                    self._req_waits[(rank, win, l_req[k])] = seq
+                    waits.append((rank, win, l_req[k], seq))
                 elif fn == "Win_unlock":
                     target = l_target[k]
                     epoch = lock_open.pop((win, target), None)
@@ -230,20 +247,109 @@ class EpochIndex:
 
     def enclosing(self, rank: int, win_id: int, seq: int,
                   target: int) -> Optional[Epoch]:
-        """The access epoch an RMA op issued at ``seq`` belongs to.
-
-        Lock and PSCW epochs take precedence over fence epochs (they are
-        more specific); a correct execution has exactly one candidate.
-        """
-        fence_hit: Optional[Epoch] = None
+        """The access epoch an RMA op issued at ``seq`` belongs to (the
+        module's rule, for one call)."""
+        best: Optional[Epoch] = None
         for epoch in self.of_rank_win(rank, win_id):
-            if not (epoch.is_access and epoch.contains_seq(seq)
-                    and epoch.covers_target(target)):
+            if epoch.is_access and epoch.contains_seq(seq) \
+                    and epoch.covers_target(target) \
+                    and (best is None
+                         or _precedence(epoch) > _precedence(best)):
+                best = epoch
+        return best
+
+    def enclosing_rows(self, rank: np.ndarray, win: np.ndarray,
+                       seq: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """:meth:`enclosing` for columns of calls: the index into
+        ``epochs`` of each call's epoch, -1 for none.  One grouped join
+        of the issue points against the epoch interiors finds the
+        candidates, one sort ranks them.  ``target`` must lie in ``[0,
+        nranks)``."""
+        cols = self.columns
+        out = np.full(len(seq), -1, dtype=np.int64)
+        if not len(seq) or not len(cols.rank):
+            return out
+        group = group_ids(np.concatenate([cols.rank, rank]),
+                          np.concatenate([cols.win, win]))
+        n = len(cols.rank)
+        # interiors clipped to the issue points' range: the join's keys
+        # stay small however far an open-ended epoch reaches
+        call, epoch = overlap_join(
+            IntervalTable(seq, seq + 1, group=group[n:]),
+            IntervalTable(cols.open_seq + 1,
+                          np.minimum(cols.close_seq, int(seq.max()) + 1),
+                          group=group[:n]))
+        kind, locked = cols.kind[epoch], cols.target[epoch]
+        member = np.zeros(len(epoch), dtype=bool)
+        started = kind == _KINDS.index(KIND_PSCW_ACCESS)
+        if started.any():
+            owner = np.repeat(np.arange(n), cols.group_len)
+            inside = (cols.group_val >= 0) & (cols.group_val < self.nranks)
+            member[started] = np.isin(
+                epoch[started] * self.nranks + target[call[started]],
+                owner[inside] * self.nranks + cols.group_val[inside])
+        keep = (kind == _KINDS.index(KIND_FENCE)) | member | (
+            (kind == _KINDS.index(KIND_LOCK))
+            & ((locked == NO_TARGET) | (locked == target[call])))
+        call, epoch = call[keep], epoch[keep]
+        order = np.lexsort((cols.open_seq[epoch],
+                            cols.kind[epoch] != _KINDS.index(KIND_FENCE),
+                            call))
+        call, epoch = call[order], epoch[order]
+        best = np.ones(len(call), dtype=bool)
+        best[:-1] = call[1:] != call[:-1]
+        out[call[best]] = epoch[best]
+        return out
+
+    def completion_rows(self, rank: np.ndarray, win: np.ndarray,
+                        seq: np.ndarray, target: np.ndarray,
+                        epoch: np.ndarray, req: np.ndarray,
+                        has_req: np.ndarray) -> np.ndarray:
+        """When each op of the columns is guaranteed complete: its
+        epoch's closing synchronization (``epoch`` indexes ``epochs``,
+        -1 for none), or earlier the wait on its request (``has_req``
+        marks the request-based ops; the last ``Rma_wait`` naming a
+        request counts) or the first flush after the issue that covers
+        the target."""
+        close = np.full(len(seq), OPEN_ENDED, dtype=np.int64)
+        inside = epoch >= 0
+        close[inside] = self.columns.close_seq[epoch[inside]]
+        waits = self.req_waits
+        if has_req.any() and len(waits.seq):
+            asked = np.nonzero(has_req)[0]
+            ids = group_ids(np.concatenate([waits.rank, rank[asked]]),
+                            np.concatenate([waits.win, win[asked]]),
+                            np.concatenate([waits.req, req[asked]]))
+            n = len(waits.seq)
+            last = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+            # trace order within a rank: the later wait overwrites
+            order = np.argsort(ids[:n], kind="stable")
+            final = np.ones(n, dtype=bool)
+            final[:-1] = ids[order][1:] != ids[order][:-1]
+            last[ids[order][final]] = waits.seq[order][final]
+            wait = last[ids[n:]]
+            hit = (wait > seq[asked]) & (wait < close[asked])
+            close[asked[hit]] = wait[hit]
+        flushes = self.flushes
+        for everyone in (True, False):
+            mine = (flushes.target == NO_TARGET) == everyone
+            if not mine.any():
                 continue
-            if epoch.kind in (KIND_LOCK, KIND_PSCW_ACCESS):
-                return epoch
-            fence_hit = epoch
-        return fence_hit
+            columns = [np.concatenate([flushes.rank[mine], rank]),
+                       np.concatenate([flushes.win[mine], win])]
+            if not everyone:
+                columns.append(np.concatenate([flushes.target[mine],
+                                               target]))
+            ids = group_ids(*columns)
+            n = int(mine.sum())
+            order = np.lexsort((flushes.seq[mine], ids[:n]))
+            group, at = ids[:n][order], flushes.seq[mine][order]
+            nxt = np.minimum(grouped_searchsorted(
+                group, at, ids[n:], seq, side="right"), n - 1)
+            hit = (group[nxt] == ids[n:]) & (at[nxt] > seq) \
+                & (at[nxt] < close)
+            close[hit] = at[nxt][hit]
+        return close
 
     def access_epochs(self) -> List[Epoch]:
         return [e for e in self.epochs if e.is_access]
@@ -273,23 +379,12 @@ class EpochIndex:
                         int(group_len.sum())),
             list(lock_types))
 
-    def completion_seq(self, rank: int, win_id: int, issue_seq: int,
-                       target: int, epoch: Optional[Epoch],
-                       req: Optional[int] = None) -> int:
-        """When an op issued at ``issue_seq`` is guaranteed complete.
 
-        Normally the epoch's closing synchronization; an MPI-3
-        ``Win_flush``/``Win_flush_all`` covering the target — or, for a
-        request-based operation, the MPI_Wait on its request — completes
-        it earlier without closing the epoch.
-        """
-        close = epoch.close_seq if epoch is not None else OPEN_ENDED
-        if req is not None:
-            wait_seq = self._req_waits.get((rank, win_id, req))
-            if wait_seq is not None and issue_seq < wait_seq < close:
-                close = wait_seq
-        for seq, flush_target in self._flushes.get((rank, win_id), ()):
-            if issue_seq < seq < close and \
-                    (flush_target is None or flush_target == target):
-                return seq
-        return close
+def _precedence(epoch: Epoch) -> Tuple[bool, int]:
+    """The rule's order among an op's candidate epochs: lock / PSCW
+    before fence, then the latest opened."""
+    return epoch.kind != KIND_FENCE, epoch.open_seq
+
+
+def _columns(rows: List[tuple], width: int) -> List[np.ndarray]:
+    return list(np.array(rows, dtype=np.int64).reshape(len(rows), width).T)

@@ -14,7 +14,7 @@ control pass, cut, kernel units, kernels and cold-order merge are the
 plan's, shared with the pooled and the streaming executor; what lives
 here is digests, shard keys, the manifest, resolving keys against the
 store, and the whole-report fast path.  Only *dirty* shards pay for a
-re-analysis: their calls alone are lifted to views, and memory rows
+re-analysis: their units alone enter the kernels, and memory rows
 become kernel columns only for the ranks they read (with ``jobs > 1``,
 as chunks over the worker pool).
 
@@ -294,13 +294,15 @@ class IncrementalChecker:
         #: indices (into the plan's arrays) of the shards re-analyzed
         self.dirty_shards: List[int] = []
         self._shard_files_read = 0
+        self._calls_lifted = 0
 
     def work(self) -> Dict[str, int]:
         """What the run did beyond the control pass, in exact counts:
-        calls lifted to views, shard-store entries it tried to read, and
-        memory rows read from the traces."""
-        return {"calls_lifted": self.control.lift.lifted if self.control
-                else 0, "shard_files_read": self._shard_files_read,
+        lifted calls inside the shards it re-analyzed, shard-store
+        entries it tried to read, and memory rows read from the
+        traces."""
+        return {"calls_lifted": self._calls_lifted,
+                "shard_files_read": self._shard_files_read,
                 "rows_loaded": self.loader.rows_loaded}
 
     def run(self) -> CheckReport:
@@ -520,9 +522,11 @@ class IncrementalChecker:
 
     def _detect(self, control: ControlState, plan: CachePlan,
                 dirty: List[int]) -> Dict[int, tuple]:
+        units = plan.shards.units(control, dirty)
+        self._calls_lifted += sum(unit.calls for unit in units)
         found, _chunks = detect_shards(
-            plan.shards.units(control, dirty), control,
-            self.config.memory_model, self.loader, self.jobs)
+            units, control, self.config.memory_model, self.loader,
+            self.jobs)
         computed: Dict[int, tuple] = {}
         for shard, parts in zip(dirty, found):
             # persist *before* the merge: dedupe mutates occurrence

@@ -24,34 +24,32 @@ cannot overlap in time, but their order is nondeterministic, which is how
 the paper handles the original (exclusive-lock) lockopts bug.
 
 This module holds what every survivor of the engine's joins goes
-through: the per-pair Table-I checks, the ``(window, target)`` vector
-entry, the step-2 loop for call-derived local accesses, and the
-per-region bucketing.  :func:`repro.core.engine.detect_regions_sweep`
-drives them; the literal per-region scan and the combinatorial strawman
-it improves on are test oracles in ``tests/reference/pairwise.py``.
+through — the per-pair Table-I checks, the only place a cross-process
+finding's payload is written — and the local-lock index they consult.
+:func:`repro.core.engine.find_region_pairs` buckets the ops into
+``(window, target)`` entries, joins and cuts the candidates as arrays
+over the :class:`~repro.core.model.OpTable`;
+:func:`~repro.core.engine.emit_region_findings` builds views for what is
+left and calls the checks.  The literal per-region scan (``_OpVector``,
+``check_local_against_entries``, ``bucket_by_region``) and the
+combinatorial strawman it improves on are test oracles in
+``tests/reference/pairwise.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.clocks import ConcurrencyOracle
-from repro.core.compat import ACC, GET, PUT, accumulate_exception, compat_verdict
+from repro.core.compat import accumulate_exception, compat_verdict
 from repro.core.diagnostics import (
     CROSS_PROCESS, SEVERITY_ERROR, SEVERITY_WARNING,
     AccessDesc, ConsistencyError,
 )
 from repro.core.epochs import EpochIndex, KIND_LOCK
-from repro.core.model import AccessModel, LocalAccess, RMAOpView
-from repro.core.preprocess import PreprocessedTrace
-from repro.core.regions import RegionIndex
+from repro.core.model import LocalAccess, RMAOpView
 from repro.simmpi.window import LOCK_EXCLUSIVE
 from repro.util.intervals import IntervalSet
-
-_WRITES = (PUT, ACC)
 
 
 def _desc_op(op: RMAOpView) -> AccessDesc:
@@ -149,21 +147,6 @@ def _check_concurrent_ops(op_a: RMAOpView, op_b: RMAOpView,
         })
 
 
-def _check_local_vs_op(la: LocalAccess, la_in_window: IntervalSet,
-                       op: RMAOpView, oracle: ConcurrencyOracle,
-                       lock_index: _LocalLockIndex,
-                       model: str = "separate"
-                       ) -> Optional[ConsistencyError]:
-    if la.origin_of is op:
-        return None  # an op does not conflict with its own origin access
-    if la.origin_of is not None and la.origin_of.rank == op.rank:
-        return None  # same-origin RMA pair: handled as op-op / intra
-    if oracle.ordered(la.span, op.span):
-        return None
-    return _check_concurrent_local_vs_op(la, la_in_window, op, lock_index,
-                                         model)
-
-
 def _check_concurrent_local_vs_op(la: LocalAccess,
                                   la_in_window: IntervalSet,
                                   op: RMAOpView,
@@ -199,95 +182,5 @@ def _check_concurrent_local_vs_op(la: LocalAccess,
         })
 
 
-def bucket_by_region(model: AccessModel, regions: RegionIndex
-                     ) -> Tuple[Dict[int, List[RMAOpView]],
-                                Dict[int, List[LocalAccess]]]:
-    """Assign ops and local accesses to the regions their spans intersect.
-
-    Ops are visited in ``(rank, seq)`` order so each region's list — and
-    therefore the order findings are emitted in downstream — is the same
-    no matter how ``model`` was assembled (serial build or merged shards).
-    """
-    ops_by_region: Dict[int, List[RMAOpView]] = {}
-    for op in sorted(model.ops, key=lambda o: (o.rank, o.seq)):
-        for region_index in regions.regions_of_span(op.span):
-            ops_by_region.setdefault(region_index, []).append(op)
-    locals_by_region: Dict[int, List[LocalAccess]] = {}
-    for la in model.local:
-        for region_index in regions.regions_of_span(la.span):
-            locals_by_region.setdefault(region_index, []).append(la)
-    return ops_by_region, locals_by_region
-
-
-#: below this many recorded ops in a vector entry, scalar oracle queries
-#: beat the numpy batch setup cost
-_BATCH_MIN = 4
-
-
-class _OpVector:
-    """The ops recorded for one ``(window, target)`` vector entry, with
-    their spans mirrored into numpy arrays for batched oracle queries."""
-
-    __slots__ = ("win_id", "target", "ops", "_ranks", "_starts", "_ends",
-                 "_arrays")
-
-    def __init__(self, win_id: int, target: int):
-        self.win_id = win_id
-        self.target = target
-        self.ops: List[RMAOpView] = []
-        self._ranks: List[int] = []
-        self._starts: List[int] = []
-        self._ends: List[int] = []
-        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
-
-    def append(self, op: RMAOpView) -> None:
-        span = op.span
-        self.ops.append(op)
-        self._ranks.append(span.rank)
-        self._starts.append(span.start_seq)
-        self._ends.append(span.end_seq)
-        self._arrays = None
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            self._arrays = (np.asarray(self._ranks, dtype=np.int64),
-                            np.asarray(self._starts, dtype=np.int64),
-                            np.asarray(self._ends, dtype=np.int64))
-        return self._arrays
-
-
-def check_local_against_entries(pre: PreprocessedTrace, la: LocalAccess,
-                                entries: Iterable[_OpVector],
-                                oracle: ConcurrencyOracle,
-                                lock_index: "_LocalLockIndex",
-                                memory_model: str,
-                                errors: List[ConsistencyError]) -> None:
-    """One local access vs every ``(window, target)`` entry at its rank —
-    the step-2 inner loop (the sweep engine routes the *object* locals
-    through it and handles the packed memory rows columnar)."""
-    for entry in entries:
-        window = pre.window(entry.win_id)
-        la_in_window = la.intervals.intersection(
-            window.exposure(la.rank))
-        if not la_in_window:
-            continue
-        if len(entry.ops) >= _BATCH_MIN:
-            ranks, starts, ends = entry.arrays()
-            concurrent = ~oracle.ordered_batch(ranks, starts, ends,
-                                               la.span)
-            for i in np.nonzero(concurrent)[0]:
-                error = _check_concurrent_local_vs_op(
-                    la, la_in_window, entry.ops[i], lock_index,
-                    memory_model)
-                if error is not None:
-                    errors.append(error)
-        else:
-            for op in entry.ops:
-                error = _check_local_vs_op(la, la_in_window, op, oracle,
-                                           lock_index, memory_model)
-                if error is not None:
-                    errors.append(error)
-
-
-#: public alias for the streaming checker
+#: public alias
 LocalLockIndex = _LocalLockIndex

@@ -3,11 +3,17 @@
 Operations inside one epoch at one rank are mutually unordered (they are
 nonblocking and complete only at the epoch-closing synchronization — or at
 an MPI-3 flush), so the paper checks all of them pairwise against the
-memory model ruleset.  This module holds the per-pair checks and the
-per-epoch bucketing; :func:`repro.core.engine.check_epochs_sweep` finds
-the candidate pairs and calls the checks on them (the paper's all-pairs
-walk over one epoch is ``tests/reference/pairwise.py::check_epoch``).
-Two access populations matter here:
+memory model ruleset.  This module holds the per-pair checks — the only
+place an intra-epoch finding's payload is written.
+:func:`repro.core.engine.find_epoch_pairs` finds the candidate pairs as
+arrays over the :class:`~repro.core.model.OpTable` and cuts them by the
+same conditions (completion order, Table I, the two-reads rule);
+:func:`~repro.core.engine.emit_epoch_findings` builds views for what is
+left and calls the checks on them, which re-check and word the finding.
+The paper's all-pairs walk over one epoch, and the per-epoch bucketing of
+view objects it walks, are ``tests/reference/pairwise.py``
+(``check_epoch``, ``bucket_by_epoch``).  Two access populations matter
+here:
 
 * the *local buffers attached to the epoch's RMA calls* — a Put or
   Accumulate reads its origin at an undefined instant before completion, a
@@ -24,15 +30,15 @@ targeting itself) are the cross-process detector's job.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.clocks import Span
 from repro.core.compat import accumulate_exception, compat_verdict
 from repro.core.diagnostics import (
     INTRA_EPOCH, SEVERITY_ERROR, AccessDesc, ConsistencyError,
 )
-from repro.core.epochs import Epoch, EpochIndex
-from repro.core.model import AccessModel, LocalAccess, RMAOpView
+from repro.core.epochs import Epoch
+from repro.core.model import LocalAccess, RMAOpView
 
 
 def _desc_op(op: RMAOpView, origin_side: bool) -> AccessDesc:
@@ -62,48 +68,6 @@ def _span_ref(span: Span) -> list:
 def _epoch_prov(epoch: Epoch) -> dict:
     return {"rank": epoch.rank, "win": epoch.win_id, "kind": epoch.kind,
             "open_seq": epoch.open_seq, "close_seq": epoch.close_seq}
-
-
-#: one epoch's worth of intra-epoch detection work
-EpochUnit = Tuple[Epoch, List[RMAOpView], List[LocalAccess],
-                  List[LocalAccess]]
-
-
-def bucket_by_epoch(model: AccessModel,
-                    epoch_index: EpochIndex) -> List[EpochUnit]:
-    """Per-epoch work units ``(epoch, ops, attached, mems)``.
-
-    Units come out in ``epoch_index`` order and carry everything the
-    within-epoch check needs, so any contiguous chunk of the list is an
-    independent piece of work — and the serial detector just walks it.
-    """
-    ops_by_epoch: Dict[int, List[RMAOpView]] = {}
-    for op in model.ops:
-        if op.epoch is not None:
-            ops_by_epoch.setdefault(id(op.epoch), []).append(op)
-
-    attached_by_epoch: Dict[int, List[LocalAccess]] = {}
-    plain_by_rank: Dict[int, List[LocalAccess]] = {}
-    for la in model.local:
-        if la.origin_of is not None:
-            if la.origin_of.epoch is not None:
-                attached_by_epoch.setdefault(
-                    id(la.origin_of.epoch), []).append(la)
-        else:
-            plain_by_rank.setdefault(la.rank, []).append(la)
-
-    units: List[EpochUnit] = []
-    for epoch in epoch_index.access_epochs():
-        ops = ops_by_epoch.get(id(epoch), [])
-        if not ops:
-            continue
-        attached = attached_by_epoch.get(id(epoch), [])
-        mems = [
-            la for la in plain_by_rank.get(epoch.rank, ())
-            if epoch.contains_seq(la.seq)
-        ]
-        units.append((epoch, ops, attached, mems))
-    return units
 
 
 def _check_target_pair(op_a: RMAOpView, op_b: RMAOpView,

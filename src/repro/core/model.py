@@ -15,24 +15,29 @@ Detection reasons about two access populations:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.calltable import calls_to, ensure_call_tables
+from repro import obs
+from repro.core.calltable import (
+    FN_NAMES, calls_to, ensure_call_tables, fn_code,
+)
 from repro.core.clocks import Span
-from repro.core.compat import ACC, GET, LOAD, PUT, STORE
-from repro.core.epochs import (Epoch, EpochIndex, KIND_FENCE, KIND_LOCK,
-                               KIND_PSCW_ACCESS, OPEN_ENDED)
+from repro.core.compat import ACC, GET, KINDS, LOAD, PUT, STORE
+from repro.core.epochs import Epoch, EpochIndex, OPEN_ENDED
 from repro.core.preprocess import PreprocessedTrace
+from repro.profiler.callcols import KIND_INT, KIND_STR, CallColumns, Shape
 from repro.profiler.events import ACCESS_CODES
 from repro.profiler.events import ACCESS_NAMES as _ACCESS_NAMES
 from repro.profiler.events import CallEvent
 from repro.util.errors import AnalysisError
-from repro.util.intervals import IntervalSet, datamap_intervals, expand_ranges
+from repro.util.intervals import (
+    IntervalSet, datamap_intervals, expand_ranges, group_ids,
+)
 from repro.util.location import SourceLocation
 
 _RMA_KIND = {"Put": PUT, "Get": GET, "Accumulate": ACC,
@@ -169,9 +174,10 @@ class MemRows:
     """
 
     __slots__ = ("rank", "table", "seq", "addr", "size", "var", "loc",
-                 "access")
+                 "access", "_views")
 
     def __init__(self, rank: int, table, seq, addr, size, var, loc, access):
+        self._views: Dict[int, LocalAccess] = {}
         self.rank = rank
         self.table = table
         self.seq = seq
@@ -216,19 +222,23 @@ class MemRows:
         return lo, hi
 
     def local_access(self, i: int) -> LocalAccess:
-        """Materialize row ``i`` as a LocalAccess object."""
-        return LocalAccess(
-            rank=self.rank, seq=int(self.seq[i]),
-            access=_ACCESS_NAMES[int(self.access[i])],
-            intervals=IntervalSet.single(int(self.addr[i]),
-                                         int(self.size[i])),
-            var=self.table.string(int(self.var[i])),
-            loc=self.table.loc(int(self.loc[i])), fn="mem")
+        """Row ``i`` as a LocalAccess object, built on first use."""
+        view = self._views.get(i)
+        if view is None:
+            view = self._views[i] = LocalAccess(
+                rank=self.rank, seq=int(self.seq[i]),
+                access=_ACCESS_NAMES[int(self.access[i])],
+                intervals=IntervalSet.single(int(self.addr[i]),
+                                             int(self.size[i])),
+                var=self.table.string(int(self.var[i])),
+                loc=self.table.loc(int(self.loc[i])), fn="mem")
+        return view
 
+    @property
+    def views_built(self) -> int:
+        """How many rows :meth:`local_access` has built a view of."""
+        return len(self._views)
 
-#: ``(rank, lo_seq, hi_seq)``: the rows of ``mems[rank]`` with ``lo_seq <
-#: seq < hi_seq`` (the bound convention of :meth:`MemRows.row_range`)
-RowBounds = Tuple[int, int, int]
 
 #: flat rows gathered from several ranks/ranges: the index of the bounds
 #: each row was selected by (its *group*), its index in its rank's
@@ -236,14 +246,13 @@ RowBounds = Tuple[int, int, int]
 RowBatch = namedtuple("RowBatch", "group idx seq addr size store")
 
 
-def gather_rows(mems: Dict[int, "MemRows"],
-                bounds: List[RowBounds]) -> Optional[RowBatch]:
-    """:meth:`MemRows.row_range` for many ranges at once: the rows inside
-    every ``bounds[g]``, flattened and tagged with ``g`` — one
-    ``searchsorted`` pair per rank over all of that rank's bounds.  A
-    group's rows stay contiguous and in row order; ``None`` when no
-    range holds a row."""
-    ranks, lo_seq, hi_seq = np.array(bounds, dtype=np.int64).T
+def gather_rows(mems: Dict[int, "MemRows"], ranks: np.ndarray,
+                lo_seq: np.ndarray, hi_seq: np.ndarray) -> RowBatch:
+    """:meth:`MemRows.row_range` for many ranges at once: the rows of
+    ``mems[ranks[g]]`` with ``lo_seq[g] < seq < hi_seq[g]``, flattened
+    and tagged with ``g`` — one ``searchsorted`` pair per rank over all
+    of that rank's bounds.  A group's rows stay contiguous and in row
+    order."""
     parts = []
     for rank in np.unique(ranks).tolist():
         rows = mems.get(rank)
@@ -257,7 +266,9 @@ def gather_rows(mems: Dict[int, "MemRows"],
             parts.append((groups[rep], idx, rows.seq[idx], rows.addr[idx],
                           rows.size[idx], rows.access[idx] == _STORE_CODE))
     if not parts:
-        return None
+        empty = np.empty(0, dtype=np.int64)
+        return RowBatch(empty, empty, empty, empty, empty,
+                        np.empty(0, dtype=bool))
     return RowBatch(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
@@ -336,11 +347,18 @@ class AccessModel:
     object per event.  ``local`` holds the call-derived accesses; the
     two populations partition the accesses, so
     :attr:`total_local_accesses` counts each once.
+
+    Over an :class:`OpTable` (what :func:`build_access_model_sweep`
+    returns) ``ops`` and ``local`` are lazy sequences: they know their
+    length, and build a view when one is indexed.
     """
 
-    ops: List[RMAOpView]
-    local: List[LocalAccess]
+    ops: Sequence[RMAOpView]
+    local: Sequence[LocalAccess]
     mems: Dict[int, MemRows] = field(default_factory=dict)
+    #: the columns the sweep kernels run over (``None`` for a model
+    #: assembled from objects: ``tests/reference``)
+    table: Optional["OpTable"] = None
 
     @property
     def total_local_accesses(self) -> int:
@@ -362,89 +380,42 @@ def _lifts_buffer(event: CallEvent) -> bool:
             and "base" in args and "count" in args and "dtype" in args)
 
 
-def _call_buffer_intervals(pre: PreprocessedTrace, rank: int,
-                           event: CallEvent) -> IntervalSet:
-    """Intervals of the local buffer named in a two-sided/collective call."""
-    args = event.args
-    dtype = pre.datatype(rank, int(args["dtype"]))
-    base = int(args["base"]) + int(args.get("offset", 0))
-    return dtype.intervals(base, int(args["count"]))
-
-
 def build_access_model_sweep(pre: PreprocessedTrace,
                              epoch_index: EpochIndex,
                              traces: "TraceSet") -> AccessModel:
-    """The sweep engine's model build: RMA ops and call-derived local
-    accesses lift as usual (they are few), but instrumented loads/stores
-    never become per-event objects — each rank's packed memory blocks
-    concatenate into one columnar :class:`MemRows`.
+    """The model build: every call that lifts becomes a row of one
+    :class:`OpTable`, and each rank's packed memory blocks concatenate
+    into one columnar :class:`MemRows` — no per-event object either way.
 
     The calls were already read by the preprocess pass (``pre.events``),
     so only the packed memory columns are read back from the trace — no
     second call pass — and not even those where the preprocess pass
     produced them on the way (``pre.mem_blocks``: the batch checker)."""
-    ops: List[RMAOpView] = []
-    local: List[LocalAccess] = []
+    table = OpTable(pre, epoch_index)
     mems: Dict[int, MemRows] = {}
     for rank in range(pre.nranks):
         blocks = pre.mem_blocks.pop(rank, None)
         if blocks is None:
             with traces.reader(rank) as reader:
                 blocks = list(reader.mem_blocks())
-        rank_ops, rank_local, rows = lift_rank_sweep(
-            pre, epoch_index, rank, blocks)
-        ops.extend(rank_ops)
-        local.extend(rank_local)
-        mems[rank] = rows
-    return AccessModel(ops=ops, local=local, mems=mems)
-
-
-def lift_rank_sweep(pre: PreprocessedTrace, epoch_index: EpochIndex,
-                    rank: int, blocks) -> Tuple[
-                        List[RMAOpView], List[LocalAccess], MemRows]:
-    """Columnar lift of one rank: the :data:`_LIFT_CALLS` among
-    ``pre.events[rank]`` become views (through the rank's
-    :class:`LiftCache`), packed memory blocks become :class:`MemRows`
-    columns."""
-    ops: List[RMAOpView] = []
-    local: List[LocalAccess] = []
-    cache = LiftCache(epoch_index, rank)
-    _rows, calls = calls_to(pre.events[rank],
-                            ensure_call_tables(pre)[rank], _LIFT_CALLS)
-    for event in calls:
-        _lift_call(pre, epoch_index, rank, event, ops, local, cache)
-    return ops, local, MemRows.from_blocks(rank, blocks)
+        mems[rank] = MemRows.from_blocks(rank, blocks)
+    return AccessModel(ops=table.ops, local=table.local, mems=mems,
+                       table=table)
 
 
 class LiftCache:
-    """Per-rank lift accelerator: the two lookups every lifted call
-    makes, memoized.
+    """Placement memo of one rank's view lift: data-maps are placed by
+    :func:`~repro.util.intervals.datamap_intervals` (the simulator's own
+    placement function), memoized by ``(type_id, base, count)`` for the
+    buffers that repeat verbatim (origin/result buffers; loop nests
+    register a fresh derived datatype per iteration, so target
+    placements rarely repeat).  Datatype ids are rank-local, so is the
+    memo."""
 
-    * **placement memo**: data-maps are placed by
-      :func:`~repro.util.intervals.datamap_intervals` (the simulator's
-      own placement function), memoized by ``(type_id, base, count)``
-      for the buffers that repeat verbatim (origin/result buffers; loop
-      nests register a fresh derived datatype per iteration, so target
-      placements rarely repeat).
-    * **epoch lookup**: per ``(win_id, target)``, the rank's access
-      epochs that cover the target, pre-filtered once and bisected by
-      ``open_seq`` — replacing the per-op linear scan of
-      :meth:`~repro.core.epochs.EpochIndex.enclosing`.  Lock/PSCW
-      epochs keep their precedence over fences by living in a separate,
-      first-consulted list; within a list the scan walks back from the
-      bisect point, so nested open-ended epochs still resolve.  Fence
-      epochs cover every target, so their list is built once per window
-      and shared by all of its targets.
-    """
+    __slots__ = ("_placed",)
 
-    __slots__ = ("_epochs", "_rank", "_placed", "_enclosing", "_by_win")
-
-    def __init__(self, epoch_index: EpochIndex, rank: int):
-        self._epochs = epoch_index
-        self._rank = rank
+    def __init__(self):
         self._placed: Dict[Tuple[int, int, int], IntervalSet] = {}
-        self._enclosing: Dict[Tuple[int, int], tuple] = {}
-        self._by_win: Dict[int, tuple] = {}
 
     def intervals(self, dtype, base: int, count: int) -> IntervalSet:
         key = (dtype.type_id, base, count)
@@ -454,192 +425,803 @@ class LiftCache:
                 base, dtype.datamap, count, dtype.extent)
         return placed
 
-    def target_intervals(self, win, target: int, target_disp: int,
-                         count: int, dtype) -> IntervalSet:
-        base = win.bases[target] + target_disp * win.disp_units[target]
-        return self.intervals(dtype, base, count)
 
-    def enclosing(self, win_id: int, seq: int,
-                  target: int) -> Optional[Epoch]:
-        """Bisect-backed :meth:`EpochIndex.enclosing` for this rank."""
-        key = (win_id, target)
-        index = self._enclosing.get(key)
-        if index is None:
-            of_win = self._by_win.get(win_id)
-            if of_win is None:
-                epochs = sorted(self._epochs.of_rank_win(self._rank, win_id),
-                                key=lambda e: e.open_seq)
-                fences = [e for e in epochs if e.kind == KIND_FENCE]
-                of_win = self._by_win[win_id] = (
-                    [e for e in epochs
-                     if e.kind in (KIND_LOCK, KIND_PSCW_ACCESS)],
-                    [e.open_seq for e in fences], fences)
-            priority = [e for e in of_win[0] if e.covers_target(target)]
-            index = self._enclosing[key] = (
-                [e.open_seq for e in priority], priority, *of_win[1:])
-        for opens, epochs in ((index[0], index[1]), (index[2], index[3])):
-            # epochs with open_seq >= seq cannot contain seq; the usual
-            # hit is immediately at the bisect point, walking further
-            # back only past closed epochs nested inside an open one
-            for k in range(bisect_right(opens, seq) - 1, -1, -1):
-                if epochs[k].contains_seq(seq):
-                    return epochs[k]
-        return None
+#: ``resolve(win_id, seq, target, req)`` -> ``(epoch, complete_seq)`` of
+#: an RMA call: how :func:`_lift_call` learns an op's epoch and
+#: completion point (``req`` is ``None`` unless the call is request-based)
+Resolve = Callable[[int, int, int, Optional[int]],
+                   Tuple[Optional[Epoch], int]]
 
 
-def _lift_call(pre: PreprocessedTrace, epoch_index: EpochIndex, rank: int,
-               event: CallEvent, ops: List[RMAOpView],
-               local: List[LocalAccess], cache: LiftCache) -> None:
-    """Lift one MPI call into RMA op / local-access views.
+def _lift_call(pre: PreprocessedTrace, rank: int, event: CallEvent,
+               ops: List[RMAOpView], local: List[LocalAccess],
+               cache: LiftCache, resolve: Resolve) -> None:
+    """Lift one MPI call into RMA op / local-access views — the one
+    place a view is built, and the scalar statement of what the
+    :class:`OpTable` columns hold.  Every way the call's arguments can
+    be wrong ends in an :class:`AnalysisError` naming rank and seq."""
+    fn, args, seq = event.fn, event.args, event.seq
 
-    ``cache`` is the rank's :class:`LiftCache`: loops re-issue the same
-    RMA call shape every iteration, and
-    :class:`~repro.util.intervals.IntervalSet` is immutable, so repeat
-    placements — the model phase's hottest allocation — are shared
-    instead of rebuilt."""
-    fn, args = event.fn, event.args
-    if fn in _RMA_KIND:
-        win = pre.window(int(args["win"]))
-        target = int(args["target"])
-        origin_dtype = pre.datatype(rank, int(args["origin_dtype"]))
-        target_dtype = pre.datatype(rank, int(args["target_dtype"]))
-        origin_base = int(args["origin_base"]) + \
-            int(args["origin_offset"])
-        target_ivs = cache.target_intervals(
-            win, target, int(args["target_disp"]),
-            int(args["target_count"]), target_dtype)
-        origin_ivs = cache.intervals(origin_dtype, origin_base,
-                                     int(args["origin_count"]))
-        epoch = cache.enclosing(win.win_id, event.seq, target)
-        _check_address_space(rank, event.seq, "RMA target", target_ivs)
-        _check_address_space(rank, event.seq, "RMA origin buffer",
-                             origin_ivs)
-        acc_op = str(args["op"]) if "op" in args else None
-        if fn == "Compare_and_swap":
-            acc_op = "CAS"
-        op = RMAOpView(
-            rank=rank, seq=event.seq, kind=_RMA_KIND[fn],
-            win_id=win.win_id, target=target,
-            target_intervals=target_ivs,
-            origin_intervals=origin_ivs,
-            origin_var=str(args.get("var", "?")),
-            loc=event.loc, epoch=epoch, fn=fn,
-            acc_op=acc_op,
-            acc_base=(origin_dtype.base
-                      if _RMA_KIND[fn] == ACC else None),
-            complete_seq=epoch_index.completion_seq(
-                rank, win.win_id, event.seq, target, epoch,
-                req=int(args["req"]) if fn in _REQUEST_RMA else None),
-        )
-        ops.append(op)
-        # the local (origin-buffer) side of the call
-        origin_access = STORE if op.kind == GET else LOAD
-        local.append(LocalAccess(
-            rank=rank, seq=event.seq, access=origin_access,
-            intervals=origin_ivs, var=op.origin_var, loc=event.loc,
-            fn=fn, origin_of=op))
-        # MPI-3 fetching ops also *write* a local result buffer
-        if "result_base" in args:
-            result_base = int(args["result_base"]) + \
-                int(args.get("result_offset", 0))
-            result_ivs = cache.intervals(target_dtype, result_base,
-                                         int(args["target_count"]))
+    def placed(what: str, dtype, base: int, count: int) -> IntervalSet:
+        if count < 0:
+            raise AnalysisError(f"rank {rank} seq {seq}: {what} has "
+                                f"negative count {count}")
+        return _check_address_space(rank, seq, what,
+                                    cache.intervals(dtype, base, count))
+
+    try:
+        if fn in _RMA_KIND:
+            win = pre.window(int(args["win"]))
+            target = int(args["target"])
+            if target not in win.bases:
+                raise AnalysisError(
+                    f"rank {rank} seq {event.seq}: RMA target {target} is "
+                    f"not a rank of window {win.win_id}")
+            origin_dtype = pre.datatype(rank, int(args["origin_dtype"]))
+            target_dtype = pre.datatype(rank, int(args["target_dtype"]))
+            target_ivs = placed(
+                "RMA target", target_dtype,
+                win.bases[target]
+                + int(args["target_disp"]) * win.disp_units[target],
+                int(args["target_count"]))
+            origin_ivs = placed(
+                "RMA origin buffer", origin_dtype,
+                int(args["origin_base"]) + int(args["origin_offset"]),
+                int(args["origin_count"]))
+            epoch, complete_seq = resolve(
+                win.win_id, event.seq, target,
+                int(args["req"]) if fn in _REQUEST_RMA else None)
+            acc_op = str(args["op"]) if "op" in args else None
+            if fn == "Compare_and_swap":
+                acc_op = "CAS"
+            op = RMAOpView(
+                rank=rank, seq=event.seq, kind=_RMA_KIND[fn],
+                win_id=win.win_id, target=target,
+                target_intervals=target_ivs,
+                origin_intervals=origin_ivs,
+                origin_var=str(args.get("var", "?")),
+                loc=event.loc, epoch=epoch, fn=fn,
+                acc_op=acc_op,
+                acc_base=(origin_dtype.base
+                          if _RMA_KIND[fn] == ACC else None),
+                complete_seq=complete_seq,
+            )
+            ops.append(op)
+            # the local (origin-buffer) side of the call
+            origin_access = STORE if op.kind == GET else LOAD
             local.append(LocalAccess(
-                rank=rank, seq=event.seq, access=STORE,
-                intervals=_check_address_space(
-                    rank, event.seq, "RMA result buffer", result_ivs),
-                var=str(args.get("result_var", "?")),
-                loc=event.loc, fn=fn, origin_of=op))
-    elif fn in _BUFFER_CALLS and _lifts_buffer(event):
-        intervals = _call_buffer_intervals(pre, rank, event)
-        if fn == "Bcast":
-            comm = int(args["comm"])
-            root_world = pre.world_of_comm_rank(comm,
-                                                int(args["root"]))
-            access = LOAD if root_world == rank else STORE
-        elif fn in _CALL_LOADS:
-            access = LOAD
-        else:
-            access = STORE
-        local.append(LocalAccess(
-            rank=rank, seq=event.seq, access=access,
-            intervals=intervals, var=str(args.get("var", "?")),
-            loc=event.loc, fn=fn))
+                rank=rank, seq=event.seq, access=origin_access,
+                intervals=origin_ivs, var=op.origin_var, loc=event.loc,
+                fn=fn, origin_of=op))
+            # MPI-3 fetching ops also *write* a local result buffer
+            if "result_base" in args:
+                local.append(LocalAccess(
+                    rank=rank, seq=event.seq, access=STORE,
+                    intervals=placed(
+                        "RMA result buffer", target_dtype,
+                        int(args["result_base"])
+                        + int(args.get("result_offset", 0)),
+                        int(args["target_count"])),
+                    var=str(args.get("result_var", "?")),
+                    loc=event.loc, fn=fn, origin_of=op))
+        elif fn in _BUFFER_CALLS and _lifts_buffer(event):
+            intervals = placed(
+                f"{fn} buffer", pre.datatype(rank, int(args["dtype"])),
+                int(args["base"]) + int(args.get("offset", 0)),
+                int(args["count"]))
+            if fn == "Bcast":
+                comm = int(args["comm"])
+                root_world = pre.world_of_comm_rank(comm,
+                                                    int(args["root"]))
+                access = LOAD if root_world == rank else STORE
+            elif fn in _CALL_LOADS:
+                access = LOAD
+            else:
+                access = STORE
+            local.append(LocalAccess(
+                rank=rank, seq=event.seq, access=access,
+                intervals=intervals, var=str(args.get("var", "?")),
+                loc=event.loc, fn=fn))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AnalysisError(f"rank {rank} seq {seq}: malformed {fn} "
+                            f"call: {exc!r}") from exc
 
 
-class CallLift:
-    """The control state's call lift: columns for every call, views only
-    on demand.
+# ----------------------------------------------------------------------
+# the op table: every lifted call as a row
+# ----------------------------------------------------------------------
 
-    A shard-at-a-time executor (:mod:`repro.core.plan`) needs, from *every*
-    call that lifts, no more than where it sits and how far its influence
-    reaches: one pass per rank over the :class:`CallTable` rows that can
-    lift (RMA calls, calls with a logged buffer) records each such call's
-    index in ``pre.events[rank]``, its seq and the seq its span ends at —
-    an op's completion (:class:`LiftCache` epoch lookup), the call itself
-    otherwise — and resolves no window, datatype or data-map.
-    :meth:`views` then builds the :class:`RMAOpView` /
-    :class:`LocalAccess` objects, through :func:`_lift_call`, for the seq
-    ranges asked for — the identical views, in the identical order, the
-    serial sweep checker lifts for those calls.  ``pre`` must be
-    call-only (table rows index its event lists).
+#: access-kind codes: indices into :data:`repro.core.compat.KINDS`
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+#: the call arguments the lift reads — the columns of the raw argument
+#: matrix: RMA calls first, then calls with a logged buffer
+_ARG_KEYS = ("win", "target", "origin_base", "origin_offset",
+             "origin_count", "origin_dtype", "target_disp", "target_count",
+             "target_dtype", "req", "result_base", "result_offset", "op",
+             "base", "offset", "count", "dtype", "comm", "root", "req_kind")
+_ARG = {key: col for col, key in enumerate(_ARG_KEYS)}
+#: logged as strings; the matrix holds table-wide codes for them
+_TEXT_ARGS = frozenset({"op", "req_kind"})
+_RMA_REQUIRED = [_ARG[key] for key in (
+    "win", "target", "origin_base", "origin_offset", "origin_count",
+    "origin_dtype", "target_disp", "target_count", "target_dtype")]
+_BUFFER_REQUIRED = [_ARG[key] for key in ("base", "count", "dtype")]
+
+#: below this magnitude float64 address arithmetic is exact, so a buffer
+#: whose every term stays under it provably lies inside the address
+#: space; anything else is re-checked in Python ints by the scalar lift
+_EXACT = float(1 << 50)
+
+
+@lru_cache(maxsize=4096)
+def _arg_positions(shape: Shape) -> Optional[Tuple[int, ...]]:
+    """Where in a call shape's value list each of :data:`_ARG_KEYS`
+    sits (-1: not logged).  ``None`` when the shape logs one of them as
+    something else than expected — an int argument as a string, say —
+    and its calls are read through their decoded events instead."""
+    _fn, keys, kinds = shape
+    positions = [-1] * len(_ARG_KEYS)
+    for at, (key, kind) in enumerate(zip(keys, kinds)):
+        col = _ARG.get(key)
+        if col is not None:
+            if kind != (KIND_STR if key in _TEXT_ARGS else KIND_INT):
+                return None
+            positions[col] = at
+    return tuple(positions)
+
+
+#: one buffer population's data-maps, one entry per distinct datatype in
+#: use: its positive-length segments (``seg_start`` / ``seg_n`` into
+#: ``disp`` / ``length``), its extent, whether it tiles into one interval,
+#: the float bounds of one instance (``lo`` / ``hi``), whether every
+#: number in it is small enough for exact float arithmetic, and the code
+#: of its basic type (-1: none)
+_DataMaps = namedtuple(
+    "_DataMaps", "seg_start seg_n disp length extent contiguous lo hi "
+                 "exact base")
+
+
+class _Views(Sequence):
+    """``model.ops`` / ``model.local`` over an :class:`OpTable`: as long
+    as the full lift would be, building a view when one is indexed."""
+
+    def __init__(self, n: int, view: Callable[[int], object]):
+        self._n = n
+        self._view = view
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._view(i) for i in range(*k.indices(self._n))]
+        if k < 0:
+            k += self._n
+        if not 0 <= k < self._n:
+            raise IndexError("view index out of range")
+        return self._view(k)
+
+
+class OpTable:
+    """Every call of a trace set that lifts, as rows — the one lift.
+
+    Three row populations, each in ``(rank, trace order)``: the *lifted
+    calls* (RMA calls, and two-sided / collective calls that logged a
+    buffer), the *ops* among them, and the call-derived *local accesses*
+    (an op's origin buffer, then its result buffer if it fetches; a
+    buffer call's buffer) — the order ``model.ops`` / ``model.local`` of
+    a full view lift would have.
+
+    ========================  ==========================================
+    ``call_rank/row/seq``     per lifted call: rank, row in the rank's
+                              :class:`CallTable`, seq
+    ``call_op/call_local``    its op row (-1: a buffer call), its first
+                              local row
+    ``rank seq kind win``     per op: issuing rank, seq, kind code
+    ``target epoch complete`` (:data:`KIND_CODE`), window id, target rank,
+    ``acc call``              index into ``epoch_index.epochs`` (-1: none),
+                              completion seq, accumulate code (-1: no
+                              accumulate exception possible), call row
+    ``target_start/lo/hi``    CSR: op ``o``'s target byte intervals are
+                              rows ``target_start[o]:target_start[o + 1]``
+    ``l_rank l_seq l_end``    per local: rank, seq, end of its span (the
+    ``l_store l_op l_call``   owning op's completion; its own seq for a
+                              plain one), whether it writes, owning op
+                              row (-1: plain), call row
+    ``local_start/lo/hi``     CSR of the locals' byte intervals
+    ========================  ==========================================
+
+    Built with array operations only.  Arguments are gathered from the
+    ``K``-column value pool by shape position (binary traces) or with one
+    comprehension per argument over the decoded events (text lines, ``C``
+    frames); ranks are stacked first, so the work per rank is appending
+    its columns to a list.  Every column is validated before it is used
+    as an index or placed: a window id, target rank, datatype id,
+    communicator rank, count or address the scalar lift would refuse
+    sends that call through :func:`_lift_call`, which raises the typed
+    error (the first offender in ``(rank, seq)`` order).  Data-maps are
+    placed by broadcasting — one interval for a map that tiles, ``count ×
+    blocks`` otherwise; no normal form, the joins dedupe — and epochs and
+    completions come from :meth:`EpochIndex.enclosing_rows` /
+    :meth:`~EpochIndex.completion_rows`.
+
+    A view (:meth:`op_view` / :meth:`local_view`) is built by
+    :func:`_lift_call` from the call's event, on first use, together
+    with the other views of that call and remembered — so
+    ``la.origin_of is op`` holds for any two views taken from one table.
     """
 
     def __init__(self, pre: PreprocessedTrace, epoch_index: EpochIndex):
+        self.nranks = pre.nranks
+        #: epoch columns the kernels read (rank, seq bounds)
+        self.epochs = epoch_index.columns
         self._pre = pre
-        self._epochs = epoch_index
-        self._caches = [LiftCache(epoch_index, rank)
-                        for rank in range(pre.nranks)]
-        #: per rank: event index, seq and span end of the calls that lift
-        self.call: List[np.ndarray] = []
-        self.seq: List[np.ndarray] = []
-        self.end: List[np.ndarray] = []
-        #: what ``len(model.ops)`` / ``len(model.local)`` of a full lift
-        #: would be, and how many calls :meth:`views` has lifted so far
-        self.n_ops = self.n_local = self.lifted = 0
-        tables = ensure_call_tables(pre)
-        for rank, cache in enumerate(self._caches):
-            table = tables[rank]
-            rows, events = calls_to(pre.events[rank], table, _LIFT_CALLS)
-            calls, ends = [], []
-            for k, event in zip(rows.tolist(), events):
-                args = event.args
-                if event.fn in _RMA_KIND:
-                    win, target = int(args["win"]), int(args["target"])
-                    ends.append(epoch_index.completion_seq(
-                        rank, win, event.seq, target,
-                        cache.enclosing(win, event.seq, target),
-                        req=(int(args["req"]) if event.fn in _REQUEST_RMA
-                             else None)))
-                    self.n_ops += 1
-                    self.n_local += 1 + ("result_base" in args)
-                elif _lifts_buffer(event):
-                    ends.append(event.seq)
-                    self.n_local += 1
-                else:
-                    continue
-                calls.append(k)
-            self.call.append(np.array(calls, dtype=np.int64))
-            self.seq.append(table.seq[self.call[-1]])
-            self.end.append(np.array(ends, dtype=np.int64))
+        self._epoch_index = epoch_index
+        self._caches: Dict[int, LiftCache] = {}
+        self._call_lists: Dict[int, list] = {}
+        self._built: Dict[int, Tuple[list, list]] = {}
+        #: views built so far, by kind
+        self.views_built = {"op": 0, "local": 0, "event": 0}
+        #: table-wide codes of the string arguments (``op``, ``req_kind``)
+        self._codes: Dict[str, int] = {"irecv": 0, "CAS": 1}
+        self._windows(pre)
+        calls = self._gather(pre)
+        self._build(pre, epoch_index, *calls)
+        self._publish_obs()
 
-    def views(self, bounds: Optional[List[Tuple[np.ndarray, np.ndarray]]]
-              = None) -> AccessModel:
-        """Lift to views: every call, or per rank those with ``lo < seq
-        <= hi`` for one of ``bounds[rank]``'s ascending, disjoint
-        ``(lo, hi)`` pairs."""
+    def _publish_obs(self) -> None:
+        rec = obs.get_recorder()
+        if not rec.enabled:
+            return
+        for route, n in self.rows_by_route.items():
+            rec.count("analyzer_op_rows_total", n, route=route,
+                      help="Calls read into the op table, by route: "
+                           "gathered from call columns, or decoded events "
+                           "(text lines, C frames)")
+        for kind, n in (("op", self.n_ops), ("local", self.n_local),
+                        ("interval", len(self.target_lo)
+                         + len(self.local_lo))):
+            rec.gauge("analyzer_op_table_rows", n, kind=kind,
+                      help="The last op table: RMA ops, call-derived local "
+                           "accesses, byte-interval rows")
+
+    def __getstate__(self) -> dict:
+        """The columns only: what a pool worker's kernels read."""
+        state = {name: value for name, value in self.__dict__.items()
+                 if not name.startswith("_") and name not in
+                 ("ops", "local", "views_built")}
+        return state
+
+    # ------------------------------------------------------- registries
+
+    def _windows(self, pre: PreprocessedTrace) -> None:
+        """The window registry as arrays: sorted ids, and per (window,
+        rank) base / size / displacement unit / whether it takes part."""
+        ids = sorted(pre.windows)
+        shape = (len(ids), pre.nranks)
+        cells = {name: [[0] * pre.nranks for _ in ids]
+                 for name in ("base", "size", "unit")}
+        member = np.zeros(shape, dtype=bool)
+        for w, win_id in enumerate(ids):
+            info = pre.windows[win_id]
+            for rank, base in info.bases.items():
+                if 0 <= rank < pre.nranks:
+                    member[w, rank] = True
+                    cells["base"][w][rank] = base
+                    cells["size"][w][rank] = max(info.sizes.get(rank, 0), 0)
+                    cells["unit"][w][rank] = info.disp_units[rank]
+        try:
+            self.win_ids = np.array(ids, dtype=np.int64)
+            self.win_base, self.win_size, self.win_unit = (
+                np.array(cells[name], dtype=np.int64).reshape(shape)
+                for name in ("base", "size", "unit"))
+        except OverflowError:
+            raise AnalysisError(
+                "a window's id, base, size or displacement unit lies "
+                "outside int64") from None
+        self.win_member = member
+
+    def window_index(self, win: np.ndarray) -> np.ndarray:
+        """Row of each window id in the ``win_*`` arrays, -1: unknown."""
+        if not len(self.win_ids):
+            return np.full(len(win), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.win_ids, win),
+                        len(self.win_ids) - 1)
+        return np.where(self.win_ids[at] == win, at, -1)
+
+    # ----------------------------------------------------------- gather
+
+    def _gather(self, pre: PreprocessedTrace):
+        """Every :data:`_LIFT_CALLS` call of the trace set: rank, call
+        table row, seq, fn code, the raw argument matrix, which of its
+        cells were logged, and the rows that could not be read."""
+        tables = ensure_call_tables(pre)
+        wanted = np.zeros(len(FN_NAMES) + len(_LIFT_CALLS), dtype=bool)
+        wanted[[fn_code(fn) for fn in _LIFT_CALLS]] = True
+        columnar, rest = [], []
+        for rank in range(pre.nranks):
+            events = pre.events[rank]
+            (columnar if isinstance(events, CallColumns) and events.n
+             else rest).append(rank)
+        parts = []
+        n_rows = {"columnar": 0, "codec": 0}
+        codec: List[Tuple[int, np.ndarray, list]] = []
+        if columnar:
+            part, odd = self._gather_columns(pre, tables, columnar, wanted)
+            parts.append(part)
+            n_rows["columnar"] = len(part[0])
+            for rank in np.unique(odd[0]).tolist():
+                rows = odd[1][odd[0] == rank]
+                codec.append((rank, rows, pre.events[rank].take(rows)))
+        for rank in rest:
+            rows, events = calls_to(pre.events[rank], tables[rank],
+                                    _LIFT_CALLS)
+            if len(rows):
+                codec.append((rank, rows, events))
+        if codec:
+            parts.append(self._gather_events(tables, codec))
+            n_rows["codec"] = len(parts[-1][0])
+        self.rows_by_route = n_rows
+        if not parts:
+            return (*(np.empty(0, dtype=np.int64) for _ in range(4)),
+                    np.empty((0, len(_ARG_KEYS)), dtype=np.int64),
+                    np.empty((0, len(_ARG_KEYS)), dtype=bool),
+                    np.empty(0, dtype=bool))
+        if len(parts) == 1:
+            return parts[0]
+        merged = [np.concatenate(cols) for cols in zip(*parts)]
+        order = np.lexsort((merged[1], merged[0]))
+        return tuple(col[order] for col in merged)
+
+    def _gather_columns(self, pre, tables, ranks: List[int],
+                        wanted: np.ndarray):
+        """The columnar route: the ranks' call columns stacked, the
+        lifted calls selected by fn code, and their arguments gathered
+        from the stacked value pool by shape position — one gather for
+        the whole trace set."""
+        cols = [pre.events[rank] for rank in ranks]
+        sizes = np.array([c.n for c in cols], dtype=np.int64)
+        fn = np.concatenate([tables[rank].fn for rank in ranks])
+        at = np.nonzero(wanted[fn])[0]
+        source = np.repeat(np.arange(len(ranks)), sizes)[at]
+        row = at - (np.cumsum(sizes) - sizes)[source]
+        # per shape of every rank, the plan of its argument positions
+        plans: Dict[Optional[tuple], int] = {None: 0}
+        plan_of_shape: List[int] = []
+        shape_base = []
+        for c in cols:
+            shape_base.append(len(plan_of_shape))
+            plan_of_shape.extend(
+                plans.setdefault(_arg_positions(shape), len(plans))
+                if shape[0] in _LIFT_CALLS else 0 for shape in c.shapes)
+            plan_of_shape.append(0)     # the codec rows' shape id
+        plan = np.array(plan_of_shape, dtype=np.int64)[
+            np.concatenate([c.shape for c in cols])[at]
+            + np.array(shape_base, dtype=np.int64)[source]]
+        position = np.array(
+            [(-1,) * len(_ARG_KEYS) if p is None else p for p in plans],
+            dtype=np.int64)[plan]
+        pool = np.concatenate([c.vals for c in cols])
+        pool_base = np.array([len(c.vals) for c in cols], dtype=np.int64)
+        start = np.concatenate([c.val_off[:-1] for c in cols])[at] \
+            + (np.cumsum(pool_base) - pool_base)[source]
+        present = position >= 0
+        raw = np.zeros(position.shape, dtype=np.int64)
+        if len(pool):
+            raw = np.where(present, pool[np.minimum(
+                start[:, None] + np.maximum(position, 0), len(pool) - 1)],
+                0)
+        rank = np.array(ranks, dtype=np.int64)[source]
+        # string arguments: rank-local string ids -> table-wide codes
+        strings = [c.table.strings for c in cols]
+        width = max(len(table) for table in strings) + 1
+        for key in _TEXT_ARGS:
+            logged = np.nonzero(present[:, _ARG[key]])[0]
+            if len(logged):
+                ids, inverse = np.unique(
+                    source[logged] * width + raw[logged, _ARG[key]],
+                    return_inverse=True)
+                raw[logged, _ARG[key]] = np.array(
+                    [self._code(strings[i // width][i % width])
+                     for i in ids.tolist()], dtype=np.int64)[inverse]
+        keep = plan > 0
+        seq = np.concatenate([tables[r].seq for r in ranks])[at]
+        return ((rank[keep], row[keep], seq[keep],
+                 fn[at][keep].astype(np.int64),
+                 raw[keep], present[keep], np.zeros(int(keep.sum()), bool)),
+                (rank[~keep], row[~keep]))
+
+    def _code(self, text: str) -> int:
+        return self._codes.setdefault(text, len(self._codes))
+
+    def _gather_events(self, tables, codec):
+        """The codec route: decoded events (text lines, ``C`` frames,
+        shapes the columnar route could not plan), one comprehension per
+        logged argument over the calls of one form."""
+        rank = np.concatenate([np.full(len(rows), r, dtype=np.int64)
+                               for r, rows, _events in codec])
+        row = np.concatenate([rows for _r, rows, _events in codec])
+        seq = np.concatenate([tables[r].seq[rows]
+                              for r, rows, _events in codec])
+        fn = np.concatenate([tables[r].fn[rows]
+                             for r, rows, _events in codec]).astype(np.int64)
+        events = [event for _r, _rows, evs in codec for event in evs]
+        raw = np.zeros((len(events), len(_ARG_KEYS)), dtype=np.int64)
+        present = np.zeros(raw.shape, dtype=bool)
+        unread = np.zeros(len(events), dtype=bool)
+        forms: Dict[tuple, List[int]] = {}
+        for i, event in enumerate(events):
+            forms.setdefault(tuple(event.args), []).append(i)
+        for keys, members in forms.items():
+            args = [events[i].args for i in members]
+            for key in keys:
+                col = _ARG.get(key)
+                if col is None:
+                    continue
+                values = [a[key] for a in args]
+                try:
+                    if key in _TEXT_ARGS:
+                        values = [self._code(str(v)) for v in values]
+                    elif not all(type(v) is int for v in values):
+                        values = [int(v) for v in values]
+                    raw[members, col] = np.array(values, dtype=np.int64)
+                    present[members, col] = True
+                except (TypeError, ValueError, OverflowError):
+                    unread[members] = True   # the scalar lift words it
+        return rank, row, seq, fn, raw, present, unread
+
+    # ------------------------------------------------------------- lift
+
+    def _build(self, pre: PreprocessedTrace, epoch_index: EpochIndex,
+               rank, row, seq, fn, raw, present, unread) -> None:
+        arg = {key: raw[:, col] for key, col in _ARG.items()}
+        has = {key: present[:, col] for key, col in _ARG.items()}
+        kind = _per_fn({name: KIND_CODE[kind]
+                        for name, kind in _RMA_KIND.items()}, -1)[fn]
+        is_op = kind >= 0
+        writes = _per_fn(dict.fromkeys(_BUFFER_CALLS - _CALL_LOADS, 1), 0)
+        by_request = _per_fn(dict.fromkeys(_REQUEST_RMA, 1), 0)[fn] > 0
+        is_bcast = fn == fn_code("Bcast")
+        lifts = is_op | (
+            present[:, _BUFFER_REQUIRED].all(axis=1)
+            & ((fn != fn_code("Wait"))
+               | (has["req_kind"] & (arg["req_kind"] == self._codes["irecv"]))))
+
+        # -- validation: everything the scalar lift would refuse -------
+        suspect = unread.copy()
+        suspect |= is_op & ~(present[:, _RMA_REQUIRED].all(axis=1)
+                             & (has["req"] | ~by_request))
+        w = self.window_index(arg["win"])
+        target = arg["target"]
+        inside = (w >= 0) & (target >= 0) & (target < self.nranks)
+        w0, t0 = np.where(inside, w, 0), np.where(inside, target, 0)
+        if len(self.win_ids):
+            inside &= self.win_member[w0, t0]
+        suspect |= is_op & ~inside
+        buffer = lifts & ~is_op
+        root_world = np.zeros(len(fn), dtype=np.int64)
+        if (buffer & is_bcast).any():
+            at = np.nonzero(buffer & is_bcast)[0]
+            known, root_world[at] = self._comm_rank(
+                pre, arg["comm"][at], arg["root"][at],
+                has["comm"][at] & has["root"][at])
+            suspect[at[~known]] = True
+
+        # the three buffer populations: (rows, base terms, count, dtype)
+        ops = np.nonzero(is_op & lifts)[0]
+        fetch = has["result_base"][ops]
+        # locals, in model.local order: per lifted call its origin (or
+        # plain) buffer, then the result buffer of a fetching op
+        call = np.nonzero(lifts)[0]
+        n_local = 1 + (is_op & has["result_base"])[call]
+        l_call, slot = expand_ranges(np.zeros(len(call), dtype=np.int64),
+                                     n_local)
+        at = call[l_call]            # row of each local in the raw matrix
+        result = slot == 1
+        plain = ~is_op[at]
+        terms = [
+            np.where(plain, arg["base"][at], np.where(
+                result, arg["result_base"][at], arg["origin_base"][at])),
+            np.where(plain, np.where(has["offset"][at], arg["offset"][at], 0),
+                     np.where(result, np.where(has["result_offset"][at],
+                                               arg["result_offset"][at], 0),
+                              arg["origin_offset"][at]))]
+        l_count = np.where(plain, arg["count"][at], np.where(
+            result, arg["target_count"][at], arg["origin_count"][at]))
+        l_type = np.where(plain, arg["dtype"][at], np.where(
+            result, arg["target_dtype"][at], arg["origin_dtype"][at]))
+        unit = self.win_unit[w0[ops], t0[ops]] if len(self.win_ids) \
+            else np.zeros(len(ops), dtype=np.int64)
+        t_base = self.win_base[w0[ops], t0[ops]] if len(self.win_ids) \
+            else np.zeros(len(ops), dtype=np.int64)
+        maps, (t_map, l_map), unknown = self._datamaps(
+            pre, (rank[ops], rank[at]), (arg["target_dtype"][ops], l_type))
+        suspect[ops[unknown[0]]] = True
+        suspect[at[unknown[1]]] = True
+        suspect[ops] |= _beyond(
+            maps, t_map, arg["target_count"][ops],
+            [t_base.astype(float),
+             arg["target_disp"][ops].astype(float) * unit.astype(float)])
+        suspect[at] |= _beyond(maps, l_map, l_count,
+                               [term.astype(float) for term in terms])
+        suspect = (suspect & lifts) | unread
+        if suspect.any():
+            self._refuse(pre, rank, row, np.nonzero(suspect)[0])
+
+        # -- the columns ------------------------------------------------
+        self.call_rank, self.call_row, self.call_seq = \
+            rank[call], row[call], seq[call]
+        op_of = np.full(len(fn), -1, dtype=np.int64)
+        op_of[ops] = np.arange(len(ops))
+        self.call_op = op_of[call]
+        self.call_local = np.cumsum(n_local) - n_local
+        self.rank, self.seq, self.kind = rank[ops], seq[ops], kind[ops]
+        self.win, self.target = arg["win"][ops], target[ops]
+        self.call = np.searchsorted(call, ops)
+        self.epoch = epoch_index.enclosing_rows(
+            self.rank, self.win, self.seq, self.target)
+        self.complete = epoch_index.completion_rows(
+            self.rank, self.win, self.seq, self.target, self.epoch,
+            arg["req"][ops], by_request[ops])
+        cas = fn[ops] == fn_code("Compare_and_swap")
+        acc_op = np.where(cas, self._codes["CAS"],
+                          np.where(has["op"][ops], arg["op"][ops], -1))
+        # an op's first local is its origin buffer: the origin datatype
+        acc_base = maps.base[l_map[self.call_local[self.call]]]
+        self.acc = np.where(
+            (self.kind == KIND_CODE[ACC]) & (acc_op >= 0) & (acc_base >= 0),
+            acc_op * (int(maps.base.max(initial=0)) + 1) + acc_base, -1)
+        self.target_start, self.target_lo, self.target_hi = _place(
+            maps, t_map, t_base + arg["target_disp"][ops] * unit,
+            arg["target_count"][ops])
+
+        self.l_call = l_call
+        self.l_rank, self.l_seq = rank[at], seq[at]
+        self.l_op = np.where(plain, -1, op_of[at])
+        self.l_end = np.where(plain, self.l_seq,
+                              self.complete[np.maximum(self.l_op, 0)])
+        self.l_store = np.where(
+            plain, np.where(is_bcast[at], root_world[at] != rank[at],
+                            writes[fn[at]] > 0),
+            result | (kind[at] == KIND_CODE[GET]))
+        self.local_start, self.local_lo, self.local_hi = _place(
+            maps, l_map, terms[0] + terms[1], l_count)
+        self._slot = slot
+        self.n_ops, self.n_local = len(ops), len(at)
+        self.ops: Sequence[RMAOpView] = _Views(self.n_ops, self.op_view)
+        self.local: Sequence[LocalAccess] = _Views(self.n_local,
+                                                   self.local_view)
+
+    def _comm_rank(self, pre, comm, root, logged):
+        """``pre.world_of_comm_rank`` for columns: which calls name a
+        rank of a known communicator, and that rank's world rank."""
+        ids = sorted(pre.comms)
+        size = np.array([len(pre.comms[c]) for c in ids], dtype=np.int64)
+        members = np.array([r for c in ids for r in pre.comms[c]],
+                           dtype=np.int64)
+        at = np.minimum(np.searchsorted(ids, comm), len(ids) - 1)
+        known = logged & (np.array(ids, dtype=np.int64)[at] == comm) \
+            & (root >= 0) & (root < size[at])
+        world = np.zeros(len(comm), dtype=np.int64)
+        world[known] = members[(np.cumsum(size) - size)[at[known]]
+                               + root[known]]
+        return known, world
+
+    def _datamaps(self, pre, ranks, type_ids):
+        """The data-maps of the datatypes the populations use: one
+        :class:`_DataMaps` over the distinct ``(rank, type id)`` pairs,
+        per population the index of each row's entry, and which rows
+        name a datatype their rank never defined."""
+        rank = np.concatenate(ranks)
+        type_id = np.concatenate(type_ids)
+        ids = group_ids(rank, type_id)
+        first = np.unique(ids, return_index=True)[1]
+        seg_n, disp, length, extent, lo, hi, exact, base, missing = (
+            [], [], [], [], [], [], [], [], [])
+        for r, t in zip(rank[first].tolist(), type_id[first].tolist()):
+            dtype = pre.datatypes[r].get(t) if 0 <= r < pre.nranks else None
+            segments = [seg for seg in dtype.datamap if seg[1] > 0] \
+                if dtype is not None else []
+            missing.append(dtype is None)
+            seg_n.append(len(segments))
+            disp.extend(seg[0] for seg in segments)
+            length.extend(seg[1] for seg in segments)
+            extent.append(dtype.extent if dtype is not None else 0)
+            lo.append(float(min((seg[0] for seg in segments), default=0)))
+            hi.append(float(max((seg[0] + seg[1] for seg in segments),
+                                default=0)))
+            exact.append(max(abs(lo[-1]), abs(hi[-1]),
+                             abs(float(extent[-1]))) < _EXACT)
+            base.append(self._code(dtype.base) if dtype is not None
+                        and dtype.base is not None else -1)
+        try:
+            seg_n, disp, length, extent = (
+                np.array(col, dtype=np.int64)
+                for col in (seg_n, disp, length, extent))
+        except OverflowError:
+            raise AnalysisError("a datatype's data-map or extent lies "
+                                "outside int64") from None
+        seg_start = np.cumsum(seg_n) - seg_n
+        single = np.minimum(seg_start, max(len(length) - 1, 0))
+        maps = _DataMaps(
+            seg_start, seg_n, disp, length, extent,
+            (seg_n == 1) & (length[single] == extent if len(length)
+                            else False),
+            np.array(lo), np.array(hi), np.array(exact, dtype=bool),
+            np.array(base, dtype=np.int64))
+        missing = np.array(missing, dtype=bool)[ids]
+        cut = len(ranks[0])
+        return (maps, (ids[:cut], ids[cut:]), (missing[:cut], missing[cut:]))
+
+    def _refuse(self, pre, rank, row, suspects: np.ndarray) -> None:
+        """Run the scalar lift over the suspect calls, in (rank, seq)
+        order: it raises the typed error the first real offender
+        deserves; a call it accepts was only too large for the float
+        screen, and its columns are exact all the same (int64
+        arithmetic that does not leave the address space does not
+        wrap)."""
+        for k in suspects.tolist():
+            self._lifted(int(rank[k]), int(row[k]),
+                         lambda *_call: (None, OPEN_ENDED))
+
+    # ------------------------------------------------------------ views
+
+    def _event(self, rank: int, row: int) -> CallEvent:
+        events = self._pre.events[rank]
+        if isinstance(events, CallColumns):
+            return events[row]
+        calls = self._call_lists.get(rank)
+        if calls is None:
+            # a typed event list has memory events in between
+            calls = self._call_lists[rank] = (
+                events if len(events) == self._pre.call_tables[rank].n
+                else [e for e in events if isinstance(e, CallEvent)])
+        return calls[row]
+
+    def _lifted(self, rank: int, row: int,
+                resolve: Resolve) -> Tuple[list, list]:
+        """The views of one call — the materialiser: the only caller of
+        :func:`_lift_call`."""
+        cache = self._caches.get(rank)
+        if cache is None:
+            cache = self._caches[rank] = LiftCache()
         ops: List[RMAOpView] = []
         local: List[LocalAccess] = []
-        for rank, cache in enumerate(self._caches):
-            calls = self.call[rank]
-            if bounds is not None:
-                first, stop = (np.searchsorted(self.seq[rank], seqs,
-                                               side="right")
-                               for seqs in bounds[rank])
-                calls = calls[expand_ranges(first, stop - first)[1]]
+        _lift_call(self._pre, rank, self._event(rank, row), ops, local,
+                   cache, resolve)
+        return ops, local
+
+    def _views(self, call: int) -> Tuple[list, list]:
+        built = self._built.get(call)
+        if built is None:
+            op = int(self.call_op[call])
+
+            def resolve(*_call):
+                epoch = int(self.epoch[op])
+                return (self._epoch_index.epochs[epoch] if epoch >= 0
+                        else None), int(self.complete[op])
+
+            built = self._built[call] = self._lifted(
+                int(self.call_rank[call]), int(self.call_row[call]),
+                resolve)
+            for kind, n in (("op", len(built[0])),
+                            ("local", len(built[1])), ("event", 1)):
+                self.views_built[kind] += n
+        return built
+
+    def prefetch(self, ops: np.ndarray, local: np.ndarray) -> None:
+        """Build the call events behind the views about to be asked for
+        (op rows, local rows) rank by rank rather than one at a time:
+        lazy call columns decode a batch of rows much cheaper than the
+        same rows singly."""
+        calls = np.unique(np.concatenate([self.call[ops],
+                                          self.l_call[local]]))
+        calls = calls[[c not in self._built for c in calls.tolist()]]
+        ranks = self.call_rank[calls]
+        for rank in np.unique(ranks).tolist():
             events = self._pre.events[rank]
-            for k in calls.tolist():
-                _lift_call(self._pre, self._epochs, rank, events[k], ops,
-                           local, cache)
-            self.lifted += len(calls)
-        return AccessModel(ops=ops, local=local)
+            if isinstance(events, CallColumns):
+                events.take(self.call_row[calls[ranks == rank]])
+
+    def op_view(self, op: int) -> RMAOpView:
+        """The :class:`RMAOpView` of op row ``op``."""
+        return self._views(int(self.call[op]))[0][0]
+
+    def local_view(self, local: int) -> LocalAccess:
+        """The :class:`LocalAccess` of local row ``local``."""
+        return self._views(int(self.l_call[local]))[1][
+            int(self._slot[local])]
+
+    # ------------------------------------------------------- unit views
+
+    @cached_property
+    def ops_by_epoch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``(start, rows)``: the ops of epoch ``e``, in table
+        order, are ``rows[start[e]:start[e + 1]]``."""
+        return _by_key(self.epoch, len(self.epochs.rank))
+
+    @cached_property
+    def attached_by_epoch(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The same for the locals attached to each epoch's ops."""
+        owner = np.where(self.l_op >= 0,
+                         self.epoch[np.maximum(self.l_op, 0)]
+                         if self.n_ops else -1, -1)
+        return _by_key(owner, len(self.epochs.rank))
+
+    @cached_property
+    def plain(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The plain (buffer-call) locals sorted by ``(rank, seq)``:
+        local rows, ranks, seqs."""
+        rows = np.nonzero(self.l_op < 0)[0]
+        rows = rows[np.lexsort((self.l_seq[rows], self.l_rank[rows]))]
+        return rows, self.l_rank[rows], self.l_seq[rows]
+
+
+def _by_key(key: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR grouping of row indices by a key in ``[0, n)`` (negative keys
+    are left out), rows in ascending order within a key."""
+    rows = np.nonzero(key >= 0)[0]
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    return np.searchsorted(key[rows], np.arange(n + 1)), rows
+
+
+def _beyond(maps: _DataMaps, which: np.ndarray, count: np.ndarray,
+            terms: List[np.ndarray]) -> np.ndarray:
+    """Which buffers are not *provably* inside ``[0, 2**63)``: a float64
+    screen that is exact while every term stays below :data:`_EXACT`.
+    ``terms`` sum to the buffer's base address."""
+    base = sum(terms)
+    span = np.maximum(count - 1, 0).astype(float) \
+        * maps.extent[which].astype(float)
+    lo = base + maps.lo[which] + np.minimum(span, 0.0)
+    hi = base + maps.hi[which] + np.maximum(span, 0.0)
+    sound = maps.exact[which] & (lo >= 0) & (hi < _EXACT) \
+        & (np.abs(span) < _EXACT)
+    for term in terms:
+        sound &= np.abs(term) < _EXACT
+    return (count < 0) | ((count > 0) & (maps.seg_n[which] > 0) & ~sound)
+
+
+def _place(maps: _DataMaps, which: np.ndarray, base: np.ndarray,
+           count: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Place row ``k``'s data-map ``count[k]`` times at ``base[k]``: CSR
+    ``(start, lo, hi)`` byte intervals per row.  A map that tiles is one
+    interval; any other is its blocks once per repetition, as they come
+    (unsorted, overlapping: the joins do not care)."""
+    n = len(which)
+    live = (count > 0) & (maps.seg_n[which] > 0)
+    tiles = np.nonzero(live & maps.contiguous[which])[0]
+    seg = maps.seg_start[which[tiles]]
+    lo = [base[tiles] + maps.disp[seg]] if len(tiles) else []
+    hi = [lo[0] + count[tiles] * maps.length[seg]] if len(tiles) else []
+    owner = [tiles]
+    rest = np.nonzero(live & ~maps.contiguous[which])[0]
+    if len(rest):
+        # (row, repetition) pairs, then each pair's blocks
+        pair, rep = expand_ranges(np.zeros(len(rest), dtype=np.int64),
+                                  count[rest])
+        entry = which[rest][pair]
+        each, seg = expand_ranges(maps.seg_start[entry], maps.seg_n[entry])
+        at = base[rest][pair][each] + rep[each] * maps.extent[entry][each] \
+            + maps.disp[seg]
+        lo.append(at)
+        hi.append(at + maps.length[seg])
+        owner.append(rest[pair][each])
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
+    if not len(owner):
+        empty = np.empty(0, dtype=np.int64)
+        return start, empty, empty
+    return start, np.concatenate(lo)[order], np.concatenate(hi)[order]
+
+
+def _per_fn(values: Dict[str, int], default: int) -> np.ndarray:
+    """An array over fn codes: ``values[name]`` at each named call's
+    code, ``default`` elsewhere."""
+    codes = {fn_code(name): value for name, value in values.items()}
+    out = np.full(len(FN_NAMES), default, dtype=np.int64)
+    out[list(codes)] = list(codes.values())
+    return out

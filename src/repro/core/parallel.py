@@ -1,21 +1,23 @@
 """Persistent shared-memory worker pool behind ``jobs > 1``.
 
 The pool is a policy over the shard plan (:mod:`repro.core.plan`): the
-parent runs the control pass, cuts the plan and lifts the shards' calls;
+parent runs the control pass (the op table included) and cuts the plan;
 :func:`detect_shards` ships contiguous *chunks of shard units* to the
 workers — one task, ``shards``, for ``MCChecker(jobs > 1)`` (every
 shard) and the incremental checker's dirty-shard recompute alike — and
-gathers per-shard findings back in order, so merge and report are the
+gathers the pairs that reach a per-pair check back in order; the parent,
+which holds the call events, builds their views and findings
+(:func:`~repro.core.plan.emit_shards`), so merge and report are the
 serial ones.  Reading, lifting and planning stay in the parent: fanned
 out, each lost to its serial counterpart on the benchmark ladder
 (docs/performance.md).
 
 One :class:`WorkerPool` of long-lived processes serves every run of the
 process.  State is *installed* over each worker's pipe once per run (the
-registries-only view of the preprocessed trace, the oracle, the lock
-index), memory rows are published as named shared-memory segments that
-workers attach on first use, and a task message carries only its chunk
-of units — views and seq bounds, never row data.  Nothing relies on
+op table's columns, the region membership, the oracle), memory rows are
+published as named shared-memory segments that workers attach on first
+use, and a task message carries only its chunk of units — index arrays,
+never a view or row data — and its reply index arrays again.  Nothing relies on
 inherited address space, so ``fork`` and ``spawn`` (forced via
 ``MCCHECKER_START_METHOD``) behave identically; segments are named after
 the pool and unlinked by the parent at end of run, including after a
@@ -55,10 +57,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.model import MemRows, attach_rows, share_rows
 from repro.core.plan import (
-    ControlState, ShardFindings, _RowLoader, ranks_read, run_shards,
+    ControlState, ShardFindings, ShardUnits, _RowLoader, emit_shards,
+    find_shards, ranks_read, run_shards,
 )
 from repro.obs.recorder import NullRecorder
-from repro.util.errors import ReproError
+from repro.util.errors import AnalysisError, ReproError
 
 #: env var forcing the multiprocessing start method ("fork"/"spawn") —
 #: the spawn-parity tests and CI set it; unset picks fork when available
@@ -465,15 +468,25 @@ def _crash_task(_arg):
     os._exit(13)
 
 
+@_pool_task("fail")
+def _fail_task(message: str):
+    """Typed-failure probe (tests): raises one of the package's errors
+    in the worker.  The kernels' finding half reads validated columns —
+    a malformed trace is refused in the parent, where the table is built
+    — so nothing else exercises the error's way back."""
+    raise AnalysisError(message)
+
+
 @_pool_task("shards")
-def _shards_task(units: List[Dict[str, list]]):
-    """The analysis task: one chunk of shard units (the task argument)
-    against the installed control state and shared row segments."""
+def _shards_task(units: List[ShardUnits]):
+    """The analysis task: the finding half over one chunk of shard units
+    (the task argument) against the installed columns and shared row
+    segments."""
     rec = _task_recorder()
     with rec.span("analyzer.worker.shards", shards=len(units),
                   pid=os.getpid()):
-        found = run_shards(
-            units, _WORKER["pre"], _WORKER["context"],
+        found = find_shards(
+            units, *_WORKER["columns"],
             {rank: worker_rows(desc)
              for rank, desc in _WORKER["mems_shm"].items()})
     rec.count("parallel_tasks_total", phase="shards")
@@ -483,18 +496,18 @@ def _shards_task(units: List[Dict[str, list]]):
 # ------------------------------------------------------------- the policy
 
 
-def detect_shards(units: List[Dict[str, list]], control: ControlState,
+def detect_shards(units: List[ShardUnits], control: ControlState,
                   memory_model: str, loader: _RowLoader,
                   jobs: int) -> Tuple[List[ShardFindings], int]:
     """:func:`~repro.core.plan.run_shards` over ``units`` — in this
-    process, or with ``jobs > 1`` (and more than one unit) as contiguous
-    chunks over the persistent pool, gathered back in unit order.
-    Returns the per-shard findings and the number of chunks."""
-    needed = ranks_read(units)
-    context = (control.oracle, control.lock_index, memory_model)
+    process, or with ``jobs > 1`` (and more than one unit) the finding
+    half as contiguous chunks over the persistent pool, gathered back in
+    unit order and emitted here.  Returns the per-shard findings and the
+    number of chunks."""
+    needed = ranks_read(units, control)
+    mems = {rank: loader.rows(rank) for rank in needed}
     if jobs <= 1 or len(units) <= 1:
-        return run_shards(units, control.pre, context,
-                          {rank: loader.rows(rank) for rank in needed}), 1
+        return run_shards(units, control, memory_model, mems), 1
     pool = acquire_pool(jobs)
     pool.begin_run()
     try:
@@ -505,7 +518,7 @@ def detect_shards(units: List[Dict[str, list]], control: ControlState,
         for rank in needed:
             name = pool.new_segment_name(rank)
             pool.expect_segment(name)
-            desc, handle = share_rows(loader.rows(rank), name)
+            desc, handle = share_rows(mems[rank], name)
             if handle is not None:  # a rank without rows gets no segment
                 descs[rank] = desc
                 pool.adopt_segment(name, handle)
@@ -513,17 +526,18 @@ def detect_shards(units: List[Dict[str, list]], control: ControlState,
                           phase="shards",
                           help="Bytes published to shared MemRows "
                                "segments, by phase")
-        # the kernels only resolve windows through ``pre``; the
-        # registries-only view keeps the install pickle small
-        pool.install("shards", {"pre": control.pre.registry_view(),
-                                "context": context, "mems_shm": descs})
+        pool.install("shards", {
+            "columns": (control.table, control.members, control.oracle,
+                        memory_model),
+            "mems_shm": descs})
         chunks = _chunk_bounds(len(units), jobs)
         found: List[ShardFindings] = []
-        for chunk_found, export in pool.run(
-                "shards", "shards", [units[lo:hi] for lo, hi in chunks]):
+        for (lo, hi), (survivors, export) in zip(chunks, pool.run(
+                "shards", "shards", [units[lo:hi] for lo, hi in chunks])):
             if export is not None:  # the worker recorder's state
                 obs.get_recorder().absorb(export)
-            found.extend(chunk_found)
+            found.extend(emit_shards(units[lo:hi], survivors, control,
+                                     memory_model, mems))
         return found, len(chunks)
     finally:
         pool.end_run()

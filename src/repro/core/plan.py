@@ -10,13 +10,18 @@ chunks, only the changed ones, a few at a time) concatenates to the
 serial result.  This module states that once:
 
 * :func:`build_control_state` — everything derivable from call events
-  alone, the columnar :class:`~repro.core.model.CallLift` as its model;
+  alone, the :class:`~repro.core.model.OpTable` (the one lift, the same
+  the serial route checks over) as its model;
 * :class:`ShardPlan` — regions grouped into shards, as arrays;
-  :meth:`~ShardPlan.units` lifts the calls of the shards asked for (and
-  only those) into the sweep kernels' work units, :meth:`~ShardPlan.merge`
-  restores the serial concatenation order over any subset of results;
-* :func:`run_shards` — the two sweep kernels, once each, over a list of
-  shard units, findings split back per shard;
+  :meth:`~ShardPlan.units` names the sweep kernels' work units of the
+  shards asked for as index arrays (epoch ids, region ids — nothing is
+  lifted or copied), :meth:`~ShardPlan.merge` restores the serial
+  concatenation order over any subset of results;
+* :func:`find_shards` / :func:`emit_shards` — the two sweep kernels,
+  once each, over a list of shard units: first the pairs that reach a
+  per-pair check, as arrays (what a pool worker runs), then their views
+  and findings, split back per shard (always in the process that holds
+  the call events); :func:`run_shards` is one after the other;
 * :class:`_RowLoader` — how a plan executor gets memory rows: a rank at
   a time, or as a forward cursor.
 
@@ -26,7 +31,7 @@ checker re-runs only the shards whose content keys moved
 (:mod:`~repro.core.incremental`), the streaming checker releases
 consecutive shards under a row budget (:mod:`~repro.core.streaming`).
 The serial batch route (:class:`~repro.core.checker.MCChecker`) is the
-degenerate plan: one shard, every unit, one lift.
+degenerate plan: one shard, every unit, over the same table.
 
 Shard grouping: regions ``i`` and ``i + 1`` share a shard when an epoch
 *interior* or a call span reaches over both.  The interior —
@@ -44,6 +49,7 @@ position — which lets :meth:`ShardPlan.merge` reproduce the cold order.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -54,24 +60,35 @@ from repro import obs
 from repro.core.calltable import ensure_call_tables
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.diagnostics import ConsistencyError
-from repro.core.engine import check_epochs_sweep, detect_regions_sweep
+from repro.core.engine import (
+    RegionMembers, Survivors, emit_epoch_findings, emit_region_findings,
+    find_epoch_pairs, find_region_pairs,
+)
 from repro.core.epochs import EpochIndex
-from repro.core.inter import LocalLockIndex, bucket_by_region
-from repro.core.intra import bucket_by_epoch
+from repro.core.inter import LocalLockIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import CallLift, MemRows, check_address_columns
+from repro.core.model import MemRows, OpTable, check_address_columns
 from repro.core.preprocess import (
     PreprocessedTrace, preprocess_calls_with_counts,
 )
 from repro.core.regions import RegionIndex
 from repro.profiler.tracer import MEM_DTYPE, TraceSet
 from repro.util.hashing import hash_strings
+from repro.util.intervals import expand_ranges, grouped_searchsorted
 
 #: one shard's findings: ``(intra, inter)`` lists of ``(position,
 #: findings)`` — the epoch's position among the shard's epochs / the
 #: region's offset in the shard — holding only units that found something
 ShardFindings = Tuple[List[Tuple[int, List[ConsistencyError]]],
                       List[Tuple[int, List[ConsistencyError]]]]
+
+#: one shard's detector inputs, as index arrays: its epoch units (ids
+#: into ``epoch_index.epochs``) tagged with each one's position among
+#: the shard's epochs, its region units tagged with each one's offset in
+#: the shard (what :meth:`ShardPlan.merge` orders by), and how many
+#: lifted calls lie inside it
+ShardUnits = namedtuple("ShardUnits",
+                        "epoch_at epochs region_at regions calls")
 
 
 def phase_timer(timings: Dict[str, float]) -> Callable:
@@ -95,13 +112,13 @@ def phase_timer(timings: Dict[str, float]) -> Callable:
 class ControlState:
     """Everything the control pass derives from call events alone:
     registries, synchronization matches, the happens-before oracle,
-    epochs, the columnar call lift and concurrent regions."""
+    epochs, the op table and concurrent regions."""
 
     pre: PreprocessedTrace
     matches: list
     oracle: ConcurrencyOracle
     epochs: EpochIndex
-    lift: CallLift
+    table: OpTable
     regions: RegionIndex
     #: per-rank per-class event counts from the trace readers
     counts: Dict[int, Dict[str, int]]
@@ -110,13 +127,17 @@ class ControlState:
     def lock_index(self) -> LocalLockIndex:
         return LocalLockIndex(self.epochs, self.pre.nranks)
 
+    @cached_property
+    def members(self) -> RegionMembers:
+        return RegionMembers(self.table, self.regions)
+
     def sizes(self) -> Dict[str, int]:
         """The size fields of ``CheckStats``, counted as the batch model
         does: call-derived locals plus a row per instrumented access."""
         return dict(
             nranks=self.pre.nranks, events=self.pre.total_events,
-            rma_ops=self.lift.n_ops,
-            local_accesses=self.lift.n_local + sum(
+            rma_ops=self.table.n_ops,
+            local_accesses=self.table.n_local + sum(
                 c["mem"] for c in self.counts.values()),
             sync_matches=len(self.matches), regions=len(self.regions),
             epochs=len(self.epochs.epochs))
@@ -134,9 +155,9 @@ def build_control_state(traces: TraceSet, timed=None) -> ControlState:
                     nranks=pre.nranks, events=pre.total_events)
     oracle = timed("clocks", lambda: ConcurrencyOracle(pre, matches))
     epochs = timed("epochs", lambda: EpochIndex(pre))
-    lift = timed("model", lambda: CallLift(pre, epochs))
+    table = timed("model", lambda: OpTable(pre, epochs))
     regions = timed("regions", lambda: RegionIndex(pre, matches))
-    return ControlState(pre, matches, oracle, epochs, lift, regions,
+    return ControlState(pre, matches, oracle, epochs, table, regions,
                         counts)
 
 
@@ -165,33 +186,30 @@ class ShardPlan:
 
     @classmethod
     def build(cls, control: ControlState) -> "ShardPlan":
-        pre, regions, lift = control.pre, control.regions, control.lift
+        pre, regions = control.pre, control.regions
         nranks, n = pre.nranks, len(regions)
         epochs = control.epochs.columns
 
         # group: regions i and i+1 share a shard when an epoch interior
         # or a call span reaches over both; an epoch's home is the first
         # region of its interior
-        home = np.empty(len(epochs.rank), dtype=np.int64)
-        cover = np.zeros(n + 1, dtype=np.int64)
-        for rank in range(nranks):
-            mine = np.nonzero(epochs.rank == rank)[0]
-            first, last = regions.regions_of_spans(
-                rank,
-                np.concatenate([epochs.open_seq[mine] + 1, lift.seq[rank]]),
-                np.concatenate([epochs.close_seq[mine] - 1, lift.end[rank]]))
-            home[mine] = first[:len(mine)]
-            over = first < last
-            cover += (np.bincount(first[over], minlength=n + 1)
-                      - np.bincount(last[over], minlength=n + 1))
+        home, reach = regions.regions_of_spans(
+            epochs.rank, epochs.open_seq + 1, epochs.close_seq - 1)
+        members = control.members
+        first = np.concatenate([home, members.op_span[0],
+                                members.local_span[0]])
+        last = np.concatenate([reach, members.op_span[1],
+                               members.local_span[1]])
+        over = first < last
+        cover = (np.bincount(first[over], minlength=n + 1)
+                 - np.bincount(last[over], minlength=n + 1))
         breaks = np.nonzero(np.cumsum(cover)[:n - 1] <= 0)[0]
         first = np.concatenate([[0], breaks + 1])
         last = np.concatenate([breaks, [n - 1]])
         n_shards = len(first)
         shard_of_region = np.repeat(np.arange(n_shards), last - first + 1)
         epoch_shard = shard_of_region[np.minimum(home, n - 1)]
-        bounds = np.vstack([np.full((1, nranks), -1), regions.cuts.T,
-                            np.full((1, nranks), 1 << 62)])
+        bounds = regions.bounds
 
         # rows before each cut: the cut's seq less the calls before it;
         # pinned to the reader's count at the end of the trace
@@ -241,33 +259,46 @@ class ShardPlan:
                            "rows of the largest, pieces it ran in")
 
     def units(self, control: ControlState,
-              shards: Sequence[int]) -> List[Dict[str, list]]:
-        """Lift the calls of ``shards`` (ascending) — and only those —
-        to views and describe each shard's detector inputs: the kernels'
-        epoch and region units, tagged with the epoch's position among
-        the shard's epochs / the region's offset in the shard (what
-        :meth:`merge` orders by).  Memory rows are named by seq bounds
-        only, so a unit pickles without row data."""
-        shards = list(shards)
-        model = control.lift.views(list(zip(self.lo[:, shards],
-                                            self.hi[:, shards])))
-        units = {shard: {"epochs": [], "regions": []} for shard in shards}
-        all_epochs = control.epochs.epochs
-        where = {id(all_epochs[e]): (shard, k) for shard in shards
-                 for k, e in enumerate(self.epoch_ids[
-                     self.epoch_start[shard]:self.epoch_start[shard + 1]
-                 ].tolist())}
-        for unit in bucket_by_epoch(model, control.epochs):
-            shard, k = where[id(unit[0])]
-            units[shard]["epochs"].append((k, unit))
-        ops, call_locals = bucket_by_region(model, control.regions)
-        for r in sorted(ops):
-            shard = int(np.searchsorted(self.last, r))
-            units[shard]["regions"].append((
-                r - int(self.first[shard]),
-                (ops[r], call_locals.get(r, []),
-                 control.regions.regions[r].bounds)))
-        return [units[shard] for shard in shards]
+              shards: Sequence[int]) -> List[ShardUnits]:
+        """The detector inputs of ``shards`` (ascending) as index
+        arrays: which of each shard's epochs and regions hold an op —
+        the kernels' units — and where in the shard they sit.  Nothing
+        is lifted or copied; memory rows are named by the units' seq
+        bounds, so a unit pickles as a few small arrays."""
+        table, members = control.table, control.members
+        shards = np.asarray(list(shards), dtype=np.int64)
+        cuts = np.arange(len(shards) + 1)
+        has_op = np.zeros(len(control.epochs.epochs), dtype=bool)
+        has_op[table.epoch[table.epoch >= 0]] = True
+        shard, at = expand_ranges(
+            self.epoch_start[shards],
+            self.epoch_start[shards + 1] - self.epoch_start[shards])
+        keep = has_op[self.epoch_ids[at]]
+        shard, at = shard[keep], at[keep]
+        epochs, epoch_at = self.epoch_ids[at], at - self.epoch_start[shards][shard]
+        epoch_cut = np.searchsorted(shard, cuts)
+        start, _rows = members.ops
+        shard, regions = expand_ranges(
+            self.first[shards], self.last[shards] - self.first[shards] + 1)
+        keep = np.diff(start)[regions] > 0
+        shard, regions = shard[keep], regions[keep]
+        region_at = regions - self.first[shards][shard]
+        region_cut = np.searchsorted(shard, cuts)
+        # lifted calls inside: ``lo < seq <= hi`` at every rank
+        nranks = control.pre.nranks
+        ranks = np.repeat(np.arange(nranks), len(shards))
+        before = grouped_searchsorted(
+            table.call_rank, table.call_seq, np.concatenate([ranks, ranks]),
+            np.concatenate([self.hi[:, shards].ravel(),
+                            self.lo[:, shards].ravel()]), side="right")
+        calls = (before[:len(ranks)] - before[len(ranks):]).reshape(
+            nranks, -1).sum(axis=0)
+        return [ShardUnits(epoch_at[a:b], epochs[a:b], region_at[c:d],
+                           regions[c:d], n)
+                for a, b, c, d, n in zip(
+                    epoch_cut[:-1].tolist(), epoch_cut[1:].tolist(),
+                    region_cut[:-1].tolist(), region_cut[1:].tolist(),
+                    calls.tolist())]
 
     def merge(self, per_shard: Iterable[Tuple[int, ShardFindings]]
               ) -> List[ConsistencyError]:
@@ -287,38 +318,75 @@ class ShardPlan:
                 for error in errors]
 
 
-def ranks_read(units: List[Dict[str, list]]) -> List[int]:
+def ranks_read(units: List[ShardUnits], control: ControlState) -> List[int]:
     """The only ranks whose memory rows the kernels read for ``units``:
     epoch ranks and op targets."""
-    return sorted(
-        {unit[0].rank for shard in units for _k, unit in shard["epochs"]}
-        | {op.target for shard in units
-           for _r, unit in shard["regions"] for op in unit[0]})
+    table = control.table
+    start, rows = control.members.ops
+    regions = np.concatenate([unit.regions for unit in units]
+                             + [np.empty(0, dtype=np.int64)])
+    _unit, at = expand_ranges(start[regions],
+                              start[regions + 1] - start[regions])
+    epochs = np.concatenate([unit.epochs for unit in units]
+                            + [np.empty(0, dtype=np.int64)])
+    return np.union1d(table.epochs.rank[epochs],
+                      table.target[rows[at]]).tolist()
 
 
-def run_shards(units: List[Dict[str, list]], pre: PreprocessedTrace,
-               context: tuple, mems: Dict[int, MemRows]
-               ) -> List[ShardFindings]:
-    """Run each sweep kernel once over every unit of ``units`` and split
-    the per-unit findings back per shard, keeping the units that found
-    something.  ``context`` is ``(oracle, lock_index, memory_model)``;
-    ``mems`` maps the ranks the units read to :class:`MemRows` holding at
-    least the rows inside the units' bounds — whole ranks from the
-    row-loader or the attached shared segments, a release's rows from
-    the forward cursor."""
-    intra = iter(check_epochs_sweep(
-        [unit for shard in units for _k, unit in shard["epochs"]],
-        mems, context[2]))
-    inter = iter(detect_regions_sweep(
-        pre, [unit for shard in units for _r, unit in shard["regions"]],
-        mems, *context))
+def find_shards(units: List[ShardUnits], table: OpTable,
+                members: RegionMembers, oracle: ConcurrencyOracle,
+                memory_model: str, mems: Dict[int, MemRows]
+                ) -> Tuple[Survivors, Survivors]:
+    """Run each sweep kernel's finding half once over every unit of
+    ``units``: the intra and the inter pairs that reach a per-pair
+    check, as arrays (units numbered through the shards, in order).
+    Reads columns only — what a pool worker holds.  ``mems`` maps the
+    ranks the units read to :class:`MemRows` holding at least the rows
+    inside the units' bounds — whole ranks from the row-loader or the
+    attached shared segments, a release's rows from the forward
+    cursor."""
+    none = [np.empty(0, dtype=np.int64)]
+    return (
+        find_epoch_pairs(
+            table, np.concatenate([unit.epochs for unit in units] + none),
+            mems, memory_model),
+        find_region_pairs(
+            table, members,
+            np.concatenate([unit.regions for unit in units] + none),
+            mems, oracle, memory_model))
 
-    def part(tagged: list, found) -> list:
+
+def emit_shards(units: List[ShardUnits],
+                survivors: Tuple[Survivors, Survivors],
+                control: ControlState, memory_model: str,
+                mems: Dict[int, MemRows]) -> List[ShardFindings]:
+    """The emitting half: views and findings for what
+    :func:`find_shards` found (row indices in ``mems`` must mean what
+    they meant there), split back per shard, keeping the units that
+    found something."""
+    intra = iter(emit_epoch_findings(
+        control.table, mems, memory_model, survivors[0],
+        sum(len(unit.epochs) for unit in units)))
+    inter = iter(emit_region_findings(
+        control.table, mems, control.pre, control.lock_index, memory_model,
+        survivors[1], sum(len(unit.regions) for unit in units)))
+
+    def part(positions: np.ndarray, found) -> list:
         return [(at, errors)
-                for (at, _unit), errors in zip(tagged, found) if errors]
+                for at, errors in zip(positions.tolist(), found) if errors]
 
-    return [(part(shard["epochs"], intra), part(shard["regions"], inter))
-            for shard in units]
+    return [(part(unit.epoch_at, intra), part(unit.region_at, inter))
+            for unit in units]
+
+
+def run_shards(units: List[ShardUnits], control: ControlState,
+               memory_model: str, mems: Dict[int, MemRows]
+               ) -> List[ShardFindings]:
+    """Both halves in this process: each shard's findings."""
+    return emit_shards(
+        units, find_shards(units, control.table, control.members,
+                           control.oracle, memory_model, mems),
+        control, memory_model, mems)
 
 
 # ------------------------------------------------------------ row access

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.core.clocks import Span
 from repro.core.matching import SyncMatch
 from repro.core.preprocess import PreprocessedTrace
 from repro.util.errors import AnalysisError
+from repro.util.intervals import grouped_searchsorted
 
 
 @dataclass
@@ -75,6 +76,10 @@ class RegionIndex:
         #: the same as one ``(nranks, n_cuts)`` array, for bulk lookup
         self.cuts = np.array(cut_seqs, dtype=np.int64).reshape(
             pre.nranks, len(cuts))
+        #: ``(n_regions + 1, nranks)``: row ``r`` is region ``r``'s lo seq
+        #: at every rank, row ``r + 1`` its hi
+        self.bounds = np.vstack([np.full((1, pre.nranks), -1), self.cuts.T,
+                                 np.full((1, pre.nranks), 1 << 62)])
         for i in range(n_regions):
             bounds = {}
             for rank in range(pre.nranks):
@@ -100,13 +105,21 @@ class RegionIndex:
         last = bisect_left(self._cut_seqs[span.rank], span.end_seq)
         return range(first, min(last, len(self.regions) - 1) + 1)
 
-    def regions_of_spans(self, rank: int, start_seq: np.ndarray,
-                         end_seq: np.ndarray
+    def regions_of_spans(self, rank: Union[int, np.ndarray],
+                         start_seq: np.ndarray, end_seq: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`regions_of_span` for many spans of one rank: the first
-        and the last region index each intersects (``last < first`` for
-        a span that ends before it starts)."""
-        cuts = self.cuts[rank]
-        return (np.searchsorted(cuts, start_seq - 1, side="right"),
-                np.minimum(np.searchsorted(cuts, end_seq, side="left"),
-                           len(self.regions) - 1))
+        """:meth:`regions_of_span` for many spans, of one rank or each of
+        its own: the first and the last region index each intersects
+        (``last < first`` for a span that ends before it starts)."""
+        n_cuts = self.cuts.shape[1]
+        rank = np.broadcast_to(np.asarray(rank, dtype=np.int64),
+                               start_seq.shape)
+        # "cuts before seq" for the start, "cuts before end" for the end:
+        # one search (a cut is an int: ``< end`` is ``<= end - 1``)
+        at = grouped_searchsorted(
+            np.repeat(np.arange(self.nranks), n_cuts), self.cuts.ravel(),
+            np.concatenate([rank, rank]),
+            np.concatenate([start_seq, end_seq]) - 1, side="right") \
+            - np.concatenate([rank, rank]) * n_cuts
+        return (at[:len(rank)],
+                np.minimum(at[len(rank):], len(self.regions) - 1))

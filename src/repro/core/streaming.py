@@ -14,10 +14,11 @@ not the full trace.  Two passes over the per-rank trace files:
    events dominate (Figure 10).
 2. **Data pass** — walk the plan in order.  A *release* is as many
    consecutive shards as hold at most :data:`~repro.core.engine.BATCH_ROWS`
-   memory rows (always at least one): their calls are lifted to views,
-   exactly their rows are read through the forward cursor
-   (:meth:`~repro.core.plan._RowLoader.take`), both kernels run over
-   them (:func:`~repro.core.plan.run_shards`), views and rows are dropped.
+   memory rows (always at least one): their units are named as index
+   arrays over the control pass's op table, exactly their rows are read
+   through the forward cursor (:meth:`~repro.core.plan._RowLoader.take`),
+   both kernels run over them (:func:`~repro.core.plan.run_shards`), the
+   rows are dropped.
    No epoch cursor is needed: a shard is closed under epoch interiors,
    op spans and local spans, so nothing a release reads is still open
    when it ends.
@@ -87,8 +88,7 @@ class StreamingChecker:
             self.peak_buffered_mems,
             sum(len(rows) for rows in mems.values()))
         self.releases += 1
-        context = (control.oracle, control.lock_index, self.memory_model)
-        return run_shards(units, control.pre, context, mems)
+        return run_shards(units, control, self.memory_model, mems)
 
     def run(self) -> Iterator[ShardReport]:
         """Pass 2: yield per-shard findings, release by release."""

@@ -44,6 +44,21 @@ def _call_rows(ingest: dict) -> str:
                      sorted(ingest.get("call_rows", {}).items()))
 
 
+def _model_line(model: dict) -> str:
+    """The op plane in one line: what was lifted as rows, what the
+    joins and Table I left, and how few objects it took."""
+    survivors, views = model.get("survivors", {}), model.get("views", {})
+    routes = ", ".join(f"{key}={int(n):,}" for key, n in
+                       sorted(model.get("op_rows", {}).items()))
+    return (f"{model.get('ops', 0):,} op(s) + {model.get('locals', 0):,} "
+            f"call-derived local(s) as rows ({routes}), "
+            f"{model.get('intervals', 0):,} interval row(s); survivors "
+            f"{survivors.get('joined', 0):,} joined -> "
+            f"{survivors.get('passed', 0):,} past Table I; views built: "
+            + ", ".join(f"{kind}={int(views.get(kind, 0)):,}"
+                        for kind in ("op", "local", "event")))
+
+
 def _bar(fraction: float, width: int = 30) -> str:
     filled = int(round(max(0.0, min(1.0, fraction)) * width))
     return "#" * filled + "." * (width - filled)
@@ -131,6 +146,8 @@ def render_run_text(entry: RunReport) -> str:
         if "peak_buffered_mems" in ingest:
             lines.append("    peak buffered load/store events: "
                          f"{ingest['peak_buffered_mems']:,}")
+    if getattr(entry, "model", None):
+        lines.append(f"  op plane: {_model_line(entry.model)}")
     if entry.plan:
         lines.append(f"  shard plan: {_plan_line(entry.plan)}")
     for row in _control_rows(entry):
@@ -505,6 +522,8 @@ def render_run_html(entry: RunReport) -> str:
             ("call rows (route)", _call_rows(entry.ingest) or "-"),
             ("peak buffered load/store events",
              entry.ingest.get("peak_buffered_mems", "-")),
+            ("op plane", _model_line(entry.model)
+             if getattr(entry, "model", None) else "-"),
             ("shard plan", _plan_line(entry.plan)
              if entry.plan else "-"),
         ))

@@ -69,6 +69,16 @@ class RunReport:
     #: for streaming runs, ``peak_buffered_mems``: most load/store events
     #: held at once
     ingest: Dict[str, Any] = field(default_factory=dict)
+    #: the op plane (empty when the run built no op table — a fully warm
+    #: incremental run): ``op_rows`` = calls read into the table per route
+    #: (``columnar``: gathered from call columns, ``codec``: decoded
+    #: events), ``ops`` / ``locals`` (call-derived local accesses) /
+    #: ``intervals`` (byte-interval rows) = its sizes, ``survivors`` =
+    #: ``{"joined": pairs out of the joins Table I applies to, "passed":
+    #: those its lookup let through}``, ``views`` = analysis objects
+    #: built per kind (``op``, ``local``, ``event``) — all zero on a
+    #: clean trace
+    model: Dict[str, Any] = field(default_factory=dict)
     #: trace-generation stats (wall seconds, events/s, per-lane counts,
     #: the simulator's ``scheduler`` totals: thread handoffs, wake-ups
     #: elided, token grants) — present when the run shared an obs
@@ -286,6 +296,40 @@ def _call_rows(recorder) -> Dict[str, int]:
                 rows.samples(), key=lambda s: s[0].get("route", "?"))}
 
 
+#: funnel stages whose pairs go through the Table-I lookup
+_TABLE_STAGES = ("intra/op_pair", "inter/op_pair", "inter/local_vs_op")
+
+
+def _model(recorder, funnel: Dict[str, float]) -> Dict[str, Any]:
+    """The op-plane record (see :attr:`RunReport.model`), from the
+    counters the table publishes when it is built and the engine's
+    funnel."""
+    rows = recorder.registry.get("analyzer_op_rows_total")
+    if rows is None:
+        return {}
+    sizes = recorder.registry.get("analyzer_op_table_rows")
+    views = recorder.registry.get("analyzer_views_built_total")
+    built = {"op": 0, "local": 0, "event": 0}
+    if views is not None:
+        built.update((labels.get("kind", "?"), int(value))
+                     for labels, value in views.samples())
+    size = {labels.get("kind", "?"): int(value)
+            for labels, value in sizes.samples()} if sizes else {}
+    return {
+        "op_rows": {labels.get("route", "?"): int(value)
+                    for labels, value in sorted(
+                        rows.samples(), key=lambda s: s[0].get("route", "?"))},
+        "ops": size.get("op", 0), "locals": size.get("local", 0),
+        "intervals": size.get("interval", 0),
+        "survivors": {
+            "joined": int(sum(funnel.get(stage, 0)
+                              for stage in _TABLE_STAGES)),
+            "passed": int(sum(n for stage, n in funnel.items()
+                              if stage.endswith("/table_filter")))},
+        "views": built,
+    }
+
+
 def _control_plane(recorder) -> Dict[str, Any]:
     """Control-phase ingest stats, ``{"calls_ingested": n,
     "calls_per_second": r}``, from the counters the checker publishes
@@ -373,15 +417,16 @@ def build_run_report(report, config, *, traces=None, recorder=None,
     if peak is not None:
         ingest["peak_buffered_mems"] = int(peak.value())
 
+    funnel = _funnel(rec)
     return RunReport(
         run_id=run_id, created=created, command=command, app=app,
         config=config_dict, config_digest=config_digest,
         trace_dir=trace_dir, trace_digests=trace_digests,
         elapsed_seconds=(elapsed or stats.total_seconds),
-        phases=phases, funnel=_funnel(rec), join_calls=_join_calls(rec),
+        phases=phases, funnel=funnel, join_calls=_join_calls(rec),
         cache=_cache_attribution(rec),
         workers=_worker_utilization(rec), plan=_plan(rec),
-        ingest=ingest, emission=_emission(rec),
+        ingest=ingest, model=_model(rec, funnel), emission=_emission(rec),
         control_plane=_control_plane(rec),
         peak_rss_bytes=_peak_rss_bytes(),
         findings=_findings_summary(report))

@@ -367,6 +367,39 @@ def expand_ranges(starts: np.ndarray,
     return reps, np.repeat(starts, counts) + offsets
 
 
+def group_ids(*columns: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows' tuples ``(columns[0][k], columns[1][k],
+    ...)``: equal tuples share an id, and ids ascend in lexicographic
+    tuple order.  Sort-based, so any int64 values do (no composite key
+    that could wrap)."""
+    n = len(columns[0])
+    ids = np.zeros(n, dtype=np.int64)
+    if n:
+        order = np.lexsort(columns[::-1])
+        changed = np.zeros(n, dtype=bool)
+        for column in columns:
+            column = column[order]
+            changed[1:] |= column[1:] != column[:-1]
+        ids[order] = np.cumsum(changed)
+    return ids
+
+
+def grouped_searchsorted(group: np.ndarray, value: np.ndarray,
+                         q_group: np.ndarray, q_value: np.ndarray,
+                         side: str = "left") -> np.ndarray:
+    """``np.searchsorted`` within groups: the rows ``(group, value)`` are
+    sorted lexicographically, groups being small non-negative ints, and
+    each query gets the position in that order at which ``(q_group,
+    q_value)`` would be inserted.  Values are first replaced by their
+    dense ranks, so the composite key stays in range whatever they
+    are."""
+    coords = np.unique(np.concatenate([value, q_value]))
+    width = len(coords) + 1
+    return np.searchsorted(
+        group * width + np.searchsorted(coords, value),
+        q_group * width + np.searchsorted(coords, q_value), side=side)
+
+
 _INT63 = 1 << 63
 
 

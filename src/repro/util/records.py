@@ -31,18 +31,19 @@ INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 def escape(text: str) -> str:
     """Percent-escape the characters that would break the line format."""
-    if not any(c in text for c in " =%\n|"):
+    if not any(c in text for c in " =%\n\r|"):
         return text
     out = text.replace("%", "%25")
     out = out.replace(" ", "%20").replace("=", "%3D").replace("\n", "%0A")
-    return out.replace("|", "%7C")
+    # readers take "\r" for a line break too (universal newlines)
+    return out.replace("\r", "%0D").replace("|", "%7C")
 
 
 def unescape(text: str) -> str:
     if "%" not in text:
         return text
     out = text.replace("%20", " ").replace("%3D", "=").replace("%0A", "\n")
-    out = out.replace("%7C", "|")
+    out = out.replace("%0D", "\r").replace("%7C", "|")
     return out.replace("%25", "%")
 
 

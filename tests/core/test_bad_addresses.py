@@ -6,6 +6,13 @@ sweep engine's tables, so it could not conflict with anything and the
 report came out clean.  Each shape — and an RMA target interval lifted
 outside the address space — must raise a typed ``AnalysisError`` naming
 rank and seq, in both trace formats and in every executor.
+
+The same goes for the arguments of an RMA call: a target that is not a
+rank of its window, a negative count, a displacement that wraps int64
+and a datatype the rank never defined used to end in a bare ``KeyError``
+/ ``ValueError`` — and would be a wrong address out of an unchecked
+gather.  The op table validates its columns before it uses them, and
+every arm raises the error the scalar lift words.
 """
 
 import dataclasses
@@ -117,3 +124,74 @@ def test_rma_target_outside_address_space(jacobi_events, tmp_path, fmt):
                 match=rf"rank {first_put.rank} seq {first_put.seq}: "
                       "RMA target"):
             check(traces)
+
+
+#: argument overrides of one RMA call -> the error every arm must raise
+#: (``{rank}`` / ``{seq}`` are the mutated call's)
+BAD_ARGS = {
+    "target-outside-window": (
+        dict(target=99),
+        "rank {rank} seq {seq}: RMA target 99 is not a rank of window"),
+    "negative-origin-count": (
+        dict(origin_count=-1),
+        "rank {rank} seq {seq}: RMA origin buffer has negative count -1"),
+    "negative-target-count": (
+        dict(target_count=-3),
+        "rank {rank} seq {seq}: RMA target has negative count -3"),
+    "target-disp-wraps-up": (
+        dict(target_disp=1 << 62), "rank {rank} seq {seq}: RMA target ["),
+    "target-disp-wraps-down": (
+        dict(target_disp=-(1 << 62)), "rank {rank} seq {seq}: RMA target [-"),
+    "unknown-datatype": (
+        dict(origin_dtype=12345), "rank {rank}: unknown datatype id 12345"),
+}
+
+
+@pytest.fixture(scope="module")
+def emulate_events():
+    """The buggy emulate case (Table II) and its first RMA call."""
+    case = next(c for c in BUG_CASES if c.name == "emulate")
+    run = api.run(case.app, case.nranks, params=case.params(True))
+    events = {rank: run.traces.events(rank) for rank in range(case.nranks)}
+    first = next(e for rank in sorted(events) for e in events[rank]
+                 if isinstance(e, CallEvent) and e.fn in ("Put", "Get"))
+    return events, first
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mutation", sorted(BAD_ARGS))
+def test_hostile_rma_argument_is_a_typed_error(emulate_events, tmp_path,
+                                               fmt, mutation):
+    events, first = emulate_events
+    overrides, message = BAD_ARGS[mutation]
+    message = message.format(rank=first.rank, seq=first.seq)
+
+    def mutate(event):
+        if event is first:
+            return dataclasses.replace(event,
+                                       args=dict(event.args, **overrides))
+        return event
+
+    # a cache populated before the mutation: the warm arm
+    warm = dict(incremental=True, cache_dir=str(tmp_path / "warm"))
+    clean = rewrite(str(tmp_path / "clean"), events, fmt, lambda e: e)
+    assert api.check(clean, **warm).findings
+    traces = rewrite(str(tmp_path / "t"), events, fmt, mutate)
+    arms = {
+        "batch": lambda: api.check(traces),
+        "jobs=2": lambda: api.check(traces, jobs=2),
+        "streaming": lambda: api.check(traces, streaming=True),
+        "incremental cold": lambda: api.check(
+            traces, incremental=True, cache_dir=str(tmp_path / "cold")),
+        "incremental warm": lambda: api.check(traces, **warm),
+        "pairwise": lambda: check_pairwise(traces),
+    }
+    raised = {}
+    for arm, check in arms.items():
+        with pytest.raises(AnalysisError) as caught:
+            check()
+        raised[arm] = str(caught.value)
+    # same class, same words — hence same rank and seq — on every arm
+    assert set(raised.values()) == {raised["batch"]}, raised
+    assert raised["batch"].startswith(message), raised["batch"]
+    assert glob.glob("/dev/shm/mcc-*") == []

@@ -32,6 +32,25 @@ def mem_seq(pre, rank, access, occurrence=0):
     return seqs[occurrence]
 
 
+class TestEpochRule:
+    def test_put_hangs_in_the_epoch_the_checker_completes_it_in(self):
+        """Overlapping PSCW and lock epochs to one target: the DAG draws
+        the Put into the epoch ``epochs.py``'s rule names — the lock
+        epoch [4..8] — not the one that happens to be listed first."""
+        from tests.core.test_epochs import overlapping_epochs
+
+        pre, dag = dag_for(overlapping_epochs, 2)
+        put = event_node(0, seq_of(pre, 0, "Put"))
+        opened = {u for u, _v, kind in dag.in_edges(put, data="kind")
+                  if kind == "epoch"}
+        closed = {v for _u, v, kind in dag.out_edges(put, data="kind")
+                  if kind == "epoch"}
+        assert opened == {event_node(0, seq_of(pre, 0, "Win_lock"))}
+        assert closed == {event_node(0, seq_of(pre, 0, "Win_unlock"))}
+        assert not dag.has_edge(event_node(0, seq_of(pre, 0, "Win_start")),
+                                put)
+
+
 class TestShape:
     def test_acyclic(self):
         def app(mpi):

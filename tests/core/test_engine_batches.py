@@ -1,7 +1,8 @@
 """Batch-boundary independence of the sweep kernels.
 
 ``check_epochs_sweep`` / ``detect_regions_sweep`` take a *list* of units
-and return findings per unit.  Every executor relies on the answer not
+— an index array over the op table: epoch ids, region ids — and return
+findings per unit.  Every executor relies on the answer not
 depending on how that list was cut: ``parallel`` hands workers
 contiguous chunks, ``incremental`` hands over the dirty shards and
 stores what comes back per shard, ``streaming`` passes one release at a
@@ -29,11 +30,10 @@ from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core import engine
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.engine import (
-    check_epochs_sweep, detect_regions_sweep, region_units,
+    RegionMembers, check_epochs_sweep, detect_regions_sweep, epoch_units,
 )
 from repro.core.epochs import EpochIndex
 from repro.core.inter import LocalLockIndex
-from repro.core.intra import bucket_by_epoch
 from repro.core.matching import match_synchronization
 from repro.core.model import build_access_model_sweep
 from repro.core.preprocess import preprocess, preprocess_calls
@@ -42,7 +42,8 @@ from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import profile_program
 from repro.profiler.session import profile_run
 from tests.reference.pairwise import (
-    build_access_model, check_epoch, detect_region,
+    bucket_by_epoch, bucket_by_region, build_access_model, check_epoch,
+    detect_region,
 )
 
 MEMORY_MODELS = ("separate", "unified")
@@ -66,20 +67,24 @@ class Plan:
         regions = RegionIndex(self.pre, matches)
         self.lock_index = LocalLockIndex(epoch_index, self.pre.nranks)
         model = build_access_model_sweep(self.pre, epoch_index, traces)
-        self.mems = model.mems
-        self.intra_units = bucket_by_epoch(model, epoch_index)
-        self.inter_units = region_units(model, regions)
+        self.mems, self.table = model.mems, model.table
+        self.members = RegionMembers(self.table, regions)
+        self.intra_units = epoch_units(self.table)
+        self.inter_units = self.members.units()
         reference = build_access_model(preprocess(traces), epoch_index)
         self.ref_intra = bucket_by_epoch(reference, epoch_index)
-        self.ref_inter = region_units(reference, regions)
+        ops, call_locals = bucket_by_region(reference, regions)
+        self.ref_inter = [(ops[r], call_locals.get(r, []))
+                          for r in sorted(ops)]
 
     def intra(self, units, memory_model):
-        return _payloads(check_epochs_sweep(units, self.mems, memory_model))
+        return _payloads(check_epochs_sweep(self.table, units, self.mems,
+                                            memory_model))
 
     def inter(self, units, memory_model):
         return _payloads(detect_regions_sweep(
-            self.pre, units, self.mems, self.oracle, self.lock_index,
-            memory_model))
+            self.pre, self.table, self.members, units, self.mems,
+            self.oracle, self.lock_index, memory_model))
 
     def kernels(self):
         return ((self.intra, self.intra_units),
@@ -124,7 +129,8 @@ def test_kernels_emit_per_unit_whatever_the_batch(source, tmp_path_factory,
             whole = kernel(units, memory_model)
             assert len(whole) == len(units)
             total += sum(len(found) for found in whole)
-            singles = [kernel([unit], memory_model)[0] for unit in units]
+            singles = [kernel(units[k:k + 1], memory_model)[0]
+                       for k in range(len(units))]
             assert singles == whole, f"{source}/{memory_model}: singletons"
             with monkeypatch.context() as patch:
                 patch.setattr(engine, "BATCH_ROWS", 1)
@@ -154,16 +160,17 @@ def test_random_contiguous_chunkings_concatenate(source, tmp_path_factory,
 def test_units_agree_with_the_pairwise_engine(source, tmp_path_factory):
     plan = plan_for(source, tmp_path_factory)
     for memory_model in MEMORY_MODELS:
-        sweep = check_epochs_sweep(plan.intra_units, plan.mems, memory_model)
+        sweep = check_epochs_sweep(plan.table, plan.intra_units, plan.mems,
+                                   memory_model)
         assert len(plan.ref_intra) == len(sweep)
         for unit, found in zip(plan.ref_intra, sweep):
             assert _multiset(check_epoch(*unit, memory_model)) == \
                 _multiset(found), f"{source}/{memory_model}: intra"
         sweep = detect_regions_sweep(
-            plan.pre, plan.inter_units, plan.mems, plan.oracle,
-            plan.lock_index, memory_model)
+            plan.pre, plan.table, plan.members, plan.inter_units, plan.mems,
+            plan.oracle, plan.lock_index, memory_model)
         assert len(plan.ref_inter) == len(sweep)
-        for (region_ops, region_locals, _bounds), found in zip(
+        for (region_ops, region_locals), found in zip(
                 plan.ref_inter, sweep):
             assert _multiset(detect_region(
                 plan.pre, region_ops, region_locals, plan.oracle,

@@ -28,14 +28,15 @@ from repro.core.clocks import ConcurrencyOracle
 from repro.core.config import CheckConfig
 from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import LiftCache
 from repro.core.preprocess import preprocess_calls
 from repro.core.streaming import check_streaming
 from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
 from repro.simmpi.datatypes import Datatype
 from repro.util.intervals import Interval, IntervalSet
-from tests.reference.pairwise import build_access_model, check_pairwise
+from tests.reference.pairwise import (
+    LiftCache, build_access_model, check_pairwise,
+)
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
 RANKS_CAP = 8

@@ -23,6 +23,27 @@ def seqs_of(pre, rank, fn):
             if isinstance(e, CallEvent) and e.fn == fn]
 
 
+def overlapping_epochs(mpi):
+    """Rank 0: start([1]) seq 3, lock(1) seq 4, Put seq 5, complete seq
+    6, unlock(1) seq 8."""
+    buf = mpi.alloc("buf", 1, datatype=INT)
+    win = mpi.win_create(buf)
+    world = mpi.comm_group()
+    mpi.comm_rank()
+    if mpi.rank == 0:
+        win.start(world.incl([1]))
+        win.lock(1, LOCK_SHARED)
+        win.put(buf, target=1, origin_count=1)
+        win.complete()
+        mpi.comm_rank()
+        win.unlock(1)
+    else:
+        win.post(world.incl([0]))
+        win.wait()
+    mpi.barrier()
+    win.free()
+
+
 class TestFenceEpochs:
     def test_between_consecutive_fences(self):
         def app(mpi):
@@ -160,6 +181,33 @@ class TestEnclosing:
         epoch = index.enclosing(0, 0, put_seq, target=1)
         assert epoch.kind == KIND_FENCE
         assert epoch.contains_seq(put_seq)
+
+    def test_overlapping_pscw_and_lock_epochs_follow_one_rule(self):
+        """A PSCW access epoch and a lock epoch to the same target that
+        overlap without nesting: lock / PSCW before fence, the latest
+        opened first — so the lock epoch, whichever lookup is asked."""
+        import numpy as np
+
+        from repro.core.model import OpTable
+        from tests.reference.pairwise import LiftCache
+
+        pre, index = epochs_for(overlapping_epochs, 2)
+        seq = {fn: seqs_of(pre, 0, fn)[0]
+               for fn in ("Win_start", "Win_lock", "Put", "Win_complete",
+                          "Win_unlock")}
+        assert list(seq.values()) == [3, 4, 5, 6, 8]
+        epoch = index.enclosing(0, 0, seq["Put"], target=1)
+        assert (epoch.kind, epoch.open_seq, epoch.close_seq) == \
+            (KIND_LOCK, 4, 8)
+        rows = index.enclosing_rows(*(np.array([value]) for value in
+                                      (0, 0, seq["Put"], 1)))
+        assert index.epochs[rows[0]] is epoch
+        assert LiftCache(index, 0).enclosing(0, seq["Put"], 1) is epoch
+        # ... and the op completes where the checker's epoch closes
+        table = OpTable(pre, index)
+        assert index.epochs[table.epoch[0]] is epoch
+        assert table.complete[0] == 8 == table.ops[0].complete_seq
+        assert table.ops[0].epoch is epoch
 
     def test_lock_epoch_does_not_cover_other_targets(self):
         def app(mpi):

@@ -22,7 +22,6 @@ from repro.core import incremental
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
 from repro.core.incremental import IncrementalChecker
-from repro.core.inter import bucket_by_region
 from repro.core.plan import build_control_state
 from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import profile_program
@@ -389,7 +388,8 @@ class TestWorkProportionality:
         plan, control, work = checker.plan, checker.control, checker.work()
         # shard files: the manifest serves every key it holds
         assert work["shard_files_read"] == 1
-        # calls lifted to views: at most those inside the shard's bounds
+        # lifted calls that entered the kernels: at most the calls inside
+        # the shard's bounds
         inside = sum(
             1 for rank, table in enumerate(plan.slices)
             for event in control.pre.events[rank]
@@ -397,10 +397,13 @@ class TestWorkProportionality:
         assert work["calls_lifted"] <= inside < 100
         # memory rows: the changed rank's (to find what it dirtied) and
         # those of the ranks the dirty shard's kernels read
-        ops, _locals = bucket_by_region(control.lift.views(), control.regions)
-        reads = {rank for r in range(int(plan.shards.first[dirty]),
-                                     int(plan.shards.last[dirty]) + 1)
-                 for op in ops.get(r, ()) for rank in (op.rank, op.target)}
+        start, rows = control.members.ops
+        table = control.table
+        reads = {int(rank)
+                 for r in range(int(plan.shards.first[dirty]),
+                                int(plan.shards.last[dirty]) + 1)
+                 for op in rows[start[r]:start[r + 1]]
+                 for rank in (table.rank[op], table.target[op])}
         assert self.RANK in checker.loader.ranks
         assert set(checker.loader.ranks) <= {self.RANK} | reads
         loaded = 0

@@ -22,7 +22,7 @@ from repro.core.parallel import (
 )
 from repro.core.model import share_rows
 from repro.core.plan import (
-    ShardPlan, _RowLoader, build_control_state, ranks_read,
+    ShardPlan, _RowLoader, build_control_state, find_shards, ranks_read,
 )
 from repro.profiler.session import profile_run
 from repro.util.errors import AnalysisError
@@ -228,8 +228,8 @@ class TestPoolLifecycle:
         # the one analysis task
         assert set(workers["pickled_bytes"]) == {"run", "shards"}
         assert set(workers["tasks"]) == {"shards"}
-        # the zero-copy claim: tasks carry units (views and seq bounds),
-        # while the row columns land in the shm counter
+        # the zero-copy claim: tasks carry units (index arrays), while
+        # the row columns land in the shm counter
         assert workers["shm_bytes"]["shards"] > 0
         assert set(workers["pickled_bytes"]["shards"]) == \
             {"install", "task", "result"}
@@ -246,28 +246,12 @@ class TestWorkerFailure:
         shutdown_pools()
 
     def test_repro_error_crosses_the_pipe_as_itself(self):
-        traces = traces_for(ALL_CASES[4])  # jacobi: rows meet exposures
-        control = build_control_state(traces)
-        plan = ShardPlan.build(control)
-        units = plan.units(control, range(len(plan)))
-        pre = control.pre.registry_view()
-        pre.windows = {}  # every window lookup in a kernel now fails
-        loader = _RowLoader(traces)
         pool = acquire_pool(2)
         pool.begin_run()
         try:
-            descs = {}
-            for rank in ranks_read(units):
-                name = pool.new_segment_name(rank)
-                pool.expect_segment(name)
-                descs[rank], handle = share_rows(loader.rows(rank), name)
-                pool.adopt_segment(name, handle)
-            pool.install("test", {
-                "pre": pre, "mems_shm": descs, "context": (
-                    control.oracle, control.lock_index, "separate")})
             with pytest.raises(AnalysisError,
                                match="unknown window id") as caught:
-                pool.run("test", "shards", [units[:2], units[2:]])
+                pool.run("test", "fail", ["unknown window id 7", "other"])
             cause = caught.value.__cause__
             assert isinstance(cause, RuntimeError)
             assert "Traceback" in str(cause) and "worker" in str(cause)
@@ -278,6 +262,43 @@ class TestWorkerFailure:
         finally:
             pool.end_run()
         assert acquire_pool(2) is pool
+        assert _leaked_segments() == []
+
+    def test_shards_task_finds_what_the_parent_finds(self):
+        """The analysis task over installed columns and shared rows:
+        index arrays in, index arrays out, equal to the in-process
+        finding half."""
+        traces = traces_for(ALL_CASES[4])  # jacobi: rows meet exposures
+        control = build_control_state(traces)
+        plan = ShardPlan.build(control)
+        units = plan.units(control, range(len(plan)))
+        loader = _RowLoader(traces)
+        mems = {rank: loader.rows(rank)
+                for rank in ranks_read(units, control)}
+        columns = (control.table, control.members, control.oracle,
+                   "separate")
+        pool = acquire_pool(2)
+        pool.begin_run()
+        try:
+            descs = {}
+            for rank, rows in mems.items():
+                name = pool.new_segment_name(rank)
+                pool.expect_segment(name)
+                descs[rank], handle = share_rows(rows, name)
+                pool.adopt_segment(name, handle)
+            pool.install("test", {"columns": columns, "mems_shm": descs})
+            chunks = [units[:2], units[2:]]
+            replies = pool.run("test", "shards", chunks)
+        finally:
+            pool.end_run()
+        found = 0
+        for chunk, (survivors, _export) in zip(chunks, replies):
+            want = find_shards(chunk, *columns, mems)
+            for got_part, want_part in zip(survivors, want):
+                assert [col.tolist() for col in got_part] == \
+                    [col.tolist() for col in want_part]
+                found += len(got_part.unit)
+        assert found > 0
         assert _leaked_segments() == []
 
     def test_any_other_exception_is_wrapped_and_breaks_the_pool(self):

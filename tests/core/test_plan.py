@@ -100,7 +100,7 @@ class State:
         self.units = self.plan.units(self.control, range(len(self.plan)))
         loader = _RowLoader(traces)
         self.mems = {rank: loader.rows(rank)
-                     for rank in ranks_read(self.units)}
+                     for rank in ranks_read(self.units, self.control)}
         self.serial = {
             model: canonical_report(check_traces(
                 traces, CheckConfig(memory_model=model)))
@@ -109,11 +109,10 @@ class State:
     def chunked(self, cuts, memory_model) -> str:
         """The report of running the shard list chunk by chunk."""
         control = self.control
-        context = (control.oracle, control.lock_index, memory_model)
         per_shard = [
             (shard, parts) for lo, hi in zip(cuts, cuts[1:])
             for shard, parts in enumerate(run_shards(
-                self.units[lo:hi], control.pre, context, self.mems), lo)]
+                self.units[lo:hi], control, memory_model, self.mems), lo)]
         # merged in any order: cold order is the plan's to restore
         findings = dedupe(sort_findings(self.plan.merge(per_shard[::-1])))
         return canonical_report(CheckReport(
@@ -154,8 +153,8 @@ def test_shards_are_closed_and_tile_the_regions(source, tmp_path_factory):
                     epoch.rank, np.array([epoch.open_seq + 1]),
                     np.array([epoch.close_seq - 1]))
                 assert set(shard_of[first[0]:last[0] + 1]) == {shard}, epoch
-    model = control.lift.views()
-    spans = [op.span for op in model.ops] + [la.span for la in model.local]
+    table = control.table
+    spans = [op.span for op in table.ops] + [la.span for la in table.local]
     assert spans or source.endswith("-fixed") or source == "open-epoch"
     for span in spans:
         touched = control.regions.regions_of_span(span)

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import api, obs
@@ -258,17 +259,20 @@ class TestRunReport:
 #: ``engine_candidate_pairs_total`` per Table II program (buggy variant,
 #: binary traces, separate model), as measured on the commit *before*
 #: the grouped whole-plan joins replaced the per-epoch / per-region
-#: kernels; every fixed variant records an empty funnel
+#: kernels; every fixed variant records an empty funnel.  The
+#: ``table_filter`` stage (what the Table-I lookup let through) arrived
+#: with the op table; the other stages kept their numbers
 CORPUS_FUNNEL = {
     "BT-broadcast": {"intra/origin_vs_plain": 1},
     "emulate": {"intra/origin_vs_plain": 16},
-    "jacobi": {"inter/local_vs_op": 48},
-    "lockopts": {"inter/local_vs_op": 126},
+    "jacobi": {"inter/local_vs_op": 48, "inter/table_filter": 48},
+    "lockopts": {"inter/local_vs_op": 126, "inter/table_filter": 126},
     "ping-pong": {"intra/origin_vs_plain": 4},
 }
 #: the same for the 64-rank generated program of the ``gen64`` workload
 GEN64_SEED1_FUNNEL = {"inter/local_vs_op": 3, "inter/op_pair": 1,
-                      "intra/op_pair": 2, "intra/origin_vs_plain": 3}
+                      "inter/table_filter": 4, "intra/op_pair": 2,
+                      "intra/origin_vs_plain": 3, "intra/table_filter": 2}
 
 
 def funnel_arms(run, tmp_path):
@@ -340,6 +344,100 @@ class TestFunnelPinned:
         assert rr.join_calls
         assert "interval joins:" in render_run_text(rr)
         assert "interval joins:" in render_run_html(rr)
+
+
+class TestOpPlane:
+    """``RunReport.model``: "zero views on a clean trace" as a number —
+    calls become table rows, and an analysis object is built only for a
+    pair that reaches a per-pair check."""
+
+    ARMS = {"serial": {}, "jobs2": {"jobs": 2}, "streaming":
+            {"streaming": True}}
+
+    @pytest.mark.parametrize("fmt", ("binary", "text"))
+    def test_clean_traces_build_no_view(self, fmt):
+        from repro.apps.heat2d import heat2d
+        from repro.apps.lu import lu
+        for app, nranks, params, kw in (
+                (lu, 4, dict(n=24), dict(delivery="eager")),
+                (heat2d, 4, dict(rows=16, cols=8, steps=6), {})):
+            run = api.run(app, nranks, params=params, trace_format=fmt,
+                          **kw)
+            for arm, overrides in self.ARMS.items():
+                model = checked_report(run, **overrides).model
+                assert model["views"] == {"op": 0, "local": 0,
+                                          "event": 0}, arm
+                assert model["ops"] == model["locals"] > 0
+                assert model["intervals"] >= 2 * model["ops"]
+                assert model["survivors"]["passed"] == 0
+                route = "columnar" if fmt == "binary" else "codec"
+                assert model["op_rows"][route] >= model["ops"]
+                assert sum(model["op_rows"].values()) == \
+                    model["op_rows"][route]
+
+    def test_lu_survivors_stop_at_the_lookup(self):
+        """LU's Get-Get pairs overlap in bytes (8 960 of them on the
+        ``lu16`` rung); their Table-I cell is BOTH, so none passes the
+        lookup."""
+        from repro.apps.lu import lu
+        run = api.run(lu, 4, params=dict(n=24), delivery="eager",
+                      trace_format="binary")
+        model = checked_report(run).model
+        assert model["survivors"]["joined"] >= 24
+        assert model["survivors"]["passed"] == 0
+
+    @pytest.mark.parametrize("name", ("jacobi", "emulate", "lockopts"))
+    def test_buggy_case_builds_the_views_its_findings_name(self, name):
+        from repro.apps.registry import BUG_CASES
+        from repro.core.checker import MCChecker
+        from repro.core.engine import (
+            detect_cross_process_sweep, detect_intra_epoch_sweep,
+        )
+        case = next(c for c in BUG_CASES if c.name == name)
+        run = api.run(case.app, case.nranks, params=case.params(True),
+                      trace_format="binary")
+        # the raw findings, before sort and dedupe fold them
+        checker = MCChecker(run.traces)
+        checker.run()
+        raw = detect_intra_epoch_sweep(checker.model, checker.epoch_index) \
+            + detect_cross_process_sweep(
+                checker.pre, checker.model, checker.regions, checker.oracle,
+                checker.epoch_index)
+        sides = {(side.rank, side.seq, side.fn == "mem")
+                 for finding in raw for side in (finding.a, finding.b)}
+        table = checker.model.table
+        calls = {(int(r), int(q)): c for c, (r, q) in enumerate(
+            zip(table.call_rank, table.call_seq))}
+        named = {calls[rank, seq] for rank, seq, mem in sides if not mem}
+        n_local = np.diff(np.append(table.call_local, table.n_local))
+        want = {"event": len(named),
+                "op": sum(table.call_op[c] >= 0 for c in named),
+                "local": sum(int(n_local[c]) for c in named)
+                + sum(mem for _rank, _seq, mem in sides)}
+        assert want["op"] > 0
+        for arm, overrides in self.ARMS.items():
+            rr = checked_report(run, **overrides)
+            assert rr.model["views"] == want, arm
+            assert rr.model["survivors"]["passed"] <= \
+                rr.model["survivors"]["joined"]
+
+    def test_rendered_beside_ingest(self, profiled):
+        rr = checked_report(profiled)
+        assert rr.model["ops"] == rr.ingest["rma_ops"]
+        assert "op plane:" in render_run_text(rr)
+        assert "views built:" in render_run_html(rr)
+        clone = RunReport.from_dict(json.loads(json.dumps(rr.to_dict())))
+        assert clone.model == rr.model
+        # an entry written before the record existed still renders
+        old = rr.to_dict()
+        del old["model"]
+        assert "op plane" not in render_run_text(RunReport.from_dict(old))
+
+    def test_fully_warm_incremental_run_has_no_op_plane(self, profiled,
+                                                        tmp_path):
+        cache = dict(incremental=True, cache_dir=str(tmp_path / "cache"))
+        assert checked_report(profiled, **cache).model["ops"] > 0
+        assert checked_report(profiled, **cache).model == {}
 
 
 class TestRunLedger:

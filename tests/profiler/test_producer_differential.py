@@ -315,6 +315,8 @@ def _through_write(path, fmt, ops):
 @pytest.mark.parametrize("fmt", FORMATS)
 @settings(max_examples=60, deadline=None)
 @given(ops=HOOK_OPS, cut=st.sampled_from((1, 2, 3, 7, 4096)))
+# a lone carriage return in a string value is data, not a line break
+@example(ops=[("call", "Put", {"win": 0, "var": "\r0"}, 0)], cut=1)
 def test_hook_lanes_equal_write(fmt, ops, cut):
     """Whatever a call looks like and wherever the segments are cut, the
     hook's lanes leave the bytes ``write(event)`` leaves."""

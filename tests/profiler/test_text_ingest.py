@@ -350,7 +350,7 @@ def test_contiguous_placement_allocates_one_interval(monkeypatch):
     monkeypatch.setattr(intervals_module, "Interval", Counted)
     double = Datatype(name="DOUBLE", datamap=((0, 8),), extent=8,
                       base="DOUBLE", type_id=-7)
-    placed = LiftCache(None, 0).intervals(double, 4096, 174)
+    placed = LiftCache().intervals(double, 4096, 174)
     assert len(made) == 1
     assert [(iv.start, iv.stop) for iv in placed] == [
         (4096, 4096 + 174 * 8)]

@@ -10,22 +10,31 @@ or an executor — never in Table I itself (``repro.gen`` manifests are
 the independent oracle for that).
 
 * :func:`build_access_model` / :func:`lift_rank` — the object access
-  model: every instrumented load/store becomes one ``LocalAccess``;
+  model: every call lifted to views one by one (through the production
+  materialiser ``_lift_call``, with this module's own epoch and
+  completion lookup: :class:`LiftCache`, :func:`completion_seq`), every
+  instrumented load/store one ``LocalAccess``;
+* :func:`bucket_by_epoch` / :func:`bucket_by_region` — the per-object
+  walks that hand those views to the detectors, the oracle for the
+  production unit arrays;
 * :func:`detect_intra_epoch` / :func:`check_epoch` — all pairs of one
   epoch (section IV-C-3);
 * :func:`detect_cross_process` / :func:`detect_region` — the linear
-  ``(window, target)`` vector scan of section IV-C-4;
+  ``(window, target)`` vector scan of section IV-C-4 (``_OpVector``,
+  :func:`check_local_against_entries`);
 * :func:`detect_cross_process_naive` — the combinatorial strawman that
   scan improves on (E7 ablation);
 * :func:`check_pairwise` — a whole check: production control phases,
   then these drivers.
 
-The logic is the former ``repro.core`` pairwise engine, moved unchanged.
+The logic is the former ``repro.core`` pairwise engine and per-object
+walkers, moved unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,19 +44,21 @@ from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, dedupe,
     sort_findings,
 )
-from repro.core.epochs import Epoch, EpochIndex
+from repro.core.epochs import (
+    KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS, NO_TARGET, OPEN_ENDED, Epoch,
+    EpochIndex,
+)
 from repro.core.inter import (
-    _BATCH_MIN, _LocalLockIndex, _OpVector, _check_concurrent_ops,
-    _check_local_vs_op, bucket_by_region, check_local_against_entries,
+    _LocalLockIndex, _check_concurrent_local_vs_op, _check_concurrent_ops,
 )
 from repro.core.intra import (
     _check_attached_pair, _check_attached_vs_plain, _check_target_pair,
-    bucket_by_epoch,
 )
 from repro.core.matching import match_synchronization
 from repro.core.model import (
-    AccessModel, LiftCache, LocalAccess, RMAOpView, _lift_call,
+    AccessModel, LocalAccess, RMAOpView, _lift_call,
 )
+from repro.core.model import LiftCache as PlacementMemo
 from repro.core.preprocess import PreprocessedTrace, preprocess
 from repro.core.regions import RegionIndex
 from repro.profiler.events import CallEvent, MemEvent
@@ -71,12 +82,104 @@ def build_access_model(pre: PreprocessedTrace,
     return AccessModel(ops=ops, local=local)
 
 
+class LiftCache(PlacementMemo):
+    """Per-rank lift accelerator of the reference lift: the placement
+    memo, plus the bisect-backed epoch lookup production used before the
+    op table — the oracle for ``EpochIndex.enclosing`` /
+    ``enclosing_rows``.
+
+    Per ``(win_id, target)``, the rank's access epochs that cover the
+    target, pre-filtered once and bisected by ``open_seq``.  Lock/PSCW
+    epochs keep their precedence over fences by living in a separate,
+    first-consulted list; within a list the scan walks back from the
+    bisect point, so nested open-ended epochs still resolve.  Fence
+    epochs cover every target, so their list is built once per window
+    and shared by all of its targets.
+    """
+
+    __slots__ = ("_epochs", "_rank", "_enclosing", "_by_win")
+
+    def __init__(self, epoch_index: EpochIndex, rank: int):
+        super().__init__()
+        self._epochs = epoch_index
+        self._rank = rank
+        self._enclosing: Dict[Tuple[int, int], tuple] = {}
+        self._by_win: Dict[int, tuple] = {}
+
+    def enclosing(self, win_id: int, seq: int,
+                  target: int) -> Optional[Epoch]:
+        key = (win_id, target)
+        index = self._enclosing.get(key)
+        if index is None:
+            of_win = self._by_win.get(win_id)
+            if of_win is None:
+                epochs = sorted(self._epochs.of_rank_win(self._rank, win_id),
+                                key=lambda e: e.open_seq)
+                fences = [e for e in epochs if e.kind == KIND_FENCE]
+                of_win = self._by_win[win_id] = (
+                    [e for e in epochs
+                     if e.kind in (KIND_LOCK, KIND_PSCW_ACCESS)],
+                    [e.open_seq for e in fences], fences)
+            priority = [e for e in of_win[0] if e.covers_target(target)]
+            index = self._enclosing[key] = (
+                [e.open_seq for e in priority], priority, *of_win[1:])
+        for opens, epochs in ((index[0], index[1]), (index[2], index[3])):
+            # epochs with open_seq >= seq cannot contain seq; the usual
+            # hit is immediately at the bisect point, walking further
+            # back only past closed epochs nested inside an open one
+            for k in range(bisect_right(opens, seq) - 1, -1, -1):
+                if epochs[k].contains_seq(seq):
+                    return epochs[k]
+        return None
+
+
+def completion_seq(epoch_index: EpochIndex, rank: int, win_id: int,
+                   issue_seq: int, target: int, epoch: Optional[Epoch],
+                   req: Optional[int] = None) -> int:
+    """When an op issued at ``issue_seq`` is guaranteed complete — the
+    scalar oracle for ``EpochIndex.completion_rows``.
+
+    Normally the epoch's closing synchronization; an MPI-3
+    ``Win_flush``/``Win_flush_all`` covering the target — or, for a
+    request-based operation, the MPI_Wait on its request — completes
+    it earlier without closing the epoch.
+    """
+    tables = epoch_index.__dict__.get("_reference_tables")
+    if tables is None:
+        # (rank, win) -> [(seq, target)] in trace order; (rank, win, req)
+        # -> seq of the last wait on the request
+        flushes: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for f_rank, f_win, f_seq, f_target in zip(
+                *(col.tolist() for col in epoch_index.flushes)):
+            flushes.setdefault((f_rank, f_win), []).append((f_seq, f_target))
+        waits = {(w_rank, w_win, w_req): w_seq
+                 for w_rank, w_win, w_req, w_seq in zip(
+                     *(col.tolist() for col in epoch_index.req_waits))}
+        tables = epoch_index.__dict__["_reference_tables"] = flushes, waits
+    flushes, waits = tables
+    close = epoch.close_seq if epoch is not None else OPEN_ENDED
+    if req is not None:
+        wait_seq = waits.get((rank, win_id, req))
+        if wait_seq is not None and issue_seq < wait_seq < close:
+            close = wait_seq
+    for seq, flush_target in flushes.get((rank, win_id), ()):
+        if issue_seq < seq < close and flush_target in (NO_TARGET, target):
+            return seq
+    return close
+
+
 def lift_rank(pre: PreprocessedTrace, epoch_index: EpochIndex,
               rank: int) -> Tuple[List[RMAOpView], List[LocalAccess]]:
     """Lift one rank's events, every load/store as its own object."""
     ops: List[RMAOpView] = []
     local: List[LocalAccess] = []
     cache = LiftCache(epoch_index, rank)
+
+    def resolve(win_id, seq, target, req):
+        epoch = cache.enclosing(win_id, seq, target)
+        return epoch, completion_seq(epoch_index, rank, win_id, seq,
+                                     target, epoch, req=req)
+
     for event in pre.events[rank]:
         if isinstance(event, MemEvent):
             local.append(LocalAccess(
@@ -85,8 +188,75 @@ def lift_rank(pre: PreprocessedTrace, epoch_index: EpochIndex,
                 var=event.var, loc=event.loc, fn="mem"))
             continue
         assert isinstance(event, CallEvent)
-        _lift_call(pre, epoch_index, rank, event, ops, local, cache)
+        _lift_call(pre, rank, event, ops, local, cache, resolve)
     return ops, local
+
+
+# ----------------------------------------------------------------------
+# the per-object walks: which views each epoch / region holds
+# ----------------------------------------------------------------------
+
+#: one epoch's worth of intra-epoch detection work
+EpochUnit = Tuple[Epoch, List[RMAOpView], List[LocalAccess],
+                  List[LocalAccess]]
+
+
+def bucket_by_epoch(model: AccessModel,
+                    epoch_index: EpochIndex) -> List[EpochUnit]:
+    """Per-epoch work units ``(epoch, ops, attached, mems)``.
+
+    Units come out in ``epoch_index`` order and carry everything the
+    within-epoch check needs, so any contiguous chunk of the list is an
+    independent piece of work — and the serial detector just walks it.
+    """
+    ops_by_epoch: Dict[int, List[RMAOpView]] = {}
+    for op in model.ops:
+        if op.epoch is not None:
+            ops_by_epoch.setdefault(id(op.epoch), []).append(op)
+
+    attached_by_epoch: Dict[int, List[LocalAccess]] = {}
+    plain_by_rank: Dict[int, List[LocalAccess]] = {}
+    for la in model.local:
+        if la.origin_of is not None:
+            if la.origin_of.epoch is not None:
+                attached_by_epoch.setdefault(
+                    id(la.origin_of.epoch), []).append(la)
+        else:
+            plain_by_rank.setdefault(la.rank, []).append(la)
+
+    units: List[EpochUnit] = []
+    for epoch in epoch_index.access_epochs():
+        ops = ops_by_epoch.get(id(epoch), [])
+        if not ops:
+            continue
+        attached = attached_by_epoch.get(id(epoch), [])
+        mems = [
+            la for la in plain_by_rank.get(epoch.rank, ())
+            if epoch.contains_seq(la.seq)
+        ]
+        units.append((epoch, ops, attached, mems))
+    return units
+
+
+def bucket_by_region(model: AccessModel, regions: RegionIndex
+                     ) -> Tuple[Dict[int, List[RMAOpView]],
+                                Dict[int, List[LocalAccess]]]:
+    """Assign ops and local accesses to the regions their spans intersect.
+
+    Ops are visited in ``(rank, seq)`` order so each region's list — and
+    therefore the order findings are emitted in downstream — is the same
+    no matter how ``model`` was assembled (serial build or merged shards).
+    """
+    ops_by_region: Dict[int, List[RMAOpView]] = {}
+    for op in sorted(model.ops, key=lambda o: (o.rank, o.seq)):
+        for region_index in regions.regions_of_span(op.span):
+            ops_by_region.setdefault(region_index, []).append(op)
+    locals_by_region: Dict[int, List[LocalAccess]] = {}
+    for la in model.local:
+        for region_index in regions.regions_of_span(la.span):
+            locals_by_region.setdefault(region_index, []).append(la)
+    return ops_by_region, locals_by_region
+
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +303,91 @@ def check_epoch(epoch: Epoch, ops: List[RMAOpView],
 # ----------------------------------------------------------------------
 # across processes (section IV-C-4)
 # ----------------------------------------------------------------------
+
+
+def _check_local_vs_op(la: LocalAccess, la_in_window: IntervalSet,
+                       op: RMAOpView, oracle: ConcurrencyOracle,
+                       lock_index: _LocalLockIndex,
+                       model: str = "separate"
+                       ) -> Optional[ConsistencyError]:
+    if la.origin_of is op:
+        return None  # an op does not conflict with its own origin access
+    if la.origin_of is not None and la.origin_of.rank == op.rank:
+        return None  # same-origin RMA pair: handled as op-op / intra
+    if oracle.ordered(la.span, op.span):
+        return None
+    return _check_concurrent_local_vs_op(la, la_in_window, op, lock_index,
+                                         model)
+
+
+#: below this many recorded ops in a vector entry, scalar oracle queries
+#: beat the numpy batch setup cost
+_BATCH_MIN = 4
+
+
+class _OpVector:
+    """The ops recorded for one ``(window, target)`` vector entry, with
+    their spans mirrored into numpy arrays for batched oracle queries."""
+
+    __slots__ = ("win_id", "target", "ops", "_ranks", "_starts", "_ends",
+                 "_arrays")
+
+    def __init__(self, win_id: int, target: int):
+        self.win_id = win_id
+        self.target = target
+        self.ops: List[RMAOpView] = []
+        self._ranks: List[int] = []
+        self._starts: List[int] = []
+        self._ends: List[int] = []
+        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
+
+    def append(self, op: RMAOpView) -> None:
+        span = op.span
+        self.ops.append(op)
+        self._ranks.append(span.rank)
+        self._starts.append(span.start_seq)
+        self._ends.append(span.end_seq)
+        self._arrays = None
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            self._arrays = (np.asarray(self._ranks, dtype=np.int64),
+                            np.asarray(self._starts, dtype=np.int64),
+                            np.asarray(self._ends, dtype=np.int64))
+        return self._arrays
+
+
+def check_local_against_entries(pre: PreprocessedTrace, la: LocalAccess,
+                                entries: Iterable[_OpVector],
+                                oracle: ConcurrencyOracle,
+                                lock_index: "_LocalLockIndex",
+                                memory_model: str,
+                                errors: List[ConsistencyError]) -> None:
+    """One local access vs every ``(window, target)`` entry at its rank —
+    the step-2 inner loop (the sweep engine routes the *object* locals
+    through it and handles the packed memory rows columnar)."""
+    for entry in entries:
+        window = pre.window(entry.win_id)
+        la_in_window = la.intervals.intersection(
+            window.exposure(la.rank))
+        if not la_in_window:
+            continue
+        if len(entry.ops) >= _BATCH_MIN:
+            ranks, starts, ends = entry.arrays()
+            concurrent = ~oracle.ordered_batch(ranks, starts, ends,
+                                               la.span)
+            for i in np.nonzero(concurrent)[0]:
+                error = _check_concurrent_local_vs_op(
+                    la, la_in_window, entry.ops[i], lock_index,
+                    memory_model)
+                if error is not None:
+                    errors.append(error)
+        else:
+            for op in entry.ops:
+                error = _check_local_vs_op(la, la_in_window, op, oracle,
+                                           lock_index, memory_model)
+                if error is not None:
+                    errors.append(error)
 
 
 def _check_ops(op_a: RMAOpView, op_b: RMAOpView,
