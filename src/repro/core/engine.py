@@ -57,7 +57,7 @@ canonical report must not depend on how the pairs were found).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -618,7 +618,6 @@ def _regions_pass(table: OpTable, members: RegionMembers,
     mem = gather_rows(mems, group_target,
                       members.bounds[group_region, group_target],
                       members.bounds[group_region + 1, group_target])
-    n_mem = len(mem.idx)
     start, rows = members.locals
     l_unit, at = expand_ranges(start[regions],
                                start[regions + 1] - start[regions])
@@ -630,8 +629,15 @@ def _regions_pass(table: OpTable, members: RegionMembers,
                     len(keys) - 1)
     known = keys[by_key][at] == l_unit * nranks + table.l_rank[local]
     local, l_group = local[known], by_key[at[known]]
+    n_mem = len(mem.idx)
     if not n_mem and not len(local):
         return stages
+    # per access: what a survivor names it by, its span, the op it is
+    # the origin or result buffer of (-1: none — every memory row)
+    item = np.concatenate([mem.idx, local])
+    item_seq = np.concatenate([mem.seq, table.l_seq[local]])
+    item_end = np.concatenate([mem.seq, table.l_end[local]])
+    item_op = np.concatenate([np.full(n_mem, -1), table.l_op[local]])
     owner, at = expand_ranges(
         table.local_start[local],
         table.local_start[local + 1] - table.local_start[local])
@@ -652,29 +658,23 @@ def _regions_pass(table: OpTable, members: RegionMembers,
                         np.where(is_mem, pair_entry, 0),
                         np.where(is_mem, entry_group[pair_entry], 0),
                         is_mem))
-    pair_l, pair_o, is_mem = pair_l[order], pair_o[order], is_mem[order]
+    pair_l, pair_o = pair_l[order], pair_o[order]
     # an op does not conflict with its own origin access, and a
-    # same-origin RMA pair is handled as op-op / intra
-    access = local[np.maximum(pair_l - n_mem, 0)] if len(local) \
-        else np.zeros(len(pair_l), dtype=np.int64)
-    keep = is_mem | ((table.l_op[access] != ops[pair_o]) & ~(
-        (table.l_op[access] >= 0)
-        & (table.l_rank[access] == op_rank[pair_o])))
-    pair_l, pair_o, is_mem, access = (pair_l[keep], pair_o[keep],
-                                      is_mem[keep], access[keep])
+    # same-origin RMA pair is handled as op-op / intra (an access at a
+    # target of the op sits at the op's rank iff the op targets itself)
+    own = item_op[pair_l]
+    keep = (own != ops[pair_o]) & ~(
+        (own >= 0) & (table.target[ops[pair_o]] == op_rank[pair_o]))
+    pair_l, pair_o = pair_l[keep], pair_o[keep]
     _record_candidates("inter", "local_vs_op", len(pair_l))
     # happens-before filter, one batched query for every candidate pair
-    row = np.minimum(pair_l, max(n_mem - 1, 0))
-    seq = np.where(is_mem, mem.seq[row] if n_mem else 0,
-                   table.l_seq[access])
     keep = ~oracle.ordered_pairs(
-        table.target[ops[pair_o]], seq,
-        np.where(is_mem, seq, table.l_end[access]),
+        table.target[ops[pair_o]], item_seq[pair_l], item_end[pair_l],
         op_rank[pair_o], op_seq[pair_o], op_end[pair_o])
-    pair_o, is_mem = pair_o[keep], is_mem[keep]
+    pair_l, pair_o = pair_l[keep], pair_o[keep]
     stages.append((
-        entry_unit[entry[pair_o]], np.where(is_mem, ROW_VS_OP, LOCAL_VS_OP),
-        np.where(is_mem, mem.idx[row[keep]] if n_mem else 0, access[keep]),
+        entry_unit[entry[pair_o]],
+        np.where(pair_l < n_mem, ROW_VS_OP, LOCAL_VS_OP), item[pair_l],
         ops[pair_o]))
     return stages
 

@@ -1,16 +1,27 @@
-"""Analyzable access views lifted from raw trace events.
+"""The access model: every analyzable access of a trace set, as rows.
 
 Detection reasons about two access populations:
 
-* :class:`RMAOpView` — one per Put/Get/Accumulate event, carrying the
+* RMA operations — one per Put/Get/Accumulate-family call, carrying the
   *target* byte intervals (in the target rank's address space, resolved
   through the window registry and data-maps) and the *origin* byte
-  intervals (local), plus the enclosing epoch that bounds its span.
-* :class:`LocalAccess` — every local touch of memory: instrumented
+  intervals (local), plus the enclosing epoch that bounds its span;
+* local accesses — every local touch of memory: instrumented
   loads/stores, MPI calls reading or writing a local buffer (send reads,
   recv writes, ...), and the local side of RMA calls themselves (a Put
   reads its origin buffer, a Get writes it — section IV-C-4: "they can be
   treated as local load and store, respectively").
+
+Both are columns here: :class:`OpTable` holds every lifted call — ops
+and call-derived locals — built from the call columns with array
+operations only, :class:`MemRows` one rank's instrumented loads/stores
+straight out of the packed memory blocks.  The *view* classes,
+:class:`RMAOpView` and :class:`LocalAccess`, are what a finding is
+written from: :func:`_lift_call` builds them from one call's event, and
+only :meth:`OpTable.op_view` / :meth:`OpTable.local_view` /
+:meth:`MemRows.local_access` ask — for the pairs the sweep engine could
+not rule out as arrays (``tests/reference/pairwise.py`` lifts every call
+through the same function, as the oracle the table is tested against).
 """
 
 from __future__ import annotations
@@ -688,19 +699,20 @@ class OpTable:
 
     def __getstate__(self) -> dict:
         """The columns only: what a pool worker's kernels read."""
-        state = {name: value for name, value in self.__dict__.items()
-                 if not name.startswith("_") and name not in
-                 ("ops", "local", "views_built")}
-        return state
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")
+                and name not in ("ops", "local", "views_built")}
 
     # ------------------------------------------------------- registries
 
     def _windows(self, pre: PreprocessedTrace) -> None:
         """The window registry as arrays: sorted ids, and per (window,
-        rank) base / size / displacement unit / whether it takes part."""
+        rank) base / size / displacement unit / whether it takes part —
+        with one more, empty row at the end, which is where the index of
+        an unknown window (-1) lands."""
         ids = sorted(pre.windows)
-        shape = (len(ids), pre.nranks)
-        cells = {name: [[0] * pre.nranks for _ in ids]
+        shape = (len(ids) + 1, pre.nranks)
+        cells = {name: [[0] * pre.nranks for _ in range(shape[0])]
                  for name in ("base", "size", "unit")}
         member = np.zeros(shape, dtype=bool)
         for w, win_id in enumerate(ids):
@@ -724,11 +736,10 @@ class OpTable:
 
     def window_index(self, win: np.ndarray) -> np.ndarray:
         """Row of each window id in the ``win_*`` arrays, -1: unknown."""
-        if not len(self.win_ids):
-            return np.full(len(win), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.win_ids, win),
-                        len(self.win_ids) - 1)
-        return np.where(self.win_ids[at] == win, at, -1)
+        at = np.searchsorted(self.win_ids, win)
+        known = at < len(self.win_ids)
+        known[known] = self.win_ids[at[known]] == win[known]
+        return np.where(known, at, -1)
 
     # ----------------------------------------------------------- gather
 
@@ -737,8 +748,7 @@ class OpTable:
         table row, seq, fn code, the raw argument matrix, which of its
         cells were logged, and the rows that could not be read."""
         tables = ensure_call_tables(pre)
-        wanted = np.zeros(len(FN_NAMES) + len(_LIFT_CALLS), dtype=bool)
-        wanted[[fn_code(fn) for fn in _LIFT_CALLS]] = True
+        wanted = _per_fn(dict.fromkeys(_LIFT_CALLS, 1), 0) > 0
         columnar, rest = [], []
         for rank in range(pre.nranks):
             events = pre.events[rank]
@@ -894,11 +904,8 @@ class OpTable:
                              & (has["req"] | ~by_request))
         w = self.window_index(arg["win"])
         target = arg["target"]
-        inside = (w >= 0) & (target >= 0) & (target < self.nranks)
-        w0, t0 = np.where(inside, w, 0), np.where(inside, target, 0)
-        if len(self.win_ids):
-            inside &= self.win_member[w0, t0]
-        suspect |= is_op & ~inside
+        t0 = np.where((target >= 0) & (target < self.nranks), target, 0)
+        suspect |= is_op & ~((t0 == target) & self.win_member[w, t0])
         buffer = lifts & ~is_op
         root_world = np.zeros(len(fn), dtype=np.int64)
         if (buffer & is_bcast).any():
@@ -908,9 +915,7 @@ class OpTable:
                 has["comm"][at] & has["root"][at])
             suspect[at[~known]] = True
 
-        # the three buffer populations: (rows, base terms, count, dtype)
         ops = np.nonzero(is_op & lifts)[0]
-        fetch = has["result_base"][ops]
         # locals, in model.local order: per lifted call its origin (or
         # plain) buffer, then the result buffer of a fetching op
         call = np.nonzero(lifts)[0]
@@ -931,10 +936,8 @@ class OpTable:
             result, arg["target_count"][at], arg["origin_count"][at]))
         l_type = np.where(plain, arg["dtype"][at], np.where(
             result, arg["target_dtype"][at], arg["origin_dtype"][at]))
-        unit = self.win_unit[w0[ops], t0[ops]] if len(self.win_ids) \
-            else np.zeros(len(ops), dtype=np.int64)
-        t_base = self.win_base[w0[ops], t0[ops]] if len(self.win_ids) \
-            else np.zeros(len(ops), dtype=np.int64)
+        unit = self.win_unit[w[ops], t0[ops]]
+        t_base = self.win_base[w[ops], t0[ops]]
         maps, (t_map, l_map), unknown = self._datamaps(
             pre, (rank[ops], rank[at]), (arg["target_dtype"][ops], l_type))
         suspect[ops[unknown[0]]] = True
@@ -1017,8 +1020,8 @@ class OpTable:
         type_id = np.concatenate(type_ids)
         ids = group_ids(rank, type_id)
         first = np.unique(ids, return_index=True)[1]
-        seg_n, disp, length, extent, lo, hi, exact, base, missing = (
-            [], [], [], [], [], [], [], [], [])
+        seg_n, disp, length, extent, tiles, lo, hi, exact, base, missing = (
+            [], [], [], [], [], [], [], [], [], [])
         for r, t in zip(rank[first].tolist(), type_id[first].tolist()):
             dtype = pre.datatypes[r].get(t) if 0 <= r < pre.nranks else None
             segments = [seg for seg in dtype.datamap if seg[1] > 0] \
@@ -1028,6 +1031,8 @@ class OpTable:
             disp.extend(seg[0] for seg in segments)
             length.extend(seg[1] for seg in segments)
             extent.append(dtype.extent if dtype is not None else 0)
+            tiles.append(len(segments) == 1
+                         and segments[0][1] == extent[-1])
             lo.append(float(min((seg[0] for seg in segments), default=0)))
             hi.append(float(max((seg[0] + seg[1] for seg in segments),
                                 default=0)))
@@ -1042,14 +1047,10 @@ class OpTable:
         except OverflowError:
             raise AnalysisError("a datatype's data-map or extent lies "
                                 "outside int64") from None
-        seg_start = np.cumsum(seg_n) - seg_n
-        single = np.minimum(seg_start, max(len(length) - 1, 0))
         maps = _DataMaps(
-            seg_start, seg_n, disp, length, extent,
-            (seg_n == 1) & (length[single] == extent if len(length)
-                            else False),
-            np.array(lo), np.array(hi), np.array(exact, dtype=bool),
-            np.array(base, dtype=np.int64))
+            np.cumsum(seg_n) - seg_n, seg_n, disp, length, extent,
+            np.array(tiles, dtype=bool), np.array(lo), np.array(hi),
+            np.array(exact, dtype=bool), np.array(base, dtype=np.int64))
         missing = np.array(missing, dtype=bool)[ids]
         cut = len(ranks[0])
         return (maps, (ids[:cut], ids[cut:]), (missing[:cut], missing[cut:]))
@@ -1193,9 +1194,9 @@ def _place(maps: _DataMaps, which: np.ndarray, base: np.ndarray,
     live = (count > 0) & (maps.seg_n[which] > 0)
     tiles = np.nonzero(live & maps.contiguous[which])[0]
     seg = maps.seg_start[which[tiles]]
-    lo = [base[tiles] + maps.disp[seg]] if len(tiles) else []
-    hi = [lo[0] + count[tiles] * maps.length[seg]] if len(tiles) else []
     owner = [tiles]
+    lo = [base[tiles] + maps.disp[seg]]
+    hi = [lo[0] + count[tiles] * maps.length[seg]]
     rest = np.nonzero(live & ~maps.contiguous[which])[0]
     if len(rest):
         # (row, repetition) pairs, then each pair's blocks
@@ -1212,9 +1213,6 @@ def _place(maps: _DataMaps, which: np.ndarray, base: np.ndarray,
     order = np.argsort(owner, kind="stable")
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
-    if not len(owner):
-        empty = np.empty(0, dtype=np.int64)
-        return start, empty, empty
     return start, np.concatenate(lo)[order], np.concatenate(hi)[order]
 
 

@@ -323,14 +323,17 @@ def ranks_read(units: List[ShardUnits], control: ControlState) -> List[int]:
     epoch ranks and op targets."""
     table = control.table
     start, rows = control.members.ops
-    regions = np.concatenate([unit.regions for unit in units]
-                             + [np.empty(0, dtype=np.int64)])
+    regions = _strung(unit.regions for unit in units)
     _unit, at = expand_ranges(start[regions],
                               start[regions + 1] - start[regions])
-    epochs = np.concatenate([unit.epochs for unit in units]
-                            + [np.empty(0, dtype=np.int64)])
-    return np.union1d(table.epochs.rank[epochs],
-                      table.target[rows[at]]).tolist()
+    return np.union1d(
+        table.epochs.rank[_strung(unit.epochs for unit in units)],
+        table.target[rows[at]]).tolist()
+
+
+def _strung(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """The units' index arrays back to back (none: an empty array)."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 def find_shards(units: List[ShardUnits], table: OpTable,
@@ -345,15 +348,12 @@ def find_shards(units: List[ShardUnits], table: OpTable,
     inside the units' bounds — whole ranks from the row-loader or the
     attached shared segments, a release's rows from the forward
     cursor."""
-    none = [np.empty(0, dtype=np.int64)]
     return (
-        find_epoch_pairs(
-            table, np.concatenate([unit.epochs for unit in units] + none),
-            mems, memory_model),
-        find_region_pairs(
-            table, members,
-            np.concatenate([unit.regions for unit in units] + none),
-            mems, oracle, memory_model))
+        find_epoch_pairs(table, _strung(unit.epochs for unit in units),
+                         mems, memory_model),
+        find_region_pairs(table, members,
+                          _strung(unit.regions for unit in units), mems,
+                          oracle, memory_model))
 
 
 def emit_shards(units: List[ShardUnits],

@@ -55,6 +55,7 @@ from repro.profiler.session import profile_run
 from repro.profiler.tracer import TraceSet, TraceWriter
 from repro.simmpi import DOUBLE, INT, LOCK_SHARED
 from repro.util.intervals import Interval, IntervalSet, datamap_intervals
+from tests.core.test_plan import _open_epoch as open_epoch
 from tests.reference.pairwise import (
     bucket_by_epoch, bucket_by_region, build_access_model,
 )
@@ -153,21 +154,6 @@ def derived_datatypes(mpi):
     win.fence()
     mpi.bcast(src, root=0, count=2, datatype=gaps)
     win.free()
-
-
-def open_epoch(mpi):
-    buf = mpi.alloc("buf", 2)
-    win = mpi.win_create(buf)
-    win.fence()
-    win.fence()
-    mpi.barrier()
-    if mpi.rank == 0:
-        win.lock(1)  # never unlocked: the program is truncated
-        win.put(buf, target=1)
-    mpi.barrier()
-    mpi.barrier()
-    if mpi.rank == 0:
-        buf[0] = 1.0
 
 
 def _case(case, buggy):
