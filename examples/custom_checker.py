@@ -70,7 +70,8 @@ def main():
     regions = RegionIndex(pre, matches)
     print(f"\n{len(regions)} concurrent regions")
 
-    # RMA ops and call-derived accesses as objects, loads/stores columnar
+    # every access as rows (the op table, the packed loads/stores); an
+    # op becomes an object when it is indexed
     model = build_access_model_sweep(pre, epochs, run.traces)
     print(f"{len(model.ops)} RMA ops, {model.total_local_accesses} local "
           "accesses")

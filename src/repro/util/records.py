@@ -16,6 +16,7 @@ simple — profiling overhead is one of the experiments being reproduced
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
@@ -29,9 +30,13 @@ Value = Union[int, str, Tuple[int, ...], List[int]]
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
+#: the characters a field value may not hold as they are
+_SPECIAL = re.compile("[ =%\n\r|]").search
+
+
 def escape(text: str) -> str:
     """Percent-escape the characters that would break the line format."""
-    if not any(c in text for c in " =%\n\r|"):
+    if _SPECIAL(text) is None:
         return text
     out = text.replace("%", "%25")
     out = out.replace(" ", "%20").replace("=", "%3D").replace("\n", "%0A")
