@@ -78,6 +78,15 @@ def fn_code(fn: str) -> int:
     return code
 
 
+def per_fn(values: Dict[str, int], default: int) -> np.ndarray:
+    """An array over fn codes: ``values[name]`` at each named call's
+    code, ``default`` elsewhere."""
+    codes = {fn_code(name): value for name, value in values.items()}
+    out = np.full(len(FN_NAMES), default, dtype=np.int64)
+    out[list(codes)] = list(codes.values())
+    return out
+
+
 #: sync-class codes stored in ``CallTable.cls``
 CLS_OTHER = 0
 CLS_COLL = 1
@@ -103,7 +112,8 @@ LOCK_SHARED = 1
 LOCK_EXCLUSIVE = 2
 LOCK_OTHER = 3
 _LOCK_CODES = {"shared": LOCK_SHARED, "exclusive": LOCK_EXCLUSIVE}
-_LOCK_NAMES = {LOCK_SHARED: "shared", LOCK_EXCLUSIVE: "exclusive"}
+#: the lock type each code but ``LOCK_OTHER`` stands for
+LOCK_NAMES = (None, "shared", "exclusive")
 
 _REQ_KIND_NONE = 0
 _REQ_KIND_IRECV = 1
@@ -301,14 +311,6 @@ class CallTable:
     def group(self, i: int) -> Tuple[int, ...]:
         lo, hi = self.group_off[i], self.group_off[i + 1]
         return tuple(self.group_val[lo:hi].tolist())
-
-    def lock_type(self, i: int) -> Optional[str]:
-        code = self.lock[i]
-        if code == LOCK_NONE:
-            return None
-        if code == LOCK_OTHER:
-            return self.lock_types[i]
-        return _LOCK_NAMES[int(code)]
 
     # -- construction ---------------------------------------------------
 

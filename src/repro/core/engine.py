@@ -203,27 +203,6 @@ def _first_seen(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.argsort(ids, kind="stable"), ids
 
 
-def _views_built(table: OpTable, mems: Dict[int, MemRows]) -> Dict[str, int]:
-    built = dict(table.views_built)
-    built["local"] += sum(rows.views_built for rows in mems.values())
-    return built
-
-
-def _record_views(table: OpTable, mems: Dict[int, MemRows],
-                  before: Dict[str, int]) -> None:
-    """Count the views an emit built (``before``: :func:`_views_built`
-    when it started)."""
-    rec = obs.get_recorder()
-    if rec.enabled:
-        for kind, n in _views_built(table, mems).items():
-            if n > before[kind]:
-                rec.count("analyzer_views_built_total", n - before[kind],
-                          kind=kind,
-                          help="Analysis views built: RMA op and local "
-                               "access objects, and the call events the "
-                               "op plane decoded for them")
-
-
 def _passes(table: OpTable, model: int, a: np.ndarray,
             b: np.ndarray) -> np.ndarray:
     """Which overlapping op pairs Table I makes a finding of."""
@@ -391,7 +370,6 @@ def emit_epoch_findings(table: OpTable, mems: Dict[int, MemRows],
     found: UnitFindings = [[] for _ in range(n_units)]
     if not len(survivors.unit):
         return found
-    before = _views_built(table, mems)
     op, local = table.op_view, table.local_view
     pairs = survivors.pattern == OP_PAIR
     table.prefetch(
@@ -411,7 +389,6 @@ def emit_epoch_findings(table: OpTable, mems: Dict[int, MemRows],
             found[unit].extend(_check_attached_vs_plain(
                 attached, mems[attached.rank].local_access(b)
                 if pattern == ORIGIN_VS_ROW else local(b)))
-    _record_views(table, mems, before)
     return found
 
 
@@ -688,7 +665,6 @@ def emit_region_findings(table: OpTable, mems: Dict[int, MemRows],
     found: UnitFindings = [[] for _ in range(n_units)]
     if not len(survivors.unit):
         return found
-    before = _views_built(table, mems)
     table.prefetch(
         np.concatenate([survivors.b,
                         survivors.a[survivors.pattern == OP_PAIR]]),
@@ -707,5 +683,4 @@ def emit_region_findings(table: OpTable, mems: Dict[int, MemRows],
                 op, lock_index, memory_model)
         if error is not None:
             found[unit].append(error)
-    _record_views(table, mems, before)
     return found

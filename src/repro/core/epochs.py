@@ -5,21 +5,38 @@ synchronization call and ends at the matching one.  Per rank and window,
 DN-Analyzer recognizes:
 
 * **fence epochs** — between consecutive ``Win_fence`` calls (each fence
-  closes the previous epoch and opens the next);
+  closes the previous epoch and opens the next; ``Win_free`` closes the
+  last);
 * **lock epochs** — ``Win_lock(target)`` .. ``Win_unlock(target)``,
   carrying the lock type (the exclusive/shared distinction decides
-  error-vs-warning severity later);
+  error-vs-warning severity later), and ``Win_lock_all`` ..
+  ``Win_unlock_all``, a shared lock of every target;
 * **PSCW access epochs** — ``Win_start(group)`` .. ``Win_complete``;
 * **PSCW exposure epochs** — ``Win_post(group)`` .. ``Win_wait``.
 
-The epoch an RMA operation belongs to — one rule, stated here and
-implemented twice (:meth:`EpochIndex.enclosing` for one call,
-:meth:`EpochIndex.enclosing_rows` for columns of them): among the access
-epochs of its rank and window whose interior contains the issue point
-and that cover the target, lock and PSCW epochs come before fence epochs
-(they are more specific), and within a class the latest opened wins.  A
-correct execution has one candidate; overlapping lock and PSCW epochs to
-one target, or a truncated trace, have several.  The operation's memory
+:class:`EpochIndex` holds them as columns (:data:`EpochColumns`), built
+from the stacked call tables with array operations only.  *The pairing
+rule*: the epoch calls are grouped by what their running state is keyed
+on — ``(rank, window)``, for locks ``(rank, window, target)`` with
+``lock_all`` as the target "every rank" — and within a group, in trace
+order, a closing call ends the epoch opened by the row just before it.
+An open followed by an open is dropped (only the later one can still be
+closed), a close that does not follow an open is an
+:class:`AnalysisError` (``Win_free`` excepted), an open that ends its
+group stays :data:`OPEN_ENDED`.  *The order*: per rank by closing call,
+then the rank's never-closed epochs — fence, lock, PSCW access, PSCW
+exposure, each class by the call that began its group's last run of
+opens.  ``epochs`` is the same as objects, an :class:`Epoch` built for
+the row that is indexed.  The per-rank state machine this replaced is
+the oracle in ``tests/reference/epochs.py``.
+
+The epoch an RMA operation belongs to — one rule, one implementation
+(:meth:`EpochIndex.enclosing_rows`): among the access epochs of its rank
+and window whose interior contains the issue point and that cover the
+target, lock and PSCW epochs come before fence epochs (they are more
+specific), and within a class the latest opened wins.  A correct
+execution has one candidate; overlapping lock and PSCW epochs to one
+target, or a truncated trace, have several.  The operation's memory
 effects may occur anywhere up to its completion (its *span*): the
 epoch's closing call, or earlier the first MPI-3 flush covering its
 target or the wait on its request (:meth:`EpochIndex.completion_rows`).
@@ -29,23 +46,20 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.calltable import ensure_call_tables, fn_code
+from repro.core.calltable import (
+    FN_NAMES, LOCK_NAMES, LOCK_OTHER, ensure_call_tables, per_fn,
+)
 from repro.core.preprocess import PreprocessedTrace
+from repro.core.views import Views, remembered
 from repro.util.errors import AnalysisError
 from repro.util.intervals import (
-    IntervalTable, group_ids, grouped_searchsorted, overlap_join,
+    IntervalTable, expand_ranges, group_ids, grouped_searchsorted,
+    overlap_join,
 )
-
-#: the calls the epoch state machine reads — everything else is skipped
-_EPOCH_FNS = ("Win_fence", "Win_free", "Win_lock", "Win_lock_all",
-              "Win_unlock_all", "Win_flush", "Win_flush_all", "Rma_wait",
-              "Win_unlock", "Win_start", "Win_complete", "Win_post",
-              "Win_wait")
 
 #: Sentinel close for epochs never closed in the trace (program ended or
 #: crashed mid-epoch): orders after every real seq.
@@ -55,9 +69,10 @@ KIND_FENCE = "fence"
 KIND_LOCK = "lock"
 KIND_PSCW_ACCESS = "pscw_access"
 KIND_PSCW_EXPOSURE = "pscw_exposure"
-_KINDS = (KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS, KIND_PSCW_EXPOSURE)
+EPOCH_KINDS = (KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS, KIND_PSCW_EXPOSURE)
+_FENCE, _LOCK, _ACCESS, _EXPOSURE = range(4)
 
-#: :meth:`EpochIndex.columns`: ``kind`` indexes :data:`_KINDS`, ``target``
+#: :attr:`EpochIndex.columns`: ``kind`` indexes :data:`EPOCH_KINDS`, ``target``
 #: is :data:`NO_TARGET` for ``None``, ``lock`` indexes ``lock_types``, and
 #: ``group_val`` holds the groups back to back (``group_len`` each)
 EpochColumns = namedtuple(
@@ -70,6 +85,29 @@ NO_TARGET = -(1 << 63)
 #: and the waits on request-based operations
 FlushColumns = namedtuple("FlushColumns", "rank win seq target")
 WaitColumns = namedtuple("WaitColumns", "rank win req seq")
+
+#: what the pairing reads of a call, as bits: the kind of epoch it opens
+#: or closes (the low two), whether it opens one, closes one — and then
+#: must find one open — or names every target; the two completion points
+_OPENS, _CLOSES, _MUST_CLOSE, _ALL, _FLUSH, _WAIT = 4, 8, 16, 32, 64, 128
+_ROLES = {
+    "Win_fence": _FENCE | _OPENS | _CLOSES,
+    "Win_free": _FENCE | _CLOSES,
+    "Win_lock": _LOCK | _OPENS,
+    "Win_lock_all": _LOCK | _OPENS | _ALL,
+    "Win_unlock": _LOCK | _CLOSES | _MUST_CLOSE,
+    "Win_unlock_all": _LOCK | _CLOSES | _MUST_CLOSE | _ALL,
+    "Win_start": _ACCESS | _OPENS,
+    "Win_complete": _ACCESS | _CLOSES | _MUST_CLOSE,
+    "Win_post": _EXPOSURE | _OPENS,
+    "Win_wait": _EXPOSURE | _CLOSES | _MUST_CLOSE,
+    "Win_flush": _FLUSH,
+    "Win_flush_all": _FLUSH | _ALL,
+    "Rma_wait": _WAIT,
+}
+#: what the call a must-close call did not find would have been
+_OPENER = {"Win_unlock": "Win_lock", "Win_unlock_all": "Win_lock_all",
+           "Win_complete": "Win_start", "Win_wait": "Win_post"}
 
 
 @dataclass
@@ -114,157 +152,124 @@ class Epoch:
 
 
 class EpochIndex:
-    """All epochs of a preprocessed trace, with lookup by op issue point."""
+    """All epochs of a preprocessed trace, as columns and — a row at a
+    time — as objects, with lookup by op issue point."""
 
     def __init__(self, pre: PreprocessedTrace):
         self.nranks = pre.nranks
-        self.epochs: List[Epoch] = []
-        # (rank, win) -> epochs at that rank/window, in close order
-        self._by_rank_win: Dict[Tuple[int, int], List[Epoch]] = {}
-        flushes: List[Tuple[int, int, int, int]] = []
-        waits: List[Tuple[int, int, int, int]] = []
-        self._build(pre, flushes, waits)
-        self.flushes = FlushColumns(*_columns(flushes, 4))
-        self.req_waits = WaitColumns(*_columns(waits, 4))
+        self._build(pre)
+        self._group_start = np.concatenate(
+            [[0], np.cumsum(self.columns.group_len)])
+        #: the same as :class:`Epoch` objects, each built when indexed
+        self.epochs = Views(len(self.columns.rank),
+                            remembered(self._epoch, "epoch"))
 
-    def _add(self, epoch: Epoch) -> None:
-        self.epochs.append(epoch)
-        self._by_rank_win.setdefault((epoch.rank, epoch.win_id), []) \
-            .append(epoch)
-
-    def _build(self, pre: PreprocessedTrace, flushes: list,
-               waits: list) -> None:
-        """A mask selects each rank's epoch-relevant call-table rows;
-        the sequential per-window state machine runs over just those."""
+    def _build(self, pre: PreprocessedTrace) -> None:
+        """The module's pairing rule: ``columns``, ``flushes`` and
+        ``req_waits`` off the stacked call tables."""
         tables = ensure_call_tables(pre)
-        names = {fn_code(fn): fn for fn in _EPOCH_FNS}
-        codes = np.asarray(sorted(names), dtype=np.int64)
-        for rank in range(pre.nranks):
-            t = tables.get(rank)
-            # per-window running state
-            fence_open: Dict[int, int] = {}
-            lock_open: Dict[Tuple[int, Optional[int]], Epoch] = {}
-            pscw_access: Dict[int, Epoch] = {}
-            pscw_exposure: Dict[int, Epoch] = {}
-            if t is not None and t.n:
-                idx = np.nonzero(np.isin(t.fn, codes))[0]
-                # single bulk extraction: python-int lists beat
-                # per-element numpy scalar indexing in the loop below
-                l_fn = t.fn[idx].tolist()
-                l_seq = t.seq[idx].tolist()
-                l_win = t.win[idx].tolist()
-                l_target = t.target[idx].tolist()
-                l_req = t.req[idx].tolist()
-                rows = idx.tolist()
-            else:
-                rows = []
-            for k, i in enumerate(rows):
-                fn = names[l_fn[k]]
-                seq = l_seq[k]
-                win = l_win[k]
-                if fn == "Win_fence":
-                    if win in fence_open:
-                        self._add(Epoch(rank, win, KIND_FENCE,
-                                        open_seq=fence_open[win],
-                                        close_seq=seq))
-                    fence_open[win] = seq
-                elif fn == "Win_free":
-                    if win in fence_open:
-                        # final fence epoch closes at Win_free
-                        self._add(Epoch(rank, win, KIND_FENCE,
-                                        open_seq=fence_open.pop(win),
-                                        close_seq=seq))
-                elif fn == "Win_lock":
-                    target = l_target[k]
-                    lock_open[(win, target)] = Epoch(
-                        rank, win, KIND_LOCK, open_seq=seq, target=target,
-                        lock_type=t.lock_type(i))
-                elif fn == "Win_lock_all":
-                    lock_open[(win, None)] = Epoch(
-                        rank, win, KIND_LOCK, open_seq=seq, target=None,
-                        lock_type="shared")
-                elif fn == "Win_unlock_all":
-                    epoch = lock_open.pop((win, None), None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {seq}: Win_unlock_all "
-                            "without matching Win_lock_all")
-                    epoch.close_seq = seq
-                    self._add(epoch)
-                elif fn == "Win_flush":
-                    flushes.append((rank, win, seq, l_target[k]))
-                elif fn == "Win_flush_all":
-                    flushes.append((rank, win, seq, NO_TARGET))
-                elif fn == "Rma_wait":
-                    waits.append((rank, win, l_req[k], seq))
-                elif fn == "Win_unlock":
-                    target = l_target[k]
-                    epoch = lock_open.pop((win, target), None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {seq}: Win_unlock of "
-                            f"target {target} without matching Win_lock")
-                    epoch.close_seq = seq
-                    self._add(epoch)
-                elif fn == "Win_start":
-                    pscw_access[win] = Epoch(
-                        rank, win, KIND_PSCW_ACCESS, open_seq=seq,
-                        group=t.group(i))
-                elif fn == "Win_complete":
-                    epoch = pscw_access.pop(win, None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {seq}: Win_complete "
-                            "without matching Win_start")
-                    epoch.close_seq = seq
-                    self._add(epoch)
-                elif fn == "Win_post":
-                    pscw_exposure[win] = Epoch(
-                        rank, win, KIND_PSCW_EXPOSURE, open_seq=seq,
-                        group=t.group(i))
-                else:  # Win_wait
-                    epoch = pscw_exposure.pop(win, None)
-                    if epoch is None:
-                        raise AnalysisError(
-                            f"rank {rank} seq {seq}: Win_wait without "
-                            "matching Win_post")
-                    epoch.close_seq = seq
-                    self._add(epoch)
-            # unterminated epochs (crashed/truncated programs) stay open
-            for win, open_seq in fence_open.items():
-                self._add(Epoch(rank, win, KIND_FENCE, open_seq=open_seq))
-            for epoch in lock_open.values():
-                self._add(epoch)
-            for epoch in pscw_access.values():
-                self._add(epoch)
-            for epoch in pscw_exposure.values():
-                self._add(epoch)
+        tables = [tables[rank] for rank in range(pre.nranks)]
 
-    # ------------------------------------------------------------------
+        def stacked(name: str) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in tables])
 
-    def of_rank_win(self, rank: int, win_id: int) -> List[Epoch]:
-        return self._by_rank_win.get((rank, win_id), [])
+        role = per_fn(_ROLES, 0)[stacked("fn")]
+        row = np.nonzero(role)[0]
+        role = role[row]
+        rank = np.repeat(np.arange(pre.nranks), [t.n for t in tables])[row]
+        seq, win = stacked("seq")[row], stacked("win")[row]
+        target = np.where(role & _ALL, NO_TARGET, stacked("target")[row])
+        flush, wait = np.nonzero(role & _FLUSH)[0], np.nonzero(role & _WAIT)[0]
+        self.flushes = FlushColumns(rank[flush], win[flush], seq[flush],
+                                    target[flush])
+        self.req_waits = WaitColumns(rank[wait], win[wait],
+                                     stacked("req")[row[wait]], seq[wait])
+
+        # the calls that pair, grouped by the state they touch with the
+        # trace order kept: ``before`` is the row just ahead of each in
+        # its group, ``last`` marks the row that ends one
+        kind = role & 3
+        keys = (np.where(kind == _LOCK, target, 0), win, rank * 4 + kind)
+        order = np.lexsort(keys)
+        order = order[(role[order] & (_OPENS | _CLOSES)) > 0]
+        ahead, behind = order[:-1], order[1:]
+        same = np.ones(len(ahead), dtype=bool)
+        for key in keys:
+            same &= key[ahead] == key[behind]
+        before = np.full(len(row), -1, dtype=np.int64)
+        before[behind[same]] = ahead[same]
+        last = np.ones(len(row), dtype=bool)
+        last[ahead[same]] = False
+        opens = (role & _OPENS) > 0
+        paired = ((role & _CLOSES) > 0) & (before >= 0) & opens[before]
+        stray = np.nonzero(((role & _MUST_CLOSE) > 0) & ~paired)[0]
+        if len(stray):
+            k = stray[0]
+            fn = FN_NAMES[stacked("fn")[row[k]]]
+            whom = f" of target {target[k]}" if fn == "Win_unlock" else ""
+            raise AnalysisError(
+                f"rank {rank[k]} seq {seq[k]}: {fn}{whom} without "
+                f"matching {_OPENER[fn]}")
+        closing = np.nonzero(paired)[0]
+        left = np.nonzero(opens & last)[0]
+        if len(left):
+            # never closed: by class, then by the call that began the
+            # run of opens each one ends
+            run = opens[order]
+            run[1:] &= ~(same & opens[ahead])
+            began = np.maximum.accumulate(
+                np.where(run, np.arange(len(order)), 0))
+            first = np.empty(len(row), dtype=np.int64)
+            first[order] = order[began]
+            left = left[np.lexsort((first[left], kind[left]))]
+        opening = np.concatenate([before[closing], left])
+        close_seq = np.concatenate(
+            [seq[closing], np.full(len(left), OPEN_ENDED)])
+        by_rank = np.argsort(rank[opening], kind="stable")
+        opening, close_seq = opening[by_rank], close_seq[by_rank]
+
+        kind, at = kind[opening], row[opening] + rank[opening]
+        lock, lock_types = _lock_types(tables, row[opening])
+        # the ragged group column of the stacked tables: one offset
+        # more than rows per rank
+        off = stacked("group_off")
+        group_len = off[at + 1] - off[at]
+        base = np.cumsum([0] + [len(t.group_val) for t in tables[:-1]])
+        _owner, member = expand_ranges(off[at] + base[rank[opening]],
+                                       group_len)
+        #: every epoch, in index order, as parallel int64 arrays plus
+        #: the lock-type strings the ``lock`` codes index (``None``
+        #: first) — what the op table, the shard plan and the
+        #: incremental hashes read
+        self.columns = EpochColumns(
+            rank[opening], win[opening], kind, seq[opening], close_seq,
+            np.where(kind == _LOCK, target[opening], NO_TARGET), lock,
+            group_len, stacked("group_val")[member], lock_types)
+
+    def _epoch(self, k: int) -> Epoch:
+        """Row ``k`` as an object: the one place one is constructed."""
+        cols, start = self.columns, self._group_start
+        rank, win, kind, open_seq, close_seq, target, lock = (
+            int(col[k]) for col in cols[:7])
+        return Epoch(
+            rank, win, EPOCH_KINDS[kind], open_seq, close_seq,
+            None if target == NO_TARGET else target, cols.lock_types[lock],
+            tuple(cols.group_val[start[k]:start[k + 1]].tolist()))
 
     def enclosing(self, rank: int, win_id: int, seq: int,
                   target: int) -> Optional[Epoch]:
-        """The access epoch an RMA op issued at ``seq`` belongs to (the
-        module's rule, for one call)."""
-        best: Optional[Epoch] = None
-        for epoch in self.of_rank_win(rank, win_id):
-            if epoch.is_access and epoch.contains_seq(seq) \
-                    and epoch.covers_target(target) \
-                    and (best is None
-                         or _precedence(epoch) > _precedence(best)):
-                best = epoch
-        return best
+        """The access epoch an RMA op issued at ``seq`` belongs to:
+        :meth:`enclosing_rows` for one call."""
+        row = self.enclosing_rows(
+            *np.array([[rank], [win_id], [seq], [target]]))[0]
+        return self.epochs[row] if row >= 0 else None
 
     def enclosing_rows(self, rank: np.ndarray, win: np.ndarray,
                        seq: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """:meth:`enclosing` for columns of calls: the index into
+        """The module's rule for columns of calls: the index into
         ``epochs`` of each call's epoch, -1 for none.  One grouped join
         of the issue points against the epoch interiors finds the
-        candidates, one sort ranks them.  ``target`` must lie in ``[0,
-        nranks)``."""
+        candidates, one sort ranks them."""
         cols = self.columns
         out = np.full(len(seq), -1, dtype=np.int64)
         if not len(seq) or not len(cols.rank):
@@ -281,19 +286,22 @@ class EpochIndex:
                           group=group[:n]))
         kind, locked = cols.kind[epoch], cols.target[epoch]
         member = np.zeros(len(epoch), dtype=bool)
-        started = kind == _KINDS.index(KIND_PSCW_ACCESS)
-        if started.any():
-            owner = np.repeat(np.arange(n), cols.group_len)
-            inside = (cols.group_val >= 0) & (cols.group_val < self.nranks)
+        started = np.nonzero(kind == _ACCESS)[0]
+        if len(started):
+            # (epoch, target) among the (epoch, group member) pairs, the
+            # ranks on either side numbered densely: any value keys
+            ranks, number = np.unique(
+                np.concatenate([target[call[started]], cols.group_val]),
+                return_inverse=True)
             member[started] = np.isin(
-                epoch[started] * self.nranks + target[call[started]],
-                owner[inside] * self.nranks + cols.group_val[inside])
-        keep = (kind == _KINDS.index(KIND_FENCE)) | member | (
-            (kind == _KINDS.index(KIND_LOCK))
+                epoch[started] * len(ranks) + number[:len(started)],
+                np.repeat(np.arange(n), cols.group_len) * len(ranks)
+                + number[len(started):])
+        keep = (kind == _FENCE) | member | (
+            (kind == _LOCK)
             & ((locked == NO_TARGET) | (locked == target[call])))
         call, epoch = call[keep], epoch[keep]
-        order = np.lexsort((cols.open_seq[epoch],
-                            cols.kind[epoch] != _KINDS.index(KIND_FENCE),
+        order = np.lexsort((cols.open_seq[epoch], cols.kind[epoch] != _FENCE,
                             call))
         call, epoch = call[order], epoch[order]
         best = np.ones(len(call), dtype=bool)
@@ -351,40 +359,26 @@ class EpochIndex:
             close[hit] = at[nxt][hit]
         return close
 
-    def access_epochs(self) -> List[Epoch]:
-        return [e for e in self.epochs if e.is_access]
 
-    @cached_property
-    def columns(self) -> "EpochColumns":
-        """Every epoch, in index order, as parallel int64 arrays plus the
-        list of lock-type strings the ``lock`` codes index (``None``
-        first) — the shape the shard plan groups epochs in and the
-        incremental checker hashes them in (built once: 8 passes over
-        every epoch)."""
-        epochs = self.epochs
-        lock_types: Dict[Optional[str], int] = {None: 0}
-        group_len = np.fromiter((len(e.group) for e in epochs), np.int64,
-                                len(epochs))
-        return EpochColumns(
-            *(np.fromiter(values, np.int64, len(epochs)) for values in (
-                (e.rank for e in epochs), (e.win_id for e in epochs),
-                (_KINDS.index(e.kind) for e in epochs),
-                (e.open_seq for e in epochs), (e.close_seq for e in epochs),
-                (NO_TARGET if e.target is None else e.target
-                 for e in epochs),
-                (lock_types.setdefault(e.lock_type, len(lock_types))
-                 for e in epochs))),
-            group_len,
-            np.fromiter((r for e in epochs for r in e.group), np.int64,
-                        int(group_len.sum())),
-            list(lock_types))
-
-
-def _precedence(epoch: Epoch) -> Tuple[bool, int]:
-    """The rule's order among an op's candidate epochs: lock / PSCW
-    before fence, then the latest opened."""
-    return epoch.kind != KIND_FENCE, epoch.open_seq
-
-
-def _columns(rows: List[tuple], width: int) -> List[np.ndarray]:
-    return list(np.array(rows, dtype=np.int64).reshape(len(rows), width).T)
+def _lock_types(tables, rows: np.ndarray) -> Tuple[np.ndarray, list]:
+    """The lock types of the stacked call rows ``rows`` as the ``lock``
+    / ``lock_types`` pair of :data:`EpochColumns`: the strings numbered
+    in order of first appearance, ``None`` (no lock call) first."""
+    code = np.concatenate([t.lock for t in tables])[rows].astype(np.int64)
+    names = list(LOCK_NAMES)
+    other = np.nonzero(code == LOCK_OTHER)[0]
+    if len(other):
+        # neither shared nor exclusive: told apart by the text logged
+        starts = np.cumsum([0] + [t.n for t in tables[:-1]]).tolist()
+        logged = {start + k: text for start, t in zip(starts, tables)
+                  for k, text in t.lock_types.items()}
+        texts, which = np.unique([logged[k] for k in rows[other].tolist()],
+                                 return_inverse=True)
+        code[other] = len(names) + which
+        names += texts.tolist()
+    locked = np.nonzero(code)[0]
+    used, first = np.unique(code[locked], return_index=True)
+    used = np.concatenate([[0], used[np.argsort(first)]])
+    number = np.zeros(len(names), dtype=np.int64)
+    number[used] = np.arange(len(used))
+    return number[code], [names[k] for k in used.tolist()]

@@ -39,14 +39,16 @@ combinatorial strawman it improves on are test oracles in
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.compat import accumulate_exception, compat_verdict
 from repro.core.diagnostics import (
     CROSS_PROCESS, SEVERITY_ERROR, SEVERITY_WARNING,
     AccessDesc, ConsistencyError,
 )
-from repro.core.epochs import EpochIndex, KIND_LOCK
+from repro.core.epochs import EPOCH_KINDS, EpochIndex, KIND_LOCK
 from repro.core.model import LocalAccess, RMAOpView
 from repro.simmpi.window import LOCK_EXCLUSIVE
 from repro.util.intervals import IntervalSet
@@ -79,34 +81,31 @@ class _LocalLockIndex:
 
     Per ``(rank, win)`` the qualifying lock epochs are disjoint (a second
     ``Win_lock`` of the same window/target before the unlock replaces the
-    open epoch, which is then never indexed), so a sorted interval list
-    answers each query with one ``bisect`` instead of a scan over every
-    exclusive epoch in the trace.
+    open epoch, which is then never indexed), so their opens — one mask
+    over the epoch columns, sorted by ``(rank, win, open seq)`` — answer
+    each query with one ``bisect`` instead of a scan over every epoch.
     """
 
     def __init__(self, epoch_index: EpochIndex, nranks: int):
-        by_key: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for e in epoch_index.epochs:
-            if e.kind == KIND_LOCK and e.lock_type == LOCK_EXCLUSIVE \
-                    and e.target == e.rank:
-                by_key.setdefault((e.rank, e.win_id), []).append(
-                    (e.open_seq, e.close_seq))
-        self._index: Dict[Tuple[int, int],
-                          Tuple[List[int], List[int]]] = {}
-        for key, spans in by_key.items():
-            spans.sort()
-            self._index[key] = ([open_seq for open_seq, _ in spans],
-                                [close_seq for _, close_seq in spans])
+        cols = epoch_index.columns
+        exclusive = np.array([name == LOCK_EXCLUSIVE
+                              for name in cols.lock_types])
+        mine = np.nonzero((cols.kind == EPOCH_KINDS.index(KIND_LOCK))
+                          & (cols.target == cols.rank)
+                          & exclusive[cols.lock])[0]
+        mine = mine[np.lexsort((cols.open_seq[mine], cols.win[mine],
+                                cols.rank[mine]))]
+        self._opens: List[Tuple[int, int, int]] = list(zip(
+            cols.rank[mine].tolist(), cols.win[mine].tolist(),
+            cols.open_seq[mine].tolist()))
+        self._closes: List[int] = cols.close_seq[mine].tolist()
 
     def covers(self, la: LocalAccess, win_id: int) -> bool:
-        entry = self._index.get((la.rank, win_id))
-        if entry is None:
-            return False
-        opens, closes = entry
-        # last epoch opening strictly before la.seq (contains_seq is
-        # exclusive on both bounds)
-        i = bisect_right(opens, la.seq - 1) - 1
-        return i >= 0 and la.seq < closes[i]
+        # last epoch of the window opening strictly before la.seq
+        # (contains_seq is exclusive on both bounds)
+        i = bisect_right(self._opens, (la.rank, win_id, la.seq - 1)) - 1
+        return i >= 0 and self._opens[i][:2] == (la.rank, win_id) \
+            and la.seq < self._closes[i]
 
 
 def _pair_severity(a_exclusive: bool, b_exclusive: bool) -> str:

@@ -35,12 +35,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.calltable import (
-    FN_NAMES, calls_to, ensure_call_tables, fn_code,
+    calls_to, ensure_call_tables, fn_code, per_fn,
 )
 from repro.core.clocks import Span
 from repro.core.compat import ACC, GET, KINDS, LOAD, PUT, STORE
 from repro.core.epochs import Epoch, EpochIndex, OPEN_ENDED
 from repro.core.preprocess import PreprocessedTrace
+from repro.core.views import Views, count_views
 from repro.profiler.callcols import KIND_INT, KIND_STR, CallColumns, Shape
 from repro.profiler.events import ACCESS_CODES
 from repro.profiler.events import ACCESS_NAMES as _ACCESS_NAMES
@@ -243,12 +244,8 @@ class MemRows:
                                              int(self.size[i])),
                 var=self.table.string(int(self.var[i])),
                 loc=self.table.loc(int(self.loc[i])), fn="mem")
+            count_views("local")
         return view
-
-    @property
-    def views_built(self) -> int:
-        """How many rows :meth:`local_access` has built a view of."""
-        return len(self._views)
 
 
 #: flat rows gathered from several ranks/ranges: the index of the bounds
@@ -593,27 +590,6 @@ _DataMaps = namedtuple(
                  "exact base")
 
 
-class _Views(Sequence):
-    """``model.ops`` / ``model.local`` over an :class:`OpTable`: as long
-    as the full lift would be, building a view when one is indexed."""
-
-    def __init__(self, n: int, view: Callable[[int], object]):
-        self._n = n
-        self._view = view
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._view(i) for i in range(*k.indices(self._n))]
-        if k < 0:
-            k += self._n
-        if not 0 <= k < self._n:
-            raise IndexError("view index out of range")
-        return self._view(k)
-
-
 class OpTable:
     """Every call of a trace set that lifts, as rows — the one lift.
 
@@ -672,8 +648,6 @@ class OpTable:
         self._caches: Dict[int, LiftCache] = {}
         self._call_lists: Dict[int, list] = {}
         self._built: Dict[int, Tuple[list, list]] = {}
-        #: views built so far, by kind
-        self.views_built = {"op": 0, "local": 0, "event": 0}
         #: table-wide codes of the string arguments (``op``, ``req_kind``)
         self._codes: Dict[str, int] = {"irecv": 0, "CAS": 1}
         self._windows(pre)
@@ -701,7 +675,7 @@ class OpTable:
         """The columns only: what a pool worker's kernels read."""
         return {name: value for name, value in self.__dict__.items()
                 if not name.startswith("_")
-                and name not in ("ops", "local", "views_built")}
+                and name not in ("ops", "local")}
 
     # ------------------------------------------------------- registries
 
@@ -748,7 +722,7 @@ class OpTable:
         table row, seq, fn code, the raw argument matrix, which of its
         cells were logged, and the rows that could not be read."""
         tables = ensure_call_tables(pre)
-        wanted = _per_fn(dict.fromkeys(_LIFT_CALLS, 1), 0) > 0
+        wanted = per_fn(dict.fromkeys(_LIFT_CALLS, 1), 0) > 0
         columnar, rest = [], []
         for rank in range(pre.nranks):
             events = pre.events[rank]
@@ -887,11 +861,11 @@ class OpTable:
                rank, row, seq, fn, raw, present, unread) -> None:
         arg = {key: raw[:, col] for key, col in _ARG.items()}
         has = {key: present[:, col] for key, col in _ARG.items()}
-        kind = _per_fn({name: KIND_CODE[kind]
-                        for name, kind in _RMA_KIND.items()}, -1)[fn]
+        kind = per_fn({name: KIND_CODE[kind]
+                       for name, kind in _RMA_KIND.items()}, -1)[fn]
         is_op = kind >= 0
-        writes = _per_fn(dict.fromkeys(_BUFFER_CALLS - _CALL_LOADS, 1), 0)
-        by_request = _per_fn(dict.fromkeys(_REQUEST_RMA, 1), 0)[fn] > 0
+        writes = per_fn(dict.fromkeys(_BUFFER_CALLS - _CALL_LOADS, 1), 0)
+        by_request = per_fn(dict.fromkeys(_REQUEST_RMA, 1), 0)[fn] > 0
         is_bcast = fn == fn_code("Bcast")
         lifts = is_op | (
             present[:, _BUFFER_REQUIRED].all(axis=1)
@@ -992,9 +966,9 @@ class OpTable:
             maps, l_map, terms[0] + terms[1], l_count)
         self._slot = slot
         self.n_ops, self.n_local = len(ops), len(at)
-        self.ops: Sequence[RMAOpView] = _Views(self.n_ops, self.op_view)
-        self.local: Sequence[LocalAccess] = _Views(self.n_local,
-                                                   self.local_view)
+        self.ops: Sequence[RMAOpView] = Views(self.n_ops, self.op_view)
+        self.local: Sequence[LocalAccess] = Views(self.n_local,
+                                                  self.local_view)
 
     def _comm_rank(self, pre, comm, root, logged):
         """``pre.world_of_comm_rank`` for columns: which calls name a
@@ -1108,7 +1082,7 @@ class OpTable:
                 resolve)
             for kind, n in (("op", len(built[0])),
                             ("local", len(built[1])), ("event", 1)):
-                self.views_built[kind] += n
+                count_views(kind, n)
         return built
 
     def prefetch(self, ops: np.ndarray, local: np.ndarray) -> None:
@@ -1214,12 +1188,3 @@ def _place(maps: _DataMaps, which: np.ndarray, base: np.ndarray,
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=start[1:])
     return start, np.concatenate(lo)[order], np.concatenate(hi)[order]
-
-
-def _per_fn(values: Dict[str, int], default: int) -> np.ndarray:
-    """An array over fn codes: ``values[name]`` at each named call's
-    code, ``default`` elsewhere."""
-    codes = {fn_code(name): value for name, value in values.items()}
-    out = np.full(len(FN_NAMES), default, dtype=np.int64)
-    out[list(codes)] = list(codes.values())
-    return out

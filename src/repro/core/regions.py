@@ -11,12 +11,20 @@ A nonblocking RMA operation whose epoch closes after a global cut (e.g. a
 lock epoch spanning a barrier on another communicator — impossible for a
 world barrier, but spans are handled generally) is a member of every
 region its span intersects.
+
+:class:`RegionIndex` is the cuts as arrays (``cuts``; ``bounds``, what
+the engine and the shard plan read), written by one scatter of the
+global matches' members.  ``regions`` is the same as objects, a
+:class:`Region` built for the row that is indexed — the check asks for
+none; the loop that built them all is in ``tests/reference/epochs.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,6 +32,7 @@ import numpy as np
 from repro.core.clocks import Span
 from repro.core.matching import SyncMatch
 from repro.core.preprocess import PreprocessedTrace
+from repro.core.views import Views, remembered
 from repro.util.errors import AnalysisError
 from repro.util.intervals import grouped_searchsorted
 
@@ -49,44 +58,41 @@ class RegionIndex:
 
     def __init__(self, pre: PreprocessedTrace,
                  matches: Sequence[SyncMatch]):
-        self.nranks = pre.nranks
+        self.nranks = nranks = pre.nranks
         glob = [match.members for match in matches
-                if match.is_global(pre.nranks)]
+                if match.is_global(nranks)]
         # one (cuts x ranks) seq matrix: global collectives are totally
         # ordered, so sorting by rank 0 orders every column at once and
         # one diff pass checks that the cuts are monotone at every rank
-        mat = np.empty((len(glob), pre.nranks), dtype=np.int64)
-        for i, members in enumerate(glob):
-            for r, s in members.items():
-                mat[i, r] = s
+        mat = np.empty((len(glob), nranks), dtype=np.int64)
+        mat[np.repeat(np.arange(len(glob)), nranks),
+            np.fromiter(chain.from_iterable(glob), np.int64, mat.size)] = \
+            np.fromiter(chain.from_iterable(map(dict.values, glob)),
+                        np.int64, mat.size)
         if len(glob) > 1:
             mat = mat[np.argsort(mat[:, 0], kind="stable")]
             if (np.diff(mat, axis=0) <= 0).any():
                 raise AnalysisError(
                     "global synchronization cuts are not consistently "
                     "ordered across ranks — inconsistent trace")
-        cuts: List[Dict[int, int]] = [
-            dict(enumerate(row)) for row in mat.tolist()]
-        cut_seqs = [mat[:, r].tolist() for r in range(pre.nranks)]
-
-        self.regions: List[Region] = []
-        n_regions = len(cuts) + 1
-        #: per-rank sorted cut seqs, for bisect lookup
-        self._cut_seqs: List[List[int]] = cut_seqs
-        #: the same as one ``(nranks, n_cuts)`` array, for bulk lookup
-        self.cuts = np.array(cut_seqs, dtype=np.int64).reshape(
-            pre.nranks, len(cuts))
+        #: ``(nranks, n_cuts)``: each rank's cut seqs, ascending
+        self.cuts = np.ascontiguousarray(mat.T)
         #: ``(n_regions + 1, nranks)``: row ``r`` is region ``r``'s lo seq
         #: at every rank, row ``r + 1`` its hi
-        self.bounds = np.vstack([np.full((1, pre.nranks), -1), self.cuts.T,
-                                 np.full((1, pre.nranks), 1 << 62)])
-        for i in range(n_regions):
-            bounds = {}
-            for rank in range(pre.nranks):
-                lo = cuts[i - 1][rank] if i > 0 else -1
-                hi = cuts[i][rank] if i < len(cuts) else (1 << 62)
-                bounds[rank] = (lo, hi)
-            self.regions.append(Region(index=i, bounds=bounds))
+        self.bounds = np.vstack([np.full((1, nranks), -1), mat,
+                                 np.full((1, nranks), 1 << 62)])
+        self.regions = Views(len(glob) + 1,
+                             remembered(self._region, "region"))
+
+    def _region(self, k: int) -> Region:
+        """Region ``k`` as an object: the one place one is constructed."""
+        return Region(index=k, bounds=dict(enumerate(zip(
+            self.bounds[k].tolist(), self.bounds[k + 1].tolist()))))
+
+    @cached_property
+    def _cut_seqs(self) -> List[List[int]]:
+        """``cuts`` as lists, for the scalar bisects."""
+        return self.cuts.tolist()
 
     def __len__(self) -> int:
         return len(self.regions)

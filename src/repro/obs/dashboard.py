@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 from typing import Any, Dict, List
 
-from repro.obs.report import CACHE_WORK, RunReport
+from repro.obs.report import CACHE_WORK, VIEW_KINDS, RunReport
 
 # ----------------------------------------------------------------------
 # text rendering
@@ -56,7 +56,7 @@ def _model_line(model: dict) -> str:
             f"{survivors.get('joined', 0):,} joined -> "
             f"{survivors.get('passed', 0):,} past Table I; views built: "
             + ", ".join(f"{kind}={int(views.get(kind, 0)):,}"
-                        for kind in ("op", "local", "event")))
+                        for kind in VIEW_KINDS))
 
 
 def _bar(fraction: float, width: int = 30) -> str:

@@ -76,8 +76,8 @@ class RunReport:
     #: ``intervals`` (byte-interval rows) = its sizes, ``survivors`` =
     #: ``{"joined": pairs out of the joins Table I applies to, "passed":
     #: those its lookup let through}``, ``views`` = analysis objects
-    #: built per kind (``op``, ``local``, ``event``) — all zero on a
-    #: clean trace
+    #: built per kind (``op``, ``local``, ``event``, ``epoch``,
+    #: ``region``) — all zero on a clean trace
     model: Dict[str, Any] = field(default_factory=dict)
     #: trace-generation stats (wall seconds, events/s, per-lane counts,
     #: the simulator's ``scheduler`` totals: thread handoffs, wake-ups
@@ -296,6 +296,9 @@ def _call_rows(recorder) -> Dict[str, int]:
                 rows.samples(), key=lambda s: s[0].get("route", "?"))}
 
 
+#: ``analyzer_views_built_total`` kinds, in the order they are rendered
+VIEW_KINDS = ("op", "local", "event", "epoch", "region")
+
 #: funnel stages whose pairs go through the Table-I lookup
 _TABLE_STAGES = ("intra/op_pair", "inter/op_pair", "inter/local_vs_op")
 
@@ -309,7 +312,7 @@ def _model(recorder, funnel: Dict[str, float]) -> Dict[str, Any]:
         return {}
     sizes = recorder.registry.get("analyzer_op_table_rows")
     views = recorder.registry.get("analyzer_views_built_total")
-    built = {"op": 0, "local": 0, "event": 0}
+    built = dict.fromkeys(VIEW_KINDS, 0)
     if views is not None:
         built.update((labels.get("kind", "?"), int(value))
                      for labels, value in views.samples())

@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Set
 
 from repro import obs
@@ -81,9 +82,12 @@ class Scheduler:
             token.acquire()
         self._current: Optional[int] = None
         self._live: Set[int] = set(range(nranks))
-        #: sorted cache of _live, rebuilt only when a rank completes, so
-        #: the grant path never sorts or allocates per switch
+        #: sorted cache of _live and, per rank (live or not), the live
+        #: rank round robin grants after it; both rebuilt only when a
+        #: rank leaves (_retire_locked), so the grant path never sorts,
+        #: scans or allocates per switch
         self._order = tuple(range(nranks))
+        self._after = [(rank + 1) % nranks for rank in range(nranks)]
         self._blocked: Dict[int, str] = {}
         #: beside each block reason, the predicate the rank waits on
         self._preds: Dict[int, Callable[[], bool]] = {}
@@ -143,6 +147,15 @@ class Scheduler:
     # token machinery
     # ------------------------------------------------------------------
 
+    def _retire_locked(self, rank: int) -> None:
+        """``rank`` completed or died: it is never granted again.  The
+        successor of each rank becomes the first live rank above it,
+        wrapping to the lowest."""
+        self._live.discard(rank)
+        self._order = order = tuple(sorted(self._live))
+        self._after = [order[bisect_right(order, r) % len(order)]
+                       for r in range(self.nranks)] if order else []
+
     def _pick_next(self) -> Optional[int]:
         candidates = self._order
         if not candidates:
@@ -150,11 +163,7 @@ class Scheduler:
         if self.policy == "random":
             return self._rng.choice(candidates)
         current = self._current
-        if current is not None:
-            for rank in candidates:
-                if rank > current:
-                    return rank
-        return candidates[0]
+        return candidates[0] if current is None else self._after[current]
 
     def _grant_locked(self) -> None:
         """Hand the token to the next rank that can run.  Caller holds
@@ -300,8 +309,7 @@ class Scheduler:
                     self._wait_for_token_locked(rank)
                 body()
                 with self._lock:
-                    self._live.discard(rank)
-                    self._order = tuple(sorted(self._live))
+                    self._retire_locked(rank)
                     self.register_progress()
                     self._note_release_locked(rank)
                     self._grant_locked()
@@ -309,8 +317,7 @@ class Scheduler:
                 pass
             except BaseException as exc:  # noqa: BLE001 - must cross threads
                 with self._lock:
-                    self._live.discard(rank)
-                    self._order = tuple(sorted(self._live))
+                    self._retire_locked(rank)
                     self._abort_locked(exc, rank)
 
         threads = [

@@ -10,6 +10,7 @@ from repro.core.preprocess import preprocess
 from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
 from repro.simmpi import INT, LOCK_EXCLUSIVE, LOCK_SHARED
+from tests.reference.epochs import enclosing, of_rank_win
 
 
 def epochs_for(app, nranks, **kw):
@@ -55,7 +56,7 @@ class TestFenceEpochs:
             win.free()
 
         pre, index = epochs_for(app, 2)
-        fences = [e for e in index.of_rank_win(0, 0)
+        fences = [e for e in of_rank_win(index, 0, 0)
                   if e.kind == KIND_FENCE]
         fence_seqs = seqs_of(pre, 0, "Win_fence")
         spans = sorted((e.open_seq, e.close_seq) for e in fences)
@@ -72,7 +73,7 @@ class TestFenceEpochs:
             # program ends without another fence or free
 
         pre, index = epochs_for(app, 2)
-        epoch = index.of_rank_win(0, 0)[0]
+        epoch = of_rank_win(index, 0, 0)[0]
         assert epoch.close_seq == OPEN_ENDED
         assert epoch.contains_seq(10 ** 9)
 
@@ -92,7 +93,8 @@ class TestLockEpochs:
             win.free()
 
         pre, index = epochs_for(app, 2)
-        locks = [e for e in index.of_rank_win(0, 0) if e.kind == KIND_LOCK]
+        locks = [e for e in of_rank_win(index, 0, 0)
+                 if e.kind == KIND_LOCK]
         assert [e.lock_type for e in locks] == ["exclusive", "shared"]
         assert all(e.target == 1 for e in locks)
         assert locks[0].close_seq < locks[1].open_seq
@@ -111,7 +113,7 @@ class TestLockEpochs:
             win.free()
 
         pre, index = epochs_for(app, 3)
-        locks = {e.target: e for e in index.of_rank_win(0, 0)
+        locks = {e.target: e for e in of_rank_win(index, 0, 0)
                  if e.kind == KIND_LOCK}
         assert set(locks) == {1, 2}
         # nested: epoch to target 2 is inside the epoch to target 1
@@ -135,9 +137,9 @@ class TestPSCWEpochs:
             win.free()
 
         pre, index = epochs_for(app, 2)
-        exposure = [e for e in index.of_rank_win(0, 0)
+        exposure = [e for e in of_rank_win(index, 0, 0)
                     if e.kind == KIND_PSCW_EXPOSURE]
-        access = [e for e in index.of_rank_win(1, 0)
+        access = [e for e in of_rank_win(index, 1, 0)
                   if e.kind == KIND_PSCW_ACCESS]
         assert len(exposure) == 1 and exposure[0].group == (1,)
         assert len(access) == 1 and access[0].group == (0,)
@@ -196,9 +198,10 @@ class TestEnclosing:
                for fn in ("Win_start", "Win_lock", "Put", "Win_complete",
                           "Win_unlock")}
         assert list(seq.values()) == [3, 4, 5, 6, 8]
-        epoch = index.enclosing(0, 0, seq["Put"], target=1)
+        epoch = enclosing(index, 0, 0, seq["Put"], target=1)  # the walk
         assert (epoch.kind, epoch.open_seq, epoch.close_seq) == \
             (KIND_LOCK, 4, 8)
+        assert index.enclosing(0, 0, seq["Put"], target=1) is epoch
         rows = index.enclosing_rows(*(np.array([value]) for value in
                                       (0, 0, seq["Put"], 1)))
         assert index.epochs[rows[0]] is epoch
@@ -221,7 +224,7 @@ class TestEnclosing:
             win.free()
 
         pre, index = epochs_for(app, 3)
-        lock = [e for e in index.of_rank_win(0, 0)
+        lock = [e for e in of_rank_win(index, 0, 0)
                 if e.kind == KIND_LOCK][0]
         assert lock.covers_target(1)
         assert not lock.covers_target(2)

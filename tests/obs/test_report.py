@@ -348,8 +348,8 @@ class TestFunnelPinned:
 
 class TestOpPlane:
     """``RunReport.model``: "zero views on a clean trace" as a number —
-    calls become table rows, and an analysis object is built only for a
-    pair that reaches a per-pair check."""
+    calls become table rows, epochs and regions columns, and an analysis
+    object is built only for a pair that reaches a per-pair check."""
 
     ARMS = {"serial": {}, "jobs2": {"jobs": 2}, "streaming":
             {"streaming": True}}
@@ -365,8 +365,8 @@ class TestOpPlane:
                           **kw)
             for arm, overrides in self.ARMS.items():
                 model = checked_report(run, **overrides).model
-                assert model["views"] == {"op": 0, "local": 0,
-                                          "event": 0}, arm
+                assert model["views"] == dict.fromkeys(
+                    ("op", "local", "event", "epoch", "region"), 0), arm
                 assert model["ops"] == model["locals"] > 0
                 assert model["intervals"] >= 2 * model["ops"]
                 assert model["survivors"]["passed"] == 0
@@ -410,11 +410,16 @@ class TestOpPlane:
             zip(table.call_rank, table.call_seq))}
         named = {calls[rank, seq] for rank, seq, mem in sides if not mem}
         n_local = np.diff(np.append(table.call_local, table.n_local))
+        ops = table.call_op[sorted(named)]
         want = {"event": len(named),
                 "op": sum(table.call_op[c] >= 0 for c in named),
                 "local": sum(int(n_local[c]) for c in named)
-                + sum(mem for _rank, _seq, mem in sides)}
-        assert want["op"] > 0
+                + sum(mem for _rank, _seq, mem in sides),
+                # an op's view holds its epoch; nothing looks at a region
+                "epoch": len(set(table.epoch[ops[ops >= 0]].tolist())
+                             - {-1}),
+                "region": 0}
+        assert want["op"] > 0 and want["epoch"] > 0
         for arm, overrides in self.ARMS.items():
             rr = checked_report(run, **overrides)
             assert rr.model["views"] == want, arm

@@ -3,7 +3,8 @@
 ``matching`` holds the Algorithm-1 progress-counter walk and the naive
 rescanning matcher; ``pairwise`` the object access model, the per-epoch
 and per-region pair enumerations, the naive cross-process strawman and
-:func:`~tests.reference.pairwise.check_pairwise`; ``scheduler`` the
-wake-and-re-check token scheduler.  Production (``src/repro``) imports
-none of it.
+:func:`~tests.reference.pairwise.check_pairwise`; ``epochs`` the
+per-rank epoch state machine, the per-call walk of the epoch rule and
+the ``Region`` loop; ``scheduler`` the wake-and-re-check token
+scheduler.  Production (``src/repro``) imports none of it.
 """

@@ -64,6 +64,7 @@ from repro.core.regions import RegionIndex
 from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.tracer import TraceSet
 from repro.util.intervals import IntervalSet
+from tests.reference.epochs import access_epochs, of_rank_win
 
 # ----------------------------------------------------------------------
 # the object access model
@@ -113,7 +114,7 @@ class LiftCache(PlacementMemo):
         if index is None:
             of_win = self._by_win.get(win_id)
             if of_win is None:
-                epochs = sorted(self._epochs.of_rank_win(self._rank, win_id),
+                epochs = sorted(of_rank_win(self._epochs, self._rank, win_id),
                                 key=lambda e: e.open_seq)
                 fences = [e for e in epochs if e.kind == KIND_FENCE]
                 of_win = self._by_win[win_id] = (
@@ -225,7 +226,7 @@ def bucket_by_epoch(model: AccessModel,
             plain_by_rank.setdefault(la.rank, []).append(la)
 
     units: List[EpochUnit] = []
-    for epoch in epoch_index.access_epochs():
+    for epoch in access_epochs(epoch_index):
         ops = ops_by_epoch.get(id(epoch), [])
         if not ops:
             continue
