@@ -11,31 +11,34 @@ shared by every control phase:
 
 * :func:`repro.core.matching.match_synchronization` runs Algorithm 1 as
   per-channel occurrence-index zips over the class-filtered columns;
-* ``EpochIndex`` walks only the epoch-relevant rows (mask + take instead
+* ``EpochIndex`` pairs only the epoch-relevant rows (mask + take instead
   of a full event scan);
-* ``CallLift`` and the incremental digests index calls by table row.
+* ``OpTable`` and the incremental digests index calls by table row.
 
-Two builders, one result.  A binary (v3) trace stores its calls as
-columns already, so :meth:`CallTable.from_columns` classifies each
-*shape* once and gathers each table column once — no call becomes an
-object on the way.  Text lines, and the calls a binary trace framed as
-text records, go through :class:`CallIngest`, a memoizing line decoder
-that builds the events and the table rows together.
+One builder.  Whatever the trace format, ``TraceReader.read_calls``
+hands over the rank's calls as
+:class:`~repro.profiler.callcols.CallColumns` — stored so by a binary
+(v3) trace, read into the same columns from the call lines of a text
+trace — and :meth:`CallTable.from_columns` classifies each *shape* once
+and gathers each table column once; no call becomes an object on the
+way.  A call the columns cannot hold (an argument past int64, say) is a
+*codec row*, checked one by one by :class:`CallIngest`;
+:meth:`CallTable.from_events` builds the same table from typed events
+(``preprocess()``, ``tests/reference/``).
 
 Who turns calls into :class:`CallEvent` objects, then?  Only the phases
 that read a call's *arguments*: the registry scan (window, communicator
-and datatype constructors), the call lift (RMA calls, calls with a
-logged buffer), and whatever walks a whole stream (tools, incremental
-slice digests).  They select their rows by fn code with
-:func:`calls_to`; over the lazy :class:`~repro.profiler.callcols.
-CallColumns` of a binary trace nothing else is ever built.
+and datatype constructors), the views of the op table (RMA calls, calls
+with a logged buffer), and whatever walks a whole stream (tools,
+incremental slice digests).  They select their rows by fn code with
+:func:`calls_to`; over the lazy call columns nothing else is ever
+built.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from sys import intern as _intern
 from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
@@ -46,12 +49,10 @@ from repro.profiler.callcols import (
 )
 from repro.profiler.events import (
     COLLECTIVE_CALLS, DATATYPE_CALLS, NB_COLLECTIVE_CALLS, ONE_SIDED_CALLS,
-    SUPPORT_CALLS, SYNC_CALLS, CallEvent,
+    SUPPORT_CALLS, SYNC_CALLS, CallEvent, decode_event,
 )
 from repro.util.errors import TraceFormatError
 from repro.util.intervals import expand_ranges
-from repro.util.location import SourceLocation
-from repro.util.records import INT64_MAX, INT64_MIN, decode_value
 
 if TYPE_CHECKING:
     from repro.core.preprocess import PreprocessedTrace
@@ -315,48 +316,10 @@ class CallTable:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rank: int, seqs: List[int],
-                  rows: List[Tuple[int, ...]],
-                  lock_types: Dict[int, str]) -> "CallTable":
-        n = len(seqs)
-        if not n:
-            e8 = np.empty(0, dtype=np.int64)
-            return cls(rank, 0, e8, np.empty(0, np.int32),
-                       np.empty(0, np.uint8), e8, e8, e8, e8, e8,
-                       np.empty(0, np.uint8), e8, np.empty(0, np.uint8),
-                       np.zeros(1, dtype=np.int64), e8, {})
-        cols = list(zip(*rows))
-        groups = cols[10]
-        group_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=n),
-                  out=group_off[1:])
-        total = int(group_off[-1])
-        if total:
-            group_val = np.fromiter(
-                (v for g in groups for v in g), dtype=np.int64, count=total)
-        else:
-            group_val = np.empty(0, dtype=np.int64)
-        return cls(
-            rank, n,
-            np.asarray(seqs, dtype=np.int64),
-            np.asarray(cols[0], dtype=np.int32),
-            np.asarray(cols[1], dtype=np.uint8),
-            np.asarray(cols[2], dtype=np.int64),
-            np.asarray(cols[3], dtype=np.int64),
-            np.asarray(cols[4], dtype=np.int64),
-            np.asarray(cols[5], dtype=np.int64),
-            np.asarray(cols[6], dtype=np.int64),
-            np.asarray(cols[7], dtype=np.uint8),
-            np.asarray(cols[8], dtype=np.int64),
-            np.asarray(cols[9], dtype=np.uint8),
-            group_off, group_val, dict(lock_types))
-
-    @classmethod
     def from_events(cls, rank: int, events: Sequence[Any]) -> "CallTable":
         """Build from already-materialized events (non-call events are
-        skipped); call columns go through :meth:`from_columns`."""
-        if isinstance(events, CallColumns):
-            return cls.from_columns(events)
+        skipped) — the table of a trace that was not read by
+        ``read_calls``, and of the codec rows of one that was."""
         seqs: List[int] = []
         rows: List[Tuple[int, ...]] = []
         lock_types: Dict[int, str] = {}
@@ -368,11 +331,23 @@ class CallTable:
                 lock_types[len(seqs)] = lock_str
             seqs.append(event.seq)
             rows.append(row)
-        return cls.from_rows(rank, seqs, rows, lock_types)
+        n = len(seqs)
+        cols = list(zip(*rows)) or [()] * 11
+        groups = cols[10]
+        group_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=n),
+                  out=group_off[1:])
+        group_val = np.fromiter((v for g in groups for v in g),
+                                dtype=np.int64, count=int(group_off[-1]))
+        column = (np.array(values, dtype=dtype) for values, dtype in zip(
+            [seqs] + cols[:10],
+            (np.int64, np.int32, np.uint8) + (np.int64,) * 5
+            + (np.uint8, np.int64, np.uint8)))
+        return cls(rank, n, *column, group_off, group_val, lock_types)
 
     @classmethod
     def from_columns(cls, cols: CallColumns) -> "CallTable":
-        """Build from the call columns of a binary trace without
+        """Build from a rank's call columns — either format's — without
         building an event: one :func:`classify_call` per shape says which
         argument position feeds which table column, one gather per
         column moves the values.  Rows the columns do not describe —
@@ -399,8 +374,6 @@ class CallTable:
                 plans.append(_shape_plan(cols.shapes[index],
                                          cols.table.strings[sid]))
             shape_of[rows] = plan_of[ids]
-        rowwise = [k for k, plan in enumerate(plans[:nshapes])
-                   if plan is None and all(k != index for index, _ in split)]
         # per row: its plan's constants and, for the seven argument
         # columns, the pool entry that holds the value (or -1)
         picked = np.array([plan[0] if plan else _NO_PLAN for plan in plans],
@@ -420,12 +393,14 @@ class CallTable:
                 lock_types.update(dict.fromkeys(
                     np.nonzero(shape_of == k)[0].tolist(), plan[1]))
         # rows classified one by one: as the codec decoded them, or here
+        unplanned = np.array([plan is None for plan in plans])
+        unplanned[nshapes] = False
+        odd_rows = np.nonzero(unplanned[shape_of])[0]
         parts = []
         if cols.codec:
             parts.append((np.nonzero(cols.shape == nshapes)[0],
-                          cols.codec_table))
-        if rowwise:
-            odd_rows = np.nonzero(np.isin(cols.shape, rowwise))[0]
+                          cls.from_events(cols.rank, cols.codec.values())))
+        if len(odd_rows):
             parts.append((odd_rows, cls.from_events(
                 cols.rank, cols.take(odd_rows))))
         columns = {"fn": fn, "cls": kind, "comm": comm, "win": win,
@@ -507,9 +482,9 @@ def calls_to(events: Sequence[Any], table: CallTable,
     — how every phase that reads call *arguments* picks its calls, so
     that over lazy call columns only those become objects.
 
-    ``events`` is what the table was built from: call-only, so that rows
-    index it (what ``TraceReader.read_calls`` returns), or a typed event
-    list with memory events in between."""
+    ``events`` is what the table was built from: the call columns
+    ``TraceReader.read_calls`` returns, a call-only list that rows index
+    alike, or a typed event list with memory events in between."""
     rows = rows_calling(table, fns)
     if isinstance(events, CallColumns):
         return rows, events.take(rows)
@@ -535,130 +510,40 @@ def total_calls(pre: "PreprocessedTrace") -> int:
 
 
 # ----------------------------------------------------------------------
-# vectorized call ingest (the tracer's per-line fast path)
+# calls classified one by one (the codec rows of a reader)
 # ----------------------------------------------------------------------
-
-#: loc-text -> SourceLocation memo; the key set is small and immortal
-#: (one entry per distinct call site), same argument as capture_location's
-_LOC_CACHE: Dict[str, Any] = {}
-
-_MEMO_CAP = 1 << 16
-
-_NEW_EVENT = object.__new__
-
 
 _PACK_INT64 = struct.Struct("<11q").pack
 
 
-def _fits_int64(row: Tuple, seq: int = 0) -> bool:
-    """Whether a :func:`classify_call` row (and the call's seq) can
-    enter the int64 :class:`CallTable` columns — asked by packing them
-    as int64, the one range check that runs at C speed (this sits on
-    the per-distinct-call-shape path of :class:`CallIngest`)."""
+def check_call(fn: str, args: Dict[str, Any], seq: int = 0) -> None:
+    """Raise the :class:`TraceFormatError` that says why a call has no
+    :class:`CallTable` row: it does not classify, or its row or its seq
+    lies outside the int64 columns — asked by packing them as int64, the
+    one range check that runs at C speed."""
+    row, _lock = classify_call(fn, args)
     try:
         _PACK_INT64(seq, *row[:10])
         if row[10]:
             struct.pack(f"<{len(row[10])}q", *row[10])
     except struct.error:
-        return False
-    return True
+        raise TraceFormatError(f"call record {fn!r} at seq {seq} has a "
+                               "field outside int64") from None
 
 
 class CallIngest:
-    """Single-pass call-line decoder building CallEvents *and* the rank's
-    :class:`CallTable` together.
-
-    Call lines repeat heavily modulo their seq number (a fence loop emits
-    the same ``fn=``/``loc=``/``win=`` tail millions of times), so the
-    tail after the seq token is memoized: the memo entry carries a
-    prebuilt ``CallEvent.__dict__`` template, making a repeated line one
-    dict hit, one int parse, and one shallow dict copy.  Events decoded
-    from the same tail share one (never-mutated) args dict — the analyzer
-    treats event args as frozen throughout.  Misses fall back to the
-    canonical record codec, so errors and results are exactly those of
-    :func:`repro.profiler.events.decode_event`.
-    """
-
-    __slots__ = ("rank", "_memo", "_seqs", "_rows", "_lock_types")
+    """The calls of one rank that its reader does not put into columns
+    — ``C`` frames, records the column encoder refused — decoded by the
+    record codec and checked one by one: results and errors are those of
+    :func:`repro.profiler.events.decode_event` and :func:`check_call`."""
 
     def __init__(self, rank: int):
         self.rank = rank
-        self._memo: Dict[str, tuple] = {}
-        self._seqs: List[int] = []
-        self._rows: List[Tuple[int, ...]] = []
-        self._lock_types: Dict[int, str] = {}
 
     def add(self, line: str):
-        """Decode one trace line, recording its table row; returns the
-        event (a CallEvent unless the line is not a call record)."""
-        parts = line.split(" ", 2)
-        if len(parts) == 3 and parts[0] == "C" and \
-                parts[1].startswith("seq="):
-            entry = self._memo.get(parts[2])
-            if entry is None:
-                entry = self._parse_rest(parts[2])
-            if entry is not None:
-                try:
-                    seq = int(parts[1][4:])
-                except ValueError:
-                    return self._add_slow(line)
-                if not INT64_MIN <= seq <= INT64_MAX:
-                    return self._add_slow(line)
-                tpl, row, lock_str = entry
-                if lock_str is not None:
-                    self._lock_types[len(self._seqs)] = lock_str
-                self._seqs.append(seq)
-                self._rows.append(row)
-                event = _NEW_EVENT(CallEvent)
-                state = dict(tpl)
-                state["seq"] = seq
-                event.__dict__ = state
-                return event
-        return self._add_slow(line)
-
-    def _parse_rest(self, rest: str):
-        """Parse the post-seq tail once; ``None`` on any structural
-        surprise (the slow path then reproduces canonical errors)."""
-        try:
-            fields: Dict[str, Any] = {}
-            for part in rest.split(" "):
-                key, raw = part.split("=", 1)
-                fields[key] = decode_value(raw)
-            fn = _intern(str(fields.pop("fn")))
-            loc_text = str(fields.pop("loc"))
-            loc = _LOC_CACHE.get(loc_text)
-            if loc is None:
-                loc = SourceLocation.decode(loc_text)
-                _LOC_CACHE[loc_text] = loc
-            row, lock_str = classify_call(fn, fields)
-            if not _fits_int64(row):
-                return None
-        except Exception:
-            return None
-        tpl = {"rank": self.rank, "seq": -1, "fn": fn, "args": fields,
-               "loc": loc}
-        entry = (tpl, row,
-                 lock_str if (lock_str is not None
-                              and row[9] == LOCK_OTHER) else None)
-        if len(self._memo) < _MEMO_CAP:
-            self._memo[rest] = entry
-        return entry
-
-    def _add_slow(self, line: str):
-        from repro.profiler.events import decode_event
+        """The event of one record; a call comes back only if it has a
+        table row."""
         event = decode_event(self.rank, line)
         if isinstance(event, CallEvent):
-            row, lock_str = classify_call(event.fn, event.args)
-            if not _fits_int64(row, event.seq):
-                raise TraceFormatError(
-                    f"call record {event.fn!r} at seq {event.seq} has a "
-                    "field outside int64")
-            if lock_str is not None and row[9] == LOCK_OTHER:
-                self._lock_types[len(self._seqs)] = lock_str
-            self._seqs.append(event.seq)
-            self._rows.append(row)
+            check_call(event.fn, event.args, event.seq)
         return event
-
-    def finish(self) -> CallTable:
-        return CallTable.from_rows(self.rank, self._seqs, self._rows,
-                                   self._lock_types)

@@ -22,9 +22,11 @@ Graph shape, following the paper:
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.epochs import OPEN_ENDED, EpochIndex
 from repro.core.matching import KIND_COLLECTIVE, SyncMatch
@@ -85,23 +87,25 @@ def build_dag(pre: PreprocessedTrace, matches: List[SyncMatch],
 
     # RMA ops hang between their epoch boundaries; when the opening call is
     # a collective (fence), the op starts only after the match completes
-    for rank in range(pre.nranks):
-        for event in pre.events[rank]:
-            if not (isinstance(event, CallEvent)
-                    and event.fn in RMA_COMM_CALLS):
-                continue
-            epoch = epoch_index.enclosing(
-                rank, int(event.args["win"]), event.seq,
-                int(event.args["target"]))
-            node = event_node(rank, event.seq)
-            if epoch is None:
-                continue
-            open_node = member_sync.get((rank, epoch.open_seq),
-                                        event_node(rank, epoch.open_seq))
-            g.add_edge(open_node, node, kind="epoch")
-            if epoch.close_seq != OPEN_ENDED:
-                g.add_edge(node, event_node(rank, epoch.close_seq),
-                           kind="epoch")
+    ops = [(rank, int(event.args["win"]), event.seq,
+            int(event.args["target"]))
+           for rank in range(pre.nranks) for event in pre.events[rank]
+           if isinstance(event, CallEvent) and event.fn in RMA_COMM_CALLS]
+    if ops:
+        cols = epoch_index.columns
+        epochs = epoch_index.enclosing_rows(
+            *np.array(ops, dtype=np.int64).T)
+        inside = epochs >= 0
+        found = epochs[inside]
+        for (rank, _win, seq, _target), open_seq, close_seq in zip(
+                compress(ops, inside), cols.open_seq[found].tolist(),
+                cols.close_seq[found].tolist()):
+            node = event_node(rank, seq)
+            g.add_edge(member_sync.get((rank, open_seq),
+                                       event_node(rank, open_seq)),
+                       node, kind="epoch")
+            if close_seq != OPEN_ENDED:
+                g.add_edge(node, event_node(rank, close_seq), kind="epoch")
     return g
 
 

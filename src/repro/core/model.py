@@ -373,12 +373,6 @@ class AccessModel:
         return len(self.local) + sum(len(rows)
                                      for rows in self.mems.values())
 
-    def ops_by_rank(self) -> Dict[int, List[RMAOpView]]:
-        out: Dict[int, List[RMAOpView]] = {}
-        for op in self.ops:
-            out.setdefault(op.rank, []).append(op)
-        return out
-
 
 def _lifts_buffer(event: CallEvent) -> bool:
     """Whether a :data:`_BUFFER_CALLS` call lifts to a local access: it
@@ -620,10 +614,10 @@ class OpTable:
     ========================  ==========================================
 
     Built with array operations only.  Arguments are gathered from the
-    ``K``-column value pool by shape position (binary traces) or with one
-    comprehension per argument over the decoded events (text lines, ``C``
-    frames); ranks are stacked first, so the work per rank is appending
-    its columns to a list.  Every column is validated before it is used
+    call columns' value pool by shape position (either trace format) or
+    with one comprehension per argument over the decoded events (codec
+    rows, a trace handed over as event lists); ranks are stacked first,
+    so the work per rank is appending its columns to a list.  Every column is validated before it is used
     as an index or placed: a window id, target rank, datatype id,
     communicator rank, count or address the scalar lift would refuse
     sends that call through :func:`_lift_call`, which raises the typed
@@ -663,7 +657,7 @@ class OpTable:
             rec.count("analyzer_op_rows_total", n, route=route,
                       help="Calls read into the op table, by route: "
                            "gathered from call columns, or decoded events "
-                           "(text lines, C frames)")
+                           "(codec rows, event lists)")
         for kind, n in (("op", self.n_ops), ("local", self.n_local),
                         ("interval", len(self.target_lo)
                          + len(self.local_lo))):
@@ -820,9 +814,9 @@ class OpTable:
         return self._codes.setdefault(text, len(self._codes))
 
     def _gather_events(self, tables, codec):
-        """The codec route: decoded events (text lines, ``C`` frames,
-        shapes the columnar route could not plan), one comprehension per
-        logged argument over the calls of one form."""
+        """The codec route: decoded events (codec rows, shapes the
+        columnar route could not plan, event lists), one comprehension
+        per logged argument over the calls of one form."""
         rank = np.concatenate([np.full(len(rows), r, dtype=np.int64)
                                for r, rows, _events in codec])
         row = np.concatenate([rows for _r, rows, _events in codec])

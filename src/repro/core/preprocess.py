@@ -14,7 +14,6 @@ c. **datatypes** — the data-map of every derived datatype, reconstructed
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,11 +54,12 @@ class WindowInfo:
 
 @dataclass
 class RankScan:
-    """The registry-relevant facts of one rank's trace, as picklable
-    records — the per-rank shard a preprocessing worker ships back for the
-    deterministic merge (``Comm_split`` ordering, window exposure maps,
-    and per-rank datatype tables are all order-independent across ranks
-    once each rank's own records are kept in trace order)."""
+    """The registry-relevant facts of one rank's trace, each kind of
+    record in trace order — what :func:`scan_rank` collects and
+    ``PreprocessedTrace._merge`` folds, rank by rank, into the
+    communicator, window and datatype registries (``Comm_split``
+    ordering, window exposure maps and per-rank datatype tables do not
+    depend on the order ranks are merged in)."""
 
     rank: int
     #: (win, comm, base, size, disp_unit, var-or-None), in trace order
@@ -150,10 +150,11 @@ def scan_rank(rank: int, events: Sequence[Event],
 class PreprocessedTrace:
     """All per-rank events plus the reconstructed registries.
 
-    ``events[rank]`` is a sequence of typed events: a list, or — from
-    the call-only preprocess of a binary trace — the rank's
+    ``events[rank]`` is a sequence of typed events: from the call-only
+    preprocess (either trace format) the rank's
     :class:`~repro.profiler.callcols.CallColumns`, which builds an
-    event when a row is indexed.  Phases that read call arguments pick
+    event when a row is indexed; from :func:`preprocess`, or by hand, a
+    list.  Phases that read call arguments pick
     their rows with :func:`~repro.core.calltable.calls_to`; everything
     else runs off ``call_tables``.
 
@@ -190,22 +191,6 @@ class PreprocessedTrace:
         self._merge(scans)
 
     # ------------------------------------------------------------------
-
-    def registry_view(self) -> "PreprocessedTrace":
-        """Registries-only copy for cross-process installs.
-
-        Shares the merged communicator/window/datatype registries (and
-        ``nranks``/``total_events``) with this trace but carries empty
-        per-rank event lists, so pickling it costs kilobytes instead of
-        the full call stream.  Safe wherever the consumer only resolves
-        registries — the detectors in a pool worker only call
-        :meth:`window` — and never for code that walks ``events``.
-        """
-        view = copy.copy(self)
-        view.events = {rank: [] for rank in self.events}
-        view.call_tables = None
-        view.mem_blocks = {}
-        return view
 
     def comm_members(self, comm_id: int) -> Tuple[int, ...]:
         try:
@@ -295,7 +280,9 @@ def preprocess_calls(traces: TraceSet) -> PreprocessedTrace:
     checker exploits), so the memory events — which dominate trace volume
     — are never turned into Python objects here.  Exact event totals
     still land in ``total_events`` via the readers' per-class counts
-    (free for binary traces, counted by the text decoder).
+    (free for binary traces, counted by the text decoder), and the calls
+    themselves stay columns: an event is built for the rows a phase
+    indexes.
 
     This is the batch checker's preprocess: it holds every rank's memory
     columns through detection anyway, so they ride along in

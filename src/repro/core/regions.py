@@ -48,10 +48,6 @@ class Region:
         lo, hi = self.bounds[rank]
         return lo < seq < hi
 
-    def intersects_span(self, span: Span) -> bool:
-        lo, hi = self.bounds[span.rank]
-        return span.start_seq < hi and span.end_seq > lo
-
 
 class RegionIndex:
     """All concurrent regions plus span -> region lookup."""

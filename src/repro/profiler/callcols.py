@@ -17,12 +17,15 @@ form in the footer and, per call, five columns:
 ``lists`` int64   flat pool of the int lists' elements, in value order
 ========  ======  ====================================================
 
-:class:`CallBuffer` is the writer's side (pending columns and their
-running digests); :class:`CallColumns` is the reader's — the validated
-columns of one rank as a lazy ``Sequence[CallEvent]``: an event object
-exists only for the rows something indexes, which for a batch check is
-the calls whose *arguments* a phase reads (registry, RMA and buffer
-calls); every other call stays five integers.
+:class:`CallBuffer` is the encoder (pending columns and their running
+digests): the writer's side, and that of a reader whose file holds
+calls as text records (a text trace, a v2 binary one).
+:class:`CallColumns` is what every reader hands on — the validated
+columns of one rank as a lazy
+``Sequence[CallEvent]``: an event object exists only for the rows
+something indexes, which for a batch check is the calls whose
+*arguments* a phase reads (registry, RMA and buffer calls); every other
+call stays five integers.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
+from bisect import bisect_right
 from functools import lru_cache
 from collections.abc import Sequence
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -81,15 +85,17 @@ def _form_layout(form: tuple) -> Optional[tuple]:
 
 
 class CallBuffer:
-    """The pending call columns of one :class:`TraceWriter`.
+    """The pending call columns of one :class:`TraceWriter` — or of one
+    reader putting call records into columns.
 
     :meth:`append` is the per-call hot path: one dict hit on the call's
     form ``(fn, keys, value types)`` finds the shape id and the
     positions holding strings and lists; the values then enter the
     ``array('q')`` pools at C speed — which is also the range and type
     check, an int outside int64 or a non-int list element raising there.
-    A call that does not fit is rolled back and refused (``False``), and
-    the writer frames it as a self-describing ``C`` record instead.
+    A call that does not fit is rolled back and refused (``False``):
+    the writer frames it as a self-describing ``C`` record instead, the
+    reader keeps it as a codec row.
     """
 
     def __init__(self, intern: Callable[[str], int]):
@@ -237,31 +243,33 @@ class CallColumns(Sequence):
     """One rank's call stream as validated columns and, on demand, as
     :class:`CallEvent` objects (``cols[k]``, iteration, slices).
 
-    Rows are in trace order.  ``codec`` lists the calls that were
-    written as ``C`` records — ``(columnar rows before it, decoded
-    event)`` — and each takes its place among the rows with shape id
-    ``len(shapes)``; ``codec_table`` is the :class:`CallTable` of those
-    rows alone (the codec classifies as it decodes).
+    Rows are in trace order.  ``codec`` lists the calls the columns do
+    not hold (``C`` frames of a v3 file, records the encoder refused) —
+    ``(columnar rows before it, decoded event)`` — and each takes its
+    place among the rows with shape id ``len(shapes)``.
 
     Every id and offset is checked here, once, with array operations, so
     a gather over these columns cannot index out of bounds: shape, string
     and location ids inside their tables, a value pool exactly as long
     as the shapes imply, list lengths non-negative and summing to the
     list pool.  A violation raises :class:`TraceFormatError`;
-    ``locate(row)`` words where the offending row is.
+    ``locate(row)`` words where row ``row`` of the sequence is.
     """
 
     def __init__(self, rank: int, table, shapes: List[Shape],
                  seq: np.ndarray, loc: np.ndarray, shape: np.ndarray,
                  vals: np.ndarray, lists: np.ndarray,
-                 codec: Sequence = (), codec_table=None,
+                 codec: Sequence = (),
                  locate: Callable[[int], str] = "call row {}".format):
         self.rank = rank
         self.table = table
         self.shapes = shapes
         self.vals, self.lists = vals, lists
-        self.codec_table = codec_table
         nshapes, nstrings = len(shapes), len(table.strings)
+        before = [at for at, _event in codec]
+        # the checks below run over the columnar rows alone
+        located = locate if not codec else \
+            lambda row: locate(row + bisect_right(before, row))
 
         def check_ids(ids: np.ndarray, size: int, what: str,
                       rows=None) -> None:
@@ -269,7 +277,7 @@ class CallColumns(Sequence):
             if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
                 at = int(np.argmax((ids < 0) | (ids >= size)))
                 raise TraceFormatError(
-                    f"{locate(at if rows is None else int(rows()[at]))}: "
+                    f"{located(at if rows is None else int(rows()[at]))}: "
                     f"{what} {int(ids[at])} outside table of {size}")
 
         check_ids(shape, nshapes, "shape id")
@@ -280,7 +288,7 @@ class CallColumns(Sequence):
         val_off = _offsets(widths)
         if int(val_off[-1]) != len(vals):
             raise TraceFormatError(
-                f"{locate(0)}: value pool holds {len(vals)} entries, the "
+                f"{located(0)}: value pool holds {len(vals)} entries, the "
                 f"shapes imply {int(val_off[-1])}")
         # the kind of every pool entry: its row's shape, its position
         kind_flat = np.array([k for _fn, _keys, kinds in shapes
@@ -297,21 +305,20 @@ class CallColumns(Sequence):
         lengths = vals[is_list]
         if len(lengths) and int(lengths.min()) < 0:
             at = int(entry_rows(is_list)()[np.argmax(lengths < 0)])
-            raise TraceFormatError(f"{locate(at)}: negative list length")
+            raise TraceFormatError(f"{located(at)}: negative list length")
         #: start of every list argument in ``lists``, in value order, and
         #: per pool entry the number of list arguments before it
         self.list_start = _offsets(lengths)
         if int(self.list_start[-1]) != len(lists):
             raise TraceFormatError(
-                f"{locate(0)}: list pool holds {len(lists)} entries, the "
+                f"{located(0)}: list pool holds {len(lists)} entries, the "
                 f"list lengths sum to {int(self.list_start[-1])}")
         self.list_before = _offsets(is_list)
         self.codec: Dict[int, CallEvent] = {}
         if codec:
-            at = [before for before, _event in codec]
-            seq = np.insert(seq, at, [event.seq for _b, event in codec])
-            loc = np.insert(loc, at, -1)
-            shape = np.insert(shape, at, nshapes)
+            seq = np.insert(seq, before, [event.seq for _b, event in codec])
+            loc = np.insert(loc, before, -1)
+            shape = np.insert(shape, before, nshapes)
             val_off = _offsets(width[shape])
             self.codec = dict(zip(np.nonzero(shape == nshapes)[0].tolist(),
                                   (event for _b, event in codec)))

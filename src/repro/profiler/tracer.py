@@ -24,7 +24,10 @@ Two on-disk formats (see ``docs/trace-format.md``):
 
 Readers sniff the format per file; every consumer-facing API
 (:meth:`TraceReader.__iter__`, :meth:`TraceReader.stream`, ...) behaves
-identically over both formats.
+identically over both formats, and :meth:`TraceReader.read_calls` hands
+the analyzer call columns and :class:`MemBlock` columns whichever
+format holds them: the formats differ in how bytes are parsed and in
+nothing a later phase can observe.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, takewhile
+from itertools import chain, compress, count, islice, takewhile
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -58,8 +61,8 @@ from repro.util.errors import TraceFormatError
 from repro.util.hashing import hash_file, hash_strings, stable_hash
 from repro.util.location import SourceLocation, UNKNOWN_LOCATION
 from repro.util.records import (
-    INT64_MAX, INT64_MIN, decode_record, encode_record, encode_value,
-    unescape,
+    INT64_MAX, INT64_MIN, decode_record, decode_value, encode_record,
+    encode_value, unescape,
 )
 
 TRACE_VERSION = 1        # text (v1) format version
@@ -200,9 +203,6 @@ class MemBlock:
                            access=ACCESS_NAMES[accs[i]], addr=addrs[i],
                            size=sizes[i], var=table.string(var_ids[i]),
                            loc=table.loc(loc_ids[i]))
-
-    def to_events(self) -> List[MemEvent]:
-        return list(self.iter_events())
 
 
 #: what :meth:`TraceReader.stream` yields: call events stay typed, memory
@@ -777,6 +777,96 @@ class _TextSection:
         return mems, calls, cuts
 
 
+class _CallRecords:
+    """One rank's call records — the ``C`` lines of a text trace, the
+    ``C`` frames of a binary one — read into the columns a ``K`` frame
+    maps to.
+
+    The first record with a given tail past its ``seq`` is parsed and
+    appended to a :class:`CallBuffer`, the writer's own encoder — which
+    is also the int64 and list-element check; what the encoder appended
+    is the row of every later record with that tail (loops re-issue the
+    same call endlessly).  A record the buffer refuses, or that does not
+    read as ``C seq=<int>`` and the fields the writer emits, is a *codec
+    row*: decoded and checked on its own by
+    :class:`~repro.core.calltable.CallIngest`, with :func:`decode_event`'s
+    result or error.
+    """
+
+    def __init__(self, rank: int, table: _StringTable):
+        from repro.core.calltable import CallIngest, check_call
+        self.rank, self.table = rank, table
+        self.buffer = CallBuffer(table.intern)
+        self._ingest, self._check_call = CallIngest(rank), check_call
+        #: ``(columnar rows before it, event)`` per codec row
+        self.codec: List[Tuple[int, CallEvent]] = []
+        #: tail -> its encoded row: (values, list elements, loc, shape)
+        self._tails: Dict[str, tuple] = {}
+
+    def add(self, line: str) -> None:
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[0] == "C" and \
+                parts[1].startswith("seq="):
+            row = self._tails.get(parts[2])
+            try:
+                seq = int(parts[1][4:])
+                if row is None:
+                    if self._first(parts[2], seq):
+                        return
+                else:
+                    seqs, vals, lists, locs, shapes = \
+                        self.buffer.columns.values()
+                    seqs.append(seq)    # or OverflowError, nothing added
+                    vals.extend(row[0])
+                    lists.extend(row[1])
+                    locs.append(row[2])
+                    shapes.append(row[3])
+                    return
+            except (ValueError, OverflowError):
+                pass
+        self.add_codec(line, len(self.buffer))
+
+    def add_codec(self, line: str, before: int) -> None:
+        """A record that stays a record, after ``before`` columnar rows."""
+        event = self._ingest.add(line)
+        if not isinstance(event, CallEvent):
+            raise TraceFormatError("not a call record")
+        self.codec.append((before, event))
+
+    def _first(self, rest: str, seq: int) -> bool:
+        """Encode the first record with this tail and remember its row
+        — if it reads as the writer's fields, names no second ``seq``,
+        has a location that decodes and a table row."""
+        try:
+            args: Dict[str, Any] = {}
+            for part in rest.split(" "):
+                key, raw = part.split("=", 1)
+                args[key] = decode_value(raw)
+            fn = str(args.pop("fn"))
+            loc = self.table.intern(str(args.pop("loc")))
+            self.table.loc(loc)
+            self._check_call(fn, args)
+        except (KeyError, ValueError, TraceFormatError):
+            return False
+        _seqs, vals, lists, _locs, shapes = self.buffer.columns.values()
+        at = len(vals), len(lists)
+        if "seq" in args or not self.buffer.append(fn, args, loc, seq):
+            return False
+        _keep_site(self._tails, rest,
+                   (vals[at[0]:], lists[at[1]:], loc, shapes[-1]))
+        return True
+
+    def finish(self, locate: Callable[[int], str]) -> CallColumns:
+        """The rank's :class:`CallColumns`: what the buffer holds — taken
+        over its own memory, no copy — and the codec rows."""
+        columns = {name: np.frombuffer(column, dtype=column.typecode)
+                   for name, column in self.buffer.columns.items()}
+        return CallColumns(
+            self.rank, self.table,
+            resolve_shapes(self.buffer.shapes, self.table),
+            codec=self.codec, locate=locate, **columns)
+
+
 @dataclass
 class TraceHeader:
     version: int
@@ -890,7 +980,7 @@ class TraceReader:
         self._data_pos = data_start
         self._footer_off = footer_off
         self._frames = self._index_frames(indexed)
-        self._call_cols: Optional[CallColumns] = None
+        self._call_cols: Optional[Tuple[CallColumns, Callable]] = None
 
     def _read_frame(self, pos: int) -> Tuple[bytes, bytes, int]:
         mm = self._mm
@@ -1019,7 +1109,7 @@ class TraceReader:
             for mems, calls, cuts in section:
                 yield from _interleave(rank, table, mems, calls, cuts)
             return
-        cols, mm = self._call_columns(), self._map()
+        cols, mm = self._call_columns()[0], self._map()
         frames = iter(zip(*self._frames))
         row = 0
         for kind, offset, rows in frames:
@@ -1037,59 +1127,72 @@ class TraceReader:
             yield from _interleave(rank, table, mems, calls, cuts)
 
     def read_calls(self, mems: bool = False
-                   ) -> Tuple[Sequence[CallEvent], Dict[str, int]]:
-        """One pass returning every call event plus exact per-class
+                   ) -> Tuple[CallColumns, Dict[str, int]]:
+        """One pass returning the rank's calls plus exact per-class
         event counts — the analyzer control-pass primitive, which also
         leaves the rank's :class:`~repro.core.calltable.CallTable` in
         ``self.call_table``.
 
-        Binary traces map the call columns (``K`` frames) and return
-        them as a :class:`~repro.profiler.callcols.CallColumns` — a
-        sequence that builds a :class:`CallEvent` only for the rows a
-        caller indexes — with the table gathered from the same columns
-        and the counts taken from the footer; calls framed as text
-        records (``C`` frames: what did not fit the columns, and every
-        call of a v2 file) decode through
-        :class:`~repro.core.calltable.CallIngest`.  Text traces decode
-        every call line through ``CallIngest`` and count memory lines by
-        access kind without building their columns.
+        Whatever the format, the calls come back as a
+        :class:`~repro.profiler.callcols.CallColumns` — a sequence that
+        builds a :class:`CallEvent` only for the rows a caller indexes
+        — and the table is gathered from those columns.  A binary trace
+        maps its ``K`` frames and takes the counts from the footer; the
+        call lines of a text trace are read into the same columns by
+        :class:`_CallRecords`, memory lines counted by access kind
+        without building their columns.  The one thing that is not a
+        column is a *codec row*: a call the columns cannot hold, kept
+        as its decoded event.  A rank whose call ``seq`` does not
+        increase strictly over the whole file is refused here: every
+        later pass bisects that column.
 
         ``mems`` asks for the memory events too, for a caller that would
         otherwise open the file again for :meth:`mem_blocks`: the packed
         blocks are left in ``self.call_mems`` — decoded by the same bulk
         pass (text) or mapped from the frame index (binary: views of the
         file, which stays mapped while they live)."""
-        from repro.core.calltable import CallIngest, CallTable
+        from repro.core.calltable import CallTable
         rank = self.header.rank
         if self.format == FORMAT_BINARY:
-            cols = self._call_columns()
-            if self.call_table is None:
-                self.call_table = CallTable.from_columns(cols)
+            cols, locate = self._call_columns()
             if mems:
                 self.call_mems = list(self.mem_blocks())
-            return cols, dict(self._counts)
-        ingest = CallIngest(rank)
-        section = _TextSection(self, ingest.add, columns=mems)
-        calls: List[CallEvent] = []
-        blocks: List[MemBlock] = []
-        for rows, events, _cuts in section:
-            calls.extend(events)
-            if mems and len(rows):
-                blocks.append(MemBlock(rank, self._table, rows))
-        self.call_table = ingest.finish()
-        if mems:
-            self.call_mems = blocks
-        self._counts = section.counts
-        return calls, dict(section.counts)
+        else:
+            records = _CallRecords(rank, _StringTable())
+            section = _TextSection(self, records.add, columns=mems)
+            blocks = [MemBlock(rank, self._table, rows)
+                      for rows, _calls, _cuts in section
+                      if mems and len(rows)]
+            cols, locate = records.finish(self._call_line), self._call_line
+            if mems:
+                self.call_mems = blocks
+            self._counts = section.counts
+        late = np.nonzero(cols.seq[1:] <= cols.seq[:-1])[0]
+        if len(late):
+            row = int(late[0]) + 1
+            raise TraceFormatError(
+                f"{locate(row)}: call seq {int(cols.seq[row])} follows "
+                f"{int(cols.seq[row - 1])}: seq is not strictly "
+                "increasing over the rank's calls")
+        self.call_table = CallTable.from_columns(cols)
+        return cols, dict(self._counts)
 
-    def _call_columns(self) -> CallColumns:
-        """The rank's call columns, mapped (and checked) once per
-        reader: ``K`` frames concatenate column by column, ``C`` frames
-        decode through the record codec and take their place by frame
-        order."""
+    def _call_line(self, row: int) -> str:
+        """``path:line`` of the ``row``-th call line of a text trace,
+        counted when an error needs it."""
+        self._fh.seek(self._data_pos)
+        lines = (n for n, line in enumerate(self._fh, 2)
+                 if line.startswith("C "))
+        return f"{self.path}:{next(islice(lines, row, None))}"
+
+    def _call_columns(self) -> Tuple[CallColumns, Callable[[int], str]]:
+        """A binary trace's call columns, mapped (and checked) once per
+        reader, and where a row of them sits in the file.  ``K`` frames
+        concatenate column by column and ``C`` frames take their place
+        by frame order as codec rows; a file without a ``K`` frame (v2)
+        has its ``C`` frames read into columns like text lines."""
         if self._call_cols is not None:
             return self._call_cols
-        from repro.core.calltable import CallIngest
         mm = self._map()
         try:
             shapes = resolve_shapes(self._shapes_raw, self._table)
@@ -1097,54 +1200,62 @@ class TraceReader:
             raise TraceFormatError(
                 f"{self.path}: corrupt footer at byte {self._footer_off}: "
                 f"{exc}") from exc
-        ingest = CallIngest(self.header.rank)
+        kinds, offsets, counts = self._frames
+        mapped = "K" in kinds      # else every call is a record (v2)
+        # records intern their strings: not into the table the footer
+        # digests
+        records = None if mapped and "C" not in kinds else _CallRecords(
+            self.header.rank, self._table if mapped else _StringTable())
         parts: Dict[str, list] = {name: [] for name, _ in CALL_COLUMNS}
-        codec: List[Tuple[int, CallEvent]] = []
-        firsts: List[int] = []     # per K frame: its first columnar row
-        offsets: List[int] = []    # ... and its byte offset
-        columnar = 0
-        for kind, offset, rows in zip(*self._frames):
+        firsts: List[int] = []     # per call frame: its first row,
+        frames: List[Tuple[str, int]] = []      # kind and byte offset
+        rows = columnar = 0
+        for kind, offset, count in zip(kinds, offsets, counts):
+            if kind == "M":
+                continue
+            firsts.append(rows)
+            frames.append((kind, offset))
+            rows += count
             if kind == "K":
-                for name, dtype, count, at in _call_frame(mm, offset)[1]:
-                    parts[name].append(np.frombuffer(mm, dtype, count, at))
+                for name, dtype, n, start in _call_frame(mm, offset)[1]:
+                    parts[name].append(np.frombuffer(mm, dtype, n, start))
                 seq = parts["seq"][-1]
                 if not (seq[1:] > seq[:-1]).all():
                     raise TraceFormatError(
                         f"{self.path}: K frame at byte {offset}: seq is "
                         "not strictly increasing")
-                firsts.append(columnar)
-                offsets.append(offset)
-                columnar += rows
-            elif kind == "C":
-                try:
-                    length = _U32.unpack_from(mm, offset + 1)[0]
-                    event = ingest.add(
-                        mm[offset + 5:offset + 5 + length].decode("utf-8"))
-                    if not isinstance(event, CallEvent):
-                        raise TraceFormatError("not a call record")
-                except (TraceFormatError, UnicodeDecodeError) as exc:
-                    raise TraceFormatError(
-                        f"{self.path}: C frame at byte {offset}: {exc}"
-                    ) from exc
-                codec.append((columnar, event))
+                columnar += count
+                continue
+            try:
+                length = _U32.unpack_from(mm, offset + 1)[0]
+                line = mm[offset + 5:offset + 5 + length].decode("utf-8")
+                if mapped:
+                    records.add_codec(line, columnar)
+                else:
+                    records.add(line)
+            except (TraceFormatError, UnicodeDecodeError) as exc:
+                raise TraceFormatError(
+                    f"{self.path}: C frame at byte {offset}: {exc}"
+                ) from exc
 
         def locate(row: int) -> str:
             k = max(bisect_right(firsts, row) - 1, 0)
-            return (f"{self.path}: K frame at byte {offsets[k]}, row "
-                    f"{row - firsts[k]}")
+            kind, offset = frames[k]
+            return (f"{self.path}: {kind} frame at byte {offset}"
+                    + (f", row {row - firsts[k]}" if kind == "K" else ""))
 
-        self._call_cols = CallColumns(
+        cols = records.finish(locate) if not mapped else CallColumns(
             self.header.rank, self._table, shapes,
-            codec=codec, codec_table=ingest.finish() if codec else None,
-            locate=locate if firsts else "call row {}".format,
+            codec=records.codec if records else (),
             # copies: the columns outlive the mapping
-            **{name: np.concatenate(parts[name] or
-                                    [np.empty(0, dtype=_CALL_DTYPES[code])])
-               for name, code in CALL_COLUMNS})
-        for route, n in (("columnar", columnar), ("codec", len(codec))):
+            locate=locate, **{name: np.concatenate(parts[name])
+                              for name in parts})
+        for route, n in (("columnar", cols.n - len(cols.codec)),
+                         ("codec", len(cols.codec))):
             obs.count("trace_call_rows_total", n,
                       help="Binary trace call rows read, by route",
                       route=route)
+        self._call_cols = cols, locate
         return self._call_cols
 
     def _mem_rows(self, offset: int, rows: int) -> np.ndarray:

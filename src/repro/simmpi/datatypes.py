@@ -58,10 +58,6 @@ class Datatype:
         return sum(length for _, length in self.datamap)
 
     @property
-    def is_primitive(self) -> bool:
-        return self.type_id < 0
-
-    @property
     def is_contiguous(self) -> bool:
         return self.datamap == ((0, self.size),) and self.extent == self.size
 

@@ -69,9 +69,6 @@ class MessageRouter:
     def take(self, dst_world: int, msg: Message) -> None:
         self._boxes[dst_world].remove(msg)
 
-    def pending_count(self, dst_world: int) -> int:
-        return len(self._boxes[dst_world])
-
 
 @dataclass
 class Request:

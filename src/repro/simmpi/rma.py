@@ -70,9 +70,6 @@ class RMAOp:
     #: compare_and_swap: the comparison value
     compare_value: Optional[bytes] = None
 
-    def transfer_bytes(self) -> int:
-        return self.origin_count * self.origin_dtype.size
-
 
 class DeliveryEngine:
     """Chooses, per operation, whether to deliver eagerly or lazily."""

@@ -273,9 +273,6 @@ class MPIContext:
         self._type_registry[dtype.type_id] = dtype
         return dtype
 
-    def type_by_id(self, type_id: int) -> Datatype:
-        return self._type_registry[type_id]
-
     def primitive_of(self, buf: TrackedBuffer) -> Datatype:
         return primitive_for_numpy(buf.array.dtype)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 @dataclass
@@ -34,11 +34,6 @@ class InstrumentationReport:
 
     def is_relevant(self, function: str, var: str) -> bool:
         return var in self.relevant_vars.get(function, ())
-
-    def all_relevant_vars(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset(
-            (fn, var) for fn, names in self.relevant_vars.items()
-            for var in names)
 
     def summary(self) -> str:
         lines = ["ST-Analyzer instrumentation report",

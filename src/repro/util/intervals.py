@@ -66,11 +66,6 @@ class IntervalSet:
     def single(cls, start: int, length: int) -> "IntervalSet":
         return cls([Interval(start, start + length)]) if length > 0 else cls()
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "IntervalSet":
-        """Build from ``(start, length)`` pairs (a data-map at offset 0)."""
-        return cls(Interval(s, s + n) for s, n in pairs if n > 0)
-
     @property
     def intervals(self) -> Sequence[Interval]:
         return tuple(self._ivs)

@@ -445,6 +445,39 @@ class TestEveryExecutorRejects:
             in said
 
     @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_call_seq_out_of_order(self, tmp_path, arm, fmt):
+        """A rank whose calls do not come in strictly increasing ``seq``
+        — across ``K`` frames too, where no frame check looks — is
+        refused where it is read: every control pass bisects that
+        column."""
+        import dataclasses
+        trace_dir, cache_dir = str(tmp_path / "t"), str(tmp_path / "cache")
+        traces = api.run(heat2d, 2, params=dict(rows=8, cols=4, steps=3),
+                         trace_format=fmt, trace_dir=trace_dir).traces
+        if arm == "incremental-warm":
+            assert not self._check(arm, trace_dir, cache_dir).findings
+        path = traces.path(0)
+        with TraceReader(path) as reader:
+            header, events = reader.header, reader.events()
+        calls = [k for k, event in enumerate(events)
+                 if isinstance(event, CallEvent)]
+        a, b = calls[2], calls[4]
+        events[a], events[b] = (
+            dataclasses.replace(events[a], seq=events[b].seq),
+            dataclasses.replace(events[b], seq=events[a].seq))
+        with TraceWriter(path, 0, header.nranks, app=header.app,
+                         format=fmt) as writer:
+            for event in events:
+                writer.write(event)
+        with TraceReader(path) as reader:       # the file itself is whole
+            assert reader.events() == events
+        said = self._rejected(arm, trace_dir, cache_dir, path)
+        assert "seq is not strictly increasing" in said
+        assert re.search(r"trace\.0\.log:\d+: call seq" if fmt == "text"
+                         else r"K frame at byte \d+, row \d+: call seq",
+                         said)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_partial_trace_set(self, tmp_path, arm, fmt):
         from repro.profiler import session
         from repro.simmpi.runtime import World

@@ -137,6 +137,23 @@ def reference(text, check_int64, calls=True):
     return events, None
 
 
+def seq_order_error(text):
+    """``(lineno, message)`` of the first call line of a section that
+    decodes whose seq does not exceed the call's before it — what
+    ``read_calls`` refuses once every line has decoded."""
+    last = None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), 2):
+        if line.startswith("C "):
+            seq = decode_event(0, line).seq
+            if last is not None and seq <= last:
+                return lineno, (f"call seq {seq} follows {last}: seq is "
+                                "not strictly increasing over the rank's "
+                                "calls")
+            last = seq
+    return None
+
+
 def outcome(path, read):
     """``read(reader)``'s result, or the error it raises."""
     try:
@@ -214,9 +231,14 @@ def test_prop_bulk_decode_equals_per_line_decode(tmp_path_factory, text):
     else:
         assert raised == located(error)
 
+    def read_calls(reader, **kwargs):
+        calls, counts = reader.read_calls(**kwargs)
+        return list(calls), counts
+
     # the call pass: memory lines are counted, never range-checked ...
     events, error = reference(text, check_int64=False)
-    got, raised = outcome(path, lambda r: r.read_calls())
+    error = error or seq_order_error(text)
+    got, raised = outcome(path, read_calls)
     if error is None:
         assert raised is None and got == calls_and_counts(events)
     else:
@@ -224,14 +246,103 @@ def test_prop_bulk_decode_equals_per_line_decode(tmp_path_factory, text):
 
     # ... unless it also decodes them, for a caller that wants both
     events, error = reference(text, check_int64=True)
+    error = error or seq_order_error(text)
     got, raised = outcome(path, lambda r: (
-        r.read_calls(mems=True),
+        read_calls(r, mems=True),
         [row for block in r.call_mems for row in zip(*block.columns())]))
     if error is None:
         assert raised is None
         assert got == (calls_and_counts(events), packed(events)[0])
     else:
         assert raised == located(error)
+
+
+# ----------------------------------------------------------------------
+# call lines the column encoder refuses
+# ----------------------------------------------------------------------
+
+BEYOND = 10 ** 20
+#: what is done to a call line -> whether the line, if it still
+#: decodes and classifies, must be a codec row
+SPOILERS = {
+    None: False,
+    " pad={}".format(BEYOND): True,              # an int beyond int64
+    " pads=@1,{}".format(BEYOND): True,          # ... inside a list
+    "win={}".format(BEYOND): True,               # ... where a row reads it
+    "win=$x": False,          # a string where a control argument is read
+    "win=$12": False,         # ... one that reads as an int
+    " win=3": False,      # a key twice: the codec's last-one-wins
+    " seq=7": True,       # ... but a second seq changes the row's order
+    " pads=@1,x": True,                          # not an int list
+}
+
+control_calls = st.sampled_from([
+    ("Win_fence", {"win": 1}), ("Barrier", {"comm": 0, "win": 1}),
+    ("Put", {"win": 1, "target": 0, "var": "a b"}),
+    ("Win_post", {"win": 1, "group": (0, 2)}),
+    ("Win_lock", {"win": 1, "target": 1, "lock_type": "shared"}),
+    ("Win_lock", {"win": 1, "target": 1, "lock_type": "odd"})])
+
+
+@given(st.lists(st.tuples(control_calls, st.sampled_from(list(SPOILERS)),
+                          locations), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_prop_refused_call_lines_are_codec_rows(tmp_path_factory, drawn):
+    """A call line the columns cannot hold is decoded and classified by
+    the record codec, one by one: its event, its table row — or its
+    error, with the file and the line — are those of ``decode_event``
+    and ``classify_call``; every other line is a columnar row."""
+    from repro.core.calltable import CallTable, classify_call
+    lines, codec_lines = [], []
+    for k, ((fn, args), spoiler, loc) in enumerate(drawn):
+        line = CallEvent(0, 10 * k, fn, args, loc).encode()
+        if spoiler is not None:
+            line = (line.replace("win=1", spoiler) if spoiler[0] != " "
+                    else line + spoiler)
+        lines.append(line)
+        if SPOILERS[spoiler]:
+            codec_lines.append(k)
+    path = str(tmp_path_factory.mktemp("t") / "trace.0.log")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(HEADER + "".join(line + "\n" for line in lines))
+
+    events, expected = [], None
+    for lineno, line in enumerate(lines, 2):
+        try:
+            event = decode_event(0, line)
+            row, _lock = classify_call(event.fn, event.args)
+            if not all(INT64_MIN <= value <= INT64_MAX for value in
+                       (event.seq, *row[:10], *row[10])):
+                raise TraceFormatError(
+                    f"call record {event.fn!r} at seq {event.seq} has a "
+                    "field outside int64")
+        except TraceFormatError as exc:
+            expected = TraceFormatError, f"{path}:{lineno}: {exc}"
+            break
+        except ValueError as exc:       # the codec's own, never located
+            expected = ValueError, str(exc)
+            break
+        events.append(event)
+    if expected is None and \
+            any(b.seq <= a.seq for a, b in zip(events, events[1:])):
+        return          # a doubled seq out of order: the other property
+
+    with TraceReader(path) as reader:
+        if expected is not None:
+            with pytest.raises(expected[0]) as err:
+                reader.read_calls()
+            assert str(err.value) == expected[1]
+            return
+        cols, counts = reader.read_calls()
+        table = reader.call_table
+    assert list(cols) == events and counts["call"] == len(events)
+    assert sorted(cols.codec) == codec_lines
+    reference = CallTable.from_events(0, events)
+    for name in ("seq", "fn", "cls", "comm", "win", "peer", "tag", "req",
+                 "req_kind", "target", "lock", "group_off", "group_val"):
+        assert getattr(table, name).tolist() == \
+            getattr(reference, name).tolist(), name
+    assert table.lock_types == reference.lock_types
 
 
 def test_canonical_section_takes_the_bulk_route(tmp_path):

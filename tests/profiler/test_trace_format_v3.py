@@ -5,11 +5,11 @@
   that forces the codec route — interleaved with memory rows survive
   both writer lanes with equal decoded events, equal ``stream()`` order
   and equal ``digests()`` wherever the writer cut its segments;
-* the lazy ``CallColumns`` a binary ``read_calls`` returns equals,
-  element by element, the list ``CallIngest`` decodes from the same
-  calls as text, and ``CallTable.from_columns`` equals
-  ``CallTable.from_events`` column by column, on the Table II corpus,
-  LU, heat2d and three generated programs;
+* the lazy ``CallColumns`` ``read_calls`` returns for a text and for a
+  binary file of one run equal, element by element, the per-line
+  ``decode_event`` of the text file, and ``CallTable.from_columns`` of
+  either equals ``CallTable.from_events`` column by column, on the
+  Table II corpus, LU, heat2d and three generated programs;
 * a v2 trace set written by the commit before v3 still checks to the
   same canonical report, and ``tools/trace_filter`` upgrades it to v3
   losslessly.
@@ -179,6 +179,27 @@ def test_malformed_control_argument_is_typed(tmp_path, args):
                 reader.read_calls()
 
 
+def test_unplannable_shape_of_a_text_keyed_call_is_classified(tmp_path):
+    """``Win_lock``'s row depends on the text of ``lock_type``; a shape
+    of it that also logs ``win`` as a string has no plan, and its rows
+    are classified one by one — from either format."""
+    calls = [CallEvent(0, 0, "Win_lock", {"win": 1, "target": 1,
+                                          "lock_type": "shared"}, LOCS[0]),
+             CallEvent(0, 1, "Win_lock", {"win": "12", "target": 0,
+                                          "lock_type": "odd"}, LOCS[0])]
+    expected = CallTable.from_events(0, calls)
+    assert expected.win.tolist() == [1, 12]
+    for fmt in ("binary", "text"):
+        path = str(tmp_path / f"trace.0.{fmt}")
+        with TraceWriter(path, 0, 1, format=fmt) as writer:
+            for call in calls:
+                writer.write(call)
+        with TraceReader(path) as reader:
+            cols, _counts = reader.read_calls()
+            assert not cols.codec and list(cols) == calls
+            assert_tables_equal(reader.call_table, expected)
+
+
 def test_digest_tells_content_apart(tmp_path):
     """Same shapes, one value changed: only the ``calls`` digest moves."""
     def written(value):
@@ -263,26 +284,39 @@ def corpus():
 @pytest.mark.parametrize("name,profile", list(corpus()),
                          ids=[name for name, _ in corpus()])
 def test_columns_equal_codec(tmp_path, name, profile):
+    """Either format's ``read_calls`` hands over the same thing: lazy
+    columns whose events are the per-line ``decode_event`` of the text
+    file, and one ``CallTable``, column by column."""
     binary = profile(str(tmp_path / "bin"), "binary").traces
     text = profile(str(tmp_path / "text"), "text").traces
     for rank in range(binary.nranks):
+        decoded = [event for event in text.events(rank)
+                   if isinstance(event, CallEvent)]
         with text.reader(rank) as reader:
-            decoded, text_counts = reader.read_calls()
+            lines, text_counts = reader.read_calls()
+            text_table = reader.call_table
         with binary.reader(rank) as reader:
             lazy, counts = reader.read_calls()
             table = reader.call_table
             assert "C" not in reader._frames[0]
         assert counts == text_counts
-        assert isinstance(decoded, list) and isinstance(lazy, CallColumns)
-        assert len(lazy) == len(decoded)
-        for k, event in enumerate(decoded):
-            assert lazy[k] == event
         assert_tables_equal(table, CallTable.from_events(rank, decoded))
-        # what a pool worker ships when the parent needs the calls: the
-        # columns, not the objects built from them so far
-        shipped = pickle.loads(pickle.dumps(lazy))
-        assert not shipped._events and list(shipped) == decoded
-        assert_tables_equal(CallTable.from_columns(shipped), table)
+        assert_tables_equal(text_table, table)
+        for cols in (lines, lazy):
+            assert isinstance(cols, CallColumns) and not cols.codec
+            assert len(cols) == len(decoded)
+            for k, event in enumerate(decoded):
+                assert cols[k] == event
+            # what a pool worker ships when the parent needs the calls:
+            # the columns, not the objects built from them so far
+            shipped = pickle.loads(pickle.dumps(cols))
+            assert not shipped._events and list(shipped) == decoded
+            assert_tables_equal(CallTable.from_columns(shipped), table)
+        # the same shapes in the same order: a text line is read by the
+        # encoder that wrote the K frame
+        assert lines.shapes == lazy.shapes
+        np.testing.assert_array_equal(lines.shape, lazy.shape)
+        np.testing.assert_array_equal(lines.lists, lazy.lists)
 
 
 def test_lazy_columns_build_only_what_is_read(tmp_path):
@@ -311,7 +345,8 @@ def test_v2_fixture_checks_to_the_same_report(tmp_path):
     with traces.reader(0) as reader:
         assert reader.header.version == 2
         assert set(reader._frames[0]) == {"C", "M"}
-        assert isinstance(reader.read_calls()[0], CallColumns)
+        cols, _counts = reader.read_calls()
+        assert isinstance(cols, CallColumns) and not cols.codec
     assert canonical_report(api.check(FIXTURE)) == expected
     for extra in (dict(streaming=True), dict(jobs=2),
                   dict(incremental=True, cache_dir=str(tmp_path / "c"))):
