@@ -36,11 +36,6 @@ DEFAULT_CURRENT = os.path.join(REPO_ROOT, "benchmarks", "results")
 #: optimization must preserve at any scale.
 _METRICS: Dict[str, List[Tuple[str, Tuple[object, ...], str,
                                Optional[float]]]] = {
-    "incremental": [
-        ("warm_speedup", ("warm_speedup",), "higher", 3.0),
-        ("cold_seconds", ("cold_seconds",), "lower", None),
-        ("warm_seconds", ("warm_seconds",), "lower", None),
-    ],
     "flight_recorder": [
         ("overhead_pct", ("overhead_pct",), "lower", 10.0),
     ],

@@ -55,6 +55,11 @@ class CheckConfig:
             if not self.cache_dir:
                 raise ValueError(
                     "incremental checking requires cache_dir")
+            if os.path.exists(self.cache_dir) \
+                    and not os.path.isdir(self.cache_dir):
+                raise ValueError(
+                    f"cache_dir {self.cache_dir!r} exists and is not a "
+                    "directory")
             if self.streaming:
                 raise ValueError(
                     "incremental checking is incompatible with streaming")

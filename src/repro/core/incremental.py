@@ -1,68 +1,64 @@
 """Incremental checking with a content-addressed result cache.
 
-MC-Checker's workflow is profile-then-analyze, and the same trace set is
-typically analyzed many times — after a re-run that perturbed only a few
-ranks, while bisecting with ``minimize``, or under CI.  This module makes
-the warm path cheap: findings are cached per *shard* (a group of
-concurrent regions) under a key derived purely from the shard's inputs,
-so a warm ``check`` re-runs the sweep detectors only for shards whose
-inputs changed and merges cached and fresh findings into a report that is
-byte-identical to a cold run.
+The same trace set is typically analyzed many times — after a re-run
+that perturbed a few ranks, while bisecting with ``minimize``, under CI.
+Findings are cached per *shard* (a group of concurrent regions) under a
+key derived purely from the shard's inputs, so a warm ``check`` re-runs
+the sweep detectors only for shards whose inputs changed, and its report
+is byte-identical to a cold run's (``docs/api.md``, "Incremental
+checking", walks through a run).
 
 It is a memoising policy over the shard plan (:mod:`repro.core.plan`):
 control pass, cut, kernel units, kernels and cold-order merge are the
-plan's, shared with the pooled and the streaming executor; what lives
-here is digests, shard keys, the manifest, resolving keys against the
-store, and the whole-report fast path.  Only *dirty* shards pay for a
-re-analysis: their units alone enter the kernels, and memory rows
-become kernel columns only for the ranks they read (with ``jobs > 1``,
-as chunks over the worker pool).
+plan's; what lives here is digests, shard keys, the manifest, resolving
+keys against the store, and the two cache levels:
 
-Two cache levels stack:
-
-* **the whole-report fast path** — the run manifest records every
-  rank's full-trace content digest alongside the finished (deduplicated)
-  report.  When all digests and the engine version match, the stored
-  report is served outright: identical inputs produce identical output,
-  so even the control pass is skipped and a fully warm run costs one
-  hashing pass over the files (a digest is verified, never just read);
+* **the whole-report fast path** — the manifest records every rank's
+  content digest beside the finished (deduplicated) report; when all
+  digests and the engine version match, that report is served and even
+  the control pass is skipped: a fully warm run costs one hashing pass
+  over the files (a digest is verified, never just read);
 * **the per-shard cache** — when any rank changed, the control pass
   re-runs (invalidation soundness is decided fresh, never cached) and
-  only the shards whose content keys moved are re-analyzed.  The manifest
-  (read once per run) holds every shard key of the run that wrote it and
-  which of them had findings, so a clean shard without findings — in a
-  race-free program, every one — is served from memory; the shard store,
-  one file per key, is read only for the shards that had findings and
-  for keys the manifest does not hold (an older run's shards).
+  only the shards whose keys moved are re-analyzed.  The manifest holds
+  every shard key of the run that wrote it and which had findings, so a
+  shard without findings — in a race-free program, every one — is
+  served from memory.  What a run analyzes it publishes as one *pack*
+  (:mod:`repro.util.cachestore`): every key it computed, with the
+  findings of those that had any.  Packs are opened — until every
+  wanted key is found — for shards that had findings and for keys the
+  manifest does not hold (an older run's); a corrupt pack is dropped
+  and what it may have held recomputed.
 
 How the cache key covers every detector input
 ---------------------------------------------
 
-A shard's findings are produced by the sweep kernels
-``check_epochs_sweep`` (its access epochs) and ``detect_regions_sweep``
-(its regions), which return findings *per unit* — so all dirty shards of
-a run (or of a pool chunk) go through one kernel call and are split back
-per shard (:func:`~repro.core.plan.run_shards`).  A key is one
-SHA-256 (:func:`~repro.util.hashing.hash_ranges`, every piece
-length-prefixed) over a run-wide prefix and the shard's own bytes:
+A shard's findings are what the two sweep kernels find in its epochs
+and regions (:func:`~repro.core.plan.run_shards`).  A key is one SHA-256
+(:func:`~repro.util.hashing.hash_ranges`, every piece length-prefixed)
+over a run-wide prefix and the shard's own bytes:
 
 * **the shard's calls** — ops, attached/plain call-derived locals, and
-  epoch structure all lift from call events.  Covered, per rank, by the
-  *slice digest*: the canonical encoding of the call events with ``lo <
-  seq <= hi`` (inclusive upper bound: the global cut that *closes* a
-  region maps to that region via :meth:`RegionIndex.region_of_seq`, and
-  its buffer arguments feed that region's locals);
+  epoch structure all lift from calls.  Covered, per rank, by the *slice
+  digest* (:func:`slice_digests`) over the call columns of the rows with
+  ``lo < seq <= hi`` (inclusive upper bound: the global cut that
+  *closes* a region maps to that region via
+  :meth:`RegionIndex.region_of_seq`, and its buffer arguments feed that
+  region's locals): ``seq``, the value and list pools, and for every
+  shape, location and string id the digest of the table entry it names
+  — so no event is built, and a slice does not depend on what else the
+  rank's tables hold;
 * **the shard's memory rows** — the slice digest continues over the
   packed rows with ``lo < seq < hi`` and starts from the rank's
   string-table digest (``var``/``loc`` ids are table-relative).  The key
   holds one slice digest per rank; the manifest records them with their
-  bounds, and a rank whose file is byte-identical to the one it describes
-  reuses them — its calls are not encoded, its rows not read;
+  lower bounds, and a rank whose file is byte-identical to the one it
+  describes reuses them — its columns are not hashed, its rows not read;
 * **region and epoch structure** — the first and last region index and
   every bound of every region in between (rows of the cut matrix); every
   epoch (access or exposure), grouped into the shard holding its
-  interior (see below), as a row of numbers plus its PSCW group — which
-  also covers the lock index (a pure function of the epoch list);
+  interior, as a row of numbers plus its PSCW group — which also covers
+  the lock index (a pure function of the epoch list);
 * **the registries** — window bases/sizes, communicators, and datatypes
   may be created by calls *anywhere* in the trace but affect lifted
   intervals everywhere, so one global registry digest is in the prefix
@@ -99,7 +95,6 @@ serialized *before* the merge.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -108,7 +103,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.calltable import ensure_call_tables
 from repro.core.checker import (
     CheckReport, CheckStats, publish_report_obs, run_control_pass,
 )
@@ -117,32 +111,29 @@ from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, annotate_context,
     dedupe, sort_findings,
 )
+from repro.core.matching import match_columns
 from repro.core.parallel import detect_shards
-from repro.core.plan import ControlState, ShardPlan, _RowLoader, phase_timer
+from repro.core.plan import (
+    ControlState, ShardPlan, SharedReaders, _RowLoader, phase_timer,
+)
+from repro.profiler.callcols import CallColumns
 from repro.profiler.tracer import MEM_DTYPE, TraceSet
-from repro.util.cachestore import CORRUPT, HIT, CacheStore
+from repro.util.cachestore import CORRUPT, HIT, MISS, CacheStore
 from repro.util.hashing import hash_ranges, stable_hash
 from repro.util.intervals import expand_ranges
 
-#: bump whenever detector semantics or the key layout change — it is part
-#: of every shard key, so stale findings can never be served across
-#: engine revisions ("2": finding payloads gained the provenance record;
-#: "3": call-table control phases; "4": array-built keys, findings keyed
-#: by shard-local position, checksummed store entries; "5": binary
-#: traces v3 — the ``calls`` digest is per column)
-ENGINE_VERSION = "5"
-MANIFEST_VERSION = 2
+#: bump whenever detector semantics, the key layout or the manifest
+#: layout change — it is part of every shard key and of the manifest, so
+#: stale findings can never be served across engine revisions
+ENGINE_VERSION = "6"
 
-_SHARDS = "shards"
-_MANIFESTS = "manifests"
 _STATS = ("nranks", "events", "rma_ops", "local_accesses", "sync_matches",
           "regions", "epochs")
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
-#: what a shard without findings stores
-_NOTHING = {"intra": [], "inter": []}
 #: one rank's slice of one shard: its calls have ``lo < seq <= hi``, its
-#: memory rows ``lo < seq < hi``, and ``digest`` covers both
-_SLICE = np.dtype([("lo", "<i8"), ("hi", "<i8"), ("digest", "u1", (32,))])
+#: memory rows ``lo < seq < hi`` — ``hi`` being the next shard's ``lo``,
+#: for shards tile the trace — and ``digest`` covers both
+_SLICE = np.dtype([("lo", "<i8"), ("digest", "u1", (32,))])
 
 
 # ----------------------------------------------------------------- plan
@@ -163,43 +154,44 @@ class CachePlan:
 
 @dataclass
 class _Manifest:
-    """The previous run's record, decoded once.  ``current`` is false
-    for another engine revision's: only ``spans`` is filled then."""
+    """The previous run's record, decoded once.  Another engine
+    revision's keeps ``spans`` only — what tells a changed key from a
+    new one — and so matches no rank and serves nothing."""
 
     #: (first, last) region span -> shard key
     spans: Dict[Tuple[int, int], str]
-    current: bool
     ranks: Dict[int, str] = field(default_factory=dict)
-    report: dict = field(default_factory=dict)
-    #: keys of the shards that had findings (stored under the key)
-    found: frozenset = frozenset()
-    #: rank -> its :data:`_SLICE` records, one per shard
-    slices: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: the finished report: deduplicated findings, ``CheckStats`` sizes
+    findings: List[ConsistencyError] = field(default_factory=list)
+    sizes: Dict[str, int] = field(default_factory=dict)
+    #: keys of the shards that had no findings: served from memory
+    clean: frozenset = frozenset()
+    #: ``(nranks, n_shards)`` :data:`_SLICE` records
+    slices: Optional[np.ndarray] = None
 
     @classmethod
     def load(cls, store: CacheStore, cfg_key: str) -> Optional["_Manifest"]:
         """``None`` for a missing, corrupt, or mis-shaped manifest — the
         run then re-derives everything and writes a fresh one."""
-        payload, _status = store.load(_MANIFESTS, cfg_key)
-        if payload is None:
-            return None
+        payload, blob, _status = store.load("manifest", cfg_key)
         try:
-            shards = payload["shards"]
-            spans = {(int(first), int(last)): str(key) for first, last, key
-                     in zip(shards["first"], shards["last"], shards["keys"])}
-            manifest = cls(spans, current=(
-                payload["engine_version"] == ENGINE_VERSION
-                and payload["version"] == MANIFEST_VERSION
-                and len(spans) == len(shards["keys"])))
-            if manifest.current:
+            shards, report = payload["shards"], payload["report"]
+            keys = [str(key) for key in shards["keys"]]
+            manifest = cls(dict(zip(zip(map(int, shards["first"]),
+                                        map(int, shards["last"])), keys)))
+            if payload["engine_version"] == ENGINE_VERSION \
+                    and len(manifest.spans) == len(keys):
                 manifest.ranks = {int(r): str(d)
                                   for r, d in payload["ranks"].items()}
-                manifest.report = dict(payload["report"])
-                manifest.found = frozenset(shards["found"])
-                manifest.slices = {
-                    int(rank): np.frombuffer(base64.b64decode(table),
-                                             dtype=_SLICE)
-                    for rank, table in payload["slices"].items()}
+                manifest.findings = [ConsistencyError.from_payload(p)
+                                     for p in report["findings"]]
+                manifest.sizes = {name: report["stats"][name]
+                                  for name in _STATS}
+                if {type(v) for v in manifest.sizes.values()} != {int}:
+                    raise TypeError("a size that is not an int")
+                manifest.clean = frozenset(keys) - frozenset(shards["found"])
+                manifest.slices = np.frombuffer(blob, dtype=_SLICE).reshape(
+                    len(manifest.ranks), len(keys))
         except _DECODE_ERRORS:
             return None
         return manifest
@@ -208,16 +200,21 @@ class _Manifest:
 # ----------------------------------------------------- canonical digests
 
 
-def _encode_calls(events) -> Tuple[bytes, np.ndarray]:
-    """One rank's call events in canonical form, back to back, and the
-    ``n + 1`` byte offsets of the events in it.  A ``repr`` of ints,
-    strings and tuples of them parses back to the values it was made
-    from, so two different slices of events never share bytes."""
-    chunks = [repr((e.seq, e.fn, e.args, e.loc.filename, e.loc.lineno,
-                    e.loc.function)).encode("utf-8") for e in events]
-    at = np.zeros(len(chunks) + 1, dtype=np.int64)
-    np.cumsum([len(chunk) for chunk in chunks], out=at[1:])
-    return b"".join(chunks), at
+def slice_digests(cols: CallColumns, rows: np.ndarray, strings: str,
+                  lo: np.ndarray, hi: np.ndarray) -> List[bytes]:
+    """One rank's slice digest per ``(lo, hi)`` seq bounds: what its
+    call columns hold for ``lo < seq <= hi`` (no table id in it:
+    :meth:`CallColumns.content_ranges`) and its packed memory ``rows``
+    with ``lo < seq < hi``, ``strings`` being the digest of the table
+    their ids index."""
+    row_seq = np.ascontiguousarray(rows["seq"])
+    width = MEM_DTYPE.itemsize
+    return hash_ranges(bytes.fromhex(strings), [
+        *cols.content_ranges(np.searchsorted(cols.seq, lo, side="right"),
+                             np.searchsorted(cols.seq, hi, side="right")),
+        (rows.view(np.uint8),
+         np.searchsorted(row_seq, lo, side="right") * width,
+         np.searchsorted(row_seq, hi) * width)])
 
 
 def _registry_digest(pre) -> str:
@@ -245,28 +242,31 @@ def _registry_digest(pre) -> str:
 def _sync_fingerprints(control: ControlState) -> np.ndarray:
     """``fp[r]`` (32 bytes each) = rolling hash over matches whose
     minimum participant region is ``<= r`` (the prefix the soundness
-    argument needs)."""
-    regions = control.regions
-    n, nranks = len(regions), control.pre.nranks
-    buckets: List[List[bytes]] = [[] for _ in range(n)]
-    for match in control.matches:
-        if match.is_global(nranks):  # a cut: one region at every rank
-            r_min = regions.region_of_seq(0, match.members[0])
-        else:
-            r_min = min((regions.region_of_seq(rank, seq)
-                         for rank, seq in match.participants()), default=0)
-        buckets[min(r_min, n - 1)].append(repr((
-            match.kind, match.fn, sorted(match.members.items()), match.src,
-            match.dst, match.comm_id, match.win_id, match.index,
-            sorted(match.exits.items()))).encode("utf-8"))
-    fps = []
-    running = b"sync-fp-v2"
-    for bucket in buckets:
-        link = hashlib.sha256(running)
-        for canon in sorted(bucket):
-            link.update(b"%d:" % len(canon))
-            link.update(canon)
-        running = link.digest()
+    argument needs).  A region's matches are hashed as the rows of the
+    two :func:`~repro.core.matching.match_columns` tables in sorted
+    order, so the fingerprint is a function of the match set, not of
+    the order it was found in."""
+    regions, n = control.regions, len(control.regions)
+    head, part = match_columns(control.matches)
+    # every participant as (match, rank, seq): members, exits, src, dst
+    ends = np.column_stack([np.tile(np.arange(len(head)), 2),
+                            np.concatenate([head[:, 5:7], head[:, 7:9]])])
+    who = np.concatenate([part[:, [0, 2, 3]], ends[ends[:, 1] >= 0]])
+    bucket = np.full(len(head), n - 1)
+    np.minimum.at(bucket, who[:, 0], regions.regions_of_spans(
+        who[:, 1], who[:, 2], who[:, 2])[0])
+
+    streams = []
+    # a member row names its match by (comm, slot): one collective each
+    for table, of in ((head, bucket), (np.column_stack([
+            head[part[:, 0]][:, [2, 4]], part[:, 1:]]), bucket[part[:, 0]])):
+        order = np.lexsort((*table.T[::-1], of))
+        at = np.searchsorted(of[order], np.arange(n + 1)) \
+            * 8 * table.shape[1]
+        streams.append((table[order].reshape(-1), at[:-1], at[1:]))
+    fps, running = [], b""
+    for link in hash_ranges(b"sync-fp-v3", streams):
+        running = hashlib.sha256(running + link).digest()
         fps.append(running)
     return np.frombuffer(b"".join(fps), dtype=np.uint8).reshape(n, 32)
 
@@ -279,35 +279,36 @@ class IncrementalChecker:
     the dirty shards, merge byte-identically."""
 
     def __init__(self, traces: TraceSet, config: CheckConfig):
-        if not config.incremental or not config.cache_dir:
+        if not config.incremental:
             raise ValueError(
                 "IncrementalChecker requires CheckConfig(incremental=True,"
                 " cache_dir=...)")
-        self.traces = traces
+        #: every pass of a run shares one reader per rank file
+        self.traces = SharedReaders(traces)
         self.config = config
         self.jobs = resolve_jobs(config.jobs)
         self.store = CacheStore(config.cache_dir)
         # populated by run(); public for tests
         self.control: Optional[ControlState] = None
         self.plan: Optional[CachePlan] = None
-        self.loader = _RowLoader(traces)
+        self.loader = _RowLoader(self.traces)
         #: indices (into the plan's arrays) of the shards re-analyzed
         self.dirty_shards: List[int] = []
-        self._shard_files_read = 0
+        self._packs_read = 0
         self._calls_lifted = 0
+        self._write_failed = False
 
     def work(self) -> Dict[str, int]:
         """What the run did beyond the control pass, in exact counts:
-        lifted calls inside the shards it re-analyzed, shard-store
-        entries it tried to read, and memory rows read from the
-        traces."""
+        lifted calls inside the shards it re-analyzed, packs it opened
+        (``shard_files_read``), and memory rows read from the traces."""
         return {"calls_lifted": self._calls_lifted,
-                "shard_files_read": self._shard_files_read,
+                "shard_files_read": self._packs_read,
                 "rows_loaded": self.loader.rows_loaded}
 
     def run(self) -> CheckReport:
         with obs.span("analyzer.run", memory_model=self.config.memory_model,
-                      incremental=True) as run_span:
+                      incremental=True) as run_span, self.traces:
             report = self._run_phases()
         publish_report_obs(report, run_span.duration)
         return report
@@ -323,7 +324,19 @@ class IncrementalChecker:
         findings = timed("resolve", lambda: self._whole_report(
             manifest, whole, rec, stats))
         if findings is None:
-            findings = self._shard_path(manifest, whole, timed, rec, stats)
+            control = self.control = run_control_pass(self.traces, stats,
+                                                      timed)
+            plan = self.plan = timed(
+                "plan", lambda: self._build_plan(control, whole, manifest))
+            resolved, dirty = timed(
+                "resolve", lambda: self._resolve(plan, manifest, rec))
+            self.dirty_shards = dirty
+            resolved.update(timed(
+                "detect", lambda: self._detect(control, plan, dirty),
+                shards=len(dirty), jobs=self.jobs))
+            plan.shards.publish_obs(len(dirty))
+            findings = timed(
+                "merge", lambda: self._merge(plan, resolved, stats))
         if rec.enabled:
             for name, value in self.work().items():
                 rec.count(f"incremental_{name}_total", value,
@@ -336,25 +349,9 @@ class IncrementalChecker:
         warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
         return CheckReport(errors=errors, warnings=warnings, stats=stats)
 
-    def _shard_path(self, manifest, whole, timed, rec,
-                    stats: CheckStats) -> List[ConsistencyError]:
-        control = self.control = run_control_pass(self.traces, stats, timed)
-        plan = self.plan = timed(
-            "plan", lambda: self._build_plan(control, whole, manifest))
-        resolved, dirty = timed(
-            "resolve", lambda: self._resolve(plan, manifest, rec))
-        self.dirty_shards = dirty
-        resolved.update(timed(
-            "detect", lambda: self._detect(control, plan, dirty),
-            shards=len(dirty), jobs=self.jobs))
-        plan.shards.publish_obs(len(dirty))
-        return timed("merge", lambda: self._merge(plan, resolved, stats))
-
     def _cfg_key(self) -> str:
-        # "engine" is part of the key format (manifest file names)
         return stable_hash({"kind": "incremental-manifest",
                             "memory_model": self.config.memory_model,
-                            "engine": "sweep",
                             "nranks": self.traces.nranks})
 
     def _rank_digests(self) -> Dict[int, str]:
@@ -366,33 +363,39 @@ class IncrementalChecker:
                 whole[rank] = reader.content_digest(verify=True)
         return whole
 
+    def _publish(self, kind: str, key: str, payload: dict,
+                 blob: bytes = b"") -> None:
+        """Store an entry.  A cache that cannot be written (disk full,
+        directory gone) costs the next run its reuse, never this run its
+        report: the error is counted, and logged once per run."""
+        try:
+            self.store.store(kind, key, payload, blob)
+        except OSError as exc:
+            obs.count("incremental_cache_write_errors_total", kind=kind,
+                      help="Cache entries that could not be published")
+            if not self._write_failed:
+                obs.get_logger().warning(
+                    f"incremental cache: cannot write {kind} under "
+                    f"{self.store.root}: {exc}")
+            self._write_failed = True
+
     def _whole_report(self, manifest: Optional[_Manifest],
                       whole: Dict[int, str], rec, stats: CheckStats
                       ) -> Optional[List[ConsistencyError]]:
         """Whole-report fast path: if every rank's full-trace content
         digest matches the manifest's (and the engine version is
-        current), the stored deduplicated report *is* this run's report.
-        Any mismatch or decode error falls through to the shard path."""
-        if manifest is None or not manifest.current \
-                or manifest.ranks != whole:
+        current), the stored deduplicated report *is* this run's report;
+        else the shard path decides."""
+        if manifest is None or manifest.ranks != whole:
             return None
-        try:
-            findings = [ConsistencyError.from_payload(p)
-                        for p in manifest.report["findings"]]
-            sizes = {name: manifest.report["stats"][name]
-                     for name in _STATS}
-            if any(type(value) is not int for value in sizes.values()):
-                return None
-        except _DECODE_ERRORS:
-            return None
-        for name, value in sizes.items():
+        for name, value in manifest.sizes.items():
             setattr(stats, name, value)
         if rec.enabled:
             rec.count("incremental_cache_shards_total", len(manifest.spans),
                       outcome="hit", help="Shard cache lookups by outcome")
             rec.count("incremental_regions_total", stats.regions,
                       state="clean", help="Regions reused vs re-analyzed")
-        return annotate_context(findings, cache="manifest")
+        return annotate_context(manifest.findings, cache="manifest")
 
     # ------------------------------------------------------------- plan
 
@@ -407,16 +410,13 @@ class IncrementalChecker:
         slices = np.stack([
             self._slice_digests(
                 control, rank, shards.lo[rank], shards.hi[rank],
-                manifest.slices.get(rank) if manifest is not None
+                manifest.slices[rank] if manifest is not None
                 and manifest.ranks.get(rank) == whole[rank] else None)
             for rank in range(nranks)])
 
-        # "engine" is part of the key format: dropping it would rename
-        # every shard file and send existing caches cold
         prefix = json.dumps({
             "kind": "incremental-shard", "engine_version": ENGINE_VERSION,
-            "memory_model": self.config.memory_model,
-            "engine": "sweep", "nranks": nranks,
+            "memory_model": self.config.memory_model, "nranks": nranks,
             "registry": _registry_digest(control.pre),
             "lock_types": epochs.lock_types}, sort_keys=True)
         head = np.concatenate([
@@ -448,53 +448,59 @@ class IncrementalChecker:
         bounds.  ``known`` is the manifest's table when the rank's file
         is byte-identical to the one it describes: slices with recorded
         bounds keep their digest, and only the others are hashed — which
-        takes the rank's call events and memory rows."""
+        takes the rank's memory rows."""
         table = np.zeros(len(lo), dtype=_SLICE)
-        table["lo"], table["hi"] = lo, hi
+        table["lo"] = lo
         todo = np.ones(len(lo), dtype=bool)
         if known is not None and len(known):
             at = np.minimum(np.searchsorted(known["lo"], lo), len(known) - 1)
-            todo = (known["lo"][at] != lo) | (known["hi"][at] != hi)
+            # a recorded slice ends where the next begins, the last one
+            # where every trace does
+            todo = (known["lo"][at] != lo) | \
+                (np.append(known["lo"][1:], hi[-1:])[at] != hi)
             table["digest"][~todo] = known["digest"][at[~todo]]
         if todo.any():
-            lo, hi = lo[todo], hi[todo]
-            seq = ensure_call_tables(control.pre)[rank].seq
-            calls, call_at = _encode_calls(control.pre.events[rank])
             rows, _table, strings = self.loader.packed(rank)
-            row_seq = np.ascontiguousarray(rows["seq"])
-            width = MEM_DTYPE.itemsize
-            table["digest"][todo] = np.frombuffer(b"".join(hash_ranges(
-                bytes.fromhex(strings), [
-                    (calls, call_at[np.searchsorted(seq, lo, side="right")],
-                     call_at[np.searchsorted(seq, hi, side="right")]),
-                    (rows.view(np.uint8),
-                     np.searchsorted(row_seq, lo, side="right") * width,
-                     np.searchsorted(row_seq, hi) * width)])),
-                dtype=np.uint8).reshape(-1, 32)
+            table["digest"][todo] = np.frombuffer(b"".join(slice_digests(
+                control.pre.events[rank], rows, strings, lo[todo],
+                hi[todo])), dtype=np.uint8).reshape(-1, 32)
         return table
 
     # ---------------------------------------------------------- resolve
 
     def _resolve(self, plan: CachePlan, manifest: Optional[_Manifest],
                  rec) -> Tuple[Dict[int, tuple], List[int]]:
-        """Split shards into cache hits — ``shard -> decoded findings``:
-        none, where the manifest holds the key and says so, else what
-        the shard store holds under the key — and dirty."""
+        """Split shards into cache hits — clean where the manifest holds
+        the key and says so, else what a pack holds under the key:
+        ``shard -> decoded findings`` of those that have any — and
+        dirty.  No pack is opened once every wanted key is found; a
+        corrupt one is dropped, and a key no pack holds may then have
+        been in it."""
         spans = manifest.spans if manifest is not None else {}
-        held = (set(spans.values())
-                if manifest is not None and manifest.current else ())
+        clean = manifest.clean if manifest is not None else frozenset()
+        wanted = set(plan.keys) - clean
+        stored: Dict[str, Optional[dict]] = {}
+        lost = MISS
+        for name in self.store.keys("pack") if wanted else ():
+            self._packs_read += 1
+            payload, _blob, status = self.store.load("pack", name)
+            shards = payload.get("shards") if status == HIT else None
+            if not isinstance(shards, dict):
+                lost = CORRUPT
+                self.store.discard("pack", name)
+                continue
+            for key in wanted & shards.keys():
+                stored.setdefault(key, shards[key])
+            if len(stored) == len(wanted):
+                break
         resolved: Dict[int, tuple] = {}
         dirty: List[int] = []
         for shard, key in enumerate(plan.keys):
-            if key in held and key not in manifest.found:
-                payload, status = _NOTHING, HIT
-            else:
-                self._shard_files_read += 1
-                payload, status = self.store.load(_SHARDS, key)
-            if status == HIT:
+            status = HIT if key in clean or key in stored else lost
+            if stored.get(key) is not None:
                 try:
                     resolved[shard] = _decode_shard(
-                        payload, plan.shards.sizes(shard), cache="hit",
+                        stored[key], plan.shards.sizes(shard), cache="hit",
                         shard=shard)
                 except _DECODE_ERRORS:
                     status = CORRUPT
@@ -528,17 +534,23 @@ class IncrementalChecker:
             units, control, self.config.memory_model, self.loader,
             self.jobs)
         computed: Dict[int, tuple] = {}
+        pack: Dict[str, Optional[dict]] = {}
         for shard, parts in zip(dirty, found):
-            # persist *before* the merge: dedupe mutates occurrence
-            # counters on the very objects the payload describes (raw
-            # detector output always has ``occurrences == 1``)
-            payload = {name: [[at, [f.to_payload() for f in errors]]
-                              for at, errors in part]
-                       for name, part in zip(("intra", "inter"), parts)}
-            self.store.store(_SHARDS, plan.keys[shard], payload)
-            computed[shard] = _decode_shard(
-                payload, plan.shards.sizes(shard), cache="computed",
-                shard=shard)
+            # a shard without findings stores nothing but its key
+            pack[plan.keys[shard]] = None
+            if any(parts):
+                # serialize *before* the merge: dedupe mutates occurrence
+                # counters on the very objects the payload describes (raw
+                # detector output always has ``occurrences == 1``)
+                payload = pack[plan.keys[shard]] = {
+                    name: [[at, [f.to_payload() for f in errors]]
+                           for at, errors in part]
+                    for name, part in zip(("intra", "inter"), parts)}
+                computed[shard] = _decode_shard(
+                    payload, plan.shards.sizes(shard), cache="computed",
+                    shard=shard)
+        if pack:
+            self._publish("pack", stable_hash(sorted(pack)), {"shards": pack})
         return computed
 
     # ------------------------------------------------------------ merge
@@ -546,28 +558,19 @@ class IncrementalChecker:
     def _merge(self, plan: CachePlan, resolved: Dict[int, tuple],
                stats: CheckStats) -> List[ConsistencyError]:
         findings = dedupe(sort_findings(plan.shards.merge(resolved.items())))
-
-        self.store.store(_MANIFESTS, self._cfg_key(), {
-            "version": MANIFEST_VERSION,
+        self._publish("manifest", self._cfg_key(), {
             "engine_version": ENGINE_VERSION,
-            "memory_model": self.config.memory_model,
-            "nranks": self.traces.nranks,
             "ranks": {str(r): d for r, d in plan.ranks.items()},
-            "slices": {str(rank): base64.b64encode(
-                table.tobytes()).decode("ascii")
-                for rank, table in enumerate(plan.slices)},
             "shards": {"first": plan.shards.first.tolist(),
                        "last": plan.shards.last.tolist(), "keys": plan.keys,
-                       "found": sorted(
-                           plan.keys[shard] for shard, parts
-                           in resolved.items() if any(parts))},
+                       "found": sorted(map(plan.keys.__getitem__, resolved))},
             # the finished report, serialized *after* dedupe so the
             # fast path serves final occurrence counts
             "report": {
                 "findings": [f.to_payload() for f in findings],
                 "stats": {name: getattr(stats, name) for name in _STATS},
             },
-        })
+        }, plan.slices.tobytes())
         return findings
 
 

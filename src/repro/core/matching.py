@@ -28,7 +28,9 @@ Matched call classes:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,6 +86,41 @@ class SyncMatch:
                 and len(self.members) == nranks and not self.exits)
 
 
+_KIND_CODES = {kind: code for code, kind in enumerate((
+    KIND_COLLECTIVE, KIND_P2P, KIND_POST_START, KIND_COMPLETE_WAIT))}
+
+
+def match_columns(matches: List[SyncMatch]) -> Tuple[np.ndarray, np.ndarray]:
+    """The matches as two integer tables, for a consumer that reads them
+    all at once: ``head``, a row ``(kind, fn, comm, win, index, src
+    rank, src seq, dst rank, dst seq)`` per match (``-1`` where there is
+    none; ``fn`` is one of the few dozen synchronization call names, and
+    64 bits of its digest stand for it), and ``part``, a row ``(match,
+    role, rank, seq)`` per collective member (role 0) and exit (1)."""
+    fn_id = {fn: int.from_bytes(hashlib.sha256(fn.encode("utf-8")).digest()
+                                [:8], "little", signed=True)
+             for fn in {match.fn for match in matches}}
+    none = (-1, -1)
+    head = np.array([
+        (_KIND_CODES[m.kind], fn_id[m.fn],
+         -1 if m.comm_id is None else m.comm_id,
+         -1 if m.win_id is None else m.win_id, m.index,
+         *(m.src or none), *(m.dst or none)) for m in matches],
+        dtype=np.int64).reshape(-1, 9)
+
+    def entries(dicts: List[Dict[int, int]], role: int) -> np.ndarray:
+        count = np.fromiter(map(len, dicts), np.int64, len(dicts))
+        size = int(count.sum())
+        return np.stack([
+            np.repeat(np.arange(len(dicts)), count), np.full(size, role),
+            np.fromiter(chain.from_iterable(dicts), np.int64, size),
+            np.fromiter(chain.from_iterable(map(dict.values, dicts)),
+                        np.int64, size)], axis=1)
+    return head, np.concatenate([
+        entries([m.members for m in matches], 0),
+        entries([m.exits for m in matches], 1)])
+
+
 _FENCE_FREE_CODES = None
 
 
@@ -122,8 +159,8 @@ def match_synchronization(pre: PreprocessedTrace) -> List[SyncMatch]:
     the paper's progress-counter walk produces; the list comes out
     grouped by kind, not progress-interleaved, and no consumer is
     order-sensitive — regions sort their cuts, the clock fixpoint is
-    order-independent, and the incremental fingerprints sort their
-    buckets.
+    order-independent, and the incremental fingerprints sort the rows
+    of :func:`match_columns`.
     """
     tables = ensure_call_tables(pre)
     nranks = pre.nranks

@@ -1074,9 +1074,8 @@ class OpTable:
             built = self._built[call] = self._lifted(
                 int(self.call_rank[call]), int(self.call_row[call]),
                 resolve)
-            for kind, n in (("op", len(built[0])),
-                            ("local", len(built[1])), ("event", 1)):
-                count_views(kind, n)
+            count_views("op", len(built[0]))
+            count_views("local", len(built[1]))
         return built
 
     def prefetch(self, ops: np.ndarray, local: np.ndarray) -> None:

@@ -23,7 +23,8 @@ serial result.  This module states that once:
   and findings, split back per shard (always in the process that holds
   the call events); :func:`run_shards` is one after the other;
 * :class:`_RowLoader` — how a plan executor gets memory rows: a rank at
-  a time, or as a forward cursor.
+  a time, or as a forward cursor; :class:`SharedReaders` — one open
+  reader per rank file for an executor that passes over them again.
 
 The executors are policies over it: ``jobs > 1`` ships chunks of the
 plan to the worker pool (:mod:`~repro.core.parallel`), the incremental
@@ -50,9 +51,12 @@ position — which lets :meth:`ShardPlan.merge` reproduce the cold order.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -72,7 +76,7 @@ from repro.core.preprocess import (
     PreprocessedTrace, preprocess_calls_with_counts,
 )
 from repro.core.regions import RegionIndex
-from repro.profiler.tracer import MEM_DTYPE, TraceSet
+from repro.profiler.tracer import MEM_DTYPE, TraceReader, TraceSet
 from repro.util.hashing import hash_strings
 from repro.util.intervals import expand_ranges, grouped_searchsorted
 
@@ -390,6 +394,34 @@ def run_shards(units: List[ShardUnits], control: ControlState,
 
 
 # ------------------------------------------------------------ row access
+
+
+class SharedReaders:
+    """A :class:`TraceSet` as a plan executor that passes over the files
+    more than once sees it: ``reader(rank)`` opens a rank file the first
+    time it is asked for, hands the same reader to every later ``with``,
+    and all of them close when this object's own ``with`` ends — digest
+    verification, the control pass and the row loader of an incremental
+    run share one reader per rank."""
+
+    def __init__(self, traces: TraceSet):
+        self._traces = traces
+        self.nranks = traces.nranks
+        self._open: Dict[int, TraceReader] = {}
+
+    @contextmanager
+    def reader(self, rank: int) -> Iterator[TraceReader]:
+        reader = self._open.get(rank)
+        if reader is None:
+            reader = self._open[rank] = self._traces.reader(rank)
+        yield reader
+
+    def __enter__(self) -> "SharedReaders":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        while self._open:
+            self._open.popitem()[1].close()
 
 
 class _RowLoader:

@@ -2,7 +2,9 @@
 
 The check reads columns; an ``RMAOpView``, ``LocalAccess``, ``Epoch`` or
 ``Region`` exists for whoever looks at one — a finding, a listing, a
-test — and is counted when it is built, so "no object on a clean trace"
+test — and is counted when it is built, as is every ``CallEvent`` the
+call columns build (``CallColumns._build``: the registry calls of the
+control pass, the calls behind a view), so "no object on a clean trace"
 is a number (``analyzer_views_built_total{kind}``).
 """
 
@@ -15,9 +17,9 @@ from repro import obs
 
 def count_views(kind: str, n: int = 1) -> None:
     obs.count("analyzer_views_built_total", n, kind=kind,
-              help="Analysis views built: RMA op and local access "
-                   "objects, the call events the op plane decoded for "
-                   "them, and epoch and region objects")
+              help="Analysis objects built: RMA op and local access "
+                   "views, epoch and region objects, and the call "
+                   "events built from the call columns")
 
 
 class Views(Sequence):

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.profiler.events import CallEvent
 from repro.util.errors import TraceFormatError
+from repro.util.hashing import hash_each
 
 KIND_INT, KIND_STR, KIND_LIST = 0, 1, 2
 
@@ -296,7 +297,9 @@ class CallColumns(Sequence):
         kinds = kind_flat[
             np.repeat(_offsets(width)[shape] - val_off[:-1], widths)
             + np.arange(len(vals), dtype=np.int64)]
-        is_str, is_list = kinds == KIND_STR, kinds == KIND_LIST
+        #: per pool entry: is it a string-table id
+        self.is_str = is_str = kinds == KIND_STR
+        is_list = kinds == KIND_LIST
 
         def entry_rows(mask: np.ndarray):
             return lambda: np.repeat(np.arange(len(seq)), widths)[mask]
@@ -329,6 +332,48 @@ class CallColumns(Sequence):
         self._events: Dict[int, CallEvent] = {}
         #: per shape: fn, keys, string positions, list positions
         self._decoders: Optional[list] = None
+
+    # -- content, for a digest -----------------------------------------
+
+    def content_ranges(self, first: np.ndarray, last: np.ndarray
+                       ) -> List[Tuple[Any, np.ndarray, np.ndarray]]:
+        """What the row spans ``[first[k], last[k])`` hold, as
+        ``(buffer, starts, ends)`` byte ranges for
+        :func:`~repro.util.hashing.hash_ranges` — with no table id in
+        them, so a span reads the same whatever else the rank's tables
+        hold.  A row is its ``seq`` and the digests of its shape and
+        location; its arguments are its span of the value pool (string
+        ids zeroed, the strings' digests in a part of their own) and of
+        the list pool.  A codec row reads as zeros there and as the
+        ``repr`` of its event here: ints, strings and tuples of them
+        parse back to what they were made from, so two different spans
+        never share bytes."""
+        names = hash_each(self.table.strings)
+        rows = np.empty(self.n, dtype=[("seq", "<i8"), ("shape", "u1", 32),
+                                       ("loc", "u1", 32)])
+        rows["seq"], rows["loc"] = self.seq, names[self.loc]
+        rows["shape"] = hash_each(map(repr, self.shapes))[self.shape]
+        is_str = self.is_str
+        vals, string_at = self.val_off, _offsets(is_str)
+        codec = sorted(self.codec.items())
+        texts = [repr((e.seq, e.fn, e.args, e.loc.filename, e.loc.lineno,
+                       e.loc.function)).encode("utf-8") for _k, e in codec]
+        text_at = _offsets(np.array([len(text) for text in texts], dtype=int))
+        codec_rows = np.array([k for k, _e in codec], dtype=np.int64)
+
+        def part(column: np.ndarray, width: int, starts, ends) -> tuple:
+            return column.reshape(-1).view(np.uint8), starts * width, \
+                ends * width
+        return [
+            part(rows, rows.itemsize, first, last),
+            part(np.where(is_str, 0, self.vals), 8, vals[first], vals[last]),
+            part(names[self.vals[is_str]], 32, string_at[vals[first]],
+                 string_at[vals[last]]),
+            part(self.lists, 8,
+                 self.list_start[self.list_before[vals[first]]],
+                 self.list_start[self.list_before[vals[last]]]),
+            (b"".join(texts), text_at[np.searchsorted(codec_rows, first)],
+             text_at[np.searchsorted(codec_rows, last)])]
 
     # -- the lazy event sequence ---------------------------------------
 
@@ -387,9 +432,14 @@ class CallColumns(Sequence):
                 for fn, keys, kinds in self.shapes]
         decoders, events = self._decoders, self._events
         strings, loc_of = self.table.strings, self.table.loc
+        shapes = self.shape[rows]
+        # imported here: repro.core imports this module; a codec row's
+        # event was decoded by the reader, not built here
+        from repro.core.views import count_views
+        count_views("event", int((shapes < len(decoders)).sum()))
         for k, seq, loc, shape, at, taken in zip(
                 rows.tolist(), self.seq[rows].tolist(),
-                self.loc[rows].tolist(), self.shape[rows].tolist(),
+                self.loc[rows].tolist(), shapes.tolist(),
                 (lo - base).tolist(), firsts):
             if shape == len(decoders):
                 events[k] = self.codec[k]

@@ -1,22 +1,25 @@
 """Content-addressed on-disk store for incremental-check results.
 
-Layout under the cache root::
+Layout, flat under the cache root::
 
-    <root>/shards/<key[:2]>/<key>.json     per-shard finding payloads
-    <root>/manifests/<key[:2]>/<key>.json  per-config run manifests
+    <root>/<key>.manifest   the latest run's manifest, one per config
+    <root>/<key>.pack       one per run that analyzed shards: every
+                            shard payload that run computed
 
-An entry is one header line — the SHA-256 of the body — followed by the
-body, a JSON object.  Two properties matter more than speed here:
+An entry is a header line — the SHA-256 of everything after it — then a
+JSON object on one line, then raw bytes the object describes (the
+manifest's digest table; empty for a pack).  A run thus writes two
+files whatever its shard count.  Two properties matter more than speed:
 
-* **Atomic writes** — a payload is staged to a temp file in the final
-  directory and published with :func:`os.replace`, so readers never see
-  a half-written entry even if the process dies mid-write (a stray
-  ``.tmp`` left by a killed writer is never read).
+* **Atomic writes** — an entry is staged to a temp file in the root and
+  published with :func:`os.replace`, so readers never see a half-written
+  entry even if the process dies mid-write (a stray ``.tmp`` left by a
+  killed writer is never read).
 * **Corruption-safe reads** — any unreadable, truncated, bit-flipped,
-  unparsable, or key-mismatched entry (two entries swapped, or a file
-  written by an older layout) is reported as ``"corrupt"`` and treated
-  by the caller as a miss (recompute and overwrite), never as an error
-  and never as a result.
+  unparsable, or key-mismatched entry (two entries swapped or renamed,
+  or a file written by an older layout) is reported as ``"corrupt"`` and
+  treated by the caller as a miss (recompute and publish), never as an
+  error and never as a result.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 #: load() statuses
 HIT = "hit"
@@ -34,57 +38,74 @@ CORRUPT = "corrupt"
 
 
 class CacheStore:
-    """A directory of content-addressed JSON payloads."""
+    """A directory of content-addressed, checksummed entries."""
 
     def __init__(self, root: str) -> None:
         self.root = root
 
-    # -- paths ---------------------------------------------------------
-    def _path(self, kind: str, key: str) -> str:
-        return os.path.join(self.root, kind, key[:2], f"{key}.json")
+    def path(self, kind: str, key: str) -> str:
+        return os.path.join(self.root, f"{key}.{kind}")
 
-    # -- reads ---------------------------------------------------------
-    def load(self, kind: str, key: str) -> Tuple[Optional[dict], str]:
-        """Return ``(payload, status)`` with status hit/miss/corrupt.
+    def keys(self, kind: str) -> List[str]:
+        """The keys stored under ``kind``: the files named as this store
+        names them (a SHA-256 in hex), in name order."""
+        named = re.compile(r"[0-9a-f]{64}\.%s" % re.escape(kind))
+        try:
+            return sorted(name[:64] for name in os.listdir(self.root)
+                          if named.fullmatch(name))
+        except OSError:
+            return []
 
-        A payload is only a hit if its body hashes to the header line
-        and parses as a JSON object whose ``"key"`` field round-trips,
-        so a torn or tampered entry can never be served, nor masquerade
-        as a result for a different key.
+    def discard(self, kind: str, key: str) -> None:
+        """Drop an entry :meth:`load` reported corrupt (best effort)."""
+        try:
+            os.unlink(self.path(kind, key))
+        except OSError:
+            pass
+
+    def load(self, kind: str, key: str) -> Tuple[Optional[dict], bytes, str]:
+        """Return ``(payload, raw bytes, status)`` with status
+        hit/miss/corrupt.
+
+        An entry is only a hit if what follows the header line hashes to
+        it and starts with a JSON object whose ``"key"`` field
+        round-trips, so a torn or tampered entry can never be served,
+        nor masquerade as a result for a different key.
         """
         try:
-            with open(self._path(kind, key), "rb") as fh:
+            with open(self.path(kind, key), "rb") as fh:
                 checksum, _, body = fh.read().partition(b"\n")
         except FileNotFoundError:
-            return None, MISS
+            return None, b"", MISS
         except OSError:
-            return None, CORRUPT
+            return None, b"", CORRUPT
         if hashlib.sha256(body).hexdigest().encode("ascii") != checksum:
-            return None, CORRUPT
+            return None, b"", CORRUPT
+        head, _, blob = body.partition(b"\n")
         try:
-            payload = json.loads(body)
+            payload = json.loads(head)
         except ValueError:
-            return None, CORRUPT
+            return None, b"", CORRUPT
         if not isinstance(payload, dict) or payload.get("key") != key:
-            return None, CORRUPT
-        return payload, HIT
+            return None, b"", CORRUPT
+        return payload, blob, HIT
 
-    # -- writes --------------------------------------------------------
-    def store(self, kind: str, key: str, payload: dict) -> str:
-        """Atomically publish ``payload`` under ``key``; returns the path."""
-        payload = dict(payload)
-        payload["key"] = key
-        path = self._path(kind, key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        body = json.dumps(payload, sort_keys=True,
+    def store(self, kind: str, key: str, payload: dict,
+              blob: bytes = b"") -> str:
+        """Atomically publish ``payload`` and ``blob`` under ``key``;
+        returns the path.  Raises :class:`OSError` when the root cannot
+        be written."""
+        body = json.dumps(dict(payload, key=key), sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        checksum = hashlib.sha256(body + b"\n")
+        checksum.update(blob)
+        path = self.path(kind, key)
+        os.makedirs(self.root, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(hashlib.sha256(body).hexdigest().encode("ascii"))
-                fh.write(b"\n")
-                fh.write(body)
+                fh.write(checksum.hexdigest().encode("ascii"))
+                fh.writelines((b"\n", body, b"\n", blob))
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 _LEN_SEP = b"\x00"
 _U64 = struct.Struct("<Q")
@@ -47,6 +49,16 @@ def hash_strings(strings: Sequence[str]) -> str:
         for raw in (text.encode("utf-8") for text in strings))).hexdigest()
 
 
+def hash_each(texts: Iterable[str]) -> np.ndarray:
+    """``(len(texts) + 1, 32)`` bytes: row ``i`` is the SHA-256 of
+    ``texts[i]``, the last row zeros — what replaces a table id in a
+    digest that must not depend on the table (an id of ``-1`` or one
+    past the table, which names no entry, reads the zero row)."""
+    rows = [hashlib.sha256(text.encode("utf-8")).digest() for text in texts]
+    return np.frombuffer(b"".join(rows) + bytes(32),
+                         dtype=np.uint8).reshape(-1, 32)
+
+
 def hash_ranges(prefix: bytes, parts: Sequence[Tuple]) -> List[bytes]:
     """One raw SHA-256 digest per range ``k``, over ``prefix`` and every
     part's bytes ``buffer[starts[k]:ends[k]]`` — the bulk form behind the
@@ -54,19 +66,22 @@ def hash_ranges(prefix: bytes, parts: Sequence[Tuple]) -> List[bytes]:
     few large buffers, without a per-range copy.
 
     ``parts`` are ``(buffer, starts, ends)`` with the byte offsets as
-    integer arrays.  Every piece is length-prefixed, so moving a byte
-    from one part to its neighbour changes the digest."""
-    base = hashlib.sha256(prefix)
+    integer arrays.  The number of parts follows the prefix and the
+    lengths of a range's pieces precede them, so moving a byte from one
+    part to its neighbour changes the digest."""
+    base = hashlib.sha256(prefix + _U64.pack(len(parts)))
+    sizes = np.stack([ends - starts for _buffer, starts, ends in parts],
+                     axis=1).astype("<u8").tobytes()
+    width = 8 * len(parts)
     columns = [(memoryview(buffer).cast("B"), starts.tolist(), ends.tolist())
                for buffer, starts, ends in parts]
-    pack = _U64.pack
     digests = []
-    for k in range(len(columns[0][1])):
+    for k in range(len(sizes) // width):
         digest = base.copy()
+        digest.update(sizes[k * width:(k + 1) * width])
         for view, starts, ends in columns:
-            lo, hi = starts[k], ends[k]
-            digest.update(pack(hi - lo))
-            digest.update(view[lo:hi])
+            if ends[k] > starts[k]:
+                digest.update(view[starts[k]:ends[k]])
         digests.append(digest.digest())
     return digests
 

@@ -8,12 +8,15 @@ runs must reuse every shard whose inputs did not change.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
 import shutil
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.apps.lu import lu
@@ -22,13 +25,17 @@ from repro.core import incremental
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
 from repro.core.incremental import IncrementalChecker
-from repro.core.plan import build_control_state
+from repro.core.plan import _RowLoader, build_control_state
 from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import profile_program
-from repro.profiler.events import MemEvent
+from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.session import profile_run
 from repro.profiler.tracer import TraceReader, TraceSet, TraceWriter
 from repro.simmpi import DOUBLE
+from repro.util.location import SourceLocation
+from tests.reference.incremental import (
+    slice_digests as reference_slice_digests,
+)
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
 MEMORY_MODELS = ("separate", "unified")
@@ -277,7 +284,7 @@ class TestInvalidation:
         traces = TraceSet(str(fixture))
         config = CheckConfig(incremental=True,
                              cache_dir=str(tmp_path / "cache"))
-        assert incremental.ENGINE_VERSION == "5"
+        assert incremental.ENGINE_VERSION == "6"
         monkeypatch.setattr(incremental, "ENGINE_VERSION", "4")
         old = canonical(check_traces(traces, config))
         monkeypatch.undo()
@@ -296,34 +303,27 @@ class TestInvalidation:
                              cache_dir=str(tmp_path / "cache"))
         cold = canonical(check_traces(traces, config))
 
-        # corrupt the manifest (disabling the whole-report fast path)
-        # and two shard entries: a torn write and a key mismatch
-        manifests = sorted(
-            (tmp_path / "cache" / "manifests").rglob("*.json"))
-        assert manifests
-        for path in manifests:
-            path.write_text("{not json", encoding="utf-8")
-        shard_files = sorted((tmp_path / "cache" / "shards").rglob("*.json"))
-        assert shard_files
-        shard_files[0].write_text("{not json", encoding="utf-8")
-        shard_files[-1].write_text(
-            json.dumps({"key": "wrong", "intra": [], "inter": []}),
-            encoding="utf-8")
+        def corrupted(damage):
+            """Corrupt the manifest (disabling the whole-report fast
+            path) and ``damage`` the run's pack; the next check
+            recomputes, and the one after is fully warm again."""
+            for path in _entries(config, "manifest"):
+                path.write_text("{not json", encoding="utf-8")
+            (pack,) = _entries(config, "pack")
+            damage(pack)
+            warm, outcomes = _outcomes(lambda: check_traces(traces, config))
+            assert outcomes["corrupt"] >= 1 and outcomes["hit"] == 0
+            assert canonical(warm) == cold
+            checker = IncrementalChecker(traces, config)
+            report = checker.run()
+            assert checker.dirty_shards == []
+            assert canonical(report) == cold
 
-        rec = obs.configure(enabled=True)
-        try:
-            warm = check_traces(traces, config)
-        finally:
-            obs.reset()
-        shards = rec.registry.get("incremental_cache_shards_total")
-        assert shards.value(outcome="corrupt") >= 1
-        assert canonical(warm) == cold
-
-        # the recompute healed the cache: next run is fully warm again
-        checker = IncrementalChecker(traces, config)
-        report = checker.run()
-        assert checker.dirty_shards == []
-        assert canonical(report) == cold
+        # a torn write, then a key mismatch: the pack under another name
+        corrupted(lambda pack: pack.write_text("{not json",
+                                               encoding="utf-8"))
+        corrupted(lambda pack: pack.rename(
+            pack.with_name("0" * 64 + ".pack")))
 
     def test_jobs_do_not_affect_cache_identity(self, tmp_path):
         """The manifest key deliberately excludes ``jobs``: a serial cold
@@ -337,6 +337,11 @@ class TestInvalidation:
         report = checker.run()
         assert checker.dirty_shards == []
         assert canonical(report) == cold
+
+
+def _entries(config: CheckConfig, kind: str):
+    """The cache's files of one kind (``manifest`` / ``pack``)."""
+    return sorted(pathlib.Path(config.cache_dir).glob(f"*.{kind}"))
 
 
 def _outcomes(fn):
@@ -386,14 +391,16 @@ class TestWorkProportionality:
                             "miss": 0, "corrupt": 0}
 
         plan, control, work = checker.plan, checker.control, checker.work()
-        # shard files: the manifest serves every key it holds
+        # packs: the manifest serves every key it holds; the one it does
+        # not is looked for in the one pack there is
         assert work["shard_files_read"] == 1
         # lifted calls that entered the kernels: at most the calls inside
         # the shard's bounds
+        lo, hi = plan.shards.lo[:, dirty], plan.shards.hi[:, dirty]
         inside = sum(
-            1 for rank, table in enumerate(plan.slices)
+            1 for rank in range(16)
             for event in control.pre.events[rank]
-            if table["lo"][dirty] < event.seq <= table["hi"][dirty])
+            if lo[rank] < event.seq <= hi[rank])
         assert work["calls_lifted"] <= inside < 100
         # memory rows: the changed rank's (to find what it dirtied) and
         # those of the ranks the dirty shard's kernels read
@@ -430,20 +437,60 @@ class TestWorkProportionality:
 
     def test_without_a_manifest_every_shard_is_one_file_read(self, lu16,
                                                              tmp_path):
-        """The shard store alone (manifest lost) still serves every
-        clean shard: one file read each, rows read to rebuild the slice
-        digests, but no call lifted."""
+        """The previous run's pack alone (manifest lost) still answers
+        for every shard, with one file opened: rows are read to rebuild
+        the slice digests, but no call is lifted."""
         base, _edited, config = lu16
         config = self._fresh(config, tmp_path)
-        shutil.rmtree(os.path.join(config.cache_dir, "manifests"))
+        for path in _entries(config, "manifest"):
+            path.unlink()
         checker = IncrementalChecker(base, config)
         report = checker.run()
         assert canonical(report) == canonical(check_traces(base))
         assert checker.dirty_shards == []
         work = checker.work()
-        assert work["shard_files_read"] == len(checker.plan.keys)
+        assert len(checker.plan.keys) > 100
+        assert work["shard_files_read"] == 1
         assert work["calls_lifted"] == 0
         assert checker.loader.ranks == list(range(16))
+
+    def test_cold_run_bookkeeping_does_not_grow_with_the_shards(
+            self, lu16, tmp_path, monkeypatch):
+        """A cold populate of several hundred shards, none with a
+        finding: at most three files under the cache directory, every
+        rank file opened once, and no ``CallEvent`` built that the plain
+        check does not build."""
+        base, _edited, _config = lu16
+        opened = []
+        reader = TraceSet.reader
+        monkeypatch.setattr(TraceSet, "reader", lambda self, rank: (
+            opened.append(rank), reader(self, rank))[1])
+
+        def events_built(config):
+            rec = obs.configure(enabled=True)
+            try:
+                report = check_traces(TraceSet(base.directory), config)
+            finally:
+                obs.reset()
+            return report, int(rec.registry.get(
+                "analyzer_views_built_total").value(kind="event"))
+
+        plain, built = events_built(CheckConfig())
+        assert sorted(opened) == list(range(16))
+        del opened[:]
+        cache = tmp_path / "cache"
+        config = CheckConfig(incremental=True, cache_dir=str(cache))
+        cold, built_cold = events_built(config)
+        assert canonical(cold) == canonical(plain) and not cold.findings
+        assert sorted(opened) == list(range(16))
+        assert built_cold == built
+        files = [p for p in cache.rglob("*") if p.is_file()]
+        assert len(files) <= 3, files
+        checker = IncrementalChecker(base, config.replace(
+            cache_dir=str(tmp_path / "other")))
+        checker.run()
+        assert len(checker.plan.keys) > 100
+        assert checker.work()["shard_files_read"] == 0
 
 
 def _flip(path, fraction: float) -> None:
@@ -453,20 +500,30 @@ def _flip(path, fraction: float) -> None:
     path.write_bytes(bytes(data))
 
 
-def _rewrite(config: CheckConfig, kind: str, path, edit) -> None:
+def _rewrite(config: CheckConfig, path, edit) -> None:
     """Re-store one cache entry after ``edit(payload)`` — a tampered
     entry whose checksum and key are nevertheless valid."""
     store = incremental.CacheStore(config.cache_dir)
-    payload, status = store.load(kind, path.stem)
+    kind = path.suffix[1:]
+    payload, blob, status = store.load(kind, path.stem)
     assert status == "hit"
     edit(payload)
-    store.store(kind, path.stem, payload)
+    store.store(kind, path.stem, payload, blob)
+
+
+def _pack_shards(config: CheckConfig, path) -> dict:
+    """What one pack holds: shard key -> payload (``None``: the shard
+    had no findings)."""
+    payload, _blob, status = incremental.CacheStore(
+        config.cache_dir).load("pack", path.stem)
+    assert status == "hit"
+    return payload["shards"]
 
 
 class TestCacheMutations:
     """Any bytes in the cache: a mutated entry is recomputed and
-    overwritten — never a crash, a served stale finding, or a changed
-    ``stats`` block — and the run after is fully warm again."""
+    published again — never a crash, a served stale finding, or a
+    changed ``stats`` block — and the run after is fully warm again."""
 
     @pytest.fixture(params=["jacobi", "emulate"])
     def populated(self, request, tmp_path):
@@ -488,11 +545,6 @@ class TestCacheMutations:
                 canonical(check_traces(edited)))
 
     @staticmethod
-    def _entries(config, kind):
-        root = pathlib.Path(config.cache_dir, kind)
-        return sorted(p for p in root.rglob("*") if p.is_file())
-
-    @staticmethod
     def _heals(traces, config, expected, *, corrupt=None):
         """The run over the mutated cache reports ``expected`` (the
         plain check's bytes, ``stats`` included); the run after it is
@@ -507,15 +559,24 @@ class TestCacheMutations:
 
     @pytest.mark.parametrize("mutation", [
         "empty", "truncated", "flip-checksum", "flip-early", "flip-middle",
-        "flip-late", "no-newline", "old-layout", "not-json", "binary-junk"])
+        "flip-late", "no-newline", "old-layout", "not-json", "binary-junk",
+        "truncated-in-header", "truncated-after-header",
+        "truncated-after-json", "truncated-in-table"])
     def test_manifest_bytes(self, populated, mutation):
         traces, edited, config, expected, expected_edited = populated
-        (manifest,) = self._entries(config, "manifests")
+        (manifest,) = _entries(config, "manifest")
         data = manifest.read_bytes()
+        # the sections: header line, JSON line, the digest table
+        header = data.index(b"\n") + 1
+        table = data.index(b"\n", header) + 1
+        assert header == 65 and len(data) - table >= 40
         if mutation == "empty":
             manifest.write_bytes(b"")
-        elif mutation == "truncated":
-            manifest.write_bytes(data[:len(data) // 2])
+        elif mutation.startswith("truncated"):
+            manifest.write_bytes(data[:{
+                "": len(data) // 2, "-in-header": 32,
+                "-after-header": header, "-after-json": table,
+                "-in-table": len(data) - 7}[mutation[9:]]])
         elif mutation.startswith("flip"):
             _flip(manifest, {"checksum": 0.0001, "early": 0.1,
                              "middle": 0.5, "late": 0.999}[mutation[5:]])
@@ -528,7 +589,7 @@ class TestCacheMutations:
         else:
             manifest.write_bytes(bytes(range(256)) * 8)
         # the edited set first: without a manifest every clean shard must
-        # come from the shard store, and exactly one is recomputed
+        # come from the pack, and exactly one is recomputed
         checker = IncrementalChecker(edited, config)
         assert canonical(checker.run()) == expected_edited
         assert len(checker.dirty_shards) == 1
@@ -539,11 +600,11 @@ class TestCacheMutations:
         ("regions", None), ("epochs", [3])])
     def test_manifest_wrong_typed_counts(self, populated, field, value):
         traces, _edited, config, expected, _ = populated
-        (manifest,) = self._entries(config, "manifests")
+        (manifest,) = _entries(config, "manifest")
 
         def edit(payload):
             payload["report"]["stats"][field] = value
-        _rewrite(config, "manifests", manifest, edit)
+        _rewrite(config, manifest, edit)
         self._heals(traces, config, expected)
 
     @pytest.mark.parametrize("edit", [
@@ -563,7 +624,7 @@ class TestCacheMutations:
         / region offset outside the shard, wrong types — under a valid
         checksum and key is a corrupt shard: it alone is recomputed.
         (With the manifest in place, which serves the shards without
-        findings: a shard with findings is still one file read.)"""
+        findings: the shards with findings are one pack opened.)"""
         _traces, edited, config, _, expected_edited = populated
         # a shard with findings that the edit leaves clean
         shutil.copytree(config.cache_dir, tmp_path / "probe-cache")
@@ -572,22 +633,20 @@ class TestCacheMutations:
         probe.run()
         (dirty,) = probe.dirty_shards
         clean = set(probe.plan.keys) - {probe.plan.keys[dirty]}
+        (pack,) = _entries(config, "pack")
+        victim = next(key for key, found in sorted(
+            _pack_shards(config, pack).items()) if found and key in clean)
 
-        def tamper(found):
+        def tamper(payload):
+            found = payload["shards"][victim]
             part = found["intra"] or found["inter"]
             edit(part, part[0][1], found)
-        with_findings = [path for path in self._entries(config, "shards")
-                         if path.stem in clean and b'"rule"' in
-                         path.read_bytes()]
-        _rewrite(config, "shards", with_findings[0], tamper)
+        _rewrite(config, pack, tamper)
         checker = IncrementalChecker(edited, config)
         report, outcomes = _outcomes(checker.run)
         assert canonical(report) == expected_edited
         assert outcomes["corrupt"] == 1 and len(checker.dirty_shards) == 2
-        # files read: the shards with findings, and the edit's own shard
-        assert checker.work()["shard_files_read"] == len(with_findings) + (
-            probe.plan.keys[dirty] not in
-            {path.stem for path in with_findings})
+        assert checker.work()["shard_files_read"] == 1
         self._heals(edited, config, expected_edited)
 
     def test_manifest_claims_no_findings_only_for_its_own_keys(self,
@@ -596,93 +655,115 @@ class TestCacheMutations:
         lists as clean; dropping its list of shards with findings must
         not hide them — the fast path's report is what is at stake."""
         traces, edited, config, expected, expected_edited = populated
-        (manifest,) = self._entries(config, "manifests")
-        _rewrite(config, "manifests", manifest,
+        (manifest,) = _entries(config, "manifest")
+        _rewrite(config, manifest,
                  lambda payload: payload["shards"].pop("found"))
         assert canonical(check_traces(edited, config)) == expected_edited
         self._heals(traces, config, expected)
 
     def _without_manifest(self, config):
-        shutil.rmtree(os.path.join(config.cache_dir, "manifests"))
-        return self._entries(config, "shards")
+        """Drop the manifest; the run's one pack and how many shards it
+        answers for."""
+        for path in _entries(config, "manifest"):
+            path.unlink()
+        (pack,) = _entries(config, "pack")
+        return pack, len(_pack_shards(config, pack))
 
     @pytest.mark.parametrize("mutation", [
-        "empty", "truncated", "flip-checksum", "flip-body", "old-layout"])
+        "empty", "truncated", "flip-checksum", "flip-body", "old-layout",
+        "truncated-in-header", "truncated-after-header", "flip-index"])
     def test_shard_file_bytes(self, populated, mutation):
+        """The pack's sections — header line, then the JSON object whose
+        keys are the index and whose values are the bodies — truncated
+        at each boundary and flipped inside each: every shard it
+        answered for is a corrupt lookup, recomputed."""
         traces, _edited, config, expected, _ = populated
-        shards = self._without_manifest(config)
-        for path in shards[::3]:
-            data = path.read_bytes()
-            if mutation == "empty":
-                path.write_bytes(b"")
-            elif mutation == "truncated":
-                path.write_bytes(data[:-7])
-            elif mutation == "flip-checksum":
-                _flip(path, 0.05)
-            elif mutation == "flip-body":
-                _flip(path, 0.9)
-            else:
-                path.write_bytes(data.partition(b"\n")[2])
-        self._heals(traces, config, expected, corrupt=len(shards[::3]))
+        pack, n_shards = self._without_manifest(config)
+        data = pack.read_bytes()
+        if mutation == "empty":
+            pack.write_bytes(b"")
+        elif mutation.startswith("truncated"):
+            pack.write_bytes(data[:{"": len(data) - 7, "-in-header": 32,
+                                    "-after-header": 65}[mutation[9:]]])
+        elif mutation.startswith("flip"):
+            index = data.index(b'"shards":{"') + 15    # inside a key
+            _flip(pack, {"checksum": 0.0005, "index": index / len(data),
+                         "body": 0.9}[mutation[5:]])
+        else:
+            pack.write_bytes(data.partition(b"\n")[2])
+        self._heals(traces, config, expected, corrupt=n_shards)
+        assert _pack_shards(config, pack)     # published again, in place
 
     def test_swapped_shard_files(self, populated):
-        traces, _edited, config, expected, _ = populated
-        shards = self._without_manifest(config)
-        first, last = shards[0], shards[-1]
-        assert first.read_bytes() != last.read_bytes()
+        """Two packs under each other's names: neither is served."""
+        traces, edited, config, expected, _ = populated
+        check_traces(edited, config)            # a second, one-shard pack
+        first, last = _entries(config, "pack")
+        n_shards = max(len(_pack_shards(config, first)),
+                       len(_pack_shards(config, last)))
+        for path in _entries(config, "manifest"):
+            path.unlink()
         swap = first.read_bytes()
+        assert swap != last.read_bytes()
         first.write_bytes(last.read_bytes())
         last.write_bytes(swap)
-        self._heals(traces, config, expected, corrupt=2)
+        self._heals(traces, config, expected, corrupt=n_shards)
 
     def test_shard_file_positions_out_of_range(self, populated):
         traces, _edited, config, expected, _ = populated
-        tampered = 0
-        for path in self._without_manifest(config):
-            def edit(payload):
-                if payload["intra"]:
-                    payload["intra"][0][0] += 10 ** 4
+        pack, n_shards = self._without_manifest(config)
+
+        def edit(payload):
+            shards = payload["shards"]
+            for key, found in shards.items():
+                if found and found["intra"]:
+                    found["intra"][0][0] += 10 ** 4
                 else:
-                    payload["inter"].append([10 ** 4, []])
-            _rewrite(config, "shards", path, edit)
-            tampered += 1
-        self._heals(traces, config, expected, corrupt=tampered)
+                    shards[key] = {"intra": [], "inter": [[10 ** 4, []]]}
+        _rewrite(config, pack, edit)
+        self._heals(traces, config, expected, corrupt=n_shards)
 
     def test_stray_tmp_files_are_ignored(self, populated):
         traces, edited, config, expected, expected_edited = populated
-        for path in self._entries(config, "shards") + \
-                self._entries(config, "manifests"):
+        for path in _entries(config, "pack") + _entries(config, "manifest"):
             (path.parent / "tmpabc123.tmp").write_bytes(
                 path.read_bytes()[:20])
+            # ... nor is a file the store would not have named
+            (path.parent / f"copy.{path.name}").write_bytes(b"{not json")
         assert canonical(check_traces(edited, config)) == expected_edited
+        report, outcomes = _outcomes(lambda: check_traces(traces, config))
+        assert canonical(report) == expected and outcomes["corrupt"] == 0
         self._heals(traces, config, expected)
 
+    def _keys(self, traces, config) -> list:
+        checker = IncrementalChecker(traces, config)
+        checker.run()
+        with checker.traces:
+            return checker._build_plan(
+                build_control_state(traces), checker._rank_digests(),
+                None).keys
+
     def test_old_engine_version_cache_directory(self, populated, tmp_path):
-        """A cache written by the previous engine revision — bare JSON
+        """A cache written by an old engine revision — bare JSON
         entries, the v3 manifest layout — under the very file names this
         revision uses, claiming the (buggy) program clean: nothing of it
         is served, all of it is replaced."""
         traces, _edited, config, expected, _ = populated
-        keys = IncrementalChecker(traces, config)
-        keys.run()
-        keys = keys._build_plan(
-            build_control_state(traces), keys._rank_digests(),
-            None).keys
+        keys = self._keys(traces, config)
         old = config.replace(cache_dir=str(tmp_path / "old-cache"))
-        cfg_key = IncrementalChecker(traces, old)._cfg_key()
+        (tmp_path / "old-cache").mkdir()
+        (manifest,) = _entries(config, "manifest")
+        (pack,) = _entries(config, "pack")
 
-        def plant(kind, key, payload):
-            path = tmp_path / "old-cache" / kind / key[:2] / f"{key}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(dict(payload, key=key)))
-        for index, key in enumerate(keys):
-            plant("shards", key, {"regions": [index, index],
-                                  "intra": [], "inter": []})
+        def plant(name, payload):
+            (tmp_path / "old-cache" / name).write_text(json.dumps(
+                dict(payload, key=name.partition(".")[0])))
+        plant(pack.name, {"shards": dict.fromkeys(keys)})
         ranks = {}
         for rank in range(traces.nranks):
             with traces.reader(rank) as reader:
                 ranks[str(rank)] = reader.content_digest()
-        plant("manifests", cfg_key, {
+        plant(manifest.name, {
             "version": 1, "engine_version": "3", "nranks": traces.nranks,
             "memory_model": "separate", "engine": "sweep", "registry": "",
             "ranks": ranks,
@@ -694,3 +775,165 @@ class TestCacheMutations:
                                      "local_accesses", "sync_matches",
                                      "regions", "epochs")}}})
         self._heals(traces, old, expected, corrupt=len(keys))
+
+    def test_v5_era_cache_directory(self, populated, tmp_path, monkeypatch):
+        """A directory laid out as engine revision "5" left it — one
+        checksummed file per shard under ``shards/<kk>/``, the manifest
+        under ``manifests/<kk>/`` — claiming the (buggy) program clean:
+        the run demotes it (every shard a miss), opens none of its
+        files, leaves them as they are and publishes a current cache
+        beside them."""
+        traces, _edited, config, expected, _ = populated
+        keys = self._keys(traces, config)
+        old = config.replace(cache_dir=str(tmp_path / "v5-cache"))
+        cfg_key = IncrementalChecker(traces, old)._cfg_key()
+
+        def plant(kind, key, payload):
+            body = json.dumps(dict(payload, key=key), sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+            path = tmp_path / "v5-cache" / kind / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(hashlib.sha256(body).hexdigest().encode(
+                "ascii") + b"\n" + body)
+        for key in keys:
+            plant("shards", key, {"intra": [], "inter": []})
+        plant("manifests", cfg_key, {
+            "version": 2, "engine_version": "5", "nranks": traces.nranks,
+            "memory_model": "separate",
+            "ranks": {str(rank): "" for rank in range(traces.nranks)},
+            "slices": {}, "shards": {
+                "first": list(range(len(keys))),
+                "last": list(range(len(keys))), "keys": keys, "found": []},
+            "report": {"findings": [], "stats": {}}})
+        planted = {path: path.read_bytes() for path in
+                   (tmp_path / "v5-cache").rglob("*.json")}
+        assert len(planted) == len(keys) + 1
+        opened = []
+        real_open = open
+        monkeypatch.setattr(
+            "builtins.open", lambda file, *args, **kwargs: (
+                opened.append(str(file)), real_open(file, *args, **kwargs))[1])
+        report, outcomes = _outcomes(lambda: check_traces(traces, old))
+        monkeypatch.undo()
+        assert canonical(report) == expected
+        assert outcomes == {"hit": 0, "miss": len(keys), "invalidated": 0,
+                            "corrupt": 0}
+        assert not [name for name in opened if name.endswith(".json")]
+        assert planted == {path: path.read_bytes() for path in planted}
+        assert len(_entries(old, "manifest")) == len(_entries(old, "pack")) \
+            == 1
+        self._heals(traces, old, expected, corrupt=0)
+
+
+class TestUnwritableCache:
+    """A cache that cannot be written never costs the verdict."""
+
+    def test_cache_dir_that_is_a_file_is_refused_up_front(self, tmp_path):
+        (tmp_path / "cache").write_text("not a directory")
+        with pytest.raises(ValueError, match="not a directory"):
+            CheckConfig(incremental=True, cache_dir=str(tmp_path / "cache"))
+
+    def test_write_errors_are_counted_and_the_report_returned(
+            self, tmp_path, capsys):
+        """The cache directory cannot be created (its parent is a
+        regular file — what a directory removed mid-run or a full disk
+        also raise is an ``OSError``): the pack and the manifest are
+        each a counted write error, one line is logged, and the report
+        is the plain check's."""
+        case = ALL_CASES[0]
+        (tmp_path / "blocker").write_text("")
+        config = CheckConfig(incremental=True,
+                             cache_dir=str(tmp_path / "blocker" / "cache"))
+        rec = obs.configure(enabled=True)
+        try:
+            report = check_traces(traces_for(case), config)
+        finally:
+            obs.reset()
+        assert canonical(report) == batch_for(case, "separate")
+        errors = rec.registry.get("incremental_cache_write_errors_total")
+        assert errors.value(kind="pack") == errors.value(kind="manifest") == 1
+        assert capsys.readouterr().out.count("incremental cache: cannot") == 1
+
+
+# ---------------------------------------------------------------------------
+# slice digests from columns tell the same slices apart as the event
+# encoding they replaced (tests/reference/incremental.py)
+# ---------------------------------------------------------------------------
+
+_LOCS = [SourceLocation("app.c", line, "main") for line in (7, 8, 30)]
+_CALL_FORMS = [
+    ("Barrier", lambda v: {"comm": v % 3}),
+    ("Put", lambda v: {"win": 1, "target": v % 4, "count": v,
+                       "var": f"buf{v % 3}"}),
+    ("Type_indexed", lambda v: {"blocklengths": (1, v % 5),
+                                "displacements": (0, v), "oldtype": 7}),
+    # a value no call column holds (beyond int64): read as a codec row
+    ("Get", lambda v: {"win": 1, "disp": (1 << 70) + v}),
+]
+
+
+def _rank_events(draw_ints):
+    """A rank's events from a list of small ints: calls of four forms
+    and load/store rows, seq = position."""
+    events = []
+    for seq, v in enumerate(draw_ints):
+        if v % 3 == 0:
+            events.append(MemEvent(0, seq, ("load", "store")[v % 2],
+                                   4096 + 8 * v, 8, f"x{v % 2}",
+                                   _LOCS[v % 3]))
+        else:
+            fn, args = _CALL_FORMS[v % 4]
+            events.append(CallEvent(0, seq, fn, args(v), _LOCS[v % 3]))
+    return events
+
+
+def _both_digests(events, directory, trace_format, lo, hi):
+    """(columnar, reference) slice digests of the events written to and
+    read back from one rank file."""
+    os.makedirs(directory, exist_ok=True)
+    path = TraceSet.rank_path(str(directory), 0, trace_format)
+    with TraceWriter(path, 0, 1, format=trace_format) as writer:
+        for event in events:
+            writer.write(event)
+    loader = _RowLoader(TraceSet(str(directory)))
+    rows, _table, strings = loader.packed(0)
+    with TraceReader(path) as reader:
+        cols, _counts = reader.read_calls()
+    bounds = np.array([lo]), np.array([hi])
+    return (incremental.slice_digests(cols, rows, strings, *bounds)[0],
+            reference_slice_digests(list(cols), rows, strings, [lo], [hi])[0])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.integers(0, 40), min_size=4, max_size=24),
+       at=st.integers(0, 23), what=st.sampled_from(
+           ["value", "event", "seq", "loc", "nothing"]),
+       bounds=st.tuples(st.integers(-1, 28), st.integers(1, 12)),
+       trace_format=st.sampled_from(["binary", "text"]))
+def test_prop_column_digest_changes_iff_the_event_digest_does(
+        tmp_path_factory, values, at, what, bounds, trace_format):
+    """Alter one call argument, memory row, ``seq`` or location, inside
+    or outside the slice: the columnar digest moves exactly when the
+    ``repr``-based one does."""
+    lo, hi = bounds[0], sum(bounds)       # as a shard's: lo < hi
+    root = tmp_path_factory.mktemp("slices")
+    events = _rank_events(values)
+    at %= len(events)
+    edited = list(events)
+    if what in ("value", "event"):
+        values = list(values)
+        # the same form with another argument / address, or another
+        # event altogether (form, strings, location)
+        values[at] += 12 if what == "value" else 5
+        edited = _rank_events(values)
+    elif what == "seq":           # the last event moves later
+        edited[-1] = dataclasses.replace(edited[-1], seq=len(events) + 3)
+    elif what == "loc":
+        edited[at] = dataclasses.replace(
+            edited[at], loc=SourceLocation("app.c", 99, "helper"))
+    was, was_ref = _both_digests(events, root / "a", trace_format, lo, hi)
+    now, now_ref = _both_digests(edited, root / "b", trace_format, lo, hi)
+    assert (was == now) == (was_ref == now_ref)
+    if what == "nothing":
+        assert was == now

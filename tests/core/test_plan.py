@@ -225,26 +225,27 @@ def test_open_epoch_merges_its_tail_into_one_shard(tmp_path_factory):
 
 # ------------------------------------------------- cache compatibility
 
-#: the v2 fixture's shard keys and manifest names at the parent commit
+#: the v2 fixture's shard keys and manifest names under engine revision
+#: "6" (PR 23: slice digests and sync fingerprints from columns)
 V2_SHARD_KEYS = [
-    "370880d071959f43c2964b41f1d8585d4cbce7e88e0add25482344d6131f065d",
-    "d4d34acef53aaac92e78939e5a1a8a369ca2f664a4d249c9fba482e113b3765f",
-    "dfafa9cdab1a6fb90f7c9604de2b9cd14cc0fa8a7df28ea5c431d9d87d7e95fa",
-    "17c2c1bf8d0383c1d5f1d3ab6d929eb6d98ab80009ac58b770e825bfbc8eac35",
-    "20d46a5da810f525eff8fa3ac579ae5101214f15fcc7d4cefcb31f1b39885631",
-    "4a5560d4ec2904f3ab57f8cca8ffef8b0be152444d07a8eb71d28304771c3f39",
-    "3959bae74287f5eb8e74bacb6c8cc41652113a0c1284645d709d4fde4cc88c5c",
-    "9cf3b2fbfcc69a78d0db5535d91428b12ba88725593aa8bf546102825c572496",
-    "5477f339d472fd9916b28173673bb5edf6b9daea0811dfc35adbad5144c185d5",
-    "cf4a41ee971d18bc8bac91a8b6df22564da528ede79c958ea4a51dbf174d9da3",
-    "df1f8554166e17ee724ad21042c7e928be5cbc06dacd85b2d19afa687f60e065",
-    "9af9f0ff7c9bfb76a6010cf18737308ef2351b8a2bdb2aa8f261fe9145e58647",
+    "90321f44c6ea973f550a5e29a103a914cc263b47cd6e8b0afe1aedddc4413322",
+    "51dbf32bdcedcd8f3030f80f670e56e8256fe97c451dbcbf52a530d9dbb02638",
+    "f80e2e317af1a8d7be5bd1937932546d08fe1b4c9290f4c6f5df6670352094a5",
+    "4f3d1f2f4c088b1468a408ce77e03f672e41b405db9067ebc695946dee7d95dd",
+    "51a0cbc0bea7faee7056ff6d6a305ae071e5f1a8f5e3cc1e13a96834c7fe6144",
+    "97a639207396dc1b0c086607bcb18d813a7980a8582b7309fe779c9d4736bad5",
+    "4569774f0227aa727d9730a80ba8b31f3afd8333f75f58837fcd972956ea5261",
+    "51d36e72be93225962dc6e97d80765a6bc142265e0659f1ddd0eb3cce1ce23cd",
+    "3533dd32ffd6c61ca38c0e0b6bea384e54777522b70ea34838e7a38103aeb3bd",
+    "620262d4f602224f1ddbb618d626521d96d4b74ca977e1918d4941d9980b90ff",
+    "307d7a9250bc060c16697b550c77c88bd1682e31a8b63d1fb4259e5d1861c6da",
+    "28941a47575a5f235b2a830eeb7b4780f2d399126406613f738505347f9546df",
 ]
 V2_MANIFESTS = {
     "separate":
-        "02745903dd08279c2dbb948f0afed8f38a54d4d1726a760e890ab78d10c57b07",
+        "2376690e78bbc6d70097ea73e0f205e63186640bf5a5dfa4546412dca33bd1bc",
     "unified":
-        "01e3a6d923497bb721425d7d94e88741d7787bae90dcd696f2a479dad553c5d7",
+        "13cb69e69a7c6f16f9e0edac0070ab089a37fd07d1e5acaa6e99e561a1e9e2ac",
 }
 
 
@@ -259,9 +260,9 @@ def test_cache_names_of_the_v2_fixture_are_unchanged(tmp_path):
             memory_model=memory_model))
         checker.run()
         assert checker._cfg_key() == manifest
-        assert [p.stem for p in (cache / "manifests").rglob("*.json")] == \
-            [manifest]
-        written = sorted(p.stem for p in (cache / "shards").rglob("*.json"))
-        assert written == sorted(checker.plan.keys)
+        assert [p.stem for p in cache.glob("*.manifest")] == [manifest]
+        (pack,) = cache.glob("*.pack")
+        written, _blob, _status = checker.store.load("pack", pack.stem)
+        assert sorted(written["shards"]) == sorted(checker.plan.keys)
         if memory_model == "separate":
             assert checker.plan.keys == V2_SHARD_KEYS
