@@ -34,9 +34,12 @@ How the cache key covers every detector input
 ---------------------------------------------
 
 A shard's findings are what the two sweep kernels find in its epochs
-and regions (:func:`~repro.core.plan.run_shards`).  A key is one SHA-256
+and regions (:func:`~repro.core.plan.run_shards`).  A key is a SHA-256
 (:func:`~repro.util.hashing.hash_ranges`, every piece length-prefixed)
-over a run-wide prefix and the shard's own bytes:
+over the shard's slice digests and its *structure digest* — a SHA-256
+over a run-wide prefix and everything else below.  Calls alone determine
+the structure, so the manifest records it beside every rank's calls
+digest, and a run none of whose calls changed takes it from there:
 
 * **the shard's calls** — ops, attached/plain call-derived locals, and
   epoch structure all lift from calls.  Covered, per rank, by the *slice
@@ -145,6 +148,8 @@ class CachePlan:
     everything the next run's manifest records."""
 
     shards: ShardPlan
+    #: ``(n_shards, 32)``: what the calls alone determine of each shard
+    structure: np.ndarray
     #: ``(nranks, n_shards)`` :data:`_SLICE` records
     slices: np.ndarray
     keys: List[str]
@@ -166,8 +171,11 @@ class _Manifest:
     sizes: Dict[str, int] = field(default_factory=dict)
     #: keys of the shards that had no findings: served from memory
     clean: frozenset = frozenset()
-    #: ``(nranks, n_shards)`` :data:`_SLICE` records
+    #: per rank, the digests of its calls and their strings, or ``False``
+    calls: list = field(default_factory=list)
+    #: the run's :attr:`CachePlan.slices` and :attr:`CachePlan.structure`
     slices: Optional[np.ndarray] = None
+    structure: Optional[np.ndarray] = None
 
     @classmethod
     def load(cls, store: CacheStore, cfg_key: str) -> Optional["_Manifest"]:
@@ -190,8 +198,12 @@ class _Manifest:
                 if {type(v) for v in manifest.sizes.values()} != {int}:
                     raise TypeError("a size that is not an int")
                 manifest.clean = frozenset(keys) - frozenset(shards["found"])
-                manifest.slices = np.frombuffer(blob, dtype=_SLICE).reshape(
-                    len(manifest.ranks), len(keys))
+                manifest.calls = list(payload["calls"])
+                cut = len(blob) - 32 * len(keys)
+                manifest.slices = np.frombuffer(
+                    blob[:cut], dtype=_SLICE).reshape(len(manifest.ranks), -1)
+                manifest.structure = np.frombuffer(
+                    blob[cut:], dtype=np.uint8).reshape(len(keys), 32)
         except _DECODE_ERRORS:
             return None
         return manifest
@@ -296,6 +308,9 @@ class IncrementalChecker:
         self.dirty_shards: List[int] = []
         self._packs_read = 0
         self._calls_lifted = 0
+        #: per rank, the verified digests of its call columns and of the
+        #: strings they name (``False``: a text trace records neither)
+        self._calls: list = []
         self._write_failed = False
 
     def work(self) -> Dict[str, int]:
@@ -358,9 +373,13 @@ class IncrementalChecker:
         """Every rank's content digest, established from its bytes: the
         cache may only answer for a file it has verified."""
         whole: Dict[int, str] = {}
+        self._calls = []
         for rank in range(self.traces.nranks):
             with self.traces.reader(rank) as reader:
                 whole[rank] = reader.content_digest(verify=True)
+                digests = reader.digests()
+                self._calls.append("calls" in digests and [
+                    digests["calls"], digests["strings"]])
         return whole
 
     def _publish(self, kind: str, key: str, payload: dict,
@@ -401,19 +420,37 @@ class IncrementalChecker:
 
     def _build_plan(self, control: ControlState, whole: Dict[int, str],
                     manifest: Optional[_Manifest]) -> CachePlan:
-        """Cut the shard plan and key every shard by its content."""
+        """Cut the shard plan and key every shard by its content: its
+        structure digest and one slice digest per rank.  Calls alone
+        determine the structure, so where every rank's calls digest is
+        the manifest's, so are the structure digests."""
         shards = ShardPlan.build(control)
-        first, last, bounds = shards.first, shards.last, shards.bounds
-        epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start
         nranks, n_shards = control.pre.nranks, len(shards)
-        epochs = control.epochs.columns
         slices = np.stack([
             self._slice_digests(
                 control, rank, shards.lo[rank], shards.hi[rank],
                 manifest.slices[rank] if manifest is not None
                 and manifest.ranks.get(rank) == whole[rank] else None)
             for rank in range(nranks)])
+        structure = manifest.structure if manifest is not None \
+            and all(self._calls) and manifest.calls == self._calls \
+            else self._structure(control, shards)
+        content = np.concatenate([structure, slices["digest"].transpose(
+            1, 0, 2).reshape(n_shards, -1)], axis=1)
+        each = np.arange(n_shards + 1) * content.shape[1]
+        keys = hash_ranges(b"incremental-shard", [
+            (content.reshape(-1), each[:-1], each[1:])])
+        return CachePlan(shards=shards, structure=structure, slices=slices,
+                         keys=[key.hex() for key in keys], ranks=whole)
 
+    def _structure(self, control: ControlState,
+                   shards: ShardPlan) -> np.ndarray:
+        """``(n_shards, 32)``: per shard, one digest of everything in its
+        key but the slice digests — the run-wide prefix, its regions'
+        bounds, its epochs, its sync fingerprint."""
+        first, last = shards.first, shards.last
+        epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start
+        nranks, epochs = control.pre.nranks, control.epochs.columns
         prefix = json.dumps({
             "kind": "incremental-shard", "engine_version": ENGINE_VERSION,
             "memory_model": self.config.memory_model, "nranks": nranks,
@@ -421,25 +458,21 @@ class IncrementalChecker:
             "lock_types": epochs.lock_types}, sort_keys=True)
         head = np.concatenate([
             np.stack([first, last], axis=1).view(np.uint8),
-            _sync_fingerprints(control)[last],
-            slices["digest"].transpose(1, 0, 2).reshape(n_shards, -1)],
-            axis=1)
+            _sync_fingerprints(control)[last]], axis=1)
         canon = np.stack(epochs[:8], axis=1)[epoch_ids]
         group_len = epochs.group_len[epoch_ids]
         groups = epochs.group_val[expand_ranges(
             (np.cumsum(epochs.group_len) - epochs.group_len)[epoch_ids],
             group_len)[1]]
         group_at = np.concatenate([[0], np.cumsum(group_len)])[epoch_start]
-        each = np.arange(n_shards + 1)
-        keys = hash_ranges(prefix.encode("utf-8"), [
-            (head.reshape(-1), each[:-1] * head.shape[1],
-             each[1:] * head.shape[1]),
-            (bounds.reshape(-1), first * nranks * 8,
+        each = np.arange(len(shards) + 1) * head.shape[1]
+        return np.frombuffer(b"".join(hash_ranges(prefix.encode("utf-8"), [
+            (head.reshape(-1), each[:-1], each[1:]),
+            (shards.bounds.reshape(-1), first * nranks * 8,
              (last + 2) * nranks * 8),
             (canon.reshape(-1), epoch_start[:-1] * 64, epoch_start[1:] * 64),
-            (groups, group_at[:-1] * 8, group_at[1:] * 8)])
-        return CachePlan(shards=shards, slices=slices,
-                         keys=[key.hex() for key in keys], ranks=whole)
+            (groups, group_at[:-1] * 8, group_at[1:] * 8)])),
+            dtype=np.uint8).reshape(-1, 32)
 
     def _slice_digests(self, control: ControlState, rank: int,
                        lo: np.ndarray, hi: np.ndarray,
@@ -449,6 +482,8 @@ class IncrementalChecker:
         is byte-identical to the one it describes: slices with recorded
         bounds keep their digest, and only the others are hashed — which
         takes the rank's memory rows."""
+        if known is not None and np.array_equal(known["lo"], lo):
+            return known                           # the same cut: all of it
         table = np.zeros(len(lo), dtype=_SLICE)
         table["lo"] = lo
         todo = np.ones(len(lo), dtype=bool)
@@ -561,6 +596,7 @@ class IncrementalChecker:
         self._publish("manifest", self._cfg_key(), {
             "engine_version": ENGINE_VERSION,
             "ranks": {str(r): d for r, d in plan.ranks.items()},
+            "calls": self._calls,
             "shards": {"first": plan.shards.first.tolist(),
                        "last": plan.shards.last.tolist(), "keys": plan.keys,
                        "found": sorted(map(plan.keys.__getitem__, resolved))},
@@ -570,7 +606,7 @@ class IncrementalChecker:
                 "findings": [f.to_payload() for f in findings],
                 "stats": {name: getattr(stats, name) for name in _STATS},
             },
-        }, plan.slices.tobytes())
+        }, plan.slices.tobytes() + plan.structure.tobytes())
         return findings
 
 

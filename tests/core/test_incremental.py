@@ -172,11 +172,11 @@ class TestWarmColdDifferential:
         assert checker.dirty_shards == []
 
 
-def _phased(mpi, extra=False):
+def _phased(mpi, extra=False, window="wbuf"):
     """Three fence/barrier-separated phases; ``extra`` adds a send/recv
     in the middle phase.  ``msg`` is allocated in both variants so later
     buffer addresses never shift between them."""
-    wbuf = mpi.alloc("wbuf", 8, datatype=DOUBLE, fill=0.0)
+    wbuf = mpi.alloc(window, 8, datatype=DOUBLE, fill=0.0)
     src = mpi.alloc("src", 2, datatype=DOUBLE, fill=1.0)
     msg = mpi.alloc("msg", 1, datatype=DOUBLE, fill=0.0)
     win = mpi.win_create(wbuf)
@@ -199,10 +199,30 @@ def _phased(mpi, extra=False):
 
 
 class TestInvalidation:
-    def _traces(self, path, extra):
-        return profile_run(_phased, 2, params=dict(extra=extra),
+    def _traces(self, path, extra, **params):
+        return profile_run(_phased, 2, params=dict(extra=extra, **params),
                            trace_dir=str(path),
                            trace_format="binary").traces
+
+    def test_renamed_window_buffer_dirties_everything(self, tmp_path):
+        """The same call columns over another string table — the window
+        buffer renamed, every id as it was — are other calls: the
+        registry differs, so no shard may hit (the structure digests of
+        the manifest must not be reused on the calls digest alone)."""
+        a = self._traces(tmp_path / "a", extra=False)
+        b = self._traces(tmp_path / "b", extra=False, window="xbuf")
+        digests = []
+        for traces in (a, b):
+            with traces.reader(0) as reader:
+                digests.append(reader.digests())
+        assert digests[0]["calls"] == digests[1]["calls"]
+        assert digests[0]["strings"] != digests[1]["strings"]
+        config = CheckConfig(incremental=True,
+                             cache_dir=str(tmp_path / "cache"))
+        check_traces(a, config)
+        report, outcomes = _outcomes(lambda: check_traces(b, config))
+        assert outcomes["hit"] == 0 and outcomes["invalidated"] > 1
+        assert canonical(report) == canonical(check_traces(b))
 
     def test_sync_change_dirties_downstream_not_upstream(self, tmp_path):
         """Adding a send/recv in the middle phase must re-run the
@@ -379,10 +399,19 @@ class TestWorkProportionality:
         shutil.copytree(config.cache_dir, tmp_path / "cache")
         return config.replace(cache_dir=str(tmp_path / "cache"))
 
-    def test_one_changed_address_reruns_one_shard(self, lu16, tmp_path):
+    def test_one_changed_address_reruns_one_shard(self, lu16, tmp_path,
+                                                  monkeypatch):
         _base, edited, config = lu16
+        fingerprinted = []
+        monkeypatch.setattr(
+            incremental, "_sync_fingerprints",
+            lambda control, real=incremental._sync_fingerprints: (
+                fingerprinted.append(control), real(control))[1])
         checker = IncrementalChecker(edited, self._fresh(config, tmp_path))
         report, outcomes = _outcomes(checker.run)
+        # no call changed: what calls alone determine of the keys is the
+        # manifest's (and is what a run without one works out: below)
+        assert not fingerprinted
         assert canonical(report) == canonical(check_traces(edited))
         (dirty,) = checker.dirty_shards
         n_shards = len(checker.plan.keys)
@@ -424,6 +453,10 @@ class TestWorkProportionality:
         again.run()
         assert again.work() == {"calls_lifted": 0, "shard_files_read": 0,
                                 "rows_loaded": 0}
+        with checker.traces:
+            assert checker._build_plan(
+                control, checker._rank_digests(), None).keys == plan.keys
+        assert fingerprinted
 
     def test_unchanged_rerun_lifts_and_opens_nothing(self, lu16, tmp_path):
         base, _edited, config = lu16

@@ -228,18 +228,18 @@ def test_open_epoch_merges_its_tail_into_one_shard(tmp_path_factory):
 #: the v2 fixture's shard keys and manifest names under engine revision
 #: "6" (PR 23: slice digests and sync fingerprints from columns)
 V2_SHARD_KEYS = [
-    "90321f44c6ea973f550a5e29a103a914cc263b47cd6e8b0afe1aedddc4413322",
-    "51dbf32bdcedcd8f3030f80f670e56e8256fe97c451dbcbf52a530d9dbb02638",
-    "f80e2e317af1a8d7be5bd1937932546d08fe1b4c9290f4c6f5df6670352094a5",
-    "4f3d1f2f4c088b1468a408ce77e03f672e41b405db9067ebc695946dee7d95dd",
-    "51a0cbc0bea7faee7056ff6d6a305ae071e5f1a8f5e3cc1e13a96834c7fe6144",
-    "97a639207396dc1b0c086607bcb18d813a7980a8582b7309fe779c9d4736bad5",
-    "4569774f0227aa727d9730a80ba8b31f3afd8333f75f58837fcd972956ea5261",
-    "51d36e72be93225962dc6e97d80765a6bc142265e0659f1ddd0eb3cce1ce23cd",
-    "3533dd32ffd6c61ca38c0e0b6bea384e54777522b70ea34838e7a38103aeb3bd",
-    "620262d4f602224f1ddbb618d626521d96d4b74ca977e1918d4941d9980b90ff",
-    "307d7a9250bc060c16697b550c77c88bd1682e31a8b63d1fb4259e5d1861c6da",
-    "28941a47575a5f235b2a830eeb7b4780f2d399126406613f738505347f9546df",
+    "cbf9f81732b852901ba4b1deeceffa45f30eb00f71ffdea466bce31c4a9c21dc",
+    "b387186013743543bfedea5763e78a1ae07941d9fb42cf70e1c31463aa5d3bff",
+    "d731a89cb8d32a40aec741f33987fec306f4d4bebfbc7bbd6a391395db59c98c",
+    "22e8ae4a919f4791e09771af4f70139076fab120eeda3f46e38e6dc1b4a76b4a",
+    "b2aec7647a95f71199a39bf1024f9b8cbddece2bd7de46fe495c673b7637597b",
+    "235b3edf8a2ce9553ad7c82f3f7fc34c32310326b5db6f5db707fc1ae1524f5e",
+    "a9961bc6d1a1efe7651b9fedf9e795fdf6186be06c9055e7a2819144dcdce965",
+    "c9c17812ed97bfa3525fa09faf2253a60aeb515fa0e9d0a5df3e0abad76d9b95",
+    "a564bfcab28e3c250b4e29ba17436137f6fde19178624838fbc607fea5b8f7b1",
+    "5890e631f23aad3ed0bad3fddd5ba0a399c0fd7ad5978380a2b849eb80d5a730",
+    "f76a81beba59f7987c063ade77b21eebb3360791c23a52fbff257b3c72906fa4",
+    "072ea85bbf0554a81d4318f1bcea7623175d87ecf0ade5d5eb72767e629af35e",
 ]
 V2_MANIFESTS = {
     "separate":
