@@ -166,12 +166,12 @@ class _Manifest:
     #: (first, last) region span -> shard key
     spans: Dict[Tuple[int, int], str]
     ranks: Dict[int, str] = field(default_factory=dict)
-    #: the finished report: deduplicated findings, ``CheckStats`` sizes
-    findings: List[ConsistencyError] = field(default_factory=list)
-    sizes: Dict[str, int] = field(default_factory=dict)
+    #: the finished report as stored: finding payloads (decoded only if
+    #: the report is served) and the ``CheckStats`` sizes
+    report: dict = field(default_factory=dict)
     #: keys of the shards that had no findings: served from memory
     clean: frozenset = frozenset()
-    #: per rank, the digests of its calls and their strings, or ``False``
+    #: per rank, the digests of its calls and their strings, or ``None``
     calls: list = field(default_factory=list)
     #: the run's :attr:`CachePlan.slices` and :attr:`CachePlan.structure`
     slices: Optional[np.ndarray] = None
@@ -183,7 +183,7 @@ class _Manifest:
         run then re-derives everything and writes a fresh one."""
         payload, blob, _status = store.load("manifest", cfg_key)
         try:
-            shards, report = payload["shards"], payload["report"]
+            shards = payload["shards"]
             keys = [str(key) for key in shards["keys"]]
             manifest = cls(dict(zip(zip(map(int, shards["first"]),
                                         map(int, shards["last"])), keys)))
@@ -191,12 +191,7 @@ class _Manifest:
                     and len(manifest.spans) == len(keys):
                 manifest.ranks = {int(r): str(d)
                                   for r, d in payload["ranks"].items()}
-                manifest.findings = [ConsistencyError.from_payload(p)
-                                     for p in report["findings"]]
-                manifest.sizes = {name: report["stats"][name]
-                                  for name in _STATS}
-                if {type(v) for v in manifest.sizes.values()} != {int}:
-                    raise TypeError("a size that is not an int")
+                manifest.report = dict(payload["report"])
                 manifest.clean = frozenset(keys) - frozenset(shards["found"])
                 manifest.calls = list(payload["calls"])
                 cut = len(blob) - 32 * len(keys)
@@ -309,8 +304,8 @@ class IncrementalChecker:
         self._packs_read = 0
         self._calls_lifted = 0
         #: per rank, the verified digests of its call columns and of the
-        #: strings they name (``False``: a text trace records neither)
-        self._calls: list = []
+        #: strings they name (``None``: a text trace records neither)
+        self._calls: List[Optional[List[str]]] = []
         self._write_failed = False
 
     def work(self) -> Dict[str, int]:
@@ -378,8 +373,8 @@ class IncrementalChecker:
             with self.traces.reader(rank) as reader:
                 whole[rank] = reader.content_digest(verify=True)
                 digests = reader.digests()
-                self._calls.append("calls" in digests and [
-                    digests["calls"], digests["strings"]])
+                self._calls.append([digests["calls"], digests["strings"]]
+                                   if "calls" in digests else None)
         return whole
 
     def _publish(self, kind: str, key: str, payload: dict,
@@ -403,18 +398,27 @@ class IncrementalChecker:
                       ) -> Optional[List[ConsistencyError]]:
         """Whole-report fast path: if every rank's full-trace content
         digest matches the manifest's (and the engine version is
-        current), the stored deduplicated report *is* this run's report;
-        else the shard path decides."""
+        current), the stored deduplicated report *is* this run's report.
+        Any mismatch or decode error falls through to the shard path."""
         if manifest is None or manifest.ranks != whole:
             return None
-        for name, value in manifest.sizes.items():
+        try:
+            findings = [ConsistencyError.from_payload(p)
+                        for p in manifest.report["findings"]]
+            sizes = {name: manifest.report["stats"][name]
+                     for name in _STATS}
+            if {type(value) for value in sizes.values()} != {int}:
+                return None
+        except _DECODE_ERRORS:
+            return None
+        for name, value in sizes.items():
             setattr(stats, name, value)
         if rec.enabled:
             rec.count("incremental_cache_shards_total", len(manifest.spans),
                       outcome="hit", help="Shard cache lookups by outcome")
             rec.count("incremental_regions_total", stats.regions,
                       state="clean", help="Regions reused vs re-analyzed")
-        return annotate_context(manifest.findings, cache="manifest")
+        return annotate_context(findings, cache="manifest")
 
     # ------------------------------------------------------------- plan
 
