@@ -385,23 +385,14 @@ def grouped_searchsorted(group: np.ndarray, value: np.ndarray,
     """``np.searchsorted`` within groups: the rows ``(group, value)`` are
     sorted lexicographically, groups being small non-negative ints, and
     each query gets the position in that order at which ``(q_group,
-    q_value)`` would be inserted.  The composite key is ``group * span +
-    value`` over the values' joint span; where that would leave int63
-    the values are first replaced by their dense ranks, so the key
-    stays in range whatever they are."""
-    both = np.concatenate([value, q_value])
-    lo = int(both.min(initial=0))
-    width = int(both.max(initial=0)) - lo + 1
-    groups = int(max(group.max(initial=0), q_group.max(initial=0))) + 1
-    if groups * width < _INT63:
-        value, q_value = value - lo, q_value - lo
-    else:
-        coords = np.unique(both)
-        width = len(coords) + 1
-        value = np.searchsorted(coords, value)
-        q_value = np.searchsorted(coords, q_value)
-    return np.searchsorted(group * width + value,
-                           q_group * width + q_value, side=side)
+    q_value)`` would be inserted.  Values are first replaced by their
+    dense ranks, so the composite key stays in range whatever they
+    are."""
+    coords = np.unique(np.concatenate([value, q_value]))
+    width = len(coords) + 1
+    return np.searchsorted(
+        group * width + np.searchsorted(coords, value),
+        q_group * width + np.searchsorted(coords, q_value), side=side)
 
 
 _INT63 = 1 << 63
