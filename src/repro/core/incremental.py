@@ -1,4 +1,4 @@
-"""Incremental checking with a content-addressed result cache.
+"""Incremental checking with a content-keyed result cache.
 
 The same trace set is typically analyzed many times — after a re-run
 that perturbed a few ranks, while bisecting with ``minimize``, under CI.
@@ -23,12 +23,13 @@ keys against the store, and the two cache levels:
   only the shards whose keys moved are re-analyzed.  The manifest holds
   every shard key of the run that wrote it and which had findings, so a
   shard without findings — in a race-free program, every one — is
-  served from memory.  What a run analyzes it publishes as one *pack*
-  (:mod:`repro.util.cachestore`): every key it computed, with the
-  findings of those that had any.  Packs are opened — until every
-  wanted key is found — for shards that had findings and for keys the
-  manifest does not hold (an older run's); a corrupt pack is dropped
-  and what it may have held recomputed.
+  served from memory.  The config's one *pack*
+  (:mod:`repro.util.cachestore`) maps keys to findings (``null``: none):
+  it is opened for a key the manifest does not answer, and a run that
+  analyzes shards writes it anew — what it computed, and what the pack
+  held under this run's keys and the previous run's, so going back to
+  the set before an edit is served too, and the pack stays two runs
+  large.  A corrupt pack, or entry, is recomputed and so replaced.
 
 How the cache key covers every detector input
 ---------------------------------------------
@@ -36,10 +37,7 @@ How the cache key covers every detector input
 A shard's findings are what the two sweep kernels find in its epochs
 and regions (:func:`~repro.core.plan.run_shards`).  A key is a SHA-256
 (:func:`~repro.util.hashing.hash_ranges`, every piece length-prefixed)
-over the shard's slice digests and its *structure digest* — a SHA-256
-over a run-wide prefix and everything else below.  Calls alone determine
-the structure, so the manifest records it beside every rank's calls
-digest, and a run none of whose calls changed takes it from there:
+over a run-wide prefix and:
 
 * **the shard's calls** — ops, attached/plain call-derived locals, and
   epoch structure all lift from calls.  Covered, per rank, by the *slice
@@ -57,11 +55,12 @@ digest, and a run none of whose calls changed takes it from there:
   holds one slice digest per rank; the manifest records them with their
   lower bounds, and a rank whose file is byte-identical to the one it
   describes reuses them — its columns are not hashed, its rows not read;
-* **region and epoch structure** — the first and last region index and
-  every bound of every region in between (rows of the cut matrix); every
-  epoch (access or exposure), grouped into the shard holding its
+* **region and epoch structure** — the first and last region index;
+  every epoch (access or exposure), grouped into the shard holding its
   interior, as a row of numbers plus its PSCW group — which also covers
-  the lock index (a pure function of the epoch list);
+  the lock index (a pure function of the epoch list); the regions'
+  bounds are the members of the global cuts, which the fingerprint
+  below covers;
 * **the registries** — window bases/sizes, communicators, and datatypes
   may be created by calls *anywhere* in the trace but affect lifted
   intervals everywhere, so one global registry digest is in the prefix
@@ -90,15 +89,12 @@ synchronization calls therefore dirties every shard whose fingerprint
 prefix can see it (its own region and everything downstream), not just
 the changed rank's shard.
 
-Shard grouping and merge order are the plan's
-(:class:`~repro.core.plan.ShardPlan`); because ``dedupe`` mutates its
-survivors' occurrence counters in place, shard payloads are always
-serialized *before* the merge.
+Because ``dedupe`` mutates its survivors' occurrence counters in place,
+shard payloads are always serialized *before* the merge.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -148,8 +144,6 @@ class CachePlan:
     everything the next run's manifest records."""
 
     shards: ShardPlan
-    #: ``(n_shards, 32)``: what the calls alone determine of each shard
-    structure: np.ndarray
     #: ``(nranks, n_shards)`` :data:`_SLICE` records
     slices: np.ndarray
     keys: List[str]
@@ -171,11 +165,8 @@ class _Manifest:
     report: dict = field(default_factory=dict)
     #: keys of the shards that had no findings: served from memory
     clean: frozenset = frozenset()
-    #: per rank, the digests of its calls and their strings, or ``None``
-    calls: list = field(default_factory=list)
-    #: the run's :attr:`CachePlan.slices` and :attr:`CachePlan.structure`
+    #: the run's :attr:`CachePlan.slices`
     slices: Optional[np.ndarray] = None
-    structure: Optional[np.ndarray] = None
 
     @classmethod
     def load(cls, store: CacheStore, cfg_key: str) -> Optional["_Manifest"]:
@@ -193,12 +184,8 @@ class _Manifest:
                                   for r, d in payload["ranks"].items()}
                 manifest.report = dict(payload["report"])
                 manifest.clean = frozenset(keys) - frozenset(shards["found"])
-                manifest.calls = list(payload["calls"])
-                cut = len(blob) - 32 * len(keys)
                 manifest.slices = np.frombuffer(
-                    blob[:cut], dtype=_SLICE).reshape(len(manifest.ranks), -1)
-                manifest.structure = np.frombuffer(
-                    blob[cut:], dtype=np.uint8).reshape(len(keys), 32)
+                    blob, dtype=_SLICE).reshape(len(manifest.ranks), len(keys))
         except _DECODE_ERRORS:
             return None
         return manifest
@@ -208,9 +195,9 @@ class _Manifest:
 
 
 def slice_digests(cols: CallColumns, rows: np.ndarray, strings: str,
-                  lo: np.ndarray, hi: np.ndarray) -> List[bytes]:
-    """One rank's slice digest per ``(lo, hi)`` seq bounds: what its
-    call columns hold for ``lo < seq <= hi`` (no table id in it:
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One rank's slice digest (a row) per ``(lo, hi)`` seq bounds: what
+    its call columns hold for ``lo < seq <= hi`` (no table id in it:
     :meth:`CallColumns.content_ranges`) and its packed memory ``rows``
     with ``lo < seq < hi``, ``strings`` being the digest of the table
     their ids index."""
@@ -247,23 +234,34 @@ def _registry_digest(pre) -> str:
 
 
 def _sync_fingerprints(control: ControlState) -> np.ndarray:
-    """``fp[r]`` (32 bytes each) = rolling hash over matches whose
-    minimum participant region is ``<= r`` (the prefix the soundness
-    argument needs).  A region's matches are hashed as the rows of the
-    two :func:`~repro.core.matching.match_columns` tables in sorted
-    order, so the fingerprint is a function of the match set, not of
-    the order it was found in."""
+    """``fp[r]`` (32 bytes each) = hash over the matches whose minimum
+    participant region is ``<= r`` (the prefix the soundness argument
+    needs), region by region.  A region's matches are hashed as the rows
+    of the two :func:`~repro.core.matching.match_columns` tables in
+    sorted order, so the fingerprint is a function of the match set, not
+    of the order it was found in — and, for the members of the global
+    cuts, the row of the regions' bounds that closes the region."""
     regions, n = control.regions, len(control.regions)
-    head, part = match_columns(control.matches)
-    # every participant as (match, rank, seq): members, exits, src, dst
-    ends = np.column_stack([np.tile(np.arange(len(head)), 2),
-                            np.concatenate([head[:, 5:7], head[:, 7:9]])])
-    who = np.concatenate([part[:, [0, 2, 3]], ends[ends[:, 1] >= 0]])
+    nranks = control.pre.nranks
+    head, part = match_columns(control.matches, nranks)
+    # every participant as (match, rank, seq): members and exits, rank
+    # 0's member (what places a cut), src, dst
+    ends = np.column_stack([
+        np.tile(np.arange(len(head)), 3),
+        np.concatenate([np.column_stack([np.zeros(len(head), dtype=int),
+                                         head[:, 11]]),
+                        head[:, 5:7], head[:, 7:9]])])
+    who = np.concatenate([part[:, [0, 2, 3]], ends[ends[:, 2] >= 0]])
+    region = np.empty(len(who), dtype=np.int64)
+    for rank in np.unique(who[:, 1]).tolist():     # region_of_seq, batched
+        at = who[:, 1] == rank
+        region[at] = np.searchsorted(regions.cuts[rank], who[at, 2] - 1,
+                                     side="right")
     bucket = np.full(len(head), n - 1)
-    np.minimum.at(bucket, who[:, 0], regions.regions_of_spans(
-        who[:, 1], who[:, 2], who[:, 2])[0])
+    np.minimum.at(bucket, who[:, 0], region)
 
-    streams = []
+    row = np.arange(1, n + 2) * nranks * 8
+    streams = [(regions.bounds.reshape(-1), row[:-1], row[1:])]
     # a member row names its match by (comm, slot): one collective each
     for table, of in ((head, bucket), (np.column_stack([
             head[part[:, 0]][:, [2, 4]], part[:, 1:]]), bucket[part[:, 0]])):
@@ -271,11 +269,7 @@ def _sync_fingerprints(control: ControlState) -> np.ndarray:
         at = np.searchsorted(of[order], np.arange(n + 1)) \
             * 8 * table.shape[1]
         streams.append((table[order].reshape(-1), at[:-1], at[1:]))
-    fps, running = [], b""
-    for link in hash_ranges(b"sync-fp-v3", streams):
-        running = hashlib.sha256(running + link).digest()
-        fps.append(running)
-    return np.frombuffer(b"".join(fps), dtype=np.uint8).reshape(n, 32)
+    return hash_ranges(b"sync-fp-v3", streams, chain=True)
 
 
 # ----------------------------------------------------------- the checker
@@ -303,9 +297,8 @@ class IncrementalChecker:
         self.dirty_shards: List[int] = []
         self._packs_read = 0
         self._calls_lifted = 0
-        #: per rank, the verified digests of its call columns and of the
-        #: strings they name (``None``: a text trace records neither)
-        self._calls: List[Optional[List[str]]] = []
+        #: what the next pack keeps of the stored one: key -> findings
+        self._pack: Dict[str, Optional[dict]] = {}
         self._write_failed = False
 
     def work(self) -> Dict[str, int]:
@@ -328,9 +321,9 @@ class IncrementalChecker:
         timed = phase_timer(stats.phase_seconds)
         rec = obs.get_recorder()
 
-        whole = timed("digests", self._rank_digests)
         manifest = timed("resolve", lambda: _Manifest.load(
             self.store, self._cfg_key()))
+        whole = timed("digests", lambda: self._rank_digests(manifest))
         findings = timed("resolve", lambda: self._whole_report(
             manifest, whole, rec, stats))
         if findings is None:
@@ -364,24 +357,28 @@ class IncrementalChecker:
                             "memory_model": self.config.memory_model,
                             "nranks": self.traces.nranks})
 
-    def _rank_digests(self) -> Dict[int, str]:
+    def _rank_digests(self, manifest: Optional[_Manifest]) -> Dict[int, str]:
         """Every rank's content digest, established from its bytes: the
-        cache may only answer for a file it has verified."""
-        whole: Dict[int, str] = {}
-        self._calls = []
-        for rank in range(self.traces.nranks):
+        cache may only answer for a file it has verified.  Where every
+        file claims the content the manifest describes — the report is
+        then served whole — each is closed once it is hashed."""
+        def digest(rank: int, verify: bool) -> str:
             with self.traces.reader(rank) as reader:
-                whole[rank] = reader.content_digest(verify=True)
-                digests = reader.digests()
-                self._calls.append([digests["calls"], digests["strings"]]
-                                   if "calls" in digests else None)
+                return reader.content_digest(verify=verify)
+        ranks = range(self.traces.nranks)
+        served = manifest is not None and manifest.ranks == {
+            rank: digest(rank, False) for rank in ranks}
+        whole: Dict[int, str] = {}
+        for rank in ranks:
+            whole[rank] = digest(rank, True)
+            if served:
+                self.traces.release(rank)
         return whole
 
     def _publish(self, kind: str, key: str, payload: dict,
                  blob: bytes = b"") -> None:
-        """Store an entry.  A cache that cannot be written (disk full,
-        directory gone) costs the next run its reuse, never this run its
-        report: the error is counted, and logged once per run."""
+        """Store an entry.  A cache that cannot be written costs the next
+        run its reuse, never this run its report: counted, logged once."""
         try:
             self.store.store(kind, key, payload, blob)
         except OSError as exc:
@@ -424,37 +421,18 @@ class IncrementalChecker:
 
     def _build_plan(self, control: ControlState, whole: Dict[int, str],
                     manifest: Optional[_Manifest]) -> CachePlan:
-        """Cut the shard plan and key every shard by its content: its
-        structure digest and one slice digest per rank.  Calls alone
-        determine the structure, so where every rank's calls digest is
-        the manifest's, so are the structure digests."""
+        """Cut the shard plan and key every shard by its content."""
         shards = ShardPlan.build(control)
-        nranks, n_shards = control.pre.nranks, len(shards)
+        first, last = shards.first, shards.last
+        epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start
+        nranks, epochs = control.pre.nranks, control.epochs.columns
         slices = np.stack([
             self._slice_digests(
                 control, rank, shards.lo[rank], shards.hi[rank],
                 manifest.slices[rank] if manifest is not None
                 and manifest.ranks.get(rank) == whole[rank] else None)
             for rank in range(nranks)])
-        structure = manifest.structure if manifest is not None \
-            and all(self._calls) and manifest.calls == self._calls \
-            else self._structure(control, shards)
-        content = np.concatenate([structure, slices["digest"].transpose(
-            1, 0, 2).reshape(n_shards, -1)], axis=1)
-        each = np.arange(n_shards + 1) * content.shape[1]
-        keys = hash_ranges(b"incremental-shard", [
-            (content.reshape(-1), each[:-1], each[1:])])
-        return CachePlan(shards=shards, structure=structure, slices=slices,
-                         keys=[key.hex() for key in keys], ranks=whole)
 
-    def _structure(self, control: ControlState,
-                   shards: ShardPlan) -> np.ndarray:
-        """``(n_shards, 32)``: per shard, one digest of everything in its
-        key but the slice digests — the run-wide prefix, its regions'
-        bounds, its epochs, its sync fingerprint."""
-        first, last = shards.first, shards.last
-        epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start
-        nranks, epochs = control.pre.nranks, control.epochs.columns
         prefix = json.dumps({
             "kind": "incremental-shard", "engine_version": ENGINE_VERSION,
             "memory_model": self.config.memory_model, "nranks": nranks,
@@ -462,7 +440,9 @@ class IncrementalChecker:
             "lock_types": epochs.lock_types}, sort_keys=True)
         head = np.concatenate([
             np.stack([first, last], axis=1).view(np.uint8),
-            _sync_fingerprints(control)[last]], axis=1)
+            _sync_fingerprints(control)[last],
+            slices["digest"].transpose(1, 0, 2).reshape(len(shards), -1)],
+            axis=1)
         canon = np.stack(epochs[:8], axis=1)[epoch_ids]
         group_len = epochs.group_len[epoch_ids]
         groups = epochs.group_val[expand_ranges(
@@ -470,13 +450,12 @@ class IncrementalChecker:
             group_len)[1]]
         group_at = np.concatenate([[0], np.cumsum(group_len)])[epoch_start]
         each = np.arange(len(shards) + 1) * head.shape[1]
-        return np.frombuffer(b"".join(hash_ranges(prefix.encode("utf-8"), [
+        keys = hash_ranges(prefix.encode("utf-8"), [
             (head.reshape(-1), each[:-1], each[1:]),
-            (shards.bounds.reshape(-1), first * nranks * 8,
-             (last + 2) * nranks * 8),
             (canon.reshape(-1), epoch_start[:-1] * 64, epoch_start[1:] * 64),
-            (groups, group_at[:-1] * 8, group_at[1:] * 8)])),
-            dtype=np.uint8).reshape(-1, 32)
+            (groups, group_at[:-1] * 8, group_at[1:] * 8)])
+        return CachePlan(shards=shards, slices=slices, ranks=whole,
+                         keys=[bytes(key).hex() for key in keys])
 
     def _slice_digests(self, control: ControlState, rank: int,
                        lo: np.ndarray, hi: np.ndarray,
@@ -500,9 +479,8 @@ class IncrementalChecker:
             table["digest"][~todo] = known["digest"][at[~todo]]
         if todo.any():
             rows, _table, strings = self.loader.packed(rank)
-            table["digest"][todo] = np.frombuffer(b"".join(slice_digests(
-                control.pre.events[rank], rows, strings, lo[todo],
-                hi[todo])), dtype=np.uint8).reshape(-1, 32)
+            table["digest"][todo] = slice_digests(
+                control.pre.events[rank], rows, strings, lo[todo], hi[todo])
         return table
 
     # ---------------------------------------------------------- resolve
@@ -510,28 +488,23 @@ class IncrementalChecker:
     def _resolve(self, plan: CachePlan, manifest: Optional[_Manifest],
                  rec) -> Tuple[Dict[int, tuple], List[int]]:
         """Split shards into cache hits — clean where the manifest holds
-        the key and says so, else what a pack holds under the key:
+        the key and says so, else what the pack holds under the key:
         ``shard -> decoded findings`` of those that have any — and
-        dirty.  No pack is opened once every wanted key is found; a
-        corrupt one is dropped, and a key no pack holds may then have
-        been in it."""
+        dirty.  The pack is opened only for a key the manifest does not
+        answer; if it is corrupt, such a key may have been in it."""
         spans = manifest.spans if manifest is not None else {}
         clean = manifest.clean if manifest is not None else frozenset()
-        wanted = set(plan.keys) - clean
-        stored: Dict[str, Optional[dict]] = {}
-        lost = MISS
-        for name in self.store.keys("pack") if wanted else ():
-            self._packs_read += 1
-            payload, _blob, status = self.store.load("pack", name)
-            shards = payload.get("shards") if status == HIT else None
-            if not isinstance(shards, dict):
+        stored, lost = {}, MISS
+        if not clean.issuperset(plan.keys):
+            payload, _blob, status = self.store.load("pack", self._cfg_key())
+            self._packs_read += status != MISS
+            if status == HIT and isinstance(payload.get("shards"), dict):
+                stored = payload["shards"]
+            elif status != MISS:
                 lost = CORRUPT
-                self.store.discard("pack", name)
-                continue
-            for key in wanted & shards.keys():
-                stored.setdefault(key, shards[key])
-            if len(stored) == len(wanted):
-                break
+        # the next pack holds this run's keys and the previous run's
+        self._pack = {key: stored[key] for key in stored.keys() & {
+            *plan.keys, *spans.values()}}
         resolved: Dict[int, tuple] = {}
         dirty: List[int] = []
         for shard, key in enumerate(plan.keys):
@@ -572,8 +545,7 @@ class IncrementalChecker:
         found, _chunks = detect_shards(
             units, control, self.config.memory_model, self.loader,
             self.jobs)
-        computed: Dict[int, tuple] = {}
-        pack: Dict[str, Optional[dict]] = {}
+        computed, pack = {}, self._pack
         for shard, parts in zip(dirty, found):
             # a shard without findings stores nothing but its key
             pack[plan.keys[shard]] = None
@@ -588,8 +560,8 @@ class IncrementalChecker:
                 computed[shard] = _decode_shard(
                     payload, plan.shards.sizes(shard), cache="computed",
                     shard=shard)
-        if pack:
-            self._publish("pack", stable_hash(sorted(pack)), {"shards": pack})
+        if dirty:
+            self._publish("pack", self._cfg_key(), {"shards": pack})
         return computed
 
     # ------------------------------------------------------------ merge
@@ -600,7 +572,6 @@ class IncrementalChecker:
         self._publish("manifest", self._cfg_key(), {
             "engine_version": ENGINE_VERSION,
             "ranks": {str(r): d for r, d in plan.ranks.items()},
-            "calls": self._calls,
             "shards": {"first": plan.shards.first.tolist(),
                        "last": plan.shards.last.tolist(), "keys": plan.keys,
                        "found": sorted(map(plan.keys.__getitem__, resolved))},
@@ -610,7 +581,7 @@ class IncrementalChecker:
                 "findings": [f.to_payload() for f in findings],
                 "stats": {name: getattr(stats, name) for name in _STATS},
             },
-        }, plan.slices.tobytes() + plan.structure.tobytes())
+        }, plan.slices.tobytes())
         return findings
 
 

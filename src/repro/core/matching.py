@@ -90,13 +90,17 @@ _KIND_CODES = {kind: code for code, kind in enumerate((
     KIND_COLLECTIVE, KIND_P2P, KIND_POST_START, KIND_COMPLETE_WAIT))}
 
 
-def match_columns(matches: List[SyncMatch]) -> Tuple[np.ndarray, np.ndarray]:
+def match_columns(matches: List[SyncMatch],
+                  nranks: int) -> Tuple[np.ndarray, np.ndarray]:
     """The matches as two integer tables, for a consumer that reads them
     all at once: ``head``, a row ``(kind, fn, comm, win, index, src
-    rank, src seq, dst rank, dst seq)`` per match (``-1`` where there is
-    none; ``fn`` is one of the few dozen synchronization call names, and
-    64 bits of its digest stand for it), and ``part``, a row ``(match,
-    role, rank, seq)`` per collective member (role 0) and exit (1)."""
+    rank, src seq, dst rank, dst seq, members, exits, rank 0's member)``
+    per match (``-1`` where there is none; ``fn`` is one of the few
+    dozen synchronization call names, and 64 bits of its digest stand
+    for it; ``members`` and ``exits`` are counts), and ``part``, a row
+    ``(match, role, rank, seq)`` per collective member (role 0) and exit
+    (1) — but none for a global cut (:meth:`SyncMatch.is_global`), whose
+    members are a row of :attr:`RegionIndex.bounds`."""
     fn_id = {fn: int.from_bytes(hashlib.sha256(fn.encode("utf-8")).digest()
                                 [:8], "little", signed=True)
              for fn in {match.fn for match in matches}}
@@ -105,20 +109,24 @@ def match_columns(matches: List[SyncMatch]) -> Tuple[np.ndarray, np.ndarray]:
         (_KIND_CODES[m.kind], fn_id[m.fn],
          -1 if m.comm_id is None else m.comm_id,
          -1 if m.win_id is None else m.win_id, m.index,
-         *(m.src or none), *(m.dst or none)) for m in matches],
-        dtype=np.int64).reshape(-1, 9)
+         *(m.src or none), *(m.dst or none), len(m.members), len(m.exits),
+         m.members.get(0, -1)) for m in matches],
+        dtype=np.int64).reshape(-1, 12)
+    rest = np.nonzero((head[:, 0] != _KIND_CODES[KIND_COLLECTIVE])
+                      | (head[:, 9] != nranks) | (head[:, 10] != 0))[0]
 
-    def entries(dicts: List[Dict[int, int]], role: int) -> np.ndarray:
-        count = np.fromiter(map(len, dicts), np.int64, len(dicts))
+    def entries(role: int, dicts: List[Dict[int, int]]) -> np.ndarray:
+        count = head[rest, 9 + role]
         size = int(count.sum())
         return np.stack([
-            np.repeat(np.arange(len(dicts)), count), np.full(size, role),
+            np.repeat(rest, count), np.full(size, role),
             np.fromiter(chain.from_iterable(dicts), np.int64, size),
             np.fromiter(chain.from_iterable(map(dict.values, dicts)),
                         np.int64, size)], axis=1)
+    rest_matches = [matches[i] for i in rest.tolist()]
     return head, np.concatenate([
-        entries([m.members for m in matches], 0),
-        entries([m.exits for m in matches], 1)])
+        entries(0, [m.members for m in rest_matches]),
+        entries(1, [m.exits for m in rest_matches])])
 
 
 _FENCE_FREE_CODES = None

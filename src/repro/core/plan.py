@@ -416,12 +416,16 @@ class SharedReaders:
             reader = self._open[rank] = self._traces.reader(rank)
         yield reader
 
+    def release(self, rank: int) -> None:
+        """Close ``rank``'s reader now; asked for again, it reopens."""
+        self._open.pop(rank).close()
+
     def __enter__(self) -> "SharedReaders":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        while self._open:
-            self._open.popitem()[1].close()
+        for rank in list(self._open):
+            self.release(rank)
 
 
 class _RowLoader:

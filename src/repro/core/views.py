@@ -13,13 +13,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence
 
 from repro import obs
+from repro.profiler.callcols import BUILT_HELP
 
 
 def count_views(kind: str, n: int = 1) -> None:
-    obs.count("analyzer_views_built_total", n, kind=kind,
-              help="Analysis objects built: RMA op and local access "
-                   "views, epoch and region objects, and the call "
-                   "events built from the call columns")
+    obs.count("analyzer_views_built_total", n, kind=kind, help=BUILT_HELP)
 
 
 class Views(Sequence):

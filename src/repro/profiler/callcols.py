@@ -36,15 +36,21 @@ from array import array
 from bisect import bisect_right
 from functools import lru_cache
 from collections.abc import Sequence
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.profiler.events import CallEvent
 from repro.util.errors import TraceFormatError
-from repro.util.hashing import hash_each
 
 KIND_INT, KIND_STR, KIND_LIST = 0, 1, 2
+
+#: of ``analyzer_views_built_total``; :mod:`repro.core.views` counts the
+#: other kinds
+BUILT_HELP = ("Analysis objects built: RMA op and local access views, "
+              "epoch and region objects, and the call events built from "
+              "the call columns")
 
 #: the columns of a ``K`` frame, in payload order, with their array
 #: typecodes (all little-endian on disk)
@@ -335,6 +341,17 @@ class CallColumns(Sequence):
 
     # -- content, for a digest -----------------------------------------
 
+    @staticmethod
+    def _digests(texts: Iterable[str]) -> np.ndarray:
+        """``(len(texts) + 1, 32)`` bytes: row ``i`` is the SHA-256 of
+        ``texts[i]``, the last row zeros — what stands for a table id in
+        content that must not depend on the table (an id of ``-1`` or
+        one past the table, which names no entry, reads the zero row)."""
+        rows = [hashlib.sha256(text.encode("utf-8")).digest()
+                for text in texts]
+        return np.frombuffer(b"".join(rows) + bytes(32),
+                             dtype=np.uint8).reshape(-1, 32)
+
     def content_ranges(self, first: np.ndarray, last: np.ndarray
                        ) -> List[Tuple[Any, np.ndarray, np.ndarray]]:
         """What the row spans ``[first[k], last[k])`` hold, as
@@ -348,11 +365,11 @@ class CallColumns(Sequence):
         ``repr`` of its event here: ints, strings and tuples of them
         parse back to what they were made from, so two different spans
         never share bytes."""
-        names = hash_each(self.table.strings)
+        names = self._digests(self.table.strings)
         rows = np.empty(self.n, dtype=[("seq", "<i8"), ("shape", "u1", 32),
                                        ("loc", "u1", 32)])
         rows["seq"], rows["loc"] = self.seq, names[self.loc]
-        rows["shape"] = hash_each(map(repr, self.shapes))[self.shape]
+        rows["shape"] = self._digests(map(repr, self.shapes))[self.shape]
         is_str = self.is_str
         vals, string_at = self.val_off, _offsets(is_str)
         codec = sorted(self.codec.items())
@@ -433,10 +450,10 @@ class CallColumns(Sequence):
         decoders, events = self._decoders, self._events
         strings, loc_of = self.table.strings, self.table.loc
         shapes = self.shape[rows]
-        # imported here: repro.core imports this module; a codec row's
-        # event was decoded by the reader, not built here
-        from repro.core.views import count_views
-        count_views("event", int((shapes < len(decoders)).sum()))
+        # a codec row's event was decoded by the reader, not built here
+        obs.count("analyzer_views_built_total",
+                  int((shapes < len(decoders)).sum()), kind="event",
+                  help=BUILT_HELP)
         for k, seq, loc, shape, at, taken in zip(
                 rows.tolist(), self.seq[rows].tolist(),
                 self.loc[rows].tolist(), shapes.tolist(),

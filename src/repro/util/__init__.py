@@ -19,7 +19,6 @@ from repro.util.hashing import (
     hash_file,
     hash_ranges,
     hash_strings,
-    sha256_hex,
     stable_hash,
 )
 from repro.util.intervals import Interval, IntervalSet, datamap_intervals
@@ -31,7 +30,6 @@ __all__ = [
     "hash_file",
     "hash_ranges",
     "hash_strings",
-    "sha256_hex",
     "stable_hash",
     "ReproError",
     "SimMPIError",

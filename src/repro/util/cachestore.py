@@ -1,15 +1,16 @@
-"""Content-addressed on-disk store for incremental-check results.
+"""Keyed, checksummed on-disk store for incremental-check results.
 
-Layout, flat under the cache root::
+Layout, flat under the cache root, two files per config::
 
-    <root>/<key>.manifest   the latest run's manifest, one per config
-    <root>/<key>.pack       one per run that analyzed shards: every
-                            shard payload that run computed
+    <root>/<key>.manifest   the latest run's manifest
+    <root>/<key>.pack       every shard payload of the latest run that
+                            analyzed shards, and of the run before it
 
 An entry is a header line — the SHA-256 of everything after it — then a
 JSON object on one line, then raw bytes the object describes (the
 manifest's digest table; empty for a pack).  A run thus writes two
-files whatever its shard count.  Two properties matter more than speed:
+files whatever its shard count, each over its predecessor.  Two
+properties matter more than speed:
 
 * **Atomic writes** — an entry is staged to a temp file in the root and
   published with :func:`os.replace`, so readers never see a half-written
@@ -27,9 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 #: load() statuses
 HIT = "hit"
@@ -38,30 +38,13 @@ CORRUPT = "corrupt"
 
 
 class CacheStore:
-    """A directory of content-addressed, checksummed entries."""
+    """A directory of keyed, checksummed entries."""
 
     def __init__(self, root: str) -> None:
         self.root = root
 
     def path(self, kind: str, key: str) -> str:
         return os.path.join(self.root, f"{key}.{kind}")
-
-    def keys(self, kind: str) -> List[str]:
-        """The keys stored under ``kind``: the files named as this store
-        names them (a SHA-256 in hex), in name order."""
-        named = re.compile(r"[0-9a-f]{64}\.%s" % re.escape(kind))
-        try:
-            return sorted(name[:64] for name in os.listdir(self.root)
-                          if named.fullmatch(name))
-        except OSError:
-            return []
-
-    def discard(self, kind: str, key: str) -> None:
-        """Drop an entry :meth:`load` reported corrupt (best effort)."""
-        try:
-            os.unlink(self.path(kind, key))
-        except OSError:
-            pass
 
     def load(self, kind: str, key: str) -> Tuple[Optional[dict], bytes, str]:
         """Return ``(payload, raw bytes, status)`` with status

@@ -14,16 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 _LEN_SEP = b"\x00"
 _U64 = struct.Struct("<Q")
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def hash_file(path: str, chunk_size: int = 1 << 20) -> str:
@@ -49,26 +45,18 @@ def hash_strings(strings: Sequence[str]) -> str:
         for raw in (text.encode("utf-8") for text in strings))).hexdigest()
 
 
-def hash_each(texts: Iterable[str]) -> np.ndarray:
-    """``(len(texts) + 1, 32)`` bytes: row ``i`` is the SHA-256 of
-    ``texts[i]``, the last row zeros — what replaces a table id in a
-    digest that must not depend on the table (an id of ``-1`` or one
-    past the table, which names no entry, reads the zero row)."""
-    rows = [hashlib.sha256(text.encode("utf-8")).digest() for text in texts]
-    return np.frombuffer(b"".join(rows) + bytes(32),
-                         dtype=np.uint8).reshape(-1, 32)
-
-
-def hash_ranges(prefix: bytes, parts: Sequence[Tuple]) -> List[bytes]:
-    """One raw SHA-256 digest per range ``k``, over ``prefix`` and every
-    part's bytes ``buffer[starts[k]:ends[k]]`` — the bulk form behind the
-    slice digests and the shard keys: thousands of small digests over a
-    few large buffers, without a per-range copy.
+def hash_ranges(prefix: bytes, parts: Sequence[Tuple],
+                chain: bool = False) -> np.ndarray:
+    """``(ranges, 32)`` bytes: one SHA-256 per range ``k``, over
+    ``prefix`` and every part's bytes ``buffer[starts[k]:ends[k]]`` — the
+    bulk form behind the slice digests and the shard keys: thousands of
+    small digests over a few large buffers, without a per-range copy.
 
     ``parts`` are ``(buffer, starts, ends)`` with the byte offsets as
     integer arrays.  The number of parts follows the prefix and the
     lengths of a range's pieces precede them, so moving a byte from one
-    part to its neighbour changes the digest."""
+    part to its neighbour changes the digest.  With ``chain``, digest
+    ``k`` covers the ranges ``0 .. k``: one hash fed range after range."""
     base = hashlib.sha256(prefix + _U64.pack(len(parts)))
     sizes = np.stack([ends - starts for _buffer, starts, ends in parts],
                      axis=1).astype("<u8").tobytes()
@@ -77,13 +65,13 @@ def hash_ranges(prefix: bytes, parts: Sequence[Tuple]) -> List[bytes]:
                for buffer, starts, ends in parts]
     digests = []
     for k in range(len(sizes) // width):
-        digest = base.copy()
+        digest = base if chain else base.copy()
         digest.update(sizes[k * width:(k + 1) * width])
         for view, starts, ends in columns:
             if ends[k] > starts[k]:
                 digest.update(view[starts[k]:ends[k]])
         digests.append(digest.digest())
-    return digests
+    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 32)
 
 
 def stable_hash(obj) -> str:
@@ -94,4 +82,4 @@ def stable_hash(obj) -> str:
     """
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"),
                          ensure_ascii=False)
-    return sha256_hex(payload.encode("utf-8"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

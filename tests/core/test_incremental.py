@@ -339,11 +339,11 @@ class TestInvalidation:
             assert checker.dirty_shards == []
             assert canonical(report) == cold
 
-        # a torn write, then a key mismatch: the pack under another name
+        # a torn write, then a key mismatch
         corrupted(lambda pack: pack.write_text("{not json",
                                                encoding="utf-8"))
-        corrupted(lambda pack: pack.rename(
-            pack.with_name("0" * 64 + ".pack")))
+        corrupted(lambda pack: pack.write_text(
+            json.dumps({"key": "wrong", "shards": {}}), encoding="utf-8"))
 
     def test_jobs_do_not_affect_cache_identity(self, tmp_path):
         """The manifest key deliberately excludes ``jobs``: a serial cold
@@ -399,19 +399,10 @@ class TestWorkProportionality:
         shutil.copytree(config.cache_dir, tmp_path / "cache")
         return config.replace(cache_dir=str(tmp_path / "cache"))
 
-    def test_one_changed_address_reruns_one_shard(self, lu16, tmp_path,
-                                                  monkeypatch):
-        _base, edited, config = lu16
-        fingerprinted = []
-        monkeypatch.setattr(
-            incremental, "_sync_fingerprints",
-            lambda control, real=incremental._sync_fingerprints: (
-                fingerprinted.append(control), real(control))[1])
+    def test_one_changed_address_reruns_one_shard(self, lu16, tmp_path):
+        base, edited, config = lu16
         checker = IncrementalChecker(edited, self._fresh(config, tmp_path))
         report, outcomes = _outcomes(checker.run)
-        # no call changed: what calls alone determine of the keys is the
-        # manifest's (and is what a run without one works out: below)
-        assert not fingerprinted
         assert canonical(report) == canonical(check_traces(edited))
         (dirty,) = checker.dirty_shards
         n_shards = len(checker.plan.keys)
@@ -420,8 +411,8 @@ class TestWorkProportionality:
                             "miss": 0, "corrupt": 0}
 
         plan, control, work = checker.plan, checker.control, checker.work()
-        # packs: the manifest serves every key it holds; the one it does
-        # not is looked for in the one pack there is
+        # the manifest serves every key it holds; the one it does not is
+        # looked for in the pack
         assert work["shard_files_read"] == 1
         # lifted calls that entered the kernels: at most the calls inside
         # the shard's bounds
@@ -453,15 +444,50 @@ class TestWorkProportionality:
         again.run()
         assert again.work() == {"calls_lifted": 0, "shard_files_read": 0,
                                 "rows_loaded": 0}
-        with checker.traces:
-            assert checker._build_plan(
-                control, checker._rank_digests(), None).keys == plan.keys
-        assert fingerprinted
+        # ... and the pack still answers for the set before the edit
+        back = IncrementalChecker(base, checker.config)
+        assert canonical(back.run()) == canonical(check_traces(base))
+        assert back.dirty_shards == []
+        assert back.work()["shard_files_read"] == 1
 
-    def test_unchanged_rerun_lifts_and_opens_nothing(self, lu16, tmp_path):
+    def test_bookkeeping_does_not_grow_with_the_runs(self, lu16, tmp_path):
+        """Re-check after re-check over one cache directory — each set
+        differing from the last in two ranks: every run opens at most
+        the one pack, the directory stays two files, and the pack holds
+        no more than two runs' keys."""
         base, _edited, config = lu16
+        config = self._fresh(config, tmp_path)
+        for rank in range(6):
+            traces = perturbed(base, tmp_path / f"edit-{rank}", rank=rank)
+            checker = IncrementalChecker(traces, config)
+            assert canonical(checker.run()) == canonical(check_traces(traces))
+            assert 1 <= len(checker.dirty_shards) <= 2
+            assert checker.work()["shard_files_read"] == 1
+            files = sorted(p.suffix for p in
+                           pathlib.Path(config.cache_dir).iterdir())
+            assert files == [".manifest", ".pack"]
+            (pack,) = _entries(config, "pack")
+            assert len(_pack_shards(config, pack)) <= \
+                len(checker.plan.keys) + 2
+
+    def test_unchanged_rerun_lifts_and_opens_nothing(self, lu16, tmp_path,
+                                                     monkeypatch):
+        base, _edited, config = lu16
+        # a file is closed once it is hashed: the set is never resident
+        # whole
+        log = []
+        monkeypatch.setattr(
+            TraceReader, "content_digest",
+            lambda self, verify=False, real=TraceReader.content_digest: (
+                log.append(("hash", self.header.rank) if verify else None),
+                real(self, verify))[1])
+        monkeypatch.setattr(TraceReader, "close", lambda self, real=
+                            TraceReader.close: (log.append(
+                                ("close", self.header.rank)), real(self))[1])
         checker = IncrementalChecker(base, self._fresh(config, tmp_path))
         _report, outcomes = _outcomes(checker.run)
+        assert [step for step in log if step] == [
+            (what, rank) for rank in range(16) for what in ("hash", "close")]
         assert outcomes["hit"] > 100 and sum(outcomes.values()) == \
             outcomes["hit"]
         assert checker.work() == {"calls_lifted": 0, "shard_files_read": 0,
@@ -658,7 +684,7 @@ class TestCacheMutations:
         checksum and key is a corrupt shard: it alone is recomputed.
         (With the manifest in place, which serves the shards without
         findings: the shards with findings are one pack opened.)"""
-        _traces, edited, config, _, expected_edited = populated
+        traces, edited, config, expected, expected_edited = populated
         # a shard with findings that the edit leaves clean
         shutil.copytree(config.cache_dir, tmp_path / "probe-cache")
         probe = IncrementalChecker(edited, config.replace(
@@ -681,6 +707,12 @@ class TestCacheMutations:
         assert outcomes["corrupt"] == 1 and len(checker.dirty_shards) == 2
         assert checker.work()["shard_files_read"] == 1
         self._heals(edited, config, expected_edited)
+        # the recomputed shard replaced the tampered one where it lay: a
+        # second change of the set (back to the unedited one) finds it
+        checker = IncrementalChecker(traces, config)
+        report, outcomes = _outcomes(checker.run)
+        assert canonical(report) == expected
+        assert outcomes["corrupt"] == 0 and checker.dirty_shards == []
 
     def test_manifest_claims_no_findings_only_for_its_own_keys(self,
                                                                populated):
@@ -728,12 +760,16 @@ class TestCacheMutations:
         assert _pack_shards(config, pack)     # published again, in place
 
     def test_swapped_shard_files(self, populated):
-        """Two packs under each other's names: neither is served."""
-        traces, edited, config, expected, _ = populated
-        check_traces(edited, config)            # a second, one-shard pack
+        """Two packs — one per memory model — under each other's names:
+        neither is served, under either config."""
+        traces, _edited, config, expected, _ = populated
+        unified = config.replace(memory_model="unified")
+        expected_unified = canonical(check_traces(
+            traces, CheckConfig(memory_model="unified")))
+        assert canonical(check_traces(traces, unified)) == expected_unified
         first, last = _entries(config, "pack")
-        n_shards = max(len(_pack_shards(config, first)),
-                       len(_pack_shards(config, last)))
+        n_shards = len(_pack_shards(config, first))
+        assert n_shards == len(_pack_shards(config, last))
         for path in _entries(config, "manifest"):
             path.unlink()
         swap = first.read_bytes()
@@ -741,6 +777,7 @@ class TestCacheMutations:
         first.write_bytes(last.read_bytes())
         last.write_bytes(swap)
         self._heals(traces, config, expected, corrupt=n_shards)
+        self._heals(traces, unified, expected_unified, corrupt=n_shards)
 
     def test_shard_file_positions_out_of_range(self, populated):
         traces, _edited, config, expected, _ = populated
@@ -773,7 +810,7 @@ class TestCacheMutations:
         checker.run()
         with checker.traces:
             return checker._build_plan(
-                build_control_state(traces), checker._rank_digests(),
+                build_control_state(traces), checker._rank_digests(None),
                 None).keys
 
     def test_old_engine_version_cache_directory(self, populated, tmp_path):
@@ -933,7 +970,7 @@ def _both_digests(events, directory, trace_format, lo, hi):
     with TraceReader(path) as reader:
         cols, _counts = reader.read_calls()
     bounds = np.array([lo]), np.array([hi])
-    return (incremental.slice_digests(cols, rows, strings, *bounds)[0],
+    return (incremental.slice_digests(cols, rows, strings, *bounds).tobytes(),
             reference_slice_digests(list(cols), rows, strings, [lo], [hi])[0])
 
 

@@ -228,18 +228,18 @@ def test_open_epoch_merges_its_tail_into_one_shard(tmp_path_factory):
 #: the v2 fixture's shard keys and manifest names under engine revision
 #: "6" (PR 23: slice digests and sync fingerprints from columns)
 V2_SHARD_KEYS = [
-    "cbf9f81732b852901ba4b1deeceffa45f30eb00f71ffdea466bce31c4a9c21dc",
-    "b387186013743543bfedea5763e78a1ae07941d9fb42cf70e1c31463aa5d3bff",
-    "d731a89cb8d32a40aec741f33987fec306f4d4bebfbc7bbd6a391395db59c98c",
-    "22e8ae4a919f4791e09771af4f70139076fab120eeda3f46e38e6dc1b4a76b4a",
-    "b2aec7647a95f71199a39bf1024f9b8cbddece2bd7de46fe495c673b7637597b",
-    "235b3edf8a2ce9553ad7c82f3f7fc34c32310326b5db6f5db707fc1ae1524f5e",
-    "a9961bc6d1a1efe7651b9fedf9e795fdf6186be06c9055e7a2819144dcdce965",
-    "c9c17812ed97bfa3525fa09faf2253a60aeb515fa0e9d0a5df3e0abad76d9b95",
-    "a564bfcab28e3c250b4e29ba17436137f6fde19178624838fbc607fea5b8f7b1",
-    "5890e631f23aad3ed0bad3fddd5ba0a399c0fd7ad5978380a2b849eb80d5a730",
-    "f76a81beba59f7987c063ade77b21eebb3360791c23a52fbff257b3c72906fa4",
-    "072ea85bbf0554a81d4318f1bcea7623175d87ecf0ade5d5eb72767e629af35e",
+    "6d4a403c8312a3aa1b1d9f9b6a54cddbfba1fe33c72d895237975ac3f69ebe6c",
+    "5999b02158868e5d79a5ffe07ef8cc9437852bfce1b65f1004e5b8fc3fc3e301",
+    "1c17123d2dadafabe7ffd445eeb99d24a28b107a1fe85a22956906a09f716ec1",
+    "dfcf240b30ebe182a058fcf70e91c392fb71ad6e2573f5d4949f6ce4f46b9345",
+    "d749b9cecbbe49973e277af386a33361f5598710616ddcfe5b1864724468fa4e",
+    "db3605a00af193a63084a8acbb4e9c984ea5afe7917a949c858ee6f7fc8c232a",
+    "8e43afe9464a60c64e31aaa3e3a3b98f4bf66fac34c87fa76b3979a6a5ff8583",
+    "503fccd758d528cc20bd0251cde66a55f7fa583ccd88883ee07eb1a8974d444c",
+    "f532aa77194a1dadd3c4aa58d6a728f95c0bbce20fb4b7c404aa7ea59c20f020",
+    "f831fecc8ac3cd69e29cb90ca9152f39d84239fcd1373627ec656f28f2b4ce19",
+    "35f4d99a8f2fc8a8117e2f66600274293fbe2695840afefd825a3727e2827ff1",
+    "9d4a0c4fd63c5b717c7009ff601d5d910f674aaf1e81121f826d2715c906eff7",
 ]
 V2_MANIFESTS = {
     "separate":
