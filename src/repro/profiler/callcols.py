@@ -449,17 +449,15 @@ class CallColumns(Sequence):
                 for fn, keys, kinds in self.shapes]
         decoders, events = self._decoders, self._events
         strings, loc_of = self.table.strings, self.table.loc
-        shapes = self.shape[rows]
-        # a codec row's event was decoded by the reader, not built here
-        obs.count("analyzer_views_built_total",
-                  int((shapes < len(decoders)).sum()), kind="event",
-                  help=BUILT_HELP)
+        built = len(rows)
         for k, seq, loc, shape, at, taken in zip(
                 rows.tolist(), self.seq[rows].tolist(),
-                self.loc[rows].tolist(), shapes.tolist(),
+                self.loc[rows].tolist(), self.shape[rows].tolist(),
                 (lo - base).tolist(), firsts):
             if shape == len(decoders):
+                # decoded by the reader, not built here
                 events[k] = self.codec[k]
+                built -= 1
                 continue
             fn, keys, str_pos, list_pos = decoders[shape]
             args = values[at:at + len(keys)]
@@ -473,3 +471,5 @@ class CallColumns(Sequence):
                               "args": dict(zip(keys, args)),
                               "loc": loc_of(loc)}
             events[k] = event
+        obs.count("analyzer_views_built_total", built, kind="event",
+                  help=BUILT_HELP)

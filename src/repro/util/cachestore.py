@@ -57,18 +57,24 @@ class CacheStore:
         """
         try:
             with open(self.path(kind, key), "rb") as fh:
-                checksum, _, body = fh.read().partition(b"\n")
+                raw = fh.read()
         except FileNotFoundError:
             return None, b"", MISS
         except OSError:
             return None, b"", CORRUPT
-        if hashlib.sha256(body).hexdigest().encode("ascii") != checksum:
+        # 64 hex digits and a newline, then the body: sliced, not copied
+        body = memoryview(raw)[65:]
+        if raw[64:65] != b"\n" or raw[:64] != hashlib.sha256(
+                body).hexdigest().encode("ascii"):
             return None, b"", CORRUPT
-        head, _, blob = body.partition(b"\n")
+        end = raw.find(b"\n", 65)
+        if end < 0:                               # nothing after the object
+            end = len(raw)
         try:
-            payload = json.loads(head)
+            payload = json.loads(raw[65:end])
         except ValueError:
             return None, b"", CORRUPT
+        blob = memoryview(raw)[end + 1:]
         if not isinstance(payload, dict) or payload.get("key") != key:
             return None, b"", CORRUPT
         return payload, blob, HIT

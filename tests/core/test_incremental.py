@@ -207,8 +207,7 @@ class TestInvalidation:
     def test_renamed_window_buffer_dirties_everything(self, tmp_path):
         """The same call columns over another string table — the window
         buffer renamed, every id as it was — are other calls: the
-        registry differs, so no shard may hit (the structure digests of
-        the manifest must not be reused on the calls digest alone)."""
+        registry differs, so no shard may hit."""
         a = self._traces(tmp_path / "a", extra=False)
         b = self._traces(tmp_path / "b", extra=False, window="xbuf")
         digests = []
@@ -223,6 +222,37 @@ class TestInvalidation:
         report, outcomes = _outcomes(lambda: check_traces(b, config))
         assert outcomes["hit"] == 0 and outcomes["invalidated"] > 1
         assert canonical(report) == canonical(check_traces(b))
+
+    def test_sync_fingerprints_are_a_function_of_the_match_set(self,
+                                                               tmp_path):
+        generated = generate_program(GenConfig(
+            seed=1, nranks=5, rounds=3, bugs=(), trace_format="binary"))
+        control = build_control_state(profile_program(
+            generated, trace_dir=str(tmp_path / "traces")).traces)
+        # cuts, directed pairs, and a collective that is no cut
+        del next(m for m in control.matches
+                 if m.is_global(5)).members[4]
+        assert {(m.kind, m.is_global(5)) for m in control.matches} == {
+            ("collective", True), ("collective", False),
+            ("post_start", False), ("complete_wait", False)}
+        fps = incremental._sync_fingerprints(control)
+        assert fps.shape == (len(control.regions), 32)
+        # neither the order matches were found in nor that of their members
+        control.matches.reverse()
+        for match in control.matches:
+            match.members = dict(reversed(list(match.members.items())))
+        assert np.array_equal(incremental._sync_fingerprints(control), fps)
+        # a match that is no cut, changed: seen from its first region on
+        for match in control.matches:
+            if match.is_global(5):
+                continue
+            first = min(control.regions.region_of_seq(rank, seq)
+                        for rank, seq in match.participants())
+            match.index += 100
+            moved = (incremental._sync_fingerprints(control) != fps).any(
+                axis=1)
+            assert not moved[:first].any() and moved[first:].all()
+            match.index -= 100
 
     def test_sync_change_dirties_downstream_not_upstream(self, tmp_path):
         """Adding a send/recv in the middle phase must re-run the
