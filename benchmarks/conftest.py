@@ -16,7 +16,6 @@ the curves' shape.  Set ``MCCHECKER_BENCH_SCALE=paper`` for the full-size
 
 import json
 import os
-import statistics
 import time
 
 import pytest
@@ -130,12 +129,3 @@ def one_cpu():
     finally:
         os.sched_setaffinity(0, allowed)
 
-
-def median_time(fn, reps):
-    """Median wall-clock of ``reps`` invocations (fresh state per call)."""
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)

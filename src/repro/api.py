@@ -9,8 +9,7 @@ instead of the per-function kwarg lists the internals grew over time:
 
     run = api.run(my_app, nranks=4, trace_format="binary")
     report = api.check(run.traces,
-                       CheckConfig(jobs=4, cache_dir=".mc-cache",
-                                   incremental=True))
+                       CheckConfig(cache_dir=".mc-cache", incremental=True))
     print(report.format())
 
 ``check`` accepts either a :class:`~repro.profiler.tracer.TraceSet` or a

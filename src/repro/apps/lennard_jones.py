@@ -36,14 +36,11 @@ def _lj_force(delta: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 
 def lennard_jones(mpi: MPIContext, particles_per_rank: int = 4,
-                  steps: int = 3, dt: float = 1e-3,
-                  vectorized: bool = True):
+                  steps: int = 3, dt: float = 1e-3):
     """Run the MD loop; returns this rank's final kinetic-ish checksum.
 
-    ``vectorized=True`` (default) integrates and resets the force window
-    with whole-slice accesses (one load + one store record each) instead
-    of per-element loops (2 x width records) — coarser event granularity,
-    same epoch structure, so the app stays consistency-clean either way.
+    The force window is integrated and reset with whole-slice accesses
+    (one load + one store record each).
     """
     ppr = particles_per_rank
     width = ppr * _DIM
@@ -102,19 +99,11 @@ def lennard_jones(mpi: MPIContext, particles_per_rank: int = 4,
         force_win.fence()  # all accumulates landed everywhere
 
         # integrate: own force window += my own contribution, then read
-        if vectorized:
-            force.write_block(force.read_block(0, width)
-                              + total_force.reshape(width))
-        else:
-            for i in range(width):
-                force[i] = force[i] + float(total_force.reshape(width)[i])
+        force.write_block(force.read_block(0, width)
+                          + total_force.reshape(width))
         velocity += dt * force.read(0, width)
         pos.write(pos.read(0, width) + dt * velocity)
-        if vectorized:
-            force.write_block(np.zeros(width))  # reset accumulator
-        else:
-            for i in range(width):
-                force[i] = 0.0  # reset accumulator (tracked stores)
+        force.write_block(np.zeros(width))  # reset accumulator
         force_win.fence()  # local resets precede the next epoch's accs
         pos_win.fence()  # position updates precede the next fetch epoch
 

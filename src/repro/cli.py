@@ -47,6 +47,7 @@ from repro.obs.logging import LOG_LEVEL_CHOICES
 from repro.profiler.session import profile_run
 from repro.profiler.tracer import TraceSet
 from repro.stanalyzer import analyze_source
+from repro.util.errors import AnalysisError, TraceFormatError
 
 
 def _resolve_app(name: str) -> Tuple[Callable, Dict]:
@@ -67,15 +68,6 @@ def _resolve_app(name: str) -> Tuple[Callable, Dict]:
     if ":" in name:
         return _resolve(name), {}
     raise SystemExit(f"unknown application {name!r}; see `mc-checker apps`")
-
-
-def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the sharded analyzer "
-                             "(1 = serial, -1 = one per CPU); one "
-                             "persistent pool serves every phase and is "
-                             "reused by later runs; findings are "
-                             "identical at any job count")
 
 
 def _analysis_parent() -> argparse.ArgumentParser:
@@ -435,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--json", action="store_true",
                          help="emit the statistics (incl. per-rank binary "
                               "footer counts) as JSON")
-    _add_jobs_arg(p_stats)
     _add_obs_args(p_stats, exports=True)
 
     p_diff = sub.add_parser(
@@ -478,6 +469,10 @@ def main(argv=None) -> int:
                   log_level=getattr(args, "log_level", "info"))
     try:
         return _dispatch(args)
+    except (TraceFormatError, AnalysisError, OSError) as exc:
+        # distinct from 1, which `check` returns for a detected bug
+        print(f"mc-checker: {exc}", file=sys.stderr)
+        return 2
     finally:
         recorder = obs.get_recorder()
         log = obs.get_logger()
@@ -590,7 +585,7 @@ def _dispatch(args) -> int:
         log.info(_per_rank_table(stats))
         if not args.no_phases:
             try:
-                report = check_traces(traces, CheckConfig(jobs=args.jobs))
+                report = check_traces(traces)
             except Exception as exc:  # noqa: BLE001 - stats must not die
                 log.warning(f"analyzer phases unavailable: {exc}")
             else:

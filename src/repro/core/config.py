@@ -63,10 +63,12 @@ class CheckConfig:
             if self.streaming:
                 raise ValueError(
                     "incremental checking is incompatible with streaming")
-        if self.streaming and resolve_jobs(self.jobs) > 1:
+        if resolve_jobs(self.jobs) > 1 and (self.streaming
+                                            or self.incremental):
+            mode = ("streaming analysis" if self.streaming
+                    else "incremental checking")
             raise ValueError(
-                "streaming analysis is serial; it is incompatible with "
-                "jobs > 1")
+                f"{mode} is serial; it is incompatible with jobs > 1")
 
     def replace(self, **changes) -> "CheckConfig":
         return replace(self, **changes)

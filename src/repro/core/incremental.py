@@ -105,15 +105,15 @@ from repro import obs
 from repro.core.checker import (
     CheckReport, CheckStats, publish_report_obs, run_control_pass,
 )
-from repro.core.config import CheckConfig, resolve_jobs
+from repro.core.config import CheckConfig
 from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, annotate_context,
     dedupe, sort_findings,
 )
 from repro.core.matching import match_columns
-from repro.core.parallel import detect_shards
 from repro.core.plan import (
     ControlState, ShardPlan, SharedReaders, _RowLoader, phase_timer,
+    ranks_read, run_shards,
 )
 from repro.profiler.callcols import CallColumns
 from repro.profiler.tracer import MEM_DTYPE, TraceSet
@@ -287,7 +287,6 @@ class IncrementalChecker:
         #: every pass of a run shares one reader per rank file
         self.traces = SharedReaders(traces)
         self.config = config
-        self.jobs = resolve_jobs(config.jobs)
         self.store = CacheStore(config.cache_dir)
         # populated by run(); public for tests
         self.control: Optional[ControlState] = None
@@ -336,7 +335,7 @@ class IncrementalChecker:
             self.dirty_shards = dirty
             resolved.update(timed(
                 "detect", lambda: self._detect(control, plan, dirty),
-                shards=len(dirty), jobs=self.jobs))
+                shards=len(dirty)))
             plan.shards.publish_obs(len(dirty))
             findings = timed(
                 "merge", lambda: self._merge(plan, resolved, stats))
@@ -347,7 +346,7 @@ class IncrementalChecker:
                                "control pass (IncrementalChecker.work)")
             rec.gauge("incremental_ranks_loaded", len(self.loader.ranks),
                       help="Ranks whose memory rows were read this run")
-        annotate_context(findings, jobs=self.jobs, mode="incremental")
+        annotate_context(findings, mode="incremental")
         errors = [f for f in findings if f.severity == SEVERITY_ERROR]
         warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
         return CheckReport(errors=errors, warnings=warnings, stats=stats)
@@ -542,9 +541,9 @@ class IncrementalChecker:
                 dirty: List[int]) -> Dict[int, tuple]:
         units = plan.shards.units(control, dirty)
         self._calls_lifted += sum(unit.calls for unit in units)
-        found, _chunks = detect_shards(
-            units, control, self.config.memory_model, self.loader,
-            self.jobs)
+        mems = {rank: self.loader.rows(rank)
+                for rank in ranks_read(units, control)}
+        found = run_shards(units, control, self.config.memory_model, mems)
         computed, pack = {}, self._pack
         for shard, parts in zip(dirty, found):
             # a shard without findings stores nothing but its key

@@ -159,8 +159,9 @@ def differential_reports(traces, check_config: Optional[CheckConfig]
     """Analyze one trace set with every executor.
 
     Returns ``arm name -> canonical report``; the arms are ``batch``
-    (at the config's job count), ``streaming`` (always serial) and
-    ``incremental-cold`` / ``incremental-warm`` over one fresh cache.
+    (at the config's job count), ``streaming`` and
+    ``incremental-cold`` / ``incremental-warm`` over one fresh cache
+    (always serial).
     """
     base = _base_config(check_config)
     out = {
@@ -169,7 +170,7 @@ def differential_reports(traces, check_config: Optional[CheckConfig]
             traces, base.replace(jobs=1, streaming=True))),
     }
     with tempfile.TemporaryDirectory(prefix="mcgen-cache-") as cache:
-        inc = base.replace(cache_dir=cache, incremental=True)
+        inc = base.replace(jobs=1, cache_dir=cache, incremental=True)
         for arm in ("incremental-cold", "incremental-warm"):
             out[arm] = canonical_report(check_traces(traces, inc))
     return out

@@ -1,5 +1,7 @@
 """Overhead-app tests: correctness, race-freedom, and event-mix shape."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.apps.lu import lu, _block_bounds, _owner_of
 from repro.apps.scf import scf
 from repro.apps.skampi import skampi
 from repro.core import check_app
+from repro.profiler.events import MemEvent
 from repro.profiler.session import profile_run
 from repro.simmpi import run_app
 
@@ -76,6 +79,27 @@ class TestLU:
         assert mem_per_rank[4] < mem_per_rank[2]
         assert call_per_rank[4] == pytest.approx(call_per_rank[2],
                                                  rel=0.25)
+
+    @pytest.mark.parametrize("trace_format", ("text", "binary"))
+    def test_scalar_and_bulk_loops_emit_the_same_events(self, trace_format):
+        """``lu(vectorized=True)`` stands for the per-row loop: one
+        ``read_block(..., reps=nrows)`` is ``nrows`` pivot-row loads.
+        Every rank's trace is the scalar loop's, event for event (seq,
+        call arguments, access, address, size, variable), except for
+        the line of that one load, which is another statement of
+        ``lu``."""
+        def events(vectorized):
+            run = profile_run(lu, 4, seed=3, trace_format=trace_format,
+                              params=dict(n=24, vectorized=vectorized))
+            return [[replace(event, loc=replace(event.loc, lineno=0))
+                     if isinstance(event, MemEvent)
+                     and event.access == "load" else event
+                     for event in run.traces.iter_events(rank)]
+                    for rank in range(4)]
+        scalar, bulk = events(False), events(True)
+        assert sum(isinstance(event, MemEvent)
+                   for rank in scalar for event in rank) > 200
+        assert scalar == bulk
 
 
 class TestBoltzmann:

@@ -85,24 +85,26 @@ def perturbed(traces: TraceSet, directory, rank=None) -> TraceSet:
     raise AssertionError("no rank has a load/store to perturb")
 
 
-def batch_for(case, memory_model) -> str:
-    key = (case.name, memory_model)
+def batch_for(case, memory_model, jobs=1) -> str:
+    key = (case.name, memory_model, jobs)
     if key not in _BATCH:
         _BATCH[key] = canonical(check_traces(
-            traces_for(case), CheckConfig(memory_model=memory_model)))
+            traces_for(case),
+            CheckConfig(memory_model=memory_model, jobs=jobs)))
     return _BATCH[key]
 
 
 class TestReportIdentity:
     """Canonical bytes (``stats.rma_ops`` / ``local_accesses`` included)
     of incremental cold / warm / re-check == the plain check's, over the
-    Table II corpus x both models x both formats x jobs {1, 2}, and over
-    generated programs."""
+    Table II corpus x both models x both formats, and over generated
+    programs.  The cache is serial; ``jobs`` is the plain check's, so
+    what the cache serves is the pooled check's report too."""
 
     @staticmethod
     def _three_temperatures(traces, tmp_path, **config):
         plain = CheckConfig(**config)
-        cached = plain.replace(incremental=True, jobs=config.get("jobs", 1),
+        cached = plain.replace(incremental=True, jobs=1,
                                cache_dir=str(tmp_path / "cache"))
         expected = canonical(check_traces(traces, plain))
         assert canonical(check_traces(traces, cached)) == expected, "cold"
@@ -143,10 +145,10 @@ class TestWarmColdDifferential:
         traces = traces_for(case)
         config = CheckConfig(incremental=True,
                              cache_dir=str(tmp_path / "cache"),
-                             memory_model=memory_model, jobs=jobs)
+                             memory_model=memory_model)
         cold = canonical(check_traces(traces, config))
         warm = canonical(check_traces(traces, config))
-        assert cold == batch_for(case, memory_model)
+        assert cold == batch_for(case, memory_model, jobs)
         assert warm == cold
 
     def test_fully_warm_run_reuses_every_shard(self, tmp_path):
@@ -375,18 +377,13 @@ class TestInvalidation:
         corrupted(lambda pack: pack.write_text(
             json.dumps({"key": "wrong", "shards": {}}), encoding="utf-8"))
 
-    def test_jobs_do_not_affect_cache_identity(self, tmp_path):
-        """The manifest key deliberately excludes ``jobs``: a serial cold
-        run must fully warm a parallel run and vice versa."""
-        traces = self._traces(tmp_path / "t", extra=False)
+    def test_jobs_above_one_are_rejected(self, tmp_path):
+        """The cache is serial; asking for workers is an error, not a
+        silently serial run."""
         cache = str(tmp_path / "cache")
-        serial = CheckConfig(incremental=True, cache_dir=cache, jobs=1)
-        parallel = CheckConfig(incremental=True, cache_dir=cache, jobs=2)
-        cold = canonical(check_traces(traces, serial))
-        checker = IncrementalChecker(traces, parallel)
-        report = checker.run()
-        assert checker.dirty_shards == []
-        assert canonical(report) == cold
+        with pytest.raises(ValueError, match="incremental.*serial.*jobs"):
+            CheckConfig(incremental=True, cache_dir=cache, jobs=2)
+        CheckConfig(incremental=True, cache_dir=cache, jobs=0)  # serial
 
 
 def _entries(config: CheckConfig, kind: str):

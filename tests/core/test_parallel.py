@@ -166,20 +166,6 @@ class TestPoolLifecycle:
         reused = rec.registry.get("parallel_pool_reused_total")
         assert reused is not None and reused.total == 1
 
-    def test_incremental_runs_reuse_one_pool(self, tmp_path):
-        traces = traces_for(ALL_CASES[0])
-        cfg = CheckConfig(jobs=2, incremental=True,
-                          cache_dir=str(tmp_path))
-        rec = obs.configure(enabled=True)
-        first = check_traces(traces, config=cfg)
-        created = rec.registry.get("parallel_pool_created_total")
-        assert created is not None and created.total == 1
-        # a second incremental run (cache warm or not) must not fork a
-        # second pool
-        second = check_traces(traces, config=cfg)
-        assert created.total == 1
-        assert canonical(first) == canonical(second)
-
     def test_no_segments_leaked_after_normal_run(self):
         traces = traces_for(ALL_CASES[0])
         check_traces(traces, config=CheckConfig(jobs=2))

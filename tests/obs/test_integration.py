@@ -120,6 +120,20 @@ class TestPipelineMetrics:
         assert reg.get("analyzer_phase_seconds").count() == \
             len(MCChecker.PHASES)
 
+    def test_recorder_does_not_change_the_report(self, tmp_path):
+        """Observation never changes the analysis: the same report with
+        the recorder off and on."""
+        run = profile_run(emulate, 2, trace_dir=str(tmp_path),
+                          params=dict(buggy=True))
+
+        def report():
+            payload = check_traces(run.traces).to_dict()
+            payload["stats"].pop("phase_seconds")
+            return payload
+        off = report()
+        obs.configure(enabled=True)
+        assert report() == off and off["errors"]
+
     def test_scheduler_timing_off_when_disabled(self):
         assert not obs.is_enabled()
         from repro.simmpi.runtime import World

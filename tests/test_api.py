@@ -96,23 +96,29 @@ class TestLegacyShims:
 
 
 class TestCliRoundTrip:
-    FLAGS = ["--memory-model", "unified",
-             "--jobs", "3", "--cache-dir", "/tmp/c", "--incremental"]
-    EXPECTED = CheckConfig(memory_model="unified", jobs=3,
-                           cache_dir="/tmp/c", incremental=True)
+    # --jobs and --incremental exclude each other (the cache is serial)
+    ROUND_TRIPS = [
+        (["--memory-model", "unified", "--jobs", "3",
+          "--cache-dir", "/tmp/c"],
+         CheckConfig(memory_model="unified", jobs=3, cache_dir="/tmp/c")),
+        (["--cache-dir", "/tmp/c", "--incremental"],
+         CheckConfig(cache_dir="/tmp/c", incremental=True)),
+    ]
+
+    def _assert_round_trips(self, command):
+        parser = build_parser()
+        for flags, expected in self.ROUND_TRIPS:
+            args = parser.parse_args(command + flags)
+            assert _config_from_args(args) == expected
 
     def test_check_flags_round_trip(self):
-        args = build_parser().parse_args(["check", "dir"] + self.FLAGS)
-        assert _config_from_args(args) == self.EXPECTED
+        self._assert_round_trips(["check", "dir"])
 
     def test_run_check_flags_round_trip(self):
-        args = build_parser().parse_args(["run-check", "emulate"]
-                                         + self.FLAGS)
-        assert _config_from_args(args) == self.EXPECTED
+        self._assert_round_trips(["run-check", "emulate"])
 
     def test_run_accepts_the_same_flags(self):
-        args = build_parser().parse_args(["run", "emulate"] + self.FLAGS)
-        assert _config_from_args(args) == self.EXPECTED
+        self._assert_round_trips(["run", "emulate"])
 
     def test_identical_defaults_across_subcommands(self):
         parser = build_parser()

@@ -32,6 +32,63 @@ class TestStaticCommands:
         assert "x" in capsys.readouterr().out
 
 
+class TestExitStatus:
+    """``check`` returns 0 for a clean trace set, 1 for consistency
+    errors and 2 for a trace set it cannot analyse — which a script
+    gating on the status must not read as a detected bug."""
+
+    @staticmethod
+    def _unanalysable(kind, tmp_path):
+        path = tmp_path / kind
+        if kind == "a-file":
+            path.write_text("not a directory")
+        elif kind == "empty-dir":
+            path.mkdir()
+        elif kind == "truncated":
+            main(["run", "emulate", "--ranks", "2", "--trace-dir",
+                  str(path), "--log-level", "quiet"])
+            rank1 = path / "trace.1.log"
+            data = rank1.read_bytes()
+            # the cut leaves a call record without its function
+            rank1.write_bytes(data[:data.index(b" fn=", len(data) // 2)])
+        return path  # "missing": nothing was created
+
+    @pytest.mark.parametrize("kind", ["missing", "a-file", "empty-dir",
+                                      "truncated"])
+    def test_unanalysable_trace_set(self, kind, tmp_path, capsys):
+        path = self._unanalysable(kind, tmp_path)
+        assert main(["check", str(path), "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mc-checker: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert str(path) in captured.err
+
+    def test_missing_directory_on_the_other_verbs(self, tmp_path, capsys):
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        for argv in (["stats", missing], ["dag", missing],
+                     ["diff", missing, missing],
+                     ["minimize", missing, out]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                f"mc-checker: [Errno 2] No such file or directory: " \
+                f"{missing!r}\n"
+
+    def test_buggy_is_1_and_clean_is_0(self, tmp_path):
+        for flags, status in ([], 1), (["--fixed"], 0):
+            main(["run", "emulate", "--ranks", "2", "--log-level", "quiet",
+                  "--trace-dir", str(tmp_path / str(status))] + flags)
+            assert main(["check", str(tmp_path / str(status)),
+                         "--no-ledger", "--log-level", "quiet"]) == status
+
+    def test_metrics_are_still_written(self, tmp_path):
+        metrics = tmp_path / "m.prom"
+        assert main(["check", str(tmp_path / "missing"), "--no-ledger",
+                     "--metrics-out", str(metrics)]) == 2
+        assert metrics.exists()
+
+
 class TestRunCheck:
     def test_run_writes_traces(self, tmp_path, capsys):
         assert main(["run", "emulate", "--ranks", "2",
@@ -130,6 +187,12 @@ class TestRunCheck:
         not a silently serial run."""
         with pytest.raises(SystemExit, match="streaming.*jobs"):
             main(["check", str(tmp_path), "--streaming", "--jobs", "2"])
+
+    def test_incremental_rejects_jobs(self, tmp_path):
+        """So is the cache."""
+        with pytest.raises(SystemExit, match="incremental.*serial.*jobs"):
+            main(["check", str(tmp_path), "--incremental",
+                  "--cache-dir", str(tmp_path / "c"), "--jobs", "2"])
 
     def test_stats_command(self, tmp_path, capsys):
         main(["run", "LU", "--ranks", "2", "--param", "n=10",
