@@ -234,8 +234,18 @@ class MPIContext:
     def _resolve_comm(self, comm: Optional[Comm]) -> Comm:
         return comm if comm is not None else self.world.world_comm
 
+    def _emit(self, fn: str, args: Dict[str, Any]) -> None:
+        """One call event, on this rank's thread (for a window call that
+        yields into its wait)."""
+        world = self.world
+        if world.collect_stats:
+            world.bump_stat(f"call:{fn}")
+        for hook in world.hooks:
+            hook.on_call(self.rank, fn, args)
+
     def _yield_and_emit(self, fn: str, args: Dict[str, Any]) -> None:
-        """One yield point + one call event; every MPI call funnels here."""
+        """One call event + one yield point; every call that does not
+        block funnels here."""
         world = self.world
         if world.collect_stats:
             world.bump_stat(f"call:{fn}")
@@ -259,15 +269,38 @@ class MPIContext:
         for hook in world.hooks:
             hook.on_mem_block(self.rank, kind, buf, addr, size, count, stride)
 
-    def _collective_barrier(self, comm: Comm, name: str,
-                            contribution: Any = None, meta: Any = None):
-        """Internal matched-slot barrier; no event of its own."""
-        index, slot = self.world.collectives.enter(
-            comm, self.rank, name, contribution, meta)
-        self.world.scheduler.register_progress()
-        self.world.scheduler.wait_until(
-            self.rank, lambda: slot.full, f"{name} on comm {comm.comm_id}")
-        return index, slot
+    def _collective(self, comm: Comm, name: str, contribution: Any = None,
+                    event: Optional[Tuple[str, Dict[str, Any]]] = None,
+                    before: Optional[Callable[[], None]] = None):
+        """Join slot ``name`` on ``comm``, wait for every member; return
+        ``(index, slot)``.  With ``event`` (``fn, args``) the call is
+        logged, and ``before()`` plus the join are its resumed step;
+        without, the call is logged at return and joins where it stands."""
+        world, rank = self.world, self.rank
+        joined = []
+
+        def join() -> Callable[[], bool]:
+            if before is not None:
+                before()
+            joined.append(world.collectives.enter(comm, rank, name,
+                                                  contribution))
+            world.scheduler.register_progress()
+            slot = joined[0][1]
+            return lambda: slot.full
+
+        reason = f"{name} on comm {comm.comm_id}"
+        if event is None:
+            world.scheduler.wait_until(rank, join(), reason)
+            return joined[0]
+        # emitted here, not through _emit: one runtime frame fewer for
+        # capture_location to walk
+        fn, args = event
+        if world.collect_stats:
+            world.bump_stat(f"call:{fn}")
+        for hook in world.hooks:
+            hook.on_call(rank, fn, args)
+        world.scheduler.yield_then_wait(rank, join, reason)
+        return joined[0]
 
     def register_type(self, dtype: Datatype) -> Datatype:
         self._type_registry[dtype.type_id] = dtype
@@ -342,7 +375,7 @@ class MPIContext:
 
     def comm_dup(self, comm: Optional[Comm] = None) -> Comm:
         comm = self._resolve_comm(comm)
-        index, slot = self._collective_barrier(comm, f"Comm_dup:{comm.comm_id}")
+        index, slot = self._collective(comm, f"Comm_dup:{comm.comm_id}")
         if not slot.computed:
             slot.computed = True
             slot.result = Comm(self.world.fresh_comm_id(), comm.group)
@@ -359,7 +392,7 @@ class MPIContext:
                    comm: Optional[Comm] = None) -> Optional[Comm]:
         """MPI_Comm_split; ``color < 0`` (undefined) yields no communicator."""
         comm = self._resolve_comm(comm)
-        index, slot = self._collective_barrier(
+        index, slot = self._collective(
             comm, f"Comm_split:{comm.comm_id}", contribution=(color, key))
         if not slot.computed:
             slot.computed = True
@@ -387,7 +420,7 @@ class MPIContext:
     def comm_create(self, group: Group, comm: Optional[Comm] = None
                     ) -> Optional[Comm]:
         comm = self._resolve_comm(comm)
-        index, slot = self._collective_barrier(
+        index, slot = self._collective(
             comm, f"Comm_create:{comm.comm_id}", contribution=group.world_ranks)
         if not slot.computed:
             slot.computed = True
@@ -477,6 +510,20 @@ class MPIContext:
             elem_count=elem_count))
         self.world.scheduler.register_progress()
 
+    def _take_message(self, comm_id: int, src_world: int, tag: int,
+                      reason: str) -> Message:
+        """Yield, wait for a matching message and take it (Recv, Wait)."""
+        router, rank = self.world.router, self.rank
+
+        def arrived() -> bool:
+            return router.find(rank, comm_id, src_world, tag) is not None
+
+        self.world.scheduler.yield_then_wait(rank, lambda: arrived, reason)
+        msg = router.find(rank, comm_id, src_world, tag)
+        router.take(rank, msg)
+        self.world.scheduler.register_progress()
+        return msg
+
     def recv(self, buf=None, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Optional[Comm] = None, offset: int = 0,
              count: Optional[int] = None,
@@ -485,17 +532,9 @@ class MPIContext:
         comm = self._resolve_comm(comm)
         src_world = (comm.world_of_rank(source)
                      if source != ANY_SOURCE else ANY_SOURCE)
-        self.world.scheduler.yield_point(self.rank)
-        router = self.world.router
-        self.world.scheduler.wait_until(
-            self.rank,
-            lambda: router.find(self.rank, comm.comm_id, src_world, tag)
-            is not None,
+        msg = self._take_message(
+            comm.comm_id, src_world, tag,
             f"Recv source={source} tag={tag} comm={comm.comm_id}")
-        msg = router.find(self.rank, comm.comm_id, src_world, tag)
-        assert msg is not None
-        router.take(self.rank, msg)
-        self.world.scheduler.register_progress()
         payload = self._unpack_recv(msg, buf, offset, count, datatype)
         status = Status(source=comm.rank_of_world(msg.src_world), tag=msg.tag,
                         count=msg.elem_count)
@@ -578,16 +617,9 @@ class MPIContext:
             self._yield_and_emit("Wait", {"req_kind": "irecv", "req": req_id})
             return req.status
         comm_id, src_world, tag = req._match_spec
-        self.world.scheduler.yield_point(self.rank)
-        router = self.world.router
-        self.world.scheduler.wait_until(
-            self.rank,
-            lambda: router.find(self.rank, comm_id, src_world, tag) is not None,
+        msg = self._take_message(
+            comm_id, src_world, tag,
             f"Wait(irecv) source={src_world} tag={tag} comm={comm_id}")
-        msg = router.find(self.rank, comm_id, src_world, tag)
-        assert msg is not None
-        router.take(self.rank, msg)
-        self.world.scheduler.register_progress()
         self._unpack_recv(msg, req._recv_into, req._recv_offset,
                           req._recv_count, req._recv_dtype)
         req.complete = True
@@ -617,8 +649,8 @@ class MPIContext:
 
     def barrier(self, comm: Optional[Comm] = None) -> None:
         comm = self._resolve_comm(comm)
-        self._yield_and_emit("Barrier", {"comm": comm.comm_id})
-        index, slot = self._collective_barrier(comm, "Barrier")
+        index, slot = self._collective(
+            comm, "Barrier", event=("Barrier", {"comm": comm.comm_id}))
         self.world.collectives.leave(comm, index, slot, self.rank)
 
     # ------------------------------------------------------------------
@@ -678,10 +710,12 @@ class MPIContext:
                                           "coll": fn, "req": req_id,
                                           "comm": comm.comm_id})
             return None
-        self.world.scheduler.yield_point(self.rank)
-        self.world.scheduler.wait_until(
-            self.rank, lambda: slot.full,
-            f"Wait({fn}) on comm {comm.comm_id}")
+
+        def full() -> bool:
+            return slot.full
+
+        self.world.scheduler.yield_then_wait(
+            self.rank, lambda: full, f"Wait({fn}) on comm {comm.comm_id}")
         if fn == "Ibcast":
             data = coll.compute_bcast(slot, comm, root)
             buf, offset, count, datatype = recv_spec
@@ -721,9 +755,8 @@ class MPIContext:
                                             dtype, count)
         elif is_root:
             contribution = buf
-        self._yield_and_emit("Bcast", args)
-        index, slot = self._collective_barrier(comm, "Bcast",
-                                               contribution=contribution)
+        index, slot = self._collective(comm, "Bcast", contribution,
+                                       event=("Bcast", args))
         data = coll.compute_bcast(slot, comm, root)
         self.world.collectives.leave(comm, index, slot, self.rank)
         if isinstance(buf, TrackedBuffer):
@@ -745,9 +778,8 @@ class MPIContext:
                                "var": sendbuf.name})
         else:
             contribution = np.asarray(sendbuf)
-        self._yield_and_emit(fn, extra_args)
-        index, slot = self._collective_barrier(comm, fn,
-                                               contribution=contribution)
+        index, slot = self._collective(comm, fn, contribution,
+                                       event=(fn, extra_args))
         if fn == "Scan":
             results = coll.compute_scan(slot, comm, op)
             result = results[comm.rank_of_world(self.rank)]
@@ -794,9 +826,9 @@ class MPIContext:
         contribution = (sendbuf.raw_elements().copy()
                         if isinstance(sendbuf, TrackedBuffer)
                         else np.asarray(sendbuf))
-        self._yield_and_emit("Exscan", {"op": op, "comm": comm.comm_id})
-        index, slot = self._collective_barrier(comm, "Exscan",
-                                               contribution=contribution)
+        index, slot = self._collective(
+            comm, "Exscan", contribution,
+            event=("Exscan", {"op": op, "comm": comm.comm_id}))
         results = coll.compute_exscan(slot, comm, op)
         mine = results[comm.rank_of_world(self.rank)]
         self.world.collectives.leave(comm, index, slot, self.rank)
@@ -821,11 +853,10 @@ class MPIContext:
             raise SimMPIError(
                 f"Reduce_scatter: buffer of {contribution.size} elements "
                 f"vs counts summing to {sum(counts)}")
-        self._yield_and_emit("Reduce_scatter",
-                             {"op": op, "comm": comm.comm_id,
-                              "counts": list(counts)})
-        index, slot = self._collective_barrier(comm, "Reduce_scatter",
-                                               contribution=contribution)
+        index, slot = self._collective(
+            comm, "Reduce_scatter", contribution,
+            event=("Reduce_scatter", {"op": op, "comm": comm.comm_id,
+                                      "counts": list(counts)}))
         chunks = coll.compute_reduce_scatter(slot, comm, op, list(counts))
         mine = chunks[comm.rank_of_world(self.rank)]
         self.world.collectives.leave(comm, index, slot, self.rank)
@@ -846,9 +877,9 @@ class MPIContext:
         comm = self._resolve_comm(comm)
         contribution = (sendobj.raw_elements().copy()
                         if isinstance(sendobj, TrackedBuffer) else sendobj)
-        self._yield_and_emit("Gather", {"root": root, "comm": comm.comm_id})
-        index, slot = self._collective_barrier(comm, "Gather",
-                                               contribution=contribution)
+        index, slot = self._collective(
+            comm, "Gather", contribution,
+            event=("Gather", {"root": root, "comm": comm.comm_id}))
         parts = coll.compute_gather(slot, comm)
         self.world.collectives.leave(comm, index, slot, self.rank)
         return parts if comm.rank_of_world(self.rank) == root else None
@@ -857,9 +888,9 @@ class MPIContext:
         comm = self._resolve_comm(comm)
         contribution = (sendobj.raw_elements().copy()
                         if isinstance(sendobj, TrackedBuffer) else sendobj)
-        self._yield_and_emit("Allgather", {"comm": comm.comm_id})
-        index, slot = self._collective_barrier(comm, "Allgather",
-                                               contribution=contribution)
+        index, slot = self._collective(
+            comm, "Allgather", contribution,
+            event=("Allgather", {"comm": comm.comm_id}))
         parts = coll.compute_gather(slot, comm)
         self.world.collectives.leave(comm, index, slot, self.rank)
         return parts
@@ -868,9 +899,9 @@ class MPIContext:
         """Root supplies a list of one chunk per comm rank."""
         comm = self._resolve_comm(comm)
         is_root = comm.rank_of_world(self.rank) == root
-        self._yield_and_emit("Scatter", {"root": root, "comm": comm.comm_id})
-        index, slot = self._collective_barrier(
-            comm, "Scatter", contribution=sendchunks if is_root else None)
+        index, slot = self._collective(
+            comm, "Scatter", sendchunks if is_root else None,
+            event=("Scatter", {"root": root, "comm": comm.comm_id}))
         chunks = coll.compute_bcast(slot, comm, root)
         mine = chunks[comm.rank_of_world(self.rank)]
         self.world.collectives.leave(comm, index, slot, self.rank)
@@ -879,9 +910,9 @@ class MPIContext:
     def alltoall(self, sendchunks, comm: Optional[Comm] = None):
         """Each rank supplies one chunk per destination comm rank."""
         comm = self._resolve_comm(comm)
-        self._yield_and_emit("Alltoall", {"comm": comm.comm_id})
-        index, slot = self._collective_barrier(comm, "Alltoall",
-                                               contribution=list(sendchunks))
+        index, slot = self._collective(
+            comm, "Alltoall", list(sendchunks),
+            event=("Alltoall", {"comm": comm.comm_id}))
         table = coll.compute_alltoall(slot, comm)
         mine = table[comm.rank_of_world(self.rank)]
         self.world.collectives.leave(comm, index, slot, self.rank)
@@ -915,7 +946,7 @@ class MPIContext:
                 "size": buf.nbytes if buf is not None else 0}
         if buf is not None:
             args["var"] = buf.name
-        index, slot = self._collective_barrier(
+        index, slot = self._collective(
             comm, "Win_create", contribution=(buf, disp_unit))
         if not slot.computed:
             slot.computed = True

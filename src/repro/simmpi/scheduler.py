@@ -11,18 +11,22 @@ the next rank according to its policy:
   tests explore many interleavings (the analogue of rerunning a real MPI
   job and observing different timings).
 
-A handoff between two threads is the unit of cost here (two futex
-operations and a context switch), so the token only ever travels to a
-rank that can run.  A rank blocked in :meth:`Scheduler.wait_until`
+A handoff between two threads is the unit of cost here (6–7 µs and 3.4
+context switches on one CPU: a lock token wakes its peer into a GIL the
+waker still holds; docs/performance.md), so the token only ever travels
+to a rank that can run.  A rank blocked in :meth:`Scheduler.wait_until`
 leaves its predicate with the scheduler; when the policy picks that rank,
 the thread that is giving the token away evaluates the predicate itself —
 predicates are pure reads of state that only the token holder mutates —
 and, while it is false, takes the blocked rank's step for it: the grant,
 the step count and the policy's next pick advance exactly as if the rank
-had woken, found its predicate false and yielded.  The schedule (which
-rank performs which real step, in which order) is therefore the one a
-wake-and-re-check loop produces; only the wake-ups that could not have
-done anything are gone (``Scheduler.elided`` counts them).
+had woken, found its predicate false and yielded.  A call's code between
+its yield and its wait (the *resumed step* of
+:meth:`Scheduler.yield_then_wait`) is taken there too, so a rank that
+yields into a fence is not woken only to block in it.  The schedule
+(which rank performs which real step, in which order) is therefore the
+one a wake-and-re-check loop produces; only the wake-ups that could not
+have done anything are gone (``Scheduler.elided`` counts them).
 
 Deadlock detection: the runtime bumps a *progress counter* on every state
 mutation (message deposit, lock grant, RMA delivery, collective arrival,
@@ -38,7 +42,7 @@ import random
 import threading
 import time
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.util.errors import DeadlockError, SimMPIError
@@ -89,8 +93,11 @@ class Scheduler:
         self._order = tuple(range(nranks))
         self._after = [(rank + 1) % nranks for rank in range(nranks)]
         self._blocked: Dict[int, str] = {}
-        #: beside each block reason, the predicate the rank waits on
+        #: beside each block reason, the predicate the rank waits on (or,
+        #: until the rank wakes, what its resumed step raised)
         self._preds: Dict[int, Callable[[], bool]] = {}
+        #: a rank in yield_then_wait: its resumed step and block reason
+        self._resume: Dict[int, Tuple[Callable, str]] = {}
         self._progress = 0
         #: ranks granted the token since the all-blocked stall began; a
         #: deadlock is declared only once EVERY live rank re-evaluated its
@@ -107,7 +114,7 @@ class Scheduler:
         #: grants issued, real and virtual
         self.token_grants = 0
         #: virtual steps: grants to a blocked rank whose predicate was
-        #: still false, taken for it on the granting thread
+        #: still false (resumed steps included), taken on the granting thread
         self.elided = 0
         # per-rank token-hold accounting exists only when observability is
         # on (decided once, here): the disabled hot path stays two integer
@@ -168,23 +175,41 @@ class Scheduler:
     def _grant_locked(self) -> None:
         """Hand the token to the next rank that can run.  Caller holds
         ``_lock`` and, being the thread that gives the token away, is
-        the only one running: no state a predicate reads can change
-        while it is evaluated here."""
+        the only one running: no state a predicate or a resumed step
+        reads can change while it runs here."""
         preds = self._preds
         while True:
             nxt = self._pick_locked()
             if nxt is None:
                 return
-            pred = preds.get(nxt)
-            if pred is None or _holds(pred):
+            self._steps += 1    # the step of ``nxt``, wherever taken
+            if self._steps > self._max_steps:
+                self._abort_livelock_locked(nxt)
+                return
+            resume = self._resume.pop(nxt, None)
+            if resume is None:
+                pred = preds.get(nxt)
+                held = pred is None or _holds(pred)
+            else:
+                timed = self._token_times is not None
+                if timed:
+                    self._hold_start = time.perf_counter()
+                try:
+                    pred = resume[0]()
+                    held = pred()
+                except Exception as exc:  # noqa: BLE001 - nxt raises it
+                    preds[nxt] = exc
+                    held = True
+                if timed:
+                    self._note_release_locked(nxt)
+                if not held:
+                    preds[nxt] = pred
+                    self._blocked[nxt] = resume[1]
+            if held:
                 self._tokens[nxt].release()
                 return
             # the rank would wake, find its predicate false and yield:
             # that step is taken here, counted as it would have been
-            self._steps += 1
-            if self._steps > self._max_steps:
-                self._abort_livelock_locked(nxt)
-                return
             self.elided += 1
 
     def _pick_locked(self) -> Optional[int]:
@@ -243,10 +268,6 @@ class Scheduler:
                 raise _Abort()
             if self._current == rank:
                 break
-        self._steps += 1
-        if self._steps > self._max_steps:
-            self._abort_livelock_locked(rank)
-            raise _Abort()
         if self._token_times is not None:
             self._hold_start = time.perf_counter()
 
@@ -289,6 +310,28 @@ class Scheduler:
                 self._wait_for_token_locked(rank)
             self._blocked.pop(rank, None)
             self._preds.pop(rank, None)
+
+    def yield_then_wait(self, rank: int,
+                        step: Callable[[], Callable[[], bool]],
+                        reason: str) -> None:
+        """``yield_point(rank); wait_until(rank, step(), reason)``, with
+        ``step`` run by the thread granting ``rank`` the token, which
+        wakes ``rank`` only once the predicate holds or ``step`` raised
+        (raised again here).  ``step`` runs under the token but maybe on
+        another thread: it must emit no event."""
+        with self._lock:
+            if self._abort_exc is not None:
+                raise _Abort()
+            self.switches += 1
+            self._note_release_locked(rank)
+            self._resume[rank] = (step, reason)
+            self._grant_locked()
+            self._wait_for_token_locked(rank)
+            pred = self._preds.pop(rank, None)  # left if false or raised
+        if isinstance(pred, Exception):
+            raise pred
+        if pred is not None:
+            self.wait_until(rank, pred, reason)
 
     # ------------------------------------------------------------------
     # lifecycle

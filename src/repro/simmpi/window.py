@@ -420,20 +420,29 @@ class WinHandle:
     def lock_all(self) -> None:
         """MPI-3 MPI_Win_lock_all: shared locks on every member at once."""
         self._check_open()
-        self.ctx._yield_and_emit("Win_lock_all", {"win": self.win_id})
         window = self.window
         targets = [window.comm.world_of_rank(r)
                    for r in range(window.comm.size)]
+
+        def grantable(target: int):
+            return lambda: window.lock_grantable(target, LOCK_SHARED)
+
+        def unheld_then_first():
+            for target_world in targets:
+                if target_world in self.lock_epochs:
+                    raise RMAUsageError(
+                        f"rank {self.rank}: Win_lock_all while holding a "
+                        f"lock on target {target_world}")
+            return grantable(targets[0])
+
+        sched = self.ctx.world.scheduler
+        self.ctx._emit("Win_lock_all", {"win": self.win_id})
         for target_world in targets:
-            if target_world in self.lock_epochs:
-                raise RMAUsageError(
-                    f"rank {self.rank}: Win_lock_all while holding a lock "
-                    f"on target {target_world}")
-        for target_world in targets:
-            self.ctx.world.scheduler.wait_until(
-                self.rank,
-                lambda t=target_world: window.lock_grantable(t, LOCK_SHARED),
-                f"Win_lock_all target={target_world} win={self.win_id}")
+            reason = f"Win_lock_all target={target_world} win={self.win_id}"
+            if target_world == targets[0]:
+                sched.yield_then_wait(self.rank, unheld_then_first, reason)
+            else:
+                sched.wait_until(self.rank, grantable(target_world), reason)
             window.grant_lock(target_world, self.rank, LOCK_SHARED)
             self.lock_epochs[target_world] = LOCK_SHARED
         self.ctx.world.scheduler.register_progress()
@@ -507,11 +516,9 @@ class WinHandle:
     def fence(self, assertion: int = 0) -> None:
         """MPI_Win_fence: flush, synchronize the communicator, open epoch."""
         self._check_open()
-        self.ctx._yield_and_emit("Win_fence",
-                                 {"win": self.win_id, "assert": assertion})
-        self._flush()
-        index, slot = self.ctx._collective_barrier(
-            self.comm, f"Win_fence:{self.win_id}")
+        index, slot = self.ctx._collective(
+            self.comm, f"Win_fence:{self.win_id}", before=self._flush,
+            event=("Win_fence", {"win": self.win_id, "assert": assertion}))
         self.ctx.world.collectives.leave(self.comm, index, slot, self.rank)
         self.fence_epoch_open = True
 
@@ -525,13 +532,15 @@ class WinHandle:
             raise RMAUsageError(
                 f"rank {self.rank} already holds a lock on target "
                 f"{target_world} (window {self.win_id})")
-        self.ctx._yield_and_emit(
-            "Win_lock", {"win": self.win_id, "target": target_world,
-                         "lock_type": lock_type})
         window = self.window
-        self.ctx.world.scheduler.wait_until(
-            self.rank,
-            lambda: window.lock_grantable(target_world, lock_type),
+
+        def grantable() -> bool:
+            return window.lock_grantable(target_world, lock_type)
+
+        self.ctx._emit("Win_lock", {"win": self.win_id, "target": target_world,
+                                    "lock_type": lock_type})
+        self.ctx.world.scheduler.yield_then_wait(
+            self.rank, lambda: grantable,
             f"Win_lock({lock_type}) target={target_world} win={self.win_id}")
         window.grant_lock(target_world, self.rank, lock_type)
         self.ctx.world.scheduler.register_progress()
@@ -575,10 +584,6 @@ class WinHandle:
             raise RMAUsageError(
                 f"rank {self.rank}: Win_start while an access epoch is "
                 f"already open (window {self.win_id})")
-        self.ctx._yield_and_emit(
-            "Win_start", {"win": self.win_id,
-                          "group": list(group.world_ranks),
-                          "assert": assertion})
         window, me = self.window, self.rank
 
         def all_posted() -> bool:
@@ -588,8 +593,11 @@ class WinHandle:
                     return False
             return True
 
-        self.ctx.world.scheduler.wait_until(
-            self.rank, all_posted,
+        self.ctx._emit("Win_start", {"win": self.win_id,
+                                     "group": list(group.world_ranks),
+                                     "assert": assertion})
+        self.ctx.world.scheduler.yield_then_wait(
+            self.rank, lambda: all_posted,
             f"Win_start targets={list(group.world_ranks)} win={self.win_id}")
         for target in group.world_ranks:
             window.exposures[target].started.add(me)
@@ -617,15 +625,15 @@ class WinHandle:
             raise RMAUsageError(
                 f"rank {self.rank}: Win_wait without Win_post "
                 f"(window {self.win_id})")
-        self.ctx._yield_and_emit("Win_wait", {"win": self.win_id})
         window, me = self.window, self.rank
 
         def all_completed() -> bool:
             exp = window.exposures.get(me)
             return exp is not None and exp.completed >= exp.origins
 
-        self.ctx.world.scheduler.wait_until(
-            self.rank, all_completed, f"Win_wait win={self.win_id}")
+        self.ctx._emit("Win_wait", {"win": self.win_id})
+        self.ctx.world.scheduler.yield_then_wait(
+            self.rank, lambda: all_completed, f"Win_wait win={self.win_id}")
         window.exposures[me] = None
         self.exposure_posted = False
         self.ctx.world.scheduler.register_progress()
@@ -633,13 +641,16 @@ class WinHandle:
     def free(self) -> None:
         """MPI_Win_free: collective teardown."""
         self._check_open()
-        self.ctx._yield_and_emit("Win_free", {"win": self.win_id})
-        if self._pending:
-            raise RMAUsageError(
-                f"rank {self.rank}: Win_free with pending RMA operations "
-                f"(window {self.win_id})")
-        index, slot = self.ctx._collective_barrier(
-            self.comm, f"Win_free:{self.win_id}")
+
+        def drained() -> None:
+            if self._pending:
+                raise RMAUsageError(
+                    f"rank {self.rank}: Win_free with pending RMA "
+                    f"operations (window {self.win_id})")
+
+        index, slot = self.ctx._collective(
+            self.comm, f"Win_free:{self.win_id}", before=drained,
+            event=("Win_free", {"win": self.win_id}))
         self.ctx.world.collectives.leave(self.comm, index, slot, self.rank)
         self.fence_epoch_open = False
         self.window.freed = True

@@ -3,16 +3,21 @@
 The wake-and-re-check token scheduler: a rank blocked in
 :meth:`Scheduler.wait_until` is handed the token whenever the policy
 picks it, wakes, re-evaluates its predicate in its own thread and, while
-it is still false, yields again.  Production
-(:class:`repro.simmpi.scheduler.Scheduler`) evaluates the predicate on
-the granting thread instead and wakes the rank only once it holds; the
-differential tests (``tests/simmpi/test_scheduler_differential.py``)
-require both to produce the same schedule — the same rank at every real
-step, the same ``token_grants``, the same trace bytes, the same
-``DeadlockError`` text and livelock-guard trip — with this class's
-``switches`` equal to production's ``switches + elided``.
+it is still false, yields again; :meth:`Scheduler.yield_then_wait` is
+the literal ``yield_point`` -> ``step()`` -> ``wait_until`` composition,
+with the step run by its own rank after it woke.  Production
+(:class:`repro.simmpi.scheduler.Scheduler`) evaluates the predicate, and
+runs the resumed step, on the granting thread instead and wakes the
+rank only once the predicate holds; the differential tests
+(``tests/simmpi/test_scheduler_differential.py``) require both to
+produce the same schedule — the same rank at every real step, the same
+``token_grants``, the same trace bytes, the same ``DeadlockError`` text,
+the same exception from a raising step and the same livelock-guard trip
+— with this class's ``switches`` equal to production's
+``switches + elided``.
 
-The code is the former ``repro.simmpi.scheduler``, moved unchanged.
+The code is the former ``repro.simmpi.scheduler``, moved unchanged but
+for ``yield_then_wait``.
 Install it with ``mock.patch.object(repro.simmpi.runtime, "Scheduler",
 Scheduler)``.
 """
@@ -215,6 +220,14 @@ class Scheduler:
                 self._grant_locked()
                 self._wait_for_token_locked(rank)
             self._blocked.pop(rank, None)
+
+    def yield_then_wait(self, rank: int, step: Callable[[], Callable[[], bool]],
+                        reason: str) -> None:
+        """Yield, run ``step`` once the token is back, wait on the
+        predicate it returns."""
+        self.yield_point(rank)
+        pred = step()
+        self.wait_until(rank, pred, reason)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -1,24 +1,26 @@
 """Scheduler differential: eliding a wake-up must not move the schedule.
 
-Production evaluates a blocked rank's predicate on the granting thread
-and wakes the rank only once it holds; ``tests/reference/scheduler.py``
-is the wake-and-re-check loop it replaced.  Every program here runs under
+Production evaluates a blocked rank's predicate, and runs the resumed
+step of a ``yield_then_wait``, on the granting thread and wakes the rank
+only once the predicate holds; ``tests/reference/scheduler.py`` is the
+wake-and-re-check loop it replaced.  Every program here runs under
 both — the Table II corpus and the bundled extra cases, LU, heat2d, the
 work queue and generated programs, under both policies and all three
 delivery modes — and must show
 
 * the same sequence of *real* steps (the rank at every return from
-  ``yield_point`` / ``wait_until``),
+  ``yield_point`` / ``wait_until``, and at every run of a resumed step),
 * the same ``token_grants`` and step count, and the reference's
   ``switches`` as production's ``switches + elided``,
 * byte-identical trace files and equal per-rank results,
 * for a program that deadlocks, the same ``DeadlockError`` text; for a
-  predicate that raises, the same exception from the same rank; for a
-  livelock, the guard tripping at the same count.
+  predicate or a resumed step that raises, the same exception from the
+  same rank; for a livelock, the guard tripping at the same count.
 """
 
 import hashlib
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -33,7 +35,7 @@ from repro.profiler.session import profile_run
 from repro.simmpi import INT, LOCK_EXCLUSIVE, runtime
 from repro.simmpi.runtime import World
 from repro.simmpi.scheduler import Scheduler
-from repro.util.errors import DeadlockError, SimMPIError
+from repro.util.errors import DeadlockError, RMAUsageError, SimMPIError
 from tests.reference.scheduler import Scheduler as ReferenceScheduler
 
 POLICIES = ("round_robin", "random")
@@ -43,7 +45,10 @@ RANKS_CAP = 8
 
 def recording(base):
     """``base`` with the rank logged at every real step.  The log is
-    appended to by the thread that holds the token, so it is ordered."""
+    appended to by the thread that holds the token, so it is ordered.
+    A resumed step is logged when ``step`` runs, on whichever thread
+    runs it; the reference's ``yield_then_wait`` calls ``yield_point``
+    and ``wait_until``, which then log nothing of their own."""
 
     class Recording(base):
         made = []
@@ -51,14 +56,35 @@ def recording(base):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.steps = []
+            self.resuming = set()
+            #: the thread a resumed step raised on
+            self.raised_on = None
             Recording.made.append(self)
 
         def yield_point(self, rank):
             super().yield_point(rank)
-            self.steps.append(rank)
+            if rank not in self.resuming:
+                self.steps.append(rank)
 
         def wait_until(self, rank, pred, reason):
             super().wait_until(rank, pred, reason)
+            if rank not in self.resuming:
+                self.steps.append(rank)
+
+        def yield_then_wait(self, rank, step, reason):
+            def logged():
+                self.steps.append(rank)
+                try:
+                    return step()
+                except Exception:
+                    self.raised_on = threading.current_thread().name
+                    raise
+
+            self.resuming.add(rank)
+            try:
+                super().yield_then_wait(rank, logged, reason)
+            finally:
+                self.resuming.discard(rank)
             self.steps.append(rank)
 
     return Recording
@@ -74,6 +100,7 @@ class Outcome:
         self.handoffs = sched.switches
         self.elided = getattr(sched, "elided", 0)
         self.abort_rank = sched._abort_rank
+        self.raised_on = sched.raised_on
         self.results, self.files, self.error = results, files, error
 
 
@@ -279,4 +306,76 @@ def test_livelock_guard_trips_at_the_same_count(policy, max_steps):
     assert "livelock" in str(prod.error)
     assert prod.step_count == max_steps + 1
     assert prod.elided > 0
+    assert_same_schedule(prod, ref)
+
+
+# ----------------------------------------------------------------------
+# resumed steps that raise or trip the guard
+# ----------------------------------------------------------------------
+
+
+def mismatched_collective(mpi):
+    win = mpi.win_create(mpi.alloc("buf", 1, datatype=INT))
+    mpi.comm_rank()     # without it, the loser enters on its own thread
+    if mpi.rank == 0:
+        mpi.barrier()
+    else:
+        win.fence()
+
+
+def free_with_pending_ops(mpi):
+    buf = mpi.alloc("buf", 2, datatype=INT)
+    win = mpi.win_create(buf)
+    win.fence()
+    win.put(buf, target=(mpi.rank + 1) % mpi.size)
+    win.free()
+
+
+def deferred_bad_accumulate(mpi):
+    buf = mpi.alloc("buf", 2, datatype=INT)
+    win = mpi.win_create(buf)
+    win.fence()
+    if mpi.rank == 1:
+        win.accumulate(buf, target=0, op="NO_SUCH_OP")
+    win.fence()
+
+
+@pytest.mark.parametrize("app,nranks,delivery,error", [
+    (mismatched_collective, 2, "random", "collective mismatch"),
+    (free_with_pending_ops, 3, "lazy", "Win_free with pending"),
+    (deferred_bad_accumulate, 3, "lazy", "invalid op"),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_raising_step_surfaces_in_its_own_rank(app, nranks, delivery, error):
+    """The exception of a resumed step is its rank's, raised on its own
+    thread, whichever thread ran the step."""
+    foreign = 0
+    for policy in POLICIES:
+        for seed in range(4):
+            prod, ref = both(in_world(app, nranks, sched_policy=policy,
+                                      seed=seed, delivery=delivery))
+            assert isinstance(prod.error, SimMPIError)
+            assert error in str(prod.error)
+            assert_same_schedule(prod, ref)
+            if app is free_with_pending_ops:
+                assert type(prod.error) is RMAUsageError
+            assert ref.raised_on == f"simmpi-rank-{ref.abort_rank}"
+            foreign += prod.raised_on != f"simmpi-rank-{prod.abort_rank}"
+    # the case worth testing: the step raised on the granting thread
+    assert foreign > 0
+
+
+def barrier_forever(mpi):
+    while True:
+        mpi.barrier()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("nranks,max_steps", [(1, 50), (1, 333), (3, 1000)])
+def test_livelock_guard_trips_on_a_resumed_grant(policy, nranks, max_steps):
+    """Every grant of a one-rank barrier loop is a resumed one: the guard
+    counts it, and trips on it, as on a woken rank's step."""
+    prod, ref = both(in_world(barrier_forever, nranks, sched_policy=policy,
+                              seed=2, max_steps=max_steps))
+    assert "livelock" in str(prod.error)
+    assert prod.step_count == max_steps + 1
     assert_same_schedule(prod, ref)
