@@ -4,23 +4,11 @@ Regenerates the matrix the paper prints and benchmarks the verdict lookup
 that sits on the detectors' hot path (every candidate pair consults it).
 """
 
-from repro.core.compat import KINDS, TABLE, compat_verdict
+from repro.core.compat import KINDS, compat_verdict, format_table
 
 
 def render_table1() -> str:
-    width = 7
-    lines = ["".ljust(width) + "".join(k.upper().ljust(width)
-                                       for k in KINDS)]
-    for a in KINDS:
-        cells = []
-        for b in KINDS:
-            cell = TABLE[(a, b)]
-            if a == "acc" and b == "acc":
-                cell = "BOTH*"
-            cells.append(cell.ljust(width))
-        lines.append(a.upper().ljust(width) + "".join(cells))
-    lines.append("*same reduction op and basic datatype only")
-    return "\n".join(lines)
+    return format_table() + "\n*same reduction op and basic datatype only"
 
 
 def test_table1_matrix(record, benchmark):

@@ -41,7 +41,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro import obs
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
-from repro.core.compat import KINDS, TABLE
+from repro.core.compat import format_table
 from repro.obs.export import write_chrome_trace, write_metrics
 from repro.obs.logging import LOG_LEVEL_CHOICES
 from repro.profiler.session import profile_run
@@ -622,12 +622,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "table1":
-        width = max(len(k) for k in KINDS) + 2
-        log.info("".ljust(width) + "".join(k.ljust(width) for k in KINDS))
-        for a in KINDS:
-            row = [TABLE[(a, b)] for b in KINDS]
-            log.info(a.ljust(width) + "".join(v.ljust(width) for v in row))
-        log.info("\n(acc/acc: BOTH only for the same op and basic datatype)")
+        log.info(format_table())
+        log.info("\n* acc/acc: BOTH only for the same op and basic datatype")
         return 0
 
     if args.command == "apps":

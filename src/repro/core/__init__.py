@@ -14,9 +14,10 @@ This package is the paper's primary contribution (sections III and IV-C):
 6. :mod:`~repro.core.epochs` / :mod:`~repro.core.model` identify epochs
    and lift trace events into analyzable access views;
 7. :mod:`~repro.core.engine` finds the candidate pairs within an epoch
-   and across processes with grouped interval joins; :mod:`~repro.core.intra`
-   and :mod:`~repro.core.inter` judge each by the compatibility rules of
-   :mod:`~repro.core.compat` (Table I);
+   and across processes with grouped interval joins and judges them as
+   arrays, by the compatibility rules of :mod:`~repro.core.compat`
+   (Table I, as a lookup); :mod:`~repro.core.diagnostics` words each
+   survivor as a finding;
 8. :mod:`~repro.core.checker` wires it all together as :class:`MCChecker`;
 9. :mod:`~repro.core.plan` cuts the analysis into shards — the one fact
    the worker pool (:mod:`~repro.core.parallel`), the result cache

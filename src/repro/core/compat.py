@@ -117,10 +117,15 @@ def compat_verdict(a_kind: str, b_kind: str, overlapping: bool,
     return None
 
 
-#: the memory models and the verdicts as codes (indices into these), for
+#: the origin-buffer rule of section IV-C-3 (a local access to a buffer
+#: of an operation still in flight): the rule of a finding that no cell
+#: of the table decides
+ORIGIN = "ORIGIN"
+
+#: the memory models and the rules as codes (indices into these), for
 #: kernels that filter candidate pairs as arrays
 MODELS = (MODEL_SEPARATE, MODEL_UNIFIED)
-VERDICTS = (None, NONOV, ERROR)
+VERDICTS = (None, NONOV, ERROR, ORIGIN)
 
 #: :func:`compat_verdict` tabulated: ``VERDICT_LOOKUP[model, a, b,
 #: overlapping, acc_same]`` is the code of its verdict for kind codes
@@ -134,3 +139,16 @@ VERDICT_LOOKUP = np.array(
        for b in KINDS]
       for a in KINDS]
      for model in MODELS], dtype=np.int8)
+
+
+def format_table() -> str:
+    """The separate-model :data:`TABLE` as text, ``BOTH*`` marking the
+    accumulate exception: what ``mc-checker table1`` prints and the
+    block ``docs/memory-model.md`` shows."""
+    width = max(len(kind) for kind in KINDS) + 2
+    rows = [[""] + [kind.upper() for kind in KINDS]] + [
+        [a.upper()] + [TABLE[(a, b)] + ("*" if a == b == ACC else "")
+                       for b in KINDS]
+        for a in KINDS]
+    return "\n".join("".join(cell.ljust(width) for cell in row).rstrip()
+                     for row in rows)

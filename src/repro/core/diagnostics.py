@@ -4,9 +4,10 @@ When DN-Analyzer finds a pair of conflicting operations it reports the
 error "along with useful diagnostic information ... such as pairs of
 conflicting operations and operation locations including file names,
 routine names, and line numbers" (section III / IV-C).  That payload lives
-in :class:`ConsistencyError`; reports deduplicate structurally identical
-findings (same statement pair racing every loop iteration counts once,
-with an occurrence counter).
+in :class:`ConsistencyError`, written by :func:`write_finding` from one
+table of the five finding patterns; reports deduplicate structurally
+identical findings (same statement pair racing every loop iteration
+counts once, with an occurrence counter).
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ CROSS_PROCESS = "cross_process"
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
+#: the call an RMA access kind names when no concrete call is logged
+_RMA_FN = {"put": "Put", "get": "Get", "acc": "Accumulate"}
+
 
 @dataclass
 class AccessDesc:
@@ -42,9 +46,8 @@ class AccessDesc:
     def describe(self) -> str:
         if self.kind in ("put", "get", "acc"):
             # prefer the concrete call name (MPI-3 atomics map to "acc")
-            op = (f"MPI_{self.fn}" if self.fn and self.fn != "mem" else
-                  {"put": "MPI_Put", "get": "MPI_Get",
-                   "acc": "MPI_Accumulate"}[self.kind])
+            op = "MPI_" + (self.fn if self.fn and self.fn != "mem"
+                           else _RMA_FN[self.kind])
         elif self.fn == "mem":
             op = f"local {self.kind}"
         else:
@@ -68,8 +71,8 @@ class ConsistencyError:
     #: why the pair was flagged: detection phase/pattern, the two
     #: influence spans (``[rank, start_seq, end_seq]`` trace references),
     #: the enclosing epoch (intra) and the happens-before edge that
-    #: failed.  Set by the five shared pair checkers from pair-derived
-    #: facts only, so structurally identical findings carry identical
+    #: failed.  Set by :func:`write_finding` from pair-derived facts
+    #: only, so structurally identical findings carry identical
     #: provenance on every executor / job count / cache path.
     provenance: dict = field(default_factory=dict)
     #: run-context annotation (mode, jobs, cache status, shard) — set
@@ -251,6 +254,113 @@ class ConsistencyError:
         if self.occurrences > 1:
             lines.append(f"  seen {self.occurrences} times")
         return "\n".join(lines)
+
+
+#: how each side of a pair is described: an RMA operation by its target
+#: bytes, a local buffer of one by the operation's kind, any other local
+#: access by its own
+_OP, _ORIGIN, _LOCAL = range(3)
+
+#: the five finding patterns, keyed by (phase, provenance pattern): the
+#: finding kind, how sides a and b are described, the note (``complete``:
+#: the completion seq of the operation the finding is about, ``target``:
+#: its target rank) and the happens-before edge the pair lacks
+PATTERNS = {
+    ("intra", "op_pair"): (
+        INTRA_EPOCH, _OP, _OP,
+        "unordered same-epoch operations on the same target",
+        "same-epoch-unordered",
+        "no flush or epoch close separates the operations' completion "
+        "points"),
+    ("intra", "origin_vs_plain"): (
+        INTRA_EPOCH, _ORIGIN, _LOCAL,
+        "the one-sided operation is not complete until seq {complete}; "
+        "the local access may observe or corrupt in-flight data",
+        "origin-in-flight",
+        "the local access falls inside the operation's issue-to-completion "
+        "window"),
+    ("intra", "origin_pair"): (
+        INTRA_EPOCH, _ORIGIN, _ORIGIN,
+        "overlapping local buffers of unordered same-epoch operations, at "
+        "least one of which writes locally",
+        "same-epoch-unordered",
+        "both owning operations are in flight over overlapping local "
+        "buffers"),
+    ("inter", "op_pair"): (
+        CROSS_PROCESS, _OP, _OP,
+        "concurrent one-sided operations on the window at rank {target}",
+        "concurrent",
+        "no happens-before path orders the two operations' influence "
+        "spans"),
+    ("inter", "local_vs_op"): (
+        CROSS_PROCESS, _LOCAL, _OP,
+        "local access at target rank {target} concurrent with a remote "
+        "one-sided operation on the same window",
+        "concurrent",
+        "no happens-before path orders the local access against the "
+        "remote operation"),
+}
+
+def _describe(how: int, view) -> AccessDesc:
+    if how == _OP:
+        return AccessDesc(rank=view.rank, kind=view.kind,
+                          fn=view.fn or _RMA_FN[view.kind],
+                          var=view.origin_var, loc=view.loc,
+                          intervals=view.target_intervals, seq=view.seq)
+    kind = view.origin_of.kind if how == _ORIGIN else view.access
+    return AccessDesc(rank=view.rank, kind=kind, fn=view.fn, var=view.var,
+                      loc=view.loc, intervals=view.intervals, seq=view.seq)
+
+
+def _span_ref(span) -> list:
+    """Trace reference of an influence span: ``[rank, start, end]`` in
+    trace sequence numbers (the record indices of the rank's trace)."""
+    return [span.rank, span.start_seq, span.end_seq]
+
+
+def _exclusive(how: int, view, win_id: int, lock_index) -> bool:
+    if how == _OP:
+        return view.epoch is not None and view.epoch.exclusive
+    return lock_index.covers(view, win_id)
+
+
+def write_finding(phase: str, pattern: str, rule: str, a, b,
+                  exposure: Optional[IntervalSet] = None,
+                  lock_index=None) -> ConsistencyError:
+    """Word a pair already judged to violate ``rule``: the only place a
+    finding is written.  ``a`` / ``b`` are the two views (an
+    ``RMAOpView`` or a ``LocalAccess``, as :data:`PATTERNS` says); a
+    ``local_vs_op`` pair also takes the window's ``exposure`` at the
+    target, which bounds the local side's bytes, and the
+    ``LocalLockIndex`` that says whether that side holds an exclusive
+    lock.  Overlap, severity and provenance are computed here from the
+    pair alone, so one pair reads the same on every path that finds it."""
+    kind, how_a, how_b, note, edge, detail = PATTERNS[(phase, pattern)]
+    desc_a, desc_b = _describe(how_a, a), _describe(how_b, b)
+    # the operation the finding is about: b's, or for an origin buffer
+    # against a plain access, a's
+    op = b if how_b == _OP else b.origin_of or a.origin_of
+    bytes_a = desc_a.intervals if exposure is None \
+        else desc_a.intervals.intersection(exposure)
+    severity = SEVERITY_ERROR
+    if phase == "inter" and _exclusive(how_a, a, op.win_id, lock_index) \
+            and _exclusive(how_b, b, op.win_id, lock_index):
+        severity = SEVERITY_WARNING
+    provenance = {"phase": phase, "pattern": pattern,
+                  "spans": {"a": _span_ref(a.span), "b": _span_ref(b.span)}}
+    if phase == "intra":
+        epoch = op.epoch
+        provenance["epoch"] = None if epoch is None else {
+            "rank": epoch.rank, "win": epoch.win_id, "kind": epoch.kind,
+            "open_seq": epoch.open_seq, "close_seq": epoch.close_seq}
+    if how_b == _OP:
+        provenance["target"] = op.target
+    provenance["hb"] = {"edge": edge, "detail": detail}
+    return ConsistencyError(
+        kind=kind, severity=severity, rule=rule, win_id=op.win_id,
+        a=desc_a, b=desc_b, overlap=bytes_a.intersection(desc_b.intervals),
+        note=note.format(complete=op.complete_seq, target=op.target),
+        provenance=provenance)
 
 
 def annotate_context(findings: List[ConsistencyError],

@@ -14,15 +14,16 @@ sweep (:func:`~repro.util.intervals.overlap_join`) per stage yields
 of numpy joins per batch, not one per epoch or vector entry.  The
 candidates are then cut as arrays: program order and completion points,
 Table I (:data:`~repro.core.compat.VERDICT_LOOKUP`, the table itself as
-an integer lookup), one batched happens-before query.
+an integer lookup), one batched happens-before query.  These cuts are
+the only place production judges a pair.
 
-What is left — the *survivors*, pairs that can still yield a finding —
-is all that ever becomes an object: :func:`emit_epoch_findings` /
-:func:`emit_region_findings` build the two views of each
-(:meth:`OpTable.op_view`, :meth:`OpTable.local_view`,
-:meth:`MemRows.local_access`) and hand them to the per-pair functions of
-:mod:`repro.core.intra` and :mod:`repro.core.inter`, which write the
-finding.  A clean trace has no survivors and builds no view.
+What is left — the *survivors*, each a finding, carrying the rule its
+cut decided — is all that ever becomes an object:
+:func:`emit_epoch_findings` / :func:`emit_region_findings` build the two
+views of each (:meth:`OpTable.op_view`, :meth:`OpTable.local_view`,
+:meth:`MemRows.local_access`) and hand them to
+:func:`~repro.core.diagnostics.write_finding`, which words it.  A clean
+trace has no survivors and builds no view.
 
 The two halves are separate so that they can run in different
 processes: a pool worker *finds* (it holds the columns, no call event),
@@ -63,15 +64,11 @@ import numpy as np
 
 from repro import obs
 from repro.core.clocks import ConcurrencyOracle
-from repro.core.compat import MODELS, MODEL_SEPARATE, VERDICT_LOOKUP
-from repro.core.diagnostics import ConsistencyError
-from repro.core.epochs import EpochIndex
-from repro.core.inter import (
-    _LocalLockIndex, _check_concurrent_local_vs_op, _check_concurrent_ops,
+from repro.core.compat import (
+    MODELS, MODEL_SEPARATE, ORIGIN, VERDICT_LOOKUP, VERDICTS,
 )
-from repro.core.intra import (
-    _check_attached_pair, _check_attached_vs_plain, _check_target_pair,
-)
+from repro.core.diagnostics import ConsistencyError, write_finding
+from repro.core.epochs import EpochIndex, LocalLockIndex
 from repro.core.model import AccessModel, MemRows, OpTable, gather_rows
 from repro.core.preprocess import PreprocessedTrace
 from repro.core.regions import RegionIndex
@@ -88,10 +85,11 @@ BATCH_ROWS = 1 << 15
 #: per-unit findings, aligned with the unit list a kernel was handed
 UnitFindings = List[List[ConsistencyError]]
 
-#: the pairs of a unit list that can still yield a finding, in emission
-#: order: the unit's position in the list, the per-pair check the pair
-#: goes to (below), and what ``a`` / ``b`` index
-Survivors = namedtuple("Survivors", "unit pattern a b")
+#: the pairs of a unit list that survive every cut — each one finding —
+#: in emission order: the unit's position in the list, the pattern
+#: (below), the rule the cut decided (a code into
+#: :data:`~repro.core.compat.VERDICTS`), and what ``a`` / ``b`` index
+Survivors = namedtuple("Survivors", "unit pattern rule a b")
 
 OP_PAIR = 0          # a, b: op rows
 ORIGIN_VS_ROW = 1    # a: attached local row, b: memory row of its rank
@@ -100,6 +98,11 @@ ORIGIN_PAIR = 3      # a, b: attached local rows
 LOCAL_VS_OP = 4      # a: local row, b: op row
 ROW_VS_OP = 5        # a: memory row of the op's target rank, b: op row
 
+#: the provenance pattern each pattern is written as
+PATTERN_NAMES = ("op_pair", "origin_vs_plain", "origin_vs_plain",
+                 "origin_pair", "local_vs_op", "local_vs_op")
+
+_ORIGIN = VERDICTS.index(ORIGIN)
 _NONE = np.empty(0, dtype=np.int64)
 
 
@@ -155,16 +158,16 @@ def _batched(kernel: Callable[[int, int], List[tuple]],
     holding at most :data:`BATCH_ROWS` weight each (always at least one
     unit) and string the stages' survivors together: per unit, stage
     after stage."""
-    stages = [(unit + lo, pattern, a, b)
+    stages = [(stage[0] + lo, *stage[1:])
               for lo, hi in batch_bounds(weights.tolist(), BATCH_ROWS)
-              for unit, pattern, a, b in kernel(lo, hi) if len(unit)]
+              for stage in kernel(lo, hi) if len(stage[0])]
     if not stages:
-        return Survivors(_NONE, _NONE, _NONE, _NONE)
-    unit, pattern, a, b = (np.concatenate(
+        return Survivors(*[_NONE] * len(Survivors._fields))
+    columns = [np.concatenate(
         [np.broadcast_to(stage[k], stage[0].shape) for stage in stages])
-        for k in range(4))
-    order = np.argsort(unit, kind="stable")
-    return Survivors(unit[order], pattern[order], a[order], b[order])
+        for k in range(len(Survivors._fields))]
+    order = np.argsort(columns[0], kind="stable")
+    return Survivors(*(column[order] for column in columns))
 
 
 def _mem_sizes(table: OpTable, mems: Dict[int, MemRows]) -> np.ndarray:
@@ -203,12 +206,12 @@ def _first_seen(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.argsort(ids, kind="stable"), ids
 
 
-def _passes(table: OpTable, model: int, a: np.ndarray,
-            b: np.ndarray) -> np.ndarray:
-    """Which overlapping op pairs Table I makes a finding of."""
+def _verdicts(table: OpTable, model: int, a: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """Table I's verdict on overlapping op pairs, as codes (0: allowed)."""
     same = (table.acc[a] >= 0) & (table.acc[a] == table.acc[b])
     return VERDICT_LOOKUP[model, table.kind[a], table.kind[b], 1,
-                          same.astype(np.int64)] > 0
+                          same.astype(np.int64)]
 
 
 # ----------------------------------------------------------------------
@@ -240,15 +243,15 @@ def check_epochs_sweep(table: OpTable, epochs: np.ndarray,
     """Within-epoch ruleset over a list of epoch units, joins first:
     findings per unit, aligned with ``epochs``."""
     return emit_epoch_findings(
-        table, mems, memory_model,
-        find_epoch_pairs(table, epochs, mems, memory_model), len(epochs))
+        table, mems, find_epoch_pairs(table, epochs, mems, memory_model),
+        len(epochs))
 
 
 def find_epoch_pairs(table: OpTable, epochs: np.ndarray,
                      mems: Dict[int, MemRows],
                      memory_model: str = MODEL_SEPARATE) -> Survivors:
-    """The pairs of the epoch units ``epochs`` that reach a per-pair
-    check.  An epoch's ops and attached origin/result buffers are table
+    """The pairs of the epoch units ``epochs`` that are findings, with
+    their rules.  An epoch's ops and attached origin/result buffers are table
     rows, its call-derived plain locals the table's plain locals inside
     its seq bounds, its instrumented loads/stores ``mems[epoch rank]``
     inside them; no intra finding exists without byte overlap (op-op
@@ -288,10 +291,12 @@ def _epochs_pass(table: OpTable, epochs: np.ndarray,
         a, b = ops[pair_a], ops[pair_b]
         # ops completing at different points (MPI-3 flush between them)
         # are consistency-ordered even within one epoch
+        rule = _verdicts(table, model, a, b)
         keep = (table.complete[a] > table.seq[b]) \
-            & (table.complete[b] > table.seq[a]) & _passes(table, model, a, b)
+            & (table.complete[b] > table.seq[a]) & (rule > 0)
         _record_candidates("intra", "table_filter", int(keep.sum()))
-        stages.append((unit[pair_a][keep], OP_PAIR, a[keep], b[keep]))
+        stages.append((unit[pair_a][keep], OP_PAIR, rule[keep], a[keep],
+                       b[keep]))
 
     # (b) attached origin buffers vs plain locals (columnar rows first,
     # then the call-derived ones) and vs each other, group = epoch
@@ -329,7 +334,7 @@ def _epochs_pass(table: OpTable, epochs: np.ndarray,
         is_mem = pair_p < n_mem
         stages.append((
             unit[pair_a], np.where(is_mem, ORIGIN_VS_ROW, ORIGIN_VS_LOCAL),
-            attached[pair_a],
+            _ORIGIN, attached[pair_a],
             np.concatenate([mem.idx, calls])[pair_p]))
 
     if len(attached) == len(holders):  # one buffer per epoch
@@ -342,8 +347,8 @@ def _epochs_pass(table: OpTable, epochs: np.ndarray,
     keep = (a != b) & (table.complete[a] > table.seq[b]) \
         & (table.complete[b] > table.seq[a]) \
         & (table.l_store[attached[pair_a]] | table.l_store[attached[pair_b]])
-    stages.append((unit[pair_a][keep], ORIGIN_PAIR, attached[pair_a][keep],
-                   attached[pair_b][keep]))
+    stages.append((unit[pair_a][keep], ORIGIN_PAIR, _ORIGIN,
+                   attached[pair_a][keep], attached[pair_b][keep]))
     return stages
 
 
@@ -363,10 +368,9 @@ def plain_locals_inside(table: OpTable, rank: np.ndarray, lo_seq: np.ndarray,
 
 
 def emit_epoch_findings(table: OpTable, mems: Dict[int, MemRows],
-                        memory_model: str, survivors: Survivors,
-                        n_units: int) -> UnitFindings:
-    """Build the views of the intra survivors and run each pair's check:
-    the findings, per unit."""
+                        survivors: Survivors, n_units: int) -> UnitFindings:
+    """Build the views of the intra survivors and write each one's
+    finding: the findings, per unit."""
     found: UnitFindings = [[] for _ in range(n_units)]
     if not len(survivors.unit):
         return found
@@ -377,18 +381,16 @@ def emit_epoch_findings(table: OpTable, mems: Dict[int, MemRows],
         np.concatenate([survivors.a[~pairs], survivors.b[
             (survivors.pattern == ORIGIN_PAIR)
             | (survivors.pattern == ORIGIN_VS_LOCAL)]]))
-    for unit, pattern, a, b in zip(*(col.tolist() for col in survivors)):
+    for unit, pattern, rule, a, b in zip(
+            *(col.tolist() for col in survivors)):
         if pattern == OP_PAIR:
-            error = _check_target_pair(op(a), op(b), memory_model)
-            if error is not None:
-                found[unit].append(error)
-        elif pattern == ORIGIN_PAIR:
-            found[unit].extend(_check_attached_pair(local(a), local(b)))
+            a, b = op(a), op(b)
         else:
-            attached = local(a)
-            found[unit].extend(_check_attached_vs_plain(
-                attached, mems[attached.rank].local_access(b)
-                if pattern == ORIGIN_VS_ROW else local(b)))
+            a = local(a)
+            b = (mems[a.rank].local_access(b) if pattern == ORIGIN_VS_ROW
+                 else local(b))
+        found[unit].append(write_finding(
+            "intra", PATTERN_NAMES[pattern], VERDICTS[rule], a, b))
     return found
 
 
@@ -447,7 +449,7 @@ def detect_cross_process_sweep(pre: PreprocessedTrace, model: AccessModel,
     members = RegionMembers(model.table, regions)
     return [error for found in detect_regions_sweep(
         pre, model.table, members, members.units(), model.mems, oracle,
-        _LocalLockIndex(epoch_index, pre.nranks), memory_model)
+        LocalLockIndex(epoch_index), memory_model)
         for error in found]
 
 
@@ -455,13 +457,13 @@ def detect_regions_sweep(pre: PreprocessedTrace, table: OpTable,
                          members: RegionMembers, regions: np.ndarray,
                          mems: Dict[int, MemRows],
                          oracle: ConcurrencyOracle,
-                         lock_index: _LocalLockIndex,
+                         lock_index: LocalLockIndex,
                          memory_model: str = MODEL_SEPARATE
                          ) -> UnitFindings:
     """A list of concurrent regions, joins first: findings per unit,
     aligned with ``regions``."""
     return emit_region_findings(
-        table, mems, pre, lock_index, memory_model,
+        table, mems, pre, lock_index,
         find_region_pairs(table, members, regions, mems, oracle,
                           memory_model), len(regions))
 
@@ -470,8 +472,8 @@ def find_region_pairs(table: OpTable, members: RegionMembers,
                       regions: np.ndarray, mems: Dict[int, MemRows],
                       oracle: ConcurrencyOracle,
                       memory_model: str = MODEL_SEPARATE) -> Survivors:
-    """The pairs of the region units ``regions`` that reach a per-pair
-    check.  Per unit, the paper's two linear passes as joins: the
+    """The pairs of the region units ``regions`` that are findings, with
+    their rules.  Per unit, the paper's two linear passes as joins: the
     region's ops bucketed into ``(window, target)`` vector entries and
     self-joined (step 1), then the local population at each target — the
     region's call-derived locals with their spans, and ``mems[target]``
@@ -536,13 +538,14 @@ def _regions_pass(table: OpTable, members: RegionMembers,
     keep = op_rank[pair_a] != op_rank[pair_b]  # same-rank: intra's job
     pair_a, pair_b = pair_a[keep], pair_b[keep]
     _record_candidates("inter", "op_pair", len(pair_a))
-    keep = _passes(table, model, ops[pair_a], ops[pair_b])
-    pair_a, pair_b = pair_a[keep], pair_b[keep]
+    rule = _verdicts(table, model, ops[pair_a], ops[pair_b])
+    keep = rule > 0
+    pair_a, pair_b, rule = pair_a[keep], pair_b[keep], rule[keep]
     _record_candidates("inter", "table_filter", len(pair_a))
     keep = ~oracle.ordered_pairs(
         op_rank[pair_a], op_seq[pair_a], op_end[pair_a],
         op_rank[pair_b], op_seq[pair_b], op_end[pair_b])
-    stages.append((entry_unit[entry[pair_a[keep]]], OP_PAIR,
+    stages.append((entry_unit[entry[pair_a[keep]]], OP_PAIR, rule[keep],
                    ops[pair_a[keep]], ops[pair_b[keep]]))
 
     # step 2: the local population at each target against the entries
@@ -557,10 +560,11 @@ def _regions_pass(table: OpTable, members: RegionMembers,
     def against_entries(lo, hi, owner, group, store):
         """Interval rows ``[lo, hi)`` of the accesses ``owner`` (group
         and whether it writes are per access) against every entry:
-        ``(access, op position, by_op)`` candidate pairs — the
+        ``(access, op position, by_op, rule)`` candidate pairs — the
         overlap-born ones (Table-I NONOV cells), then with ``by_op`` the
         cells that fire without byte overlap, per entry its accesses of
-        the firing kind × its ops of the fired-at kinds."""
+        the firing kind × its ops of the fired-at kinds; each with the
+        code of the cell that made it."""
         row, hit = _join("inter", IntervalTable(
             lo, hi, owner=np.arange(len(lo)), group=group[owner]),
             exposures)          # (interval row, entry)
@@ -587,7 +591,9 @@ def _regions_pass(table: OpTable, members: RegionMembers,
         pair_l, pair_o = (np.concatenate(col) for col in zip(*pairs))
         _record_candidates("inter", "table_filter", len(pair_l))
         by_op = np.arange(len(pair_l)) >= len(pairs[0][0])
-        return pair_l, pair_o, by_op
+        rule = VERDICT_LOOKUP[model, store[pair_l].astype(np.int64),
+                              op_kind[pair_o], (~by_op).astype(np.int64), 0]
+        return pair_l, pair_o, by_op, rule
 
     # the population: the packed memory rows of every (region, target)
     # group, as points, then the region's call-derived locals at a rank
@@ -618,7 +624,7 @@ def _regions_pass(table: OpTable, members: RegionMembers,
     owner, at = expand_ranges(
         table.local_start[local],
         table.local_start[local + 1] - table.local_start[local])
-    pair_l, pair_o, by_op = against_entries(
+    pair_l, pair_o, by_op, rule = against_entries(
         np.concatenate([mem.addr, table.local_lo[at]]),
         np.concatenate([mem.addr + mem.size, table.local_hi[at]]),
         np.concatenate([np.arange(n_mem), owner + n_mem]),
@@ -635,33 +641,32 @@ def _regions_pass(table: OpTable, members: RegionMembers,
                         np.where(is_mem, pair_entry, 0),
                         np.where(is_mem, entry_group[pair_entry], 0),
                         is_mem))
-    pair_l, pair_o = pair_l[order], pair_o[order]
+    pair_l, pair_o, rule = pair_l[order], pair_o[order], rule[order]
     # an op does not conflict with its own origin access, and a
     # same-origin RMA pair is handled as op-op / intra (an access at a
     # target of the op sits at the op's rank iff the op targets itself)
     own = item_op[pair_l]
     keep = (own != ops[pair_o]) & ~(
         (own >= 0) & (table.target[ops[pair_o]] == op_rank[pair_o]))
-    pair_l, pair_o = pair_l[keep], pair_o[keep]
+    pair_l, pair_o, rule = pair_l[keep], pair_o[keep], rule[keep]
     _record_candidates("inter", "local_vs_op", len(pair_l))
     # happens-before filter, one batched query for every candidate pair
     keep = ~oracle.ordered_pairs(
         table.target[ops[pair_o]], item_seq[pair_l], item_end[pair_l],
         op_rank[pair_o], op_seq[pair_o], op_end[pair_o])
-    pair_l, pair_o = pair_l[keep], pair_o[keep]
+    pair_l, pair_o, rule = pair_l[keep], pair_o[keep], rule[keep]
     stages.append((
         entry_unit[entry[pair_o]],
-        np.where(pair_l < n_mem, ROW_VS_OP, LOCAL_VS_OP), item[pair_l],
-        ops[pair_o]))
+        np.where(pair_l < n_mem, ROW_VS_OP, LOCAL_VS_OP), rule,
+        item[pair_l], ops[pair_o]))
     return stages
 
 
 def emit_region_findings(table: OpTable, mems: Dict[int, MemRows],
-                         pre: PreprocessedTrace,
-                         lock_index: _LocalLockIndex, memory_model: str,
+                         pre: PreprocessedTrace, lock_index: LocalLockIndex,
                          survivors: Survivors, n_units: int) -> UnitFindings:
-    """Build the views of the inter survivors and run each pair's check:
-    the findings, per unit."""
+    """Build the views of the inter survivors and write each one's
+    finding: the findings, per unit."""
     found: UnitFindings = [[] for _ in range(n_units)]
     if not len(survivors.unit):
         return found
@@ -669,18 +674,17 @@ def emit_region_findings(table: OpTable, mems: Dict[int, MemRows],
         np.concatenate([survivors.b,
                         survivors.a[survivors.pattern == OP_PAIR]]),
         survivors.a[survivors.pattern == LOCAL_VS_OP])
-    for unit, pattern, a, b in zip(*(col.tolist() for col in survivors)):
+    for unit, pattern, rule, a, b in zip(
+            *(col.tolist() for col in survivors)):
         op = table.op_view(b)
         if pattern == OP_PAIR:
-            error = _check_concurrent_ops(table.op_view(a), op,
-                                          memory_model)
+            error = write_finding("inter", "op_pair", VERDICTS[rule],
+                                  table.op_view(a), op)
         else:
-            access = (table.local_view(a) if pattern == LOCAL_VS_OP
-                      else mems[op.target].local_access(a))
-            error = _check_concurrent_local_vs_op(
-                access, access.intervals.intersection(
-                    pre.window(op.win_id).exposure(op.target)),
-                op, lock_index, memory_model)
-        if error is not None:
-            found[unit].append(error)
+            error = write_finding(
+                "inter", "local_vs_op", VERDICTS[rule],
+                table.local_view(a) if pattern == LOCAL_VS_OP
+                else mems[op.target].local_access(a), op,
+                pre.window(op.win_id).exposure(op.target), lock_index)
+        found[unit].append(error)
     return found

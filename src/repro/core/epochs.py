@@ -44,14 +44,16 @@ target or the wait on its request (:meth:`EpochIndex.completion_rows`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.calltable import (
-    FN_NAMES, LOCK_NAMES, LOCK_OTHER, ensure_call_tables, per_fn,
+    FN_NAMES, LOCK_EXCLUSIVE, LOCK_NAMES, LOCK_OTHER, ensure_call_tables,
+    per_fn,
 )
 from repro.core.preprocess import PreprocessedTrace
 from repro.core.views import Views, remembered
@@ -71,6 +73,7 @@ KIND_PSCW_ACCESS = "pscw_access"
 KIND_PSCW_EXPOSURE = "pscw_exposure"
 EPOCH_KINDS = (KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS, KIND_PSCW_EXPOSURE)
 _FENCE, _LOCK, _ACCESS, _EXPOSURE = range(4)
+_EXCLUSIVE = LOCK_NAMES[LOCK_EXCLUSIVE]
 
 #: :attr:`EpochIndex.columns`: ``kind`` indexes :data:`EPOCH_KINDS`, ``target``
 #: is :data:`NO_TARGET` for ``None``, ``lock`` indexes ``lock_types``, and
@@ -139,6 +142,12 @@ class Epoch:
     @property
     def is_access(self) -> bool:
         return self.kind in (KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS)
+
+    @property
+    def exclusive(self) -> bool:
+        """An exclusive lock epoch: what it holds is serialized against
+        any other exclusive holder of the target, in no fixed order."""
+        return self.kind == KIND_LOCK and self.lock_type == _EXCLUSIVE
 
     def describe(self) -> str:
         close = "<open>" if self.close_seq == OPEN_ENDED else self.close_seq
@@ -358,6 +367,38 @@ class EpochIndex:
                 & (at[nxt] < close)
             close[hit] = at[nxt][hit]
         return close
+
+
+class LocalLockIndex:
+    """Which local accesses are protected by a self-targeted exclusive lock.
+
+    Per ``(rank, win)`` the qualifying lock epochs are disjoint (a second
+    ``Win_lock`` of the same window/target before the unlock replaces the
+    open epoch, which is then never indexed), so their opens — one mask
+    over the epoch columns, sorted by ``(rank, win, open seq)`` — answer
+    each query with one ``bisect`` instead of a scan over every epoch.
+    """
+
+    def __init__(self, epoch_index: EpochIndex):
+        cols = epoch_index.columns
+        exclusive = np.array([name == _EXCLUSIVE for name in cols.lock_types])
+        mine = np.nonzero((cols.kind == _LOCK) & (cols.target == cols.rank)
+                          & exclusive[cols.lock])[0]
+        mine = mine[np.lexsort((cols.open_seq[mine], cols.win[mine],
+                                cols.rank[mine]))]
+        self._opens: List[Tuple[int, int, int]] = list(zip(
+            cols.rank[mine].tolist(), cols.win[mine].tolist(),
+            cols.open_seq[mine].tolist()))
+        self._closes: List[int] = cols.close_seq[mine].tolist()
+
+    def covers(self, la, win_id: int) -> bool:
+        """Whether the local access ``la`` lies inside such an epoch of
+        window ``win_id``."""
+        # last epoch of the window opening strictly before la.seq
+        # (contains_seq is exclusive on both bounds)
+        i = bisect_right(self._opens, (la.rank, win_id, la.seq - 1)) - 1
+        return i >= 0 and self._opens[i][:2] == (la.rank, win_id) \
+            and la.seq < self._closes[i]
 
 
 def _lock_types(tables, rows: np.ndarray) -> Tuple[np.ndarray, list]:

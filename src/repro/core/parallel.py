@@ -5,8 +5,8 @@ parent runs the control pass (the op table included) and cuts the plan;
 :func:`detect_shards` ships contiguous *chunks of shard units* to the
 workers — one task, ``shards``, for ``MCChecker(jobs > 1)`` (every
 shard) and the incremental checker's dirty-shard recompute alike — and
-gathers the pairs that reach a per-pair check back in order; the parent,
-which holds the call events, builds their views and findings
+gathers the pairs that are findings, with their rules, back in order;
+the parent, which holds the call events, builds their views and findings
 (:func:`~repro.core.plan.emit_shards`), so merge and report are the
 serial ones.  Reading, lifting and planning stay in the parent: fanned
 out, each lost to its serial counterpart on the benchmark ladder
@@ -537,7 +537,7 @@ def detect_shards(units: List[ShardUnits], control: ControlState,
             if export is not None:  # the worker recorder's state
                 obs.get_recorder().absorb(export)
             found.extend(emit_shards(units[lo:hi], survivors, control,
-                                     memory_model, mems))
+                                     mems))
         return found, len(chunks)
     finally:
         pool.end_run()

@@ -18,10 +18,11 @@ serial result.  This module states that once:
   lifted or copied), :meth:`~ShardPlan.merge` restores the serial
   concatenation order over any subset of results;
 * :func:`find_shards` / :func:`emit_shards` — the two sweep kernels,
-  once each, over a list of shard units: first the pairs that reach a
-  per-pair check, as arrays (what a pool worker runs), then their views
-  and findings, split back per shard (always in the process that holds
-  the call events); :func:`run_shards` is one after the other;
+  once each, over a list of shard units: first the pairs that are
+  findings, with their rules, as arrays (what a pool worker runs), then
+  their views and findings, split back per shard (always in the process
+  that holds the call events); :func:`run_shards` is one after the
+  other;
 * :class:`_RowLoader` — how a plan executor gets memory rows: a rank at
   a time, or as a forward cursor; :class:`SharedReaders` — one open
   reader per rank file for an executor that passes over them again.
@@ -68,8 +69,7 @@ from repro.core.engine import (
     RegionMembers, Survivors, emit_epoch_findings, emit_region_findings,
     find_epoch_pairs, find_region_pairs,
 )
-from repro.core.epochs import EpochIndex
-from repro.core.inter import LocalLockIndex
+from repro.core.epochs import EpochIndex, LocalLockIndex
 from repro.core.matching import match_synchronization
 from repro.core.model import MemRows, OpTable, check_address_columns
 from repro.core.preprocess import (
@@ -129,7 +129,7 @@ class ControlState:
 
     @cached_property
     def lock_index(self) -> LocalLockIndex:
-        return LocalLockIndex(self.epochs, self.pre.nranks)
+        return LocalLockIndex(self.epochs)
 
     @cached_property
     def members(self) -> RegionMembers:
@@ -345,8 +345,9 @@ def find_shards(units: List[ShardUnits], table: OpTable,
                 memory_model: str, mems: Dict[int, MemRows]
                 ) -> Tuple[Survivors, Survivors]:
     """Run each sweep kernel's finding half once over every unit of
-    ``units``: the intra and the inter pairs that reach a per-pair
-    check, as arrays (units numbered through the shards, in order).
+    ``units``: the intra and the inter pairs that are findings, with
+    their rules, as arrays (units numbered through the shards, in
+    order).
     Reads columns only — what a pool worker holds.  ``mems`` maps the
     ranks the units read to :class:`MemRows` holding at least the rows
     inside the units' bounds — whole ranks from the row-loader or the
@@ -362,17 +363,17 @@ def find_shards(units: List[ShardUnits], table: OpTable,
 
 def emit_shards(units: List[ShardUnits],
                 survivors: Tuple[Survivors, Survivors],
-                control: ControlState, memory_model: str,
+                control: ControlState,
                 mems: Dict[int, MemRows]) -> List[ShardFindings]:
     """The emitting half: views and findings for what
     :func:`find_shards` found (row indices in ``mems`` must mean what
     they meant there), split back per shard, keeping the units that
     found something."""
     intra = iter(emit_epoch_findings(
-        control.table, mems, memory_model, survivors[0],
+        control.table, mems, survivors[0],
         sum(len(unit.epochs) for unit in units)))
     inter = iter(emit_region_findings(
-        control.table, mems, control.pre, control.lock_index, memory_model,
+        control.table, mems, control.pre, control.lock_index,
         survivors[1], sum(len(unit.regions) for unit in units)))
 
     def part(positions: np.ndarray, found) -> list:
@@ -390,7 +391,7 @@ def run_shards(units: List[ShardUnits], control: ControlState,
     return emit_shards(
         units, find_shards(units, control.table, control.members,
                            control.oracle, memory_model, mems),
-        control, memory_model, mems)
+        control, mems)
 
 
 # ------------------------------------------------------------ row access

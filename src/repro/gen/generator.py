@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.compat import compat_verdict
 from repro.gen.config import (
     BUG_ANY, BUG_PATTERNS, GenConfig,
 )
@@ -309,7 +310,9 @@ def _try_pattern(rng: random.Random, bug_id: int, pattern: str, ri: int,
             op_kinds = rng.choice(
                 [("put", "put"), ("put", "get"), ("put", "acc"),
                  ("get", "acc")])
-        rule = "ORIGIN" if pattern != "op_pair" else "NONOV"
+        # the injected ops overlap on the target: Table I's verdict
+        rule = ("ORIGIN" if pattern != "op_pair"
+                else compat_verdict(*op_kinds, True))
         return (_Placement(
             bug_id=bug_id, pattern=pattern, round_index=ri,
             ranks=(a, t), target=t, severity="error", rule=rule,
@@ -333,7 +336,8 @@ def _try_pattern(rng: random.Random, bug_id: int, pattern: str, ri: int,
             else "error"
         return (_Placement(
             bug_id=bug_id, pattern=pattern, round_index=ri,
-            ranks=(a, b, t), target=t, severity=severity, rule="NONOV",
+            ranks=(a, b, t), target=t, severity=severity,
+            rule=compat_verdict("put", "put", True),
             kind="cross_process"),
             new, (pattern, frozenset((a, b))))
 
@@ -359,7 +363,7 @@ def _try_pattern(rng: random.Random, bug_id: int, pattern: str, ri: int,
         # (no overlap needed), so it can only live in a round where the
         # victim rank can be quarantined from other write traffic
         local_kind = "load"
-    rule = "NONOV" if local_kind == "load" else "ERROR"
+    rule = compat_verdict(local_kind, "put", True)
     return (_Placement(
         bug_id=bug_id, pattern="target_race", round_index=ri,
         ranks=(a, t), target=t, severity="error", rule=rule,

@@ -1,11 +1,18 @@
 """Exhaustive tests of the Table I compatibility matrix (experiment E1)."""
 
+import pathlib
+import re
+
 import pytest
 
+from repro.cli import main
 from repro.core.compat import (
     ACC, BOTH, ERROR, GET, KINDS, LOAD, NONOV, PUT, STORE, TABLE,
-    accumulate_exception, compat_verdict, table_entry,
+    accumulate_exception, compat_verdict, format_table, table_entry,
 )
+
+MEMORY_MODEL_DOC = (pathlib.Path(__file__).resolve().parents[2] / "docs"
+                    / "memory-model.md")
 
 #: The full expected matrix, row-major over (load, store, get, put, acc) —
 #: the symmetric MPI-2.2 table the paper's Table I prints.
@@ -80,3 +87,27 @@ class TestAccumulateException:
     def test_missing_info_not_exempt(self):
         assert not accumulate_exception(None, None, None, None)
         assert not accumulate_exception("SUM", None, "SUM", None)
+
+
+class TestPrintedTable:
+    """Table I is printed from one place: ``format_table`` over
+    ``TABLE``, by the CLI and in the memory-model note."""
+
+    def test_doc_block_is_the_formatter_output(self):
+        doc = MEMORY_MODEL_DOC.read_text()
+        block = re.search(r"## The compatibility matrix \(Table I\).*?"
+                          r"```\n(.*?)\n```", doc, re.S)
+        assert block is not None, "the Table I block left the doc"
+        assert block.group(1) == format_table()
+
+    def test_cli_prints_the_formatter_output(self, capsys):
+        assert main(["table1"]) == 0
+        assert format_table() in capsys.readouterr().out
+
+    def test_rows_read_the_table(self):
+        lines = format_table().splitlines()
+        assert lines[0].split() == [kind.upper() for kind in KINDS]
+        for a, line in zip(KINDS, lines[1:]):
+            assert line.split() == [a.upper()] + [
+                TABLE[(a, b)] + ("*" if a == b == ACC else "")
+                for b in KINDS]

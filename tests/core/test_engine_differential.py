@@ -3,9 +3,12 @@
 The contract of the sweep engine is *byte-identical reports to the
 paper's per-pair algorithms* (``tests.reference.pairwise``) over the
 whole bundled bug corpus, under both memory models, in every execution
-mode (serial, parallel, streaming).  The joins may only prune pairs the
-per-pair checkers would reject anyway, so any divergence is a
-completeness bug in the sweep.
+mode (serial, parallel, streaming).  The two sides judge independently —
+production by its array cuts, the reference by its own per-pair
+predicates — and share only the wording of a finding, so a divergence is
+a bug in either direction: a join that loses a pair, or a cut that keeps
+one Table I permits (``TestCutsAreSeen`` loosens a cut to prove the
+differential notices).
 
 Alongside the corpus differential, the engine's fast paths are pinned
 to their reference implementations directly: ``LiftCache``'s memoized
@@ -25,6 +28,7 @@ from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core import engine
 from repro.core.checker import check_traces
 from repro.core.clocks import ConcurrencyOracle
+from repro.core.compat import NONOV, VERDICT_LOOKUP, VERDICTS
 from repro.core.config import CheckConfig
 from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
@@ -32,6 +36,7 @@ from repro.core.preprocess import preprocess_calls
 from repro.core.streaming import check_streaming
 from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
+from repro.simmpi import DOUBLE, SUM
 from repro.simmpi.datatypes import Datatype
 from repro.util.intervals import Interval, IntervalSet
 from tests.reference.pairwise import (
@@ -113,6 +118,50 @@ class TestEngineDifferential:
         assert checker.peak_buffered_mems == STREAMING_PEAKS[case.name] \
             == checker.plan.rows.max(), (
                 f"{case.name}: streaming peak accounting diverged")
+
+
+def _permitted_overlaps(mpi):
+    """Overlapping pairs Table I permits, and nothing else: two Gets of
+    the same window bytes — within one epoch at rank 0, and across
+    ranks (rank 1 reads its own window) — then two same-op, same-type
+    Accumulates of the same bytes per rank and across ranks."""
+    buf = mpi.alloc("buf", 4, datatype=DOUBLE)
+    got = mpi.alloc("got", 4, datatype=DOUBLE)
+    more = mpi.alloc("more", 4, datatype=DOUBLE)
+    win = mpi.win_create(buf)
+    win.fence()
+    win.get(got, target=1, origin_count=2)
+    win.get(more, target=1, origin_count=2)
+    win.fence()
+    win.accumulate(got, target=0, op=SUM, origin_count=2)
+    win.accumulate(more, target=0, op=SUM, origin_count=2)
+    win.fence()
+    win.free()
+
+
+class TestCutsAreSeen:
+    """Production's Table-I cut loosened — every permitted overlap read
+    as NONOV — must change its report and not the reference's."""
+
+    def test_loosened_cut_diverges_from_the_reference(self, monkeypatch):
+        traces = profile_run(_permitted_overlaps, 2).traces
+        for memory_model in MEMORY_MODELS:
+            want = check_pairwise(traces, memory_model)
+            assert not want.findings, "the program must be clean"
+            config = CheckConfig(memory_model=memory_model)
+            assert canonical(check_traces(traces, config)) == canonical(want)
+            loose = VERDICT_LOOKUP.copy()
+            overlapping = loose[..., 1, :]
+            overlapping[overlapping == 0] = VERDICTS.index(NONOV)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "VERDICT_LOOKUP", loose)
+                got = check_traces(traces, config)
+            assert canonical(got) != canonical(want), (
+                f"{memory_model}: a loosened cut went unseen")
+            kinds = {frozenset((f.a.kind, f.b.kind)) for f in got.findings}
+            assert {frozenset({"get"}), frozenset({"acc"})} <= kinds
+            assert {f.kind for f in got.findings} == {
+                "intra_epoch", "cross_process"}
 
 
 class TestEngineSelection:

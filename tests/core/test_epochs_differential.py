@@ -33,8 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clocks import Span
-from repro.core.epochs import EpochIndex, KIND_LOCK
-from repro.core.inter import LocalLockIndex
+from repro.core.epochs import EpochIndex, KIND_LOCK, LocalLockIndex
 from repro.core.matching import (
     KIND_COLLECTIVE, SyncMatch, match_synchronization,
 )
@@ -139,7 +138,7 @@ def assert_lookups_equal(pre, ref, index) -> None:
 def assert_lock_index_equal(pre, ref, index) -> None:
     """The lock index cut from the columns against a scan of the walk's
     epochs."""
-    lock_index = LocalLockIndex(index, pre.nranks)
+    lock_index = LocalLockIndex(index)
     mine = [e for e in ref.epochs
             if e.kind == KIND_LOCK and e.lock_type == LOCK_EXCLUSIVE
             and e.target == e.rank]

@@ -327,7 +327,7 @@ class TestNaiveEquivalence:
 
 
 class TestLocalLockIndex:
-    """The bisect-based ``_LocalLockIndex`` must answer exactly like a
+    """The bisect-based ``LocalLockIndex`` must answer exactly like a
     linear scan over every qualifying exclusive-lock epoch."""
 
     def _lock_heavy_app(self, mpi):
@@ -356,12 +356,11 @@ class TestLocalLockIndex:
         win.free()
 
     def test_bisect_index_matches_linear_scan(self):
-        from repro.core.epochs import KIND_LOCK
-        from repro.core.inter import LocalLockIndex
+        from repro.core.epochs import KIND_LOCK, LocalLockIndex
 
         pre, model, regions, oracle, epochs = stages_for(
             self._lock_heavy_app, 3)
-        index = LocalLockIndex(epochs, pre.nranks)
+        index = LocalLockIndex(epochs)
 
         def linear_scan(la, win_id):
             return any(

@@ -2,12 +2,17 @@
 
 Test oracles, not production: nothing under ``src/`` imports this
 module.  Production finds candidate pairs with grouped interval joins
-(:mod:`repro.core.engine`) and runs the per-pair Table-I checks of
-:mod:`repro.core.intra` / :mod:`repro.core.inter` on the survivors; the
-drivers here enumerate the pairs the way the paper describes and call
-the same checks, so a disagreement is a bug in the joins, the batching
-or an executor — never in Table I itself (``repro.gen`` manifests are
-the independent oracle for that).
+and judges them as arrays (:mod:`repro.core.engine`: completion and
+program order, Table I as an integer lookup, one batched
+happens-before query).  The drivers here enumerate the pairs the way the
+paper describes and judge each one with this module's own per-pair
+predicates — completion order, same target, byte overlap,
+:func:`~repro.core.compat.compat_verdict` with the accumulate exception,
+the two-reads rule, own-origin and same-origin exclusion, span
+concurrency.  Only the wording of a finding is shared
+(:func:`repro.core.diagnostics.write_finding`), so reference and
+production decide independently: a disagreement is a bug in the joins,
+the cuts, the batching or an executor.
 
 * :func:`build_access_model` / :func:`lift_rank` — the object access
   model: every call lifted to views one by one (through the production
@@ -26,9 +31,6 @@ the independent oracle for that).
   scan improves on (E7 ablation);
 * :func:`check_pairwise` — a whole check: production control phases,
   then these drivers.
-
-The logic is the former ``repro.core`` pairwise engine and per-object
-walkers, moved unchanged.
 """
 
 from __future__ import annotations
@@ -39,20 +41,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.checker import CheckReport, CheckStats
-from repro.core.clocks import ConcurrencyOracle
+from repro.core.clocks import ConcurrencyOracle, Span
+from repro.core.compat import ORIGIN, accumulate_exception, compat_verdict
 from repro.core.diagnostics import (
     SEVERITY_ERROR, SEVERITY_WARNING, ConsistencyError, dedupe,
-    sort_findings,
+    sort_findings, write_finding,
 )
 from repro.core.epochs import (
     KIND_FENCE, KIND_LOCK, KIND_PSCW_ACCESS, NO_TARGET, OPEN_ENDED, Epoch,
-    EpochIndex,
-)
-from repro.core.inter import (
-    _LocalLockIndex, _check_concurrent_local_vs_op, _check_concurrent_ops,
-)
-from repro.core.intra import (
-    _check_attached_pair, _check_attached_vs_plain, _check_target_pair,
+    EpochIndex, LocalLockIndex,
 )
 from repro.core.matching import match_synchronization
 from repro.core.model import (
@@ -261,6 +258,121 @@ def bucket_by_region(model: AccessModel, regions: RegionIndex
 
 
 # ----------------------------------------------------------------------
+# the per-pair predicates: the paper's rules, stated pair by pair
+# ----------------------------------------------------------------------
+
+
+def _spans_concurrent(a: Span, b: Span) -> bool:
+    """Same-rank span concurrency (consistency order only)."""
+    return not (a.end_seq <= b.start_seq or b.end_seq <= a.start_seq)
+
+
+def _op_verdict(op_a: RMAOpView, op_b: RMAOpView, overlap: IntervalSet,
+                model: str) -> Optional[str]:
+    """Table I on two operations' target bytes, with the accumulate
+    exception."""
+    return compat_verdict(
+        op_a.kind, op_b.kind, bool(overlap),
+        acc_same=accumulate_exception(op_a.acc_op, op_a.acc_base,
+                                      op_b.acc_op, op_b.acc_base),
+        model=model)
+
+
+def _check_target_pair(op_a: RMAOpView, op_b: RMAOpView,
+                       model: str) -> Optional[ConsistencyError]:
+    # ops completing at different points (MPI-3 flush between them) are
+    # consistency-ordered even within one epoch
+    if op_a.complete_seq <= op_b.seq or op_b.complete_seq <= op_a.seq:
+        return None
+    if op_a.target != op_b.target:
+        return None
+    verdict = _op_verdict(op_a, op_b, op_a.target_intervals.intersection(
+        op_b.target_intervals), model)
+    if verdict is None:
+        return None
+    return write_finding("intra", "op_pair", verdict, op_a, op_b)
+
+
+def _check_attached_vs_plain(attached: LocalAccess, la: LocalAccess
+                             ) -> Optional[ConsistencyError]:
+    op = attached.origin_of
+    # program order protects accesses before the issue; the flush/close
+    # completes the op before anything after it
+    if la.seq < op.seq or la.seq > op.complete_seq:
+        return None
+    if attached.access != "store" and la.access != "store":
+        return None  # two reads never conflict
+    if not attached.intervals.intersection(la.intervals):
+        return None
+    return write_finding("intra", "origin_vs_plain", ORIGIN, attached, la)
+
+
+def _check_attached_pair(acc_a: LocalAccess, acc_b: LocalAccess
+                         ) -> Optional[ConsistencyError]:
+    if acc_a.origin_of is acc_b.origin_of:
+        return None  # one call's own buffers don't self-conflict
+    if not _spans_concurrent(acc_a.span, acc_b.span):
+        return None
+    if acc_a.access != "store" and acc_b.access != "store":
+        return None
+    if not acc_a.intervals.intersection(acc_b.intervals):
+        return None
+    return write_finding("intra", "origin_pair", ORIGIN, acc_a, acc_b)
+
+
+def _check_concurrent_ops(op_a: RMAOpView, op_b: RMAOpView,
+                          model: str) -> Optional[ConsistencyError]:
+    """Table I for a pair already known concurrent + cross-rank."""
+    verdict = _op_verdict(op_a, op_b, op_a.target_intervals.intersection(
+        op_b.target_intervals), model)
+    if verdict is None:
+        return None
+    return write_finding("inter", "op_pair", verdict, op_a, op_b)
+
+
+def _check_concurrent_local_vs_op(la: LocalAccess, exposure: IntervalSet,
+                                  op: RMAOpView, lock_index: LocalLockIndex,
+                                  model: str) -> Optional[ConsistencyError]:
+    """Table I for a local/remote pair already known concurrent; only
+    the local bytes inside the window's ``exposure`` count."""
+    if la.origin_of is op:
+        return None  # an op does not conflict with its own origin access
+    if la.origin_of is not None and la.origin_of.rank == op.rank:
+        return None  # same-origin RMA pair: handled as op-op / intra
+    overlap = la.intervals.intersection(exposure).intersection(
+        op.target_intervals)
+    verdict = compat_verdict(la.access, op.kind, bool(overlap), model=model)
+    if verdict is None:
+        return None
+    return write_finding("inter", "local_vs_op", verdict, la, op, exposure,
+                         lock_index)
+
+
+def _check_local_vs_op(la: LocalAccess, exposure: IntervalSet,
+                       op: RMAOpView, oracle: ConcurrencyOracle,
+                       lock_index: LocalLockIndex,
+                       model: str) -> Optional[ConsistencyError]:
+    if oracle.ordered(la.span, op.span):
+        return None
+    return _check_concurrent_local_vs_op(la, exposure, op, lock_index, model)
+
+
+def _check_ops(op_a: RMAOpView, op_b: RMAOpView, oracle: ConcurrencyOracle,
+               model: str) -> Optional[ConsistencyError]:
+    if op_a.rank == op_b.rank:
+        return None  # same-rank pairs are program/epoch ordered or intra
+    if oracle.ordered(op_a.span, op_b.span):
+        return None
+    return _check_concurrent_ops(op_a, op_b, model)
+
+
+def _keep(errors: List[ConsistencyError],
+          error: Optional[ConsistencyError]) -> None:
+    if error is not None:
+        errors.append(error)
+
+
+# ----------------------------------------------------------------------
 # within one epoch (section IV-C-3)
 # ----------------------------------------------------------------------
 
@@ -285,40 +397,21 @@ def check_epoch(epoch: Epoch, ops: List[RMAOpView],
     # (a) RMA op pairs: target-side conflicts under Table I
     for i, op_a in enumerate(ops):
         for op_b in ops[i + 1:]:
-            error = _check_target_pair(op_a, op_b, memory_model)
-            if error is not None:
-                errors.append(error)
+            _keep(errors, _check_target_pair(op_a, op_b, memory_model))
 
     # (b) local buffers attached to RMA ops vs plain loads/stores and
     # vs each other: unordered while the owning op is incomplete
     for i, acc_a in enumerate(attached):
         for la in mems:
-            errors.extend(_check_attached_vs_plain(acc_a, la))
+            _keep(errors, _check_attached_vs_plain(acc_a, la))
         for acc_b in attached[i + 1:]:
-            if acc_a.origin_of is acc_b.origin_of:
-                continue  # one call's own buffers don't self-conflict
-            errors.extend(_check_attached_pair(acc_a, acc_b))
+            _keep(errors, _check_attached_pair(acc_a, acc_b))
     return errors
 
 
 # ----------------------------------------------------------------------
 # across processes (section IV-C-4)
 # ----------------------------------------------------------------------
-
-
-def _check_local_vs_op(la: LocalAccess, la_in_window: IntervalSet,
-                       op: RMAOpView, oracle: ConcurrencyOracle,
-                       lock_index: _LocalLockIndex,
-                       model: str = "separate"
-                       ) -> Optional[ConsistencyError]:
-    if la.origin_of is op:
-        return None  # an op does not conflict with its own origin access
-    if la.origin_of is not None and la.origin_of.rank == op.rank:
-        return None  # same-origin RMA pair: handled as op-op / intra
-    if oracle.ordered(la.span, op.span):
-        return None
-    return _check_concurrent_local_vs_op(la, la_in_window, op, lock_index,
-                                         model)
 
 
 #: below this many recorded ops in a vector entry, scalar oracle queries
@@ -361,44 +454,27 @@ class _OpVector:
 def check_local_against_entries(pre: PreprocessedTrace, la: LocalAccess,
                                 entries: Iterable[_OpVector],
                                 oracle: ConcurrencyOracle,
-                                lock_index: "_LocalLockIndex",
+                                lock_index: LocalLockIndex,
                                 memory_model: str,
                                 errors: List[ConsistencyError]) -> None:
     """One local access vs every ``(window, target)`` entry at its rank —
     the step-2 inner loop (the sweep engine routes the *object* locals
     through it and handles the packed memory rows columnar)."""
     for entry in entries:
-        window = pre.window(entry.win_id)
-        la_in_window = la.intervals.intersection(
-            window.exposure(la.rank))
-        if not la_in_window:
+        exposure = pre.window(entry.win_id).exposure(la.rank)
+        if not la.intervals.intersection(exposure):
             continue
         if len(entry.ops) >= _BATCH_MIN:
             ranks, starts, ends = entry.arrays()
             concurrent = ~oracle.ordered_batch(ranks, starts, ends,
                                                la.span)
             for i in np.nonzero(concurrent)[0]:
-                error = _check_concurrent_local_vs_op(
-                    la, la_in_window, entry.ops[i], lock_index,
-                    memory_model)
-                if error is not None:
-                    errors.append(error)
+                _keep(errors, _check_concurrent_local_vs_op(
+                    la, exposure, entry.ops[i], lock_index, memory_model))
         else:
             for op in entry.ops:
-                error = _check_local_vs_op(la, la_in_window, op, oracle,
-                                           lock_index, memory_model)
-                if error is not None:
-                    errors.append(error)
-
-
-def _check_ops(op_a: RMAOpView, op_b: RMAOpView,
-               oracle: ConcurrencyOracle,
-               model: str = "separate") -> Optional[ConsistencyError]:
-    if op_a.rank == op_b.rank:
-        return None  # same-rank pairs are program/epoch ordered or intra
-    if oracle.ordered(op_a.span, op_b.span):
-        return None
-    return _check_concurrent_ops(op_a, op_b, model)
+                _keep(errors, _check_local_vs_op(
+                    la, exposure, op, oracle, lock_index, memory_model))
 
 
 def detect_cross_process(pre: PreprocessedTrace, model: AccessModel,
@@ -408,7 +484,7 @@ def detect_cross_process(pre: PreprocessedTrace, model: AccessModel,
                          ) -> List[ConsistencyError]:
     """The paper's linear two-step detector, one pass per concurrent region."""
     errors: List[ConsistencyError] = []
-    lock_index = _LocalLockIndex(epoch_index, pre.nranks)
+    lock_index = LocalLockIndex(epoch_index)
     ops_by_region, locals_by_region = bucket_by_region(model, regions)
 
     for region in regions:
@@ -423,7 +499,7 @@ def detect_cross_process(pre: PreprocessedTrace, model: AccessModel,
 
 def detect_region(pre: PreprocessedTrace, region_ops: List[RMAOpView],
                   region_locals: List[LocalAccess],
-                  oracle: ConcurrencyOracle, lock_index: "_LocalLockIndex",
+                  oracle: ConcurrencyOracle, lock_index: LocalLockIndex,
                   memory_model: str = "separate") -> List[ConsistencyError]:
     """The two linear passes over one concurrent region's accesses.
 
@@ -448,14 +524,11 @@ def detect_region(pre: PreprocessedTrace, region_ops: List[RMAOpView],
             concurrent = ~oracle.ordered_batch(ranks, starts, ends, op.span)
             concurrent &= ranks != op.rank  # same-rank pairs: intra's job
             for i in np.nonzero(concurrent)[0]:
-                error = _check_concurrent_ops(entry.ops[i], op, memory_model)
-                if error is not None:
-                    errors.append(error)
+                _keep(errors, _check_concurrent_ops(entry.ops[i], op,
+                                                    memory_model))
         else:
             for prev in entry.ops:
-                error = _check_ops(prev, op, oracle, memory_model)
-                if error is not None:
-                    errors.append(error)
+                _keep(errors, _check_ops(prev, op, oracle, memory_model))
         entry.append(op)
 
     # step 2: local operations at each target vs recorded remote ops
@@ -476,7 +549,7 @@ def detect_cross_process_naive(pre: PreprocessedTrace, model: AccessModel,
     region, with no window-vector keying.  Same findings, quadratic time —
     the baseline the paper's section IV-C-4 improves upon."""
     errors: List[ConsistencyError] = []
-    lock_index = _LocalLockIndex(epoch_index, pre.nranks)
+    lock_index = LocalLockIndex(epoch_index)
     ops_by_region, locals_by_region = bucket_by_region(model, regions)
 
     for region in regions:
@@ -486,22 +559,16 @@ def detect_cross_process_naive(pre: PreprocessedTrace, model: AccessModel,
             for op_b in region_ops[i + 1:]:
                 if op_a.win_id != op_b.win_id or op_a.target != op_b.target:
                     continue  # still must touch the same target window
-                error = _check_ops(op_a, op_b, oracle, memory_model)
-                if error is not None:
-                    errors.append(error)
+                _keep(errors, _check_ops(op_a, op_b, oracle, memory_model))
         for la in region_locals:
             for op in region_ops:
                 if op.target != la.rank:
                     continue
-                window = pre.window(op.win_id)
-                la_in_window = la.intervals.intersection(
-                    window.exposure(la.rank))
-                if not la_in_window:
+                exposure = pre.window(op.win_id).exposure(la.rank)
+                if not la.intervals.intersection(exposure):
                     continue
-                error = _check_local_vs_op(la, la_in_window, op, oracle,
-                                           lock_index, memory_model)
-                if error is not None:
-                    errors.append(error)
+                _keep(errors, _check_local_vs_op(
+                    la, exposure, op, oracle, lock_index, memory_model))
     return errors
 
 
