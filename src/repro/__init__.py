@@ -21,18 +21,32 @@ Subpackages: :mod:`repro.simmpi` (the MPI-2.2/3 simulator),
 + differential fuzzing), :mod:`repro.ga` (Global-Arrays layer),
 :mod:`repro.apps` (the paper's evaluated applications),
 :mod:`repro.tools` (trace statistics / filtering / diffing /
-minimization).
+minimization).  Only the checker loads with the package; the rest loads
+on first use of a name that needs it.
 """
+
+from importlib import import_module
 
 from repro.core import (
     CheckConfig, CheckReport, ConsistencyError, check_app, check_traces,
 )
-from repro.simmpi import MPIContext, run_app
-from repro import api  # noqa: E402  (imports repro.core; keep it last)
-from repro.api import fuzz, generate, run_check, score
-from repro.gen import GenConfig
 
 __version__ = "1.0.0"
+
+#: name -> the module that defines it, imported on first access (PEP 562)
+_DEFERRED = {
+    "api": "repro.api", "run_check": "repro.api", "generate": "repro.api",
+    "fuzz": "repro.api", "score": "repro.api", "GenConfig": "repro.gen",
+    "MPIContext": "repro.simmpi", "run_app": "repro.simmpi",
+}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(_DEFERRED[name])
+    return module if name == "api" else getattr(module, name)
+
 
 __all__ = [
     "CheckConfig", "CheckReport", "ConsistencyError", "check_app",

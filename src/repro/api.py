@@ -46,26 +46,37 @@ The generation-side verbs mirror the same shape around
     corpus = api.fuzz(GenConfig(nranks=8, bugs=("any",) * 2),
                       seeds=range(10))
     assert corpus.ok  # recall == 1.0, zero differential mismatches
+
+Importing the facade loads the checker only; the simulator loads on the
+first ``run``, the generator on the first ``generate`` / ``fuzz`` / ``score``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterable, Optional, Union
+import sys
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable,
+                    Optional, Union)
 
 from repro import obs
 from repro.core.checker import CheckReport, check_traces
 from repro.core.config import CheckConfig
-from repro.core.parallel import shutdown_pools
-from repro.gen.config import GenConfig
-from repro.gen.fuzz import FuzzReport, fuzz_corpus, run_case
-from repro.gen.generator import GeneratedProgram, generate_program
-from repro.gen.manifest import Manifest, Score, score_report
-from repro.profiler.session import ProfiledRun, profile_run
 from repro.profiler.tracer import TraceSet
+
+if TYPE_CHECKING:
+    from repro.gen import GenConfig, GeneratedProgram, Manifest, Score
+    from repro.gen.fuzz import FuzzReport
+    from repro.profiler.session import ProfiledRun
 
 __all__ = ["run", "check", "run_check", "generate", "fuzz", "score",
            "shutdown_pools"]
+
+
+def shutdown_pools() -> None:
+    """Stop the worker pools this process started (none: nothing loads)."""
+    parallel = sys.modules.get("repro.core.parallel")
+    if parallel is not None:
+        parallel.shutdown_pools()
 
 
 def _obs_config(obs_config: Optional[obs.ObsConfig],
@@ -96,6 +107,7 @@ def run(app: Callable, nranks: int, *,
         chrome_trace: Optional[str] = None) -> ProfiledRun:
     """Profile ``app`` on the simulated runtime; returns the run (its
     ``.traces`` feed :func:`check`)."""
+    from repro.profiler.session import profile_run
     with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
         return profile_run(app, nranks, trace_dir=trace_dir, params=params,
                            scope=scope, delivery=delivery,
@@ -144,6 +156,7 @@ def run_check(app: Callable, nranks: int, *,
 
 
 def _gen_config(config: Optional[GenConfig], overrides: dict) -> GenConfig:
+    from repro.gen import GenConfig
     cfg = config if config is not None else GenConfig()
     if not isinstance(cfg, GenConfig):
         raise TypeError(
@@ -161,6 +174,7 @@ def generate(config: Optional[GenConfig] = None, *,
     ``GenConfig(seed=7, nranks=16)``).  ``out=`` saves ``program.json``
     and ``manifest.json`` into that directory.
     """
+    from repro.gen import generate_program
     generated = generate_program(_gen_config(config, overrides))
     if out is not None:
         generated.save(out)
@@ -184,6 +198,7 @@ def fuzz(config: Optional[GenConfig] = None,
     for byte-identical reports.  ``seeds=None`` runs the single seed
     already in the config.
     """
+    from repro.gen.fuzz import FuzzReport, fuzz_corpus, run_case
     cfg = _gen_config(config, overrides)
     with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
         if seeds is None:
@@ -203,6 +218,7 @@ def score(report: Union[CheckReport, list],
     :class:`~repro.gen.generator.GeneratedProgram` that owns one, or a
     path to a saved ``manifest.json``.
     """
+    from repro.gen import GeneratedProgram, Manifest, score_report
     if isinstance(manifest, GeneratedProgram):
         manifest = manifest.manifest
     elif not isinstance(manifest, Manifest):

@@ -28,6 +28,9 @@ the profiling/analysis subcommands accept ``--metrics-out FILE`` (a
 Prometheus exposition dump) and ``--chrome-trace FILE`` (a Chrome
 ``trace_event`` file for ``chrome://tracing``/Perfetto).  Passing either
 export flag — or setting ``MCCHECKER_OBS=1`` — enables the recorder.
+
+Exit status 2 is "could not do it" (an unanalysable trace set, a bad
+command line).  A verb imports the layers it drives when it runs.
 """
 
 from __future__ import annotations
@@ -44,10 +47,12 @@ from repro.core.config import CheckConfig
 from repro.core.compat import format_table
 from repro.obs.export import write_chrome_trace, write_metrics
 from repro.obs.logging import LOG_LEVEL_CHOICES
-from repro.profiler.session import profile_run
 from repro.profiler.tracer import TraceSet
-from repro.stanalyzer import analyze_source
 from repro.util.errors import AnalysisError, TraceFormatError
+
+
+class UsageError(Exception):
+    """A command line the verbs cannot act on (exit 2, one stderr line)."""
 
 
 def _resolve_app(name: str) -> Tuple[Callable, Dict]:
@@ -67,7 +72,7 @@ def _resolve_app(name: str) -> Tuple[Callable, Dict]:
             return app.app, app.param_dict()
     if ":" in name:
         return _resolve(name), {}
-    raise SystemExit(f"unknown application {name!r}; see `mc-checker apps`")
+    raise UsageError(f"unknown application {name!r}; see `mc-checker apps`")
 
 
 def _analysis_parent() -> argparse.ArgumentParser:
@@ -99,7 +104,7 @@ def _config_from_args(args) -> CheckConfig:
     """Build the :class:`CheckConfig` a subcommand's flags describe."""
     if getattr(args, "incremental", False) and \
             not getattr(args, "cache_dir", None):
-        raise SystemExit("mc-checker: --incremental requires --cache-dir")
+        raise UsageError("--incremental requires --cache-dir")
     try:
         return CheckConfig(
             memory_model=getattr(args, "memory_model", "separate"),
@@ -108,7 +113,7 @@ def _config_from_args(args) -> CheckConfig:
             cache_dir=getattr(args, "cache_dir", None),
             incremental=getattr(args, "incremental", False))
     except ValueError as exc:
-        raise SystemExit(f"mc-checker: {exc}") from None
+        raise UsageError(str(exc)) from None
 
 
 def _add_obs_args(parser: argparse.ArgumentParser,
@@ -204,7 +209,7 @@ def _gen_config_from_args(args):
             slot_elems=args.slot_elems, reps=args.reps,
             flush_prob=args.flush_prob, trace_format=args.trace_format)
     except ValueError as exc:
-        raise SystemExit(f"mc-checker: {exc}") from None
+        raise UsageError(str(exc)) from None
 
 
 def _parse_params(raw_params, defaults: Dict) -> Dict:
@@ -219,6 +224,7 @@ def _parse_params(raw_params, defaults: Dict) -> Dict:
 
 
 def _do_run(args) -> Optional[str]:
+    from repro.profiler.session import profile_run
     log = obs.get_logger()
     app, defaults = _resolve_app(args.app)
     params = _parse_params(args.param, defaults)
@@ -469,7 +475,7 @@ def main(argv=None) -> int:
                   log_level=getattr(args, "log_level", "info"))
     try:
         return _dispatch(args)
-    except (TraceFormatError, AnalysisError, OSError) as exc:
+    except (TraceFormatError, AnalysisError, OSError, UsageError) as exc:
         # distinct from 1, which `check` returns for a detected bug
         print(f"mc-checker: {exc}", file=sys.stderr)
         return 2
@@ -611,6 +617,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "stanalyze":
+        from repro.stanalyzer import analyze_source
         with open(args.source_file, encoding="utf-8") as fh:
             source = fh.read()
         try:

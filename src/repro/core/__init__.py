@@ -35,12 +35,10 @@ from repro.core.compat import (
 )
 from repro.core.config import CheckConfig
 from repro.core.diagnostics import ConsistencyError
-from repro.core.streaming import StreamingChecker, check_streaming
 
 __all__ = [
     "CheckConfig", "CheckReport", "MCChecker", "check_app", "check_traces",
     "BOTH", "ERROR", "NONOV", "MODEL_SEPARATE", "MODEL_UNIFIED",
     "compat_verdict",
     "ConsistencyError",
-    "StreamingChecker", "check_streaming",
 ]

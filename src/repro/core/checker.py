@@ -32,7 +32,6 @@ from repro.core.engine import (
 from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
 from repro.core.model import build_access_model_sweep
-from repro.core.parallel import detect_shards
 from repro.core.plan import (
     ControlState, ShardPlan, _RowLoader, build_control_state, phase_timer,
 )
@@ -194,6 +193,8 @@ class MCChecker:
                     timed) -> List[ConsistencyError]:
         """``jobs > 1``: control pass and plan in this process, every
         shard's units in chunks over the worker pool."""
+        from repro.core.parallel import detect_shards
+
         control = run_control_pass(self.traces, stats, timed)
         plan = timed("plan", lambda: ShardPlan.build(control))
         found, chunks = timed("detect", lambda: detect_shards(

@@ -20,8 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.calltable import calls_to
 from repro.profiler.events import DATATYPE_CALLS, CallEvent, Event
 from repro.profiler.tracer import TraceSet
-from repro.simmpi.comm import WORLD_COMM_ID
-from repro.simmpi.datatypes import Datatype, DatatypeFactory, PRIMITIVES_BY_ID
+from repro.util.datatypes import (
+    PRIMITIVES_BY_ID, WORLD_COMM_ID, Datatype, DatatypeFactory,
+)
 from repro.util.errors import AnalysisError
 from repro.util.intervals import IntervalSet
 

@@ -17,8 +17,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.simmpi import LOCK_SHARED, MPIContext, TrackedBuffer
-from repro.simmpi.datatypes import Datatype, PRIMITIVES
 from repro.simmpi.window import WinHandle
+from repro.util.datatypes import Datatype, PRIMITIVES
 from repro.util.errors import SimMPIError
 
 

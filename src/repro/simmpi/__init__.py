@@ -25,11 +25,7 @@ Quick tour::
     results = run_app(main, nranks=2, delivery="eager")
 """
 
-from repro.simmpi.comm import Comm, WORLD_COMM_ID
-from repro.simmpi.datatypes import (
-    BYTE, CHAR, SHORT, INT, LONG, FLOAT, DOUBLE,
-    Datatype, DatatypeFactory, PRIMITIVES, primitive_for_numpy,
-)
+from repro.simmpi.comm import Comm
 from repro.simmpi.group import Group
 from repro.simmpi.memory import AddressSpace, TrackedBuffer
 from repro.simmpi.ops import (
@@ -43,6 +39,10 @@ from repro.simmpi.rma import (
 from repro.simmpi.runtime import EventHook, MPIContext, World, run_app
 from repro.simmpi.scheduler import Scheduler
 from repro.simmpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, WinHandle, Window
+from repro.util.datatypes import (
+    BYTE, CHAR, SHORT, INT, LONG, FLOAT, DOUBLE, WORLD_COMM_ID,
+    Datatype, DatatypeFactory, PRIMITIVES, primitive_for_numpy,
+)
 
 __all__ = [
     "Comm", "WORLD_COMM_ID",

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from repro.simmpi.group import Group
 
-WORLD_COMM_ID = 0
-
 
 class Comm:
     """An MPI communicator: an id (context) and an ordered member group.

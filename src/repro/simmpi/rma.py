@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.simmpi.datatypes import Datatype
 from repro.simmpi.memory import TrackedBuffer
 from repro.simmpi.ops import ACCUMULATE_OPS, combine
+from repro.util.datatypes import Datatype
 from repro.util.errors import SimMPIError
 
 PUT = "put"

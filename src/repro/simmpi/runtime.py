@@ -36,10 +36,7 @@ import numpy as np
 
 from repro.simmpi import collectives as coll
 from repro.simmpi.collectives import CollectiveEngine
-from repro.simmpi.comm import Comm, WORLD_COMM_ID
-from repro.simmpi.datatypes import (
-    DOUBLE, Datatype, DatatypeFactory, PRIMITIVES, primitive_for_numpy,
-)
+from repro.simmpi.comm import Comm
 from repro.simmpi.group import Group
 from repro.simmpi.memory import AddressSpace, TrackedBuffer
 from repro.simmpi.ops import REDUCE_OPS
@@ -49,6 +46,10 @@ from repro.simmpi.p2p import (
 from repro.simmpi.rma import DeliveryEngine, gather_typed, scatter_typed
 from repro.simmpi.scheduler import Scheduler
 from repro.simmpi.window import WinHandle, Window
+from repro.util.datatypes import (
+    DOUBLE, WORLD_COMM_ID, Datatype, DatatypeFactory, PRIMITIVES,
+    primitive_for_numpy,
+)
 from repro.util.errors import SimMPIError
 
 

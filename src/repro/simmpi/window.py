@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.simmpi.comm import Comm
-from repro.simmpi.datatypes import Datatype
 from repro.simmpi.group import Group
 from repro.simmpi.memory import TrackedBuffer
 from repro.simmpi.rma import ACC, CAS, GET, GET_ACC, PUT, RMAOp, apply_rma
+from repro.util.datatypes import Datatype
 from repro.util.errors import RMAUsageError, SimMPIError
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.calltable import CLS_NAMES, classify_call
 from repro.profiler.events import CallEvent, call_category
 from repro.profiler.tracer import MemBlock, TraceSet
+from repro.util.datatypes import PRIMITIVES_BY_ID
 
 
 @dataclass
@@ -249,8 +250,6 @@ def compute_stats(traces: TraceSet) -> TraceStats:
 
 
 def _dtype_size(type_id: int) -> int:
-    from repro.simmpi.datatypes import PRIMITIVES_BY_ID
-
     dtype = PRIMITIVES_BY_ID.get(type_id)
     return dtype.size if dtype is not None else 0
 

@@ -37,7 +37,7 @@ from repro.core.streaming import check_streaming
 from repro.profiler.events import CallEvent
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, SUM
-from repro.simmpi.datatypes import Datatype
+from repro.util.datatypes import Datatype
 from repro.util.intervals import Interval, IntervalSet
 from tests.reference.pairwise import (
     LiftCache, build_access_model, check_pairwise,

@@ -34,13 +34,9 @@ class TestGenerate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["bugs"][0]["pattern"] == "get_local"
 
-    def test_rejects_bad_flags(self):
-        try:
-            main(["generate", "--ranks", "1"])
-        except SystemExit as exc:
-            assert "nranks" in str(exc)
-        else:  # pragma: no cover
-            raise AssertionError("expected SystemExit")
+    def test_rejects_bad_flags(self, capsys):
+        assert main(["generate", "--ranks", "1"]) == 2
+        assert "nranks" in capsys.readouterr().err
 
 
 class TestFuzz:

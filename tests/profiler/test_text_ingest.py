@@ -23,7 +23,7 @@ from repro.profiler.events import (
     ACCESS_CODES, CallEvent, MemEvent, decode_event,
 )
 from repro.profiler.tracer import MemBlock, TraceReader, TraceSet
-from repro.simmpi.datatypes import Datatype
+from repro.util.datatypes import Datatype
 from repro.util import intervals as intervals_module
 from repro.util.errors import TraceFormatError
 from repro.util.intervals import Interval, IntervalSet, datamap_intervals

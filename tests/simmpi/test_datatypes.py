@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simmpi.datatypes import (
+from repro.util.datatypes import (
     BYTE, DOUBLE, INT, PRIMITIVES, DatatypeFactory, primitive_for_numpy,
 )
 from repro.util.errors import SimMPIError

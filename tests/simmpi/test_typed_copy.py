@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simmpi.datatypes import BYTE, INT, DatatypeFactory
+from repro.util.datatypes import BYTE, INT, DatatypeFactory
 from repro.simmpi.memory import AddressSpace, TrackedBuffer
 from repro.simmpi.rma import gather_typed, scatter_typed
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import CheckConfig, api
-from repro.cli import _config_from_args, build_parser
+from repro.cli import UsageError, _config_from_args, build_parser
 from repro.core.checker import MCChecker, check_app, check_traces
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, LOCK_SHARED
@@ -131,7 +131,7 @@ class TestCliRoundTrip:
 
     def test_incremental_requires_cache_dir(self):
         args = build_parser().parse_args(["check", "dir", "--incremental"])
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError, match="requires --cache-dir"):
             _config_from_args(args)
 
 

@@ -1,5 +1,7 @@
 """CLI tests (mc-checker ...)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -82,6 +84,24 @@ class TestExitStatus:
             assert main(["check", str(tmp_path / str(status)),
                          "--no-ledger", "--log-level", "quiet"]) == status
 
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "t", "--incremental"],
+         "--incremental requires --cache-dir"),
+        (["check", "t", "--streaming", "--jobs", "2"], "streaming"),
+        (["generate", "--ranks", "1"], "nranks"),
+        (["run", "no-such-app"], "unknown application 'no-such-app'"),
+    ], ids=["incremental-without-cache-dir", "check-config", "gen-config",
+            "unknown-app"])
+    def test_usage_error(self, argv, message, capsys):
+        """A command line no verb can act on exits 2, as an argparse
+        rejection does — never 1, which `check` uses for a bug."""
+        assert main(argv + ["--log-level", "quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mc-checker: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_metrics_are_still_written(self, tmp_path):
         metrics = tmp_path / "m.prom"
         assert main(["check", str(tmp_path / "missing"), "--no-ledger",
@@ -125,8 +145,7 @@ class TestRunCheck:
         assert rc == 0
 
     def test_unknown_app_exits(self):
-        with pytest.raises(SystemExit):
-            main(["run", "no-such-app"])
+        assert main(["run", "no-such-app"]) == 2
 
     def test_naive_inter_flag(self, tmp_path, capsys):
         """The implementation switches are gone from every sub-command:
@@ -182,17 +201,19 @@ class TestRunCheck:
         assert "shard plan: 12 shard(s), largest 4 row(s), run in 1 " \
             "piece(s)" in text
 
-    def test_streaming_rejects_jobs(self, tmp_path):
+    def test_streaming_rejects_jobs(self, tmp_path, capsys):
         """The streaming pass is serial; asking for workers is an error,
         not a silently serial run."""
-        with pytest.raises(SystemExit, match="streaming.*jobs"):
-            main(["check", str(tmp_path), "--streaming", "--jobs", "2"])
+        assert main(["check", str(tmp_path), "--streaming",
+                     "--jobs", "2"]) == 2
+        assert re.search("streaming.*jobs", capsys.readouterr().err)
 
-    def test_incremental_rejects_jobs(self, tmp_path):
+    def test_incremental_rejects_jobs(self, tmp_path, capsys):
         """So is the cache."""
-        with pytest.raises(SystemExit, match="incremental.*serial.*jobs"):
-            main(["check", str(tmp_path), "--incremental",
-                  "--cache-dir", str(tmp_path / "c"), "--jobs", "2"])
+        assert main(["check", str(tmp_path), "--incremental",
+                     "--cache-dir", str(tmp_path / "c"), "--jobs", "2"]) == 2
+        assert re.search("incremental.*serial.*jobs",
+                         capsys.readouterr().err)
 
     def test_stats_command(self, tmp_path, capsys):
         main(["run", "LU", "--ranks", "2", "--param", "n=10",
