@@ -2,29 +2,29 @@
 
 The memory events are columnar from the tracer through the sweep engine
 (packed MemBlock columns never become Python objects); a
-:class:`CallTable` is the same for the call stream: a per-rank
-struct-of-arrays view — seq numbers, fn codes, a sync-class code, and
-the handful of argument columns the matching / epoch / clock passes
-actually read (communicator, window, peer, tag, request, lock target,
-PSCW group) — built once per rank by ``TraceReader.read_calls`` and
-shared by every control phase:
+:class:`CallTable` is the same for the call stream: a struct-of-arrays
+view — seq numbers, fn codes, a sync-class code, and the handful of
+argument columns the matching / epoch / clock passes actually read
+(communicator, window, peer, tag, request, lock target, PSCW group) —
+of every rank's calls, stacked with a rank column.  One table per trace
+set, shared by every control phase:
 
-* :func:`repro.core.matching.match_synchronization` runs Algorithm 1 as
-  per-channel occurrence-index zips over the class-filtered columns;
 * ``EpochIndex`` pairs only the epoch-relevant rows (mask + take instead
-  of a full event scan);
-* ``OpTable`` and the incremental digests index calls by table row.
+  of a full event scan), and ``OpTable`` gathers the lifted calls' rows;
+* :func:`repro.core.matching.match_synchronization` (Algorithm 1) and
+  the shard plan read a rank's rows, :meth:`CallTable.view`.
 
-One builder.  Whatever the trace format, ``TraceReader.read_calls``
-hands over the rank's calls as
-:class:`~repro.profiler.callcols.CallColumns` — stored so by a binary
-(v3) trace, read into the same columns from the call lines of a text
-trace — and :meth:`CallTable.from_columns` classifies each *shape* once
-and gathers each table column once; no call becomes an object on the
-way.  A call the columns cannot hold (an argument past int64, say) is a
-*codec row*, checked one by one by :class:`CallIngest`;
-:meth:`CallTable.from_events` builds the same table from typed events
-(``preprocess()``, ``tests/reference/``).
+One builder.  Each rank file hands over its calls as columns
+(:meth:`~repro.profiler.tracer.TraceReader.rank_calls`: stored so by a
+binary (v3) trace, read into the same columns from the call lines of a
+text trace); :func:`~repro.profiler.tracer.stack_calls` stacks the set's
+into one :class:`~repro.profiler.callcols.CallColumns`, and
+:meth:`CallTable.from_columns` classifies each *shape* once and gathers
+each table column once; no call becomes an object on the way.  A call
+the columns cannot hold (an argument past int64, say) is a *codec row*,
+checked one by one by :class:`CallIngest`; :meth:`CallTable.from_events`
+builds the same table from typed events (``preprocess()``,
+``tests/reference/``).
 
 Who turns calls into :class:`CallEvent` objects, then?  Only the phases
 that read a call's *arguments*: the registry scan (window, communicator
@@ -274,44 +274,42 @@ def _shape_plan(shape: Shape, text: Optional[str]) -> Optional[tuple]:
 
 
 class CallTable:
-    """Struct-of-arrays view of one rank's call stream.
+    """Struct-of-arrays view of the call streams of a trace set.
 
-    Parallel int columns over the ``n`` calls, in trace order; ``group``
-    is ragged (``group_off``/``group_val`` CSR pair).  ``lock_types``
+    Built from the attributes in ``__slots__`` order: ``rank`` (of a
+    one-rank table, :meth:`view`; ``None`` for several), ``n``, then
+    parallel int columns over the ``n`` calls — rank by rank, each
+    rank's in trace order — from ``seq`` to ``lock``; ``group`` is
+    ragged (``group_off``/``group_val`` CSR pair); ``lock_types``
     carries the rare lock-type strings that are neither ``shared`` nor
-    ``exclusive`` (row index -> string).
+    ``exclusive`` (row index -> string); last the rank column
+    ``ranks``, and ``offsets``, the first row of each of ``rank_ids``.
     """
 
     __slots__ = ("rank", "n", "seq", "fn", "cls", "comm", "win", "peer",
                  "tag", "req", "req_kind", "target", "lock",
-                 "group_off", "group_val", "lock_types")
+                 "group_off", "group_val", "lock_types", "ranks", "offsets",
+                 "rank_ids")
 
-    def __init__(self, rank: int, n: int, seq: np.ndarray, fn: np.ndarray,
-                 cls: np.ndarray, comm: np.ndarray, win: np.ndarray,
-                 peer: np.ndarray, tag: np.ndarray, req: np.ndarray,
-                 req_kind: np.ndarray, target: np.ndarray, lock: np.ndarray,
-                 group_off: np.ndarray, group_val: np.ndarray,
-                 lock_types: Dict[int, str]):
-        self.rank = rank
-        self.n = n
-        self.seq = seq
-        self.fn = fn
-        self.cls = cls
-        self.comm = comm
-        self.win = win
-        self.peer = peer
-        self.tag = tag
-        self.req = req
-        self.req_kind = req_kind
-        self.target = target
-        self.lock = lock
-        self.group_off = group_off
-        self.group_val = group_val
-        self.lock_types = lock_types
+    def __init__(self, *attributes: Any):
+        for name, value in zip(self.__slots__, attributes):
+            setattr(self, name, value)
 
     def group(self, i: int) -> Tuple[int, ...]:
         lo, hi = self.group_off[i], self.group_off[i + 1]
         return tuple(self.group_val[lo:hi].tolist())
+
+    def view(self, k: int) -> "CallTable":
+        """The rows of rank ``rank_ids[k]``, sliced (offsets rebased)."""
+        lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
+        g0, g1 = int(self.group_off[lo]), int(self.group_off[hi])
+        return CallTable(                             # seq ... lock, sliced
+            self.rank_ids[k], hi - lo, *(getattr(self, name)[lo:hi] for name
+                                         in self.__slots__[2:13]),
+            self.group_off[lo:hi + 1] - g0, self.group_val[g0:g1],
+            {row - lo: text for row, text in self.lock_types.items()
+             if lo <= row < hi}, self.ranks[lo:hi], np.array([0, hi - lo]),
+            self.rank_ids[k:k + 1])
 
     # -- construction ---------------------------------------------------
 
@@ -320,18 +318,27 @@ class CallTable:
         """Build from already-materialized events (non-call events are
         skipped) — the table of a trace that was not read by
         ``read_calls``, and of the codec rows of one that was."""
+        return cls.from_streams({rank: events})
+
+    @classmethod
+    def from_streams(cls, streams: Dict[int, Sequence[Any]]) -> "CallTable":
+        """:meth:`from_events` of several ranks' events, stacked."""
         seqs: List[int] = []
         rows: List[Tuple[int, ...]] = []
         lock_types: Dict[int, str] = {}
-        for event in events:
-            if not isinstance(event, CallEvent):
-                continue
-            row, lock_str = classify_call(event.fn, event.args)
-            if lock_str is not None and row[9] == LOCK_OTHER:
-                lock_types[len(seqs)] = lock_str
-            seqs.append(event.seq)
-            rows.append(row)
+        sizes = []
+        for events in streams.values():
+            sizes.append(len(seqs))
+            for event in events:
+                if not isinstance(event, CallEvent):
+                    continue
+                row, lock_str = classify_call(event.fn, event.args)
+                if lock_str is not None and row[9] == LOCK_OTHER:
+                    lock_types[len(seqs)] = lock_str
+                seqs.append(event.seq)
+                rows.append(row)
         n = len(seqs)
+        offsets = np.array(sizes + [n], dtype=np.int64)
         cols = list(zip(*rows)) or [()] * 11
         groups = cols[10]
         group_off = np.zeros(n + 1, dtype=np.int64)
@@ -343,12 +350,17 @@ class CallTable:
             [seqs] + cols[:10],
             (np.int64, np.int32, np.uint8) + (np.int64,) * 5
             + (np.uint8, np.int64, np.uint8)))
-        return cls(rank, n, *column, group_off, group_val, lock_types)
+        rank_ids = list(streams)
+        return cls(rank_ids[0] if len(rank_ids) == 1 else None, n, *column,
+                   group_off, group_val, lock_types,
+                   np.repeat(np.array(rank_ids, dtype=np.int64),
+                             np.diff(offsets)), offsets, rank_ids)
 
     @classmethod
     def from_columns(cls, cols: CallColumns) -> "CallTable":
-        """Build from a rank's call columns — either format's — without
-        building an event: one :func:`classify_call` per shape says which
+        """Build from call columns — a trace set's, of either format or
+        both — without building an event: one
+        :func:`classify_call` per shape says which
         argument position feeds which table column, one gather per
         column moves the values.  Rows the columns do not describe —
         calls that took the codec route, shapes that log a control
@@ -396,13 +408,13 @@ class CallTable:
         unplanned = np.array([plan is None for plan in plans])
         unplanned[nshapes] = False
         odd_rows = np.nonzero(unplanned[shape_of])[0]
-        parts = []
+        parts = []     # (only their columns are read: rank -1)
         if cols.codec:
             parts.append((np.nonzero(cols.shape == nshapes)[0],
-                          cls.from_events(cols.rank, cols.codec.values())))
+                          cls.from_events(-1, cols.codec.values())))
         if len(odd_rows):
             parts.append((odd_rows, cls.from_events(
-                cols.rank, cols.take(odd_rows))))
+                -1, cols.take(odd_rows))))
         columns = {"fn": fn, "cls": kind, "comm": comm, "win": win,
                    "peer": peer, "tag": tag, "req": req,
                    "req_kind": req_kind, "target": target, "lock": lock}
@@ -433,21 +445,14 @@ class CallTable:
         return cls(cols.rank, n, cols.seq, fn.astype(np.int32),
                    kind.astype(np.uint8), comm, win, peer, tag, req,
                    req_kind.astype(np.uint8), target,
-                   lock.astype(np.uint8), group_off, group_val, lock_types)
+                   lock.astype(np.uint8), group_off, group_val, lock_types,
+                   cols.ranks, cols.offsets, cols.rank_ids)
 
     # -- pickling (cross-process fn-code remapping) ---------------------
 
     def __getstate__(self) -> dict:
-        return {
-            "rank": self.rank, "n": self.n, "seq": self.seq,
-            "fn": self.fn, "cls": self.cls, "comm": self.comm,
-            "win": self.win, "peer": self.peer, "tag": self.tag,
-            "req": self.req, "req_kind": self.req_kind,
-            "target": self.target, "lock": self.lock,
-            "group_off": self.group_off, "group_val": self.group_val,
-            "lock_types": self.lock_types,
-            "fn_names": list(FN_NAMES),
-        }
+        return dict({name: getattr(self, name) for name in self.__slots__},
+                    fn_names=list(FN_NAMES))
 
     def __setstate__(self, state: dict) -> None:
         for name in self.__slots__:
@@ -493,20 +498,27 @@ def calls_to(events: Sequence[Any], table: CallTable,
     return rows, [events[k] for k in rows.tolist()]
 
 
+def ensure_call_table(pre: "PreprocessedTrace") -> CallTable:
+    """The one call table of ``pre``'s trace set, every rank stacked —
+    built from the materialized events, with its per-rank views, if
+    ingest did not already attach it."""
+    if pre.call_table is None:
+        pre.call_table = CallTable.from_streams(
+            {rank: pre.events[rank] for rank in range(pre.nranks)})
+        pre.call_tables = {rank: pre.call_table.view(rank)
+                           for rank in range(pre.nranks)}
+    return pre.call_table
+
+
 def ensure_call_tables(pre: "PreprocessedTrace") -> Dict[int, CallTable]:
-    """The per-rank call tables of ``pre``, building and caching them from
-    the materialized events if ingest did not already attach them."""
-    tables = getattr(pre, "call_tables", None)
-    if tables is None:
-        tables = {rank: CallTable.from_events(rank, pre.events[rank])
-                  for rank in range(pre.nranks)}
-        pre.call_tables = tables
-    return tables
+    """The per-rank views of :func:`ensure_call_table`."""
+    ensure_call_table(pre)
+    return pre.call_tables
 
 
 def total_calls(pre: "PreprocessedTrace") -> int:
     """Number of call events in the trace."""
-    return sum(t.n for t in ensure_call_tables(pre).values())
+    return ensure_call_table(pre).n
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ DN-Analyzer recognizes:
 * **PSCW exposure epochs** — ``Win_post(group)`` .. ``Win_wait``.
 
 :class:`EpochIndex` holds them as columns (:data:`EpochColumns`), built
-from the stacked call tables with array operations only.  *The pairing
+from the trace set's call table with array operations only.  *The pairing
 rule*: the epoch calls are grouped by what their running state is keyed
 on — ``(rank, window)``, for locks ``(rank, window, target)`` with
 ``lock_all`` as the target "every rank" — and within a group, in trace
@@ -52,7 +52,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.calltable import (
-    FN_NAMES, LOCK_EXCLUSIVE, LOCK_NAMES, LOCK_OTHER, ensure_call_tables,
+    FN_NAMES, LOCK_EXCLUSIVE, LOCK_NAMES, LOCK_OTHER, ensure_call_table,
     per_fn,
 )
 from repro.core.preprocess import PreprocessedTrace
@@ -175,24 +175,18 @@ class EpochIndex:
 
     def _build(self, pre: PreprocessedTrace) -> None:
         """The module's pairing rule: ``columns``, ``flushes`` and
-        ``req_waits`` off the stacked call tables."""
-        tables = ensure_call_tables(pre)
-        tables = [tables[rank] for rank in range(pre.nranks)]
-
-        def stacked(name: str) -> np.ndarray:
-            return np.concatenate([getattr(t, name) for t in tables])
-
-        role = per_fn(_ROLES, 0)[stacked("fn")]
+        ``req_waits`` off the trace set's call table."""
+        calls = ensure_call_table(pre)
+        role = per_fn(_ROLES, 0)[calls.fn]
         row = np.nonzero(role)[0]
         role = role[row]
-        rank = np.repeat(np.arange(pre.nranks), [t.n for t in tables])[row]
-        seq, win = stacked("seq")[row], stacked("win")[row]
-        target = np.where(role & _ALL, NO_TARGET, stacked("target")[row])
+        rank, seq, win = calls.ranks[row], calls.seq[row], calls.win[row]
+        target = np.where(role & _ALL, NO_TARGET, calls.target[row])
         flush, wait = np.nonzero(role & _FLUSH)[0], np.nonzero(role & _WAIT)[0]
         self.flushes = FlushColumns(rank[flush], win[flush], seq[flush],
                                     target[flush])
         self.req_waits = WaitColumns(rank[wait], win[wait],
-                                     stacked("req")[row[wait]], seq[wait])
+                                     calls.req[row[wait]], seq[wait])
 
         # the calls that pair, grouped by the state they touch with the
         # trace order kept: ``before`` is the row just ahead of each in
@@ -214,7 +208,7 @@ class EpochIndex:
         stray = np.nonzero(((role & _MUST_CLOSE) > 0) & ~paired)[0]
         if len(stray):
             k = stray[0]
-            fn = FN_NAMES[stacked("fn")[row[k]]]
+            fn = FN_NAMES[calls.fn[row[k]]]
             whom = f" of target {target[k]}" if fn == "Win_unlock" else ""
             raise AnalysisError(
                 f"rank {rank[k]} seq {seq[k]}: {fn}{whom} without "
@@ -237,15 +231,11 @@ class EpochIndex:
         by_rank = np.argsort(rank[opening], kind="stable")
         opening, close_seq = opening[by_rank], close_seq[by_rank]
 
-        kind, at = kind[opening], row[opening] + rank[opening]
-        lock, lock_types = _lock_types(tables, row[opening])
-        # the ragged group column of the stacked tables: one offset
-        # more than rows per rank
-        off = stacked("group_off")
+        kind, at = kind[opening], row[opening]
+        lock, lock_types = _lock_types(calls, at)
+        off = calls.group_off
         group_len = off[at + 1] - off[at]
-        base = np.cumsum([0] + [len(t.group_val) for t in tables[:-1]])
-        _owner, member = expand_ranges(off[at] + base[rank[opening]],
-                                       group_len)
+        _owner, member = expand_ranges(off[at], group_len)
         #: every epoch, in index order, as parallel int64 arrays plus
         #: the lock-type strings the ``lock`` codes index (``None``
         #: first) — what the op table, the shard plan and the
@@ -253,7 +243,7 @@ class EpochIndex:
         self.columns = EpochColumns(
             rank[opening], win[opening], kind, seq[opening], close_seq,
             np.where(kind == _LOCK, target[opening], NO_TARGET), lock,
-            group_len, stacked("group_val")[member], lock_types)
+            group_len, calls.group_val[member], lock_types)
 
     def _epoch(self, k: int) -> Epoch:
         """Row ``k`` as an object: the one place one is constructed."""
@@ -401,20 +391,18 @@ class LocalLockIndex:
             and la.seq < self._closes[i]
 
 
-def _lock_types(tables, rows: np.ndarray) -> Tuple[np.ndarray, list]:
-    """The lock types of the stacked call rows ``rows`` as the ``lock``
-    / ``lock_types`` pair of :data:`EpochColumns`: the strings numbered
-    in order of first appearance, ``None`` (no lock call) first."""
-    code = np.concatenate([t.lock for t in tables])[rows].astype(np.int64)
+def _lock_types(calls, rows: np.ndarray) -> Tuple[np.ndarray, list]:
+    """The lock types of the call table rows ``rows`` as the ``lock`` /
+    ``lock_types`` pair of :data:`EpochColumns`: the strings numbered in
+    order of first appearance, ``None`` (no lock call) first."""
+    code = calls.lock[rows].astype(np.int64)
     names = list(LOCK_NAMES)
     other = np.nonzero(code == LOCK_OTHER)[0]
     if len(other):
         # neither shared nor exclusive: told apart by the text logged
-        starts = np.cumsum([0] + [t.n for t in tables[:-1]]).tolist()
-        logged = {start + k: text for start, t in zip(starts, tables)
-                  for k, text in t.lock_types.items()}
-        texts, which = np.unique([logged[k] for k in rows[other].tolist()],
-                                 return_inverse=True)
+        texts, which = np.unique(
+            [calls.lock_types[k] for k in rows[other].tolist()],
+            return_inverse=True)
         code[other] = len(names) + which
         names += texts.tolist()
     locked = np.nonzero(code)[0]

@@ -34,9 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.calltable import (
-    calls_to, ensure_call_tables, fn_code, per_fn,
-)
+from repro.core.calltable import ensure_call_table, fn_code, per_fn
 from repro.core.clocks import Span
 from repro.core.compat import ACC, GET, KINDS, LOAD, PUT, STORE
 from repro.core.epochs import Epoch, EpochIndex, OPEN_ENDED
@@ -614,10 +612,10 @@ class OpTable:
     ========================  ==========================================
 
     Built with array operations only.  Arguments are gathered from the
-    call columns' value pool by shape position (either trace format) or
+    trace set's call columns by shape position (either trace format) or
     with one comprehension per argument over the decoded events (codec
-    rows, a trace handed over as event lists); ranks are stacked first,
-    so the work per rank is appending its columns to a list.  Every column is validated before it is used
+    rows, a trace handed over as event lists), and the rows are those of
+    the set's one call table.  Every column is validated before it is used
     as an index or placed: a window id, target rank, datatype id,
     communicator rank, count or address the scalar lift would refuse
     sends that call through :func:`_lift_call`, which raises the typed
@@ -715,32 +713,17 @@ class OpTable:
         """Every :data:`_LIFT_CALLS` call of the trace set: rank, call
         table row, seq, fn code, the raw argument matrix, which of its
         cells were logged, and the rows that could not be read."""
-        tables = ensure_call_tables(pre)
+        calls = ensure_call_table(pre)
         wanted = per_fn(dict.fromkeys(_LIFT_CALLS, 1), 0) > 0
-        columnar, rest = [], []
-        for rank in range(pre.nranks):
-            events = pre.events[rank]
-            (columnar if isinstance(events, CallColumns) and events.n
-             else rest).append(rank)
+        odd = np.nonzero(wanted[calls.fn])[0]
         parts = []
-        n_rows = {"columnar": 0, "codec": 0}
-        codec: List[Tuple[int, np.ndarray, list]] = []
-        if columnar:
-            part, odd = self._gather_columns(pre, tables, columnar, wanted)
+        if pre.call_columns is not None:
+            part, odd = self._gather_columns(pre.call_columns, calls, odd)
             parts.append(part)
-            n_rows["columnar"] = len(part[0])
-            for rank in np.unique(odd[0]).tolist():
-                rows = odd[1][odd[0] == rank]
-                codec.append((rank, rows, pre.events[rank].take(rows)))
-        for rank in rest:
-            rows, events = calls_to(pre.events[rank], tables[rank],
-                                    _LIFT_CALLS)
-            if len(rows):
-                codec.append((rank, rows, events))
-        if codec:
-            parts.append(self._gather_events(tables, codec))
-            n_rows["codec"] = len(parts[-1][0])
-        self.rows_by_route = n_rows
+        self.rows_by_route = {"columnar": len(parts[0][0]) if parts else 0,
+                              "codec": len(odd)}
+        if len(odd):
+            parts.append(self._gather_events(pre, calls, odd))
         if not parts:
             return (*(np.empty(0, dtype=np.int64) for _ in range(4)),
                     np.empty((0, len(_ARG_KEYS)), dtype=np.int64),
@@ -752,79 +735,56 @@ class OpTable:
         order = np.lexsort((merged[1], merged[0]))
         return tuple(col[order] for col in merged)
 
-    def _gather_columns(self, pre, tables, ranks: List[int],
-                        wanted: np.ndarray):
-        """The columnar route: the ranks' call columns stacked, the
-        lifted calls selected by fn code, and their arguments gathered
-        from the stacked value pool by shape position — one gather for
-        the whole trace set."""
-        cols = [pre.events[rank] for rank in ranks]
-        sizes = np.array([c.n for c in cols], dtype=np.int64)
-        fn = np.concatenate([tables[rank].fn for rank in ranks])
-        at = np.nonzero(wanted[fn])[0]
-        source = np.repeat(np.arange(len(ranks)), sizes)[at]
-        row = at - (np.cumsum(sizes) - sizes)[source]
-        # per shape of every rank, the plan of its argument positions
+    def _gather_columns(self, cols: CallColumns, calls, at: np.ndarray):
+        """The columnar route: the arguments of the call table rows
+        ``at`` gathered from the set's value pool by shape position —
+        one gather for the whole trace set — and the rows it leaves to
+        :meth:`_gather_events`."""
+        # per shape, the plan of its argument positions
         plans: Dict[Optional[tuple], int] = {None: 0}
-        plan_of_shape: List[int] = []
-        shape_base = []
-        for c in cols:
-            shape_base.append(len(plan_of_shape))
-            plan_of_shape.extend(
-                plans.setdefault(_arg_positions(shape), len(plans))
-                if shape[0] in _LIFT_CALLS else 0 for shape in c.shapes)
-            plan_of_shape.append(0)     # the codec rows' shape id
-        plan = np.array(plan_of_shape, dtype=np.int64)[
-            np.concatenate([c.shape for c in cols])[at]
-            + np.array(shape_base, dtype=np.int64)[source]]
+        plan = np.array(
+            [plans.setdefault(_arg_positions(shape), len(plans))
+             if shape[0] in _LIFT_CALLS else 0 for shape in cols.shapes]
+            + [0], dtype=np.int64)[cols.shape[at]]  # 0: the codec rows
         position = np.array(
             [(-1,) * len(_ARG_KEYS) if p is None else p for p in plans],
             dtype=np.int64)[plan]
-        pool = np.concatenate([c.vals for c in cols])
-        pool_base = np.array([len(c.vals) for c in cols], dtype=np.int64)
-        start = np.concatenate([c.val_off[:-1] for c in cols])[at] \
-            + (np.cumsum(pool_base) - pool_base)[source]
+        pool, start = cols.vals, cols.val_off[at]
         present = position >= 0
         raw = np.zeros(position.shape, dtype=np.int64)
         if len(pool):
             raw = np.where(present, pool[np.minimum(
                 start[:, None] + np.maximum(position, 0), len(pool) - 1)],
                 0)
-        rank = np.array(ranks, dtype=np.int64)[source]
-        # string arguments: rank-local string ids -> table-wide codes
-        strings = [c.table.strings for c in cols]
-        width = max(len(table) for table in strings) + 1
+        # string arguments: the set's string ids -> table-wide codes
         for key in _TEXT_ARGS:
             logged = np.nonzero(present[:, _ARG[key]])[0]
             if len(logged):
-                ids, inverse = np.unique(
-                    source[logged] * width + raw[logged, _ARG[key]],
-                    return_inverse=True)
+                ids, inverse = np.unique(raw[logged, _ARG[key]],
+                                         return_inverse=True)
                 raw[logged, _ARG[key]] = np.array(
-                    [self._code(strings[i // width][i % width])
-                     for i in ids.tolist()], dtype=np.int64)[inverse]
+                    [self._code(cols.table.strings[i]) for i in ids.tolist()],
+                    dtype=np.int64)[inverse]
         keep = plan > 0
-        seq = np.concatenate([tables[r].seq for r in ranks])[at]
-        return ((rank[keep], row[keep], seq[keep],
-                 fn[at][keep].astype(np.int64),
-                 raw[keep], present[keep], np.zeros(int(keep.sum()), bool)),
-                (rank[~keep], row[~keep]))
+        rank = calls.ranks[at[keep]]
+        return ((rank, at[keep] - calls.offsets[rank], calls.seq[at[keep]],
+                 calls.fn[at[keep]].astype(np.int64), raw[keep],
+                 present[keep], np.zeros(len(rank), bool)), at[~keep])
 
     def _code(self, text: str) -> int:
         return self._codes.setdefault(text, len(self._codes))
 
-    def _gather_events(self, tables, codec):
-        """The codec route: decoded events (codec rows, shapes the
-        columnar route could not plan, event lists), one comprehension
-        per logged argument over the calls of one form."""
-        rank = np.concatenate([np.full(len(rows), r, dtype=np.int64)
-                               for r, rows, _events in codec])
-        row = np.concatenate([rows for _r, rows, _events in codec])
-        seq = np.concatenate([tables[r].seq[rows]
-                              for r, rows, _events in codec])
-        fn = np.concatenate([tables[r].fn[rows]
-                             for r, rows, _events in codec]).astype(np.int64)
-        events = [event for _r, _rows, evs in codec for event in evs]
+    def _gather_events(self, pre, calls, at: np.ndarray):
+        """The codec route: the decoded events of the call table rows
+        ``at`` (codec rows, shapes the columnar route could not plan,
+        event lists), one comprehension per logged argument over the
+        calls of one form."""
+        rank = calls.ranks[at]
+        row, seq = at - calls.offsets[rank], calls.seq[at]
+        fn = calls.fn[at].astype(np.int64)
+        cut = np.searchsorted(at, calls.offsets).tolist()
+        events = [event for r in range(pre.nranks)
+                  for event in self._call_events(r, row[cut[r]:cut[r + 1]])]
         raw = np.zeros((len(events), len(_ARG_KEYS)), dtype=np.int64)
         present = np.zeros(raw.shape, dtype=bool)
         unread = np.zeros(len(events), dtype=bool)
@@ -1036,17 +996,17 @@ class OpTable:
 
     # ------------------------------------------------------------ views
 
-    def _event(self, rank: int, row: int) -> CallEvent:
+    def _call_events(self, rank: int, rows: np.ndarray) -> List[CallEvent]:
+        """The events of rows ``rows`` of rank ``rank``'s calls."""
         events = self._pre.events[rank]
         if isinstance(events, CallColumns):
-            return events[row]
+            return events.take(rows)
         calls = self._call_lists.get(rank)
         if calls is None:
             # a typed event list has memory events in between
-            calls = self._call_lists[rank] = (
-                events if len(events) == self._pre.call_tables[rank].n
-                else [e for e in events if isinstance(e, CallEvent)])
-        return calls[row]
+            calls = self._call_lists[rank] = [
+                e for e in events if isinstance(e, CallEvent)]
+        return [calls[k] for k in rows.tolist()]
 
     def _lifted(self, rank: int, row: int,
                 resolve: Resolve) -> Tuple[list, list]:
@@ -1057,8 +1017,8 @@ class OpTable:
             cache = self._caches[rank] = LiftCache()
         ops: List[RMAOpView] = []
         local: List[LocalAccess] = []
-        _lift_call(self._pre, rank, self._event(rank, row), ops, local,
-                   cache, resolve)
+        event = self._call_events(rank, np.array([row]))[0]
+        _lift_call(self._pre, rank, event, ops, local, cache, resolve)
         return ops, local
 
     def _views(self, call: int) -> Tuple[list, list]:

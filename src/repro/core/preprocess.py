@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.calltable import calls_to
 from repro.profiler.events import DATATYPE_CALLS, CallEvent, Event
-from repro.profiler.tracer import TraceSet
+from repro.profiler.tracer import TraceSet, stack_calls
 from repro.util.datatypes import (
     PRIMITIVES_BY_ID, WORLD_COMM_ID, Datatype, DatatypeFactory,
 )
@@ -152,15 +152,15 @@ class PreprocessedTrace:
     """All per-rank events plus the reconstructed registries.
 
     ``events[rank]`` is a sequence of typed events: from the call-only
-    preprocess (either trace format) the rank's
-    :class:`~repro.profiler.callcols.CallColumns`, which builds an
-    event when a row is indexed; from :func:`preprocess`, or by hand, a
-    list.  Phases that read call arguments pick
-    their rows with :func:`~repro.core.calltable.calls_to`; everything
-    else runs off ``call_tables``.
+    preprocess (either trace format) the rank's view of the set's
+    :class:`~repro.profiler.callcols.CallColumns`, which builds an event
+    when a row is indexed; from :func:`preprocess`, or by hand, a list.
+    Phases that read call arguments pick their rows with
+    :func:`~repro.core.calltable.calls_to`; everything else runs off
+    ``call_table`` and its per-rank views ``call_tables``.
 
     ``scans`` short-circuits the per-rank registry scan (the call-only
-    preprocess scans each rank as it reads it); the merge here is
+    preprocess scans each rank once the set is read); the merge here is
     deterministic in rank order.
     """
 
@@ -175,10 +175,10 @@ class PreprocessedTrace:
         self.datatypes: Dict[int, Dict[int, Datatype]] = {
             rank: dict(PRIMITIVES_BY_ID) for rank in range(self.nranks)
         }
-        #: per-rank columnar CallTables (repro.core.calltable), attached
-        #: by the call-only ingest; ``None`` until built
-        #: (ensure_call_tables derives them from events)
-        self.call_tables = None
+        #: the set's one CallTable (repro.core.calltable) and its per-rank
+        #: views, and the CallColumns ``events`` views — from the call-only
+        #: ingest; else None (ensure_call_table builds the tables)
+        self.call_table = self.call_tables = self.call_columns = None
         #: per-rank packed memory blocks the call pass produced on the way
         #: (:func:`preprocess_calls`), taken — popped — by
         #: ``build_access_model_sweep`` in place of a second read
@@ -282,8 +282,8 @@ def preprocess_calls(traces: TraceSet) -> PreprocessedTrace:
     — are never turned into Python objects here.  Exact event totals
     still land in ``total_events`` via the readers' per-class counts
     (free for binary traces, counted by the text decoder), and the calls
-    themselves stay columns: an event is built for the rows a phase
-    indexes.
+    stay columns, one stack for the set (``stack_calls``): an event is
+    built for the rows a phase indexes.
 
     This is the batch checker's preprocess: it holds every rank's memory
     columns through detection anyway, so they ride along in
@@ -303,23 +303,23 @@ def preprocess_calls_with_counts(
     Memory columns are kept only with ``mems``: the streaming and
     incremental control passes load rows later, a region or a dirty
     shard at a time."""
-    call_events: Dict[int, Sequence[Event]] = {}
-    scans: List[RankScan] = []
+    parts = []
     counts_by_rank: Dict[int, Dict[str, int]] = {}
-    tables: Dict[int, object] = {}
     mem_blocks: Dict[int, list] = {}
     for rank in range(traces.nranks):
         with traces.reader(rank) as reader:
-            calls, counts = reader.read_calls(mems=mems)
-            tables[rank] = reader.call_table
+            parts.append(reader.rank_calls(mems=mems))
+            counts_by_rank[rank] = reader.counts()
             if reader.call_mems is not None:
                 mem_blocks[rank] = reader.call_mems
-        call_events[rank] = calls
-        counts_by_rank[rank] = counts
-        scans.append(scan_rank(rank, calls,
-                               n_events=counts["call"] + counts["mem"],
-                               table=tables[rank]))
+    cols, table = stack_calls(parts)
+    call_events = {rank: cols.view(rank) for rank in range(traces.nranks)}
+    tables = {rank: table.view(rank) for rank in range(traces.nranks)}
+    scans = [scan_rank(rank, call_events[rank],
+                       n_events=counts["call"] + counts["mem"],
+                       table=tables[rank])
+             for rank, counts in counts_by_rank.items()]
     pre = PreprocessedTrace(call_events, scans=scans)
-    pre.call_tables = tables
+    pre.call_columns, pre.call_table, pre.call_tables = cols, table, tables
     pre.mem_blocks = mem_blocks
     return pre, counts_by_rank

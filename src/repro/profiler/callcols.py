@@ -19,9 +19,10 @@ form in the footer and, per call, five columns:
 
 :class:`CallBuffer` is the encoder (pending columns and their running
 digests): the writer's side, and that of a reader whose file holds
-calls as text records (a text trace, a v2 binary one).
-:class:`CallColumns` is what every reader hands on — the validated
-columns of one rank as a lazy
+calls as text records (a text trace, a v2 binary one).  What a reader
+hands on is a :class:`RankCalls` — the file's columns, ids into the
+file's own tables — and :class:`CallColumns` stacks those of a whole
+trace set into one set of validated columns, viewed per rank as a lazy
 ``Sequence[CallEvent]``: an event object exists only for the rows
 something indexes, which for a batch check is the calls whose
 *arguments* a phase reads (registry, RMA and buffer calls); every other
@@ -34,6 +35,7 @@ import hashlib
 import sys
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from functools import lru_cache
 from collections.abc import Sequence
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -246,57 +248,89 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+#: One rank's calls as its file holds them: each column a list of chunks
+#: (per ``K`` frame, or one a text parse fills) of ids into the rank's own
+#: ``shapes`` and ``strings``; ``codec``: ``(columnar rows before, event)``
+#: per call the columns cannot hold; ``locate(row)``: where a row sits.
+RankCalls = namedtuple("RankCalls", "rank strings shapes seq loc shape vals "
+                                    "lists codec locate")
+
+
 class CallColumns(Sequence):
-    """One rank's call stream as validated columns and, on demand, as
+    """The calls of a trace set as validated columns and, on demand, as
     :class:`CallEvent` objects (``cols[k]``, iteration, slices).
 
-    Rows are in trace order.  ``codec`` lists the calls the columns do
-    not hold (``C`` frames of a v3 file, records the encoder refused) —
-    ``(columnar rows before it, decoded event)`` — and each takes its
-    place among the rows with shape id ``len(shapes)``.
-
-    Every id and offset is checked here, once, with array operations, so
-    a gather over these columns cannot index out of bounds: shape, string
-    and location ids inside their tables, a value pool exactly as long
-    as the shapes imply, list lengths non-negative and summing to the
-    list pool.  A violation raises :class:`TraceFormatError`;
-    ``locate(row)`` words where row ``row`` of the sequence is.
+    Rows are stacked rank by rank, each rank's in trace order: ``ranks``
+    is the rank column, ``offsets`` the first row of each of
+    ``rank_ids``, and :meth:`view` one rank's rows.  The set's tables
+    are the ranks' distinct shapes and their strings back to back
+    (``string_base``: where each rank's begin); a codec row has shape id
+    ``len(shapes)``.  Every id and offset is checked here, once, with
+    array operations, so a gather over these columns cannot index out of
+    bounds: shape, string and location ids inside their rank's tables,
+    each rank's value and list pool exactly as long as its shapes and
+    list lengths imply, no negative list length.  A violation raises
+    :class:`TraceFormatError` worded by the rank's ``locate``.
     """
 
-    def __init__(self, rank: int, table, shapes: List[Shape],
-                 seq: np.ndarray, loc: np.ndarray, shape: np.ndarray,
-                 vals: np.ndarray, lists: np.ndarray,
-                 codec: Sequence = (),
-                 locate: Callable[[int], str] = "call row {}".format):
-        self.rank = rank
+    def __init__(self, parts: Sequence[RankCalls], table):
         self.table = table
-        self.shapes = shapes
-        self.vals, self.lists = vals, lists
-        nshapes, nstrings = len(shapes), len(table.strings)
-        before = [at for at, _event in codec]
-        # the checks below run over the columnar rows alone
-        located = locate if not codec else \
-            lambda row: locate(row + bisect_right(before, row))
+        self.rank_ids = [part.rank for part in parts]
+        #: the rank of a one-rank stack or view, ``None`` for several
+        self.rank = self.rank_ids[0] if len(parts) == 1 else None
+        index: Dict[Shape, int] = {}
+        to_set = np.array([index.setdefault(shape, len(index))
+                           for part in parts for shape in part.shapes],
+                          dtype=np.int64)
+        self.shapes = shapes = list(index)
+        nshapes = len(shapes)
+        rows, n_vals, n_lists, n_strings, n_shapes, n_codec = (
+            np.array(sizes, dtype=np.int64) for sizes in zip(*(
+                (sum(map(len, p.seq)), sum(map(len, p.vals)),
+                 sum(map(len, p.lists)), len(p.strings), len(p.shapes),
+                 len(p.codec)) for p in parts)))
+        first = _offsets(rows)
+        owner = np.repeat(np.arange(len(parts)), rows)
+        seq, loc, shape, vals, lists = (
+            np.concatenate([chunk for chunks in column for chunk in chunks])
+            for column in zip(*((p.seq, p.loc, p.shape, p.vals, p.lists)
+                                for p in parts)))
+        befores = [[at for at, _event in part.codec] for part in parts]
 
-        def check_ids(ids: np.ndarray, size: int, what: str,
+        def located(p: int, row: int) -> str:
+            # the checks below run over the columnar rows alone
+            row = int(row)
+            return parts[p].locate(row + bisect_right(befores[p], row))
+
+        def check_ids(ids: np.ndarray, size: np.ndarray, what: str,
                       rows=None) -> None:
-            # min/max first: the masks are built on the error path only
-            if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
+            # ``size`` per id: the table of the id's rank
+            if len(ids) and (int(ids.min()) < 0 or (ids >= size).any()):
                 at = int(np.argmax((ids < 0) | (ids >= size)))
+                row = at if rows is None else int(rows()[at])
                 raise TraceFormatError(
-                    f"{located(at if rows is None else int(rows()[at]))}: "
-                    f"{what} {int(ids[at])} outside table of {size}")
+                    f"{located(owner[row], row - first[owner[row]])}: "
+                    f"{what} {int(ids[at])} outside table of {size[at]}")
 
-        check_ids(shape, nshapes, "shape id")
-        check_ids(loc, nstrings, "location id")
+        check_ids(shape, n_shapes[owner], "shape id")
+        check_ids(loc, n_strings[owner], "location id")
+        self.string_base = string_base = _offsets(n_strings)
+        shape = to_set[_offsets(n_shapes)[owner] + shape]
+        loc = loc + string_base[owner]
         width = np.array([len(keys) for _fn, keys, _kinds in shapes] + [0],
                          dtype=np.int64)
         widths = width[shape]
         val_off = _offsets(widths)
-        if int(val_off[-1]) != len(vals):
-            raise TraceFormatError(
-                f"{located(0)}: value pool holds {len(vals)} entries, the "
-                f"shapes imply {int(val_off[-1])}")
+
+        def check_pool(held: np.ndarray, implied: np.ndarray,
+                       message: str) -> None:
+            if (held != implied).any():
+                p = int(np.argmax(held != implied))
+                raise TraceFormatError(f"{located(p, 0)}: "
+                                       + message.format(held[p], implied[p]))
+
+        check_pool(n_vals, np.diff(val_off[first]),
+                   "value pool holds {} entries, the shapes imply {}")
         # the kind of every pool entry: its row's shape, its position
         kind_flat = np.array([k for _fn, _keys, kinds in shapes
                               for k in kinds], dtype=np.int8)
@@ -310,34 +344,61 @@ class CallColumns(Sequence):
         def entry_rows(mask: np.ndarray):
             return lambda: np.repeat(np.arange(len(seq)), widths)[mask]
 
-        check_ids(vals[is_str], nstrings, "string id", entry_rows(is_str))
+        str_owner = np.repeat(owner, widths)[is_str]
+        check_ids(vals[is_str], n_strings[str_owner], "string id",
+                  entry_rows(is_str))
+        vals[is_str] += string_base[str_owner]
         lengths = vals[is_list]
         if len(lengths) and int(lengths.min()) < 0:
             at = int(entry_rows(is_list)()[np.argmax(lengths < 0)])
-            raise TraceFormatError(f"{located(at)}: negative list length")
+            raise TraceFormatError(
+                f"{located(owner[at], at - first[owner[at]])}: negative "
+                "list length")
         #: start of every list argument in ``lists``, in value order, and
         #: per pool entry the number of list arguments before it
         self.list_start = _offsets(lengths)
-        if int(self.list_start[-1]) != len(lists):
-            raise TraceFormatError(
-                f"{located(0)}: list pool holds {len(lists)} entries, the "
-                f"list lengths sum to {int(self.list_start[-1])}")
         self.list_before = _offsets(is_list)
+        check_pool(n_lists, np.diff(self.list_start[
+            self.list_before[val_off[first]]]),
+            "list pool holds {} entries, the list lengths sum to {}")
         self.codec: Dict[int, CallEvent] = {}
-        if codec:
-            seq = np.insert(seq, before, [event.seq for _b, event in codec])
-            loc = np.insert(loc, before, -1)
-            shape = np.insert(shape, before, nshapes)
+        if n_codec.any():
+            events = [event for part in parts for _b, event in part.codec]
+            at = np.repeat(first[:-1], n_codec) + np.array(
+                [b for before in befores for b in before], dtype=np.int64)
+            seq = np.insert(seq, at, [event.seq for event in events])
+            loc = np.insert(loc, at, -1)
+            shape = np.insert(shape, at, nshapes)
             val_off = _offsets(width[shape])
             self.codec = dict(zip(np.nonzero(shape == nshapes)[0].tolist(),
-                                  (event for _b, event in codec)))
+                                  events))
         self.n = len(seq)
+        self.offsets = _offsets(rows + n_codec)
+        self.ranks = np.repeat(np.array(self.rank_ids, dtype=np.int64),
+                               rows + n_codec)
         self.seq, self.loc, self.shape = seq, loc, shape
+        self.vals, self.lists = vals, lists
         #: ``vals[val_off[k]:val_off[k + 1]]`` are row ``k``'s values
         self.val_off = val_off
         self._events: Dict[int, CallEvent] = {}
         #: per shape: fn, keys, string positions, list positions
         self._decoders: Optional[list] = None
+
+    def view(self, k: int) -> "CallColumns":
+        """The rows of rank ``rank_ids[k]``, sliced: the pools are the
+        stack's (``val_off`` still indexes them), nothing is copied."""
+        lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
+        view = object.__new__(CallColumns)
+        view.__dict__.update(
+            self.__dict__, _events={}, _decoders=None, n=hi - lo,
+            rank=self.rank_ids[k], rank_ids=self.rank_ids[k:k + 1],
+            offsets=np.array([0, hi - lo]), val_off=self.val_off[lo:hi + 1],
+            string_base=self.string_base[k:k + 2],
+            codec={row - lo: event for row, event in self.codec.items()
+                   if lo <= row < hi},
+            **{name: getattr(self, name)[lo:hi]
+               for name in ("seq", "loc", "shape", "ranks")})
+        return view
 
     # -- content, for a digest -----------------------------------------
 
@@ -364,14 +425,18 @@ class CallColumns(Sequence):
         the list pool.  A codec row reads as zeros there and as the
         ``repr`` of its event here: ints, strings and tuples of them
         parse back to what they were made from, so two different spans
-        never share bytes."""
-        names = self._digests(self.table.strings)
+        never share bytes.  Only this view's rank's strings and span of
+        the value pool are read."""
+        s0, s1 = int(self.string_base[0]), int(self.string_base[-1])
+        names = self._digests(self.table.strings[s0:s1])
         rows = np.empty(self.n, dtype=[("seq", "<i8"), ("shape", "u1", 32),
                                        ("loc", "u1", 32)])
-        rows["seq"], rows["loc"] = self.seq, names[self.loc]
+        rows["seq"] = self.seq
+        rows["loc"] = names[np.where(self.loc < 0, s1 - s0, self.loc - s0)]
         rows["shape"] = self._digests(map(repr, self.shapes))[self.shape]
-        is_str = self.is_str
-        vals, string_at = self.val_off, _offsets(is_str)
+        v0, v1 = int(self.val_off[0]), int(self.val_off[-1])
+        is_str, pool = self.is_str[v0:v1], self.vals[v0:v1]
+        vals, string_at = self.val_off - v0, _offsets(is_str)
         codec = sorted(self.codec.items())
         texts = [repr((e.seq, e.fn, e.args, e.loc.filename, e.loc.lineno,
                        e.loc.function)).encode("utf-8") for _k, e in codec]
@@ -383,12 +448,12 @@ class CallColumns(Sequence):
                 ends * width
         return [
             part(rows, rows.itemsize, first, last),
-            part(np.where(is_str, 0, self.vals), 8, vals[first], vals[last]),
-            part(names[self.vals[is_str]], 32, string_at[vals[first]],
+            part(np.where(is_str, 0, pool), 8, vals[first], vals[last]),
+            part(names[pool[is_str] - s0], 32, string_at[vals[first]],
                  string_at[vals[last]]),
             part(self.lists, 8,
-                 self.list_start[self.list_before[vals[first]]],
-                 self.list_start[self.list_before[vals[last]]]),
+                 self.list_start[self.list_before[vals[first] + v0]],
+                 self.list_start[self.list_before[vals[last] + v0]]),
             (b"".join(texts), text_at[np.searchsorted(codec_rows, first)],
              text_at[np.searchsorted(codec_rows, last)])]
 
@@ -450,10 +515,10 @@ class CallColumns(Sequence):
         decoders, events = self._decoders, self._events
         strings, loc_of = self.table.strings, self.table.loc
         built = len(rows)
-        for k, seq, loc, shape, at, taken in zip(
-                rows.tolist(), self.seq[rows].tolist(),
-                self.loc[rows].tolist(), self.shape[rows].tolist(),
-                (lo - base).tolist(), firsts):
+        for k, rank, seq, loc, shape, at, taken in zip(
+                rows.tolist(), self.ranks[rows].tolist(),
+                self.seq[rows].tolist(), self.loc[rows].tolist(),
+                self.shape[rows].tolist(), (lo - base).tolist(), firsts):
             if shape == len(decoders):
                 # decoded by the reader, not built here
                 events[k] = self.codec[k]
@@ -467,7 +532,7 @@ class CallColumns(Sequence):
                 args[i] = tuple(elements[taken:taken + args[i]])
                 taken += len(args[i])
             event = _NEW_EVENT(CallEvent)
-            event.__dict__ = {"rank": self.rank, "seq": seq, "fn": fn,
+            event.__dict__ = {"rank": rank, "seq": seq, "fn": fn,
                               "args": dict(zip(keys, args)),
                               "loc": loc_of(loc)}
             events[k] = event

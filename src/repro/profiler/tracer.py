@@ -52,7 +52,8 @@ import numpy as np
 
 from repro import obs
 from repro.profiler.callcols import (
-    CALL_COLUMNS, CallBuffer, CallColumns, calls_digest, resolve_shapes,
+    CALL_COLUMNS, CallBuffer, CallColumns, RankCalls, calls_digest,
+    resolve_shapes,
 )
 from repro.profiler.events import (
     ACCESS_CODES, ACCESS_NAMES, ACCESS_STORE, CallEvent, Event, MemEvent, decode_event,
@@ -131,12 +132,14 @@ class _StringTable:
 
     def __init__(self, strings: Optional[List[str]] = None):
         self.strings: List[str] = list(strings or ())
-        self._ids: Dict[str, int] = {s: i for i, s in
-                                     enumerate(self.strings)}
+        #: built by the first :meth:`intern`: most tables are only read
+        self._ids: Optional[Dict[str, int]] = None
         self._locs: List[Optional[SourceLocation]] = [None] * len(
             self.strings)
 
     def intern(self, text: str) -> int:
+        if self._ids is None:
+            self._ids = {s: i for i, s in enumerate(self.strings)}
         sid = self._ids.get(text)
         if sid is None:
             sid = self._ids[text] = len(self.strings)
@@ -856,13 +859,13 @@ class _CallRecords:
                    (vals[at[0]:], lists[at[1]:], loc, shapes[-1]))
         return True
 
-    def finish(self, locate: Callable[[int], str]) -> CallColumns:
-        """The rank's :class:`CallColumns`: what the buffer holds — taken
-        over its own memory, no copy — and the codec rows."""
-        columns = {name: np.frombuffer(column, dtype=column.typecode)
+    def finish(self, locate: Callable[[int], str]) -> RankCalls:
+        """The rank's calls: what the buffer holds — taken over its own
+        memory, no copy — and the codec rows."""
+        columns = {name: [np.frombuffer(column, dtype=column.typecode)]
                    for name, column in self.buffer.columns.items()}
-        return CallColumns(
-            self.rank, self.table,
+        return RankCalls(
+            self.rank, self.table.strings,
             resolve_shapes(self.buffer.shapes, self.table),
             codec=self.codec, locate=locate, **columns)
 
@@ -980,7 +983,7 @@ class TraceReader:
         self._data_pos = data_start
         self._footer_off = footer_off
         self._frames = self._index_frames(indexed)
-        self._call_cols: Optional[Tuple[CallColumns, Callable]] = None
+        self._calls: Optional[RankCalls] = None
 
     def _read_frame(self, pos: int) -> Tuple[bytes, bytes, int]:
         mm = self._mm
@@ -1109,7 +1112,9 @@ class TraceReader:
             for mems, calls, cuts in section:
                 yield from _interleave(rank, table, mems, calls, cuts)
             return
-        cols, mm = self._call_columns()[0], self._map()
+        calls = self._call_columns()
+        cols = CallColumns([calls], _StringTable(calls.strings))
+        mm = self._map()
         frames = iter(zip(*self._frames))
         row = 0
         for kind, offset, rows in frames:
@@ -1128,71 +1133,57 @@ class TraceReader:
 
     def read_calls(self, mems: bool = False
                    ) -> Tuple[CallColumns, Dict[str, int]]:
-        """One pass returning the rank's calls plus exact per-class
-        event counts — the analyzer control-pass primitive, which also
-        leaves the rank's :class:`~repro.core.calltable.CallTable` in
-        ``self.call_table``.
+        """The rank's calls plus exact per-class event counts: the stack
+        (:func:`stack_calls`) of this one rank, which also leaves its
+        :class:`~repro.core.calltable.CallTable` in ``self.call_table``.
+        ``mems`` is as for :meth:`rank_calls`."""
+        cols, self.call_table = stack_calls([self.rank_calls(mems)])
+        return cols, dict(self._counts)
 
-        Whatever the format, the calls come back as a
-        :class:`~repro.profiler.callcols.CallColumns` — a sequence that
-        builds a :class:`CallEvent` only for the rows a caller indexes
-        — and the table is gathered from those columns.  A binary trace
-        maps its ``K`` frames and takes the counts from the footer; the
-        call lines of a text trace are read into the same columns by
-        :class:`_CallRecords`, memory lines counted by access kind
-        without building their columns.  The one thing that is not a
-        column is a *codec row*: a call the columns cannot hold, kept
-        as its decoded event.  A rank whose call ``seq`` does not
-        increase strictly over the whole file is refused here: every
-        later pass bisects that column.
+    def rank_calls(self, mems: bool = False) -> RankCalls:
+        """The per-file half of the call ingest, in one pass: the rank's
+        calls as columns, its exact per-class event counts left for
+        :meth:`counts`.  A binary trace maps its ``K`` frames and takes
+        the counts from the footer; the call lines of a text trace are
+        read into the same columns by :class:`_CallRecords`, memory lines
+        counted by access kind without building their columns.  A call
+        the columns cannot hold is a *codec row*, kept as its event.
 
         ``mems`` asks for the memory events too, for a caller that would
         otherwise open the file again for :meth:`mem_blocks`: the packed
         blocks are left in ``self.call_mems`` — decoded by the same bulk
         pass (text) or mapped from the frame index (binary: views of the
         file, which stays mapped while they live)."""
-        from repro.core.calltable import CallTable
-        rank = self.header.rank
         if self.format == FORMAT_BINARY:
-            cols, locate = self._call_columns()
             if mems:
                 self.call_mems = list(self.mem_blocks())
-        else:
-            records = _CallRecords(rank, _StringTable())
-            section = _TextSection(self, records.add, columns=mems)
-            blocks = [MemBlock(rank, self._table, rows)
-                      for rows, _calls, _cuts in section
-                      if mems and len(rows)]
-            cols, locate = records.finish(self._call_line), self._call_line
-            if mems:
-                self.call_mems = blocks
-            self._counts = section.counts
-        late = np.nonzero(cols.seq[1:] <= cols.seq[:-1])[0]
-        if len(late):
-            row = int(late[0]) + 1
-            raise TraceFormatError(
-                f"{locate(row)}: call seq {int(cols.seq[row])} follows "
-                f"{int(cols.seq[row - 1])}: seq is not strictly "
-                "increasing over the rank's calls")
-        self.call_table = CallTable.from_columns(cols)
-        return cols, dict(self._counts)
+            return self._call_columns()
+        rank = self.header.rank
+        records = _CallRecords(rank, _StringTable())
+        section = _TextSection(self, records.add, columns=mems)
+        blocks = [MemBlock(rank, self._table, rows)
+                  for rows, _calls, _cuts in section if mems and len(rows)]
+        if mems:
+            self.call_mems = blocks
+        self._counts = section.counts
+        return records.finish(self._call_line)
 
     def _call_line(self, row: int) -> str:
         """``path:line`` of the ``row``-th call line of a text trace,
-        counted when an error needs it."""
-        self._fh.seek(self._data_pos)
-        lines = (n for n, line in enumerate(self._fh, 2)
-                 if line.startswith("C "))
-        return f"{self.path}:{next(islice(lines, row, None))}"
+        counted when an error needs it (the reader may be closed)."""
+        with open(self.path, encoding="utf-8") as fh:
+            fh.seek(self._data_pos)
+            lines = (n for n, line in enumerate(fh, 2)
+                     if line.startswith("C "))
+            return f"{self.path}:{next(islice(lines, row, None))}"
 
-    def _call_columns(self) -> Tuple[CallColumns, Callable[[int], str]]:
-        """A binary trace's call columns, mapped (and checked) once per
-        reader, and where a row of them sits in the file.  ``K`` frames
-        concatenate column by column and ``C`` frames take their place
-        by frame order as codec rows; a file without a ``K`` frame (v2)
-        has its ``C`` frames read into columns like text lines."""
-        if self._call_cols is not None:
-            return self._call_cols
+    def _call_columns(self) -> RankCalls:
+        """A binary trace's calls, mapped once per reader.  Every ``K``
+        frame adds its columns as chunks and ``C`` frames take their
+        place by frame order as codec rows; a file without a ``K`` frame
+        (v2) has its ``C`` frames read into columns like text lines."""
+        if self._calls is not None:
+            return self._calls
         mm = self._map()
         try:
             shapes = resolve_shapes(self._shapes_raw, self._table)
@@ -1219,11 +1210,6 @@ class TraceReader:
             if kind == "K":
                 for name, dtype, n, start in _call_frame(mm, offset)[1]:
                     parts[name].append(np.frombuffer(mm, dtype, n, start))
-                seq = parts["seq"][-1]
-                if not (seq[1:] > seq[:-1]).all():
-                    raise TraceFormatError(
-                        f"{self.path}: K frame at byte {offset}: seq is "
-                        "not strictly increasing")
                 columnar += count
                 continue
             try:
@@ -1244,19 +1230,17 @@ class TraceReader:
             return (f"{self.path}: {kind} frame at byte {offset}"
                     + (f", row {row - firsts[k]}" if kind == "K" else ""))
 
-        cols = records.finish(locate) if not mapped else CallColumns(
-            self.header.rank, self._table, shapes,
-            codec=records.codec if records else (),
-            # copies: the columns outlive the mapping
-            locate=locate, **{name: np.concatenate(parts[name])
-                              for name in parts})
-        for route, n in (("columnar", cols.n - len(cols.codec)),
-                         ("codec", len(cols.codec))):
+        # views of the mapping: the stack copies them out
+        calls = records.finish(locate) if not mapped else RankCalls(
+            self.header.rank, self._table.strings, shapes,
+            codec=records.codec if records else (), locate=locate, **parts)
+        for route, n in (("columnar", rows - len(calls.codec)),
+                         ("codec", len(calls.codec))):
             obs.count("trace_call_rows_total", n,
                       help="Binary trace call rows read, by route",
                       route=route)
-        self._call_cols = cols, locate
-        return self._call_cols
+        self._calls = calls
+        return calls
 
     def _mem_rows(self, offset: int, rows: int) -> np.ndarray:
         return np.frombuffer(self._map(), dtype=MEM_DTYPE, count=rows,
@@ -1266,7 +1250,7 @@ class TraceReader:
         """Per-class event counts: served from the footer for binary
         traces, from one cheap scan (cached) for text traces."""
         if self._counts is None:
-            self.read_calls()
+            self.rank_calls()
         return dict(self._counts)
 
     # -- content digests ------------------------------------------------
@@ -1375,6 +1359,28 @@ def _interleave(rank: int, table: _StringTable, mems: np.ndarray,
         yield MemBlock(rank, table, mems[pos:])
 
 
+def stack_calls(parts: Sequence[RankCalls]):
+    """The call ingest's one builder: the calls of several rank files
+    (:meth:`TraceReader.rank_calls`, in rank order) as one
+    :class:`CallColumns` over the set's strings, checked once, and the
+    one :class:`~repro.core.calltable.CallTable` gathered from it.  A
+    rank whose call ``seq`` does not increase strictly is refused: every
+    later pass bisects that column."""
+    from repro.core.calltable import CallTable
+    cols = CallColumns(parts, _StringTable(
+        [text for part in parts for text in part.strings]))
+    late = np.nonzero((cols.seq[1:] <= cols.seq[:-1])
+                      & (cols.ranks[1:] == cols.ranks[:-1]))[0]
+    if len(late):
+        row = int(late[0]) + 1
+        k = int(np.searchsorted(cols.offsets, row, side="right")) - 1
+        raise TraceFormatError(
+            f"{parts[k].locate(row - int(cols.offsets[k]))}: call seq "
+            f"{int(cols.seq[row])} follows {int(cols.seq[row - 1])}: seq "
+            "is not strictly increasing over the rank's calls")
+    return cols, CallTable.from_columns(cols)
+
+
 class TraceSet:
     """All per-rank traces of one profiled run (formats may mix)."""
 
@@ -1426,7 +1432,16 @@ class TraceSet:
         return self._paths[rank]
 
     def reader(self, rank: int) -> TraceReader:
-        return TraceReader(self.path(rank))
+        """A reader of one rank's file — refused if its header disagrees
+        with the file's name or with the set's rank count."""
+        reader = TraceReader(self.path(rank))
+        said = reader.header.rank, reader.header.nranks
+        if said != (rank, self.nranks):
+            reader.close()
+            raise TraceFormatError(
+                f"{reader.path}: the header says rank={said[0]} nranks="
+                f"{said[1]}, the trace set rank={rank} nranks={self.nranks}")
+        return reader
 
     def iter_events(self, rank: int) -> Iterator[Event]:
         """Lazily iterate one rank's typed events (no list copy)."""

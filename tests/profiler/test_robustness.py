@@ -4,7 +4,9 @@ or silently mis-analyze."""
 import functools
 import glob
 import json
+import os
 import re
+import shutil
 import struct
 from unittest import mock
 
@@ -14,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.apps.heat2d import heat2d
+from repro.apps.registry import BUG_CASES
+from repro.cli import main
+from repro.core.preprocess import preprocess_calls
 from repro.profiler.events import CallEvent, MemEvent, decode_event
 from repro.profiler.tracer import (
     _END_MAGIC, _K_HEAD, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
@@ -192,24 +197,35 @@ def poke(path, at, fmt, value):
         fh.write(struct.pack(fmt, value))
 
 
+def read_set(path):
+    """The stacked call ingest over the set ``path`` belongs to."""
+    return preprocess_calls(TraceSet(os.path.dirname(path)))
+
+
 class TestCorruptCallColumns:
-    """Every id and offset of a K frame is checked before any gather:
-    the error is typed and names the file and the frame's byte offset,
-    never a bare ``IndexError`` out of numpy."""
+    """Every id and offset of a K frame is checked before any gather —
+    in the stacked columns of the whole set: the error is typed and
+    names the file and the frame's byte offset, never a bare
+    ``IndexError`` out of numpy."""
+
+    #: the rank of the two-rank set whose file is corrupted
+    RANK = 0
 
     @pytest.fixture
     def path(self, tmp_path):
-        path = str(tmp_path / "trace.0.bin")
-        with TraceWriter(path, 0, 1, format=FORMAT_BINARY) as writer:
-            writer.write(CallEvent(0, 0, "Win_post",
-                                   {"win": 0, "group": [1, 2, 3]}, LOC))
-            writer.write(MemEvent(0, 1, "load", 64, 8, "x", LOC))
-            writer.write(CallEvent(0, 2, "Put", {"win": 0, "var": "x"},
-                                   LOC))
-            writer.write(CallEvent(0, 3, "Win_post",
-                                   {"win": 0, "group": [4]}, LOC))
-        with TraceReader(path) as reader:     # valid as written
-            assert len(reader.read_calls()[0]) == 3
+        for rank in range(2):
+            with TraceWriter(str(tmp_path / f"trace.{rank}.bin"), rank, 2,
+                             format=FORMAT_BINARY) as writer:
+                writer.write(CallEvent(rank, 0, "Win_post",
+                                       {"win": 0, "group": [1, 2, 3]}, LOC))
+                writer.write(MemEvent(rank, 1, "load", 64, 8, "x", LOC))
+                writer.write(CallEvent(rank, 2, "Put",
+                                       {"win": 0, "var": "x"}, LOC))
+                writer.write(CallEvent(rank, 3, "Win_post",
+                                       {"win": 0, "group": [4]}, LOC))
+        path = str(tmp_path / f"trace.{self.RANK}.bin")
+        assert [len(read_set(path).events[rank]) for rank in range(2)] \
+            == [3, 3]                       # valid as written
         return path
 
     @pytest.mark.parametrize("column,row,fmt,value,message", [
@@ -227,10 +243,9 @@ class TestCorruptCallColumns:
         offset, _rows, columns = k_frame(path)
         poke(path, columns[column] + row * struct.calcsize(fmt), fmt, value)
         with pytest.raises(TraceFormatError, match=message) as err:
-            with TraceReader(path) as reader:
-                reader.read_calls()
-        assert path in str(err.value)
-        assert f"byte {offset}" in str(err.value)
+            read_set(path)
+        assert re.match(rf"{re.escape(path)}: K frame at byte {offset}\b",
+                        str(err.value))
 
     def test_value_pool_shorter_than_the_shapes_imply(self, path):
         """A shape table that gives Put an argument the pool does not
@@ -240,9 +255,9 @@ class TestCorruptCallColumns:
                        if footer["strings"][s[0]] == "Put")
             put[1] += put[1][:2]
         rewrite_footer(path, mutate)
-        with pytest.raises(TraceFormatError, match="value pool holds"):
-            with TraceReader(path) as reader:
-                reader.read_calls()
+        with pytest.raises(TraceFormatError, match="value pool holds") as err:
+            read_set(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_segment_must_be_completed_by_its_rows(self, path):
         offset, _rows, _columns = k_frame(path)
@@ -263,12 +278,18 @@ class TestCorruptCallColumns:
             with open(path, "wb") as fh:
                 fh.write(flipped)
             try:
-                with TraceReader(path) as reader:
-                    calls, _counts = reader.read_calls()
-                    list(calls)
-                    np.asarray(reader.call_table.seq)
+                pre = read_set(path)
+                [list(calls) for calls in pre.events.values()]
+                np.asarray(pre.call_table.seq)
             except TraceFormatError:
                 pass
+
+
+class TestCorruptCallColumnsOfTheLastRank(TestCorruptCallColumns):
+    """The same bytes in the set's last file: the stacked checks name
+    that file, and the row within it."""
+
+    RANK = 1
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +430,9 @@ class TestEveryExecutorRejects:
     meets the bytes: never a clean report (a warm cache must not answer
     for files it has not seen), never a hang, no shared segment left."""
 
+    #: the rank of the two-rank set whose file is bad
+    RANK = 0
+
     @staticmethod
     def _check(arm, trace_dir, cache_dir):
         kwargs = {"batch": {}, "jobs2": dict(jobs=2),
@@ -439,8 +463,9 @@ class TestEveryExecutorRejects:
                          trace_format="binary", trace_dir=trace_dir).traces
         if arm == "incremental-warm":
             assert not self._check(arm, trace_dir, cache_dir).findings
-        corrupt(traces.path(0))
-        said = self._rejected(arm, trace_dir, cache_dir, traces.path(0))
+        corrupt(traces.path(self.RANK))
+        said = self._rejected(arm, trace_dir, cache_dir,
+                              traces.path(self.RANK))
         assert (cached if arm.startswith("incremental") else message) \
             in said
 
@@ -456,7 +481,7 @@ class TestEveryExecutorRejects:
                          trace_format=fmt, trace_dir=trace_dir).traces
         if arm == "incremental-warm":
             assert not self._check(arm, trace_dir, cache_dir).findings
-        path = traces.path(0)
+        path = traces.path(self.RANK)
         with TraceReader(path) as reader:
             header, events = reader.header, reader.events()
         calls = [k for k, event in enumerate(events)
@@ -465,7 +490,7 @@ class TestEveryExecutorRejects:
         events[a], events[b] = (
             dataclasses.replace(events[a], seq=events[b].seq),
             dataclasses.replace(events[b], seq=events[a].seq))
-        with TraceWriter(path, 0, header.nranks, app=header.app,
+        with TraceWriter(path, self.RANK, header.nranks, app=header.app,
                          format=fmt) as writer:
             for event in events:
                 writer.write(event)
@@ -473,7 +498,8 @@ class TestEveryExecutorRejects:
             assert reader.events() == events
         said = self._rejected(arm, trace_dir, cache_dir, path)
         assert "seq is not strictly increasing" in said
-        assert re.search(r"trace\.0\.log:\d+: call seq" if fmt == "text"
+        assert re.search(rf"trace\.{self.RANK}\.log:\d+: call seq"
+                         if fmt == "text"
                          else r"K frame at byte \d+, row \d+: call seq",
                          said)
 
@@ -492,5 +518,70 @@ class TestEveryExecutorRejects:
             with pytest.raises(DeadlockError):
                 api.run(_deadlocks_after_a_fence, 2, trace_dir=trace_dir,
                         trace_format=fmt)
+        # only RANK's file is partial: the other is a whole run's
+        whole = str(tmp_path / "whole")
+        api.run(_completes_after_a_fence, 2, trace_dir=whole,
+                trace_format=fmt)
+        shutil.copy(TraceSet.rank_path(whole, 1 - self.RANK, fmt),
+                    TraceSet.rank_path(trace_dir, 1 - self.RANK, fmt))
         self._rejected(arm, trace_dir, cache_dir,
-                       TraceSet.rank_path(trace_dir, 0, fmt))
+                       TraceSet.rank_path(trace_dir, self.RANK, fmt))
+
+
+class TestEveryExecutorRejectsTheLastRank(TestEveryExecutorRejects):
+    """The same with the set's last file bad: the stacked ingest still
+    names it."""
+
+    RANK = 1
+
+
+def _swap_ranks_0_and_1(trace_dir, fmt):
+    paths = [TraceSet.rank_path(trace_dir, rank, fmt) for rank in (0, 1)]
+    os.rename(paths[0], paths[0] + ".x")
+    os.rename(paths[1], paths[0])
+    os.rename(paths[0] + ".x", paths[1])
+    return paths[0], ("rank=1", "rank=0")
+
+
+def _recount_rank_2(trace_dir, fmt):
+    path = TraceSet.rank_path(trace_dir, 2, fmt)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:        # the header comes first
+        fh.write(data.replace(b" nranks=4 ", b" nranks=5 ", 1))
+    return path, ("nranks=5", "nranks=4")
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+class TestRankFilesAgreeWithTheirNames:
+    """A rank file whose header names another rank, or another rank
+    count than the set's, is refused wherever it is opened: by every
+    executor (a warm cache included) and by the CLI, which exits 2 with
+    one line naming the file and both values."""
+
+    @pytest.mark.parametrize("case,mutate", [
+        ("ping-pong", _swap_ranks_0_and_1), ("jacobi", _recount_rank_2)],
+        ids=["swapped-files", "nranks-rewritten"])
+    def test_refused_by_every_executor(self, tmp_path, capsys, fmt, case,
+                                       mutate):
+        bug = next(bug for bug in BUG_CASES if bug.name == case)
+        trace_dir, warm = str(tmp_path / "t"), str(tmp_path / "warm")
+        api.run(bug.app, bug.nranks, params=bug.params(True),
+                trace_dir=trace_dir, trace_format=fmt)
+        assert api.check(trace_dir, incremental=True, cache_dir=warm).findings
+        path, values = mutate(trace_dir, fmt)
+        for arm in ARMS:
+            cache_dir = warm if arm == "incremental-warm" \
+                else str(tmp_path / "cold")
+            try:
+                with pytest.raises(TraceFormatError) as err:
+                    TestEveryExecutorRejects._check(arm, trace_dir,
+                                                    cache_dir)
+            finally:
+                api.shutdown_pools()
+            assert str(err.value).startswith(f"{path}: the header says")
+            assert all(value in str(err.value) for value in values)
+        assert main(["check", trace_dir, "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert path in captured.err and values[0] in captured.err
