@@ -10,9 +10,10 @@ of every rank's calls, stacked with a rank column.  One table per trace
 set, shared by every control phase:
 
 * ``EpochIndex`` pairs only the epoch-relevant rows (mask + take instead
-  of a full event scan), and ``OpTable`` gathers the lifted calls' rows;
-* :func:`repro.core.matching.match_synchronization` (Algorithm 1) and
-  the shard plan read a rank's rows, :meth:`CallTable.view`.
+  of a full event scan), ``OpTable`` gathers the lifted calls' rows, and
+  :func:`repro.core.matching.match_synchronization` (Algorithm 1) sorts
+  the sync rows into channels by the rank column;
+* the shard plan reads a rank's rows, :meth:`CallTable.view`.
 
 One builder.  Each rank file hands over its calls as columns
 (:meth:`~repro.profiler.tracer.TraceReader.rank_calls`: stored so by a

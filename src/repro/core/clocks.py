@@ -27,15 +27,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-from repro.core.matching import KIND_COLLECTIVE, SyncMatch
+from repro.core.matching import (
+    ROLE_DST, ROLE_EXIT, ROLE_MEMBER, ROLE_SRC, MatchTable,
+)
 from repro.core.preprocess import PreprocessedTrace
 from repro.util.errors import AnalysisError
+from repro.util.intervals import expand_ranges, pair_order
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,15 @@ class Span:
         return cls(rank, seq, seq)
 
 
+def _cycle() -> AnalysisError:
+    return AnalysisError(
+        "synchronization graph contains a cycle — inconsistent trace")
+
+
 class ConcurrencyOracle:
     """Vector-clock-based happens-before and concurrency queries."""
 
-    def __init__(self, pre: PreprocessedTrace, matches: Sequence[SyncMatch]):
+    def __init__(self, pre: PreprocessedTrace, matches: MatchTable):
         self.nranks = pre.nranks
         self._build(matches)
 
@@ -66,220 +72,151 @@ class ConcurrencyOracle:
     # construction
     # ------------------------------------------------------------------
 
-    def _build(self, matches: Sequence[SyncMatch]) -> None:
-        """Assign the unit clocks.
+    def _build(self, matches: MatchTable) -> None:
+        """Assign the unit clocks, from the participant columns.
 
-        Sync points, unit ids, and graph edges are assembled as numpy
-        arrays (``np.unique`` dedups participants, ``searchsorted``
-        looks points up), and the clock fixpoint batches work along
-        *chains*: maximal paths of units with in/out degree one — the
-        overwhelming shape of sync graphs, e.g. a fence loop is one
-        chain of collective units — are condensed so one
-        ``np.maximum.accumulate`` sweep propagates clocks down an entire
-        chain, with the scalar Kahn loop left only for the condensed DAG
-        of forks/joins.  Clock *values* are the unique fixpoint of the
-        constraints in the module docstring (unit numbering is
-        internal); ``tests/core/test_clocks.py`` checks the answers
-        against Figure-4 DAG reachability (:mod:`repro.core.dag`).
+        One sort over (rank, seq) gives every rank's sync positions and
+        the unit that owns each: a collective member's match, or a
+        singleton minted per position, rank by rank.  The clock fixpoint
+        batches work along *chains*: maximal paths of units with in/out
+        degree one — the overwhelming shape of sync graphs, e.g. a fence
+        loop is one chain of collective units — found by pointer
+        jumping, and swept by ``np.maximum.accumulate``.  The condensed
+        DAG of forks and joins between them is run one *wave* of ready
+        paths at a time: their heads join their predecessors' clocks,
+        and one segmented accumulate sweeps all of the wave's paths.
+        Clock *values* are the unique fixpoint of the constraints in the
+        module docstring; ``tests/core/test_clocks.py`` checks the
+        answers against Figure-4 DAG reachability
+        (:mod:`repro.core.dag`), and against the per-path loop in
+        ``tests/reference/clocks.py``.
         """
-        n = self.nranks
-        coll_s: List[List[int]] = [[] for _ in range(n)]
-        coll_u: List[List[int]] = [[] for _ in range(n)]
-        coll_nb: List[List[int]] = [[] for _ in range(n)]
-        oth_s: List[List[int]] = [[] for _ in range(n)]
-        exit_u: List[int] = []
-        exit_r: List[int] = []
-        exit_s: List[int] = []
-        dir_sr: List[int] = []
-        dir_ss: List[int] = []
-        dir_dr: List[int] = []
-        dir_ds: List[int] = []
-        n_coll = 0
-        for m in matches:
-            if m.kind == KIND_COLLECTIVE:
-                if not m.members:
-                    continue
-                uid = n_coll
-                n_coll += 1
-                nb = 1 if m.exits else 0
-                for r, s in m.members.items():
-                    coll_s[r].append(s)
-                    coll_u[r].append(uid)
-                    coll_nb[r].append(nb)
-                for r, s in m.exits.items():
-                    oth_s[r].append(s)
-                    exit_u.append(uid)
-                    exit_r.append(r)
-                    exit_s.append(s)
-            else:
-                if m.src is not None:
-                    oth_s[m.src[0]].append(m.src[1])
-                if m.dst is not None:
-                    oth_s[m.dst[0]].append(m.dst[1])
-                if m.src is not None and m.dst is not None:
-                    dir_sr.append(m.src[0])
-                    dir_ss.append(m.src[1])
-                    dir_dr.append(m.dst[0])
-                    dir_ds.append(m.dst[1])
+        n, m = self.nranks, matches
+        coll = np.flatnonzero((m.kind == 0) & (m.counts(ROLE_MEMBER) > 0))
+        n_coll = coll.size
+        uid = np.full(len(m), -1, dtype=np.int64)
+        uid[coll] = np.arange(n_coll)
+        # sync positions, each owned by the last match (in match order)
+        # that has a member there, else by a singleton
+        order = pair_order(m.rank, m.seq)
+        rank, seq = m.rank[order], m.seq[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (rank[1:] != rank[:-1]) | (seq[1:] != seq[:-1])
+        part_pos = np.empty_like(order)
+        part_pos[order] = np.cumsum(new) - 1
+        pos_rank, pos_seq = rank[new], seq[new]
+        unit = np.maximum.reduceat(np.where(
+            m.role[order] == ROLE_MEMBER, uid[m.match[order]], -1),
+            np.flatnonzero(new)) if order.size else order
+        nb = unit >= 0
+        nb[nb] = m.has_exits[coll[unit[nb]]]
+        single = unit < 0
+        unit[single] = n_coll + np.arange(int(single.sum()))
+        n_units = n_coll + int(single.sum())
+        lo = np.searchsorted(pos_rank, np.arange(n + 1))
+        local = np.arange(pos_rank.size) - lo[pos_rank]
+        # the nearest at-or-before non-initiation position, rank-local
+        skip = np.maximum.accumulate(np.where(nb, lo[pos_rank] - 1,
+                                              np.arange(pos_rank.size))) \
+            - lo[pos_rank] if pos_rank.size else local
 
-        # per-rank sorted unique sync positions + owning-unit arrays;
-        # singleton units are minted per rank in position order
-        sync_np: List[np.ndarray] = []
-        unit_at: List[np.ndarray] = []
-        coll_at: List[np.ndarray] = []
-        nb_skip: List[np.ndarray] = []
-        next_uid = n_coll
-        for r in range(n):
-            cs = np.asarray(coll_s[r], dtype=np.int64)
-            alls = np.concatenate(
-                [cs, np.asarray(oth_s[r], dtype=np.int64)])
-            uniq = np.unique(alls)
-            ua = np.full(uniq.size, -1, dtype=np.int64)
-            nb = np.zeros(uniq.size, dtype=bool)
-            if cs.size:
-                pos = np.searchsorted(uniq, cs)
-                ua[pos] = np.asarray(coll_u[r], dtype=np.int64)
-                nb[pos] = np.asarray(coll_nb[r], dtype=bool)
-            single = ua < 0
-            cnt = int(single.sum())
-            if cnt:
-                ua[single] = np.arange(next_uid, next_uid + cnt)
-                next_uid += cnt
-            sync_np.append(uniq)
-            unit_at.append(ua)
-            coll_at.append(ua < n_coll)
-            idx = np.arange(uniq.size, dtype=np.int64)
-            nb_skip.append(np.maximum.accumulate(np.where(nb, -1, idx))
-                           if uniq.size else idx)
-        n_units = next_uid
-
-        def lookup(ranks: List[int], seqs: List[int]) -> np.ndarray:
-            rr = np.asarray(ranks, dtype=np.int64)
-            ss = np.asarray(seqs, dtype=np.int64)
-            out = np.empty(rr.size, dtype=np.int64)
-            for r in np.unique(rr).tolist():
-                mask = rr == r
-                out[mask] = unit_at[r][
-                    np.searchsorted(sync_np[r], ss[mask])]
-            return out
-
-        eu: List[np.ndarray] = []
-        ev: List[np.ndarray] = []
-        for r in range(n):
-            ua = unit_at[r]
-            if ua.size >= 2:  # program-order chain
-                eu.append(ua[:-1])
-                ev.append(ua[1:])
-        if dir_sr:
-            eu.append(lookup(dir_sr, dir_ss))
-            ev.append(lookup(dir_dr, dir_ds))
-        if exit_u:
-            eu.append(np.asarray(exit_u, dtype=np.int64))
-            ev.append(lookup(exit_r, exit_s))
-        if eu:
-            e_u = np.concatenate(eu)
-            e_v = np.concatenate(ev)
-            keep = e_u != e_v
-            e_u = e_u[keep]
-            e_v = e_v[keep]
-            if e_u.size:
-                _, first = np.unique(e_u * n_units + e_v,
-                                     return_index=True)
-                e_u = e_u[first]
-                e_v = e_v[first]
-        else:
-            e_u = e_v = np.empty(0, dtype=np.int64)
+        # edges: program order, directed pairs, collective -> exit
+        src, dst = m.end(ROLE_SRC), m.end(ROLE_DST)
+        both = (src >= 0) & (dst >= 0)
+        exits = np.flatnonzero(m.role == ROLE_EXIT)
+        chained = pos_rank[1:] == pos_rank[:-1]
+        e_u = np.concatenate([unit[:-1][chained],
+                              unit[part_pos[src[both]]],
+                              uid[m.match[exits]]])
+        e_v = np.concatenate([unit[1:][chained],
+                              unit[part_pos[dst[both]]],
+                              unit[part_pos[exits]]])
+        keep = e_u != e_v
+        e_u, e_v = e_u[keep], e_v[keep]
+        if e_u.size:
+            _, first = np.unique(e_u * n_units + e_v, return_index=True)
+            e_u, e_v = e_u[first], e_v[first]
 
         # per-unit own entries (sync position + 1 at the owning rank)
         clocks = np.zeros((n_units, n), dtype=np.int64)
-        for r in range(n):
-            ua = unit_at[r]
-            if ua.size:
-                clocks[ua, r] = np.arange(1, ua.size + 1)
+        clocks[unit, pos_rank] = local + 1
 
         # chain condensation: an edge u->v with outdeg(u)==indeg(v)==1
-        # is interior to a path; paths are vertex-disjoint, all external
-        # edges attach at a path's head or tail
-        outdeg = np.bincount(e_u, minlength=n_units)
-        indeg = np.bincount(e_v, minlength=n_units)
-        chain = (outdeg[e_u] == 1) & (indeg[e_v] == 1)
-        nxt = np.full(n_units, -1, dtype=np.int64)
-        nxt[e_u[chain]] = e_v[chain]
-        is_head = np.ones(n_units, dtype=bool)
-        is_head[e_v[chain]] = False
-        path_units = np.empty(n_units, dtype=np.int64)
-        path_of = np.empty(n_units, dtype=np.int64)
-        path_off = [0]
-        nxt_l = nxt.tolist()
-        w = 0
-        p = 0
-        for h in np.nonzero(is_head)[0].tolist():
-            u = h
-            while u != -1:
-                path_units[w] = u
-                path_of[u] = p
-                w += 1
-                u = nxt_l[u]
-            path_off.append(w)
-            p += 1
-        if w != n_units:  # a pure chain cycle never reaches a head
-            raise AnalysisError(
-                "synchronization graph contains a cycle — inconsistent "
-                "trace")
-        n_paths = p
+        # is interior to a path; paths are vertex-disjoint, every other
+        # edge ends at a path's head.  Pointer jumping ranks each unit
+        # on its path (a pure chain cycle never reaches a head).
+        chain = (np.bincount(e_u, minlength=n_units)[e_u] == 1) \
+            & (np.bincount(e_v, minlength=n_units)[e_v] == 1)
+        ids = np.arange(n_units)
+        root = ids.copy()
+        root[e_v[chain]] = e_u[chain]
+        is_head = root == ids
+        depth = (~is_head).astype(np.int64)
+        for _ in range(n_units.bit_length() + 1):
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            depth += depth[root]
+            root = up
+        if not is_head[root].all():
+            raise _cycle()
+        path_of = (np.cumsum(is_head) - 1)[root]
+        n_paths = int(is_head.sum())
 
-        # condensed DAG over paths: the non-chain edges
-        nc_u = e_u[~chain]
-        nc_v = e_v[~chain]
-        ce_u = path_of[nc_u]
-        ce_v = path_of[nc_v]
-        cind = np.bincount(ce_v, minlength=n_paths)
-        order = np.argsort(ce_u, kind="stable")
-        out_src = ce_u[order]
-        out_dst = ce_v[order]
-        out_lo = np.searchsorted(out_src, np.arange(n_paths), side="left")
-        out_hi = np.searchsorted(out_src, np.arange(n_paths), side="right")
-        iorder = np.argsort(ce_v, kind="stable")
-        in_units = nc_u[iorder]  # source *unit* of each incoming edge
-        in_dst = ce_v[iorder]
-        in_lo = np.searchsorted(in_dst, np.arange(n_paths), side="left")
-        in_hi = np.searchsorted(in_dst, np.arange(n_paths), side="right")
-
-        ready = np.nonzero(cind == 0)[0].tolist()
-        cind_l = cind.tolist()
-        done = 0
-        while ready:
-            pth = ready.pop()
-            done += 1
-            lo, hi = path_off[pth], path_off[pth + 1]
-            units = path_units[lo:hi]
-            a, b = in_lo[pth], in_hi[pth]
-            if b > a:  # join external preds into the path head
-                srcs = in_units[a:b]
-                head = units[0]
-                if srcs.size == 1:
-                    np.maximum(clocks[head], clocks[srcs[0]],
-                               out=clocks[head])
-                else:
-                    np.maximum(clocks[head], clocks[srcs].max(axis=0),
-                               out=clocks[head])
-            if hi - lo > 1:  # sweep the chain in one accumulate pass
-                clocks[units] = np.maximum.accumulate(clocks[units],
-                                                      axis=0)
-            for q in out_dst[out_lo[pth]:out_hi[pth]].tolist():
-                cind_l[q] -= 1
-                if cind_l[q] == 0:
-                    ready.append(q)
+        # the condensed DAG over paths, in waves: wave k holds the paths
+        # whose longest chain of predecessors is k long (Kahn's order)
+        nc_u, nc_v = e_u[~chain], e_v[~chain]
+        src_path, dst_path = path_of[nc_u], path_of[nc_v]
+        by_src = np.argsort(src_path, kind="stable")
+        out_dst = dst_path[by_src]
+        out_off = np.searchsorted(src_path[by_src], np.arange(n_paths + 1))
+        waiting = np.bincount(dst_path, minlength=n_paths)
+        level = np.zeros(n_paths, dtype=np.int64)
+        wave = np.flatnonzero(waiting == 0)
+        done = n_levels = 0
+        while wave.size:
+            done += wave.size
+            level[wave] = n_levels
+            n_levels += 1
+            _, at = expand_ranges(out_off[wave],
+                                  out_off[wave + 1] - out_off[wave])
+            ready, hits = np.unique(out_dst[at], return_counts=True)
+            waiting[ready] -= hits
+            wave = ready[waiting[ready] == 0]
         if done != n_paths:
-            raise AnalysisError(
-                "synchronization graph contains a cycle — inconsistent "
-                "trace")
+            raise _cycle()
 
-        self.sync_seqs = [a.tolist() for a in sync_np]
-        self._sync_np = [a if a.size else _EMPTY_I64 for a in sync_np]
-        self._unit_at = unit_at
-        self._coll_at = coll_at
-        self._nb_skip = nb_skip
+        # wave by wave: the heads join their external predecessors, and
+        # one accumulate, segmented by a per-path lift, sweeps every path
+        by_dst = np.lexsort((nc_v, level[dst_path]))
+        in_src, in_head = nc_u[by_dst], nc_v[by_dst]
+        in_off = np.searchsorted(level[dst_path][by_dst],
+                                 np.arange(n_levels + 1))
+        joins = np.flatnonzero(np.diff(in_head, prepend=-1))
+        join_off = np.searchsorted(joins, in_off)
+        units = np.lexsort((depth, path_of, level[path_of]))
+        unit_off = np.searchsorted(level[path_of][units],
+                                   np.arange(n_levels + 1))
+        # a clock never exceeds the largest own entry
+        lift = (path_of[units] * (int(clocks.max(initial=0)) + 1))[:, None]
+        for k in range(n_levels):
+            first = joins[join_off[k]:join_off[k + 1]]
+            if first.size:
+                heads = in_head[first]
+                clocks[heads] = np.maximum(clocks[heads], np.maximum.reduceat(
+                    clocks[in_src[in_off[k]:in_off[k + 1]]],
+                    first - in_off[k], axis=0))
+            at = slice(unit_off[k], unit_off[k + 1])
+            if unit_off[k + 1] - unit_off[k] > 1:
+                clocks[units[at]] = np.maximum.accumulate(
+                    clocks[units[at]] + lift[at], axis=0) - lift[at]
+
+        cut = lo[1:-1]
+        self._sync_np = np.split(pos_seq, cut)
+        self.sync_seqs = [a.tolist() for a in self._sync_np]
+        self._unit_at = np.split(unit, cut)
+        self._coll_at = np.split(unit < n_coll, cut)
+        self._nb_skip = np.split(skip, cut)
         self._clocks = clocks
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ region its span intersects.
 
 :class:`RegionIndex` is the cuts as arrays (``cuts``; ``bounds``, what
 the engine and the shard plan read), written by one scatter of the
-global matches' members.  ``regions`` is the same as objects, a
+global matches' member rows.  ``regions`` is the same as objects, a
 :class:`Region` built for the row that is indexed — the check asks for
 none; the loop that built them all is in ``tests/reference/epochs.py``.
 """
@@ -24,13 +24,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
 from repro.core.clocks import Span
-from repro.core.matching import SyncMatch
+from repro.core.matching import ROLE_MEMBER, MatchTable
 from repro.core.preprocess import PreprocessedTrace
 from repro.core.views import Views, remembered
 from repro.util.errors import AnalysisError
@@ -52,20 +51,18 @@ class Region:
 class RegionIndex:
     """All concurrent regions plus span -> region lookup."""
 
-    def __init__(self, pre: PreprocessedTrace,
-                 matches: Sequence[SyncMatch]):
+    def __init__(self, pre: PreprocessedTrace, matches: MatchTable):
         self.nranks = nranks = pre.nranks
-        glob = [match.members for match in matches
-                if match.is_global(nranks)]
+        glob = matches.is_global(nranks)
         # one (cuts x ranks) seq matrix: global collectives are totally
         # ordered, so sorting by rank 0 orders every column at once and
         # one diff pass checks that the cuts are monotone at every rank
-        mat = np.empty((len(glob), nranks), dtype=np.int64)
-        mat[np.repeat(np.arange(len(glob)), nranks),
-            np.fromiter(chain.from_iterable(glob), np.int64, mat.size)] = \
-            np.fromiter(chain.from_iterable(map(dict.values, glob)),
-                        np.int64, mat.size)
-        if len(glob) > 1:
+        cut = np.cumsum(glob) - 1
+        rows = np.flatnonzero(glob[matches.match]
+                              & (matches.role == ROLE_MEMBER))
+        mat = np.empty((int(glob.sum()), nranks), dtype=np.int64)
+        mat[cut[matches.match[rows]], matches.rank[rows]] = matches.seq[rows]
+        if len(mat) > 1:
             mat = mat[np.argsort(mat[:, 0], kind="stable")]
             if (np.diff(mat, axis=0) <= 0).any():
                 raise AnalysisError(
@@ -77,7 +74,7 @@ class RegionIndex:
         #: at every rank, row ``r + 1`` its hi
         self.bounds = np.vstack([np.full((1, nranks), -1), mat,
                                  np.full((1, nranks), 1 << 62)])
-        self.regions = Views(len(glob) + 1,
+        self.regions = Views(len(mat) + 1,
                              remembered(self._region, "region"))
 
     def _region(self, k: int) -> Region:

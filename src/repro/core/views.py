@@ -1,8 +1,8 @@
 """Analysis objects on demand.
 
-The check reads columns; an ``RMAOpView``, ``LocalAccess``, ``Epoch`` or
-``Region`` exists for whoever looks at one — a finding, a listing, a
-test — and is counted when it is built, as is every ``CallEvent`` the
+The check reads columns; an ``RMAOpView``, ``LocalAccess``, ``Epoch``,
+``Region`` or ``SyncMatch`` exists for whoever looks at one — a finding,
+a listing, a test — and is counted when it is built, as is every ``CallEvent`` the
 call columns build (``CallColumns._build``: the registry calls of the
 control pass, the calls behind a view), so "no object on a clean trace"
 is a number (``analyzer_views_built_total{kind}``).

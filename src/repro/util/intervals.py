@@ -379,23 +379,52 @@ def group_ids(*columns: np.ndarray) -> np.ndarray:
     return ids
 
 
+_INT63 = 1 << 63
+
+
+def _grouped_keys(group: np.ndarray, value: np.ndarray,
+                  *more: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
+    """One int64 per row that orders ``(group, value)`` pairs — ``group *
+    span + (value - low)``, ``span`` covering ``value`` and the value
+    arrays in ``more`` (whose keys follow, pairwise) — or ``None`` when
+    ``(max group + 1) * span`` would leave int63."""
+    values = (value,) + more[1::2]
+    low = min(int(v.min()) for v in values if v.size)
+    span = max(int(v.max()) for v in values if v.size) - low + 1
+    top = max(int(g.max()) for g in (group,) + more[::2] if g.size)
+    if (top + 1) * span >= _INT63:
+        return None
+    return tuple(g.astype(np.int64) * span + (v.astype(np.int64) - low)
+                 for g, v in zip((group,) + more[::2], values))
+
+
 def grouped_searchsorted(group: np.ndarray, value: np.ndarray,
                          q_group: np.ndarray, q_value: np.ndarray,
                          side: str = "left") -> np.ndarray:
     """``np.searchsorted`` within groups: the rows ``(group, value)`` are
     sorted lexicographically, groups being small non-negative ints, and
     each query gets the position in that order at which ``(q_group,
-    q_value)`` would be inserted.  Values are first replaced by their
-    dense ranks, so the composite key stays in range whatever they
-    are."""
-    coords = np.unique(np.concatenate([value, q_value]))
-    width = len(coords) + 1
-    return np.searchsorted(
-        group * width + np.searchsorted(coords, value),
-        q_group * width + np.searchsorted(coords, q_value), side=side)
+    q_value)`` would be inserted.  One composite key per row
+    (:func:`_grouped_keys`); where that would not fit, values are first
+    replaced by their dense ranks."""
+    if not value.size or not q_value.size:
+        return np.zeros(q_value.size, dtype=np.intp)
+    keys = _grouped_keys(group, value, q_group, q_value)
+    if keys is None:
+        coords = np.unique(np.concatenate([value, q_value]))
+        keys = _grouped_keys(group, np.searchsorted(coords, value),
+                             q_group, np.searchsorted(coords, q_value))
+    return np.searchsorted(*keys, side=side)
 
 
-_INT63 = 1 << 63
+def pair_order(group: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """An order of the rows by ``(group, value)`` (small non-negative
+    groups; equal pairs in any order): one composite key where it fits
+    (:func:`_grouped_keys`), else a lexsort."""
+    if not value.size:
+        return np.zeros(0, dtype=np.intp)
+    keys = _grouped_keys(group, value)
+    return np.lexsort((value, group)) if keys is None else np.argsort(keys[0])
 
 
 def unique_pairs(oa: np.ndarray,

@@ -49,6 +49,7 @@ from tests.core.test_optable import FORMATS, SOURCES, lifted_for
 from tests.reference.epochs import (
     ReferenceEpochIndex, ReferenceRegionIndex, enclosing,
 )
+from tests.reference.matching import match_table
 from tests.reference.pairwise import completion_seq
 
 #: query points per rank at most (evenly spaced over its calls)
@@ -424,8 +425,8 @@ def test_hand_built_cuts():
             [barrier(30, 20, 90, order=(2, 0, 1)), partial,
              barrier(3, 2, 9, order=(1, 2, 0)), nonblocking,
              barrier(10, 11, 12)]):
-        assert_regions_equal(pre, matches)
-    assert len(RegionIndex(pre, [partial, nonblocking])) == 1
+        assert_regions_equal(pre, match_table(matches))
+    assert len(RegionIndex(pre, match_table([partial, nonblocking]))) == 1
 
 
 @pytest.mark.parametrize("matches", (
@@ -436,6 +437,6 @@ def test_hand_built_cuts():
 def test_cuts_that_are_not_monotone_are_refused(matches):
     pre = SimpleNamespace(nranks=3)
     with pytest.raises(AnalysisError) as caught:
-        RegionIndex(pre, matches)
+        RegionIndex(pre, match_table(matches))
     assert "not consistently ordered" in str(caught.value)
-    assert_regions_equal(pre, matches)
+    assert_regions_equal(pre, match_table(matches))

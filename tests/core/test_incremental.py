@@ -36,6 +36,7 @@ from repro.util.location import SourceLocation
 from tests.reference.incremental import (
     slice_digests as reference_slice_digests,
 )
+from tests.reference.matching import match_table
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
 MEMORY_MODELS = ("separate", "unified")
@@ -232,25 +233,28 @@ class TestInvalidation:
         control = build_control_state(profile_program(
             generated, trace_dir=str(tmp_path / "traces")).traces)
         # cuts, directed pairs, and a collective that is no cut
-        del next(m for m in control.matches
-                 if m.is_global(5)).members[4]
+        matches = list(control.matches)
+        del next(m for m in matches if m.is_global(5)).members[4]
+        control.matches = match_table(matches)
         assert {(m.kind, m.is_global(5)) for m in control.matches} == {
             ("collective", True), ("collective", False),
             ("post_start", False), ("complete_wait", False)}
         fps = incremental._sync_fingerprints(control)
         assert fps.shape == (len(control.regions), 32)
         # neither the order matches were found in nor that of their members
-        control.matches.reverse()
-        for match in control.matches:
+        matches.reverse()
+        for match in matches:
             match.members = dict(reversed(list(match.members.items())))
+        control.matches = match_table(matches)
         assert np.array_equal(incremental._sync_fingerprints(control), fps)
         # a match that is no cut, changed: seen from its first region on
-        for match in control.matches:
+        for match in matches:
             if match.is_global(5):
                 continue
             first = min(control.regions.region_of_seq(rank, seq)
                         for rank, seq in match.participants())
             match.index += 100
+            control.matches = match_table(matches)
             moved = (incremental._sync_fingerprints(control) != fps).any(
                 axis=1)
             assert not moved[:first].any() and moved[first:].all()

@@ -14,21 +14,33 @@ against (scan other traces from the beginning for every sync call); it
 backs the E8 ablation benchmark and referees collectives and
 point-to-point only.
 
+:func:`match_synchronization_dict` is the matcher production used
+before its matches became columns: per-rank dicts of channels filled
+from each rank's call-table view, then zipped.  It lists the matches in
+production's order, so the differential compares the two element by
+element.
+
 Production (:func:`repro.core.matching.match_synchronization`) computes
-the same match set from call-table columns; the differential tests
-compare it against both.  The logic here is the former
-``repro.core.matching`` object walk, moved unchanged.
+the same match set from the stacked call table as a
+:class:`~repro.core.matching.MatchTable`; the differential tests
+compare it against all three.  :func:`match_table` turns a hand-built
+list of :class:`SyncMatch` objects into such a table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.calltable import SEND_CALLS
+import numpy as np
+
+from repro.core.calltable import (
+    CLS_COLL, CLS_COMPLETE, CLS_ICOLL_WAIT, CLS_POST, CLS_RECV, CLS_SEND,
+    CLS_START, CLS_WAIT, FN_NAMES, SEND_CALLS, ensure_call_tables, fn_code,
+)
 from repro.core.matching import (
-    KIND_COLLECTIVE, KIND_COMPLETE_WAIT, KIND_P2P, KIND_POST_START,
-    SyncMatch,
+    KIND_COLLECTIVE, KIND_COMPLETE_WAIT, KIND_P2P, KIND_POST_START, KINDS,
+    ROLE_DST, ROLE_EXIT, ROLE_MEMBER, ROLE_SRC, MatchTable, SyncMatch,
 )
 from repro.core.preprocess import PreprocessedTrace
 from repro.profiler.events import (
@@ -82,8 +94,9 @@ class _Streams:
         self.waits: Dict[Tuple[int, int, int], List[int]] = {}
         # (rank, seq) of a Win_complete -> targets of its access epoch
         self.complete_targets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        # (rank, req) -> seq of the Wait completing a nonblocking collective
-        self.icoll_waits: Dict[Tuple[int, int], int] = {}
+        # (rank, req) -> seqs of the Waits completing a nonblocking
+        # collective on that request
+        self.icoll_waits: Dict[Tuple[int, int], List[int]] = {}
         self._scan()
 
     def _scan(self) -> None:
@@ -97,12 +110,17 @@ class _Streams:
                 fn = event.fn
                 if fn in COLLECTIVE_CALLS:
                     comm = _effective_comm(event, pre)
+                    if rank not in pre.comm_members(comm):
+                        raise AnalysisError(
+                            f"collective event {fn} (rank {rank}, seq "
+                            f"{event.seq}) is on comm {comm}, which does "
+                            f"not include rank {rank}")
                     self.collectives.setdefault((rank, comm), []).append(
                         event.seq)
                 elif fn == "Wait" and \
                         event.args.get("req_kind") == "icoll":
-                    self.icoll_waits[(rank, int(event.args["req"]))] = \
-                        event.seq
+                    self.icoll_waits.setdefault(
+                        (rank, int(event.args["req"])), []).append(event.seq)
                 elif fn in SEND_CALLS:
                     comm = int(event.args["comm"])
                     dst = pre.world_of_comm_rank(comm,
@@ -201,8 +219,11 @@ def match_synchronization_object(pre: PreprocessedTrace) -> List[SyncMatch]:
                 matched[(member, seq)] = match
                 if fn in NB_COLLECTIVE_CALLS:
                     req_id = int(member_event.args["req"])
-                    wait_seq = streams.icoll_waits.get((member, req_id))
-                    if wait_seq is not None:
+                    # the first Wait on the request after it
+                    waits = streams.icoll_waits.get((member, req_id), [])
+                    at = bisect_right(waits, seq)
+                    if at < len(waits):
+                        wait_seq = waits[at]
                         match.exits[member] = wait_seq
                         matched[(member, wait_seq)] = match
             matches.append(match)
@@ -370,3 +391,265 @@ def _event_at(pre: PreprocessedTrace, rank: int, seq: int) -> CallEvent:
         raise AnalysisError(
             f"rank {rank} seq {seq}: expected a call event")
     return event
+
+
+def match_table(matches: Sequence[SyncMatch]) -> MatchTable:
+    """The :class:`MatchTable` of a list of matches, in list order —
+    how a test hands hand-built (or edited) matches to the consumers."""
+    participants = [
+        (k, role, rank, seq) for k, m in enumerate(matches)
+        for role, ends in ((ROLE_MEMBER, m.members.items()),
+                           (ROLE_EXIT, m.exits.items()),
+                           (ROLE_SRC, [m.src] if m.src else ()),
+                           (ROLE_DST, [m.dst] if m.dst else ()))
+        for rank, seq in ends]
+    return MatchTable(
+        [KINDS.index(m.kind) for m in matches],
+        [fn_code(m.fn) for m in matches],
+        [-1 if m.comm_id is None else m.comm_id for m in matches],
+        [-1 if m.win_id is None else m.win_id for m in matches],
+        [m.index for m in matches],
+        *(np.array(participants, dtype=np.int64).reshape(-1, 4).T))
+
+
+# ----------------------------------------------------------------------
+# the per-rank dict walk
+# ----------------------------------------------------------------------
+
+_FENCE_FREE_CODES = None
+
+
+def _fence_free_codes() -> np.ndarray:
+    global _FENCE_FREE_CODES
+    if _FENCE_FREE_CODES is None:
+        _FENCE_FREE_CODES = np.asarray(
+            [fn_code("Win_fence"), fn_code("Win_free")], dtype=np.int64)
+    return _FENCE_FREE_CODES
+
+
+def _resolve_world(pre: PreprocessedTrace, comms: np.ndarray,
+                   peers: np.ndarray) -> np.ndarray:
+    """Vectorized ``world_of_comm_rank`` over parallel arrays."""
+    out = np.empty_like(peers)
+    for c in np.unique(comms).tolist():
+        m = comms == c
+        members = np.asarray(pre.comm_members(int(c)), dtype=np.int64)
+        p = peers[m]
+        bad = (p < 0) | (p >= members.size)
+        if bad.any():
+            raise AnalysisError(
+                f"comm {int(c)} has no rank {int(p[bad][0])} "
+                f"(size {members.size})")
+        out[m] = members[p]
+    return out
+
+
+def match_synchronization_dict(pre: PreprocessedTrace) -> List[SyncMatch]:
+    """Match all synchronization calls — Algorithm 1 over the per-rank
+    :class:`~repro.core.calltable.CallTable` views, rank by rank.
+
+    Collectives by per-communicator slot index, point-to-point as
+    per-(src, dst, comm, tag)-channel FIFO zips, PSCW by per-(rank,
+    window, peer)-channel occurrence index.  The match *set* is the one
+    the paper's progress-counter walk produces, listed in the order of
+    production's :class:`~repro.core.matching.MatchTable` — the
+    exact-order oracle of the differential.
+    """
+    tables = ensure_call_tables(pre)
+    nranks = pre.nranks
+    matches: List[SyncMatch] = []
+    # comm -> rank -> (seqs, fn codes, wins, reqs) in trace order
+    coll: Dict[int, Dict[int, Tuple[List[int], ...]]] = {}
+    sends: Dict[Tuple[int, int, int, int],
+                Tuple[List[int], List[int]]] = {}
+    recvs: Dict[Tuple[int, int, int, int], List[int]] = {}
+    starts: Dict[Tuple[int, int, int], List[int]] = {}
+    waits: Dict[Tuple[int, int, int], List[int]] = {}
+    icoll_waits: Dict[Tuple[int, int], List[int]] = {}
+    # (rank, seq, win, group) in trace order, per initiating side
+    post_events: List[Tuple[int, int, int, Tuple[int, ...]]] = []
+    complete_events: List[Tuple[int, int, int, Tuple[int, ...]]] = []
+
+    for rank in range(nranks):
+        t = tables.get(rank)
+        if t is None or not t.n:
+            continue
+        cls = t.cls
+
+        idx = np.nonzero(cls == CLS_COLL)[0]
+        if idx.size:
+            seqs = t.seq[idx]
+            comms = t.comm[idx].copy()
+            wins = t.win[idx]
+            fns = t.fn[idx]
+            reqs = t.req[idx]
+            missing = comms < 0
+            if missing.any():
+                mf = fns[missing]
+                not_win = ~np.isin(mf, _fence_free_codes())
+                if not_win.any():
+                    k = int(np.nonzero(missing)[0][np.nonzero(not_win)[0][0]])
+                    raise AnalysisError(
+                        f"collective event {FN_NAMES[int(fns[k])]} "
+                        f"(rank {rank}, seq {int(seqs[k])}) "
+                        "carries no communicator")
+                mw = wins[missing]
+                sub = comms[missing]
+                for w in np.unique(mw).tolist():
+                    sub[mw == w] = pre.window(int(w)).comm_id
+                comms[missing] = sub
+            for c in np.unique(comms).tolist():
+                m = comms == c
+                if rank not in pre.comm_members(int(c)):
+                    raise AnalysisError(
+                        f"collective event {FN_NAMES[int(fns[m][0])]} "
+                        f"(rank {rank}, seq {int(seqs[m][0])}) is on comm "
+                        f"{int(c)}, which does not include rank {rank}")
+                coll.setdefault(int(c), {})[rank] = (
+                    seqs[m].tolist(), fns[m].tolist(), wins[m].tolist(),
+                    reqs[m].tolist())
+
+        idx = np.nonzero(cls == CLS_ICOLL_WAIT)[0]
+        if idx.size:
+            for i in idx.tolist():
+                icoll_waits.setdefault((rank, int(t.req[i])),
+                                       []).append(int(t.seq[i]))
+
+        idx = np.nonzero(cls == CLS_SEND)[0]
+        if idx.size:
+            dsts = _resolve_world(pre, t.comm[idx], t.peer[idx]).tolist()
+            comms = t.comm[idx].tolist()
+            tags = t.tag[idx].tolist()
+            seqs = t.seq[idx].tolist()
+            fns = t.fn[idx].tolist()
+            for i, dst in enumerate(dsts):
+                chan = sends.setdefault((rank, dst, comms[i], tags[i]),
+                                        ([], []))
+                chan[0].append(seqs[i])
+                chan[1].append(fns[i])
+
+        idx = np.nonzero(cls == CLS_RECV)[0]
+        if idx.size:
+            srcs = _resolve_world(pre, t.comm[idx], t.peer[idx]).tolist()
+            comms = t.comm[idx].tolist()
+            tags = t.tag[idx].tolist()
+            seqs = t.seq[idx].tolist()
+            for i, src in enumerate(srcs):
+                recvs.setdefault((rank, src, comms[i], tags[i]),
+                                 []).append(seqs[i])
+
+        idx = np.nonzero((cls >= CLS_POST) & (cls <= CLS_WAIT))[0]
+        if idx.size:
+            # per-rank sequential mini-walk over the access/exposure
+            # group state (one variable per rank, not per window — as in
+            # the paper's walk, tests/reference/matching.py)
+            access_group: Optional[Tuple[int, ...]] = None
+            exposure_group: Optional[Tuple[int, ...]] = None
+            for i in idx.tolist():
+                c = int(cls[i])
+                win = int(t.win[i])
+                seq = int(t.seq[i])
+                if c == CLS_POST:
+                    exposure_group = t.group(i)
+                    post_events.append((rank, seq, win, exposure_group))
+                elif c == CLS_START:
+                    access_group = t.group(i)
+                    for target in access_group:
+                        starts.setdefault((rank, win, target),
+                                          []).append(seq)
+                elif c == CLS_COMPLETE:
+                    complete_events.append(
+                        (rank, seq, win, access_group or ()))
+                    access_group = None
+                else:  # CLS_WAIT
+                    for origin in (exposure_group or ()):
+                        waits.setdefault((rank, win, origin),
+                                         []).append(seq)
+                    exposure_group = None
+
+    # collectives: one match per (comm, slot)
+    for comm in sorted(coll):
+        members = pre.comm_members(comm)
+        per = coll[comm]
+        streams = [per.get(m) for m in members]
+        nslots = max((len(s[0]) for s in streams if s is not None),
+                     default=0)
+        for k in range(nslots):
+            fnc = -1
+            win_val = -1
+            init_rank = -1
+            mdict: Dict[int, int] = {}
+            for mi, member in enumerate(members):
+                s = streams[mi]
+                if s is None or k >= len(s[0]):
+                    continue  # ragged trace: partial match
+                if fnc < 0:
+                    fnc, win_val, init_rank = s[1][k], s[2][k], member
+                elif s[1][k] != fnc:
+                    raise AnalysisError(
+                        f"collective mismatch on comm {comm}: rank "
+                        f"{init_rank} calls {FN_NAMES[fnc]} but rank "
+                        f"{member} calls {FN_NAMES[s[1][k]]} "
+                        f"(seq {s[0][k]})")
+                mdict[member] = s[0][k]
+            if fnc < 0:
+                continue
+            fn = FN_NAMES[fnc]
+            match = SyncMatch(
+                kind=KIND_COLLECTIVE, fn=fn, comm_id=comm,
+                win_id=(int(win_val) if win_val >= 0 else None),
+                members=mdict, index=k)
+            if fn in NB_COLLECTIVE_CALLS:
+                for mi, member in enumerate(members):
+                    s = streams[mi]
+                    if s is None or k >= len(s[0]):
+                        continue
+                    # the first Wait on the request after it
+                    completions = icoll_waits.get((member, s[3][k]), [])
+                    at = bisect_right(completions, s[0][k])
+                    if at < len(completions):
+                        match.exits[member] = completions[at]
+            matches.append(match)
+
+    # point-to-point: FIFO zip per (src, dst, comm, tag) channel
+    channels = set(sends)
+    channels.update((src, dst, comm, tag)
+                    for (dst, src, comm, tag) in recvs)
+    for key in sorted(channels):
+        src, dst, comm, tag = key
+        send_seqs, send_fns = sends.get(key, ((), ()))
+        recv_seqs = recvs.get((dst, src, comm, tag), ())
+        for k in range(max(len(send_seqs), len(recv_seqs))):
+            has_send = k < len(send_seqs)
+            matches.append(SyncMatch(
+                kind=KIND_P2P,
+                fn=(FN_NAMES[send_fns[k]] if has_send else "Send"),
+                comm_id=comm,
+                src=((src, send_seqs[k]) if has_send else None),
+                dst=((dst, recv_seqs[k]) if k < len(recv_seqs) else None)))
+
+    # PSCW: k-th post at (rank, win, origin) <-> k-th start at
+    # (origin, win, rank); symmetrically complete <-> wait
+    cursors: Dict[Tuple[int, int, int], int] = {}
+    for rank, seq, win, group in post_events:
+        for origin in group:
+            k = cursors.get((rank, win, origin), 0)
+            cursors[(rank, win, origin)] = k + 1
+            start_seqs = starts.get((origin, win, rank), ())
+            matches.append(SyncMatch(
+                kind=KIND_POST_START, fn="Win_post", win_id=win,
+                src=(rank, seq),
+                dst=((origin, start_seqs[k])
+                     if k < len(start_seqs) else None)))
+    cursors = {}
+    for rank, seq, win, group in complete_events:
+        for target in group:
+            k = cursors.get((rank, win, target), 0)
+            cursors[(rank, win, target)] = k + 1
+            wait_seqs = waits.get((target, win, rank), ())
+            matches.append(SyncMatch(
+                kind=KIND_COMPLETE_WAIT, fn="Win_complete", win_id=win,
+                src=(rank, seq),
+                dst=((target, wait_seqs[k])
+                     if k < len(wait_seqs) else None)))
+    return matches

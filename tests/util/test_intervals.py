@@ -1,13 +1,16 @@
 """Unit + property tests for the byte-interval algebra."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.intervals import (Interval, IntervalSet, IntervalTable,
-                                  _group_keys, datamap_intervals,
+                                  _group_keys, _grouped_keys,
+                                  datamap_intervals, grouped_searchsorted,
                                   naive_overlap_join, overlap_join,
-                                  unique_pairs)
+                                  pair_order, unique_pairs)
 
 
 # ----------------------------------------------------------------------
@@ -408,3 +411,80 @@ def test_prop_overlap_join_symmetric(a, b):
     ab = _pair_set(*overlap_join(a, b))
     ba = _pair_set(*overlap_join(b, a))
     assert ab == {(x, y) for (y, x) in ba}
+
+
+# ----------------------------------------------------------------------
+# grouped_searchsorted / pair_order: a composite key, a dense fallback
+# ----------------------------------------------------------------------
+
+_I64 = np.int64
+
+
+def _grouped_reference(group, value, q_group, q_value, side):
+    rows = sorted(zip(group.tolist(), value.tolist()))
+    find = bisect.bisect_left if side == "left" else bisect.bisect_right
+    return [find(rows, q) for q in zip(q_group.tolist(), q_value.tolist())]
+
+
+def _assert_grouped(group, value, q_group, q_value):
+    order = np.lexsort((value, group))
+    group, value = np.asarray(group, _I64)[order], \
+        np.asarray(value, _I64)[order]
+    q_group, q_value = np.asarray(q_group, _I64), np.asarray(q_value, _I64)
+    for side in ("left", "right"):
+        got = grouped_searchsorted(group, value, q_group, q_value, side)
+        assert got.tolist() == _grouped_reference(group, value, q_group,
+                                                  q_value, side)
+    if len(value):
+        at = pair_order(np.asarray(group), np.asarray(value))
+        assert sorted(zip(group.tolist(), value.tolist())) == \
+            list(zip(group[at].tolist(), value[at].tolist()))
+
+
+class TestGroupedSearchsorted:
+    LOW = -(1 << 62)
+
+    @pytest.mark.parametrize("top,high,composite", [
+        (0, (1 << 62) - 2, True),     # span 2**63 - 1: the key fits
+        (0, (1 << 62) - 1, False),    # span 2**63: dense ranks
+        (1, -2, True),                # two groups of span 2**62 - 1
+        (1, -1, False),               # two groups of span 2**62
+    ])
+    def test_each_side_of_the_fallback(self, top, high, composite):
+        group = np.array([0, 0, top, top], dtype=_I64)
+        value = np.array([self.LOW, high, self.LOW, high], dtype=_I64)
+        q_group = np.array([0, top, top, 0, top], dtype=_I64)
+        q_value = np.array([self.LOW, high, (self.LOW + high) // 2, high,
+                            self.LOW + 1], dtype=_I64)
+        assert (_grouped_keys(group, value, q_group, q_value)
+                is not None) == composite
+        assert (_grouped_keys(group, value) is not None) == composite
+        _assert_grouped(group, value, q_group, q_value)
+
+    def test_negative_values(self):
+        _assert_grouped([0, 0, 1, 2, 2], [-7, -3, -5, -9, 4],
+                        [0, 1, 1, 2, 2, 3], [-4, -5, -6, -9, 5, -100])
+
+    def test_empty_inputs(self):
+        empty = np.zeros(0, dtype=_I64)
+        one = np.array([1], dtype=_I64)
+        assert grouped_searchsorted(empty, empty, one, one).tolist() == [0]
+        assert grouped_searchsorted(one, one, empty, empty).tolist() == []
+        assert grouped_searchsorted(empty, empty, empty, empty).size == 0
+        assert pair_order(empty, empty).size == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 5),
+                              st.integers(-(1 << 63), (1 << 63) - 1)),
+                    max_size=12),
+           st.lists(st.tuples(st.integers(0, 6),
+                              st.integers(-(1 << 63), (1 << 63) - 1)),
+                    max_size=8))
+    def test_prop_matches_bisect(self, rows, queries):
+        """Any int64 values, wide or narrow: either path answers as a
+        bisect over the sorted pairs does."""
+        rows = rows or [(0, 0)]
+        group, value = zip(*rows)
+        q_group, q_value = zip(*queries) if queries else ((), ())
+        _assert_grouped(np.array(group), np.array(value, dtype=_I64),
+                        np.array(q_group, dtype=_I64),
+                        np.array(q_value, dtype=_I64))
