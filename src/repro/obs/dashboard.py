@@ -397,11 +397,14 @@ def _workers_panel(entry: RunReport) -> str:
 
 def _scheduler(emission: Dict[str, Any]) -> str:
     """The simulator's token traffic: ``N handoffs, M wake-ups elided
-    (of G grants)``."""
+    (of G grants)``, and what the handoffs cost the OS when counted."""
     sched = emission["scheduler"]
-    return (f"{sched.get('handoffs', 0):,} thread handoffs, "
+    line = (f"{sched.get('handoffs', 0):,} thread handoffs, "
             f"{sched.get('wakeups_elided', 0):,} wake-ups elided "
             f"(of {sched.get('token_grants', 0):,} token grants)")
+    if "os_context_switches" in sched:
+        line += f", {sched['os_context_switches']:,} OS context switches"
+    return line
 
 
 def _emission_panel(entry: RunReport) -> str:

@@ -81,8 +81,8 @@ class RunReport:
     model: Dict[str, Any] = field(default_factory=dict)
     #: trace-generation stats (wall seconds, events/s, per-lane counts,
     #: the simulator's ``scheduler`` totals: thread handoffs, wake-ups
-    #: elided, token grants) — present when the run shared an obs
-    #: session with ``profile_run``
+    #: elided, token grants, the rank threads' OS context switches) —
+    #: present when the run shared an obs session with ``profile_run``
     emission: Dict[str, Any] = field(default_factory=dict)
     #: control-phase ingest: ``calls_ingested`` and ``calls_per_second``
     #: over the preprocess+matching+clocks+epochs group
@@ -262,7 +262,9 @@ def _emission(recorder) -> Dict[str, Any]:
     scheduler = {}
     for key, metric in (("handoffs", "simmpi_context_switches"),
                         ("wakeups_elided", "simmpi_wakeups_elided"),
-                        ("token_grants", "simmpi_token_grants")):
+                        ("token_grants", "simmpi_token_grants"),
+                        ("os_context_switches",
+                         "simmpi_os_context_switches")):
         gauge = recorder.registry.get(metric)
         if gauge is not None and gauge.value() is not None:
             scheduler[key] = int(gauge.value())

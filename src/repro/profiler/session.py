@@ -134,7 +134,8 @@ def baseline_run(app: Callable, nranks: int,
     world = World(nranks, sched_policy=sched_policy, seed=seed,
                   delivery=delivery)
     span = obs.span("profiler.baseline",
-                    app=getattr(app, "__name__", "app"), ranks=nranks)
+                    app=getattr(unwrap_app(app), "__name__", "app"),
+                    ranks=nranks)
     with span:
         world.run(app, params)
     world.publish_obs()

@@ -157,6 +157,11 @@ class World:
         rec.gauge("simmpi_token_grants", sched.token_grants,
                   help="Token grants issued by the scheduler, handoffs "
                        "and elided wake-ups alike")
+        os_switches = sched.os_switches()
+        if os_switches is not None:
+            rec.gauge("simmpi_os_context_switches", os_switches,
+                      help="OS context switches of the rank threads "
+                           "(voluntary + involuntary, getrusage)")
         token_times = sched.token_seconds()
         if token_times is not None:
             for rank, seconds in enumerate(token_times):

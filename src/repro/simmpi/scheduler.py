@@ -11,10 +11,12 @@ the next rank according to its policy:
   tests explore many interleavings (the analogue of rerunning a real MPI
   job and observing different timings).
 
-A handoff between two threads is the unit of cost here (6–7 µs and 3.4
-context switches on one CPU: a lock token wakes its peer into a GIL the
-waker still holds; docs/performance.md), so the token only ever travels
-to a rank that can run.  A rank blocked in :meth:`Scheduler.wait_until`
+A handoff between two threads is the unit of cost here.  A run is pinned
+to one CPU and its rank threads are batch-scheduled (:meth:`start`), so
+a released lock token does not preempt the waker that still holds the
+GIL: the woken rank runs once the waker parks, one context switch per
+handoff (docs/performance.md).  The token only ever travels to a rank
+that can run.  A rank blocked in :meth:`Scheduler.wait_until`
 leaves its predicate with the scheduler; when the policy picks that rank,
 the thread that is giving the token away evaluates the predicate itself —
 predicates are pure reads of state that only the token holder mutates —
@@ -38,6 +40,7 @@ for.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -46,6 +49,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.util.errors import DeadlockError, SimMPIError
+
+try:
+    import resource
+except ImportError:     # not a Unix: no per-thread context switch count
+    resource = None
 
 
 class _Abort(BaseException):
@@ -122,6 +130,11 @@ class Scheduler:
         self._token_times: Optional[List[float]] = (
             [0.0] * nranks if obs.is_enabled() else None)
         self._hold_start = 0.0
+        #: the rank threads' OS context switches (voluntary + involuntary,
+        #: added by each thread as it exits), under the same gate
+        self._os_switches: Optional[int] = (
+            0 if obs.is_enabled() and hasattr(resource, "RUSAGE_THREAD")
+            else None)
 
     # ------------------------------------------------------------------
     # state inspection
@@ -139,6 +152,11 @@ class Scheduler:
         """Per-rank token-hold seconds; ``None`` when observability is off."""
         return list(self._token_times) if self._token_times is not None \
             else None
+
+    def os_switches(self) -> Optional[int]:
+        """The rank threads' OS context switches; ``None`` when
+        observability is off or the platform cannot count them."""
+        return self._os_switches
 
     def register_progress(self) -> None:
         """Record that global state changed; resets deadlock suspicion.
@@ -340,13 +358,24 @@ class Scheduler:
     def start(self, bodies: List[Callable[[], None]]) -> None:
         """Run one thread per rank body and block until all complete.
 
-        Re-raises the first application exception (or the deadlock /
-        livelock error) after all threads have unwound.
+        The run is pinned to one CPU of the caller's allowed set (the
+        rank threads inherit the mask; the caller's comes back on every
+        exit path) and each rank thread is batch-scheduled, so a token
+        handoff costs one context switch.  Re-raises the first
+        application exception (or the deadlock / livelock error) after
+        all threads have unwound.
         """
         if len(bodies) != self.nranks:
             raise ValueError("need exactly one body per rank")
 
         def runner(rank: int, body: Callable[[], None]) -> None:
+            try:
+                # no wake-up preemption: a rank released from its token
+                # runs once its waker parks, not while the waker still
+                # holds the GIL
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            except (AttributeError, OSError):
+                pass
             try:
                 with self._lock:
                     self._wait_for_token_locked(rank)
@@ -362,17 +391,37 @@ class Scheduler:
                 with self._lock:
                     self._retire_locked(rank)
                     self._abort_locked(exc, rank)
+            finally:
+                if self._os_switches is not None:
+                    usage = resource.getrusage(resource.RUSAGE_THREAD)
+                    with self._lock:
+                        self._os_switches += usage.ru_nvcsw + usage.ru_nivcsw
 
         threads = [
             threading.Thread(target=runner, args=(r, b), name=f"simmpi-rank-{r}",
                              daemon=True)
             for r, b in enumerate(bodies)
         ]
-        for t in threads:
-            t.start()
-        with self._lock:
-            self._grant_locked()
-        for t in threads:
-            t.join()
+        # one rank runs at a time, so the run needs one CPU; spread
+        # concurrent simulators over the allowed set by pid
+        try:
+            mask = os.sched_getaffinity(0)
+            allowed = sorted(mask)
+            os.sched_setaffinity(0, {allowed[os.getpid() % len(allowed)]})
+        except (AttributeError, OSError):
+            mask = None
+        try:
+            for t in threads:
+                t.start()
+            with self._lock:
+                self._grant_locked()
+            for t in threads:
+                t.join()
+        finally:
+            if mask is not None:
+                try:
+                    os.sched_setaffinity(0, mask)
+                except OSError:
+                    pass
         if self._abort_exc is not None:
             raise self._abort_exc

@@ -1,6 +1,7 @@
 """End-to-end observability: instrumented pipeline layers and CLI exports."""
 
 import json
+import resource
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestPipelineSpans:
         span, = enabled.spans.by_name("profiler.baseline")
         assert elapsed == span.duration
 
+    def test_both_arms_name_a_partial_app_alike(self, enabled, tmp_path):
+        """Figure 8's native and profiled arms label one app the same,
+        also when it is handed over as a ``functools.partial``."""
+        from functools import partial
+        app = partial(lu, n=10)
+        baseline_run(app, 2)
+        profile_run(app, 2, trace_dir=str(tmp_path))
+        base, = enabled.spans.by_name("profiler.baseline")
+        run, = enabled.spans.by_name("profiler.run")
+        assert base.attrs["app"] == run.attrs["app"] == "lu"
+
 
 class TestPipelineMetrics:
     def test_scheduler_and_profiler_counters(self, enabled, tmp_path):
@@ -95,6 +107,20 @@ class TestPipelineMetrics:
         assert reg.get("simmpi_context_switches").value() == sched.switches
         assert reg.get("simmpi_token_grants").value() == \
             sched.switches + sched.elided + world.nranks
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                        reason="no per-thread rusage")
+    def test_os_context_switches_published_beside_handoffs(self, enabled):
+        from repro.simmpi.runtime import World
+
+        world = World(3)
+        world.run(lambda mpi: [mpi.barrier() for _ in range(5)])
+        world.publish_obs()
+        reg = enabled.registry
+        assert world.scheduler.os_switches() > 0
+        assert reg.get("simmpi_os_context_switches").value() == \
+            world.scheduler.os_switches()
+        assert reg.get("simmpi_context_switches").value() > 0
 
     def test_per_rank_run_time_gauges(self, enabled, tmp_path):
         profile_run(lu, 3, params=dict(n=10), trace_dir=str(tmp_path))

@@ -43,7 +43,9 @@ def test_emission_carries_the_scheduler_totals(tmp_path):
                   for key, name in (
                       ("handoffs", "simmpi_context_switches"),
                       ("wakeups_elided", "simmpi_wakeups_elided"),
-                      ("token_grants", "simmpi_token_grants"))}
+                      ("token_grants", "simmpi_token_grants"),
+                      ("os_context_switches",
+                       "simmpi_os_context_switches"))}
     finally:
         obs.reset()
     assert rr.emission["scheduler"] == gauges
