@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
-from repro.core.calltable import total_calls
+from repro.core.calltable import ensure_call_tables, total_calls
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.diagnostics import (
@@ -199,7 +199,9 @@ class MCChecker:
         plan = timed("plan", lambda: ShardPlan.build(control))
         found, chunks = timed("detect", lambda: detect_shards(
             plan.units(control, range(len(plan))), control,
-            self.memory_model, _RowLoader(self.traces), self.jobs),
+            self.memory_model,
+            _RowLoader(self.traces, ensure_call_tables(control.pre)),
+            self.jobs),
             shards=len(plan), jobs=self.jobs)
         plan.publish_obs(chunks)
         return timed("merge", lambda: plan.merge(enumerate(found)))

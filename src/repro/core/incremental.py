@@ -102,6 +102,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.calltable import ensure_call_tables
 from repro.core.checker import (
     CheckReport, CheckStats, publish_report_obs, run_control_pass,
 )
@@ -291,7 +292,8 @@ class IncrementalChecker:
         # populated by run(); public for tests
         self.control: Optional[ControlState] = None
         self.plan: Optional[CachePlan] = None
-        self.loader = _RowLoader(self.traces)
+        #: reads no rows until a plan hands it the call tables
+        self.loader = _RowLoader(self.traces, {})
         #: indices (into the plan's arrays) of the shards re-analyzed
         self.dirty_shards: List[int] = []
         self._packs_read = 0
@@ -420,7 +422,10 @@ class IncrementalChecker:
 
     def _build_plan(self, control: ControlState, whole: Dict[int, str],
                     manifest: Optional[_Manifest]) -> CachePlan:
-        """Cut the shard plan and key every shard by its content."""
+        """Cut the shard plan and key every shard by its content; the
+        rows it reads are checked against ``control``'s calls."""
+        self.loader = _RowLoader(self.traces,
+                                 ensure_call_tables(control.pre))
         shards = ShardPlan.build(control)
         first, last = shards.first, shards.last
         epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start

@@ -34,7 +34,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.calltable import ensure_call_table, fn_code, per_fn
+from repro.core.calltable import (
+    ensure_call_table, ensure_call_tables, fn_code, per_fn,
+)
 from repro.core.clocks import Span
 from repro.core.compat import ACC, GET, KINDS, LOAD, PUT, STORE
 from repro.core.epochs import Epoch, EpochIndex, OPEN_ENDED
@@ -71,14 +73,24 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _STORE_CODE = ACCESS_CODES["store"]
 
 
-def check_address_columns(rank: int, seq, addr, size) -> None:
-    """Reject memory rows outside the non-negative int64 address space.
+def check_mem_rows(rank: int, rows: np.ndarray, calls: np.ndarray,
+                   after: Optional[int] = None) -> None:
+    """Refuse memory rows the kernels would silently misread.
 
-    The sweep engine computes ``addr + size`` in int64 and drops empty
-    intervals, so a row with a negative size, a negative address, or an
-    end that wraps would silently conflict with nothing — a clean
-    verdict from a corrupt trace.  Raise a typed error instead."""
-    addr, size = np.asarray(addr), np.asarray(size)
+    * Rows outside the non-negative int64 address space: the sweep
+      engine computes ``addr + size`` in int64 and drops empty
+      intervals, so a negative size, a negative address or an end that
+      wraps would conflict with nothing.
+    * Rows out of trace order: epochs, regions and shards take a rank's
+      rows by bisecting ``seq`` between two of its calls' seqs (both
+      bounds exclusive), so a row whose seq does not increase, or that
+      repeats a call's seq (``calls``: the rank's call seq column), leaves
+      its range or joins another.
+
+    Either way a corrupt trace would get a wrong verdict, clean ones
+    included; raise a typed error instead.  ``after`` is the seq of the
+    row before ``rows`` when a rank is read a block at a time."""
+    seq, addr, size = rows["seq"], rows["addr"], rows["size"]
     bad = (addr < 0) | (size < 0) | (addr > _INT64_MAX - np.maximum(size, 0))
     if bad.any():
         i = int(np.argmax(bad))
@@ -86,6 +98,22 @@ def check_address_columns(rank: int, seq, addr, size) -> None:
             f"rank {rank} seq {int(seq[i])}: memory access addr="
             f"{int(addr[i])} size={int(size[i])} lies outside the "
             f"non-negative int64 address space")
+    if after is not None:
+        seq = np.concatenate(([after], seq))
+    late = np.nonzero(seq[1:] <= seq[:-1])[0]
+    if len(late):
+        i = int(late[0]) + 1
+        raise AnalysisError(
+            f"rank {rank}: memory seq {int(seq[i])} follows "
+            f"{int(seq[i - 1])}: seq is not strictly increasing over the "
+            "rank's memory rows")
+    if len(calls):
+        at = np.searchsorted(calls, seq).clip(max=len(calls) - 1)
+        clash = np.nonzero(calls[at] == seq)[0]
+        if len(clash):
+            raise AnalysisError(
+                f"rank {rank}: memory seq {int(seq[clash[0]])} is also a "
+                "call's seq")
 
 
 def _check_address_space(rank: int, seq: int, what: str,
@@ -199,7 +227,7 @@ class MemRows:
 
     @classmethod
     def from_struct(cls, rank: int, table, arr: np.ndarray) -> "MemRows":
-        check_address_columns(rank, arr["seq"], arr["addr"], arr["size"])
+        """Rows already passed by :func:`check_mem_rows`."""
         # contiguous copies detach the columns from any mmap backing
         return cls(rank, table,
                    np.ascontiguousarray(arr["seq"]),
@@ -210,7 +238,10 @@ class MemRows:
                    np.ascontiguousarray(arr["access"]))
 
     @classmethod
-    def from_blocks(cls, rank: int, blocks: List) -> "MemRows":
+    def from_blocks(cls, rank: int, blocks: List,
+                    calls: np.ndarray) -> "MemRows":
+        """A rank's whole memory trace; ``calls`` is its call seq
+        column (:func:`check_mem_rows`)."""
         if not blocks:
             empty64 = np.empty(0, dtype=np.int64)
             return cls(rank, None, empty64, empty64, empty64,
@@ -219,6 +250,7 @@ class MemRows:
                        np.empty(0, dtype=np.uint8))
         arrays = [block.array for block in blocks]
         arr = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        check_mem_rows(rank, arr, calls)
         return cls.from_struct(rank, blocks[0].table, arr)
 
     def __len__(self) -> int:
@@ -392,13 +424,14 @@ def build_access_model_sweep(pre: PreprocessedTrace,
     second call pass — and not even those where the preprocess pass
     produced them on the way (``pre.mem_blocks``: the batch checker)."""
     table = OpTable(pre, epoch_index)
+    calls = ensure_call_tables(pre)
     mems: Dict[int, MemRows] = {}
     for rank in range(pre.nranks):
         blocks = pre.mem_blocks.pop(rank, None)
         if blocks is None:
             with traces.reader(rank) as reader:
                 blocks = list(reader.mem_blocks())
-        mems[rank] = MemRows.from_blocks(rank, blocks)
+        mems[rank] = MemRows.from_blocks(rank, blocks, calls[rank].seq)
     return AccessModel(ops=table.ops, local=table.local, mems=mems,
                        table=table)
 

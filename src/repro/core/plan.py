@@ -62,7 +62,7 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.core.calltable import ensure_call_tables
+from repro.core.calltable import CallTable, ensure_call_tables
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.diagnostics import ConsistencyError
 from repro.core.engine import (
@@ -71,7 +71,7 @@ from repro.core.engine import (
 )
 from repro.core.epochs import EpochIndex, LocalLockIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import MemRows, OpTable, check_address_columns
+from repro.core.model import MemRows, OpTable, check_mem_rows
 from repro.core.preprocess import (
     PreprocessedTrace, preprocess_calls_with_counts,
 )
@@ -435,10 +435,13 @@ class _RowLoader:
     once per run — as one struct array for the slice digests, as
     :class:`MemRows` columns for the kernels.  Forward cursor
     (:meth:`take`): the rows before a seq bound, then forgotten.  One
-    loader serves one of the two."""
+    loader serves one of the two.  Every row is checked
+    (:func:`~repro.core.model.check_mem_rows`) against its rank's call
+    table in ``calls`` as it is read."""
 
-    def __init__(self, traces: TraceSet):
+    def __init__(self, traces: TraceSet, calls: Dict[int, CallTable]):
         self._traces = traces
+        self._calls = calls
         #: rank -> [struct array (until the columns replace it), string
         #: table, string-table digest]
         self._packed: Dict[int, list] = {}
@@ -456,8 +459,7 @@ class _RowLoader:
                 # concatenate copies, which detaches the rows from the map
                 rows = (np.concatenate([block.array for block in blocks])
                         if blocks else np.empty(0, dtype=MEM_DTYPE))
-            check_address_columns(rank, rows["seq"], rows["addr"],
-                                  rows["size"])
+            check_mem_rows(rank, rows, self._calls[rank].seq)
             table = blocks[0].table if blocks else None
             entry = self._packed[rank] = [rows, table, hash_strings(
                 table.strings if table is not None else [])]
@@ -478,9 +480,14 @@ class _RowLoader:
         return sorted(self._packed)
 
     def _blocks(self, rank: int):
+        last = None
         for block in self._traces.mem_blocks(rank):
             # the copy detaches the rows from the map
-            yield block.table, np.array(block.array)
+            rows = np.array(block.array)
+            check_mem_rows(rank, rows, self._calls[rank].seq, after=last)
+            if len(rows):
+                last = int(rows["seq"][-1])
+            yield block.table, rows
 
     def take(self, rank: int, upto: int) -> Optional[MemRows]:
         """Drain the rank's rows with ``seq < upto`` — those not handed

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 from repro.core import engine
+from repro.core.calltable import ensure_call_tables
 from repro.core.diagnostics import ConsistencyError, dedupe, sort_findings
 from repro.core.plan import (
     ShardFindings, ShardPlan, _RowLoader, build_control_state, phase_timer,
@@ -92,7 +93,8 @@ class StreamingChecker:
 
     def run(self) -> Iterator[ShardReport]:
         """Pass 2: yield per-shard findings, release by release."""
-        loader = _RowLoader(self.traces)
+        loader = _RowLoader(self.traces,
+                            ensure_call_tables(self.control.pre))
         for lo, hi in engine.batch_bounds(self.plan.rows.tolist(),
                                           engine.BATCH_ROWS):
             found = self._timed(

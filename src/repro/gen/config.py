@@ -63,9 +63,9 @@ class GenConfig:
     bugs: Tuple[str, ...] = ()
     #: window/origin elements per action slot (slot granularity)
     slot_elems: int = 2
-    #: semantic repetitions of each local access (the bulk producer lane
-    #: turns these into one columnar record, scaling event counts into
-    #: the millions without per-event cost)
+    #: semantic repetitions of each local access (the profiler logs them
+    #: as one block record, scaling event counts into the millions
+    #: without per-event cost)
     reps: int = 1
     #: probability that a lock_all round issues a mid-epoch flush_all
     flush_prob: float = 0.25

@@ -164,7 +164,7 @@ def render_run_text(entry: RunReport) -> str:
             f"wall, {emission.get('events_per_second', 0.0):,.0f} events/s")
         emitted = emission.get("emitted", {})
         if emitted:
-            lines.append("    lanes: " + ", ".join(
+            lines.append("    emitted: " + ", ".join(
                 f"{kind}={int(count)}"
                 for kind, count in sorted(emitted.items())))
         if emission.get("scheduler"):
@@ -423,13 +423,12 @@ def _emission_panel(entry: RunReport) -> str:
     emitted = emission.get("emitted", {})
     if emitted:
         top = max(emitted.values()) or 1.0
-        parts.append("<table><tr><th>kind / lane</th>"
+        parts.append("<table><tr><th>kind</th>"
                      "<th class=num>events</th><th></th></tr>")
         for key, count in sorted(emitted.items()):
-            cls = "bar hit" if key.endswith("/bulk") else "bar"
             parts.append(f"<tr><td><code>{html.escape(key)}</code></td>"
                          f"<td class=num>{int(count)}</td>"
-                         f"<td>{_svg_bar(count / top, cls)}</td></tr>")
+                         f"<td>{_svg_bar(count / top)}</td></tr>")
         parts.append("</table>")
     return "".join(parts)
 

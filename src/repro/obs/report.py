@@ -79,10 +79,11 @@ class RunReport:
     #: built per kind (``op``, ``local``, ``event``, ``epoch``,
     #: ``region``) — all zero on a clean trace
     model: Dict[str, Any] = field(default_factory=dict)
-    #: trace-generation stats (wall seconds, events/s, per-lane counts,
-    #: the simulator's ``scheduler`` totals: thread handoffs, wake-ups
-    #: elided, token grants, the rank threads' OS context switches) —
-    #: present when the run shared an obs session with ``profile_run``
+    #: trace-generation stats (wall seconds, events/s, ``emitted`` events
+    #: by kind — ``call``, ``mem`` — and the simulator's ``scheduler``
+    #: totals: thread handoffs, wake-ups elided, token grants, the rank
+    #: threads' OS context switches) — present when the run shared an obs
+    #: session with ``profile_run``
     emission: Dict[str, Any] = field(default_factory=dict)
     #: control-phase ingest: ``calls_ingested`` and ``calls_per_second``
     #: over the preprocess+matching+clocks+epochs group
@@ -256,8 +257,7 @@ def _emission(recorder) -> Dict[str, Any]:
             out["events_per_second"] = value
     if emitted is not None:
         out["emitted"] = dict(sorted(
-            (f"{labels.get('kind', '?')}/{labels.get('lane', '?')}",
-             int(value))
+            (labels.get("kind", "?"), int(value))
             for labels, value in emitted.samples()))
     scheduler = {}
     for key, metric in (("handoffs", "simmpi_context_switches"),

@@ -49,10 +49,8 @@ class ProfilerHook(EventHook):
             for rank in range(nranks)
         ]
         self._seq = [0] * nranks
-        # lane accounting (satellite observability: scalar vs bulk mix)
         self._calls = 0
-        self._scalar_mems = 0
-        self._bulk_mems = 0
+        self._mems = 0
 
     # -- EventHook interface -------------------------------------------
 
@@ -63,15 +61,6 @@ class ProfilerHook(EventHook):
         self._calls += 1
         self._writers[rank].append_call(fn, args, loc, seq)
 
-    def on_mem(self, rank: int, kind: str, buf: TrackedBuffer, addr: int,
-               size: int) -> None:
-        loc = capture_location() if self.capture_locations else None
-        seq = self._seq[rank]
-        self._seq[rank] = seq + 1
-        self._scalar_mems += 1
-        self._writers[rank].append_mem_columns(
-            kind, buf.name, loc, seq, addr, size, 1)
-
     def on_mem_block(self, rank: int, kind: str, buf: TrackedBuffer,
                      addr: int, size: int, count: int, stride: int) -> None:
         if count <= 0:
@@ -79,7 +68,7 @@ class ProfilerHook(EventHook):
         loc = capture_location() if self.capture_locations else None
         seq = self._seq[rank]
         self._seq[rank] = seq + count
-        self._bulk_mems += count
+        self._mems += count
         self._writers[rank].append_mem_columns(
             kind, buf.name, loc, seq, addr, size, count, stride)
 
@@ -118,12 +107,9 @@ class ProfilerHook(EventHook):
     def bytes_written(self) -> int:
         return sum(w.bytes_written for w in self._writers)
 
-    def lane_counts(self) -> Dict[str, Dict[str, int]]:
-        """Emitted-event totals by event kind and producer lane."""
-        return {
-            "call": {"scalar": self._calls},
-            "mem": {"scalar": self._scalar_mems, "bulk": self._bulk_mems},
-        }
+    def emitted(self) -> Dict[str, int]:
+        """Emitted-event totals by event kind."""
+        return {"call": self._calls, "mem": self._mems}
 
     def events_by_rank(self) -> List[int]:
         return [w.events_written for w in self._writers]

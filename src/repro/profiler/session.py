@@ -38,7 +38,6 @@ class ProfiledRun:
     traces: TraceSet
     results: List[Any]
     report: Optional[InstrumentationReport]
-    world_stats: Dict[str, int]
     elapsed: float
     events_written: int
 
@@ -53,13 +52,10 @@ def _publish_profiler_metrics(hook: ProfilerHook, elapsed: float) -> None:
     for rank, nbytes in enumerate(hook.bytes_by_rank()):
         rec.count("profiler_bytes_written_total", nbytes, rank=rank,
                   help="Trace bytes written, per rank")
-    for kind, lanes in hook.lane_counts().items():
-        for lane, n in lanes.items():
-            if n:
-                rec.count("profiler_emitted_events_total", n, kind=kind,
-                          lane=lane,
-                          help="Events emitted, by kind and producer lane "
-                               "(scalar objects vs bulk columns)")
+    for kind, n in hook.emitted().items():
+        if n:
+            rec.count("profiler_emitted_events_total", n, kind=kind,
+                      help="Events emitted, by kind")
     rec.gauge("profiler_emission_seconds", elapsed,
               help="Wall time of the last instrumented execution "
                    "(simulate + profile + write)")
@@ -116,7 +112,6 @@ def profile_run(app: Callable, nranks: int,
         traces=TraceSet(trace_dir),
         results=results,
         report=report,
-        world_stats=dict(world.stats),
         elapsed=span.duration,
         events_written=hook.events_written,
     )

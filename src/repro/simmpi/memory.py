@@ -3,8 +3,9 @@
 The paper's Profiler instruments CPU load/store instructions selected by
 ST-Analyzer (sections IV-A/IV-B).  Python has no load/store instructions to
 instrument, so the substitute is :class:`TrackedBuffer`: a numpy-backed
-buffer whose element reads and writes pass through ``load``/``store`` hooks
-carrying a *virtual address* and byte size.  Addresses are allocated from a
+buffer whose element reads and writes reach one block hook carrying a
+*virtual address*, a byte size, a count and a stride — an element or a
+slice is a block of one.  Addresses are allocated from a
 per-rank :class:`AddressSpace`, so all downstream overlap logic (window
 containment, conflict intervals) is byte-accurate, exactly as with real
 addresses.
@@ -28,17 +29,13 @@ import numpy as np
 
 from repro.util.errors import SimMPIError
 
-#: Hook signature: (kind, buffer, byte_addr, byte_size) -> None, with kind
-#: one of ``"load"`` or ``"store"``.
-AccessHook = Callable[[str, "TrackedBuffer", int, int], None]
-
-#: Bulk-hook signature: (kind, buffer, byte_addr, byte_size, count,
-#: byte_stride) -> None.  One call describes ``count`` accesses of
-#: ``byte_size`` bytes each, access *i* at ``byte_addr + i * byte_stride``;
-#: a stride of 0 means the same bytes are touched ``count`` times (a loop
-#: re-reading one slice).  This is the producer-side columnar record: a
-#: vectorized access reaches the profiler as one call instead of ``count``
-#: scalar events.
+#: Hook signature: (kind, buffer, byte_addr, byte_size, count,
+#: byte_stride) -> None, with kind one of ``"load"`` or ``"store"``.  One
+#: call describes ``count`` accesses of ``byte_size`` bytes each, access
+#: *i* at ``byte_addr + i * byte_stride``; a stride of 0 means the same
+#: bytes are touched ``count`` times (a loop re-reading one slice).  An
+#: element or slice access is a block of one (``count=1, stride=0``); a
+#: vectorized access reaches the profiler as one call, not ``count``.
 BlockHook = Callable[[str, "TrackedBuffer", int, int, int, int], None]
 
 _ALLOC_BASE = 0x1000
@@ -83,7 +80,7 @@ class TrackedBuffer:
     """
 
     __slots__ = ("name", "base", "array", "itemsize", "rank",
-                 "instrumented", "_hook", "_block_hook")
+                 "instrumented", "_block_hook")
 
     def __init__(self, space: AddressSpace, name: str, count: int,
                  np_dtype: Union[str, np.dtype] = np.float64,
@@ -98,15 +95,11 @@ class TrackedBuffer:
         else:
             self.array = np.full(count, fill, dtype=dtype)
         self.instrumented = False
-        self._hook: Optional[AccessHook] = None
         self._block_hook: Optional[BlockHook] = None
 
     # ------------------------------------------------------------------
     # hook management (profiler attach/detach)
     # ------------------------------------------------------------------
-
-    def set_hook(self, hook: Optional[AccessHook]) -> None:
-        self._hook = hook
 
     def set_block_hook(self, hook: Optional[BlockHook]) -> None:
         self._block_hook = hook
@@ -143,22 +136,13 @@ class TrackedBuffer:
     def _emit_block(self, kind: str, index: int, nelems: int,
                     nrows: int, row_stride: int) -> None:
         """Record ``nrows`` accesses of ``nelems`` elements, row *i* at
-        element index ``index + i * row_stride``.  Prefers the bulk hook
-        (one columnar record); without one, decomposes into per-row
-        scalar hook calls so both lanes observe the same access stream.
-        """
-        if not self.instrumented or nrows <= 0 or nelems <= 0:
+        element index ``index + i * row_stride``, as one hook call."""
+        if (not self.instrumented or self._block_hook is None
+                or nrows <= 0 or nelems <= 0):
             return
-        size = nelems * self.itemsize
-        if self._block_hook is not None:
-            self._block_hook(kind, self, self.addr_of(index), size,
-                             nrows, row_stride * self.itemsize)
-        elif self._hook is not None:
-            hook = self._hook
-            addr = self.addr_of(index)
-            stride = row_stride * self.itemsize
-            for i in range(nrows):
-                hook(kind, self, addr + i * stride, size)
+        self._block_hook(kind, self, self.addr_of(index),
+                         nelems * self.itemsize, nrows,
+                         row_stride * self.itemsize)
 
     def _resolve(self, key: Union[int, slice]):
         if isinstance(key, slice):

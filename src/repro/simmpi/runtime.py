@@ -21,10 +21,11 @@ them with :func:`run_app` (or :class:`World` directly for more control)::
     run_app(main, nranks=2)
 
 Profiling hooks: a :class:`EventHook` registered on the world observes
-every MPI call (``on_call``) and every instrumented load/store
-(``on_mem``).  With no hooks registered the hot paths reduce to a single
-``None``-check, which is what makes the "without Profiler" arm of the
-Figure-8 overhead experiment meaningful.
+every MPI call (``on_call``) and every instrumented load/store, as a
+block of ``count`` accesses (``on_mem_block``; an element or slice
+access is a block of one).  With no hooks registered the hot paths
+reduce to an empty loop, which is what makes the "without Profiler" arm
+of the Figure-8 overhead experiment meaningful.
 """
 
 from __future__ import annotations
@@ -59,21 +60,11 @@ class EventHook:
     def on_call(self, rank: int, fn: str, args: Dict[str, Any]) -> None:
         """An MPI call by ``rank``; ``args`` are trace-ready scalars."""
 
-    def on_mem(self, rank: int, kind: str, buf: TrackedBuffer, addr: int,
-               size: int) -> None:
-        """An instrumented load/store by ``rank``."""
-
     def on_mem_block(self, rank: int, kind: str, buf: TrackedBuffer,
                      addr: int, size: int, count: int, stride: int) -> None:
-        """``count`` instrumented accesses of ``size`` bytes by ``rank``,
-        access *i* at ``addr + i * stride`` (``stride`` 0: the same bytes
-        ``count`` times).  The default decomposes into per-access
-        :meth:`on_mem` calls, so hooks that never opt into columnar
-        handling observe the exact scalar event stream — which also makes
-        this decomposition the reference lane for differential tests."""
-        on_mem = self.on_mem
-        for i in range(count):
-            on_mem(rank, kind, buf, addr + i * stride, size)
+        """``count`` instrumented loads/stores of ``size`` bytes by
+        ``rank``, access *i* at ``addr + i * stride`` (``stride`` 0: the
+        same bytes ``count`` times; one element or slice: ``count`` 1)."""
 
     def on_alloc(self, rank: int, buf: TrackedBuffer) -> None:
         """A buffer allocation by ``rank`` (instrumentation decisions)."""
@@ -91,16 +82,14 @@ class World:
 
     def __init__(self, nranks: int, sched_policy: str = "round_robin",
                  seed: int = 0, delivery: str = "random",
-                 max_steps: int = 50_000_000,
-                 collect_stats: Optional[bool] = None):
+                 max_steps: int = 50_000_000):
         from repro import obs
 
         self.nranks = nranks
-        # Stats feed publish_obs only, so by default they are collected
-        # exactly when observability is on; with it off the hot paths
-        # skip the per-call dict/counter work (and the f-string keys).
-        self.collect_stats = (obs.is_enabled() if collect_stats is None
-                              else bool(collect_stats))
+        # Stats feed publish_obs only, so they are counted exactly when
+        # observability is on; with it off the hot paths skip the
+        # per-call dict/counter work (and the f-string keys).
+        self.counting = obs.is_enabled()
         self.scheduler = Scheduler(nranks, policy=sched_policy, seed=seed,
                                    max_steps=max_steps)
         self.router = MessageRouter(nranks)
@@ -204,15 +193,10 @@ class World:
 
 def run_app(app: Callable, nranks: int, params: Optional[Dict[str, Any]] = None,
             sched_policy: str = "round_robin", seed: int = 0,
-            delivery: str = "random",
-            hooks: Optional[Sequence[EventHook]] = None,
-            collect_stats: Optional[bool] = None) -> List[Any]:
+            delivery: str = "random") -> List[Any]:
     """Convenience wrapper: build a world, run the app, return rank results."""
-    world = World(nranks, sched_policy=sched_policy, seed=seed,
-                  delivery=delivery, collect_stats=collect_stats)
-    if hooks:
-        world.hooks.extend(hooks)
-    return world.run(app, params)
+    return World(nranks, sched_policy=sched_policy, seed=seed,
+                 delivery=delivery).run(app, params)
 
 
 class MPIContext:
@@ -244,7 +228,7 @@ class MPIContext:
         """One call event, on this rank's thread (for a window call that
         yields into its wait)."""
         world = self.world
-        if world.collect_stats:
+        if world.counting:
             world.bump_stat(f"call:{fn}")
         for hook in world.hooks:
             hook.on_call(self.rank, fn, args)
@@ -253,24 +237,16 @@ class MPIContext:
         """One call event + one yield point; every call that does not
         block funnels here."""
         world = self.world
-        if world.collect_stats:
+        if world.counting:
             world.bump_stat(f"call:{fn}")
         for hook in world.hooks:
             hook.on_call(self.rank, fn, args)
         world.scheduler.yield_point(self.rank)
 
-    def _mem_hook(self, kind: str, buf: TrackedBuffer, addr: int,
-                  size: int) -> None:
-        world = self.world
-        if world.collect_stats:
-            world.bump_stat(f"mem:{kind}")
-        for hook in world.hooks:
-            hook.on_mem(self.rank, kind, buf, addr, size)
-
     def _mem_block_hook(self, kind: str, buf: TrackedBuffer, addr: int,
                         size: int, count: int, stride: int) -> None:
         world = self.world
-        if world.collect_stats:
+        if world.counting:
             world.bump_stat(f"mem:{kind}", count)
         for hook in world.hooks:
             hook.on_mem_block(self.rank, kind, buf, addr, size, count, stride)
@@ -301,7 +277,7 @@ class MPIContext:
         # emitted here, not through _emit: one runtime frame fewer for
         # capture_location to walk
         fn, args = event
-        if world.collect_stats:
+        if world.counting:
             world.bump_stat(f"call:{fn}")
         for hook in world.hooks:
             hook.on_call(rank, fn, args)
@@ -330,10 +306,9 @@ class MPIContext:
         else:
             np_dtype = np.dtype(datatype)
         buf = TrackedBuffer(self.space, name, count, np_dtype, fill=fill)
-        buf.set_hook(self._mem_hook)
         buf.set_block_hook(self._mem_block_hook)
         self._buffers.append(buf)
-        if self.world.collect_stats:
+        if self.world.counting:
             self.world.bump_stat("alloc")
         for hook in self.world.hooks:
             hook.on_alloc(self.rank, buf)
@@ -551,7 +526,7 @@ class MPIContext:
             n = msg.elem_count if count is None else count
             args.update({"base": buf.base, "offset": offset * buf.itemsize,
                          "count": n, "dtype": dtype.type_id, "var": buf.name})
-        if self.world.collect_stats:
+        if self.world.counting:
             self.world.bump_stat("call:Recv")
         for hook in self.world.hooks:
             hook.on_call(self.rank, "Recv", args)
@@ -640,7 +615,7 @@ class MPIContext:
             args.update({"base": buf.base,
                          "offset": req._recv_offset * buf.itemsize,
                          "count": n, "dtype": dtype.type_id, "var": buf.name})
-        if self.world.collect_stats:
+        if self.world.counting:
             self.world.bump_stat("call:Wait")
         for hook in self.world.hooks:
             hook.on_call(self.rank, "Wait", args)
@@ -733,7 +708,7 @@ class MPIContext:
         self.world.collectives.leave(comm, index, slot, self.rank)
         req.complete = True
         # logged at completion, like a PMPI wrapper observing MPI_Wait
-        if self.world.collect_stats:
+        if self.world.counting:
             self.world.bump_stat("call:Wait")
         args = {"req_kind": "icoll", "coll": fn, "req": req_id,
                 "comm": comm.comm_id}

@@ -996,10 +996,10 @@ def _both_digests(events, directory, trace_format, lo, hi):
     with TraceWriter(path, 0, 1, format=trace_format) as writer:
         for event in events:
             writer.write(event)
-    loader = _RowLoader(TraceSet(str(directory)))
-    rows, _table, strings = loader.packed(0)
     with TraceReader(path) as reader:
         cols, _counts = reader.read_calls()
+        loader = _RowLoader(TraceSet(str(directory)), {0: reader.call_table})
+    rows, _table, strings = loader.packed(0)
     bounds = np.array([lo]), np.array([hi])
     return (incremental.slice_digests(cols, rows, strings, *bounds).tobytes(),
             reference_slice_digests(list(cols), rows, strings, [lo], [hi])[0])

@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
+from repro.core.calltable import ensure_call_tables
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.parallel import (
@@ -258,7 +259,7 @@ class TestWorkerFailure:
         control = build_control_state(traces)
         plan = ShardPlan.build(control)
         units = plan.units(control, range(len(plan)))
-        loader = _RowLoader(traces)
+        loader = _RowLoader(traces, ensure_call_tables(control.pre))
         mems = {rank: loader.rows(rank)
                 for rank in ranks_read(units, control)}
         columns = (control.table, control.members, control.oracle,

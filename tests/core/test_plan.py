@@ -25,6 +25,7 @@ from repro.apps.heat2d import heat2d
 from repro.apps.lu import lu
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core import engine
+from repro.core.calltable import ensure_call_tables
 from repro.core.checker import CheckReport, CheckStats, check_traces
 from repro.core.config import CheckConfig
 from repro.core.diagnostics import dedupe, sort_findings
@@ -98,7 +99,7 @@ class State:
         self.control = build_control_state(traces)
         self.plan = ShardPlan.build(self.control)
         self.units = self.plan.units(self.control, range(len(self.plan)))
-        loader = _RowLoader(traces)
+        loader = _RowLoader(traces, ensure_call_tables(self.control.pre))
         self.mems = {rank: loader.rows(rank)
                      for rank in ranks_read(self.units, self.control)}
         self.serial = {

@@ -30,8 +30,9 @@ def profiled():
 
 def test_emission_carries_the_scheduler_totals(tmp_path):
     """Profile and check in one session (the ``run-check`` path): the
-    run report says how many handoffs the producer made and how many
-    wake-ups it elided, in text and in the dashboard."""
+    run report says how many events of each kind the producer emitted,
+    how many handoffs it made and how many wake-ups it elided, in text
+    and in the dashboard."""
     from repro.apps.heat2d import heat2d
     rec = obs.configure(enabled=True)
     try:
@@ -49,6 +50,12 @@ def test_emission_carries_the_scheduler_totals(tmp_path):
     finally:
         obs.reset()
     assert rr.emission["scheduler"] == gauges
+    counts = run.traces.event_counts()
+    assert rr.emission["emitted"] == {"call": counts["call"],
+                                      "mem": counts["mem"]}
+    assert (f"emitted: call={counts['call']}, mem={counts['mem']}"
+            in render_run_text(rr))
+    assert "<code>mem</code>" in render_run_html(rr)
     assert gauges["wakeups_elided"] > 0
     line = (f"{gauges['handoffs']:,} thread handoffs, "
             f"{gauges['wakeups_elided']:,} wake-ups elided")
@@ -535,7 +542,9 @@ class TestDashboard:
     def test_entries_written_with_two_planes_still_render(self, profiled):
         """A ledger entry from before the control planes collapsed keys
         its ingest row by plane and carries engine/naive_inter in its
-        config: it must load and render beside today's flat shape."""
+        config, and one from before the producer lanes did keys its
+        emitted events by ``kind/lane``: it must load and render beside
+        today's flat shapes."""
         rr = checked_report(profiled)
         assert set(rr.control_plane) <= {"calls_ingested",
                                          "calls_per_second"}
@@ -543,7 +552,14 @@ class TestDashboard:
         payload = rr.to_dict()
         payload["config"].update(engine="sweep", naive_inter=False)
         payload["control_plane"] = {"columnar": dict(rr.control_plane)}
+        payload["emission"] = {"seconds": 0.5, "events_per_second": 80.0,
+                               "emitted": {"call/scalar": 30,
+                                           "mem/bulk": 10}}
         old = RunReport.from_dict(json.loads(json.dumps(payload)))
+        assert "emitted: call/scalar=30, mem/bulk=10" in render_run_text(old)
+        html_doc = render_run_html(old)
+        assert "<code>call/scalar</code>" in html_doc
+        assert "<code>mem/bulk</code>" in html_doc
         calls = f"{rr.control_plane['calls_ingested']:,} call(s) ingested"
         assert calls in render_run_text(old)
         assert calls in render_run_text(rr)

@@ -1,21 +1,23 @@
-"""Producer differential: the bulk columnar lane must be invisible.
+"""Producer differential: logging an access block as one record must be
+invisible.
 
-``ProfilerHook`` coalesces block accesses into
-``TraceWriter.append_mem_columns`` / ``append_call`` fast paths.  Its
-contract is byte-identity with the scalar reference lane — a test-local
-hook that hands each block back to ``EventHook.on_mem_block``, which
-decomposes it into one ``on_mem`` (one ``MemEvent``) per access: every
-bundled bug case, profiled through both lanes in both trace formats,
-must produce identical trace files — hence identical content digests —
-and byte-identical checker reports under both memory models.
+``ProfilerHook.on_mem_block`` writes a block of ``count`` accesses as
+one ``TraceWriter.append_mem_columns`` record.  Its contract is
+byte-identity with a per-access reference — a test-local hook that
+splits each block into ``count`` blocks of one, each through the
+production ``on_mem_block``: every bundled bug case, and LU with its
+strided blocks, profiled through both in both trace formats, must
+produce identical trace files — hence identical content digests — and
+byte-identical checker reports under both memory models.
 
 A hypothesis property test additionally drives ``append_mem_columns``
 across mem-block flush boundaries, interleaved with scalar writes and
 call records, and round-trips the result through ``TraceReader``.
 
 The hook resolves what is static about an event once per call site; a
-second property requires ``ProfilerHook.on_call`` / ``on_mem`` to leave
-the bytes and digests ``write(CallEvent)`` / ``write(MemEvent)`` leave —
+second property requires ``ProfilerHook.on_call`` / ``on_mem_block``
+(one access) to leave the bytes and digests ``write(CallEvent)`` /
+``write(MemEvent)`` leave —
 for every call form (all ints, strings, lists, dropped ``None``s, an int
 past int64 on the ``C`` route, a ``str`` where the form had an int),
 wherever the segments are cut, in both formats — and three pins cover the
@@ -28,11 +30,13 @@ import hashlib
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps.lu import lu
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
@@ -43,10 +47,14 @@ from repro.profiler.session import profile_run
 from repro.profiler.tracer import (
     FORMAT_BINARY, FORMAT_TEXT, TraceReader, TraceWriter,
 )
-from repro.simmpi.runtime import EventHook
+from repro.util import location
 from repro.util.location import SourceLocation
 
-ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
+#: LU with every buffer instrumented logs strided blocks (``read_rows``
+#: / ``write_rows`` of its local matrix), which no bug case does
+LU = SimpleNamespace(name="lu-all", app=lu, nranks=4, scope="all",
+                     params=lambda _buggy: dict(n=24, seed=3))
+ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES) + [LU]
 RANKS_CAP = 8
 MEMORY_MODELS = ("separate", "unified")
 FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
@@ -54,24 +62,31 @@ FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 _TRACES = {}
 
 
-class ScalarHook(ProfilerHook):
-    """The scalar reference lane: every block access becomes ``count``
-    ``on_mem`` calls, one ``MemEvent`` object each.  (Bound directly, not
-    through a wrapper defined here: ``capture_location`` attributes an
-    event to the innermost frame outside the runtime, and a frame of this
-    file would become every access's source location.)"""
+class PerAccessHook(ProfilerHook):
+    """The reference: a block of ``count`` accesses becomes ``count``
+    blocks of one through the production ``on_mem_block`` — one
+    ``append_mem_columns(count=1)`` record per access."""
 
-    on_mem_block = EventHook.on_mem_block
+    def on_mem_block(self, rank, kind, buf, addr, size, count, stride):
+        for i in range(count):
+            ProfilerHook.on_mem_block(self, rank, kind, buf,
+                                      addr + i * stride, size, 1, 0)
 
 
 def traces_for(case, fmt, bulk):
-    """Profile each (case, format, lane) once; reuse across tests."""
+    """Profile each (case, format, producer) once; reuse across tests.
+    While profiling, this file counts as runtime, so that
+    ``capture_location`` walks past the reference's frame to the
+    application's."""
     key = (case.name, fmt, bulk)
     if key not in _TRACES:
         nranks = min(case.nranks, RANKS_CAP)
-        hook = ProfilerHook if bulk else ScalarHook
-        with mock.patch.object(session, "ProfilerHook", hook):
+        hook = ProfilerHook if bulk else PerAccessHook
+        with mock.patch.object(session, "ProfilerHook", hook), \
+                mock.patch.dict(location._RUNTIME_FILES,
+                                {__file__: True}):
             run = profile_run(case.app, nranks, params=case.params(True),
+                              scope=getattr(case, "scope", "report"),
                               trace_format=fmt)
         _TRACES[key] = run.traces
     return _TRACES[key]
@@ -100,7 +115,7 @@ def test_lanes_produce_identical_trace_files(case, fmt):
     bulk = traces_for(case, fmt, bulk=True)
     assert scalar.nranks == bulk.nranks
     assert file_digests(scalar) == file_digests(bulk), (
-        f"{case.name}/{fmt}: bulk lane changed the trace bytes")
+        f"{case.name}/{fmt}: block records changed the trace bytes")
     for rank in range(scalar.nranks):
         with scalar.reader(rank) as a, bulk.reader(rank) as b:
             assert a.content_digest() == b.content_digest(), (
@@ -117,7 +132,8 @@ def test_lane_reports_identical(case, memory_model):
         got = canonical(check_traces(traces_for(case, fmt, True),
                                      config=config))
         assert got == ref, (
-            f"{case.name}/{memory_model}/{fmt}: bulk-lane report diverged")
+            f"{case.name}/{memory_model}/{fmt}: block-record report "
+            "diverged")
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +218,7 @@ def test_append_mem_columns_round_trip(fmt, ops):
             with open(ref_path, "rb") as fh:
                 ref_bytes = fh.read()
             assert fast_bytes == ref_bytes
-        # binary M-frame boundaries may differ across lanes when a bulk
+        # binary M-frame boundaries may differ across the two when a bulk
         # append crosses the flush threshold; the contract is that the
         # content digests and the decoded stream cannot tell
         with TraceReader(fast_path) as reader:
@@ -236,7 +252,7 @@ def test_append_mem_columns_round_trip(fmt, ops):
 
 
 # ----------------------------------------------------------------------
-# the hook's call and memory lanes against write(event)
+# the hook's call and memory records against write(event)
 # ----------------------------------------------------------------------
 
 #: two location objects per value: the writer keys its site tables by
@@ -281,8 +297,9 @@ class _Buffer:
 
 
 def _through_hook(directory, fmt, ops):
-    """The producer's way: ``ProfilerHook.on_call`` / ``on_mem``, the
-    location captured per event (here: dealt from ``_SITES``)."""
+    """The producer's way: ``ProfilerHook.on_call`` / ``on_mem_block``
+    (one access), the location captured per event (here: dealt from
+    ``_SITES``)."""
     from repro.profiler import interpose
     sites = iter([_SITES[op[-1]] for op in ops])
     with mock.patch.object(interpose, "capture_location",
@@ -293,7 +310,7 @@ def _through_hook(directory, fmt, ops):
             if op[0] == "call":
                 hook.on_call(0, op[1], op[2])
             else:
-                hook.on_mem(0, op[1], _Buffer, op[2], op[3])
+                hook.on_mem_block(0, op[1], _Buffer, op[2], op[3], 1, 0)
         hook.close()
     return hook
 
@@ -319,7 +336,7 @@ def _through_write(path, fmt, ops):
 @example(ops=[("call", "Put", {"win": 0, "var": "\r0"}, 0)], cut=1)
 def test_hook_lanes_equal_write(fmt, ops, cut):
     """Whatever a call looks like and wherever the segments are cut, the
-    hook's lanes leave the bytes ``write(event)`` leaves."""
+    hook's records leave the bytes ``write(event)`` leaves."""
     from repro.profiler import tracer
     with tempfile.TemporaryDirectory() as tmp:
         hooked, written = os.path.join(tmp, "hook"), os.path.join(tmp, "ref")

@@ -1,6 +1,7 @@
 """Trace-format robustness: malformed inputs must fail loudly, not crash
 or silently mis-analyze."""
 
+import dataclasses
 import functools
 import glob
 import json
@@ -16,14 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.apps.heat2d import heat2d
-from repro.apps.registry import BUG_CASES
+from repro.apps.registry import BUG_CASES, bug_case
 from repro.cli import main
 from repro.core.preprocess import preprocess_calls
 from repro.profiler.events import CallEvent, MemEvent, decode_event
 from repro.profiler.tracer import (
     _END_MAGIC, _K_HEAD, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
 )
-from repro.util.errors import DeadlockError, SimMPIError, TraceFormatError
+from repro.util.errors import (
+    AnalysisError, DeadlockError, SimMPIError, TraceFormatError,
+)
 from repro.util.location import SourceLocation
 from repro.util.records import decode_record
 
@@ -424,6 +427,22 @@ def _corrupt_k_column(path):
     poke(path, columns["shape"] + 4, "<i", 99)      # row 1's shape id
 
 
+def _reversed_mem_seqs(events):
+    """The rank's memory rows keep their place, their seqs reversed."""
+    at = [k for k, event in enumerate(events) if isinstance(event, MemEvent)]
+    for k, seq in zip(at, [events[k].seq for k in reversed(at)]):
+        events[k] = dataclasses.replace(events[k], seq=seq)
+
+
+def _mem_seq_of_call(events):
+    """Each memory row right after a call takes that call's seq."""
+    for k in range(len(events) - 1, 0, -1):
+        if isinstance(events[k], MemEvent) and \
+                isinstance(events[k - 1], CallEvent):
+            events[k] = dataclasses.replace(events[k],
+                                            seq=events[k - 1].seq)
+
+
 @pytest.mark.parametrize("arm", ARMS)
 class TestEveryExecutorRejects:
     """The same typed error, naming the same file, whichever executor
@@ -502,6 +521,45 @@ class TestEveryExecutorRejects:
                          if fmt == "text"
                          else r"K frame at byte \d+, row \d+: call seq",
                          said)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("case,mutate,said", [
+        ("BT-broadcast", _reversed_mem_seqs, r"follows \d+: seq is not "
+         r"strictly increasing over the rank's memory rows"),
+        ("ping-pong", _reversed_mem_seqs, r"follows \d+: seq is not "
+         r"strictly increasing over the rank's memory rows"),
+        ("lockopts", _mem_seq_of_call, r"is also a call's seq"),
+    ], ids=["bt-reversed", "ping-pong-reversed", "lockopts-call-seq"])
+    def test_mem_seq_out_of_trace_order(self, tmp_path, arm, fmt, case,
+                                        mutate, said):
+        """Every epoch, region and shard bisects a rank's memory rows on
+        ``seq``, so a row out of trace order is refused where rows
+        become columns.  With every rank so rewritten, these three
+        silently took the Table II verdicts to zero findings."""
+        bug = bug_case(case)
+        trace_dir, cache_dir = str(tmp_path / "t"), str(tmp_path / "cache")
+        traces = api.run(bug.app, bug.nranks, params=bug.params(True),
+                         trace_format=fmt, trace_dir=trace_dir).traces
+        if arm == "incremental-warm":
+            assert self._check(arm, trace_dir, cache_dir).findings
+        path = traces.path(self.RANK)
+        with TraceReader(path) as reader:
+            header, events = reader.header, reader.events()
+        mutate(events)
+        with TraceWriter(path, self.RANK, header.nranks, app=header.app,
+                         format=fmt) as writer:
+            for event in events:
+                writer.write(event)
+        with TraceReader(path) as reader:       # the file itself is whole
+            assert reader.events() == events
+        try:
+            with pytest.raises(AnalysisError,
+                               match=rf"^rank {self.RANK}: memory seq \d+ "
+                               + said):
+                self._check(arm, trace_dir, cache_dir)
+        finally:
+            api.shutdown_pools()
+        assert glob.glob("/dev/shm/mcc-*") == []
 
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_partial_trace_set(self, tmp_path, arm, fmt):

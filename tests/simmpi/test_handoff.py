@@ -43,9 +43,6 @@ class ThreadLog(EventHook):
         self.creations += fn in CREATIONS
         self.threads[rank].add(threading.get_ident())
 
-    def on_mem(self, rank, kind, buf, addr, size):
-        self.threads[rank].add(threading.get_ident())
-
     def on_mem_block(self, rank, kind, buf, addr, size, count, stride):
         self.threads[rank].add(threading.get_ident())
 

@@ -12,6 +12,15 @@ def space():
     return AddressSpace(rank=0)
 
 
+def record(buf, instrumented=True):
+    """Log ``buf``'s hook calls as ``(kind, addr, size, count, stride)``."""
+    events = []
+    buf.set_block_hook(lambda kind, b, addr, size, count, stride:
+                       events.append((kind, addr, size, count, stride)))
+    buf.instrumented = instrumented
+    return events
+
+
 class TestAddressSpace:
     def test_allocations_disjoint(self, space):
         a = space.allocate(100)
@@ -70,26 +79,42 @@ class TestTrackedBuffer:
         assert buf.read(2, 3).tolist() == [1.0, 2.0, 3.0]
 
     def test_events_only_when_instrumented(self, space):
-        events = []
         buf = TrackedBuffer(space, "b", 4, np.float64)
-        buf.set_hook(lambda kind, b, addr, size:
-                     events.append((kind, addr, size)))
+        events = record(buf, instrumented=False)
         buf[0] = 1.0
+        _ = buf[0:2]
+        buf.read_block(0, 2, reps=3)
+        buf.write_rows(np.zeros((2, 1)), 0, 2)
         assert events == []  # not instrumented yet
         buf.instrumented = True
         buf[1] = 2.0
         _ = buf[1]
-        assert events == [("store", buf.base + 8, 8),
-                          ("load", buf.base + 8, 8)]
+        assert events == [("store", buf.base + 8, 8, 1, 0),
+                          ("load", buf.base + 8, 8, 1, 0)]
 
     def test_slice_event_size(self, space):
-        events = []
         buf = TrackedBuffer(space, "b", 8, np.float64)
-        buf.set_hook(lambda kind, b, addr, size:
-                     events.append((kind, addr, size)))
-        buf.instrumented = True
+        events = record(buf)
         buf[2:5] = [1, 2, 3]
-        assert events == [("store", buf.base + 16, 24)]
+        buf.read(1, 2)
+        assert events == [("store", buf.base + 16, 24, 1, 0),
+                          ("load", buf.base + 8, 16, 1, 0)]
+
+    def test_read_block_repeats_one_slice(self, space):
+        buf = TrackedBuffer(space, "b", 8, np.float64)
+        events = record(buf)
+        buf.read_block(2, 3, reps=4)
+        buf.write_block([1, 2], offset=6, reps=2)
+        assert events == [("load", buf.base + 16, 24, 4, 0),
+                          ("store", buf.base + 48, 16, 2, 0)]
+
+    def test_rows_are_one_strided_block(self, space):
+        buf = TrackedBuffer(space, "b", 16, np.int32)
+        events = record(buf)
+        rows = buf.read_rows(1, 2, 3, row_stride=4)
+        buf.write_rows(rows, 2, row_stride=5)
+        assert events == [("load", buf.base + 4, 8, 3, 16),
+                          ("store", buf.base + 8, 8, 3, 20)]
 
     def test_raw_bytes_roundtrip(self, space):
         buf = TrackedBuffer(space, "b", 2, np.int32)
@@ -98,10 +123,8 @@ class TestTrackedBuffer:
         assert buf[1] == 123
 
     def test_raw_accesses_emit_no_events(self, space):
-        events = []
         buf = TrackedBuffer(space, "b", 2, np.int32)
-        buf.set_hook(lambda *a: events.append(a))
-        buf.instrumented = True
+        events = record(buf)
         buf.raw_write_bytes(0, b"\x01\x02\x03\x04")
         buf.raw_read_bytes(0, 4)
         assert events == []
@@ -126,24 +149,20 @@ class TestTrackedBuffer:
 
 
 class TestSliceEdgeCases:
-    """Pin down ``_resolve``'s slice semantics (the bulk-lane producers
+    """Pin down ``_resolve``'s slice semantics (the block producers
     lean on it, so every corner is load-bearing)."""
 
     @pytest.fixture
     def traced(self, space):
-        events = []
         buf = TrackedBuffer(space, "b", 8, np.float64,
                             fill=0.0)
         buf.array[:] = np.arange(8, dtype=np.float64)
-        buf.set_hook(lambda kind, b, addr, size:
-                     events.append((kind, addr, size)))
-        buf.instrumented = True
-        return buf, events
+        return buf, record(buf)
 
     def test_negative_endpoints(self, traced):
         buf, events = traced
         assert buf[-3:-1].tolist() == [5.0, 6.0]
-        assert events == [("load", buf.base + 5 * 8, 2 * 8)]
+        assert events == [("load", buf.base + 5 * 8, 2 * 8, 1, 0)]
 
     def test_open_ended_slices(self, traced):
         buf, events = traced
