@@ -11,8 +11,8 @@ The timing benchmark measures the full profile+analyze pipeline per case.
 
 import pytest
 
+from repro import run_check
 from repro.apps.registry import BUG_CASES, LOCKOPTS_EXCLUSIVE
-from repro.core import check_app
 
 ALL_CASES = list(BUG_CASES) + [LOCKOPTS_EXCLUSIVE]
 
@@ -27,10 +27,10 @@ def test_detection_row(case, record, scale, benchmark):
     nranks = ranks_for(case, scale)
 
     buggy = benchmark.pedantic(
-        lambda: check_app(case.app, nranks=nranks,
+        lambda: run_check(case.app, nranks=nranks,
                           params=case.params(True), delivery="random"),
         rounds=1, iterations=1)
-    fixed = check_app(case.app, nranks=nranks, params=case.params(False),
+    fixed = run_check(case.app, nranks=nranks, params=case.params(False),
                       delivery="random")
 
     principal = [f for f in buggy.findings

@@ -11,8 +11,8 @@ Run:  python examples/bug_hunt.py [--ranks-cap N]
 
 import argparse
 
+from repro import run_check
 from repro.apps.registry import BUG_CASES, LOCKOPTS_EXCLUSIVE
-from repro.core import check_app
 
 
 def hunt(case, ranks_cap: int) -> None:
@@ -20,7 +20,7 @@ def hunt(case, ranks_cap: int) -> None:
     print(f"=== {case.name} ({case.provenance}, {nranks} ranks, "
           f"{case.error_location}) ===")
 
-    buggy = check_app(case.app, nranks=nranks, params=case.params(True),
+    buggy = run_check(case.app, nranks=nranks, params=case.params(True),
                       delivery="random")
     print(f"buggy variant: {len(buggy.errors)} error(s), "
           f"{len(buggy.warnings)} warning(s)")
@@ -29,7 +29,7 @@ def hunt(case, ranks_cap: int) -> None:
         print("\n".join("  " + line for line in
                         finding.format().splitlines()))
 
-    fixed = check_app(case.app, nranks=nranks, params=case.params(False),
+    fixed = run_check(case.app, nranks=nranks, params=case.params(False),
                       delivery="random")
     status = "clean" if not fixed.findings else "STILL FLAGGED?!"
     print(f"\nfixed variant: {status}")

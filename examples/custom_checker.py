@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Driving the pipeline stage by stage: DN-Analyzer as a library.
 
-MC-Checker's facade (`check_app`) hides six analysis stages.  This example
+MC-Checker's facade (`run_check`) hides six analysis stages.  This example
 runs them one at a time on the paper's Figure 3 execution — three ranks,
 barriers, send/recv, a fence window, and a racing Put/store pair — and
 prints what each stage produced: the reconstructed registries, the matched

@@ -18,7 +18,7 @@ Run:  python examples/global_arrays.py
 
 import numpy as np
 
-from repro.core import check_app
+from repro import run_check
 from repro.ga import GlobalArray
 from repro.simmpi import run_app
 
@@ -83,10 +83,10 @@ def main():
     for name, app in [("read_inc", histogram_read_inc),
                       ("accumulate", histogram_acc),
                       ("get/put RMW", histogram_lost_updates)]:
-        report = check_app(app, nranks=nranks, delivery="random")
+        report = run_check(app, nranks=nranks, delivery="random")
         print(f"  {name:12s}: {len(report.errors)} error(s), "
               f"{len(report.warnings)} warning(s)")
-    report = check_app(histogram_lost_updates, nranks=nranks,
+    report = run_check(histogram_lost_updates, nranks=nranks,
                        delivery="random")
     print()
     print(report.findings[0].format())

@@ -11,8 +11,8 @@ Run:  python examples/halo_exchange.py
 
 import numpy as np
 
+from repro import run_check
 from repro.apps.jacobi import jacobi
-from repro.core import check_app
 from repro.simmpi import run_app
 
 RANKS = 4
@@ -47,11 +47,11 @@ def main():
     # the analysis is over what the memory model permits, not over one
     # lucky schedule.
     for delivery in ("eager", "lazy"):
-        report = check_app(jacobi, nranks=RANKS, delivery=delivery,
+        report = run_check(jacobi, nranks=RANKS, delivery=delivery,
                            params=dict(buggy=True, **PARAMS))
         print(f"\nchecked buggy variant under {delivery} delivery: "
               f"{len(report.errors)} error(s)")
-    report = check_app(jacobi, nranks=RANKS, delivery="lazy",
+    report = run_check(jacobi, nranks=RANKS, delivery="lazy",
                        params=dict(buggy=True, **PARAMS))
     print()
     print(report.findings[0].format())

@@ -19,9 +19,8 @@ but permitted under MPI-3's unified model.
 Run:  python examples/mpi3_atomics.py
 """
 
-from repro.core import (
-    MODEL_SEPARATE, MODEL_UNIFIED, CheckConfig, check_app,
-)
+from repro import run_check
+from repro.core import MODEL_SEPARATE, MODEL_UNIFIED, CheckConfig
 from repro.simmpi import INT, LOCK_SHARED, run_app
 
 TASKS_PER_RANK = 3
@@ -93,7 +92,7 @@ def main():
     print(f"broken Get/Put counter: total={results[0][1]} "
           f"(expected {expect}) — updates lost")
     # ...and is flagged regardless of whether it happened to misbehave
-    report = check_app(broken_counter, nranks=nranks)
+    report = run_check(broken_counter, nranks=nranks)
     print(f"MC-Checker on the broken counter: {len(report.errors)} "
           "error(s)\n")
 
@@ -102,11 +101,11 @@ def main():
     all_claimed = sorted(t for claimed, _ in results for t in claimed)
     print(f"fetch_and_op counter: total={results[0][1]}, claimed ids "
           f"{all_claimed} — atomic, no duplicates")
-    report = check_app(atomic_counter, nranks=nranks)
+    report = run_check(atomic_counter, nranks=nranks)
     print(f"MC-Checker on the atomic counter: {len(report.findings)} "
           "finding(s)\n")
 
-    report = check_app(impatient_counter, nranks=2)
+    report = run_check(impatient_counter, nranks=2)
     print("reading the fetch result before the flush:")
     print(report.findings[0].format())
 
@@ -125,9 +124,9 @@ def main():
         mpi.barrier()
         win.free()
 
-    separate = check_app(store_beside_put, nranks=2, config=CheckConfig(
+    separate = run_check(store_beside_put, nranks=2, config=CheckConfig(
         memory_model=MODEL_SEPARATE))
-    unified = check_app(store_beside_put, nranks=2, config=CheckConfig(
+    unified = run_check(store_beside_put, nranks=2, config=CheckConfig(
         memory_model=MODEL_UNIFIED))
     print(f"\ndisjoint store beside a remote Put: separate model -> "
           f"{len(separate.errors)} error(s); unified model -> "

@@ -6,12 +6,12 @@ simulated MPI runtime to write programs against, the checker to analyze
 them, and the :mod:`repro.api` facade (``api.run`` / ``api.check`` /
 ``api.run_check``) configured through :class:`CheckConfig`.
 
-    from repro import check_app, run_app
+    from repro import run_check
 
     def main(mpi):
         ...
 
-    report = check_app(main, nranks=4)
+    report = run_check(main, nranks=4)
     print(report.format())
 
 Subpackages: :mod:`repro.simmpi` (the MPI-2.2/3 simulator),
@@ -28,7 +28,7 @@ on first use of a name that needs it.
 from importlib import import_module
 
 from repro.core import (
-    CheckConfig, CheckReport, ConsistencyError, check_app, check_traces,
+    CheckConfig, CheckReport, ConsistencyError, check_traces,
 )
 
 __version__ = "1.0.0"
@@ -49,8 +49,8 @@ def __getattr__(name):
 
 
 __all__ = [
-    "CheckConfig", "CheckReport", "ConsistencyError", "check_app",
-    "check_traces", "api", "run_check",
+    "CheckConfig", "CheckReport", "ConsistencyError", "check_traces",
+    "api", "run_check",
     "GenConfig", "generate", "fuzz", "score",
     "MPIContext", "run_app",
     "__version__",

@@ -1,7 +1,8 @@
 """Stable high-level facade: ``run``, ``check``, ``run_check``,
 ``generate``, ``fuzz``, ``score``.
 
-The first three verbs cover the paper's workflow end to end, each
+The first three verbs cover the paper's workflow end to end
+(``run_check`` is the one call that profiles and checks), each
 configured by a single :class:`~repro.core.config.CheckConfig` value
 instead of the per-function kwarg lists the internals grew over time:
 
@@ -17,13 +18,13 @@ trace-directory path, and field overrides as keyword arguments
 (``api.check(traces, jobs=4)`` is ``CheckConfig(jobs=4)``); overrides on
 top of an explicit config derive a new one with
 :meth:`CheckConfig.replace`.  A keyword that is not a config field is a
-``TypeError``.
+``TypeError``, and so is a config that is not a ``CheckConfig``.
 
-Each verb also takes observability parameters — an explicit
-``obs_config=`` (:class:`repro.obs.ObsConfig`), or the ``metrics_out=``
-/ ``chrome_trace=`` shorthands — which scope a recording session around
-the call and flush the exporters even when the analysis raises, so a
-crashed run still leaves its flight record behind.
+``run``, ``check``, ``run_check`` and ``fuzz`` also take
+``obs_config=`` (:class:`repro.obs.ObsConfig`), which scopes a
+recording session around the call and flushes the exporters even when
+the analysis raises, so a crashed run still leaves its flight record
+behind.
 
 Parallel runs (``jobs > 1``) lazily start one persistent worker pool
 per process and reuse it across every later analysis of the same shape;
@@ -79,18 +80,14 @@ def shutdown_pools() -> None:
         parallel.shutdown_pools()
 
 
-def _obs_config(obs_config: Optional[obs.ObsConfig],
-                metrics_out: Optional[str],
-                chrome_trace: Optional[str]) -> Optional[obs.ObsConfig]:
-    if obs_config is not None:
-        if metrics_out or chrome_trace:
-            raise TypeError("pass either obs_config or the metrics_out/"
-                            "chrome_trace shorthands, not both")
-        return obs_config
-    if metrics_out or chrome_trace:
-        return obs.ObsConfig(metrics_out=metrics_out,
-                             chrome_trace=chrome_trace)
-    return None
+def _derive(cls: type, config, overrides: dict):
+    """``config`` (default ``cls()``) with ``overrides`` applied; a config
+    of another type is a ``TypeError`` whether or not there are any."""
+    cfg = config if config is not None else cls()
+    if not isinstance(cfg, cls):
+        raise TypeError(f"config must be a {cls.__name__}, "
+                        f"got {type(cfg).__name__}")
+    return cfg.replace(**overrides) if overrides else cfg
 
 
 def run(app: Callable, nranks: int, *,
@@ -102,13 +99,11 @@ def run(app: Callable, nranks: int, *,
         seed: int = 0,
         trace_format: str = "text",
         app_name: Optional[str] = None,
-        obs_config: Optional[obs.ObsConfig] = None,
-        metrics_out: Optional[str] = None,
-        chrome_trace: Optional[str] = None) -> ProfiledRun:
+        obs_config: Optional[obs.ObsConfig] = None) -> ProfiledRun:
     """Profile ``app`` on the simulated runtime; returns the run (its
     ``.traces`` feed :func:`check`)."""
     from repro.profiler.session import profile_run
-    with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
+    with obs.session(obs_config):
         return profile_run(app, nranks, trace_dir=trace_dir, params=params,
                            scope=scope, delivery=delivery,
                            sched_policy=sched_policy, seed=seed,
@@ -118,16 +113,12 @@ def run(app: Callable, nranks: int, *,
 def check(traces: Union[TraceSet, str, "os.PathLike[str]"],
           config: Optional[CheckConfig] = None,
           *, obs_config: Optional[obs.ObsConfig] = None,
-          metrics_out: Optional[str] = None,
-          chrome_trace: Optional[str] = None,
           **overrides) -> CheckReport:
     """Analyze a trace set (or trace directory) for consistency errors."""
-    with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
+    cfg = _derive(CheckConfig, config, overrides)
+    with obs.session(obs_config):
         if not isinstance(traces, TraceSet):
             traces = TraceSet(os.fspath(traces))
-        cfg = config if config is not None else CheckConfig()
-        if overrides:
-            cfg = cfg.replace(**overrides)
         return check_traces(traces, cfg)
 
 
@@ -142,26 +133,21 @@ def run_check(app: Callable, nranks: int, *,
               app_name: Optional[str] = None,
               config: Optional[CheckConfig] = None,
               obs_config: Optional[obs.ObsConfig] = None,
-              metrics_out: Optional[str] = None,
-              chrome_trace: Optional[str] = None,
               **overrides) -> CheckReport:
     """Profile and analyze in one call (the ``mc-checker run-check``
     workflow)."""
-    with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
+    cfg = _derive(CheckConfig, config, overrides)
+    with obs.session(obs_config):
         profiled = run(app, nranks, trace_dir=trace_dir, params=params,
                        scope=scope, delivery=delivery,
                        sched_policy=sched_policy, seed=seed,
                        trace_format=trace_format, app_name=app_name)
-        return check(profiled.traces, config, **overrides)
+        return check(profiled.traces, cfg)
 
 
 def _gen_config(config: Optional[GenConfig], overrides: dict) -> GenConfig:
     from repro.gen import GenConfig
-    cfg = config if config is not None else GenConfig()
-    if not isinstance(cfg, GenConfig):
-        raise TypeError(
-            f"config must be a GenConfig, got {type(cfg).__name__}")
-    return cfg.replace(**overrides) if overrides else cfg
+    return _derive(GenConfig, config, overrides)
 
 
 def generate(config: Optional[GenConfig] = None, *,
@@ -186,8 +172,6 @@ def fuzz(config: Optional[GenConfig] = None,
          check_config: Optional[CheckConfig] = None,
          differential: bool = True,
          obs_config: Optional[obs.ObsConfig] = None,
-         metrics_out: Optional[str] = None,
-         chrome_trace: Optional[str] = None,
          **overrides) -> FuzzReport:
     """Run the differential fuzzing harness over a seed corpus.
 
@@ -200,7 +184,7 @@ def fuzz(config: Optional[GenConfig] = None,
     """
     from repro.gen.fuzz import FuzzReport, fuzz_corpus, run_case
     cfg = _gen_config(config, overrides)
-    with obs.session(_obs_config(obs_config, metrics_out, chrome_trace)):
+    with obs.session(obs_config):
         if seeds is None:
             case = run_case(cfg, check_config,
                             differential=differential)

@@ -26,8 +26,10 @@ accepts ``--log-level`` (all human-readable output goes through the
 structured logger, so ``--log-level quiet`` leaves only exit codes), and
 the profiling/analysis subcommands accept ``--metrics-out FILE`` (a
 Prometheus exposition dump) and ``--chrome-trace FILE`` (a Chrome
-``trace_event`` file for ``chrome://tracing``/Perfetto).  Passing either
-export flag — or setting ``MCCHECKER_OBS=1`` — enables the recorder.
+``trace_event`` file for ``chrome://tracing``/Perfetto).  ``main`` sets
+the log level and runs the verb in one :func:`repro.obs.session`, which
+records when an export flag is given or when ``check`` / ``run-check``
+feed the run ledger (not with ``--no-ledger``).
 
 Exit status 2 is "could not do it" (an unanalysable trace set, a bad
 command line).  A verb imports the layers it drives when it runs.
@@ -45,7 +47,6 @@ from repro import obs
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
 from repro.core.compat import format_table
-from repro.obs.export import write_chrome_trace, write_metrics
 from repro.obs.logging import LOG_LEVEL_CHOICES
 from repro.profiler.tracer import TraceSet
 from repro.util.errors import AnalysisError, TraceFormatError
@@ -462,34 +463,29 @@ def main(argv=None) -> int:
     args._command_line = "mc-checker " + " ".join(
         sys.argv[1:] if argv is None else [str(a) for a in argv])
 
-    metrics_out = getattr(args, "metrics_out", None)
-    chrome_trace = getattr(args, "chrome_trace", None)
     # check/run-check record by default — their flight record feeds the
-    # run ledger; --no-ledger opts back out of both
-    recording_commands = args.command in ("check", "run-check") and \
-        not getattr(args, "no_ledger", False)
-    enabled = bool(metrics_out or chrome_trace
-                   or os.environ.get("MCCHECKER_OBS")
-                   or recording_commands)
-    obs.configure(enabled=enabled,
-                  log_level=getattr(args, "log_level", "info"))
+    # run ledger; --no-ledger opts back out of it (an export flag still
+    # records)
+    config = obs.ObsConfig(
+        enabled=args.command in ("check", "run-check")
+        and not getattr(args, "no_ledger", False),
+        metrics_out=getattr(args, "metrics_out", None),
+        chrome_trace=getattr(args, "chrome_trace", None))
+    obs.configure(log_level=getattr(args, "log_level", "info"))
     try:
-        return _dispatch(args)
+        with obs.session(config):
+            return _dispatch(args)
     except (TraceFormatError, AnalysisError, OSError, UsageError) as exc:
         # distinct from 1, which `check` returns for a detected bug
         print(f"mc-checker: {exc}", file=sys.stderr)
         return 2
     finally:
-        recorder = obs.get_recorder()
         log = obs.get_logger()
-        if metrics_out:
-            write_metrics(recorder, metrics_out)
-            log.info(f"metrics: {metrics_out}")
-        if chrome_trace:
-            write_chrome_trace(recorder, chrome_trace)
-            log.info(f"chrome trace: {chrome_trace} "
+        if config.metrics_out:
+            log.info(f"metrics: {config.metrics_out}")
+        if config.chrome_trace:
+            log.info(f"chrome trace: {config.chrome_trace} "
                      "(open in chrome://tracing or ui.perfetto.dev)")
-        obs.reset()
 
 
 def _dispatch(args) -> int:

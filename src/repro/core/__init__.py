@@ -29,7 +29,7 @@ progress-counter walk, the per-region linear scan, the naive strawmen)
 are test oracles in ``tests/reference/``.
 """
 
-from repro.core.checker import CheckReport, MCChecker, check_app, check_traces
+from repro.core.checker import CheckReport, MCChecker, check_traces
 from repro.core.compat import (
     BOTH, ERROR, NONOV, MODEL_SEPARATE, MODEL_UNIFIED, compat_verdict,
 )
@@ -37,7 +37,7 @@ from repro.core.config import CheckConfig
 from repro.core.diagnostics import ConsistencyError
 
 __all__ = [
-    "CheckConfig", "CheckReport", "MCChecker", "check_app", "check_traces",
+    "CheckConfig", "CheckReport", "MCChecker", "check_traces",
     "BOTH", "ERROR", "NONOV", "MODEL_SEPARATE", "MODEL_UNIFIED",
     "compat_verdict",
     "ConsistencyError",

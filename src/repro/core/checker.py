@@ -4,19 +4,16 @@
 epochs -> access model -> concurrent regions -> intra-epoch + cross-process
 detection -> deduplicated report``.
 
-Two entry points:
-
-* :func:`check_traces` — analyze an existing
-  :class:`~repro.profiler.tracer.TraceSet` (offline, like the paper's
-  DN-Analyzer);
-* :func:`check_app` — profile an application on the simulated runtime and
-  analyze the result in one call (the ``mc-checker run`` workflow).
+:func:`check_traces` analyzes an existing
+:class:`~repro.profiler.tracer.TraceSet` (offline, like the paper's
+DN-Analyzer).  Profiling and analyzing in one call is
+:func:`repro.api.run_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.core.calltable import ensure_call_tables, total_calls
@@ -326,22 +323,3 @@ def check_traces(traces: TraceSet,
     if cfg.streaming:
         return _check_streaming(traces, cfg)
     return MCChecker(traces, cfg).run()
-
-
-def check_app(app: Callable, nranks: int,
-              params: Optional[Dict[str, Any]] = None,
-              trace_dir: Optional[str] = None,
-              scope: str = "report",
-              delivery: str = "random",
-              sched_policy: str = "round_robin",
-              seed: int = 0,
-              config: Optional[CheckConfig] = None,
-              trace_format: str = "text") -> CheckReport:
-    """Profile ``app`` on the simulated runtime, then analyze the traces."""
-    from repro.profiler.session import profile_run
-
-    run = profile_run(app, nranks, trace_dir=trace_dir, params=params,
-                      scope=scope, delivery=delivery,
-                      sched_policy=sched_policy, seed=seed,
-                      trace_format=trace_format)
-    return check_traces(run.traces, config)

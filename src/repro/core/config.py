@@ -1,8 +1,8 @@
 """CheckConfig — one immutable value describing how to run an analysis.
 
 Every entry point (:class:`~repro.core.checker.MCChecker`,
-``check_traces``, ``check_app``, the :mod:`repro.api` verbs and the CLI)
-takes ``config=CheckConfig(...)``; there is no other way to tune a run.
+``check_traces``, the :mod:`repro.api` verbs and the CLI) takes
+``config=CheckConfig(...)``; there is no other way to tune a run.
 """
 
 from __future__ import annotations

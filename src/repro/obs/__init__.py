@@ -12,18 +12,21 @@ Observability is *disabled by default*: the module-global recorder is a
 :class:`~repro.obs.recorder.NullRecorder`, whose spans still time
 themselves (pipeline code folds durations into its own statistics) but
 which stores nothing and turns every metric call into a no-op.
-:func:`configure` swaps in a storing :class:`~repro.obs.recorder.Recorder`
-once at startup — instrumented layers read :func:`get_recorder` /
-:func:`is_enabled` at construction time, so the hot paths never branch
-per event.
+:func:`configure` sets the log level at startup; :func:`session` swaps
+in a storing :class:`~repro.obs.recorder.Recorder` for the length of one
+call (the ``repro.api`` verbs and the CLI each open one), flushes its
+exporters and puts the previous recorder back.  Instrumented layers read
+:func:`get_recorder` / :func:`is_enabled` at construction time, so the
+hot paths never branch per event.
 
     from repro import obs
 
-    obs.configure(enabled=True, log_level="debug")
-    with obs.span("analyzer.matching", nranks=4) as sp:
-        ...
-    obs.count("analyzer_events_total", 1234)
-    obs.observe("profiler_flush_seconds", 0.003, rank="0")
+    obs.configure(log_level="debug")
+    with obs.session(obs.ObsConfig(metrics_out="m.prom")):
+        with obs.span("analyzer.matching", nranks=4) as sp:
+            ...
+        obs.count("analyzer_events_total", 1234)
+        obs.observe("profiler_flush_seconds", 0.003, rank="0")
 """
 
 from __future__ import annotations
@@ -89,13 +92,14 @@ class ObsConfig:
     """Declarative per-call observability: what to record, where to flush.
 
     Any export path implies recording — ``active`` is what
-    :func:`session` keys off.  Used by ``repro.api.run/check/run_check``
-    so library callers get the same flight-recorder semantics as the
-    CLI's ``--metrics-out``/``--chrome-trace`` flags.
+    :func:`session` keys off.  The ``repro.api`` verbs and the CLI
+    (``--metrics-out`` / ``--chrome-trace``) both scope their recording
+    with it, so library and command line share one flight-recorder
+    semantics.  The log level is not part of it: a session logs at its
+    caller's level.
     """
 
     enabled: bool = False
-    log_level: str = "info"
     metrics_out: Optional[str] = None
     chrome_trace: Optional[str] = None
 
@@ -108,6 +112,7 @@ class ObsConfig:
 def session(config: Optional[ObsConfig]) -> Iterator[NullRecorder]:
     """Scoped recorder: enable for the block, flush exporters, restore.
 
+    The recording logger keeps the level of the one it replaces.
     Flushing happens in a ``finally`` so a raising analysis still writes
     whatever was observed up to the failure — that partial flight record
     is exactly what's needed to debug the failure.  An inactive (or
@@ -118,7 +123,7 @@ def session(config: Optional[ObsConfig]) -> Iterator[NullRecorder]:
         yield _STATE.recorder
         return
     previous = _STATE.recorder
-    recorder = configure(enabled=True, log_level=config.log_level)
+    recorder = configure(enabled=True, log_level=previous.logger.level)
     try:
         yield recorder
     finally:

@@ -893,7 +893,7 @@ class TraceReader:
         #: the rank's columnar CallTable, populated as a side product of
         #: :meth:`read_calls`
         self.call_table = None
-        #: the rank's memory blocks, after ``read_calls(mems=True)``
+        #: the rank's memory blocks, after ``rank_calls(mems=True)``
         self.call_mems: Optional[List[MemBlock]] = None
         fh = open(path, "rb")
         magic = fh.read(len(_MAGIC))
@@ -1131,13 +1131,11 @@ class TraceReader:
                 mems["seq"], [call.seq for call in calls]).tolist()
             yield from _interleave(rank, table, mems, calls, cuts)
 
-    def read_calls(self, mems: bool = False
-                   ) -> Tuple[CallColumns, Dict[str, int]]:
+    def read_calls(self) -> Tuple[CallColumns, Dict[str, int]]:
         """The rank's calls plus exact per-class event counts: the stack
         (:func:`stack_calls`) of this one rank, which also leaves its
-        :class:`~repro.core.calltable.CallTable` in ``self.call_table``.
-        ``mems`` is as for :meth:`rank_calls`."""
-        cols, self.call_table = stack_calls([self.rank_calls(mems)])
+        :class:`~repro.core.calltable.CallTable` in ``self.call_table``."""
+        cols, self.call_table = stack_calls([self.rank_calls()])
         return cols, dict(self._counts)
 
     def rank_calls(self, mems: bool = False) -> RankCalls:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import run_check
 from repro.apps.adlb import adlb, expected_queue
-from repro.core import check_app
 from repro.simmpi import run_app
 
 
@@ -34,7 +34,7 @@ class TestDetection:
     def test_flagged_even_when_latent(self, delivery):
         """MC-Checker flags the defect regardless of whether this run's
         delivery timing made it bite — the point of the tool."""
-        report = check_app(adlb, nranks=3, params=dict(buggy=True),
+        report = run_check(adlb, nranks=3, params=dict(buggy=True),
                            delivery=delivery)
         assert report.has_errors
         # root cause: the Put's origin (stack) overwritten within the epoch
@@ -42,12 +42,12 @@ class TestDetection:
         assert any(pair <= {"put", "store"} for pair in pairs)
 
     def test_diagnostics_name_the_stack_buffer(self):
-        report = check_app(adlb, nranks=3, params=dict(buggy=True))
+        report = run_check(adlb, nranks=3, params=dict(buggy=True))
         vars_named = {f.a.var for f in report.errors} | \
             {f.b.var for f in report.errors}
         assert "stack" in vars_named
 
     def test_fixed_variant_clean(self):
-        report = check_app(adlb, nranks=3, params=dict(buggy=False),
+        report = run_check(adlb, nranks=3, params=dict(buggy=False),
                            delivery="random")
         assert not report.findings

@@ -8,8 +8,8 @@ delivery policies and scheduler seeds.
 
 import pytest
 
+from repro import run_check
 from repro.apps.registry import BUG_CASES, LOCKOPTS_EXCLUSIVE, bug_case
-from repro.core import check_app
 
 #: rank counts scaled down from the paper's (64 ranks for lockopts) to
 #: keep the suite fast; detection is scale-independent (section VII).
@@ -21,7 +21,7 @@ ALL_CASES = list(BUG_CASES) + [LOCKOPTS_EXCLUSIVE]
 
 def _check(case, buggy, **kw):
     kw.setdefault("delivery", "random")
-    return check_app(case.app, nranks=TEST_RANKS[case.name],
+    return run_check(case.app, nranks=TEST_RANKS[case.name],
                      params=case.params(buggy), **kw)
 
 
@@ -94,14 +94,14 @@ class TestScaleIndependence:
     @pytest.mark.parametrize("nranks", [2, 4, 8])
     def test_pingpong_any_scale(self, nranks):
         case = bug_case("ping-pong")
-        report = check_app(case.app, nranks=nranks,
+        report = run_check(case.app, nranks=nranks,
                            params=case.params(True), delivery="random")
         assert report.has_errors
 
     @pytest.mark.parametrize("nranks", [4, 8, 16])
     def test_lockopts_any_scale(self, nranks):
         case = bug_case("lockopts")
-        report = check_app(case.app, nranks=nranks,
+        report = run_check(case.app, nranks=nranks,
                            params=case.params(True), delivery="random")
         assert report.has_errors
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import run_check
 from repro.apps.ga_matmul import ga_matmul
-from repro.core import check_app
 from repro.simmpi import run_app
 
 
@@ -22,13 +22,13 @@ class TestNumerics:
 
 class TestChecker:
     def test_clean(self):
-        report = check_app(ga_matmul, nranks=3,
+        report = run_check(ga_matmul, nranks=3,
                            params=dict(n=6, verify=False),
                            delivery="random")
         assert not report.findings, report.format()
 
     def test_missing_sync_flagged(self):
-        report = check_app(ga_matmul, nranks=3,
+        report = run_check(ga_matmul, nranks=3,
                            params=dict(n=6, buggy=True, verify=False),
                            delivery="random")
         assert report.has_errors

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import run_check
 from repro.apps.heat2d import heat2d
-from repro.core import check_app
 from repro.simmpi import run_app
 
 
@@ -41,13 +41,13 @@ class TestPhysics:
 
 class TestChecker:
     def test_clean(self):
-        report = check_app(heat2d, nranks=3,
+        report = run_check(heat2d, nranks=3,
                            params=dict(rows=9, cols=6, steps=2),
                            delivery="random")
         assert not report.findings, report.format()
 
     def test_missing_phase_sync_flagged(self):
-        report = check_app(heat2d, nranks=3,
+        report = run_check(heat2d, nranks=3,
                            params=dict(rows=9, cols=6, steps=2,
                                        buggy=True),
                            delivery="random")

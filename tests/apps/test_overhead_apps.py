@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import run_check
 from repro.apps.boltzmann import boltzmann
 from repro.apps.lennard_jones import lennard_jones
 from repro.apps.lu import lu, _block_bounds, _owner_of
 from repro.apps.scf import scf
 from repro.apps.skampi import skampi
-from repro.core import check_app
 from repro.profiler.events import MemEvent
 from repro.profiler.session import profile_run
 from repro.simmpi import run_app
@@ -28,7 +28,7 @@ SMALL = {
 class TestRaceFree:
     def test_no_findings(self, name):
         app, params = SMALL[name]
-        report = check_app(app, nranks=4, params=params, delivery="random")
+        report = run_check(app, nranks=4, params=params, delivery="random")
         assert not report.findings, report.format()
 
     @pytest.mark.parametrize("delivery", ["eager", "lazy"])

@@ -11,8 +11,8 @@
 import numpy as np
 import pytest
 
+from repro import run_check
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
-from repro.core import check_app
 from repro.simmpi import run_app
 
 ALL_CASES = list(BUG_CASES) + list(EXTRA_CASES)
@@ -27,14 +27,14 @@ def _ranks(case):
 @pytest.mark.parametrize("delivery", ["eager", "lazy"])
 class TestCorpusInvariants:
     def test_fixed_clean(self, case, delivery):
-        report = check_app(case.app, nranks=_ranks(case),
+        report = run_check(case.app, nranks=_ranks(case),
                            params=case.params(False), delivery=delivery)
         assert not report.findings, (
             f"{case.name} fixed flagged under {delivery}:\n"
             + report.format())
 
     def test_buggy_flagged(self, case, delivery):
-        report = check_app(case.app, nranks=_ranks(case),
+        report = run_check(case.app, nranks=_ranks(case),
                            params=case.params(True), delivery=delivery)
         assert report.findings, \
             f"{case.name} buggy not flagged under {delivery}"

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import run_check
 from repro.apps.sweep_pscw import expected_checksum, sweep_pscw
-from repro.core import check_app
 from repro.simmpi import run_app
 
 
@@ -28,14 +28,14 @@ class TestSemantics:
 
 class TestDetection:
     def test_exposure_epoch_read_flagged(self):
-        report = check_app(sweep_pscw, nranks=3, params=dict(buggy=True),
+        report = run_check(sweep_pscw, nranks=3, params=dict(buggy=True),
                            delivery="random")
         assert report.has_errors
         pairs = [{f.a.kind, f.b.kind} for f in report.errors]
         assert any(pair == {"load", "put"} for pair in pairs)
 
     def test_fixed_variant_clean(self):
-        report = check_app(sweep_pscw, nranks=3, params=dict(buggy=False),
+        report = run_check(sweep_pscw, nranks=3, params=dict(buggy=False),
                            delivery="random")
         assert not report.findings, report.format()
 
@@ -43,13 +43,13 @@ class TestDetection:
         """post->start and complete->wait edges must order every pair the
         sweep generates, under any schedule."""
         for seed in range(3):
-            report = check_app(sweep_pscw, nranks=4,
+            report = run_check(sweep_pscw, nranks=4,
                                params=dict(buggy=False),
                                sched_policy="random", seed=seed)
             assert not report.findings, report.format()
 
     def test_repeated_waves_each_flagged_once(self):
-        report = check_app(sweep_pscw, nranks=3,
+        report = run_check(sweep_pscw, nranks=3,
                            params=dict(buggy=True, waves=4),
                            delivery="random")
         load_put = [f for f in report.errors

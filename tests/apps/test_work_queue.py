@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import run_check
 from repro.apps.work_queue import FREE, TAKEN, work_queue
-from repro.core import check_app
 from repro.simmpi import run_app
 
 
@@ -28,7 +28,7 @@ class TestAtomicModes:
 
     @pytest.mark.parametrize("mode", ["cas", "fetch_add"])
     def test_checker_clean(self, mode):
-        report = check_app(work_queue, nranks=3,
+        report = run_check(work_queue, nranks=3,
                            params=dict(tasks=4, mode=mode),
                            delivery="random")
         assert not report.findings, report.format()
@@ -49,7 +49,7 @@ class TestRacyMode:
         assert duplicated, "some schedule must double-claim"
 
     def test_checker_flags_the_race(self):
-        report = check_app(work_queue, nranks=3,
+        report = run_check(work_queue, nranks=3,
                            params=dict(tasks=3, mode="racy"),
                            delivery="random")
         assert report.has_errors

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import check_app, check_traces
+from repro import run_check
+from repro.core import check_traces
 from repro.core.checker import MCChecker
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, INT
@@ -36,17 +37,17 @@ def _clean_app(mpi):
 
 class TestCheckApp:
     def test_buggy_detected(self):
-        report = check_app(_buggy_app, nranks=2)
+        report = run_check(_buggy_app, nranks=2)
         assert report.has_errors
         assert len(report.errors) == 1
 
     def test_clean_passes(self):
-        report = check_app(_clean_app, nranks=2)
+        report = run_check(_clean_app, nranks=2)
         assert not report.has_errors
         assert not report.warnings
 
     def test_stats_populated(self):
-        report = check_app(_buggy_app, nranks=2)
+        report = run_check(_buggy_app, nranks=2)
         stats = report.stats
         assert stats.nranks == 2
         assert stats.events > 0
@@ -60,7 +61,7 @@ class TestCheckApp:
             "regions", "intra", "inter"}
 
     def test_summary_and_format(self):
-        report = check_app(_buggy_app, nranks=2)
+        report = run_check(_buggy_app, nranks=2)
         assert "1 error(s)" in report.summary()
         assert "MPI_Put" in report.format()
 
@@ -93,7 +94,7 @@ class TestDeduplication:
                 win.fence()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert len(report.errors) == 1
         assert report.errors[0].occurrences == 5
         assert "seen 5 times" in report.errors[0].format()
@@ -123,7 +124,7 @@ class TestRobustness:
                 buf[0] = 1.0
             # never closes the epoch, never frees
 
-        report = check_app(app, nranks=2, delivery="eager")
+        report = run_check(app, nranks=2, delivery="eager")
         assert report.has_errors
 
     def test_multiwindow_app(self):
@@ -143,6 +144,6 @@ class TestRobustness:
             win_a.free()
             win_b.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert len(report.errors) == 1
         assert report.errors[0].win_id == 1

@@ -3,7 +3,7 @@ epochs, atomics compatibility, and the unified memory model."""
 
 import pytest
 
-from repro.core import CheckConfig, check_app
+from repro import CheckConfig, run_check
 from repro.core.compat import (
     MODEL_SEPARATE, MODEL_UNIFIED, compat_verdict, table_entry,
 )
@@ -49,12 +49,12 @@ def _store_vs_put_app(mpi):
 
 class TestMemoryModelSwitch:
     def test_separate_model_flags_disjoint_store(self):
-        report = check_app(_store_vs_put_app, nranks=2, config=CheckConfig(
+        report = run_check(_store_vs_put_app, nranks=2, config=CheckConfig(
             memory_model=MODEL_SEPARATE))
         assert report.has_errors
 
     def test_unified_model_permits_disjoint_store(self):
-        report = check_app(_store_vs_put_app, nranks=2, config=CheckConfig(
+        report = run_check(_store_vs_put_app, nranks=2, config=CheckConfig(
             memory_model=MODEL_UNIFIED))
         assert not report.findings
 
@@ -73,7 +73,7 @@ class TestMemoryModelSwitch:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2, config=CheckConfig(
+        report = run_check(app, nranks=2, config=CheckConfig(
             memory_model=MODEL_UNIFIED))
         assert report.has_errors
 
@@ -96,7 +96,7 @@ class TestFlushConsistency:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert not report.findings
 
     def test_without_flush_still_flagged(self):
@@ -113,7 +113,7 @@ class TestFlushConsistency:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert report.has_errors
 
     def test_flush_orders_same_epoch_ops(self):
@@ -134,8 +134,8 @@ class TestFlushConsistency:
             mpi.barrier()
             win.free()
 
-        flagged = check_app(base, nranks=2, params=dict(with_flush=False))
-        clean = check_app(base, nranks=2, params=dict(with_flush=True))
+        flagged = run_check(base, nranks=2, params=dict(with_flush=False))
+        clean = run_check(base, nranks=2, params=dict(with_flush=True))
         assert flagged.has_errors
         assert not clean.findings
 
@@ -155,7 +155,7 @@ class TestAtomicsCompat:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=4)
+        report = run_check(app, nranks=4)
         assert not report.findings  # same op + same type: Table I's BOTH*
 
     def test_fetch_and_op_vs_put_flagged(self):
@@ -176,7 +176,7 @@ class TestAtomicsCompat:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=3)
+        report = run_check(app, nranks=3)
         assert report.has_errors
         fns = {f.a.fn for f in report.errors} | \
             {f.b.fn for f in report.errors}
@@ -197,7 +197,7 @@ class TestAtomicsCompat:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=3)
+        report = run_check(app, nranks=3)
         assert report.has_errors
 
     def test_result_buffer_race_detected(self):
@@ -217,7 +217,7 @@ class TestAtomicsCompat:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert report.has_errors
 
 
@@ -235,7 +235,7 @@ class TestLockAllEpochs:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=3)
+        report = run_check(app, nranks=3)
         assert report.has_errors  # two concurrent overlapping Puts
 
     def test_clean_lock_all_quiet(self):
@@ -253,5 +253,5 @@ class TestLockAllEpochs:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=4)
+        report = run_check(app, nranks=4)
         assert not report.findings

@@ -3,7 +3,7 @@ paper's section V lists as omitted from its implementation."""
 
 import pytest
 
-from repro.core import check_app
+from repro import run_check
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.matching import match_synchronization
 from repro.core.preprocess import preprocess
@@ -117,12 +117,12 @@ class TestDetection:
         win.free()
 
     def test_access_after_wait_clean(self):
-        report = check_app(self._rma_app, nranks=2,
+        report = run_check(self._rma_app, nranks=2,
                            params=dict(access_before_wait=False))
         assert not report.findings, report.format()
 
     def test_access_before_wait_flagged(self):
-        report = check_app(self._rma_app, nranks=2,
+        report = run_check(self._rma_app, nranks=2,
                            params=dict(access_before_wait=True))
         assert report.has_errors
 

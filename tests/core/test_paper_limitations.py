@@ -19,7 +19,7 @@ This module pins down how the reproduction behaves on each.
 
 import pytest
 
-from repro.core import check_app
+from repro import run_check
 from repro.simmpi import DOUBLE, LOCK_SHARED
 
 
@@ -53,12 +53,12 @@ class TestTransitiveOrdering:
         """The paper's admitted false positive does not occur here: the
         0->1->2 message chain transitively orders the Put before the
         store."""
-        report = check_app(self._chain_app, nranks=3,
+        report = run_check(self._chain_app, nranks=3,
                            params=dict(use_chain=True))
         assert not report.findings
 
     def test_without_chain_race_remains(self):
-        report = check_app(self._chain_app, nranks=3,
+        report = run_check(self._chain_app, nranks=3,
                            params=dict(use_chain=False))
         assert report.has_errors
 
@@ -84,7 +84,7 @@ class TestTransitiveOrdering:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=5)
+        report = run_check(app, nranks=5)
         assert not report.findings
 
 
@@ -111,7 +111,7 @@ class TestAliasingFalseNegative:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert report.has_errors  # dynamic refinement catches it
 
     def test_origin_buffer_alias_through_container_missed(self):
@@ -132,7 +132,7 @@ class TestAliasingFalseNegative:
 
         # `hidden` IS seeded (direct Put arg) so the store is seen even
         # through the container: the *buffer*, not the name, is tracked
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert report.has_errors
 
     def test_truly_invisible_scratch_copy(self):
@@ -148,5 +148,5 @@ class TestAliasingFalseNegative:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert not report.findings  # silent, by design

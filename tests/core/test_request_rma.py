@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import check_app
+from repro import run_check
 from repro.simmpi import DOUBLE, INT, LOCK_SHARED, run_app
 
 
@@ -128,7 +128,7 @@ class TestChecker:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert not report.findings, report.format()
 
     def test_access_before_wait_flagged(self):
@@ -146,7 +146,7 @@ class TestChecker:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert report.has_errors
         fns = {report.errors[0].a.fn, report.errors[0].b.fn}
         assert "Rput" in fns
@@ -166,7 +166,7 @@ class TestChecker:
             mpi.barrier()
             win.free()
 
-        report = check_app(app, nranks=2)
+        report = run_check(app, nranks=2)
         assert report.has_errors
 
     def test_same_epoch_rputs_ordered_by_wait(self):
@@ -187,7 +187,7 @@ class TestChecker:
             mpi.barrier()
             win.free()
 
-        flagged = check_app(app, nranks=2, params=dict(use_wait=False))
-        clean = check_app(app, nranks=2, params=dict(use_wait=True))
+        flagged = run_check(app, nranks=2, params=dict(use_wait=False))
+        clean = run_check(app, nranks=2, params=dict(use_wait=True))
         assert flagged.has_errors
         assert not clean.findings, clean.format()

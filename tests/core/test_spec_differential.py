@@ -11,7 +11,7 @@ must agree on whether a memory consistency error exists.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import check_app
+from repro import run_check
 from repro.core.compat import accumulate_exception, compat_verdict
 from repro.simmpi import DOUBLE, LOCK_SHARED
 from repro.util.intervals import IntervalSet
@@ -80,7 +80,7 @@ def test_prop_checker_matches_table1(op_a, span_a, op_b, span_b):
                                       _acc_op(op_b), "DOUBLE"))
 
     # the executable verdict, through the entire pipeline
-    report = check_app(
+    report = run_check(
         two_origin_app, nranks=3,
         params=dict(op_a=op_a, disp_a=disp_a, count_a=count_a,
                     op_b=op_b, disp_b=disp_b, count_b=count_b))
@@ -119,5 +119,5 @@ def test_prop_barrier_removes_all_findings(op_a, span_a, op_b, span_b):
         mpi.barrier()
         win.free()
 
-    report = check_app(ordered_app, nranks=3)
+    report = run_check(ordered_app, nranks=3)
     assert not report.findings

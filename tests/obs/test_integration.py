@@ -201,6 +201,36 @@ class TestCliExports:
         assert rc == 1
         assert "analyzer_events_total" in metrics.read_text()
 
+    def test_quiet_check_writes_both_exports(self, tmp_path, capsys):
+        """The verb's one session records and flushes under any log
+        level, with the names a check has always exported."""
+        traces = str(tmp_path / "traces")
+        metrics = tmp_path / "m.prom"
+        trace = tmp_path / "t.json"
+        main(["run", "emulate", "--ranks", "2", "--trace-dir", traces,
+              "--log-level", "quiet"])
+        rc = main(["check", traces, "--log-level", "quiet",
+                   "--metrics-out", str(metrics),
+                   "--chrome-trace", str(trace)])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "")
+
+        assert {line.split()[2] for line in metrics.read_text().splitlines()
+                if line.startswith("# TYPE")} == {
+            "analyzer_epochs", "analyzer_events_per_second",
+            "analyzer_events_total", "analyzer_findings_total",
+            "analyzer_local_accesses_total", "analyzer_op_rows_total",
+            "analyzer_op_table_rows", "analyzer_phase_seconds",
+            "analyzer_regions", "analyzer_rma_ops_total",
+            "analyzer_sync_matches", "analyzer_views_built_total",
+            "control_calls_ingested_total", "control_calls_per_second",
+            "engine_candidate_pairs_total", "engine_join_calls_total",
+            "trace_text_lines_total"}
+        doc = json.loads(trace.read_text())
+        assert {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"} \
+            == {"analyzer.run"} | {f"analyzer.{phase}"
+                                   for phase in MCChecker.PHASES}
+
     def test_exports_reset_recorder_after_main(self, tmp_path, capsys):
         main(["run", "emulate", "--ranks", "2",
               "--trace-dir", str(tmp_path / "traces"),
@@ -208,12 +238,21 @@ class TestCliExports:
         capsys.readouterr()
         assert not obs.is_enabled()
 
-    def test_no_flags_stays_disabled(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("MCCHECKER_OBS", raising=False)
+    def test_no_flags_stays_disabled(self, tmp_path, capsys):
         main(["run", "emulate", "--ranks", "2",
               "--trace-dir", str(tmp_path / "traces")])
         capsys.readouterr()
         assert not obs.is_enabled()
+
+
+class TestSession:
+    def test_session_keeps_the_callers_log_level(self, capsys):
+        obs.configure(log_level="quiet")
+        with obs.session(obs.ObsConfig(enabled=True)):
+            assert obs.is_enabled()
+            obs.get_logger().warning("recorded, not printed")
+        assert not obs.is_enabled()
+        assert capsys.readouterr().out == ""
 
 
 class TestCliLogLevel:

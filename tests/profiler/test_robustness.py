@@ -375,7 +375,7 @@ class TestAbortedRuns:
             "events": lambda r: r.events(),
             "stream": lambda r: list(r.stream()),
             "read_calls": lambda r: r.read_calls(),
-            "read_calls+mems": lambda r: r.read_calls(mems=True),
+            "rank_calls+mems": lambda r: r.rank_calls(mems=True),
             "mem_blocks": lambda r: list(r.mem_blocks()),
             "counts": lambda r: r.counts(),
         }

@@ -22,7 +22,9 @@ from repro.core.model import LiftCache
 from repro.profiler.events import (
     ACCESS_CODES, CallEvent, MemEvent, decode_event,
 )
-from repro.profiler.tracer import MemBlock, TraceReader, TraceSet
+from repro.profiler.tracer import (
+    MemBlock, TraceReader, TraceSet, stack_calls,
+)
 from repro.util.datatypes import Datatype
 from repro.util import intervals as intervals_module
 from repro.util.errors import TraceFormatError
@@ -231,8 +233,8 @@ def test_prop_bulk_decode_equals_per_line_decode(tmp_path_factory, text):
     else:
         assert raised == located(error)
 
-    def read_calls(reader, **kwargs):
-        calls, counts = reader.read_calls(**kwargs)
+    def read_calls(reader):
+        calls, counts = reader.read_calls()
         return list(calls), counts
 
     # the call pass: memory lines are counted, never range-checked ...
@@ -244,11 +246,12 @@ def test_prop_bulk_decode_equals_per_line_decode(tmp_path_factory, text):
     else:
         assert raised == located(error)
 
-    # ... unless it also decodes them, for a caller that wants both
+    # ... unless it also decodes them, for a caller that wants both (the
+    # path the preprocess takes: per-rank calls, then the stack)
     events, error = reference(text, check_int64=True)
     error = error or seq_order_error(text)
     got, raised = outcome(path, lambda r: (
-        read_calls(r, mems=True),
+        (list(stack_calls([r.rank_calls(mems=True)])[0]), r.counts()),
         [row for block in r.call_mems for row in zip(*block.columns())]))
     if error is None:
         assert raised is None

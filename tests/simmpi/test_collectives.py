@@ -229,14 +229,14 @@ class TestExtendedCollectives:
         assert results == [[0], [0, 1], [0, 1, 2]]
 
     def test_exscan_matches_region_semantics(self):
-        from repro.core import check_app
+        from repro import run_check
 
         def app(mpi):
             mpi.exscan([1], op="SUM")
             mpi.reduce_scatter([1.0] * mpi.size,
                                counts=[1] * mpi.size)
 
-        report = check_app(app, nranks=3)
+        report = run_check(app, nranks=3)
         assert not report.findings
         # both calls are global collectives: 2 cuts -> 3 regions
         assert report.stats.regions == 3

@@ -2,13 +2,14 @@
 facade."""
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
-from repro import CheckConfig, api
+from repro import CheckConfig, api, obs
 from repro.cli import UsageError, _config_from_args, build_parser
-from repro.core.checker import MCChecker, check_app, check_traces
+from repro.core.checker import MCChecker, check_traces
 from repro.profiler.session import profile_run
 from repro.simmpi import DOUBLE, LOCK_SHARED
 from tests.stanalyzer.test_analyzer import WRAPPED_APPS
@@ -71,7 +72,8 @@ class TestCheckConfig:
 
 class TestLegacyShims:
     """The keyword shims are gone: a config is the only way in, and a
-    stale keyword is a loud ``TypeError``, never silently ignored."""
+    stale keyword is a loud ``TypeError``, never silently ignored.  The
+    api verbs take config fields as overrides by design."""
 
     def test_legacy_kwargs_rejected(self, traces):
         for kwargs in (dict(memory_model="unified"), dict(jobs=2),
@@ -80,18 +82,26 @@ class TestLegacyShims:
                 MCChecker(traces, **kwargs)
             with pytest.raises(TypeError):
                 check_traces(traces, **kwargs)
-            with pytest.raises(TypeError):
-                check_app(_figure1, 2, **kwargs)
 
     def test_config_must_be_checkconfig(self, traces):
         with pytest.raises(TypeError):
             MCChecker(traces, {"jobs": 2})
         with pytest.raises(TypeError):
             check_traces(traces, "unified")
+        # with or without overrides: the type is checked before any
+        # override is applied (a dict has no .replace, a str's takes
+        # no keywords)
+        for config, overrides in (({"jobs": 1}, {}),
+                                  ({"jobs": 1}, {"memory_model": "unified"}),
+                                  ("x", {"jobs": 1})):
+            with pytest.raises(TypeError, match="must be a CheckConfig"):
+                api.check(traces, config, **overrides)
+            with pytest.raises(TypeError, match="must be a CheckConfig"):
+                api.run_check(_figure1, 2, config=config, **overrides)
 
-    def test_check_app_accepts_config(self):
-        report = check_app(_figure1, 2,
-                           config=CheckConfig(memory_model="unified"))
+    def test_run_check_accepts_config(self):
+        report = api.run_check(_figure1, 2,
+                               config=CheckConfig(memory_model="unified"))
         assert report.stats.nranks == 2
 
 
@@ -186,47 +196,63 @@ class TestApiFacade:
 
 
 class TestApiObservability:
-    """S1: the api verbs accept obs exports and flush them even when the
-    analysis raises."""
+    """The api verbs take one ``obs_config=`` and flush its exports even
+    when the analysis raises."""
 
     def test_check_writes_exports(self, traces, tmp_path):
         metrics = tmp_path / "m.prom"
         chrome = tmp_path / "t.json"
-        api.check(traces, metrics_out=str(metrics),
-                  chrome_trace=str(chrome))
+        api.check(traces, obs_config=obs.ObsConfig(
+            metrics_out=str(metrics), chrome_trace=str(chrome)))
         assert "# TYPE" in metrics.read_text()
         doc = json.loads(chrome.read_text())
         assert any(e.get("name") == "analyzer.run"
                    for e in doc["traceEvents"])
 
     def test_check_restores_previous_recorder(self, traces, tmp_path):
-        from repro import obs
         before = obs.get_recorder()
-        api.check(traces, metrics_out=str(tmp_path / "m.prom"))
+        api.check(traces, obs_config=obs.ObsConfig(
+            metrics_out=str(tmp_path / "m.prom")))
         assert obs.get_recorder() is before
 
     def test_obs_config_object_accepted(self, traces, tmp_path):
-        from repro import obs
         metrics = tmp_path / "m.prom"
         api.check(traces, obs_config=obs.ObsConfig(
             metrics_out=str(metrics)))
         assert metrics.exists()
-        with pytest.raises(TypeError):
-            api.check(traces, obs_config=obs.ObsConfig(enabled=True),
-                      metrics_out=str(metrics))
 
     def test_raising_check_still_writes_both_files(self, tmp_path):
         metrics = tmp_path / "m.prom"
         chrome = tmp_path / "t.json"
         with pytest.raises((OSError, ValueError)):
             api.check(str(tmp_path / "no-such-trace-dir"),
-                      metrics_out=str(metrics),
-                      chrome_trace=str(chrome))
+                      obs_config=obs.ObsConfig(metrics_out=str(metrics),
+                                               chrome_trace=str(chrome)))
         assert metrics.exists(), "metrics not flushed on failure"
         assert chrome.exists(), "chrome trace not flushed on failure"
         json.loads(chrome.read_text())
 
     def test_no_exports_means_no_recording(self, traces):
-        from repro import obs
         api.check(traces)
         assert not obs.is_enabled()
+
+
+class TestOneWayIn:
+    """One spelling per request: ``run_check`` profiles and checks,
+    ``obs_config=`` is the only way to ask a verb for a recording."""
+
+    def test_no_check_app(self):
+        import repro
+        import repro.core
+        for module in (repro, repro.core):
+            assert "check_app" not in module.__all__
+            assert not hasattr(module, "check_app")
+
+    def test_no_obs_shorthands(self):
+        for verb in api.__all__:
+            params = inspect.signature(getattr(api, verb)).parameters
+            assert not {"metrics_out", "chrome_trace"} & set(params), verb
+
+    def test_obs_config_fields(self):
+        assert [f.name for f in dataclasses.fields(obs.ObsConfig)] == [
+            "enabled", "metrics_out", "chrome_trace"]

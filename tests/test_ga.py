@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import check_app
+from repro import run_check
 from repro.ga import GlobalArray
 from repro.simmpi import run_app
 from repro.util.errors import SimMPIError
@@ -134,7 +134,7 @@ class TestCheckability:
             ga.acc(0, 4, np.ones(4))
             ga.destroy()
 
-        report = check_app(app, nranks=3, delivery="random")
+        report = run_check(app, nranks=3, delivery="random")
         assert not report.findings, report.format()
 
     def test_unsynchronized_puts_flagged(self):
@@ -144,7 +144,7 @@ class TestCheckability:
             ga.sync()
             ga.destroy()
 
-        report = check_app(app, nranks=3, delivery="random")
+        report = run_check(app, nranks=3, delivery="random")
         assert report.has_errors
 
     def test_local_access_race_flagged(self):
@@ -160,7 +160,7 @@ class TestCheckability:
             ga.sync()
             ga.destroy()
 
-        report = check_app(app, nranks=2, delivery="random")
+        report = run_check(app, nranks=2, delivery="random")
         assert report.has_errors
 
     def test_local_access_after_sync_clean(self):
@@ -174,5 +174,5 @@ class TestCheckability:
             ga.sync()
             ga.destroy()
 
-        report = check_app(app, nranks=2, delivery="random")
+        report = run_check(app, nranks=2, delivery="random")
         assert not report.findings

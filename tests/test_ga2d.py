@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import check_app
+from repro import run_check
 from repro.ga.array2d import GlobalArray2D
 from repro.simmpi import run_app
 
@@ -105,13 +105,13 @@ class TestDatatypePrecision:
     def test_same_rows_disjoint_columns_clean(self):
         """Interleaved row-sections with disjoint columns: the vector
         data-maps interleave but never overlap — no conflict."""
-        report = check_app(self._two_writers, nranks=3,
+        report = run_check(self._two_writers, nranks=3,
                            params=dict(cols_a=(0, 3), cols_b=(3, 6)),
                            delivery="random")
         assert not report.findings, report.format()
 
     def test_overlapping_columns_flagged(self):
-        report = check_app(self._two_writers, nranks=3,
+        report = run_check(self._two_writers, nranks=3,
                            params=dict(cols_a=(0, 4), cols_b=(3, 6)),
                            delivery="random")
         assert report.has_errors
@@ -137,5 +137,5 @@ class TestDatatypePrecision:
             ga.sync()
             ga.destroy()
 
-        report = check_app(app, nranks=2, delivery="random")
+        report = run_check(app, nranks=2, delivery="random")
         assert report.has_errors
