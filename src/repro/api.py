@@ -8,7 +8,7 @@ instead of the per-function kwarg lists the internals grew over time:
 
     from repro import api, CheckConfig
 
-    run = api.run(my_app, nranks=4, trace_format="binary")
+    run = api.run(my_app, nranks=4)      # binary traces unless "text"
     report = api.check(run.traces,
                        CheckConfig(cache_dir=".mc-cache", incremental=True))
     print(report.format())
@@ -97,7 +97,7 @@ def run(app: Callable, nranks: int, *,
         delivery: str = "random",
         sched_policy: str = "round_robin",
         seed: int = 0,
-        trace_format: str = "text",
+        trace_format: str = "binary",
         app_name: Optional[str] = None,
         obs_config: Optional[obs.ObsConfig] = None) -> ProfiledRun:
     """Profile ``app`` on the simulated runtime; returns the run (its
@@ -129,7 +129,7 @@ def run_check(app: Callable, nranks: int, *,
               delivery: str = "random",
               sched_policy: str = "round_robin",
               seed: int = 0,
-              trace_format: str = "text",
+              trace_format: str = "binary",
               app_name: Optional[str] = None,
               config: Optional[CheckConfig] = None,
               obs_config: Optional[obs.ObsConfig] = None,

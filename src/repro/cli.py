@@ -158,11 +158,12 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sched", default="round_robin",
                         choices=("round_robin", "random"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trace-format", default="text",
+    parser.add_argument("--trace-format", default="binary",
                         choices=("text", "binary"),
-                        help="on-disk trace format (binary: packed "
-                             "columnar load/store blocks, smaller and "
-                             "much faster to analyze; identical findings)")
+                        help="on-disk trace format (default binary: "
+                             "columns and strided load/store runs, "
+                             "smaller and much faster to analyze; text: "
+                             "one record per line; identical findings)")
     parser.add_argument("--fixed", action="store_true",
                         help="run the corrected variant of a bug-case app")
     parser.add_argument("--param", action="append", default=[],
@@ -196,7 +197,7 @@ def _add_gen_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--flush-prob", type=float, default=0.25,
                        help="probability of a mid-epoch flush_all in "
                             "lock_all rounds")
-    group.add_argument("--trace-format", default="text",
+    group.add_argument("--trace-format", default="binary",
                        choices=("text", "binary"),
                        help="trace encoding for profiled runs")
 

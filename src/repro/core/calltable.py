@@ -17,7 +17,7 @@ set, shared by every control phase:
 
 One builder.  Each rank file hands over its calls as columns
 (:meth:`~repro.profiler.tracer.TraceReader.rank_calls`: stored so by a
-binary (v3) trace, read into the same columns from the call lines of a
+binary (v3 or v4) trace, read into the same columns from the call lines of a
 text trace); :func:`~repro.profiler.tracer.stack_calls` stacks the set's
 into one :class:`~repro.profiler.callcols.CallColumns`, and
 :meth:`CallTable.from_columns` classifies each *shape* once and gathers

@@ -70,7 +70,7 @@ class GenConfig:
     #: probability that a lock_all round issues a mid-epoch flush_all
     flush_prob: float = 0.25
     #: trace encoding for profiled runs of the program
-    trace_format: str = "text"
+    trace_format: str = "binary"
     #: simulated message-delivery policy (determinism comes from the seed)
     delivery: str = "random"
     #: simulated scheduler policy

@@ -288,7 +288,7 @@ def _text_lines(recorder) -> Dict[str, int]:
 def _call_rows(recorder) -> Dict[str, int]:
     """Binary trace call rows read, keyed by route: ``columnar`` rows
     were mapped from ``K`` frames, ``codec`` rows decoded one by one
-    from ``C`` records (every call of a v2 file; in a v3 file, a call
+    from ``C`` records (every call of a v2 file; in a v3 or v4 file, a call
     that did not fit the columns)."""
     rows = recorder.registry.get("trace_call_rows_total")
     if rows is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
-from repro.profiler.tracer import FORMAT_TEXT, FORMATS, TraceSet, TraceWriter
+from repro.profiler.tracer import FORMAT_BINARY, FORMATS, TraceSet, TraceWriter
 from repro.simmpi.memory import TrackedBuffer
 from repro.simmpi.runtime import EventHook
 from repro.util.location import capture_location
@@ -35,7 +35,7 @@ class ProfilerHook(EventHook):
                  scope: str = SCOPE_REPORT,
                  relevant_vars: Optional[Set[str]] = None,
                  capture_locations: bool = True,
-                 trace_format: str = FORMAT_TEXT):
+                 trace_format: str = FORMAT_BINARY):
         if scope not in SCOPES:
             raise ValueError(f"unknown instrumentation scope {scope!r}")
         if trace_format not in FORMATS:

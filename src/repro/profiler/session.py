@@ -75,7 +75,7 @@ def profile_run(app: Callable, nranks: int,
                 delivery: str = "random",
                 capture_locations: bool = True,
                 app_name: Optional[str] = None,
-                trace_format: str = "text") -> ProfiledRun:
+                trace_format: str = "binary") -> ProfiledRun:
     """Run ``app`` on ``nranks`` simulated ranks with the Profiler attached.
 
     With ``scope="report"`` (the paper's configuration) and no explicit

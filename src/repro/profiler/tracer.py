@@ -6,21 +6,20 @@ runtime events into the local disk independently for each process").
 
 Two on-disk formats (see ``docs/trace-format.md``):
 
+* **binary (v4)** — ``trace.<rank>.bin``, the default: memory events —
+  the bulk of a compute-heavy trace (Figure 10) — as strided runs
+  (``R`` frames) and packed rows (``M`` frames), calls as int columns
+  over a per-rank shape table (``K`` frames,
+  :mod:`repro.profiler.callcols`), and a footer with exact per-class
+  event counts, the string and shape tables and a frame index.  The
+  reader memory-maps the file, expands a segment's runs in one
+  vectorised pass and exposes the columns (:meth:`TraceReader.mem_blocks`,
+  :meth:`TraceReader.read_calls`): no Python object per event.  A call
+  the columns cannot hold is a text record (``C`` frame); v3 files (no
+  ``R`` frames) and v2 files (every call a ``C`` frame) read through the
+  same loop;
 * **text (v1)** — ``trace.<rank>.log``, one self-describing record per
-  line (the seed format, still the default);
-* **binary (v3)** — ``trace.<rank>.bin``, where both populations are
-  columns: memory events — the bulk of a compute-heavy trace
-  (Figure 10) — as packed numpy blocks (``M`` frames), call events as
-  int columns over a per-rank shape table (``K`` frames,
-  :mod:`repro.profiler.callcols`), with a footer carrying exact
-  per-class event counts, the string and shape tables and a frame
-  index.  The reader memory-maps the file and exposes the columns
-  directly (:meth:`TraceReader.mem_blocks`,
-  :meth:`TraceReader.read_calls`), so the analyzer ingests a trace
-  without constructing one Python object per event.  A call that does
-  not fit the columns is framed as a self-describing text record
-  (``C`` frame) — which is all a v2 file's calls are, so v2 files read
-  through the same loop.
+  line (the seed format, written on request).
 
 Readers sniff the format per file; every consumer-facing API
 (:meth:`TraceReader.__iter__`, :meth:`TraceReader.stream`, ...) behaves
@@ -67,16 +66,17 @@ from repro.util.records import (
 )
 
 TRACE_VERSION = 1        # text (v1) format version
-BINARY_VERSION = 3       # binary format version written
-#: binary versions read: a v2 file is a v3 file whose every call took
-#: the ``C`` route and whose footer carries no frame index
-_BINARY_VERSIONS = (2, 3)
+BINARY_VERSION = 4       # binary format version written
+#: binary versions read: a v3 file is a v4 file without ``R`` frames, a
+#: v2 file a v3 file whose every call took the ``C`` route and whose
+#: footer carries no frame index
+_BINARY_VERSIONS = (2, 3, 4)
 
 FORMAT_TEXT = "text"
 FORMAT_BINARY = "binary"
 FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 
-_FLUSH_EVERY = 4096      # buffered events between writes / per segment
+_FLUSH_EVERY = 4096      # events per segment at most (runs counted expanded)
 _SITE_CACHE = 4096       # resolved sites a writer keeps (see _keep_site)
 
 #: kind of the record that ends the text trace of a run that did not
@@ -90,8 +90,11 @@ _TRAILER_LEN = 8 + len(_END_MAGIC)  # u64 footer offset + end magic
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 #: K frame header: call rows, value-pool and list-pool entries, and the
-#: rows of the M frame that completes the segment (0: none follows)
+#: memory events of the R / M frames that complete the segment (0: none)
 _K_HEAD = struct.Struct("<IIII")
+#: R frame header: runs, and the rows of the M frame that completes the
+#: segment (0: none follows)
+_R_HEAD = struct.Struct("<II")
 _CALL_DTYPES = {"q": np.dtype("<i8"), "i": np.dtype("<i4")}
 
 #: columnar layout of one packed memory event (33 bytes, little-endian):
@@ -99,6 +102,10 @@ _CALL_DTYPES = {"q": np.dtype("<i8"), "i": np.dtype("<i4")}
 #: :data:`~repro.profiler.events.ACCESS_CODES` code.
 MEM_DTYPE = np.dtype([("seq", "<i8"), ("addr", "<i8"), ("size", "<i8"),
                       ("var", "<i4"), ("loc", "<i4"), ("access", "u1")])
+
+#: one run of an ``R`` frame (45 bytes): ``count`` >= 2 memory events,
+#: row *i* being ``(seq + i, addr + i * stride, size, var, loc, access)``
+RUN_DTYPE = np.dtype(MEM_DTYPE.descr + [("count", "<i4"), ("stride", "<i8")])
 
 #: per access code, a text memory line between its ``seq`` and ``addr``
 _MEM_HEADS = tuple(f" a={encode_value(name)} addr=" for name in ACCESS_NAMES)
@@ -171,9 +178,9 @@ class MemBlock:
 
     The vectorized unit of trace ingest: ``array`` is one structured
     numpy array (:data:`MEM_DTYPE`), string-valued fields are ids into
-    ``table``.  Binary readers hand out zero-copy views of the
-    memory-mapped file; text readers decode lines in bulk into the same
-    shape, so consumers never branch on the on-disk format.
+    ``table``.  Binary readers hand out views of the memory-mapped file
+    or a segment's runs expanded; text readers decode lines in bulk into
+    the same shape, so consumers never branch on the on-disk format.
     """
 
     __slots__ = ("rank", "table", "array", "_cols")
@@ -217,12 +224,14 @@ class TraceWriter:
     """Buffered writer for one rank's event stream (text or binary).
 
     A binary writer holds the pending events as columns — calls in a
-    :class:`~repro.profiler.callcols.CallBuffer`, memory events in six
-    packed arrays — and flushes both together as one *segment*, a ``K``
-    frame then an ``M`` frame, every ``_FLUSH_EVERY`` events.  Within a
-    segment ``seq`` increases strictly across the two populations (an
-    event that does not continue the order starts a new segment), so
-    the reader restores their interleaving from ``seq`` alone.
+    :class:`~repro.profiler.callcols.CallBuffer`, memory events as
+    strided runs grown greedily row by row (so a block leaves the bytes
+    its rows one at a time leave) — and flushes them as one *segment*:
+    ``K``, ``R`` (runs of two rows or more) and ``M`` (lone rows)
+    frames, every ``_FLUSH_EVERY`` events.  Within a segment ``seq``
+    increases strictly across the populations (an event that does not
+    continue the order starts a new segment), so the reader restores
+    their interleaving from ``seq`` alone.
 
     What is static about an event — its source location, and with it
     the call's name or the buffer's — is resolved the first time its
@@ -261,11 +270,12 @@ class TraceWriter:
                 "app": app}).encode("utf-8"))
             self._table = _StringTable()
             self._calls = CallBuffer(self._table.intern)
-            #: pending mem columns: seq, addr, size, var, loc, access —
-            #: packed, so a rank that never fills a segment holds 33
-            #: bytes an event, not six boxed ints
+            #: the open segment's runs, a packed column per RUN_DTYPE
+            #: field, and the one rows may still join: ``[seq, addr,
+            #: count, stride, (size, var, loc, access)]``
             self._pending: Tuple[array, ...] = tuple(
-                array(code) for code in "qqqiiB")
+                array(code) for code in "qqqiiBiq")
+            self._run: Optional[list] = None
             self._last_seq = INT64_MIN - 1
             #: events the open segment takes before it is flushed
             self._room = _FLUSH_EVERY
@@ -330,11 +340,12 @@ class TraceWriter:
         :class:`MemEvent`\\ s produce, which are this method with
         ``count=1``.
 
-        Binary traces extend the pending packed columns directly; the
-        mems digest hashes packed content without block-length
-        prefixes, so where a bulk append happens to cut its blocks
-        cannot perturb it.  Text traces format one line per row from
-        the site's pre-encoded fields.
+        Binary traces grow the open segment's runs (a block fills the
+        segment's room and goes on in the next, as its rows would); the
+        mems digest hashes the expanded rows without block-length
+        prefixes, so neither where a bulk append cuts its blocks nor
+        where a segment ends can perturb it.  Text traces format one
+        line per row from the site's pre-encoded fields.
         """
         if count <= 0:
             return
@@ -346,42 +357,32 @@ class TraceWriter:
         except KeyError:
             raise TraceFormatError(
                 f"unknown access kind {access!r}") from None
-        if self.format == FORMAT_BINARY and seq0 <= self._last_seq:
-            self._flush_segment()
         site = self._mem_sites.get((var, id(loc)))
         if site is None:
             site = self._new_mem_site(var, loc)
         if self.format == FORMAT_BINARY:
-            seqs, addrs, sizes, var_ids, loc_ids, codes = self._pending
-            rows = len(seqs)
-            try:
-                if count == 1:
-                    seqs.append(seq0)
-                    addrs.append(addr)
-                    sizes.append(size)
-                    var_ids.append(site[0])
-                    loc_ids.append(site[1])
-                    codes.append(code)
-                else:
-                    seqs.extend(range(seq0, seq0 + count))
-                    addrs.extend(
-                        range(addr, addr + count * stride, stride)
-                        if stride else array("q", (addr,)) * count)
-                    sizes.extend(array("q", (size,)) * count)
-                    var_ids.extend(array("i", (site[0],)) * count)
-                    loc_ids.extend(array("i", (site[1],)) * count)
-                    codes.extend(array("B", (code,)) * count)
-            except OverflowError as exc:
-                # all or none: the columns stay as they were
-                for column in self._pending:
-                    del column[rows:]
+            last = count - 1
+            if not (INT64_MIN <= seq0 and seq0 + last <= INT64_MAX
+                    and INT64_MIN <= addr
+                    and addr + last * stride <= INT64_MAX
+                    and INT64_MIN <= size <= INT64_MAX):
                 raise TraceFormatError(
-                    f"memory event outside the int64 columns: {exc}"
-                ) from None
-            self._last_seq = seq0 + count - 1
-            self._room -= count
-            if self._room <= 0:
-                self._flush_segment()
+                    f"memory event outside the int64 columns: {count} rows "
+                    f"from seq {seq0} addr {addr} by {stride}, size {size}")
+            key = (size, site[0], site[1], code)
+            while last >= 0:
+                if seq0 <= self._last_seq:
+                    self._flush_segment()
+                # rows a stride past int64 apart (two at most) never join
+                rows = min(last + 1 if stride <= INT64_MAX else 1,
+                           self._room)
+                self._add_rows(seq0, addr, rows, stride, key)
+                self._last_seq = seq0 + rows - 1
+                self._room -= rows
+                if self._room <= 0:
+                    self._flush_segment()
+                seq0, addr, last = seq0 + rows, addr + rows * stride, \
+                    last - rows
         else:
             buffer = self._buffer
             head = _MEM_HEADS[code]
@@ -399,6 +400,33 @@ class TraceWriter:
             if len(buffer) >= _FLUSH_EVERY:
                 self._drain()
         self.events_written += count
+
+    def _add_rows(self, seq0: int, addr: int, count: int, stride: int,
+                  key: tuple) -> None:
+        """Put ``count`` rows in the open segment: each joins the open
+        run if it continues it, else opens the next run."""
+        run = self._run
+        if run is not None and run[4] == key and seq0 == run[0] + run[2]:
+            joined = run[2]
+            step = addr - run[1] if joined == 1 else run[3]
+            if 0 <= step <= INT64_MAX and addr == run[1] + joined * step:
+                run[3] = step
+                if count == 1 or stride == step:
+                    run[2] = joined + count
+                    return
+                run[2] = joined + 1
+                seq0, addr, count = seq0 + 1, addr + stride, count - 1
+        self._close_run()
+        self._run = [seq0, addr, count, stride if count > 1 else 0, key]
+
+    def _close_run(self) -> None:
+        run = self._run
+        if run is not None:
+            seq0, addr, count, stride, (size, var, loc, code) = run
+            for column, value in zip(self._pending, (
+                    seq0, addr, size, var, loc, code, count, stride)):
+                column.append(value)
+            self._run = None
 
     def _new_call_site(self, fn: str,
                        loc: Optional[SourceLocation]) -> tuple:
@@ -506,34 +534,42 @@ class TraceWriter:
         self._counts["call"] += 1
 
     def _flush_segment(self) -> None:
-        seqs = self._pending[0]
+        self._close_run()
+        table = np.empty(len(self._pending[0]), dtype=RUN_DTYPE)
+        for name, col in zip(RUN_DTYPE.names, self._pending):
+            table[name] = np.frombuffer(col, dtype=col.typecode)
+            del col[:]
+        lone = table[table["count"] == 1][list(MEM_DTYPE.names)].astype(
+            MEM_DTYPE)
+        runs = table[table["count"] > 1]
+        # the segment's rows in seq order: what is hashed and counted,
+        # so both are those of the rows written one at a time
+        rows = _expand(table) if len(runs) else lone
         counts = self._counts
         if len(self._calls):
-            rows, nvals, nlists, payload = self._calls.take_frame()
-            self._index_frame("K", rows)
+            calls, nvals, nlists, payload = self._calls.take_frame()
+            self._index_frame("K", calls)
             self._out += b"K"
-            self._out += _K_HEAD.pack(rows, nvals, nlists, len(seqs))
+            self._out += _K_HEAD.pack(calls, nvals, nlists, len(rows))
             self._out += payload
-            counts["call"] += rows
-        if seqs:
-            arr = np.empty(len(seqs), dtype=MEM_DTYPE)
-            for name, col in zip(MEM_DTYPE.names, self._pending):
-                arr[name] = np.frombuffer(col, dtype=col.typecode)
-            self._index_frame("M", len(seqs))
-            self._out += b"M"
-            self._out += _U32.pack(len(seqs))
-            payload = arr.tobytes()
-            self._out += payload
+            counts["call"] += calls
+        if len(runs):
+            self._index_frame("R", len(rows) - len(lone))
+            self._out += b"R" + _R_HEAD.pack(len(runs), len(lone))
+            self._out += runs.tobytes()
+        if len(lone):
+            self._index_frame("M", len(lone))
+            self._out += b"M" + _U32.pack(len(lone)) + lone.tobytes()
+        if len(rows):
             # no length prefix: rows are fixed-width, so the mems digest
-            # is a pure function of the packed content regardless of
-            # where the writer happened to cut its blocks
-            self._hash_mems.update(payload)
-            stores = self._pending[5].count(ACCESS_CODES[ACCESS_STORE])
-            counts["mem"] += len(seqs)
+            # is a pure function of the expanded content regardless of
+            # where the writer happened to cut its segments
+            self._hash_mems.update(rows.tobytes())
+            stores = int(np.count_nonzero(
+                rows["access"] == ACCESS_CODES[ACCESS_STORE]))
+            counts["mem"] += len(rows)
             counts["store"] += stores
-            counts["load"] += len(seqs) - stores
-            for col in self._pending:
-                del col[:]
+            counts["load"] += len(rows) - stores
         self._room = _FLUSH_EVERY
         if len(self._out) >= 1 << 20:
             self._drain()
@@ -558,6 +594,21 @@ class TraceWriter:
         else:
             self._fh.write(data)
         self.bytes_written += len(data)
+
+
+def _expand(runs: np.ndarray) -> np.ndarray:
+    """The memory rows ``runs`` (a contiguous :data:`RUN_DTYPE` array,
+    counts >= 1, checked to stay inside int64) stand for, run after
+    run: one ``repeat`` / ``arange`` pass."""
+    counts = runs["count"]
+    at = np.repeat(np.arange(len(runs)), counts)
+    # a run's leading 33 bytes are its first row
+    rows = np.ndarray(len(runs), MEM_DTYPE, runs, 0,
+                      (RUN_DTYPE.itemsize,)).take(at)
+    step = np.arange(len(at)) - (np.cumsum(counts) - counts).take(at)
+    rows["seq"] += step
+    rows["addr"] += step * runs["stride"].take(at)
+    return rows
 
 
 def _location_text(loc: Optional[SourceLocation]) -> str:
@@ -996,14 +1047,17 @@ class TraceReader:
         """The frame index ``(kinds, offsets, rows)`` of the data
         section, from one walk over the frame headers — and the checks
         that make every later pass a plain gather: frames tile the
-        section exactly, the footer's own index (v3) names the same
-        frames, and the rows per kind sum to the footer's counts."""
+        section exactly, every run of an ``R`` frame (v4) is sound, the
+        footer's own index (v3) names the same frames, and the rows per
+        kind (an ``R`` frame's: its events) sum to the footer's counts."""
         mm, end = self._mm, self._footer_off
         kinds: List[str] = []
         offsets: List[int] = []
         rows: List[int] = []
         pos = self._data_pos
-        owed = 0    # memory rows the last K frame said complete its segment
+        # memory events the frames that complete the open segment still
+        # owe it, and the kind of frame that announced them
+        owed, owner = 0, ""
         while pos < end:
             tag = mm[pos:pos + 1]
             if pos + 5 > end:
@@ -1011,18 +1065,25 @@ class TraceReader:
                     f"{self.path}: frame header at byte {pos} overruns "
                     "the footer")
             count = _U32.unpack_from(mm, pos + 1)[0]
-            if owed and (tag != b"M" or count != owed):
+            if owed and not ((tag == b"M" and count == owed)
+                             or (tag == b"R" and owner == "K")):
                 raise TraceFormatError(
-                    f"{self.path}: the K frame before byte {pos} is "
-                    f"completed by {owed} memory rows; found "
+                    f"{self.path}: the {owner} frame before byte {pos} "
+                    f"is completed by {owed} memory events; found "
                     f"{tag!r} with {count}")
-            owed = 0
+            announced, owed, owner = owed, 0, ""
             if tag == b"M":
                 stop = pos + 5 + count * MEM_DTYPE.itemsize
             elif tag == b"C":
                 stop, count = pos + 5 + count, 1
             elif tag == b"K" and pos + 1 + _K_HEAD.size <= end:
                 owed, _columns, stop = _call_frame(mm, pos)
+                owner = "K"
+            elif tag == b"R" and self.header.version >= 4 and \
+                    pos + 1 + _R_HEAD.size <= end:
+                count, owed = _R_HEAD.unpack_from(mm, pos + 1)
+                stop = pos + 1 + _R_HEAD.size + count * RUN_DTYPE.itemsize
+                owner = "R"
             else:
                 raise TraceFormatError(
                     f"{self.path}: unknown frame tag {tag!r} at byte "
@@ -1031,14 +1092,21 @@ class TraceReader:
                 raise TraceFormatError(
                     f"{self.path}: {tag.decode()} frame at byte {pos} "
                     "overruns the footer")
+            if owner == "R":
+                count = self._check_runs(pos)
+                if announced and count + owed != announced:
+                    raise TraceFormatError(
+                        f"{self.path}: the K frame before byte {pos} is "
+                        f"completed by {announced} memory events; the R "
+                        f"frame there by {count + owed}")
             kinds.append(tag.decode())
             offsets.append(pos)
             rows.append(count)
             pos = stop
         if owed:
             raise TraceFormatError(
-                f"{self.path}: the last K frame (byte {offsets[-1]}) is "
-                f"completed by {owed} memory rows; found the footer")
+                f"{self.path}: the last {owner} frame (byte {offsets[-1]}) "
+                f"is completed by {owed} memory events; found the footer")
         walked = {"kinds": "".join(kinds), "offsets": offsets, "rows": rows}
         if indexed is not None and indexed != walked:
             try:
@@ -1053,8 +1121,8 @@ class TraceReader:
                 f"section at frame {same} (byte "
                 f"{offsets[same] if same < len(offsets) else end})")
         counts = self._counts
-        calls = sum(n for kind, n in zip(kinds, rows) if kind != "M")
-        mems = sum(n for kind, n in zip(kinds, rows) if kind == "M")
+        calls = sum(n for kind, n in zip(kinds, rows) if kind in "KC")
+        mems = sum(n for kind, n in zip(kinds, rows) if kind in "MR")
         if (calls, mems) != (counts["call"], counts["mem"]) or \
                 counts["load"] + counts["store"] != counts["mem"]:
             raise TraceFormatError(
@@ -1063,6 +1131,53 @@ class TraceReader:
                 f"({counts['load']} loads + {counts['store']} stores), the "
                 f"frames hold {calls} and {mems}")
         return kinds, offsets, rows
+
+    def _runs(self, offset: int) -> np.ndarray:
+        """The runs of the ``R`` frame at ``offset``, a view of the map."""
+        nruns = _U32.unpack_from(self._map(), offset + 1)[0]
+        return np.frombuffer(self._mm, dtype=RUN_DTYPE, count=nruns,
+                             offset=offset + 1 + _R_HEAD.size)
+
+    def _check_runs(self, offset: int) -> int:
+        """The events the ``R`` frame at ``offset`` expands to — refused
+        unless every run has two rows or more, a stride >= 0, a last row
+        inside int64, an access code and string ids the file defines,
+        and the frame fits a segment."""
+        runs, strings = self._runs(offset), len(self._table.strings)
+        count, stride = runs["count"], runs["stride"]
+        steps = np.maximum(count, 2) - np.int64(1)
+        # INT64_MAX - addr, exact as uint64 (two's complement wraps back)
+        room = np.uint64(INT64_MAX) - runs["addr"].view(np.uint64)
+        wrong = [
+            (count < 2, "count {count} < 2"),
+            (runs["access"] >= len(ACCESS_NAMES),
+             "access code {access} is neither load nor store"),
+            ((runs["var"].view(np.uint32) >= strings)
+             | (runs["loc"].view(np.uint32) >= strings),
+             f"var id {{var}} or loc id {{loc}} outside {strings} strings"),
+            (stride < 0, "stride {stride} < 0"),
+            (runs["seq"] > INT64_MAX - steps,
+             "seq {seq} + {count} - 1 overflows int64"),
+            (stride.view(np.uint64) > room // steps.view(np.uint64),
+             "addr {addr} + ({count} - 1) * {stride} overflows int64")]
+        bad = wrong[0][0]
+        for test, _why in wrong[1:]:
+            bad = bad | test
+        bad = np.nonzero(bad)[0]
+        if len(bad):
+            i = int(bad[0])
+            run = {name: int(runs[name][i]) for name in RUN_DTYPE.names}
+            what = next(why for test, why in wrong if test[i])
+            raise TraceFormatError(
+                f"{self.path}: R frame at byte {offset}, run {i} (byte "
+                f"{offset + 1 + _R_HEAD.size + i * RUN_DTYPE.itemsize}): "
+                + what.format(**run))
+        events = int(count.sum())
+        if events > _FLUSH_EVERY:
+            raise TraceFormatError(
+                f"{self.path}: R frame at byte {offset} expands to {events} "
+                f"memory events, more than a segment holds ({_FLUSH_EVERY})")
+        return events
 
     def _map(self):
         if self._mm is None:
@@ -1114,19 +1229,11 @@ class TraceReader:
             return
         calls = self._call_columns()
         cols = CallColumns([calls], _StringTable(calls.strings))
-        mm = self._map()
-        frames = iter(zip(*self._frames))
-        row = 0
-        for kind, offset, rows in frames:
-            calls: list = []
-            if kind != "M":
-                calls = cols[row:row + rows]
-                row += rows
-                if kind == "C" or not _call_frame(mm, offset)[0]:
-                    yield from calls
-                    continue
-                kind, offset, rows = next(frames)   # the segment's rows
-            mems = self._mem_rows(offset, rows)
+        for start, stop, mems in self._segments():
+            calls = cols[start:stop]
+            if mems is None:
+                yield from calls
+                continue
             cuts = np.searchsorted(
                 mems["seq"], [call.seq for call in calls]).tolist()
             yield from _interleave(rank, table, mems, calls, cuts)
@@ -1200,7 +1307,7 @@ class TraceReader:
         frames: List[Tuple[str, int]] = []      # kind and byte offset
         rows = columnar = 0
         for kind, offset, count in zip(kinds, offsets, counts):
-            if kind == "M":
+            if kind in "MR":
                 continue
             firsts.append(rows)
             frames.append((kind, offset))
@@ -1243,6 +1350,44 @@ class TraceReader:
     def _mem_rows(self, offset: int, rows: int) -> np.ndarray:
         return np.frombuffer(self._map(), dtype=MEM_DTYPE, count=rows,
                              offset=offset + 5)
+
+    def _segments(self) -> Iterator[Tuple[int, int, Optional[np.ndarray]]]:
+        """Per segment of a binary trace: the rows ``start:stop`` of the
+        rank's call columns it holds, and its memory rows (``None``: it
+        has none) — a view of an ``M`` frame, or its runs expanded."""
+        mm = self._map()
+        frames = iter(zip(*self._frames))
+        row = 0
+        for kind, offset, rows in frames:
+            start = row
+            if kind in "KC":
+                row += rows
+                if kind == "C" or not _call_frame(mm, offset)[0]:
+                    yield start, row, None
+                    continue
+                kind, offset, rows = next(frames)   # the segment's rows
+            if kind == "M":
+                yield start, row, self._mem_rows(offset, rows)
+                continue
+            runs = self._runs(offset)
+            if _R_HEAD.unpack_from(mm, offset + 1)[1]:
+                # lone rows are runs of one: back in the writer's order
+                _kind, at, lone = next(frames)
+                merged = np.zeros(len(runs) + lone, dtype=RUN_DTYPE)
+                merged[:len(runs)] = runs
+                ones = merged[len(runs):]
+                ones[list(MEM_DTYPE.names)] = self._mem_rows(at, lone)
+                ones["count"] = 1
+                runs = merged[np.argsort(merged["seq"], kind="stable")]
+            mems = _expand(runs)
+            seq = mems["seq"]
+            late = np.nonzero(seq[1:] <= seq[:-1])[0]
+            if len(late):
+                raise TraceFormatError(
+                    f"{self.path}: R frame at byte {offset}: memory seq "
+                    f"{int(seq[late[0] + 1])} follows {int(seq[late[0]])} "
+                    "in its segment")
+            yield start, row, mems
 
     def counts(self) -> Dict[str, int]:
         """Per-class event counts: served from the footer for binary
@@ -1293,16 +1438,16 @@ class TraceReader:
         columns = [hashlib.sha256() for _ in CALL_COLUMNS]
         codec, mems = hashlib.sha256(), hashlib.sha256()
         for kind, offset, rows in zip(*self._frames):
-            if kind == "M":
-                mems.update(mm[offset + 5:
-                               offset + 5 + rows * MEM_DTYPE.itemsize])
-            elif kind == "C":
+            if kind == "C":
                 length = _U32.unpack_from(mm, offset + 1)[0]
                 codec.update(mm[offset + 1:offset + 5 + length])
-            else:
+            elif kind == "K":
                 for digest, (_name, dtype, count, at) in zip(
                         columns, _call_frame(mm, offset)[1]):
                     digest.update(mm[at:at + count * dtype.itemsize])
+        for _start, _stop, rows in self._segments():
+            if rows is not None:
+                mems.update(rows.tobytes())
         # a v2 writer recorded the running hash of its ``C`` records
         calls = (codec.hexdigest() if self.header.version == 2
                  else calls_digest([h.digest() for h in columns],
@@ -1313,22 +1458,23 @@ class TraceReader:
     def mem_blocks(self) -> Iterator[MemBlock]:
         """Memory events only, packed (the vectorized data pass): text
         traces yield one block per decoded chunk of the data section,
-        binary traces one zero-copy view per ``M`` frame of the frame
-        index — no call is decoded or stepped over either way."""
+        binary traces one per segment of the frame index — a zero-copy
+        view of its ``M`` frame, or its runs expanded once — no call is
+        decoded or stepped over either way."""
         rank, table = self.header.rank, self._table
         if self.format != FORMAT_BINARY:
             for mems, _calls, _cuts in _TextSection(self):
                 if len(mems):
                     yield MemBlock(rank, table, mems)
             return
-        for kind, offset, rows in zip(*self._frames):
-            if kind == "M":
-                yield MemBlock(rank, table, self._mem_rows(offset, rows))
+        for _start, _stop, mems in self._segments():
+            if mems is not None:
+                yield MemBlock(rank, table, mems)
 
     def frame_bytes(self) -> Dict[str, int]:
         """File bytes by what they hold — ``calls`` (``K`` and ``C``
-        frames), ``mems`` (``M`` frames) and ``footer`` (magic, header,
-        footer, trailer) — for a binary trace; text lines are not
+        frames), ``mems`` (``R`` and ``M`` frames) and ``footer`` (magic,
+        header, footer, trailer) — for a binary trace; text lines are not
         framed, so a text trace reports only its ``file`` size."""
         size = os.path.getsize(self.path)
         if self.format != FORMAT_BINARY:
@@ -1337,7 +1483,7 @@ class TraceReader:
         sizes = Counter()
         for kind, start, stop in zip(kinds, offsets,
                                      offsets[1:] + [self._footer_off]):
-            sizes["mems" if kind == "M" else "calls"] += stop - start
+            sizes["mems" if kind in "MR" else "calls"] += stop - start
         return {"calls": sizes["calls"], "mems": sizes["mems"],
                 "footer": size - sizes["calls"] - sizes["mems"]}
 

@@ -45,7 +45,7 @@ def test_score_accepts_finding_dicts():
 
 def test_run_case_full_matrix_no_mismatches():
     case = run_case(GenConfig(seed=3, nranks=5, rounds=3,
-                              bugs=("any",) * 2))
+                              bugs=("any",) * 2, trace_format="text"))
     assert case.ok, case.to_dict()
     assert case.recall == 1.0 and case.precision == 1.0
     # every executor was actually compared

@@ -208,7 +208,7 @@ class TestCliExports:
         metrics = tmp_path / "m.prom"
         trace = tmp_path / "t.json"
         main(["run", "emulate", "--ranks", "2", "--trace-dir", traces,
-              "--log-level", "quiet"])
+              "--trace-format", "text", "--log-level", "quiet"])
         rc = main(["check", traces, "--log-level", "quiet",
                    "--metrics-out", str(metrics),
                    "--chrome-trace", str(trace)])

@@ -11,13 +11,15 @@ produce identical trace files — hence identical content digests — and
 byte-identical checker reports under both memory models.
 
 A hypothesis property test additionally drives ``append_mem_columns``
-across mem-block flush boundaries, interleaved with scalar writes and
-call records, and round-trips the result through ``TraceReader``.
+across segment boundaries, interleaved with scalar writes and call
+records: the file is the bytes the rows written one at a time leave, in
+both formats, and round-trips through ``TraceReader``.
 
 The hook resolves what is static about an event once per call site; a
 second property requires ``ProfilerHook.on_call`` / ``on_mem_block``
-(one access) to leave the bytes and digests ``write(CallEvent)`` /
-``write(MemEvent)`` leave —
+(a block of ``count >= 1`` accesses ``stride >= 0`` bytes apart) to
+leave the bytes and digests ``write(CallEvent)`` / ``write(MemEvent)``
+per row leave —
 for every call form (all ints, strings, lists, dropped ``None``s, an int
 past int64 on the ``C`` route, a ``str`` where the form had an int),
 wherever the segments are cut, in both formats — and three pins cover the
@@ -211,16 +213,13 @@ def test_append_mem_columns_round_trip(fmt, ops):
         n_fast = _emit(fast_path, fmt, ops, fast=True)
         n_ref = _emit(ref_path, fmt, ops, fast=False)
         assert n_fast == n_ref
-        if fmt == FORMAT_TEXT:
-            # text is one line per event: framing cannot diverge
-            with open(fast_path, "rb") as fh:
-                fast_bytes = fh.read()
-            with open(ref_path, "rb") as fh:
-                ref_bytes = fh.read()
-            assert fast_bytes == ref_bytes
-        # binary M-frame boundaries may differ across the two when a bulk
-        # append crosses the flush threshold; the contract is that the
-        # content digests and the decoded stream cannot tell
+        # a block fills the segment's room and goes on in the next, and
+        # its rows join runs as they would one at a time
+        with open(fast_path, "rb") as fh:
+            fast_bytes = fh.read()
+        with open(ref_path, "rb") as fh:
+            ref_bytes = fh.read()
+        assert fast_bytes == ref_bytes
         with TraceReader(fast_path) as reader:
             events = reader.events()
             digest = reader.content_digest()
@@ -285,11 +284,24 @@ _ARGS = st.one_of(
 _HOOK_CALL = st.tuples(st.just("call"),
                        st.sampled_from(["Put", "Comm_rank", "user call"]),
                        _ARGS, st.integers(0, 1))
+#: blocks of ``count`` accesses ``stride`` apart; addresses drawn from a
+#: few values too, so that one op's rows may continue the last op's run
 _HOOK_MEM = st.tuples(st.just("mem"), st.sampled_from(["load", "store"]),
-                      st.integers(0, 1 << 40), st.integers(1, 64),
+                      st.one_of(st.integers(0, 1 << 40),
+                                st.sampled_from((0, 8, 16, 24))),
+                      st.sampled_from((8, 8, 4, 64)), st.integers(1, 6),
+                      st.one_of(st.sampled_from((0, 8, 8, 16)),
+                                st.integers(0, 1 << 20)),
                       st.integers(0, 1))
 HOOK_OPS = st.lists(st.one_of(_HOOK_CALL, _HOOK_CALL, _HOOK_MEM),
                     min_size=1, max_size=24)
+
+
+_TWO_BLOCK_RUN = [("mem", "load", 0, 8, 3, 8, 0),
+                  ("mem", "load", 24, 8, 4, 8, 0),
+                  ("mem", "load", 56, 8, 3, 0, 0),
+                  ("call", "Put", {"win": 0}, 1),
+                  ("mem", "store", 16, 8, 5, 16, 1)]
 
 
 class _Buffer:
@@ -298,7 +310,7 @@ class _Buffer:
 
 def _through_hook(directory, fmt, ops):
     """The producer's way: ``ProfilerHook.on_call`` / ``on_mem_block``
-    (one access), the location captured per event (here: dealt from
+    (one block), the location captured per event (here: dealt from
     ``_SITES``)."""
     from repro.profiler import interpose
     sites = iter([_SITES[op[-1]] for op in ops])
@@ -310,23 +322,35 @@ def _through_hook(directory, fmt, ops):
             if op[0] == "call":
                 hook.on_call(0, op[1], op[2])
             else:
-                hook.on_mem_block(0, op[1], _Buffer, op[2], op[3], 1, 0)
+                hook.on_mem_block(0, op[1], _Buffer, op[2], op[3], op[4],
+                                  op[5])
         hook.close()
     return hook
 
 
 def _through_write(path, fmt, ops):
-    """The reference: one typed event per op through ``write``."""
+    """The reference: one typed event per call and per accessed row
+    through ``write``."""
+    seq = 0
     with TraceWriter(path, 0, 1, app="prop", format=fmt) as writer:
-        for seq, op in enumerate(ops):
+        for op in ops:
             loc = _TWINS[op[-1]]
             if op[0] == "call":
                 writer.write(CallEvent(rank=0, seq=seq, fn=op[1],
                                        args=op[2], loc=loc))
-            else:
+                seq += 1
+                continue
+            for i in range(op[4]):
                 writer.write(MemEvent(rank=0, seq=seq, access=op[1],
-                                      addr=op[2], size=op[3], var="grid",
-                                      loc=loc))
+                                      addr=op[2] + i * op[5], size=op[3],
+                                      var="grid", loc=loc))
+                seq += 1
+
+
+def _rows(ops):
+    """Per event the op's site: a block is ``count`` events."""
+    return [op[-1] for op in ops
+            for _ in range(1 if op[0] == "call" else op[4])]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -334,6 +358,11 @@ def _through_write(path, fmt, ops):
 @given(ops=HOOK_OPS, cut=st.sampled_from((1, 2, 3, 7, 4096)))
 # a lone carriage return in a string value is data, not a line break
 @example(ops=[("call", "Put", {"win": 0, "var": "\r0"}, 0)], cut=1)
+# one run over two blocks, whole or cut by the segment room; then a
+# block whose stride is not the run's: its first row joins, the rest
+# open a run
+@example(ops=_TWO_BLOCK_RUN, cut=4096)
+@example(ops=_TWO_BLOCK_RUN, cut=4)
 def test_hook_lanes_equal_write(fmt, ops, cut):
     """Whatever a call looks like and wherever the segments are cut, the
     hook's records leave the bytes ``write(event)`` leaves."""
@@ -347,14 +376,15 @@ def test_hook_lanes_equal_write(fmt, ops, cut):
         hooked = os.path.join(hooked, os.listdir(hooked)[0])
         with open(hooked, "rb") as a, open(written, "rb") as b:
             assert a.read() == b.read()
-        assert hook.events_written == len(ops)
+        sites = _rows(ops)
+        assert hook.events_written == len(sites)
         assert hook.bytes_written == os.path.getsize(hooked)
         with TraceReader(hooked) as a, TraceReader(written) as b:
             assert a.digests() == b.digests()
             assert a.counts() == b.counts()
             events = a.events()
-        assert [e.seq for e in events] == list(range(len(ops)))
-        assert [e.loc for e in events] == [_SITES[op[-1]] for op in ops]
+        assert [e.seq for e in events] == list(range(len(sites)))
+        assert [e.loc for e in events] == [_SITES[site] for site in sites]
 
 
 def test_equal_locations_share_one_string_id(tmp_path):

@@ -20,10 +20,12 @@ from repro.apps.heat2d import heat2d
 from repro.apps.registry import BUG_CASES, bug_case
 from repro.cli import main
 from repro.core.preprocess import preprocess_calls
+from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent, decode_event
 from repro.profiler.tracer import (
     _END_MAGIC, _K_HEAD, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
 )
+from repro.tools.trace_filter import filter_traces
 from repro.util.errors import (
     AnalysisError, DeadlockError, SimMPIError, TraceFormatError,
 )
@@ -295,6 +297,107 @@ class TestCorruptCallColumnsOfTheLastRank(TestCorruptCallColumns):
     RANK = 1
 
 
+#: a v3 set written before runs existed; its v4 rewrite has an R frame
+#: per rank (``lu`` n=16 on 4 ranks, race-free)
+V3_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v3_lu4")
+
+#: byte offset of each field in a 45-byte run row (RUN_DTYPE), spelled
+#: out: the layout is the spec
+RUN_FIELDS = {"seq": (0, "<q"), "addr": (8, "<q"), "size": (16, "<q"),
+              "var": (24, "<i"), "loc": (28, "<i"), "access": (32, "<B"),
+              "count": (33, "<i"), "stride": (37, "<q")}
+INT64_MAX = (1 << 63) - 1
+
+
+def runs_of(directory):
+    """The fixture's v4 rewrite in ``directory``, and its report."""
+    with open(os.path.join(V3_LU, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    filter_traces(TraceSet(V3_LU), directory)
+    return expected
+
+
+def r_frame(path):
+    """``(offset, runs)`` of the first R frame, runs as dicts."""
+    with TraceReader(path) as reader:
+        kinds, offsets, _rows = reader._frames
+        offset = offsets[kinds.index("R")]
+        nruns = struct.unpack_from("<I", reader._mm, offset + 1)[0]
+        runs = []
+        for i in range(nruns):
+            at = offset + 9 + 45 * i
+            runs.append({name: struct.unpack_from(fmt, reader._mm,
+                                                  at + shift)[0]
+                         for name, (shift, fmt) in RUN_FIELDS.items()})
+    return offset, runs
+
+
+def poke_run(path, field, value, run=0):
+    """Overwrite one field of one run, then record the digests of what
+    the file now holds: only the reader's checks can refuse it."""
+    offset, _runs = r_frame(path)
+    shift, fmt = RUN_FIELDS[field]
+    poke(path, offset + 9 + 45 * run + shift, fmt, value)
+    try:
+        with TraceReader(path) as reader:
+            digests = reader._recompute_binary_digests()
+    except TraceFormatError:
+        return offset
+    rewrite_footer(path, lambda footer: footer.update(digests=digests))
+    return offset
+
+
+class TestCorruptRuns:
+    """An R frame's runs are claims the reader checks before it expands
+    them: a corrupt run is a typed error naming the file and the byte,
+    or a row that reads (a free integer) — never a bare numpy error, an
+    allocation the size of a flipped count, or a silent misread."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        self.expected = runs_of(str(tmp_path / "t"))
+        return str(tmp_path / "t" / "trace.0.bin")
+
+    def test_every_byte_flip_in_the_r_frame_is_survivable(self, path):
+        """Flip each byte of the R frame in turn: the set checks to the
+        unchanged report (the flip landed in a free integer: an address,
+        a size, a seq past the rank's last call) or fails typed."""
+        offset, runs = r_frame(path)
+        with open(path, "rb") as fh:
+            original = fh.read()
+        outcomes = set()
+        for at in range(offset, offset + 9 + 45 * len(runs)):
+            flipped = bytearray(original)
+            flipped[at] ^= 0xFF
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            try:
+                report = canonical_report(api.check(os.path.dirname(path)))
+            except (TraceFormatError, AnalysisError) as exc:
+                outcomes.add(type(exc).__name__)
+                continue
+            assert report == self.expected, f"flip at byte {at}"
+            outcomes.add("unchanged")
+        assert outcomes == {"TraceFormatError", "AnalysisError",
+                            "unchanged"}
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("count", 0, "count 0 < 2"),
+        ("count", 3000, "completed by 10 memory events; the R frame "
+         "there by 3007"),
+        ("count", 1 << 30, "more than a segment holds"),
+        ("access", 7, "access code 7 is neither load nor store"),
+        ("var", 1 << 20, "var id 1048576 or loc id"),
+    ])
+    def test_typed_error_names_path_and_offset(self, path, field, value,
+                                               message):
+        offset = poke_run(path, field, value)
+        with pytest.raises(TraceFormatError, match=message) as err:
+            TraceReader(path)
+        assert re.match(rf"{re.escape(path)}: (the K frame before )?(R "
+                        rf"frame at )?byte {offset}\b", str(err.value))
+
+
 # ----------------------------------------------------------------------
 # a run that did not complete must not leave a set that reads as whole
 # ----------------------------------------------------------------------
@@ -400,7 +503,7 @@ class TestAbortedRuns:
 
     def test_completed_run_carries_no_marker(self, tmp_path):
         run = api.run(heat2d, 2, params=dict(rows=8, cols=4, steps=2),
-                      trace_dir=str(tmp_path))
+                      trace_dir=str(tmp_path), trace_format="text")
         for rank in range(2):
             with open(run.traces.path(rank)) as fh:
                 assert not any(line.startswith("A") for line in fh)
@@ -556,6 +659,53 @@ class TestEveryExecutorRejects:
             with pytest.raises(AnalysisError,
                                match=rf"^rank {self.RANK}: memory seq \d+ "
                                + said):
+                self._check(arm, trace_dir, cache_dir)
+        finally:
+            api.shutdown_pools()
+        assert glob.glob("/dev/shm/mcc-*") == []
+
+    @pytest.mark.parametrize("case", [
+        "count-1", "negative-stride", "seq-overflow", "addr-overflow",
+        "seq-of-an-m-row", "seq-of-a-call"])
+    def test_bad_run_row(self, tmp_path, arm, case):
+        """Hand-made bad runs in a v4 file whose footer records the
+        digests of what it holds: refused by the frame walk (file and
+        byte), by the segment merge (file and byte) or where rows
+        become columns (rank and seq) — whichever executor reads it."""
+        trace_dir, cache_dir = str(tmp_path / "t"), str(tmp_path / "cache")
+        runs_of(trace_dir)
+        if arm == "incremental-warm":
+            assert not self._check(arm, trace_dir, cache_dir).findings
+        path = TraceSet.rank_path(trace_dir, self.RANK, FORMAT_BINARY)
+        with TraceReader(path) as reader:
+            events = reader.events()
+            kinds, offsets, rows = reader._frames
+            at = kinds.index("M")       # the lone rows of the R's segment
+            lone = int(reader._mem_rows(offsets[at], rows[at])["seq"][0])
+        calls = {e.seq for e in events if isinstance(e, CallEvent)}
+        count = r_frame(path)[1][0]["count"]
+        clash = next(seq for seq in sorted(calls)
+                     if calls.issuperset(range(seq, seq + count)))
+        field, value, said = {
+            "count-1": ("count", 1, r"run 0 \(byte \d+\): count 1 < 2"),
+            "negative-stride": ("stride", -8, "stride -8 < 0"),
+            "seq-overflow": ("seq", INT64_MAX, r"seq \d+ \+ \d+ - 1 "
+                             "overflows int64"),
+            "addr-overflow": ("stride", INT64_MAX, "overflows int64"),
+            "seq-of-an-m-row": ("seq", lone, r"memory seq \d+ follows \d+ in "
+                             "its segment"),
+            "seq-of-a-call": ("seq", clash, None),
+        }[case]
+        offset = poke_run(path, field, value)
+        if said is not None:
+            message = self._rejected(arm, trace_dir, cache_dir, path)
+            assert re.search(rf"R frame at byte {offset}\b.*{said}",
+                             message), message
+            return
+        try:
+            with pytest.raises(AnalysisError,
+                               match=rf"^rank {self.RANK}: memory seq "
+                               rf"{clash} is also a call's seq"):
                 self._check(arm, trace_dir, cache_dir)
         finally:
             api.shutdown_pools()

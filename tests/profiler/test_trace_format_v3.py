@@ -1,18 +1,21 @@
-"""Binary format v3: calls as columns, and the v2 files it still reads.
+"""Binary formats v3 / v4: calls as columns, memory rows as strided runs,
+and the v2 / v3 files the reader still reads.
 
 * round trip: arbitrary call events — negative ints, bools, empty and
   long int lists, strings needing escapes, unicode, an int past int64
-  that forces the codec route — interleaved with memory rows survive
-  both writer lanes with equal decoded events, equal ``stream()`` order
-  and equal ``digests()`` wherever the writer cut its segments;
+  that forces the codec route — interleaved with memory rows and
+  strided runs of them survive both writer lanes with the same bytes,
+  equal decoded events, equal ``stream()`` order and equal ``digests()``
+  wherever the writer cut its segments;
 * the lazy ``CallColumns`` ``read_calls`` returns for a text and for a
   binary file of one run equal, element by element, the per-line
   ``decode_event`` of the text file, and ``CallTable.from_columns`` of
   either equals ``CallTable.from_events`` column by column, on the
   Table II corpus, LU, heat2d and three generated programs;
-* a v2 trace set written by the commit before v3 still checks to the
-  same canonical report, and ``tools/trace_filter`` upgrades it to v3
-  losslessly.
+* a v2 trace set written by the commit before v3, and a v3 set written
+  by the commit before v4, still check to the same canonical report, and
+  ``tools/trace_filter`` upgrades either losslessly — a v3 set to fewer
+  bytes with the same ``events()``, ``counts()`` and ``digests()``.
 """
 
 import json
@@ -42,6 +45,8 @@ from repro.tools.trace_filter import filter_traces
 from repro.util.location import SourceLocation
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v2_pingpong")
+#: ``lu`` n=16 on 4 ranks, locations not captured: its rows form runs
+V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v3_lu4")
 
 LOCS = (SourceLocation("app.py", 10, "main"),
         SourceLocation("dir with space/k=1|%.py", 42, "compute"))
@@ -85,8 +90,11 @@ def event_streams(draw):
         count = 1 if kind == "mem" else draw(st.integers(2, 9))
         access = draw(st.sampled_from(("load", "store")))
         var, addr = draw(texts.filter(bool)), draw(st.integers(0, 1 << 40))
+        size, stride = draw(st.sampled_from((4, 8))), \
+            draw(st.sampled_from((0, 8, 24)))
         events.extend(MemEvent(rank=0, seq=seq + i, access=access,
-                               addr=addr + 8 * i, size=8, var=var, loc=loc)
+                               addr=addr + stride * i, size=size, var=var,
+                               loc=loc)
                       for i in range(count))
         seq += count
     return events
@@ -100,7 +108,9 @@ def canonical(event):
 
 def emit(path, events, fast):
     """Write through ``write(event)``, or through the profiler's fast
-    lanes (``append_call``, and ``append_mem_columns`` per strided run)."""
+    lanes (``append_call``, and ``append_mem_columns`` per strided run:
+    rows of one var, loc, access and size whose address steps by the
+    stride of the first two)."""
     with TraceWriter(path, 0, 1, app="p", format=FORMAT_BINARY) as writer:
         k = 0
         while k < len(events):
@@ -112,18 +122,24 @@ def emit(path, events, fast):
                 writer.append_call(event.fn, event.args, event.loc,
                                    event.seq)
             else:
-                run = 1
+                run, stride = 1, None
                 while k < len(events) and \
                         isinstance(events[k], MemEvent) and \
                         (events[k].var, events[k].loc, events[k].access,
-                         events[k].addr) == \
-                        (event.var, event.loc, event.access,
-                         event.addr + 8 * run):
+                         events[k].size) == \
+                        (event.var, event.loc, event.access, event.size):
+                    step = events[k].addr - event.addr
+                    if stride is None:
+                        if step < 0:
+                            break
+                        stride = step
+                    if step != run * stride:
+                        break
                     run += 1
                     k += 1
                 writer.append_mem_columns(event.access, event.var,
                                           event.loc, event.seq, event.addr,
-                                          event.size, run, 8)
+                                          event.size, run, stride or 0)
 
 
 def flatten(stream):
@@ -144,14 +160,17 @@ def test_prop_round_trip(tmp_path_factory, events, cut):
     tmp = tmp_path_factory.mktemp("v3")
     expected = [canonical(event) for event in events]
     calls = [event for event in expected if isinstance(event, CallEvent)]
-    digests = set()
+    digests, files = set(), {}
     for name, fast, every in (("write", False, 4096), ("fast", True, 4096),
                               ("cut", False, cut), ("fastcut", True, cut)):
         path = str(tmp / f"{name}.bin")
         with mock.patch.object(tracer, "_FLUSH_EVERY", every):
             emit(path, events, fast)
+        with open(path, "rb") as fh:
+            # a block leaves the bytes its rows one at a time leave
+            assert files.setdefault(every, fh.read()) == files[every]
         with TraceReader(path) as reader:
-            assert reader.header.version == 3
+            assert reader.header.version == 4
             assert reader.events() == expected
             assert flatten(reader.stream()) == expected
             read, counts = reader.read_calls()
@@ -360,7 +379,7 @@ def test_trace_filter_upgrades_v2_losslessly(tmp_path):
     new = filter_traces(old, str(tmp_path / "v3"))
     for rank in range(old.nranks):
         with new.reader(rank) as reader:
-            assert reader.header.version == 3
+            assert reader.header.version == 4
             assert set(reader._frames[0]) <= {"K", "M"}
             upgraded = reader.events()
         assert upgraded == old.events(rank)
@@ -374,3 +393,43 @@ def test_trace_filter_upgrades_v2_losslessly(tmp_path):
                 open(again.path(rank), "rb") as b:
             assert a.read() == b.read()
     shutil.rmtree(str(tmp_path / "again"))
+
+
+# ----------------------------------------------------------------------
+# back-compat: a v3 set written by the parent commit
+# ----------------------------------------------------------------------
+
+
+def test_v3_fixture_checks_to_the_same_report():
+    with open(os.path.join(V3_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    traces = TraceSet(V3_FIXTURE)
+    for rank in range(traces.nranks):
+        with traces.reader(rank) as reader:
+            assert reader.header.version == 3
+            assert set(reader._frames[0]) == {"K", "M"}
+    assert canonical_report(api.check(V3_FIXTURE)) == expected
+
+
+def test_trace_filter_upgrades_v3_to_fewer_bytes(tmp_path):
+    """The rewrite holds the same events, counts and digests — so one
+    content digest, which ``verify`` recomputes from the runs — in
+    fewer bytes, and checks to the same report."""
+    with open(os.path.join(V3_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    old = TraceSet(V3_FIXTURE)
+    new = filter_traces(old, str(tmp_path / "v4"))
+    runs = 0
+    for rank in range(old.nranks):
+        with old.reader(rank) as was, new.reader(rank) as now:
+            assert now.header.version == 4
+            runs += now._frames[0].count("R")
+            assert now.events() == was.events()
+            assert now.counts() == was.counts()
+            assert now.digests() == was.digests()
+            assert now.content_digest(verify=True) == \
+                was.content_digest(verify=True)
+        assert os.path.getsize(new.path(rank)) < \
+            os.path.getsize(old.path(rank))
+    assert runs == old.nranks
+    assert canonical_report(api.check(new)) == expected

@@ -48,7 +48,8 @@ class TestExitStatus:
             path.mkdir()
         elif kind == "truncated":
             main(["run", "emulate", "--ranks", "2", "--trace-dir",
-                  str(path), "--log-level", "quiet"])
+                  str(path), "--trace-format", "text", "--log-level",
+                  "quiet"])
             rank1 = path / "trace.1.log"
             data = rank1.read_bytes()
             # the cut leaves a call record without its function
@@ -115,7 +116,7 @@ class TestRunCheck:
                      "--trace-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "MPI calls" in out
-        assert (tmp_path / "trace.0.log").exists()
+        assert (tmp_path / "trace.0.bin").exists()
 
     def test_check_finds_bug(self, tmp_path, capsys):
         main(["run", "emulate", "--ranks", "2",

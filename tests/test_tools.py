@@ -14,7 +14,7 @@ from repro.util.errors import AnalysisError
 def lu_traces(tmp_path_factory):
     return profile_run(lu, 3, params=dict(n=12),
                        trace_dir=str(tmp_path_factory.mktemp("lu")),
-                       delivery="eager").traces
+                       delivery="eager", trace_format="text").traces
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +68,22 @@ class TestStats:
         assert set(sizes) == {"calls", "mems", "footer"}
         assert sum(sizes.values()) == sum(
             os.path.getsize(binary.path(r)) for r in range(3))
-        # 33-byte rows, and one 5-byte frame header per rank: the rows
-        # of a rank share a segment however many calls lie between them
-        assert sizes["mems"] == 33 * stats.total_mems + 5 * 3
+        # a lone row is 33 bytes, a strided run of them 45, an M frame
+        # header 5 and an R frame header 9: the rows of a rank share a
+        # segment however many calls lie between them
+        import struct
+        expected = 0
+        for rank in range(3):
+            with binary.reader(rank) as reader, \
+                    open(binary.path(rank), "rb") as fh:
+                data = fh.read()
+                for kind, offset, rows in zip(*reader._frames):
+                    if kind == "R":
+                        runs = struct.unpack_from("<I", data, offset + 1)[0]
+                        expected += 9 + 45 * runs
+                    elif kind == "M":
+                        expected += 5 + 33 * rows
+        assert sizes["mems"] == expected < 33 * stats.total_mems
         assert f"calls={sizes['calls']}" in stats.format()
         assert stats.to_dict()["frame_bytes"] == sizes
 
