@@ -48,29 +48,26 @@ class ProfilerHook(EventHook):
                         rank, nranks, app, format=trace_format)
             for rank in range(nranks)
         ]
-        self._seq = [0] * nranks
         self._calls = 0
-        self._mems = 0
 
     # -- EventHook interface -------------------------------------------
+    # location capture plus one append: the writers encode in batches,
+    # and a rank's next seq is the count of events its writer took
 
     def on_call(self, rank: int, fn: str, args: Dict[str, Any]) -> None:
-        loc = capture_location() if self.capture_locations else None
-        seq = self._seq[rank]
-        self._seq[rank] = seq + 1
+        writer = self._writers[rank]
         self._calls += 1
-        self._writers[rank].append_call(fn, args, loc, seq)
+        writer.append_call(
+            fn, args, capture_location() if self.capture_locations else None,
+            writer.events_written)
 
     def on_mem_block(self, rank: int, kind: str, buf: TrackedBuffer,
                      addr: int, size: int, count: int, stride: int) -> None:
-        if count <= 0:
-            return
-        loc = capture_location() if self.capture_locations else None
-        seq = self._seq[rank]
-        self._seq[rank] = seq + count
-        self._mems += count
-        self._writers[rank].append_mem_columns(
-            kind, buf.name, loc, seq, addr, size, count, stride)
+        writer = self._writers[rank]
+        writer.append_mem_columns(
+            kind, buf.name,
+            capture_location() if self.capture_locations else None,
+            writer.events_written, addr, size, count, stride)
 
     def on_alloc(self, rank: int, buf: TrackedBuffer) -> None:
         """Decide, per the scope, whether this buffer's accesses are traced."""
@@ -109,7 +106,8 @@ class ProfilerHook(EventHook):
 
     def emitted(self) -> Dict[str, int]:
         """Emitted-event totals by event kind."""
-        return {"call": self._calls, "mem": self._mems}
+        return {"call": self._calls,
+                "mem": self.events_written - self._calls}
 
     def events_by_rank(self) -> List[int]:
         return [w.events_written for w in self._writers]

@@ -78,6 +78,7 @@ FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 
 _FLUSH_EVERY = 4096      # events per segment at most (runs counted expanded)
 _SITE_CACHE = 4096       # resolved sites a writer keeps (see _keep_site)
+_BATCH = 256             # records a writer holds before it encodes them
 
 #: kind of the record that ends the text trace of a run that did not
 #: complete (:meth:`TraceWriter.abort`)
@@ -223,7 +224,13 @@ StreamItem = Union[CallEvent, MemBlock]
 class TraceWriter:
     """Buffered writer for one rank's event stream (text or binary).
 
-    A binary writer holds the pending events as columns — calls in a
+    An append only records: it raises what makes an event unwritable,
+    then keeps the raw record in a batch of at most ``_BATCH``.  One
+    loop (:meth:`_encode`) encodes the batch in event order when it
+    fills and in :meth:`close` / :meth:`abort`, so a producer's hook
+    stays short and the encoding runs warm, many records at a time.
+
+    A binary writer holds the encoded events as columns — calls in a
     :class:`~repro.profiler.callcols.CallBuffer`, memory events as
     strided runs grown greedily row by row (so a block leaves the bytes
     its rows one at a time leave) — and flushes them as one *segment*:
@@ -258,7 +265,10 @@ class TraceWriter:
         #: for another location while the entry is there
         self._call_sites: Dict[Tuple[str, int], tuple] = {}
         self._mem_sites: Dict[Tuple[str, int], tuple] = {}
-        # recorder captured once at construction: the per-event write path
+        #: appended records not encoded yet: ``(fn, args, loc, seq)``
+        #: or ``(access code, var, loc, seq0, addr, size, count, stride)``
+        self._batch: List[tuple] = []
+        # recorder captured once at construction: the write path
         # never re-checks global state
         self._obs = obs.get_recorder() if obs.is_enabled() else None
         self._fh = open(path, "wb")
@@ -307,27 +317,15 @@ class TraceWriter:
         """Record one call without building a :class:`CallEvent` — what
         lands on disk (and in the content digests) is what
         ``write(CallEvent(seq=seq, fn=fn, args=args, loc=loc))``
-        produces, which is this method."""
-        site = self._call_sites.get((fn, id(loc)))
-        if site is None:
-            site = self._new_call_site(fn, loc)
-        if self.format == FORMAT_BINARY:
-            if seq <= self._last_seq:
-                self._flush_segment()
-            if self._calls.append(fn, args, site[0], seq):
-                self._last_seq = seq
-                self._room -= 1
-                if self._room <= 0:
-                    self._flush_segment()
-            else:
-                self._write_call_record(_call_line(
-                    _call_fields(fn, self._table.strings[site[0]]),
-                    args, seq))
-        else:
-            self._buffer.append(_call_line(site[0], args, seq))
-            if len(self._buffer) >= _FLUSH_EVERY:
-                self._drain()
+        produces, which is this method.
+
+        The writer owns ``args`` and its list values from this call on:
+        they are encoded with the batch, so the caller must not change
+        them afterwards."""
+        self._batch.append((fn, args, loc, seq))
         self.events_written += 1
+        if len(self._batch) >= _BATCH:
+            self._encode()
 
     def append_mem_columns(self, access: str, var: str,
                            loc: Optional[SourceLocation], seq0: int,
@@ -340,12 +338,15 @@ class TraceWriter:
         :class:`MemEvent`\\ s produce, which are this method with
         ``count=1``.
 
-        Binary traces grow the open segment's runs (a block fills the
-        segment's room and goes on in the next, as its rows would); the
-        mems digest hashes the expanded rows without block-length
-        prefixes, so neither where a bulk append cuts its blocks nor
-        where a segment ends can perturb it.  Text traces format one
-        line per row from the site's pre-encoded fields.
+        A block that cannot be written — a negative stride, an unknown
+        access kind, a row outside the int64 columns — raises here, in
+        either format, and records nothing.  Binary traces grow the open
+        segment's runs (a block fills the segment's room and goes on in
+        the next, as its rows would); the mems digest hashes the
+        expanded rows without block-length prefixes, so neither where a
+        bulk append cuts its blocks nor where a segment ends can perturb
+        it.  Text traces format one line per row from the site's
+        pre-encoded fields.
         """
         if count <= 0:
             return
@@ -357,19 +358,65 @@ class TraceWriter:
         except KeyError:
             raise TraceFormatError(
                 f"unknown access kind {access!r}") from None
-        site = self._mem_sites.get((var, id(loc)))
-        if site is None:
-            site = self._new_mem_site(var, loc)
-        if self.format == FORMAT_BINARY:
-            last = count - 1
-            if not (INT64_MIN <= seq0 and seq0 + last <= INT64_MAX
-                    and INT64_MIN <= addr
-                    and addr + last * stride <= INT64_MAX
-                    and INT64_MIN <= size <= INT64_MAX):
-                raise TraceFormatError(
-                    f"memory event outside the int64 columns: {count} rows "
-                    f"from seq {seq0} addr {addr} by {stride}, size {size}")
+        last = count - 1
+        if not (INT64_MIN <= seq0 and seq0 + last <= INT64_MAX
+                and INT64_MIN <= addr and addr + last * stride <= INT64_MAX
+                and INT64_MIN <= size <= INT64_MAX):
+            raise TraceFormatError(
+                f"memory event outside the int64 columns: {count} rows "
+                f"from seq {seq0} addr {addr} by {stride}, size {size}")
+        self._batch.append((code, var, loc, seq0, addr, size, count, stride))
+        self.events_written += count
+        if len(self._batch) >= _BATCH:
+            self._encode()
+
+    def _encode(self) -> None:
+        """Encode the batch, record after record in event order: a site
+        is resolved on first sight; a binary call enters the columns (or
+        is framed as a ``C`` record), a memory block the open segment's
+        runs, each cutting a segment where the order or the room says
+        so; a text record becomes its lines.  The batch is taken first,
+        so a record that fails here is not encoded twice."""
+        batch, self._batch = self._batch, []
+        binary = self.format == FORMAT_BINARY
+        for record in batch:
+            if len(record) == 4:
+                fn, args, loc, seq = record
+                site = (self._call_sites.get((fn, id(loc)))
+                        or self._new_call_site(fn, loc))
+                if not binary:
+                    self._buffer.append(_call_line(site[0], args, seq))
+                    continue
+                if seq <= self._last_seq:
+                    self._flush_segment()
+                if self._calls.append(fn, args, site[0], seq):
+                    self._last_seq = seq
+                    self._room -= 1
+                    if self._room <= 0:
+                        self._flush_segment()
+                else:
+                    self._write_call_record(_call_line(
+                        _call_fields(fn, self._table.strings[site[0]]),
+                        args, seq))
+                continue
+            code, var, loc, seq0, addr, size, count, stride = record
+            site = (self._mem_sites.get((var, id(loc)))
+                    or self._new_mem_site(var, loc))
+            if not binary:
+                head, tail = _MEM_HEADS[code], f" size={size}{site[0]}"
+                if count == 1:
+                    self._buffer.append(f"M seq={seq0}{head}{addr}{tail}")
+                elif stride:
+                    self._buffer.extend(
+                        f"M seq={seq0 + i}{head}{addr + i * stride}{tail}"
+                        for i in range(count))
+                else:
+                    line_tail = f"{head}{addr}{tail}"
+                    self._buffer.extend(f"M seq={seq0 + i}{line_tail}"
+                                        for i in range(count))
+                continue
             key = (size, site[0], site[1], code)
+            last = count - 1
             while last >= 0:
                 if seq0 <= self._last_seq:
                     self._flush_segment()
@@ -383,23 +430,8 @@ class TraceWriter:
                     self._flush_segment()
                 seq0, addr, last = seq0 + rows, addr + rows * stride, \
                     last - rows
-        else:
-            buffer = self._buffer
-            head = _MEM_HEADS[code]
-            tail = f" size={size}{site[0]}"
-            if count == 1:
-                buffer.append(f"M seq={seq0}{head}{addr}{tail}")
-            elif stride:
-                buffer.extend(
-                    f"M seq={seq0 + i}{head}{addr + i * stride}{tail}"
-                    for i in range(count))
-            else:
-                line_tail = f"{head}{addr}{tail}"
-                buffer.extend(f"M seq={seq0 + i}{line_tail}"
-                              for i in range(count))
-            if len(buffer) >= _FLUSH_EVERY:
-                self._drain()
-        self.events_written += count
+        if not binary and len(self._buffer) >= _FLUSH_EVERY:
+            self._drain()
 
     def _add_rows(self, seq0: int, addr: int, count: int, stride: int,
                   key: tuple) -> None:
@@ -459,6 +491,7 @@ class TraceWriter:
         binary).  Idempotent."""
         if self._closed:
             return
+        self._encode()
         if self.format == FORMAT_BINARY:
             self._flush_segment()
             kinds, offsets, rows = self._frames
@@ -483,12 +516,13 @@ class TraceWriter:
         self._closed = True
 
     def abort(self) -> None:
-        """Drain buffered bytes and close the OS handle *without*
-        finalizing — used on error, so that what was written of a run
-        that did not complete can never be read as a whole trace: a
-        binary file is left without its trailer, a text file ends in an
-        ``A`` record, and the reader rejects either."""
+        """Encode the batch, drain buffered bytes and close the OS
+        handle *without* finalizing — used on error, so that what was
+        written of a run that did not complete can never be read as a
+        whole trace: a binary file is left without its trailer, a text
+        file ends in an ``A`` record, and the reader rejects either."""
         if not self._closed:
+            self._encode()
             if self.format == FORMAT_BINARY:
                 self._flush_segment()
             else:

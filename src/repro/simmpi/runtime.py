@@ -58,7 +58,11 @@ class EventHook:
     """Observer interface for profiling (the PMPI-interposition analogue)."""
 
     def on_call(self, rank: int, fn: str, args: Dict[str, Any]) -> None:
-        """An MPI call by ``rank``; ``args`` are trace-ready scalars."""
+        """An MPI call by ``rank``; ``args`` are trace-ready scalars.
+
+        The hook owns ``args`` and its list values from this call on: the
+        runtime builds a fresh dict per call and never changes it, so a
+        hook may keep it instead of copying it."""
 
     def on_mem_block(self, rank: int, kind: str, buf: TrackedBuffer,
                      addr: int, size: int, count: int, stride: int) -> None:

@@ -23,6 +23,7 @@ implementation or Marmot (section V).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -57,8 +58,11 @@ class Window:
         self.comm = comm
         self.buffers: Dict[int, Optional[TrackedBuffer]] = {}
         self.disp_units: Dict[int, int] = {}
-        # target world rank -> list of (origin world rank, lock type)
-        self.lock_holders: Dict[int, List] = {}
+        # target world rank -> {origin world rank: lock type}, and how
+        # many of those hold it exclusively (an origin holds at most one
+        # lock per target: WinHandle.lock / lock_all refuse a second)
+        self.lock_holders: Dict[int, Dict[int, str]] = {}
+        self._exclusive: Counter = Counter()
         # target world rank -> active exposure epoch
         self.exposures: Dict[int, Optional[_Exposure]] = {}
         self.freed = False
@@ -73,23 +77,23 @@ class Window:
     # -- lock table ----------------------------------------------------
 
     def lock_grantable(self, target: int, lock_type: str) -> bool:
-        holders = self.lock_holders.get(target, [])
         if lock_type == LOCK_EXCLUSIVE:
-            return not holders
-        return all(t != LOCK_EXCLUSIVE for _, t in holders)
+            return not self.lock_holders.get(target)
+        return not self._exclusive[target]
 
     def grant_lock(self, target: int, origin: int, lock_type: str) -> None:
-        self.lock_holders.setdefault(target, []).append((origin, lock_type))
+        self.lock_holders.setdefault(target, {})[origin] = lock_type
+        if lock_type == LOCK_EXCLUSIVE:
+            self._exclusive[target] += 1
 
     def release_lock(self, target: int, origin: int) -> None:
-        holders = self.lock_holders.get(target, [])
-        for i, (o, _t) in enumerate(holders):
-            if o == origin:
-                del holders[i]
-                return
-        raise RMAUsageError(
-            f"window {self.win_id}: rank {origin} unlocked target {target} "
-            "without holding a lock")
+        lock_type = self.lock_holders.get(target, {}).pop(origin, None)
+        if lock_type is None:
+            raise RMAUsageError(
+                f"window {self.win_id}: rank {origin} unlocked target "
+                f"{target} without holding a lock")
+        if lock_type == LOCK_EXCLUSIVE:
+            self._exclusive[target] -= 1
 
 
 class RMARequest:

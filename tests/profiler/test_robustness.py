@@ -501,6 +501,65 @@ class TestAbortedRuns:
                 with TraceReader(path) as reader:
                     reader.events()
 
+    def test_text_abort_counts_the_lines_of_a_run_that_crashes_mid_batch(
+            self, tmp_path):
+        """The writers hold a batch when the app raises: the abort
+        encodes it before the ``A`` record, whose ``events=`` is then
+        both the data lines above it and the hook's count."""
+        from repro.profiler.interpose import SCOPE_ALL, ProfilerHook
+        from repro.simmpi.runtime import World
+
+        def crashes_mid_batch(mpi):
+            buf = mpi.alloc("buf", 8)
+            win = mpi.win_create(buf)
+            win.fence()
+            for i in range(300 + 7 * mpi.rank):
+                buf[i % 8] = i
+            if mpi.rank == 1:
+                raise RuntimeError("application bug")
+            win.fence()
+
+        hook = ProfilerHook(str(tmp_path), 2, scope=SCOPE_ALL,
+                            trace_format="text")
+        world = World(2)
+        world.hooks.append(hook)
+        with pytest.raises(RuntimeError, match="application bug"):
+            world.run(crashes_mid_batch)
+        hook.abort()
+        counts = []
+        for rank in range(2):
+            with open(TraceSet.rank_path(str(tmp_path), rank, "text")) as fh:
+                lines = fh.read().splitlines()
+            events = decode_record(lines[-1])
+            assert events.kind == "A"
+            counts.append(int(events.fields["events"]))
+            assert counts[-1] == len(lines) - 2     # header, abort record
+        assert counts == hook.events_by_rank()
+        assert sum(counts) == hook.events_written > 2 * 256
+
+    @pytest.mark.parametrize("appends", [0, 1, 255, 256, 257, 700, 5000])
+    def test_binary_abort_leaves_a_prefix_of_close(self, tmp_path, appends):
+        """After the same appends, ``abort()`` leaves every frame
+        ``close()`` leaves, without the footer and trailer."""
+        def write(path, finish):
+            writer = TraceWriter(path, 0, 1, format=FORMAT_BINARY)
+            for seq in range(appends):
+                if seq % 3:
+                    writer.append_mem_columns("load", "x", LOC, seq,
+                                              64 + 8 * seq, 8, 1)
+                elif seq % 7 == 3:      # past int64: the C route
+                    writer.append_call("Put", {"n": 1 << 70}, LOC, seq)
+                else:
+                    writer.append_call("Barrier", {"comm": 0}, LOC, seq)
+            finish(writer)
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        aborted = write(str(tmp_path / "a.bin"), TraceWriter.abort)
+        closed = write(str(tmp_path / "c.bin"), TraceWriter.close)
+        footer = struct.unpack_from("<Q", closed, len(closed) - 16)[0]
+        assert aborted == closed[:footer]
+
     def test_completed_run_carries_no_marker(self, tmp_path):
         run = api.run(heat2d, 2, params=dict(rows=8, cols=4, steps=2),
                       trace_dir=str(tmp_path), trace_format="text")

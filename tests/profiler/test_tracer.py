@@ -94,3 +94,37 @@ class TestTraceSet:
         write_trace(tmp_path, 1, 2, [MemEvent(1, 0, "load", 0, 4, "y")])
         counts = TraceSet(str(tmp_path)).event_counts()
         assert counts == {"call": 1, "mem": 3, "load": 2, "store": 1}
+
+
+class TestValidationAtTheCall:
+    """An append only records, and the batch is encoded later; a block
+    that cannot be written must still fail at its own call, in either
+    format, and leave nothing behind."""
+
+    INT64_MAX = (1 << 63) - 1
+    BAD = {
+        "negative-stride": ("load", 64, 2, -8),
+        "unknown-access": ("poke", 64, 1, 0),
+        "seq-past-int64": ("load", 64, 2, 0),
+        "addr-past-int64": ("store", INT64_MAX - 4, 2, 8),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_block_raises_at_its_call_and_records_nothing(
+            self, tmp_path, fmt, case):
+        access, addr, count, stride = self.BAD[case]
+        seq = self.INT64_MAX if case == "seq-past-int64" else 1
+        path = TraceSet.rank_path(str(tmp_path), 0, fmt)
+        writer = TraceWriter(path, 0, 1, format=fmt)
+        writer.append_call("Barrier", {"comm": 0}, None, 0)
+        with pytest.raises(TraceFormatError):
+            writer.append_mem_columns(access, "x", None, seq, addr, 8,
+                                      count, stride)
+        assert writer.events_written == 1
+        writer.append_mem_columns("store", "x", None, 1, 128, 8, 2, 8)
+        writer.close()
+        events = TraceReader(path).events()
+        assert [(e.seq, getattr(e, "fn", None), getattr(e, "addr", None))
+                for e in events] == [(0, "Barrier", None), (1, None, 128),
+                                     (2, None, 136)]

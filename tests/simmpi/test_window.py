@@ -1,10 +1,12 @@
 """RMA window semantics: fence, lock/unlock, PSCW, usage validation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simmpi import (
     DOUBLE, INT, LOCK_EXCLUSIVE, LOCK_SHARED, SUM, run_app,
 )
+from repro.simmpi.window import Window
 from repro.util.errors import DeadlockError, RMAUsageError
 
 
@@ -362,3 +364,62 @@ class TestWinLifecycle:
 
         # within each pair, rank-0-of-pair's value lands at rank 1 of pair
         assert run_app(app, nranks=4) == [0, 0, 2, 2]
+
+
+class _ListLockTable:
+    """The lock table as a list of ``(origin, lock type)`` per target,
+    scanned on every question: the model the window's table answers
+    like."""
+
+    def __init__(self):
+        self.holders = {}
+
+    def grantable(self, target, lock_type):
+        holders = self.holders.get(target, [])
+        if lock_type == LOCK_EXCLUSIVE:
+            return not holders
+        return all(t != LOCK_EXCLUSIVE for _o, t in holders)
+
+    def holds(self, target, origin):
+        return any(o == origin for o, _t in self.holders.get(target, []))
+
+    def grant(self, target, origin, lock_type):
+        self.holders.setdefault(target, []).append((origin, lock_type))
+
+    def release(self, target, origin):
+        holders = self.holders.get(target, [])
+        for i, (o, _t) in enumerate(holders):
+            if o == origin:
+                del holders[i]
+                return True
+        return False
+
+
+_LOCK_OPS = st.lists(st.tuples(
+    st.sampled_from(["grantable", "grant", "release"]),
+    st.integers(0, 2), st.integers(0, 3),
+    st.sampled_from([LOCK_SHARED, LOCK_EXCLUSIVE])), max_size=60)
+
+
+@given(_LOCK_OPS)
+@settings(max_examples=300, deadline=None)
+def test_prop_lock_table_answers_like_the_list_model(ops):
+    """Grant / release / grantable sequences: a grant only where the
+    runtime makes one (the lock is grantable and the origin holds none
+    on that target), a release also without a lock, which raises."""
+    window, model = Window(0, None), _ListLockTable()
+    for op, target, origin, lock_type in ops:
+        assert window.lock_grantable(target, lock_type) == \
+            model.grantable(target, lock_type)
+        if op == "grant" and model.grantable(target, lock_type) \
+                and not model.holds(target, origin):
+            window.grant_lock(target, origin, lock_type)
+            model.grant(target, origin, lock_type)
+        elif op == "release":
+            if model.release(target, origin):
+                window.release_lock(target, origin)
+            else:
+                with pytest.raises(RMAUsageError, match=(
+                        f"window 0: rank {origin} unlocked target {target} "
+                        "without holding a lock")):
+                    window.release_lock(target, origin)
