@@ -8,16 +8,24 @@ memory traffic but never appears in an RMA call, so ST-Analyzer excludes
 it; ``scope='all'`` instruments it anyway.
 """
 
+import inspect
+
 import pytest
 
 from benchmarks.conftest import best_times
+from repro.apps import lu as lu_module
 from repro.apps.lu import lu
 from repro.profiler.session import baseline_run, profile_run
-from repro.stanalyzer import analyze_app
+from repro.stanalyzer import analyze_app, analyze_source
 
 
 def test_stanalyzer_report_contents(record, benchmark):
-    report = benchmark(lambda: analyze_app(lu))
+    # the analysis itself, not the memo's hit: analyze_app(lu) is
+    # served from the memo from its second call on
+    source = inspect.getsource(lu_module)
+    report = benchmark(lambda: analyze_source.__wrapped__(
+        source, filename=lu_module.__file__))
+    assert report == analyze_app(lu)
     record("ablation_stanalyzer",
            f"ST-Analyzer selected buffers: {sorted(report.buffer_names)} "
            f"(excluded: the local block 'a')")

@@ -16,6 +16,7 @@ world's scheduler totals.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -29,6 +30,9 @@ from repro.simmpi.runtime import World
 from repro.stanalyzer import (
     InstrumentationReport, analyze_app, unwrap_app,
 )
+
+#: A rank file of either format (what :class:`TraceSet` reads a run from).
+_RANK_FILE = re.compile(r"trace\.\d+\.(bin|log)")
 
 
 @dataclass
@@ -79,7 +83,15 @@ def profile_run(app: Callable, nranks: int,
     """Run ``app`` on ``nranks`` simulated ranks with the Profiler attached.
 
     With ``scope="report"`` (the paper's configuration) and no explicit
-    ``report``, ST-Analyzer runs automatically on the app's defining module.
+    ``report``, ST-Analyzer runs on the app's defining module — once per
+    program text in a process (:func:`~repro.stanalyzer.analyze_source`
+    is memoized).
+
+    ``trace_dir`` holds one run: every argument is checked before a file
+    in it is opened, so a refused run leaves the previous traces as they
+    were; an accepted one removes the ``trace.<rank>.bin`` /
+    ``trace.<rank>.log`` files it does not overwrite (a larger run's
+    ranks, the other format's files) and leaves every other file alone.
     """
     if trace_dir is None:
         trace_dir = tempfile.mkdtemp(prefix="mcchecker-trace-")
@@ -89,12 +101,22 @@ def profile_run(app: Callable, nranks: int,
     relevant = report.buffer_names if report is not None else set()
     app_name = app_name or getattr(unwrap_app(app), "__name__", "app")
 
+    world = World(nranks, sched_policy=sched_policy, seed=seed,
+                  delivery=delivery)
     hook = ProfilerHook(trace_dir, nranks, app=app_name, scope=scope,
                         relevant_vars=relevant,
                         capture_locations=capture_locations,
                         trace_format=trace_format)
-    world = World(nranks, sched_policy=sched_policy, seed=seed,
-                  delivery=delivery)
+    ours = {TraceSet.rank_path(trace_dir, rank, trace_format)
+            for rank in range(nranks)}
+    try:
+        for name in os.listdir(trace_dir):
+            path = os.path.join(trace_dir, name)
+            if _RANK_FILE.fullmatch(name) and path not in ours:
+                os.remove(path)
+    except OSError:   # e.g. a directory named like a rank file
+        hook.abort()
+        raise
     world.hooks.append(hook)
     span = obs.span("profiler.run", app=app_name, ranks=nranks, scope=scope)
     with span:

@@ -211,9 +211,20 @@ class _AliasCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+#: Reports kept by :func:`analyze_source`, least recently used dropped.
+_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def analyze_source(source: str, filename: str = "<source>"
                    ) -> InstrumentationReport:
-    """Run ST-Analyzer over Python source text."""
+    """Run ST-Analyzer over Python source text.
+
+    A pure function of ``(source, filename)``, memoized like the paper's
+    compile-time pass runs once per build: the same text gets the same
+    (immutable) report object back.  A source that does not parse raises
+    on every call — exceptions are not cached.
+    """
     tree = ast.parse(textwrap.dedent(source), filename=filename)
     index = _FunctionIndex()
     index.visit(tree)
@@ -243,7 +254,9 @@ def analyze_source(source: str, filename: str = "<source>"
 
 
 def analyze_module(module) -> InstrumentationReport:
-    """Run ST-Analyzer over an imported module's source."""
+    """Run ST-Analyzer over an imported module's source — its current
+    text: :func:`inspect.getsource` re-checks the file through
+    :mod:`linecache`, so an edited module is analysed again."""
     return analyze_source(inspect.getsource(module),
                           filename=getattr(module, "__file__", "<module>"))
 

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from types import MappingProxyType
+from typing import FrozenSet, Mapping, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstrumentationReport:
     """What the Profiler must instrument, and why.
+
+    Immutable, so one report serves every run of the same program text
+    (:func:`~repro.stanalyzer.analyzer.analyze_source` is memoized): the
+    constructor accepts any sets, mapping and sequence and freezes them.
 
     Attributes
     ----------
     relevant_vars:
-        ``function name -> set of variable names`` that may alias a window
-        or one-sided origin buffer inside that function.
+        ``function name -> frozenset of variable names`` that may alias a
+        window or one-sided origin buffer inside that function (a
+        read-only mapping).
     buffer_names:
         Allocation names (the string passed to ``mpi.alloc``) of buffers
         that a relevant variable can reach; the Profiler flips these
@@ -27,10 +33,25 @@ class InstrumentationReport:
         ``mpi.alloc`` call, relevant or not (diagnostics).
     """
 
-    relevant_vars: Dict[str, Set[str]] = field(default_factory=dict)
-    buffer_names: Set[str] = field(default_factory=set)
-    seeds: Set[Tuple[str, str]] = field(default_factory=set)
-    alloc_sites: List[Tuple[str, str, str, int]] = field(default_factory=list)
+    relevant_vars: Mapping[str, FrozenSet[str]] = field(
+        default_factory=dict, hash=False)
+    buffer_names: FrozenSet[str] = frozenset()
+    seeds: FrozenSet[Tuple[str, str]] = frozenset()
+    alloc_sites: Tuple[Tuple[str, str, str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        freeze = object.__setattr__
+        freeze(self, "relevant_vars", MappingProxyType(
+            {fn: frozenset(names)
+             for fn, names in self.relevant_vars.items()}))
+        freeze(self, "buffer_names", frozenset(self.buffer_names))
+        freeze(self, "seeds", frozenset(self.seeds))
+        freeze(self, "alloc_sites", tuple(self.alloc_sites))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle or deep-copy; its dict does
+        return (type(self), (dict(self.relevant_vars), self.buffer_names,
+                             self.seeds, self.alloc_sites))
 
     def is_relevant(self, function: str, var: str) -> bool:
         return var in self.relevant_vars.get(function, ())

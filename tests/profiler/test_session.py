@@ -1,9 +1,16 @@
 """Profiled-run integration tests: scopes, locations, determinism."""
 
+import gc
+import os
+import warnings
+
 import pytest
 
+from repro import api
 from repro.apps.jacobi import jacobi
 from repro.apps.lu import lu
+from repro.apps.pingpong import pingpong
+from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.session import baseline_run, profile_run
 from repro.stanalyzer import InstrumentationReport
@@ -96,3 +103,70 @@ class TestBaseline:
     def test_baseline_returns_elapsed(self):
         elapsed = baseline_run(lu, nranks=2, params=dict(n=12))
         assert elapsed > 0
+
+
+def _files(directory):
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+class TestTraceDirectory:
+    """A trace directory holds one run: a refused run leaves it as it
+    was, an accepted one replaces every rank file of the one before."""
+
+    @pytest.mark.parametrize("bad", [
+        dict(sched_policy="bogus"), dict(delivery="bogus"),
+        dict(scope="bogus"), dict(trace_format="bogus"), dict(nranks=0),
+    ], ids=lambda bad: next(iter(bad)))
+    def test_refused_run_keeps_the_previous_traces(self, tmp_path, bad):
+        d = str(tmp_path)
+        api.run(pingpong, 2, trace_dir=d, params=dict(buggy=True))
+        before, report = _files(d), canonical_report(api.check(d))
+        kwargs = dict(nranks=2, trace_dir=d, params=dict(buggy=False))
+        kwargs.update(bad)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Exception):
+                api.run(pingpong, **kwargs)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        assert _files(d) == before
+        assert canonical_report(api.check(d)) == report
+
+    def test_unremovable_rank_name_closes_the_files(self, tmp_path):
+        os.makedirs(tmp_path / "trace.5.bin")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                api.run(pingpong, 2, trace_dir=str(tmp_path))
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def _check_equals_fresh(self, tmp_path, first, second):
+        app, nranks, kwargs = second
+        api.run(app, nranks, trace_dir=str(tmp_path / "fresh"), **kwargs)
+        reused = str(tmp_path / "reused")
+        os.makedirs(reused)
+        for name in ("notes.txt", "trace.0.bin.orig"):
+            with open(os.path.join(reused, name), "w") as fh:
+                fh.write(name)
+        for app, nranks, kwargs in (first, second):
+            api.run(app, nranks, trace_dir=reused, **kwargs)
+        assert canonical_report(api.check(reused)) == \
+            canonical_report(api.check(str(tmp_path / "fresh")))
+        left = set(os.listdir(reused)) - set(os.listdir(tmp_path / "fresh"))
+        assert left == {"notes.txt", "trace.0.bin.orig"}
+
+    def test_fewer_ranks_replace_a_larger_run(self, tmp_path):
+        self._check_equals_fresh(
+            tmp_path, (jacobi, 4, dict(params=dict(buggy=True))),
+            (pingpong, 2, dict(params=dict(buggy=True))))
+
+    def test_binary_replaces_text(self, tmp_path):
+        self._check_equals_fresh(
+            tmp_path,
+            (pingpong, 2, dict(params=dict(buggy=False),
+                               trace_format="text")),
+            (pingpong, 2, dict(params=dict(buggy=True))))

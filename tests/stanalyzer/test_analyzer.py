@@ -1,11 +1,25 @@
 """ST-Analyzer taint-analysis tests (section IV-A)."""
 
+import copy
+import dataclasses
 import functools
+import importlib
+import inspect
+import os
+import pickle
+import pkgutil
+import sys
 import textwrap
 
 import pytest
 
-from repro.stanalyzer import analyze_app, analyze_source, unwrap_app
+import repro.apps
+from repro.apps.registry import BUG_CASES
+from repro.profiler.session import profile_run
+from repro.stanalyzer import (
+    InstrumentationReport, analyze_app, analyze_module, analyze_source,
+    unwrap_app,
+)
 
 
 def analyze(src):
@@ -287,3 +301,100 @@ class TestWrappedApps:
             assert unwrap_app(WRAPPED_APPS[how]) is _origin_store_app
         instance = WRAPPED_APPS["instance"]
         assert unwrap_app(instance) is instance
+
+
+_SEEDED = """
+def main(mpi):
+    a = mpi.alloc("a", 4)
+    b = mpi.alloc("b", 4)
+    win = mpi.win_create(a)
+"""
+
+
+def _uncached(module):
+    return analyze_source.__wrapped__(inspect.getsource(module),
+                                      filename=module.__file__)
+
+
+def _rank_files(directory):
+    return {name: open(os.path.join(directory, name), "rb").read()
+            for name in sorted(os.listdir(directory))}
+
+
+class TestMemo:
+    """The analysis is a pure function of the program text, run once
+    per text like the paper's compile-time pass."""
+
+    def test_same_text_same_object(self):
+        assert analyze_source(_SEEDED) is analyze_source(_SEEDED)
+        assert analyze_app(_origin_store_app) is \
+            analyze_app(WRAPPED_APPS["partial"])
+
+    def test_edited_module_is_analysed_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "memo_edit_app.py"
+        path.write_text(_SEEDED)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module = importlib.import_module("memo_edit_app")
+        try:
+            before = analyze_module(module)
+            assert before.buffer_names == {"a"}
+            path.write_text(_SEEDED + "    win.put(b, target=1)\n")
+            after = analyze_module(module)
+        finally:
+            del sys.modules["memo_edit_app"]
+        assert after.buffer_names == {"a", "b"}
+        assert before.buffer_names == {"a"}   # the old report is intact
+
+    def test_syntax_error_raises_every_call(self):
+        misses = analyze_source.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(SyntaxError):
+                analyze_source("def main(mpi:\n")
+        assert analyze_source.cache_info().misses == misses + 3
+
+    def test_report_is_immutable(self):
+        rep = analyze_source(_SEEDED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.buffer_names = frozenset()
+        for frozen in (rep.buffer_names, rep.seeds,
+                       rep.relevant_vars["main"]):
+            with pytest.raises(AttributeError):
+                frozen.add("x")
+        with pytest.raises(TypeError):
+            rep.relevant_vars["main"] = frozenset()
+        with pytest.raises(AttributeError):
+            rep.alloc_sites.append(("main", "c", "c", 1))
+        assert analyze_source(_SEEDED).buffer_names == {"a"}
+
+    def test_constructor_freezes_plain_containers(self):
+        rep = InstrumentationReport(relevant_vars={"main": {"a"}},
+                                    buffer_names={"a"},
+                                    seeds={("main", "a")},
+                                    alloc_sites=[("main", "a", "a", 3)])
+        assert isinstance(rep.buffer_names, frozenset)
+        assert isinstance(rep.relevant_vars["main"], frozenset)
+        assert rep.alloc_sites == (("main", "a", "a", 3),)
+        assert rep == InstrumentationReport(
+            relevant_vars={"main": frozenset({"a"})},
+            buffer_names=frozenset({"a"}), seeds={("main", "a")},
+            alloc_sites=(("main", "a", "a", 3),))
+        assert pickle.loads(pickle.dumps(rep)) == rep == copy.deepcopy(rep)
+
+    @pytest.mark.parametrize("name", sorted(
+        info.name for info in pkgutil.iter_modules(repro.apps.__path__)))
+    def test_memoized_equals_uncached(self, name):
+        module = importlib.import_module(f"repro.apps.{name}")
+        memo, fresh = analyze_module(module), _uncached(module)
+        for field in dataclasses.fields(InstrumentationReport):
+            assert getattr(memo, field.name) == getattr(fresh, field.name)
+
+    @pytest.mark.parametrize("buggy", [True, False],
+                             ids=["buggy", "fixed"])
+    @pytest.mark.parametrize("case", BUG_CASES, ids=lambda c: c.name)
+    def test_profile_bytes_equal_fresh_report(self, case, buggy, tmp_path):
+        fresh = _uncached(inspect.getmodule(unwrap_app(case.app)))
+        for sub, report in (("memo", None), ("fresh", fresh)):
+            profile_run(case.app, case.nranks, trace_dir=str(tmp_path / sub),
+                        params=case.params(buggy), seed=1, report=report)
+        assert _rank_files(tmp_path / "memo") == \
+            _rank_files(tmp_path / "fresh")
