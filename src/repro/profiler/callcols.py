@@ -3,7 +3,7 @@
 A call record is a ``seq``, a source location, a function name and an
 ordered mapping of argument names to ints, strings or int lists.  Loops
 re-issue the same call with the same argument names endlessly, so the
-binary format (v3, ``docs/trace-format.md``) stores one *shape* — the
+binary format (v3 on, ``docs/trace-format.md``) stores one *shape* — the
 function name plus the ordered ``(key, kind)`` pairs — per distinct call
 form in the footer and, per call, five columns:
 
@@ -16,6 +16,10 @@ form in the footer and, per call, five columns:
                   int list's length
 ``lists`` int64   flat pool of the int lists' elements, in value order
 ========  ======  ====================================================
+
+The types are the columns' canonical ones: what a reader widens them to
+and what the ``calls`` digest hashes.  Since v5 a frame stores each
+column in the narrowest of 1, 2, 4 or 8 bytes that holds its values.
 
 :class:`CallBuffer` is the encoder (pending columns and their running
 digests): the writer's side, and that of a reader whose file holds
@@ -55,9 +59,13 @@ BUILT_HELP = ("Analysis objects built: RMA op and local access views, "
               "the call columns")
 
 #: the columns of a ``K`` frame, in payload order, with their array
-#: typecodes (all little-endian on disk)
+#: typecodes: each column's canonical type, the widest it is stored at
 CALL_COLUMNS = (("seq", "q"), ("vals", "q"), ("lists", "q"),
                 ("loc", "i"), ("shape", "i"))
+#: the little-endian integer types a ``K`` column is stored as, by width
+INT_DTYPES = {width: np.dtype(f"<i{width}") for width in (1, 2, 4, 8)}
+CALL_DTYPES = {code: INT_DTYPES[array(code).itemsize]
+               for _name, code in CALL_COLUMNS}
 
 _VALUE_KINDS = {int: KIND_INT, bool: KIND_INT, str: KIND_STR,
                 tuple: KIND_LIST, list: KIND_LIST}
@@ -187,19 +195,51 @@ class CallBuffer:
         return (shape, keep is None and not str_pos and not list_pos,
                 keep, str_pos, list_pos)
 
-    def take_frame(self) -> Tuple[int, int, int, bytes]:
-        """Drain the pending rows: ``(rows, nvals, nlists, payload)``,
-        the payload being the columns back to back in
-        :data:`CALL_COLUMNS` order."""
+    def take_frame(self) -> Tuple[int, int, int, bytes, bytes]:
+        """Drain the pending rows: ``(rows, nvals, nlists, widths,
+        payload)``, the payload being the columns back to back in
+        :data:`CALL_COLUMNS` order, each in the narrowest width that
+        holds its values (``widths``: one byte per column).  The running
+        hashes take the canonical bytes, so the digest does not depend
+        on the widths."""
         cols = self.columns
         sizes = len(cols["seq"]), len(cols["vals"]), len(cols["lists"])
-        parts = []
+        widths, parts = bytearray(), []
         for (name, _code), digest in zip(CALL_COLUMNS, self.hashes):
             data = _le_bytes(cols[name])
             digest.update(data)
-            parts.append(data)
+            width, data = _narrowest(cols[name], data)
             del cols[name][:]
-        return (*sizes, b"".join(parts))
+            widths.append(width)
+            parts.append(data)
+        return (*sizes, bytes(widths), b"".join(parts))
+
+
+#: per bit length of a value's magnitude, the narrowest width that holds
+#: the value (int64: 63 bits at most)
+_WIDTH_BY_BITS = [next(w for w in INT_DTYPES if bits < 8 * w)
+                  for bits in range(64)]
+
+
+def _narrowest(column: array, data: bytes) -> Tuple[int, bytes]:
+    """The narrowest width that holds ``column``'s values, and the
+    column at that width as little-endian bytes (``data``: at its full
+    width).  A value that fits ``w`` bytes is the low ``w`` bytes of its
+    full-width little-endian form, so narrowing is strided slicing."""
+    if len(column) > 64:        # numpy's fixed cost pays off
+        values = np.frombuffer(data, dtype=CALL_DTYPES[column.typecode])
+        lo, hi = int(values.min()), int(values.max())
+    else:
+        lo, hi = (min(column), max(column)) if column else (0, 0)
+    width, full = _WIDTH_BY_BITS[max(hi, ~lo).bit_length()], column.itemsize
+    if width == full:
+        return width, data
+    if width == 1:
+        return width, data[::full]
+    out = bytearray(len(column) * width)
+    for i in range(width):
+        out[i::width] = data[i::full]
+    return width, bytes(out)
 
 
 def calls_digest(column_digests: List[bytes], shapes: List[list],
@@ -291,10 +331,13 @@ class CallColumns(Sequence):
                  len(p.codec)) for p in parts)))
         first = _offsets(rows)
         owner = np.repeat(np.arange(len(parts)), rows)
-        seq, loc, shape, vals, lists = (
-            np.concatenate([chunk for chunks in column for chunk in chunks])
-            for column in zip(*((p.seq, p.loc, p.shape, p.vals, p.lists)
-                                for p in parts)))
+        # at the canonical types: narrow chunks (v5 frames) would
+        # otherwise concatenate to a narrow type
+        seq, vals, lists, loc, shape = (
+            np.concatenate([chunk for part in parts
+                            for chunk in getattr(part, name)],
+                           dtype=CALL_DTYPES[code])
+            for name, code in CALL_COLUMNS)
         befores = [[at for at, _event in part.codec] for part in parts]
 
         def located(p: int, row: int) -> str:

@@ -43,11 +43,17 @@ class ProfilerHook(EventHook):
         self.scope = scope
         self.relevant_vars = set(relevant_vars or ())
         self.capture_locations = capture_locations
-        self._writers: List[TraceWriter] = [
-            TraceWriter(TraceSet.rank_path(directory, rank, trace_format),
-                        rank, nranks, app, format=trace_format)
-            for rank in range(nranks)
-        ]
+        self._writers: List[TraceWriter] = []
+        try:
+            for rank in range(nranks):
+                self._writers.append(TraceWriter(
+                    TraceSet.rank_path(directory, rank, trace_format),
+                    rank, nranks, app, format=trace_format))
+        except BaseException:
+            # e.g. a directory named like a later rank's file: the files
+            # already opened are closed as partial, not left to the GC
+            self.abort()
+            raise
         self._calls = 0
 
     # -- EventHook interface -------------------------------------------

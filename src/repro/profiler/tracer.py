@@ -6,18 +6,18 @@ runtime events into the local disk independently for each process").
 
 Two on-disk formats (see ``docs/trace-format.md``):
 
-* **binary (v4)** — ``trace.<rank>.bin``, the default: memory events —
+* **binary (v5)** — ``trace.<rank>.bin``, the default: memory events —
   the bulk of a compute-heavy trace (Figure 10) — as strided runs
   (``R`` frames) and packed rows (``M`` frames), calls as int columns
-  over a per-rank shape table (``K`` frames,
-  :mod:`repro.profiler.callcols`), and a footer with exact per-class
+  over a per-rank shape table, each at its narrowest width (``K``
+  frames, :mod:`repro.profiler.callcols`), and a footer with exact per-class
   event counts, the string and shape tables and a frame index.  The
   reader memory-maps the file, expands a segment's runs in one
   vectorised pass and exposes the columns (:meth:`TraceReader.mem_blocks`,
   :meth:`TraceReader.read_calls`): no Python object per event.  A call
-  the columns cannot hold is a text record (``C`` frame); v3 files (no
-  ``R`` frames) and v2 files (every call a ``C`` frame) read through the
-  same loop;
+  the columns cannot hold is a text record (``C`` frame); v4 files
+  (every ``K`` column at full width), v3 files (no ``R`` frames) and v2
+  files (every call a ``C`` frame) read through the same loop;
 * **text (v1)** — ``trace.<rank>.log``, one self-describing record per
   line (the seed format, written on request).
 
@@ -51,8 +51,8 @@ import numpy as np
 
 from repro import obs
 from repro.profiler.callcols import (
-    CALL_COLUMNS, CallBuffer, CallColumns, RankCalls, calls_digest,
-    resolve_shapes,
+    CALL_COLUMNS, CALL_DTYPES, INT_DTYPES, CallBuffer, CallColumns,
+    RankCalls, calls_digest, resolve_shapes,
 )
 from repro.profiler.events import (
     ACCESS_CODES, ACCESS_NAMES, ACCESS_STORE, CallEvent, Event, MemEvent, decode_event,
@@ -66,11 +66,12 @@ from repro.util.records import (
 )
 
 TRACE_VERSION = 1        # text (v1) format version
-BINARY_VERSION = 4       # binary format version written
-#: binary versions read: a v3 file is a v4 file without ``R`` frames, a
-#: v2 file a v3 file whose every call took the ``C`` route and whose
-#: footer carries no frame index
-_BINARY_VERSIONS = (2, 3, 4)
+BINARY_VERSION = 5       # binary format version written
+#: binary versions read: a v4 file is a v5 file whose ``K`` columns are
+#: all at their canonical widths, a v3 file a v4 file without ``R``
+#: frames, a v2 file a v3 file whose every call took the ``C`` route and
+#: whose footer carries no frame index
+_BINARY_VERSIONS = (2, 3, 4, 5)
 
 FORMAT_TEXT = "text"
 FORMAT_BINARY = "binary"
@@ -91,12 +92,18 @@ _TRAILER_LEN = 8 + len(_END_MAGIC)  # u64 footer offset + end magic
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 #: K frame header: call rows, value-pool and list-pool entries, and the
-#: memory events of the R / M frames that complete the segment (0: none)
+#: memory events of the R / M frames that complete the segment (0: none);
+#: since v5 followed by one width byte per column
 _K_HEAD = struct.Struct("<IIII")
 #: R frame header: runs, and the rows of the M frame that completes the
 #: segment (0: none follows)
 _R_HEAD = struct.Struct("<II")
-_CALL_DTYPES = {"q": np.dtype("<i8"), "i": np.dtype("<i4")}
+#: per K column, the dtype of each width it may take (ids: 4 bytes at
+#: most), and the widths of a frame before v5: every column at full width
+_K_DTYPES = [{w: dtype for w, dtype in INT_DTYPES.items()
+              if w <= CALL_DTYPES[code].itemsize}
+             for _name, code in CALL_COLUMNS]
+_K_FULL = bytes(max(dtypes) for dtypes in _K_DTYPES)
 
 #: columnar layout of one packed memory event (33 bytes, little-endian):
 #: ``var``/``loc`` index the footer string table, ``access`` is an
@@ -112,19 +119,29 @@ RUN_DTYPE = np.dtype(MEM_DTYPE.descr + [("count", "<i4"), ("stride", "<i8")])
 _MEM_HEADS = tuple(f" a={encode_value(name)} addr=" for name in ACCESS_NAMES)
 
 
-def _call_frame(mm, offset: int
+def _call_frame(mm, offset: int, version: int
                 ) -> Tuple[int, List[Tuple[str, np.dtype, int, int]], int]:
-    """The layout of the ``K`` frame at ``offset``: the rows of the
-    ``M`` frame that completes its segment, its columns as ``(name,
-    dtype, entries, byte offset)``, and the byte the frame ends at."""
+    """The layout of the ``K`` frame at ``offset`` of a file of binary
+    ``version``: the memory events of the frames that complete its
+    segment, its columns as ``(name, dtype, entries, byte offset)``, and
+    the byte the frame ends at.  A v5 frame's width bytes follow its
+    counts; before v5 every column is at its canonical width.  A width
+    its column may not take is a ``ValueError``."""
     rows, nvals, nlists, owed = _K_HEAD.unpack_from(mm, offset + 1)
     pos = offset + 1 + _K_HEAD.size
+    widths = _K_FULL
+    if version >= 5:
+        widths = mm[pos:pos + len(_K_FULL)]
+        pos += len(_K_FULL)
     columns = []
-    for (name, code), count in zip(CALL_COLUMNS,
-                                   (rows, nvals, nlists, rows, rows)):
-        dtype = _CALL_DTYPES[code]
-        columns.append((name, dtype, count, pos))
-        pos += count * dtype.itemsize
+    for (name, _code), dtypes, count, width in zip(
+            CALL_COLUMNS, _K_DTYPES, (rows, nvals, nlists, rows, rows),
+            widths):
+        if width not in dtypes:
+            raise ValueError(f"{name} column width {width} is not one of "
+                             f"{list(dtypes)}")
+        columns.append((name, dtypes[width], count, pos))
+        pos += count * width
     return owed, columns, pos
 
 
@@ -581,10 +598,11 @@ class TraceWriter:
         rows = _expand(table) if len(runs) else lone
         counts = self._counts
         if len(self._calls):
-            calls, nvals, nlists, payload = self._calls.take_frame()
+            calls, nvals, nlists, widths, payload = self._calls.take_frame()
             self._index_frame("K", calls)
             self._out += b"K"
             self._out += _K_HEAD.pack(calls, nvals, nlists, len(rows))
+            self._out += widths
             self._out += payload
             counts["call"] += calls
         if len(runs):
@@ -1081,10 +1099,11 @@ class TraceReader:
         """The frame index ``(kinds, offsets, rows)`` of the data
         section, from one walk over the frame headers — and the checks
         that make every later pass a plain gather: frames tile the
-        section exactly, every run of an ``R`` frame (v4) is sound, the
-        footer's own index (v3) names the same frames, and the rows per
-        kind (an ``R`` frame's: its events) sum to the footer's counts."""
-        mm, end = self._mm, self._footer_off
+        section exactly, every run of an ``R`` frame (v4) is sound, every
+        width of a ``K`` frame (v5) one its column may take, the footer's
+        own index (v3) names the same frames, and the rows per kind (an
+        ``R`` frame's: its events) sum to the footer's counts."""
+        mm, end, version = self._mm, self._footer_off, self.header.version
         kinds: List[str] = []
         offsets: List[int] = []
         rows: List[int] = []
@@ -1111,9 +1130,14 @@ class TraceReader:
             elif tag == b"C":
                 stop, count = pos + 5 + count, 1
             elif tag == b"K" and pos + 1 + _K_HEAD.size <= end:
-                owed, _columns, stop = _call_frame(mm, pos)
+                try:
+                    owed, _columns, stop = _call_frame(mm, pos, version)
+                except ValueError as exc:
+                    raise TraceFormatError(
+                        f"{self.path}: K frame at byte {pos}: {exc}"
+                    ) from exc
                 owner = "K"
-            elif tag == b"R" and self.header.version >= 4 and \
+            elif tag == b"R" and version >= 4 and \
                     pos + 1 + _R_HEAD.size <= end:
                 count, owed = _R_HEAD.unpack_from(mm, pos + 1)
                 stop = pos + 1 + _R_HEAD.size + count * RUN_DTYPE.itemsize
@@ -1347,7 +1371,8 @@ class TraceReader:
             frames.append((kind, offset))
             rows += count
             if kind == "K":
-                for name, dtype, n, start in _call_frame(mm, offset)[1]:
+                for name, dtype, n, start in _call_frame(
+                        mm, offset, self.header.version)[1]:
                     parts[name].append(np.frombuffer(mm, dtype, n, start))
                 columnar += count
                 continue
@@ -1396,7 +1421,8 @@ class TraceReader:
             start = row
             if kind in "KC":
                 row += rows
-                if kind == "C" or not _call_frame(mm, offset)[0]:
+                if kind == "C" or not _call_frame(
+                        mm, offset, self.header.version)[0]:
                     yield start, row, None
                     continue
                 kind, offset, rows = next(frames)   # the segment's rows
@@ -1476,9 +1502,11 @@ class TraceReader:
                 length = _U32.unpack_from(mm, offset + 1)[0]
                 codec.update(mm[offset + 1:offset + 5 + length])
             elif kind == "K":
-                for digest, (_name, dtype, count, at) in zip(
-                        columns, _call_frame(mm, offset)[1]):
-                    digest.update(mm[at:at + count * dtype.itemsize])
+                for digest, (_name, code), (_n, dtype, count, at) in zip(
+                        columns, CALL_COLUMNS,
+                        _call_frame(mm, offset, self.header.version)[1]):
+                    digest.update(np.frombuffer(mm, dtype, count, at).astype(
+                        CALL_DTYPES[code]).tobytes())
         for _start, _stop, rows in self._segments():
             if rows is not None:
                 mems.update(rows.tobytes())

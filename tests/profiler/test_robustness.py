@@ -23,7 +23,7 @@ from repro.core.preprocess import preprocess_calls
 from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent, decode_event
 from repro.profiler.tracer import (
-    _END_MAGIC, _K_HEAD, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
+    _END_MAGIC, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
 )
 from repro.tools.trace_filter import filter_traces
 from repro.util.errors import (
@@ -180,20 +180,42 @@ class TestFooterIsCrossChecked:
                 reader.read_calls()
 
 
+#: a K frame's columns in payload order, and the struct code of an
+#: integer of each width a column may take
+K_COLUMNS = ("seq", "vals", "lists", "loc", "shape")
+INT_FORMATS = {1: "<b", 2: "<h", 4: "<i", 8: "<q"}
+
+
 def k_frame(path):
-    """``(offset, rows, nvals, nlists)`` of the first K frame, and the
-    byte offsets of its five columns."""
+    """``(offset, rows, columns)`` of the first K frame: ``columns``
+    maps each of its five columns to ``(byte offset, width)``."""
     with TraceReader(path) as reader:
         kinds, offsets, _rows = reader._frames
         offset = offsets[kinds.index("K")]
-        rows, nvals, nlists, _ = _K_HEAD.unpack_from(reader._mm, offset + 1)
-    # spelled out, not taken from the reader: the layout is the spec
-    seq = offset + 1 + _K_HEAD.size
-    vals = seq + 8 * rows
-    lists = vals + 8 * nvals
-    loc = lists + 8 * nlists
-    return offset, rows, dict(seq=seq, vals=vals, lists=lists, loc=loc,
-                              shape=loc + 4 * rows)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # spelled out, not taken from the reader: the layout is the spec —
+    # 'K', u32 rows, nvals, nlists and nmem, a width byte per column,
+    # then the columns back to back
+    rows, nvals, nlists, _nmem = struct.unpack_from("<IIII", data, offset + 1)
+    widths = data[offset + 17:offset + 22]
+    columns, at = {}, offset + 22
+    for name, count, width in zip(K_COLUMNS, (rows, nvals, nlists, rows,
+                                              rows), widths):
+        columns[name] = (at, width)
+        at += count * width
+    return offset, rows, columns
+
+
+def poke_int(path, columns, column, row, value):
+    """Overwrite entry ``row`` of a K column at the column's width: with
+    ``value``, or the width's extreme of its sign where it does not fit.
+    Returns the value written."""
+    at, width = columns[column]
+    bound = 1 << 8 * width - 1
+    value = min(max(value, -bound), bound - 1)
+    poke(path, at + row * width, INT_FORMATS[width], value)
+    return value
 
 
 def poke(path, at, fmt, value):
@@ -233,21 +255,22 @@ class TestCorruptCallColumns:
             == [3, 3]                       # valid as written
         return path
 
-    @pytest.mark.parametrize("column,row,fmt,value,message", [
-        ("shape", 1, "<i", 99, "row 1: shape id 99 outside table"),
-        ("shape", 0, "<i", -1, "row 0: shape id -1 outside table"),
-        ("loc", 2, "<i", 1 << 20, "row 2: location id 1048576 outside"),
-        ("seq", 1, "<q", 0, "seq is not strictly increasing"),
+    @pytest.mark.parametrize("column,row,value,message", [
+        ("shape", 1, 99, "row 1: shape id {} outside table"),
+        ("shape", 0, -1, "row 0: shape id {} outside table"),
+        ("loc", 2, 1 << 20, "row 2: location id {} outside"),
+        ("seq", 1, 0, "seq is not strictly increasing"),
         # Win_post values: win, len(group); Put values: win, var id
-        ("vals", 1, "<q", -2, "row 0: negative list length"),
-        ("vals", 1, "<q", 9, "list pool holds"),
-        ("vals", 3, "<q", 1 << 40, "row 1: string id 1099511627776 outside"),
+        ("vals", 1, -2, "row 0: negative list length"),
+        ("vals", 1, 9, "list pool holds"),
+        ("vals", 3, 1 << 40, "row 1: string id {} outside"),
     ])
     def test_typed_error_names_path_and_offset(self, path, column, row,
-                                               fmt, value, message):
+                                               value, message):
         offset, _rows, columns = k_frame(path)
-        poke(path, columns[column] + row * struct.calcsize(fmt), fmt, value)
-        with pytest.raises(TraceFormatError, match=message) as err:
+        value = poke_int(path, columns, column, row, value)
+        with pytest.raises(TraceFormatError,
+                           match=message.format(value)) as err:
             read_set(path)
         assert re.match(rf"{re.escape(path)}: K frame at byte {offset}\b",
                         str(err.value))
@@ -276,7 +299,8 @@ class TestCorruptCallColumns:
         offset, rows, columns = k_frame(path)
         with open(path, "rb") as fh:
             original = fh.read()
-        end = columns["shape"] + 4 * rows
+        at, width = columns["shape"]
+        end = at + width * rows
         for at in range(offset, end):
             flipped = bytearray(original)
             flipped[at] ^= 0xFF
@@ -295,6 +319,72 @@ class TestCorruptCallColumnsOfTheLastRank(TestCorruptCallColumns):
     that file, and the row within it."""
 
     RANK = 1
+
+
+#: a v4 set written before call columns were narrowed (``lu`` n=16 on 4
+#: ranks, race-free)
+V4_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v4_lu4")
+
+
+class TestNarrowCallColumns:
+    """A v5 K frame's width bytes are claims too: a width a column may
+    not take is a typed error naming the file and the frame's byte, and
+    no flipped byte of the frame — header, widths or columns — gets
+    past the reader as a bare exception or a different report."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        with open(os.path.join(V4_LU, "expected_report.json")) as fh:
+            self.expected = fh.read().strip()
+        filter_traces(TraceSet(V4_LU), str(tmp_path / "t"))
+        return str(tmp_path / "t" / "trace.0.bin")
+
+    def test_every_byte_flip_in_a_v5_k_frame_is_survivable(self, path):
+        offset, rows, columns = k_frame(path)
+        assert {width for _at, width in columns.values()} == {1, 2}
+        with open(path, "rb") as fh:
+            original = fh.read()
+        at, width = columns["shape"]
+        outcomes = set()
+        for byte in range(offset, at + width * rows):
+            flipped = bytearray(original)
+            flipped[byte] ^= 0xFF
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            try:
+                report = canonical_report(api.check(os.path.dirname(path)))
+            except (TraceFormatError, AnalysisError) as exc:
+                outcomes.add(type(exc).__name__)
+                continue
+            assert report == self.expected, f"flip at byte {byte}"
+            outcomes.add("unchanged")
+        assert outcomes == {"TraceFormatError", "AnalysisError",
+                            "unchanged"}
+
+    @pytest.mark.parametrize("column,width", [
+        ("seq", 0), ("vals", 3), ("lists", 16), ("loc", 8), ("shape", 8)])
+    def test_width_outside_the_allowed_set(self, path, column, width):
+        offset, _rows, _columns = k_frame(path)
+        poke(path, offset + 17 + K_COLUMNS.index(column), "<B", width)
+        with pytest.raises(TraceFormatError,
+                           match=rf"K frame at byte {offset}: {column} "
+                                 rf"column width {width} is not one of"):
+            TraceReader(path)
+        with pytest.raises(TraceFormatError) as err:
+            api.check(os.path.dirname(path))
+        assert str(err.value).startswith(f"{path}: K frame at byte {offset}")
+
+    def test_a_set_mixing_v4_and_v5_files(self, path):
+        """Rank 0 as v4 wrote it, the others as v5: full-width and narrow
+        chunks stack into one set of columns."""
+        shutil.copy(os.path.join(V4_LU, "trace.0.bin"), path)
+        traces = TraceSet(os.path.dirname(path))
+        versions = []
+        for rank in range(traces.nranks):
+            with traces.reader(rank) as reader:
+                versions.append(reader.header.version)
+        assert versions == [4, 5, 5, 5]
+        assert canonical_report(api.check(traces)) == self.expected
 
 
 #: a v3 set written before runs existed; its v4 rewrite has an R frame
@@ -586,7 +676,7 @@ def _rewritten_counts(path):
 
 def _corrupt_k_column(path):
     _offset, _rows, columns = k_frame(path)
-    poke(path, columns["shape"] + 4, "<i", 99)      # row 1's shape id
+    poke_int(path, columns, "shape", 1, 99)         # row 1's shape id
 
 
 def _reversed_mem_seqs(events):

@@ -2,7 +2,9 @@
 
 import gc
 import os
+import sys
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -12,8 +14,11 @@ from repro.apps.lu import lu
 from repro.apps.pingpong import pingpong
 from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent
+from repro.profiler.interpose import ProfilerHook
 from repro.profiler.session import baseline_run, profile_run
+from repro.profiler.tracer import TraceReader
 from repro.stanalyzer import InstrumentationReport
+from repro.util.errors import TraceFormatError
 
 
 class TestScopes:
@@ -143,6 +148,22 @@ class TestTraceDirectory:
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
+
+    def test_hook_that_cannot_open_a_rank_file_closes_the_others(
+            self, tmp_path):
+        """Rank 1's file cannot be opened: rank 0's, already truncated,
+        is closed as partial, not left open for the GC to find."""
+        os.makedirs(tmp_path / "trace.1.bin")
+        unraisable = []
+        with warnings.catch_warnings(), \
+                mock.patch.object(sys, "unraisablehook", unraisable.append):
+            warnings.simplefilter("error")
+            with pytest.raises(IsADirectoryError):
+                ProfilerHook(str(tmp_path), 2)
+            gc.collect()
+        assert not unraisable
+        with pytest.raises(TraceFormatError, match="trailer"):
+            TraceReader(str(tmp_path / "trace.0.bin"))
 
     def _check_equals_fresh(self, tmp_path, first, second):
         app, nranks, kwargs = second

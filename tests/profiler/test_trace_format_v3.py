@@ -1,27 +1,32 @@
-"""Binary formats v3 / v4: calls as columns, memory rows as strided runs,
-and the v2 / v3 files the reader still reads.
+"""Binary formats v3 to v5: calls as columns, memory rows as strided runs,
+call columns at their narrowest width, and the v2 / v3 / v4 files the
+reader still reads.
 
 * round trip: arbitrary call events — negative ints, bools, empty and
   long int lists, strings needing escapes, unicode, an int past int64
   that forces the codec route — interleaved with memory rows and
   strided runs of them survive both writer lanes with the same bytes,
   equal decoded events, equal ``stream()`` order and equal ``digests()``
-  wherever the writer cut its segments;
+  wherever the writer cut its segments; so do calls whose seqs, values
+  and list elements sit at the edges of the 1-, 2-, 4- and 8-byte
+  widths, and each ``K`` column takes the narrowest width that holds it;
 * the lazy ``CallColumns`` ``read_calls`` returns for a text and for a
   binary file of one run equal, element by element, the per-line
   ``decode_event`` of the text file, and ``CallTable.from_columns`` of
   either equals ``CallTable.from_events`` column by column, on the
   Table II corpus, LU, heat2d and three generated programs;
-* a v2 trace set written by the commit before v3, and a v3 set written
-  by the commit before v4, still check to the same canonical report, and
-  ``tools/trace_filter`` upgrades either losslessly — a v3 set to fewer
-  bytes with the same ``events()``, ``counts()`` and ``digests()``.
+* a v2 trace set written by the commit before v3, a v3 set written by
+  the commit before v4, and a v4 set written by the commit before v5
+  still check to the same canonical report, and ``tools/trace_filter``
+  upgrades each losslessly — a v3 or v4 set to fewer bytes with the same
+  ``events()``, ``counts()`` and ``digests()``.
 """
 
 import json
 import os
 import pickle
 import shutil
+import struct
 from unittest import mock
 
 import numpy as np
@@ -43,10 +48,13 @@ from repro.profiler.tracer import (
 )
 from repro.tools.trace_filter import filter_traces
 from repro.util.location import SourceLocation
+from repro.util.records import INT64_MAX, INT64_MIN
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v2_pingpong")
 #: ``lu`` n=16 on 4 ranks, locations not captured: its rows form runs
 V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v3_lu4")
+#: the same program written by v4, every call column at full width
+V4_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v4_lu4")
 
 LOCS = (SourceLocation("app.py", 10, "main"),
         SourceLocation("dir with space/k=1|%.py", 42, "compute"))
@@ -170,7 +178,7 @@ def test_prop_round_trip(tmp_path_factory, events, cut):
             # a block leaves the bytes its rows one at a time leave
             assert files.setdefault(every, fh.read()) == files[every]
         with TraceReader(path) as reader:
-            assert reader.header.version == 4
+            assert reader.header.version == tracer.BINARY_VERSION
             assert reader.events() == expected
             assert flatten(reader.stream()) == expected
             read, counts = reader.read_calls()
@@ -181,6 +189,84 @@ def test_prop_round_trip(tmp_path_factory, events, cut):
                 sum(len(block) for block in reader.mem_blocks())
             digests.add(json.dumps(reader.digests(), sort_keys=True))
     assert len(digests) == 1
+
+
+#: the edges of the widths a K column may take (v5), a step either side
+#: of each, and the int64 extremes
+EDGES = sorted({sign * (1 << bits) + step for bits in (7, 15, 31)
+                for sign in (1, -1) for step in (-1, 0, 1)}
+               | {0, INT64_MIN, INT64_MAX})
+edge_ints = st.one_of(st.sampled_from(EDGES), ints)
+
+
+@st.composite
+def edge_calls(draw):
+    """Calls whose seqs, values and list elements sit at the width
+    edges: a frame's columns take every width, and frames cut apart
+    take different ones."""
+    n = draw(st.integers(1, 12))
+    seqs = sorted(draw(st.lists(
+        st.one_of(st.sampled_from([e for e in EDGES if e >= 0]),
+                  st.integers(0, INT64_MAX)),
+        min_size=n, max_size=n, unique=True)))
+    return [CallEvent(0, seq, draw(st.sampled_from(("Put", "user f"))),
+                      {"count": draw(edge_ints),
+                       "displacements": draw(st.lists(edge_ints,
+                                                      max_size=4)),
+                       "var": draw(st.sampled_from(("x", "y")))},
+                      draw(st.sampled_from(LOCS)))
+            for seq in seqs]
+
+
+@given(events=edge_calls(), cut=st.sampled_from((1, 2, 3, 4096)))
+@settings(max_examples=100, deadline=None)
+def test_prop_round_trip_at_the_width_edges(tmp_path_factory, events, cut):
+    tmp = tmp_path_factory.mktemp("edges")
+    expected = [canonical(event) for event in events]
+    digests = set()
+    for name, fast, every in (("write", False, 4096), ("fast", True, cut)):
+        path = str(tmp / f"{name}.bin")
+        with mock.patch.object(tracer, "_FLUSH_EVERY", every):
+            emit(path, events, fast)
+        with TraceReader(path) as reader:
+            assert set(reader._frames[0]) == {"K"}     # no call refused
+            assert reader.events() == expected
+            assert list(reader.read_calls()[0]) == expected
+            digests.add(reader.content_digest(verify=True))
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("rows", [3, 100])
+@pytest.mark.parametrize("value,width", [
+    (127, 1), (-128, 1), (128, 2), (-129, 2), (32767, 2), (-32768, 2),
+    (32768, 4), (-32769, 4), ((1 << 31) - 1, 4), (-(1 << 31), 4),
+    (1 << 31, 8), (-(1 << 31) - 1, 8), (INT64_MAX, 8), (INT64_MIN, 8)])
+def test_call_columns_take_their_narrowest_width(tmp_path, value, width,
+                                                 rows):
+    """The K header's width bytes (seq, vals, lists, loc, shape): each
+    the narrowest of 1, 2, 4 and 8 bytes that holds the column's min and
+    max — spelled out here, the layout is the spec.  Short and long
+    columns alike (the writer finds the extremes two ways)."""
+    counts = [-(k % 2) for k in range(rows - 1)] + [value]
+    path = str(tmp_path / "trace.0.bin")
+    with TraceWriter(path, 0, 1, format=FORMAT_BINARY) as writer:
+        for seq, count in enumerate(counts):
+            writer.write(CallEvent(0, seq, "Put",
+                                   {"count": count, "var": "x"}, LOCS[0]))
+    with TraceReader(path) as reader:
+        offset = reader._frames[1][0]
+        assert [event.args["count"] for event in reader.events()] == counts
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data[offset:offset + 1] == b"K"
+    assert list(data[offset + 17:offset + 22]) == [1, width, 1, 1, 1]
+    nrows, nvals, nlists, _nmem = struct.unpack_from("<IIII", data,
+                                                     offset + 1)
+    assert (nrows, nvals, nlists) == (rows, 2 * rows, 0)
+    vals = offset + 22 + rows
+    assert [v for v, in struct.iter_unpack(
+        {1: "<b", 2: "<h", 4: "<i", 8: "<q"}[width],
+        data[vals:vals + nvals * width])][0::2] == counts
 
 
 @pytest.mark.parametrize("args", [{"win": "w"}, {"win": [1]}, {}])
@@ -379,7 +465,7 @@ def test_trace_filter_upgrades_v2_losslessly(tmp_path):
     new = filter_traces(old, str(tmp_path / "v3"))
     for rank in range(old.nranks):
         with new.reader(rank) as reader:
-            assert reader.header.version == 4
+            assert reader.header.version == tracer.BINARY_VERSION
             assert set(reader._frames[0]) <= {"K", "M"}
             upgraded = reader.events()
         assert upgraded == old.events(rank)
@@ -422,7 +508,7 @@ def test_trace_filter_upgrades_v3_to_fewer_bytes(tmp_path):
     runs = 0
     for rank in range(old.nranks):
         with old.reader(rank) as was, new.reader(rank) as now:
-            assert now.header.version == 4
+            assert now.header.version == tracer.BINARY_VERSION
             runs += now._frames[0].count("R")
             assert now.events() == was.events()
             assert now.counts() == was.counts()
@@ -432,4 +518,41 @@ def test_trace_filter_upgrades_v3_to_fewer_bytes(tmp_path):
         assert os.path.getsize(new.path(rank)) < \
             os.path.getsize(old.path(rank))
     assert runs == old.nranks
+    assert canonical_report(api.check(new)) == expected
+
+
+# ----------------------------------------------------------------------
+# back-compat: a v4 set written by the parent commit
+# ----------------------------------------------------------------------
+
+
+def test_v4_fixture_checks_to_the_same_report():
+    with open(os.path.join(V4_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    traces = TraceSet(V4_FIXTURE)
+    for rank in range(traces.nranks):
+        with traces.reader(rank) as reader:
+            assert reader.header.version == 4
+            assert set(reader._frames[0]) == {"K", "R", "M"}
+    assert canonical_report(api.check(V4_FIXTURE)) == expected
+
+
+def test_trace_filter_upgrades_v4_to_fewer_bytes(tmp_path):
+    """Narrow call columns hold the same events, counts and digests —
+    the digests hash the columns at their canonical widths — in fewer
+    bytes, and check to the same report."""
+    with open(os.path.join(V4_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    old = TraceSet(V4_FIXTURE)
+    new = filter_traces(old, str(tmp_path / "v5"))
+    for rank in range(old.nranks):
+        with old.reader(rank) as was, new.reader(rank) as now:
+            assert now.header.version == tracer.BINARY_VERSION
+            assert now.events() == was.events()
+            assert now.counts() == was.counts()
+            assert now.digests() == was.digests()
+            assert now.content_digest(verify=True) == \
+                was.content_digest(verify=True)
+        assert os.path.getsize(new.path(rank)) < \
+            os.path.getsize(old.path(rank))
     assert canonical_report(api.check(new)) == expected
