@@ -32,8 +32,8 @@ that read a call's *arguments*: the registry scan (window, communicator
 and datatype constructors), the views of the op table (RMA calls, calls
 with a logged buffer), and whatever walks a whole stream (tools,
 incremental slice digests).  They select their rows by fn code with
-:func:`calls_to`; over the lazy call columns nothing else is ever
-built.
+:func:`rows_calling` and build those rows alone
+(:meth:`~repro.profiler.callcols.CallColumns.take`).
 """
 
 from __future__ import annotations
@@ -480,23 +480,6 @@ def rows_calling(table: "CallTable", fns: FrozenSet[str]) -> np.ndarray:
     wanted = np.zeros(len(FN_NAMES), dtype=bool)
     wanted[_fn_codes(fns)] = True
     return np.nonzero(wanted[table.fn])[0]
-
-
-def calls_to(events: Sequence[Any], table: CallTable,
-             fns: FrozenSet[str]) -> Tuple[np.ndarray, List[CallEvent]]:
-    """The rows of ``table`` that call one of ``fns``, and their events
-    — how every phase that reads call *arguments* picks its calls, so
-    that over lazy call columns only those become objects.
-
-    ``events`` is what the table was built from: the call columns
-    ``TraceReader.read_calls`` returns, a call-only list that rows index
-    alike, or a typed event list with memory events in between."""
-    rows = rows_calling(table, fns)
-    if isinstance(events, CallColumns):
-        return rows, events.take(rows)
-    if len(events) != table.n:
-        events = [e for e in events if isinstance(e, CallEvent)]
-    return rows, [events[k] for k in rows.tolist()]
 
 
 def ensure_call_table(pre: "PreprocessedTrace") -> CallTable:

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.calltable import (
-    ensure_call_table, ensure_call_tables, fn_code, per_fn,
+    CallTable, ensure_call_table, fn_code, per_fn,
 )
 from repro.core.clocks import Span
 from repro.core.compat import ACC, GET, KINDS, LOAD, PUT, STORE
@@ -46,6 +46,7 @@ from repro.profiler.callcols import KIND_INT, KIND_STR, CallColumns, Shape
 from repro.profiler.events import ACCESS_CODES
 from repro.profiler.events import ACCESS_NAMES as _ACCESS_NAMES
 from repro.profiler.events import CallEvent
+from repro.profiler.tracer import read_mems
 from repro.util.errors import AnalysisError
 from repro.util.intervals import (
     IntervalSet, datamap_intervals, expand_ranges, group_ids,
@@ -73,8 +74,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _STORE_CODE = ACCESS_CODES["store"]
 
 
-def check_mem_rows(rank: int, rows: np.ndarray, calls: np.ndarray,
-                   after: Optional[int] = None) -> None:
+def check_mem_rows(rows: np.ndarray, offsets: Sequence[int],
+                   calls: CallTable, after: Optional[int] = None) -> None:
     """Refuse memory rows the kernels would silently misread.
 
     * Rows outside the non-negative int64 address space: the sweep
@@ -84,36 +85,50 @@ def check_mem_rows(rank: int, rows: np.ndarray, calls: np.ndarray,
     * Rows out of trace order: epochs, regions and shards take a rank's
       rows by bisecting ``seq`` between two of its calls' seqs (both
       bounds exclusive), so a row whose seq does not increase, or that
-      repeats a call's seq (``calls``: the rank's call seq column), leaves
-      its range or joins another.
+      repeats a call's seq, leaves its range or joins another.
 
     Either way a corrupt trace would get a wrong verdict, clean ones
-    included; raise a typed error instead.  ``after`` is the seq of the
-    row before ``rows`` when a rank is read a block at a time."""
+    included; raise a typed error instead — the first in rank order,
+    and within a rank in the order above.  ``rows`` holds the rows of
+    every rank of ``calls`` (the set's call table, or one rank's view)
+    back to back, rank ``calls.rank_ids[k]``'s from ``offsets[k]``, and
+    is checked with a rank column, all ranks at once.  ``after`` is the
+    seq of the row before ``rows`` when one rank is read a block at a
+    time."""
     seq, addr, size = rows["seq"], rows["addr"], rows["size"]
-    bad = (addr < 0) | (size < 0) | (addr > _INT64_MAX - np.maximum(size, 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise AnalysisError(
-            f"rank {rank} seq {int(seq[i])}: memory access addr="
-            f"{int(addr[i])} size={int(size[i])} lies outside the "
-            f"non-negative int64 address space")
-    if after is not None:
-        seq = np.concatenate(([after], seq))
-    late = np.nonzero(seq[1:] <= seq[:-1])[0]
+    rank = np.repeat(np.array(calls.rank_ids), np.diff(offsets))
+    found = []
+    bad = np.nonzero((addr < 0) | (size < 0)
+                     | (addr > _INT64_MAX - np.maximum(size, 0)))[0]
+    if len(bad):
+        i = int(bad[0])
+        found.append((int(rank[i]), 0,
+                      f"rank {rank[i]} seq {int(seq[i])}: memory access "
+                      f"addr={int(addr[i])} size={int(size[i])} lies "
+                      "outside the non-negative int64 address space"))
+    if after is not None and len(seq):
+        seq, rank = np.concatenate(([after], seq)), np.concatenate(
+            (rank[:1], rank))
+    late = np.nonzero((seq[1:] <= seq[:-1]) & (rank[1:] == rank[:-1]))[0]
     if len(late):
         i = int(late[0]) + 1
-        raise AnalysisError(
-            f"rank {rank}: memory seq {int(seq[i])} follows "
-            f"{int(seq[i - 1])}: seq is not strictly increasing over the "
-            "rank's memory rows")
-    if len(calls):
-        at = np.searchsorted(calls, seq).clip(max=len(calls) - 1)
-        clash = np.nonzero(calls[at] == seq)[0]
-        if len(clash):
-            raise AnalysisError(
-                f"rank {rank}: memory seq {int(seq[clash[0]])} is also a "
-                "call's seq")
+        found.append((int(rank[i]), 1,
+                      f"rank {rank[i]}: memory seq {int(seq[i])} follows "
+                      f"{int(seq[i - 1])}: seq is not strictly increasing "
+                      "over the rank's memory rows"))
+    mem_seq, bounds = rows["seq"], calls.offsets.tolist()
+    for k, r in enumerate(calls.rank_ids):
+        own = calls.seq[bounds[k]:bounds[k + 1]]
+        mine = mem_seq[offsets[k]:offsets[k + 1]]
+        if len(own) and len(mine):
+            at = np.searchsorted(own, mine).clip(max=len(own) - 1)
+            clash = np.nonzero(own[at] == mine)[0]
+            if len(clash):
+                found.append((r, 2, f"rank {r}: memory seq "
+                              f"{int(mine[clash[0]])} is also a call's seq"))
+                break
+    if found:
+        raise AnalysisError(min(found)[2])
 
 
 def _check_address_space(rank: int, seq: int, what: str,
@@ -238,20 +253,18 @@ class MemRows:
                    np.ascontiguousarray(arr["access"]))
 
     @classmethod
-    def from_blocks(cls, rank: int, blocks: List,
-                    calls: np.ndarray) -> "MemRows":
-        """A rank's whole memory trace; ``calls`` is its call seq
-        column (:func:`check_mem_rows`)."""
-        if not blocks:
-            empty64 = np.empty(0, dtype=np.int64)
-            return cls(rank, None, empty64, empty64, empty64,
-                       np.empty(0, dtype=np.int32),
-                       np.empty(0, dtype=np.int32),
-                       np.empty(0, dtype=np.uint8))
-        arrays = [block.array for block in blocks]
-        arr = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        check_mem_rows(rank, arr, calls)
-        return cls.from_struct(rank, blocks[0].table, arr)
+    def split(cls, rows: np.ndarray, offsets: Sequence[int],
+              tables: List) -> Dict[int, "MemRows"]:
+        """Per rank ``0 ..``, its slice of ``rows`` (a set's, passed by
+        :func:`check_mem_rows`; rank ``k``'s from ``offsets[k]``, its
+        strings in ``tables[k]``) as columns: one contiguous copy per
+        column for the set."""
+        whole = cls.from_struct(-1, None, rows)
+        columns = [getattr(whole, name) for name in cls.__slots__[2:8]]
+        return {rank: cls(rank, table if hi > lo else None,
+                          *(column[lo:hi] for column in columns))
+                for rank, (table, lo, hi) in enumerate(zip(
+                    tables, offsets[:-1], offsets[1:]))}
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -416,23 +429,26 @@ def build_access_model_sweep(pre: PreprocessedTrace,
                              epoch_index: EpochIndex,
                              traces: "TraceSet") -> AccessModel:
     """The model build: every call that lifts becomes a row of one
-    :class:`OpTable`, and each rank's packed memory blocks concatenate
-    into one columnar :class:`MemRows` — no per-event object either way.
+    :class:`OpTable`, and the set's memory rows become one
+    :class:`MemRows` per rank, sliced from columns the whole set shares
+    — no per-event object either way.
 
     The calls were already read by the preprocess pass (``pre.events``),
-    so only the packed memory columns are read back from the trace — no
-    second call pass — and not even those where the preprocess pass
-    produced them on the way (``pre.mem_blocks``: the batch checker)."""
+    so only the memory rows are read back from the trace — the set's, at
+    once, with no second call pass — and not even those where the
+    preprocess pass produced them on the way (``pre.mem_rows``: the
+    batch checker)."""
     table = OpTable(pre, epoch_index)
-    calls = ensure_call_tables(pre)
-    mems: Dict[int, MemRows] = {}
-    for rank in range(pre.nranks):
-        blocks = pre.mem_blocks.pop(rank, None)
-        if blocks is None:
-            with traces.reader(rank) as reader:
-                blocks = list(reader.mem_blocks())
-        mems[rank] = MemRows.from_blocks(rank, blocks, calls[rank].seq)
-    return AccessModel(ops=table.ops, local=table.local, mems=mems,
+    held, pre.mem_rows = pre.mem_rows, None
+    if held is None:
+        with traces.open() as readers:
+            held = (*read_mems(readers),
+                    [reader._table for reader in readers])
+    rows, offsets, tables = held
+    offsets = offsets.tolist()
+    check_mem_rows(rows, offsets, ensure_call_table(pre))
+    return AccessModel(ops=table.ops, local=table.local,
+                       mems=MemRows.split(rows, offsets, tables),
                        table=table)
 
 
@@ -983,24 +999,33 @@ class OpTable:
         first = np.unique(ids, return_index=True)[1]
         seg_n, disp, length, extent, tiles, lo, hi, exact, base, missing = (
             [], [], [], [], [], [], [], [], [], [])
+        # per datatype object (ranks share the primitive ones): its
+        # segments and what is said of it
+        said: Dict[int, tuple] = {}
         for r, t in zip(rank[first].tolist(), type_id[first].tolist()):
             dtype = pre.datatypes[r].get(t) if 0 <= r < pre.nranks else None
-            segments = [seg for seg in dtype.datamap if seg[1] > 0] \
-                if dtype is not None else []
+            entry = said.get(id(dtype))
+            if entry is None:
+                segments = [seg for seg in dtype.datamap if seg[1] > 0] \
+                    if dtype is not None else []
+                ext = dtype.extent if dtype is not None else 0
+                low = float(min((seg[0] for seg in segments), default=0))
+                high = float(max((seg[0] + seg[1] for seg in segments),
+                                 default=0))
+                entry = said[id(dtype)] = (
+                    segments, ext, len(segments) == 1
+                    and segments[0][1] == ext, low, high,
+                    max(abs(low), abs(high), abs(float(ext))) < _EXACT,
+                    self._code(dtype.base) if dtype is not None
+                    and dtype.base is not None else -1)
+            segments = entry[0]
             missing.append(dtype is None)
             seg_n.append(len(segments))
             disp.extend(seg[0] for seg in segments)
             length.extend(seg[1] for seg in segments)
-            extent.append(dtype.extent if dtype is not None else 0)
-            tiles.append(len(segments) == 1
-                         and segments[0][1] == extent[-1])
-            lo.append(float(min((seg[0] for seg in segments), default=0)))
-            hi.append(float(max((seg[0] + seg[1] for seg in segments),
-                                default=0)))
-            exact.append(max(abs(lo[-1]), abs(hi[-1]),
-                             abs(float(extent[-1]))) < _EXACT)
-            base.append(self._code(dtype.base) if dtype is not None
-                        and dtype.base is not None else -1)
+            for column, value in zip(
+                    (extent, tiles, lo, hi, exact, base), entry[1:]):
+                column.append(value)
         try:
             seg_n, disp, length, extent = (
                 np.array(col, dtype=np.int64)

@@ -76,7 +76,7 @@ from repro.core.preprocess import (
     PreprocessedTrace, preprocess_calls_with_counts,
 )
 from repro.core.regions import RegionIndex
-from repro.profiler.tracer import MEM_DTYPE, TraceReader, TraceSet
+from repro.profiler.tracer import TraceReader, TraceSet, read_mems
 from repro.util.hashing import hash_strings
 from repro.util.intervals import expand_ranges, grouped_searchsorted
 
@@ -410,12 +410,21 @@ class SharedReaders:
         self.nranks = traces.nranks
         self._open: Dict[int, TraceReader] = {}
 
-    @contextmanager
-    def reader(self, rank: int) -> Iterator[TraceReader]:
+    def _reader(self, rank: int) -> TraceReader:
         reader = self._open.get(rank)
         if reader is None:
             reader = self._open[rank] = self._traces.reader(rank)
-        yield reader
+        return reader
+
+    @contextmanager
+    def reader(self, rank: int) -> Iterator[TraceReader]:
+        yield self._reader(rank)
+
+    @contextmanager
+    def open(self) -> Iterator[List[TraceReader]]:
+        """Every rank's shared reader, as :meth:`TraceSet.open` hands a
+        set's: they stay open when the block ends."""
+        yield [self._reader(rank) for rank in range(self.nranks)]
 
     def release(self, rank: int) -> None:
         """Close ``rank``'s reader now; asked for again, it reopens."""
@@ -455,12 +464,9 @@ class _RowLoader:
         entry = self._packed.get(rank)
         if entry is None:
             with self._traces.reader(rank) as reader:
-                blocks = list(reader.mem_blocks())
-                # concatenate copies, which detaches the rows from the map
-                rows = (np.concatenate([block.array for block in blocks])
-                        if blocks else np.empty(0, dtype=MEM_DTYPE))
-            check_mem_rows(rank, rows, self._calls[rank].seq)
-            table = blocks[0].table if blocks else None
+                rows, offsets = read_mems([reader])
+                table = reader._table if len(rows) else None
+            check_mem_rows(rows, offsets, self._calls[rank])
             entry = self._packed[rank] = [rows, table, hash_strings(
                 table.strings if table is not None else [])]
             self.rows_loaded += len(rows)
@@ -482,9 +488,9 @@ class _RowLoader:
     def _blocks(self, rank: int):
         last = None
         for block in self._traces.mem_blocks(rank):
-            # the copy detaches the rows from the map
-            rows = np.array(block.array)
-            check_mem_rows(rank, rows, self._calls[rank].seq, after=last)
+            rows = block.array
+            check_mem_rows(rows, [0, len(rows)], self._calls[rank],
+                           after=last)
             if len(rows):
                 last = int(rows["seq"][-1])
             yield block.table, rows

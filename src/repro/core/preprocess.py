@@ -14,12 +14,18 @@ c. **datatypes** — the data-map of every derived datatype, reconstructed
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.calltable import calls_to
+import numpy as np
+
+from repro import obs
+from repro.core.calltable import rows_calling
 from repro.profiler.events import DATATYPE_CALLS, CallEvent, Event
-from repro.profiler.tracer import TraceSet, stack_calls
+from repro.profiler.tracer import (
+    FORMAT_BINARY, TraceSet, read_mems, stack_calls,
+)
 from repro.util.datatypes import (
     PRIMITIVES_BY_ID, WORLD_COMM_ID, Datatype, DatatypeFactory,
 )
@@ -84,19 +90,16 @@ REGISTRY_CALLS = DATATYPE_CALLS | {"Win_create", "Comm_split", "Comm_dup",
 
 
 def scan_rank(rank: int, events: Sequence[Event],
-              n_events: Optional[int] = None, table=None) -> RankScan:
+              n_events: Optional[int] = None) -> RankScan:
     """Single pass over one rank's events collecting registry records.
 
     ``n_events`` overrides the recorded trace-event total for call-only
     event lists (the memory events were counted elsewhere, e.g. by a
-    binary trace footer, and never materialized).  With the rank's
-    :class:`~repro.core.calltable.CallTable` the pass visits only the
-    :data:`REGISTRY_CALLS` rows, so lazy call columns build no other
-    event."""
+    binary trace footer, and never materialized) — as for the
+    :data:`REGISTRY_CALLS` events alone, which is what the call-only
+    preprocess scans."""
     scan = RankScan(rank=rank,
                     n_events=len(events) if n_events is None else n_events)
-    if table is not None:
-        events = calls_to(events, table, REGISTRY_CALLS)[1]
     factory = DatatypeFactory()
 
     def resolve(type_id: int) -> Datatype:
@@ -156,7 +159,7 @@ class PreprocessedTrace:
     :class:`~repro.profiler.callcols.CallColumns`, which builds an event
     when a row is indexed; from :func:`preprocess`, or by hand, a list.
     Phases that read call arguments pick their rows with
-    :func:`~repro.core.calltable.calls_to`; everything else runs off
+    :func:`~repro.core.calltable.rows_calling`; everything else runs off
     ``call_table`` and its per-rank views ``call_tables``.
 
     ``scans`` short-circuits the per-rank registry scan (the call-only
@@ -179,10 +182,11 @@ class PreprocessedTrace:
         #: views, and the CallColumns ``events`` views — from the call-only
         #: ingest; else None (ensure_call_table builds the tables)
         self.call_table = self.call_tables = self.call_columns = None
-        #: per-rank packed memory blocks the call pass produced on the way
-        #: (:func:`preprocess_calls`), taken — popped — by
+        #: the set's memory rows the call pass read on the way
+        #: (:func:`preprocess_calls`): ``(rows, offsets, string tables)``
+        #: of :func:`~repro.profiler.tracer.read_mems`, taken by
         #: ``build_access_model_sweep`` in place of a second read
-        self.mem_blocks: Dict[int, list] = {}
+        self.mem_rows: Optional[tuple] = None
         if scans is None:
             scans = [scan_rank(rank, events[rank])
                      for rank in range(self.nranks)]
@@ -286,10 +290,10 @@ def preprocess_calls(traces: TraceSet) -> PreprocessedTrace:
     built for the rows a phase indexes.
 
     This is the batch checker's preprocess: it holds every rank's memory
-    columns through detection anyway, so they ride along in
-    ``mem_blocks`` — decoded by the same bulk pass (text) or mapped from
-    the frame index (binary) — and the model phase does not open the
-    file a second time."""
+    rows through detection anyway, so they ride along in ``mem_rows`` —
+    decoded by the same bulk pass (text) or expanded from the frames,
+    every file's at once (binary) — and the model phase does not open
+    the files a second time."""
     pre, _counts = preprocess_calls_with_counts(traces, mems=True)
     return pre
 
@@ -300,26 +304,63 @@ def preprocess_calls_with_counts(
     """:func:`preprocess_calls` plus the per-rank per-class event counts
     the readers produced along the way — the incremental checker needs
     them to derive report statistics without touching memory events.
-    Memory columns are kept only with ``mems``: the streaming and
+    Memory rows are kept only with ``mems``: the streaming and
     incremental control passes load rows later, a region or a dirty
-    shard at a time."""
-    parts = []
-    counts_by_rank: Dict[int, Dict[str, int]] = {}
-    mem_blocks: Dict[int, list] = {}
-    for rank in range(traces.nranks):
-        with traces.reader(rank) as reader:
-            parts.append(reader.rank_calls(mems=mems))
-            counts_by_rank[rank] = reader.counts()
-            if reader.call_mems is not None:
-                mem_blocks[rank] = reader.call_mems
-    cols, table = stack_calls(parts)
-    call_events = {rank: cols.view(rank) for rank in range(traces.nranks)}
-    tables = {rank: table.view(rank) for rank in range(traces.nranks)}
-    scans = [scan_rank(rank, call_events[rank],
-                       n_events=counts["call"] + counts["mem"],
-                       table=tables[rank])
+    shard at a time.
+
+    The set is read as one (``traces.open()``): its calls stacked and
+    checked once, its :data:`REGISTRY_CALLS` events built by one
+    ``take`` and split by rank for the scans, each rank's view of the
+    call columns and of the call table sliced when a phase first asks
+    for it."""
+    with traces.open() as readers:
+        parts = [reader.rank_calls(mems=mems) for reader in readers]
+        cols, table = stack_calls(parts)
+        counts_by_rank = {reader.header.rank: reader.counts()
+                          for reader in readers}
+        held = (*read_mems(readers), [reader._table for reader in readers]
+                ) if mems else None
+        binary = [part for part, reader in zip(parts, readers)
+                  if reader.format == FORMAT_BINARY]
+    if binary:
+        for route, n in (("columnar", sum(len(seq) for part in binary
+                                          for seq in part.seq)),
+                         ("codec", sum(len(part.codec) for part in binary))):
+            obs.count("trace_call_rows_total", n, route=route,
+                      help="Binary trace call rows read, by route")
+    rows = rows_calling(table, REGISTRY_CALLS)
+    events = cols.take(rows)
+    cut = np.searchsorted(rows, table.offsets).tolist()
+    scans = [scan_rank(rank, events[cut[rank]:cut[rank + 1]],
+                       n_events=counts["call"] + counts["mem"])
              for rank, counts in counts_by_rank.items()]
-    pre = PreprocessedTrace(call_events, scans=scans)
-    pre.call_columns, pre.call_table, pre.call_tables = cols, table, tables
-    pre.mem_blocks = mem_blocks
+    pre = PreprocessedTrace(RankViews(cols.view, traces.nranks),
+                            scans=scans)
+    pre.call_columns, pre.call_table = cols, table
+    pre.call_tables = RankViews(table.view, traces.nranks)
+    pre.mem_rows = held
     return pre, counts_by_rank
+
+
+class RankViews(Mapping):
+    """``rank -> make(rank)`` for ranks ``0 .. nranks - 1``, each made
+    the first time it is asked for: a rank's slice of the set's call
+    columns or call table."""
+
+    def __init__(self, make: Callable[[int], object], nranks: int):
+        self._make, self._nranks = make, nranks
+        self._made: Dict[int, object] = {}
+
+    def __getitem__(self, rank: int):
+        view = self._made.get(rank)
+        if view is None:
+            if not 0 <= rank < self._nranks:
+                raise KeyError(rank)
+            view = self._made[rank] = self._make(rank)
+        return view
+
+    def __iter__(self):
+        return iter(range(self._nranks))
+
+    def __len__(self) -> int:
+        return self._nranks

@@ -255,11 +255,10 @@ def calls_digest(column_digests: List[bytes], shapes: List[list],
     return digest.hexdigest()
 
 
-def resolve_shapes(raw: Any, table) -> List[Shape]:
-    """The footer's shape table with its string ids resolved; any id
-    outside the string table or malformed entry is a
+def resolve_shapes(raw: Any, strings: Sequence[str]) -> List[Shape]:
+    """The footer's shape table with its ids into ``strings`` resolved;
+    any id outside the string table or malformed entry is a
     :class:`TraceFormatError`."""
-    strings = table.strings
     try:
         shapes = [(strings[fn_id], tuple([strings[k] for k in fields[0::2]]),
                    tuple(fields[1::2])) for fn_id, fields in raw]
@@ -319,8 +318,13 @@ class CallColumns(Sequence):
         #: the rank of a one-rank stack or view, ``None`` for several
         self.rank = self.rank_ids[0] if len(parts) == 1 else None
         index: Dict[Shape, int] = {}
-        to_set = np.array([index.setdefault(shape, len(index))
-                           for part in parts for shape in part.shapes],
+        # per distinct shape table: the files of a set mostly share one
+        ids: Dict[int, List[int]] = {}
+        for part in parts:
+            if id(part.shapes) not in ids:
+                ids[id(part.shapes)] = [index.setdefault(shape, len(index))
+                                        for shape in part.shapes]
+        to_set = np.array([k for part in parts for k in ids[id(part.shapes)]],
                           dtype=np.int64)
         self.shapes = shapes = list(index)
         nshapes = len(shapes)
@@ -423,17 +427,21 @@ class CallColumns(Sequence):
         self.vals, self.lists = vals, lists
         #: ``vals[val_off[k]:val_off[k + 1]]`` are row ``k``'s values
         self.val_off = val_off
+        #: the events built, by row of the stack — shared with its views,
+        #: whose first row in the stack is ``_first``
         self._events: Dict[int, CallEvent] = {}
+        self._first = 0
         #: per shape: fn, keys, string positions, list positions
         self._decoders: Optional[list] = None
 
     def view(self, k: int) -> "CallColumns":
-        """The rows of rank ``rank_ids[k]``, sliced: the pools are the
-        stack's (``val_off`` still indexes them), nothing is copied."""
+        """The rows of rank ``rank_ids[k]``, sliced: the pools and the
+        events built are the stack's (``val_off`` still indexes them),
+        nothing is copied."""
         lo, hi = int(self.offsets[k]), int(self.offsets[k + 1])
         view = object.__new__(CallColumns)
         view.__dict__.update(
-            self.__dict__, _events={}, _decoders=None, n=hi - lo,
+            self.__dict__, n=hi - lo, _first=self._first + lo,
             rank=self.rank_ids[k], rank_ids=self.rank_ids[k:k + 1],
             offsets=np.array([0, hi - lo]), val_off=self.val_off[lo:hi + 1],
             string_base=self.string_base[k:k + 2],
@@ -510,7 +518,7 @@ class CallColumns(Sequence):
             return self.take(np.arange(*k.indices(self.n)))
         if k < 0:
             k += self.n
-        event = self._events.get(k)
+        event = self._events.get(k + self._first)
         if event is None:
             if not 0 <= k < self.n:
                 raise IndexError("call row out of range")
@@ -527,12 +535,12 @@ class CallColumns(Sequence):
         """The events of ``rows`` (ascending), built together and
         remembered, so a row is one object however often it is asked
         for."""
-        events = self._events
-        wanted = rows.tolist()
+        events, first = self._events, self._first
+        wanted = (rows + first).tolist()
         todo = [k for k in wanted if k not in events]
         if todo:
             self._build(rows if len(todo) == len(wanted)
-                        else np.array(todo, dtype=np.int64))
+                        else np.array(todo, dtype=np.int64) - first)
         return [events[k] for k in wanted]
 
     def _build(self, rows: np.ndarray) -> None:
@@ -555,7 +563,7 @@ class CallColumns(Sequence):
                  tuple(i for i, k in enumerate(kinds) if k == KIND_STR),
                  tuple(i for i, k in enumerate(kinds) if k == KIND_LIST))
                 for fn, keys, kinds in self.shapes]
-        decoders, events = self._decoders, self._events
+        decoders, events, first = self._decoders, self._events, self._first
         strings, loc_of = self.table.strings, self.table.loc
         built = len(rows)
         for k, rank, seq, loc, shape, at, taken in zip(
@@ -564,7 +572,7 @@ class CallColumns(Sequence):
                 self.shape[rows].tolist(), (lo - base).tolist(), firsts):
             if shape == len(decoders):
                 # decoded by the reader, not built here
-                events[k] = self.codec[k]
+                events[k + first] = self.codec[k]
                 built -= 1
                 continue
             fn, keys, str_pos, list_pos = decoders[shape]
@@ -578,6 +586,6 @@ class CallColumns(Sequence):
             event.__dict__ = {"rank": rank, "seq": seq, "fn": fn,
                               "args": dict(zip(keys, args)),
                               "loc": loc_of(loc)}
-            events[k] = event
+            events[k + first] = event
         obs.count("analyzer_views_built_total", built, kind="event",
                   help=BUILT_HELP)

@@ -32,6 +32,7 @@ nothing a later phase can observe.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import mmap
 import os
@@ -41,9 +42,12 @@ import time
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, islice, takewhile
+from itertools import (
+    accumulate, chain, compress, count, islice, takewhile,
+)
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -52,7 +56,7 @@ import numpy as np
 from repro import obs
 from repro.profiler.callcols import (
     CALL_COLUMNS, CALL_DTYPES, INT_DTYPES, CallBuffer, CallColumns,
-    RankCalls, calls_digest, resolve_shapes,
+    RankCalls, _offsets, calls_digest, resolve_shapes,
 )
 from repro.profiler.events import (
     ACCESS_CODES, ACCESS_NAMES, ACCESS_STORE, CallEvent, Event, MemEvent, decode_event,
@@ -969,7 +973,7 @@ class _CallRecords:
                    for name, column in self.buffer.columns.items()}
         return RankCalls(
             self.rank, self.table.strings,
-            resolve_shapes(self.buffer.shapes, self.table),
+            resolve_shapes(self.buffer.shapes, self.table.strings),
             codec=self.codec, locate=locate, **columns)
 
 
@@ -984,65 +988,92 @@ class TraceHeader:
 class TraceReader:
     """Reads one rank's trace back (format sniffed from the file).
 
-    The header is read once at construction and the open handle is
-    reused by every iteration method (no double-open).  Iteration
-    methods share the handle, so at most one text iterator should be
-    live at a time; binary iteration follows the frame index over the
-    memory map and is reentrant.
+    A reader is a one-rank set (:meth:`TraceSet.open`).  A binary
+    reader keeps only its memory map and iterates by the frame index
+    (reentrant); a text reader's iteration methods share its handle,
+    so at most one text iterator should be live at a time.
     """
 
     def __init__(self, path: str):
+        self._open(path)
+        try:
+            _check_set([self])
+        except BaseException:
+            self.close()
+            raise
+
+    # -- construction ---------------------------------------------------
+
+    def _open(self, path: str) -> None:
+        """The parse a file cannot share with its set; the file is
+        closed on every refusal."""
+        self._open_header(path)
+        try:
+            if self.format == FORMAT_BINARY:
+                self._init_binary()
+        except BaseException:
+            self.close()
+            raise
+
+    def _open_header(self, path: str) -> None:
+        """Open the file and read its header record — the first frame
+        of a binary trace, the first line of a text one."""
         self.path = path
         #: the rank's columnar CallTable, populated as a side product of
         #: :meth:`read_calls`
         self.call_table = None
-        #: the rank's memory blocks, after ``rank_calls(mems=True)``
+        #: a text rank's memory blocks, after ``rank_calls(mems=True)``
         self.call_mems: Optional[List[MemBlock]] = None
-        fh = open(path, "rb")
-        magic = fh.read(len(_MAGIC))
-        if magic == _MAGIC:
-            self.format = FORMAT_BINARY
-            self._fh, self._mm = fh, None
-            try:
-                self._init_binary(fh)
-            except Exception:
-                self.close()
-                raise
-        else:
-            fh.close()
-            if not magic:
+        self._mm = self._fh = None
+        self._fh = fh = open(path, "rb", buffering=0)
+        try:
+            magic = fh.read(len(_MAGIC))
+            if magic == _MAGIC:
+                self.format, versions = FORMAT_BINARY, _BINARY_VERSIONS
+                size = os.fstat(fh.fileno()).st_size
+                if size < len(_MAGIC) + _TRAILER_LEN:
+                    raise TraceFormatError(f"{path}: truncated binary "
+                                           "trace (unclosed writer?)")
+                # the map holds the file open: a binary reader keeps no
+                # handle
+                self._mm = mm = mmap.mmap(fh.fileno(), 0,
+                                          access=mmap.ACCESS_READ)
+                fh.close()
+                tag, length = mm[4:5], _U32.unpack_from(mm, 5)[0]
+                self._data_pos = len(_MAGIC) + 5 + length
+                if tag != b"H" or self._data_pos > size:
+                    raise TraceFormatError(f"{path}: missing trace header")
+                first = mm[9:self._data_pos].decode("utf-8")
+            else:
+                if not magic:
+                    raise TraceFormatError(
+                        f"{path}: empty trace file (unclosed writer?)")
+                self.format, versions = FORMAT_TEXT, (TRACE_VERSION,)
+                fh.seek(0)
+                self._fh = fh = io.TextIOWrapper(io.BufferedReader(fh),
+                                                 encoding="utf-8")
+                first = fh.readline()
+                self._data_pos = fh.tell()
+                self._table = _StringTable()
+                self._counts: Optional[Dict[str, int]] = None
+                self._digests: Optional[Dict[str, str]] = None
+            rec = decode_record(first)
+            if rec.kind != "H":
+                raise TraceFormatError(f"{path}: missing trace header")
+            self.header = TraceHeader(
+                version=rec.get_int("v"), rank=rec.get_int("rank"),
+                nranks=rec.get_int("nranks"), app=rec.get_str("app", ""))
+            if self.header.version not in versions:
                 raise TraceFormatError(
-                    f"{path}: empty trace file (unclosed writer?)")
-            self.format = FORMAT_TEXT
-            self._init_text()
+                    f"{path}: unsupported "
+                    f"{'binary ' if self.format == FORMAT_BINARY else ''}"
+                    f"trace version {self.header.version}")
+        except BaseException:
+            self.close()
+            raise
 
-    # -- construction ---------------------------------------------------
-
-    def _init_text(self) -> None:
-        self._mm = None
-        self._fh = open(self.path, encoding="utf-8")
-        first = self._fh.readline()
-        rec = decode_record(first)
-        if rec.kind != "H":
-            raise TraceFormatError(f"{self.path}: missing trace header")
-        self.header = TraceHeader(
-            version=rec.get_int("v"), rank=rec.get_int("rank"),
-            nranks=rec.get_int("nranks"), app=rec.get_str("app", ""))
-        if self.header.version != TRACE_VERSION:
-            raise TraceFormatError(
-                f"{self.path}: unsupported trace version "
-                f"{self.header.version}")
-        self._data_pos = self._fh.tell()
-        self._table = _StringTable()
-        self._counts: Optional[Dict[str, int]] = None
-        self._digests: Optional[Dict[str, str]] = None
-
-    def _init_binary(self, fh) -> None:
-        size = os.fstat(fh.fileno()).st_size
-        if size < len(_MAGIC) + _TRAILER_LEN:
-            raise TraceFormatError(
-                f"{self.path}: truncated binary trace (unclosed writer?)")
-        self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    def _init_binary(self) -> None:
+        size = len(self._mm)
         trailer = self._mm[size - _TRAILER_LEN:]
         if trailer[8:] != _END_MAGIC:
             raise TraceFormatError(
@@ -1072,20 +1103,15 @@ class TraceReader:
         except (ValueError, KeyError, TypeError) as exc:
             raise TraceFormatError(
                 f"{self.path}: corrupt footer: {exc}") from exc
-        tag, payload, data_start = self._read_frame(len(_MAGIC))
-        if tag != b"H" or data_start > footer_off:
+        if self._data_pos > footer_off:
             raise TraceFormatError(f"{self.path}: missing trace header")
-        rec = decode_record(payload.decode("utf-8"))
-        self.header = TraceHeader(
-            version=rec.get_int("v"), rank=rec.get_int("rank"),
-            nranks=rec.get_int("nranks"), app=rec.get_str("app", ""))
-        if self.header.version not in _BINARY_VERSIONS:
-            raise TraceFormatError(
-                f"{self.path}: unsupported binary trace version "
-                f"{self.header.version}")
-        self._data_pos = data_start
-        self._footer_off = footer_off
-        self._frames = self._index_frames(indexed)
+        self._footer_off, self._indexed = footer_off, indexed
+        self._refused: Optional[TraceFormatError] = None
+        try:
+            self._index_frames()
+        except TraceFormatError as exc:
+            # raised behind the checks of the runs before it
+            self._refused = exc
         self._calls: Optional[RankCalls] = None
 
     def _read_frame(self, pos: int) -> Tuple[bytes, bytes, int]:
@@ -1094,19 +1120,24 @@ class TraceReader:
         end = pos + 5 + length
         return mm[pos:pos + 1], mm[pos + 5:end], end
 
-    def _index_frames(self, indexed: Optional[dict]
-                      ) -> Tuple[List[str], List[int], List[int]]:
+    def _index_frames(self) -> None:
         """The frame index ``(kinds, offsets, rows)`` of the data
         section, from one walk over the frame headers — and the checks
         that make every later pass a plain gather: frames tile the
-        section exactly, every run of an ``R`` frame (v4) is sound, every
-        width of a ``K`` frame (v5) one its column may take, the footer's
-        own index (v3) names the same frames, and the rows per kind (an
-        ``R`` frame's: its events) sum to the footer's counts."""
+        section exactly, every width of a ``K`` frame (v5) one its
+        column may take.  An ``R`` frame's rows wait as ``None`` in the
+        index, and the frame in ``_r_frames``, until :func:`_check_set`
+        has checked its runs; every ``K`` frame's layout is kept."""
         mm, end, version = self._mm, self._footer_off, self.header.version
         kinds: List[str] = []
         offsets: List[int] = []
-        rows: List[int] = []
+        rows: List[Optional[int]] = []
+        self._frames = kinds, offsets, rows
+        #: per R frame: its index, its byte, the events its K frame
+        #: announced and the M rows it announces
+        self._r_frames: List[Tuple[int, int, int, int]] = []
+        #: per K frame, by byte: :func:`_call_frame` of it
+        self._layouts: Dict[int, tuple] = {}
         pos = self._data_pos
         # memory events the frames that complete the open segment still
         # owe it, and the kind of frame that announced them
@@ -1131,11 +1162,13 @@ class TraceReader:
                 stop, count = pos + 5 + count, 1
             elif tag == b"K" and pos + 1 + _K_HEAD.size <= end:
                 try:
-                    owed, _columns, stop = _call_frame(mm, pos, version)
+                    layout = self._layouts[pos] = _call_frame(mm, pos,
+                                                              version)
                 except ValueError as exc:
                     raise TraceFormatError(
                         f"{self.path}: K frame at byte {pos}: {exc}"
                     ) from exc
+                owed, _columns, stop = layout
                 owner = "K"
             elif tag == b"R" and version >= 4 and \
                     pos + 1 + _R_HEAD.size <= end:
@@ -1151,12 +1184,8 @@ class TraceReader:
                     f"{self.path}: {tag.decode()} frame at byte {pos} "
                     "overruns the footer")
             if owner == "R":
-                count = self._check_runs(pos)
-                if announced and count + owed != announced:
-                    raise TraceFormatError(
-                        f"{self.path}: the K frame before byte {pos} is "
-                        f"completed by {announced} memory events; the R "
-                        f"frame there by {count + owed}")
+                self._r_frames.append((len(kinds), pos, announced, owed))
+                count = None
             kinds.append(tag.decode())
             offsets.append(pos)
             rows.append(count)
@@ -1165,6 +1194,28 @@ class TraceReader:
             raise TraceFormatError(
                 f"{self.path}: the last {owner} frame (byte {offsets[-1]}) "
                 f"is completed by {owed} memory events; found the footer")
+
+    def _finish_walk(self, events: List[int],
+                     refusals: List[Optional[str]]) -> None:
+        """The walk's checks that wait for the runs, in its order: per
+        ``R`` frame (its events and the refusal of its runs, from
+        :func:`_check_runs`), sound runs that complete their segment;
+        the walk's own refusal; the footer's own index (v3) naming the
+        same frames, and the rows per kind summing to its counts."""
+        kinds, offsets, rows = self._frames
+        for (at, pos, announced, owed), count, why in zip(
+                self._r_frames, events, refusals):
+            if why is not None:
+                raise TraceFormatError(why)
+            if announced and count + owed != announced:
+                raise TraceFormatError(
+                    f"{self.path}: the K frame before byte {pos} is "
+                    f"completed by {announced} memory events; the R "
+                    f"frame there by {count + owed}")
+            rows[at] = count
+        if self._refused is not None:
+            raise self._refused
+        end, indexed = self._footer_off, self._indexed
         walked = {"kinds": "".join(kinds), "offsets": offsets, "rows": rows}
         if indexed is not None and indexed != walked:
             try:
@@ -1188,54 +1239,12 @@ class TraceReader:
                 f"{counts['call']} calls and {counts['mem']} memory events "
                 f"({counts['load']} loads + {counts['store']} stores), the "
                 f"frames hold {calls} and {mems}")
-        return kinds, offsets, rows
 
     def _runs(self, offset: int) -> np.ndarray:
         """The runs of the ``R`` frame at ``offset``, a view of the map."""
         nruns = _U32.unpack_from(self._map(), offset + 1)[0]
         return np.frombuffer(self._mm, dtype=RUN_DTYPE, count=nruns,
                              offset=offset + 1 + _R_HEAD.size)
-
-    def _check_runs(self, offset: int) -> int:
-        """The events the ``R`` frame at ``offset`` expands to — refused
-        unless every run has two rows or more, a stride >= 0, a last row
-        inside int64, an access code and string ids the file defines,
-        and the frame fits a segment."""
-        runs, strings = self._runs(offset), len(self._table.strings)
-        count, stride = runs["count"], runs["stride"]
-        steps = np.maximum(count, 2) - np.int64(1)
-        # INT64_MAX - addr, exact as uint64 (two's complement wraps back)
-        room = np.uint64(INT64_MAX) - runs["addr"].view(np.uint64)
-        wrong = [
-            (count < 2, "count {count} < 2"),
-            (runs["access"] >= len(ACCESS_NAMES),
-             "access code {access} is neither load nor store"),
-            ((runs["var"].view(np.uint32) >= strings)
-             | (runs["loc"].view(np.uint32) >= strings),
-             f"var id {{var}} or loc id {{loc}} outside {strings} strings"),
-            (stride < 0, "stride {stride} < 0"),
-            (runs["seq"] > INT64_MAX - steps,
-             "seq {seq} + {count} - 1 overflows int64"),
-            (stride.view(np.uint64) > room // steps.view(np.uint64),
-             "addr {addr} + ({count} - 1) * {stride} overflows int64")]
-        bad = wrong[0][0]
-        for test, _why in wrong[1:]:
-            bad = bad | test
-        bad = np.nonzero(bad)[0]
-        if len(bad):
-            i = int(bad[0])
-            run = {name: int(runs[name][i]) for name in RUN_DTYPE.names}
-            what = next(why for test, why in wrong if test[i])
-            raise TraceFormatError(
-                f"{self.path}: R frame at byte {offset}, run {i} (byte "
-                f"{offset + 1 + _R_HEAD.size + i * RUN_DTYPE.itemsize}): "
-                + what.format(**run))
-        events = int(count.sum())
-        if events > _FLUSH_EVERY:
-            raise TraceFormatError(
-                f"{self.path}: R frame at byte {offset} expands to {events} "
-                f"memory events, more than a segment holds ({_FLUSH_EVERY})")
-        return events
 
     def _map(self):
         if self._mm is None:
@@ -1251,7 +1260,7 @@ class TraceReader:
             except BufferError:  # a MemBlock view is still alive
                 pass
             self._mm = None
-        if not self._fh.closed:
+        if self._fh is not None:
             self._fh.close()
 
     def __enter__(self) -> "TraceReader":
@@ -1287,11 +1296,12 @@ class TraceReader:
             return
         calls = self._call_columns()
         cols = CallColumns([calls], _StringTable(calls.strings))
-        for start, stop, mems in self._segments():
+        for start, stop, pos, lone in self._segments():
             calls = cols[start:stop]
-            if mems is None:
+            if pos is None and lone is None:
                 yield from calls
                 continue
+            mems = _segment_rows([(self, pos, lone)])[0]
             cuts = np.searchsorted(
                 mems["seq"], [call.seq for call in calls]).tolist()
             yield from _interleave(rank, table, mems, calls, cuts)
@@ -1312,14 +1322,11 @@ class TraceReader:
         counted by access kind without building their columns.  A call
         the columns cannot hold is a *codec row*, kept as its event.
 
-        ``mems`` asks for the memory events too, for a caller that would
-        otherwise open the file again for :meth:`mem_blocks`: the packed
-        blocks are left in ``self.call_mems`` — decoded by the same bulk
-        pass (text) or mapped from the frame index (binary: views of the
-        file, which stays mapped while they live)."""
+        ``mems`` asks a text trace for its memory events too, for a
+        caller that would otherwise parse the file again: the same bulk
+        pass decodes them into ``self.call_mems`` (a binary trace maps
+        them whenever :func:`read_mems` asks)."""
         if self.format == FORMAT_BINARY:
-            if mems:
-                self.call_mems = list(self.mem_blocks())
             return self._call_columns()
         rank = self.header.rank
         records = _CallRecords(rank, _StringTable())
@@ -1348,12 +1355,18 @@ class TraceReader:
         if self._calls is not None:
             return self._calls
         mm = self._map()
-        try:
-            shapes = resolve_shapes(self._shapes_raw, self._table)
-        except TraceFormatError as exc:
-            raise TraceFormatError(
-                f"{self.path}: corrupt footer at byte {self._footer_off}: "
-                f"{exc}") from exc
+        # resolved once per distinct table and strings in the set, which
+        # its files mostly share; a table is compared whole, at C speed
+        key, raw = tuple(self._table.strings), self._shapes_raw
+        held = self._resolved.get(key)
+        if held is None or held[0] != raw:
+            try:
+                shapes = resolve_shapes(raw, self._table.strings)
+            except TraceFormatError as exc:
+                raise TraceFormatError(
+                    f"{self.path}: corrupt footer at byte "
+                    f"{self._footer_off}: {exc}") from exc
+            held = self._resolved[key] = raw, shapes
         kinds, offsets, counts = self._frames
         mapped = "K" in kinds      # else every call is a record (v2)
         # records intern their strings: not into the table the footer
@@ -1371,8 +1384,7 @@ class TraceReader:
             frames.append((kind, offset))
             rows += count
             if kind == "K":
-                for name, dtype, n, start in _call_frame(
-                        mm, offset, self.header.version)[1]:
+                for name, dtype, n, start in self._layouts[offset][1]:
                     parts[name].append(np.frombuffer(mm, dtype, n, start))
                 columnar += count
                 continue
@@ -1396,13 +1408,8 @@ class TraceReader:
 
         # views of the mapping: the stack copies them out
         calls = records.finish(locate) if not mapped else RankCalls(
-            self.header.rank, self._table.strings, shapes,
+            self.header.rank, self._table.strings, held[1],
             codec=records.codec if records else (), locate=locate, **parts)
-        for route, n in (("columnar", rows - len(calls.codec)),
-                         ("codec", len(calls.codec))):
-            obs.count("trace_call_rows_total", n,
-                      help="Binary trace call rows read, by route",
-                      route=route)
         self._calls = calls
         return calls
 
@@ -1410,10 +1417,13 @@ class TraceReader:
         return np.frombuffer(self._map(), dtype=MEM_DTYPE, count=rows,
                              offset=offset + 5)
 
-    def _segments(self) -> Iterator[Tuple[int, int, Optional[np.ndarray]]]:
+    def _segments(self) -> Iterator[Tuple[int, int, Optional[int],
+                                          Optional[np.ndarray]]]:
         """Per segment of a binary trace: the rows ``start:stop`` of the
-        rank's call columns it holds, and its memory rows (``None``: it
-        has none) — a view of an ``M`` frame, or its runs expanded."""
+        rank's call columns it holds, the byte of its ``R`` frame
+        (``None``: it has none) and its lone memory rows (``None``:
+        none), a view of its ``M`` frame — what :func:`_segment_rows`
+        makes the segment's memory rows of."""
         mm = self._map()
         frames = iter(zip(*self._frames))
         row = 0
@@ -1421,33 +1431,18 @@ class TraceReader:
             start = row
             if kind in "KC":
                 row += rows
-                if kind == "C" or not _call_frame(
-                        mm, offset, self.header.version)[0]:
-                    yield start, row, None
+                if kind == "C" or not self._layouts[offset][0]:
+                    yield start, row, None, None
                     continue
                 kind, offset, rows = next(frames)   # the segment's rows
             if kind == "M":
-                yield start, row, self._mem_rows(offset, rows)
+                yield start, row, None, self._mem_rows(offset, rows)
                 continue
-            runs = self._runs(offset)
+            lone = None
             if _R_HEAD.unpack_from(mm, offset + 1)[1]:
-                # lone rows are runs of one: back in the writer's order
-                _kind, at, lone = next(frames)
-                merged = np.zeros(len(runs) + lone, dtype=RUN_DTYPE)
-                merged[:len(runs)] = runs
-                ones = merged[len(runs):]
-                ones[list(MEM_DTYPE.names)] = self._mem_rows(at, lone)
-                ones["count"] = 1
-                runs = merged[np.argsort(merged["seq"], kind="stable")]
-            mems = _expand(runs)
-            seq = mems["seq"]
-            late = np.nonzero(seq[1:] <= seq[:-1])[0]
-            if len(late):
-                raise TraceFormatError(
-                    f"{self.path}: R frame at byte {offset}: memory seq "
-                    f"{int(seq[late[0] + 1])} follows {int(seq[late[0]])} "
-                    "in its segment")
-            yield start, row, mems
+                _kind, at, n = next(frames)
+                lone = self._mem_rows(at, n)
+            yield start, row, offset, lone
 
     def counts(self) -> Dict[str, int]:
         """Per-class event counts: served from the footer for binary
@@ -1503,13 +1498,10 @@ class TraceReader:
                 codec.update(mm[offset + 1:offset + 5 + length])
             elif kind == "K":
                 for digest, (_name, code), (_n, dtype, count, at) in zip(
-                        columns, CALL_COLUMNS,
-                        _call_frame(mm, offset, self.header.version)[1]):
+                        columns, CALL_COLUMNS, self._layouts[offset][1]):
                     digest.update(np.frombuffer(mm, dtype, count, at).astype(
                         CALL_DTYPES[code]).tobytes())
-        for _start, _stop, rows in self._segments():
-            if rows is not None:
-                mems.update(rows.tobytes())
+        mems.update(read_mems([self])[0].tobytes())
         # a v2 writer recorded the running hash of its ``C`` records
         calls = (codec.hexdigest() if self.header.version == 2
                  else calls_digest([h.digest() for h in columns],
@@ -1520,18 +1512,19 @@ class TraceReader:
     def mem_blocks(self) -> Iterator[MemBlock]:
         """Memory events only, packed (the vectorized data pass): text
         traces yield one block per decoded chunk of the data section,
-        binary traces one per segment of the frame index — a zero-copy
-        view of its ``M`` frame, or its runs expanded once — no call is
-        decoded or stepped over either way."""
+        binary traces one per segment of the frame index, each the
+        one-segment set of :func:`_segment_rows` — no call is decoded or
+        stepped over either way."""
         rank, table = self.header.rank, self._table
         if self.format != FORMAT_BINARY:
             for mems, _calls, _cuts in _TextSection(self):
                 if len(mems):
                     yield MemBlock(rank, table, mems)
             return
-        for _start, _stop, mems in self._segments():
-            if mems is not None:
-                yield MemBlock(rank, table, mems)
+        for _start, _stop, pos, lone in self._segments():
+            if pos is not None or lone is not None:
+                yield MemBlock(rank, table,
+                               _segment_rows([(self, pos, lone)])[0])
 
     def frame_bytes(self) -> Dict[str, int]:
         """File bytes by what they hold — ``calls`` (``K`` and ``C``
@@ -1548,6 +1541,162 @@ class TraceReader:
             sizes["mems" if kind in "MR" else "calls"] += stop - start
         return {"calls": sizes["calls"], "mems": sizes["mems"],
                 "footer": size - sizes["calls"] - sizes["mems"]}
+
+
+def _check_set(readers: Sequence[TraceReader]) -> None:
+    """The checks a set's files share, made once for the set: every run
+    of every ``R`` frame of every file in one :func:`_check_runs`, then,
+    file by file, what each walk left to them (its refusals in the
+    order a walk of that file alone meets them).  The files also share
+    one memo of resolved shape tables."""
+    binary = [reader for reader in readers if reader.format == FORMAT_BINARY]
+    resolved: Dict[Tuple[str, ...], tuple] = {}
+    for reader in binary:
+        #: the set's resolved shape tables, by strings: ``(raw, shapes)``
+        reader._resolved = resolved
+    events, refusals = _check_runs([(reader, pos) for reader in binary
+                                    for _at, pos, _a, _o in reader._r_frames])
+    at = 0
+    for reader in binary:
+        n = len(reader._r_frames)
+        reader._finish_walk(events[at:at + n], refusals[at:at + n])
+        at += n
+
+
+def _check_runs(frames: List[Tuple[TraceReader, int]]
+                ) -> Tuple[List[int], List[Optional[str]]]:
+    """Per ``R`` frame of ``frames`` — ``(reader, byte)`` pairs — the
+    events it expands to, and why it is refused (``None``: it is not).
+    Every run of every frame is checked in one pass: two rows or more, a
+    stride >= 0, a last row inside int64, an access code and string ids
+    its file defines; and a frame must fit a segment."""
+    if not frames:
+        return [], []
+    parts = [reader._runs(pos) for reader, pos in frames]
+    runs = parts[0] if len(parts) == 1 else _concat(parts)
+    sizes = [len(part) for part in parts]
+    first = list(accumulate(sizes, initial=0))
+    strings = np.array([len(reader._table.strings) for reader, _ in frames]
+                       ).repeat(sizes)
+    count, stride = runs["count"], runs["stride"]
+    steps = np.maximum(count, 2) - np.int64(1)
+    # INT64_MAX - addr, exact as uint64 (two's complement wraps back)
+    room = np.uint64(INT64_MAX) - runs["addr"].view(np.uint64)
+    wrong = [
+        (count < 2, "count {count} < 2"),
+        (runs["access"] >= len(ACCESS_NAMES),
+         "access code {access} is neither load nor store"),
+        ((runs["var"].view(np.uint32) >= strings)
+         | (runs["loc"].view(np.uint32) >= strings),
+         "var id {var} or loc id {loc} outside {strings} strings"),
+        (stride < 0, "stride {stride} < 0"),
+        (runs["seq"] > INT64_MAX - steps,
+         "seq {seq} + {count} - 1 overflows int64"),
+        (stride.view(np.uint64) > room // steps.view(np.uint64),
+         "addr {addr} + ({count} - 1) * {stride} overflows int64")]
+    bad = wrong[0][0]
+    for test, _why in wrong[1:]:
+        bad = bad | test
+    total = np.cumsum(count, dtype=np.int64)
+    upto = [int(total[end - 1]) if end else 0 for end in first]
+    events = [b - a for a, b in zip(upto, upto[1:])]
+    refusals: List[Optional[str]] = [
+        f"{reader.path}: R frame at byte {pos} expands to {n} memory "
+        f"events, more than a segment holds ({_FLUSH_EVERY})"
+        if n > _FLUSH_EVERY else None
+        for (reader, pos), n in zip(frames, events)]
+    bad = np.nonzero(bad)[0]
+    if len(bad):
+        # the first bad run of a frame is the one named
+        owner, at = np.unique(np.searchsorted(first, bad, side="right") - 1,
+                              return_index=True)
+        for f, i in zip(owner.tolist(), bad[at].tolist()):
+            reader, pos = frames[f]
+            run = {name: int(runs[name][i]) for name in RUN_DTYPE.names}
+            what = next(why for test, why in wrong if test[i])
+            i -= first[f]
+            refusals[f] = (
+                f"{reader.path}: R frame at byte {pos}, run {i} (byte "
+                f"{pos + 1 + _R_HEAD.size + i * RUN_DTYPE.itemsize}): "
+                + what.format(strings=len(reader._table.strings), **run))
+    return events, refusals
+
+
+def _segment_rows(segments: List[Tuple[TraceReader, Optional[int],
+                                       Optional[np.ndarray]]]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The memory rows of ``segments`` — per segment its reader, the
+    byte of its ``R`` frame (``None``: it has none) and its lone rows
+    (``None``: none) — back to back, and the offsets of each segment's.
+    Every run and every lone row, as a run of one, goes into one table
+    of runs; a segment with runs is put back in the writer's order (by
+    ``seq``, stable) and refused, naming its file and ``R`` frame,
+    unless its rows then increase strictly; one :func:`_expand` makes
+    the rows."""
+    runs = [(k, reader._runs(pos))
+            for k, (reader, pos, _rows) in enumerate(segments)
+            if pos is not None]
+    lone = [(k, rows) for k, (_reader, _pos, rows) in enumerate(segments)
+            if rows is not None]
+    if not runs:
+        sizes = [0 if rows is None else len(rows) for *_, rows in segments]
+        return (_concat([rows for _k, rows in lone]) if lone
+                else np.empty(0, MEM_DTYPE),
+                _offsets(np.array(sizes, dtype=np.int64)))
+    has_runs = np.zeros(len(segments), dtype=bool)
+    has_runs[[k for k, _runs in runs]] = True
+    pieces = [part for _k, part in runs]
+    if lone:
+        ones = np.empty(sum(len(rows) for _k, rows in lone), RUN_DTYPE)
+        ones[list(MEM_DTYPE.names)] = _concat([rows for _k, rows in lone])
+        ones["count"], ones["stride"] = 1, 0
+        pieces.append(ones)
+    table = pieces[0] if len(pieces) == 1 else _concat(pieces)
+    seg = np.array([k for k, _part in runs + lone]).repeat(
+        [len(part) for _k, part in runs + lone])
+    if lone:
+        # lone rows are runs of one: back in the writer's order, within
+        # each segment that holds both
+        merge = np.zeros(len(segments), dtype=bool)
+        merge[[k for k, _rows in lone]] = True
+        order = np.lexsort((np.where((merge & has_runs)[seg], table["seq"],
+                                     0), seg))
+        table, seg = table[order], seg[order]
+    seq, count = table["seq"], table["count"]
+    last = seq + (count - 1)
+    late = np.nonzero((seq[1:] <= last[:-1]) & (seg[1:] == seg[:-1])
+                      & has_runs[seg[1:]])[0]
+    if len(late):
+        i = int(late[0])
+        reader, pos, _lone = segments[seg[i + 1]]
+        raise TraceFormatError(
+            f"{reader.path}: R frame at byte {pos}: memory seq "
+            f"{int(seq[i + 1])} follows {int(last[i])} in its segment")
+    sizes = np.bincount(seg, weights=count, minlength=len(segments))
+    return _expand(table), _offsets(sizes.astype(np.int64))
+
+
+def read_mems(readers: Sequence[TraceReader]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every memory row of ``readers`` — a set's files in rank order,
+    or one — back to back, and the offsets of each file's rows: one
+    :func:`_segment_rows` over every segment of every file, the chunks
+    a text file decodes (``call_mems`` when the call pass kept them)
+    being segments without runs."""
+    segments: list = []
+    firsts = [0]
+    for reader in readers:
+        if reader.format == FORMAT_BINARY:
+            segments += [(reader, pos, lone)
+                         for _s, _e, pos, lone in reader._segments()
+                         if pos is not None or lone is not None]
+        else:
+            blocks = reader.call_mems
+            segments += [(reader, None, block.array) for block in (
+                reader.mem_blocks() if blocks is None else blocks)]
+        firsts.append(len(segments))
+    rows, at = _segment_rows(segments)
+    return rows, at[firsts]
 
 
 def _interleave(rank: int, table: _StringTable, mems: np.ndarray,
@@ -1587,6 +1736,14 @@ def stack_calls(parts: Sequence[RankCalls]):
     return cols, CallTable.from_columns(cols)
 
 
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    """Contiguous structured arrays of one dtype back to back, joined
+    as bytes: numpy's structured concatenation promotes the fields of
+    every part, at ~10 µs each."""
+    return np.concatenate([part.view(np.uint8) for part in parts]).view(
+        parts[0].dtype)
+
+
 class TraceSet:
     """All per-rank traces of one profiled run (formats may mix)."""
 
@@ -1614,8 +1771,13 @@ class TraceSet:
             self._paths[rank] = os.path.join(directory, name)
         if not self._paths:
             raise TraceFormatError(f"no trace files found in {directory}")
-        with TraceReader(self._paths[min(self._paths)]) as reader:
-            self.nranks = reader.header.nranks
+        # the header alone: the check that follows opens every file once
+        first = TraceReader.__new__(TraceReader)
+        try:
+            first._open_header(self._paths[min(self._paths)])
+        finally:
+            first.close()
+        self.nranks = first.header.nranks
         if sorted(self._paths) != list(range(self.nranks)):
             raise TraceFormatError(
                 f"{directory}: expected traces for ranks 0..{self.nranks - 1}, "
@@ -1641,13 +1803,40 @@ class TraceSet:
         """A reader of one rank's file — refused if its header disagrees
         with the file's name or with the set's rank count."""
         reader = TraceReader(self.path(rank))
+        try:
+            self._agrees(reader, rank)
+        except TraceFormatError:
+            reader.close()
+            raise
+        return reader
+
+    @contextmanager
+    def open(self) -> Iterator[List[TraceReader]]:
+        """Every rank file's reader, in rank order, the set read as one:
+        each file opened once (:meth:`TraceReader._open`), its header
+        held against its name and the set, then the checks the files
+        share made once for all (:func:`_check_set`).  Every reader is
+        closed when the block ends, and on a refusal those already
+        open."""
+        readers: List[TraceReader] = []
+        try:
+            for rank in range(self.nranks):
+                reader = TraceReader.__new__(TraceReader)
+                reader._open(self.path(rank))
+                readers.append(reader)
+                self._agrees(reader, rank)
+            _check_set(readers)
+            yield readers
+        finally:
+            for reader in readers:
+                reader.close()
+
+    def _agrees(self, reader: TraceReader, rank: int) -> None:
         said = reader.header.rank, reader.header.nranks
         if said != (rank, self.nranks):
-            reader.close()
             raise TraceFormatError(
                 f"{reader.path}: the header says rank={said[0]} nranks="
                 f"{said[1]}, the trace set rank={rank} nranks={self.nranks}")
-        return reader
 
     def iter_events(self, rank: int) -> Iterator[Event]:
         """Lazily iterate one rank's typed events (no list copy)."""
@@ -1675,8 +1864,8 @@ class TraceSet:
         experiment).  Served from the binary footer where available — no
         event is decoded for a binary trace set."""
         counts = {"call": 0, "mem": 0, "load": 0, "store": 0}
-        for rank in range(self.nranks):
-            with self.reader(rank) as reader:
+        with self.open() as readers:
+            for reader in readers:
                 for key, value in reader.counts().items():
                     counts[key] += value
         return counts

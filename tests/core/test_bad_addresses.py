@@ -22,10 +22,12 @@ import os
 import pytest
 
 from repro import api
+from repro.apps.lu import lu
 from repro.apps.registry import BUG_CASES
+from repro.core.model import check_mem_rows
 from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent
-from repro.profiler.tracer import TraceSet, TraceWriter
+from repro.profiler.tracer import TraceReader, TraceSet, TraceWriter, read_mems
 from repro.util.errors import AnalysisError
 from tests.reference.pairwise import check_pairwise
 
@@ -81,16 +83,89 @@ def test_bad_memory_row_is_a_typed_error(jacobi_events, tmp_path, fmt,
         return event
 
     traces = rewrite(str(tmp_path / "t"), events, fmt, mutate)
+    refused_on_every_arm(traces, rf"rank {bad_rank} seq {bad_seq}\b",
+                         str(tmp_path / "cache"))
+
+
+def refused_on_every_arm(traces, match, cache_dir):
+    """The refusal of every executor, which must match ``match``."""
     arms = [dict(), dict(streaming=True), dict(jobs=2),
-            dict(incremental=True, cache_dir=str(tmp_path / "cache"))]
+            dict(incremental=True, cache_dir=cache_dir)]
+    said = set()
     for arm in arms:
         # the same typed error on every arm: a failure does not depend
         # on the job count (rows are read, and checked, in the parent)
-        with pytest.raises(AnalysisError,
-                           match=rf"rank {bad_rank} seq {bad_seq}\b"):
+        with pytest.raises(AnalysisError, match=match) as err:
             api.check(traces, **arm)
+        said.add(str(err.value))
     # ... and the failed pooled run left no shared segment behind
     assert glob.glob("/dev/shm/mcc-*") == []
+    return said
+
+
+def _mem_rows(events):
+    return [k for k, event in enumerate(events)
+            if isinstance(event, MemEvent)]
+
+
+def _bad_row(shape):
+    def mutate(events):
+        k = _mem_rows(events)[len(_mem_rows(events)) // 2]
+        events[k] = dataclasses.replace(events[k], **BAD_ROWS[shape])
+        return rf"^rank {{rank}} seq {events[k].seq}: memory access"
+    return mutate
+
+
+def _out_of_order(events):
+    """The first and the last memory row trade their seqs."""
+    rows = _mem_rows(events)
+    a, b = rows[0], rows[-1]
+    events[a], events[b] = (dataclasses.replace(events[a], seq=events[b].seq),
+                            dataclasses.replace(events[b], seq=events[a].seq))
+    return r"^rank {rank}: memory seq \d+ follows \d+: seq is not strictly"
+
+
+def _seq_of_a_call(events):
+    """The first memory row after a call takes the call's seq."""
+    k = next(k for k in _mem_rows(events)
+             if isinstance(events[k - 1], CallEvent))
+    events[k] = dataclasses.replace(events[k], seq=events[k - 1].seq)
+    return rf"^rank {{rank}}: memory seq {events[k].seq} is also a call's"
+
+
+#: one rank's memory rows spoilt -> what the refusal says
+SPOILT = {**{shape: _bad_row(shape) for shape in BAD_ROWS},
+          "out-of-order": _out_of_order, "seq-of-a-call": _seq_of_a_call}
+
+
+@pytest.fixture(scope="module")
+def lu8_events():
+    """An eight-rank run, race-free, whose every rank logs memory rows
+    a call apart."""
+    run = api.run(lu, 8, params=dict(n=16), delivery="eager",
+                  trace_format="binary")
+    return {rank: run.traces.events(rank) for rank in range(8)}
+
+
+@pytest.mark.parametrize("position", [0, 4, 7])
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("spoil", sorted(SPOILT))
+def test_bad_memory_rows_at_each_position_of_a_set(lu8_events, tmp_path,
+                                                   spoil, fmt, position):
+    """Rows out of the address space or out of trace order in the file
+    of rank 0, a middle rank or the last rank of eight: every executor
+    says, naming rank and seq, what that file alone says."""
+    events = {rank: list(rank_events)
+              for rank, rank_events in lu8_events.items()}
+    match = SPOILT[spoil](events[position]).format(rank=position)
+    traces = rewrite(str(tmp_path / "t"), events, fmt, lambda e: e)
+    said = refused_on_every_arm(traces, match, str(tmp_path / "cache"))
+    with TraceReader(traces.path(position)) as reader:
+        reader.read_calls()
+        rows, offsets = read_mems([reader])
+        with pytest.raises(AnalysisError) as alone:
+            check_mem_rows(rows, offsets, reader.call_table)
+    assert said == {str(alone.value)}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

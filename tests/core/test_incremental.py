@@ -551,10 +551,12 @@ class TestWorkProportionality:
         rank file opened once, and no ``CallEvent`` built that the plain
         check does not build."""
         base, _edited, _config = lu16
+        # every open of a rank file, whoever asks for it
         opened = []
-        reader = TraceSet.reader
-        monkeypatch.setattr(TraceSet, "reader", lambda self, rank: (
-            opened.append(rank), reader(self, rank))[1])
+        open_file = TraceReader._open
+        monkeypatch.setattr(TraceReader, "_open", lambda self, path: (
+            opened.append(int(os.path.basename(path).split(".")[1])),
+            open_file(self, path))[1])
 
         def events_built(config):
             rec = obs.configure(enabled=True)

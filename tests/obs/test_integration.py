@@ -5,9 +5,10 @@ import resource
 
 import pytest
 
-from repro import obs
+from repro import api, obs
 from repro.apps.emulate import emulate
 from repro.apps.lu import lu
+from repro.apps.registry import BUG_CASES
 from repro.cli import main
 from repro.core.checker import MCChecker, check_traces
 from repro.profiler.session import baseline_run, profile_run
@@ -159,6 +160,41 @@ class TestPipelineMetrics:
         off = report()
         obs.configure(enabled=True)
         assert report() == off and off["errors"]
+
+    def test_table_ii_check_metric_totals(self, tmp_path):
+        """Every counter total, and every histogram's observation count,
+        of checking the Table II buggy and fixed traces: the set is read
+        as one, and what it counts is what rank-by-rank reading
+        counted."""
+        totals = {}
+        for case in BUG_CASES:
+            for buggy in (True, False):
+                trace_dir = str(tmp_path / f"{case.name}-{buggy}")
+                api.run(case.app, case.nranks, params=case.params(buggy),
+                        trace_dir=trace_dir, trace_format="binary")
+                rec = obs.configure(enabled=True)
+                try:
+                    api.check(trace_dir)
+                finally:
+                    obs.reset()
+                for metric in rec.registry:
+                    if metric.kind == "counter":
+                        total = metric.total
+                    elif metric.kind == "histogram":
+                        total = sum(value[1] for _l, value in
+                                    metric.samples())
+                    else:
+                        continue
+                    totals[metric.name] = totals.get(metric.name, 0) + total
+        assert totals == {
+            "analyzer_events_total": 3279, "analyzer_findings_total": 82,
+            "analyzer_local_accesses_total": 1117,
+            "analyzer_op_rows_total": 598, "analyzer_phase_seconds": 80,
+            "analyzer_rma_ops_total": 596,
+            "analyzer_views_built_total": 851,
+            "control_calls_ingested_total": 2758,
+            "engine_candidate_pairs_total": 369,
+            "engine_join_calls_total": 30, "trace_call_rows_total": 2758}
 
     def test_scheduler_timing_off_when_disabled(self):
         assert not obs.is_enabled()

@@ -1,14 +1,18 @@
 """Trace-format robustness: malformed inputs must fail loudly, not crash
 or silently mis-analyze."""
 
+import contextlib
 import dataclasses
 import functools
+import gc
 import glob
 import json
 import os
 import re
 import shutil
 import struct
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,11 +23,13 @@ from repro import api
 from repro.apps.heat2d import heat2d
 from repro.apps.registry import BUG_CASES, bug_case
 from repro.cli import main
+from repro.core.model import check_mem_rows
 from repro.core.preprocess import preprocess_calls
 from repro.gen.fuzz import canonical_report
 from repro.profiler.events import CallEvent, MemEvent, decode_event
 from repro.profiler.tracer import (
     _END_MAGIC, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
+    read_mems, stack_calls,
 )
 from repro.tools.trace_filter import filter_traces
 from repro.util.errors import (
@@ -63,6 +69,23 @@ def test_prop_fuzz_never_crashes_uncontrolled(line):
         pass  # controlled failure modes only
 
 
+@contextlib.contextmanager
+def _no_leak():
+    """Fail unless the block closes every file it opens: no
+    ``ResourceWarning`` (warnings as errors, collected), no descriptor
+    left open."""
+    unraisable = []
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(), \
+            mock.patch.object(sys, "unraisablehook", unraisable.append):
+        warnings.simplefilter("error")
+        yield
+        gc.collect()
+    assert not unraisable
+    assert len(os.listdir("/proc/self/fd")) <= before
+
+
 class TestCorruptTraceFiles:
     def test_header_with_wrong_version(self, tmp_path):
         path = tmp_path / "trace.0.log"
@@ -78,6 +101,33 @@ class TestCorruptTraceFiles:
         reader = TraceReader(str(path))
         with pytest.raises((TraceFormatError, ValueError)):
             list(reader)
+
+    @pytest.mark.parametrize("header", [
+        "X garbage", "H v=99 rank=0 nranks=1 app=$x"])
+    def test_refused_text_header_leaves_no_handle_open(self, tmp_path,
+                                                       header):
+        path = tmp_path / "trace.0.log"
+        path.write_text(header + "\n")
+        with _no_leak():
+            with pytest.raises(TraceFormatError):
+                TraceReader(str(path))
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_a_refused_rank_closes_the_files_of_the_set(self, tmp_path, fmt):
+        """Rank 63 of 64 is refused: the 63 files the set already
+        opened are closed with it, not left open for the GC to find."""
+        for rank in range(64):
+            with TraceWriter(TraceSet.rank_path(str(tmp_path), rank, fmt),
+                             rank, 64, format=fmt) as writer:
+                writer.write(CallEvent(rank, 0, "Barrier", {"comm": 0}, LOC))
+        path = TraceSet.rank_path(str(tmp_path), 63, fmt)
+        with open(path, "r+b") as fh:       # a header of another version
+            fh.seek(fh.read().index(b"v=") + 2)
+            fh.write(b"9")
+        traces = TraceSet(str(tmp_path))
+        with _no_leak():
+            with pytest.raises(TraceFormatError, match="version 9"):
+                api.check(traces)
 
     def test_non_trace_files_ignored_by_traceset(self, tmp_path):
         (tmp_path / "trace.0.log").write_text(
@@ -224,6 +274,39 @@ def poke(path, at, fmt, value):
         fh.write(struct.pack(fmt, value))
 
 
+def outcome(read):
+    """``None`` if ``read()`` returns, else its typed refusal: the type
+    and the words."""
+    try:
+        read()
+    except (TraceFormatError, AnalysisError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def ingest(readers):
+    """What a check reads of open ``readers``: their calls stacked,
+    their memory rows expanded and checked against them."""
+    cols, table = stack_calls([reader.rank_calls() for reader in readers])
+    rows, offsets = read_mems(readers)
+    check_mem_rows(rows, offsets, table)
+
+
+def refused_alike(path):
+    """What ``path`` read alone says (a one-rank set), asserted to be
+    what the set it belongs to says."""
+    def alone():
+        with TraceReader(path) as reader:
+            ingest([reader])
+
+    def whole():
+        with TraceSet(os.path.dirname(path)).open() as readers:
+            ingest(readers)
+    said = outcome(alone)
+    assert outcome(whole) == said
+    return said
+
+
 def read_set(path):
     """The stacked call ingest over the set ``path`` belongs to."""
     return preprocess_calls(TraceSet(os.path.dirname(path)))
@@ -239,10 +322,16 @@ class TestCorruptCallColumns:
     RANK = 0
 
     @pytest.fixture
-    def path(self, tmp_path):
-        for rank in range(2):
-            with TraceWriter(str(tmp_path / f"trace.{rank}.bin"), rank, 2,
-                             format=FORMAT_BINARY) as writer:
+    def position(self):
+        """The rank whose file is corrupted, and the ranks of the set."""
+        return self.RANK, 2
+
+    @pytest.fixture
+    def path(self, tmp_path, position):
+        corrupted, nranks = position
+        for rank in range(nranks):
+            with TraceWriter(str(tmp_path / f"trace.{rank}.bin"), rank,
+                             nranks, format=FORMAT_BINARY) as writer:
                 writer.write(CallEvent(rank, 0, "Win_post",
                                        {"win": 0, "group": [1, 2, 3]}, LOC))
                 writer.write(MemEvent(rank, 1, "load", 64, 8, "x", LOC))
@@ -250,9 +339,9 @@ class TestCorruptCallColumns:
                                        {"win": 0, "var": "x"}, LOC))
                 writer.write(CallEvent(rank, 3, "Win_post",
                                        {"win": 0, "group": [4]}, LOC))
-        path = str(tmp_path / f"trace.{self.RANK}.bin")
-        assert [len(read_set(path).events[rank]) for rank in range(2)] \
-            == [3, 3]                       # valid as written
+        path = str(tmp_path / f"trace.{corrupted}.bin")
+        assert [len(read_set(path).events[rank])
+                for rank in range(nranks)] == [3] * nranks  # valid as written
         return path
 
     @pytest.mark.parametrize("column,row,value,message", [
@@ -274,6 +363,7 @@ class TestCorruptCallColumns:
             read_set(path)
         assert re.match(rf"{re.escape(path)}: K frame at byte {offset}\b",
                         str(err.value))
+        assert refused_alike(path) == (TraceFormatError, str(err.value))
 
     def test_value_pool_shorter_than_the_shapes_imply(self, path):
         """A shape table that gives Put an argument the pool does not
@@ -312,6 +402,7 @@ class TestCorruptCallColumns:
                 np.asarray(pre.call_table.seq)
             except TraceFormatError:
                 pass
+            refused_alike(path)
 
 
 class TestCorruptCallColumnsOfTheLastRank(TestCorruptCallColumns):
@@ -319,6 +410,15 @@ class TestCorruptCallColumnsOfTheLastRank(TestCorruptCallColumns):
     that file, and the row within it."""
 
     RANK = 1
+
+
+class TestCorruptCallColumnsInASetOfEight(TestCorruptCallColumns):
+    """The same bytes as rank 0, a middle rank and the last rank of an
+    eight-rank set: the set says what the file alone says."""
+
+    @pytest.fixture(params=[0, 4, 7])
+    def position(self, request):
+        return request.param, 8
 
 
 #: a v4 set written before call columns were narrowed (``lu`` n=16 on 4
@@ -461,6 +561,7 @@ class TestCorruptRuns:
             flipped[at] ^= 0xFF
             with open(path, "wb") as fh:
                 fh.write(flipped)
+            refused_alike(path)
             try:
                 report = canonical_report(api.check(os.path.dirname(path)))
             except (TraceFormatError, AnalysisError) as exc:
@@ -486,6 +587,31 @@ class TestCorruptRuns:
             TraceReader(path)
         assert re.match(rf"{re.escape(path)}: (the K frame before )?(R "
                         rf"frame at )?byte {offset}\b", str(err.value))
+        assert refused_alike(path) == (TraceFormatError, str(err.value))
+
+
+class TestCorruptRunsInASetOfEight(TestCorruptRuns):
+    """The same bytes as rank 0, a middle rank and the last rank of an
+    eight-rank set — every rank's file holds the events of the
+    fixture's rank 0 — and the set says what the file alone says."""
+
+    @pytest.fixture(params=[0, 4, 7])
+    def path(self, tmp_path, request):
+        source = str(tmp_path / "v4")
+        runs_of(source)
+        with TraceReader(os.path.join(source, "trace.0.bin")) as reader:
+            events, app = reader.events(), reader.header.app
+        directory = str(tmp_path / "t")
+        os.makedirs(directory)
+        for rank in range(8):
+            with TraceWriter(TraceSet.rank_path(directory, rank,
+                                                FORMAT_BINARY),
+                             rank, 8, app=app,
+                             format=FORMAT_BINARY) as writer:
+                for event in events:
+                    writer.write(event)
+        self.expected = canonical_report(api.check(directory))
+        return TraceSet.rank_path(directory, request.param, FORMAT_BINARY)
 
 
 # ----------------------------------------------------------------------

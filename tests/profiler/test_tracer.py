@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from repro import api
+from repro.apps.registry import bug_case
 from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.tracer import TraceReader, TraceSet, TraceWriter
 from repro.util.errors import TraceFormatError
@@ -74,6 +76,23 @@ class TestTraceSet:
         ts = TraceSet(str(tmp_path))
         assert ts.nranks == 3
         assert len(ts.events(2)) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_a_check_reads_every_rank_file_once(self, tmp_path, monkeypatch,
+                                                fmt):
+        """One reader per rank file per check: the set learns its rank
+        count from a header, then opens each file once for the whole
+        check (a reader is constructed by ``TraceReader._open``)."""
+        case = bug_case("lockopts")
+        run = api.run(case.app, case.nranks, params=case.params(True),
+                      trace_dir=str(tmp_path), trace_format=fmt)
+        opened = []
+        open_file = TraceReader._open
+        monkeypatch.setattr(TraceReader, "_open", lambda self, path: (
+            opened.append(path), open_file(self, path))[1])
+        assert api.check(str(tmp_path)).findings
+        assert sorted(opened) == sorted(run.traces.path(rank)
+                                        for rank in range(case.nranks))
 
     def test_missing_rank_rejected(self, tmp_path):
         write_trace(tmp_path, 0, 3, [])
