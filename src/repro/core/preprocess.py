@@ -108,46 +108,53 @@ def scan_rank(rank: int, events: Sequence[Event],
             raise AnalysisError(f"rank {rank}: unknown datatype id {type_id}")
         return dt
 
-    for event in events:
-        if not isinstance(event, CallEvent):
-            continue
-        fn, args = event.fn, event.args
-        if fn == "Win_create":
-            scan.windows.append((
-                int(args["win"]), int(args["comm"]), int(args["base"]),
-                int(args["size"]), int(args["disp_unit"]),
-                str(args["var"]) if "var" in args else None))
-        elif fn == "Comm_split":
-            newcomm = int(args["newcomm"])
-            if newcomm >= 0:
-                scan.splits.append((newcomm, int(args["comm"]),
-                                    int(args["key"])))
-        elif fn == "Comm_dup":
-            scan.dups.append((int(args["newcomm"]), int(args["comm"])))
-        elif fn == "Comm_create":
-            newcomm = int(args["newcomm"])
-            if newcomm >= 0:
-                scan.creates.append((newcomm, tuple(
-                    int(r) for r in args["group"])))
-        elif fn == "Type_contiguous":
-            dt = factory.contiguous(int(args["count"]),
-                                    resolve(int(args["oldtype"])))
-            scan.datatypes[dt.type_id] = dt
-        elif fn == "Type_vector":
-            dt = factory.vector(
-                int(args["count"]), int(args["blocklength"]),
-                int(args["stride"]), resolve(int(args["oldtype"])))
-            scan.datatypes[dt.type_id] = dt
-        elif fn == "Type_indexed":
-            dt = factory.indexed(
-                list(args["blocklengths"]), list(args["displacements"]),
-                resolve(int(args["oldtype"])))
-            scan.datatypes[dt.type_id] = dt
-        elif fn == "Type_struct":
-            dt = factory.struct(
-                list(args["blocklengths"]), list(args["displacements"]),
-                [resolve(t) for t in args["oldtypes"]])
-            scan.datatypes[dt.type_id] = dt
+    # a registry call the analysis cannot read (an argument missing or
+    # of another type: a file whose shape table lies) is refused typed
+    try:
+        for event in events:
+            if not isinstance(event, CallEvent):
+                continue
+            fn, args = event.fn, event.args
+            if fn == "Win_create":
+                scan.windows.append((
+                    int(args["win"]), int(args["comm"]), int(args["base"]),
+                    int(args["size"]), int(args["disp_unit"]),
+                    str(args["var"]) if "var" in args else None))
+            elif fn == "Comm_split":
+                newcomm = int(args["newcomm"])
+                if newcomm >= 0:
+                    scan.splits.append((newcomm, int(args["comm"]),
+                                        int(args["key"])))
+            elif fn == "Comm_dup":
+                scan.dups.append((int(args["newcomm"]), int(args["comm"])))
+            elif fn == "Comm_create":
+                newcomm = int(args["newcomm"])
+                if newcomm >= 0:
+                    scan.creates.append((newcomm, tuple(
+                        int(r) for r in args["group"])))
+            elif fn == "Type_contiguous":
+                dt = factory.contiguous(int(args["count"]),
+                                        resolve(int(args["oldtype"])))
+                scan.datatypes[dt.type_id] = dt
+            elif fn == "Type_vector":
+                dt = factory.vector(
+                    int(args["count"]), int(args["blocklength"]),
+                    int(args["stride"]), resolve(int(args["oldtype"])))
+                scan.datatypes[dt.type_id] = dt
+            elif fn == "Type_indexed":
+                dt = factory.indexed(
+                    list(args["blocklengths"]), list(args["displacements"]),
+                    resolve(int(args["oldtype"])))
+                scan.datatypes[dt.type_id] = dt
+            elif fn == "Type_struct":
+                dt = factory.struct(
+                    list(args["blocklengths"]), list(args["displacements"]),
+                    [resolve(t) for t in args["oldtypes"]])
+                scan.datatypes[dt.type_id] = dt
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AnalysisError(
+            f"rank {rank}: {event.fn} call seq {event.seq}: malformed "
+            f"argument: {exc!r}") from exc
     return scan
 
 

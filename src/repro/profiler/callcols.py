@@ -289,9 +289,10 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 #: One rank's calls as its file holds them: each column a list of chunks
 #: (per ``K`` frame, or one a text parse fills) of ids into the rank's own
-#: ``shapes`` and ``strings``; ``codec``: ``(columnar rows before, event)``
-#: per call the columns cannot hold; ``locate(row)``: where a row sits.
-RankCalls = namedtuple("RankCalls", "rank strings shapes seq loc shape vals "
+#: ``shapes`` and string ``table``; ``codec``: ``(columnar rows before,
+#: event)`` per call the columns cannot hold; ``locate(row)``: where a row
+#: sits.
+RankCalls = namedtuple("RankCalls", "rank table shapes seq loc shape vals "
                                     "lists codec locate")
 
 
@@ -331,7 +332,7 @@ class CallColumns(Sequence):
         rows, n_vals, n_lists, n_strings, n_shapes, n_codec = (
             np.array(sizes, dtype=np.int64) for sizes in zip(*(
                 (sum(map(len, p.seq)), sum(map(len, p.vals)),
-                 sum(map(len, p.lists)), len(p.strings), len(p.shapes),
+                 sum(map(len, p.lists)), len(p.table.strings), len(p.shapes),
                  len(p.codec)) for p in parts)))
         first = _offsets(rows)
         owner = np.repeat(np.arange(len(parts)), rows)

@@ -6,18 +6,20 @@ runtime events into the local disk independently for each process").
 
 Two on-disk formats (see ``docs/trace-format.md``):
 
-* **binary (v5)** — ``trace.<rank>.bin``, the default: memory events —
+* **binary (v6)** — ``trace.<rank>.bin``, the default: memory events —
   the bulk of a compute-heavy trace (Figure 10) — as strided runs
   (``R`` frames) and packed rows (``M`` frames), calls as int columns
   over a per-rank shape table, each at its narrowest width (``K``
   frames, :mod:`repro.profiler.callcols`), and a footer with exact per-class
-  event counts, the string and shape tables and a frame index.  The
+  event counts, the source files the locations name (each once), the
+  string and shape tables and a frame index.  The
   reader memory-maps the file, expands a segment's runs in one
   vectorised pass and exposes the columns (:meth:`TraceReader.mem_blocks`,
   :meth:`TraceReader.read_calls`): no Python object per event.  A call
-  the columns cannot hold is a text record (``C`` frame); v4 files
-  (every ``K`` column at full width), v3 files (no ``R`` frames) and v2
-  files (every call a ``C`` frame) read through the same loop;
+  the columns cannot hold is a text record (``C`` frame); v5 files
+  (every location as its text), v4 files (every ``K`` column at full
+  width), v3 files (no ``R`` frames) and v2 files (every call a ``C``
+  frame) read through the same loop;
 * **text (v1)** — ``trace.<rank>.log``, one self-describing record per
   line (the seed format, written on request).
 
@@ -46,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import (
-    accumulate, chain, compress, count, islice, takewhile,
+    accumulate, chain, compress, count, islice, repeat, takewhile,
 )
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
@@ -70,12 +72,13 @@ from repro.util.records import (
 )
 
 TRACE_VERSION = 1        # text (v1) format version
-BINARY_VERSION = 5       # binary format version written
-#: binary versions read: a v4 file is a v5 file whose ``K`` columns are
-#: all at their canonical widths, a v3 file a v4 file without ``R``
+BINARY_VERSION = 6       # binary format version written
+#: binary versions read: a v5 file is a v6 file whose footer writes
+#: every location as its text, a v4 file a v5 file whose ``K`` columns
+#: are all at their canonical widths, a v3 file a v4 file without ``R``
 #: frames, a v2 file a v3 file whose every call took the ``C`` route and
 #: whose footer carries no frame index
-_BINARY_VERSIONS = (2, 3, 4, 5)
+_BINARY_VERSIONS = (2, 3, 4, 5, 6)
 
 FORMAT_TEXT = "text"
 FORMAT_BINARY = "binary"
@@ -154,17 +157,28 @@ class _StringTable:
 
     Holds buffer names and encoded source locations; locations are
     decoded to :class:`SourceLocation` lazily and cached, so a location
-    string is parsed once per file instead of once per event.
+    string is parsed once per file instead of once per event.  ``locs``
+    holds per entry its location, or its ``(file, line, function)``
+    parts, where they are known without parsing: a writer's
+    :meth:`intern_loc`, a v6 footer's triple whose text would not
+    parse back into them.
     """
 
     __slots__ = ("strings", "_ids", "_locs")
 
-    def __init__(self, strings: Optional[List[str]] = None):
+    def __init__(self, strings: Optional[List[str]] = None,
+                 locs: Optional[List[Any]] = None):
         self.strings: List[str] = list(strings or ())
         #: built by the first :meth:`intern`: most tables are only read
         self._ids: Optional[Dict[str, int]] = None
-        self._locs: List[Optional[SourceLocation]] = [None] * len(
-            self.strings)
+        self._locs: List[Any] = (list(locs) if locs is not None
+                                 else [None] * len(self.strings))
+
+    @classmethod
+    def joined(cls, tables: Sequence["_StringTable"]) -> "_StringTable":
+        """The tables back to back, locations known as they were."""
+        return cls([text for table in tables for text in table.strings],
+                   [loc for table in tables for loc in table._locs])
 
     def intern(self, text: str) -> int:
         if self._ids is None:
@@ -175,6 +189,30 @@ class _StringTable:
             self.strings.append(text)
             self._locs.append(None)
         return sid
+
+    def intern_loc(self, loc: Optional[SourceLocation]) -> int:
+        """Intern a location's text (``None``: the unknown location's)
+        and keep its parts for :meth:`footer_entries`."""
+        loc = loc or UNKNOWN_LOCATION
+        sid = self.intern(loc.encode())
+        if self._locs[sid] is None:
+            self._locs[sid] = loc
+        return sid
+
+    def footer_entries(self) -> Tuple[List[str], list]:
+        """A v6 footer's ``files`` and ``strings``: every location whose
+        parts are a path, a line >= 0 and a function is written as
+        ``[file index, line, function]``, each file named once; the
+        reader (:func:`_footer_table`) expands it to the same text."""
+        files: Dict[str, int] = {}
+        entries = [
+            [files.setdefault(loc.filename, len(files)), loc.lineno,
+             loc.function]
+            if type(loc) is SourceLocation and type(loc.filename) is str
+            and type(loc.lineno) is int and loc.lineno >= 0
+            and type(loc.function) is str else text
+            for text, loc in zip(self.strings, self._locs)]
+        return list(files), entries
 
     def string(self, sid: int) -> str:
         try:
@@ -192,6 +230,8 @@ class _StringTable:
         if cached is None:
             cached = self._locs[sid] = SourceLocation.decode(
                 self.strings[sid])
+        elif type(cached) is tuple:
+            cached = self._locs[sid] = SourceLocation(*cached)
         return cached
 
 
@@ -486,11 +526,10 @@ class TraceWriter:
         """Resolve a call site on first sight: ``(location id, loc)``
         for a binary trace, ``(" fn=... loc=..." fields, loc)`` for a
         text trace."""
-        text = _location_text(loc)
         if self.format == FORMAT_BINARY:
-            site = (self._table.intern(text), loc)
+            site = (self._table.intern_loc(loc), loc)
         else:
-            site = (_call_fields(fn, text), loc)
+            site = (_call_fields(fn, _location_text(loc)), loc)
         return _keep_site(self._call_sites, (fn, id(loc)), site)
 
     def _new_mem_site(self, var: str,
@@ -498,13 +537,12 @@ class TraceWriter:
         """Resolve a memory site on first sight: ``(var id, location
         id, loc)`` for a binary trace, ``(" var=... loc=..." fields,
         loc)`` for a text trace."""
-        text = _location_text(loc)
         if self.format == FORMAT_BINARY:
-            intern = self._table.intern
-            site = (intern(var), intern(text), loc)
-        else:
-            site = (f" var={encode_value(var)} loc={encode_value(text)}",
+            site = (self._table.intern(var), self._table.intern_loc(loc),
                     loc)
+        else:
+            site = (f" var={encode_value(var)} "
+                    f"loc={encode_value(_location_text(loc))}", loc)
         return _keep_site(self._mem_sites, (var, id(loc)), site)
 
     def close(self) -> None:
@@ -517,9 +555,10 @@ class TraceWriter:
             self._flush_segment()
             kinds, offsets, rows = self._frames
             shapes = self._calls.shapes
+            files, strings = self._table.footer_entries()
             footer = json.dumps(
                 {"version": BINARY_VERSION, "counts": self._counts,
-                 "strings": self._table.strings, "shapes": shapes,
+                 "files": files, "strings": strings, "shapes": shapes,
                  "frames": {"kinds": "".join(kinds), "offsets": offsets,
                             "rows": rows},
                  "digests": {
@@ -665,6 +704,39 @@ def _expand(runs: np.ndarray) -> np.ndarray:
     rows["seq"] += step
     rows["addr"] += step * runs["stride"].take(at)
     return rows
+
+
+def _footer_table(footer: dict, version: int) -> _StringTable:
+    """A binary footer's string table, expanded in place: an entry is a
+    string, or (v6) ``[file index, line, function]`` into ``files``,
+    read as the text ``file:line:function`` v5 stores (the ``strings``
+    digest's).  Parts are kept only where the text does not split back
+    into them, a function holding ``:`` (keeping all cost a ``bugs10``
+    check ~2 ms).  Any other entry or ``files`` is a ``ValueError``."""
+    entries = footer["strings"]
+    files = footer["files"] if version >= 6 else []
+    if type(entries) is not list or type(files) is not list or \
+            not all(map(isinstance, files, repeat(str))):
+        raise ValueError("string table or file table is not a list of "
+                         "strings")
+    nfiles, locs = len(files), None
+    for sid, entry in enumerate(entries):
+        if type(entry) is str:
+            continue
+        if type(entry) is list and len(entry) == 3:
+            index, line, function = entry
+            if type(index) is int is type(line) and type(function) is str \
+                    and 0 <= index < nfiles and line >= 0:
+                path = files[index]
+                if ":" in function:
+                    if locs is None:
+                        locs = [None] * len(entries)
+                    locs[sid] = path, line, function
+                entries[sid] = f"{path}:{line}:{function}"
+                continue
+        raise ValueError(f"string table entry {entry!r} is not a string "
+                         f"or a [file, line, function] of {nfiles} files")
+    return _StringTable(entries, locs)
 
 
 def _location_text(loc: Optional[SourceLocation]) -> str:
@@ -972,7 +1044,7 @@ class _CallRecords:
         columns = {name: [np.frombuffer(column, dtype=column.typecode)]
                    for name, column in self.buffer.columns.items()}
         return RankCalls(
-            self.rank, self.table.strings,
+            self.rank, self.table,
             resolve_shapes(self.buffer.shapes, self.table.strings),
             codec=self.codec, locate=locate, **columns)
 
@@ -1092,8 +1164,7 @@ class TraceReader:
             counts = footer["counts"]
             self._counts = {k: int(counts[k])
                             for k in ("call", "mem", "load", "store")}
-            self._table = _StringTable(
-                [str(s) for s in footer["strings"]])
+            self._table = _footer_table(footer, self.header.version)
             digests = footer.get("digests")
             self._digests = (
                 {k: str(digests[k]) for k in ("calls", "mems", "strings")}
@@ -1295,7 +1366,7 @@ class TraceReader:
                 yield from _interleave(rank, table, mems, calls, cuts)
             return
         calls = self._call_columns()
-        cols = CallColumns([calls], _StringTable(calls.strings))
+        cols = CallColumns([calls], _StringTable.joined([calls.table]))
         for start, stop, pos, lone in self._segments():
             calls = cols[start:stop]
             if pos is None and lone is None:
@@ -1408,7 +1479,7 @@ class TraceReader:
 
         # views of the mapping: the stack copies them out
         calls = records.finish(locate) if not mapped else RankCalls(
-            self.header.rank, self._table.strings, held[1],
+            self.header.rank, self._table, held[1],
             codec=records.codec if records else (), locate=locate, **parts)
         self._calls = calls
         return calls
@@ -1722,8 +1793,8 @@ def stack_calls(parts: Sequence[RankCalls]):
     rank whose call ``seq`` does not increase strictly is refused: every
     later pass bisects that column."""
     from repro.core.calltable import CallTable
-    cols = CallColumns(parts, _StringTable(
-        [text for part in parts for text in part.strings]))
+    cols = CallColumns(parts, _StringTable.joined(
+        [part.table for part in parts]))
     late = np.nonzero((cols.seq[1:] <= cols.seq[:-1])
                       & (cols.ranks[1:] == cols.ranks[:-1]))[0]
     if len(late):

@@ -230,6 +230,22 @@ class TestFooterIsCrossChecked:
                 reader.read_calls()
 
 
+    def test_registry_call_missing_an_argument(self, heat_traces):
+        """A shape table that renames ``Win_create``'s ``comm``: the
+        registry scan refuses the call typed, not with a bare
+        ``KeyError``."""
+        def mutate(footer):
+            names = footer["strings"]
+            shape = next(s for s in footer["shapes"]
+                         if names[s[0]] == "Win_create")
+            at = [names[k] for k in shape[1][0::2]].index("comm")
+            shape[1][2 * at] = shape[0]
+        rewrite_footer(heat_traces.path(0), mutate)
+        with pytest.raises(AnalysisError, match=r"rank 0: Win_create call "
+                           r"seq \d+: malformed argument: KeyError"):
+            api.check(heat_traces)
+
+
 #: a K frame's columns in payload order, and the struct code of an
 #: integer of each width a column may take
 K_COLUMNS = ("seq", "vals", "lists", "loc", "shape")
@@ -424,6 +440,8 @@ class TestCorruptCallColumnsInASetOfEight(TestCorruptCallColumns):
 #: a v4 set written before call columns were narrowed (``lu`` n=16 on 4
 #: ranks, race-free)
 V4_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v4_lu4")
+#: the same program written by v5, its locations captured
+V5_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v5_lu4")
 
 
 class TestNarrowCallColumns:
@@ -475,9 +493,12 @@ class TestNarrowCallColumns:
         assert str(err.value).startswith(f"{path}: K frame at byte {offset}")
 
     def test_a_set_mixing_v4_and_v5_files(self, path):
-        """Rank 0 as v4 wrote it, the others as v5: full-width and narrow
-        chunks stack into one set of columns."""
+        """Rank 0 as v4 wrote it, the others as v5 wrote them: full-width
+        and narrow chunks stack into one set of columns."""
         shutil.copy(os.path.join(V4_LU, "trace.0.bin"), path)
+        for rank in (1, 2, 3):
+            shutil.copy(os.path.join(V5_LU, f"trace.{rank}.bin"),
+                        os.path.dirname(path))
         traces = TraceSet(os.path.dirname(path))
         versions = []
         for rank in range(traces.nranks):
@@ -612,6 +633,170 @@ class TestCorruptRunsInASetOfEight(TestCorruptRuns):
                     writer.write(event)
         self.expected = canonical_report(api.check(directory))
         return TraceSet.rank_path(directory, request.param, FORMAT_BINARY)
+
+
+def footer_of(path):
+    """``(offset, length, footer)`` of a binary file's footer frame."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    offset = struct.unpack("<Q", data[-16:-8])[0]
+    length = struct.unpack_from("<I", data, offset + 1)[0]
+    return offset, length, json.loads(data[offset + 5:offset + 5 + length])
+
+
+def first_location(footer):
+    """The index of the footer's first ``[file, line, function]``."""
+    return next(i for i, entry in enumerate(footer["strings"])
+                if isinstance(entry, list))
+
+
+def _entry(value):
+    def mutate(footer):
+        footer["strings"][first_location(footer)] = value
+    return mutate
+
+
+def _files(value):
+    def mutate(footer):
+        footer["files"] = value
+    return mutate
+
+
+#: a v6 footer's location entries and file table, malformed: each is
+#: refused when the file is opened
+MALFORMED_ENTRIES = {
+    "short": _entry([0, 80]),
+    "long": _entry([0, 80, "lu", 0]),
+    "file-past-the-table": _entry([1, 80, "lu"]),
+    "negative-file": _entry([-1, 80, "lu"]),
+    "bool-file": _entry([True, 80, "lu"]),
+    "bool-line": _entry([0, True, "lu"]),
+    "negative-line": _entry([0, -1, "lu"]),
+    "float-line": _entry([0, 80.0, "lu"]),
+    "text-line": _entry([0, "80", "lu"]),
+    "int-function": _entry([0, 80, 7]),
+    "null-function": _entry([0, 80, None]),
+    "object": _entry({"file": 0, "line": 80}),
+    "int": _entry(80),
+    "null": _entry(None),
+    "files-missing": lambda footer: footer.pop("files"),
+    "files-a-string": _files("src/repro/apps/lu.py"),
+    "files-null": _files(None),
+    "path-not-a-string": _files([7]),
+    "paths-nested": _files([["src/repro/apps/lu.py"]]),
+}
+
+
+class TestLocationEntries:
+    """A v6 footer names each source file once and writes a location as
+    ``[file index, line, function]``: every part is a claim the reader
+    checks when it opens the file — a malformed entry or file table is
+    a typed error naming the file, never a string coerced from a list
+    that fails later, untyped — and no flipped footer byte gets past
+    the reader as a bare exception or a different report."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        """Rank 0 of the v5 fixture's v6 rewrite, locations captured."""
+        with open(os.path.join(V5_LU, "expected_report.json")) as fh:
+            self.expected = fh.read().strip()
+        filter_traces(TraceSet(V5_LU), str(tmp_path / "t"))
+        return str(tmp_path / "t" / "trace.0.bin")
+
+    @pytest.mark.parametrize("mutate", list(MALFORMED_ENTRIES.values()),
+                             ids=list(MALFORMED_ENTRIES))
+    def test_malformed_entry_is_a_typed_error(self, path, mutate):
+        _offset, _length, footer = footer_of(path)
+        assert footer["files"] and first_location(footer) is not None
+        rewrite_footer(path, mutate)
+        with pytest.raises(TraceFormatError) as err:
+            TraceReader(path)
+        assert str(err.value).startswith(f"{path}: corrupt footer: ")
+        with pytest.raises(TraceFormatError) as checked:
+            api.check(os.path.dirname(path))
+        assert str(checked.value) == str(err.value)
+        assert refused_alike(path) == (TraceFormatError, str(err.value))
+
+    def test_every_byte_flip_in_the_v6_footer_is_survivable(self, path):
+        """Flip each byte of the footer frame in turn (all its bits:
+        the JSON text no longer decodes), and the lowest bit of each
+        byte of the file table and of every location entry (the text
+        stays ASCII, so the flip reaches a file index, a line, a
+        function, a bracket): the set checks to the unchanged report or
+        fails typed, and both are seen."""
+        offset, length, _footer = footer_of(path)
+        with open(path, "rb") as fh:
+            original = fh.read()
+        payload = original[offset + 5:offset + 5 + length]
+        files = re.search(rb'"files":\[[^]]*\]', payload)
+        spans = [files.span()] + [m.span() for m in re.finditer(
+            rb'\[\d+,\d+,"[^"]*"\]', payload)]
+        assert len(spans) > 2
+        flips = [(at, 0xFF) for at in range(offset, offset + 5 + length)]
+        flips += [(offset + 5 + at, 0x01) for start, stop in spans
+                  for at in range(start, stop)]
+        outcomes = set()
+        for at, mask in flips:
+            flipped = bytearray(original)
+            flipped[at] ^= mask
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            refused_alike(path)
+            try:
+                report = canonical_report(api.check(os.path.dirname(path)))
+            except (TraceFormatError, AnalysisError) as exc:
+                outcomes.add(type(exc).__name__)
+                continue
+            assert report == self.expected, f"flip {mask:#x} at byte {at}"
+            outcomes.add("unchanged")
+        assert outcomes == {"TraceFormatError", "unchanged"}
+
+
+class TestLocationEntriesInASetOfEight(TestLocationEntries):
+    """The same footer as rank 0, a middle rank and the last rank of an
+    eight-rank set — every rank's file holds the events of the v6
+    rewrite's rank 0 — and the set says what the file alone says."""
+
+    @pytest.fixture(params=[0, 4, 7])
+    def path(self, tmp_path, request):
+        source = str(tmp_path / "v6")
+        filter_traces(TraceSet(V5_LU), source)
+        with TraceReader(os.path.join(source, "trace.0.bin")) as reader:
+            events, app = reader.events(), reader.header.app
+        directory = str(tmp_path / "t")
+        os.makedirs(directory)
+        for rank in range(8):
+            with TraceWriter(TraceSet.rank_path(directory, rank,
+                                                FORMAT_BINARY),
+                             rank, 8, app=app,
+                             format=FORMAT_BINARY) as writer:
+                for event in events:
+                    writer.write(event)
+        self.expected = canonical_report(api.check(directory))
+        return TraceSet.rank_path(directory, request.param, FORMAT_BINARY)
+
+
+@pytest.mark.parametrize("entry", [[0, 80, "lu"], 80, None, ["lu"]],
+                         ids=["triple", "int", "null", "list"])
+def test_a_v5_footer_holds_strings_only(tmp_path, entry):
+    """Before v6 every string table entry is a string: any other JSON
+    value — a triple too, with a file table beside it — is refused, not
+    read as its ``str``."""
+    directory = str(tmp_path / "t")
+    shutil.copytree(V5_LU, directory)
+    path = os.path.join(directory, "trace.0.bin")
+
+    def mutate(footer):
+        footer["files"] = ["src/repro/apps/lu.py"]
+        footer["strings"][0] = entry
+    rewrite_footer(path, mutate)
+    with pytest.raises(TraceFormatError,
+                       match=r"corrupt footer: string table entry") as err:
+        TraceReader(path)
+    assert str(err.value).startswith(f"{path}: ")
+    with pytest.raises(TraceFormatError) as checked:
+        api.check(directory)
+    assert str(checked.value) == str(err.value)
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,8 @@ def _fixture(name):
 
 
 def _mixed_v4_v5(directory):
-    """Rank 0 as v4 wrote it, the others rewritten as v5."""
+    """Rank 0 as v4 wrote it, the others rewritten as the writer writes
+    them now."""
     filter_traces(TraceSet(os.path.join(FIXTURES, "v4_lu4")), directory)
     shutil.copy(os.path.join(FIXTURES, "v4_lu4", "trace.0.bin"),
                 os.path.join(directory, "trace.0.bin"))
@@ -116,6 +117,7 @@ SETS = {
     "v2-fixture": _fixture("v2_pingpong"),
     "v3-fixture": _fixture("v3_lu4"),
     "v4-fixture": _fixture("v4_lu4"),
+    "v5-fixture": _fixture("v5_lu4"),
     "text": _bug(next(c for c in BUG_CASES if c.name == "jacobi"), True,
                  "text"),
     "mixed-v4-v5": _mixed_v4_v5,

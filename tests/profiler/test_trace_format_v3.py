@@ -1,6 +1,6 @@
-"""Binary formats v3 to v5: calls as columns, memory rows as strided runs,
-call columns at their narrowest width, and the v2 / v3 / v4 files the
-reader still reads.
+"""Binary formats v3 to v6: calls as columns, memory rows as strided runs,
+call columns at their narrowest width, each source file named once per
+rank file, and the v2 / v3 / v4 / v5 files the reader still reads.
 
 * round trip: arbitrary call events — negative ints, bools, empty and
   long int lists, strings needing escapes, unicode, an int past int64
@@ -10,18 +10,23 @@ reader still reads.
   wherever the writer cut its segments; so do calls whose seqs, values
   and list elements sit at the edges of the 1-, 2-, 4- and 8-byte
   widths, and each ``K`` column takes the narrowest width that holds it;
+  so do locations whose files and functions hold ``:``, spaces and
+  non-ASCII characters, several files to a rank, and a checkout path
+  10 characters longer costs a rank file 10 bytes, not 10 per location;
 * the lazy ``CallColumns`` ``read_calls`` returns for a text and for a
   binary file of one run equal, element by element, the per-line
   ``decode_event`` of the text file, and ``CallTable.from_columns`` of
   either equals ``CallTable.from_events`` column by column, on the
   Table II corpus, LU, heat2d and three generated programs;
 * a v2 trace set written by the commit before v3, a v3 set written by
-  the commit before v4, and a v4 set written by the commit before v5
-  still check to the same canonical report, and ``tools/trace_filter``
-  upgrades each losslessly — a v3 or v4 set to fewer bytes with the same
-  ``events()``, ``counts()`` and ``digests()``.
+  the commit before v4, a v4 set written by the commit before v5 and a
+  v5 set written by the commit before v6 still check to the same
+  canonical report, and ``tools/trace_filter`` upgrades each losslessly
+  — a v3, v4 or v5 set to fewer bytes with the same ``events()``,
+  ``counts()`` and ``digests()``.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -55,6 +60,9 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v2_pingpong")
 V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v3_lu4")
 #: the same program written by v4, every call column at full width
 V4_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v4_lu4")
+#: the same program written by v5, its locations captured (under the
+#: app's path relative to the repository)
+V5_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v5_lu4")
 
 LOCS = (SourceLocation("app.py", 10, "main"),
         SourceLocation("dir with space/k=1|%.py", 42, "compute"))
@@ -234,6 +242,91 @@ def test_prop_round_trip_at_the_width_edges(tmp_path_factory, events, cut):
             assert list(reader.read_calls()[0]) == expected
             digests.add(reader.content_digest(verify=True))
     assert len(digests) == 1
+
+
+#: file and function names a location may hold: separators of the text
+#: form, spaces, non-ASCII
+names = st.text(alphabet=st.sampled_from("ab:/ .é中"), max_size=8)
+
+
+@st.composite
+def located_streams(draw):
+    """Calls and memory runs at locations over several files, whose
+    names hold ``:`` (the text form's separator), spaces and non-ASCII
+    characters."""
+    files = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    locations = st.builds(SourceLocation, st.sampled_from(files),
+                          st.integers(0, 1 << 40), names)
+    events, seq = [], 0
+    for _ in range(draw(st.integers(1, 20))):
+        loc = draw(locations)
+        if draw(st.booleans()):
+            events.append(CallEvent(0, seq, draw(st.sampled_from(
+                ("Put", "Win_fence", "user f"))), {"win": draw(ints),
+                                                   "var": "x"}, loc))
+            seq += 1
+            continue
+        count, stride = draw(st.integers(1, 5)), draw(st.sampled_from((0, 8)))
+        events.extend(MemEvent(0, seq + i, "store", 64 + stride * i, 8,
+                               draw(st.sampled_from(("x", "y:z é"))), loc)
+                      for i in range(count))
+        seq += count
+    return events
+
+
+def exact(event):
+    """What a v6 reader decodes ``event`` to: its arguments as any
+    reader has them, its location as written — which the text form
+    cannot hold when a function name has a ``:``."""
+    return dataclasses.replace(
+        canonical(dataclasses.replace(event, loc=LOCS[0])), loc=event.loc)
+
+
+@given(events=located_streams())
+@example(events=[
+    CallEvent(0, 0, "Put", {"win": 1, "var": "x"},
+              SourceLocation("a:b/c é.py", 3, "f:1:g")),
+    MemEvent(0, 1, "store", 64, 8, "x", SourceLocation("中 d", 0, "h:"))])
+@settings(max_examples=100, deadline=None)
+def test_prop_round_trip_of_locations(tmp_path_factory, events):
+    tmp = tmp_path_factory.mktemp("locations")
+    expected = [exact(event) for event in events]
+    calls = [event for event in expected if isinstance(event, CallEvent)]
+    files = {event.loc.filename for event in events}
+    digests = set()
+    for name, fast in (("write", False), ("fast", True)):
+        path = str(tmp / f"{name}.bin")
+        emit(path, events, fast)
+        with TraceReader(path) as reader:
+            assert reader.header.version == tracer.BINARY_VERSION
+            assert set(reader._frames[0]) <= {"K", "R", "M"}
+            assert reader.events() == expected
+            assert list(reader.read_calls()[0]) == calls
+            digests.add(reader.content_digest(verify=True))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        footer_off = struct.unpack("<Q", data[-16:-8])[0]
+        footer = json.loads(data[footer_off + 5:-16])
+        assert sorted(footer["files"]) == sorted(files)   # each once
+    assert len(digests) == 1
+
+
+def test_a_longer_checkout_costs_its_length_once(tmp_path):
+    """The same events at 40 sites of one file, its directory 10
+    characters longer the second time: the rank file is 10 bytes
+    longer, not 10 per location."""
+    sizes = []
+    for root in ("/work/repo", "/work/repo0123456789"):
+        path = str(tmp_path / f"{len(root)}.bin")
+        with TraceWriter(path, 0, 1, format=FORMAT_BINARY) as writer:
+            for line in range(40):
+                loc = SourceLocation(f"{root}/src/app.py", line + 1, "main")
+                writer.write(CallEvent(0, 2 * line, "Win_fence",
+                                       {"win": 0}, loc))
+                writer.write(MemEvent(0, 2 * line + 1, "store", 64, 8, "x",
+                                      loc))
+        sizes.append(os.path.getsize(path))
+    assert sizes[1] - sizes[0] == 10
 
 
 @pytest.mark.parametrize("rows", [3, 100])
@@ -556,3 +649,66 @@ def test_trace_filter_upgrades_v4_to_fewer_bytes(tmp_path):
         assert os.path.getsize(new.path(rank)) < \
             os.path.getsize(old.path(rank))
     assert canonical_report(api.check(new)) == expected
+
+
+# ----------------------------------------------------------------------
+# back-compat: a v5 set written by the parent commit
+# ----------------------------------------------------------------------
+
+
+def test_v5_fixture_checks_to_the_same_report(tmp_path):
+    with open(os.path.join(V5_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    traces = TraceSet(V5_FIXTURE)
+    for rank in range(traces.nranks):
+        with traces.reader(rank) as reader:
+            assert reader.header.version == 5
+            assert set(reader._frames[0]) == {"K", "R", "M"}
+            assert reader._table.loc(0) == SourceLocation(
+                "src/repro/apps/lu.py", 80, "lu")
+    assert canonical_report(api.check(V5_FIXTURE)) == expected
+    for extra in (dict(streaming=True), dict(jobs=2),
+                  dict(incremental=True, cache_dir=str(tmp_path / "c"))):
+        assert canonical_report(api.check(V5_FIXTURE, **extra)) == expected
+
+
+def test_trace_filter_upgrades_v5_to_fewer_bytes(tmp_path):
+    """Each source file named once holds the same events, counts and
+    digests — the digests cover the locations' text — in fewer bytes,
+    and checks to the same report."""
+    with open(os.path.join(V5_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    old = TraceSet(V5_FIXTURE)
+    new = filter_traces(old, str(tmp_path / "v6"))
+    for rank in range(old.nranks):
+        with old.reader(rank) as was, new.reader(rank) as now:
+            assert now.header.version == tracer.BINARY_VERSION
+            assert now._table.strings == was._table.strings
+            assert now.events() == was.events()
+            assert now.counts() == was.counts()
+            assert now.digests() == was.digests()
+            assert now.content_digest(verify=True) == \
+                was.content_digest(verify=True)
+        assert os.path.getsize(new.path(rank)) < \
+            os.path.getsize(old.path(rank))
+    assert canonical_report(api.check(new)) == expected
+
+
+def test_a_set_mixing_v5_and_v6_files(tmp_path):
+    """Rank 0 as v5 wrote it, the others rewritten as v6: the set reads
+    as one and checks to the same report, under every executor."""
+    with open(os.path.join(V5_FIXTURE, "expected_report.json")) as fh:
+        expected = fh.read().strip()
+    directory = str(tmp_path / "t")
+    filter_traces(TraceSet(V5_FIXTURE), directory)
+    shutil.copy(os.path.join(V5_FIXTURE, "trace.0.bin"), directory)
+    traces = TraceSet(directory)
+    versions = []
+    for rank in range(traces.nranks):
+        with traces.reader(rank) as reader:
+            versions.append(reader.header.version)
+    assert versions == [5, 6, 6, 6]
+    assert canonical_report(api.check(traces)) == expected
+    for extra in (dict(streaming=True), dict(jobs=2),
+                  dict(incremental=True, cache_dir=str(tmp_path / "c"))):
+        assert canonical_report(api.check(traces, **extra)) == expected
