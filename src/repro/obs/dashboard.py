@@ -39,7 +39,7 @@ def _text_lines(ingest: dict) -> str:
 def _call_rows(ingest: dict) -> str:
     """``codec=0, columnar=14,208``: binary trace call rows by route; a
     non-zero ``codec`` count means calls that were framed as text
-    records (a v2 file, or values the call columns cannot hold)."""
+    records (values the call columns cannot hold)."""
     return ", ".join(f"{key}={int(n):,}" for key, n in
                      sorted(ingest.get("call_rows", {}).items()))
 

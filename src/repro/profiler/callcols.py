@@ -3,7 +3,7 @@
 A call record is a ``seq``, a source location, a function name and an
 ordered mapping of argument names to ints, strings or int lists.  Loops
 re-issue the same call with the same argument names endlessly, so the
-binary format (v3 on, ``docs/trace-format.md``) stores one *shape* — the
+binary format (``docs/trace-format.md``) stores one *shape* — the
 function name plus the ordered ``(key, kind)`` pairs — per distinct call
 form in the footer and, per call, five columns:
 
@@ -18,12 +18,12 @@ form in the footer and, per call, five columns:
 ========  ======  ====================================================
 
 The types are the columns' canonical ones: what a reader widens them to
-and what the ``calls`` digest hashes.  Since v5 a frame stores each
-column in the narrowest of 1, 2, 4 or 8 bytes that holds its values.
+and what the ``calls`` digest hashes.  A frame stores each column in
+the narrowest of 1, 2, 4 or 8 bytes that holds its values.
 
 :class:`CallBuffer` is the encoder (pending columns and their running
 digests): the writer's side, and that of a reader whose file holds
-calls as text records (a text trace, a v2 binary one).  What a reader
+calls as text records (a text trace).  What a reader
 hands on is a :class:`RankCalls` — the file's columns, ids into the
 file's own tables — and :class:`CallColumns` stacks those of a whole
 trace set into one set of validated columns, viewed per rank as a lazy
@@ -336,7 +336,7 @@ class CallColumns(Sequence):
                  len(p.codec)) for p in parts)))
         first = _offsets(rows)
         owner = np.repeat(np.arange(len(parts)), rows)
-        # at the canonical types: narrow chunks (v5 frames) would
+        # at the canonical types: narrow chunks would
         # otherwise concatenate to a narrow type
         seq, vals, lists, loc, shape = (
             np.concatenate([chunk for part in parts

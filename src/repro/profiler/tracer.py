@@ -16,10 +16,8 @@ Two on-disk formats (see ``docs/trace-format.md``):
   reader memory-maps the file, expands a segment's runs in one
   vectorised pass and exposes the columns (:meth:`TraceReader.mem_blocks`,
   :meth:`TraceReader.read_calls`): no Python object per event.  A call
-  the columns cannot hold is a text record (``C`` frame); v5 files
-  (every location as its text), v4 files (every ``K`` column at full
-  width), v3 files (no ``R`` frames) and v2 files (every call a ``C``
-  frame) read through the same loop;
+  the columns cannot hold is a text record (``C`` frame).  Only v6 is
+  read: a file of any other binary version is refused by its version;
 * **text (v1)** — ``trace.<rank>.log``, one self-describing record per
   line (the seed format, written on request).
 
@@ -72,13 +70,7 @@ from repro.util.records import (
 )
 
 TRACE_VERSION = 1        # text (v1) format version
-BINARY_VERSION = 6       # binary format version written
-#: binary versions read: a v5 file is a v6 file whose footer writes
-#: every location as its text, a v4 file a v5 file whose ``K`` columns
-#: are all at their canonical widths, a v3 file a v4 file without ``R``
-#: frames, a v2 file a v3 file whose every call took the ``C`` route and
-#: whose footer carries no frame index
-_BINARY_VERSIONS = (2, 3, 4, 5, 6)
+BINARY_VERSION = 6       # binary format version written and read
 
 FORMAT_TEXT = "text"
 FORMAT_BINARY = "binary"
@@ -100,17 +92,16 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 #: K frame header: call rows, value-pool and list-pool entries, and the
 #: memory events of the R / M frames that complete the segment (0: none);
-#: since v5 followed by one width byte per column
+#: followed by one width byte per column
 _K_HEAD = struct.Struct("<IIII")
 #: R frame header: runs, and the rows of the M frame that completes the
 #: segment (0: none follows)
 _R_HEAD = struct.Struct("<II")
 #: per K column, the dtype of each width it may take (ids: 4 bytes at
-#: most), and the widths of a frame before v5: every column at full width
+#: most)
 _K_DTYPES = [{w: dtype for w, dtype in INT_DTYPES.items()
               if w <= CALL_DTYPES[code].itemsize}
              for _name, code in CALL_COLUMNS]
-_K_FULL = bytes(max(dtypes) for dtypes in _K_DTYPES)
 
 #: columnar layout of one packed memory event (33 bytes, little-endian):
 #: ``var``/``loc`` index the footer string table, ``access`` is an
@@ -126,20 +117,17 @@ RUN_DTYPE = np.dtype(MEM_DTYPE.descr + [("count", "<i4"), ("stride", "<i8")])
 _MEM_HEADS = tuple(f" a={encode_value(name)} addr=" for name in ACCESS_NAMES)
 
 
-def _call_frame(mm, offset: int, version: int
+def _call_frame(mm, offset: int
                 ) -> Tuple[int, List[Tuple[str, np.dtype, int, int]], int]:
-    """The layout of the ``K`` frame at ``offset`` of a file of binary
-    ``version``: the memory events of the frames that complete its
-    segment, its columns as ``(name, dtype, entries, byte offset)``, and
-    the byte the frame ends at.  A v5 frame's width bytes follow its
-    counts; before v5 every column is at its canonical width.  A width
-    its column may not take is a ``ValueError``."""
+    """The layout of the ``K`` frame at ``offset``: the memory events of
+    the frames that complete its segment, its columns as ``(name, dtype,
+    entries, byte offset)``, and the byte the frame ends at.  The width
+    bytes follow the counts; a width its column may not take is a
+    ``ValueError``."""
     rows, nvals, nlists, owed = _K_HEAD.unpack_from(mm, offset + 1)
     pos = offset + 1 + _K_HEAD.size
-    widths = _K_FULL
-    if version >= 5:
-        widths = mm[pos:pos + len(_K_FULL)]
-        pos += len(_K_FULL)
+    widths = mm[pos:pos + len(_K_DTYPES)]
+    pos += len(_K_DTYPES)
     columns = []
     for (name, _code), dtypes, count, width in zip(
             CALL_COLUMNS, _K_DTYPES, (rows, nvals, nlists, rows, rows),
@@ -706,15 +694,14 @@ def _expand(runs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _footer_table(footer: dict, version: int) -> _StringTable:
+def _footer_table(footer: dict) -> _StringTable:
     """A binary footer's string table, expanded in place: an entry is a
-    string, or (v6) ``[file index, line, function]`` into ``files``,
-    read as the text ``file:line:function`` v5 stores (the ``strings``
-    digest's).  Parts are kept only where the text does not split back
-    into them, a function holding ``:`` (keeping all cost a ``bugs10``
-    check ~2 ms).  Any other entry or ``files`` is a ``ValueError``."""
-    entries = footer["strings"]
-    files = footer["files"] if version >= 6 else []
+    string, or ``[file index, line, function]`` into ``files``, read as
+    the text ``file:line:function`` (the ``strings`` digest's).  Parts
+    are kept only where the text does not split back into them, a
+    function holding ``:`` (keeping all cost a ``bugs10`` check ~2 ms).
+    Any other entry or ``files`` is a ``ValueError``."""
+    entries, files = footer["strings"], footer["files"]
     if type(entries) is not list or type(files) is not list or \
             not all(map(isinstance, files, repeat(str))):
         raise ValueError("string table or file table is not a list of "
@@ -1101,7 +1088,7 @@ class TraceReader:
         try:
             magic = fh.read(len(_MAGIC))
             if magic == _MAGIC:
-                self.format, versions = FORMAT_BINARY, _BINARY_VERSIONS
+                self.format = FORMAT_BINARY
                 size = os.fstat(fh.fileno()).st_size
                 if size < len(_MAGIC) + _TRAILER_LEN:
                     raise TraceFormatError(f"{path}: truncated binary "
@@ -1120,7 +1107,7 @@ class TraceReader:
                 if not magic:
                     raise TraceFormatError(
                         f"{path}: empty trace file (unclosed writer?)")
-                self.format, versions = FORMAT_TEXT, (TRACE_VERSION,)
+                self.format = FORMAT_TEXT
                 fh.seek(0)
                 self._fh = fh = io.TextIOWrapper(io.BufferedReader(fh),
                                                  encoding="utf-8")
@@ -1135,11 +1122,16 @@ class TraceReader:
             self.header = TraceHeader(
                 version=rec.get_int("v"), rank=rec.get_int("rank"),
                 nranks=rec.get_int("nranks"), app=rec.get_str("app", ""))
-            if self.header.version not in versions:
+            if self.format == FORMAT_BINARY:
+                if self.header.version != BINARY_VERSION:
+                    raise TraceFormatError(
+                        f"{path}: binary trace version "
+                        f"{self.header.version} is not read (only "
+                        f"version {BINARY_VERSION} is)")
+            elif self.header.version != TRACE_VERSION:
                 raise TraceFormatError(
-                    f"{path}: unsupported "
-                    f"{'binary ' if self.format == FORMAT_BINARY else ''}"
-                    f"trace version {self.header.version}")
+                    f"{path}: unsupported trace version "
+                    f"{self.header.version}")
         except BaseException:
             self.close()
             raise
@@ -1164,16 +1156,19 @@ class TraceReader:
             counts = footer["counts"]
             self._counts = {k: int(counts[k])
                             for k in ("call", "mem", "load", "store")}
-            self._table = _footer_table(footer, self.header.version)
-            digests = footer.get("digests")
-            self._digests = (
-                {k: str(digests[k]) for k in ("calls", "mems", "strings")}
-                if isinstance(digests, dict) else None)
-            self._shapes_raw = footer.get("shapes", [])
-            indexed = footer.get("frames")
+            self._table = _footer_table(footer)
+            digests = footer["digests"]
+            self._digests = {k: str(digests[k])
+                             for k in ("calls", "mems", "strings")}
+            self._shapes_raw = footer["shapes"]
+            indexed = footer["frames"]
         except (ValueError, KeyError, TypeError) as exc:
             raise TraceFormatError(
                 f"{self.path}: corrupt footer: {exc}") from exc
+        if hash_strings(self._table.strings) != self._digests["strings"]:
+            raise TraceFormatError(
+                f"{self.path}: the string table disagrees with the "
+                "footer's strings digest")
         if self._data_pos > footer_off:
             raise TraceFormatError(f"{self.path}: missing trace header")
         self._footer_off, self._indexed = footer_off, indexed
@@ -1195,11 +1190,11 @@ class TraceReader:
         """The frame index ``(kinds, offsets, rows)`` of the data
         section, from one walk over the frame headers — and the checks
         that make every later pass a plain gather: frames tile the
-        section exactly, every width of a ``K`` frame (v5) one its
-        column may take.  An ``R`` frame's rows wait as ``None`` in the
+        section exactly, every width of a ``K`` frame one its column
+        may take.  An ``R`` frame's rows wait as ``None`` in the
         index, and the frame in ``_r_frames``, until :func:`_check_set`
         has checked its runs; every ``K`` frame's layout is kept."""
-        mm, end, version = self._mm, self._footer_off, self.header.version
+        mm, end = self._mm, self._footer_off
         kinds: List[str] = []
         offsets: List[int] = []
         rows: List[Optional[int]] = []
@@ -1233,16 +1228,14 @@ class TraceReader:
                 stop, count = pos + 5 + count, 1
             elif tag == b"K" and pos + 1 + _K_HEAD.size <= end:
                 try:
-                    layout = self._layouts[pos] = _call_frame(mm, pos,
-                                                              version)
+                    layout = self._layouts[pos] = _call_frame(mm, pos)
                 except ValueError as exc:
                     raise TraceFormatError(
                         f"{self.path}: K frame at byte {pos}: {exc}"
                     ) from exc
                 owed, _columns, stop = layout
                 owner = "K"
-            elif tag == b"R" and version >= 4 and \
-                    pos + 1 + _R_HEAD.size <= end:
+            elif tag == b"R" and pos + 1 + _R_HEAD.size <= end:
                 count, owed = _R_HEAD.unpack_from(mm, pos + 1)
                 stop = pos + 1 + _R_HEAD.size + count * RUN_DTYPE.itemsize
                 owner = "R"
@@ -1271,8 +1264,8 @@ class TraceReader:
         """The walk's checks that wait for the runs, in its order: per
         ``R`` frame (its events and the refusal of its runs, from
         :func:`_check_runs`), sound runs that complete their segment;
-        the walk's own refusal; the footer's own index (v3) naming the
-        same frames, and the rows per kind summing to its counts."""
+        the walk's own refusal; the footer's own index naming the same
+        frames, and the rows per kind summing to its counts."""
         kinds, offsets, rows = self._frames
         for (at, pos, announced, owed), count, why in zip(
                 self._r_frames, events, refusals):
@@ -1288,7 +1281,7 @@ class TraceReader:
             raise self._refused
         end, indexed = self._footer_off, self._indexed
         walked = {"kinds": "".join(kinds), "offsets": offsets, "rows": rows}
-        if indexed is not None and indexed != walked:
+        if indexed != walked:
             try:
                 listed = list(zip(*(indexed[key] for key in walked)))
             except (KeyError, TypeError):
@@ -1421,8 +1414,7 @@ class TraceReader:
     def _call_columns(self) -> RankCalls:
         """A binary trace's calls, mapped once per reader.  Every ``K``
         frame adds its columns as chunks and ``C`` frames take their
-        place by frame order as codec rows; a file without a ``K`` frame
-        (v2) has its ``C`` frames read into columns like text lines."""
+        place by frame order as codec rows."""
         if self._calls is not None:
             return self._calls
         mm = self._map()
@@ -1439,12 +1431,11 @@ class TraceReader:
                     f"{self._footer_off}: {exc}") from exc
             held = self._resolved[key] = raw, shapes
         kinds, offsets, counts = self._frames
-        mapped = "K" in kinds      # else every call is a record (v2)
-        # records intern their strings: not into the table the footer
-        # digests
-        records = None if mapped and "C" not in kinds else _CallRecords(
-            self.header.rank, self._table if mapped else _StringTable())
-        parts: Dict[str, list] = {name: [] for name, _ in CALL_COLUMNS}
+        records = _CallRecords(self.header.rank, self._table) \
+            if "C" in kinds else None
+        # an empty chunk first, so that a file without a K frame stacks
+        parts: Dict[str, list] = {name: [np.empty(0, CALL_DTYPES[code])]
+                                  for name, code in CALL_COLUMNS}
         firsts: List[int] = []     # per call frame: its first row,
         frames: List[Tuple[str, int]] = []      # kind and byte offset
         rows = columnar = 0
@@ -1461,24 +1452,26 @@ class TraceReader:
                 continue
             try:
                 length = _U32.unpack_from(mm, offset + 1)[0]
-                line = mm[offset + 5:offset + 5 + length].decode("utf-8")
-                if mapped:
-                    records.add_codec(line, columnar)
-                else:
-                    records.add(line)
+                records.add_codec(
+                    mm[offset + 5:offset + 5 + length].decode("utf-8"),
+                    columnar)
             except (TraceFormatError, UnicodeDecodeError) as exc:
                 raise TraceFormatError(
                     f"{self.path}: C frame at byte {offset}: {exc}"
                 ) from exc
 
+        # the path, not the reader: the calls it is kept in must not
+        # hold their reader, or the two only die with the cycle collector
+        path = self.path
+
         def locate(row: int) -> str:
             k = max(bisect_right(firsts, row) - 1, 0)
             kind, offset = frames[k]
-            return (f"{self.path}: {kind} frame at byte {offset}"
+            return (f"{path}: {kind} frame at byte {offset}"
                     + (f", row {row - firsts[k]}" if kind == "K" else ""))
 
         # views of the mapping: the stack copies them out
-        calls = records.finish(locate) if not mapped else RankCalls(
+        calls = RankCalls(
             self.header.rank, self._table, held[1],
             codec=records.codec if records else (), locate=locate, **parts)
         self._calls = calls
@@ -1528,17 +1521,11 @@ class TraceReader:
         """Content digests identifying this rank's trace.
 
         Binary traces report the ``calls``/``mems``/``strings`` digests
-        the writer recorded in the footer; files predating digest
-        recording get the same values recomputed from the mapped frames
-        (identical formulas, so old and new files with the same content
-        agree).  Text traces hash the raw file bytes.  Digests of
-        different formats are never comparable — :meth:`content_digest`
-        folds the format in."""
+        the writer recorded in the footer.  Text traces hash the raw
+        file bytes.  Digests of different formats are never comparable
+        — :meth:`content_digest` folds the format in."""
         if self._digests is None:
-            if self.format == FORMAT_BINARY:
-                self._digests = self._recompute_binary_digests()
-            else:
-                self._digests = {"file": hash_file(self.path)}
+            self._digests = {"file": hash_file(self.path)}
         return dict(self._digests)
 
     def content_digest(self, verify: bool = False) -> str:
@@ -1558,8 +1545,8 @@ class TraceReader:
         return stable_hash({"format": self.format, "digests": digests})
 
     def _recompute_binary_digests(self) -> Dict[str, str]:
-        """The writer's digests for a footer that records none, from
-        the mapped frames (identical formulas)."""
+        """The writer's digests, recomputed from the mapped frames
+        (identical formulas)."""
         mm = self._map()
         columns = [hashlib.sha256() for _ in CALL_COLUMNS]
         codec, mems = hashlib.sha256(), hashlib.sha256()
@@ -1573,10 +1560,8 @@ class TraceReader:
                     digest.update(np.frombuffer(mm, dtype, count, at).astype(
                         CALL_DTYPES[code]).tobytes())
         mems.update(read_mems([self])[0].tobytes())
-        # a v2 writer recorded the running hash of its ``C`` records
-        calls = (codec.hexdigest() if self.header.version == 2
-                 else calls_digest([h.digest() for h in columns],
-                                   self._shapes_raw, codec.digest()))
+        calls = calls_digest([h.digest() for h in columns],
+                             self._shapes_raw, codec.digest())
         return {"calls": calls, "mems": mems.hexdigest(),
                 "strings": hash_strings(self._table.strings)}
 

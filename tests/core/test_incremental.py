@@ -331,12 +331,12 @@ class TestInvalidation:
 
     def test_v2_era_cache_demotes_and_self_heals(self, tmp_path,
                                                  monkeypatch):
-        """A cache populated over v2 traces by the engine revision that
-        wrote them ("4", before calls became columns) is another
-        revision's: nothing is served from it, the verdict is the cold
-        one, and the run leaves a current cache behind."""
+        """A cache populated by the engine revision of the v2 trace era
+        ("4", before calls became columns) is another revision's:
+        nothing is served from it, the verdict is the cold one, and the
+        run leaves a current cache behind."""
         fixture = pathlib.Path(__file__).parent.parent / "profiler" / \
-            "fixtures" / "v2_pingpong"
+            "fixtures" / "pingpong"
         traces = TraceSet(str(fixture))
         config = CheckConfig(incremental=True,
                              cache_dir=str(tmp_path / "cache"))

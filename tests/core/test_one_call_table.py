@@ -7,10 +7,10 @@ oracle.
 must equal the concatenation over the ranks of
 ``CallTable.from_events(rank, events)``, and every rank's views
 (``pre.call_tables[rank]``, ``pre.events[rank]``) that rank's table and
-decoded calls — on Table II buggy and fixed x text and binary, the v2
-fixture, a set mixing text and binary files, codec rows (an argument
-past int64), and ranks whose footers list shapes and strings in
-different orders.  A check over the stack reports what a check over the
+decoded calls — on Table II buggy and fixed x text and binary, the
+committed pingpong fixture, a set mixing text and binary files, codec
+rows (an argument past int64), and ranks whose footers list shapes and
+strings in different orders.  A check over the stack reports what a check over the
 typed events does.
 """
 
@@ -30,7 +30,7 @@ from repro.profiler.tracer import TraceSet, TraceWriter
 from repro.util.location import SourceLocation
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "profiler",
-                       "fixtures", "v2_pingpong")
+                       "fixtures", "pingpong")
 COLUMNS = ("seq", "fn", "cls", "comm", "win", "peer", "tag", "req",
            "req_kind", "target", "lock")
 
@@ -86,7 +86,7 @@ def test_table_ii(tmp_path, name, case, buggy, fmt):
     assert_stack_is_the_oracle(traces)
 
 
-def test_v2_fixture():
+def test_pingpong_fixture():
     assert_stack_is_the_oracle(TraceSet(FIXTURE))
 
 

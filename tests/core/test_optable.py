@@ -11,8 +11,7 @@ the bug corpus (buggy and fixed), LU, heat2d, the MPI-3 extensions
 atomics), derived datatypes placed more than once (maps that coalesce,
 maps that do not, a map whose repetitions run backwards), a truncated
 program with an epoch left open and 20 generated programs, in both trace
-formats — plus the committed v2 fixture, whose calls are all ``C``
-frames:
+formats:
 
 * every row of the table equals the view the reference lift builds for
   that call — kind, window, target, the *normalised* interval sets,
@@ -186,10 +185,6 @@ SOURCES = {
     **{f"gen-{seed}": _gen(seed) for seed in GEN_SEEDS},
 }
 
-V2_FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "profiler",
-                          "fixtures", "v2_pingpong")
-
-
 class Lifted:
     """One trace set lifted both ways over one epoch index."""
 
@@ -319,16 +314,6 @@ def test_every_row_equals_the_reference_view(source, fmt, tmp_path_factory):
 @pytest.mark.parametrize("source", SOURCES)
 def test_units_equal_the_per_object_walks(source, fmt, tmp_path_factory):
     assert_units_equal_walks(lifted_for(source, fmt, tmp_path_factory))
-
-
-def test_v2_fixture_reads_into_columns():
-    """Every call of a v2 file is a ``C`` frame; the frames that fit
-    are read into call columns like text lines."""
-    lifted = Lifted(TraceSet(V2_FIXTURE))
-    assert lifted.table.n_ops > 0
-    assert lifted.table.rows_by_route["codec"] == 0
-    assert_rows_equal_views(lifted)
-    assert_units_equal_walks(lifted)
 
 
 def test_the_programs_exercise_what_they_claim(tmp_path_factory):

@@ -11,8 +11,7 @@ whose epoch never closes and 20 generated programs, under both memory
 models; the executors' own test files only check their policy.
 
 Also pinned: the cache's shard keys and manifest file name for the
-committed v2 fixture, as the commit before the plan was lifted out of
-``core.incremental`` computed them — a populated cache stays warm.
+committed pingpong fixture — a populated cache stays warm.
 """
 
 import json
@@ -226,23 +225,25 @@ def test_open_epoch_merges_its_tail_into_one_shard(tmp_path_factory):
 
 # ------------------------------------------------- cache compatibility
 
-#: the v2 fixture's shard keys and manifest names under engine revision
-#: "6" (PR 23: slice digests and sync fingerprints from columns)
-V2_SHARD_KEYS = [
-    "6d4a403c8312a3aa1b1d9f9b6a54cddbfba1fe33c72d895237975ac3f69ebe6c",
-    "5999b02158868e5d79a5ffe07ef8cc9437852bfce1b65f1004e5b8fc3fc3e301",
-    "1c17123d2dadafabe7ffd445eeb99d24a28b107a1fe85a22956906a09f716ec1",
-    "dfcf240b30ebe182a058fcf70e91c392fb71ad6e2573f5d4949f6ce4f46b9345",
-    "d749b9cecbbe49973e277af386a33361f5598710616ddcfe5b1864724468fa4e",
-    "db3605a00af193a63084a8acbb4e9c984ea5afe7917a949c858ee6f7fc8c232a",
-    "8e43afe9464a60c64e31aaa3e3a3b98f4bf66fac34c87fa76b3979a6a5ff8583",
-    "503fccd758d528cc20bd0251cde66a55f7fa583ccd88883ee07eb1a8974d444c",
-    "f532aa77194a1dadd3c4aa58d6a728f95c0bbce20fb4b7c404aa7ea59c20f020",
-    "f831fecc8ac3cd69e29cb90ca9152f39d84239fcd1373627ec656f28f2b4ce19",
-    "35f4d99a8f2fc8a8117e2f66600274293fbe2695840afefd825a3727e2827ff1",
-    "9d4a0c4fd63c5b717c7009ff601d5d910f674aaf1e81121f826d2715c906eff7",
+#: the pingpong fixture's shard keys and manifest names under engine
+#: revision "6" (PR 23: slice digests and sync fingerprints from
+#: columns), as the commit before the reader read one binary version
+#: computed them for the same files
+SHARD_KEYS = [
+    "6246e8835a008549303edc3f1f101df5da90828d522a8d7f81f3e4363e4f948b",
+    "7b58e4db74e60e52ada421e899f07c0604b8e78ae6d21819cef3c384e00a44c6",
+    "5b36ba3f7f7e56a32ca7d0cfd57ded8422b9b7ddcbbd585418da027ccd3d0484",
+    "7c6eecbe5cc698142a95d09280399113cddc85f23f4bd6b505db72ebffa6cfbf",
+    "9c3356198e9d73fc2374366b5bb82a965307ecb4ce4479ebbb0a45e4a36b6423",
+    "909d0e42060ed12aa41b751e074e7199ab005c8ab81d9937b1d6493d1bcd3cf0",
+    "5eaefc0a65fff905f28989018b852349c7e766082c121a00c9e388ae58b1d91f",
+    "d16273c0092415400303221a65178e0349e570e2d67098be083cce796174e056",
+    "aedb0d06702e17983c1d4584d9c519e734e0360bb7e0fb5e2642b2de3a803e76",
+    "3a53ce0b4596bb74f6c72ed60da1cf438a969faca5a5c3c9b50d6a606e5aa888",
+    "86ba8ffcd984e3def20757da0bef15a2011077736bc6e21b472d57e161f8ab90",
+    "005b2db2395ba69523a5160a78790179e5543a7513d7f19f7cd42ceca558f795",
 ]
-V2_MANIFESTS = {
+MANIFESTS = {
     "separate":
         "2376690e78bbc6d70097ea73e0f205e63186640bf5a5dfa4546412dca33bd1bc",
     "unified":
@@ -250,11 +251,11 @@ V2_MANIFESTS = {
 }
 
 
-def test_cache_names_of_the_v2_fixture_are_unchanged(tmp_path):
+def test_cache_names_of_the_pingpong_fixture_are_unchanged(tmp_path):
     import os
     traces = TraceSet(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "profiler", "fixtures", "v2_pingpong"))
-    for memory_model, manifest in V2_MANIFESTS.items():
+                                   "profiler", "fixtures", "pingpong"))
+    for memory_model, manifest in MANIFESTS.items():
         cache = tmp_path / memory_model
         checker = IncrementalChecker(traces, CheckConfig(
             incremental=True, cache_dir=str(cache),
@@ -266,4 +267,4 @@ def test_cache_names_of_the_v2_fixture_are_unchanged(tmp_path):
         written, _blob, _status = checker.store.load("pack", pack.stem)
         assert sorted(written["shards"]) == sorted(checker.plan.keys)
         if memory_model == "separate":
-            assert checker.plan.keys == V2_SHARD_KEYS
+            assert checker.plan.keys == SHARD_KEYS

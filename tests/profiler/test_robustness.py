@@ -31,7 +31,6 @@ from repro.profiler.tracer import (
     _END_MAGIC, FORMAT_BINARY, TraceReader, TraceSet, TraceWriter,
     read_mems, stack_calls,
 )
-from repro.tools.trace_filter import filter_traces
 from repro.util.errors import (
     AnalysisError, DeadlockError, SimMPIError, TraceFormatError,
 )
@@ -208,16 +207,17 @@ class TestFooterIsCrossChecked:
         with pytest.raises(TraceFormatError, match="frame index"):
             TraceReader(path)
 
-    def test_missing_digests_are_recomputed_from_the_frames(self,
-                                                            heat_traces):
-        """The reader's formulas are the writer's: a footer that records
-        no digests gets the same ones back from the mapped columns."""
+    @pytest.mark.parametrize("key", ["digests", "frames", "shapes"])
+    def test_missing_footer_key_is_refused(self, heat_traces, key):
+        """Every footer the writer writes holds its digests, its frame
+        index and its shape table: a footer without one is not read as
+        an older file's."""
         path = heat_traces.path(0)
-        with TraceReader(path) as reader:
-            recorded = reader.digests()
-        rewrite_footer(path, lambda footer: footer.pop("digests"))
-        with TraceReader(path) as reader:
-            assert reader.digests() == recorded
+        rewrite_footer(path, lambda footer: footer.pop(key))
+        with pytest.raises(TraceFormatError,
+                           match=f"corrupt footer: '{key}'") as err:
+            TraceReader(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_shape_naming_a_string_outside_the_table(self, heat_traces):
         path = heat_traces.path(0)
@@ -437,24 +437,31 @@ class TestCorruptCallColumnsInASetOfEight(TestCorruptCallColumns):
         return request.param, 8
 
 
-#: a v4 set written before call columns were narrowed (``lu`` n=16 on 4
-#: ranks, race-free)
-V4_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v4_lu4")
-#: the same program written by v5, its locations captured
-V5_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v5_lu4")
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+#: ``lu`` n=16 on 4 ranks, race-free, locations not captured: its rows
+#: form runs
+LU_NOLOC = os.path.join(FIXTURE_DIR, "lu4_noloc")
+#: the same program, its locations captured
+LU = os.path.join(FIXTURE_DIR, "lu4")
+
+
+def copy_of(fixture, directory):
+    """A copy of a committed set in ``directory``, and its report."""
+    shutil.copytree(fixture, directory)
+    with open(os.path.join(fixture, "expected_report.json")) as fh:
+        return fh.read().strip()
 
 
 class TestNarrowCallColumns:
-    """A v5 K frame's width bytes are claims too: a width a column may
-    not take is a typed error naming the file and the frame's byte, and
-    no flipped byte of the frame — header, widths or columns — gets
-    past the reader as a bare exception or a different report."""
+    """A K frame's width bytes (narrow since v5) are claims too: a width
+    a column may not take is a typed error naming the file and the
+    frame's byte, and no flipped byte of the frame — header, widths or
+    columns — gets past the reader as a bare exception or a different
+    report."""
 
     @pytest.fixture
     def path(self, tmp_path):
-        with open(os.path.join(V4_LU, "expected_report.json")) as fh:
-            self.expected = fh.read().strip()
-        filter_traces(TraceSet(V4_LU), str(tmp_path / "t"))
+        self.expected = copy_of(LU_NOLOC, str(tmp_path / "t"))
         return str(tmp_path / "t" / "trace.0.bin")
 
     def test_every_byte_flip_in_a_v5_k_frame_is_survivable(self, path):
@@ -492,25 +499,6 @@ class TestNarrowCallColumns:
             api.check(os.path.dirname(path))
         assert str(err.value).startswith(f"{path}: K frame at byte {offset}")
 
-    def test_a_set_mixing_v4_and_v5_files(self, path):
-        """Rank 0 as v4 wrote it, the others as v5 wrote them: full-width
-        and narrow chunks stack into one set of columns."""
-        shutil.copy(os.path.join(V4_LU, "trace.0.bin"), path)
-        for rank in (1, 2, 3):
-            shutil.copy(os.path.join(V5_LU, f"trace.{rank}.bin"),
-                        os.path.dirname(path))
-        traces = TraceSet(os.path.dirname(path))
-        versions = []
-        for rank in range(traces.nranks):
-            with traces.reader(rank) as reader:
-                versions.append(reader.header.version)
-        assert versions == [4, 5, 5, 5]
-        assert canonical_report(api.check(traces)) == self.expected
-
-
-#: a v3 set written before runs existed; its v4 rewrite has an R frame
-#: per rank (``lu`` n=16 on 4 ranks, race-free)
-V3_LU = os.path.join(os.path.dirname(__file__), "fixtures", "v3_lu4")
 
 #: byte offset of each field in a 45-byte run row (RUN_DTYPE), spelled
 #: out: the layout is the spec
@@ -518,14 +506,6 @@ RUN_FIELDS = {"seq": (0, "<q"), "addr": (8, "<q"), "size": (16, "<q"),
               "var": (24, "<i"), "loc": (28, "<i"), "access": (32, "<B"),
               "count": (33, "<i"), "stride": (37, "<q")}
 INT64_MAX = (1 << 63) - 1
-
-
-def runs_of(directory):
-    """The fixture's v4 rewrite in ``directory``, and its report."""
-    with open(os.path.join(V3_LU, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    filter_traces(TraceSet(V3_LU), directory)
-    return expected
 
 
 def r_frame(path):
@@ -566,7 +546,7 @@ class TestCorruptRuns:
 
     @pytest.fixture
     def path(self, tmp_path):
-        self.expected = runs_of(str(tmp_path / "t"))
+        self.expected = copy_of(LU_NOLOC, str(tmp_path / "t"))
         return str(tmp_path / "t" / "trace.0.bin")
 
     def test_every_byte_flip_in_the_r_frame_is_survivable(self, path):
@@ -618,9 +598,7 @@ class TestCorruptRunsInASetOfEight(TestCorruptRuns):
 
     @pytest.fixture(params=[0, 4, 7])
     def path(self, tmp_path, request):
-        source = str(tmp_path / "v4")
-        runs_of(source)
-        with TraceReader(os.path.join(source, "trace.0.bin")) as reader:
+        with TraceReader(os.path.join(LU_NOLOC, "trace.0.bin")) as reader:
             events, app = reader.events(), reader.header.app
         directory = str(tmp_path / "t")
         os.makedirs(directory)
@@ -697,10 +675,8 @@ class TestLocationEntries:
 
     @pytest.fixture
     def path(self, tmp_path):
-        """Rank 0 of the v5 fixture's v6 rewrite, locations captured."""
-        with open(os.path.join(V5_LU, "expected_report.json")) as fh:
-            self.expected = fh.read().strip()
-        filter_traces(TraceSet(V5_LU), str(tmp_path / "t"))
+        """Rank 0 of the fixture with its locations captured."""
+        self.expected = copy_of(LU, str(tmp_path / "t"))
         return str(tmp_path / "t" / "trace.0.bin")
 
     @pytest.mark.parametrize("mutate", list(MALFORMED_ENTRIES.values()),
@@ -722,8 +698,9 @@ class TestLocationEntries:
         the JSON text no longer decodes), and the lowest bit of each
         byte of the file table and of every location entry (the text
         stays ASCII, so the flip reaches a file index, a line, a
-        function, a bracket): the set checks to the unchanged report or
-        fails typed, and both are seen."""
+        function, a bracket): every flip fails typed — one that keeps
+        the JSON and the table well formed changes a string the
+        ``strings`` digest covers."""
         offset, length, _footer = footer_of(path)
         with open(path, "rb") as fh:
             original = fh.read()
@@ -749,19 +726,17 @@ class TestLocationEntries:
                 continue
             assert report == self.expected, f"flip {mask:#x} at byte {at}"
             outcomes.add("unchanged")
-        assert outcomes == {"TraceFormatError", "unchanged"}
+        assert outcomes == {"TraceFormatError"}
 
 
 class TestLocationEntriesInASetOfEight(TestLocationEntries):
     """The same footer as rank 0, a middle rank and the last rank of an
-    eight-rank set — every rank's file holds the events of the v6
-    rewrite's rank 0 — and the set says what the file alone says."""
+    eight-rank set — every rank's file holds the events of the
+    fixture's rank 0 — and the set says what the file alone says."""
 
     @pytest.fixture(params=[0, 4, 7])
     def path(self, tmp_path, request):
-        source = str(tmp_path / "v6")
-        filter_traces(TraceSet(V5_LU), source)
-        with TraceReader(os.path.join(source, "trace.0.bin")) as reader:
+        with TraceReader(os.path.join(LU, "trace.0.bin")) as reader:
             events, app = reader.events(), reader.header.app
         directory = str(tmp_path / "t")
         os.makedirs(directory)
@@ -776,27 +751,70 @@ class TestLocationEntriesInASetOfEight(TestLocationEntries):
         return TraceSet.rank_path(directory, request.param, FORMAT_BINARY)
 
 
-@pytest.mark.parametrize("entry", [[0, 80, "lu"], 80, None, ["lu"]],
-                         ids=["triple", "int", "null", "list"])
-def test_a_v5_footer_holds_strings_only(tmp_path, entry):
-    """Before v6 every string table entry is a string: any other JSON
-    value — a triple too, with a file table beside it — is refused, not
-    read as its ``str``."""
-    directory = str(tmp_path / "t")
-    shutil.copytree(V5_LU, directory)
-    path = os.path.join(directory, "trace.0.bin")
+class TestFooterStrings:
+    """The footer's string and file tables are checked against its
+    ``strings`` digest on every open: a flip that keeps the JSON valid
+    and the table well formed (``Win_free`` read as ``Vin_free``) is a
+    typed error naming the file and the table, not another program."""
 
-    def mutate(footer):
-        footer["files"] = ["src/repro/apps/lu.py"]
-        footer["strings"][0] = entry
-    rewrite_footer(path, mutate)
-    with pytest.raises(TraceFormatError,
-                       match=r"corrupt footer: string table entry") as err:
-        TraceReader(path)
-    assert str(err.value).startswith(f"{path}: ")
-    with pytest.raises(TraceFormatError) as checked:
-        api.check(directory)
-    assert str(checked.value) == str(err.value)
+    def test_a_renamed_call_is_refused(self, tmp_path):
+        copy_of(LU, str(tmp_path / "t"))
+        path = str(tmp_path / "t" / "trace.0.bin")
+        with open(path, "r+b") as fh:
+            at = fh.read().index(b'"Win_free"') + 1
+            fh.seek(at)
+            fh.write(b"V")
+        with pytest.raises(TraceFormatError) as err:
+            api.check(str(tmp_path / "t"))
+        assert str(err.value) == (f"{path}: the string table disagrees "
+                                  "with the footer's strings digest")
+
+    @pytest.mark.parametrize("fixture", ["pingpong", "lu4_noloc", "lu4"])
+    def test_every_low_bit_flip_of_the_tables(self, tmp_path, fixture):
+        """The lowest bit of each byte of the ``files`` and ``strings``
+        entries of rank 0's footer, flipped in turn: the set checks to
+        its report or fails typed, and no other report appears."""
+        directory = str(tmp_path / "t")
+        expected = copy_of(os.path.join(FIXTURE_DIR, fixture), directory)
+        path = os.path.join(directory, "trace.0.bin")
+        offset, length, _footer = footer_of(path)
+        with open(path, "rb") as fh:
+            original = fh.read()
+        payload = original[offset + 5:offset + 5 + length]
+        start, stop = payload.index(b'"files":'), payload.index(b',"shapes":')
+        outcomes = set()
+        for at in range(offset + 5 + start, offset + 5 + stop):
+            flipped = bytearray(original)
+            flipped[at] ^= 0x01
+            with open(path, "wb") as fh:
+                fh.write(flipped)
+            try:
+                report = canonical_report(api.check(directory))
+            except TraceFormatError:
+                outcomes.add("TraceFormatError")
+                continue
+            assert report == expected, f"flip at byte {at}"
+            outcomes.add("unchanged")
+        assert "TraceFormatError" in outcomes
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fixture", ["pingpong", "lu4_noloc", "lu4"])
+def test_checks_release_their_files_without_the_collector(fixture):
+    """A check closes every map and descriptor it opened before it
+    returns: no reference cycle keeps a reader alive for the cycle
+    collector to find."""
+    directory = os.path.join(FIXTURE_DIR, fixture)
+    api.check(directory)
+    gc.disable()
+    try:
+        before = sorted(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            api.check(directory)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -1128,12 +1146,12 @@ class TestEveryExecutorRejects:
         "count-1", "negative-stride", "seq-overflow", "addr-overflow",
         "seq-of-an-m-row", "seq-of-a-call"])
     def test_bad_run_row(self, tmp_path, arm, case):
-        """Hand-made bad runs in a v4 file whose footer records the
+        """Hand-made bad runs in a file whose footer records the
         digests of what it holds: refused by the frame walk (file and
         byte), by the segment merge (file and byte) or where rows
         become columns (rank and seq) — whichever executor reads it."""
         trace_dir, cache_dir = str(tmp_path / "t"), str(tmp_path / "cache")
-        runs_of(trace_dir)
+        copy_of(LU_NOLOC, trace_dir)
         if arm == "incremental-warm":
             assert not self._check(arm, trace_dir, cache_dir).findings
         path = TraceSet.rank_path(trace_dir, self.RANK, FORMAT_BINARY)

@@ -5,9 +5,6 @@ one-rank read of its file — the same calls, the same memory rows (of
 the whole rank, and of each segment alone), the same counts and the
 same digests."""
 
-import os
-import shutil
-
 import numpy as np
 import pytest
 
@@ -22,9 +19,6 @@ from repro.gen import GenConfig, generate_program, replay
 from repro.profiler.tracer import (
     MEM_DTYPE, TraceSet, read_mems, stack_calls,
 )
-from repro.tools.trace_filter import filter_traces
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def as_set(traces):
@@ -89,22 +83,6 @@ def _generated(directory):
                 scope="all", trace_format="binary", app_name="gen-5")
 
 
-def _fixture(name):
-    def copy(directory):
-        shutil.copytree(os.path.join(FIXTURES, name), directory)
-        return directory
-    return copy
-
-
-def _mixed_v4_v5(directory):
-    """Rank 0 as v4 wrote it, the others rewritten as the writer writes
-    them now."""
-    filter_traces(TraceSet(os.path.join(FIXTURES, "v4_lu4")), directory)
-    shutil.copy(os.path.join(FIXTURES, "v4_lu4", "trace.0.bin"),
-                os.path.join(directory, "trace.0.bin"))
-    return directory
-
-
 SETS = {
     **{f"{case.name}-{'buggy' if buggy else 'fixed'}": _bug(case, buggy)
        for case in BUG_CASES for buggy in (True, False)},
@@ -114,13 +92,8 @@ SETS = {
                              params=dict(rows=32, cols=16, steps=20),
                              trace_format="binary"),
     "generated-16": _generated,
-    "v2-fixture": _fixture("v2_pingpong"),
-    "v3-fixture": _fixture("v3_lu4"),
-    "v4-fixture": _fixture("v4_lu4"),
-    "v5-fixture": _fixture("v5_lu4"),
     "text": _bug(next(c for c in BUG_CASES if c.name == "jacobi"), True,
                  "text"),
-    "mixed-v4-v5": _mixed_v4_v5,
 }
 
 

@@ -1,4 +1,4 @@
-"""Binary columnar trace format (v2) and the vectorized reader paths.
+"""Binary columnar trace format and the vectorized reader paths.
 
 Covers the format-parity contract: a randomized event stream written in
 either format reads back as the *same* typed events, the footer-served
@@ -8,19 +8,15 @@ silently losing events.
 """
 
 import dataclasses
-import json
 import os
-import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.calltable import CallTable
-from repro.profiler.callcols import CallColumns
-from repro.profiler.events import ACCESS_CODES, CallEvent, MemEvent
+from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.tracer import (
-    FORMAT_BINARY, FORMAT_TEXT, MEM_DTYPE, MemBlock, TraceReader, TraceSet,
+    FORMAT_BINARY, FORMAT_TEXT, MemBlock, TraceReader, TraceSet,
     TraceWriter, _END_MAGIC, _MAGIC,
 )
 from repro.util.errors import TraceFormatError
@@ -57,83 +53,20 @@ def write_trace(directory, rank, events, fmt, nranks=1):
     return path
 
 
-def write_v2(path, rank, nranks, events):
-    """``events`` as the v2 writer framed them: every call a ``C``
-    frame holding its text record, every run of memory events an ``M``
-    frame, a footer with counts and strings only (the reader recomputes
-    the digests and walks the frames)."""
-    def frame(tag, head, payload):
-        return tag + struct.pack("<I", head) + payload
+class TestCodecFrames:
+    """A call the columns cannot hold is framed as its text record (a
+    ``C`` frame) and read back as a codec row in its place, in a file
+    with ``K`` frames or without any."""
 
-    strings, out = [], bytearray(_MAGIC)
-    header = f"H v=2 rank={rank} nranks={nranks} app=$t".encode()
-    out += frame(b"H", len(header), header)
-    run = []
-
-    def intern(text):
-        if text not in strings:
-            strings.append(text)
-        return strings.index(text)
-
-    def flush():
-        if run:
-            out.extend(frame(b"M", len(run),
-                             np.array(run, dtype=MEM_DTYPE).tobytes()))
-            run.clear()
-
-    for event in events:
-        if isinstance(event, MemEvent):
-            run.append((event.seq, event.addr, event.size,
-                        intern(event.var), intern(event.loc.encode()),
-                        ACCESS_CODES[event.access]))
-        else:
-            flush()
-            line = event.encode().encode("utf-8")
-            out += frame(b"C", len(line), line)
-    flush()
-    mems = [e for e in events if isinstance(e, MemEvent)]
-    stores = sum(e.access == "store" for e in mems)
-    footer = json.dumps({"version": 2, "strings": strings, "counts": {
-        "call": len(events) - len(mems), "mem": len(mems),
-        "load": len(mems) - stores, "store": stores}}).encode()
-    footer_offset = len(out)
-    out += frame(b"F", len(footer), footer)
-    out += struct.pack("<Q", footer_offset) + _END_MAGIC
-    with open(path, "wb") as fh:
-        fh.write(out)
-
-
-class TestV2Files:
-    """A v2 file frames every call as its text record; the reader puts
-    the records that fit into call columns, like text lines."""
-
-    def test_calls_that_fit_become_columns(self, tmp_path):
-        events = sample_events(0) + [CallEvent(
-            0, 7, "Win_post", {"win": 1, "group": (1, 2), "var": "a b"},
-            LOC_A)]
-        path = str(tmp_path / "trace.0.bin")
-        write_v2(path, 0, 1, events)
-        calls = [e for e in events if isinstance(e, CallEvent)]
-        with TraceReader(path) as reader:
-            assert reader.header.version == 2
-            assert reader.events() == events
-            digest = reader.content_digest()
-            cols, counts = reader.read_calls()
-            assert isinstance(cols, CallColumns) and not cols.codec
-            assert list(cols) == calls and counts["call"] == len(calls)
-            assert reader.call_table.seq.tolist() == [0, 6, 7]
-            assert reader.call_table.group(2) == (1, 2)
-            # the records' strings stay out of the table the file
-            # digests
-            assert reader.content_digest(verify=True) == digest
+    HUGE = 1 << 63      # past int64: no column holds it
 
     def test_a_call_that_does_not_fit_is_the_one_codec_row(self, tmp_path):
         events = sample_events(0)
         events[-1] = dataclasses.replace(
-            events[-1], args={"win": 1, "pad": 1 << 63})
-        path = str(tmp_path / "trace.0.bin")
-        write_v2(path, 0, 1, events)
+            events[-1], args={"win": 1, "pad": self.HUGE})
+        path = write_trace(tmp_path, 0, events, FORMAT_BINARY)
         with TraceReader(path) as reader:
+            assert set(reader._frames[0]) == {"K", "M", "C"}
             cols, _counts = reader.read_calls()
             assert list(cols.codec) == [1] and cols[1] == events[-1]
             assert list(cols) == [events[0], events[-1]]
@@ -142,16 +75,34 @@ class TestV2Files:
         assert (table.win.tolist(), table.fn.tolist()) == \
             (reference.win.tolist(), reference.fn.tolist())
 
+    def test_a_file_without_a_k_frame(self, tmp_path):
+        events = [dataclasses.replace(event, args={**event.args,
+                                                   "pad": self.HUGE})
+                  if isinstance(event, CallEvent) else event
+                  for event in sample_events(0)]
+        path = write_trace(tmp_path, 0, events, FORMAT_BINARY)
+        with TraceReader(path) as reader:
+            assert set(reader._frames[0]) == {"C", "M"}
+            assert reader.events() == events
+            cols, counts = reader.read_calls()
+            assert list(cols.codec) == [0, 1] and counts["call"] == 2
+            assert list(cols) == [events[0], events[-1]]
+            assert reader.call_table.seq.tolist() == [0, 6]
+            assert reader.content_digest(verify=True) == \
+                reader.content_digest()
+
     def test_a_bad_record_names_its_frame(self, tmp_path):
         events = sample_events(0)
-        events[-1] = dataclasses.replace(events[-1], args={"win": "x"})
-        path = str(tmp_path / "trace.0.bin")
-        write_v2(path, 0, 1, events)
+        events[-1] = dataclasses.replace(
+            events[-1], args={"win": "x", "pad": self.HUGE})
+        path = write_trace(tmp_path, 0, events, FORMAT_BINARY)
         with TraceReader(path) as reader:
+            offset = reader._frames[1][reader._frames[0].index("C")]
             with pytest.raises(TraceFormatError,
-                               match="C frame at byte .*malformed") as err:
+                               match=f"C frame at byte {offset}: .*"
+                                     "malformed") as err:
                 reader.read_calls()
-        assert path in str(err.value)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestRoundTrip:

@@ -1,6 +1,6 @@
-"""Binary formats v3 to v6: calls as columns, memory rows as strided runs,
-call columns at their narrowest width, each source file named once per
-rank file, and the v2 / v3 / v4 / v5 files the reader still reads.
+"""Binary format v6: calls as columns, memory rows as strided runs, call
+columns at their narrowest width, each source file named once per rank
+file, and the one version read.
 
 * round trip: arbitrary call events — negative ints, bools, empty and
   long int lists, strings needing escapes, unicode, an int past int64
@@ -18,18 +18,16 @@ rank file, and the v2 / v3 / v4 / v5 files the reader still reads.
   ``decode_event`` of the text file, and ``CallTable.from_columns`` of
   either equals ``CallTable.from_events`` column by column, on the
   Table II corpus, LU, heat2d and three generated programs;
-* a v2 trace set written by the commit before v3, a v3 set written by
-  the commit before v4, a v4 set written by the commit before v5 and a
-  v5 set written by the commit before v6 still check to the same
-  canonical report, and ``tools/trace_filter`` upgrades each losslessly
-  — a v3, v4 or v5 set to fewer bytes with the same ``events()``,
-  ``counts()`` and ``digests()``.
+* the committed sets check to their reports under every executor, and
+  ``tools/trace_filter`` rewrites each to the same bytes; a file whose
+  header names any other binary version is refused by that version.
 """
 
 import dataclasses
 import json
 import os
 import pickle
+import re
 import shutil
 import struct
 from unittest import mock
@@ -52,17 +50,16 @@ from repro.profiler.tracer import (
     FORMAT_BINARY, MemBlock, TraceReader, TraceSet, TraceWriter,
 )
 from repro.tools.trace_filter import filter_traces
+from repro.util.errors import TraceFormatError
 from repro.util.location import SourceLocation
 from repro.util.records import INT64_MAX, INT64_MIN
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v2_pingpong")
-#: ``lu`` n=16 on 4 ranks, locations not captured: its rows form runs
-V3_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v3_lu4")
-#: the same program written by v4, every call column at full width
-V4_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v4_lu4")
-#: the same program written by v5, its locations captured (under the
-#: app's path relative to the repository)
-V5_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "v5_lu4")
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+#: the committed sets and the frames their files hold: ``ping-pong`` on
+#: 2 ranks, and ``lu`` n=16 on 4 ranks (race-free) without and with its
+#: locations captured (under the app's path relative to the repository)
+FIXTURES = {"pingpong": {"K", "M"}, "lu4_noloc": {"K", "R", "M"},
+            "lu4": {"K", "R", "M"}}
 
 LOCS = (SourceLocation("app.py", 10, "main"),
         SourceLocation("dir with space/k=1|%.py", 42, "compute"))
@@ -367,7 +364,6 @@ def test_malformed_control_argument_is_typed(tmp_path, args):
     """A call the table cannot place — its window a string, a list, or
     missing — is a ``TraceFormatError`` from either route, never a bare
     ``ValueError``/``KeyError`` out of the gather."""
-    from repro.util.errors import TraceFormatError
     for fmt in ("binary", "text"):
         path = str(tmp_path / f"trace.0.{fmt}")
         with TraceWriter(path, 0, 1, format=fmt) as writer:
@@ -532,183 +528,53 @@ def test_lazy_columns_build_only_what_is_read(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# back-compat: a v2 set written by the parent commit
+# the committed sets, and the one version read
 # ----------------------------------------------------------------------
 
 
-def test_v2_fixture_checks_to_the_same_report(tmp_path):
-    with open(os.path.join(FIXTURE, "expected_report.json")) as fh:
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_committed_fixture_checks_to_its_report(tmp_path, name):
+    """Every file is the version written, the set checks to its report
+    under every executor, and a rewrite is the same bytes."""
+    directory = os.path.join(FIXTURE_DIR, name)
+    with open(os.path.join(directory, "expected_report.json")) as fh:
         expected = fh.read().strip()
-    traces = TraceSet(FIXTURE)
-    with traces.reader(0) as reader:
-        assert reader.header.version == 2
-        assert set(reader._frames[0]) == {"C", "M"}
-        cols, _counts = reader.read_calls()
-        assert isinstance(cols, CallColumns) and not cols.codec
-    assert canonical_report(api.check(FIXTURE)) == expected
+    traces = TraceSet(directory)
+    for rank in range(traces.nranks):
+        with traces.reader(rank) as reader:
+            assert reader.header.version == tracer.BINARY_VERSION
+            assert set(reader._frames[0]) == FIXTURES[name]
+    assert canonical_report(api.check(directory)) == expected
     for extra in (dict(streaming=True), dict(jobs=2),
                   dict(incremental=True, cache_dir=str(tmp_path / "c"))):
-        assert canonical_report(api.check(FIXTURE, **extra)) == expected
-
-
-def test_trace_filter_upgrades_v2_losslessly(tmp_path):
-    with open(os.path.join(FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    old = TraceSet(FIXTURE)
-    new = filter_traces(old, str(tmp_path / "v3"))
-    for rank in range(old.nranks):
-        with new.reader(rank) as reader:
-            assert reader.header.version == tracer.BINARY_VERSION
-            assert set(reader._frames[0]) <= {"K", "M"}
-            upgraded = reader.events()
-        assert upgraded == old.events(rank)
-        assert os.path.getsize(new.path(rank)) < \
-            os.path.getsize(old.path(rank))
-    assert canonical_report(api.check(new)) == expected
-    # and the copy of a copy is the same bytes
-    again = filter_traces(new, str(tmp_path / "again"))
-    for rank in range(old.nranks):
-        with open(new.path(rank), "rb") as a, \
+        assert canonical_report(api.check(directory, **extra)) == expected
+    again = filter_traces(traces, str(tmp_path / "again"))
+    for rank in range(traces.nranks):
+        with open(traces.path(rank), "rb") as a, \
                 open(again.path(rank), "rb") as b:
             assert a.read() == b.read()
-    shutil.rmtree(str(tmp_path / "again"))
 
 
-# ----------------------------------------------------------------------
-# back-compat: a v3 set written by the parent commit
-# ----------------------------------------------------------------------
-
-
-def test_v3_fixture_checks_to_the_same_report():
-    with open(os.path.join(V3_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    traces = TraceSet(V3_FIXTURE)
-    for rank in range(traces.nranks):
-        with traces.reader(rank) as reader:
-            assert reader.header.version == 3
-            assert set(reader._frames[0]) == {"K", "M"}
-    assert canonical_report(api.check(V3_FIXTURE)) == expected
-
-
-def test_trace_filter_upgrades_v3_to_fewer_bytes(tmp_path):
-    """The rewrite holds the same events, counts and digests — so one
-    content digest, which ``verify`` recomputes from the runs — in
-    fewer bytes, and checks to the same report."""
-    with open(os.path.join(V3_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    old = TraceSet(V3_FIXTURE)
-    new = filter_traces(old, str(tmp_path / "v4"))
-    runs = 0
-    for rank in range(old.nranks):
-        with old.reader(rank) as was, new.reader(rank) as now:
-            assert now.header.version == tracer.BINARY_VERSION
-            runs += now._frames[0].count("R")
-            assert now.events() == was.events()
-            assert now.counts() == was.counts()
-            assert now.digests() == was.digests()
-            assert now.content_digest(verify=True) == \
-                was.content_digest(verify=True)
-        assert os.path.getsize(new.path(rank)) < \
-            os.path.getsize(old.path(rank))
-    assert runs == old.nranks
-    assert canonical_report(api.check(new)) == expected
-
-
-# ----------------------------------------------------------------------
-# back-compat: a v4 set written by the parent commit
-# ----------------------------------------------------------------------
-
-
-def test_v4_fixture_checks_to_the_same_report():
-    with open(os.path.join(V4_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    traces = TraceSet(V4_FIXTURE)
-    for rank in range(traces.nranks):
-        with traces.reader(rank) as reader:
-            assert reader.header.version == 4
-            assert set(reader._frames[0]) == {"K", "R", "M"}
-    assert canonical_report(api.check(V4_FIXTURE)) == expected
-
-
-def test_trace_filter_upgrades_v4_to_fewer_bytes(tmp_path):
-    """Narrow call columns hold the same events, counts and digests —
-    the digests hash the columns at their canonical widths — in fewer
-    bytes, and check to the same report."""
-    with open(os.path.join(V4_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    old = TraceSet(V4_FIXTURE)
-    new = filter_traces(old, str(tmp_path / "v5"))
-    for rank in range(old.nranks):
-        with old.reader(rank) as was, new.reader(rank) as now:
-            assert now.header.version == tracer.BINARY_VERSION
-            assert now.events() == was.events()
-            assert now.counts() == was.counts()
-            assert now.digests() == was.digests()
-            assert now.content_digest(verify=True) == \
-                was.content_digest(verify=True)
-        assert os.path.getsize(new.path(rank)) < \
-            os.path.getsize(old.path(rank))
-    assert canonical_report(api.check(new)) == expected
-
-
-# ----------------------------------------------------------------------
-# back-compat: a v5 set written by the parent commit
-# ----------------------------------------------------------------------
-
-
-def test_v5_fixture_checks_to_the_same_report(tmp_path):
-    with open(os.path.join(V5_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    traces = TraceSet(V5_FIXTURE)
-    for rank in range(traces.nranks):
-        with traces.reader(rank) as reader:
-            assert reader.header.version == 5
-            assert set(reader._frames[0]) == {"K", "R", "M"}
-            assert reader._table.loc(0) == SourceLocation(
-                "src/repro/apps/lu.py", 80, "lu")
-    assert canonical_report(api.check(V5_FIXTURE)) == expected
-    for extra in (dict(streaming=True), dict(jobs=2),
-                  dict(incremental=True, cache_dir=str(tmp_path / "c"))):
-        assert canonical_report(api.check(V5_FIXTURE, **extra)) == expected
-
-
-def test_trace_filter_upgrades_v5_to_fewer_bytes(tmp_path):
-    """Each source file named once holds the same events, counts and
-    digests — the digests cover the locations' text — in fewer bytes,
-    and checks to the same report."""
-    with open(os.path.join(V5_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
-    old = TraceSet(V5_FIXTURE)
-    new = filter_traces(old, str(tmp_path / "v6"))
-    for rank in range(old.nranks):
-        with old.reader(rank) as was, new.reader(rank) as now:
-            assert now.header.version == tracer.BINARY_VERSION
-            assert now._table.strings == was._table.strings
-            assert now.events() == was.events()
-            assert now.counts() == was.counts()
-            assert now.digests() == was.digests()
-            assert now.content_digest(verify=True) == \
-                was.content_digest(verify=True)
-        assert os.path.getsize(new.path(rank)) < \
-            os.path.getsize(old.path(rank))
-    assert canonical_report(api.check(new)) == expected
-
-
-def test_a_set_mixing_v5_and_v6_files(tmp_path):
-    """Rank 0 as v5 wrote it, the others rewritten as v6: the set reads
-    as one and checks to the same report, under every executor."""
-    with open(os.path.join(V5_FIXTURE, "expected_report.json")) as fh:
-        expected = fh.read().strip()
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 7])
+def test_a_file_of_another_version_is_refused(tmp_path, capsys, version):
+    """One version is read: a file whose header names any other is a
+    one-line error naming the file and its version, and the CLI exits
+    2."""
+    from repro.cli import main
     directory = str(tmp_path / "t")
-    filter_traces(TraceSet(V5_FIXTURE), directory)
-    shutil.copy(os.path.join(V5_FIXTURE, "trace.0.bin"), directory)
-    traces = TraceSet(directory)
-    versions = []
-    for rank in range(traces.nranks):
-        with traces.reader(rank) as reader:
-            versions.append(reader.header.version)
-    assert versions == [5, 6, 6, 6]
-    assert canonical_report(api.check(traces)) == expected
-    for extra in (dict(streaming=True), dict(jobs=2),
-                  dict(incremental=True, cache_dir=str(tmp_path / "c"))):
-        assert canonical_report(api.check(traces, **extra)) == expected
+    shutil.copytree(os.path.join(FIXTURE_DIR, "lu4"), directory)
+    path = os.path.join(directory, "trace.2.bin")
+    with open(path, "r+b") as fh:
+        at = fh.read(64).index(b" v=6 ") + 3
+        fh.seek(at)
+        fh.write(str(version).encode())
+    message = f"{path}: binary trace version {version} is not read"
+    with pytest.raises(TraceFormatError) as err:
+        TraceReader(path)
+    assert str(err.value).startswith(message)
+    assert "\n" not in str(err.value)
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        api.check(directory)
+    assert main(["check", directory, "--no-ledger"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and message in captured.err
