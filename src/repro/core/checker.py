@@ -13,10 +13,10 @@ DN-Analyzer).  Profiling and analyzing in one call is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
-from repro.core.calltable import ensure_call_tables, total_calls
+from repro.core.calltable import total_calls
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.diagnostics import (
@@ -30,9 +30,11 @@ from repro.core.epochs import EpochIndex
 from repro.core.matching import match_synchronization
 from repro.core.model import build_access_model_sweep
 from repro.core.plan import (
-    ControlState, ShardPlan, _RowLoader, build_control_state, phase_timer,
+    ControlState, ShardPlan, build_control_state, phase_timer,
 )
-from repro.core.preprocess import PreprocessedTrace, preprocess_calls
+from repro.core.preprocess import (
+    PreprocessedTrace, preprocess_calls, preprocess_calls_with_counts,
+)
 from repro.core.regions import RegionIndex
 from repro.profiler.tracer import TraceSet
 
@@ -188,27 +190,29 @@ class MCChecker:
 
     def _run_pooled(self, stats: CheckStats,
                     timed) -> List[ConsistencyError]:
-        """``jobs > 1``: control pass and plan in this process, every
+        """``jobs > 1``: control pass and plan in this process — the set
+        read as the batch check reads it, memory rows included — every
         shard's units in chunks over the worker pool."""
         from repro.core.parallel import detect_shards
 
-        control = run_control_pass(self.traces, stats, timed)
+        control = run_control_pass(
+            lambda: preprocess_calls_with_counts(self.traces), stats, timed)
         plan = timed("plan", lambda: ShardPlan.build(control))
         found, chunks = timed("detect", lambda: detect_shards(
             plan.units(control, range(len(plan))), control,
-            self.memory_model,
-            _RowLoader(self.traces, ensure_call_tables(control.pre)),
-            self.jobs),
+            self.memory_model, control.mems, self.jobs),
             shards=len(plan), jobs=self.jobs)
         plan.publish_obs(chunks)
         return timed("merge", lambda: plan.merge(enumerate(found)))
 
 
-def run_control_pass(traces: TraceSet, stats: CheckStats,
+def run_control_pass(read: Callable[[], tuple], stats: CheckStats,
                      timed) -> ControlState:
-    """A plan executor's control pass: its state, the sizes it
-    establishes recorded in ``stats``, the ingest metrics published."""
-    control = build_control_state(traces, timed)
+    """A plan executor's control pass: ``read`` — the ingest, returning
+    what :func:`~repro.core.preprocess.preprocess_readers` returns — timed
+    as ``preprocess``, the state built over it, the sizes it establishes
+    recorded in ``stats``, the ingest metrics published."""
+    control = build_control_state(*timed("preprocess", read), timed)
     for name, value in control.sizes().items():
         setattr(stats, name, value)
     publish_control_plane_obs(control.pre, stats.phase_seconds)

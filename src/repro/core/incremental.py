@@ -16,8 +16,9 @@ keys against the store, and the two cache levels:
 * **the whole-report fast path** — the manifest records every rank's
   content digest beside the finished (deduplicated) report; when all
   digests and the engine version match, that report is served and even
-  the control pass is skipped: a fully warm run costs one hashing pass
-  over the files (a digest is verified, never just read);
+  the control pass is skipped: a fully warm run costs one read of the
+  set and the hashing of what it read (a digest is verified, never just
+  read);
 * **the per-shard cache** — when any rank changed, the control pass
   re-runs (invalidation soundness is decided fresh, never cached) and
   only the shards whose keys moved are re-analyzed.  The manifest holds
@@ -54,7 +55,7 @@ over a run-wide prefix and:
   string-table digest (``var``/``loc`` ids are table-relative).  The key
   holds one slice digest per rank; the manifest records them with their
   lower bounds, and a rank whose file is byte-identical to the one it
-  describes reuses them — its columns are not hashed, its rows not read;
+  describes reuses them — its columns and its rows are not hashed;
 * **region and epoch structure** — the first and last region index;
   every epoch (access or exposure), grouped into the shard holding its
   interior, as a row of numbers plus its PSCW group — which also covers
@@ -97,12 +98,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.calltable import ensure_call_tables
 from repro.core.checker import (
     CheckReport, CheckStats, publish_report_obs, run_control_pass,
 )
@@ -113,13 +113,15 @@ from repro.core.diagnostics import (
 )
 from repro.core.matching import match_columns
 from repro.core.plan import (
-    ControlState, ShardPlan, SharedReaders, _RowLoader, phase_timer,
-    ranks_read, run_shards,
+    ControlState, ShardPlan, phase_timer, ranks_read, run_shards,
 )
+from repro.core.preprocess import preprocess_readers
 from repro.profiler.callcols import CallColumns
-from repro.profiler.tracer import MEM_DTYPE, TraceSet
+from repro.profiler.tracer import (
+    FORMAT_BINARY, MEM_DTYPE, TraceReader, TraceSet, verified_digests,
+)
 from repro.util.cachestore import CORRUPT, HIT, MISS, CacheStore
-from repro.util.hashing import hash_ranges, stable_hash
+from repro.util.hashing import hash_ranges, hash_strings, stable_hash
 from repro.util.intervals import expand_ranges
 
 #: bump whenever detector semantics, the key layout or the manifest
@@ -234,6 +236,17 @@ def _registry_digest(pre) -> str:
                         "comms": comms, "datatypes": datatypes})
 
 
+def _strings_digest(reader: TraceReader) -> str:
+    """The digest of the string table the ids of the file's memory rows
+    (``reader.mem_rows``) index: the footer's, checked when a binary
+    file was opened, for a binary file that has rows."""
+    if not len(reader.mem_rows):
+        return hash_strings([])
+    if reader.format == FORMAT_BINARY:
+        return reader.digests()["strings"]
+    return hash_strings(reader._table.strings)
+
+
 def _sync_fingerprints(control: ControlState) -> np.ndarray:
     """``fp[r]`` (32 bytes each) = hash over the matches whose minimum
     participant region is ``<= r`` (the prefix the soundness argument
@@ -285,15 +298,15 @@ class IncrementalChecker:
             raise ValueError(
                 "IncrementalChecker requires CheckConfig(incremental=True,"
                 " cache_dir=...)")
-        #: every pass of a run shares one reader per rank file
-        self.traces = SharedReaders(traces)
+        self.traces = traces
         self.config = config
         self.store = CacheStore(config.cache_dir)
         # populated by run(); public for tests
         self.control: Optional[ControlState] = None
         self.plan: Optional[CachePlan] = None
-        #: reads no rows until a plan hands it the call tables
-        self.loader = _RowLoader(self.traces, {})
+        #: the ranks whose memory rows the run used: hashed into slice
+        #: digests, or read by the kernels of a dirty shard
+        self.ranks_loaded: Set[int] = set()
         #: indices (into the plan's arrays) of the shards re-analyzed
         self.dirty_shards: List[int] = []
         self._packs_read = 0
@@ -305,33 +318,37 @@ class IncrementalChecker:
     def work(self) -> Dict[str, int]:
         """What the run did beyond the control pass, in exact counts:
         lifted calls inside the shards it re-analyzed, packs it opened
-        (``shard_files_read``), and memory rows read from the traces."""
+        (``shard_files_read``), and the memory rows of
+        :attr:`ranks_loaded`."""
         return {"calls_lifted": self._calls_lifted,
                 "shard_files_read": self._packs_read,
-                "rows_loaded": self.loader.rows_loaded}
+                "rows_loaded": sum(len(self.control.mems[rank])
+                                   for rank in self.ranks_loaded)}
 
     def run(self) -> CheckReport:
         with obs.span("analyzer.run", memory_model=self.config.memory_model,
-                      incremental=True) as run_span, self.traces:
-            report = self._run_phases()
+                      incremental=True) as run_span, \
+                self.traces.open() as readers:
+            report = self._run_phases(readers)
         publish_report_obs(report, run_span.duration)
         return report
 
-    def _run_phases(self) -> CheckReport:
+    def _run_phases(self, readers: List[TraceReader]) -> CheckReport:
         stats = CheckStats()
         timed = phase_timer(stats.phase_seconds)
         rec = obs.get_recorder()
 
         manifest = timed("resolve", lambda: _Manifest.load(
             self.store, self._cfg_key()))
-        whole = timed("digests", lambda: self._rank_digests(manifest))
+        # the cache may only answer for a file it has verified
+        whole = timed("digests", lambda: verified_digests(readers))
         findings = timed("resolve", lambda: self._whole_report(
             manifest, whole, rec, stats))
         if findings is None:
-            control = self.control = run_control_pass(self.traces, stats,
-                                                      timed)
-            plan = self.plan = timed(
-                "plan", lambda: self._build_plan(control, whole, manifest))
+            control = self.control = run_control_pass(
+                lambda: preprocess_readers(readers, mems=True), stats, timed)
+            plan = self.plan = timed("plan", lambda: self._build_plan(
+                control, readers, whole, manifest))
             resolved, dirty = timed(
                 "resolve", lambda: self._resolve(plan, manifest, rec))
             self.dirty_shards = dirty
@@ -346,8 +363,9 @@ class IncrementalChecker:
                 rec.count(f"incremental_{name}_total", value,
                           help="Work of an incremental run beyond its "
                                "control pass (IncrementalChecker.work)")
-            rec.gauge("incremental_ranks_loaded", len(self.loader.ranks),
-                      help="Ranks whose memory rows were read this run")
+            rec.gauge("incremental_ranks_loaded", len(self.ranks_loaded),
+                      help="Ranks whose memory rows were hashed or "
+                           "analyzed this run")
         annotate_context(findings, mode="incremental")
         errors = [f for f in findings if f.severity == SEVERITY_ERROR]
         warnings = [f for f in findings if f.severity == SEVERITY_WARNING]
@@ -357,24 +375,6 @@ class IncrementalChecker:
         return stable_hash({"kind": "incremental-manifest",
                             "memory_model": self.config.memory_model,
                             "nranks": self.traces.nranks})
-
-    def _rank_digests(self, manifest: Optional[_Manifest]) -> Dict[int, str]:
-        """Every rank's content digest, established from its bytes: the
-        cache may only answer for a file it has verified.  Where every
-        file claims the content the manifest describes — the report is
-        then served whole — each is closed once it is hashed."""
-        def digest(rank: int, verify: bool) -> str:
-            with self.traces.reader(rank) as reader:
-                return reader.content_digest(verify=verify)
-        ranks = range(self.traces.nranks)
-        served = manifest is not None and manifest.ranks == {
-            rank: digest(rank, False) for rank in ranks}
-        whole: Dict[int, str] = {}
-        for rank in ranks:
-            whole[rank] = digest(rank, True)
-            if served:
-                self.traces.release(rank)
-        return whole
 
     def _publish(self, kind: str, key: str, payload: dict,
                  blob: bytes = b"") -> None:
@@ -420,19 +420,17 @@ class IncrementalChecker:
 
     # ------------------------------------------------------------- plan
 
-    def _build_plan(self, control: ControlState, whole: Dict[int, str],
+    def _build_plan(self, control: ControlState,
+                    readers: List[TraceReader], whole: Dict[int, str],
                     manifest: Optional[_Manifest]) -> CachePlan:
-        """Cut the shard plan and key every shard by its content; the
-        rows it reads are checked against ``control``'s calls."""
-        self.loader = _RowLoader(self.traces,
-                                 ensure_call_tables(control.pre))
+        """Cut the shard plan and key every shard by its content."""
         shards = ShardPlan.build(control)
         first, last = shards.first, shards.last
         epoch_ids, epoch_start = shards.epoch_ids, shards.epoch_start
         nranks, epochs = control.pre.nranks, control.epochs.columns
         slices = np.stack([
             self._slice_digests(
-                control, rank, shards.lo[rank], shards.hi[rank],
+                control, readers[rank], shards.lo[rank], shards.hi[rank],
                 manifest.slices[rank] if manifest is not None
                 and manifest.ranks.get(rank) == whole[rank] else None)
             for rank in range(nranks)])
@@ -461,14 +459,14 @@ class IncrementalChecker:
         return CachePlan(shards=shards, slices=slices, ranks=whole,
                          keys=[bytes(key).hex() for key in keys])
 
-    def _slice_digests(self, control: ControlState, rank: int,
+    def _slice_digests(self, control: ControlState, reader: TraceReader,
                        lo: np.ndarray, hi: np.ndarray,
                        known: Optional[np.ndarray]) -> np.ndarray:
         """One rank's :data:`_SLICE` records for the shards' ``lo``/``hi``
-        bounds.  ``known`` is the manifest's table when the rank's file
-        is byte-identical to the one it describes: slices with recorded
-        bounds keep their digest, and only the others are hashed — which
-        takes the rank's memory rows."""
+        bounds, from its file's reader.  ``known`` is the manifest's
+        table when the rank's file is byte-identical to the one it
+        describes: slices with recorded bounds keep their digest, and
+        only the others are hashed — which loads the rank."""
         if known is not None and np.array_equal(known["lo"], lo):
             return known                           # the same cut: all of it
         table = np.zeros(len(lo), dtype=_SLICE)
@@ -482,9 +480,11 @@ class IncrementalChecker:
                 (np.append(known["lo"][1:], hi[-1:])[at] != hi)
             table["digest"][~todo] = known["digest"][at[~todo]]
         if todo.any():
-            rows, _table, strings = self.loader.packed(rank)
+            rank = reader.header.rank
+            self.ranks_loaded.add(rank)
             table["digest"][todo] = slice_digests(
-                control.pre.events[rank], rows, strings, lo[todo], hi[todo])
+                control.pre.events[rank], reader.mem_rows,
+                _strings_digest(reader), lo[todo], hi[todo])
         return table
 
     # ---------------------------------------------------------- resolve
@@ -546,9 +546,9 @@ class IncrementalChecker:
                 dirty: List[int]) -> Dict[int, tuple]:
         units = plan.shards.units(control, dirty)
         self._calls_lifted += sum(unit.calls for unit in units)
-        mems = {rank: self.loader.rows(rank)
-                for rank in ranks_read(units, control)}
-        found = run_shards(units, control, self.config.memory_model, mems)
+        self.ranks_loaded.update(ranks_read(units, control))
+        found = run_shards(units, control, self.config.memory_model,
+                           control.mems)
         computed, pack = {}, self._pack
         for shard, parts in zip(dirty, found):
             # a shard without findings stores nothing but its key

@@ -439,17 +439,22 @@ def build_access_model_sweep(pre: PreprocessedTrace,
     preprocess pass produced them on the way (``pre.mem_rows``: the
     batch checker)."""
     table = OpTable(pre, epoch_index)
-    held, pre.mem_rows = pre.mem_rows, None
-    if held is None:
+    if pre.mem_rows is None:
         with traces.open() as readers:
-            held = (*read_mems(readers),
-                    [reader._table for reader in readers])
-    rows, offsets, tables = held
+            pre.mem_rows = (*read_mems(readers),
+                            [reader._table for reader in readers])
+    return AccessModel(ops=table.ops, local=table.local,
+                       mems=take_rows(pre), table=table)
+
+
+def take_rows(pre: PreprocessedTrace) -> Dict[int, MemRows]:
+    """The set's memory rows the ingest read (``pre.mem_rows``, which
+    lets go of them), checked once against the set's calls
+    (:func:`check_mem_rows`) and split per rank."""
+    (rows, offsets, tables), pre.mem_rows = pre.mem_rows, None
     offsets = offsets.tolist()
     check_mem_rows(rows, offsets, ensure_call_table(pre))
-    return AccessModel(ops=table.ops, local=table.local,
-                       mems=MemRows.split(rows, offsets, tables),
-                       table=table)
+    return MemRows.split(rows, offsets, tables)
 
 
 class LiftCache:

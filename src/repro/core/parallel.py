@@ -57,8 +57,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.model import MemRows, attach_rows, share_rows
 from repro.core.plan import (
-    ControlState, ShardFindings, ShardUnits, _RowLoader, emit_shards,
-    find_shards, ranks_read, run_shards,
+    ControlState, ShardFindings, ShardUnits, emit_shards, find_shards,
+    ranks_read, run_shards,
 )
 from repro.obs.recorder import NullRecorder
 from repro.util.errors import AnalysisError, ReproError
@@ -497,15 +497,14 @@ def _shards_task(units: List[ShardUnits]):
 
 
 def detect_shards(units: List[ShardUnits], control: ControlState,
-                  memory_model: str, loader: _RowLoader,
+                  memory_model: str, mems: Dict[int, MemRows],
                   jobs: int) -> Tuple[List[ShardFindings], int]:
     """:func:`~repro.core.plan.run_shards` over ``units`` — in this
     process, or with ``jobs > 1`` (and more than one unit) the finding
     half as contiguous chunks over the persistent pool, gathered back in
-    unit order and emitted here.  Returns the per-shard findings and the
-    number of chunks."""
-    needed = ranks_read(units, control)
-    mems = {rank: loader.rows(rank) for rank in needed}
+    unit order and emitted here.  ``mems`` holds every rank's memory
+    rows; only those of the ranks the units read are published.
+    Returns the per-shard findings and the number of chunks."""
     if jobs <= 1 or len(units) <= 1:
         return run_shards(units, control, memory_model, mems), 1
     pool = acquire_pool(jobs)
@@ -515,7 +514,7 @@ def detect_shards(units: List[ShardUnits], control: ControlState,
         # each chunk of units once, to one worker, as a task argument;
         # the rows themselves never cross the pipe
         descs = {}
-        for rank in needed:
+        for rank in ranks_read(units, control):
             name = pool.new_segment_name(rank)
             pool.expect_segment(name)
             desc, handle = share_rows(mems[rank], name)

@@ -22,10 +22,13 @@ serial result.  This module states that once:
   findings, with their rules, as arrays (what a pool worker runs), then
   their views and findings, split back per shard (always in the process
   that holds the call events); :func:`run_shards` is one after the
-  other;
-* :class:`_RowLoader` — how a plan executor gets memory rows: a rank at
-  a time, or as a forward cursor; :class:`SharedReaders` — one open
-  reader per rank file for an executor that passes over them again.
+  other.
+
+Every executor reads the set as the batch check does, once
+(:meth:`~repro.profiler.tracer.TraceSet.open`): the pool and the cache
+take the memory rows the ingest read with the calls
+(:attr:`ControlState.mems`), the stream reads them forward from the
+readers its control pass opened.
 
 The executors are policies over it: ``jobs > 1`` ships chunks of the
 plan to the worker pool (:mod:`~repro.core.parallel`), the incremental
@@ -52,17 +55,14 @@ position — which lets :meth:`ShardPlan.merge` reproduce the cold order.
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.calltable import CallTable, ensure_call_tables
+from repro.core.calltable import ensure_call_tables
 from repro.core.clocks import ConcurrencyOracle
 from repro.core.diagnostics import ConsistencyError
 from repro.core.engine import (
@@ -71,13 +71,9 @@ from repro.core.engine import (
 )
 from repro.core.epochs import EpochIndex, LocalLockIndex
 from repro.core.matching import match_synchronization
-from repro.core.model import MemRows, OpTable, check_mem_rows
-from repro.core.preprocess import (
-    PreprocessedTrace, preprocess_calls_with_counts,
-)
+from repro.core.model import MemRows, OpTable, take_rows
+from repro.core.preprocess import PreprocessedTrace
 from repro.core.regions import RegionIndex
-from repro.profiler.tracer import TraceReader, TraceSet, read_mems
-from repro.util.hashing import hash_strings
 from repro.util.intervals import expand_ranges, grouped_searchsorted
 
 #: one shard's findings: ``(intra, inter)`` lists of ``(position,
@@ -116,7 +112,8 @@ def phase_timer(timings: Dict[str, float]) -> Callable:
 class ControlState:
     """Everything the control pass derives from call events alone:
     registries, synchronization matches, the happens-before oracle,
-    epochs, the op table and concurrent regions."""
+    epochs, the op table and concurrent regions — and the set's memory
+    rows, when the ingest read them with the calls."""
 
     pre: PreprocessedTrace
     matches: list
@@ -126,6 +123,10 @@ class ControlState:
     regions: RegionIndex
     #: per-rank per-class event counts from the trace readers
     counts: Dict[int, Dict[str, int]]
+    #: every rank's memory rows, checked against its calls
+    #: (:func:`~repro.core.model.take_rows`); ``None`` when the ingest
+    #: left them in the files (the stream)
+    mems: Optional[Dict[int, MemRows]] = None
 
     @cached_property
     def lock_index(self) -> LocalLockIndex:
@@ -147,22 +148,26 @@ class ControlState:
             epochs=len(self.epochs.epochs))
 
 
-def build_control_state(traces: TraceSet, timed=None) -> ControlState:
-    """Run the call-only control pass over a trace set (memory events
-    are stepped over undecoded, whole packed blocks at a time in binary
-    traces).  ``timed`` is a :func:`phase_timer`; the phases keep the
-    batch pipeline's names."""
+def build_control_state(pre: PreprocessedTrace,
+                        counts: Dict[int, Dict[str, int]],
+                        timed=None) -> ControlState:
+    """Run the call-only control pass over a preprocessed set — ``pre``
+    and ``counts`` as :func:`~repro.core.preprocess.preprocess_readers`
+    gives them.  ``timed`` is a :func:`phase_timer`; the phases keep the
+    batch pipeline's names, and memory rows the ingest held
+    (``pre.mem_rows``) are checked and split in ``model``, as in the
+    batch model build."""
     timed = timed or phase_timer({})
-    pre, counts = timed("preprocess",
-                        lambda: preprocess_calls_with_counts(traces))
     matches = timed("matching", lambda: match_synchronization(pre),
                     nranks=pre.nranks, events=pre.total_events)
     oracle = timed("clocks", lambda: ConcurrencyOracle(pre, matches))
     epochs = timed("epochs", lambda: EpochIndex(pre))
     table = timed("model", lambda: OpTable(pre, epochs))
+    mems = None if pre.mem_rows is None else timed(
+        "model", lambda: take_rows(pre))
     regions = timed("regions", lambda: RegionIndex(pre, matches))
     return ControlState(pre, matches, oracle, epochs, table, regions,
-                        counts)
+                        counts, mems)
 
 
 # ------------------------------------------------------------- the plan
@@ -350,7 +355,7 @@ def find_shards(units: List[ShardUnits], table: OpTable,
     order).
     Reads columns only — what a pool worker holds.  ``mems`` maps the
     ranks the units read to :class:`MemRows` holding at least the rows
-    inside the units' bounds — whole ranks from the row-loader or the
+    inside the units' bounds — whole ranks from the control state or the
     attached shared segments, a release's rows from the forward
     cursor."""
     return (
@@ -392,134 +397,3 @@ def run_shards(units: List[ShardUnits], control: ControlState,
         units, find_shards(units, control.table, control.members,
                            control.oracle, memory_model, mems),
         control, mems)
-
-
-# ------------------------------------------------------------ row access
-
-
-class SharedReaders:
-    """A :class:`TraceSet` as a plan executor that passes over the files
-    more than once sees it: ``reader(rank)`` opens a rank file the first
-    time it is asked for, hands the same reader to every later ``with``,
-    and all of them close when this object's own ``with`` ends — digest
-    verification, the control pass and the row loader of an incremental
-    run share one reader per rank."""
-
-    def __init__(self, traces: TraceSet):
-        self._traces = traces
-        self.nranks = traces.nranks
-        self._open: Dict[int, TraceReader] = {}
-
-    def _reader(self, rank: int) -> TraceReader:
-        reader = self._open.get(rank)
-        if reader is None:
-            reader = self._open[rank] = self._traces.reader(rank)
-        return reader
-
-    @contextmanager
-    def reader(self, rank: int) -> Iterator[TraceReader]:
-        yield self._reader(rank)
-
-    @contextmanager
-    def open(self) -> Iterator[List[TraceReader]]:
-        """Every rank's shared reader, as :meth:`TraceSet.open` hands a
-        set's: they stay open when the block ends."""
-        yield [self._reader(rank) for rank in range(self.nranks)]
-
-    def release(self, rank: int) -> None:
-        """Close ``rank``'s reader now; asked for again, it reopens."""
-        self._open.pop(rank).close()
-
-    def __enter__(self) -> "SharedReaders":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        for rank in list(self._open):
-            self.release(rank)
-
-
-class _RowLoader:
-    """How a plan executor gets memory rows, and the count of what it
-    read.  Whole-rank (:meth:`packed` / :meth:`rows`): each rank at most
-    once per run — as one struct array for the slice digests, as
-    :class:`MemRows` columns for the kernels.  Forward cursor
-    (:meth:`take`): the rows before a seq bound, then forgotten.  One
-    loader serves one of the two.  Every row is checked
-    (:func:`~repro.core.model.check_mem_rows`) against its rank's call
-    table in ``calls`` as it is read."""
-
-    def __init__(self, traces: TraceSet, calls: Dict[int, CallTable]):
-        self._traces = traces
-        self._calls = calls
-        #: rank -> [struct array (until the columns replace it), string
-        #: table, string-table digest]
-        self._packed: Dict[int, list] = {}
-        self._rows: Dict[int, MemRows] = {}
-        #: cursor state: rank -> [block iterator, string table, rows read
-        #: past the last bound]
-        self._cursor: Dict[int, list] = {}
-        self.rows_loaded = 0
-
-    def packed(self, rank: int) -> list:
-        entry = self._packed.get(rank)
-        if entry is None:
-            with self._traces.reader(rank) as reader:
-                rows, offsets = read_mems([reader])
-                table = reader._table if len(rows) else None
-            check_mem_rows(rows, offsets, self._calls[rank])
-            entry = self._packed[rank] = [rows, table, hash_strings(
-                table.strings if table is not None else [])]
-            self.rows_loaded += len(rows)
-        return entry
-
-    def rows(self, rank: int) -> MemRows:
-        rows = self._rows.get(rank)
-        if rows is None:
-            entry = self.packed(rank)
-            rows = self._rows[rank] = MemRows.from_struct(rank, entry[1],
-                                                          entry[0])
-            entry[0] = None
-        return rows
-
-    @property
-    def ranks(self) -> List[int]:
-        return sorted(self._packed)
-
-    def _blocks(self, rank: int):
-        last = None
-        for block in self._traces.mem_blocks(rank):
-            rows = block.array
-            check_mem_rows(rows, [0, len(rows)], self._calls[rank],
-                           after=last)
-            if len(rows):
-                last = int(rows["seq"][-1])
-            yield block.table, rows
-
-    def take(self, rank: int, upto: int) -> Optional[MemRows]:
-        """Drain the rank's rows with ``seq < upto`` — those not handed
-        out by an earlier call — or ``None`` when there are none.
-        ``upto`` must not decrease from call to call."""
-        state = self._cursor.get(rank)
-        if state is None:
-            state = self._cursor[rank] = [self._blocks(rank), None, None]
-        pieces: List[np.ndarray] = []
-        piece, state[2] = state[2], None
-        while True:
-            if piece is None:
-                block = next(state[0], None)
-                if block is None:
-                    break
-                state[1], piece = block
-            cut = int(np.searchsorted(piece["seq"], upto))
-            if cut:
-                pieces.append(piece[:cut])
-            if cut < len(piece):
-                state[2] = piece[cut:]
-                break
-            piece = None
-        if not pieces:
-            return None
-        self.rows_loaded += sum(len(piece) for piece in pieces)
-        return MemRows.from_struct(
-            rank, state[1],
-            pieces[0] if len(pieces) == 1 else np.concatenate(pieces))

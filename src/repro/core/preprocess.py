@@ -24,7 +24,7 @@ from repro import obs
 from repro.core.calltable import rows_calling
 from repro.profiler.events import DATATYPE_CALLS, CallEvent, Event
 from repro.profiler.tracer import (
-    FORMAT_BINARY, TraceSet, read_mems, stack_calls,
+    FORMAT_BINARY, TraceReader, TraceSet, read_mems, stack_calls,
 )
 from repro.util.datatypes import (
     PRIMITIVES_BY_ID, WORLD_COMM_ID, Datatype, DatatypeFactory,
@@ -190,9 +190,9 @@ class PreprocessedTrace:
         #: ingest; else None (ensure_call_table builds the tables)
         self.call_table = self.call_tables = self.call_columns = None
         #: the set's memory rows the call pass read on the way
-        #: (:func:`preprocess_calls`): ``(rows, offsets, string tables)``
-        #: of :func:`~repro.profiler.tracer.read_mems`, taken by
-        #: ``build_access_model_sweep`` in place of a second read
+        #: (:func:`preprocess_readers` with ``mems``): ``(rows, offsets,
+        #: string tables)`` of :func:`~repro.profiler.tracer.read_mems`,
+        #: taken by ``model.take_rows`` in place of a second read
         self.mem_rows: Optional[tuple] = None
         if scans is None:
             scans = [scan_rank(rank, events[rank])
@@ -301,34 +301,39 @@ def preprocess_calls(traces: TraceSet) -> PreprocessedTrace:
     decoded by the same bulk pass (text) or expanded from the frames,
     every file's at once (binary) — and the model phase does not open
     the files a second time."""
-    pre, _counts = preprocess_calls_with_counts(traces, mems=True)
-    return pre
+    return preprocess_calls_with_counts(traces)[0]
 
 
 def preprocess_calls_with_counts(
-        traces: TraceSet, mems: bool = False
+        traces: TraceSet
 ) -> Tuple[PreprocessedTrace, Dict[int, Dict[str, int]]]:
     """:func:`preprocess_calls` plus the per-rank per-class event counts
-    the readers produced along the way — the incremental checker needs
-    them to derive report statistics without touching memory events.
-    Memory rows are kept only with ``mems``: the streaming and
-    incremental control passes load rows later, a region or a dirty
-    shard at a time.
+    the readers produced along the way — the plan executors derive report
+    statistics from them: :func:`preprocess_readers` over the set, read
+    as one (``traces.open()``), memory rows included."""
+    with traces.open() as readers:
+        return preprocess_readers(readers, mems=True)
 
-    The set is read as one (``traces.open()``): its calls stacked and
+
+def preprocess_readers(readers: Sequence[TraceReader], mems: bool = False
+                       ) -> Tuple[PreprocessedTrace,
+                                  Dict[int, Dict[str, int]]]:
+    """The call ingest over a set's open readers: its calls stacked and
     checked once, its :data:`REGISTRY_CALLS` events built by one
     ``take`` and split by rank for the scans, each rank's view of the
     call columns and of the call table sliced when a phase first asks
-    for it."""
-    with traces.open() as readers:
-        parts = [reader.rank_calls(mems=mems) for reader in readers]
-        cols, table = stack_calls(parts)
-        counts_by_rank = {reader.header.rank: reader.counts()
-                          for reader in readers}
-        held = (*read_mems(readers), [reader._table for reader in readers]
-                ) if mems else None
-        binary = [part for part, reader in zip(parts, readers)
-                  if reader.format == FORMAT_BINARY]
+    for it.  With ``mems``, every memory row of the set too, expanded
+    once (:func:`read_mems`), with each file's string table, in
+    ``pre.mem_rows``; without, the streaming control pass leaves them to
+    its forward cursor."""
+    parts = [reader.rank_calls(mems=mems) for reader in readers]
+    cols, table = stack_calls(parts)
+    counts_by_rank = {reader.header.rank: reader.counts()
+                      for reader in readers}
+    held = (*read_mems(readers), [reader._table for reader in readers]
+            ) if mems else None
+    binary = [part for part, reader in zip(parts, readers)
+              if reader.format == FORMAT_BINARY]
     if binary:
         for route, n in (("columnar", sum(len(seq) for part in binary
                                           for seq in part.seq)),
@@ -341,10 +346,10 @@ def preprocess_calls_with_counts(
     scans = [scan_rank(rank, events[cut[rank]:cut[rank + 1]],
                        n_events=counts["call"] + counts["mem"])
              for rank, counts in counts_by_rank.items()]
-    pre = PreprocessedTrace(RankViews(cols.view, traces.nranks),
-                            scans=scans)
+    nranks = len(readers)
+    pre = PreprocessedTrace(RankViews(cols.view, nranks), scans=scans)
     pre.call_columns, pre.call_table = cols, table
-    pre.call_tables = RankViews(table.view, traces.nranks)
+    pre.call_tables = RankViews(table.view, nranks)
     pre.mem_rows = held
     return pre, counts_by_rank
 

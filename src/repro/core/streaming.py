@@ -5,7 +5,8 @@ extend it to perform online analysis by leveraging streaming processing
 algorithms in the future."  This module is that extension, as a release
 policy over the shard plan (:mod:`repro.core.plan`): memory is bounded
 by the synchronization structure plus *one release's* load/store events,
-not the full trace.  Two passes over the per-rank trace files:
+not the full trace.  Two passes over the per-rank trace files, which are
+opened once (:meth:`~repro.profiler.tracer.TraceSet.open`) for both:
 
 1. **Control pass** (:func:`~repro.core.plan.build_control_state`) —
    MPI *call* events only: registries, matches, the happens-before
@@ -16,9 +17,9 @@ not the full trace.  Two passes over the per-rank trace files:
    consecutive shards as hold at most :data:`~repro.core.engine.BATCH_ROWS`
    memory rows (always at least one): their units are named as index
    arrays over the control pass's op table, exactly their rows are read
-   through the forward cursor (:meth:`~repro.core.plan._RowLoader.take`),
-   both kernels run over them (:func:`~repro.core.plan.run_shards`), the
-   rows are dropped.
+   through the forward cursor (:meth:`RowCursor.take`) from the readers
+   the control pass opened, both kernels run over them
+   (:func:`~repro.core.plan.run_shards`), the rows are dropped.
    No epoch cursor is needed: a shard is closed under epoch interiors,
    op spans and local spans, so nothing a release reads is still open
    when it ends.
@@ -34,16 +35,20 @@ batch pipeline (differential-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core import engine
-from repro.core.calltable import ensure_call_tables
+from repro.core.calltable import CallTable, ensure_call_tables
 from repro.core.diagnostics import ConsistencyError, dedupe, sort_findings
+from repro.core.model import MemRows, check_mem_rows
 from repro.core.plan import (
-    ShardFindings, ShardPlan, _RowLoader, build_control_state, phase_timer,
-    run_shards,
+    ControlState, ShardFindings, ShardPlan, build_control_state,
+    phase_timer, run_shards,
 )
-from repro.profiler.tracer import TraceSet
+from repro.core.preprocess import preprocess_readers
+from repro.profiler.tracer import TraceReader, TraceSet
 
 
 @dataclass
@@ -59,8 +64,62 @@ class ShardReport:
                 for error in errors]
 
 
+class RowCursor:
+    """Each rank's memory rows read forward, a block at a time, from the
+    set's open readers: :meth:`take` hands out the rows before a seq
+    bound, which are then forgotten.  Every row is checked
+    (:func:`~repro.core.model.check_mem_rows`) against its rank's call
+    table in ``calls`` as it is read."""
+
+    def __init__(self, readers: Sequence[TraceReader],
+                 calls: Dict[int, CallTable]):
+        self._readers = readers
+        self._calls = calls
+        #: rank -> [block iterator, rows read past the last bound]
+        self._cursor: Dict[int, list] = {}
+
+    def _blocks(self, rank: int):
+        last = None
+        for block in self._readers[rank].mem_blocks():
+            rows = block.array
+            check_mem_rows(rows, [0, len(rows)], self._calls[rank],
+                           after=last)
+            if len(rows):
+                last = int(rows["seq"][-1])
+            yield rows
+
+    def take(self, rank: int, upto: int) -> Optional[MemRows]:
+        """Drain the rank's rows with ``seq < upto`` — those not handed
+        out by an earlier call — or ``None`` when there are none.
+        ``upto`` must not decrease from call to call."""
+        state = self._cursor.get(rank)
+        if state is None:
+            state = self._cursor[rank] = [self._blocks(rank), None]
+        pieces: List[np.ndarray] = []
+        piece, state[1] = state[1], None
+        while True:
+            if piece is None:
+                piece = next(state[0], None)
+                if piece is None:
+                    break
+            cut = int(np.searchsorted(piece["seq"], upto))
+            if cut:
+                pieces.append(piece[:cut])
+            if cut < len(piece):
+                state[1] = piece[cut:]
+                break
+            piece = None
+        if not pieces:
+            return None
+        return MemRows.from_struct(
+            rank, self._readers[rank]._table,
+            pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+
+
 class StreamingChecker:
-    """Release-at-a-time DN-Analyzer with bounded data-event memory."""
+    """Release-at-a-time DN-Analyzer with bounded data-event memory.
+    Both passes run in :meth:`run`, over one open set; ``control`` and
+    ``plan`` are there once it has started."""
 
     def __init__(self, traces: TraceSet, memory_model: str = "separate"):
         self.traces = traces
@@ -71,18 +130,16 @@ class StreamingChecker:
         #: ``CheckStats.phase_seconds`` of the run so far
         self.phase_seconds: Dict[str, float] = {}
         self._timed = phase_timer(self.phase_seconds)
-        self.control = build_control_state(traces, self._timed)
-        self.regions = self.control.regions
-        self.plan: ShardPlan = self._timed(
-            "plan", lambda: ShardPlan.build(self.control))
+        self.control: Optional[ControlState] = None
+        self.plan: Optional[ShardPlan] = None
 
-    def _release(self, loader: _RowLoader, lo: int,
+    def _release(self, cursor: RowCursor, lo: int,
                  hi: int) -> List[ShardFindings]:
         control, plan = self.control, self.plan
         units = plan.units(control, range(lo, hi))
         mems = {}
         for rank, upto in enumerate(plan.hi[:, hi - 1].tolist()):
-            rows = loader.take(rank, upto)
+            rows = cursor.take(rank, upto)
             if rows is not None:
                 mems[rank] = rows
         self.peak_buffered_mems = max(
@@ -92,16 +149,21 @@ class StreamingChecker:
         return run_shards(units, control, self.memory_model, mems)
 
     def run(self) -> Iterator[ShardReport]:
-        """Pass 2: yield per-shard findings, release by release."""
-        loader = _RowLoader(self.traces,
-                            ensure_call_tables(self.control.pre))
-        for lo, hi in engine.batch_bounds(self.plan.rows.tolist(),
-                                          engine.BATCH_ROWS):
-            found = self._timed(
-                "detect", lambda: self._release(loader, lo, hi),
-                shards=hi - lo)
-            for shard, parts in enumerate(found, lo):
-                yield ShardReport(shard, parts)
+        """Both passes: the control pass and the plan, then per-shard
+        findings, release by release."""
+        with self.traces.open() as readers:
+            control = self.control = build_control_state(
+                *self._timed("preprocess", lambda: preprocess_readers(
+                    readers)), self._timed)
+            self.plan = self._timed("plan", lambda: ShardPlan.build(control))
+            cursor = RowCursor(readers, ensure_call_tables(control.pre))
+            for lo, hi in engine.batch_bounds(self.plan.rows.tolist(),
+                                              engine.BATCH_ROWS):
+                found = self._timed(
+                    "detect", lambda: self._release(cursor, lo, hi),
+                    shards=hi - lo)
+                for shard, parts in enumerate(found, lo):
+                    yield ShardReport(shard, parts)
 
     def finish(self, reports: List[ShardReport]) -> List[ConsistencyError]:
         """The run's deduplicated findings, in the batch report's order."""

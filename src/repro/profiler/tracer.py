@@ -1081,8 +1081,10 @@ class TraceReader:
         #: the rank's columnar CallTable, populated as a side product of
         #: :meth:`read_calls`
         self.call_table = None
-        #: a text rank's memory blocks, after ``rank_calls(mems=True)``
-        self.call_mems: Optional[List[MemBlock]] = None
+        #: the file's memory rows once a pass has read them — the text
+        #: parse that asked for them (``rank_calls(mems=True)``), or
+        #: :func:`read_mems` — so that none is read twice
+        self.mem_rows: Optional[np.ndarray] = None
         self._mm = self._fh = None
         self._fh = fh = open(path, "rb", buffering=0)
         try:
@@ -1388,17 +1390,18 @@ class TraceReader:
 
         ``mems`` asks a text trace for its memory events too, for a
         caller that would otherwise parse the file again: the same bulk
-        pass decodes them into ``self.call_mems`` (a binary trace maps
+        pass decodes them into ``self.mem_rows`` (a binary trace maps
         them whenever :func:`read_mems` asks)."""
         if self.format == FORMAT_BINARY:
             return self._call_columns()
         rank = self.header.rank
         records = _CallRecords(rank, _StringTable())
         section = _TextSection(self, records.add, columns=mems)
-        blocks = [MemBlock(rank, self._table, rows)
-                  for rows, _calls, _cuts in section if mems and len(rows)]
+        chunks = [rows for rows, _calls, _cuts in section
+                  if mems and len(rows)]
         if mems:
-            self.call_mems = blocks
+            self.mem_rows = _concat(chunks) if chunks else np.empty(
+                0, MEM_DTYPE)
         self._counts = section.counts
         return records.finish(self._call_line)
 
@@ -1532,38 +1535,34 @@ class TraceReader:
         """One digest summarizing format + content of this rank's file.
 
         A text trace's digest is of its bytes; a binary trace's is what
-        its footer *records*.  ``verify`` first recomputes it from the
-        frames — what a cache does before it answers for the file, so a
-        data section altered under an intact footer is a typed error and
-        not a stale report."""
-        digests = self.digests()
-        if verify and self.format == FORMAT_BINARY \
-                and self._recompute_binary_digests() != digests:
-            raise TraceFormatError(
-                f"{self.path}: the content digests recorded in the "
-                "footer disagree with the data section")
-        return stable_hash({"format": self.format, "digests": digests})
+        its footer *records*.  ``verify`` first checks it against the
+        frames — the one-rank case of :func:`verified_digests`, what a
+        cache does before it answers for the file."""
+        if verify:
+            return verified_digests([self])[self.header.rank]
+        return stable_hash({"format": self.format,
+                            "digests": self.digests()})
 
-    def _recompute_binary_digests(self) -> Dict[str, str]:
-        """The writer's digests, recomputed from the mapped frames
-        (identical formulas)."""
-        mm = self._map()
-        columns = [hashlib.sha256() for _ in CALL_COLUMNS]
-        codec, mems = hashlib.sha256(), hashlib.sha256()
-        for kind, offset, rows in zip(*self._frames):
+    def _data_digests(self) -> Dict[str, str]:
+        """A binary file's ``calls`` and ``mems`` digests by the
+        writer's formulas, from what ingest built of it: the columns
+        :meth:`rank_calls` maps, the raw ``C`` frames, and the memory
+        rows :func:`read_mems` left in ``mem_rows``."""
+        mm, calls = self._map(), self.rank_calls()
+        columns = []
+        for name, code in CALL_COLUMNS:
+            digest = hashlib.sha256()
+            for chunk in getattr(calls, name):
+                digest.update(chunk.astype(CALL_DTYPES[code], copy=False))
+            columns.append(digest.digest())
+        codec = hashlib.sha256()
+        for kind, offset, _rows in zip(*self._frames):
             if kind == "C":
                 length = _U32.unpack_from(mm, offset + 1)[0]
                 codec.update(mm[offset + 1:offset + 5 + length])
-            elif kind == "K":
-                for digest, (_name, code), (_n, dtype, count, at) in zip(
-                        columns, CALL_COLUMNS, self._layouts[offset][1]):
-                    digest.update(np.frombuffer(mm, dtype, count, at).astype(
-                        CALL_DTYPES[code]).tobytes())
-        mems.update(read_mems([self])[0].tobytes())
-        calls = calls_digest([h.digest() for h in columns],
-                             self._shapes_raw, codec.digest())
-        return {"calls": calls, "mems": mems.hexdigest(),
-                "strings": hash_strings(self._table.strings)}
+        return {"calls": calls_digest(columns, self._shapes_raw,
+                                      codec.digest()),
+                "mems": hashlib.sha256(self.mem_rows).hexdigest()}
 
     def mem_blocks(self) -> Iterator[MemBlock]:
         """Memory events only, packed (the vectorized data pass): text
@@ -1737,22 +1736,49 @@ def read_mems(readers: Sequence[TraceReader]
     """Every memory row of ``readers`` — a set's files in rank order,
     or one — back to back, and the offsets of each file's rows: one
     :func:`_segment_rows` over every segment of every file, the chunks
-    a text file decodes (``call_mems`` when the call pass kept them)
-    being segments without runs."""
+    a text file decodes being segments without runs.  Each file's rows
+    are left in its reader's ``mem_rows``, and taken from there when a
+    pass has read them already."""
     segments: list = []
     firsts = [0]
     for reader in readers:
-        if reader.format == FORMAT_BINARY:
+        if reader.mem_rows is not None:
+            segments.append((reader, None, reader.mem_rows))
+        elif reader.format == FORMAT_BINARY:
             segments += [(reader, pos, lone)
                          for _s, _e, pos, lone in reader._segments()
                          if pos is not None or lone is not None]
         else:
-            blocks = reader.call_mems
-            segments += [(reader, None, block.array) for block in (
-                reader.mem_blocks() if blocks is None else blocks)]
+            segments += [(reader, None, block.array)
+                         for block in reader.mem_blocks()]
         firsts.append(len(segments))
     rows, at = _segment_rows(segments)
-    return rows, at[firsts]
+    at = at[firsts]
+    for reader, lo, hi in zip(readers, at[:-1], at[1:]):
+        reader.mem_rows = rows[lo:hi]
+    return rows, at
+
+
+def verified_digests(readers: Sequence[TraceReader]) -> Dict[int, str]:
+    """Each file's :meth:`~TraceReader.content_digest`, by rank, once
+    every binary file's data section is held to the ``calls`` and
+    ``mems`` digests its footer records — hashed from what the ingest
+    builds of it: its call columns and its rows, read with the other
+    binary files' (:func:`read_mems`).  The ``strings`` digest was
+    checked when the file was opened.  The first file that disagrees is
+    refused."""
+    binary = [reader for reader in readers
+              if reader.format == FORMAT_BINARY]
+    read_mems(binary)
+    for reader in binary:
+        recorded = reader.digests()
+        if reader._data_digests() != {
+                key: recorded[key] for key in ("calls", "mems")}:
+            raise TraceFormatError(
+                f"{reader.path}: the content digests recorded in the "
+                "footer disagree with the data section")
+    return {reader.header.rank: reader.content_digest()
+            for reader in readers}
 
 
 def _interleave(rank: int, table: _StringTable, mems: np.ndarray,

@@ -38,8 +38,12 @@ def hash_strings(strings: Sequence[str]) -> str:
     """Digest of an ordered string sequence (a binary trace's string table).
 
     Each string is length-prefixed, so ``["ab", "c"]`` and ``["a", "bc"]``
-    digest differently.
+    digest differently.  An all-ASCII table — the usual one — is hashed
+    as one joined string, encoded once: its UTF-8 length is its length.
     """
+    joined = "".join([f"{len(string)}\x00{string}" for string in strings])
+    if joined.isascii():
+        return hashlib.sha256(joined.encode("ascii")).hexdigest()
     return hashlib.sha256(b"".join(
         b"%d%b%b" % (len(raw), _LEN_SEP, raw)
         for raw in (text.encode("utf-8") for text in strings))).hexdigest()

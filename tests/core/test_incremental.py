@@ -13,6 +13,8 @@ import json
 import os
 import pathlib
 import shutil
+import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,12 +27,16 @@ from repro.core import incremental
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig
 from repro.core.incremental import IncrementalChecker
-from repro.core.plan import _RowLoader, build_control_state
+from repro.core.model import check_mem_rows
+from repro.core.plan import build_control_state
+from repro.core.preprocess import preprocess_calls_with_counts
 from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import profile_program
 from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.session import profile_run
-from repro.profiler.tracer import TraceReader, TraceSet, TraceWriter
+from repro.profiler.tracer import (
+    TraceReader, TraceSet, TraceWriter, read_mems,
+)
 from repro.simmpi import DOUBLE
 from repro.util.location import SourceLocation
 from tests.reference.incremental import (
@@ -230,8 +236,9 @@ class TestInvalidation:
                                                                tmp_path):
         generated = generate_program(GenConfig(
             seed=1, nranks=5, rounds=3, bugs=(), trace_format="binary"))
-        control = build_control_state(profile_program(
-            generated, trace_dir=str(tmp_path / "traces")).traces)
+        control = build_control_state(*preprocess_calls_with_counts(
+            profile_program(generated,
+                            trace_dir=str(tmp_path / "traces")).traces))
         # cuts, directed pairs, and a collective that is no cut
         matches = list(control.matches)
         del next(m for m in matches if m.is_global(5)).members[4]
@@ -430,10 +437,22 @@ class TestWorkProportionality:
         shutil.copytree(config.cache_dir, tmp_path / "cache")
         return config.replace(cache_dir=str(tmp_path / "cache"))
 
-    def test_one_changed_address_reruns_one_shard(self, lu16, tmp_path):
+    def test_one_changed_address_reruns_one_shard(self, lu16, tmp_path,
+                                                  monkeypatch):
         base, edited, config = lu16
         checker = IncrementalChecker(edited, self._fresh(config, tmp_path))
+        # the re-check opens every rank file once and walks its memory
+        # rows once, as a plain check does
+        opened, walked = Counter(), Counter()
+        monkeypatch.setattr(TraceReader, "_open", lambda self, path, real=
+                            TraceReader._open: (opened.update([path]),
+                                                real(self, path))[1])
+        monkeypatch.setattr(TraceReader, "_segments", lambda self, real=
+                            TraceReader._segments: (walked.update(
+                                [self.path]), real(self))[1])
         report, outcomes = _outcomes(checker.run)
+        assert opened == walked == Counter(edited.path(rank)
+                                           for rank in range(16))
         assert canonical(report) == canonical(check_traces(edited))
         (dirty,) = checker.dirty_shards
         n_shards = len(checker.plan.keys)
@@ -462,10 +481,10 @@ class TestWorkProportionality:
                                 int(plan.shards.last[dirty]) + 1)
                  for op in rows[start[r]:start[r + 1]]
                  for rank in (table.rank[op], table.target[op])}
-        assert self.RANK in checker.loader.ranks
-        assert set(checker.loader.ranks) <= {self.RANK} | reads
+        assert self.RANK in checker.ranks_loaded
+        assert checker.ranks_loaded <= {self.RANK} | reads
         loaded = 0
-        for rank in checker.loader.ranks:
+        for rank in checker.ranks_loaded:
             with edited.reader(rank) as reader:
                 loaded += reader.counts()["mem"]
         assert work["rows_loaded"] == loaded
@@ -504,26 +523,25 @@ class TestWorkProportionality:
     def test_unchanged_rerun_lifts_and_opens_nothing(self, lu16, tmp_path,
                                                      monkeypatch):
         base, _edited, config = lu16
-        # a file is closed once it is hashed: the set is never resident
-        # whole
+        # the set is held open once, as a batch check holds it: each
+        # file opened once, and every one closed when run() returns
         log = []
-        monkeypatch.setattr(
-            TraceReader, "content_digest",
-            lambda self, verify=False, real=TraceReader.content_digest: (
-                log.append(("hash", self.header.rank) if verify else None),
-                real(self, verify))[1])
+        monkeypatch.setattr(TraceReader, "_open", lambda self, path, real=
+                            TraceReader._open: (log.append(("open", path)),
+                                                real(self, path))[1])
         monkeypatch.setattr(TraceReader, "close", lambda self, real=
                             TraceReader.close: (log.append(
-                                ("close", self.header.rank)), real(self))[1])
+                                ("close", self.path)), real(self))[1])
         checker = IncrementalChecker(base, self._fresh(config, tmp_path))
         _report, outcomes = _outcomes(checker.run)
-        assert [step for step in log if step] == [
-            (what, rank) for rank in range(16) for what in ("hash", "close")]
+        paths = [base.path(rank) for rank in range(16)]
+        assert log == [("open", path) for path in paths] + [
+            ("close", path) for path in paths]
         assert outcomes["hit"] > 100 and sum(outcomes.values()) == \
             outcomes["hit"]
         assert checker.work() == {"calls_lifted": 0, "shard_files_read": 0,
                                   "rows_loaded": 0}
-        assert checker.loader.ranks == []
+        assert checker.ranks_loaded == set()
 
     def test_without_a_manifest_every_shard_is_one_file_read(self, lu16,
                                                              tmp_path):
@@ -542,7 +560,7 @@ class TestWorkProportionality:
         assert len(checker.plan.keys) > 100
         assert work["shard_files_read"] == 1
         assert work["calls_lifted"] == 0
-        assert checker.loader.ranks == list(range(16))
+        assert checker.ranks_loaded == set(range(16))
 
     def test_cold_run_bookkeeping_does_not_grow_with_the_shards(
             self, lu16, tmp_path, monkeypatch):
@@ -839,12 +857,13 @@ class TestCacheMutations:
         self._heals(traces, config, expected)
 
     def _keys(self, traces, config) -> list:
-        checker = IncrementalChecker(traces, config)
-        checker.run()
-        with checker.traces:
-            return checker._build_plan(
-                build_control_state(traces), checker._rank_digests(None),
-                None).keys
+        """The shard keys of ``traces`` under ``config``, from a cold run
+        over a cache of its own."""
+        with tempfile.TemporaryDirectory() as cache_dir:
+            checker = IncrementalChecker(
+                traces, config.replace(cache_dir=cache_dir))
+            checker.run()
+            return checker.plan.keys
 
     def test_old_engine_version_cache_directory(self, populated, tmp_path):
         """A cache written by an old engine revision — bare JSON
@@ -1000,8 +1019,9 @@ def _both_digests(events, directory, trace_format, lo, hi):
             writer.write(event)
     with TraceReader(path) as reader:
         cols, _counts = reader.read_calls()
-        loader = _RowLoader(TraceSet(str(directory)), {0: reader.call_table})
-    rows, _table, strings = loader.packed(0)
+        rows, offsets = read_mems([reader])
+        check_mem_rows(rows, offsets, reader.call_table)
+        strings = incremental._strings_digest(reader)
     bounds = np.array([lo]), np.array([hi])
     return (incremental.slice_digests(cols, rows, strings, *bounds).tobytes(),
             reference_slice_digests(list(cols), rows, strings, [lo], [hi])[0])

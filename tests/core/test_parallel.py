@@ -15,7 +15,6 @@ import pytest
 
 from repro import obs
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
-from repro.core.calltable import ensure_call_tables
 from repro.core.checker import check_traces
 from repro.core.config import CheckConfig, resolve_jobs
 from repro.core.parallel import (
@@ -23,8 +22,9 @@ from repro.core.parallel import (
 )
 from repro.core.model import share_rows
 from repro.core.plan import (
-    ShardPlan, _RowLoader, build_control_state, find_shards, ranks_read,
+    ShardPlan, build_control_state, find_shards, ranks_read,
 )
+from repro.core.preprocess import preprocess_calls_with_counts
 from repro.profiler.session import profile_run
 from repro.util.errors import AnalysisError
 from tests.reference.pairwise import (
@@ -256,11 +256,11 @@ class TestWorkerFailure:
         index arrays in, index arrays out, equal to the in-process
         finding half."""
         traces = traces_for(ALL_CASES[4])  # jacobi: rows meet exposures
-        control = build_control_state(traces)
+        control = build_control_state(
+            *preprocess_calls_with_counts(traces))
         plan = ShardPlan.build(control)
         units = plan.units(control, range(len(plan)))
-        loader = _RowLoader(traces, ensure_call_tables(control.pre))
-        mems = {rank: loader.rows(rank)
+        mems = {rank: control.mems[rank]
                 for rank in ranks_read(units, control)}
         columns = (control.table, control.members, control.oracle,
                    "separate")

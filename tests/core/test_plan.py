@@ -24,14 +24,12 @@ from repro.apps.heat2d import heat2d
 from repro.apps.lu import lu
 from repro.apps.registry import BUG_CASES, EXTRA_CASES
 from repro.core import engine
-from repro.core.calltable import ensure_call_tables
 from repro.core.checker import CheckReport, CheckStats, check_traces
 from repro.core.config import CheckConfig
 from repro.core.diagnostics import dedupe, sort_findings
 from repro.core.incremental import IncrementalChecker
-from repro.core.plan import (
-    ShardPlan, _RowLoader, build_control_state, ranks_read, run_shards,
-)
+from repro.core.plan import ShardPlan, build_control_state, run_shards
+from repro.core.preprocess import preprocess_calls_with_counts
 from repro.gen import GenConfig, generate_program
 from repro.gen.fuzz import canonical_report, profile_program
 from repro.profiler.session import profile_run
@@ -95,12 +93,11 @@ class State:
 
     def __init__(self, traces):
         self.traces = traces
-        self.control = build_control_state(traces)
+        self.control = build_control_state(
+            *preprocess_calls_with_counts(traces))
         self.plan = ShardPlan.build(self.control)
         self.units = self.plan.units(self.control, range(len(self.plan)))
-        loader = _RowLoader(traces, ensure_call_tables(self.control.pre))
-        self.mems = {rank: loader.rows(rank)
-                     for rank in ranks_read(self.units, self.control)}
+        self.mems = self.control.mems
         self.serial = {
             model: canonical_report(check_traces(
                 traces, CheckConfig(memory_model=model)))

@@ -60,7 +60,7 @@ class TestBoundedMemory:
         traces = traces_for("lu-clean")
         total_mems = traces.event_counts()["mem"]
         _findings, checker = check_streaming(traces)
-        assert len(checker.regions) > 4 and checker.releases > 4
+        assert len(checker.control.regions) > 4 and checker.releases > 4
         assert checker.plan.rows.sum() == total_mems
         assert 0 < checker.peak_buffered_mems <= \
             max(budget, checker.plan.rows.max()) < total_mems / 4
@@ -132,4 +132,4 @@ class TestTruncatedTraces:
         findings, checker = check_streaming(traces)
         assert any(f.severity == "error" for f in findings)
         # the open epoch merges its tail into the last shard
-        assert checker.plan.last[-1] == len(checker.regions) - 1
+        assert checker.plan.last[-1] == len(checker.control.regions) - 1

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import gc
 import glob
+import itertools
 import json
 import os
 import re
@@ -531,7 +532,8 @@ def poke_run(path, field, value, run=0):
     poke(path, offset + 9 + 45 * run + shift, fmt, value)
     try:
         with TraceReader(path) as reader:
-            digests = reader._recompute_binary_digests()
+            read_mems([reader])
+            digests = {**reader.digests(), **reader._data_digests()}
     except TraceFormatError:
         return offset
     rewrite_footer(path, lambda footer: footer.update(digests=digests))
@@ -798,23 +800,65 @@ class TestFooterStrings:
         assert "TraceFormatError" in outcomes
 
 
+def _one_rank_edited(fixture, directory):
+    """A copy of a committed set in ``directory`` whose rank 0 logs one
+    memory access 8 bytes further on."""
+    copy_of(fixture, directory)
+    path = TraceSet.rank_path(directory, 0, FORMAT_BINARY)
+    with TraceReader(path) as reader:
+        header, events = reader.header, reader.events()
+    k = next(k for k, event in enumerate(events)
+             if isinstance(event, MemEvent))
+    events[k] = dataclasses.replace(events[k], addr=events[k].addr + 8)
+    with TraceWriter(path, 0, header.nranks, app=header.app,
+                     format=FORMAT_BINARY) as writer:
+        for event in events:
+            writer.write(event)
+    return directory
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd")
 @pytest.mark.parametrize("fixture", ["pingpong", "lu4_noloc", "lu4"])
-def test_checks_release_their_files_without_the_collector(fixture):
+def test_checks_release_their_files_without_the_collector(fixture,
+                                                          tmp_path):
     """A check closes every map and descriptor it opened before it
-    returns: no reference cycle keeps a reader alive for the cycle
-    collector to find."""
+    returns, whatever the executor: no reference cycle keeps a reader
+    alive for the cycle collector to find."""
     directory = os.path.join(FIXTURE_DIR, fixture)
-    api.check(directory)
-    gc.disable()
+    edited = _one_rank_edited(directory, str(tmp_path / "edited"))
+    populated = str(tmp_path / "populated")
+    api.check(directory, incremental=True, cache_dir=populated)
+    caches = (str(tmp_path / f"cache-{k}") for k in itertools.count())
+
+    def recheck():
+        cache = next(caches)
+        shutil.copytree(populated, cache)
+        return api.check(edited, incremental=True, cache_dir=cache)
+
+    arms = {
+        "batch": lambda: api.check(directory),
+        "jobs2": lambda: api.check(directory, jobs=2),
+        "streaming": lambda: api.check(directory, streaming=True),
+        "incremental-cold": lambda: api.check(
+            directory, incremental=True, cache_dir=next(caches)),
+        "incremental-warm": lambda: api.check(
+            directory, incremental=True, cache_dir=populated),
+        "incremental-recheck": recheck,
+    }
     try:
-        before = sorted(os.listdir("/proc/self/fd"))
-        for _ in range(20):
-            api.check(directory)
-        assert sorted(os.listdir("/proc/self/fd")) == before
+        for arm, check in arms.items():
+            check()                 # a pool is made by the first check
+            gc.disable()
+            try:
+                before = sorted(os.listdir("/proc/self/fd"))
+                for _ in range(20):
+                    check()
+                assert sorted(os.listdir("/proc/self/fd")) == before, arm
+            finally:
+                gc.enable()
     finally:
-        gc.enable()
+        api.shutdown_pools()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.apps.heat2d import heat2d
 from repro.apps.lu import lu
 from repro.apps.registry import BUG_CASES
 from repro.core.model import check_mem_rows
-from repro.core.plan import _RowLoader
 from repro.core.preprocess import preprocess_calls
 from repro.gen import GenConfig, generate_program, replay
 from repro.profiler.tracer import (
@@ -43,12 +42,12 @@ def as_set(traces):
 
 def one_rank(traces, rank):
     """What the one-rank reads of the rank's file give it: its calls,
-    its rows read whole (checked, as a shard load reads them) and a
+    its rows read whole (checked, as a set's are) and a
     segment at a time, its counts and its digest."""
     with traces.reader(rank) as reader:
         cols, counts = reader.read_calls()
-        loader = _RowLoader(traces, {rank: reader.call_table})
-        rows = loader.packed(rank)[0]
+        rows, offsets = read_mems([reader])
+        check_mem_rows(rows, offsets, reader.call_table)
         blocks = [block.array for block in reader.mem_blocks()]
         pieces = np.concatenate(blocks) if blocks else np.empty(
             0, MEM_DTYPE)

@@ -252,7 +252,7 @@ def test_prop_bulk_decode_equals_per_line_decode(tmp_path_factory, text):
     error = error or seq_order_error(text)
     got, raised = outcome(path, lambda r: (
         (list(stack_calls([r.rank_calls(mems=True)])[0]), r.counts()),
-        [row for block in r.call_mems for row in zip(*block.columns())]))
+        list(zip(*MemBlock(r.header.rank, r._table, r.mem_rows).columns()))))
     if error is None:
         assert raised is None
         assert got == (calls_and_counts(events), packed(events)[0])

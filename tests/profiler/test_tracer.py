@@ -1,11 +1,14 @@
 """Trace file writer/reader/set tests."""
 
+import dataclasses
 import os
+from collections import Counter
 
 import pytest
 
 from repro import api
 from repro.apps.registry import bug_case
+from repro.profiler import tracer
 from repro.profiler.events import CallEvent, MemEvent
 from repro.profiler.tracer import TraceReader, TraceSet, TraceWriter
 from repro.util.errors import TraceFormatError
@@ -80,19 +83,58 @@ class TestTraceSet:
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_a_check_reads_every_rank_file_once(self, tmp_path, monkeypatch,
                                                 fmt):
-        """One reader per rank file per check: the set learns its rank
-        count from a header, then opens each file once for the whole
-        check (a reader is constructed by ``TraceReader._open``)."""
+        """One reader per rank file per check, whatever the executor:
+        the set learns its rank count from a header, then opens each
+        file once for the whole check (a reader is constructed by
+        ``TraceReader._open``) and reads each file's memory rows at most
+        once (a binary file's segments are walked by
+        ``TraceReader._segments``, a text file's rows decoded by a
+        ``_TextSection`` pass with columns)."""
         case = bug_case("lockopts")
+        trace_dir, cache = str(tmp_path / "t"), str(tmp_path / "cache")
         run = api.run(case.app, case.nranks, params=case.params(True),
-                      trace_dir=str(tmp_path), trace_format=fmt)
-        opened = []
+                      trace_dir=trace_dir, trace_format=fmt)
+        paths = [run.traces.path(rank) for rank in range(case.nranks)]
+        opened, read = [], Counter()
         open_file = TraceReader._open
         monkeypatch.setattr(TraceReader, "_open", lambda self, path: (
             opened.append(path), open_file(self, path))[1])
-        assert api.check(str(tmp_path)).findings
-        assert sorted(opened) == sorted(run.traces.path(rank)
-                                        for rank in range(case.nranks))
+        segments = TraceReader._segments
+        monkeypatch.setattr(TraceReader, "_segments", lambda self: (
+            read.update([self.path]), segments(self))[1])
+        section = tracer._TextSection.__iter__
+        monkeypatch.setattr(tracer._TextSection, "__iter__", lambda self: (
+            read.update([self._reader.path] if self._columns else []),
+            section(self))[1])
+
+        def check(**config):
+            del opened[:]
+            read.clear()
+            report = api.check(trace_dir, **config)
+            assert sorted(opened) == sorted(paths), config
+            assert {path: n for path, n in read.items() if n > 1} == {}, \
+                config
+            assert set(read) <= set(paths), config
+            return report
+
+        try:
+            for config in ({}, dict(jobs=2), dict(streaming=True),
+                           dict(incremental=True, cache_dir=cache),
+                           dict(incremental=True, cache_dir=cache)):
+                assert check(**config).findings
+        finally:
+            api.shutdown_pools()
+        # one rank edited, re-checked against the populated cache
+        with TraceReader(paths[0]) as reader:
+            header, events = reader.header, reader.events()
+        k = next(k for k, event in enumerate(events)
+                 if isinstance(event, MemEvent))
+        events[k] = dataclasses.replace(events[k], addr=events[k].addr + 8)
+        with TraceWriter(paths[0], 0, header.nranks, app=header.app,
+                         format=fmt) as writer:
+            for event in events:
+                writer.write(event)
+        check(incremental=True, cache_dir=cache)
 
     def test_missing_rank_rejected(self, tmp_path):
         write_trace(tmp_path, 0, 3, [])

@@ -1,11 +1,13 @@
-"""``hash_ranges``: many small digests over a few large buffers."""
+"""``hash_ranges``: many small digests over a few large buffers; and
+``hash_strings``, a string table's digest."""
 
 import hashlib
 import struct
 
 import numpy as np
+from hypothesis import given, strategies as st
 
-from repro.util.hashing import hash_ranges
+from repro.util.hashing import hash_ranges, hash_strings
 
 
 def _parts():
@@ -56,3 +58,15 @@ def test_chained_digest_covers_the_ranges_so_far():
         assert bytes(digests[k]) == running.digest()
     # ... and the first is what the unchained one is
     assert bytes(digests[0]) == bytes(hash_ranges(b"prefix", parts)[0])
+
+
+@given(st.lists(st.one_of(
+    st.text(st.characters(max_codepoint=0x7F)),     # ASCII, \x00 included
+    st.text(), st.just(""), st.just("\x00"), st.just("é\x00ψ"))))
+def test_hash_strings_is_the_length_prefixed_formula(strings):
+    """Whichever way a table is hashed, its digest is the SHA-256 of
+    each string's UTF-8 byte length, a NUL and its UTF-8 bytes."""
+    raw = [string.encode("utf-8") for string in strings]
+    assert hash_strings(strings) == hashlib.sha256(b"".join(
+        str(len(part)).encode("ascii") + b"\x00" + part
+        for part in raw)).hexdigest()
